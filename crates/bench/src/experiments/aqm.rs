@@ -128,47 +128,6 @@ fn fleet_cfg(
         ))
 }
 
-/// The `bench_sched` overhead pair: the 16-client MP-DASH fleet with a
-/// plain FIFO AP versus the same fleet under a *quiescent* PIE (10 s
-/// target: the drop probability never leaves zero, `admit` delivers
-/// without touching the RNG, and the packet schedule stays
-/// byte-identical to FIFO). The wall-clock delta is therefore pure
-/// per-packet controller bookkeeping — the cost the 5% gate bounds. An
-/// *active* AQM changes the workload itself (marks → backoffs → a
-/// different event schedule), which is behavior, not overhead; see
-/// [`bench_fleet_active`] for that datapoint.
-pub fn bench_fleet_pair() -> (FleetConfig, FleetConfig) {
-    let fifo = fleet_cfg(
-        16,
-        TransportMode::mpdash_rate_based(),
-        QueueDiscipline::Fifo,
-        DEEP_CAPACITY,
-    );
-    let quiescent = fleet_cfg(
-        16,
-        TransportMode::mpdash_rate_based(),
-        QueueDiscipline::Pie(pie_marking().with_target_ms(10_000.0)),
-        DEEP_CAPACITY,
-    );
-    (fifo, quiescent)
-}
-
-/// The same 16-client fleet under an *active* FQ-PIE — recorded in the
-/// trajectory artifact as an informational datapoint (its wall time
-/// folds in the behavioral shift the controller causes, so it is not
-/// comparable to FIFO as an overhead number and carries no gate).
-pub fn bench_fleet_active() -> FleetConfig {
-    fleet_cfg(
-        16,
-        TransportMode::mpdash_rate_based(),
-        QueueDiscipline::FqPie {
-            quantum: 1540,
-            aqm: pie_marking(),
-        },
-        DEEP_CAPACITY,
-    )
-}
-
 /// A fleet job whose value carries the summary JSON plus
 /// `total_stall_ms` (the fleet summary only counts stalls; the
 /// reproduction orders their *duration*). Enrichment happens inside the

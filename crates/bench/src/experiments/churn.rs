@@ -411,15 +411,6 @@ pub fn run() {
     run_with(crate::cli::quick_requested());
 }
 
-/// The heavy/quick cell — 16 churning clients, regional WiFi outage,
-/// shedding on — as a perf workload for `bench_sched`: every robustness
-/// mechanism of this grid rides in one run, and `watchdog` arms or
-/// disarms the invariant checker so the bench can price its overhead.
-pub fn bench_fleet_config(watchdog: bool) -> FleetConfig {
-    let [_, heavy] = churn_levels(true);
-    cell_cfg(&heavy, "wifi-outage", true).with_watchdog(watchdog)
-}
-
 #[cfg(test)]
 mod tests {
     /// The acceptance property: the persisted artifact is bit-identical

@@ -156,12 +156,6 @@ fn cache_fleet_cfg(clients: usize) -> FleetConfig {
     FleetConfig::new(base, clients).with_cache(FleetCacheSpec::new(256 * 1024 * 1024))
 }
 
-/// The 16-client shared-manifest fleet `bench_origin` times with the
-/// edge cache on and off.
-pub fn bench_fleet_config() -> FleetConfig {
-    cache_fleet_cfg(16)
-}
-
 fn jobs(quick: bool) -> Vec<Job> {
     let mut jobs = Vec::new();
     for (name, cfg) in strategies(quick) {

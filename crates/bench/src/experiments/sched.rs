@@ -106,17 +106,6 @@ fn fleet_cfg(clients: usize, sched: SchedulerSpec, mode: TransportMode) -> Fleet
         ))
 }
 
-/// The heaviest cell of the grid — the 16-client contended fleet under
-/// MP-DASH with QAware — which `bench_sched` times for its sessions/sec
-/// trajectory figure.
-pub fn bench_fleet_config() -> FleetConfig {
-    fleet_cfg(
-        16,
-        SchedulerSpec::QAware,
-        TransportMode::mpdash_rate_based(),
-    )
-}
-
 fn jobs(quick: bool) -> Vec<Job> {
     let mut jobs = Vec::new();
     for mode in modes() {

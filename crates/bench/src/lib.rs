@@ -16,7 +16,18 @@
 //! | `exp_tab6`  | Table 6 — HD video |
 //! | `exp_faults` | resilience matrix — fault injection on the preferred path (beyond the paper) |
 //! | `exp_lifecycle` | request-lifecycle matrix — server faults x timeout/abandon/resume policy (beyond the paper) |
+//! | `exp_motivation` | §2.2 — can WiFi alone sustain the top bitrate, per corpus location |
+//! | `exp_ablation` | design-choice ablations, incl. the Φ/Ω study §5.2.2 defers |
+//! | `exp_mpc`   | §5.2.3's sketch — MPC rate adaptation under MP-DASH |
+//! | `exp_fleet` | multi-client contention at a shared AP and sector (beyond the paper) |
+//! | `exp_sched` | packet-scheduler grid — minRTT / round-robin / QAware, solo and contended |
+//! | `exp_origin` | multi-origin serving — breakers, hedged failover, edge cache under an outage |
+//! | `exp_churn` | fleet churn x correlated fault domain x overload shedding, watchdog armed |
+//! | `exp_aqm`   | FIFO / PIE / FQ-PIE / CoDel on the shared AP (Naik et al.'s comparison) |
 //! | `exp_all`   | everything above, in sequence |
+//!
+//! Wall-clock measurement lives in `perf/` (one ledger, `BENCHMARK.json`);
+//! nothing in this crate times itself.
 //!
 //! The library half hosts the trace-driven simulator behind Table 2 (the
 //! paper's §7.2.2 methodology: discrete bandwidth slots of one RTT, the

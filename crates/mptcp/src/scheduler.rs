@@ -279,12 +279,11 @@ impl Scheduler for SchedulerImpl {
     }
 }
 
-/// The seed enum dispatcher, kept verbatim as the equivalence reference:
-/// property tests pin the trait port against it and the micro bench
-/// measures trait-dispatch overhead relative to it. `rr_cursor` is the
-/// seed's position-cursor rotation state (including its skew bug — that
-/// is the point of a reference). Panics on [`SchedulerSpec::QAware`],
-/// which postdates the seed.
+/// The seed enum dispatcher, kept verbatim as the equivalence reference
+/// the property tests in `tests/scheduler_equiv.rs` pin the trait port
+/// against. `rr_cursor` is the seed's position-cursor rotation state
+/// (including its skew bug — that is the point of a reference). Panics
+/// on [`SchedulerSpec::QAware`], which postdates the seed.
 #[doc(hidden)]
 #[inline]
 pub fn seed_pick(

@@ -283,7 +283,7 @@ fn origin_name(scenario: &Scenario, origin: usize) -> String {
     scenario
         .origins
         .as_ref()
-        .and_then(|o| o.pool.get(origin))
+        .and_then(|o| o.origins.get(origin))
         .map(|o| o.id.clone())
         .unwrap_or_else(|| format!("#{origin}"))
 }

@@ -6,10 +6,20 @@
 //! be a constant rate, a seeded synthetic trace, or an external profile
 //! in the `mpdash-trace` JSON format (so measured traces plug straight
 //! in).
+//!
+//! The document is decoded in one pass, straight into the simulator's own
+//! types: every value is range-checked where it is read, every error
+//! names the full path of the offending key (`fleet.shared[1].quantum`),
+//! and a key that is repeated, misspelt, or not taken by the level it
+//! sits in is an error rather than a silent default. A [`Scenario`] that
+//! parsed can fail to build only on trace-file I/O.
 
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
-use mpdash_fleet::{fleet_job, FleetCacheSpec, FleetConfig, SharedLinkSpec};
+use mpdash_fleet::{
+    fleet_job, ChurnSpec, FaultDomainSpec, FleetCacheSpec, FleetConfig, OverloadPolicy,
+    SharedLinkSpec,
+};
 use mpdash_http::{OriginPoolConfig, OriginSpec};
 use mpdash_link::{
     AqmConfig, BandwidthProfile, FaultScript, GilbertElliott, LinkConfig, PathId, QueueDiscipline,
@@ -18,55 +28,315 @@ use mpdash_link::{
 use mpdash_mptcp::SchedulerSpec;
 use mpdash_obs::TelemetrySpec;
 use mpdash_results::Json;
-use mpdash_session::{Job, LifecyclePolicy, ServerFaultScript, SessionConfig, TransportMode};
-use mpdash_sim::{Rate, SimDuration, SimTime};
+use mpdash_session::{
+    Job, LifecyclePolicy, ServerFaultScript, SessionConfig, SharedSegmentCache, TransportMode,
+};
+use mpdash_sim::{SimDuration, SimTime};
 use mpdash_trace::io::ProfileSpec;
 use mpdash_trace::synth::SynthSpec;
 
-/// A network path's bandwidth, one of three sources.
+/// Upper bound on every millisecond key: one minute is far beyond any
+/// RTT, and keeps `ms * 10^6` and `client_index * skew` inside a `u64`.
+const MAX_MILLIS: u64 = 60_000;
+
+/// Upper bound on the whole-second keys (`buffer_secs`, `chunk_secs`):
+/// one day, so the conversion to nanoseconds cannot wrap.
+const MAX_SECS: u64 = 86_400;
+
+/// A numeric constraint and how to say it in an error.
+#[derive(Clone, Copy)]
+struct Bound {
+    ok: fn(f64) -> bool,
+    want: &'static str,
+}
+
+const POSITIVE: Bound = Bound {
+    ok: |v| v > 0.0,
+    want: "> 0",
+};
+const NON_NEGATIVE: Bound = Bound {
+    ok: |v| v >= 0.0,
+    want: ">= 0",
+};
+const UNIT: Bound = Bound {
+    ok: |v| (0.0..=1.0).contains(&v),
+    want: "in [0,1]",
+};
+const UNIT_ABOVE_ZERO: Bound = Bound {
+    ok: |v| v > 0.0 && v <= 1.0,
+    want: "in (0,1]",
+};
+const UNIT_BELOW_ONE: Bound = Bound {
+    ok: |v| (0.0..1.0).contains(&v),
+    want: "in [0,1)",
+};
+
+// Scalar decoders. `at` is the value's full path in the document; every
+// error starts with it.
+
+/// A finite number within `bound` (so `1e999` fails here, not as a
+/// panic deep inside the simulator).
+fn finite(j: &Json, at: &str, bound: Bound) -> Result<f64, String> {
+    let v = j
+        .as_f64()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("{at}: must be a finite number"))?;
+    if (bound.ok)(v) {
+        Ok(v)
+    } else {
+        Err(format!("{at}: must be {}, got {v}", bound.want))
+    }
+}
+
+/// A whole number in `lo..=hi` that also fits the target type.
+fn whole<T: TryFrom<u64>>(j: &Json, at: &str, lo: u64, hi: u64) -> Result<T, String> {
+    j.as_u64()
+        .filter(|v| (lo..=hi).contains(v))
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| {
+            let upper = match hi {
+                u64::MAX => String::new(),
+                _ => format!(" and <= {hi}"),
+            };
+            format!("{at}: must be a whole number >= {lo}{upper}, got {j}")
+        })
+}
+
+fn text<'a>(j: &'a Json, at: &str) -> Result<&'a str, String> {
+    j.as_str().ok_or_else(|| format!("{at}: must be a string"))
+}
+
+fn unknown(at: &str, what: &str, name: &str, expected: &str) -> String {
+    format!("{at}: unknown {what} '{name}' (expected {expected})")
+}
+
+/// The documents use serde-style externally-tagged enums in snake_case:
+/// a bare string is a unit variant (`"vanilla"`), a single-key object
+/// wraps a payload variant (`{"throttled": 700}`). For the latter, the
+/// tag, the payload and the payload's path.
+fn variant<'a>(j: &'a Json, at: &str) -> Result<(&'a str, &'a Json, String), String> {
+    match j.as_obj() {
+        Some([(tag, payload)]) => Ok((tag, payload, format!("{at}.{tag}"))),
+        _ => Err(format!("{at}: expected a single-variant object")),
+    }
+}
+
+/// One JSON object being decoded. Construction refuses repeated keys;
+/// the extractors remember which keys were asked for, and
+/// [`Obj::finish`] refuses every key nobody asked for — so each level
+/// of the format accepts exactly the keys its decoder reads.
+struct Obj<'a> {
+    path: String,
+    members: &'a [(String, Json)],
+    asked: Vec<&'static str>,
+}
+
+impl<'a> Obj<'a> {
+    fn new(j: &'a Json, path: &str) -> Result<Self, String> {
+        let obj = Obj {
+            path: path.to_string(),
+            members: j
+                .as_obj()
+                .ok_or_else(|| format!("{}: must be an object", path_or_root(path)))?,
+            asked: Vec::new(),
+        };
+        for (i, (key, _)) in obj.members.iter().enumerate() {
+            if obj.members[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(format!("{}: key is given twice", obj.at(key)));
+            }
+        }
+        Ok(obj)
+    }
+
+    /// Full path of `key` at this level.
+    fn at(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    /// Decode the value under `key`, if present.
+    fn opt<T>(
+        &mut self,
+        key: &'static str,
+        decode: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.asked.push(key);
+        let at = self.at(key);
+        self.members
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, j)| decode(j, &at))
+            .transpose()
+    }
+
+    /// Decode the value under `key`; its absence is an error.
+    fn req<T>(
+        &mut self,
+        key: &'static str,
+        decode: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.opt(key, decode)?
+            .ok_or_else(|| format!("{}: missing required key", self.at(key)))
+    }
+
+    fn f64(&mut self, key: &'static str, bound: Bound) -> Result<f64, String> {
+        self.req(key, |j, at| finite(j, at, bound))
+    }
+
+    fn opt_f64(&mut self, key: &'static str, bound: Bound) -> Result<Option<f64>, String> {
+        self.opt(key, |j, at| finite(j, at, bound))
+    }
+
+    fn uint<T: TryFrom<u64>>(&mut self, key: &'static str, lo: u64, hi: u64) -> Result<T, String> {
+        self.req(key, |j, at| whole(j, at, lo, hi))
+    }
+
+    fn opt_uint<T: TryFrom<u64>>(
+        &mut self,
+        key: &'static str,
+        lo: u64,
+        hi: u64,
+    ) -> Result<Option<T>, String> {
+        self.opt(key, |j, at| whole(j, at, lo, hi))
+    }
+
+    /// Fractional seconds as a duration.
+    fn secs(&mut self, key: &'static str, bound: Bound) -> Result<SimDuration, String> {
+        self.f64(key, bound).map(SimDuration::from_secs_f64)
+    }
+
+    fn opt_secs(&mut self, key: &'static str, bound: Bound) -> Result<Option<SimDuration>, String> {
+        Ok(self.opt_f64(key, bound)?.map(SimDuration::from_secs_f64))
+    }
+
+    /// Whole milliseconds in `lo..=MAX_MILLIS` as a duration.
+    fn opt_millis(&mut self, key: &'static str, lo: u64) -> Result<Option<SimDuration>, String> {
+        Ok(self
+            .opt_uint(key, lo, MAX_MILLIS)?
+            .map(SimDuration::from_millis))
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<&'a str, String> {
+        self.req(key, text)
+    }
+
+    fn opt_bool(&mut self, key: &'static str) -> Result<Option<bool>, String> {
+        self.opt(key, |j, at| {
+            j.as_bool()
+                .ok_or_else(|| format!("{at}: must be a boolean"))
+        })
+    }
+
+    /// The array under `key` as `(item, item path)` pairs. An absent
+    /// key is an empty list, unless `required` — then both absence and
+    /// an empty array are errors.
+    fn items(
+        &mut self,
+        key: &'static str,
+        required: bool,
+    ) -> Result<Vec<(&'a Json, String)>, String> {
+        let at = self.at(key);
+        let found = self.opt(key, |j, at| {
+            j.as_arr().ok_or_else(|| format!("{at}: must be an array"))
+        })?;
+        match found {
+            None if required => Err(format!("{at}: missing required key")),
+            Some([]) if required => Err(format!("{at}: must list at least one entry")),
+            found => Ok(found
+                .unwrap_or_default()
+                .iter()
+                .enumerate()
+                .map(|(i, item)| (item, format!("{at}[{i}]")))
+                .collect()),
+        }
+    }
+
+    /// Decode every item of the array under `key` (see [`Obj::items`]).
+    fn list<T>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        mut decode: impl FnMut(&'a Json, &str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.items(key, required)?
+            .into_iter()
+            .map(|(j, at)| decode(j, &at))
+            .collect()
+    }
+
+    /// Refuse every key no extractor asked for, naming the keys this
+    /// level takes.
+    fn finish(self) -> Result<(), String> {
+        match self
+            .members
+            .iter()
+            .find(|(k, _)| !self.asked.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((stray, _)) => Err(format!(
+                "{}: unknown key ({} accepts: {})",
+                self.at(stray),
+                path_or_root(&self.path),
+                self.asked.join(", ")
+            )),
+        }
+    }
+}
+
+fn path_or_root(path: &str) -> &str {
+    if path.is_empty() {
+        "the scenario document"
+    } else {
+        path
+    }
+}
+
+/// A network path's bandwidth.
 #[derive(Debug)]
 pub enum BandwidthSpec {
-    /// Fixed rate in Mbps.
-    Constant(f64),
-    /// Seeded synthetic AR(1) trace.
-    Synthetic {
-        /// Mean rate, Mbps.
-        mean_mbps: f64,
-        /// σ as a fraction of the mean.
-        sigma: f64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Load an `mpdash-trace` JSON profile from this path.
+    /// Decoded in place: `{"constant": mbps}`, or a seeded AR(1) trace
+    /// `{"synthetic": {"mean_mbps", "sigma", "seed"}}` (σ as a fraction
+    /// of the mean).
+    Profile(BandwidthProfile),
+    /// `{"file": path}`: an `mpdash-trace` JSON profile, loaded at build
+    /// time.
     File(String),
 }
 
 impl BandwidthSpec {
-    fn build(&self) -> Result<BandwidthProfile, String> {
+    fn decode(j: &Json, at: &str) -> Result<Self, String> {
+        let (tag, payload, at) = variant(j, at)?;
+        match tag {
+            // Zero is a legitimate dead path.
+            "constant" => Ok(BandwidthSpec::Profile(BandwidthProfile::constant_mbps(
+                finite(payload, &at, NON_NEGATIVE)?,
+            ))),
+            "synthetic" => {
+                let mut o = Obj::new(payload, &at)?;
+                let spec = SynthSpec::new(
+                    o.f64("mean_mbps", POSITIVE)?,
+                    o.f64("sigma", NON_NEGATIVE)?,
+                    o.uint("seed", 0, u64::MAX)?,
+                );
+                o.finish()?;
+                Ok(BandwidthSpec::Profile(spec.profile()))
+            }
+            "file" => Ok(BandwidthSpec::File(text(payload, &at)?.to_string())),
+            other => Err(unknown(
+                &at,
+                "bandwidth kind",
+                other,
+                "constant, synthetic, file",
+            )),
+        }
+    }
+
+    fn profile(&self) -> Result<BandwidthProfile, String> {
         match self {
-            BandwidthSpec::Constant(mbps) => {
-                // Zero is a legitimate dead path; negative (or NaN from a
-                // hand-edited file) is a typo worth naming precisely.
-                if mbps.is_nan() || *mbps < 0.0 {
-                    return Err(format!("constant bandwidth must be >= 0 Mbps, got {mbps}"));
-                }
-                Ok(BandwidthProfile::constant_mbps(*mbps))
-            }
-            BandwidthSpec::Synthetic {
-                mean_mbps,
-                sigma,
-                seed,
-            } => {
-                if mean_mbps.is_nan() || *mean_mbps <= 0.0 {
-                    return Err(format!(
-                        "synthetic 'mean_mbps' must be > 0, got {mean_mbps}"
-                    ));
-                }
-                if sigma.is_nan() || *sigma < 0.0 {
-                    return Err(format!("synthetic 'sigma' must be >= 0, got {sigma}"));
-                }
-                Ok(SynthSpec::new(*mean_mbps, *sigma, *seed).profile())
-            }
+            BandwidthSpec::Profile(profile) => Ok(profile.clone()),
             BandwidthSpec::File(path) => {
                 let text =
                     std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -76,89 +346,73 @@ impl BandwidthSpec {
             }
         }
     }
-
-    fn mean(&self, profile: &BandwidthProfile) -> Rate {
-        profile.mean_rate(SimDuration::from_secs(120))
-    }
 }
 
-/// Which video to stream.
-#[derive(Debug)]
-pub enum VideoSpec {
-    /// A Table 3 dataset video by name: `big_buck_bunny`,
-    /// `red_bull_playstreets`, `tears_of_steel`, `tears_of_steel_hd`.
-    Named(String),
-    /// A custom ladder.
-    Custom {
-        /// Average bitrates per level, Mbps, ascending.
-        levels_mbps: Vec<f64>,
-        /// Chunk playout duration, seconds.
-        chunk_secs: u64,
-        /// Number of chunks.
-        n_chunks: usize,
-    },
-}
-
-impl VideoSpec {
-    fn build(&self) -> Result<Video, String> {
-        match self {
-            VideoSpec::Named(name) => match name.as_str() {
-                "big_buck_bunny" => Ok(Video::big_buck_bunny()),
-                "red_bull_playstreets" => Ok(Video::red_bull_playstreets()),
-                "tears_of_steel" => Ok(Video::tears_of_steel()),
-                "tears_of_steel_hd" => Ok(Video::tears_of_steel_hd()),
-                other => Err(format!("unknown video '{other}'")),
-            },
-            VideoSpec::Custom {
-                levels_mbps,
-                chunk_secs,
-                n_chunks,
-            } => {
-                if levels_mbps.is_empty() || *chunk_secs == 0 || *n_chunks == 0 {
-                    return Err("custom video needs levels, chunk_secs, n_chunks".into());
-                }
-                for pair in levels_mbps.windows(2) {
-                    // A NaN level must fail validation too, so test the
-                    // positive "strictly ascending" predicate.
-                    let ascending = pair[1] > pair[0];
-                    if !ascending {
-                        return Err(format!(
-                            "'levels_mbps' must be strictly ascending, got {:?} before {:?}",
-                            pair[0], pair[1]
-                        ));
-                    }
-                }
-                let first_positive = levels_mbps[0] > 0.0;
-                if !first_positive {
+/// `{"named": ...}` picks a Table 3 dataset video; `{"custom": {...}}`
+/// declares a ladder (average Mbps per level, strictly ascending).
+fn decode_video(j: &Json, at: &str) -> Result<Video, String> {
+    let (tag, payload, at) = variant(j, at)?;
+    match tag {
+        "named" => match text(payload, &at)? {
+            "big_buck_bunny" => Ok(Video::big_buck_bunny()),
+            "red_bull_playstreets" => Ok(Video::red_bull_playstreets()),
+            "tears_of_steel" => Ok(Video::tears_of_steel()),
+            "tears_of_steel_hd" => Ok(Video::tears_of_steel_hd()),
+            other => Err(unknown(
+                &at,
+                "video",
+                other,
+                "big_buck_bunny, red_bull_playstreets, tears_of_steel, tears_of_steel_hd",
+            )),
+        },
+        "custom" => {
+            let mut o = Obj::new(payload, &at)?;
+            let mut levels: Vec<f64> = Vec::new();
+            for (j, at) in o.items("levels_mbps", true)? {
+                let mbps = finite(j, &at, POSITIVE)?;
+                if let Some(prev) = levels.last().filter(|&&prev| mbps <= prev) {
                     return Err(format!(
-                        "'levels_mbps' must all be > 0, got {}",
-                        levels_mbps[0]
+                        "{at}: levels must be strictly ascending, got {mbps} after {prev}"
                     ));
                 }
-                Ok(Video::new(
-                    "custom",
-                    levels_mbps,
-                    SimDuration::from_secs(*chunk_secs),
-                    *n_chunks,
-                ))
+                levels.push(mbps);
             }
+            let video = Video::new(
+                "custom",
+                &levels,
+                SimDuration::from_secs(o.uint("chunk_secs", 1, MAX_SECS)?),
+                o.uint("n_chunks", 1, u64::MAX)?,
+            );
+            o.finish()?;
+            Ok(video)
         }
+        other => Err(unknown(&at, "video kind", other, "named, custom")),
     }
 }
 
-/// Which transport policy a mode entry runs.
-#[derive(Debug)]
-pub enum ModeKind {
-    /// Vanilla MPTCP.
-    Vanilla,
-    /// Single-path WiFi.
-    WifiOnly,
-    /// MP-DASH with rate-based deadlines.
-    MpdashRate,
-    /// MP-DASH with duration-based deadlines.
-    MpdashDuration,
-    /// Cellular throttled at the given kbps.
-    Throttled(u64),
+fn decode_abr(j: &Json, at: &str) -> Result<AbrKind, String> {
+    match text(j, at)? {
+        "gpac" => Ok(AbrKind::Gpac),
+        "festive" => Ok(AbrKind::Festive),
+        "bba" => Ok(AbrKind::Bba),
+        "bba_c" | "bbac" | "bba-c" => Ok(AbrKind::BbaC),
+        "mpc" => Ok(AbrKind::Mpc),
+        other => Err(unknown(at, "abr", other, "gpac, festive, bba, bba_c, mpc")),
+    }
+}
+
+fn decode_lifecycle(j: &Json, at: &str) -> Result<LifecyclePolicy, String> {
+    match text(j, at)? {
+        "wait_forever" => Ok(LifecyclePolicy::wait_forever()),
+        "retry_only" => Ok(LifecyclePolicy::retry_only()),
+        "deadline_aware" => Ok(LifecyclePolicy::deadline_aware()),
+        other => Err(unknown(
+            at,
+            "lifecycle",
+            other,
+            "wait_forever, retry_only, deadline_aware",
+        )),
+    }
 }
 
 /// A transport policy to compare, with an optional per-mode MPTCP
@@ -166,27 +420,41 @@ pub enum ModeKind {
 #[derive(Debug)]
 pub struct ModeSpec {
     /// The transport policy.
-    pub kind: ModeKind,
+    pub mode: TransportMode,
     /// Packet scheduler: `min_rtt` (the default when absent),
     /// `round_robin`, or `qaware`.
     pub scheduler: Option<SchedulerSpec>,
 }
 
 impl ModeSpec {
-    fn build(&self) -> TransportMode {
-        match self.kind {
-            ModeKind::Vanilla => TransportMode::Vanilla,
-            ModeKind::WifiOnly => TransportMode::WifiOnly,
-            ModeKind::MpdashRate => TransportMode::mpdash_rate_based(),
-            ModeKind::MpdashDuration => TransportMode::mpdash_duration_based(),
-            ModeKind::Throttled(kbps) => TransportMode::Throttled { kbps },
+    fn decode(j: &Json, at: &str) -> Result<Self, String> {
+        // The long form `{"mode": ..., "scheduler": "..."}` wraps any
+        // short-form mode with a packet-scheduler override; the short
+        // forms ("vanilla", {"throttled": 700}) stay valid unchanged.
+        if j.get("mode").is_none() {
+            return Ok(ModeSpec {
+                mode: decode_transport(j, at)?,
+                scheduler: None,
+            });
         }
+        let mut o = Obj::new(j, at)?;
+        let spec = ModeSpec {
+            mode: o.req("mode", decode_transport)?,
+            scheduler: o.opt("scheduler", |j, at| {
+                let name = text(j, at)?;
+                SchedulerSpec::parse(name).ok_or_else(|| {
+                    unknown(at, "scheduler", name, "min_rtt, round_robin, or qaware")
+                })
+            })?,
+        };
+        o.finish()?;
+        Ok(spec)
     }
 
     /// Display label; a non-default scheduler is suffixed so grid rows
     /// stay distinguishable (e.g. `Rate+qaware`).
     pub fn label(&self) -> String {
-        let base = self.build().label();
+        let base = self.mode.label();
         match self.scheduler {
             None => base,
             Some(s) => format!("{base}+{}", s.label()),
@@ -194,181 +462,269 @@ impl ModeSpec {
     }
 }
 
-/// One shared bottleneck in a fleet topology (`fleet.shared[]`).
-#[derive(Debug)]
-pub struct SharedSpec {
-    /// Shared capacity, Mbps.
-    pub rate_mbps: f64,
-    /// Queue bound in bytes (default: the bottleneck's 128 KiB).
-    pub capacity_bytes: Option<u64>,
-    /// `fifo` (drop-tail), `fq` (per-flow DRR), or an AQM: `pie`,
-    /// `fq_pie` (DRR + per-flow PIE), `codel`.
-    pub discipline: String,
-    /// DRR quantum in bytes for `fq`/`fq_pie` (default 1540).
-    pub quantum: Option<u64>,
-    /// AQM queue-delay target, ms (default: PIE 15, CoDel 5).
-    pub target_delay_ms: Option<f64>,
-    /// AQM update/sliding interval, ms (default: PIE 15, CoDel 100).
-    pub interval_ms: Option<f64>,
-    /// PIE proportional gain per second (default 0.125).
-    pub alpha: Option<f64>,
-    /// PIE derivative gain per second (default 1.25).
-    pub beta: Option<f64>,
-    /// Mark instead of dropping (ECN-style early signal to senders).
-    pub ecn: Option<bool>,
-    /// Which of each client's paths subscribe: `wifi` and/or `cell`.
-    pub paths: Vec<String>,
-}
-
-impl SharedSpec {
-    /// The [`AqmConfig`] these knobs describe, from the given defaults.
-    fn aqm_config(&self, base: AqmConfig) -> AqmConfig {
-        let mut a = base;
-        if let Some(t) = self.target_delay_ms {
-            a = a.with_target_ms(t);
-        }
-        if let Some(i) = self.interval_ms {
-            a = a.with_interval_ms(i);
-        }
-        if let Some(al) = self.alpha {
-            a = a.with_alpha(al);
-        }
-        if let Some(be) = self.beta {
-            a = a.with_beta(be);
-        }
-        if let Some(e) = self.ecn {
-            a = a.with_ecn(e);
-        }
-        a
+fn decode_transport(j: &Json, at: &str) -> Result<TransportMode, String> {
+    const EXPECTED: &str =
+        "vanilla, wifi_only, mpdash_rate, mpdash_duration, {\"throttled\": kbps}";
+    if let Some(tag) = j.as_str() {
+        return match tag {
+            "vanilla" => Ok(TransportMode::Vanilla),
+            "wifi_only" => Ok(TransportMode::WifiOnly),
+            "mpdash_rate" => Ok(TransportMode::mpdash_rate_based()),
+            "mpdash_duration" => Ok(TransportMode::mpdash_duration_based()),
+            other => Err(unknown(at, "mode", other, EXPECTED)),
+        };
     }
-
-    fn build(&self) -> SharedLinkSpec {
-        let mut config = SharedBottleneckConfig::fifo_mbps(self.rate_mbps);
-        match self.discipline.as_str() {
-            "fq" => {
-                config = config.with_discipline(QueueDiscipline::FlowQueue {
-                    quantum: self.quantum.unwrap_or(1540),
-                });
-            }
-            "pie" => {
-                config =
-                    config.with_discipline(QueueDiscipline::Pie(self.aqm_config(AqmConfig::pie())));
-            }
-            "fq_pie" => {
-                config = config.with_discipline(QueueDiscipline::FqPie {
-                    quantum: self.quantum.unwrap_or(1540),
-                    aqm: self.aqm_config(AqmConfig::pie()),
-                });
-            }
-            "codel" => {
-                config = config
-                    .with_discipline(QueueDiscipline::Codel(self.aqm_config(AqmConfig::codel())));
-            }
-            _ => {}
-        }
-        if let Some(cap) = self.capacity_bytes {
-            config = config.with_capacity(cap);
-        }
-        SharedLinkSpec {
-            config,
-            paths: self
-                .paths
-                .iter()
-                .map(|p| {
-                    if p == "wifi" {
-                        PathId::WIFI
-                    } else {
-                        PathId::CELLULAR
-                    }
-                })
-                .collect(),
-        }
+    match variant(j, at)? {
+        // A zero rate is not a throttle; a zero-rate `cell` bandwidth
+        // models a dead path.
+        ("throttled", payload, at) => Ok(TransportMode::Throttled {
+            kbps: whole(payload, &at, 1, u64::MAX)?,
+        }),
+        (other, ..) => Err(unknown(at, "mode", other, EXPECTED)),
     }
 }
 
-/// Seeded fleet churn (`fleet.churn`): deterministic exponential
-/// inter-arrivals and viewing-time departures replace the fixed
-/// stagger, so sessions arrive, watch for a drawn duration, and leave
-/// with a clean partial report.
-#[derive(Debug)]
-pub struct ChurnSpec {
-    /// Mean gap between consecutive arrivals, seconds.
-    pub mean_interarrival_s: f64,
-    /// Mean viewing time before the viewer closes the tab, seconds.
-    pub mean_watch_s: f64,
-    /// Floor on drawn viewing times, seconds (default: the fleet
-    /// crate's one-chunk floor).
-    pub min_watch_s: Option<f64>,
+/// The `at_s`/`secs` window every fault payload carries.
+fn fault_window(o: &mut Obj) -> Result<(SimTime, SimDuration), String> {
+    Ok((
+        SimTime::ZERO + o.secs("at_s", NON_NEGATIVE)?,
+        o.secs("secs", POSITIVE)?,
+    ))
 }
 
-impl ChurnSpec {
-    fn build(&self) -> mpdash_fleet::ChurnSpec {
-        let mut spec = mpdash_fleet::ChurnSpec::new(
-            SimDuration::from_secs_f64(self.mean_interarrival_s),
-            SimDuration::from_secs_f64(self.mean_watch_s),
-        );
-        if let Some(floor) = self.min_watch_s {
-            spec = spec.with_min_watch(SimDuration::from_secs_f64(floor));
+/// Decode one externally-tagged link-fault entry — e.g.
+/// `{"rate_collapse": {"at_s": 20, "secs": 40, "factor": 0.15}}` — and
+/// append it to `script`.
+fn decode_link_fault(script: FaultScript, j: &Json, at: &str) -> Result<FaultScript, String> {
+    let (tag, payload, at) = variant(j, at)?;
+    let mut o = Obj::new(payload, &at)?;
+    let (start, dur) = fault_window(&mut o)?;
+    let script = match tag {
+        "burst_loss" => script.burst_loss(
+            start,
+            dur,
+            GilbertElliott::new(
+                o.opt_f64("p_enter", UNIT_ABOVE_ZERO)?.unwrap_or(0.05),
+                o.opt_f64("p_exit", UNIT_ABOVE_ZERO)?.unwrap_or(0.30),
+                o.opt_f64("loss", UNIT)?.unwrap_or(0.5),
+            ),
+        ),
+        "rtt_spike" => script.rtt_spike(
+            start,
+            dur,
+            SimDuration::from_secs_f64(o.opt_f64("extra_ms", NON_NEGATIVE)?.unwrap_or(200.0) / 1e3),
+            SimDuration::from_secs_f64(o.opt_f64("jitter_ms", NON_NEGATIVE)?.unwrap_or(0.0) / 1e3),
+        ),
+        "rate_collapse" => script.rate_collapse(start, dur, o.f64("factor", UNIT_ABOVE_ZERO)?),
+        "disassociation" => script.disassociation(
+            start,
+            dur,
+            o.opt_secs("reassoc_s", NON_NEGATIVE)?
+                .unwrap_or(SimDuration::from_secs(1)),
+        ),
+        other => {
+            return Err(unknown(
+                &at,
+                "fault kind",
+                other,
+                "burst_loss, rtt_spike, rate_collapse, disassociation",
+            ))
         }
-        spec
+    };
+    o.finish()?;
+    Ok(script)
+}
+
+/// Decode one externally-tagged server-fault entry — e.g.
+/// `{"stalled_body": {"at_s": 8, "secs": 6, "stall_s": 30, "after_fraction": 0.5}}`
+/// — and append it to `script`.
+fn decode_server_fault(
+    script: ServerFaultScript,
+    j: &Json,
+    at: &str,
+) -> Result<ServerFaultScript, String> {
+    let (tag, payload, at) = variant(j, at)?;
+    let mut o = Obj::new(payload, &at)?;
+    let (start, dur) = fault_window(&mut o)?;
+    let script = match tag {
+        "error_burst" => script.error_burst(start, dur),
+        "blackhole" => script.blackhole(start, dur),
+        "stalled_body" => script.stalled_body(
+            start,
+            dur,
+            o.secs("stall_s", POSITIVE)?,
+            o.opt_f64("after_fraction", UNIT_BELOW_ONE)?.unwrap_or(0.5),
+        ),
+        "slow_first_byte" => script.slow_first_byte(start, dur, o.secs("delay_s", POSITIVE)?),
+        other => {
+            return Err(unknown(
+                &at,
+                "server fault kind",
+                other,
+                "error_burst, blackhole, stalled_body, slow_first_byte",
+            ))
+        }
+    };
+    o.finish()?;
+    Ok(script)
+}
+
+fn link_faults(o: &mut Obj, key: &'static str) -> Result<FaultScript, String> {
+    o.items(key, false)?
+        .into_iter()
+        .try_fold(FaultScript::new(), |script, (j, at)| {
+            decode_link_fault(script, j, &at)
+        })
+}
+
+fn server_faults(o: &mut Obj, key: &'static str) -> Result<ServerFaultScript, String> {
+    o.items(key, false)?
+        .into_iter()
+        .try_fold(ServerFaultScript::new(), |script, (j, at)| {
+            decode_server_fault(script, j, &at)
+        })
+}
+
+/// The AQM knobs of one `fleet.shared[]` entry, over the discipline's
+/// defaults. `alpha`/`beta` are PIE gains, so CoDel is not asked for
+/// them and they fall to [`Obj::finish`] there.
+fn decode_aqm(o: &mut Obj, mut aqm: AqmConfig, pie_gains: bool) -> Result<AqmConfig, String> {
+    if let Some(ms) = o.opt_f64("target_delay_ms", POSITIVE)? {
+        aqm = aqm.with_target_ms(ms);
     }
-}
-
-/// One correlated fault domain (`fleet.fault_domains[]`): a set of
-/// client indices sharing wifi/cell/server fault scripts — a regional
-/// AP outage, a sector brown-out, a bad origin shard — composed with
-/// whatever per-client faults the base session already carries.
-#[derive(Debug)]
-pub struct FaultDomainSpec {
-    /// Domain label for traces and reports.
-    pub label: String,
-    /// Client indices the scripts apply to.
-    pub members: Vec<usize>,
-    /// Faults on every member's WiFi link (same entry format as the
-    /// top-level `wifi_faults`).
-    pub wifi_faults: FaultScript,
-    /// Faults on every member's cellular link.
-    pub cell_faults: FaultScript,
-    /// Server faults on every member's origin.
-    pub server_faults: ServerFaultScript,
-}
-
-impl FaultDomainSpec {
-    fn build(&self) -> mpdash_fleet::FaultDomainSpec {
-        let mut spec = mpdash_fleet::FaultDomainSpec::new(self.label.clone(), self.members.clone());
-        if !self.wifi_faults.is_empty() {
-            spec = spec.with_wifi(self.wifi_faults.clone());
-        }
-        if !self.cell_faults.is_empty() {
-            spec = spec.with_cell(self.cell_faults.clone());
-        }
-        if !self.server_faults.is_empty() {
-            spec = spec.with_server(self.server_faults.clone());
-        }
-        spec
+    if let Some(ms) = o.opt_f64("interval_ms", POSITIVE)? {
+        aqm = aqm.with_interval_ms(ms);
     }
+    if pie_gains {
+        if let Some(alpha) = o.opt_f64("alpha", NON_NEGATIVE)? {
+            aqm = aqm.with_alpha(alpha);
+        }
+        if let Some(beta) = o.opt_f64("beta", NON_NEGATIVE)? {
+            aqm = aqm.with_beta(beta);
+        }
+    }
+    if let Some(ecn) = o.opt_bool("ecn")? {
+        aqm = aqm.with_ecn(ecn);
+    }
+    for (key, ns) in [
+        ("target_delay_ms", aqm.target_ns),
+        ("interval_ms", aqm.interval_ns),
+    ] {
+        if ns == 0 {
+            return Err(format!("{}: must be at least one nanosecond", o.at(key)));
+        }
+    }
+    Ok(aqm)
+}
+
+/// One shared bottleneck (`fleet.shared[]`): `rate_mbps`, optional
+/// `capacity_bytes`, the subscribing `paths` (`wifi` and/or `cell`), and
+/// a `discipline` — `fifo` (drop-tail, the default), `fq` (per-flow
+/// DRR), or an AQM: `pie`, `fq_pie` (DRR + per-flow PIE), `codel`. Each
+/// discipline is asked only for the knobs it takes (`quantum` on the
+/// per-flow ones, the AQM knobs on the AQMs), so a knob on the wrong
+/// discipline is an unknown key.
+fn decode_shared(j: &Json, at: &str) -> Result<SharedLinkSpec, String> {
+    const QUANTUM: u64 = 1540;
+    let mut o = Obj::new(j, at)?;
+    let mut config = SharedBottleneckConfig::fifo_mbps(o.f64("rate_mbps", POSITIVE)?);
+    if config.rate.is_zero() {
+        return Err(format!("{}: must be at least 1 bit/s", o.at("rate_mbps")));
+    }
+    if let Some(bytes) = o.opt_uint("capacity_bytes", 1, u64::MAX)? {
+        config = config.with_capacity(bytes);
+    }
+    let discipline = o.opt("discipline", text)?.unwrap_or("fifo");
+    config.discipline = match discipline {
+        "fifo" => QueueDiscipline::Fifo,
+        "fq" => QueueDiscipline::FlowQueue {
+            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(QUANTUM),
+        },
+        "pie" => QueueDiscipline::Pie(decode_aqm(&mut o, AqmConfig::pie(), true)?),
+        "fq_pie" => QueueDiscipline::FqPie {
+            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(QUANTUM),
+            aqm: decode_aqm(&mut o, AqmConfig::pie(), true)?,
+        },
+        "codel" => QueueDiscipline::Codel(decode_aqm(&mut o, AqmConfig::codel(), false)?),
+        other => {
+            return Err(unknown(
+                &o.at("discipline"),
+                "discipline",
+                other,
+                "fifo, fq, pie, fq_pie, codel",
+            ))
+        }
+    };
+    let paths = o.list("paths", true, |j, at| match text(j, at)? {
+        "wifi" => Ok(PathId::WIFI),
+        "cell" => Ok(PathId::CELLULAR),
+        other => Err(unknown(at, "path", other, "wifi, cell")),
+    })?;
+    o.finish()
+        .map_err(|e| format!("{e} under discipline '{discipline}'"))?;
+    Ok(SharedLinkSpec { config, paths })
+}
+
+/// Seeded fleet churn (`fleet.churn`): exponential inter-arrivals and
+/// viewing times with the given means (seconds) replace the fixed
+/// stagger; `min_watch_s` floors the viewing draw.
+fn decode_churn(j: &Json, at: &str) -> Result<ChurnSpec, String> {
+    let mut o = Obj::new(j, at)?;
+    let mut spec = ChurnSpec::new(
+        o.secs("mean_interarrival_s", POSITIVE)?,
+        o.secs("mean_watch_s", POSITIVE)?,
+    );
+    if let Some(floor) = o.opt_secs("min_watch_s", NON_NEGATIVE)? {
+        spec = spec.with_min_watch(floor);
+    }
+    o.finish()?;
+    Ok(spec)
+}
+
+/// One correlated fault domain (`fleet.fault_domains[]`): `members`
+/// (client indices) share the `wifi_faults`/`cell_faults`/
+/// `server_faults` scripts, same entry format as the top-level keys.
+fn decode_fault_domain(j: &Json, at: &str, clients: usize) -> Result<FaultDomainSpec, String> {
+    let mut o = Obj::new(j, at)?;
+    let label = o.str("label")?;
+    let mut members: Vec<usize> = Vec::new();
+    for (j, at) in o.items("members", true)? {
+        let member = whole(j, &at, 0, (clients - 1) as u64)?;
+        if members.contains(&member) {
+            return Err(format!(
+                "{at}: client {member} is listed twice (the domain's scripts would \
+                 compose onto it once per listing)"
+            ));
+        }
+        members.push(member);
+    }
+    let domain = FaultDomainSpec::new(label, members)
+        .with_wifi(link_faults(&mut o, "wifi_faults")?)
+        .with_cell(link_faults(&mut o, "cell_faults")?)
+        .with_server(server_faults(&mut o, "server_faults")?);
+    if domain.wifi.is_empty() && domain.cell.is_empty() && domain.server.is_empty() {
+        return Err(format!(
+            "{at}: has no fault scripts (add wifi_faults, cell_faults, or \
+             server_faults — or drop the domain)"
+        ));
+    }
+    o.finish()?;
+    Ok(domain)
 }
 
 /// Overload protection (`fleet.overload`): arrivals past `max_active`
-/// concurrent sessions are shed deterministically (newest first) and
-/// reported as shed rather than admitted to collapse the shared queues.
-#[derive(Debug)]
-pub struct OverloadSpec {
-    /// Admission cap on concurrently active sessions.
-    pub max_active: usize,
-    /// Also shed when the shared queues' total backlog exceeds this
-    /// many bytes (absent: cap on concurrency alone).
-    pub queue_threshold_bytes: Option<u64>,
-}
-
-impl OverloadSpec {
-    fn build(&self) -> mpdash_fleet::OverloadPolicy {
-        let mut policy = mpdash_fleet::OverloadPolicy::max_active(self.max_active);
-        if let Some(bytes) = self.queue_threshold_bytes {
-            policy = policy.with_queue_threshold(bytes);
-        }
-        policy
+/// concurrent sessions — or while the shared queues hold more than
+/// `queue_threshold_bytes` — are shed, newest first.
+fn decode_overload(j: &Json, at: &str) -> Result<OverloadPolicy, String> {
+    let mut o = Obj::new(j, at)?;
+    // A zero cap would shed every session; dropping the key admits
+    // everyone.
+    let mut policy = OverloadPolicy::max_active(o.uint("max_active", 1, u64::MAX)?);
+    if let Some(bytes) = o.opt_uint("queue_threshold_bytes", 1, u64::MAX)? {
+        policy = policy.with_queue_threshold(bytes);
     }
+    o.finish()?;
+    Ok(policy)
 }
 
 /// Multi-client co-simulation topology (the optional `fleet` key): N
@@ -378,100 +734,126 @@ impl OverloadSpec {
 pub struct FleetSpec {
     /// Number of concurrent clients.
     pub clients: usize,
-    /// Start-time spacing between consecutive clients, seconds
-    /// (default 0.5).
-    pub stagger_s: f64,
-    /// Extra one-way delay per client index, milliseconds (default 0):
-    /// client `k` adds `k * rtt_skew_ms` on both private links.
-    pub rtt_skew_ms: u64,
+    /// Start-time spacing between consecutive clients (`stagger_s`,
+    /// default 0.5).
+    pub stagger: SimDuration,
+    /// Extra one-way delay per client index (`rtt_skew_ms`, default 0):
+    /// client `k` adds `k * rtt_skew` on both private links.
+    pub rtt_skew: SimDuration,
     /// Base fleet seed (default 1).
     pub seed: u64,
     /// Shared bottlenecks; may be empty (private links, a
     /// no-contention control fleet).
-    pub shared: Vec<SharedSpec>,
-    /// Seeded arrivals/departures; when present the fixed `stagger_s`
-    /// is superseded by the churn plan.
+    pub shared: Vec<SharedLinkSpec>,
+    /// Seeded arrivals/departures; when present the fixed stagger is
+    /// superseded by the churn plan.
     pub churn: Option<ChurnSpec>,
     /// Correlated fault domains; may be empty.
     pub fault_domains: Vec<FaultDomainSpec>,
     /// Overload shedding; absent admits every arrival.
-    pub overload: Option<OverloadSpec>,
+    pub overload: Option<OverloadPolicy>,
     /// Arm (or disarm) the runtime invariant watchdog for this fleet;
     /// absent keeps the fleet crate's default.
     pub watchdog: Option<bool>,
 }
 
-/// One origin in a multi-origin pool (`origins.pool[]`).
-#[derive(Debug)]
-pub struct OriginEntrySpec {
-    /// Human-readable origin id; must be unique within the pool.
-    pub id: String,
-    /// Extra first-byte delay this origin adds, milliseconds
-    /// (default 0) — models its longer network path.
-    pub rtt_penalty_ms: u64,
-    /// Server faults scripted on this origin only (same entry format as
-    /// the top-level `server_faults`). Empty when absent.
-    pub faults: ServerFaultScript,
-}
-
-/// Multi-origin serving policy (the optional `origins` key): a pool of
-/// health-tracked origins with circuit breakers, optional hedging, and
-/// per-origin fault scripts.
-#[derive(Debug)]
-pub struct OriginsSpec {
-    /// The pool, in priority order.
-    pub pool: Vec<OriginEntrySpec>,
-    /// Hedge when a deadline-granted request has stalled for this
-    /// fraction of its deadline budget, in `(0, 1]`. Absent disables
-    /// hedging.
-    pub hedge_quantile: Option<f64>,
-    /// Consecutive failures that trip a breaker Open (default 2).
-    pub failure_threshold: Option<u64>,
-}
-
-impl OriginsSpec {
-    fn build(&self) -> OriginPoolConfig {
-        let specs = self
-            .pool
-            .iter()
-            .map(|o| {
-                let mut s = OriginSpec::new(o.id.clone())
-                    .with_rtt_penalty(SimDuration::from_millis(o.rtt_penalty_ms));
-                if !o.faults.is_empty() {
-                    s = s.with_faults(o.faults.clone());
-                }
-                s
-            })
-            .collect();
-        let mut cfg = OriginPoolConfig::new(specs);
-        if let Some(q) = self.hedge_quantile {
-            cfg = cfg.with_hedge_quantile(q);
-        }
-        if let Some(t) = self.failure_threshold {
-            cfg = cfg.with_failure_threshold(t as u32);
-        }
-        cfg
+impl FleetSpec {
+    fn decode(j: &Json, at: &str) -> Result<Self, String> {
+        let mut o = Obj::new(j, at)?;
+        let clients = o.uint("clients", 1, u64::MAX)?;
+        let fleet = FleetSpec {
+            clients,
+            stagger: o
+                .opt_secs("stagger_s", NON_NEGATIVE)?
+                .unwrap_or(SimDuration::from_millis(500)),
+            rtt_skew: o.opt_millis("rtt_skew_ms", 0)?.unwrap_or(SimDuration::ZERO),
+            seed: o.opt_uint("seed", 0, u64::MAX)?.unwrap_or(1),
+            shared: o.list("shared", false, decode_shared)?,
+            churn: o.opt("churn", decode_churn)?,
+            fault_domains: o.list("fault_domains", false, |j, at| {
+                decode_fault_domain(j, at, clients)
+            })?,
+            overload: o.opt("overload", decode_overload)?,
+            watchdog: o.opt_bool("watchdog")?,
+        };
+        o.finish()?;
+        Ok(fleet)
     }
+}
+
+/// Multi-origin serving policy (the optional `origins` key): `pool[]`
+/// in priority order — each entry an `id` (unique), an optional
+/// `rtt_penalty_ms` and its own `faults` script — plus `hedge_quantile`
+/// in `(0, 1]` (absent disables hedging) and `failure_threshold`
+/// (consecutive failures that trip a breaker, default 2).
+fn decode_origins(j: &Json, at: &str) -> Result<OriginPoolConfig, String> {
+    let mut o = Obj::new(j, at)?;
+    let mut pool: Vec<OriginSpec> = Vec::new();
+    for (j, at) in o.items("pool", true)? {
+        let mut entry = Obj::new(j, &at)?;
+        let id = entry.str("id")?;
+        if pool.iter().any(|earlier| earlier.id == id) {
+            return Err(format!(
+                "{}: duplicate origin id '{id}' (pool ids must be unique so \
+                 explain/trace attribution stays unambiguous)",
+                entry.at("id")
+            ));
+        }
+        pool.push(
+            OriginSpec::new(id)
+                .with_rtt_penalty(
+                    entry
+                        .opt_millis("rtt_penalty_ms", 0)?
+                        .unwrap_or(SimDuration::ZERO),
+                )
+                .with_faults(server_faults(&mut entry, "faults")?),
+        );
+        entry.finish()?;
+    }
+    let mut config = OriginPoolConfig::new(pool);
+    // 0 would hedge instantly, >1 can never fire before the deadline.
+    if let Some(quantile) = o.opt_f64("hedge_quantile", UNIT_ABOVE_ZERO)? {
+        config = config.with_hedge_quantile(quantile);
+    }
+    // A zero threshold would trip every breaker on sight.
+    if let Some(threshold) = o.opt_uint("failure_threshold", 1, u32::MAX.into())? {
+        config = config.with_failure_threshold(threshold);
+    }
+    o.finish()?;
+    Ok(config)
 }
 
 /// Shared segment cache in front of the origins (the optional `cache`
-/// key).
-#[derive(Debug)]
-pub struct CacheSpec {
-    /// Cache capacity, megabytes.
-    pub capacity_mb: f64,
-    /// Modeled delivery delay of a cache hit, milliseconds (default 5).
-    pub edge_delay_ms: u64,
+/// key): `capacity_mb`, and the modeled delivery delay of a hit,
+/// `edge_delay_ms` (default 5).
+fn decode_cache(j: &Json, at: &str) -> Result<FleetCacheSpec, String> {
+    let mut o = Obj::new(j, at)?;
+    let bytes = (o.f64("capacity_mb", POSITIVE)? * (1 << 20) as f64) as u64;
+    if bytes == 0 {
+        return Err(format!(
+            "{}: must be at least one byte (drop the 'cache' key to run uncached)",
+            o.at("capacity_mb")
+        ));
+    }
+    let mut spec = FleetCacheSpec::new(bytes);
+    if let Some(delay) = o.opt_millis("edge_delay_ms", 0)? {
+        spec = spec.with_edge_delay(delay);
+    }
+    o.finish()?;
+    Ok(spec)
 }
 
-impl CacheSpec {
-    fn capacity_bytes(&self) -> u64 {
-        (self.capacity_mb * (1 << 20) as f64) as u64
+fn decode_telemetry(j: &Json, at: &str) -> Result<TelemetrySpec, String> {
+    let mut o = Obj::new(j, at)?;
+    let epoch = o.secs("epoch_s", POSITIVE)?;
+    if epoch.is_zero() {
+        return Err(format!(
+            "{}: must be at least one nanosecond",
+            o.at("epoch_s")
+        ));
     }
-
-    fn edge_delay(&self) -> SimDuration {
-        SimDuration::from_millis(self.edge_delay_ms)
-    }
+    o.finish()?;
+    Ok(TelemetrySpec::new(epoch))
 }
 
 /// A complete scenario document.
@@ -479,21 +861,21 @@ impl CacheSpec {
 pub struct Scenario {
     /// Scenario title for the report.
     pub name: String,
-    /// Video selection.
-    pub video: VideoSpec,
+    /// The video to stream (`video`).
+    pub video: Video,
     /// WiFi bandwidth.
     pub wifi: BandwidthSpec,
     /// Cellular bandwidth.
     pub cell: BandwidthSpec,
-    /// WiFi round-trip time, milliseconds (default 50).
-    pub wifi_rtt_ms: u64,
-    /// Cellular round-trip time, milliseconds (default 55).
-    pub cell_rtt_ms: u64,
+    /// WiFi round-trip time (`wifi_rtt_ms`, default 50).
+    pub wifi_rtt: SimDuration,
+    /// Cellular round-trip time (`cell_rtt_ms`, default 55).
+    pub cell_rtt: SimDuration,
     /// Rate-adaptation algorithm: `gpac`, `festive`, `bba`, `bba_c`,
     /// `mpc`.
-    pub abr: String,
-    /// Player buffer capacity in seconds (default 40).
-    pub buffer_secs: u64,
+    pub abr: AbrKind,
+    /// Player buffer capacity (`buffer_secs`, default 40).
+    pub buffer: SimDuration,
     /// Transport policies to compare, in order.
     pub modes: Vec<ModeSpec>,
     /// Faults injected on the WiFi link (empty when the document has no
@@ -517,10 +899,11 @@ pub struct Scenario {
     /// single implicit origin; the top-level `server_faults` still
     /// apply to that implicit origin only, so per-origin faults go on
     /// the pool entries.
-    pub origins: Option<OriginsSpec>,
-    /// Optional shared segment cache in front of the origins. In fleet
-    /// runs every client shares one cache built fresh per run.
-    pub cache: Option<CacheSpec>,
+    pub origins: Option<OriginPoolConfig>,
+    /// Optional shared segment cache in front of the origins. A solo
+    /// session gets a fresh cache per mode; in fleet runs every client
+    /// shares one cache built fresh per run.
+    pub cache: Option<FleetCacheSpec>,
     /// Optional epoch telemetry (`{"telemetry": {"epoch_s": 2.0}}`):
     /// every session, shared bottleneck, and fleet loop rolls its
     /// counters into fixed virtual-time epochs. Observe-only — the
@@ -529,739 +912,64 @@ pub struct Scenario {
     pub telemetry: Option<TelemetrySpec>,
 }
 
-fn parse_shared(v: &Json) -> Result<SharedSpec, String> {
-    let opt_uint =
-        |key: &str| -> Result<Option<u64>, String> { v.get(key).map(|j| uint(j, key)).transpose() };
-    Ok(SharedSpec {
-        rate_mbps: num(field(v, "rate_mbps")?, "rate_mbps")?,
-        capacity_bytes: opt_uint("capacity_bytes")?,
-        discipline: match v.get("discipline") {
-            None => "fifo".to_string(),
-            Some(j) => string(j, "discipline")?,
-        },
-        quantum: opt_uint("quantum")?,
-        target_delay_ms: v
-            .get("target_delay_ms")
-            .map(|j| num(j, "target_delay_ms"))
-            .transpose()?,
-        interval_ms: v
-            .get("interval_ms")
-            .map(|j| num(j, "interval_ms"))
-            .transpose()?,
-        alpha: v.get("alpha").map(|j| num(j, "alpha")).transpose()?,
-        beta: v.get("beta").map(|j| num(j, "beta")).transpose()?,
-        ecn: v
-            .get("ecn")
-            .map(|j| j.as_bool().ok_or("shared 'ecn' must be a boolean"))
-            .transpose()?,
-        paths: field(v, "paths")?
-            .as_arr()
-            .ok_or("shared 'paths' must be an array of path names")?
-            .iter()
-            .map(|p| string(p, "paths"))
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
-fn parse_churn(v: Option<&Json>) -> Result<Option<ChurnSpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    Ok(Some(ChurnSpec {
-        mean_interarrival_s: num(field(v, "mean_interarrival_s")?, "mean_interarrival_s")?,
-        mean_watch_s: num(field(v, "mean_watch_s")?, "mean_watch_s")?,
-        min_watch_s: v
-            .get("min_watch_s")
-            .map(|j| num(j, "min_watch_s"))
-            .transpose()?,
-    }))
-}
-
-fn parse_fault_domain(v: &Json) -> Result<FaultDomainSpec, String> {
-    Ok(FaultDomainSpec {
-        label: string(field(v, "label")?, "label")?,
-        members: field(v, "members")?
-            .as_arr()
-            .ok_or("fault domain 'members' must be an array of client indices")?
-            .iter()
-            .map(|m| uint(m, "members").map(|u| u as usize))
-            .collect::<Result<Vec<_>, _>>()?,
-        wifi_faults: parse_fault_list(v.get("wifi_faults"), "wifi_faults")?,
-        cell_faults: parse_fault_list(v.get("cell_faults"), "cell_faults")?,
-        server_faults: parse_server_fault_list(v.get("server_faults"))?,
-    })
-}
-
-fn parse_overload(v: Option<&Json>) -> Result<Option<OverloadSpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    Ok(Some(OverloadSpec {
-        max_active: uint(field(v, "max_active")?, "max_active")? as usize,
-        queue_threshold_bytes: v
-            .get("queue_threshold_bytes")
-            .map(|j| uint(j, "queue_threshold_bytes"))
-            .transpose()?,
-    }))
-}
-
-fn parse_fleet(v: Option<&Json>) -> Result<Option<FleetSpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    let opt_uint = |key: &str, default: u64| -> Result<u64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(j) => uint(j, key),
-        }
-    };
-    Ok(Some(FleetSpec {
-        clients: uint(field(v, "clients")?, "clients")? as usize,
-        stagger_s: match v.get("stagger_s") {
-            None => 0.5,
-            Some(j) => num(j, "stagger_s")?,
-        },
-        rtt_skew_ms: opt_uint("rtt_skew_ms", 0)?,
-        seed: opt_uint("seed", 1)?,
-        shared: match v.get("shared") {
-            None => Vec::new(),
-            Some(j) => j
-                .as_arr()
-                .ok_or("fleet 'shared' must be an array of bottleneck objects")?
-                .iter()
-                .map(parse_shared)
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        churn: parse_churn(v.get("churn"))?,
-        fault_domains: match v.get("fault_domains") {
-            None => Vec::new(),
-            Some(j) => j
-                .as_arr()
-                .ok_or("fleet 'fault_domains' must be an array of domain objects")?
-                .iter()
-                .map(parse_fault_domain)
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        overload: parse_overload(v.get("overload"))?,
-        watchdog: match v.get("watchdog") {
-            None => None,
-            Some(j) => Some(j.as_bool().ok_or("fleet 'watchdog' must be a boolean")?),
-        },
-    }))
-}
-
-/// Parse one externally-tagged fault entry — e.g.
-/// `{"rate_collapse": {"at_s": 20, "secs": 40, "factor": 0.15}}` — and
-/// append it to `script`. Kinds: `burst_loss`, `rtt_spike`,
-/// `rate_collapse`, `disassociation`.
-fn parse_fault(script: FaultScript, v: &Json) -> Result<FaultScript, String> {
-    let (tag, payload) = variant(v)?;
-    let at_s = num(field(payload, "at_s")?, "at_s")?;
-    let secs = num(field(payload, "secs")?, "secs")?;
-    if at_s.is_nan() || at_s < 0.0 {
-        return Err(format!("fault 'at_s' must be >= 0, got {at_s}"));
-    }
-    if secs.is_nan() || secs <= 0.0 {
-        return Err(format!("fault 'secs' must be > 0, got {secs}"));
-    }
-    let at = SimTime::ZERO + SimDuration::from_secs_f64(at_s);
-    let dur = SimDuration::from_secs_f64(secs);
-    let opt_num = |key: &str, default: f64| -> Result<f64, String> {
-        match payload.get(key) {
-            None => Ok(default),
-            Some(j) => num(j, key),
-        }
-    };
-    match tag {
-        "burst_loss" => {
-            let p_enter = opt_num("p_enter", 0.05)?;
-            let p_exit = opt_num("p_exit", 0.30)?;
-            let loss = opt_num("loss", 0.5)?;
-            let prob_ok = |p: f64| p > 0.0 && p <= 1.0;
-            if !prob_ok(p_enter) || !prob_ok(p_exit) {
-                return Err("burst_loss 'p_enter'/'p_exit' must be in (0,1]".into());
-            }
-            if !(0.0..=1.0).contains(&loss) {
-                return Err(format!("burst_loss 'loss' must be in [0,1], got {loss}"));
-            }
-            Ok(script.burst_loss(at, dur, GilbertElliott::new(p_enter, p_exit, loss)))
-        }
-        "rtt_spike" => {
-            let extra_ms = opt_num("extra_ms", 200.0)?;
-            let jitter_ms = opt_num("jitter_ms", 0.0)?;
-            if extra_ms.is_nan() || extra_ms < 0.0 || jitter_ms.is_nan() || jitter_ms < 0.0 {
-                return Err("rtt_spike 'extra_ms'/'jitter_ms' must be >= 0".into());
-            }
-            Ok(script.rtt_spike(
-                at,
-                dur,
-                SimDuration::from_secs_f64(extra_ms / 1e3),
-                SimDuration::from_secs_f64(jitter_ms / 1e3),
-            ))
-        }
-        "rate_collapse" => {
-            let factor = num(field(payload, "factor")?, "factor")?;
-            if !(factor > 0.0 && factor <= 1.0) {
-                return Err(format!(
-                    "rate_collapse 'factor' must be in (0,1], got {factor}"
-                ));
-            }
-            Ok(script.rate_collapse(at, dur, factor))
-        }
-        "disassociation" => {
-            let reassoc_s = opt_num("reassoc_s", 1.0)?;
-            if reassoc_s.is_nan() || reassoc_s < 0.0 {
-                return Err(format!("'reassoc_s' must be >= 0, got {reassoc_s}"));
-            }
-            Ok(script.disassociation(at, dur, SimDuration::from_secs_f64(reassoc_s)))
-        }
-        other => Err(format!("unknown fault kind '{other}'")),
-    }
-}
-
-/// Parse one externally-tagged server-fault entry — e.g.
-/// `{"stalled_body": {"at_s": 8, "secs": 6, "stall_s": 30, "after_fraction": 0.5}}`
-/// — and append it to `script`. Kinds: `error_burst`, `stalled_body`,
-/// `slow_first_byte`, `blackhole`.
-fn parse_server_fault(script: ServerFaultScript, v: &Json) -> Result<ServerFaultScript, String> {
-    let (tag, payload) = variant(v)?;
-    let at_s = num(field(payload, "at_s")?, "at_s")?;
-    let secs = num(field(payload, "secs")?, "secs")?;
-    if at_s.is_nan() || at_s < 0.0 {
-        return Err(format!("server fault 'at_s' must be >= 0, got {at_s}"));
-    }
-    if secs.is_nan() || secs <= 0.0 {
-        return Err(format!("server fault 'secs' must be > 0, got {secs}"));
-    }
-    let at = SimTime::ZERO + SimDuration::from_secs_f64(at_s);
-    let dur = SimDuration::from_secs_f64(secs);
-    match tag {
-        "error_burst" => Ok(script.error_burst(at, dur)),
-        "blackhole" => Ok(script.blackhole(at, dur)),
-        "stalled_body" => {
-            let stall_s = num(field(payload, "stall_s")?, "stall_s")?;
-            if stall_s.is_nan() || stall_s <= 0.0 {
-                return Err(format!("stalled_body 'stall_s' must be > 0, got {stall_s}"));
-            }
-            let frac = match payload.get("after_fraction") {
-                None => 0.5,
-                Some(j) => num(j, "after_fraction")?,
-            };
-            if !(0.0..1.0).contains(&frac) {
-                return Err(format!(
-                    "stalled_body 'after_fraction' must be in [0,1), got {frac}"
-                ));
-            }
-            Ok(script.stalled_body(at, dur, SimDuration::from_secs_f64(stall_s), frac))
-        }
-        "slow_first_byte" => {
-            let delay_s = num(field(payload, "delay_s")?, "delay_s")?;
-            if delay_s.is_nan() || delay_s <= 0.0 {
-                return Err(format!(
-                    "slow_first_byte 'delay_s' must be > 0, got {delay_s}"
-                ));
-            }
-            Ok(script.slow_first_byte(at, dur, SimDuration::from_secs_f64(delay_s)))
-        }
-        other => Err(format!("unknown server fault kind '{other}'")),
-    }
-}
-
-fn parse_server_fault_list(v: Option<&Json>) -> Result<ServerFaultScript, String> {
-    match v {
-        None => Ok(ServerFaultScript::new()),
-        Some(j) => j
-            .as_arr()
-            .ok_or("'server_faults' must be an array of fault objects")?
-            .iter()
-            .try_fold(ServerFaultScript::new(), parse_server_fault),
-    }
-}
-
-fn parse_origins(v: Option<&Json>) -> Result<Option<OriginsSpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    let pool = field(v, "pool")?
-        .as_arr()
-        .ok_or("'origins.pool' must be an array of origin objects")?
-        .iter()
-        .map(|o| {
-            Ok(OriginEntrySpec {
-                id: string(field(o, "id")?, "id")?,
-                rtt_penalty_ms: match o.get("rtt_penalty_ms") {
-                    None => 0,
-                    Some(j) => uint(j, "rtt_penalty_ms")?,
-                },
-                faults: parse_server_fault_list(o.get("faults"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(Some(OriginsSpec {
-        pool,
-        hedge_quantile: v
-            .get("hedge_quantile")
-            .map(|j| num(j, "hedge_quantile"))
-            .transpose()?,
-        failure_threshold: v
-            .get("failure_threshold")
-            .map(|j| uint(j, "failure_threshold"))
-            .transpose()?,
-    }))
-}
-
-fn parse_cache(v: Option<&Json>) -> Result<Option<CacheSpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    Ok(Some(CacheSpec {
-        capacity_mb: num(field(v, "capacity_mb")?, "capacity_mb")?,
-        edge_delay_ms: match v.get("edge_delay_ms") {
-            None => 5,
-            Some(j) => uint(j, "edge_delay_ms")?,
-        },
-    }))
-}
-
-fn parse_telemetry(v: Option<&Json>) -> Result<Option<TelemetrySpec>, String> {
-    let Some(v) = v else { return Ok(None) };
-    let epoch_s = num(field(v, "epoch_s")?, "epoch_s")?;
-    if !epoch_s.is_finite() || epoch_s <= 0.0 {
-        return Err(format!(
-            "telemetry 'epoch_s' must be a positive number, got {epoch_s}"
-        ));
-    }
-    Ok(Some(TelemetrySpec::seconds(epoch_s)))
-}
-
-fn parse_lifecycle(v: Option<&Json>) -> Result<LifecyclePolicy, String> {
-    match v {
-        None => Ok(LifecyclePolicy::wait_forever()),
-        Some(j) => match j.as_str() {
-            Some("wait_forever") => Ok(LifecyclePolicy::wait_forever()),
-            Some("retry_only") => Ok(LifecyclePolicy::retry_only()),
-            Some("deadline_aware") => Ok(LifecyclePolicy::deadline_aware()),
-            Some(other) => Err(format!(
-                "unknown lifecycle '{other}' (expected wait_forever, retry_only, \
-                 or deadline_aware)"
-            )),
-            None => Err("'lifecycle' must be a string".into()),
-        },
-    }
-}
-
-fn parse_fault_list(v: Option<&Json>, key: &str) -> Result<FaultScript, String> {
-    match v {
-        None => Ok(FaultScript::new()),
-        Some(j) => j
-            .as_arr()
-            .ok_or_else(|| format!("'{key}' must be an array of fault objects"))?
-            .iter()
-            .try_fold(FaultScript::new(), parse_fault),
-    }
-}
-
-// The documents use serde-style externally-tagged enums in snake_case: a
-// bare string is a unit variant ("vanilla"), a single-key object wraps a
-// payload variant ({"throttled": 700}). The helpers below keep that exact
-// format so existing scenario files parse unchanged.
-
-/// For a single-key object, the `(key, payload)` pair.
-fn variant(v: &Json) -> Result<(&str, &Json), String> {
-    match v.as_obj() {
-        Some([(key, payload)]) => Ok((key.as_str(), payload)),
-        _ => Err("expected a single-variant object".into()),
-    }
-}
-
-fn num(v: &Json, what: &str) -> Result<f64, String> {
-    v.as_f64()
-        .ok_or_else(|| format!("'{what}' must be a number"))
-}
-
-fn uint(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("'{what}' must be a non-negative integer"))
-}
-
-fn string(v: &Json, what: &str) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("'{what}' must be a string"))
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.req(key).map_err(|e| e.to_string())
-}
-
-impl BandwidthSpec {
-    fn parse(v: &Json) -> Result<Self, String> {
-        let (tag, payload) = variant(v)?;
-        match tag {
-            "constant" => Ok(BandwidthSpec::Constant(num(payload, "constant")?)),
-            "synthetic" => Ok(BandwidthSpec::Synthetic {
-                mean_mbps: num(field(payload, "mean_mbps")?, "mean_mbps")?,
-                sigma: num(field(payload, "sigma")?, "sigma")?,
-                seed: uint(field(payload, "seed")?, "seed")?,
-            }),
-            "file" => Ok(BandwidthSpec::File(string(payload, "file")?)),
-            other => Err(format!("unknown bandwidth kind '{other}'")),
-        }
-    }
-}
-
-impl VideoSpec {
-    fn parse(v: &Json) -> Result<Self, String> {
-        let (tag, payload) = variant(v)?;
-        match tag {
-            "named" => Ok(VideoSpec::Named(string(payload, "named")?)),
-            "custom" => Ok(VideoSpec::Custom {
-                levels_mbps: field(payload, "levels_mbps")?
-                    .as_arr()
-                    .ok_or("'levels_mbps' must be an array")?
-                    .iter()
-                    .map(|l| num(l, "levels_mbps"))
-                    .collect::<Result<Vec<_>, _>>()?,
-                chunk_secs: uint(field(payload, "chunk_secs")?, "chunk_secs")?,
-                n_chunks: uint(field(payload, "n_chunks")?, "n_chunks")? as usize,
-            }),
-            other => Err(format!("unknown video kind '{other}'")),
-        }
-    }
-}
-
-impl ModeKind {
-    fn parse(v: &Json) -> Result<Self, String> {
-        if let Some(tag) = v.as_str() {
-            return match tag {
-                "vanilla" => Ok(ModeKind::Vanilla),
-                "wifi_only" => Ok(ModeKind::WifiOnly),
-                "mpdash_rate" => Ok(ModeKind::MpdashRate),
-                "mpdash_duration" => Ok(ModeKind::MpdashDuration),
-                other => Err(format!("unknown mode '{other}'")),
-            };
-        }
-        let (tag, payload) = variant(v)?;
-        match tag {
-            "throttled" => Ok(ModeKind::Throttled(uint(payload, "throttled")?)),
-            other => Err(format!("unknown mode '{other}'")),
-        }
-    }
-}
-
-impl ModeSpec {
-    fn parse(v: &Json) -> Result<Self, String> {
-        // The long form `{"mode": ..., "scheduler": "..."}` wraps any
-        // short-form mode with a packet-scheduler override; the short
-        // forms ("vanilla", {"throttled": 700}) stay valid unchanged.
-        if let Some(mode) = v.get("mode") {
-            let scheduler = match v.get("scheduler") {
-                None => None,
-                Some(j) => {
-                    let name = string(j, "scheduler")?;
-                    Some(SchedulerSpec::parse(&name).ok_or_else(|| {
-                        format!(
-                            "unknown scheduler '{name}' (expected min_rtt, \
-                             round_robin, or qaware)"
-                        )
-                    })?)
-                }
-            };
-            return Ok(ModeSpec {
-                kind: ModeKind::parse(mode)?,
-                scheduler,
-            });
-        }
-        Ok(ModeSpec {
-            kind: ModeKind::parse(v)?,
-            scheduler: None,
-        })
-    }
-}
-
 impl Scenario {
     /// Parse a scenario document.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let opt_uint = |key: &str, default: u64| -> Result<u64, String> {
-            match v.get(key) {
-                None => Ok(default),
-                Some(j) => uint(j, key),
-            }
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let mut o = Obj::new(&doc, "")?;
+        let scenario = Scenario {
+            name: o.str("name")?.to_string(),
+            video: o.req("video", decode_video)?,
+            wifi: o.req("wifi", BandwidthSpec::decode)?,
+            cell: o.req("cell", BandwidthSpec::decode)?,
+            wifi_rtt: o
+                .opt_millis("wifi_rtt_ms", 1)?
+                .unwrap_or(SimDuration::from_millis(50)),
+            cell_rtt: o
+                .opt_millis("cell_rtt_ms", 1)?
+                .unwrap_or(SimDuration::from_millis(55)),
+            abr: o.req("abr", decode_abr)?,
+            buffer: SimDuration::from_secs(o.opt_uint("buffer_secs", 1, MAX_SECS)?.unwrap_or(40)),
+            modes: o.list("modes", true, ModeSpec::decode)?,
+            wifi_faults: link_faults(&mut o, "wifi_faults")?,
+            cell_faults: link_faults(&mut o, "cell_faults")?,
+            server_faults: server_faults(&mut o, "server_faults")?,
+            lifecycle: o
+                .opt("lifecycle", decode_lifecycle)?
+                .unwrap_or_else(LifecyclePolicy::wait_forever),
+            fleet: o.opt("fleet", FleetSpec::decode)?,
+            origins: o.opt("origins", decode_origins)?,
+            cache: o.opt("cache", decode_cache)?,
+            telemetry: o.opt("telemetry", decode_telemetry)?,
         };
-        let sc = Scenario {
-            name: string(field(&v, "name")?, "name")?,
-            video: VideoSpec::parse(field(&v, "video")?)?,
-            wifi: BandwidthSpec::parse(field(&v, "wifi")?)?,
-            cell: BandwidthSpec::parse(field(&v, "cell")?)?,
-            wifi_rtt_ms: opt_uint("wifi_rtt_ms", 50)?,
-            cell_rtt_ms: opt_uint("cell_rtt_ms", 55)?,
-            abr: string(field(&v, "abr")?, "abr")?,
-            buffer_secs: opt_uint("buffer_secs", 40)?,
-            modes: field(&v, "modes")?
-                .as_arr()
-                .ok_or("'modes' must be an array")?
-                .iter()
-                .map(ModeSpec::parse)
-                .collect::<Result<Vec<_>, _>>()?,
-            wifi_faults: parse_fault_list(v.get("wifi_faults"), "wifi_faults")?,
-            cell_faults: parse_fault_list(v.get("cell_faults"), "cell_faults")?,
-            server_faults: parse_server_fault_list(v.get("server_faults"))?,
-            lifecycle: parse_lifecycle(v.get("lifecycle"))?,
-            fleet: parse_fleet(v.get("fleet"))?,
-            origins: parse_origins(v.get("origins"))?,
-            cache: parse_cache(v.get("cache"))?,
-            telemetry: parse_telemetry(v.get("telemetry"))?,
-        };
-        sc.validate()?;
-        Ok(sc)
-    }
-
-    /// Reject structurally-valid documents whose values would wedge or
-    /// panic deep inside the simulator, with a message naming the field.
-    fn validate(&self) -> Result<(), String> {
-        if self.wifi_rtt_ms == 0 {
-            return Err("'wifi_rtt_ms' must be > 0".into());
-        }
-        if self.cell_rtt_ms == 0 {
-            return Err("'cell_rtt_ms' must be > 0".into());
-        }
-        if self.buffer_secs == 0 {
-            return Err("'buffer_secs' must be > 0 (the player needs a buffer)".into());
-        }
-        if self.modes.is_empty() {
-            return Err("'modes' must list at least one transport policy".into());
-        }
-        for mode in &self.modes {
-            if let ModeKind::Throttled(0) = mode.kind {
-                return Err("throttled mode needs a rate > 0 kbps (use a zero-rate \
-                     'cell' bandwidth for a dead path instead)"
-                    .into());
-            }
-        }
-        if let Some(fleet) = &self.fleet {
-            if fleet.clients == 0 {
-                return Err("'clients' must be > 0".into());
-            }
-            if fleet.stagger_s.is_nan() || fleet.stagger_s < 0.0 {
-                return Err(format!("'stagger_s' must be >= 0, got {}", fleet.stagger_s));
-            }
-            if let Some(churn) = &fleet.churn {
-                let positive = |what: &str, v: f64| -> Result<(), String> {
-                    if v.is_finite() && v > 0.0 {
-                        Ok(())
-                    } else {
-                        Err(format!("'churn.{what}' must be a positive number, got {v}"))
-                    }
-                };
-                positive("mean_interarrival_s", churn.mean_interarrival_s)?;
-                positive("mean_watch_s", churn.mean_watch_s)?;
-                if let Some(floor) = churn.min_watch_s {
-                    if !(floor.is_finite() && floor >= 0.0) {
-                        return Err(format!("'churn.min_watch_s' must be >= 0, got {floor}"));
-                    }
-                }
-            }
-            for domain in &fleet.fault_domains {
-                if domain.members.is_empty() {
-                    return Err(format!(
-                        "fault domain '{}' needs at least one member index",
-                        domain.label
-                    ));
-                }
-                for (i, &m) in domain.members.iter().enumerate() {
-                    if m >= fleet.clients {
-                        return Err(format!(
-                            "fault domain '{}' member {m} is out of range (the fleet \
-                             has {} clients, indices 0..{})",
-                            domain.label,
-                            fleet.clients,
-                            fleet.clients - 1
-                        ));
-                    }
-                    if domain.members[..i].contains(&m) {
-                        return Err(format!(
-                            "fault domain '{}' lists member {m} twice (its scripts \
-                             would compose onto the client once per listing)",
-                            domain.label
-                        ));
-                    }
-                }
-                if domain.wifi_faults.is_empty()
-                    && domain.cell_faults.is_empty()
-                    && domain.server_faults.is_empty()
-                {
-                    return Err(format!(
-                        "fault domain '{}' has no fault scripts (add wifi_faults, \
-                         cell_faults, or server_faults — or drop the domain)",
-                        domain.label
-                    ));
-                }
-            }
-            if let Some(overload) = &fleet.overload {
-                if overload.max_active == 0 {
-                    return Err("'overload.max_active' must be > 0 (a zero cap sheds \
-                         every session; drop the 'overload' key to admit everyone)"
-                        .into());
-                }
-                if overload.queue_threshold_bytes == Some(0) {
-                    return Err("'overload.queue_threshold_bytes' must be > 0".into());
-                }
-            }
-            for shared in &fleet.shared {
-                if shared.rate_mbps.is_nan() || shared.rate_mbps <= 0.0 {
-                    return Err(format!(
-                        "shared 'rate_mbps' must be > 0, got {}",
-                        shared.rate_mbps
-                    ));
-                }
-                if shared.capacity_bytes == Some(0) {
-                    return Err("shared 'capacity_bytes' must be > 0 (a zero-length \
-                         queue drops every packet and the fleet never finishes)"
-                        .into());
-                }
-                if shared.quantum == Some(0) {
-                    return Err("shared 'quantum' must be > 0".into());
-                }
-                match shared.discipline.as_str() {
-                    "fifo" | "fq" | "pie" | "fq_pie" | "codel" => {}
-                    other => {
-                        return Err(format!(
-                            "unknown discipline '{other}' (expected fifo, fq, pie, \
-                             fq_pie, or codel)"
-                        ))
-                    }
-                }
-                let is_aqm = matches!(shared.discipline.as_str(), "pie" | "fq_pie" | "codel");
-                if !is_aqm {
-                    for (key, set) in [
-                        ("target_delay_ms", shared.target_delay_ms.is_some()),
-                        ("interval_ms", shared.interval_ms.is_some()),
-                        ("alpha", shared.alpha.is_some()),
-                        ("beta", shared.beta.is_some()),
-                        ("ecn", shared.ecn.is_some()),
-                    ] {
-                        if set {
-                            return Err(format!(
-                                "shared '{key}' only applies to an AQM discipline \
-                                 (pie, fq_pie, or codel), not '{}'",
-                                shared.discipline
-                            ));
-                        }
-                    }
-                }
-                for (key, val) in [
-                    ("target_delay_ms", shared.target_delay_ms),
-                    ("interval_ms", shared.interval_ms),
-                ] {
-                    if let Some(v) = val {
-                        if v.is_nan() || v <= 0.0 {
-                            return Err(format!("shared '{key}' must be > 0, got {v}"));
-                        }
-                    }
-                }
-                for (key, val) in [("alpha", shared.alpha), ("beta", shared.beta)] {
-                    if let Some(v) = val {
-                        if !(v.is_finite() && v >= 0.0) {
-                            return Err(format!("shared '{key}' must be >= 0, got {v}"));
-                        }
-                    }
-                }
-                if shared.discipline == "codel" && (shared.alpha.is_some() || shared.beta.is_some())
-                {
-                    return Err(
-                        "'alpha'/'beta' are PIE gains; codel only takes 'target_delay_ms', \
-                         'interval_ms', and 'ecn'"
-                            .into(),
-                    );
-                }
-                if shared.quantum.is_some()
-                    && !matches!(shared.discipline.as_str(), "fq" | "fq_pie")
-                {
-                    return Err(format!(
-                        "shared 'quantum' only applies to the per-flow disciplines \
-                         (fq or fq_pie), not '{}'",
-                        shared.discipline
-                    ));
-                }
-                if shared.paths.is_empty() {
-                    return Err("a shared link needs at least one subscribing path \
-                         ('wifi' or 'cell')"
-                        .into());
-                }
-                for p in &shared.paths {
-                    if p != "wifi" && p != "cell" {
-                        return Err(format!("unknown path '{p}' (expected wifi or cell)"));
-                    }
-                }
-            }
-        }
-        if let Some(origins) = &self.origins {
-            if origins.pool.is_empty() {
-                return Err("'origins.pool' must list at least one origin \
-                     (drop the 'origins' key for the implicit single origin)"
-                    .into());
-            }
-            for (i, a) in origins.pool.iter().enumerate() {
-                if origins.pool[..i].iter().any(|b| b.id == a.id) {
-                    return Err(format!(
-                        "duplicate origin id '{}' (pool ids must be unique so \
-                         explain/trace attribution stays unambiguous)",
-                        a.id
-                    ));
-                }
-            }
-            if let Some(q) = origins.hedge_quantile {
-                if !(q > 0.0 && q <= 1.0) {
-                    return Err(format!(
-                        "'hedge_quantile' must be in (0,1] (0 would hedge \
-                         instantly, >1 can never fire before the deadline), got {q}"
-                    ));
-                }
-            }
-            if origins.failure_threshold == Some(0) {
-                return Err("'failure_threshold' must be > 0 (a zero threshold \
-                     would trip every breaker on sight)"
-                    .into());
-            }
-        }
-        if let Some(cache) = &self.cache {
-            if cache.capacity_mb.is_nan() || cache.capacity_mb <= 0.0 {
-                return Err(format!(
-                    "'capacity_mb' must be > 0 (drop the 'cache' key to run \
-                     uncached), got {}",
-                    cache.capacity_mb
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn abr_kind(&self) -> Result<AbrKind, String> {
-        match self.abr.as_str() {
-            "gpac" => Ok(AbrKind::Gpac),
-            "festive" => Ok(AbrKind::Festive),
-            "bba" => Ok(AbrKind::Bba),
-            "bba_c" | "bbac" | "bba-c" => Ok(AbrKind::BbaC),
-            "mpc" => Ok(AbrKind::Mpc),
-            other => Err(format!("unknown abr '{other}'")),
-        }
+        o.finish()?;
+        Ok(scenario)
     }
 
     /// Build the session configs, one per mode, in declaration order.
+    /// Fails only when a `{"file": ...}` bandwidth cannot be loaded.
     pub fn build(&self) -> Result<Vec<(String, SessionConfig)>, String> {
-        let video = self.video.build()?;
-        let abr = self.abr_kind()?;
-        let wifi_profile = self.wifi.build()?;
-        let cell_profile = self.cell.build()?;
-        let priors = (self.wifi.mean(&wifi_profile), self.cell.mean(&cell_profile));
+        let wifi_profile = self.wifi.profile()?;
+        let cell_profile = self.cell.profile()?;
+        let mean = |profile: &BandwidthProfile| profile.mean_rate(SimDuration::from_secs(120));
+        let priors = (mean(&wifi_profile), mean(&cell_profile));
         let mut out = Vec::new();
         for mode in &self.modes {
-            // Half-RTT in microseconds, so odd RTTs (the testbed's 55 ms
-            // LTE) survive the halving exactly.
-            let wifi = LinkConfig::constant(1.0, SimDuration::from_micros(self.wifi_rtt_ms * 500))
-                .with_profile(wifi_profile.clone());
-            let cell = LinkConfig::constant(1.0, SimDuration::from_micros(self.cell_rtt_ms * 500))
-                .with_profile(cell_profile.clone());
+            // One-way delay is half the RTT; in nanoseconds, so odd RTTs
+            // (the testbed's 55 ms LTE) survive the halving exactly.
+            let wifi =
+                LinkConfig::constant(1.0, self.wifi_rtt / 2).with_profile(wifi_profile.clone());
+            let cell =
+                LinkConfig::constant(1.0, self.cell_rtt / 2).with_profile(cell_profile.clone());
             let mut cfg = SessionConfig::controlled(
                 (wifi_profile.clone(), cell_profile.clone()),
-                abr,
-                mode.build(),
+                self.abr,
+                mode.mode,
             )
-            .with_video(video.clone());
+            .with_video(self.video.clone());
             cfg.wifi = wifi;
             cfg.cell = cell;
-            cfg.buffer_capacity = SimDuration::from_secs(self.buffer_secs);
+            cfg.buffer_capacity = self.buffer;
             cfg.priors = priors;
             if !self.wifi_faults.is_empty() {
                 cfg = cfg.with_wifi_faults(self.wifi_faults.clone());
@@ -1274,14 +982,13 @@ impl Scenario {
             }
             cfg = cfg.with_lifecycle(self.lifecycle);
             if let Some(origins) = &self.origins {
-                cfg = cfg.with_origins(origins.build());
+                cfg = cfg.with_origins(origins.clone());
             }
-            if let Some(cache) = &self.cache {
+            if let Some(cache) = self.cache {
                 // A fresh cache per mode: compared policies must not
                 // warm each other's working set.
                 cfg = cfg.with_cache(
-                    mpdash_session::SharedSegmentCache::new(cache.capacity_bytes())
-                        .with_edge_delay(cache.edge_delay()),
+                    SharedSegmentCache::new(cache.capacity_bytes).with_edge_delay(cache.edge_delay),
                 );
             }
             if let Some(sched) = mode.scheduler {
@@ -1315,32 +1022,19 @@ impl Scenario {
         // In a fleet the cache is per *run*, not per mode config: hand
         // the fleet the spec and drop the session-level handle, so two
         // runs of the same FleetConfig never share warm state.
-        let cache = self.cache.as_ref().map(|c| {
+        if self.cache.is_some() {
             base.cache = None;
-            FleetCacheSpec::new(c.capacity_bytes()).with_edge_delay(c.edge_delay())
-        });
+        }
         let mut fc = FleetConfig::new(base, fleet.clients)
-            .with_stagger(SimDuration::from_secs_f64(fleet.stagger_s))
-            .with_rtt_skew(SimDuration::from_millis(fleet.rtt_skew_ms))
+            .with_stagger(fleet.stagger)
+            .with_rtt_skew(fleet.rtt_skew)
             .with_seed(fleet.seed);
-        if let Some(cache) = cache {
-            fc = fc.with_cache(cache);
-        }
-        for shared in &fleet.shared {
-            fc = fc.with_shared(shared.build());
-        }
-        if let Some(churn) = &fleet.churn {
-            fc = fc.with_churn(churn.build());
-        }
-        for domain in &fleet.fault_domains {
-            fc = fc.with_fault_domain(domain.build());
-        }
-        if let Some(overload) = &fleet.overload {
-            fc = fc.with_overload(overload.build());
-        }
-        if let Some(watchdog) = fleet.watchdog {
-            fc = fc.with_watchdog(watchdog);
-        }
+        fc.cache = self.cache;
+        fc.shared = fleet.shared.clone();
+        fc.churn = fleet.churn;
+        fc.fault_domains = fleet.fault_domains.clone();
+        fc.overload = fleet.overload;
+        fc.watchdog = fleet.watchdog;
         Ok(fc)
     }
 
@@ -1380,7 +1074,7 @@ mod tests {
     fn parses_and_builds() {
         let sc = Scenario::from_json(DOC).unwrap();
         assert_eq!(sc.name, "demo");
-        assert_eq!(sc.wifi_rtt_ms, 50, "default applied");
+        assert_eq!(sc.wifi_rtt, SimDuration::from_millis(50), "default applied");
         let configs = sc.build().unwrap();
         assert_eq!(configs.len(), 3);
         assert_eq!(configs[0].0, "Baseline");
@@ -1393,20 +1087,53 @@ mod tests {
 
     #[test]
     fn rejects_unknown_names() {
-        let bad = DOC.replace("festive", "quantum");
-        let sc = Scenario::from_json(&bad).unwrap();
-        assert!(sc.build().unwrap_err().contains("unknown abr"));
-
-        let bad = DOC.replace("big_buck_bunny", "rickroll");
-        let sc = Scenario::from_json(&bad).unwrap();
-        assert!(sc.build().unwrap_err().contains("unknown video"));
+        for (from, to, expect) in [
+            ("festive", "quantum", "abr: unknown abr 'quantum'"),
+            (
+                "big_buck_bunny",
+                "rickroll",
+                "video.named: unknown video 'rickroll'",
+            ),
+            (r#"{"named":"#, r#"{"nmaed":"#, "unknown video kind 'nmaed'"),
+            (
+                r#"{"constant":"#,
+                r#"{"steady":"#,
+                "unknown bandwidth kind 'steady'",
+            ),
+            (
+                r#""mpdash_rate""#,
+                r#""mpdash_fast""#,
+                "modes[1]: unknown mode",
+            ),
+            (
+                r#"{"throttled":"#,
+                r#"{"throtled":"#,
+                "modes[2]: unknown mode",
+            ),
+        ] {
+            let err = Scenario::from_json(&DOC.replace(from, to)).unwrap_err();
+            assert!(err.contains(expect), "{to}: {err}");
+        }
     }
 
     #[test]
     fn rejects_values_that_would_wedge_the_simulator() {
         for (patch, expect) in [
-            (r#""wifi_rtt_ms": 0,"#, "'wifi_rtt_ms' must be > 0"),
-            (r#""buffer_secs": 0,"#, "'buffer_secs' must be > 0"),
+            (
+                r#""wifi_rtt_ms": 0,"#,
+                "wifi_rtt_ms: must be a whole number >= 1",
+            ),
+            (
+                r#""buffer_secs": 0,"#,
+                "buffer_secs: must be a whole number >= 1",
+            ),
+            // Would wrap `rtt_ms * 500` to a garbage RTT.
+            (
+                r#""wifi_rtt_ms": 36893488147419104,"#,
+                "wifi_rtt_ms: must be a whole number >= 1 and <= 60000",
+            ),
+            (r#""cell_rtt_ms": 60001,"#, "cell_rtt_ms: must be"),
+            (r#""buffer_secs": 86401,"#, "buffer_secs: must be"),
         ] {
             let doc = DOC.replacen(r#""name":"#, &format!("{patch} \"name\":"), 1);
             let err = Scenario::from_json(&doc).unwrap_err();
@@ -1415,21 +1142,40 @@ mod tests {
 
         let doc = DOC.replace(r#"["vanilla", "mpdash_rate", {"throttled": 700}]"#, "[]");
         let err = Scenario::from_json(&doc).unwrap_err();
-        assert!(err.contains("at least one transport policy"), "{err}");
+        assert!(err.contains("modes: must list at least one"), "{err}");
 
         let doc = DOC.replace(r#"{"throttled": 700}"#, r#"{"throttled": 0}"#);
         let err = Scenario::from_json(&doc).unwrap_err();
-        assert!(err.contains("rate > 0 kbps"), "{err}");
+        assert!(
+            err.contains("modes[2].throttled: must be a whole number >= 1"),
+            "{err}"
+        );
 
-        let doc = DOC.replace(r#"{"constant": 3.0}"#, r#"{"constant": -1.0}"#);
-        let sc = Scenario::from_json(&doc).unwrap();
-        let err = sc.build().unwrap_err();
-        assert!(err.contains(">= 0 Mbps"), "{err}");
-
-        let doc = DOC.replace(r#""mean_mbps": 3.8"#, r#""mean_mbps": 0.0"#);
-        let sc = Scenario::from_json(&doc).unwrap();
-        let err = sc.build().unwrap_err();
-        assert!(err.contains("'mean_mbps' must be > 0"), "{err}");
+        for (from, to, expect) in [
+            (
+                r#"{"constant": 3.0}"#,
+                r#"{"constant": -1.0}"#,
+                "cell.constant: must be >= 0, got -1",
+            ),
+            (
+                r#"{"constant": 3.0}"#,
+                r#"{"constant": 1e999}"#,
+                "cell.constant: must be a finite number",
+            ),
+            (
+                r#""mean_mbps": 3.8"#,
+                r#""mean_mbps": 0.0"#,
+                "wifi.synthetic.mean_mbps: must be > 0",
+            ),
+            (
+                r#""sigma": 0.1"#,
+                r#""sigma": -0.1"#,
+                "wifi.synthetic.sigma: must be >= 0",
+            ),
+        ] {
+            let err = Scenario::from_json(&DOC.replace(from, to)).unwrap_err();
+            assert!(err.contains(expect), "{to}: {err}");
+        }
     }
 
     #[test]
@@ -1465,7 +1211,7 @@ mod tests {
         );
         let err = Scenario::from_json(&doc).unwrap_err();
         assert!(
-            err.contains("unknown scheduler 'lowest_latency_first'")
+            err.contains("modes[1].scheduler: unknown scheduler 'lowest_latency_first'")
                 && err.contains("min_rtt, round_robin, or qaware"),
             "{err}"
         );
@@ -1475,7 +1221,10 @@ mod tests {
             r#"{"mode": "mpdash_rate", "scheduler": 3}"#,
         );
         let err = Scenario::from_json(&doc).unwrap_err();
-        assert!(err.contains("'scheduler' must be a string"), "{err}");
+        assert!(
+            err.contains("modes[1].scheduler: must be a string"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1488,9 +1237,39 @@ mod tests {
             "abr": "gpac",
             "modes": ["vanilla"]
         }"#;
-        let sc = Scenario::from_json(doc).unwrap();
-        let err = sc.build().unwrap_err();
-        assert!(err.contains("strictly ascending"), "{err}");
+        for (video, expect) in [
+            (
+                r#""levels_mbps": [2.0, 1.0], "chunk_secs": 2, "n_chunks": 10"#,
+                "video.custom.levels_mbps[1]: levels must be strictly ascending",
+            ),
+            (
+                r#""levels_mbps": [1.0, 1.0], "chunk_secs": 2, "n_chunks": 10"#,
+                "video.custom.levels_mbps[1]: levels must be strictly ascending",
+            ),
+            (
+                r#""levels_mbps": [0.0, 1.0], "chunk_secs": 2, "n_chunks": 10"#,
+                "video.custom.levels_mbps[0]: must be > 0",
+            ),
+            (
+                r#""levels_mbps": [], "chunk_secs": 2, "n_chunks": 10"#,
+                "video.custom.levels_mbps: must list at least one",
+            ),
+            (
+                r#""levels_mbps": [1.0, 2.0], "chunk_secs": 0, "n_chunks": 10"#,
+                "video.custom.chunk_secs: must be a whole number >= 1",
+            ),
+            (
+                r#""levels_mbps": [1.0, 2.0], "chunk_secs": 2, "n_chunks": 0"#,
+                "video.custom.n_chunks: must be a whole number >= 1",
+            ),
+        ] {
+            let doc = doc.replace(
+                r#""levels_mbps": [2.0, 1.0], "chunk_secs": 2, "n_chunks": 10"#,
+                video,
+            );
+            let err = Scenario::from_json(&doc).unwrap_err();
+            assert!(err.contains(expect), "{video}: {err}");
+        }
     }
 
     #[test]
@@ -1555,23 +1334,27 @@ mod tests {
         for (faults, expect) in [
             (
                 r#"[{"error_burst": {"at_s": -1, "secs": 3}}]"#,
-                "'at_s' must be >= 0",
+                "server_faults[0].error_burst.at_s: must be >= 0",
             ),
             (
                 r#"[{"error_burst": {"at_s": 1, "secs": 0}}]"#,
-                "'secs' must be > 0",
+                "error_burst.secs: must be > 0",
+            ),
+            (
+                r#"[{"error_burst": {"at_s": 1e999, "secs": 3}}]"#,
+                "error_burst.at_s: must be a finite number",
             ),
             (
                 r#"[{"stalled_body": {"at_s": 1, "secs": 3, "stall_s": 5, "after_fraction": 1.0}}]"#,
-                "'after_fraction' must be in [0,1)",
+                "stalled_body.after_fraction: must be in [0,1)",
             ),
             (
                 r#"[{"stalled_body": {"at_s": 1, "secs": 3, "stall_s": 0}}]"#,
-                "'stall_s' must be > 0",
+                "stalled_body.stall_s: must be > 0",
             ),
             (
                 r#"[{"slow_first_byte": {"at_s": 1, "secs": 3, "delay_s": 0}}]"#,
-                "'delay_s' must be > 0",
+                "slow_first_byte.delay_s: must be > 0",
             ),
             (
                 r#"[{"ransomware": {"at_s": 1, "secs": 3}}]"#,
@@ -1607,15 +1390,19 @@ mod tests {
         for (faults, expect) in [
             (
                 r#"[{"rate_collapse": {"at_s": 5, "secs": 10, "factor": 0.0}}]"#,
-                "'factor' must be in (0,1]",
+                "wifi_faults[0].rate_collapse.factor: must be in (0,1]",
             ),
             (
                 r#"[{"rate_collapse": {"at_s": 5, "secs": 0, "factor": 0.5}}]"#,
-                "'secs' must be > 0",
+                "rate_collapse.secs: must be > 0",
+            ),
+            (
+                r#"[{"rate_collapse": {"at_s": 5, "secs": 1e999, "factor": 0.5}}]"#,
+                "rate_collapse.secs: must be a finite number",
             ),
             (
                 r#"[{"burst_loss": {"at_s": 5, "secs": 10, "p_enter": 2.0}}]"#,
-                "must be in (0,1]",
+                "burst_loss.p_enter: must be in (0,1]",
             ),
             (
                 r#"[{"meteor_strike": {"at_s": 5, "secs": 10}}]"#,
@@ -1660,8 +1447,8 @@ mod tests {
         assert_eq!(fc.stagger, SimDuration::from_secs(1));
         assert_eq!(fc.rtt_skew, SimDuration::from_millis(10));
         assert_eq!(fc.seed, 7);
-        assert_eq!(fc.shared[0].paths, vec![mpdash_link::PathId::WIFI]);
-        assert_eq!(fc.shared[1].paths, vec![mpdash_link::PathId::CELLULAR]);
+        assert_eq!(fc.shared[0].paths, vec![PathId::WIFI]);
+        assert_eq!(fc.shared[1].paths, vec![PathId::CELLULAR]);
         assert_eq!(sc.fleet_jobs().unwrap().len(), 3);
         // Documents without the key build no fleet.
         let plain = Scenario::from_json(DOC).unwrap();
@@ -1734,7 +1521,7 @@ mod tests {
         // Absent key → no telemetry; bad epoch rejected.
         assert!(Scenario::from_json(DOC).unwrap().telemetry.is_none());
         let err = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 0.0},"#)).unwrap_err();
-        assert!(err.contains("'epoch_s' must be a positive number"), "{err}");
+        assert!(err.contains("telemetry.epoch_s: must be > 0"), "{err}");
     }
 
     const CHURN_PATCH: &str = r#""fleet": {
@@ -1758,10 +1545,10 @@ mod tests {
         let sc = Scenario::from_json(&fleet_doc(CHURN_PATCH)).unwrap();
         let fleet = sc.fleet.as_ref().unwrap();
         let churn = fleet.churn.as_ref().unwrap();
-        assert_eq!(churn.mean_interarrival_s, 6.0);
+        assert_eq!(churn.mean_interarrival, SimDuration::from_secs(6));
         assert_eq!(fleet.fault_domains.len(), 1);
         assert_eq!(fleet.fault_domains[0].members, vec![0, 1, 2, 3]);
-        assert_eq!(fleet.overload.as_ref().unwrap().max_active, 4);
+        assert_eq!(fleet.overload.unwrap().max_active, 4);
 
         let configs = sc.fleet_configs().unwrap();
         let fc = &configs[0].1;
@@ -1788,104 +1575,132 @@ mod tests {
     #[test]
     fn rejects_wedging_fleet_values() {
         for (patch, expect) in [
-            (r#""fleet": {"clients": 0},"#, "'clients' must be > 0"),
+            (r#""fleet": {"clients": 0},"#, "fleet.clients: must be a whole number >= 1"),
             (
                 r#""fleet": {"clients": 4, "stagger_s": -1.0},"#,
-                "'stagger_s' must be >= 0",
+                "fleet.stagger_s: must be >= 0",
+            ),
+            (
+                r#""fleet": {"clients": 4, "stagger_s": 1e999},"#,
+                "fleet.stagger_s: must be a finite number",
             ),
             (
                 r#""fleet": {"clients": 4, "rtt_skew_ms": -5},"#,
-                "'rtt_skew_ms' must be a non-negative integer",
+                "fleet.rtt_skew_ms: must be a whole number >= 0 and <= 60000, got -5",
+            ),
+            (
+                r#""fleet": {"clients": 4, "rtt_skew_ms": 60001},"#,
+                "fleet.rtt_skew_ms: must be",
             ),
             (
                 r#""fleet": {"clients": 4, "churn": {"mean_interarrival_s": 0.0, "mean_watch_s": 30}},"#,
-                "'churn.mean_interarrival_s' must be a positive number",
+                "fleet.churn.mean_interarrival_s: must be > 0",
             ),
             (
                 r#""fleet": {"clients": 4, "churn": {"mean_interarrival_s": 6, "mean_watch_s": -2.0}},"#,
-                "'churn.mean_watch_s' must be a positive number",
+                "fleet.churn.mean_watch_s: must be > 0",
             ),
             (
                 r#""fleet": {"clients": 4, "churn": {"mean_interarrival_s": 6, "mean_watch_s": 30, "min_watch_s": -1.0}},"#,
-                "'churn.min_watch_s' must be >= 0",
+                "fleet.churn.min_watch_s: must be >= 0",
             ),
             (
                 r#""fleet": {"clients": 4, "churn": {"mean_watch_s": 30}},"#,
-                "missing field 'mean_interarrival_s'",
+                "fleet.churn.mean_interarrival_s: missing required key",
             ),
             (
                 r#""fleet": {"clients": 4, "fault_domains": [{"label": "r", "members": []}]},"#,
-                "needs at least one member index",
+                "fleet.fault_domains[0].members: must list at least one",
             ),
             (
                 r#""fleet": {"clients": 4, "fault_domains": [{"label": "r", "members": [7],
                    "wifi_faults": [{"disassociation": {"at_s": 1, "secs": 1}}]}]},"#,
-                "member 7 is out of range",
+                "fleet.fault_domains[0].members[0]: must be a whole number >= 0 and <= 3, got 7",
             ),
             (
                 r#""fleet": {"clients": 4, "fault_domains": [{"label": "r", "members": [1, 1],
                    "wifi_faults": [{"disassociation": {"at_s": 1, "secs": 1}}]}]},"#,
-                "lists member 1 twice",
+                "fleet.fault_domains[0].members[1]: client 1 is listed twice",
             ),
             (
                 r#""fleet": {"clients": 4, "fault_domains": [{"label": "r", "members": [0]}]},"#,
-                "has no fault scripts",
+                "fleet.fault_domains[0]: has no fault scripts",
             ),
             (
                 r#""fleet": {"clients": 4, "overload": {"max_active": 0}},"#,
-                "'overload.max_active' must be > 0",
+                "fleet.overload.max_active: must be a whole number >= 1",
             ),
             (
                 r#""fleet": {"clients": 4, "overload": {"max_active": 2, "queue_threshold_bytes": 0}},"#,
-                "'overload.queue_threshold_bytes' must be > 0",
+                "fleet.overload.queue_threshold_bytes: must be a whole number >= 1",
             ),
             (
                 r#""fleet": {"clients": 4, "watchdog": "on"},"#,
-                "'watchdog' must be a boolean",
+                "fleet.watchdog: must be a boolean",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "paths": []}]},"#,
-                "at least one subscribing path",
+                "fleet.shared[0].paths: must list at least one",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 0.0, "paths": ["wifi"]}]},"#,
-                "'rate_mbps' must be > 0",
+                "fleet.shared[0].rate_mbps: must be > 0",
+            ),
+            (
+                r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 1e999, "paths": ["wifi"]}]},"#,
+                "fleet.shared[0].rate_mbps: must be a finite number",
+            ),
+            (
+                r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 1e-9, "paths": ["wifi"]}]},"#,
+                "fleet.shared[0].rate_mbps: must be at least 1 bit/s",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "capacity_bytes": 0, "paths": ["wifi"]}]},"#,
-                "'capacity_bytes' must be > 0",
+                "fleet.shared[0].capacity_bytes: must be a whole number >= 1",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "red", "paths": ["wifi"]}]},"#,
-                "unknown discipline 'red' (expected fifo, fq, pie, fq_pie, or codel)",
+                "fleet.shared[0].discipline: unknown discipline 'red' (expected fifo, fq, pie, fq_pie, codel)",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "paths": ["starlink"]}]},"#,
-                "unknown path 'starlink'",
+                "fleet.shared[0].paths[0]: unknown path 'starlink'",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "fifo", "ecn": true, "paths": ["wifi"]}]},"#,
-                "'ecn' only applies to an AQM discipline",
+                "fleet.shared[0].ecn: unknown key (fleet.shared[0] accepts: rate_mbps, capacity_bytes, discipline, paths) under discipline 'fifo'",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "fq", "target_delay_ms": 15.0, "paths": ["wifi"]}]},"#,
-                "'target_delay_ms' only applies to an AQM discipline",
+                "fleet.shared[0].target_delay_ms: unknown key",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "pie", "target_delay_ms": 0.0, "paths": ["wifi"]}]},"#,
-                "'target_delay_ms' must be > 0",
+                "fleet.shared[0].target_delay_ms: must be > 0",
+            ),
+            (
+                r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "pie", "target_delay_ms": -3, "paths": ["wifi"]}, {"rate_mbps": 10.0, "discipline": "pie", "target_delay_ms": -3, "paths": ["wifi"]}]},"#,
+                "fleet.shared[0].target_delay_ms: must be > 0, got -3",
+            ),
+            (
+                r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "codel", "interval_ms": 1e-9, "paths": ["wifi"]}]},"#,
+                "fleet.shared[0].interval_ms: must be at least one nanosecond",
+            ),
+            (
+                r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "pie", "alpha": 1e999, "paths": ["wifi"]}]},"#,
+                "fleet.shared[0].alpha: must be a finite number",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "codel", "alpha": 0.125, "paths": ["wifi"]}]},"#,
-                "'alpha'/'beta' are PIE gains",
+                "fleet.shared[0].alpha: unknown key (fleet.shared[0] accepts: rate_mbps, capacity_bytes, discipline, target_delay_ms, interval_ms, ecn, paths) under discipline 'codel'",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "pie", "quantum": 1540, "paths": ["wifi"]}]},"#,
-                "'quantum' only applies to the per-flow disciplines",
+                "fleet.shared[0].quantum: unknown key",
             ),
             (
                 r#""fleet": {"clients": 4, "shared": [{"rate_mbps": 10.0, "discipline": "pie", "beta": -1.0, "paths": ["wifi"]}]},"#,
-                "'beta' must be >= 0",
+                "fleet.shared[0].beta: must be >= 0",
             ),
         ] {
             let err = Scenario::from_json(&fleet_doc(patch)).unwrap_err();
@@ -1924,10 +1739,8 @@ mod tests {
         let sc = Scenario::from_json(&text).unwrap();
         let fleet = sc.fleet.as_ref().unwrap();
         assert_eq!(fleet.clients, 8);
-        let ap = &fleet.shared[0];
-        assert_eq!(ap.discipline, "fq_pie");
         assert!(matches!(
-            ap.build().config.discipline,
+            fleet.shared[0].config.discipline,
             QueueDiscipline::FqPie { quantum: 1540, aqm }
                 if aqm.ecn && aqm.target_ns == 15_000_000
         ));
@@ -1949,7 +1762,7 @@ mod tests {
         let doc = fleet_doc(ORIGINS_PATCH);
         let sc = Scenario::from_json(&doc).unwrap();
         let origins = sc.origins.as_ref().unwrap();
-        assert_eq!(origins.pool.len(), 2);
+        assert_eq!(origins.origins.len(), 2);
         assert_eq!(origins.hedge_quantile, Some(0.5));
         let configs = sc.build().unwrap();
         let pool = configs[0].1.origins.as_ref().unwrap();
@@ -1963,6 +1776,7 @@ mod tests {
         );
         assert_eq!(pool.failure_threshold, 3);
         assert_eq!(pool.hedge_quantile, Some(0.5));
+        assert_eq!(sc.cache.unwrap().capacity_bytes, 64 << 20);
         let cache = configs[0].1.cache.as_ref().unwrap();
         assert_eq!(cache.capacity_bytes(), 64 << 20);
         assert_eq!(cache.edge_delay(), SimDuration::from_millis(8));
@@ -1994,39 +1808,60 @@ mod tests {
         for (patch, expect) in [
             (
                 r#""origins": {"pool": []},"#,
-                "'origins.pool' must list at least one origin",
+                "origins.pool: must list at least one",
             ),
             (
                 r#""origins": {"pool": [{"id": "a"}, {"id": "a"}]},"#,
-                "duplicate origin id 'a'",
+                "origins.pool[1].id: duplicate origin id 'a'",
             ),
             (
                 r#""origins": {"hedge_quantile": 0.0, "pool": [{"id": "a"}]},"#,
-                "'hedge_quantile' must be in (0,1]",
+                "origins.hedge_quantile: must be in (0,1]",
             ),
             (
                 r#""origins": {"hedge_quantile": 1.5, "pool": [{"id": "a"}]},"#,
-                "'hedge_quantile' must be in (0,1]",
+                "origins.hedge_quantile: must be in (0,1]",
             ),
             (
                 r#""origins": {"failure_threshold": 0, "pool": [{"id": "a"}]},"#,
-                "'failure_threshold' must be > 0",
+                "origins.failure_threshold: must be a whole number >= 1",
+            ),
+            // Would be cast `as u32` to 0 after passing the zero check.
+            (
+                r#""origins": {"failure_threshold": 4294967296, "pool": [{"id": "a"}]},"#,
+                "origins.failure_threshold: must be a whole number >= 1 and <= 4294967295",
+            ),
+            (
+                r#""origins": {"pool": [{"id": "a", "rtt_penalty_ms": 60001}]},"#,
+                "origins.pool[0].rtt_penalty_ms: must be",
             ),
             (
                 r#""origins": {"pool": [{"rtt_penalty_ms": 5}]},"#,
-                "missing field 'id'",
+                "origins.pool[0].id: missing required key",
             ),
             (
                 r#""cache": {"capacity_mb": 0},"#,
-                "'capacity_mb' must be > 0",
+                "cache.capacity_mb: must be > 0",
             ),
             (
                 r#""cache": {"capacity_mb": -3.5},"#,
-                "'capacity_mb' must be > 0",
+                "cache.capacity_mb: must be > 0",
+            ),
+            (
+                r#""cache": {"capacity_mb": 1e999},"#,
+                "cache.capacity_mb: must be a finite number",
+            ),
+            (
+                r#""cache": {"capacity_mb": 1e-9},"#,
+                "cache.capacity_mb: must be at least one byte",
+            ),
+            (
+                r#""cache": {"capacity_mb": 64, "edge_delay_ms": 60001},"#,
+                "cache.edge_delay_ms: must be",
             ),
             (
                 r#""cache": {"edge_delay_ms": 5},"#,
-                "missing field 'capacity_mb'",
+                "cache.capacity_mb: missing required key",
             ),
         ] {
             let err = Scenario::from_json(&fleet_doc(patch)).unwrap_err();
@@ -2040,10 +1875,171 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let sc = Scenario::from_json(&text).unwrap();
         let origins = sc.origins.as_ref().unwrap();
-        assert!(origins.pool.len() >= 2);
+        assert!(origins.origins.len() >= 2);
         assert!(origins.hedge_quantile.is_some());
         assert!(sc.cache.is_some());
         assert!(sc.build().is_ok());
+    }
+
+    /// A document with one instance of every object level the format
+    /// has.
+    const EVERY_LEVEL: &str = r#"{
+        "name": "every-level",
+        "video": {"custom": {"levels_mbps": [1.0, 2.0], "chunk_secs": 2, "n_chunks": 10}},
+        "wifi": {"synthetic": {"mean_mbps": 3.8, "sigma": 0.1, "seed": 42}},
+        "cell": {"constant": 3.0},
+        "abr": "festive",
+        "modes": ["vanilla", {"mode": "mpdash_rate", "scheduler": "qaware"}],
+        "wifi_faults": [
+            {"burst_loss": {"at_s": 1, "secs": 2, "loss": 0.4}},
+            {"rtt_spike": {"at_s": 4, "secs": 2, "extra_ms": 100}},
+            {"rate_collapse": {"at_s": 7, "secs": 2, "factor": 0.5}},
+            {"disassociation": {"at_s": 10, "secs": 2, "reassoc_s": 1}}
+        ],
+        "server_faults": [
+            {"error_burst": {"at_s": 1, "secs": 2}},
+            {"blackhole": {"at_s": 4, "secs": 2}},
+            {"stalled_body": {"at_s": 7, "secs": 2, "stall_s": 5}},
+            {"slow_first_byte": {"at_s": 10, "secs": 2, "delay_s": 1}}
+        ],
+        "fleet": {
+            "clients": 4,
+            "shared": [{"rate_mbps": 10.0, "discipline": "fq_pie", "paths": ["wifi"]}],
+            "churn": {"mean_interarrival_s": 6.0, "mean_watch_s": 30.0},
+            "overload": {"max_active": 2},
+            "fault_domains": [
+                {"label": "r", "members": [0], "cell_faults": [{"rtt_spike": {"at_s": 1, "secs": 1}}]}
+            ]
+        },
+        "origins": {"pool": [{"id": "a", "faults": [{"blackhole": {"at_s": 1, "secs": 1}}]}]},
+        "cache": {"capacity_mb": 64},
+        "telemetry": {"epoch_s": 2.0}
+    }"#;
+
+    #[test]
+    fn a_misspelt_key_is_an_error_at_every_object_level() {
+        Scenario::from_json(EVERY_LEVEL).expect("the unpatched document parses");
+        // (text opening the level, the level's path)
+        for (opening, level) in [
+            (
+                r#"{
+        "name":"#,
+                "",
+            ),
+            (r#"{"levels_mbps":"#, "video.custom"),
+            (r#"{"mean_mbps":"#, "wifi.synthetic"),
+            (r#"{"mode":"#, "modes[1]"),
+            (
+                r#"{"at_s": 1, "secs": 2, "loss":"#,
+                "wifi_faults[0].burst_loss",
+            ),
+            (
+                r#"{"at_s": 4, "secs": 2, "extra_ms":"#,
+                "wifi_faults[1].rtt_spike",
+            ),
+            (
+                r#"{"at_s": 7, "secs": 2, "factor":"#,
+                "wifi_faults[2].rate_collapse",
+            ),
+            (
+                r#"{"at_s": 10, "secs": 2, "reassoc_s":"#,
+                "wifi_faults[3].disassociation",
+            ),
+            (r#"{"at_s": 1, "secs": 2}"#, "server_faults[0].error_burst"),
+            (r#"{"at_s": 4, "secs": 2}"#, "server_faults[1].blackhole"),
+            (
+                r#"{"at_s": 7, "secs": 2, "stall_s":"#,
+                "server_faults[2].stalled_body",
+            ),
+            (
+                r#"{"at_s": 10, "secs": 2, "delay_s":"#,
+                "server_faults[3].slow_first_byte",
+            ),
+            (
+                r#"{
+            "clients":"#,
+                "fleet",
+            ),
+            (r#"{"rate_mbps":"#, "fleet.shared[0]"),
+            (r#"{"mean_interarrival_s":"#, "fleet.churn"),
+            (r#"{"max_active":"#, "fleet.overload"),
+            (r#"{"label":"#, "fleet.fault_domains[0]"),
+            (
+                r#"{"at_s": 1, "secs": 1}}]}
+            ]"#,
+                "fleet.fault_domains[0].cell_faults[0].rtt_spike",
+            ),
+            (r#"{"pool":"#, "origins"),
+            (r#"{"id":"#, "origins.pool[0]"),
+            (
+                r#"{"at_s": 1, "secs": 1}}]}]}"#,
+                "origins.pool[0].faults[0].blackhole",
+            ),
+            (r#"{"capacity_mb":"#, "cache"),
+            (r#"{"epoch_s":"#, "telemetry"),
+        ] {
+            assert_eq!(EVERY_LEVEL.matches(opening).count(), 1, "{opening}");
+            let patched = opening.replacen('{', r#"{"overlaod": 1, "#, 1);
+            let err = Scenario::from_json(&EVERY_LEVEL.replace(opening, &patched)).unwrap_err();
+            let key = match level {
+                "" => "overlaod".to_string(),
+                level => format!("{level}.overlaod"),
+            };
+            assert!(
+                err.starts_with(&format!("{key}: unknown key (")) && err.contains(" accepts: "),
+                "{level}: {err}"
+            );
+        }
+        // The message lists what the level does take.
+        let err = Scenario::from_json(
+            &EVERY_LEVEL.replace(r#""max_active": 2"#, r#""max_active": 2, "max_actve": 3"#),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "fleet.overload.max_actve: unknown key (fleet.overload accepts: max_active, \
+             queue_threshold_bytes)"
+        );
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error() {
+        for (from, to, expect) in [
+            (
+                r#""abr": "festive","#,
+                r#""abr": "festive", "abr": "gpac","#,
+                "abr: key is given twice",
+            ),
+            (
+                r#""clients": 4,"#,
+                r#""clients": 4, "clients": 8,"#,
+                "fleet.clients: key is given twice",
+            ),
+            (
+                r#""max_active": 2"#,
+                r#""max_active": 2, "max_active": 2"#,
+                "fleet.overload.max_active: key is given twice",
+            ),
+        ] {
+            let err = Scenario::from_json(&EVERY_LEVEL.replace(from, to)).unwrap_err();
+            assert_eq!(err, expect, "{to}");
+        }
+    }
+
+    #[test]
+    fn every_shipped_scenario_parses_and_builds() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let sc =
+                Scenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            sc.build()
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            seen += 1;
+        }
+        assert!(seen >= 6, "only {seen} files under {dir}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use mpdash::dash::video::Video;
 use mpdash::scenario::Scenario;
-use mpdash::session::{run_batch_with, JobSpec, TransportMode};
+use mpdash::session::{run_batch_with, JobSpec, StreamingSession, TransportMode};
 use mpdash::sim::SimDuration;
 
 fn example() -> Scenario {
@@ -21,7 +21,7 @@ fn example_scenario_round_trips_into_session_configs() {
         sc.name,
         "paper motivating network: WiFi 3.8 Mbps + LTE 3.0 Mbps"
     );
-    assert_eq!(sc.buffer_secs, 40);
+    assert_eq!(sc.buffer, SimDuration::from_secs(40));
 
     let configs = sc.build().expect("example scenario builds");
     assert_eq!(configs.len(), 5, "one config per declared mode");
@@ -67,4 +67,54 @@ fn example_scenario_runs_through_the_batch_runner() {
     let wifi_only = results.last().unwrap().session().expect("session job");
     assert_eq!(wifi_only.cell_bytes, 0);
     assert!(results[0].session().expect("session job").cell_bytes > 0);
+}
+
+fn shipped(file: &str) -> Scenario {
+    let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("shipped scenario readable");
+    Scenario::from_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// "Same configs bit for bit" as a tier-1 test: the digests below were
+/// recorded at the commit before the scenario decoder was rewritten.
+/// `churn.json` exercises churn, a fault domain, overload, two shared
+/// links, telemetry and the watchdog; `origins.json` the pool, hedging,
+/// per-origin faults, lifecycle and the cache. A digest that moves means
+/// the document now builds a different config (or the simulator changed
+/// behaviour — then re-record, and say so in the PR).
+#[test]
+fn shipped_scenarios_reproduce_their_golden_summaries() {
+    let fleet: Vec<(String, u64)> = shipped("churn.json")
+        .fleet_configs()
+        .expect("churn scenario builds")
+        .into_iter()
+        .map(|(label, fc)| {
+            let summary = mpdash::fleet::run(&fc).summary_json().to_compact();
+            (label, fnv1a(summary.as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        fleet,
+        [
+            ("Baseline".to_string(), 11554707720325534327),
+            ("Rate".to_string(), 16090460244447604868),
+        ]
+    );
+
+    let solo: Vec<(String, u64)> = shipped("origins.json")
+        .build()
+        .expect("origins scenario builds")
+        .into_iter()
+        .map(|(label, cfg)| {
+            let summary = StreamingSession::run(cfg).summary_json().to_compact();
+            (label, fnv1a(summary.as_bytes()))
+        })
+        .collect();
+    assert_eq!(solo, [("Rate".to_string(), 8387712229148742842)]);
 }
