@@ -14,7 +14,7 @@
 //!   interleaves the sessions' packets;
 //! * **monotonicity** — the global fleet clock never goes backwards.
 
-use mpdash_http::{HttpEvent, HttpLayer};
+use mpdash_http::{HttpEvent, HttpLayer, Route};
 use mpdash_link::{
     AqmConfig, LinkConfig, PathId, QueueDiscipline, SharedBottleneck, SharedBottleneckConfig,
 };
@@ -57,7 +57,7 @@ impl Client {
     fn pump(&mut self) {
         if self.req.is_none() && self.next_chunk < self.sizes.len() {
             let size = self.sizes[self.next_chunk];
-            self.req = Some(self.http.get(&mut self.sim, size));
+            self.req = Some(self.http.get(&mut self.sim, Route::Origin(0), size, 0));
         }
     }
 

@@ -106,8 +106,9 @@ impl ServerFaultEvent {
 /// Events may overlap and compose: a slow first byte delays the start
 /// of a response whose body then stalls. An error burst takes
 /// precedence over both (the 5xx is generated before any body exists).
-/// Attach to a connection with
-/// [`HttpLayer::with_faults`](crate::HttpLayer::with_faults).
+/// Every origin carries one ([`OriginSpec::with_faults`](crate::OriginSpec::with_faults));
+/// attach the origins to a connection with
+/// [`HttpLayer::with_origins`](crate::HttpLayer::with_origins).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ServerFaultScript {
     events: Vec<ServerFaultEvent>,

@@ -11,7 +11,11 @@
 //!   `Content-Length` body, all on one persistent connection;
 //! * pipelined requests are answered in order (the DASH players in this
 //!   workspace issue one request at a time, but the framing supports
-//!   pipelining and the tests exercise it).
+//!   pipelining and the tests exercise it);
+//! * every request names the [`Route`] that serves it — an origin of the
+//!   layer's origin list or the edge cache — through the one issuing
+//!   call, [`HttpLayer::get`]. The paper's single server is origin 0 of
+//!   a one-entry list.
 //!
 //! On top of the framing sit the PR 4 robustness pieces:
 //!
@@ -42,7 +46,8 @@ pub mod origin;
 pub use cache::{CacheStats, SegmentKey, SharedSegmentCache};
 pub use fault::{ServerFaultEvent, ServerFaultKind, ServerFaultScript};
 pub use lifecycle::{
-    AbortAccounting, LifecycleAction, LifecyclePolicy, LifecycleState, RequestTracker, RetryPolicy,
+    AbortAccounting, LifecycleAction, LifecyclePolicy, LifecycleState, RequestTracker, RetryPlan,
+    RetryPolicy,
 };
 pub use origin::{BreakerState, HealthTransition, OriginPool, OriginPoolConfig, OriginSpec};
 
@@ -174,8 +179,6 @@ struct ServerResponse {
     start: u64,
     /// Bytes this response will occupy absent cancellation.
     total: u64,
-    /// Bytes handed to the transport so far.
-    queued: u64,
 }
 
 /// Per-fault-event edge flags so activation/clearing trace events are
@@ -189,11 +192,53 @@ struct FaultEdge {
 /// Where a request's response comes from — decided at `get` time,
 /// applied at serve time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Route {
-    /// Pool origin `i`: that origin's fault script + RTT penalty.
+pub enum Route {
+    /// Origin `i` of the layer's origin list: that origin's fault script
+    /// and RTT penalty apply. A layer built without
+    /// [`HttpLayer::with_origins`] has exactly one healthy origin, so the
+    /// paper's implicit single server is `Origin(0)`.
     Origin(usize),
     /// The edge cache: no faults, just this first-byte delay.
     Edge(SimDuration),
+}
+
+/// Serve-time behaviour of one origin. Health tracking and routing live
+/// in [`OriginPool`], owned by the caller.
+#[derive(Default)]
+struct OriginServe {
+    faults: ServerFaultScript,
+    rtt_penalty: SimDuration,
+    edges: Vec<FaultEdge>,
+}
+
+impl OriginServe {
+    fn new(spec: &OriginSpec) -> Self {
+        OriginServe {
+            faults: spec.faults.clone(),
+            rtt_penalty: spec.rtt_penalty,
+            edges: vec![FaultEdge::default(); spec.faults.events().len()],
+        }
+    }
+
+    /// Emit activation/clearing trace edges for this origin's script, as
+    /// observed at serve instants. Edge bookkeeping runs whether or not
+    /// a sink is attached so internal state never depends on tracing.
+    fn trace_edges(&mut self, tracer: &Tracer, now: SimTime) {
+        for (e, edge) in self.faults.events().iter().zip(&mut self.edges) {
+            if e.active_at(now) && !edge.activated {
+                edge.activated = true;
+                tracer.emit_with(now, || TraceEvent::ServerFaultActivated {
+                    kind: e.kind.name(),
+                    until_s: e.end().as_secs_f64(),
+                });
+            } else if now >= e.end() && edge.activated && !edge.cleared {
+                edge.cleared = true;
+                tracer.emit_with(now, || TraceEvent::ServerFaultCleared {
+                    kind: e.kind.name(),
+                });
+            }
+        }
+    }
 }
 
 /// One persistent HTTP/1.1 connection: client framing + server behaviour.
@@ -202,11 +247,12 @@ enum Route {
 /// a [`ServerMsg`](mpdash_mptcp::StepOutcome::ServerMsg), call
 /// [`HttpLayer::on_server_msg`] and the registered resource's bytes are
 /// queued on the connection — possibly delayed, stalled or replaced by a
-/// 5xx according to the attached [`ServerFaultScript`].
+/// 5xx according to the serving origin's [`ServerFaultScript`].
 pub struct HttpLayer {
     next_id: RequestId,
-    /// Sizes of resources requested but not yet answered by the server.
-    requested: HashMap<RequestId, u64>,
+    /// Body size and routing decision of every request the server has
+    /// not answered yet.
+    requested: HashMap<RequestId, (u64, Route)>,
     /// Requests cancelled before they reached the server; their later
     /// arrival must be ignored silently.
     cancelled: HashSet<RequestId>,
@@ -230,15 +276,9 @@ pub struct HttpLayer {
     /// cursor; equals delivered bytes fed through `on_delivered`).
     cursor: u64,
     next_timer: u64,
-    faults: ServerFaultScript,
-    fault_edges: Vec<FaultEdge>,
-    /// Per-origin serve-time behaviour (fault script + RTT penalty)
-    /// when a pool is attached; requests without a [`Route`] use the
-    /// legacy single-script `faults`.
-    origins: Vec<(ServerFaultScript, SimDuration)>,
-    origin_edges: Vec<Vec<FaultEdge>>,
-    /// Routing decision per unanswered request.
-    routes: HashMap<RequestId, Route>,
+    /// The origins a [`Route::Origin`] indexes; one healthy origin
+    /// unless [`HttpLayer::with_origins`] replaced the list.
+    origins: Vec<OriginServe>,
     tracer: Tracer,
 }
 
@@ -249,8 +289,8 @@ impl Default for HttpLayer {
 }
 
 impl HttpLayer {
-    /// A fresh connection with no requests in flight and a healthy
-    /// server.
+    /// A fresh connection with no requests in flight and one healthy
+    /// origin.
     pub fn new() -> Self {
         HttpLayer {
             next_id: 1,
@@ -263,35 +303,15 @@ impl HttpLayer {
             stream_planned: 0,
             cursor: 0,
             next_timer: 0,
-            faults: ServerFaultScript::new(),
-            fault_edges: Vec::new(),
-            origins: Vec::new(),
-            origin_edges: Vec::new(),
-            routes: HashMap::new(),
+            origins: vec![OriginServe::default()],
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Attach a server-side fault script.
-    pub fn with_faults(mut self, faults: ServerFaultScript) -> Self {
-        self.fault_edges = vec![FaultEdge::default(); faults.events().len()];
-        self.faults = faults;
-        self
-    }
-
-    /// Attach the serve-time half of an origin pool: each origin's
-    /// fault script and RTT penalty, applied to requests issued through
-    /// [`HttpLayer::get_from`]. Health tracking and routing live in
-    /// [`OriginPool`], owned by the caller.
+    /// Replace the origin list: each origin's fault script and RTT
+    /// penalty apply to the requests routed to it.
     pub fn with_origins(mut self, origins: &[OriginSpec]) -> Self {
-        self.origin_edges = origins
-            .iter()
-            .map(|o| vec![FaultEdge::default(); o.faults.events().len()])
-            .collect();
-        self.origins = origins
-            .iter()
-            .map(|o| (o.faults.clone(), o.rtt_penalty))
-            .collect();
+        self.origins = origins.iter().map(OriginServe::new).collect();
         self
     }
 
@@ -301,12 +321,21 @@ impl HttpLayer {
         self.tracer = tracer;
     }
 
-    /// Issue a GET for a resource of `size` bytes. Sends the request
-    /// upstream and registers the expected response framing.
-    pub fn get(&mut self, sim: &mut MptcpSim, size: u64) -> RequestId {
+    /// Issue a GET for the byte range `[from, total)` of a resource,
+    /// served by `route` (`from = 0` is the plain full-resource GET; a
+    /// positive `from` is the resume after an abandonment, the failover
+    /// retry or the hedge). On the wire it is an ordinary request whose
+    /// response body is the requested range.
+    pub fn get(&mut self, sim: &mut MptcpSim, route: Route, total: u64, from: u64) -> RequestId {
+        debug_assert!(from <= total, "range start past resource end");
+        debug_assert!(
+            !matches!(route, Route::Origin(i) if i >= self.origins.len()),
+            "unknown origin in {route:?}"
+        );
+        let size = total - from;
         let id = self.next_id;
         self.next_id += 1;
-        self.requested.insert(id, size);
+        self.requested.insert(id, (size, route));
         self.inflight.push_back(Response {
             id,
             header_remaining: RESPONSE_HEADER_BYTES,
@@ -317,49 +346,6 @@ impl HttpLayer {
             truncated: None,
         });
         sim.send_request(id, REQUEST_BYTES);
-        id
-    }
-
-    /// Issue a byte-range GET for the tail `[from, total)` of a
-    /// resource — the resume after an abandonment. On the wire this is
-    /// an ordinary request whose response body is the missing tail.
-    pub fn get_range(&mut self, sim: &mut MptcpSim, total: u64, from: u64) -> RequestId {
-        debug_assert!(from <= total, "range start past resource end");
-        self.get(sim, total - from)
-    }
-
-    /// Issue a GET routed to pool origin `origin`: served under that
-    /// origin's fault script and RTT penalty.
-    pub fn get_from(&mut self, sim: &mut MptcpSim, size: u64, origin: usize) -> RequestId {
-        debug_assert!(origin < self.origins.len(), "unknown origin {origin}");
-        let id = self.get(sim, size);
-        self.routes.insert(id, Route::Origin(origin));
-        id
-    }
-
-    /// Issue a byte-range GET for `[from, total)` routed to pool origin
-    /// `origin` — the failover resume and the hedge request.
-    pub fn get_range_from(
-        &mut self,
-        sim: &mut MptcpSim,
-        total: u64,
-        from: u64,
-        origin: usize,
-    ) -> RequestId {
-        debug_assert!(from <= total, "range start past resource end");
-        self.get_from(sim, total - from, origin)
-    }
-
-    /// Issue a GET served by the edge cache: a healthy response after
-    /// `edge_delay`, untouched by any origin fault script.
-    pub fn get_edge(
-        &mut self,
-        sim: &mut MptcpSim,
-        size: u64,
-        edge_delay: SimDuration,
-    ) -> RequestId {
-        let id = self.get(sim, size);
-        self.routes.insert(id, Route::Edge(edge_delay));
         id
     }
 
@@ -381,7 +367,7 @@ impl HttpLayer {
         if id & CANCEL_FLAG != 0 {
             return self.handle_cancel(sim, id & !CANCEL_FLAG);
         }
-        let Some(size) = self.requested.remove(&id) else {
+        let Some((size, route)) = self.requested.remove(&id) else {
             // A cancel overtook its own request; the exchange was
             // already unwound when the cancel was processed.
             let was_cancelled = self.cancelled.remove(&id);
@@ -392,65 +378,34 @@ impl HttpLayer {
         // Resolve the serve-time behaviour for this request's route:
         // whether it 5xxes, its first-byte delay (fault + RTT penalty),
         // and any mid-body stall.
-        let (is_error, first_delay, stall) = match self.routes.remove(&id) {
-            Some(Route::Edge(delay)) => (false, delay, None),
-            Some(Route::Origin(i)) => {
-                Self::trace_edges(
-                    &self.tracer,
-                    &self.origins[i].0,
-                    &mut self.origin_edges[i],
-                    now,
-                );
-                let (script, penalty) = &self.origins[i];
+        let (is_error, first_delay, stall) = match route {
+            Route::Edge(delay) => (false, delay, None),
+            Route::Origin(i) => {
+                let origin = &mut self.origins[i];
+                origin.trace_edges(&self.tracer, now);
                 (
-                    script.error_at(now),
-                    script.first_byte_delay_at(now) + *penalty,
-                    script.stall_at(now),
-                )
-            }
-            None => {
-                Self::trace_edges(&self.tracer, &self.faults, &mut self.fault_edges, now);
-                (
-                    self.faults.error_at(now),
-                    self.faults.first_byte_delay_at(now),
-                    self.faults.stall_at(now),
+                    origin.faults.error_at(now),
+                    origin.faults.first_byte_delay_at(now) + origin.rtt_penalty,
+                    origin.faults.stall_at(now),
                 )
             }
         };
 
+        // 5xx: a header-only response. The client reads the status line
+        // from the same header block, so its expected body shrinks to
+        // zero and the exchange ends in an Error event.
+        let total = RESPONSE_HEADER_BYTES + if is_error { 0 } else { size };
+        let start = self.stream_planned;
+        self.stream_planned += total;
+        self.serving.insert(id, ServerResponse { start, total });
         if is_error {
-            // 5xx: a header-only response. The client reads the status
-            // line from the same header block, so its expected body
-            // shrinks to zero and the exchange ends in an Error event.
             if let Some(resp) = self.inflight.iter_mut().find(|r| r.id == id) {
                 resp.body_len = 0;
                 resp.error = true;
             }
-            let start = self.stream_planned;
-            self.stream_planned += RESPONSE_HEADER_BYTES;
-            self.serving.insert(
-                id,
-                ServerResponse {
-                    start,
-                    total: RESPONSE_HEADER_BYTES,
-                    queued: 0,
-                },
-            );
-            self.queue_part(sim, id, RESPONSE_HEADER_BYTES, now);
+            self.queue_part(sim, id, total, now);
             return Vec::new();
         }
-
-        let total = RESPONSE_HEADER_BYTES + size;
-        let start = self.stream_planned;
-        self.stream_planned += total;
-        self.serving.insert(
-            id,
-            ServerResponse {
-                start,
-                total,
-                queued: 0,
-            },
-        );
         let at = now + first_delay;
         if let Some((stall, frac)) = stall {
             let first_body = ((size as f64) * frac).ceil() as u64;
@@ -477,8 +432,7 @@ impl HttpLayer {
             // A part cancelled after its timer was scheduled: benign.
             return true;
         };
-        if let Some(sr) = self.serving.get_mut(&id) {
-            sr.queued += bytes;
+        if self.serving.contains_key(&id) {
             sim.send_app(bytes);
         }
         true
@@ -499,19 +453,7 @@ impl HttpLayer {
                     let resp = *resp;
                     self.inflight.pop_front();
                     self.serving.remove(&resp.id);
-                    let start = if resp.header_remaining == 0 {
-                        resp.body_dss_start
-                    } else {
-                        self.cursor
-                    };
-                    events.push(HttpEvent::Aborted {
-                        id: resp.id,
-                        received: resp.body_received,
-                        body_dss: DssRange {
-                            start,
-                            end: self.cursor,
-                        },
-                    });
+                    events.push(self.aborted(&resp));
                 } else {
                     break;
                 }
@@ -530,46 +472,35 @@ impl HttpLayer {
                 resp.header_remaining -= eat;
                 left -= eat;
                 self.cursor += eat;
-                if resp.header_remaining == 0 {
-                    resp.body_dss_start = self.cursor;
-                    let id = resp.id;
-                    if resp.error {
-                        self.inflight.pop_front();
-                        self.serving.remove(&id);
-                        events.push(HttpEvent::Error { id });
-                        continue;
-                    }
-                    let body_len = resp.body_len;
-                    events.push(HttpEvent::HeaderReceived {
-                        id,
-                        content_length: body_len,
-                    });
-                    // An empty body is complete the moment its header is:
-                    // without this, a zero-byte resource whose delivery
-                    // ends exactly at the header boundary never completes.
-                    if body_len == 0 {
-                        events.push(HttpEvent::Complete {
-                            id,
-                            body_dss: DssRange {
-                                start: self.cursor,
-                                end: self.cursor,
-                            },
-                        });
-                        self.inflight.pop_front();
-                        self.serving.remove(&id);
-                    }
+                if resp.header_remaining > 0 {
+                    continue;
                 }
-                continue;
+                resp.body_dss_start = self.cursor;
+                let id = resp.id;
+                if resp.error {
+                    self.inflight.pop_front();
+                    self.serving.remove(&id);
+                    events.push(HttpEvent::Error { id });
+                    continue;
+                }
+                events.push(HttpEvent::HeaderReceived {
+                    id,
+                    content_length: resp.body_len,
+                });
+            } else {
+                let eat = left.min(resp.body_len - resp.body_received).min(budget);
+                resp.body_received += eat;
+                left -= eat;
+                self.cursor += eat;
+                events.push(HttpEvent::BodyProgress {
+                    id: resp.id,
+                    received: resp.body_received,
+                    total: resp.body_len,
+                });
             }
-            let eat = left.min(resp.body_len - resp.body_received).min(budget);
-            resp.body_received += eat;
-            left -= eat;
-            self.cursor += eat;
-            events.push(HttpEvent::BodyProgress {
-                id: resp.id,
-                received: resp.body_received,
-                total: resp.body_len,
-            });
+            // An empty body is complete the moment its header is: without
+            // this, a zero-byte resource whose delivery ends exactly at
+            // the header boundary never completes.
             if resp.body_received == resp.body_len {
                 let id = resp.id;
                 events.push(HttpEvent::Complete {
@@ -593,11 +524,6 @@ impl HttpLayer {
         self.inflight.len()
     }
 
-    /// Total connection-stream bytes consumed by framing so far.
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
     /// Number of response parts whose sending is deferred by a fault.
     pub fn deferred_parts(&self) -> usize {
         self.deferred.len()
@@ -611,15 +537,31 @@ impl HttpLayer {
         let at = at.max(self.next_free);
         self.next_free = at;
         if at <= now {
-            if let Some(sr) = self.serving.get_mut(&id) {
-                sr.queued += bytes;
-            }
             sim.send_app(bytes);
         } else {
             let timer = HTTP_TIMER_BASE + self.next_timer;
             self.next_timer += 1;
             self.deferred.insert(timer, (id, bytes));
             sim.schedule_app_timer(at, timer);
+        }
+    }
+
+    /// The terminal event of a cancelled exchange that has drained: the
+    /// partial body occupies the stream from its first byte (or from the
+    /// cursor, when not even the header completed) up to the cursor.
+    fn aborted(&self, resp: &Response) -> HttpEvent {
+        let start = if resp.header_remaining == 0 {
+            resp.body_dss_start
+        } else {
+            self.cursor
+        };
+        HttpEvent::Aborted {
+            id: resp.id,
+            received: resp.body_received,
+            body_dss: DssRange {
+                start,
+                end: self.cursor,
+            },
         }
     }
 
@@ -630,17 +572,9 @@ impl HttpLayer {
             // The cancel overtook the request: nothing is on the wire
             // yet, so the exchange unwinds immediately.
             self.cancelled.insert(id);
-            self.routes.remove(&id);
             if let Some(pos) = self.inflight.iter().position(|r| r.id == id) {
                 let resp = self.inflight.remove(pos).expect("position just found");
-                events.push(HttpEvent::Aborted {
-                    id,
-                    received: resp.body_received,
-                    body_dss: DssRange {
-                        start: self.cursor,
-                        end: self.cursor,
-                    },
-                });
+                events.push(self.aborted(&resp));
             }
             return events;
         }
@@ -664,7 +598,6 @@ impl HttpLayer {
         let committed = sim.conn_total();
         debug_assert!(committed >= sr.start);
         let survive = committed.saturating_sub(sr.start);
-        sr.queued = survive;
         sr.total = survive;
         self.stream_planned = committed;
         self.next_free = sim.now();
@@ -675,50 +608,10 @@ impl HttpLayer {
                 let resp = *resp;
                 self.inflight.retain(|r| r.id != id);
                 self.serving.remove(&id);
-                let start = if resp.header_remaining == 0 {
-                    resp.body_dss_start
-                } else {
-                    self.cursor
-                };
-                events.push(HttpEvent::Aborted {
-                    id,
-                    received: resp.body_received,
-                    body_dss: DssRange {
-                        start,
-                        end: self.cursor,
-                    },
-                });
+                events.push(self.aborted(&resp));
             }
         }
         events
-    }
-
-    /// Emit activation/clearing trace edges for one fault script, as
-    /// observed at serve instants. Edge bookkeeping runs whether or not
-    /// a sink is attached so internal state never depends on tracing.
-    /// An associated fn over split borrows: the caller holds the script
-    /// and its edge flags from disjoint fields.
-    fn trace_edges(
-        tracer: &Tracer,
-        faults: &ServerFaultScript,
-        fault_edges: &mut [FaultEdge],
-        now: SimTime,
-    ) {
-        for (i, e) in faults.events().iter().enumerate() {
-            let edge = &mut fault_edges[i];
-            if e.active_at(now) && !edge.activated {
-                edge.activated = true;
-                tracer.emit_with(now, || TraceEvent::ServerFaultActivated {
-                    kind: e.kind.name(),
-                    until_s: e.end().as_secs_f64(),
-                });
-            } else if now >= e.end() && edge.activated && !edge.cleared {
-                edge.cleared = true;
-                tracer.emit_with(now, || TraceEvent::ServerFaultCleared {
-                    kind: e.kind.name(),
-                });
-            }
-        }
     }
 }
 
@@ -735,9 +628,14 @@ mod tests {
         MptcpSim::new(MptcpConfig::two_path(wifi, cell))
     }
 
+    /// A connection whose single origin misbehaves per `script`.
+    fn faulty(script: ServerFaultScript) -> HttpLayer {
+        HttpLayer::new().with_origins(&[OriginSpec::new("origin").with_faults(script)])
+    }
+
     /// Drive one GET to completion; returns the events seen.
     fn fetch(sim: &mut MptcpSim, http: &mut HttpLayer, size: u64) -> Vec<HttpEvent> {
-        let id = http.get(sim, size);
+        let id = http.get(sim, Route::Origin(0), size, 0);
         let mut events = Vec::new();
         loop {
             let Some((_, outcome)) = sim.step() else {
@@ -828,8 +726,8 @@ mod tests {
     fn pipelined_requests_complete_in_order() {
         let mut s = sim();
         let mut h = HttpLayer::new();
-        let a = h.get(&mut s, 40_000);
-        let b = h.get(&mut s, 10_000);
+        let a = h.get(&mut s, Route::Origin(0), 40_000, 0);
+        let b = h.get(&mut s, Route::Origin(0), 10_000, 0);
         let mut completions = Vec::new();
         while completions.len() < 2 {
             let Some((_, outcome)) = s.step() else {
@@ -868,7 +766,9 @@ mod tests {
     fn many_tiny_pipelined_requests_frame_correctly() {
         let mut s = sim();
         let mut h = HttpLayer::new();
-        let ids: Vec<_> = (0..20).map(|i| h.get(&mut s, 100 + i)).collect();
+        let ids: Vec<_> = (0..20)
+            .map(|i| h.get(&mut s, Route::Origin(0), 100 + i, 0))
+            .collect();
         let mut done = Vec::new();
         while done.len() < ids.len() {
             let Some((_, o)) = s.step() else {
@@ -906,9 +806,8 @@ mod tests {
     #[test]
     fn error_burst_returns_5xx_and_connection_survives() {
         let mut s = sim();
-        let mut h = HttpLayer::new().with_faults(
-            ServerFaultScript::new().error_burst(SimTime::ZERO, SimDuration::from_secs(1)),
-        );
+        let mut h =
+            faulty(ServerFaultScript::new().error_burst(SimTime::ZERO, SimDuration::from_secs(1)));
         let events = fetch(&mut s, &mut h, 100_000);
         assert!(
             matches!(events.last(), Some(HttpEvent::Error { .. })),
@@ -940,7 +839,7 @@ mod tests {
 
         let mut s = sim();
         let delay = SimDuration::from_millis(800);
-        let mut h = HttpLayer::new().with_faults(ServerFaultScript::new().slow_first_byte(
+        let mut h = faulty(ServerFaultScript::new().slow_first_byte(
             SimTime::ZERO,
             SimDuration::from_secs(5),
             delay,
@@ -958,7 +857,7 @@ mod tests {
     fn stalled_body_pauses_midway_then_completes() {
         let mut s = sim();
         let stall = SimDuration::from_secs(2);
-        let mut h = HttpLayer::new().with_faults(ServerFaultScript::new().stalled_body(
+        let mut h = faulty(ServerFaultScript::new().stalled_body(
             SimTime::ZERO,
             SimDuration::from_secs(5),
             stall,
@@ -975,7 +874,7 @@ mod tests {
         let mut s = sim();
         let mut h = HttpLayer::new();
         let size: u64 = 400_000;
-        let id = h.get(&mut s, size);
+        let id = h.get(&mut s, Route::Origin(0), size, 0);
         let mut received;
         let mut aborted: Option<(u64, DssRange)> = None;
         // Drive until roughly a quarter of the body arrived, then cancel.
@@ -1052,7 +951,7 @@ mod tests {
     fn cancel_that_overtakes_its_request_unwinds_immediately() {
         let mut s = sim();
         let mut h = HttpLayer::new();
-        let id = h.get(&mut s, 100_000);
+        let id = h.get(&mut s, Route::Origin(0), 100_000, 0);
         // Cancel immediately: the (smaller) cancel message can reach the
         // server before the request's serialization completes.
         h.cancel(&mut s, id);
@@ -1092,14 +991,14 @@ mod tests {
     fn cancel_during_stalled_body_aborts_without_waiting_out_the_stall() {
         let mut s = sim();
         let stall = SimDuration::from_secs(30);
-        let mut h = HttpLayer::new().with_faults(ServerFaultScript::new().stalled_body(
+        let mut h = faulty(ServerFaultScript::new().stalled_body(
             SimTime::ZERO,
             SimDuration::from_secs(5),
             stall,
             0.25,
         ));
         let size: u64 = 200_000;
-        let id = h.get(&mut s, size);
+        let id = h.get(&mut s, Route::Origin(0), size, 0);
         let mut last_progress = 0u64;
         let mut aborted_at = None;
         let mut cancelled = false;
@@ -1191,10 +1090,10 @@ mod tests {
         ];
         let mut s = sim();
         let mut h = HttpLayer::new().with_origins(&origins);
-        let a = h.get_from(&mut s, 20_000, 0);
+        let a = h.get(&mut s, Route::Origin(0), 20_000, 0);
         let events = drive(&mut s, &mut h, a);
         assert!(matches!(events.last(), Some(HttpEvent::Complete { .. })));
-        let b = h.get_from(&mut s, 20_000, 1);
+        let b = h.get(&mut s, Route::Origin(1), 20_000, 0);
         let events = drive(&mut s, &mut h, b);
         assert!(
             matches!(events.last(), Some(HttpEvent::Error { .. })),
@@ -1206,7 +1105,7 @@ mod tests {
     fn rtt_penalty_defers_an_origin_response() {
         let mut fast = sim();
         let mut hf = HttpLayer::new().with_origins(&[OriginSpec::new("near")]);
-        let id = hf.get_from(&mut fast, 50_000, 0);
+        let id = hf.get(&mut fast, Route::Origin(0), 50_000, 0);
         drive(&mut fast, &mut hf, id);
         let baseline = fast.now();
 
@@ -1214,7 +1113,7 @@ mod tests {
         let mut s = sim();
         let mut h =
             HttpLayer::new().with_origins(&[OriginSpec::new("far").with_rtt_penalty(penalty)]);
-        let id = h.get_from(&mut s, 50_000, 0);
+        let id = h.get(&mut s, Route::Origin(0), 50_000, 0);
         drive(&mut s, &mut h, id);
         let extra = s.now().saturating_since(baseline);
         assert!(
@@ -1230,7 +1129,7 @@ mod tests {
         )];
         let mut s = sim();
         let mut h = HttpLayer::new().with_origins(&origins);
-        let id = h.get_edge(&mut s, 50_000, SimDuration::from_millis(5));
+        let id = h.get(&mut s, Route::Edge(SimDuration::from_millis(5)), 50_000, 0);
         let events = drive(&mut s, &mut h, id);
         assert!(matches!(events.last(), Some(HttpEvent::Complete { .. })));
         assert!(
@@ -1251,7 +1150,7 @@ mod tests {
         let mut s = sim();
         let mut h = HttpLayer::new().with_origins(&origins);
         let size: u64 = 100_000;
-        let dark = h.get_from(&mut s, size, 0);
+        let dark = h.get(&mut s, Route::Origin(0), size, 0);
         // Step until the request reaches the dark origin (stepping past
         // that point would jump the clock to the 120 s deferral timer —
         // the only other scheduled event), then fail over: cancel the
@@ -1281,7 +1180,7 @@ mod tests {
             panic!("wedged request must abort, got {aborted:?}")
         };
         assert_eq!(*received, 0, "a blackholed response delivered nothing");
-        let retry = h.get_from(&mut s, size, 1);
+        let retry = h.get(&mut s, Route::Origin(1), size, 0);
         let events = drive(&mut s, &mut h, retry);
         assert!(matches!(events.last(), Some(HttpEvent::Complete { .. })));
         assert!(
@@ -1297,7 +1196,7 @@ mod tests {
         use std::sync::Arc;
         let ring = Arc::new(RingSink::new(64));
         let mut s = sim();
-        let mut h = HttpLayer::new().with_faults(
+        let mut h = faulty(
             ServerFaultScript::new().error_burst(SimTime::ZERO, SimDuration::from_millis(500)),
         );
         h.set_tracer(Tracer::new(ring.clone()));

@@ -19,15 +19,18 @@
 //!      │  ▼                                       ▼
 //!   AwaitingRetry ◀── on_error            (byte-range resume)
 //!      │ backoff timer fires                      │
-//!      └──────────────▶ Inflight ◀────────────────┘
-//!                          │ all bytes received
-//!                          ▼
-//!                        Done
+//!      └────────── on_reissued ──▶ Inflight ◀─────┘
 //! ```
 //!
-//! The machine never talks to the transport itself: it returns
-//! [`LifecycleAction`]s and the driver performs the cancel / re-request
-//! / timer scheduling. All randomness (retry jitter) comes from a
+//! The tracker is the single owner of a chunk's size, banked bytes,
+//! last-progress instant and cancelling flag: the driver reads them here
+//! and keeps no copy. A hedge race enters `Cancelling` the same way an
+//! abandonment does ([`RequestTracker::cancel`]), and a 5xx that lands
+//! on a cancelling request is that request's drained abort, not a retry.
+//!
+//! The machine never talks to the transport itself: it returns a
+//! [`LifecycleAction`] or a [`RetryPlan`] and the driver performs the
+//! cancel / re-request / timer scheduling. All randomness (retry jitter) comes from a
 //! per-chunk [`Prng`] stream derived from the policy seed, so a session
 //! replays bit-identically regardless of worker count or tracing.
 
@@ -82,9 +85,6 @@ pub struct LifecyclePolicy {
     /// false the poll triggers never fire and the request rides out
     /// whatever the server does.
     pub abandon_resume: bool,
-    /// On resume, re-invoke the ABR with the partial-download state and
-    /// fetch the tail at the (possibly lower) level it picks.
-    pub resume_downshift: bool,
     /// Abandonments allowed per chunk before the lifecycle gives up and
     /// waits (guards against abandon/resume ping-pong).
     pub max_abandons: u32,
@@ -104,7 +104,6 @@ impl LifecyclePolicy {
             stall_window: None,
             timeout_factor: None,
             abandon_resume: false,
-            resume_downshift: false,
             max_abandons: 0,
             retry: RetryPolicy {
                 max_retries: 0,
@@ -133,17 +132,10 @@ impl LifecyclePolicy {
             stall_window: Some(SimDuration::from_millis(1500)),
             timeout_factor: Some(1.5),
             abandon_resume: true,
-            resume_downshift: false,
             max_abandons: 4,
             retry: RetryPolicy::default(),
             seed: 0x11FE,
         }
-    }
-
-    /// Enable ABR re-selection (possible downshift) on resume.
-    pub fn with_downshift(mut self) -> Self {
-        self.resume_downshift = true;
-        self
     }
 
     /// Override the jitter seed (batch runners derive per-job seeds).
@@ -178,11 +170,9 @@ pub enum LifecycleState {
     Cancelling,
     /// A 5xx arrived; the backoff timer has been scheduled.
     AwaitingRetry,
-    /// All bytes for the chunk were delivered.
-    Done,
 }
 
-/// What the driver must do next, as decided by the state machine.
+/// What a periodic poll tells the driver to do.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum LifecycleAction {
     /// Keep waiting.
@@ -196,15 +186,17 @@ pub enum LifecycleAction {
         /// Useful body bytes received before the decision.
         received: u64,
     },
-    /// Re-issue the request at virtual time `at`.
-    Retry {
-        /// When to re-request (now + backoff).
-        at: SimTime,
-        /// 1-based attempt counter (for traces).
-        attempt: u32,
-        /// The backoff that was drawn (for traces).
-        backoff: SimDuration,
-    },
+}
+
+/// The answer to a 5xx: re-issue the request at virtual time `at`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct RetryPlan {
+    /// When to re-request (now + backoff).
+    pub at: SimTime,
+    /// 1-based attempt counter (for traces).
+    pub attempt: u32,
+    /// The backoff that was drawn (for traces).
+    pub backoff: SimDuration,
 }
 
 /// Byte accounting handed back when an abandoned request finishes
@@ -228,8 +220,7 @@ pub struct AbortAccounting {
 pub struct RequestTracker {
     policy: LifecyclePolicy,
     state: LifecycleState,
-    /// Target body size for the *current* request plan (shrinks if a
-    /// resume downshifts the tail).
+    /// The chunk's body size.
     size: u64,
     /// Useful body bytes banked across all requests for this chunk.
     received: u64,
@@ -281,19 +272,29 @@ impl RequestTracker {
         self.received
     }
 
-    /// Current target body size (after any downshifted resume).
+    /// The chunk's body size.
     pub fn size(&self) -> u64 {
         self.size
     }
 
-    /// Abandonments so far (reported into the session log).
-    pub fn abandons(&self) -> u32 {
-        self.abandons
+    /// Last instant the chunk banked new body bytes (the issue time of
+    /// the current request until its first byte).
+    pub fn last_progress(&self) -> SimTime {
+        self.last_progress
     }
 
-    /// Retries so far.
-    pub fn retries(&self) -> u32 {
-        self.retries
+    /// A request is on the wire and its bytes count as progress — not
+    /// while a cancel drains, nor while a retry backoff runs.
+    pub fn on_wire(&self) -> bool {
+        matches!(
+            self.state,
+            LifecycleState::Inflight | LifecycleState::Stalled
+        )
+    }
+
+    /// A cancel is in flight: delivered bytes are the doomed tail.
+    pub fn cancelling(&self) -> bool {
+        self.state == LifecycleState::Cancelling
     }
 
     /// The transport delivered body bytes: `total` is the cumulative
@@ -319,13 +320,7 @@ impl RequestTracker {
     /// current aggregate rate; it is debounced over
     /// [`INFEASIBLE_DEBOUNCE`] consecutive polls.
     pub fn poll(&mut self, now: SimTime, infeasible: bool) -> LifecycleAction {
-        if !matches!(
-            self.state,
-            LifecycleState::Inflight | LifecycleState::Stalled
-        ) {
-            return LifecycleAction::None;
-        }
-        if self.received >= self.size {
+        if !self.on_wire() || self.received >= self.size {
             return LifecycleAction::None;
         }
 
@@ -378,11 +373,14 @@ impl RequestTracker {
         }
     }
 
-    /// A 5xx arrived for the current request. Returns when to re-issue:
-    /// seeded exponential backoff while attempts remain, immediate
-    /// (zero backoff) once the budget is exhausted or for the
-    /// wait-forever baseline.
-    pub fn on_error(&mut self, now: SimTime) -> LifecycleAction {
+    /// A 5xx arrived for the request on the wire. Returns when to
+    /// re-issue: seeded exponential backoff while attempts remain,
+    /// immediate (zero backoff) once the budget is exhausted or for the
+    /// wait-forever baseline. A 5xx for a *cancelling* request is not a
+    /// retry: it is that request's drained abort
+    /// ([`RequestTracker::on_aborted`]).
+    pub fn on_error(&mut self, now: SimTime) -> RetryPlan {
+        debug_assert!(self.on_wire(), "5xx in state {:?}", self.state);
         self.retries += 1;
         self.state = LifecycleState::AwaitingRetry;
         let policy = self.policy.retry;
@@ -393,23 +391,24 @@ impl RequestTracker {
         } else {
             SimDuration::ZERO
         };
-        LifecycleAction::Retry {
+        RetryPlan {
             at: now + backoff,
             attempt: self.retries,
             backoff,
         }
     }
 
-    /// The backoff timer fired and the driver re-issued the request.
-    pub fn on_retry_fire(&mut self, now: SimTime) {
-        debug_assert_eq!(self.state, LifecycleState::AwaitingRetry);
-        self.state = LifecycleState::Inflight;
-        self.last_progress = now;
+    /// The driver cancelled the request on the wire for a reason of its
+    /// own (a hedge race): same state as a poll-driven abandonment, but
+    /// it does not spend the abandon budget.
+    pub fn cancel(&mut self) {
+        debug_assert!(self.on_wire(), "cancel in state {:?}", self.state);
+        self.state = LifecycleState::Cancelling;
     }
 
-    /// The aborted response finished draining with `final_received`
-    /// body bytes delivered in total for that request plan. Splits the
-    /// count into the banked prefix and the wasted tail.
+    /// The cancelled response finished draining with `final_received`
+    /// body bytes delivered in total for the chunk. Splits the count
+    /// into the banked prefix and the wasted tail.
     pub fn on_aborted(&mut self, final_received: u64) -> AbortAccounting {
         debug_assert_eq!(self.state, LifecycleState::Cancelling);
         AbortAccounting {
@@ -418,18 +417,13 @@ impl RequestTracker {
         }
     }
 
-    /// The byte-range resume was issued at `now` for a (possibly
-    /// downshifted) plan totalling `new_size` body bytes.
-    pub fn on_resumed(&mut self, now: SimTime, new_size: u64) {
-        debug_assert!(new_size >= self.received);
-        self.size = new_size;
+    /// A replacement request for the missing range went on the wire at
+    /// `now` — the byte-range resume after a drained cancel, the retry
+    /// after a backoff, or a hedge promoted to the current fetch.
+    pub fn on_reissued(&mut self, now: SimTime) {
+        debug_assert!(!self.on_wire(), "reissue over a live request");
         self.state = LifecycleState::Inflight;
         self.last_progress = now;
-    }
-
-    /// Every byte of the chunk arrived.
-    pub fn on_complete(&mut self) {
-        self.state = LifecycleState::Done;
     }
 }
 
@@ -491,7 +485,7 @@ mod tests {
                 wasted: 50_000
             }
         );
-        tr.on_resumed(t(2.3), 1_000_000);
+        tr.on_reissued(t(2.3));
         assert_eq!(tr.state(), LifecycleState::Inflight);
     }
 
@@ -511,7 +505,7 @@ mod tests {
             other => panic!("expected deadline abandon, got {other:?}"),
         }
         tr.on_aborted(10_000);
-        tr.on_resumed(t(3.1), 1_000_000);
+        tr.on_reissued(t(3.1));
         // Past the deadline but making progress: no re-abandon.
         tr.on_progress(t(3.2), 20_000);
         assert_eq!(tr.poll(t(3.25), false), LifecycleAction::None);
@@ -575,37 +569,22 @@ mod tests {
         );
         let mut prev = SimDuration::ZERO;
         for attempt in 1..=4u32 {
-            let action = tr.on_error(t(attempt as f64));
-            match action {
-                LifecycleAction::Retry {
-                    attempt: a,
-                    backoff,
-                    ..
-                } => {
-                    assert_eq!(a, attempt);
-                    let floor = SimDuration::from_millis(200) * (1u64 << (attempt - 1));
-                    assert!(backoff >= floor, "backoff below exponential floor");
-                    assert!(
-                        backoff < floor + SimDuration::from_millis(100),
-                        "jitter out of range"
-                    );
-                    assert!(backoff > prev);
-                    prev = backoff;
-                }
-                other => panic!("expected retry, got {other:?}"),
-            }
-            tr.on_retry_fire(t(attempt as f64 + 1.0));
+            let plan = tr.on_error(t(attempt as f64));
+            assert_eq!(plan.attempt, attempt);
+            let floor = SimDuration::from_millis(200) * (1u64 << (attempt - 1));
+            assert!(plan.backoff >= floor, "backoff below exponential floor");
+            assert!(
+                plan.backoff < floor + SimDuration::from_millis(100),
+                "jitter out of range"
+            );
+            assert!(plan.backoff > prev);
+            prev = plan.backoff;
+            tr.on_reissued(t(attempt as f64 + 1.0));
         }
         // Budget exhausted: immediate naive retry, zero backoff.
-        match tr.on_error(t(10.0)) {
-            LifecycleAction::Retry {
-                attempt, backoff, ..
-            } => {
-                assert_eq!(attempt, 5);
-                assert_eq!(backoff, SimDuration::ZERO);
-            }
-            other => panic!("expected retry, got {other:?}"),
-        }
+        let plan = tr.on_error(t(10.0));
+        assert_eq!(plan.attempt, 5);
+        assert_eq!(plan.backoff, SimDuration::ZERO);
         // Same seed, same chunk => identical draw sequence.
         let mut tr2 = RequestTracker::new(
             LifecyclePolicy::retry_only(),
@@ -636,7 +615,7 @@ mod tests {
             other => panic!("expected abandon, got {other:?}"),
         }
         tr.on_aborted(0);
-        tr.on_resumed(t(2.1), 1_000_000);
+        tr.on_reissued(t(2.1));
         // Stalls again, but the budget is spent.
         assert_eq!(tr.poll(t(10.0), false), LifecycleAction::None);
         assert_eq!(tr.state(), LifecycleState::Stalled);

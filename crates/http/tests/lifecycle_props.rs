@@ -12,8 +12,14 @@
 //! * response body ranges never overlap and ascend in the
 //!   connection-level sequence space (DSS bytes are never reused);
 //! * virtual time is monotone across the whole schedule.
+//!
+//! And on the tracker alone: a 5xx that lands on a cancelling request is
+//! that request's drained abort — the chunk resumes, it does not go dark.
 
-use mpdash_http::{HttpEvent, HttpLayer, ServerFaultScript};
+use mpdash_http::{
+    AbortAccounting, HttpEvent, HttpLayer, LifecycleAction, LifecyclePolicy, OriginSpec,
+    RequestTracker, Route, ServerFaultScript,
+};
 use mpdash_link::LinkConfig;
 use mpdash_mptcp::{MptcpConfig, MptcpSim, StepOutcome};
 use mpdash_sim::{Prng, SimDuration, SimTime};
@@ -60,7 +66,7 @@ fn build_script(seed: u64) -> ServerFaultScript {
 /// cancel/resume cycles actually exercised.
 fn run_chunks(script: ServerFaultScript, chunks: &[(u64, Vec<u64>)]) -> Result<u64, TestCaseError> {
     let mut s = sim();
-    let mut http = HttpLayer::new().with_faults(script);
+    let mut http = HttpLayer::new().with_origins(&[OriginSpec::new("origin").with_faults(script)]);
     let mut cycles = 0u64;
     let mut last_dss_end = 0u64;
     let mut prev_t = SimTime::ZERO;
@@ -71,7 +77,7 @@ fn run_chunks(script: ServerFaultScript, chunks: &[(u64, Vec<u64>)]) -> Result<u
         pending.dedup();
         pending.reverse(); // pop() yields the smallest threshold first
         let mut base = 0u64; // bytes banked across requests of this chunk
-        let mut req = http.get(&mut s, size);
+        let mut req = http.get(&mut s, Route::Origin(0), size, 0);
         let mut cancelling = false;
         let mut done = false;
         let mut guard = 0u64;
@@ -133,7 +139,7 @@ fn run_chunks(script: ServerFaultScript, chunks: &[(u64, Vec<u64>)]) -> Result<u
                     HttpEvent::Error { id } if id == req => {
                         // 5xx during a burst: naive immediate re-request
                         // of the same missing range.
-                        req = http.get_range(&mut s, size, base);
+                        req = http.get(&mut s, Route::Origin(0), size, base);
                         cancelling = false;
                     }
                     HttpEvent::Aborted {
@@ -152,7 +158,7 @@ fn run_chunks(script: ServerFaultScript, chunks: &[(u64, Vec<u64>)]) -> Result<u
                         // tail request, which must also complete).
                         base += received;
                         prop_assert!(base <= size);
-                        req = http.get_range(&mut s, size, base);
+                        req = http.get(&mut s, Route::Origin(0), size, base);
                         cancelling = false;
                         cycles += 1;
                     }
@@ -206,5 +212,41 @@ proptest! {
             .collect();
         let cycles = run_chunks(ServerFaultScript::new(), &chunks)?;
         prop_assert!(cycles >= 1, "no cancel cycle over {} chunks", chunks.len());
+    }
+
+    /// A 5xx for a request whose cancel is in flight carries no body, so
+    /// the driver hands it to the tracker as the drained abort: nothing
+    /// is wasted, the resume starts at the banked offset, and afterwards
+    /// progress counts and stall detection fires again.
+    #[test]
+    fn error_while_cancelling_is_a_drained_abort(
+        banked in 0u64..900_000,
+        stall_ms in 1_500u64..10_000,
+        chunk in 0usize..64,
+    ) {
+        let stall = SimDuration::from_millis(stall_ms);
+        let mut tr = RequestTracker::new(
+            LifecyclePolicy::deadline_aware(),
+            chunk,
+            SimTime::ZERO,
+            1_000_000,
+            None,
+        );
+        let t0 = SimTime::from_millis(10);
+        tr.on_progress(t0, banked);
+        let abandon = tr.poll(t0 + stall, false);
+        prop_assert_eq!(abandon, LifecycleAction::Abandon { cause: "stall", received: banked });
+        prop_assert!(tr.cancelling() && !tr.on_wire());
+
+        let acct = tr.on_aborted(banked);
+        prop_assert_eq!(acct, AbortAccounting { resume_from: banked, wasted: 0 });
+        let resumed = t0 + stall + SimDuration::from_millis(40);
+        tr.on_reissued(resumed);
+        prop_assert!(tr.on_wire());
+
+        tr.on_progress(resumed + SimDuration::from_millis(10), banked + 1);
+        prop_assert_eq!(tr.received(), banked + 1);
+        let again = tr.poll(resumed + SimDuration::from_millis(10) + stall, false);
+        prop_assert_eq!(again, LifecycleAction::Abandon { cause: "stall", received: banked + 1 });
     }
 }

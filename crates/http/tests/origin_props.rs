@@ -15,7 +15,7 @@
 //!   loser's cancellation never corrupts connection-level DSS
 //!   reassembly or wedges the connection for later chunks.
 
-use mpdash_http::{HttpEvent, HttpLayer, OriginSpec, ServerFaultScript, SharedSegmentCache};
+use mpdash_http::{HttpEvent, HttpLayer, OriginSpec, Route, ServerFaultScript, SharedSegmentCache};
 use mpdash_link::LinkConfig;
 use mpdash_mptcp::{MptcpConfig, MptcpSim, StepOutcome};
 use mpdash_sim::{Prng, SimDuration, SimTime};
@@ -106,7 +106,7 @@ impl Pump {
     /// the missing range on a 5xx. Returns the delivered byte total.
     fn fetch_origin(&mut self, size: u64, origin: usize) -> Result<u64, TestCaseError> {
         let base = 0u64; // a 5xx delivers no body, so nothing ever banks
-        let mut req = self.http.get_from(&mut self.s, size, origin);
+        let mut req = self.http.get(&mut self.s, Route::Origin(origin), size, 0);
         loop {
             for ev in self.step()? {
                 match ev {
@@ -115,7 +115,9 @@ impl Pump {
                         return Ok(base + body_dss.len());
                     }
                     HttpEvent::Error { id } if id == req => {
-                        req = self.http.get_range_from(&mut self.s, size, base, origin);
+                        req = self
+                            .http
+                            .get(&mut self.s, Route::Origin(origin), size, base);
                     }
                     HttpEvent::Aborted { id, .. } if id == req => {
                         return Err(TestCaseError::fail("uncancelled request aborted"));
@@ -128,9 +130,12 @@ impl Pump {
 
     /// Serve a cache hit through the edge path; faults never apply.
     fn fetch_edge(&mut self, size: u64) -> Result<u64, TestCaseError> {
-        let req = self
-            .http
-            .get_edge(&mut self.s, size, SimDuration::from_millis(5));
+        let req = self.http.get(
+            &mut self.s,
+            Route::Edge(SimDuration::from_millis(5)),
+            size,
+            0,
+        );
         loop {
             for ev in self.step()? {
                 match ev {
@@ -169,7 +174,7 @@ fn run_hedged_chunks(
     let mut last_dss_end = 0u64;
     for &(size, threshold) in chunks {
         let base = 0u64; // a pre-race 5xx re-requests the whole body
-        let mut primary = pump.http.get_from(&mut pump.s, size, 0);
+        let mut primary = pump.http.get(&mut pump.s, Route::Origin(0), size, 0);
         let mut hedge: Option<(u64, u64)> = None; // (req id, range start)
         let mut loser: Option<u64> = None; // cancelled hedge awaiting terminal
         let mut done = false;
@@ -187,7 +192,9 @@ fn run_hedged_chunks(
                             // range request — FIFO guarantees the server
                             // sees them in that order.
                             pump.http.cancel(&mut pump.s, primary);
-                            let h = pump.http.get_range_from(&mut pump.s, size, committed, 1);
+                            let h = pump
+                                .http
+                                .get(&mut pump.s, Route::Origin(1), size, committed);
                             hedge = Some((h, committed));
                         }
                     }
@@ -210,7 +217,7 @@ fn run_hedged_chunks(
                             // hands the race to the hedge.
                             Some(_) => {}
                             None => {
-                                primary = pump.http.get_range_from(&mut pump.s, size, base, 0);
+                                primary = pump.http.get(&mut pump.s, Route::Origin(0), size, base);
                             }
                         }
                     }
@@ -273,7 +280,7 @@ fn run_hedged_chunks(
                             HttpEvent::Error { id } if id == hedge_req => {
                                 // 5xx on the hedge origin: naive re-request
                                 // of the same tail keeps the race alive.
-                                let h = pump.http.get_range_from(&mut pump.s, size, from, 1);
+                                let h = pump.http.get(&mut pump.s, Route::Origin(1), size, from);
                                 hedge = Some((h, from));
                             }
                             _ => {}

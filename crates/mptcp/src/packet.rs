@@ -34,6 +34,19 @@ impl PathMask {
         PathMask(1 << path.0)
     }
 
+    /// The mask enabling exactly the paths whose flag is set — the
+    /// per-path enabled set the MP-DASH control plane answers with,
+    /// index = path id.
+    pub fn from_enabled(enabled: &[bool]) -> PathMask {
+        let mut mask = PathMask::NONE;
+        for (i, &on) in enabled.iter().enumerate() {
+            if on {
+                mask = mask.with(PathId(i as u8));
+            }
+        }
+        mask
+    }
+
     /// Whether `path` is enabled.
     pub fn contains(self, path: PathId) -> bool {
         self.0 & (1 << path.0) != 0
@@ -119,6 +132,13 @@ mod tests {
     fn none_contains_nothing() {
         assert!(!PathMask::NONE.contains(PathId::WIFI));
         assert!(!PathMask::NONE.contains(PathId(7)));
+    }
+
+    #[test]
+    fn from_enabled_sets_exactly_the_flagged_paths() {
+        let m = PathMask::from_enabled(&[true, false, true]);
+        assert_eq!(m, PathMask::only(PathId(0)).with(PathId(2)));
+        assert_eq!(PathMask::from_enabled(&[]), PathMask::NONE);
     }
 
     #[test]

@@ -90,6 +90,17 @@ impl TransportMode {
     pub fn is_mpdash(&self) -> bool {
         matches!(self, TransportMode::MpDash { .. })
     }
+
+    /// The mode's link-level effect: `cell` as configured, behind a
+    /// token bucket when the mode throttles the cellular path.
+    pub(crate) fn cell_link(&self, cell: &LinkConfig) -> LinkConfig {
+        match *self {
+            TransportMode::Throttled { kbps } => cell
+                .clone()
+                .with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000)),
+            _ => cell.clone(),
+        }
+    }
 }
 
 /// Full configuration of one streaming session.
@@ -129,8 +140,9 @@ pub struct SessionConfig {
     pub adapter_config: Option<AdapterConfig>,
     /// Which interface the user prefers (§3.2).
     pub preference: PathPreference,
-    /// Scripted server-side misbehaviour (5xx bursts, stalled bodies,
-    /// slow first byte). Empty by default — a healthy server.
+    /// Scripted misbehaviour of the single implicit origin (5xx bursts,
+    /// stalled bodies, slow first byte). Empty by default — a healthy
+    /// server. Ignored when `origins` is set.
     pub server_faults: ServerFaultScript,
     /// Request-lifecycle policy: stall/deadline timeouts, abandonment
     /// with byte-range resume, seeded retries. Defaults to the
@@ -138,8 +150,10 @@ pub struct SessionConfig {
     pub lifecycle: LifecyclePolicy,
     /// Multi-origin serving pool: per-origin fault scripts, RTT
     /// penalties, circuit breakers, and the hedging policy. `None`
-    /// (default) keeps the legacy single implicit origin driven by
-    /// `server_faults`.
+    /// (default) is the paper's single server: one origin, never
+    /// breaker-tracked, misbehaving per `server_faults`. With a pool set,
+    /// `server_faults` is not consulted — each origin carries its own
+    /// script.
     pub origins: Option<OriginPoolConfig>,
     /// Shared segment cache in front of the origins; hits are served as
     /// cheap edge fetches. `None` (default) disables the cache tier.
@@ -225,36 +239,19 @@ impl SessionConfig {
         )
     }
 
-    /// A field-study session at one of the 33 corpus locations.
+    /// A field-study session at one of the 33 corpus locations: the
+    /// controlled setup on that location's links, with its measured mean
+    /// rates as the estimator priors.
     pub fn at_location(loc: &Location, abr: AbrKind, mode: TransportMode) -> Self {
         let (wifi, cell) = loc.links();
         SessionConfig {
-            video: Video::big_buck_bunny(),
             wifi,
             cell,
-            abr,
-            mode,
-            buffer_capacity: SimDuration::from_secs(40),
-            scheduler: SchedulerSpec::MinRtt,
-            cc: CcKind::Reno,
-            device: DeviceProfile::galaxy_note(),
             priors: (
                 Rate::from_mbps_f64(loc.wifi_mbps),
                 Rate::from_mbps_f64(loc.lte_mbps),
             ),
-            predictor: PredictorKind::control_default(),
-            enable_debounce: 4,
-            sample_slot: SimDuration::from_millis(250),
-            adapter_config: None,
-            preference: PathPreference::WifiFirst,
-            server_faults: ServerFaultScript::new(),
-            lifecycle: LifecyclePolicy::wait_forever(),
-            origins: None,
-            cache: None,
-            tracer: Tracer::disabled(),
-            telemetry: None,
-            start_offset: SimDuration::ZERO,
-            max_watch: None,
+            ..SessionConfig::controlled_mbps(loc.wifi_mbps, loc.lte_mbps, abr, mode)
         }
     }
 
@@ -385,17 +382,6 @@ impl SessionConfig {
         self.max_watch = Some(limit);
         self
     }
-
-    /// Apply the transport mode's link-level effects (cellular throttle).
-    pub(crate) fn effective_cell_link(&self) -> LinkConfig {
-        match self.mode {
-            TransportMode::Throttled { kbps } => self
-                .cell
-                .clone()
-                .with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000)),
-            _ => self.cell.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -436,8 +422,8 @@ mod tests {
             AbrKind::Gpac,
             TransportMode::Throttled { kbps: 700 },
         );
-        assert!(cfg.effective_cell_link().throttle.is_some());
+        assert!(cfg.mode.cell_link(&cfg.cell).throttle.is_some());
         cfg.mode = TransportMode::Vanilla;
-        assert!(cfg.effective_cell_link().throttle.is_none());
+        assert!(cfg.mode.cell_link(&cfg.cell).throttle.is_none());
     }
 }

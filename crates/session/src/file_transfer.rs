@@ -12,10 +12,12 @@
 //! transfer with a deadline.
 
 use crate::config::TransportMode;
+use crate::report::replay_energy;
+use crate::signal::DeadlineSignal;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
-use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
-use mpdash_link::{LinkConfig, PathId, TokenBucket};
+use mpdash_energy::{DeviceProfile, SessionEnergy};
+use mpdash_link::{LinkConfig, PathId};
 use mpdash_mptcp::{
     CcKind, MptcpConfig, MptcpSim, PathConfig, PathMask, SchedulerSpec, StepOutcome,
 };
@@ -130,23 +132,16 @@ pub struct FileTransfer;
 impl FileTransfer {
     /// Run one transfer to completion.
     pub fn run(cfg: FileTransferConfig) -> FileTransferReport {
-        let cell_link = match cfg.mode {
-            TransportMode::Throttled { kbps } => cfg
-                .cell
-                .clone()
-                .with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000)),
-            _ => cfg.cell.clone(),
-        };
         let mut sim = MptcpSim::new(MptcpConfig {
             paths: vec![
                 PathConfig::symmetric(cfg.wifi.clone()),
-                PathConfig::symmetric(cell_link),
+                PathConfig::symmetric(cfg.mode.cell_link(&cfg.cell)),
             ],
             scheduler: cfg.scheduler,
             cc: cfg.cc,
         });
         sim.set_tracer(mpdash_obs::Tracer::disabled().or_env());
-        let mut control = match cfg.mode {
+        let mut signal = match cfg.mode {
             TransportMode::MpDash { alpha, .. } => {
                 let mut c = MpDashControl::new(
                     vec![0.0, 1.0],
@@ -154,11 +149,9 @@ impl FileTransfer {
                     SchedulerParams::with_alpha(alpha).with_debounce(4),
                     SAMPLE_SLOT,
                 );
-                let enabled = c
-                    .mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline)
-                    .to_vec();
-                apply_initial(&mut sim, &enabled);
-                Some(c)
+                let enabled = c.mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline);
+                sim.set_initial_mask(PathMask::from_enabled(enabled));
+                Some(DeadlineSignal::new(c))
             }
             TransportMode::WifiOnly => {
                 sim.set_initial_mask(PathMask::only(PathId::WIFI));
@@ -168,81 +161,41 @@ impl FileTransfer {
         };
 
         sim.send_app(cfg.size);
-        if control.is_some() {
+        if signal.is_some() {
             sim.schedule_app_timer(SimTime::ZERO + TICK, TICK_ID);
         }
 
-        let mut record_cursor = 0usize;
         let mut done_at = SimTime::ZERO;
         while sim.delivered() < cfg.size {
             let Some((t, outcome)) = sim.step() else {
                 panic!("transfer stalled at {}/{} bytes", sim.delivered(), cfg.size);
             };
             done_at = t;
-            let tick = matches!(outcome, StepOutcome::AppTimer { id: TICK_ID });
-            if let Some(c) = control.as_mut() {
-                let records = sim.records();
-                for r in &records[record_cursor..] {
-                    c.on_bytes(r.path.index(), r.t, r.len);
+            if let Some(signal) = signal.as_mut() {
+                if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
+                    sim.set_desired_mask(PathMask::from_enabled(&enabled));
                 }
-                record_cursor = records.len();
-                let busy = [
-                    sim.path_in_flight(PathId::WIFI) > 0,
-                    sim.path_in_flight(PathId::CELLULAR) > 0,
-                ];
-                if let Some(enabled) = c.on_progress(t, sim.delivered(), &busy) {
-                    apply(&mut sim, &enabled);
-                }
-                if tick {
+                if matches!(outcome, StepOutcome::AppTimer { id: TICK_ID }) {
                     sim.schedule_app_timer(t + TICK, TICK_ID);
                 }
             }
         }
 
         let duration = done_at.saturating_since(SimTime::ZERO);
-        let records = sim.records();
-        let wifi_pkts: Vec<(SimTime, u64)> = records
-            .iter()
-            .filter(|r| r.path == PathId::WIFI)
-            .map(|r| (r.t, r.len))
-            .collect();
-        let cell_pkts: Vec<(SimTime, u64)> = records
-            .iter()
-            .filter(|r| r.path == PathId::CELLULAR)
-            .map(|r| (r.t, r.len))
-            .collect();
         let horizon = duration + SimDuration::from_secs(15);
         FileTransferReport {
             duration,
             wifi_bytes: sim.path_bytes(PathId::WIFI),
             cell_bytes: sim.path_bytes(PathId::CELLULAR),
             missed_deadline: duration > cfg.deadline,
-            energy: session_energy(&cfg.device, &wifi_pkts, &cell_pkts, horizon),
-            toggles: control.as_ref().map(|c| c.stats().toggles).unwrap_or(0),
+            energy: replay_energy(&cfg.device, sim.records(), horizon),
+            toggles: signal.map_or(0, |s| s.control.stats().toggles),
             sim_profile: crate::report::SimProfile {
                 events_popped: sim.events_popped(),
                 peak_queue_depth: sim.peak_queue_depth(),
             },
         }
     }
-}
-
-fn to_mask(enabled: &[bool]) -> PathMask {
-    let mut mask = PathMask::NONE;
-    for (i, &e) in enabled.iter().enumerate() {
-        if e {
-            mask = mask.with(PathId(i as u8));
-        }
-    }
-    mask
-}
-
-fn apply(sim: &mut MptcpSim, enabled: &[bool]) {
-    sim.set_desired_mask(to_mask(enabled));
-}
-
-fn apply_initial(sim: &mut MptcpSim, enabled: &[bool]) {
-    sim.set_initial_mask(to_mask(enabled));
 }
 
 #[cfg(test)]

@@ -16,8 +16,11 @@
 
 pub mod batch;
 pub mod config;
+mod fetch;
 pub mod file_transfer;
+mod record;
 pub mod report;
+pub mod signal;
 pub mod streaming;
 
 pub use batch::{
@@ -35,4 +38,5 @@ pub use mpdash_obs::{MetricsSnapshot, NdjsonSink, NullSink, RingSink, TraceEvent
 pub use report::{
     ChunkLogEntry, DegradationMetrics, LifecycleStats, OriginStats, SessionReport, SimProfile,
 };
+pub use signal::DeadlineSignal;
 pub use streaming::StreamingSession;

@@ -4,12 +4,27 @@
 use mpdash_core::SchedulerStats;
 use mpdash_dash::player::PlayerEvent;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
-use mpdash_energy::SessionEnergy;
+use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
 use mpdash_http::DssRange;
+use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
+
+/// Radio-energy replay of a receive trace on `device`: each radio sees
+/// its own path's packets, out to `horizon`.
+pub(crate) fn replay_energy(
+    device: &DeviceProfile,
+    records: &[PktRecord],
+    horizon: SimDuration,
+) -> SessionEnergy {
+    let on = |path: PathId| -> Vec<(SimTime, u64)> {
+        let pkts = records.iter().filter(|r| r.path == path);
+        pkts.map(|r| (r.t, r.len)).collect()
+    };
+    session_energy(device, &on(PathId::WIFI), &on(PathId::CELLULAR), horizon)
+}
 
 /// Event-loop profile of the simulation that produced a report — how
 /// much discrete-event work the run did. Fully deterministic (it counts

@@ -1,0 +1,74 @@
+//! [`DeadlineSignal`]: the one signal of the paper's Figure 2 — the
+//! progress check that runs while a transfer is in flight.
+//!
+//! Every check does the same three things, whichever driver asks: feed
+//! the packets received since the last check into the per-path
+//! throughput estimators, tell the control plane which paths still have
+//! data outstanding, and re-run Algorithm 1 on the bytes delivered so
+//! far. The answer, when it changed, is the new enabled set the caller
+//! signals through the MPTCP path mask
+//! ([`PathMask::from_enabled`](mpdash_mptcp::PathMask::from_enabled)).
+
+use mpdash_core::MpDashControl;
+use mpdash_link::PathId;
+use mpdash_mptcp::MptcpSim;
+use mpdash_sim::SimTime;
+
+/// The MP-DASH control plane plus what it has already seen of one
+/// connection's receive trace.
+pub struct DeadlineSignal {
+    /// `MP_DASH_ENABLE`/`DISABLE`, the per-path estimates and the
+    /// scheduler statistics.
+    pub control: MpDashControl,
+    /// Packet records already fed to the estimators.
+    cursor: usize,
+    /// Per-path revival counters as of the last check; an increase means
+    /// the subflow was re-established and the path's throughput history
+    /// must be reset.
+    seen_revivals: Vec<u64>,
+}
+
+impl DeadlineSignal {
+    /// Wrap a control plane for a connection that has delivered nothing
+    /// yet.
+    pub fn new(control: MpDashControl) -> Self {
+        let seen_revivals = vec![0; control.n_paths()];
+        DeadlineSignal {
+            control,
+            cursor: 0,
+            seen_revivals,
+        }
+    }
+
+    /// One progress check at `now` with `received` bytes of the transfer
+    /// delivered. Returns the new enabled set if Algorithm 1 changed it.
+    pub fn on_progress(
+        &mut self,
+        sim: &MptcpSim,
+        now: SimTime,
+        received: u64,
+    ) -> Option<Vec<bool>> {
+        let records = sim.records();
+        for r in &records[self.cursor..] {
+            self.control.on_bytes(r.path.index(), r.t, r.len);
+        }
+        self.cursor = records.len();
+        // One flag per path id a `PathMask` can name.
+        let mut busy = [false; 32];
+        let busy = &mut busy[..self.control.n_paths()];
+        for (i, busy) in busy.iter_mut().enumerate() {
+            let path = PathId(i as u8);
+            // A revived subflow came back as a *new* association: drop
+            // the old association's throughput history before the next
+            // decision, so Algorithm 1 starts from the prior instead of a
+            // pre-fault (or blackout-dragged) estimate.
+            let revivals = sim.subflow_revivals(path);
+            if revivals > self.seen_revivals[i] {
+                self.seen_revivals[i] = revivals;
+                self.control.on_path_reset(i, now);
+            }
+            *busy = sim.path_in_flight(path) > 0;
+        }
+        self.control.on_progress(now, received, busy)
+    }
+}

@@ -1,39 +1,42 @@
 //! [`StreamingSession`]: one full DASH playback over the simulated
 //! multipath testbed.
 //!
-//! Per chunk, the driver follows the paper's architecture (Figure 2):
+//! The driver is the paper's client (Figure 2): four steps per chunk and
+//! one signal while the chunk is in flight.
 //!
-//! 1. The ABR picks the level — under MP-DASH, with the adapter's
-//!    aggregate-throughput override in place of the app-level estimate.
-//! 2. The video adapter decides whether MP-DASH is active for the chunk
-//!    and computes its (possibly extended) deadline window (§5).
-//! 3. The chunk is fetched over HTTP; while it downloads, a 50 ms
-//!    progress tick feeds delivery samples into the Holt-Winters
+//! 1. **Estimate throughput** — under MP-DASH the ABR sees the control
+//!    plane's aggregate estimate in place of its own app-level one
+//!    (§5.2.1).
+//! 2. **Pick a level** — the ABR chooses; the video adapter then decides
+//!    whether MP-DASH is active for the chunk and grants its (possibly
+//!    extended) deadline window (§5). Both happen in `request_next`.
+//! 3. **Fetch the chunk** — handed to `ChunkFetch` (`fetch.rs`), which
+//!    owns how the bytes arrive (origins, cache, retries, resumes,
+//!    hedges) and reports back once, with the finished chunk.
+//! 4. **The deadline signal** — on fresh bytes and on a 50 ms tick,
+//!    `progress_check` feeds delivery samples into the Holt-Winters
 //!    estimators and re-runs Algorithm 1, which toggles the cellular
 //!    subflow through the MPTCP path mask (the DSS-bit signaling path).
-//! 4. Completion feeds the player's buffer; the next request is paced by
-//!    buffer space (the idle gaps of Figure 1 emerge from this, not from
-//!    any explicit modelling).
+//!
+//! `finish_chunk` closes the loop: completion feeds the player's buffer
+//! and the next request is paced by buffer space (the idle gaps of
+//! Figure 1 emerge from this, not from any explicit modelling).
 
 use crate::config::{SessionConfig, TransportMode};
-use crate::report::{
-    ChunkLogEntry, DegradationMetrics, LifecycleStats, OriginStats, SessionReport, SimProfile,
-};
+use crate::fetch::ChunkFetch;
+use crate::record::{Outcome, Recorder};
+use crate::report::{replay_energy, ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
+use crate::signal::DeadlineSignal;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_dash::abr::{Abr, AbrInput};
 use mpdash_dash::adapter::{DeadlineDecision, VideoAdapter};
 use mpdash_dash::player::Player;
-use mpdash_dash::qoe::QoeScore;
-use mpdash_dash::qoe::QoeSummary;
-use mpdash_energy::session_energy;
-use mpdash_http::{
-    BreakerState, DssRange, HealthTransition, HttpEvent, HttpLayer, LifecycleAction, OriginPool,
-    RequestId, RequestTracker, SharedSegmentCache,
-};
+use mpdash_dash::qoe::{QoeScore, QoeSummary};
+use mpdash_http::HttpEvent;
 use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, StepOutcome};
-use mpdash_obs::{telemetry_from_env, EpochSeries, MetricsRegistry, TraceEvent, Tracer};
+use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
 /// Progress-tick period while a chunk is in flight (one Holt-Winters slot,
@@ -42,118 +45,21 @@ const TICK: SimDuration = SimDuration::from_millis(50);
 
 const TICK_ID: u64 = u64::MAX - 1;
 const WAKE_ID: u64 = u64::MAX - 2;
-/// Timer for a pending lifecycle retry (seeded backoff after a 5xx).
-const RETRY_ID: u64 = u64::MAX - 3;
-
-/// Epoch-telemetry state: the session's rollup series plus the
-/// last-sampled cumulative values the 50 ms tick turns into per-epoch
-/// deltas (per-path bytes, stalled time). Strictly observe-only — it
-/// reads simulation state, never steers it.
-struct SessionTelemetry {
-    series: EpochSeries,
-    last_wifi_bytes: u64,
-    last_cell_bytes: u64,
-    last_stall_ms: u64,
-}
-
-impl SessionTelemetry {
-    fn new(series: EpochSeries) -> Self {
-        SessionTelemetry {
-            series,
-            last_wifi_bytes: 0,
-            last_cell_bytes: 0,
-            last_stall_ms: 0,
-        }
-    }
-}
-
-/// A live hedge race: the primary request has been cancelled and the
-/// missing byte range re-requested from a second origin. Connection
-/// stream order guarantees the primary's terminal event (Aborted, or
-/// Complete when the cancel was stale) arrives before the hedge's, so
-/// the race resolves deterministically with exactly one winner.
-struct HedgeRace {
-    /// Origin the primary request was served from.
-    primary_origin: usize,
-    /// Origin racing the missing tail.
-    hedge_origin: usize,
-    /// The hedge's request id.
-    hedge_req: RequestId,
-    /// Banked body bytes when the hedge launched — the byte-range start
-    /// of the hedge request; anything the primary delivers past it is a
-    /// duplicate.
-    hedge_base: u64,
-}
-
-struct CurrentChunk {
-    index: usize,
-    level: usize,
-    /// Total body bytes the current request plan delivers (may shrink
-    /// below the original chunk size after a downshifted resume).
-    size: u64,
-    started: SimTime,
-    req_id: RequestId,
-    /// Useful body bytes banked across every request for this chunk.
-    body_received: u64,
-    /// Bytes already banked before the current request was issued (the
-    /// byte-range offset of the in-flight request).
-    received_base: u64,
-    deadline: Option<SimDuration>,
-    /// Lifecycle state machine for the chunk's requests.
-    tracker: RequestTracker,
-    /// A cancel is in flight: body progress of the doomed tail must not
-    /// count as chunk progress.
-    cancelling: bool,
-    /// HTTP requests issued for this chunk so far.
-    requests: u32,
-    /// Pool origin serving the current request (`None` for cache-hit
-    /// edge fetches and for poolless legacy sessions).
-    origin: Option<usize>,
-    /// The current request is a cache-hit edge fetch.
-    from_cache: bool,
-    /// Last instant the chunk banked new body bytes (request issue time
-    /// until the first byte) — drives the hedge trigger.
-    last_progress: SimTime,
-    /// A hedge race is in flight for this chunk.
-    hedge: Option<HedgeRace>,
-}
 
 /// The streaming-session driver. See module docs.
 pub struct StreamingSession {
     cfg: SessionConfig,
     sim: MptcpSim,
-    http: HttpLayer,
     player: Player,
     abr: Box<dyn Abr>,
-    adapter: Option<VideoAdapter>,
-    control: Option<MpDashControl>,
-    current: Option<CurrentChunk>,
+    /// MP-DASH only: the video adapter (§5) and the deadline signal
+    /// (Algorithm 1 plus its throughput estimators).
+    mpdash: Option<(VideoAdapter, DeadlineSignal)>,
+    fetch: ChunkFetch,
     chunks: Vec<ChunkLogEntry>,
     last_chunk_throughput: Option<Rate>,
-    record_cursor: usize,
-    /// Per-path revival counters as of the last progress check; an
-    /// increase means the subflow was re-established and the path's
-    /// throughput history must be reset.
-    seen_revivals: [u64; 2],
-    /// Observe-only structured trace (config tracer, or the process-wide
-    /// `MPDASH_TRACE` one when the config leaves it disabled).
-    tracer: Tracer,
-    /// Session-level counters/histograms, snapshotted into the report.
-    metrics: MetricsRegistry,
-    /// Epoch telemetry rollups (config `telemetry`, or the process-wide
-    /// `MPDASH_TELEMETRY` spec when the config leaves it unset).
-    telemetry: Option<SessionTelemetry>,
-    /// Request-lifecycle counters for the report.
-    lifecycle: LifecycleStats,
-    /// Health-tracked origin pool (`None` = legacy single origin).
-    pool: Option<OriginPool>,
-    /// Shared segment cache handle (`None` = no cache tier).
-    cache: Option<SharedSegmentCache>,
-    /// Multi-origin serving counters for the report.
-    origin_stats: OriginStats,
-    /// Hedge losers whose cancel is draining, with the chunk they raced
-    /// for; their terminal event accounts the duplicate bytes as waste.
-    pending_losers: Vec<(RequestId, usize)>,
+    /// Trace, metrics, telemetry and the report's counters.
+    rec: Recorder,
     /// The viewer left (churn `max_watch` elapsed, or the fleet shed the
     /// session on admission): no further chunks are requested and the
     /// report accounts only the content actually fetched.
@@ -188,19 +94,21 @@ impl StreamingSession {
         let mptcp_cfg = MptcpConfig {
             paths: vec![
                 PathConfig::symmetric(cfg.wifi.clone()),
-                PathConfig::symmetric(cfg.effective_cell_link()),
+                PathConfig::symmetric(cfg.mode.cell_link(&cfg.cell)),
             ],
             scheduler: cfg.scheduler,
             cc: cfg.cc,
         };
-        let tracer = cfg.tracer.or_env();
+        let rec = Recorder::new(
+            cfg.tracer.or_env(),
+            cfg.telemetry.or_else(telemetry_from_env),
+        );
         let mut sim = MptcpSim::new(mptcp_cfg);
-        sim.set_tracer(tracer.clone());
+        sim.set_tracer(rec.tracer.clone());
         if cfg.mode == TransportMode::WifiOnly {
             sim.set_initial_mask(PathMask::only(PathId::WIFI));
         }
-        let abr = cfg.abr.build(&cfg.video);
-        let (adapter, control) = match cfg.mode {
+        let mpdash = match cfg.mode {
             TransportMode::MpDash { deadline, alpha } => {
                 let adapter = match cfg.adapter_config {
                     Some(mut ac) => {
@@ -209,157 +117,36 @@ impl StreamingSession {
                     }
                     None => VideoAdapter::new(cfg.abr.category(), deadline),
                 };
-                let costs = cfg.preference.costs();
                 let control = MpDashControl::with_predictor(
-                    costs.to_vec(),
+                    cfg.preference.costs().to_vec(),
                     vec![cfg.priors.0, cfg.priors.1],
                     SchedulerParams::with_alpha(alpha).with_debounce(cfg.enable_debounce),
                     cfg.sample_slot,
                     cfg.predictor,
                 );
-                (Some(adapter), Some(control))
+                Some((adapter, DeadlineSignal::new(control)))
             }
-            _ => (None, None),
+            _ => None,
         };
         let mut player = Player::new(&cfg.video, cfg.buffer_capacity);
-        player.set_tracer(tracer.clone());
+        player.set_tracer(rec.tracer.clone());
         player.set_origin(SimTime::ZERO + cfg.start_offset);
-        let mut http = HttpLayer::new().with_faults(cfg.server_faults.clone());
-        let pool = cfg.origins.clone().map(OriginPool::new);
-        if let Some(p) = pool.as_ref() {
-            http = http.with_origins(&p.config().origins);
-        }
-        let cache = cfg.cache.clone();
-        http.set_tracer(tracer.clone());
         StreamingSession {
             sim,
-            http,
             player,
-            abr,
-            adapter,
-            control,
-            current: None,
+            abr: cfg.abr.build(&cfg.video),
+            mpdash,
+            fetch: ChunkFetch::new(&cfg, &rec),
             chunks: Vec::new(),
             last_chunk_throughput: None,
-            record_cursor: 0,
-            seen_revivals: [0, 0],
-            tracer,
-            metrics: MetricsRegistry::new(),
-            telemetry: cfg
-                .telemetry
-                .or_else(telemetry_from_env)
-                .map(|spec| SessionTelemetry::new(EpochSeries::new(spec))),
-            lifecycle: LifecycleStats::default(),
-            pool,
-            cache,
-            origin_stats: OriginStats::default(),
-            pending_losers: Vec::new(),
+            rec,
             departed: false,
             cfg,
         }
     }
 
-    /// Add `n` to a telemetry counter in `now`'s epoch (no-op with
-    /// telemetry off).
-    fn ts_add(&mut self, now: SimTime, name: &str, n: u64) {
-        if let Some(ts) = self.telemetry.as_mut() {
-            ts.series.add(now, name, n);
-        }
-    }
-
-    /// Increment a telemetry counter in `now`'s epoch.
-    fn ts_inc(&mut self, now: SimTime, name: &str) {
-        self.ts_add(now, name, 1);
-    }
-
-    /// Sample cumulative signals into the epoch series: per-path byte
-    /// and stalled-time deltas since the last sample, plus the current
-    /// buffer level. Runs on the 50 ms progress tick and once more at
-    /// session end, so per-epoch byte counters sum exactly to the
-    /// report's per-path totals.
-    fn telemetry_tick(&mut self, now: SimTime) {
-        if self.telemetry.is_none() {
-            return;
-        }
-        let wifi = self.sim.path_bytes(PathId::WIFI);
-        let cell = self.sim.path_bytes(PathId::CELLULAR);
-        let stall_ms = self.player.stall_time().as_millis_f64() as u64;
-        let buffer_ms = self.player.buffer().as_millis_f64() as u64;
-        let ts = self.telemetry.as_mut().expect("checked above");
-        if wifi > ts.last_wifi_bytes {
-            ts.series.add(now, "wifi_bytes", wifi - ts.last_wifi_bytes);
-            ts.last_wifi_bytes = wifi;
-        }
-        if cell > ts.last_cell_bytes {
-            ts.series.add(now, "cell_bytes", cell - ts.last_cell_bytes);
-            ts.last_cell_bytes = cell;
-        }
-        if stall_ms > ts.last_stall_ms {
-            ts.series.add(now, "stall_ms", stall_ms - ts.last_stall_ms);
-            ts.last_stall_ms = stall_ms;
-        }
-        ts.series.observe(now, "buffer_ms", buffer_ms);
-    }
-
-    /// Emit breaker transitions to the trace and count trips.
-    fn emit_health(&mut self, now: SimTime, transitions: &[HealthTransition]) {
-        for tr in transitions {
-            if tr.state == BreakerState::Open {
-                self.origin_stats.breaker_opens += 1;
-                self.metrics.inc("breaker_opens");
-                self.ts_inc(now, "breaker_opens");
-            }
-            let (origin, state, failures) = (tr.origin, tr.state.name(), u64::from(tr.failures));
-            self.tracer.emit_with(now, || TraceEvent::OriginHealth {
-                origin,
-                state,
-                failures,
-            });
-        }
-    }
-
-    /// Pick an origin through the pool, tracing any breaker promotion
-    /// and the routing decision. `None` without a pool (legacy single
-    /// origin).
-    fn route_origin(&mut self, now: SimTime, chunk: usize, reason: &'static str) -> Option<usize> {
-        let (origin, transitions) = self.pool.as_mut()?.route(now);
-        self.emit_health(now, &transitions);
-        self.origin_stats.routed += 1;
-        self.metrics.inc("origin_routed");
-        self.tracer.emit_with(now, || TraceEvent::OriginRouted {
-            chunk,
-            origin,
-            reason,
-        });
-        Some(origin)
-    }
-
-    /// Record `origin`'s request outcome with its breaker.
-    fn origin_outcome(&mut self, now: SimTime, origin: Option<usize>, success: bool) {
-        let Some(origin) = origin else { return };
-        let Some(pool) = self.pool.as_mut() else {
-            return;
-        };
-        let tr = if success {
-            pool.on_success(origin)
-        } else {
-            pool.on_failure(origin, now)
-        };
-        if let Some(tr) = tr {
-            self.emit_health(now, &[tr]);
-        }
-    }
-
-    fn apply_enabled(&mut self, enabled: &[bool]) {
-        let mut mask = PathMask::NONE;
-        for (i, &e) in enabled.iter().enumerate() {
-            if e {
-                mask = mask.with(PathId(i as u8));
-            }
-        }
-        self.sim.set_desired_mask(mask);
-    }
-
+    /// Steps 1 and 2, then hand the chunk to the fetch: estimate, pick a
+    /// level, let the adapter grant or bypass the deadline.
     fn request_next(&mut self, now: SimTime) {
         if self.departed {
             return;
@@ -381,270 +168,154 @@ impl StreamingSession {
             return;
         };
         self.player.advance_to(now);
-        let override_throughput = self.control.as_ref().map(|c| c.aggregate_throughput());
         let input = AbrInput {
             buffer: self.player.buffer(),
             buffer_capacity: self.player.capacity(),
             last_level: self.player.history().last().map(|r| r.level),
             last_chunk_throughput: self.last_chunk_throughput,
-            override_throughput,
+            override_throughput: self.aggregate_estimate(),
         };
         let level = self.abr.select(&self.cfg.video, &input);
         let size = self.cfg.video.chunk_size(index, level);
-        self.tracer.emit_with(now, || TraceEvent::AbrChoice {
+        self.rec.tracer.emit_with(now, || TraceEvent::AbrChoice {
             chunk: index,
             level,
-            estimate_mbps: override_throughput
+            estimate_mbps: input
+                .override_throughput
                 .or(input.last_chunk_throughput)
                 .map(|r| r.as_mbps_f64())
                 .unwrap_or(0.0),
         });
 
         let mut deadline = None;
-        if let (Some(adapter), Some(control)) = (self.adapter.as_ref(), self.control.as_mut()) {
-            let estimate = control.aggregate_throughput();
-            match adapter.decide(
+        if let Some((adapter, signal)) = self.mpdash.as_mut() {
+            let decision = adapter.decide(
                 &self.cfg.video,
                 self.abr.as_ref(),
                 level,
                 size,
                 self.player.buffer(),
                 self.player.capacity(),
-                estimate,
-            ) {
+                signal.control.aggregate_throughput(),
+            );
+            let enabled = match decision {
                 DeadlineDecision::Schedule(window) => {
-                    let enabled = control.mp_dash_enable(now, size, window).to_vec();
-                    self.apply_enabled(&enabled);
                     deadline = Some(window);
-                    self.metrics.inc("deadline_granted");
-                    self.tracer.emit_with(now, || TraceEvent::DeadlineGranted {
-                        chunk: index,
-                        size,
-                        window_s: window.as_secs_f64(),
+                    signal.control.mp_dash_enable(now, size, window)
+                }
+                DeadlineDecision::Bypass => signal.control.mp_dash_disable(),
+            };
+            self.sim.set_desired_mask(PathMask::from_enabled(enabled));
+            match deadline {
+                Some(window) => {
+                    self.rec.event(now, Outcome::DeadlineGranted, || {
+                        TraceEvent::DeadlineGranted {
+                            chunk: index,
+                            size,
+                            window_s: window.as_secs_f64(),
+                        }
                     });
                 }
-                DeadlineDecision::Bypass => {
-                    let enabled = control.mp_dash_disable().to_vec();
-                    self.apply_enabled(&enabled);
-                    self.metrics.inc("deadline_bypassed");
-                    self.tracer
-                        .emit_with(now, || TraceEvent::DeadlineBypassed { chunk: index });
+                None => {
+                    self.rec.event(now, Outcome::DeadlineBypassed, || {
+                        TraceEvent::DeadlineBypassed { chunk: index }
+                    });
                 }
             }
         }
 
-        // Serve from the shared segment cache when the full chunk is
-        // hot; otherwise route through the origin pool (or the legacy
-        // single origin).
-        let cached = self.cache.as_ref().and_then(|c| c.lookup((index, level)));
-        let (req_id, origin, from_cache) = match cached {
-            Some(bytes) => {
-                debug_assert_eq!(bytes, size, "a cached segment must match the origin bytes");
-                self.origin_stats.cache_hits += 1;
-                self.metrics.inc("cache_hits");
-                self.ts_inc(now, "cache_hits");
-                self.tracer.emit_with(now, || TraceEvent::Cache {
-                    chunk: index,
-                    level,
-                    outcome: "hit",
-                    bytes,
-                });
-                let delay = self
-                    .cache
-                    .as_ref()
-                    .expect("hit implies a cache")
-                    .edge_delay();
-                (self.http.get_edge(&mut self.sim, size, delay), None, true)
-            }
-            None => {
-                if self.cache.is_some() {
-                    self.origin_stats.cache_misses += 1;
-                    self.metrics.inc("cache_misses");
-                    self.ts_inc(now, "cache_misses");
-                    self.tracer.emit_with(now, || TraceEvent::Cache {
-                        chunk: index,
-                        level,
-                        outcome: "miss",
-                        bytes: size,
-                    });
-                }
-                let origin = self.route_origin(now, index, "initial");
-                let req_id = match origin {
-                    Some(i) => self.http.get_from(&mut self.sim, size, i),
-                    None => self.http.get(&mut self.sim, size),
-                };
-                (req_id, origin, false)
-            }
-        };
-        let tracker = RequestTracker::new(self.cfg.lifecycle, index, now, size, deadline);
-        self.current = Some(CurrentChunk {
-            index,
-            level,
-            size,
-            started: now,
-            req_id,
-            body_received: 0,
-            received_base: 0,
-            deadline,
-            tracker,
-            cancelling: false,
-            requests: 1,
-            origin,
-            from_cache,
-            last_progress: now,
-            hedge: None,
-        });
+        self.fetch
+            .begin(&mut self.sim, &mut self.rec, index, level, size, deadline);
         self.sim.schedule_app_timer(now + TICK, TICK_ID);
     }
 
-    /// Feed newly received packets into the estimators and re-run the
-    /// scheduling decision.
-    fn progress_check(&mut self, now: SimTime) {
-        let records = self.sim.records();
-        let new = &records[self.record_cursor..];
-        if let Some(control) = self.control.as_mut() {
-            for r in new {
-                control.on_bytes(r.path.index(), r.t, r.len);
-            }
-        }
-        self.record_cursor = records.len();
-        // A revived subflow came back as a *new* association: drop the
-        // old association's throughput history before the next decision,
-        // so Algorithm 1 starts from the prior instead of a pre-fault
-        // (or blackout-dragged) estimate.
-        for (i, path) in [PathId::WIFI, PathId::CELLULAR].into_iter().enumerate() {
-            let revivals = self.sim.subflow_revivals(path);
-            if revivals > self.seen_revivals[i] {
-                self.seen_revivals[i] = revivals;
-                if let Some(control) = self.control.as_mut() {
-                    control.on_path_reset(i, now);
-                }
-            }
-        }
-        let received = self.current.as_ref().map(|c| c.body_received);
-        let busy = [
-            self.sim.path_in_flight(PathId::WIFI) > 0,
-            self.sim.path_in_flight(PathId::CELLULAR) > 0,
-        ];
-        if let (Some(control), Some(received)) = (self.control.as_mut(), received) {
-            if let Some(enabled) = control.on_progress(now, received, &busy) {
-                // Trace the toggle with the feasibility inputs Algorithm 1
-                // used: the preferred-path estimate versus bytes left in
-                // the window.
-                let wifi_estimate_mbps = control.estimate(0).as_mbps_f64();
-                self.metrics.inc("scheduler_toggles");
-                if self.tracer.enabled() {
-                    let (size, window_s, elapsed_s) = self
-                        .current
-                        .as_ref()
-                        .map(|c| {
-                            (
-                                c.size,
-                                c.deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-                                now.saturating_since(c.started).as_secs_f64(),
-                            )
-                        })
-                        .unwrap_or((0, 0.0, 0.0));
-                    let cell_enabled = enabled.get(1).copied().unwrap_or(false);
-                    self.tracer.emit_with(now, || TraceEvent::SchedulerToggle {
-                        cell_enabled,
-                        wifi_estimate_mbps,
-                        received,
-                        size,
-                        window_s,
-                        elapsed_s,
-                    });
-                }
-                self.apply_enabled(&enabled);
-            }
-        }
+    /// The §3.2 aggregate-throughput query (MP-DASH modes only).
+    fn aggregate_estimate(&self) -> Option<Rate> {
+        let (_, signal) = self.mpdash.as_ref()?;
+        Some(signal.control.aggregate_throughput())
     }
 
-    fn finish_chunk(&mut self, now: SimTime, body_dss: DssRange) {
-        let cur = self.current.take().expect("completion without a chunk");
-        self.origin_outcome(now, cur.origin, true);
-        // Bank the finished segment in the shared cache — but only a
-        // clean full-chunk fetch: a downshift-mixed body (resume at a
-        // lower level) is not the segment any other client would ask
-        // for.
-        if let Some(cache) = self.cache.as_ref() {
-            if !cur.from_cache && cur.size == self.cfg.video.chunk_size(cur.index, cur.level) {
-                cache.insert((cur.index, cur.level), cur.size);
-                self.origin_stats.cache_insertions += 1;
-                self.metrics.inc("cache_insertions");
-                let (chunk, level, bytes) = (cur.index, cur.level, cur.size);
-                self.tracer.emit_with(now, || TraceEvent::Cache {
-                    chunk,
-                    level,
-                    outcome: "insert",
-                    bytes,
-                });
+    /// The deadline signal (Algorithm 1): feed newly received packets
+    /// into the estimators, re-run the scheduling decision on the bytes
+    /// the chunk has banked, and signal a changed path mask.
+    fn progress_check(&mut self, now: SimTime) {
+        let (Some((_, signal)), Some(cur)) = (self.mpdash.as_mut(), self.fetch.current()) else {
+            return;
+        };
+        let received = cur.received();
+        let Some(enabled) = signal.on_progress(&self.sim, now, received) else {
+            return;
+        };
+        // Trace the toggle with the feasibility inputs Algorithm 1 used:
+        // the preferred-path estimate versus bytes left in the window.
+        self.rec.event(now, Outcome::SchedulerToggle, || {
+            TraceEvent::SchedulerToggle {
+                cell_enabled: enabled.get(1).copied().unwrap_or(false),
+                wifi_estimate_mbps: signal.control.estimate(0).as_mbps_f64(),
+                received,
+                size: cur.size(),
+                window_s: cur.deadline.map(|d| d.as_secs_f64()).unwrap_or(0.0),
+                elapsed_s: now.saturating_since(cur.started).as_secs_f64(),
             }
-        }
-        let fetch = now.saturating_since(cur.started);
+        });
+        self.sim.set_desired_mask(PathMask::from_enabled(&enabled));
+    }
+
+    /// The chunk arrived: score it, feed the player, and pace the next
+    /// request on buffer space.
+    fn finish_chunk(&mut self, now: SimTime, done: ChunkLogEntry) {
+        let fetch = now.saturating_since(done.started);
         let dl = fetch.as_secs_f64();
         if dl > 0.0 {
             self.last_chunk_throughput =
-                Some(Rate::from_mbps_f64(cur.size as f64 * 8.0 / dl / 1e6));
+                Some(Rate::from_mbps_f64(done.size as f64 * 8.0 / dl / 1e6));
         }
-        self.metrics.inc("chunks_fetched");
-        self.metrics
+        self.rec.count(now, Outcome::ChunkFetched, 1);
+        self.rec
+            .metrics
             .observe("chunk_fetch_ms", fetch.as_millis_f64() as u64);
-        self.metrics.observe("chunk_bytes", cur.size);
-        self.ts_inc(now, "chunks");
-        self.ts_add(
+        self.rec.metrics.observe("chunk_bytes", done.size);
+        self.rec.epoch_add(
             now,
             "chunk_bitrate_kbps",
-            self.cfg.video.bitrate(cur.level).as_bps() / 1000,
+            self.cfg.video.bitrate(done.level).as_bps() / 1000,
         );
-        if self.chunks.last().is_some_and(|p| p.level != cur.level) {
-            self.ts_inc(now, "switches");
+        if self.chunks.last().is_some_and(|p| p.level != done.level) {
+            self.rec.epoch_add(now, "switches", 1);
         }
-        self.tracer.emit_with(now, || TraceEvent::ChunkFetched {
-            chunk: cur.index,
-            level: cur.level,
-            size: cur.size,
-            started_s: cur.started.as_secs_f64(),
+        self.rec.tracer.emit_with(now, || TraceEvent::ChunkFetched {
+            chunk: done.index,
+            level: done.level,
+            size: done.size,
+            started_s: done.started.as_secs_f64(),
         });
-        if let Some(window) = cur.deadline {
+        if let Some(window) = done.deadline {
             let margin = window.as_secs_f64() - dl;
-            let chunk = cur.index;
+            let chunk = done.index;
             if margin >= 0.0 {
-                self.metrics.inc("deadline_hits");
-                self.ts_inc(now, "deadline_hits");
-                self.tracer.emit_with(now, || TraceEvent::DeadlineHit {
-                    chunk,
-                    margin_s: margin,
-                });
+                self.rec
+                    .event(now, Outcome::DeadlineHit, || TraceEvent::DeadlineHit {
+                        chunk,
+                        margin_s: margin,
+                    });
             } else {
-                self.metrics.inc("deadline_misses");
-                self.ts_inc(now, "deadline_misses");
-                self.tracer.emit_with(now, || TraceEvent::DeadlineMissed {
-                    chunk,
-                    overrun_s: -margin,
-                });
+                self.rec
+                    .event(now, Outcome::DeadlineMiss, || TraceEvent::DeadlineMissed {
+                        chunk,
+                        overrun_s: -margin,
+                    });
             }
         }
-        if let Some(control) = self.control.as_mut() {
+        if let Some((_, signal)) = self.mpdash.as_mut() {
             // Final progress report completes the transfer (reverts the
             // transport to vanilla until the next chunk's decision).
-            if let Some(enabled) = control.on_progress(now, cur.size, &[false, false]) {
-                self.apply_enabled(&enabled);
+            if let Some(enabled) = signal.control.on_progress(now, done.size, &[false, false]) {
+                self.sim.set_desired_mask(PathMask::from_enabled(&enabled));
             }
         }
         self.player
-            .on_chunk_complete(now, cur.level, cur.size, cur.started);
-        self.chunks.push(ChunkLogEntry {
-            index: cur.index,
-            level: cur.level,
-            size: cur.size,
-            started: cur.started,
-            completed: now,
-            body_dss,
-            deadline: cur.deadline,
-            requests: cur.requests,
-        });
-        // Pace the next request on buffer space.
+            .on_chunk_complete(now, done.level, done.size, done.started);
+        self.chunks.push(done);
         if self.player.has_space() {
             self.request_next(now);
         } else {
@@ -653,413 +324,16 @@ impl StreamingSession {
         }
     }
 
-    /// React to one client-side HTTP event (from a delivery or from a
-    /// cancel processed at the server).
-    fn handle_http_event(&mut self, t: SimTime, ev: HttpEvent) {
-        let ours = |cur: &CurrentChunk, id: RequestId| cur.req_id == id;
-        match ev {
-            HttpEvent::BodyProgress { id, received, .. } => {
-                if let Some(cur) = self.current.as_mut() {
-                    if ours(cur, id) && !cur.cancelling {
-                        cur.body_received = cur.received_base + received;
-                        cur.last_progress = t;
-                        cur.tracker.on_progress(t, cur.body_received);
-                    }
-                }
-            }
-            HttpEvent::Complete { id, body_dss } => {
-                if self.settle_loser(t, id, body_dss.len()) {
-                    return;
-                }
-                let is_ours = self.current.as_ref().map(|c| ours(c, id)).unwrap_or(false);
-                if is_ours {
-                    // A live hedge race means the cancel was stale and
-                    // the primary won; retire the loser first.
-                    self.on_hedge_primary_won(t);
-                    self.finish_chunk(t, body_dss);
-                }
-            }
-            HttpEvent::Error { id } => {
-                if self.settle_loser(t, id, 0) {
-                    return;
-                }
-                let is_ours = self.current.as_ref().map(|c| ours(c, id)).unwrap_or(false);
-                if is_ours {
-                    let racing = self.current.as_ref().is_some_and(|c| c.hedge.is_some());
-                    if racing {
-                        // The primary 5xxed mid-race: the hedge wins
-                        // with nothing wasted (a 5xx has no body).
-                        self.on_hedge_won(t, 0);
-                    } else {
-                        self.on_request_error(t);
-                    }
-                }
-            }
-            HttpEvent::Aborted { id, received, .. } => {
-                if self.settle_loser(t, id, received) {
-                    return;
-                }
-                let is_ours = self.current.as_ref().map(|c| ours(c, id)).unwrap_or(false);
-                if is_ours {
-                    let racing = self.current.as_ref().is_some_and(|c| c.hedge.is_some());
-                    if racing {
-                        self.on_hedge_won(t, received);
-                    } else {
-                        self.on_request_aborted(t, received);
-                    }
-                }
-            }
-            HttpEvent::HeaderReceived { .. } => {}
-        }
-    }
-
-    /// If `id` is a retired hedge loser, account its delivered bytes as
-    /// waste and drop it. Returns `true` when the event was the
-    /// loser's and is now fully settled.
-    fn settle_loser(&mut self, now: SimTime, id: RequestId, delivered: u64) -> bool {
-        let Some(pos) = self.pending_losers.iter().position(|&(l, _)| l == id) else {
-            return false;
-        };
-        let (_, chunk) = self.pending_losers.remove(pos);
-        // Everything the loser delivered duplicates bytes the winner
-        // already provided.
-        self.lifecycle.wasted_bytes += delivered;
-        self.metrics.add("wasted_bytes", delivered);
-        self.ts_add(now, "wasted_bytes", delivered);
-        self.tracer
-            .emit_with(now, || TraceEvent::HedgeLoserSettled {
-                chunk,
-                wasted: delivered,
-            });
-        true
-    }
-
-    /// The current request got a 5xx: schedule the seeded-backoff retry.
-    fn on_request_error(&mut self, now: SimTime) {
-        let origin = self.current.as_ref().expect("error without a chunk").origin;
-        self.origin_outcome(now, origin, false);
-        let cur = self.current.as_mut().expect("error without a chunk");
-        self.metrics.inc("request_errors");
-        match cur.tracker.on_error(now) {
-            LifecycleAction::Retry {
-                at,
-                attempt,
-                backoff,
-            } => {
-                let chunk = cur.index;
-                self.lifecycle.retried += 1;
-                self.metrics.inc("requests_retried");
-                self.ts_inc(now, "retries");
-                self.tracer.emit_with(now, || TraceEvent::RequestRetried {
-                    chunk,
-                    attempt: attempt as u64,
-                    backoff_s: backoff.as_secs_f64(),
-                });
-                self.sim.schedule_app_timer(at, RETRY_ID);
-            }
-            // on_error always answers with a retry (wait-forever retries
-            // immediately so a bounded burst can never wedge a session).
-            other => unreachable!("on_error returned {other:?}"),
-        }
-    }
-
-    /// The cancelled request drained: account the wasted tail and issue
-    /// the byte-range resume (optionally downshifted by the ABR) —
-    /// routed by the pool, so the tail lands on a different origin when
-    /// the abandoned one's breaker is Open.
-    fn on_request_aborted(&mut self, now: SimTime, request_received: u64) {
-        // An abandonment is evidence against the origin that served the
-        // doomed request (cache-hit edge fetches have no origin).
-        let origin = self.current.as_ref().expect("abort without a chunk").origin;
-        self.origin_outcome(now, origin, false);
-        let cur = self.current.as_mut().expect("abort without a chunk");
-        let final_received = cur.received_base + request_received;
-        let acct = cur.tracker.on_aborted(final_received);
-        self.lifecycle.wasted_bytes += acct.wasted;
-        self.metrics.add("wasted_bytes", acct.wasted);
-        // Field access, not `ts_add`: `cur` keeps `self.current` borrowed.
-        if let Some(ts) = self.telemetry.as_mut() {
-            ts.series.add(now, "wasted_bytes", acct.wasted);
-        }
-        let resume_from = acct.resume_from;
-
-        // Optionally re-invoke the ABR with the partial-download state:
-        // the tail may be fetched at a lower level, scaled by the
-        // fraction of the chunk still missing.
-        if self.cfg.lifecycle.resume_downshift && cur.size > 0 {
-            let index = cur.index;
-            let input = AbrInput {
-                buffer: self.player.buffer(),
-                buffer_capacity: self.player.capacity(),
-                last_level: Some(cur.level),
-                last_chunk_throughput: self.last_chunk_throughput,
-                override_throughput: self.control.as_ref().map(|c| c.aggregate_throughput()),
-            };
-            let picked = self.abr.select(&self.cfg.video, &input);
-            let cur = self.current.as_mut().expect("abort without a chunk");
-            if picked < cur.level {
-                let remaining_frac = (cur.size - resume_from) as f64 / cur.size as f64;
-                let tail_full = self.cfg.video.chunk_size(index, picked);
-                let tail = (tail_full as f64 * remaining_frac).ceil() as u64;
-                cur.level = picked;
-                cur.size = resume_from + tail;
+    /// Hand client-side HTTP events (from a delivery or from a cancel
+    /// processed at the server) to the fetch; a completed chunk closes
+    /// the loop at once, so the next request is issued before the rest
+    /// of the batch is looked at.
+    fn on_http_events(&mut self, t: SimTime, events: Vec<HttpEvent>) {
+        for ev in events {
+            if let Some(done) = self.fetch.on_http_event(&mut self.sim, &mut self.rec, ev) {
+                self.finish_chunk(t, done);
             }
         }
-
-        let cur = self.current.as_mut().expect("abort without a chunk");
-        let (index, size, level, prev_origin) = (cur.index, cur.size, cur.level, cur.origin);
-        let new_origin = self.route_origin(now, index, "resume");
-        let req_id = match new_origin {
-            Some(i) => self
-                .http
-                .get_range_from(&mut self.sim, size, resume_from, i),
-            None => self.http.get_range(&mut self.sim, size, resume_from),
-        };
-        if let (Some(prev), Some(new)) = (prev_origin, new_origin) {
-            if prev != new {
-                self.origin_stats.failovers += 1;
-                self.metrics.inc("origin_failovers");
-            }
-        }
-        let cur = self.current.as_mut().expect("abort without a chunk");
-        cur.req_id = req_id;
-        cur.received_base = resume_from;
-        cur.body_received = resume_from;
-        cur.cancelling = false;
-        cur.requests += 1;
-        cur.origin = new_origin;
-        cur.from_cache = false;
-        cur.last_progress = now;
-        cur.tracker.on_resumed(now, size);
-        self.lifecycle.resumed += 1;
-        self.metrics.inc("requests_resumed");
-        self.ts_inc(now, "resumes");
-        self.tracer.emit_with(now, || TraceEvent::RequestResumed {
-            chunk: index,
-            from: resume_from,
-            size,
-            level,
-        });
-    }
-
-    /// Per-tick lifecycle decision: feed the tracker the feasibility
-    /// verdict and act on a timeout-driven abandonment.
-    fn lifecycle_poll(&mut self, now: SimTime) {
-        if self.cfg.lifecycle.is_passive() {
-            return;
-        }
-        let Some(cur) = self.current.as_ref() else {
-            return;
-        };
-        if cur.cancelling {
-            return;
-        }
-        // Feasibility: can the remaining bytes make the deadline at the
-        // current aggregate estimate? Only *deep* infeasibility (2× the
-        // remaining window) counts, and only before the deadline — past
-        // it, restarting the tail can no longer help.
-        let infeasible = match (self.control.as_ref(), cur.deadline) {
-            (Some(control), Some(window)) => {
-                let deadline_at = cur.started + window;
-                now < deadline_at && {
-                    let remaining = cur.size.saturating_sub(cur.body_received);
-                    let budget = deadline_at.saturating_since(now);
-                    control.aggregate_throughput().time_to_send(remaining) > budget * 2
-                }
-            }
-            _ => false,
-        };
-        let cur = self.current.as_mut().expect("checked above");
-        match cur.tracker.poll(now, infeasible) {
-            LifecycleAction::Abandon { cause, received } => {
-                let (chunk, size, req_id, started) = (cur.index, cur.size, cur.req_id, cur.started);
-                cur.cancelling = true;
-                self.lifecycle.timeouts += 1;
-                self.lifecycle.abandoned += 1;
-                self.metrics.inc("request_timeouts");
-                self.metrics.inc("requests_abandoned");
-                self.ts_inc(now, "timeouts");
-                let after_s = now.saturating_since(started).as_secs_f64();
-                self.tracer.emit_with(now, || TraceEvent::RequestTimeout {
-                    chunk,
-                    cause,
-                    after_s,
-                });
-                self.tracer.emit_with(now, || TraceEvent::RequestAbandoned {
-                    chunk,
-                    received,
-                    size,
-                });
-                self.http.cancel(&mut self.sim, req_id);
-            }
-            LifecycleAction::Retry { .. } => {
-                unreachable!("poll never answers with a retry")
-            }
-            LifecycleAction::None => {}
-        }
-    }
-
-    /// The backoff timer fired: re-issue the request for the missing
-    /// range, routed by the pool (a tripped breaker steers the retry to
-    /// a different origin).
-    fn on_retry_fire(&mut self, now: SimTime) {
-        let Some(cur) = self.current.as_ref() else {
-            return;
-        };
-        let (index, size, from, prev_origin) = (cur.index, cur.size, cur.body_received, cur.origin);
-        let new_origin = self.route_origin(now, index, "retry");
-        let req_id = match new_origin {
-            Some(i) => self.http.get_range_from(&mut self.sim, size, from, i),
-            None => self.http.get_range(&mut self.sim, size, from),
-        };
-        if let (Some(prev), Some(new)) = (prev_origin, new_origin) {
-            if prev != new {
-                self.origin_stats.failovers += 1;
-                self.metrics.inc("origin_failovers");
-            }
-        }
-        let cur = self.current.as_mut().expect("checked above");
-        cur.req_id = req_id;
-        cur.received_base = from;
-        cur.requests += 1;
-        cur.origin = new_origin;
-        cur.from_cache = false;
-        cur.last_progress = now;
-        cur.tracker.on_retry_fire(now);
-    }
-
-    /// Deterministic hedge trigger, polled on the progress tick: when a
-    /// deadline-granted origin fetch has banked no new bytes for the
-    /// configured quantile of its deadline budget and a second origin
-    /// is available, cancel the wedged request and race the missing
-    /// byte range from the other origin. On the single FIFO connection
-    /// the "race" is a cancel-then-reissue: the upstream cancel is
-    /// processed before the hedge GET, so the hedge never queues behind
-    /// the wedged response's bytes, and the primary's terminal event
-    /// resolves the race before the hedge's can arrive.
-    fn hedge_poll(&mut self, now: SimTime) {
-        let Some(cur) = self.current.as_ref() else {
-            return;
-        };
-        if cur.cancelling || cur.hedge.is_some() || cur.from_cache {
-            return;
-        }
-        let (Some(primary), Some(window)) = (cur.origin, cur.deadline) else {
-            return;
-        };
-        let idle = now.saturating_since(cur.last_progress);
-        let (chunk, size, req_id, from) = (cur.index, cur.size, cur.req_id, cur.body_received);
-        let Some(pool) = self.pool.as_mut() else {
-            return;
-        };
-        if !pool.config().hedge_due(window, idle) {
-            return;
-        }
-        // The stall is evidence against the serving origin — count it
-        // before picking the hedge target so a repeat offender trips.
-        let fail = pool.on_failure(primary, now);
-        let (target, mut transitions) = pool.hedge_target(now, primary);
-        if let Some(tr) = fail {
-            transitions.insert(0, tr);
-        }
-        self.emit_health(now, &transitions);
-        let Some(hedge_origin) = target else {
-            // No healthy second origin: ride the primary out (the
-            // lifecycle policy may still abandon it).
-            return;
-        };
-        // Cancel first: upstream FIFO applies the cancel before the
-        // hedge GET reaches the server.
-        self.http.cancel(&mut self.sim, req_id);
-        let hedge_req = self
-            .http
-            .get_range_from(&mut self.sim, size, from, hedge_origin);
-        self.origin_stats.routed += 1;
-        self.origin_stats.hedges += 1;
-        self.metrics.inc("origin_routed");
-        self.metrics.inc("hedges");
-        self.ts_inc(now, "hedges");
-        self.tracer.emit_with(now, || TraceEvent::OriginRouted {
-            chunk,
-            origin: hedge_origin,
-            reason: "hedge",
-        });
-        self.tracer.emit_with(now, || TraceEvent::Hedge {
-            chunk,
-            origin: primary,
-            hedge_origin,
-            winner: None,
-            wasted: 0,
-        });
-        let cur = self.current.as_mut().expect("checked above");
-        cur.cancelling = true;
-        cur.requests += 1;
-        cur.hedge = Some(HedgeRace {
-            primary_origin: primary,
-            hedge_origin,
-            hedge_req,
-            hedge_base: from,
-        });
-    }
-
-    /// The primary's Aborted arrived while a hedge race was live: the
-    /// hedge wins. Account the primary's duplicate tail and promote the
-    /// hedge request to the current fetch, like a byte-range resume.
-    fn on_hedge_won(&mut self, now: SimTime, request_received: u64) {
-        let cur = self.current.as_mut().expect("hedge without a chunk");
-        let race = cur.hedge.take().expect("caller checked the race");
-        let final_received = cur.received_base + request_received;
-        let wasted = final_received.saturating_sub(race.hedge_base);
-        cur.req_id = race.hedge_req;
-        cur.origin = Some(race.hedge_origin);
-        cur.received_base = race.hedge_base;
-        cur.body_received = race.hedge_base;
-        cur.cancelling = false;
-        cur.from_cache = false;
-        cur.last_progress = now;
-        let size = cur.size;
-        cur.tracker.on_resumed(now, size);
-        let (chunk, primary, hedge_origin) = (cur.index, race.primary_origin, race.hedge_origin);
-        self.lifecycle.wasted_bytes += wasted;
-        self.metrics.add("wasted_bytes", wasted);
-        self.origin_stats.hedge_wins_hedge += 1;
-        self.metrics.inc("hedge_wins_hedge");
-        self.ts_add(now, "wasted_bytes", wasted);
-        self.tracer.emit_with(now, || TraceEvent::Hedge {
-            chunk,
-            origin: primary,
-            hedge_origin,
-            winner: Some("hedge"),
-            wasted,
-        });
-    }
-
-    /// The primary's Complete arrived while a hedge race was live: the
-    /// cancel was stale and the primary won. Cancel the losing hedge
-    /// *before* the caller's `finish_chunk` issues the next chunk's GET
-    /// (upstream FIFO then applies the cancel while the hedge is still
-    /// the last-served response); its drained bytes settle as waste
-    /// later.
-    fn on_hedge_primary_won(&mut self, now: SimTime) {
-        let Some(cur) = self.current.as_mut() else {
-            return;
-        };
-        let Some(race) = cur.hedge.take() else {
-            return;
-        };
-        cur.cancelling = false;
-        let chunk = cur.index;
-        self.http.cancel(&mut self.sim, race.hedge_req);
-        self.pending_losers.push((race.hedge_req, chunk));
-        self.origin_stats.hedge_wins_primary += 1;
-        self.metrics.inc("hedge_wins_primary");
-        self.tracer.emit_with(now, || TraceEvent::Hedge {
-            chunk,
-            origin: race.primary_origin,
-            hedge_origin: race.hedge_origin,
-            winner: Some("primary"),
-            wasted: 0,
-        });
     }
 
     /// Time of this session's next pending event, if any (fleet
@@ -1087,12 +361,11 @@ impl StreamingSession {
         self.player.depart();
         let watched = now.saturating_since(self.player.origin());
         let chunks = self.player.chunks_downloaded() as u64;
-        self.metrics.inc("departed");
-        self.ts_inc(now, "departures");
-        self.tracer.emit_with(now, || TraceEvent::SessionDeparted {
-            watched_s: watched.as_secs_f64(),
-            chunks,
-        });
+        self.rec
+            .event(now, Outcome::Departed, || TraceEvent::SessionDeparted {
+                watched_s: watched.as_secs_f64(),
+                chunks,
+            });
     }
 
     /// Admission-control shedding (fleet overload policy): the session
@@ -1101,23 +374,20 @@ impl StreamingSession {
     pub fn mark_shed(&mut self) {
         self.departed = true;
         self.player.depart();
-        self.metrics.inc("shed");
+        self.rec.count(self.sim.now(), Outcome::Shed, 1);
     }
 
     /// Hedge accounting counters for the runtime watchdog:
     /// `(hedges, wins_primary, wins_hedge)`.
     pub fn hedge_accounting(&self) -> (u64, u64, u64) {
-        (
-            self.origin_stats.hedges,
-            self.origin_stats.hedge_wins_primary,
-            self.origin_stats.hedge_wins_hedge,
-        )
+        let o = &self.rec.origin;
+        (o.hedges, o.hedge_wins_primary, o.hedge_wins_hedge)
     }
 
     /// Breaker-state sanity probe for the runtime watchdog (`Ok(())`
     /// for poolless sessions).
     pub fn breaker_sanity(&self) -> Result<(), &'static str> {
-        self.pool.as_ref().map_or(Ok(()), |p| p.sanity())
+        self.fetch.breaker_sanity()
     }
 
     /// Route one of this session's paths through a shared bottleneck.
@@ -1160,39 +430,31 @@ impl StreamingSession {
         match outcome {
             StepOutcome::Transport { newly_delivered } => {
                 if newly_delivered > 0 {
-                    for ev in self.http.on_delivered(newly_delivered) {
-                        self.handle_http_event(t, ev);
-                    }
+                    let events = self.fetch.on_delivered(newly_delivered);
+                    self.on_http_events(t, events);
                     // Mid-download decision on fresh bytes.
-                    if self.current.is_some() {
-                        self.progress_check(t);
-                    }
+                    self.progress_check(t);
                 }
             }
             StepOutcome::AppTimer { id: TICK_ID } => {
-                if self.current.is_some() {
+                if self.fetch.current().is_some() {
                     self.player.advance_to(t);
                     self.progress_check(t);
-                    self.hedge_poll(t);
-                    self.lifecycle_poll(t);
-                    self.telemetry_tick(t);
+                    let control = self.mpdash.as_ref().map(|(_, signal)| &signal.control);
+                    self.fetch.tick(&mut self.sim, &mut self.rec, control);
+                    self.rec.sample(t, &self.sim, &self.player);
                     self.sim.schedule_app_timer(t + TICK, TICK_ID);
                 }
             }
             StepOutcome::AppTimer { id: WAKE_ID } => {
                 self.request_next(t);
             }
-            StepOutcome::AppTimer { id: RETRY_ID } => {
-                self.on_retry_fire(t);
-            }
             StepOutcome::AppTimer { id } => {
-                // Deferred server sends (fault-delayed response parts).
-                self.http.on_app_timer(&mut self.sim, id);
+                self.fetch.on_timer(&mut self.sim, &mut self.rec, id);
             }
             StepOutcome::ServerMsg { id } => {
-                for ev in self.http.on_server_msg(&mut self.sim, id) {
-                    self.handle_http_event(t, ev);
-                }
+                let events = self.fetch.on_server_msg(&mut self.sim, id);
+                self.on_http_events(t, events);
             }
         }
         true
@@ -1233,20 +495,10 @@ impl StreamingSession {
         let duration = end.saturating_since(origin);
         // Final telemetry sample: flush the remaining per-path byte and
         // stall deltas so epoch totals match the report's exactly.
-        self.telemetry_tick(end);
+        self.rec.sample(end, &self.sim, &self.player);
 
         let records = self.sim.records().to_vec();
-        let wifi_pkts: Vec<(SimTime, u64)> = records
-            .iter()
-            .filter(|r| r.path == PathId::WIFI)
-            .map(|r| (r.t, r.len))
-            .collect();
-        let cell_pkts: Vec<(SimTime, u64)> = records
-            .iter()
-            .filter(|r| r.path == PathId::CELLULAR)
-            .map(|r| (r.t, r.len))
-            .collect();
-        let energy = session_energy(&self.cfg.device, &wifi_pkts, &cell_pkts, duration);
+        let energy = replay_energy(&self.cfg.device, &records, duration);
 
         // Degradation accounting: a chunk is "outage-bridged" when the
         // preferred path contributed under 10% of its body bytes while
@@ -1274,7 +526,11 @@ impl StreamingSession {
                 outage_bridged_chunks += 1;
             }
         }
-        let scheduler_stats = self.control.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let scheduler_stats = self
+            .mpdash
+            .as_ref()
+            .map(|(_, signal)| signal.control.stats())
+            .unwrap_or_default();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
             outage_bridged_chunks,
@@ -1287,22 +543,18 @@ impl StreamingSession {
         // Fold the end-of-run aggregates into the registry so the
         // snapshot is self-contained (counters registered during the run
         // keep their earlier positions).
-        self.metrics
-            .add("scheduler_toggle_total", scheduler_stats.toggles);
-        self.metrics
-            .add("subflow_failures", degradation.subflow_failures);
-        self.metrics
-            .add("subflow_revivals", degradation.subflow_revivals);
-        self.metrics.add("stalls", self.player.stalls());
-        self.metrics
-            .add("lifecycle_timeouts", self.lifecycle.timeouts);
-        self.metrics
-            .add("lifecycle_abandoned", self.lifecycle.abandoned);
-        self.metrics
-            .add("lifecycle_resumed", self.lifecycle.resumed);
-        self.metrics
-            .add("lifecycle_retried", self.lifecycle.retried);
-        self.tracer.flush();
+        let Recorder {
+            metrics, lifecycle, ..
+        } = &mut self.rec;
+        metrics.add("scheduler_toggle_total", scheduler_stats.toggles);
+        metrics.add("subflow_failures", degradation.subflow_failures);
+        metrics.add("subflow_revivals", degradation.subflow_revivals);
+        metrics.add("stalls", self.player.stalls());
+        metrics.add("lifecycle_timeouts", lifecycle.timeouts);
+        metrics.add("lifecycle_abandoned", lifecycle.abandoned);
+        metrics.add("lifecycle_resumed", lifecycle.resumed);
+        metrics.add("lifecycle_retried", lifecycle.retried);
+        self.rec.tracer.flush();
 
         let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, 0.2);
         let top_rung_mbps = self
@@ -1315,7 +567,7 @@ impl StreamingSession {
             qoe,
             qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, 0.0),
             qoe_score,
-            epochs: self.telemetry.map(|ts| ts.series),
+            epochs: self.rec.take_epochs(),
             wifi_bytes: self.sim.path_bytes(PathId::WIFI),
             cell_bytes: self.sim.path_bytes(PathId::CELLULAR),
             energy,
@@ -1325,10 +577,10 @@ impl StreamingSession {
             scheduler_stats,
             player_events: self.player.events().to_vec(),
             degradation,
-            lifecycle: self.lifecycle,
-            origin: self.origin_stats,
+            lifecycle: self.rec.lifecycle,
+            origin: self.rec.origin,
             departed: self.departed,
-            metrics: self.metrics.snapshot(),
+            metrics: self.rec.metrics.snapshot(),
             sim_profile: SimProfile {
                 events_popped: self.sim.events_popped(),
                 peak_queue_depth: self.sim.peak_queue_depth(),
@@ -1546,6 +798,30 @@ mod tests {
             "retried chunks must log extra requests"
         );
         assert_eq!(report.lifecycle.abandoned, 0, "retry-only never cancels");
+    }
+
+    #[test]
+    fn error_burst_on_a_cancelling_request_still_resumes() {
+        use mpdash_http::{LifecyclePolicy, ServerFaultScript};
+        // A 5xx that lands on a request whose cancel is in flight is that
+        // request's drained abort: every abandonment is followed by its
+        // byte-range resume and no chunk goes dark, whenever the burst
+        // starts and however long it lasts.
+        for start in [5, 9, 13, 17, 21, 30] {
+            for secs in [4, 8, 12] {
+                let faults = ServerFaultScript::new()
+                    .error_burst(SimTime::from_secs(start), SimDuration::from_secs(secs));
+                let cfg = controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
+                    .with_server_faults(faults)
+                    .with_lifecycle(LifecyclePolicy::deadline_aware());
+                let report = StreamingSession::run(cfg);
+                assert_eq!(
+                    report.lifecycle.resumed, report.lifecycle.abandoned,
+                    "burst at {start}s for {secs}s stranded a chunk"
+                );
+                assert_eq!(report.chunks.len(), 40, "burst at {start}s for {secs}s");
+            }
+        }
     }
 
     #[test]

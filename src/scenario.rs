@@ -896,9 +896,10 @@ pub struct Scenario {
     pub fleet: Option<FleetSpec>,
     /// Optional multi-origin pool. When present every mode fetches
     /// through the pool's routing, breakers, and hedging instead of the
-    /// single implicit origin; the top-level `server_faults` still
-    /// apply to that implicit origin only, so per-origin faults go on
-    /// the pool entries.
+    /// single implicit origin, and every request is served by a pool
+    /// entry — so a document that also carries a non-empty
+    /// `server_faults` (top-level or in a fault domain) is rejected:
+    /// per-origin faults go on `origins.pool[i].faults`.
     pub origins: Option<OriginPoolConfig>,
     /// Optional shared segment cache in front of the origins. A solo
     /// session gets a fresh cache per mode; in fleet runs every client
@@ -943,6 +944,20 @@ impl Scenario {
             telemetry: o.opt("telemetry", decode_telemetry)?,
         };
         o.finish()?;
+        if scenario.origins.is_some() {
+            let domains = scenario.fleet.iter().flat_map(|f| &f.fault_domains);
+            let in_domain = domains
+                .enumerate()
+                .find(|(_, d)| !d.server.is_empty())
+                .map(|(i, _)| format!("fleet.fault_domains[{i}].server_faults"));
+            let top_level = (!scenario.server_faults.is_empty()).then(|| "server_faults".into());
+            if let Some(path) = top_level.or(in_domain) {
+                return Err(format!(
+                    "{path}: never applies once `origins` is set (every request is served \
+                     by a pool origin) — move the script to origins.pool[i].faults"
+                ));
+            }
+        }
         Ok(scenario)
     }
 
@@ -1839,6 +1854,23 @@ mod tests {
                 r#""origins": {"pool": [{"rtt_penalty_ms": 5}]},"#,
                 "origins.pool[0].id: missing required key",
             ),
+            // A pool serves every request, so a script on the implicit
+            // origin would be silently inert.
+            (
+                r#""origins": {"pool": [{"id": "a"}]},
+                   "server_faults": [{"error_burst": {"at_s": 10, "secs": 3}}],"#,
+                "server_faults: never applies once `origins` is set (every request is served by \
+                 a pool origin) — move the script to origins.pool[i].faults",
+            ),
+            (
+                r#""origins": {"pool": [{"id": "a"}]},
+                   "fleet": {"clients": 2, "fault_domains": [
+                       {"label": "wifi", "members": [0],
+                        "wifi_faults": [{"rtt_spike": {"at_s": 5, "secs": 2, "extra_ms": 80}}]},
+                       {"label": "rack", "members": [1],
+                        "server_faults": [{"error_burst": {"at_s": 10, "secs": 3}}]}]},"#,
+                "fleet.fault_domains[1].server_faults: never applies once `origins` is set",
+            ),
             (
                 r#""cache": {"capacity_mb": 0},"#,
                 "cache.capacity_mb: must be > 0",
@@ -1882,7 +1914,8 @@ mod tests {
     }
 
     /// A document with one instance of every object level the format
-    /// has.
+    /// has — bar `origins`, which excludes `server_faults` and so gets
+    /// [`ORIGINS_LEVELS`].
     const EVERY_LEVEL: &str = r#"{
         "name": "every-level",
         "video": {"custom": {"levels_mbps": [1.0, 2.0], "chunk_secs": 2, "n_chunks": 10}},
@@ -1911,14 +1944,25 @@ mod tests {
                 {"label": "r", "members": [0], "cell_faults": [{"rtt_spike": {"at_s": 1, "secs": 1}}]}
             ]
         },
-        "origins": {"pool": [{"id": "a", "faults": [{"blackhole": {"at_s": 1, "secs": 1}}]}]},
         "cache": {"capacity_mb": 64},
         "telemetry": {"epoch_s": 2.0}
     }"#;
 
+    const ORIGINS_LEVELS: &str = r#"{
+        "name": "origins-levels",
+        "video": {"custom": {"levels_mbps": [1.0, 2.0], "chunk_secs": 2, "n_chunks": 10}},
+        "wifi": {"constant": 3.8},
+        "cell": {"constant": 3.0},
+        "abr": "festive",
+        "modes": ["mpdash_rate"],
+        "origins": {"pool": [{"id": "a", "faults": [{"blackhole": {"at_s": 1, "secs": 1}}]}]}
+    }"#;
+
     #[test]
     fn a_misspelt_key_is_an_error_at_every_object_level() {
-        Scenario::from_json(EVERY_LEVEL).expect("the unpatched document parses");
+        for doc in [EVERY_LEVEL, ORIGINS_LEVELS] {
+            Scenario::from_json(doc).expect("the unpatched document parses");
+        }
         // (text opening the level, the level's path)
         for (opening, level) in [
             (
@@ -1978,9 +2022,13 @@ mod tests {
             (r#"{"capacity_mb":"#, "cache"),
             (r#"{"epoch_s":"#, "telemetry"),
         ] {
-            assert_eq!(EVERY_LEVEL.matches(opening).count(), 1, "{opening}");
+            let doc = match level.starts_with("origins") {
+                true => ORIGINS_LEVELS,
+                false => EVERY_LEVEL,
+            };
+            assert_eq!(doc.matches(opening).count(), 1, "{opening}");
             let patched = opening.replacen('{', r#"{"overlaod": 1, "#, 1);
-            let err = Scenario::from_json(&EVERY_LEVEL.replace(opening, &patched)).unwrap_err();
+            let err = Scenario::from_json(&doc.replace(opening, &patched)).unwrap_err();
             let key = match level {
                 "" => "overlaod".to_string(),
                 level => format!("{level}.overlaod"),

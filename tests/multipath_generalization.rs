@@ -8,6 +8,7 @@ use mpdash::core::MpDashControl;
 use mpdash::link::{LinkConfig, PathId};
 use mpdash::mptcp::CcKind;
 use mpdash::mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, SchedulerSpec};
+use mpdash::session::DeadlineSignal;
 use mpdash::sim::{Rate, SimDuration, SimTime};
 
 const TICK: SimDuration = SimDuration::from_millis(50);
@@ -31,16 +32,6 @@ fn three_path_sim(wifi_mbps: f64, lte_mbps: f64, fiveg_mbps: f64) -> MptcpSim {
     })
 }
 
-fn to_mask(enabled: &[bool]) -> PathMask {
-    let mut m = PathMask::NONE;
-    for (i, &e) in enabled.iter().enumerate() {
-        if e {
-            m = m.with(PathId(i as u8));
-        }
-    }
-    m
-}
-
 /// Run one deadline transfer over three paths under the greedy
 /// scheduler; returns per-path byte counts and whether the deadline held.
 fn run_transfer(wifi_mbps: f64, size: u64, deadline: SimDuration) -> ([u64; 3], bool) {
@@ -56,32 +47,21 @@ fn run_transfer(wifi_mbps: f64, size: u64, deadline: SimDuration) -> ([u64; 3], 
         SchedulerParams::default().with_debounce(4),
         SimDuration::from_millis(250),
     );
-    let enabled = control
-        .mp_dash_enable(SimTime::ZERO, size, deadline)
-        .to_vec();
-    sim.set_initial_mask(to_mask(&enabled));
+    let enabled = control.mp_dash_enable(SimTime::ZERO, size, deadline);
+    sim.set_initial_mask(PathMask::from_enabled(enabled));
     sim.send_app(size);
     sim.schedule_app_timer(SimTime::ZERO + TICK, TICK_ID);
 
-    let mut cursor = 0usize;
+    // The same deadline-signal feed the two-path drivers run.
+    let mut signal = DeadlineSignal::new(control);
     let mut finish = SimTime::ZERO;
     while sim.delivered() < size {
         let Some((t, outcome)) = sim.step() else {
             panic!("drained at {}", sim.delivered())
         };
         finish = t;
-        let records = sim.records();
-        for r in &records[cursor..] {
-            control.on_bytes(r.path.index(), r.t, r.len);
-        }
-        cursor = records.len();
-        let busy = [
-            sim.path_in_flight(PathId(0)) > 0,
-            sim.path_in_flight(PathId(1)) > 0,
-            sim.path_in_flight(PathId(2)) > 0,
-        ];
-        if let Some(enabled) = control.on_progress(t, sim.delivered(), &busy) {
-            sim.set_desired_mask(to_mask(&enabled));
+        if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
+            sim.set_desired_mask(PathMask::from_enabled(&enabled));
         }
         if matches!(
             outcome,

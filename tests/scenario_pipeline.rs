@@ -5,8 +5,9 @@
 
 use mpdash::dash::video::Video;
 use mpdash::scenario::Scenario;
-use mpdash::session::{run_batch_with, JobSpec, StreamingSession, TransportMode};
+use mpdash::session::{run_batch_with, JobSpec, RingSink, StreamingSession, Tracer, TransportMode};
 use mpdash::sim::SimDuration;
+use std::sync::Arc;
 
 fn example() -> Scenario {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/example.json");
@@ -81,13 +82,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// "Same configs bit for bit" as a tier-1 test: the digests below were
-/// recorded at the commit before the scenario decoder was rewritten.
-/// `churn.json` exercises churn, a fault domain, overload, two shared
-/// links, telemetry and the watchdog; `origins.json` the pool, hedging,
-/// per-origin faults, lifecycle and the cache. A digest that moves means
-/// the document now builds a different config (or the simulator changed
-/// behaviour — then re-record, and say so in the PR).
+/// Digest of every session summary a solo scenario document produces.
+fn solo_digests(file: &str) -> Vec<(String, u64)> {
+    shipped(file)
+        .build()
+        .unwrap_or_else(|e| panic!("{file}: {e}"))
+        .into_iter()
+        .map(|(label, cfg)| {
+            let summary = StreamingSession::run(cfg).summary_json().to_compact();
+            (label, fnv1a(summary.as_bytes()))
+        })
+        .collect()
+}
+
+/// "Same behaviour bit for bit" as a tier-1 test: each digest below was
+/// recorded at the commit before the code it guards was rewritten (the
+/// scenario decoder for the first two, the session driver split for the
+/// last two). `churn.json` exercises churn, a fault domain, overload, two
+/// shared links, telemetry and the watchdog; `origins.json` the pool,
+/// hedging, per-origin faults, lifecycle and the cache;
+/// `server_faults.json` an error burst, a stalled body and a slow first
+/// byte under the deadline-aware lifecycle. The last digest covers the
+/// ring-traced event stream of `origins.json` — event order is what
+/// `mpdash explain` renders. A digest that moves means the document now
+/// builds a different config or the simulator changed behaviour — then
+/// re-record, and say so in the PR.
 #[test]
 fn shipped_scenarios_reproduce_their_golden_summaries() {
     let fleet: Vec<(String, u64)> = shipped("churn.json")
@@ -107,14 +126,33 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
         ]
     );
 
-    let solo: Vec<(String, u64)> = shipped("origins.json")
-        .build()
-        .expect("origins scenario builds")
-        .into_iter()
-        .map(|(label, cfg)| {
-            let summary = StreamingSession::run(cfg).summary_json().to_compact();
-            (label, fnv1a(summary.as_bytes()))
-        })
+    assert_eq!(
+        solo_digests("origins.json"),
+        [("Rate".to_string(), 8387712229148742842)]
+    );
+    assert_eq!(
+        solo_digests("server_faults.json"),
+        [
+            ("Baseline".to_string(), 12917740376144067320),
+            ("Rate".to_string(), 11655620368456001984),
+        ]
+    );
+
+    let ring = Arc::new(RingSink::new(1 << 20));
+    for (_, cfg) in shipped("origins.json").build().expect("origins builds") {
+        StreamingSession::run(cfg.with_tracer(Tracer::new(ring.clone())));
+    }
+    let events = ring.events();
+    assert!(
+        events.len() < 1 << 20,
+        "the ring must hold the whole stream"
+    );
+    let stream: String = events
+        .iter()
+        .map(|(t, e)| e.to_json(*t).to_compact() + "\n")
         .collect();
-    assert_eq!(solo, [("Rate".to_string(), 8387712229148742842)]);
+    assert_eq!(
+        (events.len(), fnv1a(stream.as_bytes())),
+        (91901, 5741721942121880656)
+    );
 }
