@@ -37,6 +37,9 @@ use mpdash_session::{
 };
 use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
 
+mod next_event;
+use next_event::NextEvent;
+
 /// One shared resource in the fleet topology: a bottleneck plus the
 /// per-client paths that subscribe to it (e.g. every client's WiFi path
 /// behind one AP).
@@ -648,6 +651,23 @@ fn exponential(rng: &mut Prng, mean: SimDuration) -> SimDuration {
     mean.mul_f64(-(1.0 - rng.next_f64()).ln())
 }
 
+/// The fleet loop's per-iteration epoch counters, and their places in
+/// the batch [`run_checked`] sums between epoch boundaries.
+const LOOP_COUNTERS: [&str; 3] = ["loop_steps", "loop_departures", "loop_aqm_drops"];
+const LOOP_STEPS: usize = 0;
+const LOOP_DEPARTURES: usize = 1;
+const LOOP_AQM_DROPS: usize = 2;
+
+/// Write the batched loop counters into `at`'s epoch. Zero counts are
+/// skipped, so a counter that never fires never appears as a key.
+fn flush_loop_counts(epochs: &mut EpochSeries, at: SimTime, counts: &mut [u64; 3]) {
+    for (name, n) in LOOP_COUNTERS.iter().zip(counts) {
+        if *n > 0 {
+            epochs.add(at, name, std::mem::take(n));
+        }
+    }
+}
+
 /// `MPDASH_WATCHDOG=0` disarms the runtime checker when the config
 /// leaves it unset; any other value — or no value — leaves it armed.
 fn watchdog_from_env() -> bool {
@@ -777,12 +797,20 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // The fleet event loop: pop the globally earliest event. Tie-break
     // is (time, bottleneck-before-session, index), which both makes the
     // interleaving deterministic and guarantees departures at time t
-    // precede any new offers made at t.
+    // precede any new offers made at t. `next` holds every entity's next
+    // fire time, bottlenecks in the low slots so they win ties; each arm
+    // below re-keys exactly the entities it can have changed.
+    let nb = bottlenecks.len();
+    let mut next = NextEvent::new(nb + cfg.clients);
+    for (k, session) in sessions.iter().enumerate() {
+        next.set(nb + k, session.peek_time());
+    }
     let mut done = vec![false; cfg.clients];
     // Admission state: a session is "active" once its arrival event was
     // admitted and until it finishes. The overload policy only ever
     // sheds a *not-yet-arrived* session, at its arrival instant.
     let mut arrived = vec![false; cfg.clients];
+    let mut active = 0usize;
     let mut shed = vec![false; cfg.clients];
     let mut shed_sessions = 0u64;
     let mut watchdog = cfg
@@ -809,35 +837,27 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             *m = now;
         }
     };
+    // The per-iteration telemetry counters, batched: virtual time is
+    // monotone, so they are summed here and written once per epoch.
+    let mut loop_counts = [0u64; LOOP_COUNTERS.len()];
+    let (mut counted_at, mut counted_epoch) = (SimTime::ZERO, 0);
     loop {
-        let mut best: Option<(SimTime, usize, usize)> = None;
-        for (i, bn) in bottlenecks.iter().enumerate() {
-            if let Some(t) = bn.next_departure() {
-                let key = (t, 0, i);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
-        for (k, session) in sessions.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            if let Some(t) = session.peek_time() {
-                let key = (t, 1, k);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-        }
+        let best = next.earliest();
         charge(&mut wall, |w| &mut w.peek_ns);
         profile.loop_iterations += 1;
-        if let (Some(wd), Some(&(t, _, _))) = (watchdog.as_mut(), best.as_ref()) {
+        if let (Some(wd), Some(&(t, _))) = (watchdog.as_mut(), best.as_ref()) {
             wd.check_time(t)?;
+        }
+        if let (Some(e), Some(&(t, _))) = (profile.epochs.as_mut(), best.as_ref()) {
+            let epoch = e.index_of(t);
+            if epoch != counted_epoch {
+                flush_loop_counts(e, counted_at, &mut loop_counts);
+            }
+            (counted_at, counted_epoch) = (t, epoch);
         }
         match best {
             None => break,
-            Some((t, 0, i)) => {
+            Some((_, i)) if i < nb => {
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
                 sessions[k].on_shared_departure(path, d.ticket, d.at, d.marked);
@@ -848,30 +868,28 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 for drop in bottlenecks[i].take_aqm_drops() {
                     let (dk, dpath) = route[i][drop.flow];
                     sessions[dk].on_shared_drop(dpath, drop.ticket, drop.at);
-                    if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "loop_aqm_drops");
-                    }
+                    loop_counts[LOOP_AQM_DROPS] += 1;
                 }
                 profile.departures_popped += 1;
-                if let Some(e) = profile.epochs.as_mut() {
-                    e.inc(t, "loop_departures");
-                }
+                loop_counts[LOOP_DEPARTURES] += 1;
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_conservation(i, bottlenecks[i].conservation_counters())?;
                 }
                 charge(&mut wall, |w| &mut w.pop_ns);
+                // A departure starts the bottleneck's next service and
+                // schedules the packet's arrival at its owner; a dropped
+                // packet schedules nothing. (Re-keying is charged to the
+                // next iteration's peek.)
+                next.set(i, bottlenecks[i].next_departure());
+                next.set(nb + k, sessions[k].peek_time());
             }
-            Some((t, _, k)) => {
+            Some((t, slot)) => {
+                let k = slot - nb;
                 if !arrived[k] {
                     // First event of session k is its arrival wake —
                     // admission control runs before it can issue any
                     // request.
                     if let Some(policy) = cfg.overload {
-                        let active = arrived
-                            .iter()
-                            .zip(&done)
-                            .filter(|&(&a, &d)| a && !d)
-                            .count();
                         let queue = bottlenecks
                             .iter()
                             .map(|b| b.occupancy_bytes())
@@ -894,19 +912,19 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                                 queue_bytes: queue,
                             });
                             charge(&mut wall, |w| &mut w.step_ns);
+                            next.set(slot, None);
                             continue;
                         }
                     }
                     arrived[k] = true;
+                    active += 1;
                     if let Some(e) = profile.epochs.as_mut() {
                         e.inc(t, "fleet_arrivals");
                     }
                 }
                 sessions[k].step_once();
                 profile.session_steps += 1;
-                if let Some(e) = profile.epochs.as_mut() {
-                    e.inc(t, "loop_steps");
-                }
+                loop_counts[LOOP_STEPS] += 1;
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_breakers(k, sessions[k].breaker_sanity())?;
                     let (hedges, wins_primary, wins_hedge) = sessions[k].hedge_accounting();
@@ -919,13 +937,27 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     // timers are abandoned, exactly as the standalone
                     // driver abandons them.
                     done[k] = true;
+                    active -= 1;
                     if let Some(e) = profile.epochs.as_mut() {
                         e.inc(t, "fleet_departures");
                     }
                 }
                 charge(&mut wall, |w| &mut w.step_ns);
+                // A step changes its own queue and may offer packets,
+                // which start service only at an idle bottleneck: a busy
+                // one's departure time was fixed when its service began.
+                next.set(slot, sessions[k].peek_time().filter(|_| !done[k]));
+                for (i, bn) in bottlenecks.iter().enumerate() {
+                    if next.key(i).is_none() {
+                        next.set(i, bn.next_departure());
+                    }
+                    debug_assert_eq!(next.key(i), bn.next_departure());
+                }
             }
         }
+    }
+    if let Some(e) = profile.epochs.as_mut() {
+        flush_loop_counts(e, counted_at, &mut loop_counts);
     }
     assert!(
         done.iter().all(|&d| d),
@@ -1480,6 +1512,28 @@ mod tests {
             disarmed.summary_json().to_pretty(),
             "arming the watchdog must change zero artifact bytes"
         );
+    }
+
+    #[test]
+    fn a_256_client_fleet_on_one_ap_finishes_and_conserves() {
+        // Scale smoke: cheap only while total cost stays near-linear in
+        // clients. Two chunks each, joins 100 ms apart, so the AP always
+        // carries several overlapping sessions.
+        let video = Video::new("two-chunk", &[0.58, 1.01], SimDuration::from_secs(4), 2);
+        let cfg = FleetConfig::new(base(TransportMode::Vanilla).with_video(video), 256)
+            .with_stagger(SimDuration::from_millis(100))
+            .with_shared(ap(40.0, QueueDiscipline::Fifo));
+        let report = run(&cfg);
+        assert_eq!(report.sessions.len(), 256);
+        for (k, s) in report.sessions.iter().enumerate() {
+            assert_eq!(s.qoe_all.chunks, 2, "client {k} fetched the whole video");
+            assert!(!s.departed);
+        }
+        let stats = &report.bottlenecks[0].stats;
+        assert!(stats.conserved(), "{stats:?}");
+        assert!(stats.delivered_bytes > 0 && stats.queued_bytes == 0);
+        let p = &report.profile;
+        assert_eq!(p.loop_iterations, p.departures_popped + p.session_steps + 1);
     }
 
     #[test]

@@ -167,6 +167,9 @@ pub struct MptcpSim {
     /// Departures within one flow are FIFO under both disciplines, so a
     /// `VecDeque` plus a ticket assertion is exact.
     deferred: Vec<VecDeque<PendingPkt>>,
+    /// Scratch for `pump`'s per-path queue-depth sample, kept so a pump
+    /// does not allocate.
+    depths: Vec<Option<u64>>,
     /// Observe-only trace emission (DSS signals, subflow transitions,
     /// cwnd/SRTT samples); never feeds back into transport state.
     tracer: Tracer,
@@ -194,6 +197,7 @@ impl MptcpSim {
             rcv: Receiver::new(n),
             rto_event_at: vec![None; n],
             deferred: (0..n).map(|_| VecDeque::new()).collect(),
+            depths: Vec::with_capacity(n),
             tracer: Tracer::disabled(),
             trace_failures_seen: vec![0; n],
             trace_revivals_seen: vec![0; n],
@@ -531,7 +535,9 @@ impl MptcpSim {
         // the sender (which is pure state and never touches links). The
         // sample is read-only, so schedulers that ignore it stay
         // byte-identical with or without shared attachments.
-        let depths: Vec<Option<u64>> = self.links.iter().map(|l| l.shared_queue_depth()).collect();
+        let mut depths = std::mem::take(&mut self.depths);
+        depths.clear();
+        depths.extend(self.links.iter().map(|l| l.shared_queue_depth()));
         let actions = self.snd.pump_with(now, &depths);
         for t in actions {
             if self.tracer.enabled() {
@@ -551,6 +557,7 @@ impl MptcpSim {
             }
             self.transmit(now, t);
         }
+        self.depths = depths;
         for p in 0..self.links.len() {
             self.ensure_rto(PathId(p as u8));
         }

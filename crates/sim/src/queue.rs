@@ -105,58 +105,53 @@ impl<E> EventQueue<E> {
         EventId(seq)
     }
 
-    /// Lazily cancel a scheduled event. Cancellation is O(n) in the worst
-    /// case here because we must find the entry; for the simulation's usage
-    /// pattern (rare cancellations of timers) this is fine, and the heap
-    /// itself skips cancelled entries on pop.
+    /// Cancel a scheduled event; `false` if it already fired or was
+    /// already cancelled. O(n): the entry is found by scanning, marked,
+    /// and left in place to be discarded when it surfaces — except that
+    /// the heap's top entry is never a cancelled one, which `cancel` and
+    /// `pop` both restore before returning. That invariant is what lets
+    /// `peek_time` read the top and `pop` take it without looking further.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // BinaryHeap has no in-place mutation; rebuild only when we find it.
-        let mut found = false;
-        let entries: Vec<Entry<E>> = self.heap.drain().collect();
-        self.heap = entries
-            .into_iter()
-            .map(|mut e| {
-                if e.seq == id.0 && !e.cancelled {
-                    e.cancelled = true;
-                    found = true;
-                }
-                e
-            })
-            .collect();
-        if found {
+        // BinaryHeap has no in-place mutation; the flag is not part of
+        // the ordering, so the vector goes back as the heap it was.
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        let entry = entries.iter_mut().find(|e| e.seq == id.0 && !e.cancelled);
+        let found = entry.is_some();
+        if let Some(e) = entry {
+            e.cancelled = true;
             self.live -= 1;
         }
+        self.heap = entries.into();
+        self.purge_top();
         found
+    }
+
+    fn purge_top(&mut self) {
+        while self.heap.peek().is_some_and(|e| e.cancelled) {
+            self.heap.pop();
+        }
     }
 
     /// Pop the earliest live event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if entry.cancelled {
-                continue;
-            }
-            self.live -= 1;
-            self.popped += 1;
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
-            self.now = entry.at;
-            return Some((entry.at, entry.payload));
+        let entry = self.heap.pop()?;
+        debug_assert!(!entry.cancelled, "a cancelled entry sat at the top");
+        self.live -= 1;
+        self.popped += 1;
+        debug_assert!(entry.at >= self.now, "event queue time went backwards");
+        self.now = entry.at;
+        // Only a queue holding cancelled entries can have exposed one.
+        if self.heap.len() != self.live {
+            self.purge_top();
         }
-        None
+        Some((entry.at, entry.payload))
     }
 
-    /// Fire time of the earliest live event without popping it.
+    /// Fire time of the earliest live event without popping it. O(1),
+    /// by the top-is-live invariant: the fleet loop re-keys a session
+    /// with this after every one of its events.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Cancelled entries may sit at the top; peek must skip them without
-        // mutating, so clone-free scan of the top is not possible with
-        // BinaryHeap. We conservatively report the top entry's time, which
-        // is a lower bound; `pop` remains exact. To keep peek exact we
-        // instead look through the heap's iterator for the minimum live
-        // entry (O(n), used only in tests and idle checks).
-        self.heap
-            .iter()
-            .filter(|e| !e.cancelled)
-            .map(|e| e.at)
-            .min()
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of live events.
