@@ -43,6 +43,8 @@ pub struct MpDashControl {
     samplers: Vec<ThroughputSampler<Box<dyn Predictor>>>,
     priors: Vec<Rate>,
     enabled: Vec<bool>,
+    /// Scratch for a progress check's estimates (it must not allocate).
+    estimates: Vec<Rate>,
 }
 
 impl MpDashControl {
@@ -94,6 +96,7 @@ impl MpDashControl {
                 .collect(),
             priors,
             enabled: vec![true; n],
+            estimates: Vec::with_capacity(n),
         }
     }
 
@@ -200,8 +203,11 @@ impl MpDashControl {
                 s.roll_to(now);
             }
         }
-        let estimates: Vec<Rate> = (0..self.n_paths()).map(|p| self.estimate(p)).collect();
-        let change = self.sched.on_progress(now, total_sent, &estimates)?;
+        self.estimates.clear();
+        for p in 0..self.n_paths() {
+            self.estimates.push(self.estimate(p));
+        }
+        let change = self.sched.on_progress(now, total_sent, &self.estimates)?;
         // Paths coming online restart their sampling clock at `now`.
         for (i, s) in self.samplers.iter_mut().enumerate() {
             if change[i] && !self.enabled[i] {

@@ -36,6 +36,8 @@ pub struct MultiPathScheduler {
     by_cost: Vec<usize>,
     params: SchedulerParams,
     active: Option<ActiveN>,
+    /// Scratch for the set a check wants (no change, no allocation).
+    want: Vec<bool>,
     toggles: u64,
     missed_deadlines: u64,
     completed: u64,
@@ -59,6 +61,7 @@ impl MultiPathScheduler {
             by_cost,
             params,
             active: None,
+            want: Vec::new(),
             toggles: 0,
             missed_deadlines: 0,
             completed: 0,
@@ -171,7 +174,9 @@ impl MultiPathScheduler {
 
         // Greedy cheapest prefix: accumulate capacity until it covers the
         // remaining bytes. The preferred path is unconditionally on.
-        let mut want = vec![false; self.costs.len()];
+        let want = &mut self.want;
+        want.clear();
+        want.resize(self.costs.len(), false);
         let mut capacity: u64 = 0;
         for &p in &self.by_cost {
             want[p] = true;
@@ -200,14 +205,14 @@ impl MultiPathScheduler {
             }
         }
 
-        if want != a.enabled {
+        if *want != a.enabled {
             self.toggles += want
                 .iter()
                 .zip(a.enabled.iter())
                 .filter(|(w, e)| w != e)
                 .count() as u64;
-            a.enabled = want.clone();
-            Some(want)
+            a.enabled.clone_from(want);
+            Some(want.clone())
         } else {
             None
         }

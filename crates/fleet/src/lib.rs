@@ -707,6 +707,19 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // viewing draw per client (see [`ChurnSpec::plan`]).
     let churn_plan: Option<Vec<(SimDuration, SimDuration)>> =
         cfg.churn.map(|ch| ch.plan(cfg.seed, cfg.clients));
+    // Fault-domain membership by client index, resolved once per domain
+    // (members past the fleet's size name no client).
+    let in_domain: Vec<Vec<bool>> = cfg
+        .fault_domains
+        .iter()
+        .map(|dom| {
+            let mut member = vec![false; cfg.clients];
+            for &k in dom.members.iter().filter(|&&k| k < cfg.clients) {
+                member[k] = true;
+            }
+            member
+        })
+        .collect();
     let mut sessions: Vec<StreamingSession> = (0..cfg.clients)
         .map(|k| {
             let mut sc = cfg.base.clone();
@@ -724,8 +737,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             // packet-level draws inside those windows still come from
             // the member's link seeds below — shared window, private
             // coin flips.
-            for dom in &cfg.fault_domains {
-                if !dom.members.contains(&k) {
+            for (dom, member) in cfg.fault_domains.iter().zip(&in_domain) {
+                if !member[k] {
                     continue;
                 }
                 if !dom.wifi.is_empty() {

@@ -149,7 +149,9 @@ fn run_fleet(
                 Vec::new()
             }
             StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                c.http.on_delivered(newly_delivered)
+                let mut events = Vec::new();
+                c.http.on_delivered(newly_delivered, &mut events);
+                events
             }
             StepOutcome::Transport { .. } => Vec::new(),
         };

@@ -439,9 +439,9 @@ impl HttpLayer {
     }
 
     /// The client's connection delivered `newly` more in-order bytes:
-    /// advance framing and emit protocol events.
-    pub fn on_delivered(&mut self, newly: u64) -> Vec<HttpEvent> {
-        let mut events = Vec::new();
+    /// advance framing and append the protocol events to `events` (the
+    /// caller's reused buffer: this runs once per data packet).
+    pub fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
         let mut left = newly;
         loop {
             // Pop any front response that a cancellation truncated to
@@ -516,7 +516,6 @@ impl HttpLayer {
             // A drained truncated response is handled at the top of the
             // next iteration.
         }
-        events
     }
 
     /// Number of exchanges the client still expects bytes for.
@@ -622,6 +621,13 @@ mod tests {
     use mpdash_mptcp::{MptcpConfig, StepOutcome};
     use mpdash_sim::SimDuration;
 
+    /// `on_delivered` into a fresh buffer.
+    fn delivered(http: &mut HttpLayer, newly: u64) -> Vec<HttpEvent> {
+        let mut events = Vec::new();
+        http.on_delivered(newly, &mut events);
+        events
+    }
+
     fn sim() -> MptcpSim {
         let wifi = LinkConfig::constant(3.8, SimDuration::from_millis(25));
         let cell = LinkConfig::constant(3.0, SimDuration::from_millis(30));
@@ -649,7 +655,7 @@ mod tests {
                     assert!(http.on_app_timer(sim, id), "unexpected non-HTTP timer");
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    let evs = http.on_delivered(newly_delivered);
+                    let evs = delivered(http, newly_delivered);
                     let done = evs.iter().any(|e| {
                         matches!(e,
                             HttpEvent::Complete { id: i, .. }
@@ -738,7 +744,7 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         if let HttpEvent::Complete { id, .. } = e {
                             completions.push(id);
                         }
@@ -779,7 +785,7 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         if let HttpEvent::Complete { id, body_dss } = e {
                             let idx = (id - ids[0]) as usize;
                             assert_eq!(body_dss.len(), 100 + idx as u64);
@@ -887,7 +893,7 @@ mod tests {
                     h.on_server_msg(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         if let HttpEvent::BodyProgress { received: r, .. } = e {
                             received = r;
                             if r > size / 4 {
@@ -917,7 +923,7 @@ mod tests {
                     }
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         match e {
                             HttpEvent::Aborted {
                                 received, body_dss, ..
@@ -969,7 +975,7 @@ mod tests {
                     }
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         assert!(
                             !matches!(e, HttpEvent::Complete { .. }),
                             "cancelled request completed"
@@ -1018,7 +1024,7 @@ mod tests {
                     h.on_app_timer(&mut s, id);
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    for e in h.on_delivered(newly_delivered) {
+                    for e in delivered(&mut h, newly_delivered) {
                         if let HttpEvent::BodyProgress { received, .. } = e {
                             last_progress = received;
                         }
@@ -1063,7 +1069,7 @@ mod tests {
                     Vec::new()
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    http.on_delivered(newly_delivered)
+                    delivered(http, newly_delivered)
                 }
                 _ => Vec::new(),
             };
@@ -1165,7 +1171,7 @@ mod tests {
                     break;
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    h.on_delivered(newly_delivered);
+                    delivered(&mut h, newly_delivered);
                 }
                 _ => {}
             }

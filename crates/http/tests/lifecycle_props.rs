@@ -100,7 +100,9 @@ fn run_chunks(script: ServerFaultScript, chunks: &[(u64, Vec<u64>)]) -> Result<u
                     Vec::new()
                 }
                 StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                    http.on_delivered(newly_delivered)
+                    let mut events = Vec::new();
+                    http.on_delivered(newly_delivered, &mut events);
+                    events
                 }
                 StepOutcome::Transport { .. } => Vec::new(),
             };

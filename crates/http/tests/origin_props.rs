@@ -96,7 +96,9 @@ impl Pump {
                 Vec::new()
             }
             StepOutcome::Transport { newly_delivered } if newly_delivered > 0 => {
-                self.http.on_delivered(newly_delivered)
+                let mut events = Vec::new();
+                self.http.on_delivered(newly_delivered, &mut events);
+                events
             }
             StepOutcome::Transport { .. } => Vec::new(),
         })

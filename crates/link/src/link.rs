@@ -146,6 +146,8 @@ pub struct Link {
     /// Accepted packets still occupying the queue/server:
     /// `(serialization end, size)`. Lazily purged as time advances.
     in_system: VecDeque<(SimTime, u64)>,
+    /// Sum of the sizes in `in_system`, kept as packets enter and leave.
+    in_system_bytes: u64,
     /// High-water mark of the lazy purge clock: occupancy has been
     /// sampled at this instant. Enforces the one-`now`-per-tick rule
     /// (see [`Link::backlog`]).
@@ -181,6 +183,7 @@ impl Link {
             faults,
             busy_until: SimTime::ZERO,
             in_system: VecDeque::new(),
+            in_system_bytes: 0,
             purged_to: SimTime::ZERO,
             shared: None,
             delivered_bytes: 0,
@@ -269,14 +272,15 @@ impl Link {
             self.purged_to = now;
         }
         let horizon = self.purged_to;
-        while let Some(&(end, _)) = self.in_system.front() {
+        while let Some(&(end, size)) = self.in_system.front() {
             if end <= horizon {
                 self.in_system.pop_front();
+                self.in_system_bytes -= size;
             } else {
                 break;
             }
         }
-        self.in_system.iter().map(|&(_, b)| b).sum()
+        self.in_system_bytes
     }
 
     /// Attach this link to a [`SharedBottleneck`] as subscription
@@ -462,6 +466,7 @@ impl Link {
         let tx_end = start + ser;
         self.busy_until = tx_end;
         self.in_system.push_back((tx_end, size));
+        self.in_system_bytes += size;
 
         // 6. An active RTT spike inflates propagation for this delivery.
         let extra = match &mut self.faults {

@@ -56,4 +56,4 @@ pub mod sim;
 pub use cc::CcKind;
 pub use packet::{PathMask, PktRecord, MSS};
 pub use scheduler::{Scheduler, SchedulerImpl, SchedulerSpec};
-pub use sim::{MptcpConfig, MptcpSim, PathConfig, StepOutcome};
+pub use sim::{MptcpConfig, MptcpSim, PathConfig, PoppedByKind, StepOutcome};

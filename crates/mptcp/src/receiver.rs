@@ -160,6 +160,11 @@ impl Receiver {
     pub fn records(&self) -> &[PktRecord] {
         &self.records
     }
+
+    /// Move the receive trace out (the byte counters stay).
+    pub fn take_records(&mut self) -> Vec<PktRecord> {
+        std::mem::take(&mut self.records)
+    }
 }
 
 #[cfg(test)]

@@ -310,6 +310,8 @@ pub struct Sender {
     conn_assigned: u64,
     /// Enforcement state of the MP-DASH overlay, as last signaled.
     mask: PathMask,
+    /// Scratch for `pump_with`'s candidates (a pump must not allocate).
+    candidates: Vec<Candidate>,
 }
 
 impl Sender {
@@ -325,6 +327,7 @@ impl Sender {
             conn_total: 0,
             conn_assigned: 0,
             mask: PathMask::ALL,
+            candidates: Vec::with_capacity(n_paths),
         }
     }
 
@@ -401,18 +404,21 @@ impl Sender {
     /// [`Sender::pump_with`] on a connection with no shared-bottleneck
     /// attachments (every path's queue depth unknown).
     pub fn pump(&mut self, now: SimTime) -> Vec<Transmit> {
-        self.pump_with(now, &[])
+        let mut out = Vec::new();
+        self.pump_with(now, &[], &mut out);
+        out
     }
 
     /// Assign as much pending data as window space and the mask allow.
-    /// Returns the transmissions to realize, in order.
+    /// Appends the transmissions to realize to `out`, in order (the
+    /// caller's reused buffer: a pump per ACK must not allocate).
     ///
-    /// `shared_depth[path]` is the occupancy of the path's shared
+    /// `depths[path]` is the occupancy of the path's shared
     /// bottleneck queue, sampled by the simulator (the sender is pure
     /// state and never touches links itself); `None` — or a missing
     /// entry — means the path has no shared attachment. Queue-aware
     /// schedulers fold it into every pick; the others ignore it.
-    pub fn pump_with(&mut self, now: SimTime, shared_depth: &[Option<u64>]) -> Vec<Transmit> {
+    pub fn pump_with(&mut self, now: SimTime, depths: &[Option<u64>], out: &mut Vec<Transmit>) {
         // Idle window validation first: a subflow that has been silent for
         // an RTO with nothing in flight must not blast a stale window.
         // Failed subflows are probed again after a cooldown — the path
@@ -429,32 +435,32 @@ impl Sender {
             }
         }
 
-        let mut out = Vec::new();
         loop {
             let remaining = self.conn_total - self.conn_assigned;
             if remaining == 0 {
                 break;
             }
             let len = remaining.min(MSS);
-            let candidates: Vec<Candidate> = self
-                .subflows
-                .iter()
-                .filter(|sf| {
-                    !sf.failed
-                        && now >= sf.established_at
-                        && self.mask.contains(sf.path)
-                        && sf.in_flight() + len <= sf.cwnd()
-                })
-                .map(|sf| Candidate {
-                    path: sf.path,
-                    srtt: sf.srtt,
-                    cwnd: sf.cwnd(),
-                    in_flight: sf.in_flight(),
-                    queue_depth: shared_depth.get(sf.path.index()).copied().flatten(),
-                })
-                .collect();
+            self.candidates.clear();
+            self.candidates.extend(
+                self.subflows
+                    .iter()
+                    .filter(|sf| {
+                        !sf.failed
+                            && now >= sf.established_at
+                            && self.mask.contains(sf.path)
+                            && sf.in_flight() + len <= sf.cwnd()
+                    })
+                    .map(|sf| Candidate {
+                        path: sf.path,
+                        srtt: sf.srtt,
+                        cwnd: sf.cwnd(),
+                        in_flight: sf.in_flight(),
+                        queue_depth: depths.get(sf.path.index()).copied().flatten(),
+                    }),
+            );
             let input = SchedInput {
-                candidates: &candidates,
+                candidates: &self.candidates,
                 backlog: remaining,
             };
             let Some(path) = self.scheduler.pick(&input) else {
@@ -487,7 +493,6 @@ impl Sender {
                 syn: seg.syn,
             });
         }
-        out
     }
 
     /// Process a cumulative ACK for `path`. Returns retransmissions to

@@ -154,14 +154,32 @@ enum Event {
     },
 }
 
+/// [`MptcpSim::events_popped`] by event kind (the fields sum to it): a
+/// timer chain that pops without doing work shows up here by name.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PoppedByKind {
+    /// Data-packet arrivals at the receiver.
+    pub data: u64,
+    /// ACK arrivals at the sender (pure control ACKs included).
+    pub ack: u64,
+    /// Retransmission-timer events, stale ones included.
+    pub rto: u64,
+    /// Application timers.
+    pub app_timer: u64,
+    /// Client→server messages arriving at the server.
+    pub reverse_msg: u64,
+}
+
 /// One MPTCP connection with its links and event queue. See module docs.
 pub struct MptcpSim {
     queue: EventQueue<Event>,
+    popped: PoppedByKind,
     links: Vec<Link>,
     ack_delay: Vec<SimDuration>,
     snd: Sender,
     rcv: Receiver,
-    /// Earliest pending RTO event per path (lazy-timer bookkeeping).
+    /// Time of each path's live `Event::Rto` (lazy: at or before the
+    /// deadline); an `Rto` popped at any other time was superseded.
     rto_event_at: Vec<Option<SimTime>>,
     /// Per-path packets currently queued inside a shared bottleneck.
     /// Departures within one flow are FIFO under both disciplines, so a
@@ -170,6 +188,8 @@ pub struct MptcpSim {
     /// Scratch for `pump`'s per-path queue-depth sample, kept so a pump
     /// does not allocate.
     depths: Vec<Option<u64>>,
+    /// Scratch for the transmissions one `pump` realizes, likewise.
+    pumped: Vec<Transmit>,
     /// Observe-only trace emission (DSS signals, subflow transitions,
     /// cwnd/SRTT samples); never feeds back into transport state.
     tracer: Tracer,
@@ -191,6 +211,7 @@ impl MptcpSim {
         let ack_delay = cfg.paths.iter().map(|p| p.ack_delay).collect();
         MptcpSim {
             queue: EventQueue::new(),
+            popped: PoppedByKind::default(),
             links,
             ack_delay,
             snd: Sender::new(n, cfg.scheduler, cfg.cc),
@@ -198,6 +219,7 @@ impl MptcpSim {
             rto_event_at: vec![None; n],
             deferred: (0..n).map(|_| VecDeque::new()).collect(),
             depths: Vec::with_capacity(n),
+            pumped: Vec::new(),
             tracer: Tracer::disabled(),
             trace_failures_seen: vec![0; n],
             trace_revivals_seen: vec![0; n],
@@ -335,6 +357,11 @@ impl MptcpSim {
         self.rcv.records()
     }
 
+    /// Move the receive trace out; [`MptcpSim::records`] is empty after.
+    pub fn take_records(&mut self) -> Vec<PktRecord> {
+        self.rcv.take_records()
+    }
+
     /// Smoothed RTT of `path`, if measured.
     pub fn srtt(&self, path: PathId) -> Option<SimDuration> {
         self.snd.subflow(path).srtt()
@@ -395,6 +422,21 @@ impl MptcpSim {
         self.queue.popped()
     }
 
+    /// [`MptcpSim::events_popped`] broken down by event kind.
+    pub fn popped_by_kind(&self) -> PoppedByKind {
+        self.popped
+    }
+
+    /// Pending `Rto` events of `path` that are live (at its slot): at most
+    /// 1, exactly 1 while it has data outstanding (an invariant check).
+    pub fn live_rto_events(&self, path: PathId) -> usize {
+        let slot = self.rto_event_at[path.index()];
+        let pending = self.queue.iter().filter(|&(at, ev)| {
+            matches!(ev, Event::Rto { path: p } if *p == path) && Some(at) == slot
+        });
+        pending.count()
+    }
+
     /// High-water mark of pending events (peak queue depth).
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak_len()
@@ -437,10 +479,17 @@ impl MptcpSim {
     /// transport activity pending and no application timers set).
     pub fn step(&mut self) -> Option<(SimTime, StepOutcome)> {
         let (now, ev) = self.queue.pop()?;
-        let acked_path = match &ev {
-            Event::Ack { path, .. } => Some(*path),
-            _ => None,
-        };
+        let mut acked_path = None;
+        match &ev {
+            Event::Data { .. } => self.popped.data += 1,
+            Event::Ack { path, .. } => {
+                self.popped.ack += 1;
+                acked_path = Some(*path);
+            }
+            Event::Rto { .. } => self.popped.rto += 1,
+            Event::App { .. } => self.popped.app_timer += 1,
+            Event::ReverseMsg { .. } => self.popped.reverse_msg += 1,
+        }
         let outcome = match ev {
             Event::Data {
                 path,
@@ -484,22 +533,19 @@ impl MptcpSim {
                     self.snd.on_ecn_echo(now, path);
                 }
                 self.pump(now);
-                self.ensure_rto(path);
                 StepOutcome::Transport { newly_delivered: 0 }
             }
             Event::Rto { path } => {
-                self.rto_event_at[path.index()] = None;
-                if let Some(deadline) = self.snd.rto_deadline(path) {
-                    if now >= deadline {
-                        for t in self.snd.on_rto_fire(now, path) {
-                            self.transmit(now, t);
-                        }
+                if self.rto_event_at[path.index()] == Some(now) {
+                    self.rto_event_at[path.index()] = None;
+                    for t in self.snd.on_rto_fire(now, path) {
+                        self.transmit(now, t);
                     }
-                }
-                // Re-arm both the fired subflow's timer and any sibling
-                // that just received reinjected data.
-                for p in 0..self.links.len() {
-                    self.ensure_rto(PathId(p as u8));
+                    // Re-arm both the fired subflow's timer and any
+                    // sibling that just received reinjected data.
+                    for p in 0..self.links.len() {
+                        self.ensure_rto(PathId(p as u8));
+                    }
                 }
                 StepOutcome::Transport { newly_delivered: 0 }
             }
@@ -538,8 +584,10 @@ impl MptcpSim {
         let mut depths = std::mem::take(&mut self.depths);
         depths.clear();
         depths.extend(self.links.iter().map(|l| l.shared_queue_depth()));
-        let actions = self.snd.pump_with(now, &depths);
-        for t in actions {
+        let mut pumped = std::mem::take(&mut self.pumped);
+        pumped.clear();
+        self.snd.pump_with(now, &depths, &mut pumped);
+        for &t in &pumped {
             if self.tracer.enabled() {
                 // Every pump transmit is one scheduler decision (retx and
                 // reinjections travel other code paths), so attribute it:
@@ -558,6 +606,7 @@ impl MptcpSim {
             self.transmit(now, t);
         }
         self.depths = depths;
+        self.pumped = pumped;
         for p in 0..self.links.len() {
             self.ensure_rto(PathId(p as u8));
         }

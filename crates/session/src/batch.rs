@@ -21,7 +21,7 @@
 
 use crate::config::SessionConfig;
 use crate::file_transfer::{FileTransfer, FileTransferConfig, FileTransferReport};
-use crate::report::SessionReport;
+use crate::report::{SessionReport, SimProfile};
 use crate::streaming::StreamingSession;
 use mpdash_sim::{default_workers, derive_seed, par_map};
 use std::fmt;
@@ -214,10 +214,8 @@ impl std::error::Error for JobError {}
 pub struct JobProfile {
     /// Wall-clock time the job spent on its worker thread.
     pub wall: std::time::Duration,
-    /// Live events popped from the simulator queue.
-    pub events_popped: u64,
-    /// Peak simulator queue depth.
-    pub peak_queue_depth: usize,
+    /// The report's event-loop profile (all zeros for opaque values).
+    pub sim: SimProfile,
 }
 
 /// One completed job: its label and report (or the error that replaced
@@ -277,12 +275,12 @@ fn run_spec(spec: &JobSpec) -> JobReport {
     }
 }
 
-fn queue_stats(report: &JobReport) -> (u64, usize) {
+fn sim_profile(report: &JobReport) -> SimProfile {
     match report {
-        JobReport::Session(r) => (r.sim_profile.events_popped, r.sim_profile.peak_queue_depth),
-        JobReport::Transfer(r) => (r.sim_profile.events_popped, r.sim_profile.peak_queue_depth),
+        JobReport::Session(r) => r.sim_profile,
+        JobReport::Transfer(r) => r.sim_profile,
         // Opaque values carry no queue profile.
-        JobReport::Value(_) => (0, 0),
+        JobReport::Value(_) => SimProfile::default(),
     }
 }
 
@@ -318,13 +316,9 @@ pub fn run_batch_with(jobs: Vec<Job>, workers: usize) -> Vec<BatchResult> {
             }
         });
         let wall = start.elapsed();
-        let profile = report.as_ref().ok().map(|r| {
-            let (events_popped, peak_queue_depth) = queue_stats(r);
-            JobProfile {
-                wall,
-                events_popped,
-                peak_queue_depth,
-            }
+        let profile = report.as_ref().ok().map(|r| JobProfile {
+            wall,
+            sim: sim_profile(r),
         });
         BatchResult {
             label: job.label.clone(),
@@ -474,12 +468,21 @@ mod tests {
     fn profiles_ride_along_outside_the_report() {
         let out = run_batch_with(vec![Job::session("s", tiny_cfg(3.0))], 1);
         let p = out[0].profile.expect("successful job has a profile");
-        assert!(p.events_popped > 0, "popped {}", p.events_popped);
-        assert!(p.peak_queue_depth > 0, "peak {}", p.peak_queue_depth);
-        // The queue stats agree with the report's own sim profile.
+        assert!(p.sim.events_popped > 0, "popped {}", p.sim.events_popped);
+        assert!(
+            p.sim.peak_queue_depth > 0,
+            "peak {}",
+            p.sim.peak_queue_depth
+        );
+        // The queue stats are the report's own sim profile, and the
+        // per-kind counts account for every pop.
         let r = out[0].session().unwrap();
-        assert_eq!(p.events_popped, r.sim_profile.events_popped);
-        assert_eq!(p.peak_queue_depth, r.sim_profile.peak_queue_depth);
+        assert_eq!(p.sim, r.sim_profile);
+        let k = p.sim.by_kind;
+        assert_eq!(
+            k.data + k.ack + k.rto + k.app_timer + k.reverse_msg,
+            p.sim.events_popped
+        );
         // And none of it reaches the artifact JSON.
         let json = r.summary_json().to_pretty();
         assert!(!json.contains("events_popped"), "profile leaked into JSON");

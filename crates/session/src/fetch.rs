@@ -186,9 +186,9 @@ impl ChunkFetch {
         });
     }
 
-    /// The client's connection delivered `newly` more in-order bytes.
-    pub fn on_delivered(&mut self, newly: u64) -> Vec<HttpEvent> {
-        self.http.on_delivered(newly)
+    /// The connection delivered `newly` more bytes; append the events.
+    pub fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
+        self.http.on_delivered(newly, events);
     }
 
     /// The server received upstream message `id` (a request to serve or

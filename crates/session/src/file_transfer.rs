@@ -193,6 +193,7 @@ impl FileTransfer {
             sim_profile: crate::report::SimProfile {
                 events_popped: sim.events_popped(),
                 peak_queue_depth: sim.peak_queue_depth(),
+                by_kind: sim.popped_by_kind(),
             },
         }
     }

@@ -7,7 +7,7 @@ use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
 use mpdash_http::DssRange;
 use mpdash_link::PathId;
-use mpdash_mptcp::PktRecord;
+use mpdash_mptcp::{PktRecord, PoppedByKind};
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
@@ -39,6 +39,8 @@ pub struct SimProfile {
     pub events_popped: u64,
     /// High-water mark of live (non-cancelled) scheduled events.
     pub peak_queue_depth: usize,
+    /// `events_popped` by event kind (the fields sum to it).
+    pub by_kind: PoppedByKind,
 }
 
 /// One fetched chunk, as logged by the session driver.

@@ -35,7 +35,7 @@ use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_http::HttpEvent;
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, StepOutcome};
+use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, PktRecord, StepOutcome};
 use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
@@ -56,6 +56,8 @@ pub struct StreamingSession {
     /// (Algorithm 1 plus its throughput estimators).
     mpdash: Option<(VideoAdapter, DeadlineSignal)>,
     fetch: ChunkFetch,
+    /// Scratch for one delivery's HTTP events (a packet must not allocate).
+    http_events: Vec<HttpEvent>,
     chunks: Vec<ChunkLogEntry>,
     last_chunk_throughput: Option<Rate>,
     /// Trace, metrics, telemetry and the report's counters.
@@ -137,6 +139,7 @@ impl StreamingSession {
             abr: cfg.abr.build(&cfg.video),
             mpdash,
             fetch: ChunkFetch::new(&cfg, &rec),
+            http_events: Vec::new(),
             chunks: Vec::new(),
             last_chunk_throughput: None,
             rec,
@@ -328,8 +331,8 @@ impl StreamingSession {
     /// processed at the server) to the fetch; a completed chunk closes
     /// the loop at once, so the next request is issued before the rest
     /// of the batch is looked at.
-    fn on_http_events(&mut self, t: SimTime, events: Vec<HttpEvent>) {
-        for ev in events {
+    fn on_http_events(&mut self, t: SimTime, events: &[HttpEvent]) {
+        for &ev in events {
             if let Some(done) = self.fetch.on_http_event(&mut self.sim, &mut self.rec, ev) {
                 self.finish_chunk(t, done);
             }
@@ -430,8 +433,11 @@ impl StreamingSession {
         match outcome {
             StepOutcome::Transport { newly_delivered } => {
                 if newly_delivered > 0 {
-                    let events = self.fetch.on_delivered(newly_delivered);
-                    self.on_http_events(t, events);
+                    let mut events = std::mem::take(&mut self.http_events);
+                    events.clear();
+                    self.fetch.on_delivered(newly_delivered, &mut events);
+                    self.on_http_events(t, &events);
+                    self.http_events = events;
                     // Mid-download decision on fresh bytes.
                     self.progress_check(t);
                 }
@@ -454,7 +460,7 @@ impl StreamingSession {
             }
             StepOutcome::ServerMsg { id } => {
                 let events = self.fetch.on_server_msg(&mut self.sim, id);
-                self.on_http_events(t, events);
+                self.on_http_events(t, &events);
             }
         }
         true
@@ -497,35 +503,15 @@ impl StreamingSession {
         // stall deltas so epoch totals match the report's exactly.
         self.rec.sample(end, &self.sim, &self.player);
 
-        let records = self.sim.records().to_vec();
+        let records = self.sim.take_records();
         let energy = replay_energy(&self.cfg.device, &records, duration);
 
-        // Degradation accounting: a chunk is "outage-bridged" when the
-        // preferred path contributed under 10% of its body bytes while
-        // the other path carried it — cellular covering a WiFi fault
-        // window (or vice versa under CellularFirst).
         let costs = self.cfg.preference.costs();
         let preferred = if costs[0] <= costs[1] {
             PathId::WIFI
         } else {
             PathId::CELLULAR
         };
-        let mut outage_bridged_chunks = 0u64;
-        for c in &self.chunks {
-            let (lo, hi) = (c.body_dss.start, c.body_dss.end);
-            let mut pref = 0u64;
-            let mut other = 0u64;
-            for r in records.iter().filter(|r| r.dss >= lo && r.dss < hi) {
-                if r.path == preferred {
-                    pref += r.len;
-                } else {
-                    other += r.len;
-                }
-            }
-            if other > 0 && pref * 10 < pref + other {
-                outage_bridged_chunks += 1;
-            }
-        }
         let scheduler_stats = self
             .mpdash
             .as_ref()
@@ -533,7 +519,7 @@ impl StreamingSession {
             .unwrap_or_default();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
-            outage_bridged_chunks,
+            outage_bridged_chunks: outage_bridged(&self.chunks, &records, preferred),
             subflow_failures: self.sim.subflow_failures(PathId::WIFI)
                 + self.sim.subflow_failures(PathId::CELLULAR),
             subflow_revivals: self.sim.subflow_revivals(PathId::WIFI)
@@ -584,9 +570,30 @@ impl StreamingSession {
             sim_profile: SimProfile {
                 events_popped: self.sim.events_popped(),
                 peak_queue_depth: self.sim.peak_queue_depth(),
+                by_kind: self.sim.popped_by_kind(),
             },
         }
     }
+}
+
+/// Degradation accounting: a chunk is "outage-bridged" when the
+/// preferred path contributed under 10% of its body bytes while the other
+/// carried it — cellular covering a WiFi fault window (or vice versa under
+/// CellularFirst). One pass: chunks complete in stream order, so their
+/// bodies are ascending and disjoint and a record's is a binary search away.
+fn outage_bridged(chunks: &[ChunkLogEntry], records: &[PktRecord], preferred: PathId) -> u64 {
+    let in_order = |w: &[ChunkLogEntry]| w[0].body_dss.end <= w[1].body_dss.start;
+    debug_assert!(chunks.windows(2).all(in_order));
+    // Per chunk: body bytes on [the preferred path, any other].
+    let mut split = vec![[0u64; 2]; chunks.len()];
+    for r in records {
+        let i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
+        if chunks.get(i).is_some_and(|c| c.body_dss.start <= r.dss) {
+            split[i][usize::from(r.path != preferred)] += r.len;
+        }
+    }
+    let bridged = |s: &&[u64; 2]| s[1] > 0 && s[0] * 10 < s[0] + s[1];
+    split.iter().filter(bridged).count() as u64
 }
 
 #[cfg(test)]

@@ -154,6 +154,13 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// The live events still pending, in no particular order (diagnostics
+    /// and invariant checks; nothing here can reorder the queue).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        let live = self.heap.iter().filter(|e| !e.cancelled);
+        live.map(|e| (e.at, &e.payload))
+    }
+
     /// Number of live events.
     pub fn len(&self) -> usize {
         self.live

@@ -261,12 +261,19 @@ fn main() -> ExitCode {
         // machine-independent report.
         for result in &results {
             if let Some(p) = result.profile {
+                let k = p.sim.by_kind;
                 eprintln!(
-                    "[profile] {}: {:.2}s wall, {} events, peak queue {}",
+                    "[profile] {}: {:.2}s wall, {} events (data {}, ack {}, rto {}, \
+                     app_timer {}, reverse_msg {}), peak queue {}",
                     result.label,
                     p.wall.as_secs_f64(),
-                    p.events_popped,
-                    p.peak_queue_depth
+                    p.sim.events_popped,
+                    k.data,
+                    k.ack,
+                    k.rto,
+                    k.app_timer,
+                    k.reverse_msg,
+                    p.sim.peak_queue_depth
                 );
             }
         }
