@@ -206,6 +206,10 @@ impl Predictor for EwmaPredictor {
 #[derive(Clone, Debug)]
 pub struct ThroughputSampler<P: Predictor> {
     predictor: P,
+    /// `predictor.forecast()`, refreshed whenever the predictor's state
+    /// moves (a slot closes, a reset): it is read per path on every
+    /// delivered packet, far more often than it changes.
+    forecast: Option<Rate>,
     slot: SimDuration,
     slot_start: SimTime,
     bytes_in_slot: u64,
@@ -228,6 +232,7 @@ impl<P: Predictor> ThroughputSampler<P> {
     pub fn new(predictor: P, slot: SimDuration) -> Self {
         assert!(!slot.is_zero(), "slot width must be positive");
         ThroughputSampler {
+            forecast: predictor.forecast(),
             predictor,
             slot,
             slot_start: SimTime::ZERO,
@@ -266,12 +271,13 @@ impl<P: Predictor> ThroughputSampler<P> {
             self.last_sample = Some(sample);
             self.bytes_in_slot = 0;
             self.slot_start += self.slot;
+            self.forecast = self.predictor.forecast();
         }
     }
 
     /// Current forecast from the underlying predictor.
     pub fn forecast(&self) -> Option<Rate> {
-        self.predictor.forecast()
+        self.forecast
     }
 
     /// The most recent completed-slot measurement.
@@ -298,6 +304,7 @@ impl<P: Predictor> ThroughputSampler<P> {
     /// clock at `t`. Used when a transfer starts after a long idle gap.
     pub fn reset_at(&mut self, t: SimTime) {
         self.predictor.reset();
+        self.forecast = self.predictor.forecast();
         self.bytes_in_slot = 0;
         self.slot_start = t;
         self.last_sample = None;

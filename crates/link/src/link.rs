@@ -141,6 +141,10 @@ pub struct Link {
     rng: Prng,
     /// Runtime state for the attached fault script, if any.
     faults: Option<FaultState>,
+    /// The profile step that served the last packet: `rate` holds over
+    /// `[from, until)`. Service starts rarely leave it, so `send` looks
+    /// the profile up once per step, not once per packet.
+    step: (SimTime, SimTime, Rate),
     /// Instant at which the server finishes the last accepted packet.
     busy_until: SimTime,
     /// Accepted packets still occupying the queue/server:
@@ -181,6 +185,7 @@ impl Link {
             cfg,
             rng,
             faults,
+            step: (SimTime::ZERO, SimTime::ZERO, Rate::ZERO),
             busy_until: SimTime::ZERO,
             in_system: VecDeque::new(),
             in_system_bytes: 0,
@@ -248,6 +253,17 @@ impl Link {
     /// The available bandwidth right now.
     pub fn rate_at(&self, t: SimTime) -> Rate {
         self.cfg.profile.rate_at(t)
+    }
+
+    /// The profile's rate at `t` and the instant it may next change.
+    fn step_at(&mut self, t: SimTime) -> (Rate, SimTime) {
+        let (from, until, _) = self.step;
+        if t < from || t >= until {
+            let profile = &self.cfg.profile;
+            self.step = (t, profile.next_change_after(t), profile.rate_at(t));
+        }
+        let (_, until, rate) = self.step;
+        (rate, until)
     }
 
     /// Configured one-way delay.
@@ -443,15 +459,14 @@ impl Link {
         //    collapse scales the profile rate (sampled, like the rate
         //    itself, at serialization start).
         let mut start = earliest.max(self.busy_until);
-        let mut rate = self.cfg.profile.rate_at(start);
+        let (mut rate, mut until) = self.step_at(start);
         while rate.is_zero() {
-            let next = self.cfg.profile.next_change_after(start);
-            if next == SimTime::MAX {
+            if until == SimTime::MAX {
                 self.dropped_packets += 1;
                 return SendOutcome::Dropped(DropReason::DeadLink);
             }
-            start = next;
-            rate = self.cfg.profile.rate_at(start);
+            start = until;
+            (rate, until) = self.step_at(start);
         }
         if let Some(faults) = &self.faults {
             let factor = faults.rate_factor_at(start);

@@ -5,13 +5,13 @@
 //! each packet's `[dss, dss+len)` interval here and delivers the contiguous
 //! prefix to the application.
 
-use std::collections::BTreeMap;
-
 /// A set of disjoint half-open `u64` intervals, merged on insert.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalSet {
-    /// start -> end, disjoint and non-adjacent (adjacent runs are merged).
-    runs: BTreeMap<u64, u64>,
+    /// `(start, end)` sorted by start, disjoint and non-adjacent (adjacent
+    /// runs are merged). A vector, not a tree: there are as many runs as
+    /// the paths' reordering degree, a handful.
+    runs: Vec<(u64, u64)>,
 }
 
 impl IntervalSet {
@@ -26,44 +26,39 @@ impl IntervalSet {
         if start >= end {
             return;
         }
-        let mut new_start = start;
-        let mut new_end = end;
+        // Stream order: the packet continues the last run.
+        if let Some(last) = self.runs.last_mut().filter(|last| last.1 == start) {
+            last.1 = end;
+            return;
+        }
+        // The runs reaching `start` or later, and starting at `end` or
+        // earlier, are the ones the new run touches.
+        let lo = self.runs.partition_point(|&(_, e)| e < start);
+        let hi = self.runs.partition_point(|&(s, _)| s <= end);
+        if lo < hi {
+            self.runs[lo] = (start.min(self.runs[lo].0), end.max(self.runs[hi - 1].1));
+            self.runs.drain(lo + 1..hi);
+        } else {
+            self.runs.insert(lo, (start, end));
+        }
+    }
 
-        // Absorb a run beginning at or before `start` that reaches it.
-        if let Some((&s, &e)) = self.runs.range(..=start).next_back() {
-            if e >= start {
-                new_start = s;
-                new_end = new_end.max(e);
-                self.runs.remove(&s);
-            }
-        }
-        // Absorb all runs starting inside (or adjacent to) the new run.
-        while let Some((&s, &e)) = self.runs.range(new_start..=new_end).next() {
-            new_end = new_end.max(e);
-            self.runs.remove(&s);
-        }
-        self.runs.insert(new_start, new_end);
+    /// The last run starting at or before `at`.
+    fn run_at(&self, at: u64) -> Option<(u64, u64)> {
+        let after = self.runs.partition_point(|&(s, _)| s <= at);
+        after.checked_sub(1).map(|i| self.runs[i])
     }
 
     /// True if every byte of `[start, end)` is present.
     pub fn covers(&self, start: u64, end: u64) -> bool {
-        if start >= end {
-            return true;
-        }
-        match self.runs.range(..=start).next_back() {
-            Some((_, &e)) => e >= end,
-            None => false,
-        }
+        start >= end || self.run_at(start).is_some_and(|(_, e)| e >= end)
     }
 
     /// The end of the contiguous run containing `from`, or `from` itself
     /// if `from` is not covered. This is how the receiver computes the
     /// deliverable prefix: `contiguous_from(rcv_nxt)`.
     pub fn contiguous_from(&self, from: u64) -> u64 {
-        match self.runs.range(..=from).next_back() {
-            Some((_, &e)) if e > from => e,
-            _ => from,
-        }
+        self.run_at(from).map_or(from, |(_, e)| e.max(from))
     }
 
     /// Number of disjoint runs currently held (diagnostics; bounded by the
@@ -74,7 +69,7 @@ impl IntervalSet {
 
     /// Total bytes covered.
     pub fn total_bytes(&self) -> u64 {
-        self.runs.iter().map(|(&s, &e)| e - s).sum()
+        self.runs.iter().map(|&(s, e)| e - s).sum()
     }
 
     /// True if nothing has been inserted.

@@ -6,7 +6,6 @@ use crate::packet::{PathMask, PktRecord};
 use crate::reassembly::IntervalSet;
 use mpdash_link::PathId;
 use mpdash_sim::SimTime;
-use std::collections::BTreeMap;
 
 /// What the receiver tells the simulator after ingesting a data packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,8 +22,9 @@ pub struct RxResult {
 struct SubRx {
     /// Next expected subflow sequence number (== cumulative ACK value).
     rcv_nxt: u64,
-    /// Out-of-order segments beyond `rcv_nxt`: start -> end.
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order segments beyond `rcv_nxt`: `(start, end)` sorted by
+    /// start, one per start (a handful: the path's reordering degree).
+    ooo: Vec<(u64, u64)>,
 }
 
 impl SubRx {
@@ -48,19 +48,19 @@ impl SubRx {
             // In-order (or duplicate overlapping the head).
             self.rcv_nxt = self.rcv_nxt.max(end);
             // Absorb any buffered segments now contiguous.
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s <= self.rcv_nxt {
-                    self.rcv_nxt = self.rcv_nxt.max(e);
-                    self.ooo.remove(&s);
-                } else {
-                    break;
-                }
+            let mut absorbed = 0;
+            while let Some(&(_, e)) = self.ooo.get(absorbed).filter(|r| r.0 <= self.rcv_nxt) {
+                self.rcv_nxt = self.rcv_nxt.max(e);
+                absorbed += 1;
             }
+            self.ooo.drain(..absorbed);
         } else {
             // Gap: buffer. Entries may overlap on pathological
             // retransmission patterns; keep the longer run per start.
-            let entry = self.ooo.entry(seq).or_insert(end);
-            *entry = (*entry).max(end);
+            match self.ooo.binary_search_by_key(&seq, |&(s, _)| s) {
+                Ok(i) => self.ooo[i].1 = self.ooo[i].1.max(end),
+                Err(i) => self.ooo.insert(i, (seq, end)),
+            }
         }
         self.rcv_nxt
     }

@@ -69,6 +69,12 @@ impl SchedulerSpec {
         SchedulerSpec::ALL.into_iter().find(|k| k.label() == s)
     }
 
+    /// Whether picks read [`Candidate::queue_depth`]. Sampling it costs a
+    /// bottleneck lock per path, which the simulator skips otherwise.
+    pub fn reads_queue_depth(self) -> bool {
+        self == SchedulerSpec::QAware
+    }
+
     /// Build the runtime scheduler state this spec names.
     pub fn build(self) -> SchedulerImpl {
         match self {

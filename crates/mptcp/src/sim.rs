@@ -442,6 +442,12 @@ impl MptcpSim {
         self.queue.peak_len()
     }
 
+    /// How the queue stored this connection's events: `schedule` calls
+    /// that `(joined a FIFO lane, fell back to the heap)`.
+    pub fn queue_placement(&self) -> (u64, u64) {
+        (self.queue.lane_appends(), self.queue.heap_fallbacks())
+    }
+
     /// Emit cwnd/SRTT samples (when an ACK advanced `acked_path`) and
     /// any subflow failure/revival transitions since the last event.
     /// Runs only with a tracer attached.
@@ -579,11 +585,13 @@ impl MptcpSim {
         // Cross-layer signal for queue-aware schedulers: sample each
         // path's shared-bottleneck occupancy once per pump and hand it to
         // the sender (which is pure state and never touches links). The
-        // sample is read-only, so schedulers that ignore it stay
-        // byte-identical with or without shared attachments.
+        // sample is read-only — and a bottleneck lock per path, so it is
+        // taken only for a reader: such a scheduler, or the tracer.
         let mut depths = std::mem::take(&mut self.depths);
         depths.clear();
-        depths.extend(self.links.iter().map(|l| l.shared_queue_depth()));
+        if self.snd.scheduler_spec().reads_queue_depth() || self.tracer.enabled() {
+            depths.extend(self.links.iter().map(|l| l.shared_queue_depth()));
+        }
         let mut pumped = std::mem::take(&mut self.pumped);
         pumped.clear();
         self.snd.pump_with(now, &depths, &mut pumped);

@@ -190,11 +190,7 @@ impl FileTransfer {
             missed_deadline: duration > cfg.deadline,
             energy: replay_energy(&cfg.device, sim.records(), horizon),
             toggles: signal.map_or(0, |s| s.control.stats().toggles),
-            sim_profile: crate::report::SimProfile {
-                events_popped: sim.events_popped(),
-                peak_queue_depth: sim.peak_queue_depth(),
-                by_kind: sim.popped_by_kind(),
-            },
+            sim_profile: crate::report::SimProfile::of(&sim),
         }
     }
 }

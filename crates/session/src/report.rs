@@ -7,7 +7,7 @@ use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
 use mpdash_http::DssRange;
 use mpdash_link::PathId;
-use mpdash_mptcp::{PktRecord, PoppedByKind};
+use mpdash_mptcp::{MptcpSim, PktRecord, PoppedByKind};
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
@@ -41,6 +41,24 @@ pub struct SimProfile {
     pub peak_queue_depth: usize,
     /// `events_popped` by event kind (the fields sum to it).
     pub by_kind: PoppedByKind,
+    /// Events the queue stored with an O(1) append to a FIFO lane.
+    pub lane_appends: u64,
+    /// Events that fit no lane and went through the queue's heap.
+    pub heap_fallbacks: u64,
+}
+
+impl SimProfile {
+    /// The profile of `sim`'s event loop so far.
+    pub fn of(sim: &MptcpSim) -> Self {
+        let (lane_appends, heap_fallbacks) = sim.queue_placement();
+        SimProfile {
+            events_popped: sim.events_popped(),
+            peak_queue_depth: sim.peak_queue_depth(),
+            by_kind: sim.popped_by_kind(),
+            lane_appends,
+            heap_fallbacks,
+        }
+    }
 }
 
 /// One fetched chunk, as logged by the session driver.

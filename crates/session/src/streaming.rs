@@ -567,11 +567,7 @@ impl StreamingSession {
             origin: self.rec.origin,
             departed: self.departed,
             metrics: self.rec.metrics.snapshot(),
-            sim_profile: SimProfile {
-                events_popped: self.sim.events_popped(),
-                peak_queue_depth: self.sim.peak_queue_depth(),
-                by_kind: self.sim.popped_by_kind(),
-            },
+            sim_profile: SimProfile::of(&self.sim),
         }
     }
 }

@@ -7,41 +7,44 @@
 //! that schedule the same events in the same order pop them in the same
 //! order, regardless of the payload type's own ordering (the payload does
 //! not even need to implement `Ord`).
+//!
+//! Most events come from a few sources that each schedule in
+//! non-decreasing time (a path's data arrivals, its ACKs one fixed delay
+//! after `now`, periodic ticks), so beside a binary heap the queue keeps
+//! [`LANES`] FIFO lanes, each sorted by key because entries only ever
+//! join at its end. The next event is the smallest key over the lane
+//! heads and the heap top: where an entry is *stored* never changes the
+//! order it pops in.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A handle to a scheduled event, usable for cancellation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct EventId(u64);
 
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    cancelled: bool,
-    payload: E,
+/// Pop order as one integer: fire time in the high half, insertion
+/// sequence in the low half.
+type Key = u128;
+
+fn at_of(key: Key) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) wins.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// FIFO lanes beside the heap: data and ACKs of each of two paths, the
+/// tick, and one to spare for the sparser timers.
+const LANES: usize = 6;
+/// Head key of an empty lane; no entry has it (sequence `u64::MAX`).
+const NO_KEY: Key = Key::MAX;
+/// End of a list in the slab.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: a pending entry, or (payload `None`) a free-list link.
+struct Node<E> {
+    key: Key,
+    payload: Option<E>,
+    next: u32,
 }
 
 /// Deterministic future-event list.
@@ -51,16 +54,31 @@ impl<E> Ord for Entry<E> {
 /// panicking (a component reacting to an event may legitimately want
 /// "immediately", which is the current instant).
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Every pending entry, in one slab sized by the queue's peak depth.
+    /// Lanes and the free list are singly linked through `Node::next`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Keys and slab slots of the entries that fit no lane.
+    heap: BinaryHeap<Reverse<(Key, u32)>>,
+    /// Per lane, the key of its oldest entry ([`NO_KEY`] when empty).
+    head_key: [Key; LANES],
+    /// Per lane, the key of the newest entry ever appended (kept when the
+    /// lane drains): a later key may join the lane, an earlier one not.
+    tail_key: [Key; LANES],
+    head: [u32; LANES],
+    tail: [u32; LANES],
+    /// The smallest pending key and the lane holding it (`LANES`: the
+    /// heap), kept current by every operation so `peek_time` is a read.
+    next: (Key, usize),
     next_seq: u64,
     now: SimTime,
-    // Number of live (non-cancelled) entries, so len() is O(1) and honest.
-    live: usize,
+    len: usize,
     // Profiling counters: how much work this queue has seen. Observed
     // only — they never influence ordering, so instrumented and plain
     // runs are identical.
     popped: u64,
-    peak_live: usize,
+    peak_len: usize,
+    heap_fallbacks: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -73,12 +91,20 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
+            nodes: Vec::new(),
+            free: NIL,
             heap: BinaryHeap::new(),
+            head_key: [NO_KEY; LANES],
+            tail_key: [0; LANES],
+            head: [NIL; LANES],
+            tail: [NIL; LANES],
+            next: (NO_KEY, LANES),
             next_seq: 0,
             now: SimTime::ZERO,
-            live: 0,
+            len: 0,
             popped: 0,
-            peak_live: 0,
+            peak_len: 0,
+            heap_fallbacks: 0,
         }
     }
 
@@ -90,85 +116,158 @@ impl<E> EventQueue<E> {
 
     /// Schedule `payload` to fire at `at` (clamped to `now` if in the
     /// past). Returns a handle usable with [`EventQueue::cancel`].
+    ///
+    /// The entry joins the lane whose newest key is the latest one before
+    /// its own (best fit keeps the other lanes open for earlier times; a
+    /// drained lane takes anything, its newest key being in the past),
+    /// and the heap when every lane already holds a later time — a
+    /// jittered delivery overtaken by its successor, a timer shorter than
+    /// the ones before it.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            cancelled: false,
-            payload,
-        });
-        self.live += 1;
-        self.peak_live = self.peak_live.max(self.live);
+        let key = (at.max(self.now).as_nanos() as Key) << 64 | seq as Key;
+        let (mut fit, mut latest) = (LANES, 0);
+        for (lane, &tail) in self.tail_key.iter().enumerate() {
+            // Keys are unique, so `<=` only ever admits a fresh lane's 0.
+            if tail <= key && tail >= latest {
+                (fit, latest) = (lane, tail);
+            }
+        }
+        if key < self.next.0 {
+            self.next = (key, fit);
+        }
+        let node = Node {
+            key,
+            payload: Some(payload),
+            next: NIL,
+        };
+        let slot = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            slot => {
+                self.free = std::mem::replace(&mut self.nodes[slot as usize], node).next;
+                slot
+            }
+        };
+        if fit == LANES {
+            self.heap.push(Reverse((key, slot)));
+            self.heap_fallbacks += 1;
+        } else {
+            match self.tail[fit] {
+                NIL => (self.head[fit], self.head_key[fit]) = (slot, key),
+                tail => self.nodes[tail as usize].next = slot,
+            }
+            (self.tail[fit], self.tail_key[fit]) = (slot, key);
+        }
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
         EventId(seq)
     }
 
-    /// Cancel a scheduled event; `false` if it already fired or was
-    /// already cancelled. O(n): the entry is found by scanning, marked,
-    /// and left in place to be discarded when it surfaces — except that
-    /// the heap's top entry is never a cancelled one, which `cancel` and
-    /// `pop` both restore before returning. That invariant is what lets
-    /// `peek_time` read the top and `pop` take it without looking further.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // BinaryHeap has no in-place mutation; the flag is not part of
-        // the ordering, so the vector goes back as the heap it was.
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        let entry = entries.iter_mut().find(|e| e.seq == id.0 && !e.cancelled);
-        let found = entry.is_some();
-        if let Some(e) = entry {
-            e.cancelled = true;
-            self.live -= 1;
-        }
-        self.heap = entries.into();
-        self.purge_top();
-        found
+    /// Free `slot`, returning its payload and its successor.
+    fn release(&mut self, slot: u32) -> (E, u32) {
+        let node = &mut self.nodes[slot as usize];
+        let payload = node.payload.take().expect("a stored node is pending");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = slot;
+        self.len -= 1;
+        (payload, next)
     }
 
-    fn purge_top(&mut self) {
-        while self.heap.peek().is_some_and(|e| e.cancelled) {
-            self.heap.pop();
+    /// Take `slot` out of `lane`; `prev` precedes it (`NIL` at the head).
+    fn unlink(&mut self, lane: usize, prev: u32, slot: u32) -> E {
+        let (payload, next) = self.release(slot);
+        if next == NIL {
+            self.tail[lane] = prev;
         }
+        if prev == NIL {
+            self.head[lane] = next;
+            self.head_key[lane] = match next {
+                NIL => NO_KEY,
+                next => self.nodes[next as usize].key,
+            };
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        payload
+    }
+
+    /// The smallest pending key and where it is: what `next` must hold.
+    fn earliest(&self) -> (Key, usize) {
+        let mut best = (self.heap.peek().map_or(NO_KEY, |e| e.0 .0), LANES);
+        for (lane, &key) in self.head_key.iter().enumerate() {
+            if key < best.0 {
+                best = (key, lane);
+            }
+        }
+        best
+    }
+
+    /// Cancel a scheduled event; `false` if it already fired or was
+    /// already cancelled. O(n): the entry is found by scanning and taken
+    /// out, so no dead entry is ever stored and whatever `peek_time` and
+    /// `pop` find first is live.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let (before, newest) = (self.len, self.tail_key);
+        // A lane whose newest entry was scheduled before `id` cannot hold it.
+        for lane in (0..LANES).filter(|&l| newest[l] as u64 >= id.0) {
+            let (mut prev, mut slot) = (NIL, self.head[lane]);
+            while slot != NIL && self.nodes[slot as usize].key as u64 != id.0 {
+                (prev, slot) = (slot, self.nodes[slot as usize].next);
+            }
+            if slot != NIL {
+                self.unlink(lane, prev, slot);
+            }
+        }
+        if let Some(&Reverse(hit)) = self.heap.iter().find(|e| e.0 .0 as u64 == id.0) {
+            self.heap.retain(|e| e.0 != hit);
+            self.release(hit.1);
+        }
+        self.next = self.earliest();
+        self.len < before
     }
 
     /// Pop the earliest live event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(!entry.cancelled, "a cancelled entry sat at the top");
-        self.live -= 1;
+        let (key, lane) = self.next;
+        let payload = if lane < LANES {
+            self.unlink(lane, NIL, self.head[lane])
+        } else {
+            let Reverse((_, slot)) = self.heap.pop()?;
+            self.release(slot).0
+        };
+        self.next = self.earliest();
         self.popped += 1;
-        debug_assert!(entry.at >= self.now, "event queue time went backwards");
-        self.now = entry.at;
-        // Only a queue holding cancelled entries can have exposed one.
-        if self.heap.len() != self.live {
-            self.purge_top();
-        }
-        Some((entry.at, entry.payload))
+        debug_assert!(at_of(key) >= self.now, "event queue time went backwards");
+        self.now = at_of(key);
+        Some((self.now, payload))
     }
 
-    /// Fire time of the earliest live event without popping it. O(1),
-    /// by the top-is-live invariant: the fleet loop re-keys a session
-    /// with this after every one of its events.
+    /// Fire time of the earliest live event without popping it. O(1) in
+    /// the queue's depth: the fleet loop re-keys a session with this
+    /// after every one of its events.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        (self.next.0 != NO_KEY).then(|| at_of(self.next.0))
     }
 
     /// The live events still pending, in no particular order (diagnostics
     /// and invariant checks; nothing here can reorder the queue).
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        let live = self.heap.iter().filter(|e| !e.cancelled);
-        live.map(|e| (e.at, &e.payload))
+        let nodes = self.nodes.iter();
+        nodes.flat_map(|n| n.payload.iter().map(move |p| (at_of(n.key), p)))
     }
 
     /// Number of live events.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// True when no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// Total live events popped over the queue's lifetime.
@@ -178,7 +277,17 @@ impl<E> EventQueue<E> {
 
     /// High-water mark of live events (peak queue depth).
     pub fn peak_len(&self) -> usize {
-        self.peak_live
+        self.peak_len
+    }
+
+    /// `schedule` calls that joined a lane (an O(1) append).
+    pub fn lane_appends(&self) -> u64 {
+        self.next_seq - self.heap_fallbacks
+    }
+
+    /// `schedule` calls that fit no lane and paid for a heap push.
+    pub fn heap_fallbacks(&self) -> u64 {
+        self.heap_fallbacks
     }
 }
 

@@ -3,8 +3,9 @@
 //! Internally stored as **bits per second** in a `u64`. The two conversions
 //! every transport and link component needs — "how long does it take to
 //! serialize N bytes at this rate" and "how many bytes fit in this window" —
-//! are implemented with 128-bit integer arithmetic so repeated conversions
-//! do not accumulate floating-point drift over a multi-minute session.
+//! are implemented in integer arithmetic (64-bit where the product fits,
+//! 128-bit otherwise) so repeated conversions do not accumulate
+//! floating-point drift over a multi-minute session.
 
 use crate::time::{SimDuration, NANOS_PER_SEC};
 use std::fmt;
@@ -67,6 +68,11 @@ impl Rate {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
+        // A packet's worth of bit-nanoseconds fits 64 bits (anything up
+        // to 2.3 GB does), which spares the 128-bit divide.
+        if let Some(bit_nanos) = bytes.checked_mul(8 * NANOS_PER_SEC) {
+            return SimDuration::from_nanos(bit_nanos / self.0);
+        }
         let bits = bytes as u128 * 8;
         let nanos = bits * NANOS_PER_SEC as u128 / self.0 as u128;
         if nanos >= u64::MAX as u128 {
@@ -78,6 +84,9 @@ impl Rate {
 
     /// Bytes that can be carried in `window` at this rate (floor).
     pub fn bytes_in(self, window: SimDuration) -> u64 {
+        if let Some(bit_nanos) = self.0.checked_mul(window.as_nanos()) {
+            return bit_nanos / NANOS_PER_SEC / 8;
+        }
         let bits = self.0 as u128 * window.as_nanos() as u128 / NANOS_PER_SEC as u128;
         let bytes = bits / 8;
         if bytes >= u64::MAX as u128 {

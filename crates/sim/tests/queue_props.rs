@@ -1,6 +1,7 @@
-//! Property test on [`EventQueue`]: random `schedule` / `cancel` / `pop`
+//! Property tests on [`EventQueue`]: random `schedule` / `cancel` / `pop`
 //! interleavings against a naive model, a `Vec` of live entries that is
-//! scanned for its minimum.
+//! scanned for its minimum. (`tests/hot_path.rs` at the workspace root
+//! includes this file, so tier-1 runs it too.)
 //!
 //! The invariants:
 //!
@@ -9,56 +10,119 @@
 //!   cancelled and when that exposes a second entry cancelled before it;
 //! * **pop order** — pops come out in `(time, insertion)` order with
 //!   cancelled entries never surfacing, and advance `now`;
-//! * **clamping** — an event scheduled in the past fires at `now`.
+//! * **clamping** — an event scheduled in the past fires at `now`;
+//! * **storage is invisible** — all of the above hold whether an entry
+//!   sits in a FIFO lane or in the heap, which is why one generator
+//!   scatters times (mostly heap) and the other schedules `now` + a fixed
+//!   offset the way the simulator does (mostly lanes).
 
-use mpdash_sim::{queue::EventId, EventQueue, SimTime};
+use mpdash_sim::{queue::EventId, EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// Run `ops` against the queue and the model. The low three bits of an
+/// op pick the operation, the rest is its argument; `when` turns the
+/// argument and the clock into the time to schedule at.
+fn check_against_model(
+    ops: &[u64],
+    when: impl Fn(u64, SimTime) -> SimTime,
+) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::new();
+    // Live entries as (fire time, id): ids ascend with insertion, so
+    // the tuple minimum is the queue's documented pop order.
+    let mut model: Vec<(SimTime, usize)> = Vec::new();
+    let mut ids: Vec<EventId> = Vec::new();
+    let mut now = SimTime::ZERO;
+    for &op in ops {
+        let arg = op >> 3;
+        match op & 7 {
+            0..=3 => {
+                let at = when(arg, now);
+                ids.push(q.schedule(at, ids.len()));
+                model.push((at.max(now), ids.len() - 1));
+            }
+            // Cancel the earliest live entry (a lane's head or the
+            // heap's top) or any id ever issued: live, popped or
+            // cancelled.
+            4 | 5 if !ids.is_empty() => {
+                let earliest = model.iter().min().map(|&(_, id)| id);
+                let id = earliest
+                    .filter(|_| arg & 1 == 0)
+                    .unwrap_or((arg >> 1) as usize % ids.len());
+                let live = model.iter().position(|&(_, m)| m == id);
+                prop_assert_eq!(q.cancel(ids[id]), live.is_some());
+                if let Some(i) = live {
+                    model.swap_remove(i);
+                }
+            }
+            _ => {
+                let want = model.iter().copied().min();
+                model.retain(|&e| Some(e) != want);
+                prop_assert_eq!(q.pop(), want);
+                if let Some((t, _)) = want {
+                    now = t;
+                }
+            }
+        }
+        prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+        prop_assert_eq!(q.len(), model.len());
+        prop_assert_eq!(q.now(), now);
+        prop_assert_eq!(q.iter().count(), model.len());
+    }
+    prop_assert_eq!(q.lane_appends() + q.heap_fallbacks(), ids.len() as u64);
+    Ok(())
+}
+
+/// The delays the simulator schedules at: `now` (an immediate reaction),
+/// one-way delays, a tick, an RTO — more distinct ones than the queue has
+/// lanes, so a run of shrinking delays spills into the heap.
+const OFFSETS_MS: [u64; 9] = [0, 5, 10, 15, 25, 30, 50, 200, 1000];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Times span 0–31 ms whatever the clock reads: ties are common
+    /// and, once the clock has advanced, so are requests in the past.
+    /// Few of these times ascend, so most entries take the heap.
     #[test]
     fn queue_matches_a_naive_vec_model(
         ops in prop::collection::vec(0u64..(1 << 20), 1..200),
     ) {
-        let mut q = EventQueue::new();
-        // Live entries as (fire time, id): ids ascend with insertion, so
-        // the tuple minimum is the queue's documented pop order.
-        let mut model: Vec<(SimTime, usize)> = Vec::new();
-        let mut ids: Vec<EventId> = Vec::new();
-        let mut now = SimTime::ZERO;
-        for op in ops {
-            let arg = op >> 3;
-            match op & 7 {
-                // Times span 0–31 ms: ties are common and, once the
-                // clock has advanced, so are requests in the past.
-                0..=3 => {
-                    let at = SimTime::from_millis(arg % 32);
-                    ids.push(q.schedule(at, ids.len()));
-                    model.push((at.max(now), ids.len() - 1));
-                }
-                // Cancel any id ever issued: live, popped or cancelled.
-                // The low ids are the likeliest to sit at the top.
-                4 | 5 if !ids.is_empty() => {
-                    let id = arg as usize % ids.len();
-                    let live = model.iter().position(|&(_, m)| m == id);
-                    prop_assert_eq!(q.cancel(ids[id]), live.is_some());
-                    if let Some(i) = live {
-                        model.swap_remove(i);
-                    }
-                }
-                _ => {
-                    let want = model.iter().copied().min();
-                    model.retain(|&e| Some(e) != want);
-                    prop_assert_eq!(q.pop(), want);
-                    if let Some((t, _)) = want {
-                        now = t;
-                    }
-                }
-            }
-            prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.now(), now);
-        }
+        check_against_model(&ops, |arg, _| SimTime::from_millis(arg % 32))?;
     }
+
+    /// `now` + a fixed offset, as the transport schedules: every offset's
+    /// stream ascends, so lanes carry most entries, and because the clock
+    /// only ever lands on sums of the offsets, ties between lanes, and
+    /// between a lane and the heap, are the common case. One argument in
+    /// ten asks for a time in the past.
+    #[test]
+    fn lane_shaped_schedules_match_the_model(
+        ops in prop::collection::vec(0u64..(1 << 20), 1..400),
+    ) {
+        check_against_model(&ops, |arg, now| match arg % 10 {
+            9 => SimTime::from_nanos(now.as_nanos().saturating_sub(7_000_000)),
+            k => now + SimDuration::from_millis(OFFSETS_MS[k as usize]),
+        })?;
+    }
+}
+
+/// The generators above must reach both kinds of storage, or the
+/// properties would hold vacuously for one of them.
+#[test]
+fn ascending_times_take_lanes_and_descending_ones_spill_to_the_heap() {
+    let mut q = EventQueue::new();
+    for ms in 0..100 {
+        q.schedule(SimTime::from_millis(ms), ms);
+    }
+    assert_eq!((q.lane_appends(), q.heap_fallbacks()), (100, 0));
+    for ms in (100..200).rev() {
+        q.schedule(SimTime::from_millis(ms), ms);
+    }
+    assert_eq!(q.lane_appends() + q.heap_fallbacks(), 200);
+    assert!(
+        q.heap_fallbacks() > 50,
+        "a descending run outgrows the lanes"
+    );
+    let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, ms)| ms).collect();
+    assert_eq!(popped, (0..200).collect::<Vec<_>>());
 }

@@ -264,7 +264,8 @@ fn main() -> ExitCode {
                 let k = p.sim.by_kind;
                 eprintln!(
                     "[profile] {}: {:.2}s wall, {} events (data {}, ack {}, rto {}, \
-                     app_timer {}, reverse_msg {}), peak queue {}",
+                     app_timer {}, reverse_msg {}), peak queue {}, \
+                     lane appends {}, heap fallbacks {}",
                     result.label,
                     p.wall.as_secs_f64(),
                     p.sim.events_popped,
@@ -273,7 +274,9 @@ fn main() -> ExitCode {
                     k.rto,
                     k.app_timer,
                     k.reverse_msg,
-                    p.sim.peak_queue_depth
+                    p.sim.peak_queue_depth,
+                    p.sim.lane_appends,
+                    p.sim.heap_fallbacks
                 );
             }
         }

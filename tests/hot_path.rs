@@ -2,6 +2,13 @@
 //! work: one live RTO event per subflow, a one-pass outage-bridging
 //! attribution equal to the nested scan it replaced, and a running link
 //! backlog equal to the sum it replaced.
+//!
+//! And each event costs little without changing what it does: the event
+//! queue's FIFO lanes pop in the heap's order (the crate-level model test
+//! is included below so tier-1 runs it), the receiver's sorted-vector
+//! reassembly equals a byte-set model, `Link::send`'s remembered profile
+//! step equals a fresh lookup per packet, and `Rate`'s 64-bit divide
+//! equals the 128-bit one.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
@@ -9,11 +16,17 @@ use mpdash::http::{LifecyclePolicy, OriginPoolConfig, OriginSpec, ServerFaultScr
 use mpdash::link::{
     BandwidthProfile, DropReason, FaultScript, Link, LinkConfig, PathId, SendOutcome,
 };
+use mpdash::mptcp::reassembly::IntervalSet;
+use mpdash::mptcp::receiver::Receiver;
 use mpdash::mptcp::{MptcpConfig, MptcpSim, PathMask};
 use mpdash::session::{SessionConfig, SessionReport, StreamingSession, TransportMode};
 use mpdash::sim::{Rate, SimDuration, SimTime};
 use mpdash::trace::table1;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+#[path = "../crates/sim/tests/queue_props.rs"]
+mod queue_props;
 
 /// The RTO timer keeps one live event per subflow (DESIGN §4b). A
 /// deadline that moves earlier supersedes the pending event instead of
@@ -205,4 +218,233 @@ proptest! {
             prop_assert_eq!(link.backlog(now), in_system(&accepted));
         }
     }
+}
+
+/// `Link::send`'s delivery time computed the slow way: look the profile
+/// (and the fault script) up afresh for every packet. The queue is sized
+/// so that nothing overflows; the serializer is all there is.
+struct ReferenceLink {
+    profile: BandwidthProfile,
+    faults: FaultScript,
+    delay: SimDuration,
+    busy_until: SimTime,
+}
+
+impl ReferenceLink {
+    fn send(&mut self, now: SimTime, size: u64) -> SendOutcome {
+        let mut start = now.max(self.busy_until);
+        while self.profile.rate_at(start).is_zero() {
+            start = self.profile.next_change_after(start);
+            if start == SimTime::MAX {
+                return SendOutcome::Dropped(DropReason::DeadLink);
+            }
+        }
+        let mut rate = self.profile.rate_at(start);
+        let factor = self.faults.rate_factor_at(start);
+        if factor < 1.0 {
+            rate = rate.mul_f64(factor).max(Rate::from_bps(1));
+        }
+        self.busy_until = start + rate.time_to_send(size);
+        SendOutcome::Delivered {
+            at: self.busy_until + self.delay,
+        }
+    }
+}
+
+/// 128-bit `Rate::time_to_send` and `Rate::bytes_in`, as both were
+/// before a 64-bit path was put in front of them.
+fn time_to_send_u128(rate: Rate, bytes: u64) -> SimDuration {
+    let nanos = bytes as u128 * 8 * 1_000_000_000 / rate.as_bps() as u128;
+    SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64)
+}
+
+fn bytes_in_u128(rate: Rate, window: SimDuration) -> u64 {
+    let bytes = rate.as_bps() as u128 * window.as_nanos() as u128 / 1_000_000_000 / 8;
+    bytes.min(u64::MAX as u128) as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The receiver against a model that keeps every byte it was handed
+    /// in a set: per subflow the cumulative ACK, per connection the
+    /// deliverable prefix, under in-order arrival, two-path striping
+    /// with holes filled late, duplicates, retransmissions nested in or
+    /// spanning earlier segments, and SYN resyncs that abandon a range.
+    #[test]
+    fn reassembly_matches_a_byte_set_model(
+        ops in prop::collection::vec(0u64..(1 << 24), 1..300),
+    ) {
+        let mut rx = Receiver::new(2);
+        let mut conn = IntervalSet::new();
+        // The model: bytes held per subflow beyond its ACK point, the
+        // ACK points, and every connection-level byte seen.
+        let mut sub_bytes = [BTreeSet::new(), BTreeSet::new()];
+        let mut sub_nxt = [0u64; 2];
+        let mut conn_bytes: BTreeSet<u64> = BTreeSet::new();
+        let mut delivered = 0u64;
+        // The sender: next sequence numbers, segments sent but withheld
+        // (holes), segments already handed over (to repeat or overlap).
+        let mut snd_nxt = [0u64; 2];
+        let mut dss_nxt = 0u64;
+        let mut withheld: Vec<(usize, u64, u64, u64)> = Vec::new();
+        let mut seen: Vec<(usize, u64, u64, u64)> = Vec::new();
+        for op in ops {
+            let (kind, path, arg) = (op % 16, (op >> 4) as usize % 2, op >> 5);
+            let len = 1 + arg % 6;
+            let fresh = (path, snd_nxt[path], len, dss_nxt);
+            let (segment, syn) = match kind {
+                // A hole: the segment is sent but arrives later, if ever.
+                0 | 1 => {
+                    snd_nxt[path] += len;
+                    dss_nxt += len;
+                    withheld.push(fresh);
+                    continue;
+                }
+                2 | 3 if !withheld.is_empty() => {
+                    (withheld.swap_remove(arg as usize % withheld.len()), false)
+                }
+                4 if !seen.is_empty() => (seen[arg as usize % seen.len()], false),
+                // Nested in, or reaching past, an earlier segment: the
+                // same subflow-to-stream mapping, shifted and resized.
+                5 if !seen.is_empty() => {
+                    let (p, seq, l, dss) = seen[arg as usize % seen.len()];
+                    let shift = (arg >> 8) % l;
+                    let nested = (p, seq + shift, 1 + (arg >> 12) % (l + 2), dss + shift);
+                    (nested, false)
+                }
+                // A re-established subflow skips what the old one left.
+                6 => {
+                    snd_nxt[path] += 1 + (arg >> 8) % 9;
+                    ((path, snd_nxt[path], len, dss_nxt), true)
+                }
+                _ => (fresh, false),
+            };
+            let (p, seq, len, dss) = segment;
+            if (seq, dss) == (snd_nxt[p], dss_nxt) {
+                snd_nxt[p] += len;
+                dss_nxt += len;
+            }
+            seen.push(segment);
+
+            if syn && seq > sub_nxt[p] {
+                sub_nxt[p] = seq;
+                sub_bytes[p].clear();
+            }
+            if seq <= sub_nxt[p] {
+                sub_nxt[p] = sub_nxt[p].max(seq + len);
+                while sub_bytes[p].contains(&sub_nxt[p]) {
+                    sub_nxt[p] += 1;
+                }
+            } else {
+                sub_bytes[p].extend(seq..seq + len);
+            }
+            conn_bytes.extend(dss..dss + len);
+            let before = delivered;
+            while conn_bytes.contains(&delivered) {
+                delivered += 1;
+            }
+
+            let got = rx.on_data(SimTime::ZERO, PathId(p as u8), seq, len, dss, false, syn);
+            prop_assert_eq!(got.ack, sub_nxt[p]);
+            prop_assert_eq!(got.newly_delivered, delivered - before);
+            prop_assert_eq!(rx.delivered(), delivered);
+            conn.insert(dss, dss + len);
+            prop_assert_eq!(conn.total_bytes(), conn_bytes.len() as u64);
+            let gaps = conn_bytes.iter().filter(|&&b| !conn_bytes.contains(&(b + 1)));
+            prop_assert_eq!(conn.run_count(), gaps.count());
+            let probe = arg % (dss_nxt + 2);
+            let run_end = (probe..).find(|b| !conn_bytes.contains(b)).expect("finite");
+            prop_assert_eq!(conn.contiguous_from(probe), run_end);
+            prop_assert!(conn.covers(probe, run_end));
+            prop_assert!(!conn.covers(probe, run_end + 1));
+        }
+    }
+
+    /// The profile step `Link::send` remembers never changes a delivery:
+    /// looping profiles (the step spans a wrap), zero-rate slots in the
+    /// middle of one (the packet waits for the next non-zero slot), a
+    /// profile that ends dark (dead link) and a rate-collapse window on
+    /// top, with a clock that idles across many steps and steps back.
+    #[test]
+    fn link_send_equals_a_fresh_profile_lookup_per_packet(
+        slot_ms in 1u64..40,
+        looped in any::<bool>(),
+        slots in prop::collection::vec(0u64..8, 1..12),
+        sends in prop::collection::vec(0u64..1_000_000, 1..300),
+    ) {
+        // A third of the slots are dark, but never the first: a looping
+        // profile that is dark throughout has no next change to wait for.
+        let kbps = |(i, &s): (usize, &u64)| if i == 0 { 900 } else { s.saturating_sub(2) * 700 };
+        let rates: Vec<Rate> = slots.iter().enumerate().map(kbps).map(Rate::from_kbps).collect();
+        let slot = SimDuration::from_millis(slot_ms);
+        let profile = BandwidthProfile::from_samples(slot, &rates, looped);
+        let faults = FaultScript::new().rate_collapse(
+            SimTime::from_millis(3 * slot_ms),
+            SimDuration::from_millis(4 * slot_ms),
+            0.25,
+        );
+        let delay = SimDuration::from_millis(10);
+        let cfg = LinkConfig::constant(1.0, delay)
+            .with_profile(profile.clone())
+            .with_queue_capacity(u64::MAX)
+            .with_faults(faults.clone());
+        let mut link = Link::new(cfg);
+        let mut reference = ReferenceLink { profile, faults, delay, busy_until: SimTime::ZERO };
+        let mut now_us = 0u64;
+        for op in sends {
+            // Mostly a packet time apart, sometimes idle for several slots,
+            // sometimes back in the past (where, after a dead-link
+            // verdict, the profile may still be lit).
+            now_us = match op % 8 {
+                0 => now_us + (op >> 3) % (5_000 * slot_ms),
+                1 => now_us.saturating_sub((op >> 3) % (3_000 * slot_ms)),
+                _ => now_us + (op >> 3) % 8_000,
+            };
+            let (now, size) = (SimTime::from_micros(now_us), 40 + (op >> 3) % 1461);
+            prop_assert_eq!(link.send(now, size), reference.send(now, size));
+        }
+    }
+
+    /// Either side of the products that no longer fit 64 bits.
+    #[test]
+    fn rate_conversions_agree_across_the_64_bit_boundary(
+        bps in 1u64..50_000_000_000,
+        near in 0u64..2_000,
+        far in 0u64..u64::MAX,
+    ) {
+        let rate = Rate::from_bps(bps);
+        let bytes_edge = u64::MAX / 8_000_000_000;
+        let nanos_edge = u64::MAX / bps;
+        for d in [near, far] {
+            for bytes in [d, bytes_edge.saturating_sub(d), bytes_edge.saturating_add(d)] {
+                prop_assert_eq!(rate.time_to_send(bytes), time_to_send_u128(rate, bytes));
+            }
+            for nanos in [d, nanos_edge.saturating_sub(d), nanos_edge.saturating_add(d)] {
+                let window = SimDuration::from_nanos(nanos);
+                prop_assert_eq!(rate.bytes_in(window), bytes_in_u128(rate, window));
+            }
+        }
+    }
+}
+
+/// The queue's lanes are sized for what a session schedules: a path's
+/// arrivals, its ACKs and the 50 ms ticks each ascend, so over the whole
+/// 10-minute MP-DASH session few events need the heap.
+#[test]
+fn a_session_schedules_mostly_into_lanes() {
+    let cfg = SessionConfig::controlled(
+        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
+        AbrKind::Festive,
+        TransportMode::mpdash_rate_based(),
+    )
+    .with_video(Video::big_buck_bunny());
+    let profile = StreamingSession::run(cfg).sim_profile;
+    let scheduled = profile.lane_appends + profile.heap_fallbacks;
+    assert!(scheduled >= profile.events_popped && profile.events_popped > 300_000);
+    assert!(
+        profile.heap_fallbacks * 4 <= scheduled,
+        "{} of {scheduled} events took the heap",
+        profile.heap_fallbacks
+    );
 }
