@@ -6,8 +6,11 @@
 //! All runs: Big Buck Bunny, FESTIVE, W3.8/L3.0, rate-based deadlines —
 //! the paper's primary controlled setting. Reported per variant: cellular
 //! bytes, radio energy, bitrate, stalls, scheduler toggles and missed
-//! deadlines. The whole sweep (30 sessions) is one flat batch.
+//! deadlines. The variant sweep (26 sessions) is one grid, the device
+//! cross-check (4) a second.
 
+use crate::grid::Grid;
+use crate::shapes::controlled;
 use crate::{mb, Table};
 use mpdash_core::predict::PredictorKind;
 use mpdash_dash::abr::AbrKind;
@@ -15,13 +18,13 @@ use mpdash_dash::adapter::{AdapterConfig, DeadlineMode};
 use mpdash_energy::DeviceProfile;
 use mpdash_mptcp::CcKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_batch, Job, SessionConfig, SessionReport, TransportMode};
+use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_sim::SimDuration;
-use mpdash_trace::table1;
 
 fn base_cfg() -> SessionConfig {
-    SessionConfig::controlled(
-        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
+    controlled(
+        3.8,
+        3.0,
         AbrKind::Festive,
         TransportMode::mpdash_rate_based(),
     )
@@ -58,12 +61,11 @@ fn with_adapter(f: impl FnOnce(&mut AdapterConfig)) -> SessionConfig {
 }
 
 /// Compute all ablations as one batch.
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res =
         ExperimentResult::new("ablation", "Ablations — MP-DASH design choices").with_quick(quick);
 
-    // (section title, [(variant label, config)]) in report order; the
-    // batch flattens in the same order.
+    // (section title, [(variant label, config)]) in report order.
     let cc_variants = [("Reno (paper)", CcKind::Reno), ("CUBIC", CcKind::Cubic)];
     let predictors = [
         ("Holt-Winters (paper)", PredictorKind::control_default()),
@@ -159,54 +161,44 @@ pub fn result(quick: bool) -> ExperimentResult {
             .collect(),
     ));
 
-    let mut jobs: Vec<Job> = Vec::new();
-    for (section, variants) in &sections {
-        for (name, cfg) in variants {
-            jobs.push(Job::session(format!("{section}/{name}"), cfg.clone()));
-        }
-    }
-    // The device cross-check needs a baseline run per device, appended
-    // after the per-variant sections: (baseline, mp-dash) per device.
-    for device in devices {
-        jobs.push(Job::session(
-            format!("device {}/baseline", device.name),
-            SessionConfig::controlled(
-                table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
-                AbrKind::Festive,
-                TransportMode::Vanilla,
-            )
-            .with_device(device),
-        ));
-        jobs.push(Job::session(
-            format!("device {}/mpdash", device.name),
-            base_cfg().with_device(device),
-        ));
-    }
-
-    let results = run_batch(jobs);
-    let mut next = results.iter();
-
-    for (section, variants) in &sections {
+    let cells = sections
+        .into_iter()
+        .flat_map(|(section, variants)| {
+            variants
+                .into_iter()
+                .map(move |(name, cfg)| ((section, name), cfg))
+        })
+        .collect();
+    let grid = Grid::sessions(workers, cells);
+    for (section, rows) in grid.sections(|k| k.0) {
         let mut t = Table::new(&HDR).with_title(format!("{section}:"));
-        for (name, _) in variants {
-            row(
-                &mut t,
-                name,
-                next.next().unwrap().session().expect("session job"),
-            );
+        for ((_, name), r) in rows {
+            row(&mut t, name, r);
         }
         res.table(t);
     }
 
+    // The device cross-check pairs a vanilla baseline with MP-DASH on
+    // each device.
+    let cells = devices
+        .iter()
+        .flat_map(|&device| {
+            let baseline = controlled(3.8, 3.0, AbrKind::Festive, TransportMode::Vanilla);
+            [
+                ((device.name, "baseline"), baseline.with_device(device)),
+                ((device.name, "mpdash"), base_cfg().with_device(device)),
+            ]
+        })
+        .collect();
+    let grid = Grid::sessions(workers, cells);
     let mut t = Table::new(&["device", "baseline E (J)", "MP-DASH E (J)", "energy saving"])
         .with_title(
             "Cross-check — device energy profiles (paper: 'both yielding similar results'):",
         );
-    for device in devices {
-        let base = next.next().unwrap().session().expect("session job");
-        let mp = next.next().unwrap().session().expect("session job");
+    for (device, _) in grid.sections(|k| k.0) {
+        let (base, mp) = (&grid[(device, "baseline")], &grid[(device, "mpdash")]);
         t.row(&[
-            device.name.into(),
+            device.into(),
             format!("{:.1}", base.energy.total_j()),
             format!("{:.1}", mp.energy.total_j()),
             crate::pct(mp.energy_saving_vs(base)),
@@ -214,14 +206,4 @@ pub fn result(quick: bool) -> ExperimentResult {
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("ablation", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

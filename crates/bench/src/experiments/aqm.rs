@@ -1,4 +1,4 @@
-//! `exp_aqm` — AQM on the shared WiFi AP: FIFO vs PIE vs FQ-PIE (with a
+//! `exp aqm` — AQM on the shared WiFi AP: FIFO vs PIE vs FQ-PIE (with a
 //! CoDel reference column), reproducing the streaming comparison of
 //! Naik et al. ("Performance evaluation of FQ-PIE for DASH traffic").
 //!
@@ -29,16 +29,13 @@
 //! quantum, and AP buffer capacity (the latter in drop mode, so both
 //! the marking and the dropping signal paths land in the artifact).
 
+use crate::grid::Grid;
+use crate::shapes::{contended_fleet, fleet_client, vanilla_and_mpdash};
 use crate::Table;
-use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
-use mpdash_fleet::{FleetConfig, SharedLinkSpec};
+use mpdash_fleet::{BottleneckSummary, FleetConfig, FleetReport};
 use mpdash_link::{AqmConfig, QueueDiscipline, SharedBottleneckConfig};
-use mpdash_results::{ExperimentResult, Json, ScalarGroup};
-use mpdash_session::{
-    run_batch, run_batch_with, BatchResult, Job, JobReport, SessionConfig, TransportMode,
-};
-use mpdash_sim::SimDuration;
+use mpdash_results::{ExperimentResult, ScalarGroup};
+use mpdash_session::TransportMode;
 
 /// Headline fleet size: enough contention that the deep FIFO buffer
 /// actually fills and bufferbloats.
@@ -53,48 +50,24 @@ const DEEP_CAPACITY: u64 = 256 * 1024;
 /// is the binding constraint, which is the regime AQM addresses.
 const AP_MBPS_PER_CLIENT: f64 = 2.5;
 
-fn modes() -> [TransportMode; 2] {
-    [TransportMode::Vanilla, TransportMode::mpdash_rate_based()]
-}
-
-fn mode_name(mode: &TransportMode) -> &'static str {
-    match mode {
-        TransportMode::Vanilla => "vanilla",
-        _ => "mpdash",
-    }
-}
-
-/// Same 20-chunk ladder as the scheduler grid: long enough that steady
-/// state, not the ABR ramp, dominates stall accounting.
-fn aqm_video() -> Video {
-    Video::new(
-        "BBB-aqm",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        20,
-    )
-}
-
 /// PIE with ECN marking on — the streaming-friendly configuration: the
 /// controller signals a window early instead of costing a retransmit.
 fn pie_marking() -> AqmConfig {
     AqmConfig::pie().with_ecn(true)
 }
 
-/// The headline disciplines, FIFO first: the fold computes every
-/// ordering against it. CoDel rides along as an ungated reference
-/// column (the reproduction itself is FIFO vs PIE vs FQ-PIE).
+fn fq_pie(aqm: AqmConfig) -> QueueDiscipline {
+    QueueDiscipline::FqPie { quantum: 1540, aqm }
+}
+
+/// The headline disciplines; the fold orders PIE and FQ-PIE against
+/// FIFO. CoDel rides along as an ungated reference column (the
+/// reproduction itself is FIFO vs PIE vs FQ-PIE).
 fn disciplines() -> [(&'static str, QueueDiscipline); 4] {
     [
         ("fifo", QueueDiscipline::Fifo),
         ("pie", QueueDiscipline::Pie(pie_marking())),
-        (
-            "fq_pie",
-            QueueDiscipline::FqPie {
-                quantum: 1540,
-                aqm: pie_marking(),
-            },
-        ),
+        ("fq_pie", fq_pie(pie_marking())),
         (
             "codel",
             QueueDiscipline::Codel(AqmConfig::codel().with_ecn(true)),
@@ -107,178 +80,85 @@ fn disciplines() -> [(&'static str, QueueDiscipline); 4] {
 /// per client of headroom. minRTT scheduling everywhere — the queue
 /// discipline is the only variable in the grid.
 fn fleet_cfg(
-    clients: usize,
     mode: TransportMode,
     discipline: QueueDiscipline,
     capacity_per_client: u64,
 ) -> FleetConfig {
-    let base =
-        SessionConfig::controlled_mbps(50.0, 30.0, AbrKind::Festive, mode).with_video(aqm_video());
-    FleetConfig::new(base, clients)
-        .with_stagger(SimDuration::from_secs(1))
-        .with_rtt_skew(SimDuration::from_millis(10))
-        .with_seed(11)
-        .with_shared(SharedLinkSpec::wifi_ap(
-            SharedBottleneckConfig::fifo_mbps(AP_MBPS_PER_CLIENT * clients as f64)
-                .with_capacity(capacity_per_client * clients as u64)
-                .with_discipline(discipline),
-        ))
-        .with_shared(SharedLinkSpec::cell_sector(
-            SharedBottleneckConfig::fifo_mbps(2.0 * clients as f64),
-        ))
-}
-
-/// A fleet job whose value carries the summary JSON plus
-/// `total_stall_ms` (the fleet summary only counts stalls; the
-/// reproduction orders their *duration*). Enrichment happens inside the
-/// job so the batch shards it like any other cell.
-fn aqm_fleet_job(label: String, cfg: FleetConfig) -> Job {
-    Job::custom(label, move || {
-        let report = mpdash_fleet::run(&cfg);
-        let stall_ms: f64 = report
-            .sessions
-            .iter()
-            .map(|s| s.qoe_all.stall_time.as_millis_f64())
-            .sum();
-        let Json::Obj(mut members) = report.summary_json() else {
-            unreachable!("fleet summary is an object")
-        };
-        members.push(("total_stall_ms".into(), Json::Float(stall_ms)));
-        JobReport::Value(Box::new(Json::Obj(members)))
-    })
-}
-
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for mode in modes() {
-        for (name, d) in disciplines() {
-            jobs.push(aqm_fleet_job(
-                format!("grid/{}/{name}", mode_name(&mode)),
-                fleet_cfg(CLIENTS, mode, d, DEEP_CAPACITY),
-            ));
-        }
-    }
-    if !quick {
-        let mode = TransportMode::mpdash_rate_based();
-        for target_ms in TARGET_SWEEP_MS {
-            jobs.push(aqm_fleet_job(
-                format!("target/{target_ms}ms"),
-                fleet_cfg(
-                    CLIENTS,
-                    mode,
-                    QueueDiscipline::Pie(pie_marking().with_target_ms(target_ms as f64)),
-                    DEEP_CAPACITY,
-                ),
-            ));
-        }
-        for quantum in QUANTUM_SWEEP {
-            jobs.push(aqm_fleet_job(
-                format!("quantum/{quantum}"),
-                fleet_cfg(
-                    CLIENTS,
-                    mode,
-                    QueueDiscipline::FqPie {
-                        quantum,
-                        aqm: pie_marking(),
-                    },
-                    DEEP_CAPACITY,
-                ),
-            ));
-        }
-        for capacity_kib in CAPACITY_SWEEP_KIB {
-            for (name, d) in [
-                ("fifo", QueueDiscipline::Fifo),
-                // Drop mode: the dequeue path where PIE *drops* instead
-                // of marking also has to carry a fleet.
-                (
-                    "fq_pie",
-                    QueueDiscipline::FqPie {
-                        quantum: 1540,
-                        aqm: AqmConfig::pie(),
-                    },
-                ),
-            ] {
-                jobs.push(aqm_fleet_job(
-                    format!("capacity/{capacity_kib}KiB/{name}"),
-                    fleet_cfg(CLIENTS, mode, d, capacity_kib * 1024),
-                ));
-            }
-        }
-    }
-    jobs
+    contended_fleet(
+        fleet_client("BBB-aqm", mode),
+        CLIENTS,
+        SharedBottleneckConfig::fifo_mbps(AP_MBPS_PER_CLIENT * CLIENTS as f64)
+            .with_capacity(capacity_per_client * CLIENTS as u64)
+            .with_discipline(discipline),
+        SharedBottleneckConfig::fifo_mbps(2.0 * CLIENTS as f64),
+    )
 }
 
 const TARGET_SWEEP_MS: [u64; 3] = [5, 15, 50];
 const QUANTUM_SWEEP: [u64; 3] = [750, 1540, 3000];
 const CAPACITY_SWEEP_KIB: [u64; 2] = [32, 256];
 
-fn num(j: &Json, key: &str) -> f64 {
-    j.get(key)
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("fleet summary missing '{key}'"))
+/// The per-cell numbers every table and gate works from, reduced from
+/// the replica's report on the worker.
+struct Cell {
+    /// Total stalled time across clients (the fleet report only counts
+    /// stalls; the reproduction orders their *duration*).
+    stall_ms: f64,
+    p95_ms: f64,
+    jain: f64,
+    miss: f64,
+    marked: u64,
+    aqm_dropped: u64,
+}
+
+fn cell(r: &FleetReport) -> Cell {
+    let ap = &r.bottlenecks[0];
+    Cell {
+        stall_ms: r
+            .sessions
+            .iter()
+            .map(|s| s.qoe_all.stall_time.as_millis_f64())
+            .sum(),
+        p95_ms: p95_queue_wait_ms(ap),
+        jain: r.jain_bitrate,
+        miss: r.deadline_miss_rate,
+        marked: ap.stats.marked_packets,
+        aqm_dropped: ap.stats.dropped_aqm_packets,
+    }
 }
 
 /// p95 of the WiFi AP's per-departure sojourn, read from the log₂
 /// `queue_wait_ms` histogram: the lower bound of the first bucket whose
 /// cumulative count reaches 95% of departures. Power-of-two resolution
 /// is plenty — the orderings the fold asserts span multiples.
-fn p95_queue_wait_ms(j: &Json) -> f64 {
-    let h = j
-        .get("bottlenecks")
-        .and_then(|b| b.as_arr())
-        .and_then(|rows| rows.first())
-        .and_then(|row| row.get("metrics"))
-        .and_then(|m| m.get("histograms"))
-        .and_then(|hs| hs.get("queue_wait_ms"))
-        .unwrap_or_else(|| panic!("fleet summary missing the wifi queue_wait_ms histogram"));
-    let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-    if count == 0 {
-        return 0.0;
-    }
-    let need = (0.95 * count as f64).ceil() as u64;
+fn p95_queue_wait_ms(ap: &BottleneckSummary) -> f64 {
+    let (_, h) = ap
+        .metrics
+        .histograms
+        .iter()
+        .find(|(name, _)| name == "queue_wait_ms")
+        .expect("the AP records a queue_wait_ms histogram");
+    let need = (0.95 * h.count as f64).ceil() as u64;
     let mut cum = 0u64;
-    for bucket in h.get("buckets").and_then(Json::as_arr).unwrap_or(&[]) {
-        let pair = bucket.as_arr().unwrap_or(&[]);
-        cum += pair.get(1).and_then(Json::as_u64).unwrap_or(0);
+    for &(lo, n) in &h.buckets {
+        cum += n;
         if cum >= need {
-            return pair.first().and_then(Json::as_u64).unwrap_or(0) as f64;
+            return lo as f64;
         }
     }
     0.0
 }
 
-/// The per-cell numbers every table and gate works from.
-struct Cell {
-    stall_ms: f64,
-    p95_ms: f64,
-    jain: f64,
-    miss: f64,
-    marked: f64,
-    aqm_dropped: f64,
-}
-
-fn cell(j: &Json) -> Cell {
-    Cell {
-        stall_ms: num(j, "total_stall_ms"),
-        p95_ms: p95_queue_wait_ms(j),
-        jain: num(j, "jain_bitrate"),
-        miss: num(j, "deadline_miss_rate"),
-        marked: j
-            .get("bottlenecks")
-            .and_then(|b| b.as_arr())
-            .and_then(|rows| rows.first())
-            .and_then(|row| row.get("marked_packets"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-        aqm_dropped: j
-            .get("bottlenecks")
-            .and_then(|b| b.as_arr())
-            .and_then(|rows| rows.first())
-            .and_then(|row| row.get("dropped_aqm_packets"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0),
-    }
-}
+const HEADER: [&str; 8] = [
+    "mode",
+    "discipline",
+    "stall ms",
+    "p95 queue ms",
+    "jain(bitrate)",
+    "miss rate",
+    "marked",
+    "aqm drops",
+];
 
 fn row_of(t: &mut Table, head: [String; 2], c: &Cell) {
     let [a, b] = head;
@@ -289,12 +169,14 @@ fn row_of(t: &mut Table, head: [String; 2], c: &Cell) {
         format!("{:.0}", c.p95_ms),
         format!("{:.4}", c.jain),
         format!("{:.3}", c.miss),
-        format!("{:.0}", c.marked),
-        format!("{:.0}", c.aqm_dropped),
+        format!("{}", c.marked),
+        format!("{}", c.aqm_dropped),
     ]);
 }
 
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the AQM grid: modes × disciplines, then (full mode) the
+/// controller sweeps.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "aqm",
         "AQM on the shared AP — FIFO vs PIE vs FQ-PIE under streaming fleets",
@@ -308,90 +190,64 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "on the deadline-miss rate under MP-DASH, where the scheduler\n",
         "absorbs queue delay by detouring to cellular.",
     ));
-    let mut next = batch.iter();
 
-    let header = [
-        "mode",
-        "discipline",
-        "stall ms",
-        "p95 queue ms",
-        "jain(bitrate)",
-        "miss rate",
-        "marked",
-        "aqm drops",
-    ];
-    let mut t = Table::new(&header);
+    let mut cells = Vec::new();
+    for (mode_name, mode) in vanilla_and_mpdash() {
+        for (name, d) in disciplines() {
+            cells.push(((mode_name, name), fleet_cfg(mode, d, DEEP_CAPACITY)));
+        }
+    }
+    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+
+    let mut t = Table::new(&HEADER);
     let mut best_p95_cut: f64 = 0.0;
     let mut best_stall_cut: f64 = 0.0;
-    for mode in modes() {
-        let vanilla = matches!(mode, TransportMode::Vanilla);
+    for (&(mode_name, name), c) in grid.iter() {
+        row_of(&mut t, [mode_name.into(), name.into()], c);
+        let vanilla = mode_name == "vanilla";
         // Per-mode binding metric: stall time where the client has no
         // deadline machinery, miss rate where MP-DASH's detours make
         // stall time scheduler-dominated (see the module docs).
         let binding = |c: &Cell| if vanilla { c.stall_ms } else { c.miss };
         let binding_name = if vanilla { "stall time" } else { "miss rate" };
-        let mut fifo: Option<Cell> = None;
-        let mut pie: Option<Cell> = None;
-        for (name, _) in disciplines() {
-            let j = next.next().unwrap().value().expect("aqm fleet job").clone();
-            let c = cell(&j);
-            row_of(&mut t, [mode_name(&mode).into(), name.into()], &c);
-            match name {
-                "fifo" => {
-                    assert_eq!(
-                        c.marked + c.aqm_dropped,
-                        0.0,
-                        "FIFO produced AQM signals — the no-AQM path is contaminated"
+        // `c` must not be worse than `than` on the binding metric or on
+        // p95 queue delay.
+        let no_worse = |than_name: &str, than: &Cell| {
+            assert!(
+                binding(c) <= binding(than),
+                "{mode_name}: {name} {binding_name} {:.4} > {than_name} {:.4}",
+                binding(c),
+                binding(than)
+            );
+            assert!(
+                c.p95_ms <= than.p95_ms,
+                "{mode_name}: {name} p95 queue delay {:.0}ms > {than_name} {:.0}ms",
+                c.p95_ms,
+                than.p95_ms
+            );
+        };
+        let fifo = &grid[(mode_name, "fifo")];
+        match name {
+            "fifo" => assert_eq!(
+                c.marked + c.aqm_dropped,
+                0,
+                "FIFO produced AQM signals — the no-AQM path is contaminated"
+            ),
+            "pie" => no_worse("fifo", fifo),
+            "fq_pie" => {
+                no_worse("pie", &grid[(mode_name, "pie")]);
+                if vanilla {
+                    assert!(
+                        c.jain + 1e-9 >= fifo.jain,
+                        "vanilla: Jain(FQ-PIE) {:.4} < Jain(FIFO) {:.4}",
+                        c.jain,
+                        fifo.jain
                     );
-                    fifo = Some(c);
+                    best_stall_cut = best_stall_cut.max(fifo.stall_ms - c.stall_ms);
                 }
-                "pie" => {
-                    let f = fifo.as_ref().unwrap();
-                    assert!(
-                        binding(&c) <= binding(f),
-                        "{}: PIE {binding_name} {:.4} > FIFO {:.4}",
-                        mode_name(&mode),
-                        binding(&c),
-                        binding(f)
-                    );
-                    assert!(
-                        c.p95_ms <= f.p95_ms,
-                        "{}: PIE p95 queue delay {:.0}ms > FIFO {:.0}ms",
-                        mode_name(&mode),
-                        c.p95_ms,
-                        f.p95_ms
-                    );
-                    pie = Some(c);
-                }
-                "fq_pie" => {
-                    let (f, p) = (fifo.as_ref().unwrap(), pie.as_ref().unwrap());
-                    assert!(
-                        binding(&c) <= binding(p),
-                        "{}: FQ-PIE {binding_name} {:.4} > PIE {:.4}",
-                        mode_name(&mode),
-                        binding(&c),
-                        binding(p)
-                    );
-                    assert!(
-                        c.p95_ms <= p.p95_ms,
-                        "{}: FQ-PIE p95 queue delay {:.0}ms > PIE {:.0}ms",
-                        mode_name(&mode),
-                        c.p95_ms,
-                        p.p95_ms
-                    );
-                    if vanilla {
-                        assert!(
-                            c.jain + 1e-9 >= f.jain,
-                            "vanilla: Jain(FQ-PIE) {:.4} < Jain(FIFO) {:.4}",
-                            c.jain,
-                            f.jain
-                        );
-                        best_stall_cut = best_stall_cut.max(f.stall_ms - c.stall_ms);
-                    }
-                    best_p95_cut = best_p95_cut.max(f.p95_ms - c.p95_ms);
-                }
-                _ => {} // codel: reference column, ungated
+                best_p95_cut = best_p95_cut.max(fifo.p95_ms - c.p95_ms);
             }
+            _ => {} // codel: reference column, ungated
         }
     }
     assert!(
@@ -406,83 +262,53 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
     );
 
     if !quick {
-        let mut t = Table::new(&header);
-        for target_ms in TARGET_SWEEP_MS {
-            let j = next.next().unwrap().value().expect("target sweep").clone();
-            row_of(
-                &mut t,
-                ["pie target".into(), format!("{target_ms} ms")],
-                &cell(&j),
-            );
-        }
-        for quantum in QUANTUM_SWEEP {
-            let j = next.next().unwrap().value().expect("quantum sweep").clone();
-            row_of(
-                &mut t,
-                ["fq_pie quantum".into(), format!("{quantum} B")],
-                &cell(&j),
-            );
-        }
-        for capacity_kib in CAPACITY_SWEEP_KIB {
-            for name in ["fifo", "fq_pie(drop)"] {
-                let j = next
-                    .next()
-                    .unwrap()
-                    .value()
-                    .expect("capacity sweep")
-                    .clone();
-                let c = cell(&j);
-                if name != "fifo" {
-                    assert_eq!(
-                        c.marked, 0.0,
-                        "drop-mode FQ-PIE must never mark ({capacity_kib} KiB)"
-                    );
-                }
-                row_of(
-                    &mut t,
-                    [format!("cap {capacity_kib} KiB/client"), name.into()],
-                    &c,
-                );
-            }
-        }
-        res.table(t);
+        res.table(sweeps(workers));
     }
     res
 }
 
-/// Compute the AQM grid on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same grid on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("aqm", quick, result);
-}
-
-/// Full grid behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_aqm must serialize identically at any MPDASH_WORKERS"
-        );
+/// The controller sweeps under MP-DASH: PIE target delay, FQ-PIE
+/// quantum, and AP buffer capacity. Each cell is keyed by the two
+/// leading columns of its table row.
+fn sweeps(workers: usize) -> Table {
+    let mode = TransportMode::mpdash_rate_based();
+    let mut cells = Vec::new();
+    for target_ms in TARGET_SWEEP_MS {
+        let d = QueueDiscipline::Pie(pie_marking().with_target_ms(target_ms as f64));
+        let key = ["pie target".to_string(), format!("{target_ms} ms")];
+        cells.push((key, fleet_cfg(mode, d, DEEP_CAPACITY)));
     }
+    for quantum in QUANTUM_SWEEP {
+        let d = QueueDiscipline::FqPie {
+            quantum,
+            aqm: pie_marking(),
+        };
+        let key = ["fq_pie quantum".to_string(), format!("{quantum} B")];
+        cells.push((key, fleet_cfg(mode, d, DEEP_CAPACITY)));
+    }
+    for capacity_kib in CAPACITY_SWEEP_KIB {
+        // Drop mode: the dequeue path where PIE *drops* instead of
+        // marking also has to carry a fleet.
+        for (name, d) in [
+            ("fifo", QueueDiscipline::Fifo),
+            ("fq_pie(drop)", fq_pie(AqmConfig::pie())),
+        ] {
+            let key = [format!("cap {capacity_kib} KiB/client"), name.to_string()];
+            cells.push((key, fleet_cfg(mode, d, capacity_kib * 1024)));
+        }
+    }
+    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+
+    let mut t = Table::new(&HEADER);
+    for (head, c) in grid.iter() {
+        if head[1] == "fq_pie(drop)" {
+            assert_eq!(
+                c.marked, 0,
+                "drop-mode FQ-PIE must never mark ({})",
+                head[0]
+            );
+        }
+        row_of(&mut t, head.clone(), c);
+    }
+    t
 }

@@ -1,4 +1,4 @@
-//! `exp_churn` — fleet churn, correlated fault domains, and overload
+//! `exp churn` — fleet churn, correlated fault domains, and overload
 //! shedding, with the runtime invariant watchdog armed everywhere.
 //!
 //! The grid crosses **churn rate** (light: ~5 concurrent viewers;
@@ -26,21 +26,20 @@
 //! 3. **Zero watchdog violations** across all eight cells, with the
 //!    check counter proving the watchdog actually ran.
 //!
-//! Each cell is one [`Job`], so the grid shards over `MPDASH_WORKERS`
-//! with bit-identical artifacts at any worker count.
+//! Each cell is one batch job, reduced on its worker to the numbers the
+//! fold reads, so the grid shards over `MPDASH_WORKERS` with
+//! bit-identical artifacts at any worker count.
 
+use crate::grid::Grid;
+use crate::shapes::fleet_client;
 use crate::Table;
-use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
 use mpdash_fleet::{
     ChurnSpec, FaultDomainSpec, FleetConfig, FleetReport, OverloadPolicy, SharedLinkSpec,
 };
 use mpdash_link::{FaultScript, SharedBottleneckConfig};
 use mpdash_obs::TelemetrySpec;
-use mpdash_results::{ExperimentResult, Json, ScalarGroup};
-use mpdash_session::{
-    run_batch, run_batch_with, BatchResult, Job, JobReport, SessionConfig, TransportMode,
-};
+use mpdash_results::{ExperimentResult, ScalarGroup};
+use mpdash_session::TransportMode;
 use mpdash_sim::{SimDuration, SimTime};
 
 /// Admission cap of the shed cells; the shared capacity below is sized
@@ -109,23 +108,8 @@ fn outage_script() -> FaultScript {
 /// epochs.
 const OUTAGE_WINDOW_S: (f64, f64) = (30.0, 36.0);
 
-fn severities() -> [&'static str; 2] {
-    ["none", "wifi-outage"]
-}
-
-fn sheds() -> [bool; 2] {
-    [false, true]
-}
-
-/// Same 20-chunk ladder as the fleet experiment.
-fn churn_video() -> Video {
-    Video::new(
-        "BBB-churn",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        20,
-    )
-}
+const SEVERITIES: [&str; 2] = ["none", "wifi-outage"];
+const POLICIES: [&str; 2] = ["no-shed", "shed"];
 
 /// One grid cell. Capacity is sized for the admission cap, not the
 /// fleet: `MAX_ACTIVE` concurrent sessions get ~1.2 Mbps of AP and
@@ -138,17 +122,10 @@ fn churn_video() -> Video {
 /// The 10 s player buffer paces downloads to playback, which is what
 /// lets viewing-time departures and mid-stream outages land while
 /// chunks are in flight.
-fn cell_cfg(level: &ChurnLevel, severity: &str, shed: bool) -> FleetConfig {
-    let n = level.clients;
-    let mut base = SessionConfig::controlled_mbps(
-        50.0,
-        30.0,
-        AbrKind::Festive,
-        TransportMode::mpdash_rate_based(),
-    )
-    .with_video(churn_video());
-    base.buffer_capacity = SimDuration::from_secs(10);
-    let mut cfg = FleetConfig::new(base, n)
+fn cell_cfg(level: &ChurnLevel, severity: &str, policy: &str) -> FleetConfig {
+    let base = fleet_client("BBB-churn", TransportMode::mpdash_rate_based())
+        .with_buffer_capacity(SimDuration::from_secs(10));
+    let mut cfg = FleetConfig::new(base, level.clients)
         .with_seed(23)
         .with_churn(level.spec)
         .with_watchdog(true)
@@ -164,7 +141,7 @@ fn cell_cfg(level: &ChurnLevel, severity: &str, shed: bool) -> FleetConfig {
             FaultDomainSpec::new("region", (0..REGION_SIZE).collect()).with_wifi(outage_script()),
         );
     }
-    if shed {
+    if policy == "shed" {
         cfg = cfg.with_overload(OverloadPolicy::max_active(MAX_ACTIVE));
     }
     cfg
@@ -197,55 +174,42 @@ fn member_outage_cell_share(report: &FleetReport) -> f64 {
     }
 }
 
-/// One cell as a batch job: `run_checked` with the armed watchdog, a
-/// violation failing the job with its typed message, and a guard that
-/// the checker actually ran. The summary gains one deterministic
-/// telemetry-derived field, the members' outage-window cellular share.
-fn churn_job(label: String, cfg: FleetConfig) -> Job {
-    Job::custom(label.clone(), move || {
-        let report = match mpdash_fleet::run_checked(&cfg) {
-            Ok(r) => r,
-            Err(v) => panic!("{label}: invariant violated: {v}"),
-        };
-        assert!(
-            report.profile.watchdog_checks > 0,
-            "{label}: the watchdog must have run"
-        );
-        let mut j = report.summary_json();
-        if let Json::Obj(members) = &mut j {
-            members.push((
-                "member_outage_cell_share".into(),
-                Json::Float(member_outage_cell_share(&report)),
-            ));
-        }
-        JobReport::Value(Box::new(j))
-    })
+/// What the fold reads of one fleet replica.
+struct Cell {
+    shed_sessions: u64,
+    departed_sessions: u64,
+    miss_rate: f64,
+    stalls: u64,
+    mean_bitrate_mbps: f64,
+    /// Telemetry-derived: see [`member_outage_cell_share`].
+    member_outage_cell_share: f64,
 }
 
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for level in churn_levels(quick) {
-        for severity in severities() {
-            for shed in sheds() {
-                let label = format!(
-                    "{}/{severity}/{}",
-                    level.name,
-                    if shed { "shed" } else { "no-shed" }
-                );
-                jobs.push(churn_job(label, cell_cfg(&level, severity, shed)));
-            }
-        }
+/// Run one cell through `run_checked` with the armed watchdog: a
+/// violation fails the cell with its typed message, and a guard checks
+/// that the checker actually ran.
+fn cell(cfg: &FleetConfig) -> Cell {
+    let report = match mpdash_fleet::run_checked(cfg) {
+        Ok(r) => r,
+        Err(v) => panic!("invariant violated: {v}"),
+    };
+    assert!(
+        report.profile.watchdog_checks > 0,
+        "the watchdog must have run"
+    );
+    Cell {
+        shed_sessions: report.shed_sessions,
+        departed_sessions: report.departed_sessions,
+        miss_rate: report.deadline_miss_rate,
+        stalls: report.total_stalls,
+        mean_bitrate_mbps: report.mean_bitrate_mbps(),
+        member_outage_cell_share: member_outage_cell_share(&report),
     }
-    jobs
 }
 
-fn num(j: &Json, key: &str) -> f64 {
-    j.get(key)
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("churn summary missing '{key}'"))
-}
-
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the churn grid: churn levels × severities × policies as one
+/// batch.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "churn",
         "Fleet churn — arrivals/departures, correlated fault domains, overload shedding",
@@ -263,6 +227,17 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "no-shed collapse; zero watchdog violations anywhere.",
     ));
 
+    let mut cells = Vec::new();
+    for level in churn_levels(quick) {
+        for severity in SEVERITIES {
+            for policy in POLICIES {
+                let key = (level.name, level.clients, severity, policy);
+                cells.push((key, cell_cfg(&level, severity, policy)));
+            }
+        }
+    }
+    let grid = Grid::run(workers, cells, cell);
+
     let mut t = Table::new(&[
         "churn",
         "clients",
@@ -275,110 +250,76 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "bitrate",
         "member cell% @30-36s",
     ]);
-    // summaries[churn][severity][shed], filled in construction order.
-    let mut next = batch.iter();
-    let mut cells: Vec<Vec<Vec<Json>>> = Vec::new();
-    for level in churn_levels(quick) {
-        let mut by_severity = Vec::new();
-        for severity in severities() {
-            let mut by_shed = Vec::new();
-            for shed in sheds() {
-                let j = next.next().unwrap().value().expect("churn job").clone();
-                let mean_bitrate: f64 = j
-                    .get("per_client")
-                    .and_then(|v| v.as_arr())
-                    .map(|rows| {
-                        rows.iter()
-                            .map(|r| num(r, "mean_bitrate_mbps"))
-                            .sum::<f64>()
-                            / rows.len().max(1) as f64
-                    })
-                    .unwrap_or(0.0);
-                t.row(&[
-                    level.name.into(),
-                    format!("{}", level.clients),
-                    severity.into(),
-                    if shed { "shed" } else { "no-shed" }.into(),
-                    format!("{}", num(&j, "shed_sessions") as u64),
-                    format!("{}", num(&j, "departed_sessions") as u64),
-                    format!("{:.3}", num(&j, "deadline_miss_rate")),
-                    format!("{}", num(&j, "total_stalls") as u64),
-                    format!("{mean_bitrate:.2}"),
-                    format!("{:.3}", num(&j, "member_outage_cell_share")),
-                ]);
-                by_shed.push(j);
-            }
-            by_severity.push(by_shed);
-        }
-        cells.push(by_severity);
-    }
-    res.table(t);
-
-    // Invariant 1: the outage is bridged. For each (churn, policy) pair
-    // whose fleet is not in designed collapse — every pair except
-    // heavy/no-shed, where the outage-free "baseline" is itself a
-    // collapsed fleet — comparing the outage cell against its
-    // outage-free twin: the members' cellular share during the outage
-    // window must rise, and fleet-wide stalls must not. That the
-    // invariant holds for heavy/*shed* is the composition this grid
-    // exists to show: overload shedding is what keeps the fault-domain
-    // failover bridgeable.
     let mut worst_stall_delta = i64::MIN;
     let mut min_share_gain = f64::INFINITY;
-    for (ci, level) in churn_levels(quick).into_iter().enumerate() {
-        for (si, shed) in sheds().into_iter().enumerate() {
-            if level.name == "heavy" && !shed {
-                continue;
-            }
-            let calm = &cells[ci][0][si];
-            let outage = &cells[ci][1][si];
-            let gain =
-                num(outage, "member_outage_cell_share") - num(calm, "member_outage_cell_share");
-            let stall_delta = num(outage, "total_stalls") as i64 - num(calm, "total_stalls") as i64;
+    let mut worst_shed_miss = 0.0f64;
+    let mut best_noshed_miss = f64::INFINITY;
+    for (&(churn, clients, severity, policy), c) in grid.iter() {
+        t.row(&[
+            churn.into(),
+            format!("{clients}"),
+            severity.into(),
+            policy.into(),
+            format!("{}", c.shed_sessions),
+            format!("{}", c.departed_sessions),
+            format!("{:.3}", c.miss_rate),
+            format!("{}", c.stalls),
+            format!("{:.2}", c.mean_bitrate_mbps),
+            format!("{:.3}", c.member_outage_cell_share),
+        ]);
+
+        // Invariant 1: the outage is bridged. For each (churn, policy)
+        // pair whose fleet is not in designed collapse — every pair
+        // except heavy/no-shed, where the outage-free "baseline" is
+        // itself a collapsed fleet — comparing the outage cell against
+        // its outage-free twin: the members' cellular share during the
+        // outage window must rise, and fleet-wide stalls must not. That
+        // the invariant holds for heavy/*shed* is the composition this
+        // grid exists to show: overload shedding is what keeps the
+        // fault-domain failover bridgeable.
+        if severity == "wifi-outage" && (churn, policy) != ("heavy", "no-shed") {
+            let calm = &grid[(churn, clients, "none", policy)];
+            let gain = c.member_outage_cell_share - calm.member_outage_cell_share;
+            let stall_delta = c.stalls as i64 - calm.stalls as i64;
             assert!(
                 gain > 0.0,
-                "{}/shed={shed}: members' outage-window cellular share \
-                 must rise (gain {gain:.4})",
-                level.name
+                "{churn}/{policy}: members' outage-window cellular share \
+                 must rise (gain {gain:.4})"
             );
             assert!(
                 stall_delta <= 0,
-                "{}/shed={shed}: the outage added {stall_delta} stalls \
-                 — cellular failed to bridge it",
-                level.name
+                "{churn}/{policy}: the outage added {stall_delta} stalls \
+                 — cellular failed to bridge it"
             );
             min_share_gain = min_share_gain.min(gain);
             worst_stall_delta = worst_stall_delta.max(stall_delta);
         }
-    }
 
-    // Invariant 2: shedding beats the no-shed collapse under heavy
-    // churn, in both fault severities.
-    let mut worst_shed_miss = 0.0f64;
-    let mut best_noshed_miss = f64::INFINITY;
-    for (sev_i, severity) in severities().into_iter().enumerate() {
-        let noshed = &cells[1][sev_i][0];
-        let shed = &cells[1][sev_i][1];
-        let (m_noshed, m_shed) = (
-            num(noshed, "deadline_miss_rate"),
-            num(shed, "deadline_miss_rate"),
-        );
-        assert!(
-            num(shed, "shed_sessions") > 0.0,
-            "heavy/{severity}: the overload policy must have shed someone"
-        );
-        assert!(
-            m_shed < m_noshed,
-            "heavy/{severity}: shed miss rate {m_shed:.3} must beat no-shed {m_noshed:.3}"
-        );
-        assert!(
-            m_shed <= MISS_RATE_BOUND,
-            "heavy/{severity}: admitted sessions' miss rate {m_shed:.3} exceeds \
-             the {MISS_RATE_BOUND} bound"
-        );
-        worst_shed_miss = worst_shed_miss.max(m_shed);
-        best_noshed_miss = best_noshed_miss.min(m_noshed);
+        // Invariant 2: shedding beats the no-shed collapse under heavy
+        // churn, in both fault severities.
+        if (churn, policy) == ("heavy", "shed") {
+            let (m_shed, m_noshed) = (
+                c.miss_rate,
+                grid[(churn, clients, severity, "no-shed")].miss_rate,
+            );
+            assert!(
+                c.shed_sessions > 0,
+                "heavy/{severity}: the overload policy must have shed someone"
+            );
+            assert!(
+                m_shed < m_noshed,
+                "heavy/{severity}: shed miss rate {m_shed:.3} must beat no-shed {m_noshed:.3}"
+            );
+            assert!(
+                m_shed <= MISS_RATE_BOUND,
+                "heavy/{severity}: admitted sessions' miss rate {m_shed:.3} exceeds \
+                 the {MISS_RATE_BOUND} bound"
+            );
+            worst_shed_miss = worst_shed_miss.max(m_shed);
+            best_noshed_miss = best_noshed_miss.min(m_noshed);
+        }
     }
+    res.table(t);
 
     res.scalars(
         ScalarGroup::new("churn invariants")
@@ -388,41 +329,4 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
             .with("best_heavy_noshed_miss_rate", best_noshed_miss),
     );
     res
-}
-
-/// Compute the churn grid on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same grid on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("churn", quick, result);
-}
-
-/// Full grid behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_churn must serialize identically at any MPDASH_WORKERS"
-        );
-    }
 }

@@ -1,4 +1,4 @@
-//! `exp_faults` — the resilience matrix (beyond the paper).
+//! `exp faults` — the resilience matrix (beyond the paper).
 //!
 //! The paper's evaluation streams over well-behaved links; this
 //! experiment asks what happens when the preferred path misbehaves.
@@ -18,18 +18,16 @@
 //! 3. the MP-DASH deadline-miss rate stays bounded even while faulted.
 //!
 //! Like every experiment, the artifact is bit-identical at any
-//! `MPDASH_WORKERS` setting — `result_with_workers` exposes the worker
-//! count so the test suite can pin it on both sides of the comparison.
+//! `MPDASH_WORKERS` setting.
 
+use crate::grid::Grid;
+use crate::shapes::bbb_clip;
 use crate::Table;
 use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
 use mpdash_http::ServerFaultScript;
 use mpdash_link::{FaultScript, GilbertElliott, PathId};
 use mpdash_results::{ExperimentResult, ScalarGroup};
-use mpdash_session::{
-    run_batch, run_batch_with, BatchResult, Job, SessionConfig, SessionReport, TransportMode,
-};
+use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_sim::{SimDuration, SimTime};
 
 /// One row of the fault axis: a named script plus the wall-clock window
@@ -115,30 +113,6 @@ fn matrix_modes() -> [TransportMode; 3] {
     ]
 }
 
-fn fault_video(quick: bool) -> Video {
-    let chunks = if quick { 20 } else { 30 };
-    Video::new(
-        "BBB-fault",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        chunks,
-    )
-}
-
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for case in fault_cases() {
-        for mode in matrix_modes() {
-            let cfg = SessionConfig::controlled_mbps(4.5, 4.0, AbrKind::Festive, mode)
-                .with_video(fault_video(quick))
-                .with_wifi_faults(case.script.clone())
-                .with_server_faults(case.server.clone());
-            jobs.push(Job::session(format!("{}/{}", case.name, mode.label()), cfg));
-        }
-    }
-    jobs
-}
-
 /// Cellular payload bytes received inside the fault window (plus a small
 /// tail for in-flight data).
 fn window_cell_bytes(r: &SessionReport, window: (f64, f64)) -> u64 {
@@ -153,7 +127,8 @@ fn window_cell_bytes(r: &SessionReport, window: (f64, f64)) -> u64 {
         .sum()
 }
 
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the resilience matrix: fault cases × modes as one batch.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "faults",
         "Resilience matrix — fault injection on the preferred path",
@@ -180,79 +155,85 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "revivals",
         "retries",
     ]);
-    let mut next = batch.iter();
+    let cases = fault_cases();
+    let mut cells = Vec::new();
+    for (ci, case) in cases.iter().enumerate() {
+        for mode in matrix_modes() {
+            let cfg = SessionConfig::controlled_mbps(4.5, 4.0, AbrKind::Festive, mode)
+                .with_video(bbb_clip("BBB-fault", if quick { 20 } else { 30 }))
+                .with_wifi_faults(case.script.clone())
+                .with_server_faults(case.server.clone());
+            cells.push(((ci, mode), cfg));
+        }
+    }
+    let grid = Grid::sessions(workers, cells);
+
     let mut max_excess_stalls: i64 = 0;
     let mut min_window_cell = u64::MAX;
     let mut worst_miss_rate: f64 = 0.0;
-    for case in fault_cases() {
-        let mut base_stalls = 0u64;
-        for mode in matrix_modes() {
-            let r = next.next().unwrap().session().expect("session job");
-            t.row(&[
-                case.name.into(),
-                mode.label(),
-                format!("{}", r.qoe.stalls),
-                format!("{:.2}", r.qoe.stall_time.as_secs_f64()),
-                format!("{:.2}", r.qoe.mean_bitrate_mbps),
-                format!("{:.2}", r.cell_bytes as f64 / 1e6),
-                format!("{}", r.degradation.deadline_misses),
-                format!("{}", r.degradation.outage_bridged_chunks),
-                format!("{}", r.degradation.subflow_failures),
-                format!("{}", r.degradation.subflow_revivals),
-                format!("{}", r.lifecycle.retried),
-            ]);
-            // The combined row: every mode must ride out the 5xx burst by
-            // retrying (no session may wedge on a server error), and the
-            // burst must actually have been hit.
-            if !case.server.is_empty() {
-                assert!(
-                    r.lifecycle.retried > 0,
-                    "{}/{}: the 8s 5xx burst produced no retries",
-                    case.name,
-                    mode.label()
-                );
-            }
-            match mode {
-                TransportMode::Vanilla => base_stalls = r.qoe.stalls,
-                TransportMode::MpDash { .. } => {
-                    // Invariant 1: faults on the preferred path must never
-                    // make MP-DASH stall more than always-on MPTCP.
-                    let excess = r.qoe.stalls as i64 - base_stalls as i64;
-                    assert!(
-                        excess <= 0,
-                        "{}: MP-DASH stalled {} vs baseline {}",
-                        case.name,
-                        r.qoe.stalls,
-                        base_stalls
-                    );
-                    max_excess_stalls = max_excess_stalls.max(excess);
-                    // Invariant 2: the costly path actually bridges the
-                    // fault window.
-                    let bridged = window_cell_bytes(r, case.window);
-                    assert!(
-                        bridged > 0,
-                        "{}: no cellular bytes inside the fault window",
-                        case.name
-                    );
-                    min_window_cell = min_window_cell.min(bridged);
-                    // Invariant 3: deadline misses stay a bounded fraction
-                    // of completed transfers.
-                    let stats = r.scheduler_stats;
-                    let (missed, completed) = (stats.missed_deadlines, stats.completed_transfers);
-                    let rate = if completed == 0 {
-                        0.0
-                    } else {
-                        missed as f64 / completed as f64
-                    };
-                    assert!(
-                        rate <= 0.5,
-                        "{}: deadline-miss rate {rate:.2} out of bounds",
-                        case.name
-                    );
-                    worst_miss_rate = worst_miss_rate.max(rate);
-                }
-                _ => {}
-            }
+    for (&(ci, mode), r) in grid.iter() {
+        let case = &cases[ci];
+        t.row(&[
+            case.name.into(),
+            mode.label(),
+            format!("{}", r.qoe.stalls),
+            format!("{:.2}", r.qoe.stall_time.as_secs_f64()),
+            format!("{:.2}", r.qoe.mean_bitrate_mbps),
+            format!("{:.2}", r.cell_bytes as f64 / 1e6),
+            format!("{}", r.degradation.deadline_misses),
+            format!("{}", r.degradation.outage_bridged_chunks),
+            format!("{}", r.degradation.subflow_failures),
+            format!("{}", r.degradation.subflow_revivals),
+            format!("{}", r.lifecycle.retried),
+        ]);
+        // The combined row: every mode must ride out the 5xx burst by
+        // retrying (no session may wedge on a server error), and the
+        // burst must actually have been hit.
+        if !case.server.is_empty() {
+            assert!(
+                r.lifecycle.retried > 0,
+                "{}/{}: the 8s 5xx burst produced no retries",
+                case.name,
+                mode.label()
+            );
+        }
+        if mode.is_mpdash() {
+            // Invariant 1: faults on the preferred path must never
+            // make MP-DASH stall more than always-on MPTCP.
+            let base_stalls = grid[(ci, TransportMode::Vanilla)].qoe.stalls;
+            let excess = r.qoe.stalls as i64 - base_stalls as i64;
+            assert!(
+                excess <= 0,
+                "{}: MP-DASH stalled {} vs baseline {}",
+                case.name,
+                r.qoe.stalls,
+                base_stalls
+            );
+            max_excess_stalls = max_excess_stalls.max(excess);
+            // Invariant 2: the costly path actually bridges the
+            // fault window.
+            let bridged = window_cell_bytes(r, case.window);
+            assert!(
+                bridged > 0,
+                "{}: no cellular bytes inside the fault window",
+                case.name
+            );
+            min_window_cell = min_window_cell.min(bridged);
+            // Invariant 3: deadline misses stay a bounded fraction
+            // of completed transfers.
+            let stats = r.scheduler_stats;
+            let (missed, completed) = (stats.missed_deadlines, stats.completed_transfers);
+            let rate = if completed == 0 {
+                0.0
+            } else {
+                missed as f64 / completed as f64
+            };
+            assert!(
+                rate <= 0.5,
+                "{}: deadline-miss rate {rate:.2} out of bounds",
+                case.name
+            );
+            worst_miss_rate = worst_miss_rate.max(rate);
         }
     }
     res.table(t);
@@ -263,41 +244,4 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
             .with("worst_deadline_miss_rate", worst_miss_rate),
     );
     res
-}
-
-/// Compute the resilience matrix on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same matrix on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("faults", quick, result);
-}
-
-/// Full matrix behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_faults must serialize identically at any MPDASH_WORKERS"
-        );
-    }
 }

@@ -13,54 +13,23 @@
 //!
 //! This is the heaviest sweep (33 locations × 2 visits × 6 schemes =
 //! 396 sessions on the full run) and the batch runner's showcase: the
-//! whole grid is one flat job list, and the persisted CDF quantiles are
+//! whole grid is one flat list of cells, and the persisted CDF quantiles are
 //! byte-identical at any `MPDASH_WORKERS` setting.
 
+use crate::grid::Grid;
 use crate::{pct, Table};
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::{CdfSummary, ExperimentResult, ScalarGroup};
-use mpdash_session::{run_batch, BatchResult, Job, SessionConfig, TransportMode};
+use mpdash_session::{SessionConfig, TransportMode};
 use mpdash_sim::series::Cdf;
 use mpdash_trace::field::{field_corpus, Location};
 
-struct LocationResult {
-    name: String,
-    // [abr][mode] savings vs that abr's baseline: (cell, energy, bitrate_red)
-    festive: [(f64, f64, f64); 2],
-    bba: [(f64, f64, f64); 2],
-}
-
 const ABRS: [AbrKind; 2] = [AbrKind::Festive, AbrKind::Bba];
-
-/// Baseline + the two MP-DASH deadline modes, in fold order.
-fn scheme_modes() -> [TransportMode; 3] {
-    [
-        TransportMode::Vanilla,
-        TransportMode::mpdash_rate_based(),
-        TransportMode::mpdash_duration_based(),
-    ]
-}
-
-/// Fold the next three reports (baseline, rate, duration) into per-mode
-/// savings versus the baseline.
-fn fold_study<'a>(next: &mut impl Iterator<Item = &'a BatchResult>) -> [(f64, f64, f64); 2] {
-    let base = next.next().unwrap().session().expect("session job");
-    let mut out = [(0.0, 0.0, 0.0); 2];
-    for slot in &mut out {
-        let r = next.next().unwrap().session().expect("session job");
-        *slot = (
-            r.cell_saving_vs(base),
-            r.energy_saving_vs(base),
-            r.qoe.bitrate_reduction_vs(&base.qoe),
-        );
-    }
-    out
-}
 
 /// Compute the field study. `quick` limits the corpus to 6 locations and
 /// one visit (used by integration smoke tests); the full study covers all
 /// 33 locations twice.
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "field",
         "Figures 9 & 10 + Table 5 — the 33-location field study",
@@ -77,46 +46,44 @@ pub fn result(quick: bool) -> ExperimentResult {
     // day; revisits share the site's means but draw fresh instantaneous
     // conditions. Table 5 reports the first visit.
     let visits: u64 = if quick { 1 } else { 2 };
-    let mut jobs = Vec::new();
-    for loc in &corpus {
+    let (vanilla, rate, duration) = (
+        TransportMode::Vanilla,
+        TransportMode::mpdash_rate_based(),
+        TransportMode::mpdash_duration_based(),
+    );
+    let mut cells = Vec::new();
+    for (site, loc) in corpus.iter().enumerate() {
         for visit in 0..visits {
             let at = loc.revisit(visit);
             for abr in ABRS {
-                for mode in scheme_modes() {
-                    jobs.push(Job::session(
-                        format!("{}/v{visit}/{}/{}", at.name, abr.name(), mode.label()),
-                        SessionConfig::at_location(&at, abr, mode),
-                    ));
+                for mode in [vanilla, rate, duration] {
+                    let cfg = SessionConfig::at_location(&at, abr, mode);
+                    cells.push(((site, visit, abr, mode), cfg));
                 }
             }
         }
     }
-    let batch = run_batch(jobs);
-    let mut next = batch.iter();
+    let grid = Grid::sessions(workers, cells);
+    // (cellular, energy, bitrate-reduction) savings of a cell versus the
+    // vanilla run of the same site, visit and ABR.
+    let savings = |(site, visit, abr, mode)| {
+        let r = &grid[(site, visit, abr, mode)];
+        let base = &grid[(site, visit, abr, vanilla)];
+        (
+            r.cell_saving_vs(base),
+            r.energy_saving_vs(base),
+            r.qoe.bitrate_reduction_vs(&base.qoe),
+        )
+    };
 
-    let mut results = Vec::new();
     let mut cell_cdf = Cdf::new();
     let mut energy_cdf = Cdf::new();
     let mut bitrate_cdf = Cdf::new();
-    for loc in &corpus {
-        for visit in 0..visits {
-            let festive = fold_study(&mut next);
-            let bba = fold_study(&mut next);
-            for set in [&festive, &bba] {
-                for &(cell, energy, bitrate) in set.iter() {
-                    cell_cdf.push(cell);
-                    energy_cdf.push(energy);
-                    bitrate_cdf.push(bitrate);
-                }
-            }
-            if visit == 0 {
-                results.push(LocationResult {
-                    name: loc.name.clone(),
-                    festive,
-                    bba,
-                });
-            }
-        }
+    for (&key, _) in grid.iter().filter(|(key, _)| key.3 != vanilla) {
+        let (cell, energy, bitrate) = savings(key);
+        cell_cdf.push(cell);
+        energy_cdf.push(energy);
+        bitrate_cdf.push(bitrate);
     }
 
     res.text("\nFigure 9 — cellular-data savings across all experiments:");
@@ -185,32 +152,21 @@ pub fn result(quick: bool) -> ExperimentResult {
         "Library",
         "Elec. Store",
     ];
-    for r in &results {
-        if !named.contains(&r.name.as_str()) {
+    for (site, _) in grid.sections(|key| key.0) {
+        let name = &corpus[site].name;
+        if !named.contains(&name.as_str()) {
             continue;
         }
-        t.row(&[
-            r.name.clone(),
-            pct(r.festive[0].0),
-            pct(r.festive[1].0),
-            pct(r.festive[0].1),
-            pct(r.festive[1].1),
-            pct(r.bba[0].0),
-            pct(r.bba[1].0),
-            pct(r.bba[0].1),
-            pct(r.bba[1].1),
-        ]);
+        let mut row = vec![name.clone()];
+        for abr in ABRS {
+            let (r, d) = (
+                savings((site, 0, abr, rate)),
+                savings((site, 0, abr, duration)),
+            );
+            row.extend([pct(r.0), pct(d.0), pct(r.1), pct(d.1)]);
+        }
+        t.row(&row);
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist. `quick` limits the corpus.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("field", quick, result);
-}
-
-/// Full study behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

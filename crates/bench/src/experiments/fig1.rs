@@ -5,28 +5,24 @@
 //! state even though WiFi alone nearly suffices, and the flow shows
 //! on/off idle gaps as the player's buffer fills.
 
+use crate::shapes::controlled;
 use crate::Table;
 use mpdash_analysis::throughput_timeline;
 use mpdash_dash::abr::AbrKind;
 use mpdash_link::PathId;
 use mpdash_results::{ExperimentResult, MetricSeries, ScalarGroup};
-use mpdash_session::{run_sessions, SessionConfig, TransportMode};
+use mpdash_session::{StreamingSession, TransportMode};
 use mpdash_sim::{Series, SimDuration};
-use mpdash_trace::table1;
 
-/// Compute the experiment (one session).
-pub fn result(quick: bool) -> ExperimentResult {
+/// Compute the experiment (one session, so `workers` goes unused).
+pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig1",
         "Figure 1 — vanilla MPTCP throughput while streaming DASH (W3.8/L3.0)",
     )
     .with_quick(quick);
-    let cfg = SessionConfig::controlled(
-        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
-        AbrKind::Gpac,
-        TransportMode::Vanilla,
-    );
-    let report = run_sessions(vec![cfg]).remove(0);
+    let cfg = controlled(3.8, 3.0, AbrKind::Gpac, TransportMode::Vanilla);
+    let report = StreamingSession::run(cfg);
 
     // Per-second throughput of each subflow over the steady state.
     let mut wifi = Series::new("wifi-bytes");
@@ -86,14 +82,4 @@ pub fn result(quick: bool) -> ExperimentResult {
         SimDuration::from_secs(60),
     ));
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig1", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

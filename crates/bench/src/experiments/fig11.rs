@@ -7,63 +7,45 @@
 //! throughout, and WiFi-only cannot hold the top bitrate (paper: 81%
 //! cellular / 47% energy savings with no bitrate loss).
 
+use crate::grid::Grid;
 use crate::{mb, pct, Table};
 use mpdash_analysis::throughput_timeline;
-use mpdash_core::predict::PredictorKind;
 use mpdash_dash::abr::AbrKind;
-use mpdash_energy::DeviceProfile;
-use mpdash_mptcp::{CcKind, SchedulerSpec};
 use mpdash_results::{ExperimentResult, ScalarGroup};
-use mpdash_session::{run_sessions, SessionConfig, TransportMode};
+use mpdash_session::{SessionConfig, TransportMode};
 use mpdash_sim::{Rate, SimDuration};
 use mpdash_trace::mobility::MobilityWalk;
 
+/// The controlled setup on the walk's links, the WiFi prior at half the
+/// walk's peak.
 fn config(mode: TransportMode) -> SessionConfig {
     let walk = MobilityWalk::default();
     let (wifi, cell) = walk.links();
     SessionConfig {
-        video: mpdash_dash::video::Video::big_buck_bunny(),
         wifi,
         cell,
-        abr: AbrKind::Festive,
-        mode,
-        buffer_capacity: SimDuration::from_secs(40),
-        scheduler: SchedulerSpec::MinRtt,
-        cc: CcKind::Reno,
-        device: DeviceProfile::galaxy_note(),
         priors: (
             Rate::from_mbps_f64(walk.peak_mbps * 0.5),
             Rate::from_mbps_f64(walk.lte_mbps),
         ),
-        predictor: PredictorKind::control_default(),
-        enable_debounce: 4,
-        sample_slot: SimDuration::from_millis(250),
-        adapter_config: None,
-        preference: Default::default(),
-        server_faults: Default::default(),
-        lifecycle: Default::default(),
-        origins: None,
-        cache: None,
-        tracer: Default::default(),
-        telemetry: None,
-        start_offset: SimDuration::ZERO,
-        max_watch: None,
+        ..SessionConfig::controlled_mbps(walk.peak_mbps, walk.lte_mbps, AbrKind::Festive, mode)
     }
 }
 
 /// Compute the experiment (three sessions, batched).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig11",
         "Figure 11 — mobility walk (WiFi 5↔0 Mbps, LTE 5 Mbps, FESTIVE)",
     )
     .with_quick(quick);
-    let reports = run_sessions(vec![
-        config(TransportMode::Vanilla),
-        config(TransportMode::mpdash_rate_based()),
-        config(TransportMode::WifiOnly),
-    ]);
-    let (base, mp, wifi_only) = (&reports[0], &reports[1], &reports[2]);
+    let modes = [
+        TransportMode::Vanilla,
+        TransportMode::mpdash_rate_based(),
+        TransportMode::WifiOnly,
+    ];
+    let grid = Grid::sessions(workers, modes.map(|m| (m, config(m))).into());
+    let [base, mp, wifi_only] = modes.map(|m| &grid[m]);
 
     let mut t = Table::new(&[
         "config",
@@ -86,15 +68,16 @@ pub fn result(quick: bool) -> ExperimentResult {
         ]);
     }
     res.table(t);
+    let (cell_saving, energy_saving) = (mp.cell_saving_vs(base), mp.energy_saving_vs(base));
     res.text(format!(
         "MP-DASH vs default: cellular saving {}, energy saving {} (paper: 81.4% / 47.3%)",
-        pct(mp.cell_saving_vs(base)),
-        pct(mp.energy_saving_vs(base)),
+        pct(cell_saving),
+        pct(energy_saving),
     ));
     res.scalars(
         ScalarGroup::new("MP-DASH vs default MPTCP")
-            .with("cell_saving", mp.cell_saving_vs(base))
-            .with("energy_saving", mp.energy_saving_vs(base)),
+            .with("cell_saving", cell_saving)
+            .with("energy_saving", energy_saving),
     );
 
     res.text("\ntraffic over two walk laps (1 s buckets):");
@@ -111,14 +94,4 @@ pub fn result(quick: bool) -> ExperimentResult {
         ));
     }
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig11", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

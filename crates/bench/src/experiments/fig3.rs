@@ -2,9 +2,10 @@
 //! MPTCP capacity (~3.4 Mbps) sits between two encoding bitrates
 //! (2.41 and 3.94 Mbps for Big Buck Bunny), and how BBA-C locks the rate.
 
+use crate::grid::Grid;
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::{ExperimentResult, ScalarGroup};
-use mpdash_session::{run_sessions, SessionConfig, SessionReport, TransportMode};
+use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_trace::table1;
 
 fn oscillations(report: &SessionReport) -> (usize, Vec<usize>) {
@@ -15,7 +16,7 @@ fn oscillations(report: &SessionReport) -> (usize, Vec<usize>) {
 }
 
 /// Compute the experiment (two sessions, batched).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig3",
         "Figure 3 — BBA bitrate oscillation at MPTCP capacity ~3.4 Mbps",
@@ -23,15 +24,18 @@ pub fn result(quick: bool) -> ExperimentResult {
     .with_quick(quick);
     // WiFi 2.0 + LTE 1.5 gives an aggregate goodput near 3.4 Mbps —
     // squarely between levels 4 (2.41) and 5 (3.94).
-    let mk = |abr| {
-        SessionConfig::controlled(
-            table1::synthetic_profile_pair(2.0, 1.5, 0.05, 9),
-            abr,
-            TransportMode::Vanilla,
-        )
-    };
-    let reports = run_sessions(vec![mk(AbrKind::Bba), mk(AbrKind::BbaC)]);
-    let (bba, bbac) = (&reports[0], &reports[1]);
+    let cells = [AbrKind::Bba, AbrKind::BbaC]
+        .map(|abr| {
+            let cfg = SessionConfig::controlled(
+                table1::synthetic_profile_pair(2.0, 1.5, 0.05, 9),
+                abr,
+                TransportMode::Vanilla,
+            );
+            (abr, cfg)
+        })
+        .into();
+    let grid = Grid::sessions(workers, cells);
+    let (bba, bbac) = (&grid[AbrKind::Bba], &grid[AbrKind::BbaC]);
 
     let (bba_sw, bba_levels) = oscillations(bba);
     let (bbac_sw, _) = oscillations(bbac);
@@ -62,14 +66,4 @@ pub fn result(quick: bool) -> ExperimentResult {
          highest sustainable level — the paper's §5.2.2 motivation.",
     );
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig3", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

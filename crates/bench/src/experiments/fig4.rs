@@ -7,69 +7,68 @@
 //! longer deadlines save more (paper: 68% cellular / 44% energy at 10 s);
 //! α = 0.8 still saves (paper: 28% / 15%) but less than α = 1.
 
-use crate::{mb, pct, Table};
+use crate::grid::Grid;
+use crate::shapes::vs_base;
+use crate::{mb, Table};
 use mpdash_dash::adapter::DeadlineMode;
 use mpdash_mptcp::SchedulerSpec;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_transfers, FileTransferConfig, TransportMode};
+use mpdash_session::{FileTransfer, FileTransferConfig, FileTransferReport, TransportMode};
 use mpdash_sim::SimDuration;
 
-fn mpdash(alpha: f64) -> TransportMode {
-    TransportMode::MpDash {
-        deadline: DeadlineMode::Rate,
-        alpha,
-    }
-}
-
+const SCHEDULERS: [(&str, SchedulerSpec); 2] = [
+    ("default (minRTT)", SchedulerSpec::MinRtt),
+    ("round-robin", SchedulerSpec::RoundRobin),
+];
 const DEADLINES_S: [u64; 3] = [8, 9, 10];
 const ALPHAS: [f64; 4] = [1.0, 0.95, 0.9, 0.8];
 
-/// Compute the experiment: one flat transfer batch (baseline + deadline
-/// grid per scheduler, then the α sweep), folded into per-scheduler
-/// tables.
-pub fn result(quick: bool) -> ExperimentResult {
+fn baseline() -> FileTransferConfig {
+    FileTransferConfig::testbed(3.8, 3.0, TransportMode::Vanilla)
+}
+
+fn mpdash(alpha: f64, deadline_s: u64) -> FileTransferConfig {
+    let deadline = DeadlineMode::Rate;
+    FileTransferConfig::testbed(3.8, 3.0, TransportMode::MpDash { deadline, alpha })
+        .with_deadline(SimDuration::from_secs(deadline_s))
+}
+
+fn transfers<K: PartialEq + std::fmt::Debug>(
+    workers: usize,
+    cells: Vec<(K, FileTransferConfig)>,
+) -> Grid<K, FileTransferReport> {
+    Grid::run(workers, cells, |cfg| FileTransfer::run(cfg.clone()))
+}
+
+fn cell_saving(r: &FileTransferReport, base: &FileTransferReport) -> f64 {
+    1.0 - r.cell_bytes as f64 / base.cell_bytes as f64
+}
+
+fn energy_saving(r: &FileTransferReport, base: &FileTransferReport) -> f64 {
+    1.0 - r.energy.total_j() / base.energy.total_j()
+}
+
+/// Compute the experiment: a transfer grid of baseline + deadline sweep
+/// per scheduler, folded into one table per scheduler, then the α sweep
+/// with its own baseline.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig4",
         "Figure 4 — MP-DASH scheduler alone: 5 MB, WiFi 3.8 / LTE 3.0",
     )
     .with_quick(quick);
 
-    let schedulers = [SchedulerSpec::MinRtt, SchedulerSpec::RoundRobin];
-    let mut configs = Vec::new();
-    for sched in schedulers {
-        configs.push(
-            FileTransferConfig::testbed(3.8, 3.0, TransportMode::Vanilla).with_scheduler(sched),
-        );
+    let mut cells = Vec::new();
+    for (name, sched) in SCHEDULERS {
+        cells.push(((name, None), baseline().with_scheduler(sched)));
         for d in DEADLINES_S {
-            configs.push(
-                FileTransferConfig::testbed(3.8, 3.0, mpdash(1.0))
-                    .with_deadline(SimDuration::from_secs(d))
-                    .with_scheduler(sched),
-            );
+            cells.push(((name, Some(d)), mpdash(1.0, d).with_scheduler(sched)));
         }
     }
-    configs.push(FileTransferConfig::testbed(
-        3.8,
-        3.0,
-        TransportMode::Vanilla,
-    ));
-    for alpha in ALPHAS {
-        configs.push(
-            FileTransferConfig::testbed(3.8, 3.0, mpdash(alpha))
-                .with_deadline(SimDuration::from_secs(10)),
-        );
-    }
-    let reports = run_transfers(configs);
-    let mut next = reports.iter();
-
-    for sched in schedulers {
-        let name = match sched {
-            SchedulerSpec::MinRtt => "default (minRTT)",
-            SchedulerSpec::RoundRobin => "round-robin",
-            _ => unreachable!("fig4 reproduces the paper's two stock schedulers"),
-        };
+    let grid = transfers(workers, cells);
+    for (name, rows) in grid.sections(|k| k.0) {
         res.text(format!("\nMPTCP scheduler: {name}"));
-        let base = next.next().unwrap();
+        let base = &grid[(name, None)];
         let mut t = Table::new(&[
             "config",
             "LTE bytes",
@@ -78,31 +77,31 @@ pub fn result(quick: bool) -> ExperimentResult {
             "LTE saving",
             "energy saving",
         ]);
-        t.row(&[
-            "Baseline".into(),
-            mb(base.cell_bytes),
-            format!("{:.1}", base.energy.total_j()),
-            format!("{:.2}", base.duration.as_secs_f64()),
-            "-".into(),
-            "-".into(),
-        ]);
-        for d in DEADLINES_S {
-            let r = next.next().unwrap();
-            assert!(!r.missed_deadline, "deadline {d}s must be met");
+        for ((_, deadline), r) in rows {
+            let config = match deadline {
+                None => "Baseline".into(),
+                Some(d) => {
+                    assert!(!r.missed_deadline, "deadline {d}s must be met");
+                    format!("MP-DASH D={d}s")
+                }
+            };
             t.row(&[
-                format!("MP-DASH D={d}s"),
+                config,
                 mb(r.cell_bytes),
                 format!("{:.1}", r.energy.total_j()),
                 format!("{:.2}", r.duration.as_secs_f64()),
-                pct(1.0 - r.cell_bytes as f64 / base.cell_bytes as f64),
-                pct(1.0 - r.energy.total_j() / base.energy.total_j()),
+                vs_base(r, base, cell_saving),
+                vs_base(r, base, energy_saving),
             ]);
         }
         res.table(t);
     }
 
     res.text("\nα sensitivity at D = 10 s (minRTT):");
-    let base = next.next().unwrap();
+    let mut cells = vec![(None, baseline())];
+    cells.extend(ALPHAS.map(|alpha| (Some(alpha), mpdash(alpha, 10))));
+    let sweep = transfers(workers, cells);
+    let base = &sweep[None];
     let mut t = Table::new(&[
         "alpha",
         "LTE bytes",
@@ -110,26 +109,16 @@ pub fn result(quick: bool) -> ExperimentResult {
         "energy saving",
         "finish (s)",
     ]);
-    for alpha in ALPHAS {
-        let r = next.next().unwrap();
+    for (alpha, r) in sweep.iter() {
+        let Some(alpha) = alpha else { continue };
         t.row(&[
             format!("{alpha:.2}"),
             mb(r.cell_bytes),
-            pct(1.0 - r.cell_bytes as f64 / base.cell_bytes as f64),
-            pct(1.0 - r.energy.total_j() / base.energy.total_j()),
+            vs_base(r, base, cell_saving),
+            vs_base(r, base, energy_saving),
             format!("{:.2}", r.duration.as_secs_f64()),
         ]);
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig4", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

@@ -11,9 +11,9 @@ use mpdash_results::{ExperimentResult, MetricSeries, ScalarGroup};
 use mpdash_sim::{SimDuration, SimTime};
 use mpdash_trace::table1;
 
-/// Compute the experiment. Pure prediction replay, so `quick` only tags
-/// the artifact.
-pub fn result(quick: bool) -> ExperimentResult {
+/// Compute the experiment. Pure prediction replay: `quick` only tags
+/// the artifact and there is nothing to fan out over `workers`.
+pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig5",
         "Figure 5 — bandwidth traces and Holt-Winters prediction",
@@ -64,14 +64,4 @@ pub fn result(quick: bool) -> ExperimentResult {
         );
     }
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig5", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

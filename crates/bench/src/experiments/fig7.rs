@@ -8,17 +8,14 @@
 //! the sustainable level (paper: ~69% cellular / 50% energy at a ~29%
 //! bitrate cost versus oscillating BBA).
 
-use crate::{mb, pct, Table};
+use crate::grid::Grid;
+use crate::shapes::{controlled, vs_base, CONDITIONS};
+use crate::{mb, Table};
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_batch, Job, SessionConfig, TransportMode};
-use mpdash_trace::table1;
+use mpdash_session::{SessionReport, TransportMode};
 
-const CONDITIONS: [(&str, f64, f64); 3] = [
-    ("W3.8/L3.0", 3.8, 3.0),
-    ("W2.8/L3.0", 2.8, 3.0),
-    ("W2.2/L1.2", 2.2, 1.2),
-];
+const ABRS: [AbrKind; 3] = [AbrKind::Festive, AbrKind::Bba, AbrKind::BbaC];
 
 /// A transport-mode constructor, named so the mode table stays legible.
 type ModeCtor = fn() -> TransportMode;
@@ -29,39 +26,27 @@ const MODES: [(&str, ModeCtor); 3] = [
     ("Rate", TransportMode::mpdash_rate_based),
 ];
 
-fn config(wifi: f64, lte: f64, abr: AbrKind, mode: TransportMode) -> SessionConfig {
-    SessionConfig::controlled(
-        table1::synthetic_profile_pair(wifi, lte, 0.10, 42),
-        abr,
-        mode,
-    )
-}
-
 /// Compute the experiment: the full 3 ABRs × 3 conditions × 3 modes grid
 /// as one batch, folded into one table per ABR.
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig7",
         "Figure 7 — FESTIVE / BBA / BBA-C under three network conditions",
     )
     .with_quick(quick);
 
-    let abrs = [AbrKind::Festive, AbrKind::Bba, AbrKind::BbaC];
-    let mut jobs = Vec::new();
-    for abr in abrs {
-        for (cname, w, l) in CONDITIONS {
+    let mut cells = Vec::new();
+    for abr in ABRS {
+        for (cname, wifi, lte) in CONDITIONS {
             for (mname, mode) in MODES {
-                jobs.push(Job::session(
-                    format!("{}/{cname}/{mname}", abr.name()),
-                    config(w, l, abr, mode()),
-                ));
+                let cfg = controlled(wifi, lte, abr, mode());
+                cells.push(((abr, cname, mname), cfg));
             }
         }
     }
-    let results = run_batch(jobs);
-    let mut next = results.iter();
+    let grid = Grid::sessions(workers, cells);
 
-    for abr in abrs {
+    for (abr, rows) in grid.sections(|k| k.0) {
         res.text(format!("\n--- {} ---", abr.name()));
         let mut t = Table::new(&[
             "condition",
@@ -73,35 +58,18 @@ pub fn result(quick: bool) -> ExperimentResult {
             "cell saving",
             "energy saving",
         ]);
-        for (cname, _, _) in CONDITIONS {
-            // The batch keeps input order, so each condition's three mode
-            // rows arrive together, baseline first.
-            let rows: Vec<_> = MODES
-                .iter()
-                .map(|_| next.next().unwrap().session().expect("session job"))
-                .collect();
-            let base = rows[0];
-            for ((mname, _), r) in MODES.iter().zip(&rows) {
-                let is_base = *mname == "Baseline";
-                t.row(&[
-                    cname.into(),
-                    (*mname).into(),
-                    mb(r.cell_bytes),
-                    format!("{:.1}", r.energy.total_j()),
-                    format!("{:.2}", r.qoe.mean_bitrate_mbps),
-                    format!("{}", r.qoe.stalls),
-                    if is_base {
-                        "-".into()
-                    } else {
-                        pct(r.cell_saving_vs(base))
-                    },
-                    if is_base {
-                        "-".into()
-                    } else {
-                        pct(r.energy_saving_vs(base))
-                    },
-                ]);
-            }
+        for ((_, cname, mname), r) in rows {
+            let base = &grid[(abr, *cname, "Baseline")];
+            t.row(&[
+                (*cname).into(),
+                (*mname).into(),
+                mb(r.cell_bytes),
+                format!("{:.1}", r.energy.total_j()),
+                format!("{:.2}", r.qoe.mean_bitrate_mbps),
+                format!("{}", r.qoe.stalls),
+                vs_base(r, base, SessionReport::cell_saving_vs),
+                vs_base(r, base, SessionReport::energy_saving_vs),
+            ]);
         }
         res.table(t);
     }
@@ -110,14 +78,4 @@ pub fn result(quick: bool) -> ExperimentResult {
          playback for a locked level, giving MP-DASH room to save (§7.3.2).",
     );
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig7", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

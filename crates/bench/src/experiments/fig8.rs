@@ -7,11 +7,12 @@
 //! cellular slivers, and the duration-based setting uses more cellular on
 //! larger-than-nominal chunks than the rate-based one.
 
+use crate::grid::Grid;
+use crate::shapes::controlled;
 use mpdash_analysis::{analyze, chunk_path_splits, render_chunk_bars, ChunkInfo};
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_sessions, SessionConfig, SessionReport, TransportMode};
-use mpdash_trace::table1;
+use mpdash_session::{SessionReport, TransportMode};
 
 fn chunk_infos(report: &SessionReport) -> Vec<ChunkInfo> {
     report
@@ -29,7 +30,7 @@ fn chunk_infos(report: &SessionReport) -> Vec<ChunkInfo> {
 }
 
 /// Compute the experiment (three sessions, batched).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig8",
         "Figure 8 — analysis-tool chunk bars (FESTIVE, W3.8/L3.0)",
@@ -43,18 +44,13 @@ pub fn result(quick: bool) -> ExperimentResult {
             TransportMode::mpdash_duration_based(),
         ),
     ];
-    let configs = modes
-        .iter()
-        .map(|&(_, mode)| {
-            SessionConfig::controlled(
-                table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
-                AbrKind::Festive,
-                mode,
-            )
+    let cells = modes
+        .map(|(name, mode)| {
+            let cfg = controlled(3.8, 3.0, AbrKind::Festive, mode);
+            (name, cfg)
         })
-        .collect();
-    let reports = run_sessions(configs);
-    for ((name, _), report) in modes.iter().zip(&reports) {
+        .into();
+    for (name, report) in Grid::sessions(workers, cells).iter() {
         let chunks = chunk_infos(report);
         let splits = chunk_path_splits(&report.records, &chunks);
         let a = analyze(&report.records, &chunks, 5);
@@ -68,14 +64,4 @@ pub fn result(quick: bool) -> ExperimentResult {
         ));
     }
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fig8", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

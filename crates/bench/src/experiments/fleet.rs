@@ -1,4 +1,4 @@
-//! `exp_fleet` — multi-client contention at shared bottlenecks (beyond
+//! `exp fleet` — multi-client contention at shared bottlenecks (beyond
 //! the paper).
 //!
 //! Every other experiment gives one client a private pair of links; this
@@ -19,26 +19,23 @@
 //! 2. flow-queuing never hurts fairness: at every size and mode, FQ's
 //!    Jain index on per-client bitrate is at least FIFO's.
 //!
-//! Each fleet replica runs as one [`mpdash_session::Job`] (a custom job
-//! returning the replica's summary JSON), so the size × discipline ×
-//! mode grid shards over `MPDASH_WORKERS` with bit-identical artifacts
-//! at any worker count.
+//! Each fleet replica is one grid cell, reduced on its worker to the
+//! handful of numbers the fold reads, so the size × discipline × mode
+//! grid shards over `MPDASH_WORKERS` with bit-identical artifacts at any
+//! worker count.
 
+use crate::grid::Grid;
+use crate::shapes::{contended_fleet, fleet_client};
 use crate::Table;
-use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
-use mpdash_fleet::{fleet_job, FleetConfig, SharedLinkSpec};
+use mpdash_fleet::FleetReport;
 use mpdash_link::{QueueDiscipline, SharedBottleneckConfig};
-use mpdash_results::{ExperimentResult, Json, ScalarGroup};
-use mpdash_session::{run_batch, run_batch_with, BatchResult, Job, SessionConfig, TransportMode};
-use mpdash_sim::SimDuration;
-
-/// MTU-sized DRR quantum (one full packet per round).
-const FQ_QUANTUM: u64 = 1540;
+use mpdash_results::{ExperimentResult, ScalarGroup};
+use mpdash_session::TransportMode;
 
 /// Quick starts at 4 clients: a 2-client "fleet" is barely contended,
 /// so its fairness indices are within noise of each other and say
-/// nothing about the disciplines.
+/// nothing about the disciplines. Quick saves time on fleet sizes, not
+/// session length.
 fn fleet_sizes(quick: bool) -> Vec<usize> {
     if quick {
         vec![4, 8]
@@ -47,87 +44,35 @@ fn fleet_sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-fn disciplines() -> [QueueDiscipline; 2] {
-    [
-        QueueDiscipline::Fifo,
-        QueueDiscipline::FlowQueue {
-            quantum: FQ_QUANTUM,
-        },
-    ]
+/// Flow-queue round-robin with an MTU-sized DRR quantum (one full packet
+/// per round).
+const FQ: QueueDiscipline = QueueDiscipline::FlowQueue { quantum: 1540 };
+
+/// What the fold reads of one fleet replica.
+struct Cell {
+    mean_bitrate_mbps: f64,
+    jain_bitrate: f64,
+    jain_cell_bytes: f64,
+    cell_bytes: u64,
+    miss_rate: f64,
+    stalls: u64,
+    dropped_packets: u64,
 }
 
-/// minRTT first: the fold computes the cellular-savings invariant
-/// against it.
-fn modes() -> [TransportMode; 2] {
-    [TransportMode::Vanilla, TransportMode::mpdash_rate_based()]
-}
-
-fn mode_name(mode: &TransportMode) -> &'static str {
-    match mode {
-        TransportMode::Vanilla => "minRTT",
-        _ => "mpdash",
+fn cell(r: &FleetReport) -> Cell {
+    Cell {
+        mean_bitrate_mbps: r.mean_bitrate_mbps(),
+        jain_bitrate: r.jain_bitrate,
+        jain_cell_bytes: r.jain_cell_bytes,
+        cell_bytes: r.total_cell_bytes,
+        miss_rate: r.deadline_miss_rate,
+        stalls: r.total_stalls,
+        dropped_packets: r.bottlenecks.iter().map(|b| b.stats.dropped_packets).sum(),
     }
 }
 
-/// Same 20-chunk ladder in both shapes: shorter videos are dominated by
-/// the ABR ramp transient, whose fairness is window noise rather than a
-/// property of the queue discipline. Quick saves time on fleet sizes,
-/// not session length.
-fn fleet_video() -> Video {
-    Video::new(
-        "BBB-fleet",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        20,
-    )
-}
-
-/// One fleet cell of the grid. Capacity scales with the fleet — the AP
-/// gives each client ~2.5 Mbps and the sector ~0.75 Mbps, so the
-/// 3.94 Mbps top level never fits and the shared queues stay contended
-/// at every size, while WiFi keeps enough headroom that a
-/// deadline-aware scheduler *can* shed cellular traffic (with no
-/// headroom at all, deadline pressure forces cellular on for everyone
-/// and there are no savings left to measure).
-fn fleet_cfg(clients: usize, d: QueueDiscipline, mode: TransportMode) -> FleetConfig {
-    let base = SessionConfig::controlled_mbps(50.0, 30.0, AbrKind::Festive, mode)
-        .with_video(fleet_video());
-    FleetConfig::new(base, clients)
-        .with_stagger(SimDuration::from_secs(1))
-        // Heterogeneous RTTs (client k: +10k ms one-way) are what let
-        // FIFO's RTT bias show; DRR should erase it.
-        .with_rtt_skew(SimDuration::from_millis(10))
-        .with_seed(11)
-        .with_shared(SharedLinkSpec::wifi_ap(
-            SharedBottleneckConfig::fifo_mbps(2.5 * clients as f64).with_discipline(d),
-        ))
-        .with_shared(SharedLinkSpec::cell_sector(
-            SharedBottleneckConfig::fifo_mbps(0.75 * clients as f64).with_discipline(d),
-        ))
-}
-
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for &clients in &fleet_sizes(quick) {
-        for d in disciplines() {
-            for mode in modes() {
-                jobs.push(fleet_job(
-                    format!("n{clients}/{}/{}", d.label(), mode_name(&mode)),
-                    fleet_cfg(clients, d, mode),
-                ));
-            }
-        }
-    }
-    jobs
-}
-
-fn num(j: &Json, key: &str) -> f64 {
-    j.get(key)
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("fleet summary missing '{key}'"))
-}
-
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the fleet grid: sizes × disciplines × modes as one batch.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fleet",
         "Fleet contention — N clients sharing an AP and a cell sector",
@@ -141,6 +86,37 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "fairness is never below FIFO's at the same size and mode.",
     ));
 
+    // Capacity scales with the fleet — the AP gives each client
+    // ~2.5 Mbps and the sector ~0.75 Mbps, so the 3.94 Mbps top level
+    // never fits and the shared queues stay contended at every size,
+    // while WiFi keeps enough headroom that a deadline-aware scheduler
+    // *can* shed cellular traffic (with no headroom at all, deadline
+    // pressure forces cellular on for everyone and there are no savings
+    // left to measure).
+    let modes = [
+        ("minRTT", TransportMode::Vanilla),
+        ("mpdash", TransportMode::mpdash_rate_based()),
+    ];
+    let mut cells = Vec::new();
+    for clients in fleet_sizes(quick) {
+        for d in [QueueDiscipline::Fifo, FQ] {
+            for (mode_name, mode) in modes {
+                let link = |mbps_per_client: f64| {
+                    SharedBottleneckConfig::fifo_mbps(mbps_per_client * clients as f64)
+                        .with_discipline(d)
+                };
+                let cfg = contended_fleet(
+                    fleet_client("BBB-fleet", mode),
+                    clients,
+                    link(2.5),
+                    link(0.75),
+                );
+                cells.push(((clients, d, mode_name), cfg));
+            }
+        }
+    }
+    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+
     let mut t = Table::new(&[
         "clients",
         "queue",
@@ -153,67 +129,43 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "stalls",
         "drops",
     ]);
-    let mut next = batch.iter();
     let mut worst_cell_ratio: f64 = 0.0;
     let mut worst_jain_delta: f64 = f64::INFINITY;
-    for &clients in &fleet_sizes(quick) {
-        // jain_bitrate per (discipline, mode), indexed [d][m].
-        let mut jains = [[0.0f64; 2]; 2];
-        for (di, d) in disciplines().into_iter().enumerate() {
-            let mut minrtt_cell = 0.0f64;
-            for (mi, mode) in modes().into_iter().enumerate() {
-                let j = next.next().unwrap().value().expect("fleet job").clone();
-                let cell = num(&j, "total_cell_bytes");
-                let jain_bitrate = num(&j, "jain_bitrate");
-                jains[di][mi] = jain_bitrate;
-                let mean_bitrate: f64 = j
-                    .get("per_client")
-                    .and_then(|v| v.as_arr())
-                    .map(|rows| {
-                        rows.iter()
-                            .map(|r| num(r, "mean_bitrate_mbps"))
-                            .sum::<f64>()
-                            / rows.len().max(1) as f64
-                    })
-                    .unwrap_or(0.0);
-                let drops: f64 = j
-                    .get("bottlenecks")
-                    .and_then(|v| v.as_arr())
-                    .map(|bns| bns.iter().map(|b| num(b, "dropped_packets")).sum())
-                    .unwrap_or(0.0);
-                t.row(&[
-                    format!("{clients}"),
-                    d.label().into(),
-                    mode_name(&mode).into(),
-                    format!("{mean_bitrate:.2}"),
-                    format!("{jain_bitrate:.4}"),
-                    format!("{:.4}", num(&j, "jain_cell_bytes")),
-                    format!("{:.2}", cell / 1e6),
-                    format!("{:.3}", num(&j, "deadline_miss_rate")),
-                    format!("{}", num(&j, "total_stalls") as u64),
-                    format!("{drops}"),
-                ]);
-                match mode {
-                    TransportMode::Vanilla => minrtt_cell = cell,
-                    _ => {
-                        // Invariant 1: cellular savings survive contention.
-                        assert!(
-                            cell < minrtt_cell,
-                            "n{clients}/{}: MP-DASH cellular {cell} >= minRTT {minrtt_cell}",
-                            d.label()
-                        );
-                        worst_cell_ratio = worst_cell_ratio.max(cell / minrtt_cell.max(1.0));
-                    }
-                }
-            }
+    for (&(clients, d, mode_name), c) in grid.iter() {
+        t.row(&[
+            format!("{clients}"),
+            d.label().into(),
+            mode_name.into(),
+            format!("{:.2}", c.mean_bitrate_mbps),
+            format!("{:.4}", c.jain_bitrate),
+            format!("{:.4}", c.jain_cell_bytes),
+            format!("{:.2}", c.cell_bytes as f64 / 1e6),
+            format!("{:.3}", c.miss_rate),
+            format!("{}", c.stalls),
+            format!("{}", c.dropped_packets),
+        ]);
+        if mode_name == "mpdash" {
+            // Invariant 1: cellular savings survive contention.
+            let (cell, minrtt_cell) = (
+                c.cell_bytes as f64,
+                grid[(clients, d, "minRTT")].cell_bytes as f64,
+            );
+            assert!(
+                cell < minrtt_cell,
+                "n{clients}/{}: MP-DASH cellular {cell} >= minRTT {minrtt_cell}",
+                d.label()
+            );
+            worst_cell_ratio = worst_cell_ratio.max(cell / minrtt_cell.max(1.0));
         }
-        // Invariant 2: FQ is at least as fair as FIFO, per mode.
-        for (mi, mode) in modes().into_iter().enumerate() {
-            let (fifo, fq) = (jains[0][mi], jains[1][mi]);
+        if d == FQ {
+            // Invariant 2: FQ is at least as fair as FIFO, per mode.
+            let (fifo, fq) = (
+                grid[(clients, QueueDiscipline::Fifo, mode_name)].jain_bitrate,
+                c.jain_bitrate,
+            );
             assert!(
                 fq + 1e-9 >= fifo,
-                "n{clients}/{}: FQ jain {fq:.4} < FIFO jain {fifo:.4}",
-                mode_name(&mode)
+                "n{clients}/{mode_name}: FQ jain {fq:.4} < FIFO jain {fifo:.4}"
             );
             worst_jain_delta = worst_jain_delta.min(fq - fifo);
         }
@@ -225,41 +177,4 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
             .with("min_fq_minus_fifo_jain_bitrate", worst_jain_delta),
     );
     res
-}
-
-/// Compute the fleet grid on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same grid on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("fleet", quick, result);
-}
-
-/// Full grid behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_fleet must serialize identically at any MPDASH_WORKERS"
-        );
-    }
 }

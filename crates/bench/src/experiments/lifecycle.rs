@@ -1,4 +1,4 @@
-//! `exp_lifecycle` — the request-lifecycle resilience matrix (beyond
+//! `exp lifecycle` — the request-lifecycle resilience matrix (beyond
 //! the paper).
 //!
 //! Every server-side fault family of [`mpdash_http::ServerFaultScript`]
@@ -29,14 +29,13 @@
 //! every experiment, the artifact is bit-identical at any
 //! `MPDASH_WORKERS` setting.
 
+use crate::grid::Grid;
+use crate::shapes::{bbb_clip, log_deadline_misses};
 use crate::Table;
 use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
 use mpdash_http::{LifecyclePolicy, ServerFaultScript};
 use mpdash_results::{ExperimentResult, ScalarGroup};
-use mpdash_session::{
-    run_batch, run_batch_with, BatchResult, Job, SessionConfig, SessionReport, TransportMode,
-};
+use mpdash_session::{SessionConfig, TransportMode};
 use mpdash_sim::{SimDuration, SimTime};
 
 fn secs(s: u64) -> SimTime {
@@ -89,8 +88,8 @@ fn fault_scripts() -> Vec<(&'static str, ServerFaultScript)> {
     ]
 }
 
-/// The policy axis; **wait** comes first so the fold can baseline
-/// against it.
+/// The policy axis, from wait-forever to the full deadline-aware
+/// machinery; the fold baselines **resume** against **wait**.
 fn policies() -> [(&'static str, LifecyclePolicy); 3] {
     [
         ("wait", LifecyclePolicy::wait_forever()),
@@ -99,51 +98,8 @@ fn policies() -> [(&'static str, LifecyclePolicy); 3] {
     ]
 }
 
-fn lifecycle_video(quick: bool) -> Video {
-    let chunks = if quick { 20 } else { 30 };
-    Video::new(
-        "BBB-lifecycle",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        chunks,
-    )
-}
-
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (fault_name, script) in fault_scripts() {
-        for (policy_name, policy) in policies() {
-            let cfg = SessionConfig::controlled_mbps(
-                4.5,
-                4.0,
-                AbrKind::Festive,
-                TransportMode::mpdash_rate_based(),
-            )
-            .with_video(lifecycle_video(quick))
-            .with_buffer_capacity(SimDuration::from_secs(10))
-            .with_server_faults(script.clone())
-            .with_lifecycle(policy);
-            jobs.push(Job::session(format!("{fault_name}/{policy_name}"), cfg));
-        }
-    }
-    jobs
-}
-
-/// Chunk-log deadline misses: chunks the scheduler granted a window
-/// that took longer than the window to arrive. Policy-independent
-/// (unlike the in-scheduler counter, it sees resumed chunks complete),
-/// so it is the fair basis for the wait-vs-resume comparison.
-fn log_deadline_misses(r: &SessionReport) -> u64 {
-    r.chunks
-        .iter()
-        .filter(|c| match c.deadline {
-            Some(d) => c.completed.saturating_since(c.started) > d,
-            None => false,
-        })
-        .count() as u64
-}
-
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the lifecycle matrix: fault scripts × policies as one batch.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "lifecycle",
         "Request-lifecycle matrix — server-side faults x timeout/abandon/resume policy",
@@ -170,73 +126,83 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "wasted KB",
         "dur s",
     ]);
-    let mut next = batch.iter();
+    let mut cells = Vec::new();
+    for (fault_name, script) in fault_scripts() {
+        for (policy_name, policy) in policies() {
+            let cfg = SessionConfig::controlled_mbps(
+                4.5,
+                4.0,
+                AbrKind::Festive,
+                TransportMode::mpdash_rate_based(),
+            )
+            .with_video(bbb_clip("BBB-lifecycle", if quick { 20 } else { 30 }))
+            .with_buffer_capacity(SimDuration::from_secs(10))
+            .with_server_faults(script.clone())
+            .with_lifecycle(policy);
+            cells.push(((fault_name, policy_name), cfg));
+        }
+    }
+    let grid = Grid::sessions(workers, cells);
+
     let mut strict_improvements = 0u64;
     let mut worst_excess_misses: i64 = i64::MIN;
     let mut total_wasted = 0u64;
-    for (fault_name, _) in fault_scripts() {
-        let mut wait_misses = 0u64;
-        let mut wait_stall = SimDuration::ZERO;
-        for (policy_name, _) in policies() {
-            let r = next.next().unwrap().session().expect("session job");
-            let misses = log_deadline_misses(r);
-            let lc = r.lifecycle;
-            t.row(&[
-                fault_name.into(),
-                policy_name.into(),
-                format!("{}", r.qoe_all.stalls),
-                format!("{:.2}", r.qoe_all.stall_time.as_secs_f64()),
-                format!("{misses}"),
-                format!("{}", lc.timeouts),
-                format!("{}", lc.abandoned),
-                format!("{}", lc.resumed),
-                format!("{}", lc.retried),
-                format!("{:.1}", lc.wasted_bytes as f64 / 1e3),
-                format!("{:.1}", r.duration.as_secs_f64()),
-            ]);
-            // Invariant 4: cancellation never loses a chunk, and every
-            // abandonment resumes exactly once.
-            assert_eq!(
-                lc.resumed, lc.abandoned,
-                "{fault_name}/{policy_name}: {} abandons but {} resumes",
-                lc.abandoned, lc.resumed
-            );
-            total_wasted += lc.wasted_bytes;
-            match policy_name {
-                "wait" => {
-                    wait_misses = misses;
-                    wait_stall = r.qoe_all.stall_time;
-                    assert_eq!(lc.abandoned, 0, "wait-forever must never cancel");
-                }
-                "resume" => {
-                    // No false positives: a first-byte delay below the
-                    // stall window must never trigger an abandonment.
-                    if fault_name == "slow-first-byte" {
-                        assert_eq!(
-                            lc.abandoned, 0,
-                            "slow-first-byte below the stall window spuriously cancelled"
-                        );
-                    }
-                    // Invariants 1 + 2: abandonment+resume dominates
-                    // wait-forever on every script.
-                    assert!(
-                        misses <= wait_misses,
-                        "{fault_name}: resume missed {misses} vs wait {wait_misses}"
+    for (&(fault_name, policy_name), r) in grid.iter() {
+        let misses = log_deadline_misses(r);
+        let lc = r.lifecycle;
+        t.row(&[
+            fault_name.into(),
+            policy_name.into(),
+            format!("{}", r.qoe_all.stalls),
+            format!("{:.2}", r.qoe_all.stall_time.as_secs_f64()),
+            format!("{misses}"),
+            format!("{}", lc.timeouts),
+            format!("{}", lc.abandoned),
+            format!("{}", lc.resumed),
+            format!("{}", lc.retried),
+            format!("{:.1}", lc.wasted_bytes as f64 / 1e3),
+            format!("{:.1}", r.duration.as_secs_f64()),
+        ]);
+        // Invariant 4: cancellation never loses a chunk, and every
+        // abandonment resumes exactly once.
+        assert_eq!(
+            lc.resumed, lc.abandoned,
+            "{fault_name}/{policy_name}: {} abandons but {} resumes",
+            lc.abandoned, lc.resumed
+        );
+        total_wasted += lc.wasted_bytes;
+        match policy_name {
+            "wait" => assert_eq!(lc.abandoned, 0, "wait-forever must never cancel"),
+            "resume" => {
+                let wait = &grid[(fault_name, "wait")];
+                let (wait_misses, wait_stall) =
+                    (log_deadline_misses(wait), wait.qoe_all.stall_time);
+                // No false positives: a first-byte delay below the
+                // stall window must never trigger an abandonment.
+                if fault_name == "slow-first-byte" {
+                    assert_eq!(
+                        lc.abandoned, 0,
+                        "slow-first-byte below the stall window spuriously cancelled"
                     );
-                    assert!(
-                        r.qoe_all.stall_time <= wait_stall,
-                        "{fault_name}: resume stalled {:.2}s vs wait {:.2}s",
-                        r.qoe_all.stall_time.as_secs_f64(),
-                        wait_stall.as_secs_f64()
-                    );
-                    if misses < wait_misses || r.qoe_all.stall_time < wait_stall {
-                        strict_improvements += 1;
-                    }
-                    worst_excess_misses =
-                        worst_excess_misses.max(misses as i64 - wait_misses as i64);
                 }
-                _ => {}
+                // Invariants 1 + 2: abandonment+resume dominates
+                // wait-forever on every script.
+                assert!(
+                    misses <= wait_misses,
+                    "{fault_name}: resume missed {misses} vs wait {wait_misses}"
+                );
+                assert!(
+                    r.qoe_all.stall_time <= wait_stall,
+                    "{fault_name}: resume stalled {:.2}s vs wait {:.2}s",
+                    r.qoe_all.stall_time.as_secs_f64(),
+                    wait_stall.as_secs_f64()
+                );
+                if misses < wait_misses || r.qoe_all.stall_time < wait_stall {
+                    strict_improvements += 1;
+                }
+                worst_excess_misses = worst_excess_misses.max(misses as i64 - wait_misses as i64);
             }
+            _ => {}
         }
     }
     // Invariant 3: the machinery must actually pay off somewhere.
@@ -253,41 +219,4 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
             .with("total_wasted_bytes", total_wasted as f64),
     );
     res
-}
-
-/// Compute the lifecycle matrix on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same matrix on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("lifecycle", quick, result);
-}
-
-/// Full matrix behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_lifecycle must serialize identically at any MPDASH_WORKERS"
-        );
-    }
 }

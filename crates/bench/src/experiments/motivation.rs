@@ -7,23 +7,13 @@
 //! WiFi-only and over vanilla MPTCP at every corpus location and classify
 //! by the fraction of steady-state chunks fetched at the top level.
 
+use crate::grid::Grid;
+use crate::shapes::bbb_clip;
 use crate::{pct, Table};
 use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
 use mpdash_results::{ExperimentResult, ScalarGroup};
-use mpdash_session::{run_batch, Job, SessionConfig, TransportMode};
-use mpdash_sim::SimDuration;
+use mpdash_session::{SessionConfig, TransportMode};
 use mpdash_trace::field::{field_corpus, Scenario};
-
-/// Shortened Big Buck Bunny so the 66-session sweep stays quick.
-fn video() -> Video {
-    Video::new(
-        "BBB-motivation",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        60,
-    )
-}
 
 fn top_level_fraction(report: &mpdash_session::SessionReport) -> f64 {
     let top = 4;
@@ -43,7 +33,7 @@ fn classify(frac: f64) -> Scenario {
 
 /// Compute the study: two sessions per corpus location (WiFi-only and
 /// vanilla MPTCP) as one flat batch. `quick` keeps the first 8 locations.
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "motivation",
         "§2.2 motivation — can WiFi alone sustain the top bitrate?",
@@ -53,21 +43,16 @@ pub fn result(quick: bool) -> ExperimentResult {
     if quick {
         corpus.truncate(8);
     }
-    let mut jobs = Vec::new();
-    for loc in &corpus {
-        jobs.push(Job::session(
-            format!("{}/wifi-only", loc.name),
-            SessionConfig::at_location(loc, AbrKind::Festive, TransportMode::WifiOnly)
-                .with_video(video()),
-        ));
-        jobs.push(Job::session(
-            format!("{}/mptcp", loc.name),
-            SessionConfig::at_location(loc, AbrKind::Festive, TransportMode::Vanilla)
-                .with_video(video()),
-        ));
+    // The clip is shortened so the 66-session sweep stays quick.
+    let mut cells = Vec::new();
+    for (i, loc) in corpus.iter().enumerate() {
+        for mode in [TransportMode::WifiOnly, TransportMode::Vanilla] {
+            let cfg = SessionConfig::at_location(loc, AbrKind::Festive, mode)
+                .with_video(bbb_clip("BBB-motivation", 60));
+            cells.push(((i, mode), cfg));
+        }
     }
-    let results = run_batch(jobs);
-    let mut next = results.iter();
+    let grid = Grid::sessions(workers, cells);
 
     let mut counts = [0usize; 3];
     let mut mptcp_ok = 0usize;
@@ -78,9 +63,10 @@ pub fn result(quick: bool) -> ExperimentResult {
         "class",
         "MPTCP top-rate %",
     ]);
-    for (i, loc) in corpus.iter().enumerate() {
-        let wifi_only = next.next().unwrap().session().expect("session job");
-        let mptcp = next.next().unwrap().session().expect("session job");
+    for (i, _) in grid.sections(|k| k.0) {
+        let loc = &corpus[i];
+        let wifi_only = &grid[(i, TransportMode::WifiOnly)];
+        let mptcp = &grid[(i, TransportMode::Vanilla)];
         let frac = top_level_fraction(wifi_only);
         let class = classify(frac);
         counts[match class {
@@ -130,14 +116,4 @@ pub fn result(quick: bool) -> ExperimentResult {
             .with("mptcp_ok_fraction", mptcp_ok as f64 / n as f64),
     );
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("motivation", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

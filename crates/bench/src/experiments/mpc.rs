@@ -8,17 +8,12 @@
 //! (buffer-led); MP-DASH saves cellular for it with no stalls and little
 //! bitrate impact, like the other throughput-consuming algorithms.
 
-use crate::{mb, pct, Table};
+use crate::grid::Grid;
+use crate::shapes::{controlled, vs_base, CONDITIONS};
+use crate::{mb, Table};
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_batch, Job, SessionConfig, TransportMode};
-use mpdash_trace::table1;
-
-const CONDITIONS: [(&str, f64, f64); 3] = [
-    ("W3.8/L3.0", 3.8, 3.0),
-    ("W2.8/L3.0", 2.8, 3.0),
-    ("W2.2/L1.2", 2.2, 1.2),
-];
+use mpdash_session::{SessionReport, TransportMode};
 
 /// A transport-mode constructor, named so the mode table stays legible.
 type ModeCtor = fn() -> TransportMode;
@@ -29,32 +24,21 @@ const MODES: [(&str, ModeCtor); 3] = [
     ("Duration", TransportMode::mpdash_duration_based),
 ];
 
-fn config(wifi: f64, lte: f64, mode: TransportMode) -> SessionConfig {
-    SessionConfig::controlled(
-        table1::synthetic_profile_pair(wifi, lte, 0.10, 42),
-        AbrKind::Mpc,
-        mode,
-    )
-}
-
 /// Compute the experiment (the 3 conditions × 3 modes grid as one batch).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "mpc",
         "Extension — MPC (hybrid) rate adaptation under MP-DASH (§5.2.3)",
     )
     .with_quick(quick);
-    let mut jobs = Vec::new();
-    for (cname, w, l) in CONDITIONS {
+    let mut cells = Vec::new();
+    for (cname, wifi, lte) in CONDITIONS {
         for (mname, mode) in MODES {
-            jobs.push(Job::session(
-                format!("{cname}/{mname}"),
-                config(w, l, mode()),
-            ));
+            let cfg = controlled(wifi, lte, AbrKind::Mpc, mode());
+            cells.push(((cname, mname), cfg));
         }
     }
-    let results = run_batch(jobs);
-    let mut next = results.iter();
+    let grid = Grid::sessions(workers, cells);
 
     let mut t = Table::new(&[
         "condition",
@@ -66,39 +50,19 @@ pub fn result(quick: bool) -> ExperimentResult {
         "stalls",
         "cell saving",
     ]);
-    for (cname, _, _) in CONDITIONS {
-        let rows: Vec<_> = MODES
-            .iter()
-            .map(|_| next.next().unwrap().session().expect("session job"))
-            .collect();
-        let base = rows[0];
-        for ((mname, _), r) in MODES.iter().zip(&rows) {
-            t.row(&[
-                cname.into(),
-                (*mname).into(),
-                mb(r.cell_bytes),
-                format!("{:.1}", r.energy.total_j()),
-                format!("{:.2}", r.qoe.mean_bitrate_mbps),
-                format!("{}", r.qoe.switches),
-                format!("{}", r.qoe.stalls),
-                if *mname == "Baseline" {
-                    "-".into()
-                } else {
-                    pct(r.cell_saving_vs(base))
-                },
-            ]);
-        }
+    for (&(cname, mname), r) in grid.iter() {
+        let base = &grid[(cname, "Baseline")];
+        t.row(&[
+            cname.into(),
+            mname.into(),
+            mb(r.cell_bytes),
+            format!("{:.1}", r.energy.total_j()),
+            format!("{:.2}", r.qoe.mean_bitrate_mbps),
+            format!("{}", r.qoe.switches),
+            format!("{}", r.qoe.stalls),
+            vs_base(r, base, SessionReport::cell_saving_vs),
+        ]);
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("mpc", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

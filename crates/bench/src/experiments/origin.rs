@@ -1,4 +1,4 @@
-//! `exp_origin` — multi-origin serving under an origin outage (beyond
+//! `exp origin` — multi-origin serving under an origin outage (beyond
 //! the paper).
 //!
 //! One of three origins goes dark three times mid-run and the grid
@@ -28,19 +28,19 @@
 //! 3. a shared fleet cache's hit ratio is **monotone nondecreasing in
 //!    fleet size** on a shared manifest, and zero for a lone client.
 //!
-//! Fleet cells run as one [`mpdash_session::Job`] each, so the whole
-//! grid shards over `MPDASH_WORKERS` with bit-identical artifacts at
-//! any worker count.
+//! Strategy sessions and cache fleets are batch jobs alike (a fleet
+//! reduced on its worker to its cache counters), so the whole grid
+//! shards over `MPDASH_WORKERS` with bit-identical artifacts at any
+//! worker count.
 
+use crate::grid::Grid;
+use crate::shapes::{bbb_clip, log_deadline_misses};
 use crate::Table;
 use mpdash_dash::abr::AbrKind;
-use mpdash_dash::video::Video;
-use mpdash_fleet::{fleet_job, FleetCacheSpec, FleetConfig};
+use mpdash_fleet::{FleetCacheSpec, FleetConfig};
 use mpdash_http::{LifecyclePolicy, OriginPoolConfig, OriginSpec, ServerFaultScript};
-use mpdash_results::{ExperimentResult, Json, ScalarGroup};
-use mpdash_session::{
-    run_batch, run_batch_with, BatchResult, Job, SessionConfig, SessionReport, TransportMode,
-};
+use mpdash_results::{ExperimentResult, ScalarGroup};
+use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_sim::{SimDuration, SimTime};
 
 fn secs(s: u64) -> SimTime {
@@ -73,18 +73,8 @@ fn pool(hedge_quantile: Option<f64>) -> OriginPoolConfig {
     }
 }
 
-/// Same ladder and chunk length as `exp_lifecycle`; quick trims the
+/// Same ladder and chunk length as `exp lifecycle`; quick trims the
 /// post-outage tail, not the outage itself.
-fn origin_video(quick: bool) -> Video {
-    let chunks = if quick { 25 } else { 35 };
-    Video::new(
-        "BBB-origin",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        chunks,
-    )
-}
-
 fn base_cfg(quick: bool) -> SessionConfig {
     SessionConfig::controlled_mbps(
         4.5,
@@ -92,12 +82,12 @@ fn base_cfg(quick: bool) -> SessionConfig {
         AbrKind::Festive,
         TransportMode::mpdash_rate_based(),
     )
-    .with_video(origin_video(quick))
+    .with_video(bbb_clip("BBB-origin", if quick { 25 } else { 35 }))
     .with_buffer_capacity(SimDuration::from_secs(20))
 }
 
-/// The serving-strategy axis. Order matters to the fold: the two
-/// single-origin baselines come first.
+/// The serving-strategy axis: the two single-origin baselines, then the
+/// two pool strategies the fold compares against them.
 fn strategies(quick: bool) -> Vec<(&'static str, SessionConfig)> {
     vec![
         (
@@ -140,47 +130,14 @@ fn fleet_sizes(quick: bool) -> Vec<usize> {
 /// client streams the same 10-chunk clip, so all but the first fetch of
 /// a hot segment can be served from the edge.
 fn cache_fleet_cfg(clients: usize) -> FleetConfig {
-    let video = Video::new(
-        "BBB-edge",
-        &[0.58, 1.01, 1.47, 2.41, 3.94],
-        SimDuration::from_secs(4),
-        10,
-    );
     let base = SessionConfig::controlled_mbps(
         20.0,
         8.0,
         AbrKind::Festive,
         TransportMode::mpdash_rate_based(),
     )
-    .with_video(video);
+    .with_video(bbb_clip("BBB-edge", 10));
     FleetConfig::new(base, clients).with_cache(FleetCacheSpec::new(256 * 1024 * 1024))
-}
-
-fn jobs(quick: bool) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for (name, cfg) in strategies(quick) {
-        jobs.push(Job::session(name, cfg));
-    }
-    for &clients in &fleet_sizes(quick) {
-        jobs.push(fleet_job(
-            format!("cache/n{clients}"),
-            cache_fleet_cfg(clients),
-        ));
-    }
-    jobs
-}
-
-/// Chunk-log deadline misses (same policy-independent basis as
-/// `exp_lifecycle`): chunks whose granted window elapsed before the
-/// last byte arrived.
-fn log_deadline_misses(r: &SessionReport) -> u64 {
-    r.chunks
-        .iter()
-        .filter(|c| match c.deadline {
-            Some(d) => c.completed.saturating_since(c.started) > d,
-            None => false,
-        })
-        .count() as u64
 }
 
 fn miss_rate(r: &SessionReport) -> f64 {
@@ -192,13 +149,9 @@ fn miss_rate(r: &SessionReport) -> f64 {
     }
 }
 
-fn num(j: &Json, key: &str) -> f64 {
-    j.get(key)
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|| panic!("fleet summary missing '{key}'"))
-}
-
-fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
+/// Compute the multi-origin grid: the serving strategies, then the
+/// cache-fronted fleets.
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "origin",
         "Multi-origin serving — breakers, hedged failover, and the edge cache under an outage",
@@ -227,15 +180,12 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         "wasted KB",
         "dur s",
     ]);
-    let mut next = batch.iter();
-    let mut wait_misses = 0u64;
-    let mut resume_misses = 0u64;
-    let mut failover_miss_rate = 0.0f64;
-    let mut single_resume_miss_rate = 0.0f64;
+    let grid = Grid::sessions(workers, strategies(quick));
+    let wait_misses = log_deadline_misses(&grid["single/wait"]);
+    let resume_misses = log_deadline_misses(&grid["single/resume"]);
     let mut total_hedges = 0u64;
     let mut total_wasted = 0u64;
-    for (name, _) in strategies(quick) {
-        let r = next.next().unwrap().session().expect("session job");
+    for (&name, r) in grid.iter() {
         let misses = log_deadline_misses(r);
         let o = &r.origin;
         t.row(&[
@@ -265,15 +215,10 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
         total_wasted += r.lifecycle.wasted_bytes;
         match name {
             "single/wait" => {
-                wait_misses = misses;
                 assert_eq!(o.failovers, 0, "a single origin has nowhere to fail over");
             }
-            "single/resume" => {
-                resume_misses = misses;
-                single_resume_miss_rate = miss_rate(r);
-            }
+            "single/resume" => {}
             "pool/failover" => {
-                failover_miss_rate = miss_rate(r);
                 // Invariant 1: the breaker must trip during the outage
                 // and failover must strictly beat retrying the dark
                 // origin, while never losing to blind patience.
@@ -305,18 +250,24 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
     }
     res.table(t);
 
+    let cells = fleet_sizes(quick)
+        .into_iter()
+        .map(|clients| (clients, cache_fleet_cfg(clients)))
+        .collect();
+    let fleets = Grid::run(workers, cells, |cfg| {
+        let cache = mpdash_fleet::run(cfg).cache;
+        cache.expect("a cache-fronted fleet reports its cache")
+    });
     let mut ct = Table::new(&["clients", "hits", "misses", "insertions", "hit ratio"]);
     let mut prev_ratio = -1.0f64;
     let mut last_ratio = 0.0f64;
-    for &clients in &fleet_sizes(quick) {
-        let j = next.next().unwrap().value().expect("fleet job").clone();
-        let cache = j.get("cache").expect("cache summary").clone();
-        let ratio = num(&cache, "hit_ratio");
+    for (&clients, cache) in fleets.iter() {
+        let ratio = cache.hit_ratio();
         ct.row(&[
             format!("{clients}"),
-            format!("{}", num(&cache, "hits") as u64),
-            format!("{}", num(&cache, "misses") as u64),
-            format!("{}", num(&cache, "insertions") as u64),
+            format!("{}", cache.hits),
+            format!("{}", cache.misses),
+            format!("{}", cache.insertions),
             format!("{ratio:.3}"),
         ]);
         // Invariant 3: the shared cache only gets more useful as the
@@ -338,48 +289,11 @@ fn fold(quick: bool, batch: Vec<BatchResult>) -> ExperimentResult {
     res.table(ct);
     res.scalars(
         ScalarGroup::new("origin invariants")
-            .with("failover_miss_rate", failover_miss_rate)
-            .with("single_resume_miss_rate", single_resume_miss_rate)
+            .with("failover_miss_rate", miss_rate(&grid["pool/failover"]))
+            .with("single_resume_miss_rate", miss_rate(&grid["single/resume"]))
             .with("total_hedges", total_hedges as f64)
             .with("total_wasted_bytes", total_wasted as f64)
             .with("max_fleet_cache_hit_ratio", last_ratio),
     );
     res
-}
-
-/// Compute the multi-origin grid on the default worker pool.
-pub fn result(quick: bool) -> ExperimentResult {
-    fold(quick, run_batch(jobs(quick)))
-}
-
-/// Same grid on an explicit worker count — the determinism test pins
-/// both sides of its comparison with this.
-pub fn result_with_workers(quick: bool, workers: usize) -> ExperimentResult {
-    fold(quick, run_batch_with(jobs(quick), workers))
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("origin", quick, result);
-}
-
-/// Full grid behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
-}
-
-#[cfg(test)]
-mod tests {
-    /// The acceptance property: the persisted artifact is bit-identical
-    /// at any worker count (1 is the sequential reference).
-    #[test]
-    fn artifact_is_bit_identical_across_worker_counts() {
-        let seq = super::result_with_workers(true, 1);
-        let par = super::result_with_workers(true, 4);
-        assert_eq!(
-            seq.to_json().to_pretty(),
-            par.to_json().to_pretty(),
-            "exp_origin must serialize identically at any MPDASH_WORKERS"
-        );
-    }
 }

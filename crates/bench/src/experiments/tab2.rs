@@ -11,9 +11,9 @@ use mpdash_results::ExperimentResult;
 use mpdash_sim::SimDuration;
 use mpdash_trace::table1::table1_rows;
 
-/// Compute the experiment. Pure CPU (no sessions), so `quick` only tags
-/// the artifact.
-pub fn result(quick: bool) -> ExperimentResult {
+/// Compute the experiment. Pure CPU (no sessions): `quick` only tags
+/// the artifact and there is nothing to fan out over `workers`.
+pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab2",
         "Table 2 — online vs optimal cellular usage (trace-driven)",
@@ -49,14 +49,4 @@ pub fn result(quick: bool) -> ExperimentResult {
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("tab2", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

@@ -6,16 +6,17 @@
 //! the lowest cellular usage and the lowest energy; low throttle caps
 //! also degrade chunk quality.
 
+use crate::grid::Grid;
+use crate::shapes::controlled;
 use crate::{mb, pct, Table};
 use mpdash_analysis::throughput_timeline;
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_sessions, SessionConfig, TransportMode};
+use mpdash_session::TransportMode;
 use mpdash_sim::SimDuration;
-use mpdash_trace::table1;
 
 /// Compute the experiment (four sessions, batched).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab4",
         "Table 4 — cellular throttling vs MP-DASH (GPAC, W3.8/L3.0)",
@@ -30,18 +31,13 @@ pub fn result(quick: bool) -> ExperimentResult {
         ),
         ("MP-DASH (rate)", TransportMode::mpdash_rate_based()),
     ];
-    let reports = run_sessions(
-        configs
-            .iter()
-            .map(|&(_, mode)| {
-                SessionConfig::controlled(
-                    table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
-                    AbrKind::Gpac,
-                    mode,
-                )
-            })
-            .collect(),
-    );
+    let cells = configs
+        .map(|(name, mode)| {
+            let cfg = controlled(3.8, 3.0, AbrKind::Gpac, mode);
+            (name, cfg)
+        })
+        .into();
+    let grid = Grid::sessions(workers, cells);
     let mut t = Table::new(&[
         "config",
         "cell bytes",
@@ -50,7 +46,7 @@ pub fn result(quick: bool) -> ExperimentResult {
         "mean bitrate",
         "stalls",
     ]);
-    for ((name, _), r) in configs.iter().zip(&reports) {
+    for (name, r) in grid.iter() {
         t.row(&[
             (*name).into(),
             mb(r.cell_bytes),
@@ -63,7 +59,7 @@ pub fn result(quick: bool) -> ExperimentResult {
     res.table(t);
 
     res.text("\nFigure 6 — traffic patterns (first 60 s, 1 s buckets):");
-    for ((name, _), r) in configs.iter().zip(&reports) {
+    for (name, r) in grid.iter() {
         if *name == "Throttle 1000 Kbps" {
             continue; // the paper's figure shows 700k / MP-DASH / default
         }
@@ -75,14 +71,4 @@ pub fn result(quick: bool) -> ExperimentResult {
         ));
     }
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("tab4", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

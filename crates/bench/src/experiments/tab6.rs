@@ -8,11 +8,13 @@
 //! estimate beats the app-level one), ~37% for BBA-C with a small bitrate
 //! dip; single-digit energy savings.
 
+use crate::grid::Grid;
+use crate::shapes::vs_base;
 use crate::{mb, pct, Table};
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{run_batch, Job, SessionConfig, TransportMode};
+use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_trace::table1;
 
 fn config(abr: AbrKind, mode: TransportMode) -> SessionConfig {
@@ -28,15 +30,14 @@ fn config(abr: AbrKind, mode: TransportMode) -> SessionConfig {
 
 /// Compute the experiment (four sessions — baseline + MP-DASH per ABR —
 /// as one batch).
-pub fn result(quick: bool) -> ExperimentResult {
+pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab6",
         "Table 6 — HD video (Tears of Steel HD, aggregate < top rate)",
     )
     .with_quick(quick);
-    let abrs = [AbrKind::Festive, AbrKind::BbaC];
-    let mut jobs = Vec::new();
-    for abr in abrs {
+    let mut cells = Vec::new();
+    for abr in [AbrKind::Festive, AbrKind::BbaC] {
         // BBA-C's baseline is unmodified BBA over vanilla MPTCP, per the
         // paper's "37% for BBA-C over the unmodified BBA".
         let base_abr = if abr == AbrKind::BbaC {
@@ -44,17 +45,13 @@ pub fn result(quick: bool) -> ExperimentResult {
         } else {
             abr
         };
-        jobs.push(Job::session(
-            format!("{}/baseline", abr.name()),
-            config(base_abr, TransportMode::Vanilla),
-        ));
-        jobs.push(Job::session(
-            format!("{}/rate", abr.name()),
+        cells.push(((abr, "Baseline"), config(base_abr, TransportMode::Vanilla)));
+        cells.push((
+            (abr, "MP-DASH rate"),
             config(abr, TransportMode::mpdash_rate_based()),
         ));
     }
-    let results = run_batch(jobs);
-    let mut next = results.iter();
+    let grid = Grid::sessions(workers, cells);
 
     let mut t = Table::new(&[
         "algorithm",
@@ -66,46 +63,24 @@ pub fn result(quick: bool) -> ExperimentResult {
         "energy saving",
         "bitrate change",
     ]);
-    for abr in abrs {
-        let base = next.next().unwrap().session().expect("session job");
-        let mp = next.next().unwrap().session().expect("session job");
-        for (name, r) in [("Baseline", base), ("MP-DASH rate", mp)] {
-            let is_base = name == "Baseline";
-            let delta = -r.qoe.bitrate_reduction_vs(&base.qoe);
-            t.row(&[
-                abr.name().into(),
-                name.into(),
-                mb(r.cell_bytes),
-                format!("{:.1}", r.energy.total_j()),
-                format!("{:.2}", r.qoe.mean_bitrate_mbps),
-                if is_base {
-                    "-".into()
-                } else {
-                    pct(r.cell_saving_vs(base))
-                },
-                if is_base {
-                    "-".into()
-                } else {
-                    pct(r.energy_saving_vs(base))
-                },
-                if is_base {
-                    "-".into()
-                } else {
-                    format!("{}{}", if delta >= 0.0 { "+" } else { "" }, pct(delta))
-                },
-            ]);
-        }
+    for (&(abr, name), r) in grid.iter() {
+        let base = &grid[(abr, "Baseline")];
+        t.row(&[
+            abr.name().into(),
+            name.into(),
+            mb(r.cell_bytes),
+            format!("{:.1}", r.energy.total_j()),
+            format!("{:.2}", r.qoe.mean_bitrate_mbps),
+            vs_base(r, base, SessionReport::cell_saving_vs),
+            vs_base(r, base, SessionReport::energy_saving_vs),
+            if std::ptr::eq(r, base) {
+                "-".into()
+            } else {
+                let delta = -r.qoe.bitrate_reduction_vs(&base.qoe);
+                format!("{}{}", if delta >= 0.0 { "+" } else { "" }, pct(delta))
+            },
+        ]);
     }
     res.table(t);
     res
-}
-
-/// Compute, render, persist.
-pub fn run_with(quick: bool) {
-    crate::experiments::run_timed("tab6", quick, result);
-}
-
-/// [`run_with`] behind the shared quick switch.
-pub fn run() {
-    run_with(crate::cli::quick_requested());
 }

@@ -1,30 +1,35 @@
-//! Shared machinery for the experiment binaries that regenerate every
-//! table and figure of the paper's evaluation (§7).
+//! Shared machinery for the `exp` binary, which regenerates every table
+//! and figure of the paper's evaluation (§7) by name — `exp fig7`,
+//! `exp tab2 fig4 --quick`, `exp all`:
 //!
-//! | binary | reproduces |
+//! | `exp <name>` | reproduces |
 //! |---|---|
-//! | `exp_fig1`  | Figure 1 — vanilla MPTCP throughput while streaming |
-//! | `exp_fig3`  | Figure 3 — BBA bitrate oscillation |
-//! | `exp_fig4`  | Figure 4 — scheduler-only savings vs deadline (+ §7.2.1 α study) |
-//! | `exp_fig5`  | Figure 5 — bandwidth traces and Holt-Winters predictions |
-//! | `exp_tab2`  | Tables 1 & 2 — online vs optimal cellular usage |
-//! | `exp_tab4`  | Table 4 & Figure 6 — throttling vs MP-DASH |
-//! | `exp_fig7`  | Figure 7(a–c) — FESTIVE/BBA/BBA-C under three network conditions |
-//! | `exp_fig8`  | Figure 8 — analysis-tool chunk visualization |
-//! | `exp_field` | Figures 9 & 10, Table 5 — the 33-location field study |
-//! | `exp_fig11` | Figure 11 — the mobility scenario |
-//! | `exp_tab6`  | Table 6 — HD video |
-//! | `exp_faults` | resilience matrix — fault injection on the preferred path (beyond the paper) |
-//! | `exp_lifecycle` | request-lifecycle matrix — server faults x timeout/abandon/resume policy (beyond the paper) |
-//! | `exp_motivation` | §2.2 — can WiFi alone sustain the top bitrate, per corpus location |
-//! | `exp_ablation` | design-choice ablations, incl. the Φ/Ω study §5.2.2 defers |
-//! | `exp_mpc`   | §5.2.3's sketch — MPC rate adaptation under MP-DASH |
-//! | `exp_fleet` | multi-client contention at a shared AP and sector (beyond the paper) |
-//! | `exp_sched` | packet-scheduler grid — minRTT / round-robin / QAware, solo and contended |
-//! | `exp_origin` | multi-origin serving — breakers, hedged failover, edge cache under an outage |
-//! | `exp_churn` | fleet churn x correlated fault domain x overload shedding, watchdog armed |
-//! | `exp_aqm`   | FIFO / PIE / FQ-PIE / CoDel on the shared AP (Naik et al.'s comparison) |
-//! | `exp_all`   | everything above, in sequence |
+//! | `fig1`  | Figure 1 — vanilla MPTCP throughput while streaming |
+//! | `fig3`  | Figure 3 — BBA bitrate oscillation |
+//! | `fig4`  | Figure 4 — scheduler-only savings vs deadline (+ §7.2.1 α study) |
+//! | `fig5`  | Figure 5 — bandwidth traces and Holt-Winters predictions |
+//! | `tab2`  | Tables 1 & 2 — online vs optimal cellular usage |
+//! | `tab4`  | Table 4 & Figure 6 — throttling vs MP-DASH |
+//! | `fig7`  | Figure 7(a–c) — FESTIVE/BBA/BBA-C under three network conditions |
+//! | `fig8`  | Figure 8 — analysis-tool chunk visualization |
+//! | `field` | Figures 9 & 10, Table 5 — the 33-location field study |
+//! | `fig11` | Figure 11 — the mobility scenario |
+//! | `tab6`  | Table 6 — HD video |
+//! | `faults` | resilience matrix — fault injection on the preferred path (beyond the paper) |
+//! | `lifecycle` | request-lifecycle matrix — server faults x timeout/abandon/resume policy (beyond the paper) |
+//! | `motivation` | §2.2 — can WiFi alone sustain the top bitrate, per corpus location |
+//! | `ablation` | design-choice ablations, incl. the Φ/Ω study §5.2.2 defers |
+//! | `mpc`   | §5.2.3's sketch — MPC rate adaptation under MP-DASH |
+//! | `fleet` | multi-client contention at a shared AP and sector (beyond the paper) |
+//! | `sched` | packet-scheduler grid — minRTT / round-robin / QAware, solo and contended |
+//! | `origin` | multi-origin serving — breakers, hedged failover, edge cache under an outage |
+//! | `churn` | fleet churn x correlated fault domain x overload shedding, watchdog armed |
+//! | `aqm`   | FIFO / PIE / FQ-PIE / CoDel on the shared AP (Naik et al.'s comparison) |
+//! | `all`   | everything above, in sequence |
+//!
+//! The table the binary reads is [`experiments::ALL`]; adding an
+//! experiment is one module, one `ALL` row, and one golden line (see
+//! [`experiments`]). Grids are enumerated once through [`grid::Grid`].
 //!
 //! Wall-clock measurement lives in `perf/` (one ledger, `BENCHMARK.json`);
 //! nothing in this crate times itself.
@@ -240,3 +245,5 @@ mod tests {
 }
 pub mod cli;
 pub mod experiments;
+pub mod grid;
+mod shapes;

@@ -21,9 +21,10 @@
 //! the cross-client aggregates the fairness questions need — Jain's
 //! index on bitrate and on cellular bytes, the aggregate deadline-miss
 //! rate, and per-bottleneck conservation stats and queue-depth
-//! histograms. [`fleet_job`] wraps one replica as a batch-runner job so
-//! sharded sweeps parallelise over `MPDASH_WORKERS` with bit-identical
-//! artifacts at any worker count.
+//! histograms. A replica is a pure function of its [`FleetConfig`], so
+//! sweeps run one replica per [`mpdash_session::Job`] and parallelise
+//! over `MPDASH_WORKERS` with bit-identical artifacts at any worker
+//! count.
 
 use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
 use mpdash_obs::{
@@ -32,8 +33,8 @@ use mpdash_obs::{
 };
 use mpdash_results::Json;
 use mpdash_session::{
-    CacheStats, Job, JobReport, ServerFaultScript, SessionConfig, SessionReport,
-    SharedSegmentCache, StreamingSession,
+    CacheStats, ServerFaultScript, SessionConfig, SessionReport, SharedSegmentCache,
+    StreamingSession,
 };
 use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
 
@@ -1041,23 +1042,13 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     })
 }
 
-/// Wrap one fleet replica as a batch-runner job. The replica's summary
-/// JSON rides back as a [`JobReport::Value`], so independent replicas
-/// shard across `MPDASH_WORKERS` through the ordinary order-preserving
-/// batch machinery.
-pub fn fleet_job(label: impl Into<String>, cfg: FleetConfig) -> Job {
-    Job::custom(label, move || {
-        JobReport::Value(Box::new(run(&cfg).summary_json()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpdash_dash::abr::AbrKind;
     use mpdash_dash::video::Video;
     use mpdash_link::QueueDiscipline;
-    use mpdash_session::{run_batch_with, TransportMode};
+    use mpdash_session::{run_batch, Job, TransportMode};
 
     fn tiny_video() -> Video {
         Video::new(
@@ -1168,24 +1159,24 @@ mod tests {
 
     #[test]
     fn replicas_shard_identically_across_worker_counts() {
-        let jobs = |n: usize| -> Vec<Job> {
+        let jobs = |n: u64| -> Vec<Job<'static, String>> {
             (0..n)
                 .map(|r| {
                     let cfg = FleetConfig::new(base(TransportMode::Vanilla), 3)
                         .with_shared(ap(12.0, QueueDiscipline::Fifo))
-                        .with_seed(100 + r as u64);
-                    fleet_job(format!("replica{r}"), cfg)
+                        .with_seed(100 + r);
+                    Job::new(format!("replica{r}"), move || {
+                        run(&cfg).summary_json().to_pretty()
+                    })
                 })
                 .collect()
         };
-        let seq = run_batch_with(jobs(4), 1);
-        let par = run_batch_with(jobs(4), 4);
+        let seq = run_batch(jobs(4), 1);
+        let par = run_batch(jobs(4), 4);
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.label, b.label);
-            assert_eq!(
-                a.value().unwrap().to_pretty(),
-                b.value().unwrap().to_pretty()
-            );
+            assert_eq!(a.report, b.report);
+            assert!(a.report.is_ok());
         }
     }
 

@@ -115,7 +115,7 @@ impl LifecyclePolicy {
     }
 
     /// Seeded exponential-backoff retries only; no abandonment. The
-    /// middle rung of the `exp_lifecycle` policy ladder.
+    /// middle rung of the `exp lifecycle` policy ladder.
     pub fn retry_only() -> Self {
         LifecyclePolicy {
             retry: RetryPolicy::default(),

@@ -1056,7 +1056,7 @@ mod tests {
         // off, so the controller oscillates around its equilibrium
         // drop rate); even there it must clearly beat drop-tail. The
         // closed-loop ordering versus FIFO is asserted end-to-end by
-        // `exp_aqm`, where senders respond to the early drops.
+        // `exp aqm`, where senders respond to the early drops.
         assert!(
             pie_wait < fifo_wait * 0.75,
             "PIE must hold delay below drop-tail: pie {pie_wait} vs fifo {fifo_wait}"

@@ -33,7 +33,7 @@ const NAMES: [&str; 8] = [
     "queue_depth_bytes",
     // AQM epoch cells: per-departure sojourn, PIE's drop probability,
     // and the dequeue-drop counter must shard-merge like everything
-    // else or `exp_aqm` artifacts would drift across MPDASH_WORKERS.
+    // else or `exp aqm` artifacts would drift across MPDASH_WORKERS.
     "queue_wait_ms",
     "aqm_drop_prob_ppm",
     "aqm_dropped_packets",

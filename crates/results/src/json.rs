@@ -206,7 +206,7 @@ impl Json {
     }
 
     /// Serialize with 2-space indentation and a trailing newline — the
-    /// artifact format every `exp_*` binary writes under `results/`.
+    /// artifact format every `exp` run writes under `results/`.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);

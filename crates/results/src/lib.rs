@@ -1,6 +1,6 @@
 //! Typed experiment results for the MP-DASH benchmark harness.
 //!
-//! Every `exp_*` experiment used to *print* its tables directly; this
+//! Every `exp` experiment used to *print* its tables directly; this
 //! crate splits that into compute → persist → render:
 //!
 //! * an experiment **computes** an [`ExperimentResult`] — an ordered
@@ -228,7 +228,7 @@ pub enum Block {
     Scalars(ScalarGroup),
 }
 
-/// A full experiment result: what an `exp_*` binary computes, persists
+/// A full experiment result: what an `exp` run computes, persists
 /// and renders.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentResult {

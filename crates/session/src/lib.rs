@@ -23,10 +23,7 @@ pub mod report;
 pub mod signal;
 pub mod streaming;
 
-pub use batch::{
-    run_batch, run_batch_with, run_sessions, run_transfers, seed_jobs, BatchResult, CustomJob, Job,
-    JobError, JobProfile, JobReport, JobSpec,
-};
+pub use batch::{run_batch, BatchResult, Job, JobError};
 pub use config::{PathPreference, SessionConfig, TransportMode};
 pub use file_transfer::{FileTransfer, FileTransferConfig, FileTransferReport};
 pub use mpdash_core::SchedulerStats;

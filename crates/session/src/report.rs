@@ -87,7 +87,7 @@ pub struct ChunkLogEntry {
 }
 
 /// How gracefully the session weathered path faults: the robustness
-/// counters the `exp_faults` resilience matrix asserts its invariants
+/// counters the `exp faults` resilience matrix asserts its invariants
 /// over. All zeros in a fault-free run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DegradationMetrics {

@@ -6,8 +6,8 @@
 
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
-use mpdash_session::{run_batch_with, seed_jobs, BatchResult, Job, SessionConfig, TransportMode};
-use mpdash_sim::SimDuration;
+use mpdash_session::{run_batch, BatchResult, Job, SessionConfig, SessionReport, TransportMode};
+use mpdash_sim::{derive_seed, SimDuration};
 use proptest::prelude::*;
 
 fn tiny_cfg(wifi_mbps: f64, mode: TransportMode) -> SessionConfig {
@@ -21,14 +21,18 @@ fn tiny_cfg(wifi_mbps: f64, mode: TransportMode) -> SessionConfig {
 
 /// Every observable byte of a batch: labels plus the full JSON summary of
 /// each report, in order.
-fn serialize(results: &[BatchResult]) -> String {
+fn serialize(results: &[BatchResult<SessionReport>]) -> String {
     results
         .iter()
         .map(|r| {
             format!(
                 "{}\n{}",
                 r.label,
-                r.session().expect("session job").summary_json().to_pretty()
+                r.report
+                    .as_ref()
+                    .expect("session job")
+                    .summary_json()
+                    .to_pretty()
             )
         })
         .collect::<Vec<_>>()
@@ -50,15 +54,20 @@ proptest! {
         } else {
             TransportMode::Vanilla
         };
+        // Job `i` draws its two link-loss streams from its own derived seed.
         let mk = || {
-            let mut jobs: Vec<Job> = (0..n_jobs)
-                .map(|i| Job::session(format!("j{i}"), tiny_cfg(wifi + 0.37 * i as f64, mode)))
-                .collect();
-            seed_jobs(base_seed, &mut jobs);
-            jobs
+            (0..n_jobs as u64)
+                .map(|i| {
+                    let mut cfg = tiny_cfg(wifi + 0.37 * i as f64, mode);
+                    let seed = derive_seed(base_seed, i);
+                    cfg.wifi.seed = derive_seed(seed, 0);
+                    cfg.cell.seed = derive_seed(seed, 1);
+                    Job::session(format!("j{i}"), cfg)
+                })
+                .collect::<Vec<_>>()
         };
-        let seq = run_batch_with(mk(), 1);
-        let par = run_batch_with(mk(), workers);
+        let seq = run_batch(mk(), 1);
+        let par = run_batch(mk(), workers);
         prop_assert_eq!(seq.len(), par.len());
         prop_assert_eq!(serialize(&seq), serialize(&par));
     }

@@ -10,7 +10,8 @@
 use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
 use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::scenario::Scenario;
-use mpdash::session::run_batch;
+use mpdash::session::{run_batch, Job};
+use mpdash::sim::default_workers;
 use mpdash::timeline::{timeline_scenario, TimelineOptions};
 use std::process::ExitCode;
 
@@ -127,12 +128,24 @@ fn run_timeline(args: &[String]) -> ExitCode {
     }
 }
 
+/// One mode's row of the fleet comparison, reduced on the worker so the
+/// batch never holds a replica's per-client packet records.
+struct FleetRow {
+    wifi_bytes: u64,
+    cell_bytes: u64,
+    mean_bitrate_mbps: f64,
+    jain_bitrate: f64,
+    jain_cell_bytes: f64,
+    stalls: u64,
+    miss_rate: f64,
+}
+
 /// Run a fleet scenario: one co-simulated fleet per mode, each as one
 /// batch job, rendered as a cross-client comparison. Returns false when
 /// any mode failed.
 fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
-    let jobs = match scenario.fleet_jobs() {
-        Ok(j) => j,
+    let configs = match scenario.fleet_configs() {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("error: building {path}: {e}");
             return false;
@@ -147,29 +160,32 @@ fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
         "{:<16} {:>10} {:>10} {:>9} {:>13} {:>10} {:>7} {:>9}",
         "mode", "WiFi MB", "LTE MB", "bitrate", "jain(bitrate)", "jain(LTE)", "stalls", "miss rate"
     );
-    let results = run_batch(jobs);
-    let num = |j: &mpdash::results::Json, key: &str| -> f64 {
-        j.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
-    };
-    let mean_bitrate = |j: &mpdash::results::Json| -> f64 {
-        j.get("per_client")
-            .and_then(|v| v.as_arr())
-            .map(|rows| {
-                rows.iter()
-                    .map(|r| num(r, "mean_bitrate_mbps"))
-                    .sum::<f64>()
-                    / rows.len().max(1) as f64
+    let jobs = configs
+        .into_iter()
+        .map(|(label, fc)| {
+            Job::new(label, move || {
+                let r = mpdash::fleet::run(&fc);
+                FleetRow {
+                    wifi_bytes: r.total_wifi_bytes,
+                    cell_bytes: r.total_cell_bytes,
+                    mean_bitrate_mbps: r.mean_bitrate_mbps(),
+                    jain_bitrate: r.jain_bitrate,
+                    jain_cell_bytes: r.jain_cell_bytes,
+                    stalls: r.total_stalls,
+                    miss_rate: r.deadline_miss_rate,
+                }
             })
-            .unwrap_or(0.0)
-    };
+        })
+        .collect();
+    let results = run_batch(jobs, default_workers());
     let mut ok = true;
     let baseline_cell = results
         .first()
-        .and_then(|r| r.value().ok())
-        .map(|j| num(j, "total_cell_bytes"));
+        .and_then(|r| r.report.as_ref().ok())
+        .map(|row| row.cell_bytes as f64);
     for (i, result) in results.iter().enumerate() {
-        let j = match result.value() {
-            Ok(j) => j,
+        let row = match &result.report {
+            Ok(row) => row,
             Err(e) => {
                 eprintln!("error: job {}: {e}", result.label);
                 ok = false;
@@ -179,20 +195,20 @@ fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
         println!(
             "{:<16} {:>10.2} {:>10.2} {:>9.2} {:>13.4} {:>10.4} {:>7} {:>9.3}",
             result.label,
-            num(j, "total_wifi_bytes") / 1e6,
-            num(j, "total_cell_bytes") / 1e6,
-            mean_bitrate(j),
-            num(j, "jain_bitrate"),
-            num(j, "jain_cell_bytes"),
-            num(j, "total_stalls") as u64,
-            num(j, "deadline_miss_rate"),
+            row.wifi_bytes as f64 / 1e6,
+            row.cell_bytes as f64 / 1e6,
+            row.mean_bitrate_mbps,
+            row.jain_bitrate,
+            row.jain_cell_bytes,
+            row.stalls,
+            row.miss_rate,
         );
         if let Some(base) = baseline_cell.filter(|_| i > 0) {
             if base > 0.0 {
                 println!(
                     "{:<16} cellular saving {:5.1}% across the fleet",
                     "",
-                    (1.0 - num(j, "total_cell_bytes") / base) * 100.0,
+                    (1.0 - row.cell_bytes as f64 / base) * 100.0,
                 );
             }
         }
@@ -241,8 +257,8 @@ fn main() -> ExitCode {
             }
             continue;
         }
-        let jobs = match scenario.jobs() {
-            Ok(j) => j,
+        let configs = match scenario.build() {
+            Ok(c) => c,
             Err(e) => {
                 eprintln!("error: building {path}: {e}");
                 return ExitCode::FAILURE;
@@ -256,35 +272,40 @@ fn main() -> ExitCode {
         );
         // All modes run as one parallel batch; results come back in
         // declaration order, so the first is the baseline for savings.
-        let results = run_batch(jobs);
+        let jobs = configs
+            .into_iter()
+            .map(|(label, cfg)| Job::session(label, cfg))
+            .collect();
+        let results = run_batch(jobs, default_workers());
         // Execution profiles go to stderr so piped stdout stays a clean,
         // machine-independent report.
         for result in &results {
-            if let Some(p) = result.profile {
-                let k = p.sim.by_kind;
+            if let Ok(report) = &result.report {
+                let p = report.sim_profile;
+                let k = p.by_kind;
                 eprintln!(
                     "[profile] {}: {:.2}s wall, {} events (data {}, ack {}, rto {}, \
                      app_timer {}, reverse_msg {}), peak queue {}, \
                      lane appends {}, heap fallbacks {}",
                     result.label,
-                    p.wall.as_secs_f64(),
-                    p.sim.events_popped,
+                    result.wall.as_secs_f64(),
+                    p.events_popped,
                     k.data,
                     k.ack,
                     k.rto,
                     k.app_timer,
                     k.reverse_msg,
-                    p.sim.peak_queue_depth,
-                    p.sim.lane_appends,
-                    p.sim.heap_fallbacks
+                    p.peak_queue_depth,
+                    p.lane_appends,
+                    p.heap_fallbacks
                 );
             }
         }
         // A failed job (e.g. a panic inside one mode's simulation) must
         // not take down the whole comparison: report it and keep going.
-        let baseline = results.first().and_then(|r| r.session().ok()).cloned();
+        let baseline = results.first().and_then(|r| r.report.as_ref().ok());
         for (i, result) in results.iter().enumerate() {
-            let report = match result.session() {
+            let report = match &result.report {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("error: job {}: {e}", result.label);
@@ -302,7 +323,7 @@ fn main() -> ExitCode {
                 report.qoe.stalls,
                 report.qoe.switches,
             );
-            if let Some(base) = baseline.as_ref().filter(|_| i > 0) {
+            if let Some(base) = baseline.filter(|_| i > 0) {
                 println!(
                     "{:<16} cellular saving {:5.1}% | energy saving {:5.1}% | bitrate change {:+5.1}%",
                     "",

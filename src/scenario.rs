@@ -17,8 +17,7 @@
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
 use mpdash_fleet::{
-    fleet_job, ChurnSpec, FaultDomainSpec, FleetCacheSpec, FleetConfig, OverloadPolicy,
-    SharedLinkSpec,
+    ChurnSpec, FaultDomainSpec, FleetCacheSpec, FleetConfig, OverloadPolicy, SharedLinkSpec,
 };
 use mpdash_http::{OriginPoolConfig, OriginSpec};
 use mpdash_link::{
@@ -29,7 +28,7 @@ use mpdash_mptcp::SchedulerSpec;
 use mpdash_obs::TelemetrySpec;
 use mpdash_results::Json;
 use mpdash_session::{
-    Job, LifecyclePolicy, ServerFaultScript, SessionConfig, SharedSegmentCache, TransportMode,
+    LifecyclePolicy, ServerFaultScript, SessionConfig, SharedSegmentCache, TransportMode,
 };
 use mpdash_sim::{SimDuration, SimTime};
 use mpdash_trace::io::ProfileSpec;
@@ -908,7 +907,7 @@ pub struct Scenario {
     /// Optional epoch telemetry (`{"telemetry": {"epoch_s": 2.0}}`):
     /// every session, shared bottleneck, and fleet loop rolls its
     /// counters into fixed virtual-time epochs. Observe-only — the
-    /// `exp_*` artifacts are byte-identical with or without it; the
+    /// `exp` artifacts are byte-identical with or without it; the
     /// series feed `mpdash timeline`.
     pub telemetry: Option<TelemetrySpec>,
 }
@@ -1017,17 +1016,6 @@ impl Scenario {
         Ok(out)
     }
 
-    /// The scenario as a batch-runner job list (one job per mode, in
-    /// declaration order) — feed straight into
-    /// [`mpdash_session::run_batch`].
-    pub fn jobs(&self) -> Result<Vec<Job>, String> {
-        Ok(self
-            .build()?
-            .into_iter()
-            .map(|(label, cfg)| Job::session(label, cfg))
-            .collect())
-    }
-
     /// Wrap one built mode config in the document's fleet topology.
     /// Errors when the document has no `fleet` key.
     pub fn fleet_config(&self, mut base: SessionConfig) -> Result<FleetConfig, String> {
@@ -1059,16 +1047,6 @@ impl Scenario {
             .into_iter()
             .map(|(label, cfg)| Ok((label, self.fleet_config(cfg)?)))
             .collect()
-    }
-
-    /// The fleet scenario as a batch-runner job list (one fleet replica
-    /// per mode); each job returns the replica's summary JSON.
-    pub fn fleet_jobs(&self) -> Result<Vec<Job>, String> {
-        Ok(self
-            .fleet_configs()?
-            .into_iter()
-            .map(|(label, fc)| fleet_job(label, fc))
-            .collect())
     }
 }
 
@@ -1464,7 +1442,6 @@ mod tests {
         assert_eq!(fc.seed, 7);
         assert_eq!(fc.shared[0].paths, vec![PathId::WIFI]);
         assert_eq!(fc.shared[1].paths, vec![PathId::CELLULAR]);
-        assert_eq!(sc.fleet_jobs().unwrap().len(), 3);
         // Documents without the key build no fleet.
         let plain = Scenario::from_json(DOC).unwrap();
         assert!(plain.fleet.is_none());

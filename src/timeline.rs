@@ -18,10 +18,11 @@
 
 use crate::scenario::Scenario;
 use mpdash_dash::QoeScore;
-use mpdash_fleet::{run as run_fleet, FleetConfig};
+use mpdash_fleet::{run as run_fleet, FleetConfig, FleetProfile, FleetWallProfile};
 use mpdash_obs::{EpochSeries, TelemetrySpec};
 use mpdash_results::{artifact_dir, Json};
-use mpdash_session::{run_batch, Job, JobReport};
+use mpdash_session::{run_batch, Job};
+use mpdash_sim::default_workers;
 
 /// Options parsed from the `timeline` command line.
 #[derive(Clone, Copy, Debug, Default)]
@@ -68,19 +69,13 @@ pub fn timeline_scenario(
     // One job per mode through the ordinary order-preserving batch
     // machinery: results come back in declaration order whatever
     // MPDASH_WORKERS says, and each job's value is pure epoch data.
-    let jobs: Vec<Job> = configs
-        .into_iter()
-        .map(|(label, fc)| {
-            Job::custom(label.clone(), move || {
-                JobReport::Value(Box::new(mode_timeline(&label, &fc)))
-            })
-        })
+    let jobs = configs
+        .iter()
+        .map(|(label, fc)| Job::new(label.clone(), move || mode_timeline(label, fc)))
         .collect();
-    let results = run_batch(jobs);
     let mut modes = Vec::new();
-    for r in &results {
-        let v = r.value().map_err(|e| format!("job {}: {e}", r.label))?;
-        modes.push(v.clone());
+    for r in run_batch(jobs, default_workers()) {
+        modes.push(r.report.map_err(|e| format!("job {}: {e}", r.label))?);
     }
 
     let rendered = render(scenario, opts, &modes);
@@ -91,8 +86,8 @@ pub fn timeline_scenario(
     let ndjson_path = dir.join(format!("TIMELINE_{}.ndjson", slug(&scenario.name)));
     let mut ndjson = String::new();
     for mode in &modes {
-        for row in rows(mode) {
-            ndjson.push_str(&row.to_compact());
+        for row in &mode.rows {
+            ndjson.push_str(&row.to_json(&mode.label).to_compact());
             ndjson.push('\n');
         }
     }
@@ -109,9 +104,9 @@ pub fn timeline_scenario(
             "modes",
             Json::arr(modes.iter().map(|m| {
                 Json::obj([
-                    ("mode", m.get("mode").cloned().unwrap_or(Json::Null)),
-                    ("loop", m.get("loop").cloned().unwrap_or(Json::Null)),
-                    ("wall", m.get("wall").cloned().unwrap_or(Json::Null)),
+                    ("mode", Json::from(m.label.as_str())),
+                    ("loop", m.profile.to_json()),
+                    ("wall", m.wall.map(|w| w.to_json()).unwrap_or(Json::Null)),
                 ])
             })),
         ),
@@ -126,10 +121,89 @@ pub fn timeline_scenario(
     })
 }
 
-/// Run one mode's fleet and reduce it to the timeline's JSON: one row
-/// per epoch plus loop/wall profiles. Every field except `wall` is a
-/// pure function of the fleet config.
-fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
+/// One epoch of one mode's fleet-wide series: an NDJSON row, typed.
+struct Row {
+    epoch: u64,
+    t_s: f64,
+    deadline_hits: u64,
+    deadline_misses: u64,
+    miss_rate: f64,
+    wifi_bytes: u64,
+    cell_bytes: u64,
+    chunks: u64,
+    switches: u64,
+    stall_ms: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_hit_ratio: f64,
+    queue_depth_mean: f64,
+    queue_wait_mean_ms: f64,
+    aqm_drop_prob_ppm_mean: f64,
+    shared_dropped_bytes: u64,
+    wasted_bytes: u64,
+    loop_steps: u64,
+    loop_departures: u64,
+    fleet_arrivals: u64,
+    fleet_departures: u64,
+    fleet_shed: u64,
+    active_sessions: u64,
+    qoe_composite: f64,
+}
+
+impl Row {
+    fn to_json(&self, mode: &str) -> Json {
+        Json::obj([
+            ("mode", Json::from(mode)),
+            ("epoch", Json::from(self.epoch)),
+            ("t_s", Json::Float(self.t_s)),
+            ("deadline_hits", Json::from(self.deadline_hits)),
+            ("deadline_misses", Json::from(self.deadline_misses)),
+            ("miss_rate", Json::Float(self.miss_rate)),
+            ("wifi_bytes", Json::from(self.wifi_bytes)),
+            ("cell_bytes", Json::from(self.cell_bytes)),
+            ("chunks", Json::from(self.chunks)),
+            ("switches", Json::from(self.switches)),
+            ("stall_ms", Json::from(self.stall_ms)),
+            ("cache_hits", Json::from(self.cache_hits)),
+            ("cache_misses", Json::from(self.cache_misses)),
+            ("cache_hit_ratio", Json::Float(self.cache_hit_ratio)),
+            ("queue_depth_mean", Json::Float(self.queue_depth_mean)),
+            ("queue_wait_mean_ms", Json::Float(self.queue_wait_mean_ms)),
+            (
+                "aqm_drop_prob_ppm_mean",
+                Json::Float(self.aqm_drop_prob_ppm_mean),
+            ),
+            (
+                "shared_dropped_bytes",
+                Json::from(self.shared_dropped_bytes),
+            ),
+            ("wasted_bytes", Json::from(self.wasted_bytes)),
+            ("loop_steps", Json::from(self.loop_steps)),
+            ("loop_departures", Json::from(self.loop_departures)),
+            ("fleet_arrivals", Json::from(self.fleet_arrivals)),
+            ("fleet_departures", Json::from(self.fleet_departures)),
+            ("fleet_shed", Json::from(self.fleet_shed)),
+            ("active_sessions", Json::from(self.active_sessions)),
+            ("qoe_composite", Json::Float(self.qoe_composite)),
+        ])
+    }
+}
+
+/// One mode's fleet run reduced to what the timeline shows: one row per
+/// epoch plus the loop and wall-clock profiles. Every field except
+/// `wall` is a pure function of the fleet config.
+struct ModeTimeline {
+    label: String,
+    epoch_s: f64,
+    qoe_mean: f64,
+    miss_rate: f64,
+    rows: Vec<Row>,
+    profile: FleetProfile,
+    wall: Option<FleetWallProfile>,
+}
+
+/// Run one mode's fleet and reduce it to its [`ModeTimeline`].
+fn mode_timeline(label: &str, fc: &FleetConfig) -> ModeTimeline {
     let report = run_fleet(fc);
     let epoch = report
         .epochs
@@ -161,73 +235,63 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
     // counters integrate into the concurrency the capacity questions
     // care about. Shed sessions never arrive, so they don't inflate it.
     let mut active: i64 = 0;
-    let rows = all.cells().map(move |(i, c)| {
-        let hits = c.counter("deadline_hits");
-        let misses = c.counter("deadline_misses");
-        let miss_rate = misses as f64 / (hits + misses).max(1) as f64;
-        let cache_hits = c.counter("cache_hits");
-        let cache_misses = c.counter("cache_misses");
-        let cache_ratio = cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64;
-        let queue_depth = c
-            .histogram("queue_depth_bytes")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
-        // Mean sojourn of the epoch's departures — bufferbloat over
-        // time, and the signal an AQM holds near its target.
-        let queue_wait = c
-            .histogram("queue_wait_ms")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
-        // PIE's drop probability (parts per million), sampled at each
-        // departure; zero on non-AQM fleets, whose series lack the cell.
-        let aqm_prob = c
-            .histogram("aqm_drop_prob_ppm")
-            .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-            .unwrap_or(0.0);
-        let arrivals = c.counter("fleet_arrivals");
-        let departures = c.counter("fleet_departures");
-        let shed = c.counter("fleet_shed");
-        active += arrivals as i64 - departures as i64;
-        let qoe = QoeScore::from_epoch(
-            c.counter("chunks"),
-            c.counter("chunk_bitrate_kbps"),
-            c.counter("switches"),
-            c.counter("stall_ms"),
-            epoch,
-            top_rung_mbps,
-        );
-        Json::obj([
-            ("mode", Json::from(label)),
-            ("epoch", Json::from(i)),
-            ("t_s", Json::Float(i as f64 * epoch_s)),
-            ("deadline_hits", Json::from(hits)),
-            ("deadline_misses", Json::from(misses)),
-            ("miss_rate", Json::Float(miss_rate)),
-            ("wifi_bytes", Json::from(c.counter("wifi_bytes"))),
-            ("cell_bytes", Json::from(c.counter("cell_bytes"))),
-            ("chunks", Json::from(c.counter("chunks"))),
-            ("switches", Json::from(c.counter("switches"))),
-            ("stall_ms", Json::from(c.counter("stall_ms"))),
-            ("cache_hits", Json::from(cache_hits)),
-            ("cache_misses", Json::from(cache_misses)),
-            ("cache_hit_ratio", Json::Float(cache_ratio)),
-            ("queue_depth_mean", Json::Float(queue_depth)),
-            ("queue_wait_mean_ms", Json::Float(queue_wait)),
-            ("aqm_drop_prob_ppm_mean", Json::Float(aqm_prob)),
-            (
-                "shared_dropped_bytes",
-                Json::from(c.counter("shared_dropped_bytes")),
-            ),
-            ("wasted_bytes", Json::from(c.counter("wasted_bytes"))),
-            ("loop_steps", Json::from(c.counter("loop_steps"))),
-            ("loop_departures", Json::from(c.counter("loop_departures"))),
-            ("fleet_arrivals", Json::from(arrivals)),
-            ("fleet_departures", Json::from(departures)),
-            ("fleet_shed", Json::from(shed)),
-            ("active_sessions", Json::from(active.max(0) as u64)),
-            ("qoe_composite", Json::Float(qoe.composite)),
-        ])
-    });
+    let rows = all
+        .cells()
+        .map(|(i, c)| {
+            let hits = c.counter("deadline_hits");
+            let misses = c.counter("deadline_misses");
+            let cache_hits = c.counter("cache_hits");
+            let cache_misses = c.counter("cache_misses");
+            // Mean of a per-departure histogram over the epoch; zero on
+            // fleets whose series lack the cell (e.g. PIE's drop
+            // probability, in parts per million, on a non-AQM fleet).
+            let mean = |name: &str| {
+                c.histogram(name)
+                    .map(|h| h.sum() as f64 / h.count().max(1) as f64)
+                    .unwrap_or(0.0)
+            };
+            let arrivals = c.counter("fleet_arrivals");
+            let departures = c.counter("fleet_departures");
+            active += arrivals as i64 - departures as i64;
+            let qoe = QoeScore::from_epoch(
+                c.counter("chunks"),
+                c.counter("chunk_bitrate_kbps"),
+                c.counter("switches"),
+                c.counter("stall_ms"),
+                epoch,
+                top_rung_mbps,
+            );
+            Row {
+                epoch: i as u64,
+                t_s: i as f64 * epoch_s,
+                deadline_hits: hits,
+                deadline_misses: misses,
+                miss_rate: misses as f64 / (hits + misses).max(1) as f64,
+                wifi_bytes: c.counter("wifi_bytes"),
+                cell_bytes: c.counter("cell_bytes"),
+                chunks: c.counter("chunks"),
+                switches: c.counter("switches"),
+                stall_ms: c.counter("stall_ms"),
+                cache_hits,
+                cache_misses,
+                cache_hit_ratio: cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64,
+                queue_depth_mean: mean("queue_depth_bytes"),
+                // Mean sojourn of the epoch's departures — bufferbloat
+                // over time, and the signal an AQM holds near its target.
+                queue_wait_mean_ms: mean("queue_wait_ms"),
+                aqm_drop_prob_ppm_mean: mean("aqm_drop_prob_ppm"),
+                shared_dropped_bytes: c.counter("shared_dropped_bytes"),
+                wasted_bytes: c.counter("wasted_bytes"),
+                loop_steps: c.counter("loop_steps"),
+                loop_departures: c.counter("loop_departures"),
+                fleet_arrivals: arrivals,
+                fleet_departures: departures,
+                fleet_shed: c.counter("fleet_shed"),
+                active_sessions: active.max(0) as u64,
+                qoe_composite: qoe.composite,
+            }
+        })
+        .collect();
 
     let qoe_mean = if report.sessions.is_empty() {
         0.0
@@ -239,31 +303,15 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> Json {
             .sum::<f64>()
             / report.sessions.len() as f64
     };
-    Json::obj([
-        ("mode", Json::from(label)),
-        ("clients", Json::from(report.sessions.len())),
-        ("epoch_s", Json::Float(epoch_s)),
-        ("qoe_mean", Json::Float(qoe_mean)),
-        ("miss_rate", Json::Float(report.deadline_miss_rate)),
-        ("rows", Json::arr(rows)),
-        ("loop", report.profile.to_json()),
-        (
-            "wall",
-            report
-                .wall_profile
-                .map(|w| w.to_json())
-                .unwrap_or(Json::Null),
-        ),
-    ])
-}
-
-/// The per-epoch rows of one mode's timeline value.
-fn rows(mode: &Json) -> &[Json] {
-    mode.get("rows").and_then(|r| r.as_arr()).unwrap_or(&[])
-}
-
-fn row_f64(row: &Json, key: &str) -> f64 {
-    row.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0)
+    ModeTimeline {
+        label: label.to_string(),
+        epoch_s,
+        qoe_mean,
+        miss_rate: report.deadline_miss_rate,
+        rows,
+        profile: report.profile,
+        wall: report.wall_profile,
+    }
 }
 
 /// Downsample to at most `SPARK_WIDTH` columns by averaging fixed-size
@@ -292,7 +340,10 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-fn render(scenario: &Scenario, opts: &TimelineOptions, modes: &[Json]) -> String {
+/// One sparkline's value in a row.
+type Track = fn(&Row) -> f64;
+
+fn render(scenario: &Scenario, opts: &TimelineOptions, modes: &[ModeTimeline]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
@@ -303,36 +354,28 @@ fn render(scenario: &Scenario, opts: &TimelineOptions, modes: &[Json]) -> String
         modes.len()
     );
     for mode in modes {
-        let label = mode
-            .get("mode")
-            .and_then(|v| v.as_str())
-            .unwrap_or("?")
-            .to_string();
-        let rows = rows(mode);
-        let n = rows.len();
-        let epoch_s = mode.get("epoch_s").and_then(|v| v.as_f64()).unwrap_or(0.0);
+        let n = mode.rows.len();
+        let epoch_s = mode.epoch_s;
         let span = n as f64 * epoch_s;
-        let _ =
-            writeln!(
+        let _ = writeln!(
             out,
-            "\n{label}: {n} epochs x {epoch_s:.1}s ({span:.0}s), mean QoE {:.1}, miss rate {:.3}",
-            mode.get("qoe_mean").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            mode.get("miss_rate").and_then(|v| v.as_f64()).unwrap_or(0.0),
+            "\n{}: {n} epochs x {epoch_s:.1}s ({span:.0}s), mean QoE {:.1}, miss rate {:.3}",
+            mode.label, mode.qoe_mean, mode.miss_rate,
         );
-        let series = |key: &str| -> Vec<f64> { rows.iter().map(|r| row_f64(r, key)).collect() };
-        for (title, key, unit_scale, unit) in [
-            ("miss rate", "miss_rate", 1.0, ""),
-            ("LTE bytes", "cell_bytes", 1e-6, " MB"),
-            ("cache hit%", "cache_hit_ratio", 100.0, "%"),
-            ("queue depth", "queue_depth_mean", 1e-3, " KB"),
-            ("queue delay", "queue_wait_mean_ms", 1.0, " ms"),
-            ("aqm prob", "aqm_drop_prob_ppm_mean", 1e-4, "%"),
-            ("QoE", "qoe_composite", 1.0, ""),
-            ("loop steps", "loop_steps", 1.0, ""),
-            ("active sess", "active_sessions", 1.0, ""),
-            ("shed", "fleet_shed", 1.0, ""),
-        ] {
-            let vals = series(key);
+        let tracks: [(&str, Track, f64, &str); 10] = [
+            ("miss rate", |r| r.miss_rate, 1.0, ""),
+            ("LTE bytes", |r| r.cell_bytes as f64, 1e-6, " MB"),
+            ("cache hit%", |r| r.cache_hit_ratio, 100.0, "%"),
+            ("queue depth", |r| r.queue_depth_mean, 1e-3, " KB"),
+            ("queue delay", |r| r.queue_wait_mean_ms, 1.0, " ms"),
+            ("aqm prob", |r| r.aqm_drop_prob_ppm_mean, 1e-4, "%"),
+            ("QoE", |r| r.qoe_composite, 1.0, ""),
+            ("loop steps", |r| r.loop_steps as f64, 1.0, ""),
+            ("active sess", |r| r.active_sessions as f64, 1.0, ""),
+            ("shed", |r| r.fleet_shed as f64, 1.0, ""),
+        ];
+        for (title, value, unit_scale, unit) in tracks {
+            let vals: Vec<f64> = mode.rows.iter().map(value).collect();
             let peak = vals.iter().cloned().fold(0.0_f64, f64::max);
             let _ = writeln!(
                 out,
@@ -383,7 +426,7 @@ mod tests {
         }
     }"#;
 
-    fn demo_modes() -> Vec<Json> {
+    fn demo_modes() -> Vec<ModeTimeline> {
         let sc = Scenario::from_json(DOC).unwrap();
         let spec = sc.telemetry.unwrap();
         sc.fleet_configs()
@@ -400,19 +443,16 @@ mod tests {
         for (ma, mb) in a.iter().zip(&b) {
             // The deterministic surface (everything but wall) matches
             // bit for bit across runs.
-            assert_eq!(
-                Json::arr(rows(ma).iter().cloned()).to_pretty(),
-                Json::arr(rows(mb).iter().cloned()).to_pretty()
-            );
-            let rows = rows(ma);
+            let ndjson = |m: &ModeTimeline| {
+                Json::arr(m.rows.iter().map(|r| r.to_json(&m.label))).to_pretty()
+            };
+            assert_eq!(ndjson(ma), ndjson(mb));
+            let rows = &ma.rows;
             assert!(rows.len() > 5, "a real run spans many epochs");
             for (i, r) in rows.iter().enumerate() {
-                assert_eq!(r.get("epoch").and_then(|v| v.as_u64()), Some(i as u64));
+                assert_eq!(r.epoch, i as u64);
             }
-            let bytes: u64 = rows
-                .iter()
-                .map(|r| r.get("cell_bytes").and_then(|v| v.as_u64()).unwrap_or(0))
-                .sum();
+            let bytes: u64 = rows.iter().map(|r| r.cell_bytes).sum();
             assert!(bytes > 0, "cellular traffic shows up in the series");
         }
     }
@@ -441,11 +481,10 @@ mod tests {
         let spec = sc.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
-        let rows = rows(&mode);
-        let sum = |key: &str| -> u64 { rows.iter().map(|r| row_f64(r, key) as u64).sum() };
-        let arrivals = sum("fleet_arrivals");
-        let departures = sum("fleet_departures");
-        let shed = sum("fleet_shed");
+        let rows = &mode.rows;
+        let arrivals: u64 = rows.iter().map(|r| r.fleet_arrivals).sum();
+        let departures: u64 = rows.iter().map(|r| r.fleet_departures).sum();
+        let shed: u64 = rows.iter().map(|r| r.fleet_shed).sum();
         assert!(arrivals > 0, "admitted sessions arrive");
         assert_eq!(
             arrivals, departures,
@@ -453,15 +492,14 @@ mod tests {
         );
         assert!(shed > 0, "the cap sheds some of the 8 packed arrivals");
         assert_eq!(arrivals + shed, 8, "every client is admitted or shed");
-        let active: Vec<f64> = rows.iter().map(|r| row_f64(r, "active_sessions")).collect();
-        let peak = active.iter().cloned().fold(0.0, f64::max);
+        let peak = rows.iter().map(|r| r.active_sessions).max().unwrap();
         assert!(
-            (1.0..=2.0).contains(&peak),
+            (1..=2).contains(&peak),
             "active sessions stay within the admission cap, peak {peak}"
         );
         assert_eq!(
-            *active.last().unwrap(),
-            0.0,
+            rows.last().unwrap().active_sessions,
+            0,
             "the fleet drains to zero active sessions"
         );
     }
@@ -486,15 +524,13 @@ mod tests {
         let spec = sc.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
-        let rows = rows(&mode);
-        let peak =
-            |key: &str| -> f64 { rows.iter().map(|r| row_f64(r, key)).fold(0.0_f64, f64::max) };
+        let peak = |value: Track| mode.rows.iter().map(value).fold(0.0_f64, f64::max);
         assert!(
-            peak("queue_wait_mean_ms") > 0.0,
+            peak(|r| r.queue_wait_mean_ms) > 0.0,
             "a contended bottleneck shows queue delay"
         );
         assert!(
-            peak("aqm_drop_prob_ppm_mean") > 0.0,
+            peak(|r| r.aqm_drop_prob_ppm_mean) > 0.0,
             "sustained contention raises PIE's drop probability"
         );
         let text = render(&sc, &TimelineOptions::default(), &[mode]);

@@ -5,7 +5,7 @@
 
 use mpdash::dash::video::Video;
 use mpdash::scenario::Scenario;
-use mpdash::session::{run_batch_with, JobSpec, RingSink, StreamingSession, Tracer, TransportMode};
+use mpdash::session::{run_batch, Job, RingSink, StreamingSession, Tracer, TransportMode};
 use mpdash::sim::SimDuration;
 use std::sync::Arc;
 
@@ -46,28 +46,32 @@ fn example_scenario_round_trips_into_session_configs() {
 #[test]
 fn example_scenario_runs_through_the_batch_runner() {
     let sc = example();
-    let mut jobs = sc.jobs().expect("example scenario builds jobs");
-    assert_eq!(jobs.len(), 5);
     // Keep the smoke test fast: shrink the video, preserve everything
     // else the document declared.
-    for job in &mut jobs {
-        let JobSpec::Session(cfg) = &mut job.spec else {
-            panic!("scenario jobs are sessions");
-        };
-        cfg.video = Video::new("tiny", &[0.5, 1.0], SimDuration::from_secs(2), 4);
-    }
-    let results = run_batch_with(jobs, 2);
+    let jobs: Vec<_> = sc
+        .build()
+        .expect("example scenario builds")
+        .into_iter()
+        .map(|(label, cfg)| {
+            let tiny = Video::new("tiny", &[0.5, 1.0], SimDuration::from_secs(2), 4);
+            Job::session(label, cfg.with_video(tiny))
+        })
+        .collect();
+    assert_eq!(jobs.len(), 5);
+    let results = run_batch(jobs, 2);
     assert_eq!(results.len(), 5);
     assert_eq!(results[0].label, "Baseline");
-    for r in &results {
-        let report = r.session().expect("session job");
+    let reports: Vec<_> = results
+        .iter()
+        .map(|r| r.report.as_ref().expect("session job"))
+        .collect();
+    for (r, report) in results.iter().zip(&reports) {
         assert_eq!(report.qoe_all.chunks, 4, "{}: all chunks fetched", r.label);
         assert!(report.duration > SimDuration::ZERO);
     }
     // WiFi-only really stays off cellular; the baseline does not.
-    let wifi_only = results.last().unwrap().session().expect("session job");
-    assert_eq!(wifi_only.cell_bytes, 0);
-    assert!(results[0].session().expect("session job").cell_bytes > 0);
+    assert_eq!(reports[4].cell_bytes, 0);
+    assert!(reports[0].cell_bytes > 0);
 }
 
 fn shipped(file: &str) -> Scenario {
