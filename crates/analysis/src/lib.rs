@@ -18,7 +18,7 @@ use mpdash_dash::player::PlayerEvent;
 use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
 use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
-use mpdash_results::{Json, JsonError};
+use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
 
 /// One fetched chunk, as the analysis tool needs it. (The session layer
@@ -260,29 +260,6 @@ pub fn throughput_timeline(
     )
 }
 
-/// Path utilization (§6's first listed metric): the fraction of a path's
-/// *capacity-time product* actually carried over `[0, horizon]`.
-/// `mean_capacity` is the path's average available rate (from the
-/// bandwidth profile or a pre-play probe).
-pub fn path_utilization(
-    records: &[PktRecord],
-    path: PathId,
-    mean_capacity: mpdash_sim::Rate,
-    horizon: SimDuration,
-) -> f64 {
-    let carried: u64 = records
-        .iter()
-        .filter(|r| r.path == path)
-        .map(|r| r.len)
-        .sum();
-    let possible = mean_capacity.bytes_in(horizon);
-    if possible == 0 {
-        0.0
-    } else {
-        carried as f64 / possible as f64
-    }
-}
-
 /// Pair up `Stalled`/`Resumed` entries of a player event log into
 /// rebuffering intervals `(start, duration)` — the §6 tool's rebuffering
 /// report. A trailing unresumed stall is closed at the log's last event.
@@ -348,185 +325,39 @@ pub fn replay_energy(
     session_energy(device, &wifi, &cell, horizon)
 }
 
-/// Machine-readable session summary for downstream plotting pipelines —
-/// the analysis tool's export format.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSummaryJson {
-    /// Per-chunk rows.
-    pub chunks: Vec<ChunkRowJson>,
-    /// Total WiFi body bytes.
-    pub wifi_body_bytes: u64,
-    /// Total cellular body bytes.
-    pub cell_body_bytes: u64,
-    /// Quality switches.
-    pub switches: u64,
-    /// Chunks per level.
-    pub level_histogram: Vec<usize>,
-    /// Mean download seconds.
-    pub mean_download_s: f64,
-    /// Idle gaps `(start_s, length_s)` above the 0.5 s threshold.
-    pub idle_gaps: Vec<(f64, f64)>,
-}
-
-/// One chunk row of the JSON export.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkRowJson {
-    /// Chunk index.
-    pub index: usize,
-    /// Level fetched.
-    pub level: usize,
-    /// Body bytes.
-    pub size: u64,
-    /// Download start, seconds.
-    pub started_s: f64,
-    /// Download end, seconds.
-    pub completed_s: f64,
-    /// Cellular fraction of the body.
-    pub cell_fraction: f64,
-}
-
-/// Serialize a full analysis (plus its inputs' timing) to pretty JSON.
+/// Serialize a full analysis (plus its inputs' timing) to pretty JSON:
+/// the tool's machine-readable export for downstream plotting pipelines.
+/// Write-only, like every artifact here — nothing in the repo reads it
+/// back.
 pub fn to_json(chunks: &[ChunkInfo], analysis: &SessionAnalysis) -> String {
-    let rows: Vec<ChunkRowJson> = chunks
+    let rows = chunks.iter().zip(&analysis.splits).map(|(c, s)| {
+        Json::obj([
+            ("index", Json::from(c.index)),
+            ("level", Json::from(c.level)),
+            ("size", Json::from(c.size)),
+            ("started_s", Json::Float(c.started.as_secs_f64())),
+            ("completed_s", Json::Float(c.completed.as_secs_f64())),
+            ("cell_fraction", Json::Float(s.cell_fraction())),
+        ])
+    });
+    let histogram = analysis.level_histogram.iter().map(|&n| Json::from(n));
+    let idle_gaps = analysis
+        .idle_gaps
         .iter()
-        .zip(&analysis.splits)
-        .map(|(c, s)| ChunkRowJson {
-            index: c.index,
-            level: c.level,
-            size: c.size,
-            started_s: c.started.as_secs_f64(),
-            completed_s: c.completed.as_secs_f64(),
-            cell_fraction: s.cell_fraction(),
-        })
-        .collect();
-    let doc = SessionSummaryJson {
-        chunks: rows,
-        wifi_body_bytes: analysis.wifi_body_bytes,
-        cell_body_bytes: analysis.cell_body_bytes,
-        switches: analysis.switches,
-        level_histogram: analysis.level_histogram.clone(),
-        mean_download_s: analysis.mean_download.as_secs_f64(),
-        idle_gaps: analysis
-            .idle_gaps
-            .iter()
-            .map(|&(t, d)| (t.as_secs_f64(), d.as_secs_f64()))
-            .collect(),
-    };
-    doc.to_json().to_pretty()
-}
-
-impl ChunkRowJson {
-    fn to_json(self) -> Json {
-        Json::obj([
-            ("index", Json::from(self.index)),
-            ("level", Json::from(self.level)),
-            ("size", Json::from(self.size)),
-            ("started_s", Json::Float(self.started_s)),
-            ("completed_s", Json::Float(self.completed_s)),
-            ("cell_fraction", Json::Float(self.cell_fraction)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let u = |key: &str| -> Result<u64, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::schema(format!("'{key}' must be an integer")))
-        };
-        let f = |key: &str| -> Result<f64, JsonError> {
-            v.req(key)?
-                .as_f64()
-                .ok_or_else(|| JsonError::schema(format!("'{key}' must be a number")))
-        };
-        Ok(ChunkRowJson {
-            index: u("index")? as usize,
-            level: u("level")? as usize,
-            size: u("size")?,
-            started_s: f("started_s")?,
-            completed_s: f("completed_s")?,
-            cell_fraction: f("cell_fraction")?,
-        })
-    }
-}
-
-impl SessionSummaryJson {
-    /// The export document as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("chunks", Json::arr(self.chunks.iter().map(|c| c.to_json()))),
-            ("wifi_body_bytes", Json::from(self.wifi_body_bytes)),
-            ("cell_body_bytes", Json::from(self.cell_body_bytes)),
-            ("switches", Json::from(self.switches)),
-            (
-                "level_histogram",
-                Json::arr(self.level_histogram.iter().map(|&n| Json::from(n))),
-            ),
-            ("mean_download_s", Json::Float(self.mean_download_s)),
-            (
-                "idle_gaps",
-                Json::arr(
-                    self.idle_gaps
-                        .iter()
-                        .map(|&(a, b)| Json::arr([Json::Float(a), Json::Float(b)])),
-                ),
-            ),
-        ])
-    }
-
-    /// Parse an exported summary back — the consuming side of the export
-    /// format, so pipelines can post-process sessions without rerunning
-    /// the simulator.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(text)?;
-        let arr = |key: &str| -> Result<Vec<Json>, JsonError> {
-            Ok(v.req(key)?
-                .as_arr()
-                .ok_or_else(|| JsonError::schema(format!("'{key}' must be an array")))?
-                .to_vec())
-        };
-        let u = |key: &str| -> Result<u64, JsonError> {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::schema(format!("'{key}' must be an integer")))
-        };
-        let chunks = arr("chunks")?
-            .iter()
-            .map(ChunkRowJson::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let level_histogram = arr("level_histogram")?
-            .iter()
-            .map(|n| {
-                n.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| JsonError::schema("histogram entries must be integers"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let idle_gaps = arr("idle_gaps")?
-            .iter()
-            .map(|g| {
-                let pair = g
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| JsonError::schema("idle gaps must be pairs"))?;
-                match (pair[0].as_f64(), pair[1].as_f64()) {
-                    (Some(a), Some(b)) => Ok((a, b)),
-                    _ => Err(JsonError::schema("idle gaps must be numeric")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SessionSummaryJson {
-            chunks,
-            wifi_body_bytes: u("wifi_body_bytes")?,
-            cell_body_bytes: u("cell_body_bytes")?,
-            switches: u("switches")?,
-            level_histogram,
-            mean_download_s: v
-                .req("mean_download_s")?
-                .as_f64()
-                .ok_or_else(|| JsonError::schema("'mean_download_s' must be a number"))?,
-            idle_gaps,
-        })
-    }
+        .map(|&(t, d)| Json::arr([Json::Float(t.as_secs_f64()), Json::Float(d.as_secs_f64())]));
+    Json::obj([
+        ("chunks", Json::arr(rows)),
+        ("wifi_body_bytes", Json::from(analysis.wifi_body_bytes)),
+        ("cell_body_bytes", Json::from(analysis.cell_body_bytes)),
+        ("switches", Json::from(analysis.switches)),
+        ("level_histogram", Json::arr(histogram)),
+        (
+            "mean_download_s",
+            Json::Float(analysis.mean_download.as_secs_f64()),
+        ),
+        ("idle_gaps", Json::arr(idle_gaps)),
+    ])
+    .to_pretty()
 }
 
 #[cfg(test)]
@@ -650,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn json_export_round_trips_structurally() {
+    fn json_export_carries_the_analysis() {
         let chunks = [
             chunk(0, 2, (0, 1000), 0.0, 1.0),
             chunk(1, 3, (1200, 2200), 1.5, 2.5),
@@ -661,42 +492,28 @@ mod tests {
             rec(2.0, PathId::WIFI, 1200, 1000),
         ];
         let a = analyze(&records, &chunks, 5);
-        let json = to_json(&chunks, &a);
-        let doc = SessionSummaryJson::from_json(&json).unwrap();
-        assert_eq!(doc.chunks.len(), 2);
-        assert_eq!(doc.switches, 1);
-        assert!((doc.chunks[0].cell_fraction - 0.4).abs() < 1e-9);
-        assert_eq!(doc.wifi_body_bytes, 1600);
-        // Full structural round trip: re-serializing the parsed document
-        // reproduces the export byte-for-byte.
-        assert_eq!(doc.to_json().to_pretty(), json);
-    }
-
-    #[test]
-    fn utilization_is_carried_over_possible() {
-        use mpdash_sim::Rate;
-        // 2 Mbps for 10 s can carry 2.5 MB; we carried 1.25 MB -> 50%.
-        let records = [
-            rec(1.0, PathId::CELLULAR, 0, 625_000),
-            rec(5.0, PathId::CELLULAR, 625_000, 625_000),
-            rec(2.0, PathId::WIFI, 0, 999_999), // other path, ignored
-        ];
-        let u = path_utilization(
-            &records,
-            PathId::CELLULAR,
-            Rate::from_mbps(2),
-            SimDuration::from_secs(10),
-        );
-        assert!((u - 0.5).abs() < 1e-9, "{u}");
-        // Degenerate capacity.
+        let doc = Json::parse(&to_json(&chunks, &a)).unwrap();
+        let rows = doc.get("chunks").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 2);
+        let cell = rows[0].get("cell_fraction").and_then(Json::as_f64).unwrap();
+        assert!((cell - 0.4).abs() < 1e-9);
+        assert_eq!(doc.get("switches").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            path_utilization(
-                &records,
-                PathId::CELLULAR,
-                Rate::ZERO,
-                SimDuration::from_secs(1)
-            ),
-            0.0
+            doc.get("wifi_body_bytes").and_then(Json::as_u64),
+            Some(1600)
+        );
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| &**k).collect();
+        assert_eq!(
+            keys,
+            [
+                "chunks",
+                "wifi_body_bytes",
+                "cell_body_bytes",
+                "switches",
+                "level_histogram",
+                "mean_download_s",
+                "idle_gaps"
+            ]
         );
     }
 

@@ -16,8 +16,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let workers = match mpdash_sim::default_workers() {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let dir = mpdash_results::artifact_dir();
-    let workers = mpdash_sim::default_workers();
     let mut code = ExitCode::SUCCESS;
     for experiment in args.experiments {
         if let Err(e) = experiments::run(experiment, args.quick, workers, &dir) {

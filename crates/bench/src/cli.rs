@@ -1,10 +1,8 @@
 //! The `exp` command line: which experiments, and the one switch they
 //! share.
 //!
-//! `--quick` (or `-q`) on the command line, or `MPDASH_QUICK=1` in the
-//! environment, asks for the reduced-size run: experiments that iterate a
-//! corpus shrink it, everything else ignores the flag. The environment
-//! form exists so CI wrappers can set it once for a whole pipeline.
+//! `--quick` (or `-q`) asks for the reduced-size run: experiments that
+//! iterate a corpus shrink it, everything else ignores the flag.
 
 use crate::experiments::{select, Experiment};
 
@@ -19,7 +17,7 @@ pub struct Args {
 /// Parse `exp`'s arguments (without the program name): positional
 /// experiment names (or `all`) plus `--quick` / `-q`.
 pub fn parse(args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut quick = quick_env();
+    let mut quick = false;
     let mut names = Vec::new();
     for arg in args {
         match arg.as_str() {
@@ -37,17 +35,6 @@ pub fn parse(args: impl Iterator<Item = String>) -> Result<Args, String> {
     })
 }
 
-/// The environment half of the quick switch (`MPDASH_QUICK`).
-fn quick_env() -> bool {
-    match std::env::var("MPDASH_QUICK") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,7 +45,6 @@ mod tests {
 
     #[test]
     fn names_and_the_quick_flag_parse_in_any_order() {
-        // Test processes never set MPDASH_QUICK, so only the flag counts.
         let args = parse_strs(&["tab2", "--quick", "fig5"]).unwrap();
         assert!(args.quick);
         let names: Vec<_> = args.experiments.iter().map(|e| e.name).collect();

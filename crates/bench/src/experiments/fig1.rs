@@ -25,8 +25,8 @@ pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let report = StreamingSession::run(cfg);
 
     // Per-second throughput of each subflow over the steady state.
-    let mut wifi = Series::new("wifi-bytes");
-    let mut cell = Series::new("cell-bytes");
+    let mut wifi = Series::new();
+    let mut cell = Series::new();
     for r in &report.records {
         match r.path {
             PathId::WIFI => wifi.push(r.t, r.len as f64),

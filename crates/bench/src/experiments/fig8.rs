@@ -15,18 +15,7 @@ use mpdash_results::ExperimentResult;
 use mpdash_session::{SessionReport, TransportMode};
 
 fn chunk_infos(report: &SessionReport) -> Vec<ChunkInfo> {
-    report
-        .chunks
-        .iter()
-        .map(|c| ChunkInfo {
-            index: c.index,
-            level: c.level,
-            size: c.size,
-            started: c.started,
-            completed: c.completed,
-            body_dss: (c.body_dss.start, c.body_dss.end),
-        })
-        .collect()
+    report.chunks.iter().map(ChunkInfo::from).collect()
 }
 
 /// Compute the experiment (three sessions, batched).

@@ -140,27 +140,17 @@ pub fn run(experiment: &Experiment, quick: bool, workers: usize, dir: &Path) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdash_results::ExperimentResult;
     use std::collections::BTreeSet;
-
-    /// The pipeline contract: every experiment's artifact deserializes to
-    /// a value that renders byte-identically to the original. `tab2` is
-    /// the cheapest full experiment, so it stands in for the family.
-    #[test]
-    fn artifact_round_trips_to_identical_render() {
-        let r = tab2::result(true, 1);
-        let text = r.to_json().to_pretty();
-        let back = ExperimentResult::parse(&text).expect("artifact parses");
-        assert_eq!(back, r);
-        assert_eq!(back.render(), r.render());
-        assert_eq!(back.to_json().to_pretty(), text);
-    }
 
     /// The acceptance property of every batch-backed experiment: the
     /// persisted artifact is bit-identical at any worker count (1 is the
     /// sequential reference). This also checks each row computes the
-    /// result it is named for.
+    /// result it is named for. Looping all 21 experiments twice takes
+    /// minutes in a debug build, so CI's `test` job runs it with
+    /// `--release -- --ignored` (the `determinism` job checks the same
+    /// property on the binary).
     #[test]
+    #[ignore = "minutes in a debug build; CI runs it with --release -- --ignored"]
     fn artifact_is_bit_identical_across_worker_counts() {
         for e in &ALL {
             let seq = (e.result)(true, 1);

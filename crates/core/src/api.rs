@@ -110,11 +110,6 @@ impl MpDashControl {
         self.sched.is_active()
     }
 
-    /// Currently enabled paths.
-    pub fn enabled(&self) -> &[bool] {
-        &self.enabled
-    }
-
     /// Lifetime scheduler statistics.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
@@ -278,7 +273,7 @@ mod tests {
         }
         let change = c.on_progress(SimTime::from_secs(1), 250_000, &[true, true]);
         assert_eq!(change, Some(vec![true, true]), "cell must come on");
-        assert_eq!(c.enabled(), &[true, true]);
+        assert_eq!(c.enabled, [true, true]);
     }
 
     #[test]

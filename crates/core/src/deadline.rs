@@ -181,11 +181,6 @@ impl DeadlineScheduler {
         self.active.as_ref().is_none_or(|a| a.cell_enabled)
     }
 
-    /// The real (un-shrunk) deadline of the active transfer.
-    pub fn deadline(&self) -> Option<SimTime> {
-        self.active.as_ref().map(|a| a.started + a.window)
-    }
-
     /// Lifetime cellular on/off transition count.
     pub fn toggles(&self) -> u64 {
         self.toggles

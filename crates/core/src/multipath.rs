@@ -68,11 +68,6 @@ impl MultiPathScheduler {
         }
     }
 
-    /// Number of paths.
-    pub fn n_paths(&self) -> usize {
-        self.costs.len()
-    }
-
     /// The path index the policy prefers most (lowest cost).
     pub fn preferred(&self) -> usize {
         self.by_cost[0]

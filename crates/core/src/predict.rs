@@ -71,14 +71,6 @@ impl PredictorKind {
             PredictorKind::Ewma { alpha } => Box::new(EwmaPredictor::new(alpha)),
         }
     }
-
-    /// Display name for result tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            PredictorKind::HoltWinters { .. } => "Holt-Winters",
-            PredictorKind::Ewma { .. } => "EWMA",
-        }
-    }
 }
 
 /// Non-seasonal Holt-Winters (double exponential smoothing with trend).
@@ -114,11 +106,6 @@ impl HoltWinters {
             level: None,
             trend: 0.0,
         }
-    }
-
-    /// Smoothing parameters (for diagnostics and serialization).
-    pub fn params(&self) -> (f64, f64) {
-        (self.alpha, self.beta)
     }
 }
 
@@ -280,16 +267,6 @@ impl<P: Predictor> ThroughputSampler<P> {
         self.forecast
     }
 
-    /// The most recent completed-slot measurement.
-    pub fn last_sample(&self) -> Option<Rate> {
-        self.last_sample
-    }
-
-    /// The configured slot width.
-    pub fn slot(&self) -> SimDuration {
-        self.slot
-    }
-
     /// Re-anchor the slot clock at `t` while *keeping* predictor state.
     /// Used across application-idle gaps (player buffer full): the gap is
     /// by design, not zero throughput, so the previous transfer's estimate
@@ -386,9 +363,9 @@ mod tests {
         // 25 kB within the first 50 ms slot = 4 Mbps.
         s.on_bytes(SimTime::from_millis(10), 12_500);
         s.on_bytes(SimTime::from_millis(40), 12_500);
-        assert!(s.last_sample().is_none(), "slot not closed yet");
+        assert!(s.last_sample.is_none(), "slot not closed yet");
         s.roll_to(SimTime::from_millis(50));
-        let m = s.last_sample().unwrap().as_mbps_f64();
+        let m = s.last_sample.unwrap().as_mbps_f64();
         assert!((m - 4.0).abs() < 1e-9, "sample {m}");
     }
 
@@ -416,8 +393,8 @@ mod tests {
         // clock snaps there, so the sample closes at 10.07 s.
         s.on_bytes(SimTime::from_millis(10_020), 25_000);
         s.roll_to(SimTime::from_millis(10_050));
-        assert!(s.last_sample().is_none(), "slot not complete yet");
+        assert!(s.last_sample.is_none(), "slot not complete yet");
         s.roll_to(SimTime::from_millis(10_070));
-        assert!((s.last_sample().unwrap().as_mbps_f64() - 4.0).abs() < 1e-9);
+        assert!((s.last_sample.unwrap().as_mbps_f64() - 4.0).abs() < 1e-9);
     }
 }

@@ -104,11 +104,6 @@ impl VideoAdapter {
         VideoAdapter { cfg, category }
     }
 
-    /// The configured deadline mode.
-    pub fn mode(&self) -> DeadlineMode {
-        self.cfg.mode
-    }
-
     /// The base (unextended) deadline for a chunk of `size` bytes at
     /// `level`.
     pub fn base_deadline(&self, video: &Video, level: usize, size: u64) -> SimDuration {

@@ -50,4 +50,4 @@ pub use adapter::{AdapterConfig, DeadlineDecision, DeadlineMode, VideoAdapter};
 pub use manifest::{Manifest, Representation};
 pub use player::{Player, PlayerConfig, PlayerEvent, PlayerState};
 pub use qoe::{QoeScore, QoeSummary};
-pub use video::{ChunkRef, Video};
+pub use video::Video;

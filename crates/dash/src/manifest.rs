@@ -80,13 +80,6 @@ impl Manifest {
         m
     }
 
-    /// Whether every representation declares per-segment sizes.
-    pub fn has_sizes(&self) -> bool {
-        self.representations
-            .iter()
-            .all(|r| r.segment_sizes.is_some())
-    }
-
     /// The size a player can assume for `(segment, level)` before the
     /// download starts: the exact size when the manifest carries sizes,
     /// otherwise the nominal `bandwidth × duration` estimate — precisely
@@ -257,7 +250,6 @@ mod tests {
     #[test]
     fn status_quo_manifest_has_no_sizes() {
         let m = Manifest::from_video(&Video::big_buck_bunny());
-        assert!(!m.has_sizes());
         assert_eq!(m.segment_count, 150);
         assert_eq!(m.representations.len(), 5);
         // Size hint falls back to bandwidth × duration — the §5.1 gap.
@@ -271,7 +263,6 @@ mod tests {
     fn sized_manifest_matches_the_video_exactly() {
         let v = Video::big_buck_bunny();
         let m = Manifest::from_video_with_sizes(&v);
-        assert!(m.has_sizes());
         for i in [0usize, 7, 149] {
             for lvl in 0..v.n_levels() {
                 assert_eq!(m.size_hint(i, lvl), v.chunk_size(i, lvl));

@@ -184,11 +184,6 @@ impl Player {
         self.buffer
     }
 
-    /// Current playback state.
-    pub fn state(&self) -> PlayerState {
-        self.state
-    }
-
     /// Number of mid-stream stalls so far.
     pub fn stalls(&self) -> u64 {
         self.stalls
@@ -362,11 +357,11 @@ mod tests {
     #[test]
     fn startup_then_play() {
         let mut p = player();
-        assert_eq!(p.state(), PlayerState::Startup);
+        assert_eq!(p.state, PlayerState::Startup);
         p.advance_to(t(1.0));
-        assert_eq!(p.state(), PlayerState::Startup, "no drain before start");
+        assert_eq!(p.state, PlayerState::Startup, "no drain before start");
         p.on_chunk_complete(t(1.5), 0, 100_000, t(0.0));
-        assert_eq!(p.state(), PlayerState::Playing);
+        assert_eq!(p.state, PlayerState::Playing);
         assert_eq!(p.startup_delay(), Some(SimDuration::from_millis(1500)));
         assert_eq!(p.buffer(), SimDuration::from_secs(4));
     }
@@ -385,12 +380,12 @@ mod tests {
         let mut p = player();
         p.on_chunk_complete(t(0.5), 0, 1, t(0.0)); // 4 s buffered
         p.advance_to(t(6.0)); // drains dry at t=4.5
-        assert_eq!(p.state(), PlayerState::Stalled);
+        assert_eq!(p.state, PlayerState::Stalled);
         assert_eq!(p.stalls(), 1);
         assert_eq!(p.stall_time(), SimDuration::from_millis(1500));
         // One chunk re-buffered: resumes.
         p.on_chunk_complete(t(7.0), 0, 1, t(6.0));
-        assert_eq!(p.state(), PlayerState::Playing);
+        assert_eq!(p.state, PlayerState::Playing);
         assert_eq!(p.stall_time(), SimDuration::from_millis(2500));
     }
 
@@ -467,7 +462,7 @@ mod tests {
         p.on_chunk_complete(t(1.0), 0, 1, t(0.0));
         assert!(p.download_complete());
         p.advance_to(t(9.0)); // 8 s of content from t=0
-        assert_eq!(p.state(), PlayerState::Finished);
+        assert_eq!(p.state, PlayerState::Finished);
         assert_eq!(p.stalls(), 0, "running out at the end is not a stall");
     }
 }

@@ -14,17 +14,6 @@ use mpdash_sim::{Rate, SimDuration};
 /// Default VBR variability: sizes uniform in ±25% of nominal.
 pub const DEFAULT_VBR_SPREAD: f64 = 0.25;
 
-/// A reference to one chunk at one quality level, with its concrete size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkRef {
-    /// Chunk index, `0..video.n_chunks()`.
-    pub index: usize,
-    /// Quality level, `0..video.n_levels()` (ascending bitrate).
-    pub level: usize,
-    /// Size in bytes of this chunk at this level.
-    pub size: u64,
-}
-
 /// A DASH video: quality ladder + chunking.
 #[derive(Clone, Debug)]
 pub struct Video {
@@ -71,13 +60,6 @@ impl Video {
             vbr_spread: DEFAULT_VBR_SPREAD,
             seed,
         }
-    }
-
-    /// Same video with a different VBR spread (0 = perfectly CBR).
-    pub fn with_vbr_spread(mut self, spread: f64) -> Self {
-        assert!((0.0..1.0).contains(&spread), "spread in [0,1)");
-        self.vbr_spread = spread;
-        self
     }
 
     /// Table 3, "Big Buck Bunny": 0.58 / 1.01 / 1.47 / 2.41 / 3.94 Mbps,
@@ -188,15 +170,6 @@ impl Video {
         (nominal * self.size_factor(index, level)).round() as u64
     }
 
-    /// A [`ChunkRef`] for `(index, level)`.
-    pub fn chunk(&self, index: usize, level: usize) -> ChunkRef {
-        ChunkRef {
-            index,
-            level,
-            size: self.chunk_size(index, level),
-        }
-    }
-
     /// Total bytes of the whole video at a fixed `level`.
     pub fn total_bytes_at(&self, level: usize) -> u64 {
         (0..self.n_chunks).map(|i| self.chunk_size(i, level)).sum()
@@ -257,7 +230,10 @@ mod tests {
 
     #[test]
     fn cbr_mode_is_exact() {
-        let v = Video::big_buck_bunny().with_vbr_spread(0.0);
+        let v = Video {
+            vbr_spread: 0.0,
+            ..Video::big_buck_bunny()
+        };
         let nominal = v.bitrate(1).bytes_in(v.chunk_duration());
         for i in 0..10 {
             assert_eq!(v.chunk_size(i, 1), nominal);

@@ -295,9 +295,8 @@ pub struct FleetConfig {
     pub fault_domains: Vec<FaultDomainSpec>,
     /// Overload protection at admission. `None` admits everyone.
     pub overload: Option<OverloadPolicy>,
-    /// Arm the runtime invariant watchdog inside the fleet loop.
-    /// `None` defers to `MPDASH_WATCHDOG` (`0` disarms; default armed).
-    /// Observe-only either way: artifacts are byte-identical.
+    /// Arm the runtime invariant watchdog inside the fleet loop; `None`
+    /// means armed. Observe-only either way: artifacts are byte-identical.
     pub watchdog: Option<bool>,
 }
 
@@ -669,10 +668,12 @@ fn flush_loop_counts(epochs: &mut EpochSeries, at: SimTime, counts: &mut [u64; 3
     }
 }
 
-/// `MPDASH_WATCHDOG=0` disarms the runtime checker when the config
-/// leaves it unset; any other value — or no value — leaves it armed.
-fn watchdog_from_env() -> bool {
-    std::env::var("MPDASH_WATCHDOG").map_or(true, |v| v != "0")
+/// Re-key client `k`'s slot after anything touched its queue: its next
+/// event, or nothing once it is `done`. A finished session can still own
+/// packets at a bottleneck — a spurious retransmission of data it has
+/// since acknowledged — and their late delivery must not wake it.
+fn rekey_client(next: &mut NextEvent, slot: usize, session: &StreamingSession, done: bool) {
+    next.set(slot, session.peek_time().filter(|_| !done));
 }
 
 /// Run one fleet to completion. Deterministic: a pure function of the
@@ -816,10 +817,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // below re-keys exactly the entities it can have changed.
     let nb = bottlenecks.len();
     let mut next = NextEvent::new(nb + cfg.clients);
-    for (k, session) in sessions.iter().enumerate() {
-        next.set(nb + k, session.peek_time());
-    }
     let mut done = vec![false; cfg.clients];
+    for (k, session) in sessions.iter().enumerate() {
+        rekey_client(&mut next, nb + k, session, done[k]);
+    }
     // Admission state: a session is "active" once its arrival event was
     // admitted and until it finishes. The overload policy only ever
     // sheds a *not-yet-arrived* session, at its arrival instant.
@@ -827,10 +828,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     let mut active = 0usize;
     let mut shed = vec![false; cfg.clients];
     let mut shed_sessions = 0u64;
-    let mut watchdog = cfg
-        .watchdog
-        .unwrap_or_else(watchdog_from_env)
-        .then(Watchdog::new);
+    let mut watchdog = cfg.watchdog.unwrap_or(true).then(Watchdog::new);
     // Fleet-level trace hook (shed decisions happen outside any one
     // session); observe-only like every tracer.
     let fleet_tracer = cfg.base.tracer.or_env();
@@ -895,7 +893,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // packet schedules nothing. (Re-keying is charged to the
                 // next iteration's peek.)
                 next.set(i, bottlenecks[i].next_departure());
-                next.set(nb + k, sessions[k].peek_time());
+                rekey_client(&mut next, nb + k, &sessions[k], done[k]);
             }
             Some((t, slot)) => {
                 let k = slot - nb;
@@ -945,11 +943,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     wd.check_hedges(k, hedges, wins_primary, wins_hedge)?;
                 }
                 if sessions[k].finished() {
-                    // A finished session is quiescent: every packet it
-                    // offered to a bottleneck has been acknowledged, so
-                    // no departure can target it anymore. Its leftover
-                    // timers are abandoned, exactly as the standalone
-                    // driver abandons them.
+                    // A finished session's leftover timers are abandoned,
+                    // exactly as the standalone driver abandons them. A
+                    // departure can still target it (a late copy of an
+                    // acknowledged packet); `rekey_client` keeps it asleep.
                     done[k] = true;
                     active -= 1;
                     if let Some(e) = profile.epochs.as_mut() {
@@ -960,7 +957,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // A step changes its own queue and may offer packets,
                 // which start service only at an idle bottleneck: a busy
                 // one's departure time was fixed when its service began.
-                next.set(slot, sessions[k].peek_time().filter(|_| !done[k]));
+                rekey_client(&mut next, slot, &sessions[k], done[k]);
                 for (i, bn) in bottlenecks.iter().enumerate() {
                     if next.key(i).is_none() {
                         next.set(i, bn.next_departure());
@@ -1516,6 +1513,46 @@ mod tests {
             disarmed.summary_json().to_pretty(),
             "arming the watchdog must change zero artifact bytes"
         );
+    }
+
+    #[test]
+    fn a_late_copy_of_an_acked_packet_does_not_wake_a_finished_client() {
+        // `exp churn`'s full-mode heavy / none / no-shed cell, written
+        // out: 24 viewers packed into 1 s mean inter-arrivals on links
+        // sized for four. A churned viewer finishes with a spurious
+        // retransmission still queued at the AP; when that copy departs,
+        // re-keying the finished client surfaced its abandoned timers in
+        // the past (`virtual time regressed`).
+        let video = Video::new(
+            "BBB-churn",
+            &[0.58, 1.01, 1.47, 2.41, 3.94],
+            SimDuration::from_secs(4),
+            20,
+        );
+        let client = SessionConfig::controlled_mbps(
+            50.0,
+            30.0,
+            AbrKind::Festive,
+            TransportMode::mpdash_rate_based(),
+        )
+        .with_video(video)
+        .with_buffer_capacity(SimDuration::from_secs(10));
+        let cfg = FleetConfig::new(client, 24)
+            .with_seed(23)
+            .with_churn(ChurnSpec::new(
+                SimDuration::from_secs(1),
+                SimDuration::from_secs(40),
+            ))
+            .with_watchdog(true)
+            .with_telemetry(TelemetrySpec::seconds(2.0))
+            .with_shared(ap(4.8, QueueDiscipline::Fifo))
+            .with_shared(SharedLinkSpec::cell_sector(
+                SharedBottleneckConfig::fifo_mbps(3.2),
+            ));
+        let report = run_checked(&cfg).expect("no invariant violations");
+        assert!(report.departed_sessions > 0, "viewers churned away");
+        let p = &report.profile;
+        assert_eq!(p.loop_iterations, p.departures_popped + p.session_steps + 1);
     }
 
     #[test]

@@ -523,11 +523,6 @@ impl HttpLayer {
         self.inflight.len()
     }
 
-    /// Number of response parts whose sending is deferred by a fault.
-    pub fn deferred_parts(&self) -> usize {
-        self.deferred.len()
-    }
-
     /// Queue `bytes` of response `id` on the connection at `at` (or
     /// now, if `at` is in the past), preserving FIFO stream order
     /// behind any earlier deferred part.
@@ -1177,7 +1172,7 @@ mod tests {
             }
         }
         assert!(
-            h.deferred_parts() > 0,
+            !h.deferred.is_empty(),
             "the blackhole deferred the response"
         );
         h.cancel(&mut s, dark);

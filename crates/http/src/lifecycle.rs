@@ -262,11 +262,6 @@ impl RequestTracker {
         }
     }
 
-    /// Current state (tests and the driver's assertions).
-    pub fn state(&self) -> LifecycleState {
-        self.state
-    }
-
     /// Useful body bytes banked so far.
     pub fn received(&self) -> u64 {
         self.received
@@ -451,7 +446,7 @@ mod tests {
                 "baseline must ride out any stall"
             );
         }
-        assert_eq!(tr.state(), LifecycleState::Inflight);
+        assert_eq!(tr.state, LifecycleState::Inflight);
     }
 
     #[test]
@@ -473,7 +468,7 @@ mod tests {
             }
             other => panic!("expected abandon, got {other:?}"),
         }
-        assert_eq!(tr.state(), LifecycleState::Cancelling);
+        assert_eq!(tr.state, LifecycleState::Cancelling);
         // Progress during cancel is the doomed tail, not progress.
         tr.on_progress(t(2.2), 450_000);
         assert_eq!(tr.received(), 400_000);
@@ -486,7 +481,7 @@ mod tests {
             }
         );
         tr.on_reissued(t(2.3));
-        assert_eq!(tr.state(), LifecycleState::Inflight);
+        assert_eq!(tr.state, LifecycleState::Inflight);
     }
 
     #[test]
@@ -618,6 +613,6 @@ mod tests {
         tr.on_reissued(t(2.1));
         // Stalls again, but the budget is spent.
         assert_eq!(tr.poll(t(10.0), false), LifecycleAction::None);
-        assert_eq!(tr.state(), LifecycleState::Stalled);
+        assert_eq!(tr.state, LifecycleState::Stalled);
     }
 }

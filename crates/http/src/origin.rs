@@ -154,13 +154,6 @@ impl OriginPoolConfig {
         self
     }
 
-    /// Set the breaker backoff base and jitter.
-    pub fn with_backoff(mut self, base: SimDuration, jitter: SimDuration) -> Self {
-        self.backoff_base = base;
-        self.backoff_jitter = jitter;
-        self
-    }
-
     /// Set the jitter seed (fleets derive a per-client seed here).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -252,11 +245,6 @@ impl OriginPool {
     /// True when the pool has no origins (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.cfg.origins.is_empty()
-    }
-
-    /// Current breaker state of `origin`.
-    pub fn state(&self, origin: usize) -> BreakerState {
-        self.health[origin].state
     }
 
     /// A request served by `origin` succeeded: reset the streak and
@@ -453,7 +441,7 @@ mod tests {
         let tr = pool.on_failure(0, t).expect("second failure trips");
         assert_eq!(tr.state, BreakerState::Open);
         assert_eq!(tr.failures, 2);
-        assert_eq!(pool.state(0), BreakerState::Open);
+        assert_eq!(pool.health[0].state, BreakerState::Open);
         let (pick, _) = pool.route(t);
         assert_eq!(pick, 1, "routing falls over to the next-nearest origin");
     }
@@ -467,7 +455,11 @@ mod tests {
         // Ride past the first backoff window (2 s base + <= 500 ms jitter).
         let later = t + SimDuration::from_secs(3);
         let (pick, transitions) = pool.route(later);
-        assert_eq!(pool.state(0), BreakerState::HalfOpen, "window lapsed");
+        assert_eq!(
+            pool.health[0].state,
+            BreakerState::HalfOpen,
+            "window lapsed"
+        );
         assert!(transitions
             .iter()
             .any(|tr| tr.origin == 0 && tr.state == BreakerState::HalfOpen));
@@ -485,7 +477,7 @@ mod tests {
         let (second, _) = pool.route(later);
         assert_ne!(second, 0, "single probe only");
         assert!(pool.on_success(0).is_some(), "probe success closes");
-        assert_eq!(pool.state(0), BreakerState::Closed);
+        assert_eq!(pool.health[0].state, BreakerState::Closed);
     }
 
     #[test]
@@ -572,7 +564,7 @@ mod tests {
         assert!(transitions
             .iter()
             .any(|tr| tr.origin == 1 && tr.state == BreakerState::HalfOpen));
-        assert_eq!(pool.state(1), BreakerState::HalfOpen);
+        assert_eq!(pool.health[1].state, BreakerState::HalfOpen);
         // While that probe is outstanding, origin 1 is off the table;
         // origin 2 (also lapsed to Half-Open) absorbs the next hedge,
         // and once both probes are in flight nothing is left.
@@ -584,7 +576,7 @@ mod tests {
         // Probe outcomes resolve the race deterministically: a win
         // closes the breaker, a loss re-opens it with a longer window.
         assert!(pool.on_success(1).is_some());
-        assert_eq!(pool.state(1), BreakerState::Closed);
+        assert_eq!(pool.health[1].state, BreakerState::Closed);
         let tr = pool.on_failure(2, later).expect("failed probe re-trips");
         assert_eq!(tr.state, BreakerState::Open);
         pool.sanity().expect("resolved state is self-consistent");

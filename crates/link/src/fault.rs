@@ -311,37 +311,6 @@ impl FaultScript {
         })
     }
 
-    /// A seed-derived random timeline over `[0, horizon)`: fault onsets
-    /// arrive every ~20 s on average, each drawn uniformly from the four
-    /// families with durations of 2–8 s (reassociations 0.5–2.5 s).
-    /// Same seed ⇒ same timeline.
-    pub fn random(seed: u64, horizon: SimDuration) -> Self {
-        let mut rng = Prng::new(derive_seed(seed, 0xFA07));
-        let mut script = FaultScript::new();
-        let mut cursor = SimDuration::from_secs_f64(5.0 + 10.0 * rng.next_f64());
-        while cursor < horizon {
-            let at = SimTime::ZERO + cursor;
-            let duration = SimDuration::from_secs_f64(2.0 + 6.0 * rng.next_f64());
-            script = match rng.next_u64() % 4 {
-                0 => script.burst_loss(at, duration, GilbertElliott::new(0.05, 0.30, 0.5)),
-                1 => script.rtt_spike(
-                    at,
-                    duration,
-                    SimDuration::from_millis(150 + rng.next_u64() % 250),
-                    SimDuration::from_millis(50 + rng.next_u64() % 100),
-                ),
-                2 => script.rate_collapse(at, duration, 0.1 + 0.3 * rng.next_f64()),
-                _ => script.disassociation(
-                    at,
-                    duration,
-                    SimDuration::from_secs_f64(0.5 + 2.0 * rng.next_f64()),
-                ),
-            };
-            cursor = cursor + duration + SimDuration::from_secs_f64(10.0 + 20.0 * rng.next_f64());
-        }
-        script
-    }
-
     /// The ordered event timeline.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -551,14 +520,6 @@ mod tests {
             .rate_collapse(SimTime::ZERO, SimDuration::from_secs(10), 0.5)
             .rate_collapse(SimTime::from_secs(5), SimDuration::from_secs(10), 0.5);
         assert!((s.rate_factor_at(SimTime::from_secs(7)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn random_script_is_seed_deterministic() {
-        let h = SimDuration::from_secs(300);
-        assert_eq!(FaultScript::random(1, h), FaultScript::random(1, h));
-        assert_ne!(FaultScript::random(1, h), FaultScript::random(2, h));
-        assert!(!FaultScript::random(1, h).is_empty());
     }
 
     #[test]

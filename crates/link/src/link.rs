@@ -160,10 +160,6 @@ pub struct Link {
     /// instead of this link's private server (see [`Link::offer_shared`]).
     shared: Option<(SharedBottleneck, FlowId)>,
     // Lifetime counters for the analysis tool.
-    delivered_bytes: u64,
-    delivered_packets: u64,
-    dropped_packets: u64,
-    fault_dropped_packets: u64,
     /// Observe-only trace emission; never feeds back into the model.
     tracer: Tracer,
     /// Dense path index used to label trace events.
@@ -191,10 +187,6 @@ impl Link {
             in_system_bytes: 0,
             purged_to: SimTime::ZERO,
             shared: None,
-            delivered_bytes: 0,
-            delivered_packets: 0,
-            dropped_packets: 0,
-            fault_dropped_packets: 0,
             tracer: Tracer::disabled(),
             trace_path: 0,
             fault_active: Vec::new(),
@@ -243,16 +235,6 @@ impl Link {
                     .emit_with(now, || TraceEvent::FaultCleared { path, kind });
             }
         }
-    }
-
-    /// The bandwidth profile (read access for oracles/analysis).
-    pub fn profile(&self) -> &BandwidthProfile {
-        &self.cfg.profile
-    }
-
-    /// The available bandwidth right now.
-    pub fn rate_at(&self, t: SimTime) -> Rate {
-        self.cfg.profile.rate_at(t)
     }
 
     /// The profile's rate at `t` and the instant it may next change.
@@ -311,11 +293,6 @@ impl Link {
         self.shared.is_some()
     }
 
-    /// The flow id of the shared subscription, if attached.
-    pub fn shared_flow(&self) -> Option<FlowId> {
-        self.shared.as_ref().map(|&(_, flow)| flow)
-    }
-
     /// Occupancy of the attached shared bottleneck in bytes, `None` on a
     /// private link. Read-only: the queue-aware scheduler's cross-layer
     /// signal, safe to sample without perturbing link state.
@@ -342,61 +319,19 @@ impl Link {
         self.trace_fault_edges(now);
         if let Some(faults) = &self.faults {
             if faults.disassociated_at(now) {
-                self.dropped_packets += 1;
-                self.fault_dropped_packets += 1;
                 return SharedOutcome::Dropped(DropReason::Disassociated);
             }
         }
         if let Some(faults) = &mut self.faults {
             if faults.burst_lose_packet(now) {
-                self.dropped_packets += 1;
-                self.fault_dropped_packets += 1;
                 return SharedOutcome::Dropped(DropReason::BurstLoss);
             }
         }
         if self.cfg.loss > 0.0 && self.rng.next_f64() < self.cfg.loss {
-            self.dropped_packets += 1;
             return SharedOutcome::Dropped(DropReason::RandomLoss);
         }
         let (bottleneck, flow) = self.shared.as_ref().expect("no shared bottleneck attached");
-        let outcome = bottleneck.offer(now, *flow, size);
-        match outcome {
-            SharedOutcome::Queued { .. } => {
-                self.delivered_bytes += size;
-                self.delivered_packets += 1;
-            }
-            SharedOutcome::Dropped(_) => {
-                self.dropped_packets += 1;
-            }
-        }
-        outcome
-    }
-
-    /// Total bytes accepted for delivery so far.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    /// Total packets accepted for delivery so far.
-    pub fn delivered_packets(&self) -> u64 {
-        self.delivered_packets
-    }
-
-    /// Total packets dropped so far (loss + overflow + dead link +
-    /// injected faults).
-    pub fn dropped_packets(&self) -> u64 {
-        self.dropped_packets
-    }
-
-    /// Packets dropped by injected faults (burst loss + disassociation)
-    /// — a subset of [`Link::dropped_packets`].
-    pub fn fault_dropped_packets(&self) -> u64 {
-        self.fault_dropped_packets
-    }
-
-    /// Whether an injected disassociation outage covers `t`.
-    pub fn disassociated_at(&self, t: SimTime) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.disassociated_at(t))
+        bottleneck.offer(now, *flow, size)
     }
 
     /// Offer a packet of `size` bytes to the link at time `now`.
@@ -412,8 +347,6 @@ impl Link {
         //    never reaches the air.
         if let Some(faults) = &self.faults {
             if faults.disassociated_at(now) {
-                self.dropped_packets += 1;
-                self.fault_dropped_packets += 1;
                 return SendOutcome::Dropped(DropReason::Disassociated);
             }
         }
@@ -422,8 +355,6 @@ impl Link {
         //    step per offered packet; any of them may eat it.
         if let Some(faults) = &mut self.faults {
             if faults.burst_lose_packet(now) {
-                self.dropped_packets += 1;
-                self.fault_dropped_packets += 1;
                 return SendOutcome::Dropped(DropReason::BurstLoss);
             }
         }
@@ -432,7 +363,6 @@ impl Link {
         //    the byte still occupied upstream buffers in reality, but for a
         //    drop-tail model deciding early is equivalent and simpler.
         if self.cfg.loss > 0.0 && self.rng.next_f64() < self.cfg.loss {
-            self.dropped_packets += 1;
             return SendOutcome::Dropped(DropReason::RandomLoss);
         }
 
@@ -443,7 +373,6 @@ impl Link {
         //    start or it would disagree with this sample within one tick.
         let backlog = self.backlog(now);
         if backlog + size > self.cfg.queue_capacity {
-            self.dropped_packets += 1;
             return SendOutcome::Dropped(DropReason::QueueOverflow);
         }
 
@@ -462,7 +391,6 @@ impl Link {
         let (mut rate, mut until) = self.step_at(start);
         while rate.is_zero() {
             if until == SimTime::MAX {
-                self.dropped_packets += 1;
                 return SendOutcome::Dropped(DropReason::DeadLink);
             }
             start = until;
@@ -489,8 +417,6 @@ impl Link {
             None => SimDuration::ZERO,
         };
 
-        self.delivered_bytes += size;
-        self.delivered_packets += 1;
         SendOutcome::Delivered {
             at: tx_end + self.cfg.delay + extra,
         }
@@ -572,8 +498,6 @@ mod tests {
         }
         assert_eq!(delivered, 3);
         assert_eq!(dropped, 7);
-        assert_eq!(l.delivered_packets(), 3);
-        assert_eq!(l.dropped_packets(), 7);
     }
 
     #[test]
@@ -711,9 +635,6 @@ mod tests {
             l.send(SimTime::from_secs(17), MSS),
             SendOutcome::Delivered { .. }
         ));
-        assert_eq!(l.fault_dropped_packets(), 4);
-        assert!(l.disassociated_at(SimTime::from_secs(15)));
-        assert!(!l.disassociated_at(SimTime::from_secs(17)));
     }
 
     #[test]
@@ -814,7 +735,6 @@ mod tests {
         }
         // Stationary bad probability 0.5 with loss 1.0 → about half drop.
         assert!((150..350).contains(&dropped), "in-window drops {dropped}");
-        assert_eq!(l.fault_dropped_packets(), dropped);
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl QueueDiscipline {
             QueueDiscipline::Codel(_) => "codel",
         }
     }
-
-    /// True when an AQM controller is attached. Non-AQM disciplines
-    /// take none of the AQM code paths — FIFO and DRR fleets stay
-    /// byte-identical to pre-AQM builds.
-    pub fn is_aqm(&self) -> bool {
-        matches!(
-            self,
-            QueueDiscipline::Pie(_) | QueueDiscipline::FqPie { .. } | QueueDiscipline::Codel(_)
-        )
-    }
 }
 
 /// Static configuration of a [`SharedBottleneck`].
@@ -525,16 +515,6 @@ impl SharedBottleneck {
             }
         }
         id
-    }
-
-    /// Number of subscribed flows.
-    pub fn n_flows(&self) -> usize {
-        self.lock().flows.len()
-    }
-
-    /// The configured discipline.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.lock().cfg.discipline
     }
 
     /// Bytes currently in the system (waiting plus in service) — the
@@ -1168,7 +1148,7 @@ mod tests {
     }
 
     #[test]
-    fn aqm_labels_and_flags_are_stable() {
+    fn aqm_labels_are_stable() {
         use crate::aqm::AqmConfig;
         assert_eq!(QueueDiscipline::Pie(AqmConfig::pie()).label(), "pie");
         assert_eq!(
@@ -1180,9 +1160,6 @@ mod tests {
             "fq_pie"
         );
         assert_eq!(QueueDiscipline::Codel(AqmConfig::codel()).label(), "codel");
-        assert!(!QueueDiscipline::Fifo.is_aqm());
-        assert!(!QueueDiscipline::FlowQueue { quantum: 1540 }.is_aqm());
-        assert!(QueueDiscipline::Codel(AqmConfig::codel()).is_aqm());
     }
 
     #[test]

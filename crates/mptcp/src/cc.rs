@@ -69,11 +69,6 @@ impl CongestionControl {
         self.cwnd as u64
     }
 
-    /// Current slow-start threshold (diagnostics).
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
     /// True while in slow start.
     pub fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
@@ -226,7 +221,7 @@ mod tests {
         cc.on_rto(cc.cwnd());
         assert_eq!(cc.cwnd(), MSS);
         assert!(cc.in_slow_start(), "RTO re-enters slow start");
-        assert!(cc.ssthresh() >= MIN_CWND);
+        assert!(cc.ssthresh >= MIN_CWND);
     }
 
     #[test]

@@ -56,23 +56,6 @@ impl PathMask {
     pub fn with(self, path: PathId) -> PathMask {
         PathMask(self.0 | (1 << path.0))
     }
-
-    /// A copy with `path` disabled.
-    pub fn without(self, path: PathId) -> PathMask {
-        PathMask(self.0 & !(1 << path.0))
-    }
-
-    /// Set or clear `path` in place; returns `true` if the mask changed.
-    pub fn set(&mut self, path: PathId, enabled: bool) -> bool {
-        let new = if enabled {
-            self.with(path)
-        } else {
-            self.without(path)
-        };
-        let changed = new != *self;
-        *self = new;
-        changed
-    }
 }
 
 impl Default for PathMask {
@@ -116,16 +99,6 @@ mod tests {
 
         let both = wifi_only.with(PathId::CELLULAR);
         assert!(both.contains(PathId::CELLULAR));
-        assert_eq!(both.without(PathId::CELLULAR), wifi_only);
-    }
-
-    #[test]
-    fn set_reports_changes() {
-        let mut m = PathMask::only(PathId::WIFI);
-        assert!(m.set(PathId::CELLULAR, true));
-        assert!(!m.set(PathId::CELLULAR, true), "idempotent set");
-        assert!(m.set(PathId::CELLULAR, false));
-        assert_eq!(m, PathMask::only(PathId::WIFI));
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl IntervalSet {
     pub fn total_bytes(&self) -> u64 {
         self.runs.iter().map(|&(s, e)| e - s).sum()
     }
-
-    /// True if nothing has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +138,7 @@ mod tests {
     fn empty_interval_ignored() {
         let mut s = IntervalSet::new();
         s.insert(5, 5);
-        assert!(s.is_empty());
+        assert_eq!(s.run_count(), 0);
         assert!(s.covers(3, 3), "empty query trivially covered");
     }
 

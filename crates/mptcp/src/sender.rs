@@ -185,21 +185,6 @@ impl SubflowTx {
         self.srtt
     }
 
-    /// Current RTO value.
-    pub fn rto(&self) -> SimDuration {
-        self.rto
-    }
-
-    /// Absolute retransmission-timer deadline, if armed.
-    pub fn rto_deadline(&self) -> Option<SimTime> {
-        self.rto_deadline
-    }
-
-    /// Whether this subflow has been declared failed.
-    pub fn failed(&self) -> bool {
-        self.failed
-    }
-
     /// Lifetime count of failure declarations on this subflow.
     pub fn failures(&self) -> u64 {
         self.failures
@@ -209,18 +194,6 @@ impl SubflowTx {
     /// subflow.
     pub fn revivals(&self) -> u64 {
         self.revivals
-    }
-
-    /// Current revival-probe cooldown (doubles on repeated failures).
-    pub fn revival_backoff(&self) -> SimDuration {
-        self.revival_backoff
-    }
-
-    /// Instant the subflow may next carry new data; later than the
-    /// revival instant while the re-establishment handshake is in
-    /// flight.
-    pub fn established_at(&self) -> SimTime {
-        self.established_at
     }
 
     /// Re-establish the subflow after a failure. MPTCP tears a failed
@@ -336,34 +309,9 @@ impl Sender {
         &self.subflows[path.index()]
     }
 
-    /// Number of subflows.
-    pub fn n_paths(&self) -> usize {
-        self.subflows.len()
-    }
-
     /// Application bytes queued so far (lifetime).
     pub fn conn_total(&self) -> u64 {
         self.conn_total
-    }
-
-    /// Bytes already assigned to subflows (lifetime).
-    pub fn conn_assigned(&self) -> u64 {
-        self.conn_assigned
-    }
-
-    /// The currently enforced path mask.
-    pub fn mask(&self) -> PathMask {
-        self.mask
-    }
-
-    /// Failure declarations summed over all subflows (lifetime).
-    pub fn total_failures(&self) -> u64 {
-        self.subflows.iter().map(|sf| sf.failures()).sum()
-    }
-
-    /// Revivals summed over all subflows (lifetime).
-    pub fn total_revivals(&self) -> u64 {
-        self.subflows.iter().map(|sf| sf.revivals()).sum()
     }
 
     /// Queue `bytes` more application bytes for transmission.
@@ -852,7 +800,7 @@ mod tests {
         s.on_ack(SimTime::from_millis(50), PathId::WIFI, MSS);
         let srtt = s.subflow(PathId::WIFI).srtt().unwrap();
         assert_eq!(srtt, SimDuration::from_millis(50));
-        assert_eq!(s.subflow(PathId::WIFI).rto(), SimDuration::from_millis(200));
+        assert_eq!(s.subflow(PathId::WIFI).rto, SimDuration::from_millis(200));
     }
 
     #[test]
@@ -922,7 +870,7 @@ mod tests {
         assert_eq!(t.seq, 0);
         assert!(t.retx);
         assert_eq!(s.subflow(PathId::WIFI).cwnd(), MSS);
-        assert_eq!(s.subflow(PathId::WIFI).rto(), RTO_INITIAL * 2);
+        assert_eq!(s.subflow(PathId::WIFI).rto, RTO_INITIAL * 2);
         // Timer re-armed with the backed-off value.
         assert_eq!(
             s.rto_deadline(PathId::WIFI).unwrap(),
@@ -977,7 +925,7 @@ mod tests {
             };
             now = d;
             s.on_rto_fire(now, PathId::WIFI);
-            if s.subflow(PathId::WIFI).failed() {
+            if s.subflow(PathId::WIFI).failed {
                 failed = true;
                 break;
             }
@@ -1009,7 +957,7 @@ mod tests {
                 break;
             };
             s.on_rto_fire(d, PathId::WIFI);
-            if s.subflow(PathId::WIFI).failed() {
+            if s.subflow(PathId::WIFI).failed {
                 return d;
             }
         }
@@ -1022,25 +970,25 @@ mod tests {
         let t1 = fail_wifi(&mut s, SimTime::ZERO);
         assert_eq!(s.subflow(PathId::WIFI).failures(), 1);
         assert_eq!(
-            s.subflow(PathId::WIFI).revival_backoff(),
+            s.subflow(PathId::WIFI).revival_backoff,
             REVIVAL_COOLDOWN * 2,
             "first failure doubles the cooldown"
         );
         // Still failed right at the cooldown boundary (strictly-greater).
         s.pump(t1 + REVIVAL_COOLDOWN * 2);
-        assert!(s.subflow(PathId::WIFI).failed());
+        assert!(s.subflow(PathId::WIFI).failed);
         // Past it: revived.
         let revive_at = t1 + REVIVAL_COOLDOWN * 2 + SimDuration::from_millis(1);
         s.pump(revive_at);
-        assert!(!s.subflow(PathId::WIFI).failed());
+        assert!(!s.subflow(PathId::WIFI).failed);
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 1);
 
         // Second failure doubles again (no ack progress in between).
-        let ready1 = s.subflow(PathId::WIFI).established_at();
+        let ready1 = s.subflow(PathId::WIFI).established_at;
         let t2 = fail_wifi(&mut s, ready1);
         assert_eq!(s.subflow(PathId::WIFI).failures(), 2);
         assert_eq!(
-            s.subflow(PathId::WIFI).revival_backoff(),
+            s.subflow(PathId::WIFI).revival_backoff,
             REVIVAL_COOLDOWN * 4
         );
 
@@ -1048,7 +996,7 @@ mod tests {
         let revive2 = t2 + REVIVAL_COOLDOWN * 4 + SimDuration::from_millis(1);
         s.pump(revive2);
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 2);
-        let ready = s.subflow(PathId::WIFI).established_at();
+        let ready = s.subflow(PathId::WIFI).established_at;
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
         let tx = s.pump(ready);
@@ -1059,7 +1007,7 @@ mod tests {
             tx[0].seq + tx[0].len,
         );
         assert_eq!(
-            s.subflow(PathId::WIFI).revival_backoff(),
+            s.subflow(PathId::WIFI).revival_backoff,
             REVIVAL_COOLDOWN,
             "ack progress resets the revival backoff"
         );
@@ -1082,11 +1030,11 @@ mod tests {
 
         let t_fail = fail_wifi(&mut s, SimTime::from_millis(60));
         let revive_at =
-            t_fail + s.subflow(PathId::WIFI).revival_backoff() + SimDuration::from_millis(1);
+            t_fail + s.subflow(PathId::WIFI).revival_backoff + SimDuration::from_millis(1);
         s.pump(revive_at);
 
         let sf = s.subflow(PathId::WIFI);
-        assert!(!sf.failed());
+        assert!(!sf.failed);
         assert_eq!(sf.revivals(), 1);
         assert!(
             sf.srtt().is_none(),
@@ -1094,13 +1042,10 @@ mod tests {
         );
         assert_eq!(sf.cwnd(), 10 * MSS, "fresh initial congestion window");
         // Handshake cost: one (pre-reset) smoothed RTT.
-        assert_eq!(
-            sf.established_at(),
-            revive_at + SimDuration::from_millis(50)
-        );
+        assert_eq!(sf.established_at, revive_at + SimDuration::from_millis(50));
 
         // New data waits for the handshake to complete.
-        let ready = sf.established_at();
+        let ready = sf.established_at;
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
         assert!(s.pump(revive_at).is_empty(), "no new data mid-handshake");
@@ -1153,7 +1098,7 @@ mod tests {
         let flushed = s.flush_unsent();
         assert_eq!(flushed, 15 * MSS);
         assert_eq!(s.conn_total(), 10 * MSS);
-        assert_eq!(s.conn_assigned(), 10 * MSS);
+        assert_eq!(s.conn_assigned, 10 * MSS);
         // Nothing more to pump; in-flight data is unaffected.
         assert!(s.pump(SimTime::ZERO).is_empty());
         assert_eq!(s.subflow(PathId::WIFI).in_flight(), 10 * MSS);

@@ -81,18 +81,6 @@ impl MptcpConfig {
             cc: CcKind::Reno,
         }
     }
-
-    /// Same configuration with a different packet scheduler.
-    pub fn with_scheduler(mut self, s: SchedulerSpec) -> Self {
-        self.scheduler = s;
-        self
-    }
-
-    /// Same configuration with a different congestion controller.
-    pub fn with_cc(mut self, cc: CcKind) -> Self {
-        self.cc = cc;
-        self
-    }
 }
 
 /// What one [`MptcpSim::step`] did.
@@ -320,11 +308,6 @@ impl MptcpSim {
         }
     }
 
-    /// The client-side desired mask currently in force.
-    pub fn desired_mask(&self) -> PathMask {
-        self.rcv.desired_mask()
-    }
-
     /// Configure the path mask at connection setup, before any data
     /// flows: applies to the receiver's desired state *and* the sender's
     /// enforcement immediately, with no signaling round-trip. This models
@@ -381,11 +364,6 @@ impl MptcpSim {
         self.snd.subflow(path).in_flight()
     }
 
-    /// Read access to a path's link (bandwidth oracle, counters).
-    pub fn link(&self, path: PathId) -> &Link {
-        &self.links[path.index()]
-    }
-
     /// Lifetime failure declarations on `path`'s subflow.
     pub fn subflow_failures(&self, path: PathId) -> u64 {
         self.snd.subflow(path).failures()
@@ -425,16 +403,6 @@ impl MptcpSim {
     /// [`MptcpSim::events_popped`] broken down by event kind.
     pub fn popped_by_kind(&self) -> PoppedByKind {
         self.popped
-    }
-
-    /// Pending `Rto` events of `path` that are live (at its slot): at most
-    /// 1, exactly 1 while it has data outstanding (an invariant check).
-    pub fn live_rto_events(&self, path: PathId) -> usize {
-        let slot = self.rto_event_at[path.index()];
-        let pending = self.queue.iter().filter(|&(at, ev)| {
-            matches!(ev, Event::Rto { path: p } if *p == path) && Some(at) == slot
-        });
-        pending.count()
     }
 
     /// High-water mark of pending events (peak queue depth).
@@ -565,20 +533,6 @@ impl MptcpSim {
         };
         self.trace_transport(now, acked_path);
         Some((now, outcome))
-    }
-
-    /// Run until the queue drains or `deadline` passes; convenience for
-    /// tests. Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> usize {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        n
     }
 
     fn pump(&mut self, now: SimTime) {
@@ -1136,5 +1090,67 @@ mod tests {
         assert_eq!(cover.contiguous_from(0), 300_000);
         // Timestamps are non-decreasing.
         assert!(recs.windows(2).all(|w| w[0].t <= w[1].t));
+    }
+
+    /// The RTO timer keeps one live event per subflow (DESIGN §4b). A
+    /// deadline that moves earlier supersedes the pending event instead of
+    /// starting a second chain beside it, so `Rto` pops stay proportional to
+    /// elapsed time over the minimum RTO however often the mask flips and the
+    /// RTT swings.
+    #[test]
+    fn rto_timer_keeps_one_live_event_per_subflow() {
+        // Bandwidth square waves fill and drain the drop-tail queues, so each
+        // path's RTT (and with it the RTO) swings 50 ↔ 600 ms.
+        let swing = |fast: u64, slow: u64, slot_ms: u64| {
+            mpdash_link::BandwidthProfile::from_samples(
+                SimDuration::from_millis(slot_ms),
+                &[Rate::from_mbps(fast), Rate::from_mbps(slow)],
+                true,
+            )
+        };
+        let wifi =
+            LinkConfig::constant(1.0, SimDuration::from_millis(25)).with_profile(swing(8, 1, 1300));
+        let cell =
+            LinkConfig::constant(1.0, SimDuration::from_millis(30)).with_profile(swing(6, 1, 1700));
+        let mut sim = MptcpSim::new(MptcpConfig::two_path(wifi, cell));
+        // More than the links can carry in the run: no subflow idles, the
+        // condition under which a second chain used to live forever.
+        sim.send_app(200_000_000);
+
+        let end = SimTime::from_secs(60);
+        let mut next_flip = SimTime::ZERO;
+        let mut wifi_only = false;
+        while sim.now() < end {
+            if sim.now() >= next_flip {
+                wifi_only = !wifi_only;
+                sim.set_desired_mask(if wifi_only {
+                    PathMask::only(PathId::WIFI)
+                } else {
+                    PathMask::ALL
+                });
+                next_flip = sim.now() + SimDuration::from_millis(700);
+            }
+            sim.step().expect("the transfer outlasts the run");
+            for path in [PathId::WIFI, PathId::CELLULAR] {
+                let slot = sim.rto_event_at[path.index()];
+                let pending = sim.queue.iter().filter(|&(at, ev)| {
+                    matches!(ev, Event::Rto { path: p } if *p == path) && Some(at) == slot
+                });
+                let live = pending.count();
+                let armed = sim.path_in_flight(path) > 0;
+                assert!(
+                    live <= 1 && (live == 1 || !armed),
+                    "{live} live Rto events on {path:?} at {:?} (armed: {armed})",
+                    sim.now()
+                );
+            }
+        }
+        let popped = sim.popped_by_kind();
+        assert!(popped.data > 10_000, "the transfer ran: {popped:?}");
+        // Per path: one live fire per minimum RTO (200 ms) of elapsed time,
+        // plus the superseded events of each RTT swing (603 here; the chains
+        // this replaces popped 30,489).
+        let budget = 2 * (60_000 / 200 + 50);
+        assert!(popped.rto <= budget, "{} Rto pops > {budget}", popped.rto);
     }
 }

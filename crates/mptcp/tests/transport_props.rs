@@ -38,9 +38,11 @@ proptest! {
             .with_loss(loss_pm as f64 / 1000.0, seed);
         let cell = LinkConfig::constant(2.5, SimDuration::from_millis(35))
             .with_loss(loss_pm as f64 / 1000.0, seed ^ 77);
-        let cfg = MptcpConfig::two_path(wifi, cell)
-            .with_scheduler(if sched_rr { SchedulerSpec::RoundRobin } else { SchedulerSpec::MinRtt })
-            .with_cc(if cubic { CcKind::Cubic } else { CcKind::Reno });
+        let cfg = MptcpConfig {
+            scheduler: if sched_rr { SchedulerSpec::RoundRobin } else { SchedulerSpec::MinRtt },
+            cc: if cubic { CcKind::Cubic } else { CcKind::Reno },
+            ..MptcpConfig::two_path(wifi, cell)
+        };
         let mut sim = MptcpSim::new(cfg);
         download(&mut sim, bytes);
         prop_assert_eq!(sim.delivered(), bytes);

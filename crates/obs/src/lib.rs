@@ -15,8 +15,8 @@
 //!   event construction is deferred behind a closure so the hot path
 //!   pays nothing when tracing is off.
 //! * [`RingSink`] / [`NdjsonSink`] — in-memory and NDJSON-file sinks.
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters, gauges
-//!   and log-scale histograms with deterministic (insertion) ordering,
+//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters and
+//!   log-scale histograms with deterministic (insertion) ordering,
 //!   snapshotted into session reports and JSON artifacts.
 //! * [`EpochSeries`] / [`TelemetrySpec`] — fixed virtual-time epoch
 //!   rollups whose `merge` is associative and commutative to the bit,

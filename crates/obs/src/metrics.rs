@@ -1,5 +1,5 @@
-//! A small metrics registry: named counters, gauges, and log-scale
-//! histograms with **deterministic** ordering and serialization.
+//! A small metrics registry: named counters and log-scale histograms
+//! with **deterministic** ordering and serialization.
 //!
 //! Determinism is the design constraint everything here serves: metric
 //! names keep insertion order (no `HashMap` iteration order leaking
@@ -81,7 +81,6 @@ impl LogHistogram {
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
     histograms: Vec<(String, LogHistogram)>,
 }
 
@@ -104,14 +103,6 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Set the named gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v = value,
-            None => self.gauges.push((name.to_string(), value)),
-        }
-    }
-
     /// Record `value` into the named log-scale histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
         match self.histograms.iter_mut().find(|(k, _)| k == name) {
@@ -124,20 +115,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
     /// Freeze into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             histograms: self
                 .histograms
                 .iter()
@@ -165,8 +146,6 @@ pub struct HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Named counters in registration order.
     pub counters: Vec<(String, u64)>,
-    /// Named gauges in registration order.
-    pub gauges: Vec<(String, f64)>,
     /// Named histograms in registration order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -174,21 +153,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// True when nothing was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Counter value by name (zero if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Gauge value by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Deterministic JSON encoding:
@@ -205,15 +170,9 @@ impl MetricsSnapshot {
                         .collect(),
                 ),
             ),
-            (
-                "gauges",
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                        .collect(),
-                ),
-            ),
+            // No gauge was ever set; the empty object stays because the
+            // artifacts' bytes are pinned.
+            ("gauges", Json::Obj(Vec::new())),
             (
                 "histograms",
                 Json::Obj(
@@ -246,16 +205,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_keep_insertion_order() {
+    fn counters_keep_insertion_order() {
         let mut m = MetricsRegistry::new();
         m.inc("zebra");
         m.inc("apple");
         m.add("zebra", 2);
-        m.set_gauge("peak", 7.0);
         let s = m.snapshot();
         assert_eq!(s.counters, vec![("zebra".into(), 3), ("apple".into(), 1)]);
-        assert_eq!(s.gauge("peak"), Some(7.0));
-        assert_eq!(s.counter("missing"), 0);
     }
 
     #[test]
@@ -277,10 +233,10 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc("chunks");
         m.observe("bytes", 300_000);
-        m.set_gauge("peak_queue", 41.0);
         let a = m.snapshot().to_json().to_pretty();
         let b = m.snapshot().to_json().to_pretty();
         assert_eq!(a, b);
         assert!(a.contains("\"chunks\""));
+        assert!(a.contains("\"gauges\": {}"), "{a}");
     }
 }

@@ -145,11 +145,6 @@ impl EpochCell {
             .ok()
     }
 
-    /// True when nothing was recorded in this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     fn merge(&mut self, other: &EpochCell) {
         for (name, n) in &other.counters {
             self.add(name, *n);
@@ -261,29 +256,14 @@ impl EpochSeries {
         self.cells.len()
     }
 
-    /// Cell by epoch index.
-    pub fn cell(&self, i: usize) -> Option<&EpochCell> {
-        self.cells.get(i)
-    }
-
     /// Iterate `(epoch index, cell)`.
     pub fn cells(&self) -> impl Iterator<Item = (usize, &EpochCell)> {
         self.cells.iter().enumerate()
     }
 
-    /// The named counter's value in every epoch, dense from epoch 0.
-    pub fn counter_series(&self, name: &str) -> Vec<u64> {
-        self.cells.iter().map(|c| c.counter(name)).collect()
-    }
-
     /// The named counter summed over all epochs.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.cells.iter().map(|c| c.counter(name)).sum()
-    }
-
-    /// True when no epoch recorded anything.
-    pub fn is_empty(&self) -> bool {
-        self.cells.iter().all(|c| c.is_empty())
     }
 
     /// Merge `other` into `self`, epoch by epoch. Associative and
@@ -326,6 +306,10 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn series(s: &EpochSeries, name: &str) -> Vec<u64> {
+        s.cells().map(|(_, c)| c.counter(name)).collect()
+    }
+
     fn spec2() -> TelemetrySpec {
         TelemetrySpec::new(SimDuration::from_secs(2))
     }
@@ -337,7 +321,7 @@ mod tests {
         s.inc(t(1), "chunks"); // still epoch 0: [0, 2)
         s.inc(t(2), "chunks"); // epoch 1
         s.add(t(5), "chunks", 3); // epoch 2
-        assert_eq!(s.counter_series("chunks"), vec![2, 1, 3]);
+        assert_eq!(series(&s, "chunks"), vec![2, 1, 3]);
         assert_eq!(s.counter_total("chunks"), 6);
         assert_eq!(s.n_epochs(), 3);
     }
@@ -346,9 +330,8 @@ mod tests {
     fn untouched_epochs_are_dense_zeros() {
         let mut s = EpochSeries::new(spec2());
         s.inc(t(9), "x"); // epoch 4; 0..=3 exist but are empty
-        assert_eq!(s.counter_series("x"), vec![0, 0, 0, 0, 1]);
-        assert!(s.cell(0).unwrap().is_empty());
-        assert!(!s.is_empty());
+        assert_eq!(series(&s, "x"), vec![0, 0, 0, 0, 1]);
+        assert_eq!(s.cells[0], EpochCell::default());
     }
 
     #[test]
@@ -377,11 +360,8 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.to_json().to_pretty(), ba.to_json().to_pretty());
-        assert_eq!(ab.counter_series("chunks"), vec![1, 0, 2]);
-        assert_eq!(
-            ab.cell(1).unwrap().histogram("buffer_ms").unwrap().count(),
-            2
-        );
+        assert_eq!(series(&ab, "chunks"), vec![1, 0, 2]);
+        assert_eq!(ab.cells[1].histogram("buffer_ms").unwrap().count(), 2);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //!   list of [`Block`]s (tables, CDF summaries, metric series, scalar
 //!   groups, prose);
 //! * the result **persists** as a JSON artifact under `results/` (see
-//!   [`write_artifact`]), deterministic byte-for-byte, so CI gates and
-//!   the analysis crate can consume numbers instead of scraping stdout;
-//! * [`ExperimentResult::render`] is a **pure function** of the result —
-//!   rendering a deserialized artifact reproduces the printed report
-//!   exactly (the round-trip the test suite asserts).
+//!   [`write_artifact_to`]), deterministic byte-for-byte, so CI gates
+//!   hash numbers instead of scraping stdout. Artifacts are write-only:
+//!   nothing in the repo reads one back, so there is no reader here;
+//! * [`ExperimentResult::render`] is a **pure function** of the result.
 //!
 //! The JSON value model itself lives in [`json`]; it exists because the
 //! build environment has no registry access, so serde is replaced by a
@@ -172,14 +171,6 @@ impl CdfSummary {
             quantiles: cdf.quantiles(&CDF_QUANTILES),
         }
     }
-
-    /// The value at quantile `q`, if `q` is on the persisted grid.
-    pub fn at(&self, q: f64) -> Option<f64> {
-        self.quantiles
-            .iter()
-            .find(|&&(qq, _)| (qq - q).abs() < 1e-12)
-            .map(|&(_, v)| v)
-    }
 }
 
 /// A titled group of named scalar metrics — the machine-readable form
@@ -205,11 +196,6 @@ impl ScalarGroup {
     pub fn with(mut self, name: impl Into<String>, value: f64) -> Self {
         self.values.push((name.into(), value));
         self
-    }
-
-    /// Value by name.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }
 
@@ -259,11 +245,6 @@ impl ExperimentResult {
         self
     }
 
-    /// Append a block.
-    pub fn push(&mut self, block: Block) {
-        self.blocks.push(block);
-    }
-
     /// Append prose.
     pub fn text(&mut self, s: impl Into<String>) {
         self.blocks.push(Block::Text(s.into()));
@@ -289,24 +270,7 @@ impl ExperimentResult {
         self.blocks.push(Block::Scalars(g));
     }
 
-    /// All CDF summaries, for downstream consumers.
-    pub fn cdfs(&self) -> impl Iterator<Item = &CdfSummary> {
-        self.blocks.iter().filter_map(|b| match b {
-            Block::Cdf(c) => Some(c),
-            _ => None,
-        })
-    }
-
-    /// All scalar groups.
-    pub fn scalar_groups(&self) -> impl Iterator<Item = &ScalarGroup> {
-        self.blocks.iter().filter_map(|b| match b {
-            Block::Scalars(g) => Some(g),
-            _ => None,
-        })
-    }
-
-    /// Render the full printed report. Pure: depends only on `self`, so
-    /// a deserialized artifact renders identically to the original.
+    /// Render the full printed report. Pure: depends only on `self`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("\n================================================================\n");
@@ -366,51 +330,6 @@ impl ExperimentResult {
             ("blocks", Json::arr(self.blocks.iter().map(block_to_json))),
         ])
     }
-
-    /// Deserialize from an artifact document.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let schema = v.req("schema")?.as_str().unwrap_or_default();
-        if schema != "mpdash-experiment/1" {
-            return Err(JsonError::schema(format!(
-                "unsupported artifact schema '{schema}'"
-            )));
-        }
-        let blocks = v
-            .req("blocks")?
-            .as_arr()
-            .ok_or_else(|| JsonError::schema("'blocks' must be an array"))?
-            .iter()
-            .map(block_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ExperimentResult {
-            name: str_field(v, "name")?,
-            title: str_field(v, "title")?,
-            quick: v.req("quick")?.as_bool().unwrap_or(false),
-            blocks,
-        })
-    }
-
-    /// Parse an artifact from its serialized text.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-fn str_field(v: &Json, key: &str) -> Result<String, JsonError> {
-    v.req(key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| JsonError::schema(format!("'{key}' must be a string")))
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, JsonError> {
-    // Mean of an empty CDF persists as null → NaN.
-    let f = v.req(key)?;
-    if f.is_null() {
-        return Ok(f64::NAN);
-    }
-    f.as_f64()
-        .ok_or_else(|| JsonError::schema(format!("'{key}' must be a number")))
 }
 
 fn pairs_to_json(pairs: &[(f64, f64)]) -> Json {
@@ -419,40 +338,6 @@ fn pairs_to_json(pairs: &[(f64, f64)]) -> Json {
             .iter()
             .map(|&(a, b)| Json::arr([Json::Float(a), Json::Float(b)])),
     )
-}
-
-fn pairs_from_json(v: &Json, what: &str) -> Result<Vec<(f64, f64)>, JsonError> {
-    v.as_arr()
-        .ok_or_else(|| JsonError::schema(format!("'{what}' must be an array")))?
-        .iter()
-        .map(|p| {
-            let items = p
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| JsonError::schema(format!("'{what}' entries must be pairs")))?;
-            match (items[0].as_f64(), items[1].as_f64()) {
-                (Some(a), Some(b)) => Ok((a, b)),
-                _ => {
-                    // NaN/∞ serialize as null; map them back to NaN.
-                    let a = if items[0].is_null() {
-                        f64::NAN
-                    } else {
-                        items[0].as_f64().ok_or_else(|| {
-                            JsonError::schema(format!("'{what}' entries must be numeric"))
-                        })?
-                    };
-                    let b = if items[1].is_null() {
-                        f64::NAN
-                    } else {
-                        items[1].as_f64().ok_or_else(|| {
-                            JsonError::schema(format!("'{what}' entries must be numeric"))
-                        })?
-                    };
-                    Ok((a, b))
-                }
-            }
-        })
-        .collect()
 }
 
 fn block_to_json(b: &Block) -> Json {
@@ -509,85 +394,6 @@ fn block_to_json(b: &Block) -> Json {
     }
 }
 
-fn block_from_json(v: &Json) -> Result<Block, JsonError> {
-    let ty = v.req("type")?.as_str().unwrap_or_default();
-    match ty {
-        "text" => Ok(Block::Text(str_field(v, "text")?)),
-        "table" => {
-            let header = v
-                .req("header")?
-                .as_arr()
-                .ok_or_else(|| JsonError::schema("'header' must be an array"))?
-                .iter()
-                .map(|h| {
-                    h.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| JsonError::schema("table headers must be strings"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let rows = v
-                .req("rows")?
-                .as_arr()
-                .ok_or_else(|| JsonError::schema("'rows' must be an array"))?
-                .iter()
-                .map(|r| {
-                    r.as_arr()
-                        .ok_or_else(|| JsonError::schema("table rows must be arrays"))?
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| JsonError::schema("table cells must be strings"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Block::Table(TableData {
-                title: v.get("title").and_then(|t| t.as_str()).map(str::to_string),
-                header,
-                rows,
-            }))
-        }
-        "cdf" => Ok(Block::Cdf(CdfSummary {
-            name: str_field(v, "name")?,
-            count: v
-                .req("count")?
-                .as_u64()
-                .ok_or_else(|| JsonError::schema("'count' must be an integer"))?
-                as usize,
-            mean: f64_field(v, "mean")?,
-            quantiles: pairs_from_json(v.req("quantiles")?, "quantiles")?,
-        })),
-        "series" => Ok(Block::Series(MetricSeries {
-            name: str_field(v, "name")?,
-            unit: str_field(v, "unit")?,
-            points: pairs_from_json(v.req("points")?, "points")?,
-        })),
-        "scalars" => {
-            let values = v
-                .req("values")?
-                .as_obj()
-                .ok_or_else(|| JsonError::schema("'values' must be an object"))?
-                .iter()
-                .map(|(k, val)| {
-                    let f = if val.is_null() {
-                        f64::NAN
-                    } else {
-                        val.as_f64()
-                            .ok_or_else(|| JsonError::schema("scalar values must be numeric"))?
-                    };
-                    Ok((k.clone(), f))
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?;
-            Ok(Block::Scalars(ScalarGroup {
-                title: str_field(v, "title")?,
-                values,
-            }))
-        }
-        other => Err(JsonError::schema(format!("unknown block type '{other}'"))),
-    }
-}
-
 /// Directory artifacts are written to: `MPDASH_RESULTS_DIR` if set,
 /// otherwise `results/` under the current directory.
 pub fn artifact_dir() -> std::path::PathBuf {
@@ -596,7 +402,7 @@ pub fn artifact_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("results"))
 }
 
-/// Write `result` as `results/<name>.json` (creating the directory) and
+/// Write `result` as `<dir>/<name>.json` (creating the directory) and
 /// return the path.
 ///
 /// The write is atomic: the bytes land in a temporary file in the same
@@ -604,11 +410,6 @@ pub fn artifact_dir() -> std::path::PathBuf {
 /// concurrent reader — experiments run in parallel batches) never
 /// observes a truncated artifact. The temp name is keyed by process id
 /// so concurrent writers of *different* experiments cannot collide.
-pub fn write_artifact(result: &ExperimentResult) -> std::io::Result<std::path::PathBuf> {
-    write_artifact_to(&artifact_dir(), result)
-}
-
-/// [`write_artifact`] with an explicit target directory.
 pub fn write_artifact_to(
     dir: &std::path::Path,
     result: &ExperimentResult,
@@ -685,16 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_round_trip_preserves_value_and_render() {
-        let r = sample_result();
-        let text = r.to_json().to_pretty();
-        let back = ExperimentResult::parse(&text).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.render(), r.render());
-        assert_eq!(back.to_json().to_pretty(), text, "serialization stable");
-    }
-
-    #[test]
     fn render_contains_all_parts() {
         let r = sample_result();
         let out = r.render();
@@ -707,29 +498,28 @@ mod tests {
     }
 
     #[test]
-    fn cdf_summary_grid_lookup() {
+    fn cdf_summary_covers_the_quantile_grid() {
         let mut cdf = Cdf::new();
         for v in [1.0, 2.0, 3.0, 4.0, 5.0] {
             cdf.push(v);
         }
         let s = CdfSummary::from_cdf("x", &mut cdf);
         assert_eq!(s.count, 5);
-        assert_eq!(s.at(0.5), Some(3.0));
-        assert_eq!(s.at(0.0), Some(1.0));
-        assert_eq!(s.at(1.0), Some(5.0));
-        assert!(s.at(0.33).is_none());
+        let grid: Vec<f64> = s.quantiles.iter().map(|&(q, _)| q).collect();
+        assert_eq!(grid, CDF_QUANTILES);
+        assert_eq!(s.quantiles[0], (0.0, 1.0));
+        assert_eq!(s.quantiles[3], (0.5, 3.0));
+        assert_eq!(s.quantiles[6], (1.0, 5.0));
         assert!((s.mean - 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_cdf_mean_survives_round_trip_as_nan() {
+    fn empty_cdf_mean_is_written_as_null() {
         let mut r = ExperimentResult::new("e", "E");
         r.cdf(CdfSummary::from_cdf("empty", &mut Cdf::new()));
         let text = r.to_json().to_pretty();
-        let back = ExperimentResult::parse(&text).unwrap();
-        let c = back.cdfs().next().unwrap();
-        assert!(c.mean.is_nan());
-        assert_eq!(c.count, 0);
+        assert!(text.contains("\"count\": 0"), "{text}");
+        assert!(text.contains("\"mean\": null"), "{text}");
     }
 
     #[test]
@@ -739,10 +529,5 @@ mod tests {
         let s = t.render();
         assert!(s.contains("| a | bbbb |"));
         assert!(s.contains("| 1 |    2 |"));
-    }
-
-    #[test]
-    fn rejects_unknown_schema() {
-        assert!(ExperimentResult::parse(r#"{"schema": "other/9", "blocks": []}"#).is_err());
     }
 }

@@ -369,12 +369,6 @@ impl SessionConfig {
         self
     }
 
-    /// Same config with a delayed first request (staggered fleet start).
-    pub fn with_start_offset(mut self, offset: SimDuration) -> Self {
-        self.start_offset = offset;
-        self
-    }
-
     /// Same config with a bounded viewing duration: the session departs
     /// (stops requesting chunks) once it has watched this long, even if
     /// the video has chapters left. Fleet churn draws these per client.

@@ -12,8 +12,8 @@
 //! transfer with a deadline.
 
 use crate::config::TransportMode;
-use crate::report::replay_energy;
 use crate::signal::DeadlineSignal;
+use mpdash_analysis::replay_energy;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_energy::{DeviceProfile, SessionEnergy};
@@ -114,18 +114,6 @@ pub struct FileTransferReport {
     pub sim_profile: crate::report::SimProfile,
 }
 
-impl FileTransferReport {
-    /// Fraction of bytes on cellular.
-    pub fn cell_fraction(&self) -> f64 {
-        let total = self.wifi_bytes + self.cell_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.cell_bytes as f64 / total as f64
-        }
-    }
-}
-
 /// The deadline-transfer driver. See module docs.
 pub struct FileTransfer;
 
@@ -188,7 +176,7 @@ impl FileTransfer {
             wifi_bytes: sim.path_bytes(PathId::WIFI),
             cell_bytes: sim.path_bytes(PathId::CELLULAR),
             missed_deadline: duration > cfg.deadline,
-            energy: replay_energy(&cfg.device, sim.records(), horizon),
+            energy: replay_energy(sim.records(), &cfg.device, horizon),
             toggles: signal.map_or(0, |s| s.control.stats().toggles),
             sim_profile: crate::report::SimProfile::of(&sim),
         }
@@ -210,11 +198,8 @@ mod tests {
         let secs = r.duration.as_secs_f64();
         assert!(secs > 5.0 && secs < 7.5, "took {secs:.2} s (paper: ~6 s)");
         // Roughly proportional split: LTE carries ~40%.
-        assert!(
-            r.cell_fraction() > 0.3,
-            "cell share {:.2}",
-            r.cell_fraction()
-        );
+        let cell_share = r.cell_bytes as f64 / (r.wifi_bytes + r.cell_bytes) as f64;
+        assert!(cell_share > 0.3, "cell share {cell_share:.2}");
     }
 
     #[test]

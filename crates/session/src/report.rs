@@ -1,30 +1,16 @@
 //! Session results: everything the benchmark harness and the analysis
 //! tool need to regenerate the paper's tables and figures.
 
+use mpdash_analysis::ChunkInfo;
 use mpdash_core::SchedulerStats;
 use mpdash_dash::player::PlayerEvent;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
-use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
+use mpdash_energy::SessionEnergy;
 use mpdash_http::DssRange;
-use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpSim, PktRecord, PoppedByKind};
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
-
-/// Radio-energy replay of a receive trace on `device`: each radio sees
-/// its own path's packets, out to `horizon`.
-pub(crate) fn replay_energy(
-    device: &DeviceProfile,
-    records: &[PktRecord],
-    horizon: SimDuration,
-) -> SessionEnergy {
-    let on = |path: PathId| -> Vec<(SimTime, u64)> {
-        let pkts = records.iter().filter(|r| r.path == path);
-        pkts.map(|r| (r.t, r.len)).collect()
-    };
-    session_energy(device, &on(PathId::WIFI), &on(PathId::CELLULAR), horizon)
-}
 
 /// Event-loop profile of the simulation that produced a report — how
 /// much discrete-event work the run did. Fully deterministic (it counts
@@ -84,6 +70,20 @@ pub struct ChunkLogEntry {
     /// HTTP requests it took to deliver the chunk (1 = the normal case;
     /// more after retries or abandon/resume cycles).
     pub requests: u32,
+}
+
+/// The analysis tool's view of a logged chunk.
+impl From<&ChunkLogEntry> for ChunkInfo {
+    fn from(c: &ChunkLogEntry) -> Self {
+        ChunkInfo {
+            index: c.index,
+            level: c.level,
+            size: c.size,
+            started: c.started,
+            completed: c.completed,
+            body_dss: (c.body_dss.start, c.body_dss.end),
+        }
+    }
 }
 
 /// How gracefully the session weathered path faults: the robustness
@@ -181,7 +181,7 @@ pub struct SessionReport {
     /// Multi-origin serving counters (routing, breakers, hedges,
     /// cache).
     pub origin: OriginStats,
-    /// Named counters/gauges/histograms registered during the run.
+    /// Named counters and histograms registered during the run.
     pub metrics: MetricsSnapshot,
     /// Normalized QoE score (rebuffer ratio, bitrate, switch rate,
     /// composite) over the steady-state suffix. Computed from the

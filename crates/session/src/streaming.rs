@@ -25,8 +25,9 @@
 use crate::config::{SessionConfig, TransportMode};
 use crate::fetch::ChunkFetch;
 use crate::record::{Outcome, Recorder};
-use crate::report::{replay_energy, ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
+use crate::report::{ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
 use crate::signal::DeadlineSignal;
+use mpdash_analysis::replay_energy;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_dash::abr::{Abr, AbrInput};
@@ -352,11 +353,6 @@ impl StreamingSession {
         (self.player.download_complete() || self.departed) && self.sim.quiescent()
     }
 
-    /// The viewer left before the video ended (churn or shedding).
-    pub fn departed(&self) -> bool {
-        self.departed
-    }
-
     /// Viewer departure: stop requesting chunks, let in-flight transport
     /// drain, and finalize a partial report.
     fn depart(&mut self, now: SimTime) {
@@ -504,7 +500,7 @@ impl StreamingSession {
         self.rec.sample(end, &self.sim, &self.player);
 
         let records = self.sim.take_records();
-        let energy = replay_energy(&self.cfg.device, &records, duration);
+        let energy = replay_energy(&records, &self.cfg.device, duration);
 
         let costs = self.cfg.preference.costs();
         let preferred = if costs[0] <= costs[1] {

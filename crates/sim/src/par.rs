@@ -12,19 +12,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Number of workers to use when the caller does not pin one: the
-/// `MPDASH_WORKERS` environment variable if set and non-zero, otherwise
-/// the machine's available parallelism.
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("MPDASH_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+/// `MPDASH_WORKERS` environment variable if set, otherwise the machine's
+/// available parallelism. A value that is set but is not a positive
+/// integer is an error naming it: falling back to every core would turn
+/// a 1-vs-4 determinism comparison into N-vs-N without a word.
+pub fn default_workers() -> Result<usize, String> {
+    let set = std::env::var_os("MPDASH_WORKERS");
+    workers_from(set.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+fn workers_from(set: Option<&str>) -> Result<usize, String> {
+    let Some(value) = set else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "MPDASH_WORKERS must be a positive integer, got '{value}'"
+        )),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Map `f` over `items` on `workers` threads, preserving input order.
@@ -106,10 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn workers_env_parsing() {
-        // Only exercise the fallback path (the env var is not set in
-        // tests); the parse path is covered by the batch runner's own
-        // integration tests.
-        assert!(default_workers() >= 1);
+    fn an_unset_worker_count_defaults_and_a_set_one_must_be_usable() {
+        assert!(workers_from(None).unwrap() >= 1);
+        assert_eq!(workers_from(Some("4")), Ok(4));
+        assert_eq!(workers_from(Some(" 2 ")), Ok(2));
+        for bad in ["", "0", "-1", "four", "4x"] {
+            let err = workers_from(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("MPDASH_WORKERS") && err.contains(&format!("'{bad}'")),
+                "{err}"
+            );
+        }
     }
 }

@@ -115,11 +115,6 @@ impl Rate {
         Rate(self.0.saturating_add(other.0))
     }
 
-    /// The smaller of two rates.
-    pub fn min(self, other: Rate) -> Rate {
-        Rate(self.0.min(other.0))
-    }
-
     /// The larger of two rates.
     pub fn max(self, other: Rate) -> Rate {
         Rate(self.0.max(other.0))

@@ -7,22 +7,13 @@ use crate::time::{SimDuration, SimTime};
 /// An append-only `(time, value)` series with windowed aggregation helpers.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
-    name: String,
     points: Vec<(SimTime, f64)>,
 }
 
 impl Series {
-    /// A new, empty series labelled `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        Series {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// The label given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// A new, empty series.
+    pub fn new() -> Self {
+        Series::default()
     }
 
     /// Append a sample. Samples must be pushed in non-decreasing time
@@ -34,43 +25,6 @@ impl Series {
             "series samples must be time-ordered"
         );
         self.points.push((t, v));
-    }
-
-    /// All samples, time-ordered.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Sum of all sample values.
-    pub fn sum(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).sum()
-    }
-
-    /// Arithmetic mean of sample values, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            None
-        } else {
-            Some(self.sum() / self.points.len() as f64)
-        }
-    }
-
-    /// Maximum sample value, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
     }
 
     /// Re-bucket into fixed windows of `width`, producing per-window sums.
@@ -194,18 +148,6 @@ impl Cdf {
             .map(|&q| (q, self.quantile(q).unwrap_or(f64::NAN)))
             .collect()
     }
-
-    /// The full `(value, cumulative fraction)` staircase, one step per
-    /// observation, suitable for plotting.
-    pub fn steps(&mut self) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        let n = self.values.len();
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, (i + 1) as f64 / n as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -217,30 +159,14 @@ mod tests {
     }
 
     #[test]
-    fn series_basic_stats() {
-        let mut s = Series::new("bytes");
-        s.push(t(0.1), 10.0);
-        s.push(t(0.5), 20.0);
-        s.push(t(1.2), 30.0);
-        assert_eq!(s.name(), "bytes");
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.sum(), 60.0);
-        assert_eq!(s.mean(), Some(20.0));
-        assert_eq!(s.max(), Some(30.0));
-    }
-
-    #[test]
-    fn empty_series() {
-        let s = Series::new("x");
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.max(), None);
+    fn an_empty_series_has_no_buckets() {
+        let s = Series::new();
         assert!(s.bucket_sums(SimDuration::from_secs(1)).is_empty());
     }
 
     #[test]
     fn bucketing_includes_empty_windows() {
-        let mut s = Series::new("x");
+        let mut s = Series::new();
         s.push(t(0.2), 1.0);
         s.push(t(0.3), 2.0);
         s.push(t(2.5), 4.0); // second 1 is empty
@@ -254,7 +180,7 @@ mod tests {
     #[test]
     fn throughput_scaling() {
         // 1 MB in one 1-second window = 8 Mbps.
-        let mut s = Series::new("bytes");
+        let mut s = Series::new();
         s.push(t(0.5), 1_000_000.0);
         let th = s.throughput_mbps(SimDuration::from_secs(1));
         assert_eq!(th.len(), 1);
@@ -280,20 +206,6 @@ mod tests {
             vec![(0.0, 1.0), (0.5, 2.5), (1.0, 4.0)]
         );
         assert!(Cdf::new().mean().is_none());
-    }
-
-    #[test]
-    fn cdf_steps_monotone() {
-        let mut c = Cdf::new();
-        for v in [0.9, 0.1, 0.5] {
-            c.push(v);
-        }
-        let steps = c.steps();
-        assert_eq!(steps.len(), 3);
-        assert!(steps
-            .windows(2)
-            .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert_eq!(steps.last().unwrap().1, 1.0);
     }
 
     #[test]

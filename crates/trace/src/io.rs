@@ -106,34 +106,6 @@ impl ProfileSpec {
         })
     }
 
-    /// Sample an arbitrary profile into a spec at fixed `slot` width over
-    /// `duration` (the export path; exact for step profiles sampled at
-    /// their own granularity).
-    pub fn from_profile(
-        name: impl Into<String>,
-        profile: &BandwidthProfile,
-        slot: SimDuration,
-        duration: SimDuration,
-        looped: bool,
-    ) -> Self {
-        assert!(!slot.is_zero() && !duration.is_zero());
-        let n = (duration.as_nanos() / slot.as_nanos()).max(1);
-        let points = (0..n)
-            .map(|i| {
-                let at = SimTime::ZERO + slot * i;
-                ProfilePoint {
-                    at_secs: at.as_secs_f64(),
-                    mbps: profile.rate_at(at).as_mbps_f64(),
-                }
-            })
-            .collect();
-        ProfileSpec {
-            name: name.into(),
-            points,
-            period_secs: looped.then(|| duration.as_secs_f64()),
-        }
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         Json::obj([
@@ -199,7 +171,6 @@ impl ProfileSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::SynthSpec;
 
     #[test]
     fn json_round_trip() {
@@ -224,27 +195,6 @@ mod tests {
         let json = spec.to_json();
         let back = ProfileSpec::from_json(&json).unwrap();
         assert_eq!(spec, back);
-    }
-
-    #[test]
-    fn spec_to_profile_and_back_preserves_rates() {
-        let synth = SynthSpec::new(3.8, 0.2, 5)
-            .with_duration(SimDuration::from_secs(10))
-            .profile();
-        let spec = ProfileSpec::from_profile(
-            "synth",
-            &synth,
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(10),
-            true,
-        );
-        let rebuilt = spec.to_profile().unwrap();
-        for i in 0..400u64 {
-            let t = SimTime::from_millis(i * 50 + 1);
-            let a = synth.rate_at(t).as_mbps_f64();
-            let b = rebuilt.rate_at(t).as_mbps_f64();
-            assert!((a - b).abs() < 1e-6, "t={t}: {a} vs {b}");
-        }
     }
 
     #[test]

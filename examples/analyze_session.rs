@@ -24,18 +24,7 @@ fn main() {
     );
     let report = StreamingSession::run(cfg);
 
-    let chunks: Vec<ChunkInfo> = report
-        .chunks
-        .iter()
-        .map(|c| ChunkInfo {
-            index: c.index,
-            level: c.level,
-            size: c.size,
-            started: c.started,
-            completed: c.completed,
-            body_dss: (c.body_dss.start, c.body_dss.end),
-        })
-        .collect();
+    let chunks: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
     let splits = chunk_path_splits(&report.records, &chunks);
     let a = analyze(&report.records, &chunks, 5);
 

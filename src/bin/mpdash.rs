@@ -143,7 +143,7 @@ struct FleetRow {
 /// Run a fleet scenario: one co-simulated fleet per mode, each as one
 /// batch job, rendered as a cross-client comparison. Returns false when
 /// any mode failed.
-fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
+fn run_fleet_scenario(scenario: &Scenario, path: &str, workers: usize) -> bool {
     let configs = match scenario.fleet_configs() {
         Ok(c) => c,
         Err(e) => {
@@ -177,7 +177,7 @@ fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
             })
         })
         .collect();
-    let results = run_batch(jobs, default_workers());
+    let results = run_batch(jobs, workers);
     let mut ok = true;
     let baseline_cell = results
         .first()
@@ -219,6 +219,13 @@ fn run_fleet_scenario(scenario: &Scenario, path: &str) -> bool {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let workers = match default_workers() {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if args.first().map(String::as_str) == Some("explain") {
         return run_explain(&args[1..]);
     }
@@ -252,7 +259,7 @@ fn main() -> ExitCode {
             }
         };
         if scenario.fleet.is_some() {
-            if !run_fleet_scenario(&scenario, path) {
+            if !run_fleet_scenario(&scenario, path, workers) {
                 failed = true;
             }
             continue;
@@ -276,7 +283,7 @@ fn main() -> ExitCode {
             .into_iter()
             .map(|(label, cfg)| Job::session(label, cfg))
             .collect();
-        let results = run_batch(jobs, default_workers());
+        let results = run_batch(jobs, workers);
         // Execution profiles go to stderr so piped stdout stays a clean,
         // machine-independent report.
         for result in &results {
@@ -333,18 +340,7 @@ fn main() -> ExitCode {
                 );
             }
             if show_chunks {
-                let chunks: Vec<ChunkInfo> = report
-                    .chunks
-                    .iter()
-                    .map(|c| ChunkInfo {
-                        index: c.index,
-                        level: c.level,
-                        size: c.size,
-                        started: c.started,
-                        completed: c.completed,
-                        body_dss: (c.body_dss.start, c.body_dss.end),
-                    })
-                    .collect();
+                let chunks: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
                 let splits = chunk_path_splits(&report.records, &chunks);
                 let n = chunks.len().min(20);
                 println!("{}", render_chunk_bars(&chunks[..n], &splits[..n], 24));

@@ -317,18 +317,7 @@ fn explain_chunks(
     report: &SessionReport,
     events: &[(mpdash_sim::SimTime, TraceEvent)],
 ) -> Vec<ChunkExplain> {
-    let infos: Vec<ChunkInfo> = report
-        .chunks
-        .iter()
-        .map(|c| ChunkInfo {
-            index: c.index,
-            level: c.level,
-            size: c.size,
-            started: c.started,
-            completed: c.completed,
-            body_dss: (c.body_dss.start, c.body_dss.end),
-        })
-        .collect();
+    let infos: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
     let splits = chunk_path_splits(&report.records, &infos);
     report
         .chunks

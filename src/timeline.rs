@@ -74,7 +74,7 @@ pub fn timeline_scenario(
         .map(|(label, fc)| Job::new(label.clone(), move || mode_timeline(label, fc)))
         .collect();
     let mut modes = Vec::new();
-    for r in run_batch(jobs, default_workers()) {
+    for r in run_batch(jobs, default_workers()?) {
         modes.push(r.report.map_err(|e| format!("job {}: {e}", r.label))?);
     }
 

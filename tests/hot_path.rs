@@ -1,14 +1,13 @@
 //! The single-session hot path does only necessary work — and the same
-//! work: one live RTO event per subflow, a one-pass outage-bridging
-//! attribution equal to the nested scan it replaced, and a running link
-//! backlog equal to the sum it replaced.
+//! work: a one-pass outage-bridging attribution equal to the nested scan
+//! it replaced, and a running link backlog equal to the sum it replaced.
+//! (One live RTO event per subflow is checked in `mpdash-mptcp`'s own
+//! tests, the event queue's lanes against a model in `mpdash-sim`'s.)
 //!
-//! And each event costs little without changing what it does: the event
-//! queue's FIFO lanes pop in the heap's order (the crate-level model test
-//! is included below so tier-1 runs it), the receiver's sorted-vector
-//! reassembly equals a byte-set model, `Link::send`'s remembered profile
-//! step equals a fresh lookup per packet, and `Rate`'s 64-bit divide
-//! equals the 128-bit one.
+//! And each event costs little without changing what it does: the
+//! receiver's sorted-vector reassembly equals a byte-set model,
+//! `Link::send`'s remembered profile step equals a fresh lookup per
+//! packet, and `Rate`'s 64-bit divide equals the 128-bit one.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
@@ -18,73 +17,11 @@ use mpdash::link::{
 };
 use mpdash::mptcp::reassembly::IntervalSet;
 use mpdash::mptcp::receiver::Receiver;
-use mpdash::mptcp::{MptcpConfig, MptcpSim, PathMask};
 use mpdash::session::{SessionConfig, SessionReport, StreamingSession, TransportMode};
 use mpdash::sim::{Rate, SimDuration, SimTime};
 use mpdash::trace::table1;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-#[path = "../crates/sim/tests/queue_props.rs"]
-mod queue_props;
-
-/// The RTO timer keeps one live event per subflow (DESIGN §4b). A
-/// deadline that moves earlier supersedes the pending event instead of
-/// starting a second chain beside it, so `Rto` pops stay proportional to
-/// elapsed time over the minimum RTO however often the mask flips and the
-/// RTT swings.
-#[test]
-fn rto_timer_keeps_one_live_event_per_subflow() {
-    // Bandwidth square waves fill and drain the drop-tail queues, so each
-    // path's RTT (and with it the RTO) swings 50 ↔ 600 ms.
-    let swing = |fast: u64, slow: u64, slot_ms: u64| {
-        BandwidthProfile::from_samples(
-            SimDuration::from_millis(slot_ms),
-            &[Rate::from_mbps(fast), Rate::from_mbps(slow)],
-            true,
-        )
-    };
-    let wifi =
-        LinkConfig::constant(1.0, SimDuration::from_millis(25)).with_profile(swing(8, 1, 1300));
-    let cell =
-        LinkConfig::constant(1.0, SimDuration::from_millis(30)).with_profile(swing(6, 1, 1700));
-    let mut sim = MptcpSim::new(MptcpConfig::two_path(wifi, cell));
-    // More than the links can carry in the run: no subflow idles, the
-    // condition under which a second chain used to live forever.
-    sim.send_app(200_000_000);
-
-    let end = SimTime::from_secs(60);
-    let mut next_flip = SimTime::ZERO;
-    let mut wifi_only = false;
-    while sim.now() < end {
-        if sim.now() >= next_flip {
-            wifi_only = !wifi_only;
-            sim.set_desired_mask(if wifi_only {
-                PathMask::only(PathId::WIFI)
-            } else {
-                PathMask::ALL
-            });
-            next_flip = sim.now() + SimDuration::from_millis(700);
-        }
-        sim.step().expect("the transfer outlasts the run");
-        for path in [PathId::WIFI, PathId::CELLULAR] {
-            let live = sim.live_rto_events(path);
-            let armed = sim.path_in_flight(path) > 0;
-            assert!(
-                live <= 1 && (live == 1 || !armed),
-                "{live} live Rto events on {path:?} at {:?} (armed: {armed})",
-                sim.now()
-            );
-        }
-    }
-    let popped = sim.popped_by_kind();
-    assert!(popped.data > 10_000, "the transfer ran: {popped:?}");
-    // Per path: one live fire per minimum RTO (200 ms) of elapsed time,
-    // plus the superseded events of each RTT swing (603 here; the chains
-    // this replaces popped 30,489).
-    let budget = 2 * (60_000 / 200 + 50);
-    assert!(popped.rto <= budget, "{} Rto pops > {budget}", popped.rto);
-}
 
 /// What `into_report` did before its attribution became one pass: per
 /// chunk, scan every packet record for the body's stream range.

@@ -74,6 +74,28 @@ fn example_scenario_runs_through_the_batch_runner() {
     assert!(reports[0].cell_bytes > 0);
 }
 
+/// A worker count that is set but unusable must stop the CLI before it
+/// runs anything: falling back to every core would make a 1-vs-4
+/// determinism comparison compare N with N.
+#[test]
+fn an_unusable_worker_count_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+        .arg(format!(
+            "{}/scenarios/example.json",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .env("MPDASH_WORKERS", "four")
+        .output()
+        .expect("mpdash runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("MPDASH_WORKERS") && err.contains("'four'"),
+        "{err}"
+    );
+}
+
 fn shipped(file: &str) -> Scenario {
     let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("shipped scenario readable");
