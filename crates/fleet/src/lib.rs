@@ -28,15 +28,15 @@
 
 use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
 use mpdash_obs::{
-    telemetry_from_env, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec,
-    TraceEvent, Watchdog,
+    telemetry_from_env, EpochCounter, EpochSeries, InvariantViolation, MetricsSnapshot,
+    TelemetrySpec, TraceEvent, Watchdog,
 };
 use mpdash_results::Json;
 use mpdash_session::{
     CacheStats, ServerFaultScript, SessionConfig, SessionReport, SharedSegmentCache,
     StreamingSession,
 };
-use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
+use mpdash_sim::{derive_seed, Prng, SimDuration};
 
 mod next_event;
 use next_event::NextEvent;
@@ -651,19 +651,31 @@ fn exponential(rng: &mut Prng, mean: SimDuration) -> SimDuration {
     mean.mul_f64(-(1.0 - rng.next_f64()).ln())
 }
 
-/// The fleet loop's per-iteration epoch counters, and their places in
-/// the batch [`run_checked`] sums between epoch boundaries.
-const LOOP_COUNTERS: [&str; 3] = ["loop_steps", "loop_departures", "loop_aqm_drops"];
-const LOOP_STEPS: usize = 0;
-const LOOP_DEPARTURES: usize = 1;
-const LOOP_AQM_DROPS: usize = 2;
+/// The fleet loop's own epoch series ([`FleetProfile::epochs`]) and its
+/// counters, resolved once per run. The per-iteration ones are summed in
+/// the series' handle slots and written once per epoch; a counter that
+/// never fires never appears as a key.
+struct LoopTelemetry {
+    series: EpochSeries,
+    loop_steps: EpochCounter,
+    loop_departures: EpochCounter,
+    loop_aqm_drops: EpochCounter,
+    fleet_arrivals: EpochCounter,
+    fleet_departures: EpochCounter,
+    fleet_shed: EpochCounter,
+}
 
-/// Write the batched loop counters into `at`'s epoch. Zero counts are
-/// skipped, so a counter that never fires never appears as a key.
-fn flush_loop_counts(epochs: &mut EpochSeries, at: SimTime, counts: &mut [u64; 3]) {
-    for (name, n) in LOOP_COUNTERS.iter().zip(counts) {
-        if *n > 0 {
-            epochs.add(at, name, std::mem::take(n));
+impl LoopTelemetry {
+    fn new(spec: TelemetrySpec) -> Self {
+        let mut series = EpochSeries::new(spec);
+        LoopTelemetry {
+            loop_steps: series.counter("loop_steps"),
+            loop_departures: series.counter("loop_departures"),
+            loop_aqm_drops: series.counter("loop_aqm_drops"),
+            fleet_arrivals: series.counter("fleet_arrivals"),
+            fleet_departures: series.counter("fleet_departures"),
+            fleet_shed: series.counter("fleet_shed"),
+            series,
         }
     }
 }
@@ -832,10 +844,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // Fleet-level trace hook (shed decisions happen outside any one
     // session); observe-only like every tracer.
     let fleet_tracer = cfg.base.tracer.or_env();
-    let mut profile = FleetProfile {
-        epochs: telemetry.map(EpochSeries::new),
-        ..FleetProfile::default()
-    };
+    let mut profile = FleetProfile::default();
+    let mut epochs = telemetry.map(LoopTelemetry::new);
     let mut wall = cfg.wall_profile.then(FleetWallProfile::default);
     let mut mark = wall.map(|_| std::time::Instant::now());
     // Charge elapsed wall time to one phase and re-arm the stopwatch.
@@ -849,10 +859,6 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             *m = now;
         }
     };
-    // The per-iteration telemetry counters, batched: virtual time is
-    // monotone, so they are summed here and written once per epoch.
-    let mut loop_counts = [0u64; LOOP_COUNTERS.len()];
-    let (mut counted_at, mut counted_epoch) = (SimTime::ZERO, 0);
     loop {
         let best = next.earliest();
         charge(&mut wall, |w| &mut w.peek_ns);
@@ -860,16 +866,9 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         if let (Some(wd), Some(&(t, _))) = (watchdog.as_mut(), best.as_ref()) {
             wd.check_time(t)?;
         }
-        if let (Some(e), Some(&(t, _))) = (profile.epochs.as_mut(), best.as_ref()) {
-            let epoch = e.index_of(t);
-            if epoch != counted_epoch {
-                flush_loop_counts(e, counted_at, &mut loop_counts);
-            }
-            (counted_at, counted_epoch) = (t, epoch);
-        }
         match best {
             None => break,
-            Some((_, i)) if i < nb => {
+            Some((t, i)) if i < nb => {
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
                 sessions[k].on_shared_departure(path, d.ticket, d.at, d.marked);
@@ -880,10 +879,14 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 for drop in bottlenecks[i].take_aqm_drops() {
                     let (dk, dpath) = route[i][drop.flow];
                     sessions[dk].on_shared_drop(dpath, drop.ticket, drop.at);
-                    loop_counts[LOOP_AQM_DROPS] += 1;
+                    if let Some(e) = epochs.as_mut() {
+                        e.series.counter_add(t, e.loop_aqm_drops, 1);
+                    }
                 }
                 profile.departures_popped += 1;
-                loop_counts[LOOP_DEPARTURES] += 1;
+                if let Some(e) = epochs.as_mut() {
+                    e.series.counter_add(t, e.loop_departures, 1);
+                }
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_conservation(i, bottlenecks[i].conservation_counters())?;
                 }
@@ -915,8 +918,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                             done[k] = true;
                             shed[k] = true;
                             shed_sessions += 1;
-                            if let Some(e) = profile.epochs.as_mut() {
-                                e.inc(t, "fleet_shed");
+                            if let Some(e) = epochs.as_mut() {
+                                e.series.counter_add(t, e.fleet_shed, 1);
                             }
                             fleet_tracer.emit_with(t, || TraceEvent::SessionShed {
                                 client: k,
@@ -930,13 +933,15 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     }
                     arrived[k] = true;
                     active += 1;
-                    if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "fleet_arrivals");
+                    if let Some(e) = epochs.as_mut() {
+                        e.series.counter_add(t, e.fleet_arrivals, 1);
                     }
                 }
                 sessions[k].step_once();
                 profile.session_steps += 1;
-                loop_counts[LOOP_STEPS] += 1;
+                if let Some(e) = epochs.as_mut() {
+                    e.series.counter_add(t, e.loop_steps, 1);
+                }
                 if let Some(wd) = watchdog.as_mut() {
                     wd.check_breakers(k, sessions[k].breaker_sanity())?;
                     let (hedges, wins_primary, wins_hedge) = sessions[k].hedge_accounting();
@@ -949,8 +954,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     // acknowledged packet); `rekey_client` keeps it asleep.
                     done[k] = true;
                     active -= 1;
-                    if let Some(e) = profile.epochs.as_mut() {
-                        e.inc(t, "fleet_departures");
+                    if let Some(e) = epochs.as_mut() {
+                        e.series.counter_add(t, e.fleet_departures, 1);
                     }
                 }
                 charge(&mut wall, |w| &mut w.step_ns);
@@ -967,9 +972,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             }
         }
     }
-    if let Some(e) = profile.epochs.as_mut() {
-        flush_loop_counts(e, counted_at, &mut loop_counts);
-    }
+    profile.epochs = epochs.map(|mut e| {
+        e.series.flush();
+        e.series
+    });
     assert!(
         done.iter().all(|&d| d),
         "fleet deadlocked: {} of {} clients unfinished",
@@ -1046,6 +1052,7 @@ mod tests {
     use mpdash_dash::video::Video;
     use mpdash_link::QueueDiscipline;
     use mpdash_session::{run_batch, Job, TransportMode};
+    use mpdash_sim::SimTime;
 
     fn tiny_video() -> Video {
         Video::new(

@@ -116,6 +116,12 @@ impl CacheInner {
 }
 
 /// Cloneable handle to one shared segment cache.
+///
+/// An `Arc<Mutex<_>>` although every fleet replica is one thread: the
+/// handle rides in `SessionConfig`, which crosses the batch runner's
+/// thread boundary inside a `Job` (`Send + Sync`), and it is touched once
+/// per chunk, not per packet, so the uncontended lock costs nothing that
+/// shows.
 #[derive(Clone, Debug)]
 pub struct SharedSegmentCache {
     inner: Arc<Mutex<CacheInner>>,

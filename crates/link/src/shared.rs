@@ -28,17 +28,29 @@
 //! between them with a byte quantum, which keeps one aggressive flow from
 //! starving the others.
 //!
-//! The handle is `Clone` + `Send` (an `Arc<Mutex<_>>`) so links owned by
-//! different sessions — and fleet replicas running on batch-runner worker
-//! threads — can subscribe to the same resource. All scheduling decisions
-//! are integer/byte arithmetic on virtual time: bit-deterministic.
+//! The handle is `Clone` (an `Rc<RefCell<_>>`) so links owned by
+//! different sessions of one fleet can subscribe to the same resource. It
+//! is deliberately not `Send`: a fleet replica is one thread — the batch
+//! runner's parallelism is *across* replicas, each of which builds its own
+//! bottlenecks inside `run_checked` — so a per-packet call pays a borrow
+//! flag, not an atomic lock. All scheduling decisions are integer/byte
+//! arithmetic on virtual time: bit-deterministic.
+//!
+//! Queue signals are written through handles resolved once — the
+//! [`MetricsRegistry`] ones in [`SharedBottleneck::new`], the
+//! [`EpochSeries`] ones in [`SharedBottleneck::enable_telemetry`] — so no
+//! per-packet path compares a signal name.
 
 use crate::aqm::{AqmConfig, AqmVerdict, Codel, Pie};
 use crate::link::DropReason;
-use mpdash_obs::{EpochSeries, MetricsRegistry, MetricsSnapshot, TelemetrySpec};
+use mpdash_obs::{
+    EpochCounter, EpochHistogram, EpochSeries, MetricCounter, MetricHistogram, MetricsRegistry,
+    MetricsSnapshot, TelemetrySpec,
+};
 use mpdash_sim::{derive_seed, Rate, SimTime};
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Dense index of one subscribing subflow (assigned by
 /// [`SharedBottleneck::subscribe`] in subscription order).
@@ -284,6 +296,30 @@ enum AqmState {
     Codel(Codel),
 }
 
+/// The always-on registry signals, resolved in [`SharedBottleneck::new`].
+/// Each enters the snapshot when first written, so a bottleneck that
+/// never marks a packet has no `aqm_marked_packets` row.
+struct Signals {
+    queue_depth_bytes: MetricHistogram,
+    queue_wait_ms: MetricHistogram,
+    aqm_dropped_packets: MetricCounter,
+    aqm_marked_packets: MetricCounter,
+}
+
+/// Epoch rollups over virtual time (telemetry; observe-only) and the
+/// series' handles, resolved in [`SharedBottleneck::enable_telemetry`].
+struct Telemetry {
+    series: EpochSeries,
+    queue_depth_bytes: EpochHistogram,
+    queue_wait_ms: EpochHistogram,
+    aqm_drop_prob_ppm: EpochHistogram,
+    shared_offered_bytes: EpochCounter,
+    shared_delivered_bytes: EpochCounter,
+    shared_dropped_bytes: EpochCounter,
+    aqm_dropped_packets: EpochCounter,
+    aqm_marked_packets: EpochCounter,
+}
+
 struct Inner {
     cfg: SharedBottleneckConfig,
     flows: Vec<FlowState>,
@@ -315,8 +351,8 @@ struct Inner {
     /// loop. Stays empty — and never allocates — without an AQM.
     pending_drops: Vec<SharedDrop>,
     metrics: MetricsRegistry,
-    /// Epoch rollups over virtual time (telemetry; observe-only).
-    series: Option<EpochSeries>,
+    signals: Signals,
+    telemetry: Option<Telemetry>,
 }
 
 impl Inner {
@@ -401,27 +437,28 @@ impl Inner {
         let fl = &mut self.flows[flow].stats;
         fl.dropped_bytes += size;
         fl.dropped_packets += 1;
-        self.metrics.inc("aqm_dropped_packets");
-        if let Some(series) = &mut self.series {
-            series.add(now, "shared_dropped_bytes", size);
-            series.inc(now, "aqm_dropped_packets");
+        self.metrics
+            .counter_add(self.signals.aqm_dropped_packets, 1);
+        if let Some(t) = &mut self.telemetry {
+            t.series.counter_add(now, t.shared_dropped_bytes, size);
+            t.series.counter_add(now, t.aqm_dropped_packets, 1);
         }
     }
 
     /// Count one ECN mark.
     fn count_mark(&mut self, now: SimTime) {
         self.marked_packets += 1;
-        self.metrics.inc("aqm_marked_packets");
-        if let Some(series) = &mut self.series {
-            series.inc(now, "aqm_marked_packets");
+        self.metrics.counter_add(self.signals.aqm_marked_packets, 1);
+        if let Some(t) = &mut self.telemetry {
+            t.series.counter_add(now, t.aqm_marked_packets, 1);
         }
     }
 
     /// Record the controller's drop probability after it absorbed a
     /// departure sample (telemetry only).
     fn observe_prob(&mut self, now: SimTime, ppm: u64) {
-        if let Some(series) = &mut self.series {
-            series.observe(now, "aqm_drop_prob_ppm", ppm);
+        if let Some(t) = &mut self.telemetry {
+            t.series.histogram_observe(now, t.aqm_drop_prob_ppm, ppm);
         }
     }
 }
@@ -435,7 +472,7 @@ fn check_aqm(a: &AqmConfig) {
 /// Clone-able handle to one shared bottleneck. See module docs.
 #[derive(Clone)]
 pub struct SharedBottleneck {
-    inner: Arc<Mutex<Inner>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl SharedBottleneck {
@@ -468,8 +505,15 @@ impl SharedBottleneck {
                 Some(AqmState::Codel(Codel::new(a)))
             }
         };
+        let mut metrics = MetricsRegistry::new();
+        let signals = Signals {
+            queue_depth_bytes: metrics.histogram("queue_depth_bytes"),
+            queue_wait_ms: metrics.histogram("queue_wait_ms"),
+            aqm_dropped_packets: metrics.counter("aqm_dropped_packets"),
+            aqm_marked_packets: metrics.counter("aqm_marked_packets"),
+        };
         SharedBottleneck {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 cfg,
                 flows: Vec::new(),
                 fifo: VecDeque::new(),
@@ -491,14 +535,17 @@ impl SharedBottleneck {
                 marked_packets: 0,
                 aqm,
                 pending_drops: Vec::new(),
-                metrics: MetricsRegistry::new(),
-                series: None,
+                metrics,
+                signals,
+                telemetry: None,
             })),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("shared bottleneck poisoned")
+    /// The state, exclusively. No method calls out while holding it, so
+    /// two borrows never overlap on the one thread that can reach it.
+    fn lock(&self) -> RefMut<'_, Inner> {
+        self.inner.borrow_mut()
     }
 
     /// Register one subscribing subflow and return its dense id.
@@ -519,7 +566,7 @@ impl SharedBottleneck {
 
     /// Bytes currently in the system (waiting plus in service) — the
     /// cross-layer occupancy signal queue-aware schedulers read on the
-    /// pick hot path. One lock, no allocation, strictly read-only.
+    /// pick hot path. One borrow, no allocation, strictly read-only.
     pub fn occupancy_bytes(&self) -> u64 {
         self.lock().occupancy()
     }
@@ -529,6 +576,7 @@ impl SharedBottleneck {
     pub fn offer(&self, now: SimTime, flow: FlowId, size: u64) -> SharedOutcome {
         debug_assert!(size > 0, "packets must be non-empty");
         let mut g = self.lock();
+        let g = &mut *g;
         assert!(flow < g.flows.len(), "offer from unsubscribed flow {flow}");
         g.offered_bytes += size;
         g.offered_packets += 1;
@@ -542,8 +590,8 @@ impl SharedBottleneck {
             let fl = &mut g.flows[flow].stats;
             fl.dropped_bytes += size;
             fl.dropped_packets += 1;
-            if let Some(series) = &mut g.series {
-                series.add(now, "shared_dropped_bytes", size);
+            if let Some(t) = &mut g.telemetry {
+                t.series.counter_add(now, t.shared_dropped_bytes, size);
             }
             return SharedOutcome::Dropped(DropReason::QueueOverflow);
         }
@@ -606,10 +654,11 @@ impl SharedBottleneck {
             }
         }
         let depth = g.occupancy();
-        g.metrics.observe("queue_depth_bytes", depth);
-        if let Some(series) = &mut g.series {
-            series.observe(now, "queue_depth_bytes", depth);
-            series.add(now, "shared_offered_bytes", size);
+        g.metrics
+            .histogram_observe(g.signals.queue_depth_bytes, depth);
+        if let Some(t) = &mut g.telemetry {
+            t.series.histogram_observe(now, t.queue_depth_bytes, depth);
+            t.series.counter_add(now, t.shared_offered_bytes, size);
         }
         SharedOutcome::Queued { ticket }
     }
@@ -631,6 +680,7 @@ impl SharedBottleneck {
     /// dropped here).
     pub fn pop_departure(&self) -> Option<Departure> {
         let mut g = self.lock();
+        let g = &mut *g;
         let done = g.in_service.take()?;
         g.delivered_bytes += done.size;
         g.delivered_packets += 1;
@@ -640,15 +690,14 @@ impl SharedBottleneck {
             fl.delivered_bytes += done.size;
             fl.delivered_packets += 1;
         }
+        let waited_ms = waited.as_millis_f64() as u64;
         g.metrics
-            .observe("queue_wait_ms", waited.as_millis_f64() as u64);
-        if let Some(series) = &mut g.series {
-            series.observe(
-                done.depart_at,
-                "queue_wait_ms",
-                waited.as_millis_f64() as u64,
-            );
-            series.add(done.depart_at, "shared_delivered_bytes", done.size);
+            .histogram_observe(g.signals.queue_wait_ms, waited_ms);
+        if let Some(t) = &mut g.telemetry {
+            t.series
+                .histogram_observe(done.depart_at, t.queue_wait_ms, waited_ms);
+            t.series
+                .counter_add(done.depart_at, t.shared_delivered_bytes, done.size);
         }
         // Feed the departure's sojourn to PIE (its queue-delay
         // estimator) and expose the updated probability to telemetry.
@@ -731,7 +780,7 @@ impl SharedBottleneck {
 
     /// Cheap whole-bottleneck conservation counters for the runtime
     /// watchdog: unlike [`SharedBottleneck::stats`] this never builds
-    /// the per-flow vector — one lock, eight copies, no allocation —
+    /// the per-flow vector — one borrow, eight copies, no allocation —
     /// so the fleet loop can probe it every iteration.
     pub fn conservation_counters(&self) -> mpdash_obs::ConservationCounters {
         let g = self.lock();
@@ -779,12 +828,24 @@ impl SharedBottleneck {
     /// virtual-time epochs. Observe-only: enabling telemetry changes no
     /// scheduling decision and no artifact byte.
     pub fn enable_telemetry(&self, spec: TelemetrySpec) {
-        self.lock().series = Some(EpochSeries::new(spec));
+        let mut series = EpochSeries::new(spec);
+        self.lock().telemetry = Some(Telemetry {
+            queue_depth_bytes: series.histogram("queue_depth_bytes"),
+            queue_wait_ms: series.histogram("queue_wait_ms"),
+            aqm_drop_prob_ppm: series.histogram("aqm_drop_prob_ppm"),
+            shared_offered_bytes: series.counter("shared_offered_bytes"),
+            shared_delivered_bytes: series.counter("shared_delivered_bytes"),
+            shared_dropped_bytes: series.counter("shared_dropped_bytes"),
+            aqm_dropped_packets: series.counter("aqm_dropped_packets"),
+            aqm_marked_packets: series.counter("aqm_marked_packets"),
+            series,
+        });
     }
 
-    /// Clone of the epoch rollups, if telemetry is enabled.
+    /// Clone of the epoch rollups, if telemetry is enabled (settled: a
+    /// clone includes every write made so far).
     pub fn epoch_series(&self) -> Option<EpochSeries> {
-        self.lock().series.clone()
+        self.lock().telemetry.as_ref().map(|t| t.series.clone())
     }
 }
 

@@ -37,7 +37,12 @@ pub mod timeseries;
 pub mod watchdog;
 
 pub use event::TraceEvent;
-pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    HistogramSnapshot, LogHistogram, MetricCounter, MetricHistogram, MetricsRegistry,
+    MetricsSnapshot,
+};
 pub use sink::{NdjsonSink, NullSink, RingSink, TraceSink, Tracer};
-pub use timeseries::{telemetry_from_env, EpochCell, EpochSeries, TelemetrySpec};
+pub use timeseries::{
+    telemetry_from_env, EpochCell, EpochCounter, EpochHistogram, EpochSeries, TelemetrySpec,
+};
 pub use watchdog::{ConservationCounters, InvariantViolation, Watchdog};

@@ -48,6 +48,13 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
+    /// Forget every observation, keeping the bucket allocation.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.clear();
+        self.count = 0;
+        self.sum = 0;
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -75,13 +82,58 @@ impl LogHistogram {
     }
 }
 
-/// Mutable registry filled during a run. Lookups are linear over a
-/// small `Vec` — sessions register a dozen names, not thousands — which
-/// buys insertion-ordered, hash-free determinism.
+/// A counter of one [`MetricsRegistry`], from
+/// [`MetricsRegistry::counter`]. Only meaningful on that registry.
+#[derive(Clone, Copy, Debug)]
+pub struct MetricCounter(usize);
+
+/// A histogram of one [`MetricsRegistry`], from
+/// [`MetricsRegistry::histogram`]. Only meaningful on that registry.
+#[derive(Clone, Copy, Debug)]
+pub struct MetricHistogram(usize);
+
+/// A handle's row in its registry's `Vec` before its first write.
+const UNREGISTERED: usize = usize::MAX;
+
+/// `name`'s row in `rows`, appended at `T::default()` if it has none.
+fn row_of<T: Default>(rows: &mut Vec<(String, T)>, name: &str) -> usize {
+    rows.iter().position(|(k, _)| k == name).unwrap_or_else(|| {
+        rows.push((name.to_string(), T::default()));
+        rows.len() - 1
+    })
+}
+
+/// Handle `h`'s row in `rows`: remembered, or found by name on its first
+/// write.
+#[inline]
+fn handle_row<T: Default>(
+    handles: &mut [(&'static str, usize)],
+    rows: &mut Vec<(String, T)>,
+    h: usize,
+) -> usize {
+    let (name, row) = handles[h];
+    if row != UNREGISTERED {
+        return row;
+    }
+    handles[h].1 = row_of(rows, name);
+    handles[h].1
+}
+
+/// Mutable registry filled during a run. By-name lookups are linear
+/// over a small `Vec` — sessions register a dozen names, not thousands —
+/// which buys insertion-ordered, hash-free determinism. A per-packet
+/// writer resolves a [`MetricCounter`] / [`MetricHistogram`] once and
+/// then pays an index, not a string search. Either way a name enters
+/// the registry — and takes its place in the snapshot's order — when it
+/// is first *written*, never when a handle is resolved.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
     histograms: Vec<(String, LogHistogram)>,
+    /// Per handle: its name and its row in `counters`, [`UNREGISTERED`]
+    /// until its first write.
+    counter_handles: Vec<(&'static str, usize)>,
+    histogram_handles: Vec<(&'static str, usize)>,
 }
 
 impl MetricsRegistry {
@@ -92,10 +144,8 @@ impl MetricsRegistry {
 
     /// Add `n` to the named counter, creating it at zero first.
     pub fn add(&mut self, name: &str, n: u64) {
-        match self.counters.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v += n,
-            None => self.counters.push((name.to_string(), n)),
-        }
+        let row = row_of(&mut self.counters, name);
+        self.counters[row].1 += n;
     }
 
     /// Increment the named counter by one.
@@ -105,14 +155,35 @@ impl MetricsRegistry {
 
     /// Record `value` into the named log-scale histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
-        match self.histograms.iter_mut().find(|(k, _)| k == name) {
-            Some((_, h)) => h.observe(value),
-            None => {
-                let mut h = LogHistogram::default();
-                h.observe(value);
-                self.histograms.push((name.to_string(), h));
-            }
-        }
+        let row = row_of(&mut self.histograms, name);
+        self.histograms[row].1.observe(value);
+    }
+
+    /// A handle for the named counter. Registers nothing: the counter
+    /// appears in the snapshot once [`Self::counter_add`] first writes it.
+    pub fn counter(&mut self, name: &'static str) -> MetricCounter {
+        self.counter_handles.push((name, UNREGISTERED));
+        MetricCounter(self.counter_handles.len() - 1)
+    }
+
+    /// A handle for the named histogram; see [`Self::counter`].
+    pub fn histogram(&mut self, name: &'static str) -> MetricHistogram {
+        self.histogram_handles.push((name, UNREGISTERED));
+        MetricHistogram(self.histogram_handles.len() - 1)
+    }
+
+    /// [`Self::add`] through a handle.
+    #[inline]
+    pub fn counter_add(&mut self, c: MetricCounter, n: u64) {
+        let row = handle_row(&mut self.counter_handles, &mut self.counters, c.0);
+        self.counters[row].1 += n;
+    }
+
+    /// [`Self::observe`] through a handle.
+    #[inline]
+    pub fn histogram_observe(&mut self, h: MetricHistogram, value: u64) {
+        let row = handle_row(&mut self.histogram_handles, &mut self.histograms, h.0);
+        self.histograms[row].1.observe(value);
     }
 
     /// Freeze into an immutable snapshot.

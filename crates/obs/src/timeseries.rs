@@ -23,10 +23,26 @@
 //! Everything is timestamped with [`SimTime`] — virtual time — so the
 //! rollup is observe-only and byte-invariant under wall-clock jitter,
 //! worker count, and whether any other observer is attached.
+//!
+//! **When names are resolved, when cells are written.** A per-packet or
+//! per-tick writer resolves each signal once, when its series is built
+//! ([`EpochSeries::counter`] / [`EpochSeries::histogram`]), and then
+//! writes through the handle: two compares against the open epoch's
+//! cached `[lo, hi)` and an add into a handle-indexed slot — no division,
+//! no string compare. The slots are folded into the sorted, name-keyed
+//! [`EpochCell`] once per (signal, epoch): when a handle write lands in
+//! another epoch, on [`EpochSeries::flush`], and — through a settled copy
+//! — before any clone, comparison, merge or render, so no reader ever
+//! sees a series short of its pending writes. A slot that was never
+//! written adds no key. [`EpochSeries::add`] / [`EpochSeries::observe`]
+//! are the resolve-by-name entry point: they search the cell directly,
+//! and since every aggregate is a `u64` sum they commute with handle
+//! writes on the same series.
 
 use crate::metrics::LogHistogram;
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Telemetry configuration: the epoch width of every series in a run.
@@ -37,6 +53,12 @@ pub struct TelemetrySpec {
 }
 
 impl TelemetrySpec {
+    /// The finest epoch an input (`MPDASH_TELEMETRY`, a scenario's
+    /// `telemetry.epoch_s`) may ask for. Cells are dense from epoch 0, so
+    /// a microsecond epoch is millions of empty cells a simulated
+    /// second, and nothing is sampled more often than the 50 ms tick.
+    pub const MIN_EPOCH: SimDuration = SimDuration::from_millis(1);
+
     /// A spec with the given epoch width.
     ///
     /// # Panics
@@ -70,29 +92,36 @@ impl Default for TelemetrySpec {
 /// * `"1"` is therefore the natural "just turn it on" value: one-second
 ///   epochs.
 ///
-/// An unparseable value degrades to disabled with a warning on stderr —
-/// telemetry must never turn a working run into a failing one. Sessions
-/// whose config carries no explicit [`TelemetrySpec`] fall back to this,
-/// which is how CI proves artifacts are byte-identical with telemetry
-/// on vs off without touching any experiment binary.
+/// An unusable value — unparseable, not positive, or an epoch below
+/// [`TelemetrySpec::MIN_EPOCH`] — degrades to disabled with a warning on
+/// stderr: telemetry must never turn a working run into a failing one.
+/// Sessions whose config carries no explicit [`TelemetrySpec`] fall back
+/// to this, which is how CI proves artifacts are byte-identical with
+/// telemetry on vs off without touching any experiment binary.
 pub fn telemetry_from_env() -> Option<TelemetrySpec> {
     static ENV_TELEMETRY: OnceLock<Option<TelemetrySpec>> = OnceLock::new();
     *ENV_TELEMETRY.get_or_init(|| {
         let raw = std::env::var("MPDASH_TELEMETRY").unwrap_or_default();
-        match raw.trim() {
-            "" | "0" | "off" => None,
-            v => match v.parse::<f64>() {
-                Ok(secs) if secs > 0.0 && secs.is_finite() => Some(TelemetrySpec::seconds(secs)),
-                _ => {
-                    eprintln!(
-                        "warning: unusable MPDASH_TELEMETRY value '{v}' \
-                         (expected off|0|<epoch seconds>); telemetry disabled"
-                    );
-                    None
-                }
-            },
-        }
+        telemetry_setting(&raw).unwrap_or_else(|v| {
+            eprintln!(
+                "warning: unusable MPDASH_TELEMETRY value '{v}' \
+                 (expected off|0|<epoch seconds, at least 0.001>); telemetry disabled"
+            );
+            None
+        })
     })
+}
+
+/// What an `MPDASH_TELEMETRY` value selects; `Err` carries an unusable
+/// value back for the warning.
+fn telemetry_setting(raw: &str) -> Result<Option<TelemetrySpec>, &str> {
+    match raw.trim() {
+        "" | "0" | "off" => Ok(None),
+        v => match v.parse().map(SimDuration::from_secs_f64) {
+            Ok(epoch) if epoch >= TelemetrySpec::MIN_EPOCH => Ok(Some(TelemetrySpec::new(epoch))),
+            _ => Err(v),
+        },
+    }
 }
 
 /// One epoch's rollup: sorted named counters and log₂ histograms.
@@ -150,13 +179,17 @@ impl EpochCell {
             self.add(name, *n);
         }
         for (name, h) in &other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|(k, _)| k.as_str().cmp(name.as_str()))
-            {
-                Ok(i) => self.histograms[i].1.merge(h),
-                Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
-            }
+            self.merge_histogram(name, h);
+        }
+    }
+
+    fn merge_histogram(&mut self, name: &str, h: &LogHistogram) {
+        match self
+            .histograms
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+        {
+            Ok(i) => self.histograms[i].1.merge(h),
+            Err(i) => self.histograms.insert(i, (name.to_string(), h.clone())),
         }
     }
 
@@ -199,13 +232,34 @@ impl EpochCell {
     }
 }
 
+/// A counter of one [`EpochSeries`], from [`EpochSeries::counter`]. Only
+/// meaningful on that series and its clones.
+#[derive(Clone, Copy, Debug)]
+pub struct EpochCounter(usize);
+
+/// A histogram of one [`EpochSeries`], from [`EpochSeries::histogram`].
+/// Only meaningful on that series and its clones.
+#[derive(Clone, Copy, Debug)]
+pub struct EpochHistogram(usize);
+
 /// A dense series of [`EpochCell`]s over virtual time, from epoch 0 up
 /// to the last epoch that recorded anything. See the module docs for
-/// the merge-determinism contract.
-#[derive(Clone, Debug, PartialEq)]
+/// the merge-determinism contract and for how handle writes reach the
+/// cells.
+#[derive(Debug)]
 pub struct EpochSeries {
     epoch: SimDuration,
     cells: Vec<EpochCell>,
+    /// Handle writes not yet in `cells`: all of them belong to epoch
+    /// `open`, which covers `[lo, hi)` ns (`lo == hi` before the first).
+    open: usize,
+    lo: u64,
+    hi: u64,
+    /// Per counter handle: its name, whether it was written, the sum.
+    counters: Vec<(&'static str, bool, u64)>,
+    /// Per histogram handle: its name and what it observed (`count() > 0`
+    /// = written).
+    histograms: Vec<(&'static str, LogHistogram)>,
 }
 
 impl EpochSeries {
@@ -215,6 +269,11 @@ impl EpochSeries {
         EpochSeries {
             epoch: spec.epoch,
             cells: Vec::new(),
+            open: 0,
+            lo: 0,
+            hi: 0,
+            counters: Vec::new(),
+            histograms: Vec::new(),
         }
     }
 
@@ -228,17 +287,17 @@ impl EpochSeries {
         (t.as_nanos() / self.epoch.as_nanos()) as usize
     }
 
-    fn cell_at(&mut self, t: SimTime) -> &mut EpochCell {
-        let i = self.index_of(t);
-        if self.cells.len() <= i {
-            self.cells.resize(i + 1, EpochCell::default());
+    fn cell(cells: &mut Vec<EpochCell>, i: usize) -> &mut EpochCell {
+        if cells.len() <= i {
+            cells.resize(i + 1, EpochCell::default());
         }
-        &mut self.cells[i]
+        &mut cells[i]
     }
 
     /// Add `n` to the named counter in `t`'s epoch.
     pub fn add(&mut self, t: SimTime, name: &str, n: u64) {
-        self.cell_at(t).add(name, n);
+        let i = self.index_of(t);
+        Self::cell(&mut self.cells, i).add(name, n);
     }
 
     /// Increment the named counter in `t`'s epoch.
@@ -248,22 +307,108 @@ impl EpochSeries {
 
     /// Record `value` into the named log₂ histogram in `t`'s epoch.
     pub fn observe(&mut self, t: SimTime, name: &str, value: u64) {
-        self.cell_at(t).observe(name, value);
+        let i = self.index_of(t);
+        Self::cell(&mut self.cells, i).observe(name, value);
+    }
+
+    /// A handle for the named counter. Adds no key: the counter appears
+    /// in an epoch only once [`Self::counter_add`] writes it there.
+    pub fn counter(&mut self, name: &'static str) -> EpochCounter {
+        self.counters.push((name, false, 0));
+        EpochCounter(self.counters.len() - 1)
+    }
+
+    /// A handle for the named histogram; see [`Self::counter`].
+    pub fn histogram(&mut self, name: &'static str) -> EpochHistogram {
+        self.histograms.push((name, LogHistogram::default()));
+        EpochHistogram(self.histograms.len() - 1)
+    }
+
+    /// Make `t`'s epoch the open one.
+    #[inline]
+    fn open_at(&mut self, t: SimTime) {
+        let ns = t.as_nanos();
+        if ns < self.lo || ns >= self.hi {
+            self.reopen(ns);
+        }
+    }
+
+    /// Fold the open epoch's pending writes into its cell, then open the
+    /// epoch covering `ns`.
+    #[cold]
+    fn reopen(&mut self, ns: u64) {
+        self.flush();
+        let width = self.epoch.as_nanos();
+        self.open = (ns / width) as usize;
+        self.lo = ns - ns % width;
+        self.hi = self.lo.saturating_add(width);
+    }
+
+    /// [`Self::add`] through a handle.
+    #[inline]
+    pub fn counter_add(&mut self, t: SimTime, c: EpochCounter, n: u64) {
+        self.open_at(t);
+        let slot = &mut self.counters[c.0];
+        slot.1 = true;
+        slot.2 += n;
+    }
+
+    /// [`Self::observe`] through a handle.
+    #[inline]
+    pub fn histogram_observe(&mut self, t: SimTime, h: EpochHistogram, value: u64) {
+        self.open_at(t);
+        self.histograms[h.0].1.observe(value);
+    }
+
+    /// Fold every pending handle write into its epoch's cell. Cheap when
+    /// nothing is pending; the owner of a series calls it before handing
+    /// the series on.
+    pub fn flush(&mut self) {
+        for (name, written, n) in &mut self.counters {
+            if std::mem::take(written) {
+                Self::cell(&mut self.cells, self.open).add(name, std::mem::take(n));
+            }
+        }
+        for (name, h) in &mut self.histograms {
+            if h.count() > 0 {
+                Self::cell(&mut self.cells, self.open).merge_histogram(name, h);
+                h.clear();
+            }
+        }
+    }
+
+    fn has_pending(&self) -> bool {
+        self.counters.iter().any(|&(_, written, _)| written)
+            || self.histograms.iter().any(|(_, h)| h.count() > 0)
+    }
+
+    /// `self` with nothing pending: itself, or a flushed copy.
+    fn settled(&self) -> Cow<'_, EpochSeries> {
+        if self.has_pending() {
+            Cow::Owned(self.clone())
+        } else {
+            Cow::Borrowed(self)
+        }
     }
 
     /// Number of epochs (index of the last touched epoch + 1).
     pub fn n_epochs(&self) -> usize {
-        self.cells.len()
+        self.settled().cells.len()
     }
 
     /// Iterate `(epoch index, cell)`.
+    ///
+    /// # Panics
+    /// If handle writes are pending — a borrowed cell cannot include
+    /// them; [`Self::flush`] (or clone) first.
     pub fn cells(&self) -> impl Iterator<Item = (usize, &EpochCell)> {
+        assert!(!self.has_pending(), "flush() the series before cells()");
         self.cells.iter().enumerate()
     }
 
     /// The named counter summed over all epochs.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.cells.iter().map(|c| c.counter(name)).sum()
+        self.settled().cells.iter().map(|c| c.counter(name)).sum()
     }
 
     /// Merge `other` into `self`, epoch by epoch. Associative and
@@ -278,6 +423,8 @@ impl EpochSeries {
             self.epoch, other.epoch,
             "cannot merge series with different epoch widths"
         );
+        self.flush();
+        let other = other.settled();
         if self.cells.len() < other.cells.len() {
             self.cells.resize(other.cells.len(), EpochCell::default());
         }
@@ -293,8 +440,37 @@ impl EpochSeries {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("epoch_s", Json::Float(self.epoch.as_secs_f64())),
-            ("epochs", Json::arr(self.cells.iter().map(|c| c.to_json()))),
+            (
+                "epochs",
+                Json::arr(self.settled().cells.iter().map(|c| c.to_json())),
+            ),
         ])
+    }
+}
+
+impl Clone for EpochSeries {
+    /// A settled copy: pending handle writes are in the copy's cells.
+    /// Handles resolved on `self` work on the copy.
+    fn clone(&self) -> Self {
+        let mut copy = EpochSeries {
+            epoch: self.epoch,
+            cells: self.cells.clone(),
+            open: self.open,
+            lo: self.lo,
+            hi: self.hi,
+            counters: self.counters.clone(),
+            histograms: self.histograms.clone(),
+        };
+        copy.flush();
+        copy
+    }
+}
+
+impl PartialEq for EpochSeries {
+    /// Equal when the same things were recorded — however they were
+    /// written, whatever is still pending, whichever handles exist.
+    fn eq(&self, other: &EpochSeries) -> bool {
+        self.epoch == other.epoch && self.settled().cells == other.settled().cells
     }
 }
 
@@ -370,6 +546,61 @@ mod tests {
         let mut a = EpochSeries::new(spec2());
         let b = EpochSeries::new(TelemetrySpec::default());
         a.merge(&b);
+    }
+
+    #[test]
+    fn an_epoch_below_a_millisecond_is_an_unusable_setting() {
+        // 1e-10 s rounds to 0 ns (a panic in `TelemetrySpec::new`) and
+        // 1 µs epochs exhaust memory on dense cells: both must warn and
+        // disable, like any other unusable value.
+        for v in ["1e-10", "0.000001", "0.0009", "-1", "nan", "inf", "fast"] {
+            assert_eq!(telemetry_setting(v), Err(v));
+        }
+        assert_eq!(telemetry_setting(" off "), Ok(None));
+        assert_eq!(
+            telemetry_setting("0.001"),
+            Ok(Some(TelemetrySpec::new(TelemetrySpec::MIN_EPOCH)))
+        );
+        assert_eq!(
+            telemetry_setting("2"),
+            Ok(Some(TelemetrySpec::seconds(2.0)))
+        );
+    }
+
+    #[test]
+    fn handle_writes_reach_the_cells_before_any_read() {
+        let mut s = EpochSeries::new(spec2());
+        let chunks = s.counter("chunks");
+        s.counter("never"); // resolved, never written: adds no key
+        let buffer = s.histogram("buffer_ms");
+        s.counter_add(t(0), chunks, 2);
+        s.histogram_observe(t(1), buffer, 900);
+        // Still pending: every `&self` read answers through a settled copy.
+        assert_eq!(s.n_epochs(), 1);
+        assert_eq!(s.counter_total("chunks"), 2);
+        s.counter_add(t(5), chunks, 0); // epoch 2: folds epoch 0, opens 2
+        assert_eq!(s.cells[0].counter("chunks"), 2);
+        assert_eq!(s.cells[0].histogram("buffer_ms").unwrap().count(), 1);
+
+        let mut by_name = EpochSeries::new(spec2());
+        by_name.add(t(5), "chunks", 0); // a zero add still makes the key
+        by_name.observe(t(1), "buffer_ms", 900);
+        by_name.add(t(0), "chunks", 2);
+        assert_eq!(s, by_name);
+        assert_eq!(s.to_json().to_pretty(), by_name.to_json().to_pretty());
+        assert_eq!(s.clone().cells().count(), 3);
+        s.flush();
+        assert!(s.cells().all(|(_, c)| c.counter("never") == 0));
+        assert!(!s.to_json().to_pretty().contains("never"));
+    }
+
+    #[test]
+    #[should_panic(expected = "flush() the series before cells()")]
+    fn borrowing_cells_with_writes_pending_panics() {
+        let mut s = EpochSeries::new(spec2());
+        let chunks = s.counter("chunks");
+        s.counter_add(t(0), chunks, 1);
+        let _ = s.cells().count();
     }
 
     #[test]

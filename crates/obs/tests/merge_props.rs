@@ -10,9 +10,13 @@
 //!   [`EpochSeries`], checked structurally *and* on serialized bytes;
 //! * **shard identity** — replaying one event stream into N shard-local
 //!   series and merging them (in any shard order) serializes to exactly
-//!   the bytes of the single-shard replay.
+//!   the bytes of the single-shard replay;
+//! * **handle ≡ name** — a series (or registry) written through
+//!   pre-resolved handles, by name, or both mixed records exactly what
+//!   the by-name replay does: equal structurally with writes still
+//!   pending, equal on serialized bytes, and merge stays commutative.
 
-use mpdash_obs::{EpochSeries, LogHistogram, TelemetrySpec};
+use mpdash_obs::{EpochSeries, LogHistogram, MetricsRegistry, TelemetrySpec};
 use mpdash_sim::{Prng, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -62,6 +66,52 @@ fn replay(spec: TelemetrySpec, events: &[Event]) -> EpochSeries {
         }
     }
     s
+}
+
+/// [`replay`], but every event whose `via_handle` draw says so goes
+/// through a handle. Handles are resolved up front in an order drawn
+/// from `seed` (so handle numbering differs between series), and a
+/// quarter of the counter adds are zero-valued.
+fn replay_mixed(
+    spec: TelemetrySpec,
+    events: &[Event],
+    seed: u64,
+    handle_share: u64,
+) -> EpochSeries {
+    let mut rng = Prng::new(seed);
+    let mut s = EpochSeries::new(spec);
+    let mut order: Vec<usize> = (0..NAMES.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    let mut handles = [None; NAMES.len()];
+    for i in order {
+        handles[i] = Some((s.counter(NAMES[i]), s.histogram(NAMES[i])));
+    }
+    for e in events {
+        let (counter, histogram) =
+            handles[NAMES.iter().position(|&n| n == e.name).unwrap()].unwrap();
+        match (e.histogram, rng.next_below(4) < handle_share) {
+            (true, true) => s.histogram_observe(e.at, histogram, e.value),
+            (true, false) => s.observe(e.at, e.name, e.value),
+            (false, true) => s.counter_add(e.at, counter, e.value),
+            (false, false) => s.add(e.at, e.name, e.value),
+        }
+    }
+    s
+}
+
+/// `events`, with a quarter of the values zeroed: a zero add must still
+/// create its key.
+fn events_with_zeros(seed: u64, n: usize) -> Vec<Event> {
+    let mut rng = Prng::new(seed ^ 0x5EED);
+    let mut stream = events(seed, n);
+    for e in &mut stream {
+        if rng.next_below(4) == 0 {
+            e.value = 0;
+        }
+    }
+    stream
 }
 
 fn histogram_of(values: &[u64]) -> LogHistogram {
@@ -194,5 +244,83 @@ proptest! {
             "ascending shard merge diverged from single-shard bytes");
         prop_assert_eq!(rev.to_json().to_pretty(), want,
             "descending shard merge diverged from single-shard bytes");
+    }
+
+    /// Handle-written, mixed and by-name series record the same thing:
+    /// equal as values while the handle writes are still pending, equal
+    /// on rendered bytes, and interchangeable under `merge`. Times are
+    /// not monotone, so the open epoch moves back and forth.
+    #[test]
+    fn handle_written_series_equal_by_name_series(
+        seed_a in 0u64..1_000_000,
+        seed_b in 0u64..1_000_000,
+        n in 0usize..120,
+        epoch_ms in 200u64..5_000,
+    ) {
+        let spec = TelemetrySpec::new(SimDuration::from_millis(epoch_ms));
+        let (stream_a, stream_b) = (events_with_zeros(seed_a, n), events_with_zeros(seed_b, n / 2 + 1));
+        let by_name = replay(spec, &stream_a);
+        let want = by_name.to_json().to_pretty();
+        for (order_seed, handle_share) in [(seed_a, 4), (seed_b, 4), (seed_a, 2), (seed_b, 1)] {
+            let got = replay_mixed(spec, &stream_a, order_seed, handle_share);
+            prop_assert_eq!(&got, &by_name, "handle share {}/4", handle_share);
+            prop_assert_eq!(got.to_json().to_pretty(), want.clone());
+            prop_assert_eq!(got.n_epochs(), by_name.n_epochs());
+            prop_assert_eq!(got.counter_total("chunks"), by_name.counter_total("chunks"));
+        }
+
+        // Merge, with writes pending on both sides, in both orders.
+        let a = replay_mixed(spec, &stream_a, seed_b, 4);
+        let b = replay_mixed(spec, &stream_b, seed_a, 3);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = replay_mixed(spec, &stream_b, seed_b, 2);
+        ba.merge(&a);
+        let mut named = by_name.clone();
+        named.merge(&replay(spec, &stream_b));
+        prop_assert_eq!(&ab, &ba, "series merge is not commutative");
+        prop_assert_eq!(&ab, &named);
+        prop_assert_eq!(ab.to_json().to_pretty(), ba.to_json().to_pretty());
+        prop_assert_eq!(ab.to_json().to_pretty(), named.to_json().to_pretty());
+    }
+
+    /// A registry written through handles snapshots exactly like one
+    /// written by name — same values, same order: a name takes its place
+    /// when first written, not when its handle is resolved.
+    #[test]
+    fn handle_written_registry_equals_by_name_registry(
+        seed in 0u64..1_000_000,
+        n in 0usize..120,
+        handle_share in 1u64..5,
+    ) {
+        let stream = events_with_zeros(seed, n);
+        let mut by_name = MetricsRegistry::new();
+        let mut mixed = MetricsRegistry::new();
+        // Resolved in reverse: resolution order must not show.
+        let handles: Vec<_> = NAMES
+            .iter()
+            .rev()
+            .map(|&name| (mixed.counter(name), mixed.histogram(name)))
+            .collect();
+        let mut rng = Prng::new(seed);
+        for e in &stream {
+            let i = NAMES.iter().rev().position(|&n| n == e.name).unwrap();
+            match (e.histogram, rng.next_below(4) < handle_share) {
+                (true, true) => mixed.histogram_observe(handles[i].1, e.value),
+                (true, false) => mixed.observe(e.name, e.value),
+                (false, true) => mixed.counter_add(handles[i].0, e.value),
+                (false, false) => mixed.add(e.name, e.value),
+            }
+            if e.histogram {
+                by_name.observe(e.name, e.value);
+            } else {
+                by_name.add(e.name, e.value);
+            }
+        }
+        prop_assert_eq!(mixed.snapshot(), by_name.snapshot());
+        prop_assert_eq!(
+            mixed.snapshot().to_json().to_pretty(),
+            by_name.snapshot().to_json().to_pretty()
+        );
     }
 }

@@ -5,15 +5,20 @@
 //! in three places: a field of the report's [`LifecycleStats`] /
 //! [`OriginStats`], a named counter in the [`MetricsRegistry`] snapshot,
 //! and a per-epoch telemetry counter. [`Recorder::count`] updates all of
-//! them from the one table in this file, so a name is spelled once.
-//! Counters register in the registry on first use and that order is part
-//! of `summary_json`, so call sites keep their relative order.
+//! them from the one table in this file ([`SIGNALS`]), so a name is
+//! spelled once — and compared never: [`Recorder::new`] resolves every
+//! name to a handle. Counters still enter the registry when first
+//! *counted* and that order is part of `summary_json`, so call sites keep
+//! their relative order.
 
 use crate::report::{LifecycleStats, OriginStats};
 use mpdash_dash::player::Player;
 use mpdash_link::PathId;
 use mpdash_mptcp::MptcpSim;
-use mpdash_obs::{EpochSeries, MetricsRegistry, TelemetrySpec, TraceEvent, Tracer};
+use mpdash_obs::{
+    EpochCounter, EpochHistogram, EpochSeries, MetricCounter, MetricsRegistry, TelemetrySpec,
+    TraceEvent, Tracer,
+};
 use mpdash_sim::SimTime;
 
 /// A countable session outcome. See [`Recorder::count`] for what each
@@ -45,11 +50,48 @@ pub(crate) enum Outcome {
     WastedBytes,
 }
 
+/// Per [`Outcome`], in declaration order (indexed by `outcome as usize`):
+/// its registry counter and, if it has one, its epoch counter.
+const SIGNALS: [(Outcome, &str, Option<&str>); 23] = {
+    use Outcome::*;
+    [
+        (DeadlineGranted, "deadline_granted", None),
+        (DeadlineBypassed, "deadline_bypassed", None),
+        (SchedulerToggle, "scheduler_toggles", None),
+        (ChunkFetched, "chunks_fetched", Some("chunks")),
+        (DeadlineHit, "deadline_hits", Some("deadline_hits")),
+        (DeadlineMiss, "deadline_misses", Some("deadline_misses")),
+        (Departed, "departed", Some("departures")),
+        (Shed, "shed", None),
+        (CacheHit, "cache_hits", Some("cache_hits")),
+        (CacheMiss, "cache_misses", Some("cache_misses")),
+        (CacheInsert, "cache_insertions", None),
+        (Routed, "origin_routed", None),
+        (Failover, "origin_failovers", None),
+        (BreakerOpen, "breaker_opens", Some("breaker_opens")),
+        (Hedge, "hedges", Some("hedges")),
+        (HedgeWonPrimary, "hedge_wins_primary", None),
+        (HedgeWonHedge, "hedge_wins_hedge", None),
+        (RequestError, "request_errors", None),
+        (Retried, "requests_retried", Some("retries")),
+        (Timeout, "request_timeouts", Some("timeouts")),
+        (Abandoned, "requests_abandoned", None),
+        (Resumed, "requests_resumed", Some("resumes")),
+        (WastedBytes, "wasted_bytes", Some("wasted_bytes")),
+    ]
+};
+
 /// Epoch-telemetry state: the session's rollup series plus the
 /// last-sampled cumulative values the 50 ms tick turns into per-epoch
 /// deltas (per-path bytes, stalled time).
 struct Telemetry {
     series: EpochSeries,
+    /// [`SIGNALS`]' epoch column, resolved.
+    outcomes: [Option<EpochCounter>; SIGNALS.len()],
+    wifi_bytes: EpochCounter,
+    cell_bytes: EpochCounter,
+    stall_ms: EpochCounter,
+    buffer_ms: EpochHistogram,
     last_wifi_bytes: u64,
     last_cell_bytes: u64,
     last_stall_ms: u64,
@@ -68,21 +110,33 @@ pub(crate) struct Recorder {
     pub lifecycle: LifecycleStats,
     /// Multi-origin serving counters for the report.
     pub origin: OriginStats,
+    /// [`SIGNALS`]' registry column, resolved.
+    outcomes: [MetricCounter; SIGNALS.len()],
     telemetry: Option<Telemetry>,
 }
 
 impl Recorder {
     pub fn new(tracer: Tracer, telemetry: Option<TelemetrySpec>) -> Self {
+        let mut metrics = MetricsRegistry::new();
         Recorder {
             tracer,
-            metrics: MetricsRegistry::new(),
+            outcomes: SIGNALS.map(|(_, metric, _)| metrics.counter(metric)),
+            metrics,
             lifecycle: LifecycleStats::default(),
             origin: OriginStats::default(),
-            telemetry: telemetry.map(|spec| Telemetry {
-                series: EpochSeries::new(spec),
-                last_wifi_bytes: 0,
-                last_cell_bytes: 0,
-                last_stall_ms: 0,
+            telemetry: telemetry.map(|spec| {
+                let mut series = EpochSeries::new(spec);
+                Telemetry {
+                    outcomes: SIGNALS.map(|(_, _, epoch)| epoch.map(|name| series.counter(name))),
+                    wifi_bytes: series.counter("wifi_bytes"),
+                    cell_bytes: series.counter("cell_bytes"),
+                    stall_ms: series.counter("stall_ms"),
+                    buffer_ms: series.histogram("buffer_ms"),
+                    series,
+                    last_wifi_bytes: 0,
+                    last_cell_bytes: 0,
+                    last_stall_ms: 0,
+                }
             }),
         }
     }
@@ -93,49 +147,32 @@ impl Recorder {
     pub fn count(&mut self, now: SimTime, what: Outcome, n: u64) {
         use Outcome::*;
         let (l, o) = (&mut self.lifecycle, &mut self.origin);
-        let (field, metric, epoch) = match what {
-            DeadlineGranted => (None, "deadline_granted", None),
-            DeadlineBypassed => (None, "deadline_bypassed", None),
-            SchedulerToggle => (None, "scheduler_toggles", None),
-            ChunkFetched => (None, "chunks_fetched", Some("chunks")),
-            DeadlineHit => (None, "deadline_hits", Some("deadline_hits")),
-            DeadlineMiss => (None, "deadline_misses", Some("deadline_misses")),
-            Departed => (None, "departed", Some("departures")),
-            Shed => (None, "shed", None),
-            CacheHit => (Some(&mut o.cache_hits), "cache_hits", Some("cache_hits")),
-            CacheMiss => (
-                Some(&mut o.cache_misses),
-                "cache_misses",
-                Some("cache_misses"),
-            ),
-            CacheInsert => (Some(&mut o.cache_insertions), "cache_insertions", None),
-            Routed => (Some(&mut o.routed), "origin_routed", None),
-            Failover => (Some(&mut o.failovers), "origin_failovers", None),
-            BreakerOpen => (
-                Some(&mut o.breaker_opens),
-                "breaker_opens",
-                Some("breaker_opens"),
-            ),
-            Hedge => (Some(&mut o.hedges), "hedges", Some("hedges")),
-            HedgeWonPrimary => (Some(&mut o.hedge_wins_primary), "hedge_wins_primary", None),
-            HedgeWonHedge => (Some(&mut o.hedge_wins_hedge), "hedge_wins_hedge", None),
-            RequestError => (None, "request_errors", None),
-            Retried => (Some(&mut l.retried), "requests_retried", Some("retries")),
-            Timeout => (Some(&mut l.timeouts), "request_timeouts", Some("timeouts")),
-            Abandoned => (Some(&mut l.abandoned), "requests_abandoned", None),
-            Resumed => (Some(&mut l.resumed), "requests_resumed", Some("resumes")),
-            WastedBytes => (
-                Some(&mut l.wasted_bytes),
-                "wasted_bytes",
-                Some("wasted_bytes"),
-            ),
+        let field = match what {
+            CacheHit => Some(&mut o.cache_hits),
+            CacheMiss => Some(&mut o.cache_misses),
+            CacheInsert => Some(&mut o.cache_insertions),
+            Routed => Some(&mut o.routed),
+            Failover => Some(&mut o.failovers),
+            BreakerOpen => Some(&mut o.breaker_opens),
+            Hedge => Some(&mut o.hedges),
+            HedgeWonPrimary => Some(&mut o.hedge_wins_primary),
+            HedgeWonHedge => Some(&mut o.hedge_wins_hedge),
+            Retried => Some(&mut l.retried),
+            Timeout => Some(&mut l.timeouts),
+            Abandoned => Some(&mut l.abandoned),
+            Resumed => Some(&mut l.resumed),
+            WastedBytes => Some(&mut l.wasted_bytes),
+            DeadlineGranted | DeadlineBypassed | SchedulerToggle | ChunkFetched | DeadlineHit
+            | DeadlineMiss | Departed | Shed | RequestError => None,
         };
         if let Some(field) = field {
             *field += n;
         }
-        self.metrics.add(metric, n);
-        if let Some(epoch) = epoch {
-            self.epoch_add(now, epoch, n);
+        self.metrics.counter_add(self.outcomes[what as usize], n);
+        if let Some(ts) = self.telemetry.as_mut() {
+            if let Some(epoch) = ts.outcomes[what as usize] {
+                ts.series.counter_add(now, epoch, n);
+            }
         }
     }
 
@@ -163,33 +200,49 @@ impl Recorder {
         let Some(ts) = self.telemetry.as_mut() else {
             return;
         };
-        let mut delta = |name, last: &mut u64, total: u64| {
+        let series = &mut ts.series;
+        let mut delta = |counter, last: &mut u64, total: u64| {
             if total > *last {
-                ts.series.add(now, name, total - *last);
+                series.counter_add(now, counter, total - *last);
                 *last = total;
             }
         };
         delta(
-            "wifi_bytes",
+            ts.wifi_bytes,
             &mut ts.last_wifi_bytes,
             sim.path_bytes(PathId::WIFI),
         );
         delta(
-            "cell_bytes",
+            ts.cell_bytes,
             &mut ts.last_cell_bytes,
             sim.path_bytes(PathId::CELLULAR),
         );
         delta(
-            "stall_ms",
+            ts.stall_ms,
             &mut ts.last_stall_ms,
             player.stall_time().as_millis_f64() as u64,
         );
         ts.series
-            .observe(now, "buffer_ms", player.buffer().as_millis_f64() as u64);
+            .histogram_observe(now, ts.buffer_ms, player.buffer().as_millis_f64() as u64);
     }
 
     /// The finished epoch series, if telemetry was on.
     pub fn take_epochs(&mut self) -> Option<EpochSeries> {
-        self.telemetry.take().map(|ts| ts.series)
+        self.telemetry.take().map(|mut ts| {
+            ts.series.flush();
+            ts.series
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_signal_table_is_in_outcome_order() {
+        for (i, (outcome, ..)) in SIGNALS.iter().enumerate() {
+            assert_eq!(*outcome as usize, i, "{outcome:?}");
+        }
     }
 }

@@ -844,10 +844,13 @@ fn decode_cache(j: &Json, at: &str) -> Result<FleetCacheSpec, String> {
 
 fn decode_telemetry(j: &Json, at: &str) -> Result<TelemetrySpec, String> {
     let mut o = Obj::new(j, at)?;
-    let epoch = o.secs("epoch_s", POSITIVE)?;
-    if epoch.is_zero() {
+    let secs = o.f64("epoch_s", POSITIVE)?;
+    let epoch = SimDuration::from_secs_f64(secs);
+    // Cells are dense from epoch 0 and nothing samples faster than the
+    // 50 ms tick: a finer epoch only exhausts memory (or rounds to zero).
+    if epoch < TelemetrySpec::MIN_EPOCH {
         return Err(format!(
-            "{}: must be at least one nanosecond",
+            "{}: must be at least 0.001 (one millisecond), got {secs}",
             o.at("epoch_s")
         ));
     }
@@ -1514,6 +1517,18 @@ mod tests {
         assert!(Scenario::from_json(DOC).unwrap().telemetry.is_none());
         let err = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 0.0},"#)).unwrap_err();
         assert!(err.contains("telemetry.epoch_s: must be > 0"), "{err}");
+        // So is a positive epoch too fine to be a real one: 1e-10 s rounds
+        // to zero nanoseconds, 1 µs is millions of dense cells a second.
+        for epoch_s in ["1e-10", "0.000001", "0.0009"] {
+            let doc = fleet_doc(&format!(r#""telemetry": {{"epoch_s": {epoch_s}}},"#));
+            let err = Scenario::from_json(&doc).unwrap_err();
+            assert!(
+                err.contains("telemetry.epoch_s: must be at least 0.001"),
+                "{epoch_s}: {err}"
+            );
+        }
+        let doc = fleet_doc(r#""telemetry": {"epoch_s": 0.001},"#);
+        assert!(Scenario::from_json(&doc).is_ok());
     }
 
     const CHURN_PATCH: &str = r#""fleet": {

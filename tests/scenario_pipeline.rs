@@ -96,6 +96,38 @@ fn an_unusable_worker_count_is_a_usage_error() {
     );
 }
 
+/// `MPDASH_TELEMETRY` must never turn a working run into a failing one:
+/// an epoch too fine to be real (`1e-10` rounds to zero nanoseconds and
+/// used to panic every job; `0.000001` used to exhaust memory on dense
+/// cells) warns, disables telemetry, and changes nothing on stdout.
+#[test]
+fn a_sub_millisecond_telemetry_epoch_warns_and_disables() {
+    let run = |telemetry: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"));
+        cmd.arg(format!(
+            "{}/scenarios/origins.json",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .env_remove("MPDASH_TELEMETRY");
+        if let Some(v) = telemetry {
+            cmd.env("MPDASH_TELEMETRY", v);
+        }
+        cmd.output().expect("mpdash runs")
+    };
+    let off = run(None);
+    assert!(off.status.success(), "{off:?}");
+    for v in ["1e-10", "0.000001"] {
+        let out = run(Some(v));
+        assert!(out.status.success(), "{v}: {out:?}");
+        assert_eq!(out.stdout, off.stdout, "{v}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unusable MPDASH_TELEMETRY") && err.contains(v),
+            "{v}: {err}"
+        );
+    }
+}
+
 fn shipped(file: &str) -> Scenario {
     let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).expect("shipped scenario readable");
@@ -181,4 +213,46 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
         (events.len(), fnv1a(stream.as_bytes())),
         (91901, 5741721942121880656)
     );
+}
+
+/// The epoch series' bytes, which no `summary_json` carries and so no
+/// golden above sees: the NDJSON `mpdash timeline <scenario> --quick`
+/// writes for the three shipped fleet scenarios — every client's series,
+/// every bottleneck's and the fleet loop's own, merged and rendered.
+/// Recorded at the commit before the series' write path moved from
+/// by-name updates to resolved handles (PR 19); the same files hash, by
+/// `sha256sum`, to `d459e788…971c` (aqm), `ad7df5e1…be89` (churn) and
+/// `f4fe2339…82dc` (fleet).
+#[test]
+fn timeline_ndjson_reproduces_its_golden_bytes() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("timeline-golden");
+    for (file, ndjson, digest) in [
+        (
+            "aqm.json",
+            "TIMELINE_fleet_8_fq_pie_ap.ndjson",
+            0x8036_b2a9_3d99_5a59_u64,
+        ),
+        (
+            "churn.json",
+            "TIMELINE_churn_8_domain_outage_shed.ndjson",
+            0xb473_2f5e_337e_9657,
+        ),
+        (
+            "fleet.json",
+            "TIMELINE_fleet_16_shared_ap.ndjson",
+            0xeaa9_b936_8b11_bdcd,
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+            .arg("timeline")
+            .arg(format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR")))
+            .arg("--quick")
+            .env("MPDASH_RESULTS_DIR", &dir)
+            .env_remove("MPDASH_TELEMETRY")
+            .output()
+            .expect("mpdash runs");
+        assert!(out.status.success(), "{file}: {out:?}");
+        let bytes = std::fs::read(dir.join(ndjson)).expect("timeline NDJSON written");
+        assert_eq!(fnv1a(&bytes), digest, "{file}");
+    }
 }
