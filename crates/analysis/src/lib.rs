@@ -15,7 +15,7 @@
 //!   visualizations in the spirit of Figure 8).
 
 use mpdash_dash::player::PlayerEvent;
-use mpdash_energy::{session_energy, DeviceProfile, SessionEnergy};
+use mpdash_energy::{radio_energy_of, DeviceProfile, SessionEnergy};
 use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
 use mpdash_results::Json;
@@ -312,17 +312,14 @@ pub fn replay_energy(
     device: &DeviceProfile,
     horizon: SimDuration,
 ) -> SessionEnergy {
-    let wifi: Vec<(SimTime, u64)> = records
-        .iter()
-        .filter(|r| r.path == PathId::WIFI)
-        .map(|r| (r.t, r.len))
-        .collect();
-    let cell: Vec<(SimTime, u64)> = records
-        .iter()
-        .filter(|r| r.path == PathId::CELLULAR)
-        .map(|r| (r.t, r.len))
-        .collect();
-    session_energy(device, &wifi, &cell, horizon)
+    let on = |path: PathId| {
+        let of_path = records.iter().filter(move |r| r.path == path);
+        of_path.map(|r| (r.t, r.len))
+    };
+    SessionEnergy {
+        wifi: radio_energy_of(&device.wifi, on(PathId::WIFI), horizon),
+        lte: radio_energy_of(&device.lte, on(PathId::CELLULAR), horizon),
+    }
 }
 
 /// Serialize a full analysis (plus its inputs' timing) to pretty JSON:

@@ -18,6 +18,9 @@ struct ActiveN {
     size: u64,
     started: SimTime,
     window: SimDuration,
+    /// α·D, fixed for the transfer (§3.2): computed once at `enable`,
+    /// not once per progress check.
+    target: SimDuration,
     sent: u64,
     enabled: Vec<bool>,
     missed: bool,
@@ -114,6 +117,7 @@ impl MultiPathScheduler {
             size,
             started: now,
             window,
+            target: window.mul_f64(self.params.alpha),
             sent: 0,
             enabled: enabled.clone(),
             missed: false,
@@ -164,8 +168,7 @@ impl MultiPathScheduler {
 
         let remaining = a.size - a.sent;
         let spent = now.saturating_since(a.started);
-        let target = a.window.mul_f64(self.params.alpha);
-        let time_left = target.saturating_sub(spent);
+        let time_left = a.target.saturating_sub(spent);
 
         // Greedy cheapest prefix: accumulate capacity until it covers the
         // remaining bytes. The preferred path is unconditionally on.

@@ -172,6 +172,63 @@ proptest! {
         }
     }
 
+    /// The N-path scheduler computes α·D once, at `enable`; Algorithm 1's
+    /// reference recomputes it on every check. Over two transfers with
+    /// different windows — the first cut short by `disable` — the two give
+    /// the same cellular decision at every step and the same counters.
+    #[test]
+    fn stored_target_matches_algorithm_one_decision_for_decision(
+        windows_ms in prop::collection::vec(500u64..20_000, 2..3),
+        alpha in 0.3f64..1.0,
+        debounce in 1u32..5,
+        size_kb in 200u64..8_000,
+        dt_ms in prop::collection::vec(0u64..400, 40..120),
+        dsent_kb in prop::collection::vec(0u64..300, 40..120),
+        wifi_kbps in prop::collection::vec(0u64..12_000, 40..120),
+    ) {
+        let params = SchedulerParams::with_alpha(alpha).with_debounce(debounce);
+        let mut multi = MultiPathScheduler::new(vec![0.0, 1.0], params);
+        let mut single = DeadlineScheduler::new(params);
+        let steps: Vec<_> = dt_ms.iter().zip(&dsent_kb).zip(&wifi_kbps).collect();
+        let mut now = SimTime::from_millis(7);
+        // The first transfer gets a third of the steps and is then
+        // disabled, finished or not; the second runs to the end.
+        let (first, second) = steps.split_at(steps.len() / 3);
+        for (window_ms, steps) in windows_ms.iter().zip([first, second]) {
+            let (size, window) = (size_kb * 1000, SimDuration::from_millis(*window_ms));
+            prop_assert_eq!(multi.enable(now, size, window), vec![true, false]);
+            prop_assert_eq!(single.enable(now, size, window), CellDecision::Disable);
+            let (started, mut sent) = (now, 0u64);
+            for &((dt, dsent), kbps) in steps {
+                now += SimDuration::from_millis(*dt);
+                sent += dsent * 1000;
+                let wifi = Rate::from_kbps(*kbps);
+                // At wifi_can == remaining the two differ by design: the
+                // greedy keeps the next path on, Algorithm 1 keeps its
+                // state. Not what this property is about.
+                let left = window.mul_f64(alpha).saturating_sub(now.saturating_since(started));
+                if sent < size && wifi.bytes_in(left) == size - sent {
+                    continue;
+                }
+                let from_multi = multi
+                    .on_progress(now, sent, &[wifi, Rate::from_mbps(3)])
+                    .map(|enabled| enabled[1]);
+                let from_single = match single.on_progress(now, sent, wifi) {
+                    CellDecision::Enable => Some(true),
+                    CellDecision::Disable => Some(false),
+                    CellDecision::NoChange => None,
+                };
+                prop_assert_eq!(from_multi, from_single, "at {} sent {}", now, sent);
+                prop_assert_eq!(multi.is_active(), single.is_active());
+            }
+            prop_assert_eq!(multi.disable(), vec![true, true]);
+            prop_assert_eq!(single.disable(), CellDecision::Enable);
+        }
+        prop_assert_eq!(multi.toggles(), single.toggles());
+        prop_assert_eq!(multi.missed_deadlines(), single.missed_deadlines());
+        prop_assert_eq!(multi.completed(), single.completed());
+    }
+
     /// Holt-Winters forecasts are finite and non-negative for any finite
     /// non-negative input series.
     #[test]

@@ -218,10 +218,18 @@ pub fn radio_energy(
     packets: &[(SimTime, u64)],
     horizon: SimDuration,
 ) -> EnergyBreakdown {
-    debug_assert!(
-        packets.windows(2).all(|w| w[0].0 <= w[1].0),
-        "packet trace must be time-ordered"
-    );
+    radio_energy_of(model, packets.iter().copied(), horizon)
+}
+
+/// [`radio_energy`] over any time-ordered source of `(arrival, bytes)`
+/// pairs: one pass, nothing buffered, so a capture can be replayed per
+/// path straight off its packet records.
+pub fn radio_energy_of(
+    model: &RadioModel,
+    packets: impl Iterator<Item = (SimTime, u64)>,
+    horizon: SimDuration,
+) -> EnergyBreakdown {
+    let mut packets = packets.peekable();
     let horizon_end = SimTime::ZERO + horizon;
     let mut out = EnergyBreakdown::default();
     let mut total_bits: f64 = 0.0;
@@ -234,20 +242,16 @@ pub fn radio_energy(
     // radio starts idle).
     let mut prev_active_end: Option<SimTime> = None;
 
-    let mut i = 0;
-    while i < packets.len() {
+    while let Some(&(burst_start, _)) = packets.peek() {
         // One active period: extend while the next packet lands within
         // the full-power inactivity window.
-        let burst_start = packets[i].0;
         let mut burst_last = burst_start;
-        while i < packets.len() {
-            let (t, bytes) = packets[i];
-            if t.saturating_since(burst_last) > model.tail_active {
-                break;
-            }
+        while let Some((t, bytes)) =
+            packets.next_if(|&(t, _)| t.saturating_since(burst_last) <= model.tail_active)
+        {
+            debug_assert!(burst_last <= t, "packet trace must be time-ordered");
             burst_last = t;
             total_bits += bytes as f64 * 8.0;
-            i += 1;
         }
         let active_end = (burst_last + model.tail_active).min(horizon_end);
         if active_end > burst_start {

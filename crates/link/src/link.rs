@@ -241,8 +241,8 @@ impl Link {
     fn step_at(&mut self, t: SimTime) -> (Rate, SimTime) {
         let (from, until, _) = self.step;
         if t < from || t >= until {
-            let profile = &self.cfg.profile;
-            self.step = (t, profile.next_change_after(t), profile.rate_at(t));
+            let (rate, until) = self.cfg.profile.step_at(t);
+            self.step = (t, until, rate);
         }
         let (_, until, rate) = self.step;
         (rate, until)

@@ -8,8 +8,14 @@
 //! traces into its trace-driven simulation (§7.2.2).
 
 use mpdash_sim::{Rate, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A path's available bandwidth over time.
+///
+/// A profile is immutable once built, and `Clone` shares the step storage
+/// (a reference bump, O(1) in trace length): every config that carries a
+/// clone of a recorded trace — a session's five modes, a fleet's clients,
+/// a batch's jobs — reads the one allocation.
 #[derive(Clone, Debug)]
 pub enum BandwidthProfile {
     /// Bandwidth fixed for all time (the controlled experiments of §7.3.2,
@@ -22,8 +28,9 @@ pub enum BandwidthProfile {
     /// period (used to loop short recorded traces over a long session).
     Steps {
         /// Step boundaries: `(start, rate)` pairs, first start must be 0.
-        steps: Vec<(SimTime, Rate)>,
-        /// Optional looping period; must be ≥ the last step's start.
+        steps: Arc<[(SimTime, Rate)]>,
+        /// Optional looping period; must be ≥ the last step's start (a step
+        /// past the period is never reached).
         period: Option<SimDuration>,
     },
 }
@@ -56,24 +63,34 @@ impl BandwidthProfile {
 
     /// The available bandwidth at instant `t`.
     pub fn rate_at(&self, t: SimTime) -> Rate {
-        match self {
-            BandwidthProfile::Constant(r) => *r,
-            BandwidthProfile::Steps { steps, period } => {
-                debug_assert!(!steps.is_empty());
-                let t = match period {
-                    Some(p) if !p.is_zero() => SimTime::from_nanos(t.as_nanos() % p.as_nanos()),
-                    _ => t,
-                };
-                // Last step whose start <= t. partition_point gives the
-                // count of steps with start <= t.
-                let idx = steps.partition_point(|&(start, _)| start <= t);
-                if idx == 0 {
-                    steps[0].1
-                } else {
-                    steps[idx - 1].1
-                }
+        self.step_at(t).0
+    }
+
+    /// The step holding `t`: its rate and the next instant strictly after
+    /// `t` at which the rate may change ([`SimTime::MAX`] if never). One
+    /// search answers both, which is what `Link::send` pays per step.
+    pub fn step_at(&self, t: SimTime) -> (Rate, SimTime) {
+        let (steps, period) = match self {
+            BandwidthProfile::Constant(r) => return (*r, SimTime::MAX),
+            BandwidthProfile::Steps { steps, period } => (steps, period),
+        };
+        debug_assert!(!steps.is_empty());
+        // A looping profile answers in the cycle holding `t`: `cycle_start`
+        // is that cycle's first instant, `wrap` the distance to the next.
+        let (cycle_start, local, wrap) = match period {
+            Some(p) if !p.is_zero() => {
+                let (t, p) = (t.as_nanos(), p.as_nanos());
+                (t - t % p, SimTime::from_nanos(t % p), p)
             }
-        }
+            _ => (0, t, u64::MAX),
+        };
+        // Count of steps with start <= local: the last of them holds `t`.
+        let idx = steps.partition_point(|&(start, _)| start <= local);
+        let next = steps.get(idx).map_or(wrap, |&(start, _)| start.as_nanos());
+        (
+            steps[idx.saturating_sub(1)].1,
+            SimTime::from_nanos(cycle_start + next),
+        )
     }
 
     /// Mean rate over `[0, horizon)`, exact over the step structure.
@@ -89,8 +106,8 @@ impl BandwidthProfile {
                 let mut t = SimTime::ZERO;
                 let end = SimTime::ZERO + horizon;
                 while t < end {
-                    let r = self.rate_at(t);
-                    let next = self.next_change_after(t).min(end);
+                    let (r, next) = self.step_at(t);
+                    let next = next.min(end);
                     let span = next.saturating_since(t);
                     bits += r.as_bps() as u128 * span.as_nanos() as u128;
                     t = next;
@@ -102,34 +119,10 @@ impl BandwidthProfile {
     }
 
     /// The next instant strictly after `t` at which the rate may change
-    /// ([`SimTime::MAX`] for constant profiles). Used by the mean-rate
-    /// integration and by the offline optimal solver's slot alignment.
+    /// ([`SimTime::MAX`] for constant profiles): [`Self::step_at`]'s
+    /// second half, for callers that want the edge alone.
     pub fn next_change_after(&self, t: SimTime) -> SimTime {
-        match self {
-            BandwidthProfile::Constant(_) => SimTime::MAX,
-            BandwidthProfile::Steps { steps, period } => match period {
-                Some(p) if !p.is_zero() => {
-                    let pn = p.as_nanos();
-                    let cycle = t.as_nanos() / pn;
-                    let local = SimTime::from_nanos(t.as_nanos() % pn);
-                    let idx = steps.partition_point(|&(start, _)| start <= local);
-                    let next_local = if idx < steps.len() {
-                        steps[idx].0.as_nanos()
-                    } else {
-                        pn // wraps to next cycle's first step
-                    };
-                    SimTime::from_nanos(cycle * pn + next_local)
-                }
-                _ => {
-                    let idx = steps.partition_point(|&(start, _)| start <= t);
-                    if idx < steps.len() {
-                        steps[idx].0
-                    } else {
-                        SimTime::MAX
-                    }
-                }
-            },
-        }
+        self.step_at(t).1
     }
 
     /// Sample the profile into `n` evenly spaced slots of width `slot`
@@ -166,7 +159,8 @@ mod tests {
                 (SimTime::ZERO, mbps(1.0)),
                 (SimTime::from_secs(10), mbps(2.0)),
                 (SimTime::from_secs(20), mbps(4.0)),
-            ],
+            ]
+            .into(),
             period: None,
         };
         assert_eq!(p.rate_at(SimTime::ZERO), mbps(1.0));

@@ -390,23 +390,22 @@ impl Sender {
             }
             let len = remaining.min(MSS);
             self.candidates.clear();
-            self.candidates.extend(
-                self.subflows
-                    .iter()
-                    .filter(|sf| {
-                        !sf.failed
-                            && now >= sf.established_at
-                            && self.mask.contains(sf.path)
-                            && sf.in_flight() + len <= sf.cwnd()
-                    })
-                    .map(|sf| Candidate {
+            for sf in &self.subflows {
+                let (cwnd, in_flight) = (sf.cwnd(), sf.in_flight());
+                if !sf.failed
+                    && now >= sf.established_at
+                    && self.mask.contains(sf.path)
+                    && in_flight + len <= cwnd
+                {
+                    self.candidates.push(Candidate {
                         path: sf.path,
                         srtt: sf.srtt,
-                        cwnd: sf.cwnd(),
-                        in_flight: sf.in_flight(),
+                        cwnd,
+                        in_flight,
                         queue_depth: depths.get(sf.path.index()).copied().flatten(),
-                    }),
-            );
+                    });
+                }
+            }
             let input = SchedInput {
                 candidates: &self.candidates,
                 backlog: remaining,

@@ -572,14 +572,19 @@ impl StreamingSession {
 /// preferred path contributed under 10% of its body bytes while the other
 /// carried it — cellular covering a WiFi fault window (or vice versa under
 /// CellularFirst). One pass: chunks complete in stream order, so their
-/// bodies are ascending and disjoint and a record's is a binary search away.
+/// bodies are ascending and disjoint; a record's is nearly always the
+/// last record's, and a binary search away when it is not.
 fn outage_bridged(chunks: &[ChunkLogEntry], records: &[PktRecord], preferred: PathId) -> u64 {
     let in_order = |w: &[ChunkLogEntry]| w[0].body_dss.end <= w[1].body_dss.start;
     debug_assert!(chunks.windows(2).all(in_order));
     // Per chunk: body bytes on [the preferred path, any other].
     let mut split = vec![[0u64; 2]; chunks.len()];
+    let mut i = 0;
     for r in records {
-        let i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
+        let holds = |c: &ChunkLogEntry| c.body_dss.start <= r.dss && r.dss < c.body_dss.end;
+        if !chunks.get(i).is_some_and(holds) {
+            i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
+        }
         if chunks.get(i).is_some_and(|c| c.body_dss.start <= r.dss) {
             split[i][usize::from(r.path != preferred)] += r.len;
         }
@@ -1122,5 +1127,85 @@ mod tests {
         assert_eq!(a.origin, b.origin);
         assert_eq!(a.lifecycle, b.lifecycle);
         assert_eq!(a.summary_json().to_string(), b.summary_json().to_string());
+    }
+
+    /// What `outage_bridged` did before it kept a cursor: one binary
+    /// search per record.
+    fn outage_bridged_by_search(
+        chunks: &[ChunkLogEntry],
+        records: &[PktRecord],
+        preferred: PathId,
+    ) -> u64 {
+        let mut split = vec![[0u64; 2]; chunks.len()];
+        for r in records {
+            let i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
+            if chunks.get(i).is_some_and(|c| c.body_dss.start <= r.dss) {
+                split[i][usize::from(r.path != preferred)] += r.len;
+            }
+        }
+        let bridged = |s: &&[u64; 2]| s[1] > 0 && s[0] * 10 < s[0] + s[1];
+        split.iter().filter(bridged).count() as u64
+    }
+
+    proptest::proptest! {
+        /// The cursor is an optimisation for in-order capture, not an
+        /// assumption: records that jump anywhere in the stream, repeat
+        /// (retransmissions, duplicates), step backwards, or fall in a
+        /// header, before the first body or past the last one are
+        /// attributed exactly as a search per record attributes them.
+        #[test]
+        fn cursor_attribution_equals_a_search_per_record(
+            bodies in proptest::collection::vec(1u64..60_000, 1..12),
+            headers in proptest::collection::vec(0u64..900, 12..13),
+            draws in proptest::collection::vec(0u64..1_000_000, 0..600),
+        ) {
+            let mut at = 0;
+            let chunks: Vec<ChunkLogEntry> = bodies
+                .iter()
+                .zip(&headers)
+                .enumerate()
+                .map(|(index, (&size, &header))| {
+                    let start = at + header;
+                    at = start + size;
+                    ChunkLogEntry {
+                        index,
+                        level: 0,
+                        size,
+                        started: SimTime::ZERO,
+                        completed: SimTime::ZERO,
+                        body_dss: mpdash_http::DssRange { start, end: at },
+                        deadline: None,
+                        requests: 1,
+                    }
+                })
+                .collect();
+            let stream_end = at + 3_000;
+            let mut dss = 0u64;
+            let records: Vec<PktRecord> = draws
+                .iter()
+                .map(|&d| {
+                    let retx = d % 8 == 1;
+                    dss = match d % 8 {
+                        0 => d * 7919 % stream_end,     // reordered: anywhere
+                        1 => dss,                       // the same bytes again
+                        2 => dss.saturating_sub(d / 8 % 5_000), // a late arrival
+                        _ => dss + 1460,                // in order
+                    };
+                    PktRecord {
+                        t: SimTime::ZERO,
+                        path: if d / 8 % 3 == 0 { PathId::CELLULAR } else { PathId::WIFI },
+                        len: 1 + d % 1460,
+                        dss,
+                        retx,
+                    }
+                })
+                .collect();
+            for preferred in [PathId::WIFI, PathId::CELLULAR] {
+                proptest::prop_assert_eq!(
+                    outage_bridged(&chunks, &records, preferred),
+                    outage_bridged_by_search(&chunks, &records, preferred)
+                );
+            }
+        }
     }
 }

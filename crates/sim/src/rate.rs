@@ -20,16 +20,19 @@ impl Rate {
     pub const ZERO: Rate = Rate(0);
 
     /// Construct from bits per second.
+    #[inline]
     pub const fn from_bps(bps: u64) -> Self {
         Rate(bps)
     }
 
     /// Construct from kilobits per second (10^3 bits).
+    #[inline]
     pub const fn from_kbps(kbps: u64) -> Self {
         Rate(kbps * 1_000)
     }
 
     /// Construct from megabits per second (10^6 bits).
+    #[inline]
     pub const fn from_mbps(mbps: u64) -> Self {
         Rate(mbps * 1_000_000)
     }
@@ -37,6 +40,7 @@ impl Rate {
     /// Construct from fractional megabits per second. Negative or
     /// non-finite inputs collapse to zero, so trace noise cannot produce a
     /// nonsensical rate.
+    #[inline]
     pub fn from_mbps_f64(mbps: f64) -> Self {
         if !mbps.is_finite() || mbps <= 0.0 {
             return Rate::ZERO;
@@ -45,16 +49,19 @@ impl Rate {
     }
 
     /// Whole bits per second.
+    #[inline]
     pub const fn as_bps(self) -> u64 {
         self.0
     }
 
     /// Fractional megabits per second.
+    #[inline]
     pub fn as_mbps_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// True when the rate is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -64,6 +71,7 @@ impl Rate {
     /// Returns [`SimDuration::MAX`] for a zero rate: a blacked-out link
     /// never finishes a transmission, and callers treat `MAX` as "park this
     /// packet until the rate changes".
+    #[inline]
     pub fn time_to_send(self, bytes: u64) -> SimDuration {
         if self.0 == 0 {
             return SimDuration::MAX;
@@ -83,6 +91,7 @@ impl Rate {
     }
 
     /// Bytes that can be carried in `window` at this rate (floor).
+    #[inline]
     pub fn bytes_in(self, window: SimDuration) -> u64 {
         if let Some(bit_nanos) = self.0.checked_mul(window.as_nanos()) {
             return bit_nanos / NANOS_PER_SEC / 8;
@@ -98,6 +107,7 @@ impl Rate {
 
     /// Scale the rate by a non-negative factor (used by synthetic bandwidth
     /// profiles applying multiplicative noise).
+    #[inline]
     pub fn mul_f64(self, k: f64) -> Rate {
         if !k.is_finite() || k <= 0.0 {
             return Rate::ZERO;
@@ -111,11 +121,13 @@ impl Rate {
     }
 
     /// Saturating sum of two rates (aggregate multipath capacity).
+    #[inline]
     pub fn saturating_add(self, other: Rate) -> Rate {
         Rate(self.0.saturating_add(other.0))
     }
 
     /// The larger of two rates.
+    #[inline]
     pub fn max(self, other: Rate) -> Rate {
         Rate(self.0.max(other.0))
     }
@@ -123,6 +135,7 @@ impl Rate {
 
 impl Add for Rate {
     type Output = Rate;
+    #[inline]
     fn add(self, rhs: Rate) -> Rate {
         Rate(self.0.saturating_add(rhs.0))
     }
@@ -130,6 +143,7 @@ impl Add for Rate {
 
 impl Sub for Rate {
     type Output = Rate;
+    #[inline]
     fn sub(self, rhs: Rate) -> Rate {
         Rate(self.0.saturating_sub(rhs.0))
     }

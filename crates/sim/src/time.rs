@@ -28,21 +28,25 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds since the epoch.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Construct from whole microseconds since the epoch.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 
     /// Construct from whole milliseconds since the epoch.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
     }
 
     /// Construct from whole seconds since the epoch.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * NANOS_PER_SEC)
     }
@@ -51,6 +55,7 @@ impl SimTime {
     ///
     /// Negative or non-finite inputs saturate to zero; this keeps trace
     /// ingestion (which may carry tiny negative rounding noise) total.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimTime::ZERO;
@@ -59,11 +64,13 @@ impl SimTime {
     }
 
     /// Raw nanoseconds since the epoch.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds since the epoch.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
@@ -71,16 +78,19 @@ impl SimTime {
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is in
     /// the future (callers comparing estimates against schedules rely on
     /// this never panicking).
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -93,27 +103,32 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Construct from whole microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Construct from whole milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 
     /// Construct from fractional seconds, saturating at zero for negative
     /// or non-finite inputs.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
@@ -122,32 +137,38 @@ impl SimDuration {
     }
 
     /// Raw nanoseconds.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
     /// Fractional milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// True if the span is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Scale by a non-negative float (used for the scheduler's `α·D` target
     /// window). Saturates at the representable maximum.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         if !k.is_finite() || k <= 0.0 {
             return SimDuration::ZERO;
@@ -161,11 +182,13 @@ impl SimDuration {
     }
 
     /// The larger of two spans.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two spans.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
@@ -173,12 +196,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 = self.0.saturating_add(rhs.0);
     }
@@ -186,6 +211,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -195,6 +221,7 @@ impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     /// Panics in debug if `rhs > self`; use [`SimTime::saturating_since`]
     /// when the ordering is not guaranteed.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
@@ -202,12 +229,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 = self.0.saturating_add(rhs.0);
     }
@@ -215,12 +244,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         self.0 -= rhs.0;
     }
@@ -228,6 +259,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
     }
@@ -235,6 +267,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

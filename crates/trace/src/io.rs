@@ -49,6 +49,9 @@ pub enum ProfileSpecError {
     NotIncreasing,
     /// A non-finite or negative number appeared.
     BadNumber,
+    /// The looping period ends before the last point starts, so that
+    /// point (and any after it) would never be reached.
+    PeriodTooShort,
 }
 
 impl std::fmt::Display for ProfileSpecError {
@@ -62,6 +65,9 @@ impl std::fmt::Display for ProfileSpecError {
                 write!(f, "points must be strictly increasing in time")
             }
             ProfileSpecError::BadNumber => write!(f, "times and rates must be finite and >= 0"),
+            ProfileSpecError::PeriodTooShort => {
+                write!(f, "period_secs must be >= the last point's at_secs")
+            }
         }
     }
 }
@@ -88,6 +94,9 @@ impl ProfileSpec {
         if let Some(p) = self.period_secs {
             if !p.is_finite() || p <= 0.0 {
                 return Err(ProfileSpecError::BadNumber);
+            }
+            if p < self.points[self.points.len() - 1].at_secs {
+                return Err(ProfileSpecError::PeriodTooShort);
             }
         }
         let steps = self
@@ -264,6 +273,31 @@ mod tests {
             bad_period.to_profile().unwrap_err(),
             ProfileSpecError::BadNumber
         );
+    }
+
+    #[test]
+    fn a_period_that_cuts_off_a_point_is_rejected() {
+        let spec = |period_secs| ProfileSpec {
+            name: "x".into(),
+            points: vec![
+                ProfilePoint {
+                    at_secs: 0.0,
+                    mbps: 1.0,
+                },
+                ProfilePoint {
+                    at_secs: 3.0,
+                    mbps: 2.0,
+                },
+            ],
+            period_secs,
+        };
+        assert_eq!(
+            spec(Some(2.0)).to_profile().unwrap_err(),
+            ProfileSpecError::PeriodTooShort
+        );
+        // The documented bound is inclusive, and a one-shot trace has none.
+        assert!(spec(Some(3.0)).to_profile().is_ok());
+        assert!(spec(None).to_profile().is_ok());
     }
 
     #[test]

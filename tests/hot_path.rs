@@ -7,10 +7,12 @@
 //! And each event costs little without changing what it does: the
 //! receiver's sorted-vector reassembly equals a byte-set model,
 //! `Link::send`'s remembered profile step equals a fresh lookup per
-//! packet, and `Rate`'s 64-bit divide equals the 128-bit one.
+//! packet, `Rate`'s 64-bit divide equals the 128-bit one, and the radio
+//! replay streamed off an iterator equals the indexed walk over a slice.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
+use mpdash::energy::{radio_energy, radio_energy_of, EnergyBreakdown, RadioModel};
 use mpdash::http::{LifecyclePolicy, OriginPoolConfig, OriginSpec, ServerFaultScript};
 use mpdash::link::{
     BandwidthProfile, DropReason, FaultScript, Link, LinkConfig, PathId, SendOutcome,
@@ -106,6 +108,67 @@ fn one_pass_outage_attribution_equals_the_nested_scan() {
         hedged.origin.hedge_wins_hedge > 0,
         "a hedge must win a body"
     );
+}
+
+/// `radio_energy` as it walked a slice by index, before the replay took
+/// an iterator.
+fn radio_energy_indexed(
+    model: &RadioModel,
+    packets: &[(SimTime, u64)],
+    horizon: SimDuration,
+) -> EnergyBreakdown {
+    let horizon_end = SimTime::ZERO + horizon;
+    let mut total_bits: f64 = 0.0;
+    let mut active_time = SimDuration::ZERO;
+    let mut drx_time = SimDuration::ZERO;
+    let mut promotions = 0u64;
+    let mut prev_active_end: Option<SimTime> = None;
+    let drx_window = |drx_start: SimTime| {
+        (drx_start + model.drx_time)
+            .min(horizon_end)
+            .saturating_since(drx_start)
+    };
+    let mut i = 0;
+    while i < packets.len() {
+        let burst_start = packets[i].0;
+        let mut burst_last = burst_start;
+        while i < packets.len() {
+            let (t, bytes) = packets[i];
+            if t.saturating_since(burst_last) > model.tail_active {
+                break;
+            }
+            burst_last = t;
+            total_bits += bytes as f64 * 8.0;
+            i += 1;
+        }
+        let active_end = (burst_last + model.tail_active).min(horizon_end);
+        if active_end > burst_start {
+            active_time += active_end - burst_start;
+        }
+        match prev_active_end {
+            Some(drx_start) if burst_start <= drx_start + model.drx_time => {
+                drx_time += burst_start.saturating_since(drx_start);
+            }
+            _ => {
+                drx_time += prev_active_end.map_or(SimDuration::ZERO, drx_window);
+                promotions += 1;
+            }
+        }
+        prev_active_end = Some(active_end);
+    }
+    drx_time += prev_active_end.map_or(SimDuration::ZERO, drx_window);
+    let idle = horizon
+        .saturating_sub(active_time)
+        .saturating_sub(drx_time)
+        .saturating_sub(model.promo_time.mul_f64(promotions as f64));
+    EnergyBreakdown {
+        promotion_j: promotions as f64 * model.promo_power_mw * model.promo_time.as_secs_f64()
+            / 1_000.0,
+        active_j: model.active_power_mw * active_time.as_secs_f64() / 1_000.0,
+        drx_j: model.drx_power_mw * drx_time.as_secs_f64() / 1_000.0,
+        transfer_j: total_bits / 1e6 * model.per_mbit_mj / 1_000.0,
+        idle_j: model.idle_power_mw * idle.as_secs_f64() / 1_000.0,
+    }
 }
 
 proptest! {
@@ -340,6 +403,43 @@ proptest! {
             };
             let (now, size) = (SimTime::from_micros(now_us), 40 + (op >> 3) % 1461);
             prop_assert_eq!(link.send(now, size), reference.send(now, size));
+        }
+    }
+
+    /// One radio's packets picked out of a two-path capture on the fly
+    /// replay to the joule, bit for bit, as the same packets copied into a
+    /// slice and walked by index: gaps either side of the inactivity
+    /// window, the DRX window and the idle demotion, simultaneous
+    /// arrivals, and horizons that clip a tail or end before the trace.
+    #[test]
+    fn streamed_radio_energy_equals_the_indexed_walk(
+        draws in prop::collection::vec(0u64..1_000_000, 0..400),
+        horizon_ms in 1u64..400_000,
+    ) {
+        let mut at_us = 0u64;
+        let capture: Vec<(SimTime, u64, bool)> = draws
+            .iter()
+            .map(|&d| {
+                // Up to 1 ms, 1 s, 4 s or 30 s after the packet before.
+                at_us += (d >> 3) % [1_000, 1_000_000, 4_000_000, 30_000_000][d as usize % 4];
+                (SimTime::from_micros(at_us), 40 + (d >> 3) % 1_461, d % 8 < 4)
+            })
+            .collect();
+        let horizon = SimDuration::from_millis(horizon_ms);
+        let bits = |e: EnergyBreakdown| {
+            [e.promotion_j, e.active_j, e.drx_j, e.transfer_j, e.idle_j].map(f64::to_bits)
+        };
+        for model in [RadioModel::lte_galaxy_note(), RadioModel::wifi_galaxy_s3()] {
+            for radio in [false, true] {
+                let on_radio = || {
+                    let picked = capture.iter().filter(move |&&(_, _, r)| r == radio);
+                    picked.map(|&(t, bytes, _)| (t, bytes))
+                };
+                let copied: Vec<(SimTime, u64)> = on_radio().collect();
+                let expected = bits(radio_energy_indexed(&model, &copied, horizon));
+                prop_assert_eq!(bits(radio_energy_of(&model, on_radio(), horizon)), expected);
+                prop_assert_eq!(bits(radio_energy(&model, &copied, horizon)), expected);
+            }
         }
     }
 

@@ -74,6 +74,34 @@ fn example_scenario_runs_through_the_batch_runner() {
     assert!(reports[0].cell_bytes > 0);
 }
 
+/// A `{"file": …}` trace whose looping period ends before its last point
+/// would silently never play that point; the build names the file and the
+/// rule instead.
+#[test]
+fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
+    let dir = std::env::temp_dir().join("mpdash-scenario-pipeline-short-period");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wifi.json");
+    let trace = r#"{"name": "short", "period_secs": 1.5,
+        "points": [{"at_secs": 0, "mbps": 4.0}, {"at_secs": 2, "mbps": 1.0}]}"#;
+    std::fs::write(&path, trace).unwrap();
+    let doc = format!(
+        r#"{{"name": "short period", "video": {{"named": "big_buck_bunny"}},
+            "wifi": {{"file": "{}"}}, "cell": {{"constant": 3.0}},
+            "abr": "gpac", "modes": ["vanilla"]}}"#,
+        path.display()
+    );
+    let scenario = Scenario::from_json(&doc).expect("the document itself is well-formed");
+    let err = scenario.build().expect_err("the trace must be rejected");
+    assert_eq!(
+        err,
+        format!(
+            "{}: period_secs must be >= the last point's at_secs",
+            path.display()
+        )
+    );
+}
+
 /// A worker count that is set but unusable must stop the CLI before it
 /// runs anything: falling back to every core would make a 1-vs-4
 /// determinism comparison compare N with N.
