@@ -6,7 +6,8 @@
 //! switches and energy, with a chunk-bar visualization (the paper's
 //! Figure 8). This crate is that tool for the simulated stack:
 //!
-//! * input: the receiver's [`PktRecord`] trace and the session's per-chunk
+//! * input: the receiver's packet capture, as any pass over its
+//!   [`PktRecord`]s (a `&PacketLog` is one), and the session's per-chunk
 //!   log ([`ChunkInfo`], carrying each body's connection-stream range);
 //! * correlation: per-chunk per-path byte attribution by intersecting
 //!   packet DSS ranges with chunk body ranges;
@@ -88,7 +89,10 @@ pub struct SessionAnalysis {
 /// the path they arrived on (they cost that radio's bytes), so per-chunk
 /// attribution can slightly exceed the body size — exactly like counting
 /// wire bytes in a real capture.
-pub fn chunk_path_splits(records: &[PktRecord], chunks: &[ChunkInfo]) -> Vec<ChunkPathSplit> {
+pub fn chunk_path_splits(
+    records: impl IntoIterator<Item = PktRecord>,
+    chunks: &[ChunkInfo],
+) -> Vec<ChunkPathSplit> {
     let mut out: Vec<ChunkPathSplit> = chunks
         .iter()
         .map(|c| ChunkPathSplit {
@@ -113,13 +117,11 @@ pub fn chunk_path_splits(records: &[PktRecord], chunks: &[ChunkInfo]) -> Vec<Chu
         };
         // A packet can straddle a response-header/body boundary; check
         // this chunk and the next for overlap.
-        for c in chunks.iter().skip(idx).take(2) {
+        for (c, split) in chunks.iter().zip(&mut out).skip(idx).take(2) {
             let (bs, be) = c.body_dss;
             let ov_lo = lo.max(bs);
             let ov_hi = hi.min(be);
             if ov_hi > ov_lo {
-                let last = out.len() - 1;
-                let split = &mut out[c.index.min(last)];
                 match r.path {
                     PathId::WIFI => split.wifi_bytes += ov_hi - ov_lo,
                     PathId::CELLULAR => split.cell_bytes += ov_hi - ov_lo,
@@ -132,20 +134,32 @@ pub fn chunk_path_splits(records: &[PktRecord], chunks: &[ChunkInfo]) -> Vec<Chu
 }
 
 /// Idle gaps between consecutive packets exceeding `min_gap`.
-pub fn idle_gaps(records: &[PktRecord], min_gap: SimDuration) -> Vec<(SimTime, SimDuration)> {
+pub fn idle_gaps(
+    records: impl IntoIterator<Item = PktRecord>,
+    min_gap: SimDuration,
+) -> Vec<(SimTime, SimDuration)> {
     let mut out = Vec::new();
-    for w in records.windows(2) {
-        let gap = w[1].t.saturating_since(w[0].t);
+    let mut records = records.into_iter();
+    let Some(mut prev) = records.next() else {
+        return out;
+    };
+    for r in records {
+        let gap = r.t.saturating_since(prev.t);
         if gap > min_gap {
-            out.push((w[0].t, gap));
+            out.push((prev.t, gap));
         }
+        prev = r;
     }
     out
 }
 
-/// Run the full analysis.
-pub fn analyze(records: &[PktRecord], chunks: &[ChunkInfo], n_levels: usize) -> SessionAnalysis {
-    let splits = chunk_path_splits(records, chunks);
+/// Run the full analysis (two passes over `records`).
+pub fn analyze(
+    records: impl IntoIterator<Item = PktRecord> + Clone,
+    chunks: &[ChunkInfo],
+    n_levels: usize,
+) -> SessionAnalysis {
+    let splits = chunk_path_splits(records.clone(), chunks);
     let wifi_body_bytes = splits.iter().map(|s| s.wifi_bytes).sum();
     let cell_body_bytes = splits.iter().map(|s| s.cell_bytes).sum();
     let mut histogram = vec![0usize; n_levels];
@@ -216,7 +230,7 @@ pub fn render_chunk_bars(chunks: &[ChunkInfo], splits: &[ChunkPathSplit], width:
 /// `bucket`), using eight-level block characters — the §6 tool's
 /// "visualizes the analysis" in terminal form.
 pub fn throughput_timeline(
-    records: &[PktRecord],
+    records: impl IntoIterator<Item = PktRecord>,
     bucket: SimDuration,
     horizon: SimDuration,
 ) -> String {
@@ -308,12 +322,12 @@ pub fn buffer_trajectory(events: &[PlayerEvent]) -> Vec<(SimTime, f64)> {
 /// energy report, computed from the same capture the rest of the analysis
 /// uses (the paper's "replay the trace under different power models").
 pub fn replay_energy(
-    records: &[PktRecord],
+    records: impl IntoIterator<Item = PktRecord> + Clone,
     device: &DeviceProfile,
     horizon: SimDuration,
 ) -> SessionEnergy {
     let on = |path: PathId| {
-        let of_path = records.iter().filter(move |r| r.path == path);
+        let of_path = records.clone().into_iter().filter(move |r| r.path == path);
         of_path.map(|r| (r.t, r.len))
     };
     SessionEnergy {
@@ -394,7 +408,7 @@ mod tests {
             rec(0.2, PathId::WIFI, 100, 600),     // body
             rec(0.3, PathId::CELLULAR, 700, 400), // body
         ];
-        let splits = chunk_path_splits(&records, &chunks);
+        let splits = chunk_path_splits(records, &chunks);
         assert_eq!(splits[0].wifi_bytes, 600);
         assert_eq!(splits[0].cell_bytes, 400);
         assert!((splits[0].cell_fraction() - 0.4).abs() < 1e-9);
@@ -409,9 +423,33 @@ mod tests {
         // One packet covers the tail of chunk 0, the header gap, and the
         // head of chunk 1.
         let records = [rec(0.9, PathId::WIFI, 900, 500)];
-        let splits = chunk_path_splits(&records, &chunks);
+        let splits = chunk_path_splits(records, &chunks);
         assert_eq!(splits[0].wifi_bytes, 100);
         assert_eq!(splits[1].wifi_bytes, 200);
+    }
+
+    #[test]
+    fn a_chunk_list_that_starts_mid_video_keeps_its_rows() {
+        // Rows are positions in `chunks`; the video index is only a label.
+        let chunks = [
+            chunk(3, 1, (0, 1000), 0.0, 1.0),
+            chunk(4, 2, (1200, 2200), 1.0, 2.0),
+            chunk(5, 2, (2400, 3400), 2.0, 3.0),
+        ];
+        let records = [
+            rec(0.5, PathId::WIFI, 0, 1000),
+            rec(1.5, PathId::CELLULAR, 1200, 1000),
+            rec(2.5, PathId::WIFI, 2400, 1000),
+        ];
+        let row = |index, wifi_bytes, cell_bytes| ChunkPathSplit {
+            index,
+            wifi_bytes,
+            cell_bytes,
+        };
+        assert_eq!(
+            chunk_path_splits(records, &chunks),
+            [row(3, 1000, 0), row(4, 0, 1000), row(5, 1000, 0)]
+        );
     }
 
     #[test]
@@ -422,7 +460,7 @@ mod tests {
             chunk(2, 3, (20, 30), 2.0, 2.5),
             chunk(3, 2, (30, 40), 3.0, 3.5),
         ];
-        let a = analyze(&[], &chunks, 5);
+        let a = analyze([], &chunks, 5);
         assert_eq!(a.switches, 2);
         assert_eq!(a.level_histogram, vec![0, 0, 2, 2, 0]);
         assert_eq!(a.mean_download, SimDuration::from_millis(500));
@@ -436,7 +474,7 @@ mod tests {
             rec(2.0, PathId::WIFI, 20, 10), // 1.9 s gap
             rec(2.1, PathId::WIFI, 30, 10),
         ];
-        let gaps = idle_gaps(&records, SimDuration::from_millis(500));
+        let gaps = idle_gaps(records, SimDuration::from_millis(500));
         assert_eq!(gaps.len(), 1);
         assert_eq!(gaps[0].0, t(0.1));
         assert_eq!(gaps[0].1, SimDuration::from_millis(1900));
@@ -464,7 +502,7 @@ mod tests {
             rec(1.5, PathId::CELLULAR, 100_000, 50_000),
         ];
         let s = throughput_timeline(
-            &records,
+            records,
             SimDuration::from_secs(1),
             SimDuration::from_secs(3),
         );
@@ -488,7 +526,7 @@ mod tests {
             rec(0.7, PathId::CELLULAR, 600, 400),
             rec(2.0, PathId::WIFI, 1200, 1000),
         ];
-        let a = analyze(&records, &chunks, 5);
+        let a = analyze(records, &chunks, 5);
         let doc = Json::parse(&to_json(&chunks, &a)).unwrap();
         let rows = doc.get("chunks").and_then(Json::as_arr).unwrap();
         assert_eq!(rows.len(), 2);
@@ -555,7 +593,7 @@ mod tests {
         ];
         let device = mpdash_energy::DeviceProfile::galaxy_note();
         let horizon = SimDuration::from_secs(30);
-        let via_tool = replay_energy(&records, &device, horizon);
+        let via_tool = replay_energy(records, &device, horizon);
         let direct = mpdash_energy::session_energy(
             &device,
             &[(t(1.0), 500_000)],
@@ -568,10 +606,10 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        let a = analyze(&[], &[], 5);
+        let a = analyze([], &[], 5);
         assert!(a.splits.is_empty());
         assert_eq!(a.switches, 0);
         assert_eq!(a.mean_download, SimDuration::ZERO);
-        assert!(idle_gaps(&[], SimDuration::from_secs(1)).is_empty());
+        assert!(idle_gaps([], SimDuration::from_secs(1)).is_empty());
     }
 }

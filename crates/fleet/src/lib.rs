@@ -1090,6 +1090,12 @@ mod tests {
             report.sessions[0].summary_json().to_pretty(),
             solo.summary_json().to_pretty()
         );
+        // The summary is sums; the capture under it is every packet.
+        assert!(!solo.records.is_empty());
+        assert!(
+            report.sessions[0].records == solo.records,
+            "client 0's packet log differs from the standalone session's"
+        );
     }
 
     #[test]

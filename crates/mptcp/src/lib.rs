@@ -54,6 +54,6 @@ pub mod sender;
 pub mod sim;
 
 pub use cc::CcKind;
-pub use packet::{PathMask, PktRecord, MSS};
+pub use packet::{PacketLog, PathMask, PktRecord, MSS};
 pub use scheduler::{Scheduler, SchedulerImpl, SchedulerSpec};
 pub use sim::{MptcpConfig, MptcpSim, PathConfig, PoppedByKind, StepOutcome};

@@ -2,7 +2,7 @@
 //! connection-level (DSS) reassembly, and the client-side half of the
 //! MP-DASH signaling (the desired path mask carried on every ACK).
 
-use crate::packet::{PathMask, PktRecord};
+use crate::packet::{PacketLog, PathMask, PktRecord};
 use crate::reassembly::IntervalSet;
 use mpdash_link::PathId;
 use mpdash_sim::SimTime;
@@ -76,7 +76,7 @@ pub struct Receiver {
     /// option bit, §3.2).
     desired_mask: PathMask,
     /// Per-packet receive trace for the analysis tool / energy model.
-    records: Vec<PktRecord>,
+    records: PacketLog,
     /// Per-path received payload byte counters (including retransmitted
     /// duplicates — they cost link bytes and radio energy all the same).
     path_bytes: Vec<u64>,
@@ -90,7 +90,7 @@ impl Receiver {
             conn: IntervalSet::new(),
             conn_delivered: 0,
             desired_mask: PathMask::ALL,
-            records: Vec::new(),
+            records: PacketLog::new(),
             path_bytes: vec![0; n_paths],
         }
     }
@@ -157,12 +157,12 @@ impl Receiver {
     }
 
     /// The packet receive trace.
-    pub fn records(&self) -> &[PktRecord] {
+    pub fn records(&self) -> &PacketLog {
         &self.records
     }
 
     /// Move the receive trace out (the byte counters stay).
-    pub fn take_records(&mut self) -> Vec<PktRecord> {
+    pub fn take_records(&mut self) -> PacketLog {
         std::mem::take(&mut self.records)
     }
 }
@@ -269,7 +269,7 @@ mod tests {
             false,
             false,
         );
-        let recs = r.records();
+        let recs: Vec<PktRecord> = r.records().iter().collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].path, PathId::WIFI);
         assert_eq!(recs[1].len, 500);

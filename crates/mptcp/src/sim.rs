@@ -28,7 +28,7 @@
 //! reports what happened.
 
 use crate::cc::CcKind;
-use crate::packet::{PathMask, PktRecord, MSS};
+use crate::packet::{PacketLog, PathMask, MSS};
 use crate::receiver::Receiver;
 use crate::scheduler::SchedulerSpec;
 use crate::sender::{Sender, Transmit};
@@ -336,12 +336,12 @@ impl MptcpSim {
     }
 
     /// The packet receive trace (for analysis and energy accounting).
-    pub fn records(&self) -> &[PktRecord] {
+    pub fn records(&self) -> &PacketLog {
         self.rcv.records()
     }
 
     /// Move the receive trace out; [`MptcpSim::records`] is empty after.
-    pub fn take_records(&mut self) -> Vec<PktRecord> {
+    pub fn take_records(&mut self) -> PacketLog {
         self.rcv.take_records()
     }
 
@@ -1089,7 +1089,7 @@ mod tests {
         }
         assert_eq!(cover.contiguous_from(0), 300_000);
         // Timestamps are non-decreasing.
-        assert!(recs.windows(2).all(|w| w[0].t <= w[1].t));
+        assert!(recs.iter().zip(recs.iter_from(1)).all(|(a, b)| a.t <= b.t));
     }
 
     /// The RTO timer keeps one live event per subflow (DESIGN §4b). A

@@ -7,7 +7,7 @@ use mpdash_dash::player::PlayerEvent;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_energy::SessionEnergy;
 use mpdash_http::DssRange;
-use mpdash_mptcp::{MptcpSim, PktRecord, PoppedByKind};
+use mpdash_mptcp::{MptcpSim, PacketLog, PoppedByKind};
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
@@ -167,7 +167,7 @@ pub struct SessionReport {
     /// Per-chunk log.
     pub chunks: Vec<ChunkLogEntry>,
     /// Raw packet receive trace.
-    pub records: Vec<PktRecord>,
+    pub records: PacketLog,
     /// MP-DASH scheduler statistics; all zeros for non-MP-DASH modes.
     pub scheduler_stats: SchedulerStats,
     /// The player's event log (the §6 analysis tool's second input).

@@ -49,7 +49,7 @@ impl DeadlineSignal {
         received: u64,
     ) -> Option<Vec<bool>> {
         let records = sim.records();
-        for r in &records[self.cursor..] {
+        for r in records.iter_from(self.cursor) {
             self.control.on_bytes(r.path.index(), r.t, r.len);
         }
         self.cursor = records.len();

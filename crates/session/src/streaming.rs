@@ -574,7 +574,11 @@ impl StreamingSession {
 /// CellularFirst). One pass: chunks complete in stream order, so their
 /// bodies are ascending and disjoint; a record's is nearly always the
 /// last record's, and a binary search away when it is not.
-fn outage_bridged(chunks: &[ChunkLogEntry], records: &[PktRecord], preferred: PathId) -> u64 {
+fn outage_bridged(
+    chunks: &[ChunkLogEntry],
+    records: impl IntoIterator<Item = PktRecord>,
+    preferred: PathId,
+) -> u64 {
     let in_order = |w: &[ChunkLogEntry]| w[0].body_dss.end <= w[1].body_dss.start;
     debug_assert!(chunks.windows(2).all(in_order));
     // Per chunk: body bytes on [the preferred path, any other].
@@ -1202,7 +1206,7 @@ mod tests {
                 .collect();
             for preferred in [PathId::WIFI, PathId::CELLULAR] {
                 proptest::prop_assert_eq!(
-                    outage_bridged(&chunks, &records, preferred),
+                    outage_bridged(&chunks, records.iter().copied(), preferred),
                     outage_bridged_by_search(&chunks, &records, preferred)
                 );
             }

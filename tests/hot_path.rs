@@ -9,6 +9,8 @@
 //! `Link::send`'s remembered profile step equals a fresh lookup per
 //! packet, `Rate`'s 64-bit divide equals the 128-bit one, and the radio
 //! replay streamed off an iterator equals the indexed walk over a slice.
+//!
+//! And what a session keeps per packet is bounded: 16 bytes of log.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
@@ -107,6 +109,27 @@ fn one_pass_outage_attribution_equals_the_nested_scan() {
     assert!(
         hedged.origin.hedge_wins_hedge > 0,
         "a hedge must win a body"
+    );
+}
+
+/// A whole 10-minute MP-DASH session's capture is 16 bytes a packet plus
+/// the unfilled tail of one block (at most 64 KiB with the table of
+/// blocks): a fatter record or a log that over-allocates fails here, not
+/// as a drifting `peak_rss_mb`.
+#[test]
+fn a_sessions_packet_log_holds_16_bytes_a_packet_plus_one_block() {
+    let r = StreamingSession::run(SessionConfig::controlled(
+        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
+        AbrKind::Festive,
+        TransportMode::mpdash_rate_based(),
+    ));
+    assert!(r.duration >= SimDuration::from_secs(600));
+    let packets = r.records.len();
+    assert!(packets > 100_000, "only {packets} packets");
+    let held = r.records.heap_bytes();
+    assert!(
+        held <= 16 * packets + 64 * 1024,
+        "{held} bytes for {packets} packets"
     );
 }
 
