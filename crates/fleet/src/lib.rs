@@ -36,10 +36,10 @@ use mpdash_session::{
     CacheStats, ServerFaultScript, SessionConfig, SessionReport, SharedSegmentCache,
     StreamingSession,
 };
-use mpdash_sim::{derive_seed, Prng, SimDuration};
+use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
 
 mod next_event;
-use next_event::NextEvent;
+use next_event::{Entity, NextEvent};
 
 /// One shared resource in the fleet topology: a bottleneck plus the
 /// per-client paths that subscribe to it (e.g. every client's WiFi path
@@ -301,6 +301,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
+    /// The largest fleet [`run`] takes: the session tree's packed keys
+    /// still keep a 48-bit clock (78 simulated hours) at this size.
+    pub const MAX_CLIENTS: usize = 1 << 16;
+
     /// A fleet of `clients` identical sessions, 500 ms stagger, no
     /// shared links yet (add them with [`FleetConfig::with_shared`]).
     pub fn new(base: SessionConfig, clients: usize) -> Self {
@@ -680,12 +684,29 @@ impl LoopTelemetry {
     }
 }
 
-/// Re-key client `k`'s slot after anything touched its queue: its next
-/// event, or nothing once it is `done`. A finished session can still own
-/// packets at a bottleneck — a spurious retransmission of data it has
-/// since acknowledged — and their late delivery must not wake it.
-fn rekey_client(next: &mut NextEvent, slot: usize, session: &StreamingSession, done: bool) {
-    next.set(slot, session.peek_time().filter(|_| !done));
+/// Re-key client `k` in the session tree after anything touched its
+/// queue: its next event, or nothing once it is `done`. A finished
+/// session can still own packets at a bottleneck — a spurious
+/// retransmission of data it has since acknowledged — and their late
+/// delivery must not wake it.
+fn rekey_client(next: &mut NextEvent, k: usize, session: &StreamingSession, done: bool) {
+    next.set_session(k, session.peek_time().filter(|_| !done));
+}
+
+/// The loop's order as a scan over every entity's live next fire time,
+/// the oracle for what [`NextEvent::earliest`] answers from cached keys.
+/// `min_by_key` keeps the first of equal times, and the chain is in tie
+/// order: bottlenecks, then sessions, each by index.
+fn earliest_by_scan(
+    bottlenecks: &[SharedBottleneck],
+    sessions: &[StreamingSession],
+    done: &[bool],
+) -> Option<(SimTime, Entity)> {
+    let departures = (bottlenecks.iter().enumerate())
+        .filter_map(|(i, bn)| Some((bn.next_departure()?, Entity::Bottleneck(i))));
+    let wakes = (sessions.iter().enumerate())
+        .filter_map(|(k, s)| Some((s.peek_time().filter(|_| !done[k])?, Entity::Session(k))));
+    departures.chain(wakes).min_by_key(|&(t, _)| t)
 }
 
 /// Run one fleet to completion. Deterministic: a pure function of the
@@ -707,7 +728,15 @@ pub fn run(cfg: &FleetConfig) -> FleetReport {
 /// sanity plus hedge accounting after every session step — each check a
 /// few integer comparisons, cheap enough to leave armed everywhere.
 pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation> {
-    assert!(cfg.clients >= 1, "a fleet needs at least one client");
+    let (n, max, traced) = (cfg.clients, FleetConfig::MAX_CLIENTS, cfg.trace_client);
+    assert!(
+        (1..=max).contains(&n),
+        "a fleet has 1..={max} clients, not {n}"
+    );
+    assert!(
+        traced.is_none_or(|k| k < n),
+        "trace_client {traced:?} names none of the {n} clients"
+    );
     // One resolution for the whole fleet: clients, bottlenecks, and the
     // loop profiler all observe on the same epoch grid (or not at all).
     let telemetry = cfg
@@ -824,14 +853,14 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // The fleet event loop: pop the globally earliest event. Tie-break
     // is (time, bottleneck-before-session, index), which both makes the
     // interleaving deterministic and guarantees departures at time t
-    // precede any new offers made at t. `next` holds every entity's next
-    // fire time, bottlenecks in the low slots so they win ties; each arm
-    // below re-keys exactly the entities it can have changed.
-    let nb = bottlenecks.len();
-    let mut next = NextEvent::new(nb + cfg.clients);
+    // precede any new offers made at t. `next` caches every entity's next
+    // fire time — bottlenecks in an array it scans first, sessions in a
+    // tree of packed keys — and each arm below re-keys exactly the
+    // entities it can have changed.
+    let mut next = NextEvent::new(bottlenecks.len(), cfg.clients);
     let mut done = vec![false; cfg.clients];
     for (k, session) in sessions.iter().enumerate() {
-        rekey_client(&mut next, nb + k, session, done[k]);
+        rekey_client(&mut next, k, session, done[k]);
     }
     // Admission state: a session is "active" once its arrival event was
     // admitted and until it finishes. The overload policy only ever
@@ -863,12 +892,13 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         let best = next.earliest();
         charge(&mut wall, |w| &mut w.peek_ns);
         profile.loop_iterations += 1;
-        if let (Some(wd), Some(&(t, _))) = (watchdog.as_mut(), best.as_ref()) {
+        debug_assert_eq!(best, earliest_by_scan(&bottlenecks, &sessions, &done));
+        let Some((t, entity)) = best else { break };
+        if let Some(wd) = watchdog.as_mut() {
             wd.check_time(t)?;
         }
-        match best {
-            None => break,
-            Some((t, i)) if i < nb => {
+        match entity {
+            Entity::Bottleneck(i) => {
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
                 sessions[k].on_shared_departure(path, d.ticket, d.at, d.marked);
@@ -895,11 +925,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // schedules the packet's arrival at its owner; a dropped
                 // packet schedules nothing. (Re-keying is charged to the
                 // next iteration's peek.)
-                next.set(i, bottlenecks[i].next_departure());
-                rekey_client(&mut next, nb + k, &sessions[k], done[k]);
+                next.departures[i] = bottlenecks[i].next_departure();
+                rekey_client(&mut next, k, &sessions[k], done[k]);
             }
-            Some((t, slot)) => {
-                let k = slot - nb;
+            Entity::Session(k) => {
                 if !arrived[k] {
                     // First event of session k is its arrival wake —
                     // admission control runs before it can issue any
@@ -927,7 +956,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                                 queue_bytes: queue,
                             });
                             charge(&mut wall, |w| &mut w.step_ns);
-                            next.set(slot, None);
+                            next.set_session(k, None);
                             continue;
                         }
                     }
@@ -962,12 +991,12 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // A step changes its own queue and may offer packets,
                 // which start service only at an idle bottleneck: a busy
                 // one's departure time was fixed when its service began.
-                rekey_client(&mut next, slot, &sessions[k], done[k]);
+                rekey_client(&mut next, k, &sessions[k], done[k]);
                 for (i, bn) in bottlenecks.iter().enumerate() {
-                    if next.key(i).is_none() {
-                        next.set(i, bn.next_departure());
+                    if next.departures[i].is_none() {
+                        next.departures[i] = bn.next_departure();
                     }
-                    debug_assert_eq!(next.key(i), bn.next_departure());
+                    debug_assert_eq!(next.departures[i], bn.next_departure());
                 }
             }
         }
@@ -1588,6 +1617,22 @@ mod tests {
         assert!(stats.delivered_bytes > 0 && stats.queued_bytes == 0);
         let p = &report.profile;
         assert_eq!(p.loop_iterations, p.departures_popped + p.session_steps + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fleet has 1..=65536 clients, not 65537")]
+    fn a_fleet_past_max_clients_is_refused_before_it_allocates() {
+        let _ = run_checked(&FleetConfig::new(
+            base(TransportMode::Vanilla),
+            FleetConfig::MAX_CLIENTS + 1,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "trace_client Some(3) names none of the 3 clients")]
+    fn a_trace_client_past_the_fleet_is_refused() {
+        let _ =
+            run_checked(&FleetConfig::new(base(TransportMode::Vanilla), 3).with_trace_client(3));
     }
 
     #[test]

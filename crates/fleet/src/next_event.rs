@@ -1,72 +1,95 @@
-//! [`NextEvent`]: which of the fleet's entities fires next.
+//! [`NextEvent`]: which of the fleet's entities fires next, in
+//! `(time, bottleneck-before-session, index)` order.
 //!
-//! A winner tree over a fixed set of slots, each holding that entity's
-//! next fire time or `None`. Re-keying one slot replays its matches
-//! towards the root, O(log slots); reading the winner is O(1). Ties on
-//! time go to the lower slot, so laying bottlenecks out before sessions
-//! gives the fleet loop's `(time, bottleneck-before-session, index)`
-//! order.
+//! The handful of bottlenecks sit in an array that `earliest` scans. The
+//! sessions sit in a winner tree whose every node is one `u64`,
+//! `time_ns << slot_bits | slot`, so a match is an integer `min` and a
+//! tie goes to the lower slot. The clock keeps `64 - slot_bits` bits
+//! (DESIGN §4t has the table); a later time is refused, never wrapped.
 
 use mpdash_sim::SimTime;
 
-/// A node's key for "nothing pending": later than every real time, so a
-/// match is one integer compare with no empty case. No event fires at
-/// `SimTime::MAX` (the simulation would have overflowed long before).
+/// A node's key for "nothing pending": later than every real key.
 const EMPTY: u64 = u64::MAX;
 
+/// One entity of the fleet loop, by its index within its kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Entity {
+    Bottleneck(usize),
+    Session(usize),
+}
+
 pub(crate) struct NextEvent {
+    /// Each bottleneck's next departure (`None`: idle), kept by the loop.
+    pub(crate) departures: Vec<Option<SimTime>>,
     // Implicit complete binary tree rooted at 1: node `j`'s children are
-    // `2j` and `2j + 1`, nodes `leaves..` are the slots in order, and
-    // every inner node is a copy of its earlier child: `(key ns, slot)`.
-    nodes: Vec<(u64, usize)>,
+    // `2j` and `2j + 1`, nodes `leaves..` are the sessions in order, and
+    // every inner node is a copy of its smaller child.
+    nodes: Vec<u64>,
     leaves: usize,
+    slot_bits: u32,
+    /// The latest time a key holds: one short of every clock bit set,
+    /// which in the last slot would spell `EMPTY`.
+    max_ns: u64,
 }
 
 impl NextEvent {
-    /// `slots` empty slots.
-    pub(crate) fn new(slots: usize) -> Self {
-        let leaves = slots.next_power_of_two();
+    /// Nothing pending for any of `bottlenecks` and `sessions`.
+    pub(crate) fn new(bottlenecks: usize, sessions: usize) -> Self {
+        let leaves = sessions.next_power_of_two();
+        let slot_bits = leaves.trailing_zeros();
         NextEvent {
-            // Padding leaves stay `EMPTY` and so never win; an inner
-            // node's slot is only read once its key is a time.
-            nodes: (0..2 * leaves)
-                .map(|j| (EMPTY, j.saturating_sub(leaves)))
-                .collect(),
+            departures: vec![None; bottlenecks],
+            // Padding leaves stay `EMPTY` and so never win.
+            nodes: vec![EMPTY; 2 * leaves],
             leaves,
+            slot_bits,
+            max_ns: (u64::MAX >> slot_bits) - 1,
         }
     }
 
-    /// Set `slot`'s next fire time (`None`: nothing pending).
-    pub(crate) fn set(&mut self, slot: usize, key: Option<SimTime>) {
-        debug_assert_ne!(key, Some(SimTime::MAX), "SimTime::MAX is the empty key");
+    /// Set session `slot`'s next fire time (`None`: nothing pending).
+    ///
+    /// # Panics
+    /// On a time past the clock bits left beside the slot.
+    pub(crate) fn set_session(&mut self, slot: usize, at: Option<SimTime>) {
+        let mut key = at.map_or(EMPTY, |t| {
+            let (ns, max, bits) = (t.as_nanos(), self.max_ns, u64::BITS - self.slot_bits);
+            assert!(
+                ns <= max,
+                "next event: time {ns} ns is past the {bits}-bit clock ({max} ns)"
+            );
+            ns << self.slot_bits | slot as u64
+        });
         let mut j = self.leaves + slot;
-        self.nodes[j].0 = key.map_or(EMPTY, SimTime::as_nanos);
+        self.nodes[j] = key;
         while j > 1 {
+            key = key.min(self.nodes[j ^ 1]);
             j /= 2;
-            let (l, r) = (self.nodes[2 * j], self.nodes[2 * j + 1]);
-            // Every slot under the left child is lower than any under
-            // the right, so the left one keeps ties.
-            let earlier = if r.0 < l.0 { r } else { l };
-            if self.nodes[j] == earlier {
+            if self.nodes[j] == key {
                 break;
             }
-            self.nodes[j] = earlier;
+            self.nodes[j] = key;
         }
     }
 
-    fn time(key: u64) -> Option<SimTime> {
-        (key != EMPTY).then(|| SimTime::from_nanos(key))
-    }
-
-    /// `slot`'s next fire time as last set.
-    pub(crate) fn key(&self, slot: usize) -> Option<SimTime> {
-        Self::time(self.nodes[self.leaves + slot].0)
-    }
-
-    /// The earliest `(time, slot)`, `None` when every slot is empty.
-    pub(crate) fn earliest(&self) -> Option<(SimTime, usize)> {
-        let (key, slot) = self.nodes[1];
-        Self::time(key).map(|t| (t, slot))
+    /// The earliest `(time, entity)`, `None` when nothing is pending.
+    pub(crate) fn earliest(&self) -> Option<(SimTime, Entity)> {
+        let root = self.nodes[1];
+        let mut best = (root != EMPTY).then(|| {
+            let t = SimTime::from_nanos(root >> self.slot_bits);
+            (t, Entity::Session(root as usize & (self.leaves - 1)))
+        });
+        // Backwards with `<=`: a tie goes to the bottleneck, and among
+        // bottlenecks to the lower index.
+        for (i, at) in self.departures.iter().enumerate().rev() {
+            if let Some(t) = *at {
+                if best.is_none_or(|(earliest, _)| t <= earliest) {
+                    best = Some((t, Entity::Bottleneck(i)));
+                }
+            }
+        }
+        best
     }
 }
 
@@ -78,43 +101,100 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Against a linear scan over the same keys. Times come from a
-        /// handful of instants — the last of them one nanosecond short of
-        /// the empty key — so ties across slots are the common case, and
-        /// a third of the writes empty a slot, so slots go
-        /// `Some → None → Some`.
+        /// The session tree against a linear scan over the same keys.
+        /// Slot counts are every size up to 41 or an exact power of two;
+        /// times come from a handful of instants — the last of them the
+        /// latest the slot count's clock holds — so ties across slots are
+        /// the common case, and a third of the writes empty a slot, so
+        /// slots go `Some → None → Some`.
         #[test]
         fn earliest_matches_a_linear_scan(
-            slots in 1usize..41,
-            writes in prop::collection::vec(0u64..(1 << 20), 1..120),
+            size in 1usize..54,
+            writes in prop::collection::vec(0u64..(1 << 32), 1..120),
         ) {
-            let mut tree = NextEvent::new(slots);
+            let slots = if size < 42 { size } else { 1 << (size - 41) };
+            let mut tree = NextEvent::new(0, slots);
+            let latest = SimTime::from_nanos(tree.max_ns);
             let mut keys: Vec<Option<SimTime>> = vec![None; slots];
             prop_assert_eq!(tree.earliest(), None);
             for w in writes {
-                let slot = w as usize % slots;
-                let key = ((w >> 8) % 3 != 0).then(|| match (w >> 10) % 7 {
-                    6 => SimTime::from_nanos(u64::MAX - 1),
+                let slot = w as usize % (1 << 16) % slots;
+                let key = ((w >> 16) % 3 != 0).then(|| match (w >> 18) % 7 {
+                    6 => latest,
                     ms => SimTime::from_millis(ms),
                 });
-                tree.set(slot, key);
+                tree.set_session(slot, key);
                 keys[slot] = key;
                 let scan = keys
                     .iter()
                     .enumerate()
                     .filter_map(|(i, k)| k.map(|t| (t, i)))
-                    .min();
+                    .min()
+                    .map(|(t, i)| (t, Entity::Session(i)));
                 prop_assert_eq!(tree.earliest(), scan);
-                prop_assert_eq!(tree.key(slot), key);
             }
         }
     }
 
-    /// The one time that cannot be a key, caught where it is offered.
+    /// Pop everything due, in order: the documented tie rule, directly.
+    fn drain(next: &mut NextEvent) -> Vec<Entity> {
+        std::iter::from_fn(|| {
+            let (_, who) = next.earliest()?;
+            match who {
+                Entity::Bottleneck(i) => next.departures[i] = None,
+                Entity::Session(k) => next.set_session(k, None),
+            }
+            Some(who)
+        })
+        .collect()
+    }
+
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "SimTime::MAX is the empty key")]
-    fn the_empty_key_is_never_offered_as_a_time() {
-        NextEvent::new(2).set(0, Some(SimTime::MAX));
+    fn a_tie_pops_bottlenecks_then_sessions_each_by_index() {
+        let t = Some(SimTime::from_millis(7));
+        let mut next = NextEvent::new(2, 2);
+        // Offered in the reverse of the order they must pop in.
+        next.set_session(1, t);
+        next.set_session(0, t);
+        next.departures[1] = t;
+        next.departures[0] = t;
+        assert_eq!(
+            drain(&mut next),
+            [
+                Entity::Bottleneck(0),
+                Entity::Bottleneck(1),
+                Entity::Session(0),
+                Entity::Session(1)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_bottleneck_tied_with_a_session_goes_first_and_a_later_one_does_not() {
+        let (t, later) = (SimTime::from_millis(7), SimTime::from_millis(8));
+        let mut next = NextEvent::new(3, 5);
+        next.set_session(4, Some(t));
+        next.departures[2] = Some(t);
+        next.departures[0] = Some(later);
+        assert_eq!(
+            drain(&mut next),
+            [
+                Entity::Bottleneck(2),
+                Entity::Session(4),
+                Entity::Bottleneck(0)
+            ]
+        );
+    }
+
+    /// The clock bound is a release-mode check: a wrapped key would
+    /// reorder the fleet silently.
+    #[test]
+    #[should_panic(
+        expected = "time 288230376151711743 ns is past the 58-bit clock (288230376151711742 ns)"
+    )]
+    fn a_time_past_the_clock_bound_panics_naming_it() {
+        let mut next = NextEvent::new(2, 64);
+        next.set_session(63, Some(SimTime::from_nanos((1 << 58) - 2)));
+        next.set_session(63, Some(SimTime::from_nanos((1 << 58) - 1)));
     }
 }

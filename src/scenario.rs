@@ -759,7 +759,7 @@ pub struct FleetSpec {
 impl FleetSpec {
     fn decode(j: &Json, at: &str) -> Result<Self, String> {
         let mut o = Obj::new(j, at)?;
-        let clients = o.uint("clients", 1, u64::MAX)?;
+        let clients = o.uint("clients", 1, FleetConfig::MAX_CLIENTS as u64)?;
         let fleet = FleetSpec {
             clients,
             stagger: o
@@ -1583,6 +1583,10 @@ mod tests {
     fn rejects_wedging_fleet_values() {
         for (patch, expect) in [
             (r#""fleet": {"clients": 0},"#, "fleet.clients: must be a whole number >= 1"),
+            (
+                r#""fleet": {"clients": 1e12},"#,
+                "fleet.clients: must be a whole number >= 1 and <= 65536, got 1000000000000",
+            ),
             (
                 r#""fleet": {"clients": 4, "stagger_s": -1.0},"#,
                 "fleet.stagger_s: must be >= 0",
