@@ -36,6 +36,7 @@ use mpdash_link::{
     DropReason, Link, LinkConfig, PathId, SendOutcome, SharedBottleneck, SharedOutcome, Ticket,
 };
 use mpdash_obs::{TraceEvent, Tracer};
+use mpdash_sim::queue::SHARED_LANE;
 use mpdash_sim::{EventQueue, Rate, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -140,6 +141,28 @@ enum Event {
         id: u64,
         mask: PathMask,
     },
+}
+
+/// The event queue's lanes, one per stream whose fire times ascend by
+/// construction (DESIGN §4u): data arrivals of path 0 and path 1 (a
+/// link serializes in order; a shared bottleneck's departures are FIFO
+/// per flow), their ACKs (`now` + a fixed delay) and the ticks (`now` +
+/// one period). Everything sparser — RTOs, other application timers,
+/// requests, a third path — shares [`SHARED_LANE`].
+const TICK_LANE: usize = 4;
+
+fn data_lane(path: PathId) -> usize {
+    match path.index() {
+        p @ 0..=1 => p,
+        _ => SHARED_LANE,
+    }
+}
+
+fn ack_lane(path: PathId) -> usize {
+    match path.index() {
+        p @ 0..=1 => 2 + p,
+        _ => SHARED_LANE,
+    }
 }
 
 /// [`MptcpSim::events_popped`] by event kind (the fields sum to it): a
@@ -296,7 +319,8 @@ impl MptcpSim {
                     .fold(0u32, |bits, p| bits | (1 << p)),
             });
             let primary = PathId(0);
-            self.queue.schedule(
+            self.queue.schedule_in(
+                ack_lane(primary),
                 now + self.ack_delay[0],
                 Event::Ack {
                     path: primary,
@@ -323,6 +347,14 @@ impl MptcpSim {
     /// Schedule an application timer at absolute time `at`.
     pub fn schedule_app_timer(&mut self, at: SimTime, id: u64) {
         self.queue.schedule(at, Event::App { id });
+    }
+
+    /// [`MptcpSim::schedule_app_timer`] for the application's periodic
+    /// tick: timers re-armed one fixed period after `now` ascend, so they
+    /// get a queue lane of their own. Any other use is as correct and
+    /// only slower (the timer takes the heap).
+    pub fn schedule_app_tick(&mut self, at: SimTime, id: u64) {
+        self.queue.schedule_in(TICK_LANE, at, Event::App { id });
     }
 
     /// Connection bytes delivered in order to the client so far.
@@ -477,7 +509,8 @@ impl MptcpSim {
                 let res = self.rcv.on_data(now, path, seq, len, dss, retx, syn);
                 // Immediate ACK, carrying the current desired mask and
                 // echoing any ECN mark back to the sender.
-                self.queue.schedule(
+                self.queue.schedule_in(
+                    ack_lane(path),
                     now + self.ack_delay[path.index()],
                     Event::Ack {
                         path,
@@ -599,7 +632,8 @@ impl MptcpSim {
         }
         match link.send(now, t.len + HEADER_BYTES) {
             SendOutcome::Delivered { at } => {
-                self.queue.schedule(
+                self.queue.schedule_in(
+                    data_lane(t.path),
                     at,
                     Event::Data {
                         path: t.path,
@@ -668,7 +702,8 @@ impl MptcpSim {
                 });
         }
         let arrive = depart_at + self.links[path.index()].delay();
-        self.queue.schedule(
+        self.queue.schedule_in(
+            data_lane(path),
             arrive,
             Event::Data {
                 path,

@@ -150,7 +150,7 @@ impl FileTransfer {
 
         sim.send_app(cfg.size);
         if signal.is_some() {
-            sim.schedule_app_timer(SimTime::ZERO + TICK, TICK_ID);
+            sim.schedule_app_tick(SimTime::ZERO + TICK, TICK_ID);
         }
 
         let mut done_at = SimTime::ZERO;
@@ -164,7 +164,7 @@ impl FileTransfer {
                     sim.set_desired_mask(PathMask::from_enabled(&enabled));
                 }
                 if matches!(outcome, StepOutcome::AppTimer { id: TICK_ID }) {
-                    sim.schedule_app_timer(t + TICK, TICK_ID);
+                    sim.schedule_app_tick(t + TICK, TICK_ID);
                 }
             }
         }

@@ -23,7 +23,7 @@
 //! Figure 1 emerge from this, not from any explicit modelling).
 
 use crate::config::{SessionConfig, TransportMode};
-use crate::fetch::ChunkFetch;
+use crate::fetch::{ChunkFetch, Inflight};
 use crate::record::{Outcome, Recorder};
 use crate::report::{ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
 use crate::signal::DeadlineSignal;
@@ -47,6 +47,11 @@ const TICK: SimDuration = SimDuration::from_millis(50);
 const TICK_ID: u64 = u64::MAX - 1;
 const WAKE_ID: u64 = u64::MAX - 2;
 
+/// A chunk in flight that delivers nothing for this long is wedged —
+/// every run in the repository simulates less than this in total — and
+/// the session panics rather than tick forever.
+const WEDGED_AFTER: SimDuration = SimDuration::from_secs(3600);
+
 /// The streaming-session driver. See module docs.
 pub struct StreamingSession {
     cfg: SessionConfig,
@@ -61,6 +66,9 @@ pub struct StreamingSession {
     http_events: Vec<HttpEvent>,
     chunks: Vec<ChunkLogEntry>,
     last_chunk_throughput: Option<Rate>,
+    /// When the connection last delivered a byte, or the chunk in flight
+    /// was requested if later (see [`WEDGED_AFTER`]).
+    last_byte_at: SimTime,
     /// Trace, metrics, telemetry and the report's counters.
     rec: Recorder,
     /// The viewer left (churn `max_watch` elapsed, or the fleet shed the
@@ -143,6 +151,7 @@ impl StreamingSession {
             http_events: Vec::new(),
             chunks: Vec::new(),
             last_chunk_throughput: None,
+            last_byte_at: SimTime::ZERO,
             rec,
             departed: false,
             cfg,
@@ -230,7 +239,34 @@ impl StreamingSession {
 
         self.fetch
             .begin(&mut self.sim, &mut self.rec, index, level, size, deadline);
-        self.sim.schedule_app_timer(now + TICK, TICK_ID);
+        self.last_byte_at = now;
+        self.sim.schedule_app_tick(now + TICK, TICK_ID);
+    }
+
+    /// Panic if `cur` has been in flight for [`WEDGED_AFTER`] without a
+    /// byte: nothing left in the queue can move it, only ticks are alive.
+    fn assert_not_wedged(&self, t: SimTime, cur: &Inflight) {
+        if t.saturating_since(self.last_byte_at) <= WEDGED_AFTER {
+            return;
+        }
+        let path = |p: PathId| {
+            format!(
+                "{} B in flight, {} failures / {} revivals",
+                self.sim.path_in_flight(p),
+                self.sim.subflow_failures(p),
+                self.sim.subflow_revivals(p)
+            )
+        };
+        panic!(
+            "session wedged at {t}: chunk {} holds {} of {} B and no byte arrived since {} \
+             (wifi: {}; cell: {})",
+            cur.index,
+            cur.received(),
+            cur.size(),
+            self.last_byte_at,
+            path(PathId::WIFI),
+            path(PathId::CELLULAR)
+        );
     }
 
     /// The §3.2 aggregate-throughput query (MP-DASH modes only).
@@ -429,6 +465,7 @@ impl StreamingSession {
         match outcome {
             StepOutcome::Transport { newly_delivered } => {
                 if newly_delivered > 0 {
+                    self.last_byte_at = t;
                     let mut events = std::mem::take(&mut self.http_events);
                     events.clear();
                     self.fetch.on_delivered(newly_delivered, &mut events);
@@ -439,13 +476,14 @@ impl StreamingSession {
                 }
             }
             StepOutcome::AppTimer { id: TICK_ID } => {
-                if self.fetch.current().is_some() {
+                if let Some(cur) = self.fetch.current() {
+                    self.assert_not_wedged(t, cur);
                     self.player.advance_to(t);
                     self.progress_check(t);
                     let control = self.mpdash.as_ref().map(|(_, signal)| &signal.control);
                     self.fetch.tick(&mut self.sim, &mut self.rec, control);
                     self.rec.sample(t, &self.sim, &self.player);
-                    self.sim.schedule_app_timer(t + TICK, TICK_ID);
+                    self.sim.schedule_app_tick(t + TICK, TICK_ID);
                 }
             }
             StepOutcome::AppTimer { id: WAKE_ID } => {

@@ -8,13 +8,14 @@
 //! order, regardless of the payload type's own ordering (the payload does
 //! not even need to implement `Ord`).
 //!
-//! Most events come from a few sources that each schedule in
-//! non-decreasing time (a path's data arrivals, its ACKs one fixed delay
-//! after `now`, periodic ticks), so beside a binary heap the queue keeps
-//! [`LANES`] FIFO lanes, each sorted by key because entries only ever
-//! join at its end. The next event is the smallest key over the lane
-//! heads and the heap top: where an entry is *stored* never changes the
-//! order it pops in.
+//! Most events come from a few sources that each schedule in ascending
+//! time (a path's data arrivals, its ACKs one fixed delay after `now`,
+//! periodic ticks), so beside a binary heap the queue keeps [`LANES`] FIFO
+//! lanes. The caller names the lane of an event's stream
+//! ([`EventQueue::schedule_in`]); an entry joins it only at its end and
+//! only if that keeps it sorted. The next event is the smallest key over
+//! the lane heads and the heap top: where an entry is *stored* never
+//! changes the order it pops in.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -32,9 +33,11 @@ fn at_of(key: Key) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
-/// FIFO lanes beside the heap: data and ACKs of each of two paths, the
-/// tick, and one to spare for the sparser timers.
-const LANES: usize = 6;
+/// FIFO lanes beside the heap: a connection names five (data and ACKs
+/// of each of two paths, the tick), the sixth is [`SHARED_LANE`].
+pub const LANES: usize = 6;
+/// The lane of [`EventQueue::schedule`]: whatever has no lane of its own.
+pub const SHARED_LANE: usize = LANES - 1;
 /// Head key of an empty lane; no entry has it (sequence `u64::MAX`).
 const NO_KEY: Key = Key::MAX;
 /// End of a list in the slab.
@@ -114,28 +117,25 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `payload` to fire at `at` (clamped to `now` if in the
-    /// past). Returns a handle usable with [`EventQueue::cancel`].
-    ///
-    /// The entry joins the lane whose newest key is the latest one before
-    /// its own (best fit keeps the other lanes open for earlier times; a
-    /// drained lane takes anything, its newest key being in the past),
-    /// and the heap when every lane already holds a later time — a
-    /// jittered delivery overtaken by its successor, a timer shorter than
-    /// the ones before it.
+    /// Schedule `payload` in [`SHARED_LANE`] to fire at `at` (clamped to
+    /// `now` if in the past). Returns a handle for [`EventQueue::cancel`].
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+        self.schedule_in(SHARED_LANE, at, payload)
+    }
+
+    /// [`EventQueue::schedule`] for the stream the caller keeps in `lane`
+    /// (below [`LANES`]). The entry joins the lane if its key is later
+    /// than the lane's newest (which a drained lane remembers) and the
+    /// heap otherwise — a jittered delivery overtaken by its successor, a
+    /// timer shorter than the last. A wrong lane costs time, never order.
+    pub fn schedule_in(&mut self, lane: usize, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = (at.max(self.now).as_nanos() as Key) << 64 | seq as Key;
-        let (mut fit, mut latest) = (LANES, 0);
-        for (lane, &tail) in self.tail_key.iter().enumerate() {
-            // Keys are unique, so `<=` only ever admits a fresh lane's 0.
-            if tail <= key && tail >= latest {
-                (fit, latest) = (lane, tail);
-            }
-        }
+        // Keys are unique, so `<=` only ever admits a fresh lane's 0.
+        let fits = self.tail_key[lane] <= key;
         if key < self.next.0 {
-            self.next = (key, fit);
+            self.next = (key, if fits { lane } else { LANES });
         }
         let node = Node {
             key,
@@ -152,15 +152,15 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        if fit == LANES {
-            self.heap.push(Reverse((key, slot)));
-            self.heap_fallbacks += 1;
-        } else {
-            match self.tail[fit] {
-                NIL => (self.head[fit], self.head_key[fit]) = (slot, key),
+        if fits {
+            match self.tail[lane] {
+                NIL => (self.head[lane], self.head_key[lane]) = (slot, key),
                 tail => self.nodes[tail as usize].next = slot,
             }
-            (self.tail[fit], self.tail_key[fit]) = (slot, key);
+            (self.tail[lane], self.tail_key[lane]) = (slot, key);
+        } else {
+            self.heap.push(Reverse((key, slot)));
+            self.heap_fallbacks += 1;
         }
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
@@ -285,7 +285,7 @@ impl<E> EventQueue<E> {
         self.next_seq - self.heap_fallbacks
     }
 
-    /// `schedule` calls that fit no lane and paid for a heap push.
+    /// `schedule` calls that did not fit their lane and paid for a heap push.
     pub fn heap_fallbacks(&self) -> u64 {
         self.heap_fallbacks
     }

@@ -1,7 +1,6 @@
 //! Property tests on [`EventQueue`]: random `schedule` / `cancel` / `pop`
 //! interleavings against a naive model, a `Vec` of live entries that is
-//! scanned for its minimum. (`tests/hot_path.rs` at the workspace root
-//! includes this file, so tier-1 runs it too.)
+//! scanned for its minimum.
 //!
 //! The invariants:
 //!
@@ -12,19 +11,23 @@
 //!   cancelled entries never surfacing, and advance `now`;
 //! * **clamping** — an event scheduled in the past fires at `now`;
 //! * **storage is invisible** — all of the above hold whether an entry
-//!   sits in a FIFO lane or in the heap, which is why one generator
-//!   scatters times (mostly heap) and the other schedules `now` + a fixed
-//!   offset the way the simulator does (mostly lanes).
+//!   sits in a FIFO lane or in the heap, and whichever lane the caller
+//!   named for it: one generator scatters times over random lanes
+//!   (mostly heap), one schedules `now` + a fixed offset into that
+//!   offset's lane the way the simulator does (mostly lanes), and one
+//!   names lanes to hurt.
 
-use mpdash_sim::{queue::EventId, EventQueue, SimDuration, SimTime};
+use mpdash_sim::queue::{EventId, LANES, SHARED_LANE};
+use mpdash_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Run `ops` against the queue and the model. The low three bits of an
-/// op pick the operation, the rest is its argument; `when` turns the
-/// argument and the clock into the time to schedule at.
+/// op pick the operation, the rest is its argument; `place` turns the
+/// argument and the clock into the lane to name and the time to schedule
+/// at ([`SHARED_LANE`] goes through plain `schedule`).
 fn check_against_model(
     ops: &[u64],
-    when: impl Fn(u64, SimTime) -> SimTime,
+    place: impl Fn(u64, SimTime) -> (usize, SimTime),
 ) -> Result<(), TestCaseError> {
     let mut q = EventQueue::new();
     // Live entries as (fire time, id): ids ascend with insertion, so
@@ -36,8 +39,11 @@ fn check_against_model(
         let arg = op >> 3;
         match op & 7 {
             0..=3 => {
-                let at = when(arg, now);
-                ids.push(q.schedule(at, ids.len()));
+                let (lane, at) = place(arg, now);
+                ids.push(match lane {
+                    SHARED_LANE => q.schedule(at, ids.len()),
+                    lane => q.schedule_in(lane, at, ids.len()),
+                });
                 model.push((at.max(now), ids.len() - 1));
             }
             // Cancel the earliest live entry (a lane's head or the
@@ -74,34 +80,72 @@ fn check_against_model(
 
 /// The delays the simulator schedules at: `now` (an immediate reaction),
 /// one-way delays, a tick, an RTO — more distinct ones than the queue has
-/// lanes, so a run of shrinking delays spills into the heap.
+/// lanes, so the last four share one and spill into the heap.
 const OFFSETS_MS: [u64; 9] = [0, 5, 10, 15, 25, 30, 50, 200, 1000];
+
+/// `now` + the offset `arg` picks, or (one argument in ten) a time in
+/// the past; with the index of the offset's stream, past times last.
+fn offset_stream(arg: u64, now: SimTime) -> (usize, SimTime) {
+    match (arg % 10) as usize {
+        9 => (
+            9,
+            SimTime::from_nanos(now.as_nanos().saturating_sub(7_000_000)),
+        ),
+        k => (k, now + SimDuration::from_millis(OFFSETS_MS[k])),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Times span 0–31 ms whatever the clock reads: ties are common
-    /// and, once the clock has advanced, so are requests in the past.
-    /// Few of these times ascend, so most entries take the heap.
+    /// Times span 0–31 ms whatever the clock reads, each in a random
+    /// lane: ties are common and, once the clock has advanced, so are
+    /// requests in the past. Few of these times ascend in any lane, so
+    /// most entries take the heap.
     #[test]
     fn queue_matches_a_naive_vec_model(
         ops in prop::collection::vec(0u64..(1 << 20), 1..200),
     ) {
-        check_against_model(&ops, |arg, _| SimTime::from_millis(arg % 32))?;
+        check_against_model(&ops, |arg, _| {
+            ((arg >> 5) as usize % LANES, SimTime::from_millis(arg % 32))
+        })?;
     }
 
-    /// `now` + a fixed offset, as the transport schedules: every offset's
-    /// stream ascends, so lanes carry most entries, and because the clock
-    /// only ever lands on sums of the offsets, ties between lanes, and
-    /// between a lane and the heap, are the common case. One argument in
-    /// ten asks for a time in the past.
+    /// `now` + a fixed offset, as the transport schedules, the first
+    /// five offsets each in a lane of their own: those streams ascend,
+    /// so lanes carry most entries, and because the clock only ever
+    /// lands on sums of the offsets, ties between lanes, and between a
+    /// lane and the heap, are the common case. The other four offsets
+    /// and the past times share the last lane and mostly miss it.
     #[test]
     fn lane_shaped_schedules_match_the_model(
         ops in prop::collection::vec(0u64..(1 << 20), 1..400),
     ) {
-        check_against_model(&ops, |arg, now| match arg % 10 {
-            9 => SimTime::from_nanos(now.as_nanos().saturating_sub(7_000_000)),
-            k => now + SimDuration::from_millis(OFFSETS_MS[k as usize]),
+        check_against_model(&ops, |arg, now| {
+            let (stream, at) = offset_stream(arg, now);
+            (stream.min(SHARED_LANE), at)
+        })?;
+    }
+
+    /// The same streams with their lanes named to hurt: every stream in
+    /// its neighbour's lane and two to a lane (so an ascending stream
+    /// finds a later key from another already there), everything in one
+    /// lane, or a lane drawn per event. Placement may cost a heap push;
+    /// it must never cost order.
+    #[test]
+    fn adversarially_named_lanes_match_the_model(
+        ops in prop::collection::vec(0u64..(1 << 20), 1..400),
+        naming in 0usize..3,
+        one_lane in 0usize..LANES,
+    ) {
+        check_against_model(&ops, |arg, now| {
+            let (stream, at) = offset_stream(arg, now);
+            let lane = match naming {
+                0 => (stream / 2 + 1) % LANES,
+                1 => one_lane,
+                _ => (arg >> 8) as usize % LANES,
+            };
+            (lane, at)
         })?;
     }
 }
@@ -115,14 +159,13 @@ fn ascending_times_take_lanes_and_descending_ones_spill_to_the_heap() {
         q.schedule(SimTime::from_millis(ms), ms);
     }
     assert_eq!((q.lane_appends(), q.heap_fallbacks()), (100, 0));
+    // One compare against the named lane: the first of a descending run
+    // extends it, every later one misses it, and no other lane is tried
+    // although all five are empty.
     for ms in (100..200).rev() {
         q.schedule(SimTime::from_millis(ms), ms);
     }
-    assert_eq!(q.lane_appends() + q.heap_fallbacks(), 200);
-    assert!(
-        q.heap_fallbacks() > 50,
-        "a descending run outgrows the lanes"
-    );
+    assert_eq!((q.lane_appends(), q.heap_fallbacks()), (101, 99));
     let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, ms)| ms).collect();
     assert_eq!(popped, (0..200).collect::<Vec<_>>());
 }

@@ -102,6 +102,56 @@ fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
     );
 }
 
+/// A valid document can wedge the transport: with `"cell": {"constant":
+/// 0}` the WiFi disassociation at 300 s strands chunk 68 on two dead
+/// subflows and only the tick chain stays alive (ROADMAP item 3 has the
+/// state). Until the transport is fixed the session must say so within an
+/// event budget, not tick forever; the modes that never enable the dead
+/// path finish as they always did.
+#[test]
+fn a_session_wedged_on_a_dead_cell_path_panics_naming_the_chunk() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/example.json");
+    let text = std::fs::read_to_string(path).expect("example scenario readable");
+    let doc = text.replace(
+        r#""cell": { "constant": 3.0 }"#,
+        r#""cell": { "constant": 0 }"#,
+    );
+    assert_ne!(doc, text, "the example's cell line changed shape");
+    let configs = Scenario::from_json(&doc)
+        .expect("a dead path is a valid document")
+        .build()
+        .expect("and builds");
+    for (label, cfg) in configs {
+        match label.as_str() {
+            "Rate" => {
+                let wedged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut s = StreamingSession::start(cfg);
+                    let mut budget = 2_000_000u32;
+                    while !s.finished() && s.step_once() {
+                        budget -= 1;
+                        assert!(budget > 0, "event budget spent without a verdict");
+                    }
+                }))
+                .expect_err("the dead cell path must wedge the session");
+                let msg = wedged.downcast_ref::<String>().expect("a formatted panic");
+                assert!(
+                    msg.starts_with(
+                        "session wedged at 3900.081s: chunk 68 holds 407120 of 1028827 B"
+                    ) && msg.contains("wifi: 0 B in flight, 1 failures / 0 revivals")
+                        && msg.contains("cell: 55480 B in flight"),
+                    "{msg}"
+                );
+            }
+            "Baseline" | "WiFi-only" => {
+                let r = StreamingSession::run(cfg);
+                assert_eq!(r.chunks.len(), 150, "{label}");
+                assert_eq!(r.cell_bytes, 0, "{label}");
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A worker count that is set but unusable must stop the CLI before it
 /// runs anything: falling back to every core would make a 1-vs-4
 /// determinism comparison compare N with N.
