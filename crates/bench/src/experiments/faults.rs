@@ -166,7 +166,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((ci, mode), cfg));
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions_with_log(workers, cells);
 
     let mut max_excess_stalls: i64 = 0;
     let mut min_window_cell = u64::MAX;

@@ -54,10 +54,16 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut cells = Vec::new();
     for (site, loc) in corpus.iter().enumerate() {
         for visit in 0..visits {
-            let at = loc.revisit(visit);
+            // One synthesis of the visit's trace pair; its six schemes
+            // share it.
+            let at = SessionConfig::at_location(&loc.revisit(visit), ABRS[0], vanilla);
             for abr in ABRS {
                 for mode in [vanilla, rate, duration] {
-                    let cfg = SessionConfig::at_location(&at, abr, mode);
+                    let cfg = SessionConfig {
+                        abr,
+                        mode,
+                        ..at.clone()
+                    };
                     cells.push(((site, visit, abr, mode), cfg));
                 }
             }

@@ -44,7 +44,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
         TransportMode::mpdash_rate_based(),
         TransportMode::WifiOnly,
     ];
-    let grid = Grid::sessions(workers, modes.map(|m| (m, config(m))).into());
+    let grid = Grid::sessions_with_log(workers, modes.map(|m| (m, config(m))).into());
     let [base, mp, wifi_only] = modes.map(|m| &grid[m]);
 
     let mut t = Table::new(&[

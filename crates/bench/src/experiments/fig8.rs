@@ -39,7 +39,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
             (name, cfg)
         })
         .into();
-    for (name, report) in Grid::sessions(workers, cells).iter() {
+    for (name, report) in Grid::sessions_with_log(workers, cells).iter() {
         let chunks = chunk_infos(report);
         let splits = chunk_path_splits(&report.records, &chunks);
         let a = analyze(&report.records, &chunks, 5);

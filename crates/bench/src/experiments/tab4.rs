@@ -37,7 +37,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
             (name, cfg)
         })
         .into();
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions_with_log(workers, cells);
     let mut t = Table::new(&[
         "config",
         "cell bytes",

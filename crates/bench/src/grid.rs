@@ -55,8 +55,20 @@ impl<K: PartialEq + Debug, R: Send> Grid<K, R> {
 }
 
 impl<K: PartialEq + Debug> Grid<K, SessionReport> {
-    /// A grid of streaming sessions, one per cell.
+    /// A grid of streaming sessions, one per cell. A report's packet log
+    /// (`records`, megabytes a session) is dropped on the worker that ran
+    /// it, so the grid holds what a fold over byte counts, energy and QoE
+    /// reads; an experiment that reads the log asks for
+    /// [`Grid::sessions_with_log`].
     pub fn sessions(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
+        Grid::run(workers, cells, |cfg| SessionReport {
+            records: Default::default(),
+            ..StreamingSession::run(cfg.clone())
+        })
+    }
+
+    /// [`Grid::sessions`], every report keeping its packet log.
+    pub fn sessions_with_log(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
         Grid::run(workers, cells, |cfg| StreamingSession::run(cfg.clone()))
     }
 }
@@ -129,6 +141,43 @@ mod tests {
         for (n, cells) in sections {
             assert_eq!(cells.len(), 2);
             assert!(cells.iter().all(|((m, _), _)| *m == n));
+        }
+    }
+
+    /// What crosses the batch boundary: `sessions` keeps everything of a
+    /// report but its packet log, `sessions_with_log` the log too.
+    #[test]
+    fn a_session_cell_keeps_its_packet_log_only_when_asked() {
+        use mpdash_dash::{abr::AbrKind, video::Video};
+        use mpdash_session::TransportMode;
+        use mpdash_sim::SimDuration;
+        let video = Video::new("tiny", &[0.5, 1.0], SimDuration::from_secs(2), 4);
+        let cells: Vec<_> = [TransportMode::Vanilla, TransportMode::mpdash_rate_based()]
+            .into_iter()
+            .map(|mode| {
+                let cfg = SessionConfig::controlled_mbps(3.8, 3.0, AbrKind::Gpac, mode);
+                (mode, cfg.with_video(video.clone()))
+            })
+            .collect();
+        let bare = Grid::sessions(2, cells.clone());
+        let logged = Grid::sessions_with_log(2, cells.clone());
+        for (mode, cfg) in cells {
+            let direct = StreamingSession::run(cfg);
+            assert!(!direct.records.is_empty());
+            assert!(bare[mode].records.is_empty());
+            assert!(logged[mode].records == direct.records);
+            for r in [&bare[mode], &logged[mode]] {
+                assert_eq!(
+                    r.wifi_bytes + r.cell_bytes,
+                    direct.wifi_bytes + direct.cell_bytes
+                );
+                assert_eq!(r.energy, direct.energy);
+                assert_eq!(r.qoe, direct.qoe);
+                assert_eq!(
+                    r.summary_json().to_pretty(),
+                    direct.summary_json().to_pretty()
+                );
+            }
         }
     }
 

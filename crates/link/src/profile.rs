@@ -3,7 +3,7 @@
 //!
 //! Profiles are *data*, not generators: the synthetic Gaussian-walk and
 //! field-location profiles in `mpdash-trace` pre-sample their randomness
-//! into a step function here, so the link layer itself stays deterministic
+//! into a grid of rates here, so the link layer itself stays deterministic
 //! and cheap to query. This mirrors how the paper feeds recorded bandwidth
 //! traces into its trace-driven simulation (§7.2.2).
 
@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 /// A path's available bandwidth over time.
 ///
-/// A profile is immutable once built, and `Clone` shares the step storage
+/// A profile is immutable once built, and `Clone` shares its storage
 /// (a reference bump, O(1) in trace length): every config that carries a
 /// clone of a recorded trace — a session's five modes, a fleet's clients,
 /// a batch's jobs — reads the one allocation.
@@ -21,11 +21,26 @@ pub enum BandwidthProfile {
     /// Bandwidth fixed for all time (the controlled experiments of §7.3.2,
     /// where Dummynet pins WiFi/LTE to e.g. 3.8/3.0 Mbps).
     Constant(Rate),
+    /// Evenly spaced samples: the rate is `rates[i]` over
+    /// `[i × slot, (i + 1) × slot)`. A slot's start is its index times
+    /// `slot`, so no timestamp is stored (8 bytes a slot) and a lookup is
+    /// one division. `rates` is non-empty and `slot` non-zero
+    /// ([`Self::from_samples`] checks both).
+    Sampled {
+        /// Width of every slot.
+        slot: SimDuration,
+        /// One rate per slot.
+        rates: Arc<[Rate]>,
+        /// Whether the pattern repeats after the last slot (otherwise the
+        /// last rate holds forever).
+        looped: bool,
+    },
     /// A right-continuous step function: `steps[i] = (start_i, rate_i)`
     /// means the rate is `rate_i` from `start_i` (inclusive) until the next
     /// step. `steps` must be non-empty with strictly increasing, zero-based
     /// start times. If `period` is set, the pattern repeats with that
-    /// period (used to loop short recorded traces over a long session).
+    /// period. This is the shape of a recorded trace file, whose points
+    /// are irregular; sampled traces are [`Self::Sampled`].
     Steps {
         /// Step boundaries: `(start, rate)` pairs, first start must be 0.
         steps: Arc<[(SimTime, Rate)]>,
@@ -41,8 +56,8 @@ impl BandwidthProfile {
         BandwidthProfile::Constant(Rate::from_mbps_f64(mbps))
     }
 
-    /// Build a step profile from evenly spaced samples of width `slot`
-    /// (the natural shape of both the paper's synthetic profiles and its
+    /// Build a profile from evenly spaced samples of width `slot` (the
+    /// natural shape of both the paper's synthetic profiles and its
     /// 50 ms-slot trace-driven simulation).
     ///
     /// # Panics
@@ -50,14 +65,10 @@ impl BandwidthProfile {
     pub fn from_samples(slot: SimDuration, samples: &[Rate], looped: bool) -> Self {
         assert!(!samples.is_empty(), "profile needs at least one sample");
         assert!(!slot.is_zero(), "slot width must be positive");
-        let steps = samples
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (SimTime::ZERO + slot * i as u64, r))
-            .collect();
-        BandwidthProfile::Steps {
-            steps,
-            period: looped.then(|| slot * samples.len() as u64),
+        BandwidthProfile::Sampled {
+            slot,
+            rates: samples.into(),
+            looped,
         }
     }
 
@@ -68,10 +79,26 @@ impl BandwidthProfile {
 
     /// The step holding `t`: its rate and the next instant strictly after
     /// `t` at which the rate may change ([`SimTime::MAX`] if never). One
-    /// search answers both, which is what `Link::send` pays per step.
+    /// lookup answers both, which is what `Link::send` pays per step.
     pub fn step_at(&self, t: SimTime) -> (Rate, SimTime) {
         let (steps, period) = match self {
             BandwidthProfile::Constant(r) => return (*r, SimTime::MAX),
+            BandwidthProfile::Sampled {
+                slot,
+                rates,
+                looped,
+            } => {
+                // `t` is in slot `i`, counted from time zero; a one-shot
+                // trace never leaves its last slot.
+                let (i, last) = (t.as_nanos() / slot.as_nanos(), rates.len() as u64 - 1);
+                return if *looped || i < last {
+                    // Saturates at `SimTime::MAX`.
+                    let edge = SimTime::ZERO + *slot * i.saturating_add(1);
+                    (rates[(i % (last + 1)) as usize], edge)
+                } else {
+                    (rates[last as usize], SimTime::MAX)
+                };
+            }
             BandwidthProfile::Steps { steps, period } => (steps, period),
         };
         debug_assert!(!steps.is_empty());
@@ -89,7 +116,7 @@ impl BandwidthProfile {
         let next = steps.get(idx).map_or(wrap, |&(start, _)| start.as_nanos());
         (
             steps[idx.saturating_sub(1)].1,
-            SimTime::from_nanos(cycle_start + next),
+            SimTime::from_nanos(cycle_start.saturating_add(next)),
         )
     }
 
@@ -100,7 +127,7 @@ impl BandwidthProfile {
         }
         match self {
             BandwidthProfile::Constant(r) => *r,
-            BandwidthProfile::Steps { .. } => {
+            _ => {
                 // Integrate bits over the horizon by walking step edges.
                 let mut bits: u128 = 0;
                 let mut t = SimTime::ZERO;
@@ -123,6 +150,18 @@ impl BandwidthProfile {
     /// second half, for callers that want the edge alone.
     pub fn next_change_after(&self, t: SimTime) -> SimTime {
         self.step_at(t).1
+    }
+
+    /// Heap bytes the profile's storage occupies (shared by every clone):
+    /// the trace's counterpart of `PacketLog::heap_bytes`.
+    pub fn heap_bytes(&self) -> usize {
+        // An `Arc`'s allocation starts with its two reference counts.
+        let header = 2 * std::mem::size_of::<usize>();
+        match self {
+            BandwidthProfile::Constant(_) => 0,
+            BandwidthProfile::Sampled { rates, .. } => header + std::mem::size_of_val(&**rates),
+            BandwidthProfile::Steps { steps, .. } => header + std::mem::size_of_val(&**steps),
+        }
     }
 
     /// Sample the profile into `n` evenly spaced slots of width `slot`

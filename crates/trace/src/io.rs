@@ -14,6 +14,7 @@
 use mpdash_link::BandwidthProfile;
 use mpdash_results::{Json, JsonError};
 use mpdash_sim::{Rate, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A serializable bandwidth profile.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,7 +48,8 @@ pub enum ProfileSpecError {
     DoesNotStartAtZero,
     /// Points not strictly increasing in time.
     NotIncreasing,
-    /// A non-finite or negative number appeared.
+    /// A non-finite or negative number appeared, or a period that is not
+    /// positive once rounded to nanoseconds.
     BadNumber,
     /// The looping period ends before the last point starts, so that
     /// point (and any after it) would never be reached.
@@ -64,7 +66,10 @@ impl std::fmt::Display for ProfileSpecError {
             ProfileSpecError::NotIncreasing => {
                 write!(f, "points must be strictly increasing in time")
             }
-            ProfileSpecError::BadNumber => write!(f, "times and rates must be finite and >= 0"),
+            ProfileSpecError::BadNumber => write!(
+                f,
+                "times and rates must be finite and >= 0, period_secs at least a nanosecond"
+            ),
             ProfileSpecError::PeriodTooShort => {
                 write!(f, "period_secs must be >= the last point's at_secs")
             }
@@ -88,18 +93,11 @@ impl ProfileSpec {
         if self.points[0].at_secs != 0.0 {
             return Err(ProfileSpecError::DoesNotStartAtZero);
         }
-        if self.points.windows(2).any(|w| w[1].at_secs <= w[0].at_secs) {
-            return Err(ProfileSpecError::NotIncreasing);
-        }
-        if let Some(p) = self.period_secs {
-            if !p.is_finite() || p <= 0.0 {
-                return Err(ProfileSpecError::BadNumber);
-            }
-            if p < self.points[self.points.len() - 1].at_secs {
-                return Err(ProfileSpecError::PeriodTooShort);
-            }
-        }
-        let steps = self
+        // Order and period are checked on the nanoseconds the profile
+        // stores, not on the seconds the file carries: two points a
+        // fraction of a nanosecond apart round to one instant, and a
+        // period below half a nanosecond rounds to none.
+        let steps: Arc<[(SimTime, Rate)]> = self
             .points
             .iter()
             .map(|p| {
@@ -109,10 +107,20 @@ impl ProfileSpec {
                 )
             })
             .collect();
-        Ok(BandwidthProfile::Steps {
-            steps,
-            period: self.period_secs.map(SimDuration::from_secs_f64),
-        })
+        if steps.windows(2).any(|w| w[1].0 <= w[0].0) {
+            return Err(ProfileSpecError::NotIncreasing);
+        }
+        let period = self.period_secs.map(SimDuration::from_secs_f64);
+        if let Some(period) = period {
+            // What a negative, non-finite or sub-nanosecond period becomes.
+            if period.is_zero() {
+                return Err(ProfileSpecError::BadNumber);
+            }
+            if SimTime::ZERO + period < steps[steps.len() - 1].0 {
+                return Err(ProfileSpecError::PeriodTooShort);
+            }
+        }
+        Ok(BandwidthProfile::Steps { steps, period })
     }
 
     /// Serialize to pretty JSON.
@@ -298,6 +306,51 @@ mod tests {
         // The documented bound is inclusive, and a one-shot trace has none.
         assert!(spec(Some(3.0)).to_profile().is_ok());
         assert!(spec(None).to_profile().is_ok());
+    }
+
+    /// Both specs pass every check made in seconds; what the profile
+    /// stores is nanoseconds.
+    #[test]
+    fn a_spec_is_validated_in_the_nanoseconds_it_is_stored_in() {
+        let point = |at_secs, mbps| ProfilePoint { at_secs, mbps };
+        // 1.0 s and 1.0000000002 s are one instant: the first one's
+        // 2 Mbps would never be served.
+        let collide = ProfileSpec {
+            name: "x".into(),
+            points: vec![
+                point(0.0, 1.0),
+                point(1.0, 2.0),
+                point(1.000_000_000_2, 3.0),
+            ],
+            period_secs: None,
+        };
+        assert!(collide.points[1].at_secs < collide.points[2].at_secs);
+        assert_eq!(
+            collide.to_profile().unwrap_err(),
+            ProfileSpecError::NotIncreasing
+        );
+        // A period of 0 ns is no period: the trace would run one-shot.
+        let no_period = ProfileSpec {
+            name: "x".into(),
+            points: vec![point(0.0, 1.0)],
+            period_secs: Some(1e-10),
+        };
+        assert_eq!(
+            no_period.to_profile().unwrap_err(),
+            ProfileSpecError::BadNumber
+        );
+        // The smallest period that survives the conversion loads.
+        let one_ns = ProfileSpec {
+            period_secs: Some(1e-9),
+            ..no_period
+        };
+        assert_eq!(
+            one_ns
+                .to_profile()
+                .unwrap()
+                .next_change_after(SimTime::ZERO),
+            SimTime::from_nanos(1)
+        );
     }
 
     #[test]

@@ -74,30 +74,65 @@ fn example_scenario_runs_through_the_batch_runner() {
     assert!(reports[0].cell_bytes > 0);
 }
 
-/// A `{"file": …}` trace whose looping period ends before its last point
-/// would silently never play that point; the build names the file and the
-/// rule instead.
-#[test]
-fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
-    let dir = std::env::temp_dir().join("mpdash-scenario-pipeline-short-period");
+/// The build error of a one-mode scenario whose WiFi path is the trace
+/// file `trace`, and the path the file was written to.
+fn build_error_of_trace_file(tag: &str, trace: &str) -> (String, String) {
+    let dir = std::env::temp_dir().join(format!("mpdash-scenario-pipeline-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wifi.json");
-    let trace = r#"{"name": "short", "period_secs": 1.5,
-        "points": [{"at_secs": 0, "mbps": 4.0}, {"at_secs": 2, "mbps": 1.0}]}"#;
     std::fs::write(&path, trace).unwrap();
     let doc = format!(
-        r#"{{"name": "short period", "video": {{"named": "big_buck_bunny"}},
+        r#"{{"name": "{tag}", "video": {{"named": "big_buck_bunny"}},
             "wifi": {{"file": "{}"}}, "cell": {{"constant": 3.0}},
             "abr": "gpac", "modes": ["vanilla"]}}"#,
         path.display()
     );
     let scenario = Scenario::from_json(&doc).expect("the document itself is well-formed");
     let err = scenario.build().expect_err("the trace must be rejected");
+    (path.display().to_string(), err)
+}
+
+/// A `{"file": …}` trace whose looping period ends before its last point
+/// would silently never play that point; the build names the file and the
+/// rule instead.
+#[test]
+fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
+    let (path, err) = build_error_of_trace_file(
+        "short-period",
+        r#"{"name": "short", "period_secs": 1.5,
+        "points": [{"at_secs": 0, "mbps": 4.0}, {"at_secs": 2, "mbps": 1.0}]}"#,
+    );
+    assert_eq!(
+        err,
+        format!("{path}: period_secs must be >= the last point's at_secs")
+    );
+}
+
+/// A trace file is stored in nanoseconds, so it is judged in them: two
+/// points that round to one instant would drop the first one's rate, and a
+/// period that rounds to zero would make a looping trace one-shot. Both
+/// pass every comparison made in seconds.
+#[test]
+fn a_trace_file_that_collapses_in_nanoseconds_fails_the_build() {
+    let (path, err) = build_error_of_trace_file(
+        "colliding-points",
+        r#"{"name": "collide", "period_secs": null,
+        "points": [{"at_secs": 0, "mbps": 1.0}, {"at_secs": 1.0, "mbps": 2.0},
+                   {"at_secs": 1.0000000002, "mbps": 3.0}]}"#,
+    );
+    assert_eq!(
+        err,
+        format!("{path}: points must be strictly increasing in time")
+    );
+    let (path, err) = build_error_of_trace_file(
+        "zero-period",
+        r#"{"name": "zero", "period_secs": 1e-10,
+        "points": [{"at_secs": 0, "mbps": 4.0}]}"#,
+    );
     assert_eq!(
         err,
         format!(
-            "{}: period_secs must be >= the last point's at_secs",
-            path.display()
+            "{path}: times and rates must be finite and >= 0, period_secs at least a nanosecond"
         )
     );
 }

@@ -1,9 +1,11 @@
 //! A recorded bandwidth trace exists once however many configs carry it:
-//! cloning a [`SessionConfig`] bumps a reference on each path's steps, and
+//! cloning a [`SessionConfig`] bumps a reference on each path's rates, and
 //! so does everything built from clones — a scenario's modes, a fleet's
-//! clients, a batch's jobs. (`solo_grid` peaking near 43 MB instead of
-//! 17 MB is what a deep copy on one of these routes looks like from the
-//! benchmark.)
+//! clients, a batch's jobs — and what exists once is 8 bytes a slot: a
+//! sampled trace stores no timestamp. (From the benchmark, a deep copy on
+//! one of these routes is `solo_grid` peaking far above its ~10.5 MB — it
+//! was 43 MB against 17 when a slot cost 16 bytes — and ~17 MB is what
+//! timestamps coming back looks like.)
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
@@ -17,12 +19,12 @@ use mpdash::trace::table1;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-type Steps = Arc<[(SimTime, Rate)]>;
+type Rates = Arc<[Rate]>;
 
-fn steps(profile: &BandwidthProfile) -> &Steps {
+fn rates(profile: &BandwidthProfile) -> &Rates {
     match profile {
-        BandwidthProfile::Steps { steps, .. } => steps,
-        BandwidthProfile::Constant(_) => panic!("a synthetic profile is a step trace"),
+        BandwidthProfile::Sampled { rates, .. } => rates,
+        other => panic!("a synthetic profile is a sampled trace, not {other:?}"),
     }
 }
 
@@ -45,14 +47,14 @@ fn traced_pair() -> SessionConfig {
 /// running session emits an event: the only window onto configs that
 /// exist inside `fleet::run` or a batch worker.
 struct PeakRefs {
-    steps: Steps,
+    rates: Rates,
     peak: AtomicUsize,
 }
 
 impl PeakRefs {
     fn on(cfg: &SessionConfig) -> Arc<Self> {
         Arc::new(PeakRefs {
-            steps: steps(&cfg.wifi.profile).clone(),
+            rates: rates(&cfg.wifi.profile).clone(),
             peak: AtomicUsize::new(0),
         })
     }
@@ -60,7 +62,7 @@ impl PeakRefs {
 
 impl TraceSink for PeakRefs {
     fn record(&self, _: SimTime, _: &TraceEvent) {
-        let refs = Arc::strong_count(&self.steps);
+        let refs = Arc::strong_count(&self.rates);
         self.peak.fetch_max(refs, Ordering::Relaxed);
     }
 }
@@ -70,17 +72,34 @@ fn a_cloned_session_config_shares_both_traces() {
     let cfg = traced_pair();
     let copy = cfg.clone();
     assert!(Arc::ptr_eq(
-        steps(&cfg.wifi.profile),
-        steps(&copy.wifi.profile)
+        rates(&cfg.wifi.profile),
+        rates(&copy.wifi.profile)
     ));
     assert!(Arc::ptr_eq(
-        steps(&cfg.cell.profile),
-        steps(&copy.cell.profile)
+        rates(&cfg.cell.profile),
+        rates(&copy.cell.profile)
     ));
     assert!(!Arc::ptr_eq(
-        steps(&cfg.wifi.profile),
-        steps(&cfg.cell.profile)
+        rates(&cfg.wifi.profile),
+        rates(&cfg.cell.profile)
     ));
+}
+
+/// The byte budget as a step function: a slot costs its rate and nothing
+/// else. A stored timestamp doubles it.
+#[test]
+fn a_sampled_trace_owns_eight_bytes_a_slot() {
+    let (wifi, cell) = table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42);
+    for profile in [&wifi, &cell] {
+        let slots = rates(profile).len();
+        assert_eq!(slots, 13_200, "660 s in 50 ms slots");
+        assert!(
+            profile.heap_bytes() <= 8 * slots + 64,
+            "{} B for {slots} slots",
+            profile.heap_bytes()
+        );
+    }
+    assert_eq!(BandwidthProfile::constant_mbps(3.8).heap_bytes(), 0);
 }
 
 #[test]
@@ -89,10 +108,10 @@ fn a_scenarios_modes_share_its_trace() {
     let scenario = Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
     let configs = scenario.build().unwrap();
     assert_eq!(configs.len(), 5);
-    let first = steps(&configs[0].1.wifi.profile);
+    let first = rates(&configs[0].1.wifi.profile);
     for (label, cfg) in &configs {
         assert!(
-            Arc::ptr_eq(first, steps(&cfg.wifi.profile)),
+            Arc::ptr_eq(first, rates(&cfg.wifi.profile)),
             "{label} copied the WiFi trace"
         );
     }
