@@ -9,11 +9,25 @@
 
 use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
 use mpdash::explain::{explain_scenario, ExplainOptions};
+use mpdash::fleet::FleetConfig;
 use mpdash::scenario::Scenario;
 use mpdash::session::{run_batch, Job};
 use mpdash::sim::default_workers;
 use mpdash::timeline::{timeline_scenario, TimelineOptions};
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: mpdash [--chunks] <scenario.json>...
+       mpdash explain <scenario.json> [--chunk N] [--mode LABEL] [--client K]
+       mpdash timeline <scenario.json> [--quick]
+see scenarios/example.json for the document format";
+
+/// The scenario at `path`, or `None` once the reason is on stderr.
+fn load(path: &str) -> Option<Scenario> {
+    Scenario::load(path)
+        .map_err(|e| eprintln!("error: {e}"))
+        .ok()
+}
 
 /// `mpdash explain <scenario.json> [--chunk N] [--mode LABEL]`: replay
 /// one mode with a trace ring attached and print the per-chunk timeline.
@@ -55,19 +69,8 @@ fn run_explain(args: &[String]) -> ExitCode {
         eprintln!("usage: mpdash explain <scenario.json> [--chunk N] [--mode LABEL] [--client K]");
         return ExitCode::from(2);
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scenario = match Scenario::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(scenario) = load(&path) else {
+        return ExitCode::FAILURE;
     };
     match explain_scenario(&scenario, &opts) {
         Ok(report) => {
@@ -100,19 +103,8 @@ fn run_timeline(args: &[String]) -> ExitCode {
         eprintln!("usage: mpdash timeline <scenario.json> [--quick]");
         return ExitCode::from(2);
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scenario = match Scenario::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(scenario) = load(&path) else {
+        return ExitCode::FAILURE;
     };
     match timeline_scenario(&scenario, &opts) {
         Ok(out) => {
@@ -143,19 +135,14 @@ struct FleetRow {
 /// Run a fleet scenario: one co-simulated fleet per mode, each as one
 /// batch job, rendered as a cross-client comparison. Returns false when
 /// any mode failed.
-fn run_fleet_scenario(scenario: &Scenario, path: &str, workers: usize) -> bool {
-    let configs = match scenario.fleet_configs() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: building {path}: {e}");
-            return false;
-        }
-    };
-    let clients = scenario.fleet.as_ref().map(|f| f.clients).unwrap_or(0);
-    println!(
-        "scenario: {} ({path}) — fleet of {clients} clients per mode",
-        scenario.name
-    );
+fn run_fleet_scenario(
+    name: &str,
+    configs: Vec<(String, FleetConfig)>,
+    path: &str,
+    workers: usize,
+) -> bool {
+    let clients = configs.first().map_or(0, |(_, fc)| fc.clients);
+    println!("scenario: {name} ({path}) — fleet of {clients} clients per mode");
     println!(
         "{:<16} {:>10} {:>10} {:>9} {:>13} {:>10} {:>7} {:>9}",
         "mode", "WiFi MB", "LTE MB", "bitrate", "jain(bitrate)", "jain(LTE)", "stalls", "miss rate"
@@ -232,45 +219,33 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("timeline") {
         return run_timeline(&args[1..]);
     }
-    let show_chunks = args.iter().any(|a| a == "--chunks");
-    let mut failed = false;
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let mut show_chunks = false;
+    let mut paths = Vec::new();
+    for arg in &args {
+        match arg.as_str() {
+            "--chunks" => show_chunks = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag '{flag}'\n{USAGE}");
+                return ExitCode::from(2);
+            }
+            path => paths.push(path),
+        }
+    }
     if paths.is_empty() {
-        eprintln!("usage: mpdash [--chunks] <scenario.json>...");
-        eprintln!("       mpdash explain <scenario.json> [--chunk N] [--mode LABEL] [--client K]");
-        eprintln!("       mpdash timeline <scenario.json> [--quick]");
-        eprintln!("see scenarios/example.json for the document format");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
 
+    let mut failed = false;
     for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(scenario) = load(path) else {
+            return ExitCode::FAILURE;
         };
-        let scenario = match Scenario::from_json(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: parsing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if scenario.fleet.is_some() {
-            if !run_fleet_scenario(&scenario, path, workers) {
-                failed = true;
-            }
+        if let Some(fleets) = scenario.fleet_configs() {
+            failed |= !run_fleet_scenario(&scenario.name, fleets, path, workers);
             continue;
         }
-        let configs = match scenario.build() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: building {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let configs = scenario.build();
 
         println!("scenario: {} ({path})", scenario.name);
         println!(

@@ -9,10 +9,12 @@
 
 use crate::scenario::Scenario;
 use mpdash_analysis::{chunk_path_splits, ChunkInfo};
+use mpdash_fleet::BottleneckSummary;
 use mpdash_link::FaultScript;
 use mpdash_session::{
     RingSink, SessionConfig, SessionReport, StreamingSession, TraceEvent, Tracer,
 };
+use mpdash_sim::SimTime;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -100,24 +102,6 @@ pub struct SchedulerPickSummary {
     pub mean_queue_bytes: Option<f64>,
 }
 
-/// Per-bottleneck drop attribution for a fleet replay: how many packets
-/// the shared queue refused (overflow drop-tail) versus how many the
-/// AQM controller dropped early, plus ECN marks delivered in place of
-/// drops. Empty for single-session replays (no shared bottleneck).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BottleneckDrops {
-    /// Discipline label (`fifo`, `fq`, `pie`, `fq_pie`, `codel`).
-    pub discipline: &'static str,
-    /// All drops, any reason.
-    pub dropped_packets: u64,
-    /// Capacity drop-tails (queue full on arrival).
-    pub dropped_overflow_packets: u64,
-    /// AQM early drops (PIE admission, CoDel dequeue).
-    pub dropped_aqm_packets: u64,
-    /// Packets delivered carrying an ECN-style mark instead of a drop.
-    pub marked_packets: u64,
-}
-
 /// One chunk's explained timeline — the structured form the renderer
 /// (and the test suite) consumes.
 #[derive(Clone, Debug)]
@@ -159,9 +143,15 @@ pub struct ChunkExplain {
 }
 
 /// Replay the scenario's chosen mode with a ring sink attached and
-/// return the mode label, the full report, and one [`ChunkExplain`] per
+/// return the mode label, the full report, one [`ChunkExplain`] per
 /// fetched chunk (all of them — filtering to `--chunk` happens at
-/// render time).
+/// render time), and each shared bottleneck's summary.
+///
+/// A fleet scenario co-simulates the whole fleet with the ring
+/// forwarded to exactly one client (`--client`, default 0) and explains
+/// that client's timeline, shared-queue waits included: all N clients
+/// run — contention is the point — but only client `K`'s events and
+/// report are kept. A solo replay has no bottlenecks.
 pub fn explain_run(
     scenario: &Scenario,
     opts: &ExplainOptions,
@@ -170,79 +160,52 @@ pub fn explain_run(
         String,
         SessionReport,
         Vec<ChunkExplain>,
-        Vec<BottleneckDrops>,
+        Vec<BottleneckSummary>,
     ),
     String,
 > {
-    if scenario.fleet.is_some() || opts.client.is_some() {
-        return explain_fleet_run(scenario, opts);
-    }
-    let configs = scenario.build()?;
-    let (label, cfg) = pick_mode(configs, opts.mode.as_deref())?;
-    let ring = Arc::new(RingSink::new(1 << 20));
-    let report = StreamingSession::run(cfg.with_tracer(Tracer::new(ring.clone())));
-    let chunks = explain_chunks(scenario, &report, &ring.events());
-    Ok((label, report, chunks, Vec::new()))
-}
-
-/// Fleet replay: co-simulate the whole fleet with the trace ring
-/// forwarded to exactly one client, and explain that client's timeline
-/// (shared-queue waits included). All N clients run — contention is the
-/// point — but only client `K`'s events and report are kept.
-fn explain_fleet_run(
-    scenario: &Scenario,
-    opts: &ExplainOptions,
-) -> Result<
-    (
-        String,
-        SessionReport,
-        Vec<ChunkExplain>,
-        Vec<BottleneckDrops>,
-    ),
-    String,
-> {
-    let Some(fleet) = &scenario.fleet else {
-        return Err("--client requires a 'fleet' key in the scenario".into());
+    let client = match &scenario.fleet {
+        None if opts.client.is_some() => {
+            return Err("--client requires a 'fleet' key in the scenario".into())
+        }
+        None => None,
+        Some(fleet) => {
+            let k = opts.client.unwrap_or(0);
+            if k >= fleet.clients {
+                return Err(format!(
+                    "--client {k} out of range (the fleet has {} clients)",
+                    fleet.clients
+                ));
+            }
+            Some(k)
+        }
     };
-    let k = opts.client.unwrap_or(0);
-    if k >= fleet.clients {
-        return Err(format!(
-            "--client {k} out of range (the fleet has {} clients)",
-            fleet.clients
-        ));
-    }
-    let configs = scenario.build()?;
-    let (label, cfg) = pick_mode(configs, opts.mode.as_deref())?;
+    let (label, cfg) = pick_mode(scenario.build(), opts.mode.as_deref())?;
     let ring = Arc::new(RingSink::new(1 << 20));
-    let fc = scenario
-        .fleet_config(cfg.with_tracer(Tracer::new(ring.clone())))?
-        .with_trace_client(k);
-    let mut fleet_report = mpdash_fleet::run(&fc);
-    let drops = fleet_report
-        .bottlenecks
-        .iter()
-        .map(|b| BottleneckDrops {
-            discipline: b.discipline,
-            dropped_packets: b.stats.dropped_packets,
-            dropped_overflow_packets: b.stats.dropped_overflow_packets,
-            dropped_aqm_packets: b.stats.dropped_aqm_packets,
-            marked_packets: b.stats.marked_packets,
-        })
-        .collect();
-    let report = fleet_report.sessions.swap_remove(k);
+    let cfg = cfg.with_tracer(Tracer::new(ring.clone()));
+    let (label, report, bottlenecks) = match client {
+        None => (label, StreamingSession::run(cfg), Vec::new()),
+        Some(k) => {
+            let fc = scenario
+                .fleet_config(cfg)
+                .expect("a fleet scenario")
+                .with_trace_client(k);
+            let mut fleet_report = mpdash_fleet::run(&fc);
+            (
+                format!("{label} (client {k}/{})", fc.clients),
+                fleet_report.sessions.swap_remove(k),
+                fleet_report.bottlenecks,
+            )
+        }
+    };
     let chunks = explain_chunks(scenario, &report, &ring.events());
-    Ok((
-        format!("{label} (client {k}/{})", fleet.clients),
-        report,
-        chunks,
-        drops,
-    ))
+    Ok((label, report, chunks, bottlenecks))
 }
 
 /// Replay and render the timeline as text — the `mpdash explain`
 /// subcommand body.
 pub fn explain_scenario(scenario: &Scenario, opts: &ExplainOptions) -> Result<String, String> {
-    let (label, report, chunks, drops) = explain_run(scenario, opts)?;
+    let (label, report, chunks, bottlenecks) = explain_run(scenario, opts)?;
     if let Some(want) = opts.chunk {
         if !chunks.iter().any(|c| c.index == want) {
             return Err(format!(
@@ -252,7 +215,12 @@ pub fn explain_scenario(scenario: &Scenario, opts: &ExplainOptions) -> Result<St
         }
     }
     Ok(render(
-        scenario, &label, &report, &chunks, &drops, opts.chunk,
+        scenario,
+        &label,
+        &report,
+        &chunks,
+        &bottlenecks,
+        opts.chunk,
     ))
 }
 
@@ -281,6 +249,7 @@ fn pick_mode(
 /// declares one, else the bare index (legacy single-origin runs).
 fn origin_name(scenario: &Scenario, origin: usize) -> String {
     scenario
+        .base
         .origins
         .as_ref()
         .and_then(|o| o.origins.get(origin))
@@ -288,16 +257,16 @@ fn origin_name(scenario: &Scenario, origin: usize) -> String {
         .unwrap_or_else(|| format!("#{origin}"))
 }
 
-fn fault_overlaps(
+fn fault_overlaps<'a>(
     path: &'static str,
-    script: &FaultScript,
+    script: Option<&'a FaultScript>,
     started_s: f64,
     completed_s: f64,
-) -> Vec<FaultOverlap> {
+) -> impl Iterator<Item = FaultOverlap> + 'a {
     script
-        .events()
-        .iter()
-        .filter_map(|e| {
+        .into_iter()
+        .flat_map(FaultScript::events)
+        .filter_map(move |e| {
             let start = e.at.as_secs_f64();
             let end = e.end().as_secs_f64();
             let overlap = completed_s.min(end) - started_s.max(start);
@@ -309,16 +278,133 @@ fn fault_overlaps(
                 overlap_s: overlap,
             })
         })
-        .collect()
 }
 
+/// The timeline line for a transport- or lifecycle-level event of chunk
+/// `chunk`'s fetch window; `None` for events the timeline rolls up or
+/// omits, and for request events that belong to another chunk.
+fn transport_line(scenario: &Scenario, chunk: usize, e: &TraceEvent) -> Option<String> {
+    let of_chunk = |c: &usize| *c == chunk;
+    Some(match e {
+        TraceEvent::SchedulerToggle {
+            cell_enabled,
+            wifi_estimate_mbps,
+            ..
+        } => format!(
+            "scheduler: cellular {} (wifi estimate {wifi_estimate_mbps:.2} Mbps)",
+            if *cell_enabled { "on" } else { "off" },
+        ),
+        TraceEvent::SubflowFailed { path } => format!("subflow {path} declared failed"),
+        TraceEvent::SubflowRevived { path } => format!("subflow {path} revived"),
+        TraceEvent::RequestTimeout {
+            chunk,
+            cause,
+            after_s,
+        } if of_chunk(chunk) => format!("request timeout ({cause}) after {after_s:.2}s"),
+        TraceEvent::RequestAbandoned {
+            chunk,
+            received,
+            size,
+        } if of_chunk(chunk) => format!("abandoned mid-body at {received}/{size} B, cancel sent"),
+        TraceEvent::RequestResumed {
+            chunk,
+            from,
+            size,
+            level,
+        } if of_chunk(chunk) => {
+            format!("byte-range resume from byte {from} (target {size} B, level {level})")
+        }
+        TraceEvent::RequestRetried {
+            chunk,
+            attempt,
+            backoff_s,
+        } if of_chunk(chunk) => format!("5xx retry #{attempt} after {backoff_s:.2}s backoff"),
+        TraceEvent::ServerFaultActivated { kind, until_s } => {
+            format!("server fault {kind} active until {until_s:.1}s")
+        }
+        TraceEvent::ServerFaultCleared { kind } => format!("server fault {kind} cleared"),
+        TraceEvent::OriginRouted {
+            chunk,
+            origin,
+            reason,
+        } if of_chunk(chunk) => format!(
+            "routed to origin {} ({reason})",
+            origin_name(scenario, *origin)
+        ),
+        TraceEvent::OriginHealth {
+            origin,
+            state,
+            failures,
+        } => format!(
+            "origin {} breaker -> {state} ({failures} consecutive failures)",
+            origin_name(scenario, *origin)
+        ),
+        TraceEvent::Hedge {
+            chunk,
+            origin,
+            hedge_origin,
+            winner,
+            wasted,
+        } if of_chunk(chunk) => match winner {
+            None => format!(
+                "hedge launched: racing origin {} against stalled {}",
+                origin_name(scenario, *hedge_origin),
+                origin_name(scenario, *origin),
+            ),
+            Some(w) => format!(
+                "hedge resolved: {w} won ({} vs {}), {wasted} B wasted",
+                origin_name(scenario, *origin),
+                origin_name(scenario, *hedge_origin),
+            ),
+        },
+        TraceEvent::HedgeLoserSettled { chunk, wasted } if of_chunk(chunk) => {
+            format!("hedge loser drained: {wasted} B duplicated")
+        }
+        TraceEvent::Cache {
+            chunk,
+            level,
+            outcome,
+            bytes,
+        } if of_chunk(chunk) => match *outcome {
+            "hit" => format!("cache hit: level {level} served from the edge ({bytes} B)"),
+            "miss" => format!("cache miss: level {level} falls through to an origin"),
+            _ => format!("cache insert: level {level} now resident ({bytes} B)"),
+        },
+        _ => return None,
+    })
+}
+
+/// One [`ChunkExplain`] per fetched chunk, in one pass over the
+/// time-ordered ring: each chunk's fetch window is a slice of it.
 fn explain_chunks(
     scenario: &Scenario,
     report: &SessionReport,
-    events: &[(mpdash_sim::SimTime, TraceEvent)],
+    events: &[(SimTime, TraceEvent)],
 ) -> Vec<ChunkExplain> {
+    debug_assert!(
+        events.windows(2).all(|w| w[0].0 <= w[1].0),
+        "the trace ring is time-ordered"
+    );
     let infos: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
     let splits = chunk_path_splits(&report.records, &infos);
+    // Hedge-loser waste by chunk index, whenever it was settled:
+    // resolved races carry the hedge-win overlap; a primary win's loser
+    // settles separately when its cancelled body finishes draining.
+    let mut hedge_wasted = vec![0u64; report.chunks.iter().map(|c| c.index + 1).max().unwrap_or(0)];
+    for (_, e) in events {
+        if let TraceEvent::Hedge {
+            chunk,
+            winner: Some(_),
+            wasted,
+            ..
+        }
+        | TraceEvent::HedgeLoserSettled { chunk, wasted } = e
+        {
+            if let Some(sum) = hedge_wasted.get_mut(*chunk) {
+                *sum += wasted;
+            }
+        }
+    }
     report
         .chunks
         .iter()
@@ -344,164 +430,39 @@ fn explain_chunks(
                     }
                 }
             };
-            let mut faults = fault_overlaps("wifi", &scenario.wifi_faults, started_s, completed_s);
-            faults.extend(fault_overlaps(
-                "cell",
-                &scenario.cell_faults,
-                started_s,
-                completed_s,
-            ));
-            let transport = events
-                .iter()
-                .filter(|(t, _)| {
-                    let s = t.as_secs_f64();
-                    s >= started_s && s <= completed_s
-                })
-                .filter_map(|(t, e)| {
-                    let line = match e {
-                        TraceEvent::SchedulerToggle {
-                            cell_enabled,
-                            wifi_estimate_mbps,
-                            ..
-                        } => Some(format!(
-                            "scheduler: cellular {} (wifi estimate {wifi_estimate_mbps:.2} Mbps)",
-                            if *cell_enabled { "on" } else { "off" },
-                        )),
-                        TraceEvent::SubflowFailed { path } => {
-                            Some(format!("subflow {path} declared failed"))
-                        }
-                        TraceEvent::SubflowRevived { path } => {
-                            Some(format!("subflow {path} revived"))
-                        }
-                        TraceEvent::RequestTimeout {
-                            chunk,
-                            cause,
-                            after_s,
-                        } if *chunk == c.index => {
-                            Some(format!("request timeout ({cause}) after {after_s:.2}s"))
-                        }
-                        TraceEvent::RequestAbandoned {
-                            chunk,
-                            received,
-                            size,
-                        } if *chunk == c.index => Some(format!(
-                            "abandoned mid-body at {received}/{size} B, cancel sent"
-                        )),
-                        TraceEvent::RequestResumed {
-                            chunk,
-                            from,
-                            size,
-                            level,
-                        } if *chunk == c.index => Some(format!(
-                            "byte-range resume from byte {from} (target {size} B, level {level})"
-                        )),
-                        TraceEvent::RequestRetried {
-                            chunk,
-                            attempt,
-                            backoff_s,
-                        } if *chunk == c.index => Some(format!(
-                            "5xx retry #{attempt} after {backoff_s:.2}s backoff"
-                        )),
-                        TraceEvent::ServerFaultActivated { kind, until_s } => {
-                            Some(format!("server fault {kind} active until {until_s:.1}s"))
-                        }
-                        TraceEvent::ServerFaultCleared { kind } => {
-                            Some(format!("server fault {kind} cleared"))
-                        }
-                        TraceEvent::OriginRouted {
-                            chunk,
-                            origin,
-                            reason,
-                        } if *chunk == c.index => Some(format!(
-                            "routed to origin {} ({reason})",
-                            origin_name(scenario, *origin)
-                        )),
-                        TraceEvent::OriginHealth {
-                            origin,
-                            state,
-                            failures,
-                        } => Some(format!(
-                            "origin {} breaker -> {state} ({failures} consecutive failures)",
-                            origin_name(scenario, *origin)
-                        )),
-                        TraceEvent::Hedge {
-                            chunk,
-                            origin,
-                            hedge_origin,
-                            winner,
-                            wasted,
-                        } if *chunk == c.index => Some(match winner {
-                            None => format!(
-                                "hedge launched: racing origin {} against stalled {}",
-                                origin_name(scenario, *hedge_origin),
-                                origin_name(scenario, *origin),
-                            ),
-                            Some(w) => format!(
-                                "hedge resolved: {w} won ({} vs {}), {wasted} B wasted",
-                                origin_name(scenario, *origin),
-                                origin_name(scenario, *hedge_origin),
-                            ),
-                        }),
-                        TraceEvent::HedgeLoserSettled { chunk, wasted } if *chunk == c.index => {
-                            Some(format!("hedge loser drained: {wasted} B duplicated"))
-                        }
-                        TraceEvent::Cache {
-                            chunk,
-                            level,
-                            outcome,
-                            bytes,
-                        } if *chunk == c.index => Some(match *outcome {
-                            "hit" => {
-                                format!("cache hit: level {level} served from the edge ({bytes} B)")
-                            }
-                            "miss" => {
-                                format!("cache miss: level {level} falls through to an origin")
-                            }
-                            _ => format!("cache insert: level {level} now resident ({bytes} B)"),
-                        }),
-                        _ => None,
-                    };
-                    line.map(|l| (t.as_secs_f64(), l))
-                })
+            let base = &scenario.base;
+            let faults = fault_overlaps("wifi", base.wifi.faults.as_ref(), started_s, completed_s)
+                .chain(fault_overlaps(
+                    "cell",
+                    base.cell.faults.as_ref(),
+                    started_s,
+                    completed_s,
+                ))
                 .collect();
-            // Per-packet shared-queue waits inside the window, rolled
-            // up per path.
-            let mut agg: [(u64, f64, f64); 2] = [(0, 0.0, 0.0); 2];
-            for (t, e) in events {
-                let s = t.as_secs_f64();
-                if let TraceEvent::SharedQueueWait { path, waited_s, .. } = e {
-                    if s >= started_s && s <= completed_s && *path < agg.len() {
-                        let (n, sum, max) = &mut agg[*path];
+            // The fetch window, both ends inclusive: an event at an
+            // instant two chunks share belongs to both.
+            let window = &events[events.partition_point(|(t, _)| *t < c.started)
+                ..events.partition_point(|(t, _)| *t <= c.completed)];
+            let mut transport = Vec::new();
+            // Per-packet shared-queue waits and scheduler decisions
+            // inside the window, rolled up per path: (waits, sum, max)
+            // and (picks, bytes, srtt sum/count, queue-depth sum/count).
+            let mut waits: [(u64, f64, f64); 2] = [(0, 0.0, 0.0); 2];
+            let mut pick_agg: [(u64, u64, f64, u64, f64, u64); 2] = Default::default();
+            for (t, e) in window {
+                match e {
+                    TraceEvent::SharedQueueWait { path, waited_s, .. } if *path < waits.len() => {
+                        let (n, sum, max) = &mut waits[*path];
                         *n += 1;
                         *sum += waited_s * 1e3;
                         *max = max.max(waited_s * 1e3);
                     }
-                }
-            }
-            let queue = agg
-                .iter()
-                .enumerate()
-                .filter(|(_, (n, _, _))| *n > 0)
-                .map(|(path, (n, sum, max))| QueueWaitSummary {
-                    path,
-                    waits: *n,
-                    mean_ms: sum / *n as f64,
-                    max_ms: *max,
-                })
-                .collect();
-            // Scheduler decisions inside the window, rolled up per path:
-            // (picks, bytes, srtt sum/count, queue-depth sum/count).
-            let mut pick_agg: [(u64, u64, f64, u64, f64, u64); 2] = Default::default();
-            for (t, e) in events {
-                let s = t.as_secs_f64();
-                if let TraceEvent::SchedulerPick {
-                    path,
-                    len,
-                    srtt_ms,
-                    queue_bytes,
-                } = e
-                {
-                    if s >= started_s && s <= completed_s && *path < pick_agg.len() {
+                    TraceEvent::SchedulerPick {
+                        path,
+                        len,
+                        srtt_ms,
+                        queue_bytes,
+                    } if *path < pick_agg.len() => {
                         let (n, bytes, srtt_sum, srtt_n, q_sum, q_n) = &mut pick_agg[*path];
                         *n += 1;
                         *bytes += len;
@@ -514,8 +475,21 @@ fn explain_chunks(
                             *q_n += 1;
                         }
                     }
+                    e => transport
+                        .extend(transport_line(scenario, c.index, e).map(|l| (t.as_secs_f64(), l))),
                 }
             }
+            let queue = waits
+                .iter()
+                .enumerate()
+                .filter(|(_, (n, _, _))| *n > 0)
+                .map(|(path, (n, sum, max))| QueueWaitSummary {
+                    path,
+                    waits: *n,
+                    mean_ms: sum / *n as f64,
+                    max_ms: *max,
+                })
+                .collect();
             let picks = pick_agg
                 .iter()
                 .enumerate()
@@ -530,24 +504,6 @@ fn explain_chunks(
                     },
                 )
                 .collect();
-            // Hedge-loser waste: resolved races carry the hedge-win
-            // overlap; a primary win's loser settles separately when
-            // its cancelled body finishes draining.
-            let hedge_wasted = events
-                .iter()
-                .filter_map(|(_, e)| match e {
-                    TraceEvent::Hedge {
-                        chunk,
-                        winner: Some(_),
-                        wasted,
-                        ..
-                    } if *chunk == c.index => Some(*wasted),
-                    TraceEvent::HedgeLoserSettled { chunk, wasted } if *chunk == c.index => {
-                        Some(*wasted)
-                    }
-                    _ => None,
-                })
-                .sum();
             ChunkExplain {
                 index: c.index,
                 level: c.level,
@@ -561,7 +517,7 @@ fn explain_chunks(
                 transport,
                 queue,
                 picks,
-                hedge_wasted,
+                hedge_wasted: hedge_wasted[c.index],
             }
         })
         .collect()
@@ -572,7 +528,7 @@ fn render(
     label: &str,
     report: &SessionReport,
     chunks: &[ChunkExplain],
-    drops: &[BottleneckDrops],
+    bottlenecks: &[BottleneckSummary],
     only: Option<usize>,
 ) -> String {
     let mut out = String::new();
@@ -634,19 +590,24 @@ fn render(
     // Fleet replays: attribute each shared bottleneck's losses by
     // reason — a drop-tail overflow and an AQM early drop call for
     // opposite remedies (more buffer vs an earlier controller).
-    for (i, d) in drops.iter().enumerate() {
+    for (i, b) in bottlenecks.iter().enumerate() {
+        let s = &b.stats;
         let mut line = format!(
             "bottleneck {i} ({}): {} dropped ({} overflow, {} aqm-early)",
-            d.discipline, d.dropped_packets, d.dropped_overflow_packets, d.dropped_aqm_packets,
+            b.discipline, s.dropped_packets, s.dropped_overflow_packets, s.dropped_aqm_packets,
         );
-        if d.marked_packets > 0 {
-            let _ = write!(line, ", {} ecn-marked", d.marked_packets);
+        if s.marked_packets > 0 {
+            let _ = write!(line, ", {} ecn-marked", s.marked_packets);
         }
         let _ = writeln!(out, "{line}");
     }
-    let n_faults = scenario.wifi_faults.events().len()
-        + scenario.cell_faults.events().len()
-        + scenario.server_faults.events().len();
+    let base = &scenario.base;
+    let n_faults = [&base.wifi.faults, &base.cell.faults]
+        .into_iter()
+        .flatten()
+        .map(|s| s.events().len())
+        .sum::<usize>()
+        + base.server_faults.events().len();
     let _ = writeln!(out, "injected faults: {n_faults}");
     for c in chunks {
         if only.is_some_and(|i| i != c.index) {
@@ -735,6 +696,7 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_sim::SimDuration;
 
     /// A tight session built to miss deadlines inside the injected WiFi
     /// disassociation: cellular is far too slow to hold the window alone.
@@ -900,11 +862,11 @@ mod tests {
     #[test]
     fn defaults_to_the_first_mpdash_mode() {
         let sc = Scenario::from_json(FAULTED).unwrap();
-        let configs = sc.build().unwrap();
+        let configs = sc.build();
         let (label, cfg) = pick_mode(configs, None).unwrap();
         assert_eq!(label, "Rate");
         assert!(cfg.mode.is_mpdash());
-        let err = pick_mode(sc.build().unwrap(), Some("Duration")).unwrap_err();
+        let err = pick_mode(sc.build(), Some("Duration")).unwrap_err();
         assert!(err.contains("no mode labelled"), "{err}");
     }
 
@@ -934,6 +896,42 @@ mod tests {
             .find(|c| c.completed_s < 14.0)
             .expect("an early chunk");
         assert!(clean.faults.is_empty());
+    }
+
+    /// A fetch window is closed at both ends: an event at the instant one
+    /// chunk completes and the next starts belongs to both, and one a
+    /// nanosecond past a window that nothing follows belongs to none.
+    #[test]
+    fn an_event_at_a_shared_chunk_boundary_lands_in_both_chunks() {
+        let sc = Scenario::from_json(FAULTED).unwrap();
+        let (_, report, ..) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let pairs = || report.chunks.windows(2);
+        let shared = pairs()
+            .find(|w| w[0].completed == w[1].started)
+            .expect("back-to-back fetches share an instant");
+        let gap = pairs()
+            .find(|w| w[0].completed + SimDuration::from_nanos(1) < w[1].started)
+            .expect("a full buffer leaves a gap between fetches");
+        let mut events = vec![
+            (shared[0].completed, TraceEvent::SubflowFailed { path: 0 }),
+            (
+                gap[0].completed + SimDuration::from_nanos(1),
+                TraceEvent::SubflowRevived { path: 0 },
+            ),
+        ];
+        events.sort_by_key(|(t, _)| *t);
+        let chunks = explain_chunks(&sc, &report, &events);
+        let seen: Vec<(usize, &str)> = chunks
+            .iter()
+            .flat_map(|c| c.transport.iter().map(|(_, line)| (c.index, line.as_str())))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (shared[0].index, "subflow 0 declared failed"),
+                (shared[1].index, "subflow 0 declared failed"),
+            ]
+        );
     }
 
     #[test]

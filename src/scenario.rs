@@ -11,8 +11,9 @@
 //! types: every value is range-checked where it is read, every error
 //! names the full path of the offending key (`fleet.shared[1].quantum`),
 //! and a key that is repeated, misspelt, or not taken by the level it
-//! sits in is an error rather than a silent default. A [`Scenario`] that
-//! parsed can fail to build only on trace-file I/O.
+//! sits in is an error rather than a silent default. A trace file is
+//! read and checked while parsing, so a document that parses always
+//! builds; a missing key takes the library's default.
 
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
@@ -21,7 +22,7 @@ use mpdash_fleet::{
 };
 use mpdash_http::{OriginPoolConfig, OriginSpec};
 use mpdash_link::{
-    AqmConfig, BandwidthProfile, FaultScript, GilbertElliott, LinkConfig, PathId, QueueDiscipline,
+    AqmConfig, BandwidthProfile, FaultScript, GilbertElliott, PathId, QueueDiscipline,
     SharedBottleneckConfig,
 };
 use mpdash_mptcp::SchedulerSpec;
@@ -293,57 +294,38 @@ fn path_or_root(path: &str) -> &str {
     }
 }
 
-/// A network path's bandwidth.
-#[derive(Debug)]
-pub enum BandwidthSpec {
-    /// Decoded in place: `{"constant": mbps}`, or a seeded AR(1) trace
-    /// `{"synthetic": {"mean_mbps", "sigma", "seed"}}` (σ as a fraction
-    /// of the mean).
-    Profile(BandwidthProfile),
-    /// `{"file": path}`: an `mpdash-trace` JSON profile, loaded at build
-    /// time.
-    File(String),
-}
-
-impl BandwidthSpec {
-    fn decode(j: &Json, at: &str) -> Result<Self, String> {
-        let (tag, payload, at) = variant(j, at)?;
-        match tag {
-            // Zero is a legitimate dead path.
-            "constant" => Ok(BandwidthSpec::Profile(BandwidthProfile::constant_mbps(
-                finite(payload, &at, NON_NEGATIVE)?,
-            ))),
-            "synthetic" => {
-                let mut o = Obj::new(payload, &at)?;
-                let spec = SynthSpec::new(
-                    o.f64("mean_mbps", POSITIVE)?,
-                    o.f64("sigma", NON_NEGATIVE)?,
-                    o.uint("seed", 0, u64::MAX)?,
-                );
-                o.finish()?;
-                Ok(BandwidthSpec::Profile(spec.profile()))
-            }
-            "file" => Ok(BandwidthSpec::File(text(payload, &at)?.to_string())),
-            other => Err(unknown(
-                &at,
-                "bandwidth kind",
-                other,
-                "constant, synthetic, file",
-            )),
+/// A network path's bandwidth: `{"constant": mbps}`, a seeded AR(1)
+/// trace `{"synthetic": {"mean_mbps", "sigma", "seed"}}` (σ as a
+/// fraction of the mean), or `{"file": path}`, an `mpdash-trace` JSON
+/// profile that is read and checked here, so a document that parses
+/// always builds.
+fn decode_bandwidth(j: &Json, at: &str) -> Result<BandwidthProfile, String> {
+    let (tag, payload, at) = variant(j, at)?;
+    match tag {
+        // Zero is a legitimate dead path.
+        "constant" => finite(payload, &at, NON_NEGATIVE).map(BandwidthProfile::constant_mbps),
+        "synthetic" => {
+            let mut o = Obj::new(payload, &at)?;
+            let spec = SynthSpec::new(
+                o.f64("mean_mbps", POSITIVE)?,
+                o.f64("sigma", NON_NEGATIVE)?,
+                o.uint("seed", 0, u64::MAX)?,
+            );
+            o.finish()?;
+            Ok(spec.profile())
         }
-    }
-
-    fn profile(&self) -> Result<BandwidthProfile, String> {
-        match self {
-            BandwidthSpec::Profile(profile) => Ok(profile.clone()),
-            BandwidthSpec::File(path) => {
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-                let spec =
-                    ProfileSpec::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                spec.to_profile().map_err(|e| format!("{path}: {e}"))
-            }
+        "file" => {
+            let path = text(payload, &at)?;
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let spec = ProfileSpec::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+            spec.to_profile().map_err(|e| format!("{path}: {e}"))
         }
+        other => Err(unknown(
+            &at,
+            "bandwidth kind",
+            other,
+            "constant, synthetic, file",
+        )),
     }
 }
 
@@ -726,58 +708,35 @@ fn decode_overload(j: &Json, at: &str) -> Result<OverloadPolicy, String> {
     Ok(policy)
 }
 
-/// Multi-client co-simulation topology (the optional `fleet` key): N
-/// copies of the session, staggered starts, subflows subscribed to
-/// shared bottlenecks instead of private links.
-#[derive(Debug)]
-pub struct FleetSpec {
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Start-time spacing between consecutive clients (`stagger_s`,
-    /// default 0.5).
-    pub stagger: SimDuration,
-    /// Extra one-way delay per client index (`rtt_skew_ms`, default 0):
-    /// client `k` adds `k * rtt_skew` on both private links.
-    pub rtt_skew: SimDuration,
-    /// Base fleet seed (default 1).
-    pub seed: u64,
-    /// Shared bottlenecks; may be empty (private links, a
-    /// no-contention control fleet).
-    pub shared: Vec<SharedLinkSpec>,
-    /// Seeded arrivals/departures; when present the fixed stagger is
-    /// superseded by the churn plan.
-    pub churn: Option<ChurnSpec>,
-    /// Correlated fault domains; may be empty.
-    pub fault_domains: Vec<FaultDomainSpec>,
-    /// Overload shedding; absent admits every arrival.
-    pub overload: Option<OverloadPolicy>,
-    /// Arm (or disarm) the runtime invariant watchdog for this fleet;
-    /// absent keeps the fleet crate's default.
-    pub watchdog: Option<bool>,
-}
-
-impl FleetSpec {
-    fn decode(j: &Json, at: &str) -> Result<Self, String> {
-        let mut o = Obj::new(j, at)?;
-        let clients = o.uint("clients", 1, FleetConfig::MAX_CLIENTS as u64)?;
-        let fleet = FleetSpec {
-            clients,
-            stagger: o
-                .opt_secs("stagger_s", NON_NEGATIVE)?
-                .unwrap_or(SimDuration::from_millis(500)),
-            rtt_skew: o.opt_millis("rtt_skew_ms", 0)?.unwrap_or(SimDuration::ZERO),
-            seed: o.opt_uint("seed", 0, u64::MAX)?.unwrap_or(1),
-            shared: o.list("shared", false, decode_shared)?,
-            churn: o.opt("churn", decode_churn)?,
-            fault_domains: o.list("fault_domains", false, |j, at| {
-                decode_fault_domain(j, at, clients)
-            })?,
-            overload: o.opt("overload", decode_overload)?,
-            watchdog: o.opt_bool("watchdog")?,
-        };
-        o.finish()?;
-        Ok(fleet)
+/// Multi-client co-simulation topology (the optional `fleet` key):
+/// `clients` copies of `base` under [`FleetConfig::new`], whose defaults
+/// each other key overrides only when present. No `shared` bottleneck
+/// means private links (a no-contention control fleet); `churn`
+/// supersedes the stagger.
+fn decode_fleet(j: &Json, at: &str, base: &SessionConfig) -> Result<FleetConfig, String> {
+    let mut o = Obj::new(j, at)?;
+    let clients = o.uint("clients", 1, FleetConfig::MAX_CLIENTS as u64)?;
+    let mut fleet = FleetConfig::new(base.clone(), clients);
+    if let Some(stagger) = o.opt_secs("stagger_s", NON_NEGATIVE)? {
+        fleet.stagger = stagger;
     }
+    if let Some(skew) = o.opt_millis("rtt_skew_ms", 0)? {
+        fleet.rtt_skew = skew;
+    }
+    if let Some(seed) = o.opt_uint("seed", 0, u64::MAX)? {
+        fleet.seed = seed;
+    }
+    fleet.shared.extend(o.list("shared", false, decode_shared)?);
+    fleet.churn = o.opt("churn", decode_churn)?.or(fleet.churn);
+    fleet
+        .fault_domains
+        .extend(o.list("fault_domains", false, |j, at| {
+            decode_fault_domain(j, at, clients)
+        })?);
+    fleet.overload = o.opt("overload", decode_overload)?.or(fleet.overload);
+    fleet.watchdog = o.opt_bool("watchdog")?.or(fleet.watchdog);
+    o.finish()?;
+    Ok(fleet)
 }
 
 /// Multi-origin serving policy (the optional `origins` key): `pool[]`
@@ -798,15 +757,11 @@ fn decode_origins(j: &Json, at: &str) -> Result<OriginPoolConfig, String> {
                 entry.at("id")
             ));
         }
-        pool.push(
-            OriginSpec::new(id)
-                .with_rtt_penalty(
-                    entry
-                        .opt_millis("rtt_penalty_ms", 0)?
-                        .unwrap_or(SimDuration::ZERO),
-                )
-                .with_faults(server_faults(&mut entry, "faults")?),
-        );
+        let mut origin = OriginSpec::new(id);
+        if let Some(penalty) = entry.opt_millis("rtt_penalty_ms", 0)? {
+            origin = origin.with_rtt_penalty(penalty);
+        }
+        pool.push(origin.with_faults(server_faults(&mut entry, "faults")?));
         entry.finish()?;
     }
     let mut config = OriginPoolConfig::new(pool);
@@ -858,101 +813,79 @@ fn decode_telemetry(j: &Json, at: &str) -> Result<TelemetrySpec, String> {
     Ok(TelemetrySpec::new(epoch))
 }
 
-/// A complete scenario document.
+/// A complete scenario document, decoded onto the library's own
+/// configs: what the document leaves out keeps the library's default.
 #[derive(Debug)]
 pub struct Scenario {
     /// Scenario title for the report.
     pub name: String,
-    /// The video to stream (`video`).
-    pub video: Video,
-    /// WiFi bandwidth.
-    pub wifi: BandwidthSpec,
-    /// Cellular bandwidth.
-    pub cell: BandwidthSpec,
-    /// WiFi round-trip time (`wifi_rtt_ms`, default 50).
-    pub wifi_rtt: SimDuration,
-    /// Cellular round-trip time (`cell_rtt_ms`, default 55).
-    pub cell_rtt: SimDuration,
-    /// Rate-adaptation algorithm: `gpac`, `festive`, `bba`, `bba_c`,
-    /// `mpc`.
-    pub abr: AbrKind,
-    /// Player buffer capacity (`buffer_secs`, default 40).
-    pub buffer: SimDuration,
+    /// Every session key (RTTs, buffer, fault scripts, lifecycle,
+    /// origins, telemetry) over `SessionConfig::controlled((wifi, cell),
+    /// abr, _).with_video(video)`. Its `mode` and `scheduler` are
+    /// [`Scenario::build`]'s to set.
+    pub base: SessionConfig,
     /// Transport policies to compare, in order.
     pub modes: Vec<ModeSpec>,
-    /// Faults injected on the WiFi link (empty when the document has no
-    /// `wifi_faults` array). The `explain` timeline reads these windows
-    /// back to attribute deadline misses.
-    pub wifi_faults: FaultScript,
-    /// Faults injected on the cellular link.
-    pub cell_faults: FaultScript,
-    /// Faults injected at the origin server (empty when the document has
-    /// no `server_faults` array): 5xx bursts, stalled response bodies,
-    /// slow first bytes.
-    pub server_faults: ServerFaultScript,
-    /// Request-lifecycle policy: `wait_forever` (default), `retry_only`,
-    /// or `deadline_aware`.
-    pub lifecycle: LifecyclePolicy,
-    /// Optional multi-client fleet topology. When present the runner
-    /// co-simulates `fleet.clients` sessions per mode instead of one.
-    pub fleet: Option<FleetSpec>,
-    /// Optional multi-origin pool. When present every mode fetches
-    /// through the pool's routing, breakers, and hedging instead of the
-    /// single implicit origin, and every request is served by a pool
-    /// entry — so a document that also carries a non-empty
-    /// `server_faults` (top-level or in a fault domain) is rejected:
-    /// per-origin faults go on `origins.pool[i].faults`.
-    pub origins: Option<OriginPoolConfig>,
     /// Optional shared segment cache in front of the origins. A solo
     /// session gets a fresh cache per mode; in fleet runs every client
     /// shares one cache built fresh per run.
     pub cache: Option<FleetCacheSpec>,
-    /// Optional epoch telemetry (`{"telemetry": {"epoch_s": 2.0}}`):
-    /// every session, shared bottleneck, and fleet loop rolls its
-    /// counters into fixed virtual-time epochs. Observe-only — the
-    /// `exp` artifacts are byte-identical with or without it; the
-    /// series feed `mpdash timeline`.
-    pub telemetry: Option<TelemetrySpec>,
+    /// Optional multi-client fleet topology, with `base` as its template
+    /// and `cache` as its cache. When present the runner co-simulates
+    /// `clients` sessions per mode instead of one.
+    pub fleet: Option<FleetConfig>,
 }
 
 impl Scenario {
     /// Parse a scenario document.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        // Keys are decoded in one fixed order, so the first error a
+        // document reports never depends on how its defaults are kept.
         let mut o = Obj::new(&doc, "")?;
-        let scenario = Scenario {
-            name: o.str("name")?.to_string(),
-            video: o.req("video", decode_video)?,
-            wifi: o.req("wifi", BandwidthSpec::decode)?,
-            cell: o.req("cell", BandwidthSpec::decode)?,
-            wifi_rtt: o
-                .opt_millis("wifi_rtt_ms", 1)?
-                .unwrap_or(SimDuration::from_millis(50)),
-            cell_rtt: o
-                .opt_millis("cell_rtt_ms", 1)?
-                .unwrap_or(SimDuration::from_millis(55)),
-            abr: o.req("abr", decode_abr)?,
-            buffer: SimDuration::from_secs(o.opt_uint("buffer_secs", 1, MAX_SECS)?.unwrap_or(40)),
-            modes: o.list("modes", true, ModeSpec::decode)?,
-            wifi_faults: link_faults(&mut o, "wifi_faults")?,
-            cell_faults: link_faults(&mut o, "cell_faults")?,
-            server_faults: server_faults(&mut o, "server_faults")?,
-            lifecycle: o
-                .opt("lifecycle", decode_lifecycle)?
-                .unwrap_or_else(LifecyclePolicy::wait_forever),
-            fleet: o.opt("fleet", FleetSpec::decode)?,
-            origins: o.opt("origins", decode_origins)?,
-            cache: o.opt("cache", decode_cache)?,
-            telemetry: o.opt("telemetry", decode_telemetry)?,
-        };
+        let name = o.str("name")?.to_string();
+        let video = o.req("video", decode_video)?;
+        let wifi = o.req("wifi", decode_bandwidth)?;
+        let cell = o.req("cell", decode_bandwidth)?;
+        let wifi_rtt = o.opt_millis("wifi_rtt_ms", 1)?;
+        let cell_rtt = o.opt_millis("cell_rtt_ms", 1)?;
+        let abr = o.req("abr", decode_abr)?;
+        // The mode is a placeholder: `build` sets each declared one.
+        let mut base =
+            SessionConfig::controlled((wifi, cell), abr, TransportMode::Vanilla).with_video(video);
+        // One-way delay is half the RTT; in nanoseconds, so odd RTTs
+        // survive the halving exactly.
+        for (link, rtt) in [(&mut base.wifi, wifi_rtt), (&mut base.cell, cell_rtt)] {
+            link.delay = rtt.map_or(link.delay, |rtt| rtt / 2);
+        }
+        if let Some(secs) = o.opt_uint("buffer_secs", 1, MAX_SECS)? {
+            base.buffer_capacity = SimDuration::from_secs(secs);
+        }
+        let modes = o.list("modes", true, ModeSpec::decode)?;
+        let wifi = link_faults(&mut o, "wifi_faults")?;
+        let cell = link_faults(&mut o, "cell_faults")?;
+        for (link, script) in [(&mut base.wifi, wifi), (&mut base.cell, cell)] {
+            if !script.is_empty() {
+                link.faults = Some(script);
+            }
+        }
+        // An absent array is the empty script, a healthy server.
+        base.server_faults = server_faults(&mut o, "server_faults")?;
+        if let Some(policy) = o.opt("lifecycle", decode_lifecycle)? {
+            base = base.with_lifecycle(policy);
+        }
+        let mut fleet = o.opt("fleet", |j, at| decode_fleet(j, at, &base))?;
+        base.origins = o.opt("origins", decode_origins)?.or(base.origins);
+        let cache = o.opt("cache", decode_cache)?;
+        base.telemetry = o.opt("telemetry", decode_telemetry)?.or(base.telemetry);
         o.finish()?;
-        if scenario.origins.is_some() {
-            let domains = scenario.fleet.iter().flat_map(|f| &f.fault_domains);
+        if base.origins.is_some() {
+            let domains = fleet.iter().flat_map(|f| &f.fault_domains);
             let in_domain = domains
                 .enumerate()
                 .find(|(_, d)| !d.server.is_empty())
                 .map(|(i, _)| format!("fleet.fault_domains[{i}].server_faults"));
-            let top_level = (!scenario.server_faults.is_empty()).then(|| "server_faults".into());
+            let top_level = (!base.server_faults.is_empty()).then(|| "server_faults".into());
             if let Some(path) = top_level.or(in_domain) {
                 return Err(format!(
                     "{path}: never applies once `origins` is set (every request is served \
@@ -960,95 +893,65 @@ impl Scenario {
                 ));
             }
         }
-        Ok(scenario)
-    }
-
-    /// Build the session configs, one per mode, in declaration order.
-    /// Fails only when a `{"file": ...}` bandwidth cannot be loaded.
-    pub fn build(&self) -> Result<Vec<(String, SessionConfig)>, String> {
-        let wifi_profile = self.wifi.profile()?;
-        let cell_profile = self.cell.profile()?;
-        let mean = |profile: &BandwidthProfile| profile.mean_rate(SimDuration::from_secs(120));
-        let priors = (mean(&wifi_profile), mean(&cell_profile));
-        let mut out = Vec::new();
-        for mode in &self.modes {
-            // One-way delay is half the RTT; in nanoseconds, so odd RTTs
-            // (the testbed's 55 ms LTE) survive the halving exactly.
-            let wifi =
-                LinkConfig::constant(1.0, self.wifi_rtt / 2).with_profile(wifi_profile.clone());
-            let cell =
-                LinkConfig::constant(1.0, self.cell_rtt / 2).with_profile(cell_profile.clone());
-            let mut cfg = SessionConfig::controlled(
-                (wifi_profile.clone(), cell_profile.clone()),
-                self.abr,
-                mode.mode,
-            )
-            .with_video(self.video.clone());
-            cfg.wifi = wifi;
-            cfg.cell = cell;
-            cfg.buffer_capacity = self.buffer;
-            cfg.priors = priors;
-            if !self.wifi_faults.is_empty() {
-                cfg = cfg.with_wifi_faults(self.wifi_faults.clone());
-            }
-            if !self.cell_faults.is_empty() {
-                cfg = cfg.with_cell_faults(self.cell_faults.clone());
-            }
-            if !self.server_faults.is_empty() {
-                cfg = cfg.with_server_faults(self.server_faults.clone());
-            }
-            cfg = cfg.with_lifecycle(self.lifecycle);
-            if let Some(origins) = &self.origins {
-                cfg = cfg.with_origins(origins.clone());
-            }
-            if let Some(cache) = self.cache {
-                // A fresh cache per mode: compared policies must not
-                // warm each other's working set.
-                cfg = cfg.with_cache(
-                    SharedSegmentCache::new(cache.capacity_bytes).with_edge_delay(cache.edge_delay),
-                );
-            }
-            if let Some(sched) = mode.scheduler {
-                cfg = cfg.with_scheduler(sched);
-            }
-            if let Some(t) = self.telemetry {
-                cfg = cfg.with_telemetry(t);
-            }
-            out.push((mode.label(), cfg));
+        if let Some(fleet) = &mut fleet {
+            fleet.base = base.clone();
+            fleet.cache = cache.or(fleet.cache);
         }
-        Ok(out)
+        Ok(Scenario {
+            name,
+            base,
+            modes,
+            cache,
+            fleet,
+        })
     }
 
-    /// Wrap one built mode config in the document's fleet topology.
-    /// Errors when the document has no `fleet` key.
-    pub fn fleet_config(&self, mut base: SessionConfig) -> Result<FleetConfig, String> {
-        let Some(fleet) = &self.fleet else {
-            return Err("scenario has no 'fleet' key".into());
-        };
-        // In a fleet the cache is per *run*, not per mode config: hand
-        // the fleet the spec and drop the session-level handle, so two
+    /// Read and parse the document at `path`; the error says which of
+    /// the two failed and names the file.
+    pub fn load(path: &str) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        Scenario::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))
+    }
+
+    /// The session configs, one per mode, in declaration order: `base`
+    /// with the mode, its scheduler override and, when the document has
+    /// a `cache` key, a fresh cache per mode — compared policies must not
+    /// warm each other's working set.
+    pub fn build(&self) -> Vec<(String, SessionConfig)> {
+        self.modes
+            .iter()
+            .map(|spec| {
+                let mut cfg = self.base.clone();
+                cfg.mode = spec.mode;
+                cfg.scheduler = spec.scheduler.unwrap_or(cfg.scheduler);
+                cfg.cache = self.cache.map(|c| {
+                    SharedSegmentCache::new(c.capacity_bytes).with_edge_delay(c.edge_delay)
+                });
+                (spec.label(), cfg)
+            })
+            .collect()
+    }
+
+    /// The document's fleet with one built mode config as every client's
+    /// template; `None` when the document has no `fleet` key.
+    pub fn fleet_config(&self, cfg: SessionConfig) -> Option<FleetConfig> {
+        let mut fleet = self.fleet.clone()?;
+        fleet.base = cfg;
+        // In a fleet the cache is per *run*, not per mode config: the
+        // fleet holds the spec, so drop the session-level handle and two
         // runs of the same FleetConfig never share warm state.
-        if self.cache.is_some() {
-            base.cache = None;
+        if fleet.cache.is_some() {
+            fleet.base.cache = None;
         }
-        let mut fc = FleetConfig::new(base, fleet.clients)
-            .with_stagger(fleet.stagger)
-            .with_rtt_skew(fleet.rtt_skew)
-            .with_seed(fleet.seed);
-        fc.cache = self.cache;
-        fc.shared = fleet.shared.clone();
-        fc.churn = fleet.churn;
-        fc.fault_domains = fleet.fault_domains.clone();
-        fc.overload = fleet.overload;
-        fc.watchdog = fleet.watchdog;
-        Ok(fc)
+        Some(fleet)
     }
 
-    /// Build the fleet configs, one per mode, in declaration order.
-    pub fn fleet_configs(&self) -> Result<Vec<(String, FleetConfig)>, String> {
-        self.build()?
+    /// The fleet configs, one per mode, in declaration order; `None`
+    /// when the document has no `fleet` key.
+    pub fn fleet_configs(&self) -> Option<Vec<(String, FleetConfig)>> {
+        self.build()
             .into_iter()
-            .map(|(label, cfg)| Ok((label, self.fleet_config(cfg)?)))
+            .map(|(label, cfg)| Some((label, self.fleet_config(cfg)?)))
             .collect()
     }
 }
@@ -1070,8 +973,12 @@ mod tests {
     fn parses_and_builds() {
         let sc = Scenario::from_json(DOC).unwrap();
         assert_eq!(sc.name, "demo");
-        assert_eq!(sc.wifi_rtt, SimDuration::from_millis(50), "default applied");
-        let configs = sc.build().unwrap();
+        assert_eq!(
+            sc.base.wifi.delay * 2,
+            SimDuration::from_millis(50),
+            "default applied"
+        );
+        let configs = sc.build();
         assert_eq!(configs.len(), 3);
         assert_eq!(configs[0].0, "Baseline");
         assert_eq!(configs[1].0, "Rate");
@@ -1079,6 +986,43 @@ mod tests {
         assert_eq!(configs[0].1.video.n_chunks(), 150);
         // Priors track the declared bandwidths.
         assert!((configs[0].1.priors.0.as_mbps_f64() - 3.8).abs() < 0.4);
+    }
+
+    /// The scenario side keeps no default of its own: an absent key is
+    /// whatever `controlled` and `FleetConfig::new` set.
+    #[test]
+    fn a_document_that_omits_every_optional_key_is_the_library_default() {
+        let doc = r#"{
+            "name": "minimal",
+            "video": {"named": "tears_of_steel"},
+            "wifi": {"constant": 3.8},
+            "cell": {"constant": 3.0},
+            "abr": "bba",
+            "modes": ["mpdash_duration"],
+            "fleet": {"clients": 4}
+        }"#;
+        let library = SessionConfig::controlled(
+            (
+                BandwidthProfile::constant_mbps(3.8),
+                BandwidthProfile::constant_mbps(3.0),
+            ),
+            AbrKind::Bba,
+            TransportMode::mpdash_duration_based(),
+        )
+        .with_video(Video::tears_of_steel());
+        let sc = Scenario::from_json(doc).unwrap();
+        let [(label, cfg)] = &sc.build()[..] else {
+            panic!("one mode, one config")
+        };
+        assert_eq!(label, "Duration");
+        assert_eq!(format!("{cfg:?}"), format!("{library:?}"));
+        let [(_, fleet)] = &sc.fleet_configs().unwrap()[..] else {
+            panic!("one mode, one fleet")
+        };
+        assert_eq!(
+            format!("{fleet:?}"),
+            format!("{:?}", FleetConfig::new(library, 4))
+        );
     }
 
     #[test]
@@ -1188,7 +1132,7 @@ mod tests {
         assert_eq!(sc.modes[1].scheduler, Some(SchedulerSpec::QAware));
         assert_eq!(sc.modes[2].scheduler, Some(SchedulerSpec::RoundRobin));
         assert_eq!(sc.modes[3].scheduler, None, "long form without the key");
-        let configs = sc.build().unwrap();
+        let configs = sc.build();
         assert_eq!(configs[0].1.scheduler, SchedulerSpec::MinRtt, "default");
         assert_eq!(configs[1].1.scheduler, SchedulerSpec::QAware);
         assert_eq!(configs[2].1.scheduler, SchedulerSpec::RoundRobin);
@@ -1283,12 +1227,20 @@ mod tests {
             1,
         );
         let sc = Scenario::from_json(&doc).unwrap();
-        assert_eq!(sc.wifi_faults.events().len(), 2);
-        assert_eq!(sc.cell_faults.events().len(), 1);
-        assert_eq!(sc.wifi_faults.events()[0].kind.name(), "rate_collapse");
+        assert_eq!(sc.base.wifi.faults.as_ref().unwrap().events().len(), 2);
+        assert_eq!(sc.base.cell.faults.as_ref().unwrap().events().len(), 1);
+        assert_eq!(
+            sc.base.wifi.faults.as_ref().unwrap().events()[0]
+                .kind
+                .name(),
+            "rate_collapse"
+        );
         // The disassociation window includes the reassociation tail.
-        assert_eq!(sc.wifi_faults.events()[1].end(), SimTime::from_secs(102));
-        let configs = sc.build().unwrap();
+        assert_eq!(
+            sc.base.wifi.faults.as_ref().unwrap().events()[1].end(),
+            SimTime::from_secs(102)
+        );
+        let configs = sc.build();
         let cfg = &configs[0].1;
         assert_eq!(
             cfg.wifi.faults.as_ref().map(|s| s.events().len()),
@@ -1312,17 +1264,20 @@ mod tests {
             1,
         );
         let sc = Scenario::from_json(&doc).unwrap();
-        assert_eq!(sc.server_faults.events().len(), 3);
+        assert_eq!(sc.base.server_faults.events().len(), 3);
         // Events are sorted by activation time.
-        assert_eq!(sc.server_faults.events()[0].kind.name(), "stalled_body");
-        assert!(sc.lifecycle.abandon_resume);
-        let configs = sc.build().unwrap();
+        assert_eq!(
+            sc.base.server_faults.events()[0].kind.name(),
+            "stalled_body"
+        );
+        assert!(sc.base.lifecycle.abandon_resume);
+        let configs = sc.build();
         assert_eq!(configs[0].1.server_faults.events().len(), 3);
         assert!(configs[0].1.lifecycle.abandon_resume);
         // Absent keys keep the passive defaults.
         let sc = Scenario::from_json(DOC).unwrap();
-        assert!(sc.server_faults.is_empty());
-        assert!(sc.lifecycle.is_passive());
+        assert!(sc.base.server_faults.is_empty());
+        assert!(sc.base.lifecycle.is_passive());
     }
 
     #[test]
@@ -1376,9 +1331,9 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/server_faults.json");
         let text = std::fs::read_to_string(path).unwrap();
         let sc = Scenario::from_json(&text).unwrap();
-        assert!(!sc.server_faults.is_empty());
-        assert!(sc.lifecycle.abandon_resume);
-        assert!(sc.build().is_ok());
+        assert!(!sc.base.server_faults.is_empty());
+        assert!(sc.base.lifecycle.abandon_resume);
+        assert_eq!(sc.build().len(), sc.modes.len());
     }
 
     #[test]
@@ -1448,10 +1403,7 @@ mod tests {
         // Documents without the key build no fleet.
         let plain = Scenario::from_json(DOC).unwrap();
         assert!(plain.fleet.is_none());
-        assert!(plain
-            .fleet_configs()
-            .unwrap_err()
-            .contains("no 'fleet' key"));
+        assert!(plain.fleet_configs().is_none());
     }
 
     #[test]
@@ -1505,16 +1457,16 @@ mod tests {
             r#""telemetry": {{"epoch_s": 2.0}}, {FLEET_PATCH}"#
         ));
         let sc = Scenario::from_json(&doc).unwrap();
-        let spec = sc.telemetry.expect("telemetry parsed");
+        let spec = sc.base.telemetry.expect("telemetry parsed");
         assert_eq!(spec.epoch, SimDuration::from_secs(2));
-        for (_, cfg) in sc.build().unwrap() {
+        for (_, cfg) in sc.build() {
             assert_eq!(cfg.telemetry, Some(spec));
         }
         for (_, fc) in sc.fleet_configs().unwrap() {
             assert_eq!(fc.base.telemetry, Some(spec));
         }
         // Absent key → no telemetry; bad epoch rejected.
-        assert!(Scenario::from_json(DOC).unwrap().telemetry.is_none());
+        assert!(Scenario::from_json(DOC).unwrap().base.telemetry.is_none());
         let err = Scenario::from_json(&fleet_doc(r#""telemetry": {"epoch_s": 0.0},"#)).unwrap_err();
         assert!(err.contains("telemetry.epoch_s: must be > 0"), "{err}");
         // So is a positive epoch too fine to be a real one: 1e-10 s rounds
@@ -1729,7 +1681,7 @@ mod tests {
         assert_eq!(fleet.fault_domains.len(), 1);
         assert!(fleet.overload.is_some());
         assert_eq!(fleet.watchdog, Some(true));
-        assert!(sc.fleet_configs().is_ok());
+        assert!(sc.fleet_configs().is_some());
     }
 
     #[test]
@@ -1740,7 +1692,7 @@ mod tests {
         let fleet = sc.fleet.as_ref().unwrap();
         assert_eq!(fleet.clients, 16);
         assert!(!fleet.shared.is_empty());
-        assert!(sc.fleet_configs().is_ok());
+        assert!(sc.fleet_configs().is_some());
     }
 
     #[test]
@@ -1755,7 +1707,7 @@ mod tests {
             QueueDiscipline::FqPie { quantum: 1540, aqm }
                 if aqm.ecn && aqm.target_ns == 15_000_000
         ));
-        assert!(sc.fleet_configs().is_ok());
+        assert!(sc.fleet_configs().is_some());
     }
 
     const ORIGINS_PATCH: &str = r#""origins": {
@@ -1772,10 +1724,10 @@ mod tests {
     fn parses_origins_and_cache_onto_sessions() {
         let doc = fleet_doc(ORIGINS_PATCH);
         let sc = Scenario::from_json(&doc).unwrap();
-        let origins = sc.origins.as_ref().unwrap();
+        let origins = sc.base.origins.as_ref().unwrap();
         assert_eq!(origins.origins.len(), 2);
         assert_eq!(origins.hedge_quantile, Some(0.5));
-        let configs = sc.build().unwrap();
+        let configs = sc.build();
         let pool = configs[0].1.origins.as_ref().unwrap();
         assert_eq!(pool.origins.len(), 2);
         assert_eq!(pool.origins[0].id, "primary");
@@ -1793,8 +1745,8 @@ mod tests {
         assert_eq!(cache.edge_delay(), SimDuration::from_millis(8));
         // Documents without the keys keep the single implicit origin.
         let plain = Scenario::from_json(DOC).unwrap();
-        assert!(plain.origins.is_none() && plain.cache.is_none());
-        assert!(plain.build().unwrap()[0].1.origins.is_none());
+        assert!(plain.base.origins.is_none() && plain.cache.is_none());
+        assert!(plain.build()[0].1.origins.is_none());
     }
 
     #[test]
@@ -1902,11 +1854,11 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/origins.json");
         let text = std::fs::read_to_string(path).unwrap();
         let sc = Scenario::from_json(&text).unwrap();
-        let origins = sc.origins.as_ref().unwrap();
+        let origins = sc.base.origins.as_ref().unwrap();
         assert!(origins.origins.len() >= 2);
         assert!(origins.hedge_quantile.is_some());
         assert!(sc.cache.is_some());
-        assert!(sc.build().is_ok());
+        assert_eq!(sc.build().len(), sc.modes.len());
     }
 
     /// A document with one instance of every object level the format
@@ -2079,8 +2031,7 @@ mod tests {
             let text = std::fs::read_to_string(&path).unwrap();
             let sc =
                 Scenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            sc.build()
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(sc.build().len(), sc.modes.len(), "{}", path.display());
             seen += 1;
         }
         assert!(seen >= 6, "only {seen} files under {dir}");
@@ -2120,7 +2071,7 @@ mod tests {
             path.display()
         );
         let sc = Scenario::from_json(&doc).unwrap();
-        let configs = sc.build().unwrap();
+        let configs = sc.build();
         assert_eq!(configs[0].1.video.n_levels(), 2);
         assert_eq!(configs[0].1.buffer_capacity, SimDuration::from_secs(20));
     }

@@ -47,18 +47,17 @@ pub struct TimelineOutput {
 }
 
 /// Run the scenario's fleet per mode and build the timeline report.
-/// Errors when the document has no `fleet` key or fails to build.
+/// Errors when the document has no `fleet` key.
 pub fn timeline_scenario(
     scenario: &Scenario,
     opts: &TimelineOptions,
 ) -> Result<TimelineOutput, String> {
-    if scenario.fleet.is_none() {
+    let Some(mut configs) = scenario.fleet_configs() else {
         return Err("scenario has no 'fleet' key (timeline renders fleet runs)".into());
-    }
+    };
     // Telemetry is the whole point here: force it on when the document
     // doesn't ask for it (default one-second epochs).
-    let spec = scenario.telemetry.unwrap_or_default();
-    let mut configs = scenario.fleet_configs()?;
+    let spec = scenario.base.telemetry.unwrap_or_default();
     for (_, fc) in configs.iter_mut() {
         *fc = fc.clone().with_telemetry(spec).with_wall_profile();
         if opts.quick {
@@ -428,7 +427,7 @@ mod tests {
 
     fn demo_modes() -> Vec<ModeTimeline> {
         let sc = Scenario::from_json(DOC).unwrap();
-        let spec = sc.telemetry.unwrap();
+        let spec = sc.base.telemetry.unwrap();
         sc.fleet_configs()
             .unwrap()
             .into_iter()
@@ -478,7 +477,7 @@ mod tests {
             }
         }"#;
         let sc = Scenario::from_json(doc).unwrap();
-        let spec = sc.telemetry.unwrap();
+        let spec = sc.base.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
         let rows = &mode.rows;
@@ -521,7 +520,7 @@ mod tests {
             }
         }"#;
         let sc = Scenario::from_json(doc).unwrap();
-        let spec = sc.telemetry.unwrap();
+        let spec = sc.base.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
         let peak = |value: Track| mode.rows.iter().map(value).fold(0.0_f64, f64::max);

@@ -22,9 +22,9 @@ fn example_scenario_round_trips_into_session_configs() {
         sc.name,
         "paper motivating network: WiFi 3.8 Mbps + LTE 3.0 Mbps"
     );
-    assert_eq!(sc.buffer, SimDuration::from_secs(40));
+    assert_eq!(sc.base.buffer_capacity, SimDuration::from_secs(40));
 
-    let configs = sc.build().expect("example scenario builds");
+    let configs = sc.build();
     assert_eq!(configs.len(), 5, "one config per declared mode");
     let labels: Vec<&str> = configs.iter().map(|(l, _)| l.as_str()).collect();
     assert_eq!(
@@ -50,7 +50,6 @@ fn example_scenario_runs_through_the_batch_runner() {
     // else the document declared.
     let jobs: Vec<_> = sc
         .build()
-        .expect("example scenario builds")
         .into_iter()
         .map(|(label, cfg)| {
             let tiny = Video::new("tiny", &[0.5, 1.0], SimDuration::from_secs(2), 4);
@@ -74,30 +73,46 @@ fn example_scenario_runs_through_the_batch_runner() {
     assert!(reports[0].cell_bytes > 0);
 }
 
-/// The build error of a one-mode scenario whose WiFi path is the trace
-/// file `trace`, and the path the file was written to.
-fn build_error_of_trace_file(tag: &str, trace: &str) -> (String, String) {
+/// The parse error of a one-mode scenario whose WiFi path is the trace
+/// file at `path`: a trace file is read while the document is parsed,
+/// so a document that parses always builds.
+fn parse_error_of_trace_at(tag: &str, path: &str) -> String {
+    let doc = format!(
+        r#"{{"name": "{tag}", "video": {{"named": "big_buck_bunny"}},
+            "wifi": {{"file": "{path}"}}, "cell": {{"constant": 3.0}},
+            "abr": "gpac", "modes": ["vanilla"]}}"#
+    );
+    Scenario::from_json(&doc).expect_err("the trace must be rejected")
+}
+
+/// [`parse_error_of_trace_at`] a file holding `trace`, and the path the
+/// file was written to.
+fn parse_error_of_trace_file(tag: &str, trace: &str) -> (String, String) {
     let dir = std::env::temp_dir().join(format!("mpdash-scenario-pipeline-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wifi.json");
     std::fs::write(&path, trace).unwrap();
-    let doc = format!(
-        r#"{{"name": "{tag}", "video": {{"named": "big_buck_bunny"}},
-            "wifi": {{"file": "{}"}}, "cell": {{"constant": 3.0}},
-            "abr": "gpac", "modes": ["vanilla"]}}"#,
-        path.display()
-    );
-    let scenario = Scenario::from_json(&doc).expect("the document itself is well-formed");
-    let err = scenario.build().expect_err("the trace must be rejected");
-    (path.display().to_string(), err)
+    let path = path.display().to_string();
+    let err = parse_error_of_trace_at(tag, &path);
+    (path, err)
+}
+
+/// A trace file that is not there fails the parse naming the path.
+#[test]
+fn a_missing_trace_file_fails_the_parse_naming_it() {
+    let path = std::env::temp_dir().join("mpdash-scenario-pipeline-missing/absent.json");
+    let _ = std::fs::remove_file(&path);
+    let path = path.display().to_string();
+    let err = parse_error_of_trace_at("missing", &path);
+    assert!(err.starts_with(&format!("reading {path}: ")), "{err}");
 }
 
 /// A `{"file": …}` trace whose looping period ends before its last point
-/// would silently never play that point; the build names the file and the
-/// rule instead.
+/// would silently never play that point; the parse names the file and
+/// the rule instead.
 #[test]
 fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
-    let (path, err) = build_error_of_trace_file(
+    let (path, err) = parse_error_of_trace_file(
         "short-period",
         r#"{"name": "short", "period_secs": 1.5,
         "points": [{"at_secs": 0, "mbps": 4.0}, {"at_secs": 2, "mbps": 1.0}]}"#,
@@ -114,7 +129,7 @@ fn a_trace_file_whose_period_cuts_off_a_point_fails_the_build() {
 /// pass every comparison made in seconds.
 #[test]
 fn a_trace_file_that_collapses_in_nanoseconds_fails_the_build() {
-    let (path, err) = build_error_of_trace_file(
+    let (path, err) = parse_error_of_trace_file(
         "colliding-points",
         r#"{"name": "collide", "period_secs": null,
         "points": [{"at_secs": 0, "mbps": 1.0}, {"at_secs": 1.0, "mbps": 2.0},
@@ -124,7 +139,7 @@ fn a_trace_file_that_collapses_in_nanoseconds_fails_the_build() {
         err,
         format!("{path}: points must be strictly increasing in time")
     );
-    let (path, err) = build_error_of_trace_file(
+    let (path, err) = parse_error_of_trace_file(
         "zero-period",
         r#"{"name": "zero", "period_secs": 1e-10,
         "points": [{"at_secs": 0, "mbps": 4.0}]}"#,
@@ -154,8 +169,7 @@ fn a_session_wedged_on_a_dead_cell_path_panics_naming_the_chunk() {
     assert_ne!(doc, text, "the example's cell line changed shape");
     let configs = Scenario::from_json(&doc)
         .expect("a dead path is a valid document")
-        .build()
-        .expect("and builds");
+        .build();
     for (label, cfg) in configs {
         match label.as_str() {
             "Rate" => {
@@ -184,6 +198,30 @@ fn a_session_wedged_on_a_dead_cell_path_panics_naming_the_chunk() {
             }
             _ => {}
         }
+    }
+}
+
+/// `mpdash` takes one flag, `--chunks`: a typo of it (`--chunk`) or
+/// another subcommand's flag (`--quick`) is a usage error, not a run
+/// without the output it asked for.
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    for flag in ["--chunk", "--quick"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+            .arg(flag)
+            .arg(format!(
+                "{}/scenarios/origins.json",
+                env!("CARGO_MANIFEST_DIR")
+            ))
+            .output()
+            .expect("mpdash runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag '{flag}'")) && err.contains("usage: mpdash"),
+            "{err}"
+        );
     }
 }
 
@@ -257,7 +295,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn solo_digests(file: &str) -> Vec<(String, u64)> {
     shipped(file)
         .build()
-        .unwrap_or_else(|e| panic!("{file}: {e}"))
         .into_iter()
         .map(|(label, cfg)| {
             let summary = StreamingSession::run(cfg).summary_json().to_compact();
@@ -282,7 +319,7 @@ fn solo_digests(file: &str) -> Vec<(String, u64)> {
 fn shipped_scenarios_reproduce_their_golden_summaries() {
     let fleet: Vec<(String, u64)> = shipped("churn.json")
         .fleet_configs()
-        .expect("churn scenario builds")
+        .expect("churn scenario has a fleet")
         .into_iter()
         .map(|(label, fc)| {
             let summary = mpdash::fleet::run(&fc).summary_json().to_compact();
@@ -310,7 +347,7 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
     );
 
     let ring = Arc::new(RingSink::new(1 << 20));
-    for (_, cfg) in shipped("origins.json").build().expect("origins builds") {
+    for (_, cfg) in shipped("origins.json").build() {
         StreamingSession::run(cfg.with_tracer(Tracer::new(ring.clone())));
     }
     let events = ring.events();

@@ -106,7 +106,7 @@ fn a_sampled_trace_owns_eight_bytes_a_slot() {
 fn a_scenarios_modes_share_its_trace() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/example.json");
     let scenario = Scenario::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let configs = scenario.build().unwrap();
+    let configs = scenario.build();
     assert_eq!(configs.len(), 5);
     let first = rates(&configs[0].1.wifi.profile);
     for (label, cfg) in &configs {
