@@ -15,6 +15,10 @@
 //!   demoting to a near-free idle.
 //! * Throughput-dependent transfer energy is charged per megabit on top
 //!   of the active-state power.
+//! * A [`RadioMeter`] steps the model once per packet as packets arrive,
+//!   so a session knows its radios' cost without keeping a capture;
+//!   replaying a trace ([`radio_energy`], [`radio_energy_of`]) pushes it
+//!   through the same meter.
 //! * [`DeviceProfile`] carries one LTE and one WiFi model; both handsets
 //!   from the paper are provided. Absolute milliwatt values follow the
 //!   published Huang et al. measurements where available and are
@@ -222,79 +226,121 @@ pub fn radio_energy(
 }
 
 /// [`radio_energy`] over any time-ordered source of `(arrival, bytes)`
-/// pairs: one pass, nothing buffered, so a capture can be replayed per
-/// path straight off its packet records.
+/// pairs: every packet pushed through a [`RadioMeter`], which is the one
+/// implementation of the model.
 pub fn radio_energy_of(
     model: &RadioModel,
     packets: impl Iterator<Item = (SimTime, u64)>,
     horizon: SimDuration,
 ) -> EnergyBreakdown {
-    let mut packets = packets.peekable();
-    let horizon_end = SimTime::ZERO + horizon;
-    let mut out = EnergyBreakdown::default();
-    let mut total_bits: f64 = 0.0;
-    let mut active_time = SimDuration::ZERO;
-    let mut drx_time = SimDuration::ZERO;
-    let mut promotions = 0u64;
+    let mut meter = RadioMeter::new(*model);
+    for (t, bytes) in packets {
+        meter.push(t, bytes);
+    }
+    meter.finish(horizon)
+}
 
-    // End of the previous active period (exclusive), i.e. where its
-    // connected-DRX window starts. `None` before the first burst (the
-    // radio starts idle).
-    let mut prev_active_end: Option<SimTime> = None;
+/// One radio's energy, metered as its packets arrive: the RRC machine of
+/// [`radio_energy`] stepped once per packet, so a session needs no
+/// packet capture to know what its radios cost.
+///
+/// What it keeps is what the horizon, known only at the end, still
+/// clips: one `(first, last)` arrival pair per active period (a burst
+/// of packets closer together than the inactivity window) and the byte
+/// total. A burst is a chunk's download, so this is a few pairs a chunk,
+/// never a record a packet. The total is an integer converted once,
+/// which equals summing each packet's `bytes × 8` as floats because
+/// every partial sum stays below 2^53 bits.
+#[derive(Clone, Debug)]
+pub struct RadioMeter {
+    model: RadioModel,
+    /// `(first, last)` arrival of each active period, in time order.
+    bursts: Vec<(SimTime, SimTime)>,
+    bytes: u64,
+}
 
-    while let Some(&(burst_start, _)) = packets.peek() {
-        // One active period: extend while the next packet lands within
-        // the full-power inactivity window.
-        let mut burst_last = burst_start;
-        while let Some((t, bytes)) =
-            packets.next_if(|&(t, _)| t.saturating_since(burst_last) <= model.tail_active)
-        {
-            debug_assert!(burst_last <= t, "packet trace must be time-ordered");
-            burst_last = t;
-            total_bits += bytes as f64 * 8.0;
+impl RadioMeter {
+    /// A radio that has seen no packet (it starts idle).
+    pub fn new(model: RadioModel) -> Self {
+        RadioMeter {
+            model,
+            bursts: Vec::new(),
+            bytes: 0,
         }
-        let active_end = (burst_last + model.tail_active).min(horizon_end);
-        if active_end > burst_start {
-            active_time += active_end - burst_start;
-        }
-        // Was the radio still in connected DRX when this burst started?
-        match prev_active_end {
-            Some(drx_start) if burst_start <= drx_start + model.drx_time => {
-                // Re-activated from DRX: charge the DRX dwell, no promo.
-                drx_time += burst_start.saturating_since(drx_start);
+    }
+
+    /// One packet of `bytes` at `t`, no earlier than the packet before:
+    /// it extends the current active period when it lands within the
+    /// full-power inactivity window, and opens the next one otherwise.
+    pub fn push(&mut self, t: SimTime, bytes: u64) {
+        match self.bursts.last_mut() {
+            Some((_, last)) if t.saturating_since(*last) <= self.model.tail_active => {
+                debug_assert!(*last <= t, "packet trace must be time-ordered");
+                *last = t;
             }
-            _ => {
-                // Came from idle: full DRX window after the previous
-                // burst (if any) already accounted below; pay promotion.
-                if let Some(drx_start) = prev_active_end {
-                    drx_time += (drx_start + model.drx_time)
-                        .min(horizon_end)
-                        .saturating_since(drx_start);
+            _ => self.bursts.push((t, t)),
+        }
+        self.bytes += bytes;
+    }
+
+    /// The breakdown over the accounting window `[0, horizon]`; the
+    /// meter is unchanged, so it can be read at any horizon.
+    pub fn finish(&self, horizon: SimDuration) -> EnergyBreakdown {
+        let model = &self.model;
+        let horizon_end = SimTime::ZERO + horizon;
+        let mut active_time = SimDuration::ZERO;
+        let mut drx_time = SimDuration::ZERO;
+        let mut promotions = 0u64;
+        // The connected-DRX dwell after an active period ending at
+        // `drx_start`, clipped to the horizon.
+        let drx_window = |drx_start: SimTime| {
+            (drx_start + model.drx_time)
+                .min(horizon_end)
+                .saturating_since(drx_start)
+        };
+
+        // End of the previous active period (exclusive), i.e. where its
+        // connected-DRX window starts. `None` before the first burst (the
+        // radio starts idle).
+        let mut prev_active_end: Option<SimTime> = None;
+        for &(burst_start, burst_last) in &self.bursts {
+            let active_end = (burst_last + model.tail_active).min(horizon_end);
+            if active_end > burst_start {
+                active_time += active_end - burst_start;
+            }
+            // Was the radio still in connected DRX when this burst started?
+            match prev_active_end {
+                Some(drx_start) if burst_start <= drx_start + model.drx_time => {
+                    // Re-activated from DRX: charge the DRX dwell, no promo.
+                    drx_time += burst_start.saturating_since(drx_start);
                 }
-                promotions += 1;
+                _ => {
+                    // Came from idle: charge the previous burst's full DRX
+                    // window (if any) and pay the promotion.
+                    drx_time += prev_active_end.map_or(SimDuration::ZERO, drx_window);
+                    promotions += 1;
+                }
             }
+            prev_active_end = Some(active_end);
         }
-        prev_active_end = Some(active_end);
-    }
-    // Trailing DRX window of the final burst.
-    if let Some(drx_start) = prev_active_end {
-        drx_time += (drx_start + model.drx_time)
-            .min(horizon_end)
-            .saturating_since(drx_start);
-    }
+        // Trailing DRX window of the final burst.
+        drx_time += prev_active_end.map_or(SimDuration::ZERO, drx_window);
 
-    out.promotion_j =
-        promotions as f64 * model.promo_power_mw * model.promo_time.as_secs_f64() / 1_000.0;
-    out.active_j = model.active_power_mw * active_time.as_secs_f64() / 1_000.0;
-    out.drx_j = model.drx_power_mw * drx_time.as_secs_f64() / 1_000.0;
-    out.transfer_j = total_bits / 1e6 * model.per_mbit_mj / 1_000.0;
-    let promo_time = model.promo_time.mul_f64(promotions as f64);
-    let idle = horizon
-        .saturating_sub(active_time)
-        .saturating_sub(drx_time)
-        .saturating_sub(promo_time);
-    out.idle_j = model.idle_power_mw * idle.as_secs_f64() / 1_000.0;
-    out
+        let total_bits = (self.bytes * 8) as f64;
+        let promo_time = model.promo_time.mul_f64(promotions as f64);
+        let idle = horizon
+            .saturating_sub(active_time)
+            .saturating_sub(drx_time)
+            .saturating_sub(promo_time);
+        EnergyBreakdown {
+            promotion_j: promotions as f64 * model.promo_power_mw * model.promo_time.as_secs_f64()
+                / 1_000.0,
+            active_j: model.active_power_mw * active_time.as_secs_f64() / 1_000.0,
+            drx_j: model.drx_power_mw * drx_time.as_secs_f64() / 1_000.0,
+            transfer_j: total_bits / 1e6 * model.per_mbit_mj / 1_000.0,
+            idle_j: model.idle_power_mw * idle.as_secs_f64() / 1_000.0,
+        }
+    }
 }
 
 /// Combined WiFi + LTE radio energy of one streaming session.

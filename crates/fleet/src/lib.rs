@@ -272,8 +272,9 @@ pub struct FleetConfig {
     /// streams derived from it.
     pub seed: u64,
     /// Forward the base config's tracer to exactly this client (the
-    /// `mpdash explain --client K` replay hook); every other client runs
-    /// untraced. `None` traces nobody.
+    /// `mpdash explain --client K` replay hook), and keep its packet log
+    /// in [`SessionReport::records`]; every other client runs untraced
+    /// and reports an empty log. `None` traces nobody.
     pub trace_client: Option<usize>,
     /// Shared segment cache every client fetches through. `None` means
     /// no cache (every chunk is an origin fetch).
@@ -352,7 +353,7 @@ impl FleetConfig {
     }
 
     /// Same fleet, tracing exactly client `k` through the base config's
-    /// tracer.
+    /// tracer and keeping its packet log.
     pub fn with_trace_client(mut self, k: usize) -> Self {
         self.trace_client = Some(k);
         self
@@ -492,7 +493,8 @@ impl FleetWallProfile {
 /// Everything measured across one fleet run.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
-    /// Per-client session reports, in client order.
+    /// Per-client session reports, in client order. Only
+    /// [`FleetConfig::trace_client`]'s carries `records`.
     pub sessions: Vec<SessionReport>,
     /// Jain's fairness index over per-client mean bitrate.
     pub jain_bitrate: f64,
@@ -819,10 +821,15 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             if let Some(cache) = cache.as_ref() {
                 sc.cache = Some(cache.clone());
             }
-            if cfg.trace_client != Some(k) {
+            // Only the traced client keeps its packet log: nothing reads
+            // another's, and the logs would be most of a fleet's heap.
+            let traced = cfg.trace_client == Some(k);
+            if !traced {
                 sc.tracer = mpdash_obs::Tracer::disabled();
             }
-            StreamingSession::start(sc)
+            let mut session = StreamingSession::start(sc);
+            session.set_logging(traced);
+            session
         })
         .collect();
 
@@ -1104,8 +1111,8 @@ mod tests {
     fn a_private_link_fleet_matches_standalone_sessions() {
         // No shared links: each fleet client is an independent session,
         // so client 0 (zero stagger, same derived seed) must reproduce
-        // the standalone run byte for byte.
-        let cfg = FleetConfig::new(base(TransportMode::Vanilla), 3);
+        // the standalone run byte for byte. Tracing it keeps its log.
+        let cfg = FleetConfig::new(base(TransportMode::Vanilla), 3).with_trace_client(0);
         let report = run(&cfg);
         assert_eq!(report.sessions.len(), 3);
 
@@ -1125,6 +1132,26 @@ mod tests {
             report.sessions[0].records == solo.records,
             "client 0's packet log differs from the standalone session's"
         );
+        // Nobody reads an untraced client's log, so none is kept.
+        assert!(report.sessions[1..].iter().all(|s| s.records.is_empty()));
+        assert!(report.sessions[1].sim_profile.by_kind.data > 0);
+    }
+
+    #[test]
+    fn staggered_clients_meter_radio_energy_from_their_own_origin() {
+        // Three clients on private constant-rate links, 20 s apart: the
+        // same traffic shifted in time, so the same radio bill. Metered
+        // on the fleet's clock instead of its own, a late client's
+        // packets would fall past its `[0, duration]` window.
+        let cfg = FleetConfig::new(base(TransportMode::Vanilla), 3)
+            .with_stagger(SimDuration::from_secs(20));
+        let report = run(&cfg);
+        let first = &report.sessions[0];
+        assert!(first.energy.lte.total_j() > 0.0);
+        for (k, s) in report.sessions.iter().enumerate() {
+            assert_eq!(s.cell_bytes, first.cell_bytes, "client {k}");
+            assert_eq!(s.energy, first.energy, "client {k}");
+        }
     }
 
     #[test]

@@ -75,8 +75,10 @@ pub struct Receiver {
     /// wants; piggybacked on every outgoing ACK (the paper's reserved DSS
     /// option bit, §3.2).
     desired_mask: PathMask,
-    /// Per-packet receive trace for the analysis tool / energy model.
+    /// Per-packet receive trace for the analysis tool, kept while
+    /// `logging` (the default).
     records: PacketLog,
+    logging: bool,
     /// Per-path received payload byte counters (including retransmitted
     /// duplicates — they cost link bytes and radio energy all the same).
     path_bytes: Vec<u64>,
@@ -91,6 +93,7 @@ impl Receiver {
             conn_delivered: 0,
             desired_mask: PathMask::ALL,
             records: PacketLog::new(),
+            logging: true,
             path_bytes: vec![0; n_paths],
         }
     }
@@ -115,13 +118,15 @@ impl Receiver {
         let newly = head - self.conn_delivered;
         self.conn_delivered = head;
         self.path_bytes[path.index()] += len;
-        self.records.push(PktRecord {
-            t,
-            path,
-            len,
-            dss,
-            retx,
-        });
+        if self.logging {
+            self.records.push(PktRecord {
+                t,
+                path,
+                len,
+                dss,
+                retx,
+            });
+        }
         RxResult {
             ack,
             newly_delivered: newly,
@@ -159,6 +164,12 @@ impl Receiver {
     /// The packet receive trace.
     pub fn records(&self) -> &PacketLog {
         &self.records
+    }
+
+    /// Log each later packet (the default) or not: a receiver whose
+    /// caller reads no capture keeps none.
+    pub fn set_logging(&mut self, on: bool) {
+        self.logging = on;
     }
 
     /// Move the receive trace out (the byte counters stay).

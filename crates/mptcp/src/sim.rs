@@ -28,7 +28,7 @@
 //! reports what happened.
 
 use crate::cc::CcKind;
-use crate::packet::{PacketLog, PathMask, MSS};
+use crate::packet::{PacketLog, PathMask, PktRecord, MSS};
 use crate::receiver::Receiver;
 use crate::scheduler::SchedulerSpec;
 use crate::sender::{Sender, Transmit};
@@ -189,6 +189,9 @@ pub struct MptcpSim {
     ack_delay: Vec<SimDuration>,
     snd: Sender,
     rcv: Receiver,
+    /// The data packet the last [`MptcpSim::step`] received, if it
+    /// received one.
+    arrival: Option<PktRecord>,
     /// Time of each path's live `Event::Rto` (lazy: at or before the
     /// deadline); an `Rto` popped at any other time was superseded.
     rto_event_at: Vec<Option<SimTime>>,
@@ -227,6 +230,7 @@ impl MptcpSim {
             ack_delay,
             snd: Sender::new(n, cfg.scheduler, cfg.cc),
             rcv: Receiver::new(n),
+            arrival: None,
             rto_event_at: vec![None; n],
             deferred: (0..n).map(|_| VecDeque::new()).collect(),
             depths: Vec::with_capacity(n),
@@ -377,6 +381,20 @@ impl MptcpSim {
         self.rcv.take_records()
     }
 
+    /// Keep the receive trace (the default) or not, from the next
+    /// packet on. What the connection does is the same either way;
+    /// [`MptcpSim::arrival`] reports every packet regardless.
+    pub fn set_logging(&mut self, on: bool) {
+        self.rcv.set_logging(on);
+    }
+
+    /// The data packet the last [`MptcpSim::step`] delivered to the
+    /// receiver, `None` when that step was any other event: how a
+    /// driver reads each arrival once, without a capture.
+    pub fn arrival(&self) -> Option<PktRecord> {
+        self.arrival
+    }
+
     /// Smoothed RTT of `path`, if measured.
     pub fn srtt(&self, path: PathId) -> Option<SimDuration> {
         self.snd.subflow(path).srtt()
@@ -485,6 +503,7 @@ impl MptcpSim {
     /// transport activity pending and no application timers set).
     pub fn step(&mut self) -> Option<(SimTime, StepOutcome)> {
         let (now, ev) = self.queue.pop()?;
+        self.arrival = None;
         let mut acked_path = None;
         match &ev {
             Event::Data { .. } => self.popped.data += 1,
@@ -507,6 +526,13 @@ impl MptcpSim {
                 ecn,
             } => {
                 let res = self.rcv.on_data(now, path, seq, len, dss, retx, syn);
+                self.arrival = Some(PktRecord {
+                    t: now,
+                    path,
+                    len,
+                    dss,
+                    retx,
+                });
                 // Immediate ACK, carrying the current desired mask and
                 // echoing any ECN mark back to the sender.
                 self.queue.schedule_in(
@@ -1125,6 +1151,29 @@ mod tests {
         assert_eq!(cover.contiguous_from(0), 300_000);
         // Timestamps are non-decreasing.
         assert!(recs.iter().zip(recs.iter_from(1)).all(|(a, b)| a.t <= b.t));
+    }
+
+    /// Each step that receives a data packet reports it, whether or not
+    /// the receiver keeps a log, and the log is exactly those reports.
+    #[test]
+    fn every_arrival_is_reported_whether_or_not_it_is_logged() {
+        let run = |logging: bool| {
+            let mut sim = two_path_sim(3.8, 3.0);
+            sim.set_logging(logging);
+            sim.send_app(300_000);
+            let mut arrivals = Vec::new();
+            while sim.delivered() < 300_000 {
+                sim.step().expect("the transfer completes");
+                arrivals.extend(sim.arrival());
+            }
+            assert_eq!(sim.popped_by_kind().data, arrivals.len() as u64);
+            (arrivals, sim.take_records())
+        };
+        let (reported, log) = run(true);
+        assert!(log.iter().eq(reported.iter().copied()));
+        let (unlogged, none) = run(false);
+        assert!(none.is_empty());
+        assert_eq!(unlogged, reported);
     }
 
     /// The RTO timer keeps one live event per subflow (DESIGN §4b). A

@@ -5,15 +5,15 @@
 //! hard deadline over WiFi + LTE, and the metrics are download time,
 //! cellular bytes, and radio energy (Figure 4). This driver reproduces
 //! that: one `send_app` worth of bytes, Algorithm 1 toggling the cellular
-//! subflow from a 50 ms progress tick, energy replay at the end.
+//! subflow from a 50 ms progress tick, radio energy metered per packet.
 //!
 //! It is also the general-purpose face of MP-DASH the paper's §8 points
 //! at (music prefetch, map tiles, deferred offload): any delay-tolerant
 //! transfer with a deadline.
 
+use crate::accounting::EnergyMeter;
 use crate::config::TransportMode;
 use crate::signal::DeadlineSignal;
-use mpdash_analysis::replay_energy;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_energy::{DeviceProfile, SessionEnergy};
@@ -48,7 +48,7 @@ pub struct FileTransferConfig {
     pub scheduler: SchedulerSpec,
     /// Subflow congestion control.
     pub cc: CcKind,
-    /// Device for energy replay.
+    /// Device whose radios are metered.
     pub device: DeviceProfile,
     /// Estimator priors `(wifi, cell)`.
     pub priors: (Rate, Rate),
@@ -129,6 +129,8 @@ impl FileTransfer {
             cc: cfg.cc,
         });
         sim.set_tracer(mpdash_obs::Tracer::disabled().or_env());
+        // The report carries no capture, so the transfer keeps none.
+        sim.set_logging(false);
         let mut signal = match cfg.mode {
             TransportMode::MpDash { alpha, .. } => {
                 let mut c = MpDashControl::new(
@@ -153,12 +155,19 @@ impl FileTransfer {
             sim.schedule_app_tick(SimTime::ZERO + TICK, TICK_ID);
         }
 
+        let mut energy = EnergyMeter::new(&cfg.device, SimTime::ZERO);
         let mut done_at = SimTime::ZERO;
         while sim.delivered() < cfg.size {
             let Some((t, outcome)) = sim.step() else {
                 panic!("transfer stalled at {}/{} bytes", sim.delivered(), cfg.size);
             };
             done_at = t;
+            if let Some(r) = sim.arrival() {
+                energy.on_arrival(r);
+                if let Some(signal) = signal.as_mut() {
+                    signal.on_arrival(r);
+                }
+            }
             if let Some(signal) = signal.as_mut() {
                 if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
                     sim.set_desired_mask(PathMask::from_enabled(&enabled));
@@ -176,7 +185,7 @@ impl FileTransfer {
             wifi_bytes: sim.path_bytes(PathId::WIFI),
             cell_bytes: sim.path_bytes(PathId::CELLULAR),
             missed_deadline: duration > cfg.deadline,
-            energy: replay_energy(sim.records(), &cfg.device, horizon),
+            energy: energy.finish(horizon),
             toggles: signal.map_or(0, |s| s.control.stats().toggles),
             sim_profile: crate::report::SimProfile::of(&sim),
         }

@@ -14,6 +14,7 @@
 //! Both produce reports carrying everything the benchmark harness needs
 //! to regenerate the paper's tables and figures.
 
+mod accounting;
 pub mod batch;
 pub mod config;
 mod fetch;

@@ -8,20 +8,27 @@
 //! far. The answer, when it changed, is the new enabled set the caller
 //! signals through the MPTCP path mask
 //! ([`PathMask::from_enabled`](mpdash_mptcp::PathMask::from_enabled)).
+//!
+//! The driver hands over each arrival as its step reports it
+//! ([`MptcpSim::arrival`]), and the signal holds it until the next
+//! check. Feeding the estimators at the arrival instead is not the same
+//! thing: a chunk's decision (`mp_dash_enable`) re-anchors their samplers
+//! between the chunk's last packet and the next check.
 
 use mpdash_core::MpDashControl;
 use mpdash_link::PathId;
-use mpdash_mptcp::MptcpSim;
+use mpdash_mptcp::{MptcpSim, PktRecord};
 use mpdash_sim::SimTime;
 
-/// The MP-DASH control plane plus what it has already seen of one
-/// connection's receive trace.
+/// The MP-DASH control plane plus the arrivals it has not seen yet.
 pub struct DeadlineSignal {
     /// `MP_DASH_ENABLE`/`DISABLE`, the per-path estimates and the
     /// scheduler statistics.
     pub control: MpDashControl,
-    /// Packet records already fed to the estimators.
-    cursor: usize,
+    /// Arrivals since the last check, oldest first: a check follows
+    /// every delivery and every 50 ms tick of a transfer, so this holds
+    /// a few packets.
+    arrived: Vec<PktRecord>,
     /// Per-path revival counters as of the last check; an increase means
     /// the subflow was re-established and the path's throughput history
     /// must be reset.
@@ -35,9 +42,15 @@ impl DeadlineSignal {
         let seen_revivals = vec![0; control.n_paths()];
         DeadlineSignal {
             control,
-            cursor: 0,
+            arrived: Vec::new(),
             seen_revivals,
         }
+    }
+
+    /// One data packet arrived; the next check feeds it to the
+    /// estimators.
+    pub fn on_arrival(&mut self, r: PktRecord) {
+        self.arrived.push(r);
     }
 
     /// One progress check at `now` with `received` bytes of the transfer
@@ -48,11 +61,9 @@ impl DeadlineSignal {
         now: SimTime,
         received: u64,
     ) -> Option<Vec<bool>> {
-        let records = sim.records();
-        for r in records.iter_from(self.cursor) {
+        for r in self.arrived.drain(..) {
             self.control.on_bytes(r.path.index(), r.t, r.len);
         }
-        self.cursor = records.len();
         // One flag per path id a `PathMask` can name.
         let mut busy = [false; 32];
         let busy = &mut busy[..self.control.n_paths()];

@@ -22,12 +22,12 @@
 //! and the next request is paced by buffer space (the idle gaps of
 //! Figure 1 emerge from this, not from any explicit modelling).
 
+use crate::accounting::{EnergyMeter, OutageSplit};
 use crate::config::{SessionConfig, TransportMode};
 use crate::fetch::{ChunkFetch, Inflight};
 use crate::record::{Outcome, Recorder};
 use crate::report::{ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
 use crate::signal::DeadlineSignal;
-use mpdash_analysis::replay_energy;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_dash::abr::{Abr, AbrInput};
@@ -36,7 +36,7 @@ use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_http::HttpEvent;
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, PktRecord, StepOutcome};
+use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, StepOutcome};
 use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
@@ -62,6 +62,10 @@ pub struct StreamingSession {
     /// (Algorithm 1 plus its throughput estimators).
     mpdash: Option<(VideoAdapter, DeadlineSignal)>,
     fetch: ChunkFetch,
+    /// Radio energy and the outage split, fed each arrival as it lands
+    /// (the receiver's packet log is for the analysis tool only).
+    energy: EnergyMeter,
+    outage: OutageSplit,
     /// Scratch for one delivery's HTTP events (a packet must not allocate).
     http_events: Vec<HttpEvent>,
     chunks: Vec<ChunkLogEntry>,
@@ -139,15 +143,24 @@ impl StreamingSession {
             }
             _ => None,
         };
+        let origin = SimTime::ZERO + cfg.start_offset;
         let mut player = Player::new(&cfg.video, cfg.buffer_capacity);
         player.set_tracer(rec.tracer.clone());
-        player.set_origin(SimTime::ZERO + cfg.start_offset);
+        player.set_origin(origin);
+        let costs = cfg.preference.costs();
+        let preferred = if costs[0] <= costs[1] {
+            PathId::WIFI
+        } else {
+            PathId::CELLULAR
+        };
         StreamingSession {
             sim,
             player,
             abr: cfg.abr.build(&cfg.video),
             mpdash,
             fetch: ChunkFetch::new(&cfg, &rec),
+            energy: EnergyMeter::new(&cfg.device, origin),
+            outage: OutageSplit::new(preferred),
             http_events: Vec::new(),
             chunks: Vec::new(),
             last_chunk_throughput: None,
@@ -355,6 +368,7 @@ impl StreamingSession {
         }
         self.player
             .on_chunk_complete(now, done.level, done.size, done.started);
+        self.outage.on_chunk(&done);
         self.chunks.push(done);
         if self.player.has_space() {
             self.request_next(now);
@@ -425,6 +439,13 @@ impl StreamingSession {
         self.fetch.breaker_sanity()
     }
 
+    /// Keep the packet log (the default) or not, from the next packet
+    /// on. Only [`SessionReport::records`] depends on it: every other
+    /// figure of the report is accounted per arrival either way.
+    pub fn set_logging(&mut self, on: bool) {
+        self.sim.set_logging(on);
+    }
+
     /// Route one of this session's paths through a shared bottleneck.
     /// Must be called before the first request is transmitted (i.e.
     /// right after [`StreamingSession::start`], before any stepping).
@@ -462,6 +483,13 @@ impl StreamingSession {
         let Some((t, outcome)) = self.sim.step() else {
             return false;
         };
+        if let Some(r) = self.sim.arrival() {
+            self.energy.on_arrival(r);
+            self.outage.on_arrival(r);
+            if let Some((_, signal)) = self.mpdash.as_mut() {
+                signal.on_arrival(r);
+            }
+        }
         match outcome {
             StepOutcome::Transport { newly_delivered } => {
                 if newly_delivered > 0 {
@@ -537,15 +565,6 @@ impl StreamingSession {
         // stall deltas so epoch totals match the report's exactly.
         self.rec.sample(end, &self.sim, &self.player);
 
-        let records = self.sim.take_records();
-        let energy = replay_energy(&records, &self.cfg.device, duration);
-
-        let costs = self.cfg.preference.costs();
-        let preferred = if costs[0] <= costs[1] {
-            PathId::WIFI
-        } else {
-            PathId::CELLULAR
-        };
         let scheduler_stats = self
             .mpdash
             .as_ref()
@@ -553,7 +572,7 @@ impl StreamingSession {
             .unwrap_or_default();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
-            outage_bridged_chunks: outage_bridged(&self.chunks, &records, preferred),
+            outage_bridged_chunks: self.outage.bridged(),
             subflow_failures: self.sim.subflow_failures(PathId::WIFI)
                 + self.sim.subflow_failures(PathId::CELLULAR),
             subflow_revivals: self.sim.subflow_revivals(PathId::WIFI)
@@ -590,10 +609,10 @@ impl StreamingSession {
             epochs: self.rec.take_epochs(),
             wifi_bytes: self.sim.path_bytes(PathId::WIFI),
             cell_bytes: self.sim.path_bytes(PathId::CELLULAR),
-            energy,
+            energy: self.energy.finish(duration),
             duration,
             chunks: self.chunks,
-            records,
+            records: self.sim.take_records(),
             scheduler_stats,
             player_events: self.player.events().to_vec(),
             degradation,
@@ -604,35 +623,6 @@ impl StreamingSession {
             sim_profile: SimProfile::of(&self.sim),
         }
     }
-}
-
-/// Degradation accounting: a chunk is "outage-bridged" when the
-/// preferred path contributed under 10% of its body bytes while the other
-/// carried it — cellular covering a WiFi fault window (or vice versa under
-/// CellularFirst). One pass: chunks complete in stream order, so their
-/// bodies are ascending and disjoint; a record's is nearly always the
-/// last record's, and a binary search away when it is not.
-fn outage_bridged(
-    chunks: &[ChunkLogEntry],
-    records: impl IntoIterator<Item = PktRecord>,
-    preferred: PathId,
-) -> u64 {
-    let in_order = |w: &[ChunkLogEntry]| w[0].body_dss.end <= w[1].body_dss.start;
-    debug_assert!(chunks.windows(2).all(in_order));
-    // Per chunk: body bytes on [the preferred path, any other].
-    let mut split = vec![[0u64; 2]; chunks.len()];
-    let mut i = 0;
-    for r in records {
-        let holds = |c: &ChunkLogEntry| c.body_dss.start <= r.dss && r.dss < c.body_dss.end;
-        if !chunks.get(i).is_some_and(holds) {
-            i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
-        }
-        if chunks.get(i).is_some_and(|c| c.body_dss.start <= r.dss) {
-            split[i][usize::from(r.path != preferred)] += r.len;
-        }
-    }
-    let bridged = |s: &&[u64; 2]| s[1] > 0 && s[0] * 10 < s[0] + s[1];
-    split.iter().filter(bridged).count() as u64
 }
 
 #[cfg(test)]
@@ -1169,85 +1159,5 @@ mod tests {
         assert_eq!(a.origin, b.origin);
         assert_eq!(a.lifecycle, b.lifecycle);
         assert_eq!(a.summary_json().to_string(), b.summary_json().to_string());
-    }
-
-    /// What `outage_bridged` did before it kept a cursor: one binary
-    /// search per record.
-    fn outage_bridged_by_search(
-        chunks: &[ChunkLogEntry],
-        records: &[PktRecord],
-        preferred: PathId,
-    ) -> u64 {
-        let mut split = vec![[0u64; 2]; chunks.len()];
-        for r in records {
-            let i = chunks.partition_point(|c| c.body_dss.end <= r.dss);
-            if chunks.get(i).is_some_and(|c| c.body_dss.start <= r.dss) {
-                split[i][usize::from(r.path != preferred)] += r.len;
-            }
-        }
-        let bridged = |s: &&[u64; 2]| s[1] > 0 && s[0] * 10 < s[0] + s[1];
-        split.iter().filter(bridged).count() as u64
-    }
-
-    proptest::proptest! {
-        /// The cursor is an optimisation for in-order capture, not an
-        /// assumption: records that jump anywhere in the stream, repeat
-        /// (retransmissions, duplicates), step backwards, or fall in a
-        /// header, before the first body or past the last one are
-        /// attributed exactly as a search per record attributes them.
-        #[test]
-        fn cursor_attribution_equals_a_search_per_record(
-            bodies in proptest::collection::vec(1u64..60_000, 1..12),
-            headers in proptest::collection::vec(0u64..900, 12..13),
-            draws in proptest::collection::vec(0u64..1_000_000, 0..600),
-        ) {
-            let mut at = 0;
-            let chunks: Vec<ChunkLogEntry> = bodies
-                .iter()
-                .zip(&headers)
-                .enumerate()
-                .map(|(index, (&size, &header))| {
-                    let start = at + header;
-                    at = start + size;
-                    ChunkLogEntry {
-                        index,
-                        level: 0,
-                        size,
-                        started: SimTime::ZERO,
-                        completed: SimTime::ZERO,
-                        body_dss: mpdash_http::DssRange { start, end: at },
-                        deadline: None,
-                        requests: 1,
-                    }
-                })
-                .collect();
-            let stream_end = at + 3_000;
-            let mut dss = 0u64;
-            let records: Vec<PktRecord> = draws
-                .iter()
-                .map(|&d| {
-                    let retx = d % 8 == 1;
-                    dss = match d % 8 {
-                        0 => d * 7919 % stream_end,     // reordered: anywhere
-                        1 => dss,                       // the same bytes again
-                        2 => dss.saturating_sub(d / 8 % 5_000), // a late arrival
-                        _ => dss + 1460,                // in order
-                    };
-                    PktRecord {
-                        t: SimTime::ZERO,
-                        path: if d / 8 % 3 == 0 { PathId::CELLULAR } else { PathId::WIFI },
-                        len: 1 + d % 1460,
-                        dss,
-                        retx,
-                    }
-                })
-                .collect();
-            for preferred in [PathId::WIFI, PathId::CELLULAR] {
-                proptest::prop_assert_eq!(
-                    outage_bridged(&chunks, records.iter().copied(), preferred),
-                    outage_bridged_by_search(&chunks, &records, preferred)
-                );
-            }
-        }
     }
 }

@@ -8,13 +8,14 @@
 //! receiver's sorted-vector reassembly equals a byte-set model,
 //! `Link::send`'s remembered profile step equals a fresh lookup per
 //! packet, `Rate`'s 64-bit divide equals the 128-bit one, and the radio
-//! replay streamed off an iterator equals the indexed walk over a slice.
+//! meter fed one packet at a time equals the indexed walk over a slice.
 //!
-//! And what a session keeps per packet is bounded: 16 bytes of log.
+//! And what a session keeps per packet is bounded: 16 bytes of log for
+//! a standalone session, nothing for a fleet client nobody traces.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
-use mpdash::energy::{radio_energy, radio_energy_of, EnergyBreakdown, RadioModel};
+use mpdash::energy::{radio_energy, radio_energy_of, EnergyBreakdown, RadioMeter, RadioModel};
 use mpdash::fleet::{FleetConfig, SharedLinkSpec};
 use mpdash::http::{LifecyclePolicy, OriginPoolConfig, OriginSpec, ServerFaultScript};
 use mpdash::link::{
@@ -129,6 +130,9 @@ fn a_sessions_packet_log_holds_16_bytes_a_packet_plus_one_block() {
     assert!(r.duration >= SimDuration::from_secs(600));
     let packets = r.records.len();
     assert!(packets > 100_000, "only {packets} packets");
+    // The log is every data packet the session's queue popped: the
+    // counter a reader that only wants the count can use instead.
+    assert_eq!(r.sim_profile.by_kind.data, packets as u64);
     let held = r.records.heap_bytes();
     assert!(
         held <= 16 * packets + 64 * 1024,
@@ -433,10 +437,11 @@ proptest! {
     }
 
     /// One radio's packets picked out of a two-path capture on the fly
-    /// replay to the joule, bit for bit, as the same packets copied into a
-    /// slice and walked by index: gaps either side of the inactivity
-    /// window, the DRX window and the idle demotion, simultaneous
-    /// arrivals, and horizons that clip a tail or end before the trace.
+    /// and pushed into a meter one at a time replay to the joule, bit for
+    /// bit, as the same packets copied into a slice and walked by index:
+    /// gaps either side of the inactivity window, the DRX window and the
+    /// idle demotion, simultaneous arrivals, and horizons that clip a
+    /// tail or end before the trace — before its last burst, too.
     #[test]
     fn streamed_radio_energy_equals_the_indexed_walk(
         draws in prop::collection::vec(0u64..1_000_000, 0..400),
@@ -465,6 +470,21 @@ proptest! {
                 let expected = bits(radio_energy_indexed(&model, &copied, horizon));
                 prop_assert_eq!(bits(radio_energy_of(&model, on_radio(), horizon)), expected);
                 prop_assert_eq!(bits(radio_energy(&model, &copied, horizon)), expected);
+                let mut meter = RadioMeter::new(model);
+                for (t, bytes) in on_radio() {
+                    meter.push(t, bytes);
+                }
+                prop_assert_eq!(bits(meter.finish(horizon)), expected);
+                // One meter, read at any horizon: just before the last
+                // packet (inside its burst or before it) and halfway.
+                if let Some(&(last, _)) = copied.last() {
+                    let last = last.saturating_since(SimTime::ZERO);
+                    let tick = SimDuration::from_nanos(1);
+                    for early in [last.saturating_sub(tick), last / 2] {
+                        let expected = bits(radio_energy_indexed(&model, &copied, early));
+                        prop_assert_eq!(bits(meter.finish(early)), expected);
+                    }
+                }
             }
         }
     }
@@ -546,6 +566,8 @@ fn a_contended_fleet_client_schedules_mostly_into_lanes() {
     let last = report.sessions.last().expect("four clients").sim_profile;
     assert!(last.events_popped > 30_000);
     assert_under_one_percent_heap(last);
+    // No client is traced, so none keeps a packet log.
+    assert!(report.sessions.iter().all(|s| s.records.is_empty()));
 }
 
 fn assert_under_one_percent_heap(profile: SimProfile) {

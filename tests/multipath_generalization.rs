@@ -73,6 +73,9 @@ fn run_transfer_sim(wifi_mbps: f64, size: u64, deadline: SimDuration) -> (MptcpS
             panic!("drained at {}", sim.delivered())
         };
         finish = t;
+        if let Some(r) = sim.arrival() {
+            signal.on_arrival(r);
+        }
         if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
             sim.set_desired_mask(PathMask::from_enabled(&enabled));
         }
