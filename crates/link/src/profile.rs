@@ -8,7 +8,35 @@
 //! traces into its trace-driven simulation (§7.2.2).
 
 use mpdash_sim::{Rate, SimDuration, SimTime};
+use std::fmt;
 use std::sync::Arc;
+
+/// The rates of a sampled trace, one per slot, each stored as the whole
+/// bits per second it holds in a `u32`: 4 bytes, exact up to 4.29 Gbps.
+/// `Debug` prints every slot as the [`Rate`] it reads back as, so a
+/// config prints the same as when a slot was a `Rate`.
+#[derive(Clone)]
+pub struct SlotRates(Arc<[u32]>);
+
+impl SlotRates {
+    /// Each slot's bits per second, as stored: the one allocation every
+    /// clone of the trace shares.
+    pub fn bps(&self) -> &Arc<[u32]> {
+        &self.0
+    }
+
+    fn rate(&self, i: usize) -> Rate {
+        Rate::from_bps(u64::from(self.0[i]))
+    }
+}
+
+impl fmt::Debug for SlotRates {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.0.len()).map(|i| self.rate(i)))
+            .finish()
+    }
+}
 
 /// A path's available bandwidth over time.
 ///
@@ -21,16 +49,16 @@ pub enum BandwidthProfile {
     /// Bandwidth fixed for all time (the controlled experiments of §7.3.2,
     /// where Dummynet pins WiFi/LTE to e.g. 3.8/3.0 Mbps).
     Constant(Rate),
-    /// Evenly spaced samples: the rate is `rates[i]` over
+    /// Evenly spaced samples: the rate is slot `i`'s over
     /// `[i × slot, (i + 1) × slot)`. A slot's start is its index times
-    /// `slot`, so no timestamp is stored (8 bytes a slot) and a lookup is
+    /// `slot`, so no timestamp is stored (4 bytes a slot) and a lookup is
     /// one division. `rates` is non-empty and `slot` non-zero
     /// ([`Self::from_samples`] checks both).
     Sampled {
         /// Width of every slot.
         slot: SimDuration,
         /// One rate per slot.
-        rates: Arc<[Rate]>,
+        rates: SlotRates,
         /// Whether the pattern repeats after the last slot (otherwise the
         /// last rate holds forever).
         looped: bool,
@@ -40,7 +68,8 @@ pub enum BandwidthProfile {
     /// step. `steps` must be non-empty with strictly increasing, zero-based
     /// start times. If `period` is set, the pattern repeats with that
     /// period. This is the shape of a recorded trace file, whose points
-    /// are irregular; sampled traces are [`Self::Sampled`].
+    /// are irregular; sampled traces are [`Self::Sampled`] unless a sample
+    /// does not fit its slot.
     Steps {
         /// Step boundaries: `(start, rate)` pairs, first start must be 0.
         steps: Arc<[(SimTime, Rate)]>,
@@ -60,15 +89,66 @@ impl BandwidthProfile {
     /// natural shape of both the paper's synthetic profiles and its
     /// 50 ms-slot trace-driven simulation).
     ///
+    /// The result is [`Self::Sampled`] when every sample fits a slot
+    /// (at most `u32::MAX` bits per second), and otherwise the same step
+    /// function as [`Self::Steps`] with each slot's start stored, so no
+    /// input loses a bit.
+    ///
     /// # Panics
     /// If `samples` is empty or `slot` is zero.
     pub fn from_samples(slot: SimDuration, samples: &[Rate], looped: bool) -> Self {
-        assert!(!samples.is_empty(), "profile needs at least one sample");
+        Self::from_sample_iter(slot, samples.iter().copied(), looped)
+    }
+
+    /// [`Self::from_samples`] over samples drawn as they are stored, so a
+    /// generated trace is written into its grid with no slice in between.
+    /// `samples` is read once.
+    ///
+    /// # Panics
+    /// If `samples` is empty or `slot` is zero.
+    pub fn from_sample_iter(
+        slot: SimDuration,
+        samples: impl Iterator<Item = Rate>,
+        looped: bool,
+    ) -> Self {
+        // The samples a slot cannot hold, by index, for the fallback.
+        let mut wide = Vec::new();
+        // A mapped slice or `Range` has an exact length, so `Arc`'s collect
+        // allocates once, 4 bytes a slot, and writes each slot in place.
+        let bps: Arc<[u32]> = samples
+            .enumerate()
+            .map(|(i, r)| {
+                u32::try_from(r.as_bps()).unwrap_or_else(|_| {
+                    wide.push((i, r));
+                    0
+                })
+            })
+            .collect();
+        assert!(!bps.is_empty(), "profile needs at least one sample");
         assert!(!slot.is_zero(), "slot width must be positive");
-        BandwidthProfile::Sampled {
-            slot,
-            rates: samples.into(),
-            looped,
+        if wide.is_empty() {
+            return BandwidthProfile::Sampled {
+                slot,
+                rates: SlotRates(bps),
+                looped,
+            };
+        }
+        // Every slot as stored, but the wide ones as drawn. Both products
+        // saturate, like the grid's own edges.
+        let mut wide = wide.into_iter().peekable();
+        BandwidthProfile::Steps {
+            steps: bps
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    let rate = match wide.next_if(|&(at, _)| at == i) {
+                        Some((_, r)) => r,
+                        None => Rate::from_bps(u64::from(b)),
+                    };
+                    (SimTime::ZERO + slot * i as u64, rate)
+                })
+                .collect(),
+            period: looped.then(|| slot * bps.len() as u64),
         }
     }
 
@@ -90,13 +170,13 @@ impl BandwidthProfile {
             } => {
                 // `t` is in slot `i`, counted from time zero; a one-shot
                 // trace never leaves its last slot.
-                let (i, last) = (t.as_nanos() / slot.as_nanos(), rates.len() as u64 - 1);
+                let (i, last) = (t.as_nanos() / slot.as_nanos(), rates.0.len() as u64 - 1);
                 return if *looped || i < last {
                     // Saturates at `SimTime::MAX`.
                     let edge = SimTime::ZERO + *slot * i.saturating_add(1);
-                    (rates[(i % (last + 1)) as usize], edge)
+                    (rates.rate((i % (last + 1)) as usize), edge)
                 } else {
-                    (rates[last as usize], SimTime::MAX)
+                    (rates.rate(last as usize), SimTime::MAX)
                 };
             }
             BandwidthProfile::Steps { steps, period } => (steps, period),
@@ -159,7 +239,7 @@ impl BandwidthProfile {
         let header = 2 * std::mem::size_of::<usize>();
         match self {
             BandwidthProfile::Constant(_) => 0,
-            BandwidthProfile::Sampled { rates, .. } => header + std::mem::size_of_val(&**rates),
+            BandwidthProfile::Sampled { rates, .. } => header + std::mem::size_of_val(&*rates.0),
             BandwidthProfile::Steps { steps, .. } => header + std::mem::size_of_val(&**steps),
         }
     }

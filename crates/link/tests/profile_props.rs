@@ -3,7 +3,9 @@
 //! must be the same function of time — every session's event sequence
 //! follows from what `step_at` returns — so the old construction stays
 //! here as the reference and the grid is held to it on every query the
-//! profile answers.
+//! profile answers. A grid slot holds a `u32` bits per second; a trace
+//! with a faster sample is built as that reference instead, and is held
+//! to it the same way.
 
 use mpdash_link::BandwidthProfile;
 use mpdash_sim::{Rate, SimDuration, SimTime};
@@ -38,8 +40,10 @@ fn probes(slot: SimDuration, n: usize) -> Vec<SimTime> {
     at
 }
 
-/// Holds the grid to the reference on every instant of [`probes`] and a
-/// spread of `mean_rate` horizons, and hands both back for more.
+/// Holds what `from_samples` built — a grid exactly when every sample
+/// fits a `u32` bits per second — to the reference on every instant of
+/// [`probes`] and a spread of `mean_rate` horizons, and hands both back
+/// for more.
 fn assert_same_function(
     slot: SimDuration,
     samples: &[Rate],
@@ -47,9 +51,11 @@ fn assert_same_function(
 ) -> (BandwidthProfile, BandwidthProfile) {
     let grid = BandwidthProfile::from_samples(slot, samples, looped);
     let steps = reference(slot, samples, looped);
-    assert!(
+    let fits = samples.iter().all(|r| r.as_bps() <= u64::from(u32::MAX));
+    assert_eq!(
         matches!(grid, BandwidthProfile::Sampled { .. }),
-        "from_samples stores a grid"
+        fits,
+        "from_samples stores a grid if and only if every rate fits: {grid:?}"
     );
     for t in probes(slot, samples.len()) {
         assert_eq!(grid.step_at(t), steps.step_at(t), "step_at({t:?})");
@@ -87,6 +93,9 @@ proptest! {
         slot_ns in 1u64..20_000_000_000,
         tiny_slot in any::<bool>(),
         mbps in prop::collection::vec(0u32..100_000, 1..40),
+        wide in 0u8..4,
+        marks in prop::collection::vec(0u8..6, 40..41),
+        far_bps in (u32::MAX as u64 + 2)..u64::MAX,
         looped in any::<bool>(),
         from_ns in 0u64..100_000_000_000,
         sample_ns in 1u64..5_000_000_000,
@@ -94,7 +103,22 @@ proptest! {
         // Half the cases use a slot of 1-3 ns, where an edge ± 1 ns is
         // another slot.
         let slot = SimDuration::from_nanos(if tiny_slot { slot_ns % 3 + 1 } else { slot_ns });
-        let samples: Vec<Rate> = mbps.iter().map(|&k| Rate::from_bps(k as u64 * 1_000)).collect();
+        // Half the cases put samples on the `u32` boundary: a quarter of
+        // them at `u32::MAX − 1` and `u32::MAX` bps, which fit a slot, and
+        // a quarter also one past it and far above, which do not.
+        let max = u64::from(u32::MAX);
+        let samples: Vec<Rate> = mbps
+            .iter()
+            .zip(&marks)
+            .map(|(&k, &mark)| match (wide, mark) {
+                (2.., 2) => max - 1,
+                (2.., 3) => max,
+                (3, 4) => max + 1,
+                (3, 5) => far_bps,
+                _ => k as u64 * 1_000,
+            })
+            .map(Rate::from_bps)
+            .collect();
         let (grid, steps) = assert_same_function(slot, &samples, looped);
         let (from, width) = (SimTime::from_nanos(from_ns), SimDuration::from_nanos(sample_ns));
         prop_assert_eq!(
@@ -106,20 +130,52 @@ proptest! {
 
 /// The shapes the generator reaches rarely, by name: one sample (every
 /// instant is its slot), a slot of one nanosecond, and the 50 ms slot of
-/// the paper's traces.
+/// the paper's traces — each with a last sample that fits a slot exactly
+/// and with one a bit per second too fast for it.
 #[test]
 fn the_corner_grids_match_too() {
-    let rates = [
-        Rate::from_bps(1_000_000),
-        Rate::from_bps(3_000_000),
-        Rate::ZERO,
-    ];
-    for looped in [false, true] {
-        assert_same_function(SimDuration::from_millis(50), &rates[..1], looped);
-        assert_same_function(SimDuration::from_nanos(1), &rates[..1], looped);
-        assert_same_function(SimDuration::from_nanos(1), &rates, looped);
-        assert_same_function(SimDuration::from_millis(50), &rates, looped);
+    let max = u64::from(u32::MAX);
+    for last in [Rate::ZERO, Rate::from_bps(max), Rate::from_bps(max + 1)] {
+        let rates = [Rate::from_bps(1_000_000), Rate::from_bps(3_000_000), last];
+        for looped in [false, true] {
+            assert_same_function(SimDuration::from_millis(50), &rates[..1], looped);
+            assert_same_function(SimDuration::from_nanos(1), &rates[2..], looped);
+            assert_same_function(SimDuration::from_nanos(1), &rates, looped);
+            assert_same_function(SimDuration::from_millis(50), &rates, looped);
+        }
     }
+}
+
+/// The fallback stores `slot × n` as its period, and a slot that long
+/// saturates the product at the last instant there is instead of
+/// overflowing it; the step function is still the reference's.
+#[test]
+fn a_fallback_period_past_the_end_of_time_saturates() {
+    let half = u64::MAX / 2;
+    let slot = SimDuration::from_nanos(half);
+    let rates = [
+        Rate::from_bps(u64::from(u32::MAX) + 1),
+        Rate::from_bps(1_000),
+        Rate::from_bps(2_000),
+    ];
+    let p = BandwidthProfile::from_samples(slot, &rates, true);
+    let BandwidthProfile::Steps { period, .. } = &p else {
+        panic!("a rate past u32::MAX bps is not a grid: {p:?}")
+    };
+    assert_eq!(*period, Some(SimDuration::from_nanos(u64::MAX)));
+    let steps = reference(slot, &rates, true);
+    for t in [0, half - 1, half, u64::MAX - 2, u64::MAX - 1, u64::MAX].map(SimTime::from_nanos) {
+        assert_eq!(p.step_at(t), steps.step_at(t), "step_at({t:?})");
+        assert_eq!(p.rate_at(t), steps.rate_at(t), "rate_at({t:?})");
+        assert_eq!(p.next_change_after(t), steps.next_change_after(t));
+    }
+    for horizon in [slot, slot * 2] {
+        assert_eq!(p.mean_rate(horizon), steps.mean_rate(horizon));
+    }
+    assert_eq!(
+        p.sample_slots(SimTime::ZERO, slot, 4),
+        steps.sample_slots(SimTime::ZERO, slot, 4)
+    );
 }
 
 /// A one-shot trace ends: from its last slot on the rate holds and no edge

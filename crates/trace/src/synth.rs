@@ -76,15 +76,24 @@ impl SynthSpec {
 
     /// Generate the raw per-slot rates.
     pub fn samples(&self) -> Vec<Rate> {
+        self.draws().collect()
+    }
+
+    /// Generate the looping [`BandwidthProfile`], each rate written into
+    /// the profile's grid as it is drawn.
+    pub fn profile(&self) -> BandwidthProfile {
+        BandwidthProfile::from_sample_iter(self.slot, self.draws(), true)
+    }
+
+    /// The per-slot rates, drawn lazily in slot order.
+    fn draws(&self) -> impl Iterator<Item = Rate> + '_ {
         let mut rng = Prng::new(self.seed);
-        let n = self.n_slots();
         let sigma = self.mean_mbps * self.sigma_frac;
         let innov_sigma = sigma * (1.0 - self.rho * self.rho).sqrt();
         let mut x = self.mean_mbps;
-        let mut out = Vec::with_capacity(n);
         let mut fade_left = 0usize;
         let mut fade_depth = 1.0;
-        for _ in 0..n {
+        (0..self.n_slots()).map(move |_| {
             // Box-Muller from two uniforms; deterministic per seed.
             let u1: f64 = rng.next_f64().max(1e-12);
             let u2: f64 = rng.next_f64();
@@ -102,14 +111,8 @@ impl SynthSpec {
                     v *= fade_depth;
                 }
             }
-            out.push(Rate::from_mbps_f64(v));
-        }
-        out
-    }
-
-    /// Generate the looping [`BandwidthProfile`].
-    pub fn profile(&self) -> BandwidthProfile {
-        BandwidthProfile::from_samples(self.slot, &self.samples(), true)
+            Rate::from_mbps_f64(v)
+        })
     }
 }
 

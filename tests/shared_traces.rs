@@ -1,11 +1,14 @@
 //! A recorded bandwidth trace exists once however many configs carry it:
 //! cloning a [`SessionConfig`] bumps a reference on each path's rates, and
 //! so does everything built from clones — a scenario's modes, a fleet's
-//! clients, a batch's jobs — and what exists once is 8 bytes a slot: a
-//! sampled trace stores no timestamp. (From the benchmark, a deep copy on
-//! one of these routes is `solo_grid` peaking far above its ~10.5 MB — it
-//! was 43 MB against 17 when a slot cost 16 bytes — and ~17 MB is what
-//! timestamps coming back looks like.)
+//! clients, a batch's jobs — and what exists once is 4 bytes a slot: a
+//! sampled trace stores no timestamp, and each slot is the `u32` bits per
+//! second it holds. (From the benchmark, a deep copy on one of these
+//! routes is `solo_grid` peaking far above its ~7.0 MB — it was 43 MB
+//! against 17 when a slot cost 16 bytes — ~10.5 MB is what 8-byte slots
+//! coming back looks like, and ~17 MB timestamps.) A rate too fast for a
+//! slot makes the trace a stored step function instead, so a valid
+//! scenario never loses a bit.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
@@ -13,17 +16,18 @@ use mpdash::fleet::{self, FleetConfig};
 use mpdash::link::BandwidthProfile;
 use mpdash::obs::{TraceEvent, TraceSink};
 use mpdash::scenario::Scenario;
-use mpdash::session::{run_batch, Job, SessionConfig, Tracer, TransportMode};
-use mpdash::sim::{Rate, SimDuration, SimTime};
-use mpdash::trace::table1;
+use mpdash::session::{run_batch, Job, SessionConfig, StreamingSession, Tracer, TransportMode};
+use mpdash::sim::{SimDuration, SimTime};
+use mpdash::trace::{table1, SynthSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-type Rates = Arc<[Rate]>;
+/// A sampled trace's slots, as stored: bits per second.
+type Rates = Arc<[u32]>;
 
 fn rates(profile: &BandwidthProfile) -> &Rates {
     match profile {
-        BandwidthProfile::Sampled { rates, .. } => rates,
+        BandwidthProfile::Sampled { rates, .. } => rates.bps(),
         other => panic!("a synthetic profile is a sampled trace, not {other:?}"),
     }
 }
@@ -85,21 +89,65 @@ fn a_cloned_session_config_shares_both_traces() {
     ));
 }
 
-/// The byte budget as a step function: a slot costs its rate and nothing
-/// else. A stored timestamp doubles it.
+/// The byte budget as a step function: a slot costs its `u32` bits per
+/// second and nothing else, plus the `Arc`'s two counts. An 8-byte `Rate`
+/// a slot doubles it, and a stored timestamp quadruples it.
 #[test]
-fn a_sampled_trace_owns_eight_bytes_a_slot() {
+fn a_sampled_trace_owns_four_bytes_a_slot() {
     let (wifi, cell) = table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42);
     for profile in [&wifi, &cell] {
         let slots = rates(profile).len();
         assert_eq!(slots, 13_200, "660 s in 50 ms slots");
         assert!(
-            profile.heap_bytes() <= 8 * slots + 64,
+            profile.heap_bytes() <= 4 * slots + 16,
             "{} B for {slots} slots",
             profile.heap_bytes()
         );
     }
     assert_eq!(BandwidthProfile::constant_mbps(3.8).heap_bytes(), 0);
+}
+
+/// The decoder bounds `mean_mbps` only from below, so a 6 Gbps synthetic
+/// trace is a valid scenario. Most of its slots do not fit a `u32` bits
+/// per second: it is built as the explicit-timestamp step function, the
+/// same function of time over two passes as its samples say, and a session
+/// on it streams every chunk.
+#[test]
+fn a_trace_too_fast_for_a_slot_is_a_step_function_and_streams() {
+    let doc = r#"{
+        "name": "six_gbps",
+        "video": {"custom": {"levels_mbps": [0.5, 1.0], "chunk_secs": 2, "n_chunks": 3}},
+        "wifi": {"synthetic": {"mean_mbps": 6000, "sigma": 0.1, "seed": 7}},
+        "cell": {"constant": 3.0},
+        "abr": "gpac",
+        "modes": ["mpdash_rate"]
+    }"#;
+    let [(_, cfg)] = &Scenario::from_json(doc).unwrap().build()[..] else {
+        panic!("one mode, one config")
+    };
+    let spec = SynthSpec::new(6000.0, 0.1, 7);
+    let samples = spec.samples();
+    assert!(samples.iter().any(|r| r.as_bps() > u64::from(u32::MAX)));
+    let BandwidthProfile::Steps { steps, period } = &cfg.wifi.profile else {
+        panic!("a 6 Gbps trace is not a grid: {:?}", cfg.wifi.profile)
+    };
+    assert_eq!(steps.len(), samples.len());
+    assert_eq!(*period, Some(spec.slot * samples.len() as u64));
+    let reference = |t: SimTime| {
+        let (i, n) = (t.as_nanos() / spec.slot.as_nanos(), samples.len() as u64);
+        (
+            samples[(i % n) as usize],
+            SimTime::ZERO + spec.slot * (i + 1),
+        )
+    };
+    for k in 0..2 * samples.len() as u64 {
+        let edge = spec.slot.as_nanos() * k;
+        for t in [edge.saturating_sub(1), edge, edge + 1].map(SimTime::from_nanos) {
+            assert_eq!(cfg.wifi.profile.step_at(t), reference(t), "step_at({t:?})");
+        }
+    }
+    let report = StreamingSession::run(cfg.clone());
+    assert_eq!(report.chunks.len(), 3, "every chunk streamed");
 }
 
 #[test]
