@@ -19,7 +19,7 @@ use crate::cc::{CcKind, CongestionControl};
 use crate::packet::{PathMask, MSS};
 use crate::scheduler::{Candidate, SchedInput, Scheduler, SchedulerImpl, SchedulerSpec};
 use mpdash_link::PathId;
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{GiveBackSlack, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Initial retransmission timeout before any RTT sample (RFC 6298).
@@ -92,6 +92,8 @@ pub struct SubflowTx {
     cc_kind: CcKind,
     snd_una: u64,
     snd_nxt: u64,
+    /// Unacknowledged segments, oldest first. A window that swelled
+    /// into a deep queue drains here, so ACKs give the slack back.
     segs: VecDeque<Seg>,
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
@@ -474,6 +476,7 @@ impl Sender {
                     break;
                 }
             }
+            sf.segs.give_back_slack();
             if let Some(rtt) = sample {
                 sf.take_rtt_sample(rtt);
             }
@@ -622,6 +625,7 @@ impl Sender {
         sf.revival_backoff = (sf.revival_backoff * 2).min(SimDuration::from_secs(120));
         let ranges: Vec<(u64, u64)> = sf.segs.iter().map(|s| (s.dss, s.len)).collect();
         sf.segs.clear();
+        sf.segs.give_back_slack();
         sf.snd_una = sf.snd_nxt;
         let mut out = Vec::new();
         for (dss, len) in ranges {
@@ -1117,6 +1121,43 @@ mod tests {
         s.push_app_data(MSS);
         s.pump(SimTime::ZERO);
         assert_eq!(s.flush_unsent(), 0, "fully assigned stream has no tail");
+    }
+
+    #[test]
+    fn an_acked_window_gives_its_segment_slots_back() {
+        use mpdash_link::{Link, LinkConfig, SendOutcome};
+        // A fast path behind an 8 MB drop-tail queue: slow start runs
+        // until the queue inflates the RTT, hundreds of segments wide.
+        let mut link = Link::new(
+            LinkConfig::constant(1_000.0, SimDuration::from_millis(10))
+                .with_queue_capacity(8 << 20),
+        );
+        let ack_delay = SimDuration::from_millis(10);
+        let mut s = two_path_sender();
+        s.apply_mask(PathMask::only(PathId::WIFI));
+        s.push_app_data(20_000 * MSS);
+        // ACKs in flight, as (arrival, cumulative ack): the link is FIFO
+        // and lossless, so they come back in order.
+        let mut acks = VecDeque::new();
+        let (mut now, mut widest) = (SimTime::ZERO, 0);
+        loop {
+            for t in s.pump(now) {
+                let SendOutcome::Delivered { at } = link.send(now, t.len) else {
+                    panic!("the deep queue dropped a segment");
+                };
+                acks.push_back((at + ack_delay, t.seq + t.len));
+            }
+            widest = widest.max(s.subflow(PathId::WIFI).segs.len());
+            let Some((at, ack)) = acks.pop_front() else {
+                break;
+            };
+            now = at;
+            assert!(s.on_ack(now, PathId::WIFI, ack).is_empty());
+        }
+        assert!(s.all_acked());
+        assert!(widest >= 256, "the window never swelled: {widest} segments");
+        let slots = s.subflow(PathId::WIFI).segs.capacity();
+        assert!(slots <= 16, "{slots} segment slots kept after the last ACK");
     }
 
     #[test]

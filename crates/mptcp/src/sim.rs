@@ -37,7 +37,7 @@ use mpdash_link::{
 };
 use mpdash_obs::{TraceEvent, Tracer};
 use mpdash_sim::queue::SHARED_LANE;
-use mpdash_sim::{EventQueue, Rate, SimDuration, SimTime};
+use mpdash_sim::{EventQueue, GiveBackSlack, Rate, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// TCP/IP header bytes charged to the link per data packet.
@@ -197,7 +197,9 @@ pub struct MptcpSim {
     rto_event_at: Vec<Option<SimTime>>,
     /// Per-path packets currently queued inside a shared bottleneck.
     /// Departures within one flow are FIFO under both disciplines, so a
-    /// `VecDeque` plus a ticket assertion is exact.
+    /// `VecDeque` plus a ticket assertion is exact. A flow's share of a
+    /// deep queue once filled it; departures and drops give that slack
+    /// back (`mpdash_sim::slack`).
     deferred: Vec<VecDeque<PendingPkt>>,
     /// Scratch for `pump`'s per-path queue-depth sample, kept so a pump
     /// does not allocate.
@@ -710,9 +712,11 @@ impl MptcpSim {
         depart_at: SimTime,
         marked: bool,
     ) {
-        let pkt = self.deferred[path.index()]
+        let deferred = &mut self.deferred[path.index()];
+        let pkt = deferred
             .pop_front()
             .expect("departure for a path with no deferred packets");
+        deferred.give_back_slack();
         assert_eq!(
             pkt.ticket, ticket,
             "shared bottleneck departures out of order within a flow"
@@ -749,9 +753,11 @@ impl MptcpSim {
     /// drop at offer time — but the deferred bookkeeping must advance
     /// past it so later departures still line up ticket-for-ticket.
     pub fn on_shared_drop(&mut self, path: PathId, ticket: Ticket, _at: SimTime) {
-        let pkt = self.deferred[path.index()]
+        let deferred = &mut self.deferred[path.index()];
+        let pkt = deferred
             .pop_front()
             .expect("AQM drop for a path with no deferred packets");
+        deferred.give_back_slack();
         assert_eq!(
             pkt.ticket, ticket,
             "shared bottleneck AQM drops out of order within a flow"

@@ -10,7 +10,7 @@ use mpdash_energy::{DeviceProfile, RadioMeter, SessionEnergy};
 use mpdash_http::DssRange;
 use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{GiveBackSlack, SimDuration, SimTime};
 
 /// Both radios of the session's device, fed arrivals on the session's
 /// own clock: a staggered fleet client's packets land in `[origin,
@@ -96,6 +96,8 @@ pub(crate) struct OutageSplit {
     /// Per finished chunk: its body and the body bytes on [the
     /// preferred path, any other].
     finished: Vec<(DssRange, [u64; 2])>,
+    /// The chunk in flight's arrivals so far; its finish claims them and
+    /// gives the slack back.
     waiting: Vec<Waiting>,
 }
 
@@ -143,6 +145,7 @@ impl OutageSplit {
             }
             true
         });
+        self.waiting.give_back_slack();
         self.finished.push((body, split));
     }
 

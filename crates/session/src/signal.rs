@@ -18,16 +18,20 @@
 use mpdash_core::MpDashControl;
 use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpSim, PktRecord};
-use mpdash_sim::SimTime;
+use mpdash_sim::{GiveBackSlack, SimTime};
 
 /// The MP-DASH control plane plus the arrivals it has not seen yet.
 pub struct DeadlineSignal {
     /// `MP_DASH_ENABLE`/`DISABLE`, the per-path estimates and the
     /// scheduler statistics.
     pub control: MpDashControl,
-    /// Arrivals since the last check, oldest first: a check follows
-    /// every delivery and every 50 ms tick of a transfer, so this holds
-    /// a few packets.
+    /// Arrivals since the last check, oldest first. A check follows an
+    /// arrival only when it delivers in order (the stream moved on), and
+    /// otherwise the next 50 ms tick of a chunk in flight. After a loss,
+    /// every arrival past the hole waits here until the retransmission
+    /// fills it or the tick comes, so this can hold most of a window;
+    /// with no chunk in flight, nothing checks until the next one starts.
+    /// A check drains it and gives the slack back.
     arrived: Vec<PktRecord>,
     /// Per-path revival counters as of the last check; an increase means
     /// the subflow was re-established and the path's throughput history
@@ -64,6 +68,7 @@ impl DeadlineSignal {
         for r in self.arrived.drain(..) {
             self.control.on_bytes(r.path.index(), r.t, r.len);
         }
+        self.arrived.give_back_slack();
         // One flag per path id a `PathMask` can name.
         let mut busy = [false; 32];
         let busy = &mut busy[..self.control.n_paths()];

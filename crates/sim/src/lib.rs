@@ -41,6 +41,7 @@ pub mod queue;
 pub mod rate;
 pub mod rng;
 pub mod series;
+pub mod slack;
 pub mod time;
 
 pub use par::{default_workers, par_map};
@@ -48,4 +49,5 @@ pub use queue::EventQueue;
 pub use rate::Rate;
 pub use rng::{derive_seed, Prng};
 pub use series::Series;
+pub use slack::GiveBackSlack;
 pub use time::{SimDuration, SimTime};

@@ -15,7 +15,11 @@
 //!   named for it: one generator scatters times over random lanes
 //!   (mostly heap), one schedules `now` + a fixed offset into that
 //!   offset's lane the way the simulator does (mostly lanes), and one
-//!   names lanes to hurt.
+//!   names lanes to hurt;
+//! * **compaction is invisible** — a queue that bursts to hundreds of
+//!   entries and drains moves them into smaller slabs again and again,
+//!   and pops, peeks, cancels of ids issued before a move, and the
+//!   `lane_appends` / `heap_fallbacks` split do not notice.
 
 use mpdash_sim::queue::{EventId, LANES, SHARED_LANE};
 use mpdash_sim::{EventQueue, SimDuration, SimTime};
@@ -95,6 +99,26 @@ fn offset_stream(arg: u64, now: SimTime) -> (usize, SimTime) {
     }
 }
 
+/// Ops for [`check_against_model`]: per burst, `size` schedules, then
+/// twice as many drain ops, of which one in eight cancels, one in eight
+/// schedules and the rest pop. `args` are the arguments, reused in turn.
+fn burst_and_drain(bursts: &[u64], args: &[u64]) -> Vec<u64> {
+    let mut args = args.iter().cycle().enumerate().map(|(i, &a)| a ^ i as u64);
+    let mut ops = Vec::new();
+    for &size in bursts {
+        ops.extend(args.by_ref().take(size as usize).map(|a| a << 3));
+        ops.extend(args.by_ref().take(2 * size as usize).map(|a| {
+            a << 3
+                | match a >> 10 & 7 {
+                    0 => 4,
+                    1 => 0,
+                    _ => 6,
+                }
+        }));
+    }
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -146,6 +170,27 @@ proptest! {
                 _ => (arg >> 8) as usize % LANES,
             };
             (lane, at)
+        })?;
+    }
+}
+
+proptest! {
+    // A case is a few thousand ops, ten times the cases above.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bursts of a few hundred events, each drained back down: the slab
+    /// fills and compacts several times a case while lanes and the heap
+    /// hold entries. The drain still schedules (into lanes whose tails
+    /// moved) and cancels (the earliest entry, or any id: most were
+    /// issued before a compaction).
+    #[test]
+    fn bursts_drained_through_compaction_match_the_model(
+        bursts in prop::collection::vec(100u64..400, 2..6),
+        args in prop::collection::vec(0u64..(1 << 20), 64..256),
+    ) {
+        check_against_model(&burst_and_drain(&bursts, &args), |arg, now| {
+            let (stream, at) = offset_stream(arg, now);
+            (stream.min(SHARED_LANE), at)
         })?;
     }
 }

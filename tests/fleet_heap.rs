@@ -1,6 +1,11 @@
 //! A contended fleet's peak live heap is flat in session length: no
 //! client keeps anything per packet unless it is traced, so a longer
-//! video costs a few bytes a chunk, not 16 a packet.
+//! video costs a few bytes a chunk, not 16 a packet. And it is small per
+//! client: a client's per-packet buffers (sender segments, event-queue
+//! slab, shared-queue bookkeeping, outage split, deadline signal) give
+//! back what a swollen window left, so 32 clients behind one deep AP
+//! peak at under 72 KB a client (45 KB; 116 KB when every buffer kept
+//! its high-water capacity).
 //!
 //! The heap is read off a counting global allocator. It counts every
 //! thread of the process, so this binary holds exactly one test.
@@ -58,14 +63,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static HEAP: Counting = Counting;
 
-/// `perf`'s contended topology at 8 clients: QAware MP-DASH, 1 s
-/// stagger, 10 ms RTT skew, a FIFO AP at 1.5 Mbps a client behind
-/// 64 KiB a client and a FIFO sector at 2 Mbps a client. The video has
-/// one rung, so a longer one differs only in length: on the full ladder
-/// FESTIVE is still ramping at chunk 10, and the longer run's bigger
-/// chunks would grow every in-flight buffer with them.
-fn contended(chunks: usize) -> FleetConfig {
-    let clients = 8;
+/// `perf`'s contended topology: QAware MP-DASH, 1 s stagger, 10 ms RTT
+/// skew, a FIFO AP at 1.5 Mbps a client behind 64 KiB a client and a
+/// FIFO sector at 2 Mbps a client. The video has one rung, so a longer
+/// one differs only in length: on the full ladder FESTIVE is still
+/// ramping at chunk 10, and the longer run's bigger chunks would grow
+/// every in-flight buffer with them.
+fn contended(clients: usize, chunks: usize) -> FleetConfig {
     let video = Video::new("BBB-heap", &[1.01], SimDuration::from_secs(4), chunks);
     let base = SessionConfig::controlled_mbps(
         50.0,
@@ -90,8 +94,8 @@ fn contended(chunks: usize) -> FleetConfig {
 
 /// Peak live heap bytes over one run of the fleet, the finished report
 /// included, above what was live before it; and the packets it moved.
-fn peak_live_heap(chunks: usize) -> (usize, u64) {
-    let cfg = contended(chunks);
+fn peak_live_heap(clients: usize, chunks: usize) -> (usize, u64) {
+    let cfg = contended(clients, chunks);
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
     let report = mpdash::fleet::run(&cfg);
@@ -106,8 +110,8 @@ fn peak_live_heap(chunks: usize) -> (usize, u64) {
 
 #[test]
 fn a_contended_fleets_peak_heap_is_flat_in_session_length() {
-    let (short, short_packets) = peak_live_heap(10);
-    let (long, long_packets) = peak_live_heap(20);
+    let (short, short_packets) = peak_live_heap(8, 10);
+    let (long, long_packets) = peak_live_heap(8, 20);
     // Twice the video is (nearly) twice the packets: 16 bytes of log a
     // packet would add that many bytes again.
     assert!(long_packets * 10 > short_packets * 18);
@@ -115,5 +119,13 @@ fn a_contended_fleets_peak_heap_is_flat_in_session_length() {
         long * 10 <= short * 11,
         "peak live heap {long} B at 20 chunks vs {short} B at 10 \
          ({long_packets} vs {short_packets} packets)"
+    );
+    // Four times the clients: a client's per-packet buffers hold what
+    // is in flight, not the most its window ever held.
+    let (wide, _) = peak_live_heap(32, 10);
+    assert!(
+        wide <= 32 * 72_000,
+        "peak live heap {wide} B for 32 clients, {} B a client",
+        wide / 32
     );
 }
