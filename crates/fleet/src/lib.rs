@@ -686,13 +686,63 @@ impl LoopTelemetry {
     }
 }
 
+/// A fleet client: its whole session while the transport can still
+/// touch it, then only the report the run returns.
+enum Client {
+    Live(Box<StreamingSession>),
+    Done(Box<SessionReport>),
+}
+
+impl Client {
+    /// The session of a client that is handed an event. Only a live one
+    /// is: a client is reported once it is done and owns no queued packet.
+    fn live(&mut self) -> &mut StreamingSession {
+        match self {
+            Client::Live(session) => session,
+            Client::Done(_) => unreachable!("an event for a reported client"),
+        }
+    }
+
+    /// Its next event: none once it is `done`.
+    fn wake(&self, done: bool) -> Option<SimTime> {
+        match self {
+            Client::Live(session) if !done => session.peek_time(),
+            _ => None,
+        }
+    }
+}
+
 /// Re-key client `k` in the session tree after anything touched its
 /// queue: its next event, or nothing once it is `done`. A finished
 /// session can still own packets at a bottleneck — a spurious
 /// retransmission of data it has since acknowledged — and their late
 /// delivery must not wake it.
-fn rekey_client(next: &mut NextEvent, k: usize, session: &StreamingSession, done: bool) {
-    next.set_session(k, session.peek_time().filter(|_| !done));
+fn rekey_client(next: &mut NextEvent, k: usize, client: &Client, done: bool) {
+    next.set_session(k, client.wake(done));
+}
+
+/// Replace client `k`, which is done, by its report once no packet of it
+/// waits at a bottleneck. A finished client with a late copy still
+/// queued stays live until the copy departs or is dropped: the copy's
+/// departure still reaches its transport, so its report is the one the
+/// end of the run would build. A client that traces keeps its session to
+/// the end, where its report traces the player's last transitions in
+/// client order, after every event of the loop.
+fn report_if_untouchable(clients: &mut Vec<Client>, k: usize) {
+    let Client::Live(session) = &clients[k] else {
+        return;
+    };
+    if session.owns_queued_packets() || session.traces() {
+        return;
+    }
+    // Move the session out of its slot (`into_report` takes it by value)
+    // and put the report in its place, without a placeholder client.
+    let last = clients.len() - 1;
+    let Client::Live(session) = clients.swap_remove(k) else {
+        unreachable!()
+    };
+    clients.push(Client::Done(Box::new(session.into_report())));
+    clients.swap(k, last);
 }
 
 /// The loop's order as a scan over every entity's live next fire time,
@@ -701,13 +751,13 @@ fn rekey_client(next: &mut NextEvent, k: usize, session: &StreamingSession, done
 /// order: bottlenecks, then sessions, each by index.
 fn earliest_by_scan(
     bottlenecks: &[SharedBottleneck],
-    sessions: &[StreamingSession],
+    clients: &[Client],
     done: &[bool],
 ) -> Option<(SimTime, Entity)> {
     let departures = (bottlenecks.iter().enumerate())
         .filter_map(|(i, bn)| Some((bn.next_departure()?, Entity::Bottleneck(i))));
-    let wakes = (sessions.iter().enumerate())
-        .filter_map(|(k, s)| Some((s.peek_time().filter(|_| !done[k])?, Entity::Session(k))));
+    let wakes = (clients.iter().enumerate())
+        .filter_map(|(k, c)| Some((c.wake(done[k])?, Entity::Session(k))));
     departures.chain(wakes).min_by_key(|&(t, _)| t)
 }
 
@@ -765,7 +815,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             member
         })
         .collect();
-    let mut sessions: Vec<StreamingSession> = (0..cfg.clients)
+    let mut clients: Vec<Client> = (0..cfg.clients)
         .map(|k| {
             let mut sc = cfg.base.clone();
             match churn_plan.as_ref() {
@@ -829,7 +879,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             }
             let mut session = StreamingSession::start(sc);
             session.set_logging(traced);
-            session
+            Client::Live(Box::new(session))
         })
         .collect();
 
@@ -846,9 +896,9 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             bn.enable_telemetry(t);
         }
         let mut flows = Vec::with_capacity(cfg.clients * spec.paths.len());
-        for (k, session) in sessions.iter_mut().enumerate() {
+        for (k, client) in clients.iter_mut().enumerate() {
             for &path in &spec.paths {
-                let flow = session.attach_shared(path, &bn);
+                let flow = client.live().attach_shared(path, &bn);
                 debug_assert_eq!(flow, flows.len(), "flows subscribe densely");
                 flows.push((k, path));
             }
@@ -866,8 +916,8 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     // entities it can have changed.
     let mut next = NextEvent::new(bottlenecks.len(), cfg.clients);
     let mut done = vec![false; cfg.clients];
-    for (k, session) in sessions.iter().enumerate() {
-        rekey_client(&mut next, k, session, done[k]);
+    for (k, client) in clients.iter().enumerate() {
+        rekey_client(&mut next, k, client, done[k]);
     }
     // Admission state: a session is "active" once its arrival event was
     // admitted and until it finishes. The overload policy only ever
@@ -899,7 +949,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         let best = next.earliest();
         charge(&mut wall, |w| &mut w.peek_ns);
         profile.loop_iterations += 1;
-        debug_assert_eq!(best, earliest_by_scan(&bottlenecks, &sessions, &done));
+        debug_assert_eq!(best, earliest_by_scan(&bottlenecks, &clients, &done));
         let Some((t, entity)) = best else { break };
         if let Some(wd) = watchdog.as_mut() {
             wd.check_time(t)?;
@@ -908,14 +958,21 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             Entity::Bottleneck(i) => {
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
-                sessions[k].on_shared_departure(path, d.ticket, d.at, d.marked);
+                clients[k]
+                    .live()
+                    .on_shared_departure(path, d.ticket, d.at, d.marked);
                 // CoDel drops packets at dequeue time, while choosing this
                 // departure; route each casualty back to its owner so the
                 // per-flow ticket FIFO stays aligned. Empty (and
                 // allocation-free) unless a dequeue-time AQM is active.
                 for drop in bottlenecks[i].take_aqm_drops() {
                     let (dk, dpath) = route[i][drop.flow];
-                    sessions[dk].on_shared_drop(dpath, drop.ticket, drop.at);
+                    clients[dk]
+                        .live()
+                        .on_shared_drop(dpath, drop.ticket, drop.at);
+                    if done[dk] {
+                        report_if_untouchable(&mut clients, dk);
+                    }
                     if let Some(e) = epochs.as_mut() {
                         e.series.counter_add(t, e.loop_aqm_drops, 1);
                     }
@@ -933,7 +990,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // packet schedules nothing. (Re-keying is charged to the
                 // next iteration's peek.)
                 next.departures[i] = bottlenecks[i].next_departure();
-                rekey_client(&mut next, k, &sessions[k], done[k]);
+                rekey_client(&mut next, k, &clients[k], done[k]);
+                if done[k] {
+                    report_if_untouchable(&mut clients, k);
+                }
             }
             Entity::Session(k) => {
                 if !arrived[k] {
@@ -950,8 +1010,9 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                             // Shed: the session never steps, so its
                             // queued arrival wake is simply abandoned
                             // and its report is empty.
-                            sessions[k].mark_shed();
+                            clients[k].live().mark_shed();
                             done[k] = true;
+                            report_if_untouchable(&mut clients, k);
                             shed[k] = true;
                             shed_sessions += 1;
                             if let Some(e) = epochs.as_mut() {
@@ -973,21 +1034,24 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                         e.series.counter_add(t, e.fleet_arrivals, 1);
                     }
                 }
-                sessions[k].step_once();
+                let session = clients[k].live();
+                session.step_once();
                 profile.session_steps += 1;
                 if let Some(e) = epochs.as_mut() {
                     e.series.counter_add(t, e.loop_steps, 1);
                 }
                 if let Some(wd) = watchdog.as_mut() {
-                    wd.check_breakers(k, sessions[k].breaker_sanity())?;
-                    let (hedges, wins_primary, wins_hedge) = sessions[k].hedge_accounting();
+                    wd.check_breakers(k, session.breaker_sanity())?;
+                    let (hedges, wins_primary, wins_hedge) = session.hedge_accounting();
                     wd.check_hedges(k, hedges, wins_primary, wins_hedge)?;
                 }
-                if sessions[k].finished() {
+                if session.finished() {
                     // A finished session's leftover timers are abandoned,
                     // exactly as the standalone driver abandons them. A
                     // departure can still target it (a late copy of an
-                    // acknowledged packet); `rekey_client` keeps it asleep.
+                    // acknowledged packet): `rekey_client` keeps it
+                    // asleep, and it becomes its report once no such
+                    // copy is queued — now, or at that copy's departure.
                     done[k] = true;
                     active -= 1;
                     if let Some(e) = epochs.as_mut() {
@@ -998,7 +1062,10 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 // A step changes its own queue and may offer packets,
                 // which start service only at an idle bottleneck: a busy
                 // one's departure time was fixed when its service began.
-                rekey_client(&mut next, k, &sessions[k], done[k]);
+                rekey_client(&mut next, k, &clients[k], done[k]);
+                if done[k] {
+                    report_if_untouchable(&mut clients, k);
+                }
                 for (i, bn) in bottlenecks.iter().enumerate() {
                     if next.departures[i].is_none() {
                         next.departures[i] = bn.next_departure();
@@ -1035,7 +1102,14 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         })
         .collect();
 
-    let sessions: Vec<SessionReport> = sessions.into_iter().map(|s| s.into_report()).collect();
+    let sessions: Vec<SessionReport> = clients
+        .into_iter()
+        .map(|c| match c {
+            Client::Done(report) => *report,
+            // A client that traces, reported where its trace expects it.
+            Client::Live(session) => session.into_report(),
+        })
+        .collect();
     // Fleet-wide series: fold every client's series in client order.
     // merge() is associative + commutative, so any other fold order —
     // e.g. shard-local partial merges under MPDASH_WORKERS — yields the
@@ -1586,6 +1660,8 @@ mod tests {
 
     #[test]
     fn a_late_copy_of_an_acked_packet_does_not_wake_a_finished_client() {
+        use mpdash_obs::{RingSink, Tracer};
+        use std::sync::Arc;
         // `exp churn`'s full-mode heavy / none / no-shed cell, written
         // out: 24 viewers packed into 1 s mean inter-arrivals on links
         // sized for four. A churned viewer finishes with a spurious
@@ -1622,6 +1698,78 @@ mod tests {
         assert!(report.departed_sessions > 0, "viewers churned away");
         let p = &report.profile;
         assert_eq!(p.loop_iterations, p.departures_popped + p.session_steps + 1);
+
+        // The case is exercised: client 3 departs, its last ACK (a
+        // `PathSample`) finishes it, and only then does a copy of a
+        // packet it has seen acknowledged leave the AP queue — its
+        // `SharedQueueWait` follows the client's every step. Tracing is
+        // observe-only, so this is the run above.
+        let ring = Arc::new(RingSink::new(1 << 20));
+        let mut traced = cfg.clone().with_trace_client(3);
+        traced.base = traced.base.with_tracer(Tracer::new(ring.clone()));
+        let traced = run_checked(&traced).expect("no invariant violations");
+        let events = ring.events();
+        let last_ack = (events.iter())
+            .rposition(|(_, e)| matches!(e, TraceEvent::PathSample { .. }))
+            .expect("client 3 was acknowledged");
+        assert!(events[..last_ack]
+            .iter()
+            .any(|(_, e)| matches!(e, TraceEvent::SessionDeparted { .. })));
+        let late: Vec<SimTime> = (events[last_ack..].iter())
+            .filter(|(_, e)| matches!(e, TraceEvent::SharedQueueWait { .. }))
+            .map(|&(t, _)| t)
+            .collect();
+        assert_eq!(format!("{late:?}"), "[t=28.086598s]");
+
+        // What no summary shows: each client's event engine, down to the
+        // `Data` event a late copy schedules (a lane append, and a slot
+        // that can set the peak). Recorded before a finished client
+        // became its report mid-run; a client reported before its late
+        // copy departed would differ in `lane_appends`.
+        // [events_popped, peak_queue_depth, data, ack, rto, app_timer,
+        //  reverse_msg, lane_appends, heap_fallbacks]
+        const PROFILES: [[u64; 9]; 24] = [
+            [10976, 41, 3865, 3918, 456, 2720, 17, 10764, 212],
+            [1814, 43, 822, 831, 45, 113, 3, 1794, 20],
+            [3761, 42, 1520, 1531, 157, 548, 5, 3684, 78],
+            [4347, 36, 1209, 1222, 165, 1747, 4, 4235, 122],
+            [14905, 43, 5766, 5830, 469, 2820, 20, 14734, 174],
+            [14876, 45, 5515, 5579, 408, 3354, 20, 14699, 181],
+            [2503, 35, 840, 847, 126, 687, 3, 2414, 91],
+            [7033, 45, 1921, 1945, 300, 2860, 7, 6898, 144],
+            [8701, 32, 2384, 2445, 306, 3554, 12, 8576, 125],
+            [2520, 42, 803, 816, 144, 753, 4, 2421, 103],
+            [1202, 53, 447, 450, 79, 224, 2, 1146, 58],
+            [1124, 35, 434, 438, 69, 181, 2, 1069, 60],
+            [6938, 45, 2311, 2342, 275, 1999, 11, 6722, 216],
+            [1227, 29, 435, 438, 69, 283, 2, 1176, 53],
+            [8242, 41, 2352, 2381, 300, 3200, 9, 8081, 161],
+            [876, 41, 233, 234, 32, 376, 1, 858, 21],
+            [1239, 53, 460, 465, 67, 245, 2, 1204, 39],
+            [7215, 31, 2521, 2554, 256, 1872, 12, 7126, 89],
+            [24998, 50, 10894, 10974, 470, 2640, 20, 24796, 205],
+            [7913, 38, 2880, 2911, 287, 1826, 9, 7790, 123],
+            [692, 33, 241, 242, 53, 155, 1, 650, 44],
+            [1879, 26, 621, 628, 116, 511, 3, 1808, 73],
+            [1211, 31, 448, 451, 63, 247, 2, 1168, 46],
+            [2663, 42, 815, 819, 128, 897, 4, 2549, 125],
+        ];
+        for (k, (s, want)) in report.sessions.iter().zip(PROFILES).enumerate() {
+            let (p, b) = (&s.sim_profile, &s.sim_profile.by_kind);
+            let got = [
+                p.events_popped,
+                p.peak_queue_depth as u64,
+                b.data,
+                b.ack,
+                b.rto,
+                b.app_timer,
+                b.reverse_msg,
+                p.lane_appends,
+                p.heap_fallbacks,
+            ];
+            assert_eq!(got, want, "client {k}");
+            assert_eq!(traced.sessions[k].sim_profile, *p, "client {k} traced");
+        }
     }
 
     #[test]

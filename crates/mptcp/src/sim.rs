@@ -431,6 +431,15 @@ impl MptcpSim {
         self.snd.all_acked()
     }
 
+    /// True while a packet of this connection waits in a shared
+    /// bottleneck: its departure will still call
+    /// [`MptcpSim::on_shared_departure`] (or its AQM drop
+    /// [`MptcpSim::on_shared_drop`]). A quiescent connection can own one
+    /// — a late copy of a packet it has since seen acknowledged.
+    pub fn owns_queued_packets(&self) -> bool {
+        self.deferred.iter().any(|d| !d.is_empty())
+    }
+
     /// Server-side request cancellation: drop every queued byte not yet
     /// assigned to a subflow and return how many were flushed. Bytes
     /// already mapped to subflows stay in flight (and keep

@@ -55,6 +55,11 @@ impl LogHistogram {
         self.sum = 0;
     }
 
+    /// Drop the bucket room past the highest bucket observed.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.buckets.shrink_to_fit();
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count

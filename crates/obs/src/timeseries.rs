@@ -54,9 +54,10 @@ pub struct TelemetrySpec {
 
 impl TelemetrySpec {
     /// The finest epoch an input (`MPDASH_TELEMETRY`, a scenario's
-    /// `telemetry.epoch_s`) may ask for. Cells are dense from epoch 0, so
-    /// a microsecond epoch is millions of empty cells a simulated
-    /// second, and nothing is sampled more often than the 50 ms tick.
+    /// `telemetry.epoch_s`) may ask for. A series stores a cell for every
+    /// epoch from its first write to its last, so a microsecond epoch is
+    /// millions of empty cells a simulated second, and nothing is sampled
+    /// more often than the 50 ms tick.
     pub const MIN_EPOCH: SimDuration = SimDuration::from_millis(1);
 
     /// A spec with the given epoch width.
@@ -124,36 +125,38 @@ fn telemetry_setting(raw: &str) -> Result<Option<TelemetrySpec>, &str> {
     }
 }
 
-/// One epoch's rollup: sorted named counters and log₂ histograms.
+/// One epoch's rollup: sorted named counters and log₂ histograms. A
+/// name is a `&'static str`: every signal is named by a literal, so a
+/// cell stores a pointer, not a copy, per key.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochCell {
     /// `(name, total)` sorted by name.
-    counters: Vec<(String, u64)>,
+    counters: Vec<(&'static str, u64)>,
     /// `(name, histogram)` sorted by name.
-    histograms: Vec<(String, LogHistogram)>,
+    histograms: Vec<(&'static str, LogHistogram)>,
 }
 
+/// The cell of every epoch that recorded nothing.
+static EMPTY_CELL: EpochCell = EpochCell {
+    counters: Vec::new(),
+    histograms: Vec::new(),
+};
+
 impl EpochCell {
-    fn add(&mut self, name: &str, n: u64) {
-        match self
-            .counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-        {
+    fn add(&mut self, name: &'static str, n: u64) {
+        match self.counters.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.counters[i].1 += n,
-            Err(i) => self.counters.insert(i, (name.to_string(), n)),
+            Err(i) => self.counters.insert(i, (name, n)),
         }
     }
 
-    fn observe(&mut self, name: &str, value: u64) {
-        match self
-            .histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-        {
+    fn observe(&mut self, name: &'static str, value: u64) {
+        match self.histograms.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.histograms[i].1.observe(value),
             Err(i) => {
                 let mut h = LogHistogram::default();
                 h.observe(value);
-                self.histograms.insert(i, (name.to_string(), h));
+                self.histograms.insert(i, (name, h));
             }
         }
     }
@@ -161,7 +164,7 @@ impl EpochCell {
     /// Counter value by name (zero if absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by(|(k, _)| (*k).cmp(name))
             .map(|i| self.counters[i].1)
             .unwrap_or(0)
     }
@@ -169,27 +172,34 @@ impl EpochCell {
     /// Histogram by name, if any value was observed this epoch.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+            .binary_search_by(|(k, _)| (*k).cmp(name))
             .map(|i| &self.histograms[i].1)
             .ok()
     }
 
     fn merge(&mut self, other: &EpochCell) {
-        for (name, n) in &other.counters {
-            self.add(name, *n);
+        for &(name, n) in &other.counters {
+            self.add(name, n);
         }
         for (name, h) in &other.histograms {
             self.merge_histogram(name, h);
         }
     }
 
-    fn merge_histogram(&mut self, name: &str, h: &LogHistogram) {
-        match self
-            .histograms
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-        {
+    fn merge_histogram(&mut self, name: &'static str, h: &LogHistogram) {
+        match self.histograms.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.histograms[i].1.merge(h),
-            Err(i) => self.histograms.insert(i, (name.to_string(), h.clone())),
+            Err(i) => self.histograms.insert(i, (name, h.clone())),
+        }
+    }
+
+    /// Give back the room kept for keys and buckets this cell will not
+    /// get: its epoch has closed.
+    fn shrink_to_fit(&mut self) {
+        self.counters.shrink_to_fit();
+        self.histograms.shrink_to_fit();
+        for (_, h) in &mut self.histograms {
+            h.shrink_to_fit();
         }
     }
 
@@ -200,7 +210,7 @@ impl EpochCell {
                 Json::Obj(
                     self.counters
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(*v)))
+                        .map(|&(k, v)| (k.to_string(), Json::from(v)))
                         .collect(),
                 ),
             ),
@@ -212,7 +222,7 @@ impl EpochCell {
                         .map(|(k, h)| {
                             let s = h.snapshot();
                             (
-                                k.clone(),
+                                k.to_string(),
                                 Json::obj([
                                     ("count", Json::from(s.count)),
                                     ("sum", Json::from(s.sum)),
@@ -242,14 +252,74 @@ pub struct EpochCounter(usize);
 #[derive(Clone, Copy, Debug)]
 pub struct EpochHistogram(usize);
 
-/// A dense series of [`EpochCell`]s over virtual time, from epoch 0 up
-/// to the last epoch that recorded anything. See the module docs for
-/// the merge-determinism contract and for how handle writes reach the
-/// cells.
+/// The stored cells of a series: those of epochs `first..first + len`.
+/// Every epoch before `first` recorded nothing, so a viewer who joins at
+/// minute three stores no cell for the first three minutes.
+#[derive(Clone, Debug, Default)]
+struct Cells {
+    /// The epoch of `cells[0]` (0 while nothing is stored).
+    first: usize,
+    cells: Vec<EpochCell>,
+}
+
+impl Cells {
+    /// Store a cell, empty if new, for every epoch in `lo..hi` (`lo < hi`).
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.cells.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let before = std::iter::repeat_with(EpochCell::default).take(self.first - lo);
+            self.cells.splice(0..0, before);
+            self.first = lo;
+        }
+        if self.cells.len() < hi - self.first {
+            self.cells.resize_with(hi - self.first, EpochCell::default);
+        }
+    }
+
+    /// Epoch `i`'s cell, stored from now on.
+    fn at(&mut self, i: usize) -> &mut EpochCell {
+        self.cover(i, i + 1);
+        &mut self.cells[i - self.first]
+    }
+
+    /// Epoch `i`'s cell, if one is stored.
+    fn get_mut(&mut self, i: usize) -> Option<&mut EpochCell> {
+        self.cells.get_mut(i.checked_sub(self.first)?)
+    }
+
+    /// Number of epochs: the last one stored, plus one.
+    fn n_epochs(&self) -> usize {
+        self.first + self.cells.len()
+    }
+
+    /// Every epoch's cell from epoch 0, stored or not.
+    fn dense(&self) -> impl Iterator<Item = &EpochCell> {
+        std::iter::repeat_n(&EMPTY_CELL, self.first).chain(&self.cells)
+    }
+
+    /// Fold `other`'s cells into the same epochs of `self`.
+    fn merge(&mut self, other: &Cells) {
+        if other.cells.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.n_epochs());
+        let mine = &mut self.cells[other.first - self.first..];
+        for (mine, theirs) in mine.iter_mut().zip(&other.cells) {
+            mine.merge(theirs);
+        }
+    }
+}
+
+/// A series of [`EpochCell`]s over virtual time, read as dense from
+/// epoch 0 up to the last epoch that recorded anything; it stores cells
+/// only from the first epoch that recorded anything on. See the module
+/// docs for the merge-determinism contract and for how handle writes
+/// reach the cells.
 #[derive(Debug)]
 pub struct EpochSeries {
     epoch: SimDuration,
-    cells: Vec<EpochCell>,
+    cells: Cells,
     /// Handle writes not yet in `cells`: all of them belong to epoch
     /// `open`, which covers `[lo, hi)` ns (`lo == hi` before the first).
     open: usize,
@@ -268,7 +338,7 @@ impl EpochSeries {
         assert!(!spec.epoch.is_zero(), "telemetry epoch must be > 0");
         EpochSeries {
             epoch: spec.epoch,
-            cells: Vec::new(),
+            cells: Cells::default(),
             open: 0,
             lo: 0,
             hi: 0,
@@ -287,28 +357,21 @@ impl EpochSeries {
         (t.as_nanos() / self.epoch.as_nanos()) as usize
     }
 
-    fn cell(cells: &mut Vec<EpochCell>, i: usize) -> &mut EpochCell {
-        if cells.len() <= i {
-            cells.resize(i + 1, EpochCell::default());
-        }
-        &mut cells[i]
-    }
-
     /// Add `n` to the named counter in `t`'s epoch.
-    pub fn add(&mut self, t: SimTime, name: &str, n: u64) {
+    pub fn add(&mut self, t: SimTime, name: &'static str, n: u64) {
         let i = self.index_of(t);
-        Self::cell(&mut self.cells, i).add(name, n);
+        self.cells.at(i).add(name, n);
     }
 
     /// Increment the named counter in `t`'s epoch.
-    pub fn inc(&mut self, t: SimTime, name: &str) {
+    pub fn inc(&mut self, t: SimTime, name: &'static str) {
         self.add(t, name, 1);
     }
 
     /// Record `value` into the named log₂ histogram in `t`'s epoch.
-    pub fn observe(&mut self, t: SimTime, name: &str, value: u64) {
+    pub fn observe(&mut self, t: SimTime, name: &'static str, value: u64) {
         let i = self.index_of(t);
-        Self::cell(&mut self.cells, i).observe(name, value);
+        self.cells.at(i).observe(name, value);
     }
 
     /// A handle for the named counter. Adds no key: the counter appears
@@ -333,11 +396,14 @@ impl EpochSeries {
         }
     }
 
-    /// Fold the open epoch's pending writes into its cell, then open the
-    /// epoch covering `ns`.
+    /// Fold the open epoch's pending writes into its cell and size that
+    /// cell to what it holds, then open the epoch covering `ns`.
     #[cold]
     fn reopen(&mut self, ns: u64) {
         self.flush();
+        if let Some(cell) = self.cells.get_mut(self.open) {
+            cell.shrink_to_fit();
+        }
         let width = self.epoch.as_nanos();
         self.open = (ns / width) as usize;
         self.lo = ns - ns % width;
@@ -366,12 +432,12 @@ impl EpochSeries {
     pub fn flush(&mut self) {
         for (name, written, n) in &mut self.counters {
             if std::mem::take(written) {
-                Self::cell(&mut self.cells, self.open).add(name, std::mem::take(n));
+                self.cells.at(self.open).add(name, std::mem::take(n));
             }
         }
         for (name, h) in &mut self.histograms {
             if h.count() > 0 {
-                Self::cell(&mut self.cells, self.open).merge_histogram(name, h);
+                self.cells.at(self.open).merge_histogram(name, h);
                 h.clear();
             }
         }
@@ -393,22 +459,23 @@ impl EpochSeries {
 
     /// Number of epochs (index of the last touched epoch + 1).
     pub fn n_epochs(&self) -> usize {
-        self.settled().cells.len()
+        self.settled().cells.n_epochs()
     }
 
-    /// Iterate `(epoch index, cell)`.
+    /// Iterate `(epoch index, cell)` from epoch 0: an epoch that recorded
+    /// nothing yields an empty cell.
     ///
     /// # Panics
     /// If handle writes are pending — a borrowed cell cannot include
     /// them; [`Self::flush`] (or clone) first.
     pub fn cells(&self) -> impl Iterator<Item = (usize, &EpochCell)> {
         assert!(!self.has_pending(), "flush() the series before cells()");
-        self.cells.iter().enumerate()
+        self.cells.dense().enumerate()
     }
 
     /// The named counter summed over all epochs.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.settled().cells.iter().map(|c| c.counter(name)).sum()
+        self.settled().cells.dense().map(|c| c.counter(name)).sum()
     }
 
     /// Merge `other` into `self`, epoch by epoch. Associative and
@@ -424,13 +491,7 @@ impl EpochSeries {
             "cannot merge series with different epoch widths"
         );
         self.flush();
-        let other = other.settled();
-        if self.cells.len() < other.cells.len() {
-            self.cells.resize(other.cells.len(), EpochCell::default());
-        }
-        for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
-            mine.merge(theirs);
-        }
+        self.cells.merge(&other.settled().cells);
     }
 
     /// Deterministic JSON encoding: the epoch width plus one object per
@@ -442,7 +503,7 @@ impl EpochSeries {
             ("epoch_s", Json::Float(self.epoch.as_secs_f64())),
             (
                 "epochs",
-                Json::arr(self.settled().cells.iter().map(|c| c.to_json())),
+                Json::arr(self.settled().cells.dense().map(EpochCell::to_json)),
             ),
         ])
     }
@@ -468,9 +529,15 @@ impl Clone for EpochSeries {
 
 impl PartialEq for EpochSeries {
     /// Equal when the same things were recorded — however they were
-    /// written, whatever is still pending, whichever handles exist.
+    /// written, whatever is still pending, whichever handles exist, from
+    /// whichever epoch each stores its cells.
     fn eq(&self, other: &EpochSeries) -> bool {
-        self.epoch == other.epoch && self.settled().cells == other.settled().cells
+        self.epoch == other.epoch
+            && self
+                .settled()
+                .cells
+                .dense()
+                .eq(other.settled().cells.dense())
     }
 }
 
@@ -505,9 +572,72 @@ mod tests {
     #[test]
     fn untouched_epochs_are_dense_zeros() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(9), "x"); // epoch 4; 0..=3 exist but are empty
+        s.inc(t(9), "x"); // epoch 4; 0..=3 recorded nothing
         assert_eq!(series(&s, "x"), vec![0, 0, 0, 0, 1]);
-        assert_eq!(s.cells[0], EpochCell::default());
+        assert_eq!(s.n_epochs(), 5);
+        let cells: Vec<(usize, &EpochCell)> = s.cells().collect();
+        assert_eq!(
+            cells.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        assert!(cells[..4].iter().all(|&(_, c)| *c == EpochCell::default()));
+        let mut x = EpochCell::default();
+        x.add("x", 1);
+        let empty = EpochCell::default().to_json();
+        let want = Json::obj([
+            ("epoch_s", Json::Float(2.0)),
+            (
+                "epochs",
+                Json::arr([
+                    empty.clone(),
+                    empty.clone(),
+                    empty.clone(),
+                    empty,
+                    x.to_json(),
+                ]),
+            ),
+        ]);
+        assert_eq!(s.to_json().to_pretty(), want.to_pretty());
+    }
+
+    #[test]
+    fn a_series_stores_cells_from_its_first_touched_epoch() {
+        let mut s = EpochSeries::new(spec2());
+        s.inc(t(9), "x");
+        assert_eq!((s.cells.first, s.cells.cells.len()), (4, 1));
+        s.inc(t(3), "x"); // before the first stored epoch: stored back to 1
+        assert_eq!((s.cells.first, s.cells.cells.len()), (1, 4));
+        assert_eq!(series(&s, "x"), vec![0, 1, 0, 0, 1]);
+
+        let mut late = EpochSeries::new(spec2());
+        late.inc(t(21), "x"); // epoch 10
+        let mut merged = s.clone();
+        merged.merge(&late);
+        assert_eq!((merged.cells.first, merged.cells.n_epochs()), (1, 11));
+        let mut other_way = late.clone();
+        other_way.merge(&s);
+        assert_eq!(merged, other_way);
+        assert_eq!(
+            merged.to_json().to_pretty(),
+            other_way.to_json().to_pretty()
+        );
+    }
+
+    #[test]
+    fn a_closed_epochs_cell_keeps_no_spare_room() {
+        let mut s = EpochSeries::new(spec2());
+        let names = ["a", "b", "c", "d", "e"].map(|n| s.counter(n));
+        let h = s.histogram("h");
+        for c in names {
+            s.counter_add(t(0), c, 1);
+        }
+        s.histogram_observe(t(0), h, 1 << 20);
+        s.counter_add(t(2), names[0], 1); // closes epoch 0
+        let cell = &s.cells.cells[0];
+        assert_eq!(cell.counters.capacity(), cell.counters.len());
+        assert_eq!(cell.histograms.capacity(), 1);
+        let h = &cell.histograms[0].1;
+        assert_eq!(h.snapshot().buckets, [(1 << 20, 1)]);
     }
 
     #[test]
@@ -537,7 +667,8 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.to_json().to_pretty(), ba.to_json().to_pretty());
         assert_eq!(series(&ab, "chunks"), vec![1, 0, 2]);
-        assert_eq!(ab.cells[1].histogram("buffer_ms").unwrap().count(), 2);
+        let epoch1 = ab.cells().nth(1).unwrap().1;
+        assert_eq!(epoch1.histogram("buffer_ms").unwrap().count(), 2);
     }
 
     #[test]
@@ -579,8 +710,9 @@ mod tests {
         assert_eq!(s.n_epochs(), 1);
         assert_eq!(s.counter_total("chunks"), 2);
         s.counter_add(t(5), chunks, 0); // epoch 2: folds epoch 0, opens 2
-        assert_eq!(s.cells[0].counter("chunks"), 2);
-        assert_eq!(s.cells[0].histogram("buffer_ms").unwrap().count(), 1);
+        let epoch0 = s.cells.dense().next().unwrap();
+        assert_eq!(epoch0.counter("chunks"), 2);
+        assert_eq!(epoch0.histogram("buffer_ms").unwrap().count(), 1);
 
         let mut by_name = EpochSeries::new(spec2());
         by_name.add(t(5), "chunks", 0); // a zero add still makes the key

@@ -14,11 +14,16 @@
 //! * **handle ≡ name** — a series (or registry) written through
 //!   pre-resolved handles, by name, or both mixed records exactly what
 //!   the by-name replay does: equal structurally with writes still
-//!   pending, equal on serialized bytes, and merge stays commutative.
+//!   pending, equal on serialized bytes, and merge stays commutative;
+//! * **sparse ≡ dense** — a series stores cells only from its first
+//!   written epoch, yet shards that start hundreds of epochs apart,
+//!   merged in any order, read exactly like a dense model from epoch 0.
 
 use mpdash_obs::{EpochSeries, LogHistogram, MetricsRegistry, TelemetrySpec};
+use mpdash_results::Json;
 use mpdash_sim::{Prng, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A replayable telemetry event: counter add or histogram observation.
 #[derive(Clone, Debug)]
@@ -112,6 +117,73 @@ fn events_with_zeros(seed: u64, n: usize) -> Vec<Event> {
         }
     }
     stream
+}
+
+/// One epoch of [`DenseModel`]: counters and histograms by name.
+type ModelCell = (
+    BTreeMap<&'static str, u64>,
+    BTreeMap<&'static str, LogHistogram>,
+);
+
+/// The reference the sparse series is read against: one cell per epoch
+/// from epoch 0, every name in a sorted map.
+#[derive(Default)]
+struct DenseModel {
+    cells: Vec<ModelCell>,
+}
+
+impl DenseModel {
+    fn replay(spec: TelemetrySpec, events: &[Event]) -> Self {
+        let mut model = DenseModel::default();
+        for e in events {
+            let i = (e.at.as_nanos() / spec.epoch.as_nanos()) as usize;
+            if model.cells.len() <= i {
+                model.cells.resize_with(i + 1, Default::default);
+            }
+            let (counters, histograms) = &mut model.cells[i];
+            if e.histogram {
+                histograms.entry(e.name).or_default().observe(e.value);
+            } else {
+                *counters.entry(e.name).or_default() += e.value;
+            }
+        }
+        model
+    }
+
+    /// The encoding [`EpochSeries::to_json`] documents, written out.
+    fn to_json(&self, spec: TelemetrySpec) -> Json {
+        let histogram = |h: &LogHistogram| {
+            let s = h.snapshot();
+            Json::obj([
+                ("count", Json::from(s.count)),
+                ("sum", Json::from(s.sum)),
+                (
+                    "buckets",
+                    Json::arr(
+                        s.buckets
+                            .iter()
+                            .map(|&(lo, n)| Json::arr([Json::from(lo), Json::from(n)])),
+                    ),
+                ),
+            ])
+        };
+        let cells = self.cells.iter().map(|(counters, histograms)| {
+            Json::obj([
+                (
+                    "counters",
+                    Json::obj(counters.iter().map(|(&k, &v)| (k, Json::from(v)))),
+                ),
+                (
+                    "histograms",
+                    Json::obj(histograms.iter().map(|(&k, h)| (k, histogram(h)))),
+                ),
+            ])
+        });
+        Json::obj([
+            ("epoch_s", Json::Float(spec.epoch.as_secs_f64())),
+            ("epochs", Json::arr(cells)),
+        ])
+    }
 }
 
 fn histogram_of(values: &[u64]) -> LogHistogram {
@@ -282,6 +354,55 @@ proptest! {
         prop_assert_eq!(&ab, &named);
         prop_assert_eq!(ab.to_json().to_pretty(), ba.to_json().to_pretty());
         prop_assert_eq!(ab.to_json().to_pretty(), named.to_json().to_pretty());
+    }
+
+    /// Shards whose streams start at different epochs — a late start of
+    /// up to 300 epochs each, so most store no cell for their first
+    /// hundreds — merged in a random order: bytes, epoch count and every
+    /// cell equal a by-name replay of all the events into a dense model.
+    #[test]
+    fn late_starting_shards_merge_like_a_dense_reference(
+        seed in 0u64..1_000_000,
+        n in 1usize..120,
+        n_shards in 1usize..7,
+        epoch_ms in 200u64..5_000,
+    ) {
+        let spec = TelemetrySpec::new(SimDuration::from_millis(epoch_ms));
+        let mut rng = Prng::new(seed ^ 0x1A7E);
+        let streams: Vec<Vec<Event>> = (0..n_shards as u64)
+            .map(|s| {
+                let late = SimDuration::from_millis(rng.next_below(300 * epoch_ms));
+                let mut stream = events_with_zeros(seed + s, n / n_shards + 1);
+                for e in &mut stream {
+                    e.at += late;
+                }
+                stream
+            })
+            .collect();
+        let shards: Vec<EpochSeries> = streams.iter().map(|s| replay(spec, s)).collect();
+        let mut order: Vec<usize> = (0..n_shards).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let mut merged = EpochSeries::new(spec);
+        for &i in &order {
+            merged.merge(&shards[i]);
+        }
+
+        let model = DenseModel::replay(spec, &streams.concat());
+        prop_assert_eq!(merged.to_json().to_pretty(), model.to_json(spec).to_pretty());
+        prop_assert_eq!(merged.n_epochs(), model.cells.len());
+        prop_assert_eq!(merged.cells().count(), model.cells.len());
+        for ((i, cell), (j, (counters, histograms))) in merged.cells().zip(model.cells.iter().enumerate()) {
+            prop_assert_eq!(i, j);
+            for name in NAMES {
+                prop_assert_eq!(cell.counter(name), counters.get(name).copied().unwrap_or(0));
+                prop_assert_eq!(cell.histogram(name), histograms.get(name));
+            }
+        }
+        // The first shard alone, read the same way.
+        let alone = DenseModel::replay(spec, &streams[0]);
+        prop_assert_eq!(shards[0].to_json().to_pretty(), alone.to_json(spec).to_pretty());
     }
 
     /// A registry written through handles snapshots exactly like one

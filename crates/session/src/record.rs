@@ -185,7 +185,7 @@ impl Recorder {
 
     /// Add `n` to a telemetry-only counter in `now`'s epoch (no-op with
     /// telemetry off).
-    pub fn epoch_add(&mut self, now: SimTime, name: &str, n: u64) {
+    pub fn epoch_add(&mut self, now: SimTime, name: &'static str, n: u64) {
         if let Some(ts) = self.telemetry.as_mut() {
             ts.series.add(now, name, n);
         }

@@ -403,6 +403,20 @@ impl StreamingSession {
         (self.player.download_complete() || self.departed) && self.sim.quiescent()
     }
 
+    /// True while a packet of this session waits in a shared bottleneck
+    /// (see [`MptcpSim::owns_queued_packets`]): a finished session can
+    /// still be handed its departure.
+    pub fn owns_queued_packets(&self) -> bool {
+        self.sim.owns_queued_packets()
+    }
+
+    /// True when this session emits trace events (its config's tracer,
+    /// or `MPDASH_TRACE`'s): [`Self::into_report`] then traces the
+    /// player's last transitions.
+    pub fn traces(&self) -> bool {
+        self.rec.tracer.enabled()
+    }
+
     /// Viewer departure: stop requesting chunks, let in-flight transport
     /// drain, and finalize a partial report.
     fn depart(&mut self, now: SimTime) {

@@ -801,8 +801,9 @@ fn decode_telemetry(j: &Json, at: &str) -> Result<TelemetrySpec, String> {
     let mut o = Obj::new(j, at)?;
     let secs = o.f64("epoch_s", POSITIVE)?;
     let epoch = SimDuration::from_secs_f64(secs);
-    // Cells are dense from epoch 0 and nothing samples faster than the
-    // 50 ms tick: a finer epoch only exhausts memory (or rounds to zero).
+    // A series stores every epoch from its first write to its last, and
+    // nothing samples faster than the 50 ms tick: a finer epoch only
+    // exhausts memory (or rounds to zero).
     if epoch < TelemetrySpec::MIN_EPOCH {
         return Err(format!(
             "{}: must be at least 0.001 (one millisecond), got {secs}",

@@ -7,14 +7,23 @@
 //! peak at under 72 KB a client (45 KB; 116 KB when every buffer kept
 //! its high-water capacity).
 //!
+//! A churning fleet, where most viewers have not arrived yet or have
+//! left, peaks at under 14 KB a client over 64 clients with telemetry
+//! on (about 11 KB): a client that is done and owns no queued packet is
+//! only its report, and an epoch cell keeps static names, no room to
+//! grow once its epoch closes, and no cells before the client's first
+//! write. Finished clients that kept their sessions, with cells keyed by
+//! `String`s and dense from epoch 0, peaked at 18 KB.
+//!
 //! The heap is read off a counting global allocator. It counts every
 //! thread of the process, so this binary holds exactly one test.
 
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
-use mpdash::fleet::{FleetConfig, SharedLinkSpec};
+use mpdash::fleet::{ChurnSpec, FleetConfig, OverloadPolicy, SharedLinkSpec};
 use mpdash::link::SharedBottleneckConfig;
 use mpdash::mptcp::SchedulerSpec;
+use mpdash::obs::TelemetrySpec;
 use mpdash::session::{SessionConfig, TransportMode};
 use mpdash::sim::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,17 +101,58 @@ fn contended(clients: usize, chunks: usize) -> FleetConfig {
         ))
 }
 
+/// Viewers arriving 1 s apart on average and watching 40 s of a 20-chunk
+/// ladder with a 10 s buffer, at most 8 at once, behind a FIFO AP at
+/// 9.6 Mbps and a FIFO sector at 6.4 Mbps, with 2 s telemetry epochs.
+fn churning(clients: usize) -> FleetConfig {
+    let video = Video::new(
+        "BBB-churn",
+        &[0.58, 1.01, 1.47, 2.41, 3.94],
+        SimDuration::from_secs(4),
+        20,
+    );
+    let base = SessionConfig::controlled_mbps(
+        50.0,
+        30.0,
+        AbrKind::Festive,
+        TransportMode::mpdash_rate_based(),
+    )
+    .with_video(video)
+    .with_buffer_capacity(SimDuration::from_secs(10));
+    FleetConfig::new(base, clients)
+        .with_seed(23)
+        .with_churn(ChurnSpec::new(
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(40),
+        ))
+        .with_overload(OverloadPolicy::max_active(8))
+        .with_telemetry(TelemetrySpec::seconds(2.0))
+        .with_shared(SharedLinkSpec::wifi_ap(SharedBottleneckConfig::fifo_mbps(
+            9.6,
+        )))
+        .with_shared(SharedLinkSpec::cell_sector(
+            SharedBottleneckConfig::fifo_mbps(6.4),
+        ))
+}
+
 /// Peak live heap bytes over one run of the fleet, the finished report
-/// included, above what was live before it; and the packets it moved.
-fn peak_live_heap(clients: usize, chunks: usize) -> (usize, u64) {
-    let cfg = contended(clients, chunks);
+/// included, above what was live before it; and the report.
+fn peak_live_heap_of(cfg: &FleetConfig) -> (usize, mpdash::fleet::FleetReport) {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
-    let report = mpdash::fleet::run(&cfg);
+    let report = mpdash::fleet::run(cfg);
     let peak = PEAK.load(Relaxed) - before;
     for s in &report.sessions {
-        assert_eq!(s.qoe_all.chunks, chunks, "every client streams the video");
         assert!(s.records.is_empty(), "an untraced client kept its log");
+    }
+    (peak, report)
+}
+
+/// [`peak_live_heap_of`] the contended fleet; and the packets it moved.
+fn peak_live_heap(clients: usize, chunks: usize) -> (usize, u64) {
+    let (peak, report) = peak_live_heap_of(&contended(clients, chunks));
+    for s in &report.sessions {
+        assert_eq!(s.qoe_all.chunks, chunks, "every client streams the video");
     }
     let packets = report.sessions.iter().map(|s| s.sim_profile.by_kind.data);
     (peak, packets.sum())
@@ -127,5 +177,15 @@ fn a_contended_fleets_peak_heap_is_flat_in_session_length() {
         wide <= 32 * 72_000,
         "peak live heap {wide} B for 32 clients, {} B a client",
         wide / 32
+    );
+    // A churning fleet: a client that has left or was shed holds its
+    // report, not its session.
+    let (churn, report) = peak_live_heap_of(&churning(64));
+    assert!(report.shed_sessions > 0 && report.departed_sessions > report.shed_sessions);
+    assert!(report.epochs.is_some(), "telemetry on");
+    assert!(
+        churn <= 64 * 14_000,
+        "peak live heap {churn} B for 64 churning clients, {} B a client",
+        churn / 64
     );
 }
