@@ -23,7 +23,7 @@
 use crate::deadline::SchedulerParams;
 use crate::multipath::MultiPathScheduler;
 use crate::predict::{Predictor, PredictorKind, ThroughputSampler};
-use mpdash_sim::{Rate, SimDuration, SimTime};
+use mpdash_sim::{PathId, PathMask, Rate, SimDuration, SimTime};
 
 /// Lifetime statistics of a deadline scheduler instance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,7 +42,6 @@ pub struct MpDashControl {
     sched: MultiPathScheduler,
     samplers: Vec<ThroughputSampler<Box<dyn Predictor>>>,
     priors: Vec<Rate>,
-    enabled: Vec<bool>,
     /// Scratch for a progress check's estimates (it must not allocate).
     estimates: Vec<Rate>,
 }
@@ -57,6 +56,10 @@ impl MpDashControl {
     ///   measurements).
     /// * `params` — Algorithm 1 tunables (α).
     /// * `slot` — sampling slot width; the paper uses one RTT (§7.2.2).
+    ///
+    /// # Panics
+    /// If `costs` and `priors` differ in length, or name more than the
+    /// 32 paths a [`PathMask`] can.
     pub fn new(
         costs: Vec<f64>,
         priors: Vec<Rate>,
@@ -89,13 +92,13 @@ impl MpDashControl {
     ) -> Self {
         assert_eq!(costs.len(), priors.len(), "one prior per path");
         let n = costs.len();
+        assert!(n <= 32, "PathMask supports up to 32 paths");
         MpDashControl {
             sched: MultiPathScheduler::new(costs, params),
             samplers: (0..n)
                 .map(|_| ThroughputSampler::new(predictor.build(), slot))
                 .collect(),
             priors,
-            enabled: vec![true; n],
             estimates: Vec::with_capacity(n),
         }
     }
@@ -125,21 +128,25 @@ impl MpDashControl {
     /// throughput — but their predictor state (the last chunk's estimate)
     /// carries over, which is what lets Algorithm 1 judge WiFi before the
     /// first progress sample of the new chunk.
-    pub fn mp_dash_enable(&mut self, now: SimTime, size: u64, window: SimDuration) -> &[bool] {
-        self.enabled = self.sched.enable(now, size, window);
-        for (i, s) in self.samplers.iter_mut().enumerate() {
-            if self.enabled[i] {
-                s.reanchor(now);
-            }
-        }
-        &self.enabled
+    pub fn mp_dash_enable(&mut self, now: SimTime, size: u64, window: SimDuration) -> PathMask {
+        let enabled = self.sched.enable(now, size, window);
+        self.reanchor(now, enabled);
+        enabled
     }
 
     /// `MP_DASH_DISABLE`. Returns the enabled set (all paths — vanilla
     /// MPTCP).
-    pub fn mp_dash_disable(&mut self) -> &[bool] {
-        self.enabled = self.sched.disable();
-        &self.enabled
+    pub fn mp_dash_disable(&mut self) -> PathMask {
+        self.sched.disable()
+    }
+
+    /// Restart the sampling clock of every path in `paths` at `now`.
+    fn reanchor(&mut self, now: SimTime, paths: PathMask) {
+        for (i, s) in self.samplers.iter_mut().enumerate() {
+            if paths.contains(PathId(i as u8)) {
+                s.reanchor(now);
+            }
+        }
     }
 
     /// Feed `bytes` received on `path` at time `t` into its sampler.
@@ -178,7 +185,7 @@ impl MpDashControl {
     /// run the scheduler on `total_sent` delivered bytes, and return the
     /// new enabled set if it changed.
     ///
-    /// `busy[p]` must be `true` while path `p` has data outstanding (the
+    /// `busy` must hold path `p` while `p` has data outstanding (the
     /// transport's in-flight signal). Only busy, enabled paths roll their
     /// samplers: a silent busy path is a blackout (zero slots drag its
     /// estimate down, Algorithm 1 reacts), while a silent idle path just
@@ -190,11 +197,12 @@ impl MpDashControl {
         &mut self,
         now: SimTime,
         total_sent: u64,
-        busy: &[bool],
-    ) -> Option<Vec<bool>> {
-        assert_eq!(busy.len(), self.n_paths(), "one busy flag per path");
+        busy: PathMask,
+    ) -> Option<PathMask> {
+        let enabled = self.sched.enabled();
         for (i, s) in self.samplers.iter_mut().enumerate() {
-            if self.enabled[i] && busy[i] {
+            let p = PathId(i as u8);
+            if enabled.contains(p) && busy.contains(p) {
                 s.roll_to(now);
             }
         }
@@ -204,12 +212,7 @@ impl MpDashControl {
         }
         let change = self.sched.on_progress(now, total_sent, &self.estimates)?;
         // Paths coming online restart their sampling clock at `now`.
-        for (i, s) in self.samplers.iter_mut().enumerate() {
-            if change[i] && !self.enabled[i] {
-                s.reanchor(now);
-            }
-        }
-        self.enabled = change.clone();
+        self.reanchor(now, change.minus(enabled));
         Some(change)
     }
 }
@@ -224,6 +227,9 @@ mod tests {
 
     const MB: u64 = 1_000_000;
 
+    const WIFI: PathMask = PathMask::only(PathId::WIFI);
+    const BOTH: PathMask = PathMask::first(2);
+
     fn control() -> MpDashControl {
         MpDashControl::new(
             vec![0.0, 1.0],
@@ -237,7 +243,7 @@ mod tests {
     fn enable_starts_preferred_only() {
         let mut c = control();
         let en = c.mp_dash_enable(SimTime::ZERO, 5 * MB, SimDuration::from_secs(10));
-        assert_eq!(en, &[true, false]);
+        assert_eq!(en, WIFI);
         assert!(c.is_active());
     }
 
@@ -257,7 +263,7 @@ mod tests {
         for i in 0..20u64 {
             c.on_bytes(0, SimTime::from_millis(i * 50 + 10), 12_500);
         }
-        c.on_progress(SimTime::from_secs(1), 250_000, &[true, true]);
+        c.on_progress(SimTime::from_secs(1), 250_000, BOTH);
         let est = c.estimate(0).as_mbps_f64();
         assert!((est - 2.0).abs() < 0.3, "estimate {est}");
     }
@@ -271,9 +277,9 @@ mod tests {
         for i in 0..20u64 {
             c.on_bytes(0, SimTime::from_millis(i * 50 + 10), 12_500); // 2 Mbps
         }
-        let change = c.on_progress(SimTime::from_secs(1), 250_000, &[true, true]);
-        assert_eq!(change, Some(vec![true, true]), "cell must come on");
-        assert_eq!(c.enabled, [true, true]);
+        let change = c.on_progress(SimTime::from_secs(1), 250_000, BOTH);
+        assert_eq!(change, Some(BOTH), "cell must come on");
+        assert_eq!(c.sched.enabled(), BOTH);
     }
 
     #[test]
@@ -284,7 +290,7 @@ mod tests {
         for i in 0..40u64 {
             c.on_bytes(0, SimTime::from_millis(i * 50 + 10), 6_250);
         }
-        c.on_progress(SimTime::from_secs(2), 250_000, &[true, true]);
+        c.on_progress(SimTime::from_secs(2), 250_000, BOTH);
         // Cellular never carried a byte: estimate must still be the prior,
         // not zero — otherwise the greedy would think cellular is useless.
         assert_eq!(c.estimate(1), mbps(3.0));
@@ -298,7 +304,7 @@ mod tests {
         for i in 0..40u64 {
             c.on_bytes(0, SimTime::from_millis(i * 50 + 10), 25_000);
         }
-        c.on_progress(SimTime::from_secs(2), MB, &[true, true]); // completes
+        c.on_progress(SimTime::from_secs(2), MB, BOTH); // completes
         assert!(!c.is_active());
         // 30 s idle (player buffer full), then the next chunk starts.
         let later = SimTime::from_secs(32);
@@ -314,10 +320,10 @@ mod tests {
         for i in 0..40u64 {
             c.on_bytes(0, SimTime::from_millis(i * 50 + 10), 25_000); // 4 Mbps
         }
-        c.on_progress(SimTime::from_secs(2), MB, &[true, true]);
+        c.on_progress(SimTime::from_secs(2), MB, BOTH);
         assert!(c.estimate(0).as_mbps_f64() > 3.0);
         // WiFi goes dark for 3 s mid-transfer *with data in flight*.
-        c.on_progress(SimTime::from_secs(5), MB, &[true, true]);
+        c.on_progress(SimTime::from_secs(5), MB, BOTH);
         assert!(
             c.estimate(0).as_mbps_f64() < 0.5,
             "in-transfer silence is a blackout: {}",
@@ -329,7 +335,7 @@ mod tests {
     fn stats_flow_through() {
         let mut c = control();
         c.mp_dash_enable(SimTime::ZERO, MB, SimDuration::from_secs(4));
-        c.on_progress(SimTime::from_secs(1), MB, &[true, true]);
+        c.on_progress(SimTime::from_secs(1), MB, BOTH);
         let stats = c.stats();
         assert_eq!(stats.missed_deadlines, 0);
         assert_eq!(stats.completed_transfers, 1);

@@ -11,9 +11,9 @@
 //! tests assert.
 
 use crate::deadline::SchedulerParams;
-use mpdash_sim::{Rate, SimDuration, SimTime};
+use mpdash_sim::{PathId, PathMask, Rate, SimDuration, SimTime};
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ActiveN {
     size: u64,
     started: SimTime,
@@ -22,11 +22,8 @@ struct ActiveN {
     /// not once per progress check.
     target: SimDuration,
     sent: u64,
-    enabled: Vec<bool>,
+    enabled: PathMask,
     missed: bool,
-    /// Per-path consecutive checks wanting the path enabled (enable-side
-    /// debounce; see [`SchedulerParams::enable_debounce`]).
-    enable_streak: Vec<u32>,
 }
 
 /// N-interface deadline-aware scheduler (greedy cheapest-prefix).
@@ -34,13 +31,18 @@ struct ActiveN {
 pub struct MultiPathScheduler {
     /// Unit cost per byte of each path (lower = preferred). Index = path.
     costs: Vec<f64>,
-    /// Path indices sorted by ascending cost (ties break on index, so the
+    /// Paths sorted by ascending cost (ties break on index, so the
     /// conventional WiFi=0 wins against an equal-cost path).
-    by_cost: Vec<usize>,
+    by_cost: Vec<PathId>,
+    /// Every path, the set vanilla MPTCP runs on: the low n bits, never
+    /// [`PathMask::ALL`], so a fresh connection sees it as a change.
+    all: PathMask,
     params: SchedulerParams,
     active: Option<ActiveN>,
-    /// Scratch for the set a check wants (no change, no allocation).
-    want: Vec<bool>,
+    /// Per-path consecutive checks wanting the path enabled (enable-side
+    /// debounce; see [`SchedulerParams::enable_debounce`]), reset at
+    /// every `enable`.
+    enable_streak: Vec<u32>,
     toggles: u64,
     missed_deadlines: u64,
     completed: u64,
@@ -50,29 +52,37 @@ impl MultiPathScheduler {
     /// Build from per-path unit costs.
     ///
     /// # Panics
-    /// If `costs` is empty or any cost is negative/non-finite.
+    /// If `costs` is empty, longer than the 32 paths a [`PathMask`] can
+    /// name, or any cost is negative/non-finite.
     pub fn new(costs: Vec<f64>, params: SchedulerParams) -> Self {
         assert!(!costs.is_empty(), "need at least one path");
         assert!(
             costs.iter().all(|c| c.is_finite() && *c >= 0.0),
             "costs must be finite and non-negative"
         );
-        let mut by_cost: Vec<usize> = (0..costs.len()).collect();
-        by_cost.sort_by(|&a, &b| costs[a].partial_cmp(&costs[b]).unwrap().then(a.cmp(&b)));
+        let all = PathMask::first(costs.len());
+        let mut by_cost: Vec<PathId> = (0..costs.len()).map(|p| PathId(p as u8)).collect();
+        by_cost.sort_by(|a, b| {
+            costs[a.index()]
+                .partial_cmp(&costs[b.index()])
+                .unwrap()
+                .then(a.cmp(b))
+        });
         MultiPathScheduler {
+            enable_streak: vec![0; costs.len()],
             costs,
             by_cost,
+            all,
             params,
             active: None,
-            want: Vec::new(),
             toggles: 0,
             missed_deadlines: 0,
             completed: 0,
         }
     }
 
-    /// The path index the policy prefers most (lowest cost).
-    pub fn preferred(&self) -> usize {
+    /// The path the policy prefers most (lowest cost).
+    pub fn preferred(&self) -> PathId {
         self.by_cost[0]
     }
 
@@ -83,11 +93,8 @@ impl MultiPathScheduler {
 
     /// Currently enabled paths under MP-DASH control (all paths when
     /// inactive — vanilla MPTCP).
-    pub fn enabled(&self) -> Vec<bool> {
-        match &self.active {
-            Some(a) => a.enabled.clone(),
-            None => vec![true; self.costs.len()],
-        }
+    pub fn enabled(&self) -> PathMask {
+        self.active.map_or(self.all, |a| a.enabled)
     }
 
     /// Lifetime enable/disable transition count across all paths.
@@ -108,28 +115,27 @@ impl MultiPathScheduler {
     /// Activate for `size` bytes within `window`. Only the preferred path
     /// starts enabled (Algorithm 1 line 3, generalized). Returns the
     /// initial enabled set.
-    pub fn enable(&mut self, now: SimTime, size: u64, window: SimDuration) -> Vec<bool> {
+    pub fn enable(&mut self, now: SimTime, size: u64, window: SimDuration) -> PathMask {
         assert!(size > 0, "transfer size must be positive");
         assert!(!window.is_zero(), "deadline window must be positive");
-        let mut enabled = vec![false; self.costs.len()];
-        enabled[self.by_cost[0]] = true;
+        let enabled = PathMask::only(self.preferred());
         self.active = Some(ActiveN {
             size,
             started: now,
             window,
             target: window.mul_f64(self.params.alpha),
             sent: 0,
-            enabled: enabled.clone(),
+            enabled,
             missed: false,
-            enable_streak: vec![0; self.costs.len()],
         });
+        self.enable_streak.fill(0);
         enabled
     }
 
     /// Deactivate; the transport reverts to vanilla MPTCP (all paths).
-    pub fn disable(&mut self) -> Vec<bool> {
+    pub fn disable(&mut self) -> PathMask {
         self.active = None;
-        vec![true; self.costs.len()]
+        self.all
     }
 
     /// Progress update. `estimates[i]` is the current throughput estimate
@@ -141,7 +147,7 @@ impl MultiPathScheduler {
         now: SimTime,
         total_sent: u64,
         estimates: &[Rate],
-    ) -> Option<Vec<bool>> {
+    ) -> Option<PathMask> {
         assert_eq!(estimates.len(), self.costs.len(), "one estimate per path");
         let a = self.active.as_mut()?;
         a.sent = a.sent.max(total_sent);
@@ -149,71 +155,57 @@ impl MultiPathScheduler {
         if a.sent >= a.size {
             self.completed += 1;
             self.active = None;
-            return Some(vec![true; self.costs.len()]);
+            return Some(self.all);
         }
 
-        if now >= a.started + a.window {
+        let want = if now >= a.started + a.window {
             if !a.missed {
                 a.missed = true;
                 self.missed_deadlines += 1;
             }
-            let all = vec![true; self.costs.len()];
-            if a.enabled != all {
-                self.toggles += a.enabled.iter().filter(|&&e| !e).count() as u64;
-                a.enabled = all.clone();
-                return Some(all);
-            }
-            return None;
-        }
-
-        let remaining = a.size - a.sent;
-        let spent = now.saturating_since(a.started);
-        let time_left = a.target.saturating_sub(spent);
-
-        // Greedy cheapest prefix: accumulate capacity until it covers the
-        // remaining bytes. The preferred path is unconditionally on.
-        let want = &mut self.want;
-        want.clear();
-        want.resize(self.costs.len(), false);
-        let mut capacity: u64 = 0;
-        for &p in &self.by_cost {
-            want[p] = true;
-            capacity = capacity.saturating_add(estimates[p].bytes_in(time_left));
-            // Strict comparison mirrors Algorithm 1's line 16/19
-            // inequalities: at exact equality we keep the next path on
-            // (conservative toward meeting the deadline).
-            if capacity > remaining {
-                break;
-            }
-        }
-        // If even all paths cannot cover, `want` is all-true — matching
-        // Algorithm 1's "enable and hope" behaviour.
-
-        // Enable-side debounce: a path may only turn ON after the greedy
-        // has wanted it for `enable_debounce` consecutive checks; turning
-        // OFF is immediate (always safe for the deadline).
-        for (p, w) in want.iter_mut().enumerate() {
-            if *w && !a.enabled[p] {
-                a.enable_streak[p] += 1;
-                if a.enable_streak[p] < self.params.enable_debounce {
-                    *w = false; // not yet
-                }
-            } else {
-                a.enable_streak[p] = 0;
-            }
-        }
-
-        if *want != a.enabled {
-            self.toggles += want
-                .iter()
-                .zip(a.enabled.iter())
-                .filter(|(w, e)| w != e)
-                .count() as u64;
-            a.enabled.clone_from(want);
-            Some(want.clone())
+            // Past the deadline every path turns on at once, debounce or
+            // not.
+            self.all
         } else {
-            None
-        }
+            let remaining = a.size - a.sent;
+            let time_left = a.target.saturating_sub(now.saturating_since(a.started));
+            // Greedy cheapest prefix: accumulate capacity until it covers
+            // the remaining bytes. The preferred path is unconditionally
+            // on; if even all paths cannot cover, every path is wanted —
+            // Algorithm 1's "enable and hope" behaviour.
+            let mut want = PathMask::NONE;
+            let mut capacity: u64 = 0;
+            for &p in &self.by_cost {
+                want = want.with(p);
+                capacity = capacity.saturating_add(estimates[p.index()].bytes_in(time_left));
+                // Strict comparison mirrors Algorithm 1's line 16/19
+                // inequalities: at exact equality we keep the next path
+                // on (conservative toward meeting the deadline).
+                if capacity > remaining {
+                    break;
+                }
+            }
+            // Enable-side debounce: a path may only turn ON after the
+            // greedy has wanted it for `enable_debounce` consecutive
+            // checks; turning OFF is immediate (always safe for the
+            // deadline).
+            for (p, streak) in self.enable_streak.iter_mut().enumerate() {
+                let p = PathId(p as u8);
+                if want.contains(p) && !a.enabled.contains(p) {
+                    *streak += 1;
+                    if *streak < self.params.enable_debounce {
+                        want = want.minus(PathMask::only(p)); // not yet
+                    }
+                } else {
+                    *streak = 0;
+                }
+            }
+            want
+        };
+        let flipped = (want.bits() ^ a.enabled.bits()).count_ones();
+        self.toggles += u64::from(flipped);
+        a.enabled = want;
+        (flipped > 0).then_some(want)
     }
 }
 
@@ -228,6 +220,11 @@ mod tests {
 
     const MB: u64 = 1_000_000;
 
+    /// The mask enabling exactly `paths`.
+    fn on(paths: &[u8]) -> PathMask {
+        paths.iter().fold(PathMask::NONE, |m, &p| m.with(PathId(p)))
+    }
+
     fn two_path() -> MultiPathScheduler {
         MultiPathScheduler::new(vec![0.0, 1.0], SchedulerParams::default())
     }
@@ -236,7 +233,7 @@ mod tests {
     fn starts_with_only_preferred_path() {
         let mut s = two_path();
         let en = s.enable(SimTime::ZERO, 5 * MB, SimDuration::from_secs(10));
-        assert_eq!(en, vec![true, false]);
+        assert_eq!(en, on(&[0]));
     }
 
     #[test]
@@ -246,22 +243,22 @@ mod tests {
         let en = s
             .on_progress(SimTime::ZERO, 0, &[mbps(3.0), mbps(3.0)])
             .unwrap();
-        assert_eq!(en, vec![true, true]);
+        assert_eq!(en, on(&[0, 1]));
     }
 
     #[test]
     fn three_paths_enable_in_cost_order() {
         // Path costs: p1 cheapest, p0 middle, p2 dearest.
         let mut s = MultiPathScheduler::new(vec![0.5, 0.0, 1.0], SchedulerParams::default());
-        assert_eq!(s.preferred(), 1);
+        assert_eq!(s.preferred(), PathId(1));
         let en = s.enable(SimTime::ZERO, 10 * MB, SimDuration::from_secs(10));
-        assert_eq!(en, vec![false, true, false]);
+        assert_eq!(en, on(&[1]));
         // p1 alone: 2 Mbps·10 s = 2.5 MB < 10 MB → add p0 (4 Mbps → 7.5 MB
         // total, still short) → add p2.
         let en = s
             .on_progress(SimTime::ZERO, 0, &[mbps(4.0), mbps(2.0), mbps(8.0)])
             .unwrap();
-        assert_eq!(en, vec![true, true, true]);
+        assert_eq!(en, on(&[0, 1, 2]));
         // Transfer catches up: 9 MB sent, 5 s left; p1 alone moves
         // 1.25 MB > 1 MB remaining → back to preferred only.
         let en = s
@@ -271,7 +268,7 @@ mod tests {
                 &[mbps(4.0), mbps(2.0), mbps(8.0)],
             )
             .unwrap();
-        assert_eq!(en, vec![false, true, false]);
+        assert_eq!(en, on(&[1]));
     }
 
     #[test]
@@ -297,7 +294,9 @@ mod tests {
         for &(ms, sent, wifi) in traj {
             let now = SimTime::from_millis(ms);
             let est = [mbps(wifi), mbps(3.0)];
-            let multi_cell = multi.on_progress(now, sent, &est).map(|en| en[1]);
+            let multi_cell = multi
+                .on_progress(now, sent, &est)
+                .map(|en| en.contains(PathId::CELLULAR));
             let single_cell = match single.on_progress(now, sent, mbps(wifi)) {
                 CellDecision::Enable => Some(true),
                 CellDecision::Disable => Some(false),
@@ -321,14 +320,14 @@ mod tests {
                 &[mbps(1.0), mbps(1.0), mbps(1.0)],
             )
             .unwrap();
-        assert_eq!(en, vec![true, true, true]);
+        assert_eq!(en, on(&[0, 1, 2]));
         assert_eq!(s.missed_deadlines(), 1);
     }
 
     #[test]
     fn inactive_scheduler_is_vanilla() {
         let s = two_path();
-        assert_eq!(s.enabled(), vec![true, true]);
+        assert_eq!(s.enabled(), on(&[0, 1]));
     }
 
     #[test]

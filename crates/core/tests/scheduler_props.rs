@@ -5,7 +5,7 @@ use mpdash_core::deadline::{CellDecision, DeadlineScheduler, SchedulerParams};
 use mpdash_core::multipath::MultiPathScheduler;
 use mpdash_core::optimal::{optimal_cellular_bytes, optimal_min_cost, SlotItem};
 use mpdash_core::predict::{HoltWinters, Predictor};
-use mpdash_sim::{Rate, SimDuration, SimTime};
+use mpdash_sim::{PathId, PathMask, Rate, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -156,7 +156,7 @@ proptest! {
             Some(e) => e,
             None => s.enabled(),
         };
-        prop_assert!(enabled[preferred], "preferred path must stay on");
+        prop_assert!(enabled.contains(preferred), "preferred path must stay on");
         // Cost-order property: every enabled path is at most as costly as
         // the cheapest disabled one (strictly: the enabled set is a
         // prefix in cost order, with index tie-breaks).
@@ -164,7 +164,7 @@ proptest! {
         order.sort_by(|&a, &b| costs[a].partial_cmp(&costs[b]).unwrap().then(a.cmp(&b)));
         let mut seen_disabled = false;
         for &p in &order {
-            if !enabled[p] {
+            if !enabled.contains(PathId(p as u8)) {
                 seen_disabled = true;
             } else {
                 prop_assert!(!seen_disabled, "enabled set is not a cost-prefix");
@@ -196,7 +196,7 @@ proptest! {
         let (first, second) = steps.split_at(steps.len() / 3);
         for (window_ms, steps) in windows_ms.iter().zip([first, second]) {
             let (size, window) = (size_kb * 1000, SimDuration::from_millis(*window_ms));
-            prop_assert_eq!(multi.enable(now, size, window), vec![true, false]);
+            prop_assert_eq!(multi.enable(now, size, window), PathMask::only(PathId::WIFI));
             prop_assert_eq!(single.enable(now, size, window), CellDecision::Disable);
             let (started, mut sent) = (now, 0u64);
             for &((dt, dsent), kbps) in steps {
@@ -212,7 +212,7 @@ proptest! {
                 }
                 let from_multi = multi
                     .on_progress(now, sent, &[wifi, Rate::from_mbps(3)])
-                    .map(|enabled| enabled[1]);
+                    .map(|enabled| enabled.contains(PathId::CELLULAR));
                 let from_single = match single.on_progress(now, sent, wifi) {
                     CellDecision::Enable => Some(true),
                     CellDecision::Disable => Some(false),
@@ -221,7 +221,7 @@ proptest! {
                 prop_assert_eq!(from_multi, from_single, "at {} sent {}", now, sent);
                 prop_assert_eq!(multi.is_active(), single.is_active());
             }
-            prop_assert_eq!(multi.disable(), vec![true, true]);
+            prop_assert_eq!(multi.disable(), PathMask::first(2));
             prop_assert_eq!(single.disable(), CellDecision::Enable);
         }
         prop_assert_eq!(multi.toggles(), single.toggles());

@@ -1186,29 +1186,42 @@ mod tests {
         // No shared links: each fleet client is an independent session,
         // so client 0 (zero stagger, same derived seed) must reproduce
         // the standalone run byte for byte. Tracing it keeps its log.
-        let cfg = FleetConfig::new(base(TransportMode::Vanilla), 3).with_trace_client(0);
-        let report = run(&cfg);
-        assert_eq!(report.sessions.len(), 3);
+        // Under MP-DASH the fleet feeds the deadline signal as packets
+        // arrive, the standalone session the same way from its own loop.
+        for mode in [TransportMode::Vanilla, TransportMode::mpdash_rate_based()] {
+            let cfg = FleetConfig::new(base(mode), 3).with_trace_client(0);
+            let report = run(&cfg);
+            assert_eq!(report.sessions.len(), 3);
 
-        let mut alone = cfg.base.clone();
-        let client_seed = derive_seed(cfg.seed, 0);
-        alone.wifi.seed = derive_seed(client_seed, 0);
-        alone.cell.seed = derive_seed(client_seed, 1);
-        alone.lifecycle = alone.lifecycle.with_seed(derive_seed(client_seed, 2));
-        let solo = StreamingSession::run(alone);
-        assert_eq!(
-            report.sessions[0].summary_json().to_pretty(),
-            solo.summary_json().to_pretty()
-        );
-        // The summary is sums; the capture under it is every packet.
-        assert!(!solo.records.is_empty());
-        assert!(
-            report.sessions[0].records == solo.records,
-            "client 0's packet log differs from the standalone session's"
-        );
-        // Nobody reads an untraced client's log, so none is kept.
-        assert!(report.sessions[1..].iter().all(|s| s.records.is_empty()));
-        assert!(report.sessions[1].sim_profile.by_kind.data > 0);
+            let mut alone = cfg.base.clone();
+            let client_seed = derive_seed(cfg.seed, 0);
+            alone.wifi.seed = derive_seed(client_seed, 0);
+            alone.cell.seed = derive_seed(client_seed, 1);
+            alone.lifecycle = alone.lifecycle.with_seed(derive_seed(client_seed, 2));
+            let solo = StreamingSession::run(alone);
+            assert_eq!(
+                report.sessions[0].summary_json().to_pretty(),
+                solo.summary_json().to_pretty(),
+                "{mode:?}"
+            );
+            // The summary carries the scheduler's counters: under MP-DASH
+            // the deadline signal must have run for them to mean anything.
+            assert_eq!(
+                solo.scheduler_stats.completed_transfers > 0,
+                mode.is_mpdash(),
+                "{mode:?}: {:?}",
+                solo.scheduler_stats
+            );
+            // The summary is sums; the capture under it is every packet.
+            assert!(!solo.records.is_empty());
+            assert!(
+                report.sessions[0].records == solo.records,
+                "{mode:?}: client 0's packet log differs from the standalone session's"
+            );
+            // Nobody reads an untraced client's log, so none is kept.
+            assert!(report.sessions[1..].iter().all(|s| s.records.is_empty()));
+            assert!(report.sessions[1].sim_profile.by_kind.data > 0);
+        }
     }
 
     #[test]

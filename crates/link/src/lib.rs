@@ -31,7 +31,6 @@
 pub mod aqm;
 pub mod fault;
 pub mod link;
-pub mod path;
 pub mod profile;
 pub mod shaper;
 pub mod shared;
@@ -39,7 +38,7 @@ pub mod shared;
 pub use aqm::{AqmConfig, AqmVerdict, Codel, Pie};
 pub use fault::{FaultEvent, FaultKind, FaultScript, GeChain, GilbertElliott};
 pub use link::{DropReason, Link, LinkConfig, SendOutcome};
-pub use path::PathId;
+pub use mpdash_sim::PathId;
 pub use profile::BandwidthProfile;
 pub use shaper::TokenBucket;
 pub use shared::{

@@ -54,6 +54,7 @@ pub mod sender;
 pub mod sim;
 
 pub use cc::CcKind;
-pub use packet::{PacketLog, PathMask, PktRecord, MSS};
+pub use mpdash_sim::PathMask;
+pub use packet::{PacketLog, PktRecord, MSS};
 pub use scheduler::{Scheduler, SchedulerImpl, SchedulerSpec};
 pub use sim::{MptcpConfig, MptcpSim, PathConfig, PoppedByKind, StepOutcome};

@@ -2,10 +2,9 @@
 //! connection-level (DSS) reassembly, and the client-side half of the
 //! MP-DASH signaling (the desired path mask carried on every ACK).
 
-use crate::packet::{PacketLog, PathMask, PktRecord};
+use crate::packet::{PacketLog, PktRecord};
 use crate::reassembly::IntervalSet;
-use mpdash_link::PathId;
-use mpdash_sim::SimTime;
+use mpdash_sim::{PathId, PathMask, SimTime};
 
 /// What the receiver tells the simulator after ingesting a data packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

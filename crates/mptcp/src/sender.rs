@@ -16,10 +16,9 @@
 //! keeps this module synchronously testable.
 
 use crate::cc::{CcKind, CongestionControl};
-use crate::packet::{PathMask, MSS};
+use crate::packet::MSS;
 use crate::scheduler::{Candidate, SchedInput, Scheduler, SchedulerImpl, SchedulerSpec};
-use mpdash_link::PathId;
-use mpdash_sim::{GiveBackSlack, SimDuration, SimTime};
+use mpdash_sim::{GiveBackSlack, PathId, PathMask, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Initial retransmission timeout before any RTT sample (RFC 6298).

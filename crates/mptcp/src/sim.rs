@@ -28,7 +28,7 @@
 //! reports what happened.
 
 use crate::cc::CcKind;
-use crate::packet::{PacketLog, PathMask, PktRecord, MSS};
+use crate::packet::{PacketLog, PktRecord, MSS};
 use crate::receiver::Receiver;
 use crate::scheduler::SchedulerSpec;
 use crate::sender::{Sender, Transmit};
@@ -37,7 +37,7 @@ use mpdash_link::{
 };
 use mpdash_obs::{TraceEvent, Tracer};
 use mpdash_sim::queue::SHARED_LANE;
-use mpdash_sim::{EventQueue, GiveBackSlack, Rate, SimDuration, SimTime};
+use mpdash_sim::{EventQueue, GiveBackSlack, PathMask, Rate, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// TCP/IP header bytes charged to the link per data packet.
@@ -320,9 +320,7 @@ impl MptcpSim {
             let now = self.now();
             let n = self.n_paths();
             self.tracer.emit_with(now, || TraceEvent::DssSignal {
-                mask: (0..n)
-                    .filter(|&p| mask.contains(PathId(p as u8)))
-                    .fold(0u32, |bits, p| bits | (1 << p)),
+                mask: mask.bits() & PathMask::first(n).bits(),
             });
             let primary = PathId(0);
             self.queue.schedule_in(

@@ -139,8 +139,7 @@ impl FileTransfer {
                     SchedulerParams::with_alpha(alpha).with_debounce(4),
                     SAMPLE_SLOT,
                 );
-                let enabled = c.mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline);
-                sim.set_initial_mask(PathMask::from_enabled(enabled));
+                sim.set_initial_mask(c.mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline));
                 Some(DeadlineSignal::new(c))
             }
             TransportMode::WifiOnly => {
@@ -170,7 +169,7 @@ impl FileTransfer {
             }
             if let Some(signal) = signal.as_mut() {
                 if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
-                    sim.set_desired_mask(PathMask::from_enabled(&enabled));
+                    sim.set_desired_mask(enabled);
                 }
                 if matches!(outcome, StepOutcome::AppTimer { id: TICK_ID }) {
                     sim.schedule_app_tick(t + TICK, TICK_ID);

@@ -5,9 +5,9 @@
 //! the packets received since the last check into the per-path
 //! throughput estimators, tell the control plane which paths still have
 //! data outstanding, and re-run Algorithm 1 on the bytes delivered so
-//! far. The answer, when it changed, is the new enabled set the caller
-//! signals through the MPTCP path mask
-//! ([`PathMask::from_enabled`](mpdash_mptcp::PathMask::from_enabled)).
+//! far. The answer, when it changed, is the new enabled set as a
+//! [`PathMask`], which the caller hands to the transport as it is
+//! ([`MptcpSim::set_desired_mask`]).
 //!
 //! The driver hands over each arrival as its step reports it
 //! ([`MptcpSim::arrival`]), and the signal holds it until the next
@@ -16,9 +16,8 @@
 //! between the chunk's last packet and the next check.
 
 use mpdash_core::MpDashControl;
-use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpSim, PktRecord};
-use mpdash_sim::{GiveBackSlack, SimTime};
+use mpdash_sim::{GiveBackSlack, PathId, PathMask, SimTime};
 
 /// The MP-DASH control plane plus the arrivals it has not seen yet.
 pub struct DeadlineSignal {
@@ -59,31 +58,26 @@ impl DeadlineSignal {
 
     /// One progress check at `now` with `received` bytes of the transfer
     /// delivered. Returns the new enabled set if Algorithm 1 changed it.
-    pub fn on_progress(
-        &mut self,
-        sim: &MptcpSim,
-        now: SimTime,
-        received: u64,
-    ) -> Option<Vec<bool>> {
+    pub fn on_progress(&mut self, sim: &MptcpSim, now: SimTime, received: u64) -> Option<PathMask> {
         for r in self.arrived.drain(..) {
             self.control.on_bytes(r.path.index(), r.t, r.len);
         }
         self.arrived.give_back_slack();
-        // One flag per path id a `PathMask` can name.
-        let mut busy = [false; 32];
-        let busy = &mut busy[..self.control.n_paths()];
-        for (i, busy) in busy.iter_mut().enumerate() {
+        let mut busy = PathMask::NONE;
+        for (i, seen) in self.seen_revivals.iter_mut().enumerate() {
             let path = PathId(i as u8);
             // A revived subflow came back as a *new* association: drop
             // the old association's throughput history before the next
             // decision, so Algorithm 1 starts from the prior instead of a
             // pre-fault (or blackout-dragged) estimate.
             let revivals = sim.subflow_revivals(path);
-            if revivals > self.seen_revivals[i] {
-                self.seen_revivals[i] = revivals;
+            if revivals > *seen {
+                *seen = revivals;
                 self.control.on_path_reset(i, now);
             }
-            *busy = sim.path_in_flight(path) > 0;
+            if sim.path_in_flight(path) > 0 {
+                busy = busy.with(path);
+            }
         }
         self.control.on_progress(now, received, busy)
     }

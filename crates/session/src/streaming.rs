@@ -231,7 +231,7 @@ impl StreamingSession {
                 }
                 DeadlineDecision::Bypass => signal.control.mp_dash_disable(),
             };
-            self.sim.set_desired_mask(PathMask::from_enabled(enabled));
+            self.sim.set_desired_mask(enabled);
             match deadline {
                 Some(window) => {
                     self.rec.event(now, Outcome::DeadlineGranted, || {
@@ -303,7 +303,7 @@ impl StreamingSession {
         // the preferred-path estimate versus bytes left in the window.
         self.rec.event(now, Outcome::SchedulerToggle, || {
             TraceEvent::SchedulerToggle {
-                cell_enabled: enabled.get(1).copied().unwrap_or(false),
+                cell_enabled: enabled.contains(PathId::CELLULAR),
                 wifi_estimate_mbps: signal.control.estimate(0).as_mbps_f64(),
                 received,
                 size: cur.size(),
@@ -311,7 +311,7 @@ impl StreamingSession {
                 elapsed_s: now.saturating_since(cur.started).as_secs_f64(),
             }
         });
-        self.sim.set_desired_mask(PathMask::from_enabled(&enabled));
+        self.sim.set_desired_mask(enabled);
     }
 
     /// The chunk arrived: score it, feed the player, and pace the next
@@ -362,8 +362,8 @@ impl StreamingSession {
         if let Some((_, signal)) = self.mpdash.as_mut() {
             // Final progress report completes the transfer (reverts the
             // transport to vanilla until the next chunk's decision).
-            if let Some(enabled) = signal.control.on_progress(now, done.size, &[false, false]) {
-                self.sim.set_desired_mask(PathMask::from_enabled(&enabled));
+            if let Some(enabled) = signal.control.on_progress(now, done.size, PathMask::NONE) {
+                self.sim.set_desired_mask(enabled);
             }
         }
         self.player

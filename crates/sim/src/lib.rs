@@ -16,6 +16,10 @@
 //!   [`Series`] records `(time, value)` samples for the figures the
 //!   benchmark harness regenerates.
 //!
+//! It also names the paths every layer talks about: [`PathId`] and the
+//! enabled set [`PathMask`], from Algorithm 1's decision to the transport's
+//! DSS bit.
+//!
 //! The design intentionally avoids an async runtime: per the smoltcp-style
 //! guidance for event-driven network code, a single-threaded poll loop over
 //! virtual time is simpler, faster for simulation, and fully deterministic.
@@ -37,6 +41,7 @@
 //! ```
 
 pub mod par;
+pub mod path;
 pub mod queue;
 pub mod rate;
 pub mod rng;
@@ -45,6 +50,7 @@ pub mod slack;
 pub mod time;
 
 pub use par::{default_workers, par_map};
+pub use path::{PathId, PathMask};
 pub use queue::EventQueue;
 pub use rate::Rate;
 pub use rng::{derive_seed, Prng};

@@ -39,6 +39,10 @@ use mpdash_trace::synth::SynthSpec;
 /// RTT, and keeps `ms * 10^6` and `client_index * skew` inside a `u64`.
 const MAX_MILLIS: u64 = 60_000;
 
+/// Upper bound on a fleet's RTT spread, `(clients - 1) * rtt_skew_ms`:
+/// the extra one-way delay of its last client.
+const MAX_RTT_SPREAD_MS: u64 = 1_000;
+
 /// Upper bound on the whole-second keys (`buffer_secs`, `chunk_secs`):
 /// one day, so the conversion to nanoseconds cannot wrap.
 const MAX_SECS: u64 = 86_400;
@@ -720,8 +724,16 @@ fn decode_fleet(j: &Json, at: &str, base: &SessionConfig) -> Result<FleetConfig,
     if let Some(stagger) = o.opt_secs("stagger_s", NON_NEGATIVE)? {
         fleet.stagger = stagger;
     }
-    if let Some(skew) = o.opt_millis("rtt_skew_ms", 0)? {
-        fleet.rtt_skew = skew;
+    if let Some(skew) = o.opt_uint("rtt_skew_ms", 0, MAX_MILLIS)? {
+        let spread = (clients as u64 - 1) * skew;
+        if spread > MAX_RTT_SPREAD_MS {
+            return Err(format!(
+                "{}: the last of {clients} clients would get {spread} ms of extra one-way \
+                 delay ((clients - 1) x rtt_skew_ms), more than {MAX_RTT_SPREAD_MS}",
+                o.at("rtt_skew_ms")
+            ));
+        }
+        fleet.rtt_skew = SimDuration::from_millis(skew);
     }
     if let Some(seed) = o.opt_uint("seed", 0, u64::MAX)? {
         fleet.seed = seed;
@@ -1532,6 +1544,8 @@ mod tests {
         assert!(fc.overload.is_none() && fc.watchdog.is_none());
     }
 
+    /// Each row is refused with a path-qualified message, except where
+    /// the message is empty: that row sits at a bound and must parse.
     #[test]
     fn rejects_wedging_fleet_values() {
         for (patch, expect) in [
@@ -1556,6 +1570,12 @@ mod tests {
                 r#""fleet": {"clients": 4, "rtt_skew_ms": 60001},"#,
                 "fleet.rtt_skew_ms: must be",
             ),
+            (
+                r#""fleet": {"clients": 1024, "rtt_skew_ms": 10},"#,
+                "fleet.rtt_skew_ms: the last of 1024 clients would get 10230 ms of extra \
+                 one-way delay ((clients - 1) x rtt_skew_ms), more than 1000",
+            ),
+            (r#""fleet": {"clients": 101, "rtt_skew_ms": 10},"#, ""),
             (
                 r#""fleet": {"clients": 4, "churn": {"mean_interarrival_s": 0.0, "mean_watch_s": 30}},"#,
                 "fleet.churn.mean_interarrival_s: must be > 0",
@@ -1667,8 +1687,10 @@ mod tests {
                 "fleet.shared[0].beta: must be >= 0",
             ),
         ] {
-            let err = Scenario::from_json(&fleet_doc(patch)).unwrap_err();
-            assert!(err.contains(expect), "{patch}: {err}");
+            match Scenario::from_json(&fleet_doc(patch)) {
+                Err(err) => assert!(!expect.is_empty() && err.contains(expect), "{patch}: {err}"),
+                Ok(sc) => assert!(expect.is_empty() && sc.fleet_configs().is_some(), "{patch}"),
+            }
         }
     }
 

@@ -24,7 +24,8 @@ use mpdash::link::{
 };
 use mpdash::mptcp::reassembly::IntervalSet;
 use mpdash::mptcp::receiver::Receiver;
-use mpdash::mptcp::SchedulerSpec;
+use mpdash::mptcp::{PoppedByKind, SchedulerSpec};
+use mpdash::obs::Tracer;
 use mpdash::session::{SessionConfig, SessionReport, SimProfile, StreamingSession, TransportMode};
 use mpdash::sim::{Rate, SimDuration, SimTime};
 use mpdash::trace::table1;
@@ -568,6 +569,52 @@ fn a_contended_fleet_client_schedules_mostly_into_lanes() {
     assert_under_one_percent_heap(last);
     // No client is traced, so none keeps a packet log.
     assert!(report.sessions.iter().all(|s| s.records.is_empty()));
+}
+
+/// What one standalone session pops, kind by kind: `perf`'s `solo_grid`
+/// cell for FESTIVE on the seed-42 synthetic pair (3.8 / 3.0 Mbps,
+/// σ = 0.10), Big Buck Bunny cut to 75 chunks, under vanilla MPTCP and
+/// under MP-DASH. A change that keeps every transport event and every
+/// Algorithm 1 decision pops exactly these; one that moves a decision, a
+/// timer or a packet moves them. Under MP-DASH more than half of the
+/// events are app timers, nearly all of them 50 ms progress ticks.
+#[test]
+fn a_standalone_sessions_event_mix_is_pinned() {
+    let bbb = Video::big_buck_bunny();
+    let ladder: Vec<f64> = bbb.bitrates().iter().map(|r| r.as_mbps_f64()).collect();
+    let video = Video::new("BBB-5min", &ladder, bbb.chunk_duration(), 75);
+    let pair = table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42);
+    for (mode, events_popped, by_kind) in [
+        (
+            TransportMode::Vanilla,
+            187_881,
+            PoppedByKind {
+                data: 90_508,
+                ack: 90_508,
+                rto: 1_818,
+                app_timer: 4_972,
+                reverse_msg: 75,
+            },
+        ),
+        (
+            TransportMode::mpdash_rate_based(),
+            409_299,
+            PoppedByKind {
+                data: 91_565,
+                ack: 91_857,
+                rto: 1_978,
+                app_timer: 223_824,
+                reverse_msg: 75,
+            },
+        ),
+    ] {
+        let cfg = SessionConfig::controlled(pair.clone(), AbrKind::Festive, mode)
+            .with_video(video.clone())
+            .with_tracer(Tracer::disabled());
+        let profile = StreamingSession::run(cfg).sim_profile;
+        assert_eq!(profile.events_popped, events_popped, "{mode:?}");
+        assert_eq!(profile.by_kind, by_kind, "{mode:?}");
+    }
 }
 
 fn assert_under_one_percent_heap(profile: SimProfile) {

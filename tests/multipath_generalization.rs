@@ -7,7 +7,7 @@ use mpdash::core::deadline::SchedulerParams;
 use mpdash::core::MpDashControl;
 use mpdash::link::{LinkConfig, PathId};
 use mpdash::mptcp::CcKind;
-use mpdash::mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, SchedulerSpec};
+use mpdash::mptcp::{MptcpConfig, MptcpSim, PathConfig, SchedulerSpec};
 use mpdash::session::DeadlineSignal;
 use mpdash::sim::{Rate, SimDuration, SimTime};
 
@@ -60,8 +60,7 @@ fn run_transfer_sim(wifi_mbps: f64, size: u64, deadline: SimDuration) -> (MptcpS
         SchedulerParams::default().with_debounce(4),
         SimDuration::from_millis(250),
     );
-    let enabled = control.mp_dash_enable(SimTime::ZERO, size, deadline);
-    sim.set_initial_mask(PathMask::from_enabled(enabled));
+    sim.set_initial_mask(control.mp_dash_enable(SimTime::ZERO, size, deadline));
     sim.send_app(size);
     sim.schedule_app_tick(SimTime::ZERO + TICK, TICK_ID);
 
@@ -77,7 +76,7 @@ fn run_transfer_sim(wifi_mbps: f64, size: u64, deadline: SimDuration) -> (MptcpS
             signal.on_arrival(r);
         }
         if let Some(enabled) = signal.on_progress(&sim, t, sim.delivered()) {
-            sim.set_desired_mask(PathMask::from_enabled(&enabled));
+            sim.set_desired_mask(enabled);
         }
         if matches!(
             outcome,
