@@ -21,7 +21,7 @@
 //!    member.
 //! 2. **Shedding beats collapse**: under heavy churn, the no-shed
 //!    fleet's deadline-miss rate collapses; with shedding, admitted
-//!    sessions stay under [`MISS_RATE_BOUND`] and strictly beat the
+//!    sessions stay under a 30 % miss rate and strictly beat the
 //!    no-shed rate, while the shed counter proves the policy engaged.
 //! 3. **Zero watchdog violations** across all eight cells, with the
 //!    check counter proving the watchdog actually ran.

@@ -10,7 +10,7 @@
 //!
 //! * [`Manifest::from_video`] without sizes — the status-quo manifest; the
 //!   adapter must learn sizes from `Content-Length` (our HTTP layer's
-//!   [`HeaderReceived`](mpdash_http::HttpEvent) equivalent).
+//!   `HttpEvent::HeaderReceived` equivalent).
 //! * [`Manifest::from_video_with_sizes`] — the paper's advocated form; the
 //!   scheduler can be armed with the exact size at request time (what the
 //!   session driver does).

@@ -5,7 +5,7 @@
 //! sessions sit in a winner tree whose every node is one `u64`,
 //! `time_ns << slot_bits | slot`, so a match is an integer `min` and a
 //! tie goes to the lower slot. The clock keeps `64 - slot_bits` bits
-//! (DESIGN §4t has the table); a later time is refused, never wrapped.
+//! (DESIGN §4.6 has the table); a later time is refused, never wrapped.
 
 use mpdash_sim::SimTime;
 

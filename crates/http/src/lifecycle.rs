@@ -313,7 +313,7 @@ impl RequestTracker {
     /// Periodic check (driver tick). `infeasible` is the scheduler's
     /// verdict that the remaining bytes cannot make the deadline at the
     /// current aggregate rate; it is debounced over
-    /// [`INFEASIBLE_DEBOUNCE`] consecutive polls.
+    /// four consecutive polls.
     pub fn poll(&mut self, now: SimTime, infeasible: bool) -> LifecycleAction {
         if !self.on_wire() || self.received >= self.size {
             return LifecycleAction::None;

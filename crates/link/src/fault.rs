@@ -18,7 +18,7 @@
 //!   storms). Jittered deliveries may reorder; the transport's
 //!   reassembly must cope.
 //! * **Rate collapse** — the profile's serialization rate is scaled by a
-//!   factor in `(0, 1]`, composing with whatever [`BandwidthProfile`]
+//!   factor in `(0, 1]`, composing with whatever [`crate::BandwidthProfile`]
 //!   the link already has (use a disassociation for a full outage).
 //! * **Disassociation** — the link delivers nothing from the event start
 //!   until `duration + reassociation` has elapsed: the association is

@@ -197,7 +197,7 @@ const QAWARE_REF_BYTES: u64 = 64 * 1024;
 /// Queue-occupancy-weighted minRTT.
 ///
 /// Each candidate is ranked by `srtt * (REF + ewma_depth) / REF`: a path
-/// whose shared bottleneck holds [`QAWARE_REF_BYTES`] of backlog looks
+/// whose shared bottleneck holds `REF` = 64 KiB of backlog looks
 /// twice as slow as its SRTT claims. The EWMA (gain ½ per decision)
 /// smooths the instantaneous occupancy so a single in-service packet
 /// does not flap the ranking. Paths with no shared queue contribute

@@ -648,7 +648,7 @@ impl Sender {
     /// unknown and probing backs off exponentially — a link-down names
     /// its cause: the interface dropped on an otherwise healthy path,
     /// and reassociation is typically quick. So the revival probe uses
-    /// the short fixed [`LINKDOWN_RETRY`] cooldown; a probe swallowed by
+    /// a short fixed 2 s cooldown; a probe swallowed by
     /// a still-dark interface just lands back here and costs one
     /// immediately-reinjected segment.
     pub fn on_link_down(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {

@@ -144,7 +144,7 @@ enum Event {
 }
 
 /// The event queue's lanes, one per stream whose fire times ascend by
-/// construction (DESIGN §4u): data arrivals of path 0 and path 1 (a
+/// construction (DESIGN §4.3): data arrivals of path 0 and path 1 (a
 /// link serializes in order; a shared bottleneck's departures are FIFO
 /// per flow), their ACKs (`now` + a fixed delay) and the ticks (`now` +
 /// one period). Everything sparser — RTOs, other application timers,
@@ -1189,7 +1189,7 @@ mod tests {
         assert_eq!(unlogged, reported);
     }
 
-    /// The RTO timer keeps one live event per subflow (DESIGN §4b). A
+    /// The RTO timer keeps one live event per subflow (DESIGN §4.3). A
     /// deadline that moves earlier supersedes the pending event instead of
     /// starting a second chain beside it, so `Rto` pops stay proportional to
     /// elapsed time over the minimum RTO however often the mask flips and the

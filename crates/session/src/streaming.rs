@@ -91,9 +91,9 @@ impl StreamingSession {
 
     /// Build the session and arm its first request (immediately, or via
     /// a wake timer at `start_offset` for staggered fleet clients). The
-    /// caller then owns the event loop: either [`StreamingSession::drive`]
-    /// to completion, or externally via [`StreamingSession::step_once`]
-    /// interleaved with other sessions.
+    /// caller then owns the event loop: either to completion, as
+    /// [`StreamingSession::run`] does, or externally via
+    /// [`StreamingSession::step_once`] interleaved with other sessions.
     pub fn start(cfg: SessionConfig) -> Self {
         let mut s = Self::new(cfg);
         if s.cfg.start_offset == SimDuration::ZERO {
