@@ -1056,6 +1056,133 @@ mod tests {
         assert_eq!(tx[0].path, PathId::WIFI);
     }
 
+    /// Revive WiFi after its failure at `t_fail` and return the instant
+    /// its handshake completes.
+    fn revive_wifi(s: &mut Sender, t_fail: SimTime) -> SimTime {
+        let revive_at =
+            t_fail + s.subflow(PathId::WIFI).revival_backoff + SimDuration::from_millis(1);
+        s.pump(revive_at);
+        assert!(!s.subflow(PathId::WIFI).failed, "wifi revived");
+        s.subflow(PathId::WIFI).established_at
+    }
+
+    #[test]
+    fn a_link_down_reinjects_everything_on_the_sibling_and_probes_in_two_seconds() {
+        let mut s = two_path_sender();
+        let t_fail = fail_wifi(&mut s, SimTime::ZERO);
+        assert_eq!(
+            s.subflow(PathId::WIFI).revival_backoff,
+            REVIVAL_COOLDOWN * 2
+        );
+        let ready = revive_wifi(&mut s, t_fail);
+        s.apply_mask(PathMask::only(PathId::WIFI));
+        s.push_app_data(4 * MSS);
+        let sent = s.pump(ready);
+        assert_eq!(sent.len(), 4);
+        s.apply_mask(PathMask::ALL);
+
+        let down_at = ready + SimDuration::from_millis(5);
+        let rescues = s.on_link_down(down_at, PathId::WIFI);
+        let wifi = s.subflow(PathId::WIFI);
+        assert!(wifi.failed);
+        assert_eq!(wifi.failures(), 2);
+        assert_eq!(wifi.in_flight(), 0, "the failed path holds nothing");
+        assert_eq!(wifi.rto_deadline, None);
+        assert_eq!(
+            wifi.revival_backoff, LINKDOWN_RETRY,
+            "a link-down probes in 2 s, not the doubled 40 s"
+        );
+        let dss = |ts: &[Transmit]| ts.iter().map(|t| (t.dss, t.len)).collect::<Vec<_>>();
+        assert_eq!(
+            dss(&rescues),
+            dss(&sent),
+            "every outstanding range, in order"
+        );
+        assert!(rescues.iter().all(|t| t.path == PathId::CELLULAR && t.retx));
+
+        // The next failure by RTO exhaustion doubles from the 2 s.
+        let ready = revive_wifi(&mut s, down_at);
+        fail_wifi(&mut s, ready);
+        assert_eq!(s.subflow(PathId::WIFI).failures(), 3);
+        assert_eq!(s.subflow(PathId::WIFI).revival_backoff, LINKDOWN_RETRY * 2);
+    }
+
+    #[test]
+    fn a_link_down_with_no_live_sibling_in_the_mask_keeps_the_path() {
+        let mut s = two_path_sender();
+        s.apply_mask(PathMask::only(PathId::WIFI));
+        s.push_app_data(3 * MSS);
+        s.pump(SimTime::ZERO);
+        let deadline = s.rto_deadline(PathId::WIFI);
+        assert!(deadline.is_some());
+        assert!(s
+            .on_link_down(SimTime::from_millis(10), PathId::WIFI)
+            .is_empty());
+        let wifi = s.subflow(PathId::WIFI);
+        assert!(!wifi.failed);
+        assert_eq!(wifi.failures(), 0);
+        assert_eq!(wifi.in_flight(), 3 * MSS, "keeps its segments");
+        assert_eq!(s.rto_deadline(PathId::WIFI), deadline, "and its RTO");
+    }
+
+    #[test]
+    fn a_second_link_down_on_a_failed_path_is_a_noop() {
+        let mut s = two_path_sender();
+        s.push_app_data(MSS);
+        s.pump(SimTime::ZERO);
+        assert_eq!(
+            s.on_link_down(SimTime::from_millis(1), PathId::WIFI).len(),
+            1
+        );
+        let cell_in_flight = s.subflow(PathId::CELLULAR).in_flight();
+        assert!(s
+            .on_link_down(SimTime::from_millis(2), PathId::WIFI)
+            .is_empty());
+        assert_eq!(s.subflow(PathId::WIFI).failures(), 1);
+        assert_eq!(s.subflow(PathId::CELLULAR).in_flight(), cell_in_flight);
+    }
+
+    #[test]
+    fn only_the_first_segment_after_a_revival_carries_syn() {
+        // By a pump: of two segments, the first opens the incarnation; its
+        // retransmission re-carries the marker.
+        let mut s = two_path_sender();
+        let t_fail = fail_wifi(&mut s, SimTime::ZERO);
+        let ready = revive_wifi(&mut s, t_fail);
+        s.apply_mask(PathMask::only(PathId::WIFI));
+        s.push_app_data(2 * MSS);
+        let tx = s.pump(ready);
+        assert_eq!(tx.iter().map(|t| t.syn).collect::<Vec<_>>(), [true, false]);
+        let retx = s.on_rto_fire(s.rto_deadline(PathId::WIFI).unwrap(), PathId::WIFI);
+        assert!(retx[0].syn && retx[0].seq == tx[0].seq);
+
+        // By a reinjection: a cell RTO rescues its head onto the revived,
+        // still-handshaking WiFi, and that rescue opens the incarnation.
+        let mut s = two_path_sender();
+        let t_fail = fail_wifi(&mut s, SimTime::ZERO);
+        let cell_nxt = s.subflow(PathId::CELLULAR).snd_nxt;
+        s.on_ack(
+            t_fail + SimDuration::from_millis(10),
+            PathId::CELLULAR,
+            cell_nxt,
+        );
+        let ready = revive_wifi(&mut s, t_fail);
+        s.apply_mask(PathMask::only(PathId::CELLULAR));
+        s.push_app_data(MSS);
+        assert!(s.pump(ready).iter().all(|t| !t.syn));
+        s.apply_mask(PathMask::ALL);
+        let fire = s.rto_deadline(PathId::CELLULAR).unwrap();
+        let ts = s.on_rto_fire(fire, PathId::CELLULAR);
+        assert_eq!(ts.len(), 2, "retransmit + reinjection");
+        assert_eq!((ts[0].path, ts[0].syn), (PathId::CELLULAR, false));
+        assert_eq!((ts[1].path, ts[1].syn), (PathId::WIFI, true));
+        s.apply_mask(PathMask::only(PathId::WIFI));
+        s.push_app_data(MSS);
+        let tx = s.pump(fire);
+        assert_eq!(tx.len(), 1);
+        assert!(!tx[0].syn, "the incarnation is already open");
+    }
+
     #[test]
     fn karns_algorithm_skips_retransmitted_samples() {
         let mut s = two_path_sender();
