@@ -81,6 +81,22 @@ struct Seg {
     syn: bool,
 }
 
+/// Whether a subflow carries data. Only [`Sender::fail`] and
+/// [`SubflowTx::revive`] move a subflow between the two states.
+#[derive(Clone, Copy, Debug)]
+enum Liveness {
+    /// Carrying data: new data from `from` (a revived subflow's handshake
+    /// is the time before), `syn` until its first segment opens the
+    /// incarnation ([`Transmit::syn`]), `rtos` RTO firings since the last
+    /// progress ([`MAX_CONSECUTIVE_RTOS`] of them fail it).
+    Live { from: SimTime, syn: bool, rtos: u32 },
+    /// Abandoned: its unacked data was reinjected elsewhere and the packet
+    /// scheduler skips it (MPTCP tears such subflows down; we keep the
+    /// state for accounting). The first pump strictly after `probe_after`
+    /// revives it.
+    Failed { probe_after: SimTime },
+}
+
 /// Per-path TCP sender state.
 #[derive(Clone, Debug)]
 pub struct SubflowTx {
@@ -112,29 +128,17 @@ pub struct SubflowTx {
     ecn_hold_end: Option<u64>,
     /// Absolute instant the retransmission timer fires, if armed.
     rto_deadline: Option<SimTime>,
-    /// RTO firings since the last forward progress; at
-    /// [`MAX_CONSECUTIVE_RTOS`] the subflow is declared failed.
-    consecutive_rtos: u32,
-    /// A persistently failing subflow is abandoned: its unacked data is
-    /// reinjected elsewhere and the packet scheduler skips it (MPTCP
-    /// tears such subflows down; we keep the state for accounting).
-    failed: bool,
-    /// Cooldown before the next revival probe; doubles on each repeated
-    /// failure so a permanently dead path is probed ever more rarely.
+    liveness: Liveness,
+    /// Cooldown before the next revival probe, kept across states: an RTO
+    /// failure doubles it, a link-down sets it to 2 s, progress resets it.
     revival_backoff: SimDuration,
     /// Last instant this subflow sent or received anything (for idle
     /// window validation).
     last_activity: SimTime,
-    /// Instant the (re-)established subflow may carry new data; the
-    /// re-establishment handshake occupies `[revival, established_at)`.
-    established_at: SimTime,
     /// Lifetime count of failure declarations.
     failures: u64,
     /// Lifetime count of revivals (re-establishments after failure).
     revivals: u64,
-    /// The next segment handed to this subflow opens a fresh incarnation
-    /// and must carry the SYN-like resync marker (see [`Transmit::syn`]).
-    send_syn: bool,
     /// Lifetime bytes handed to this subflow (first transmissions only).
     pub assigned_bytes: u64,
     /// Lifetime retransmitted bytes.
@@ -158,14 +162,15 @@ impl SubflowTx {
             recovery_end: None,
             ecn_hold_end: None,
             rto_deadline: None,
-            consecutive_rtos: 0,
-            failed: false,
+            liveness: Liveness::Live {
+                from: SimTime::ZERO,
+                syn: false,
+                rtos: 0,
+            },
             revival_backoff: REVIVAL_COOLDOWN,
             last_activity: SimTime::ZERO,
-            established_at: SimTime::ZERO,
             failures: 0,
             revivals: 0,
-            send_syn: false,
             assigned_bytes: 0,
             retx_bytes: 0,
         }
@@ -197,18 +202,42 @@ impl SubflowTx {
         self.revivals
     }
 
+    fn is_live(&self) -> bool {
+        matches!(self.liveness, Liveness::Live { .. })
+    }
+
+    /// When a failed subflow's revival probe is due (`None` while live).
+    pub(crate) fn probe_after(&self) -> Option<SimTime> {
+        match self.liveness {
+            Liveness::Failed { probe_after } => Some(probe_after),
+            Liveness::Live { .. } => None,
+        }
+    }
+
+    /// The next segment's `syn`: set on an incarnation's first one only.
+    fn take_syn(&mut self) -> bool {
+        match &mut self.liveness {
+            Liveness::Live { syn, .. } => std::mem::take(syn),
+            Liveness::Failed { .. } => false,
+        }
+    }
+
     /// Re-establish the subflow after a failure. MPTCP tears a failed
     /// subflow down, so a revival is a fresh three-way handshake: new
     /// congestion state, no RTT history, and the handshake itself costs
-    /// roughly one RTT before new data may flow (`established_at`).
-    fn reestablish(&mut self, now: SimTime) {
+    /// roughly one RTT before new data may flow.
+    fn revive(&mut self, now: SimTime) {
         self.revivals += 1;
         // SYN + SYN/ACK ≈ the last known RTT; with no history, fall back
-        // to the tight probe timer below.
+        // to the tight probe timer below. The fresh incarnation's first
+        // segment announces the resync: the receiver must not wait for
+        // the dead incarnation's abandoned sequence range.
         let handshake = self.srtt.unwrap_or(RTO_MIN * 2);
-        self.established_at = now + handshake;
-        self.failed = false;
-        self.consecutive_rtos = 0;
+        self.liveness = Liveness::Live {
+            from: now + handshake,
+            syn: true,
+            rtos: 0,
+        };
         self.cc = CongestionControl::new(self.cc_kind);
         self.srtt = None;
         self.rttvar = SimDuration::ZERO;
@@ -221,10 +250,6 @@ impl SubflowTx {
         // stream a full initial RTO.
         self.rto = RTO_MIN * 2;
         self.last_activity = now;
-        // The fresh incarnation's first segment announces the resync:
-        // the receiver must not wait for the dead incarnation's abandoned
-        // sequence range.
-        self.send_syn = true;
     }
 
     fn take_rtt_sample(&mut self, rtt: SimDuration) {
@@ -373,8 +398,8 @@ impl Sender {
         // Failed subflows are probed again after a cooldown — the path
         // may have come back (MPTCP would re-establish the subflow).
         for sf in &mut self.subflows {
-            if sf.failed && now.saturating_since(sf.last_activity) > sf.revival_backoff {
-                sf.reestablish(now);
+            if matches!(sf.liveness, Liveness::Failed { probe_after } if now > probe_after) {
+                sf.revive(now);
             }
             if sf.in_flight() == 0
                 && now.saturating_since(sf.last_activity) > sf.rto
@@ -393,8 +418,7 @@ impl Sender {
             self.candidates.clear();
             for sf in &self.subflows {
                 let (cwnd, in_flight) = (sf.cwnd(), sf.in_flight());
-                if !sf.failed
-                    && now >= sf.established_at
+                if matches!(sf.liveness, Liveness::Live { from, .. } if now >= from)
                     && self.mask.contains(sf.path)
                     && in_flight + len <= cwnd
                 {
@@ -422,7 +446,7 @@ impl Sender {
                 sent_at: now,
                 retx: false,
                 reinjected: false,
-                syn: std::mem::take(&mut sf.send_syn),
+                syn: sf.take_syn(),
             };
             sf.snd_nxt += len;
             sf.assigned_bytes += len;
@@ -460,7 +484,9 @@ impl Sender {
         if ack > sf.snd_una {
             let acked = ack - sf.snd_una;
             sf.snd_una = ack;
-            sf.consecutive_rtos = 0;
+            if let Liveness::Live { rtos, .. } = &mut sf.liveness {
+                *rtos = 0;
+            }
             sf.revival_backoff = REVIVAL_COOLDOWN;
             // Pop fully covered segments; take the RTT sample from the
             // most recent non-retransmitted one (Karn's algorithm).
@@ -535,7 +561,7 @@ impl Sender {
     /// this flight.
     pub fn on_ecn_echo(&mut self, _now: SimTime, path: PathId) {
         let sf = &mut self.subflows[path.index()];
-        if sf.failed || sf.recovery_end.is_some() || sf.ecn_hold_end.is_some() {
+        if !sf.is_live() || sf.recovery_end.is_some() || sf.ecn_hold_end.is_some() {
             return;
         }
         let in_flight = sf.in_flight();
@@ -562,26 +588,21 @@ impl Sender {
             self.subflows[idx].rto_deadline = None;
             return Vec::new();
         }
-        let mut out = Vec::new();
-
-        // A subflow is only abandoned if its data has somewhere else to
-        // go; the last usable path keeps retrying forever, like a
-        // single-path TCP (important for WiFi-only mode riding out a
-        // blackout).
-        let has_rescue_target = self
-            .subflows
-            .iter()
-            .any(|o| o.path != path && !o.failed && self.mask.contains(o.path));
+        // An armed timer means a live subflow (failing disarms it).
         let sf = &mut self.subflows[idx];
-        sf.consecutive_rtos += 1;
-        if sf.consecutive_rtos >= MAX_CONSECUTIVE_RTOS && has_rescue_target {
-            // Persistent failure: abandon the subflow and reinject every
-            // outstanding DSS range elsewhere. It may be revived after a
-            // cooldown (see `pump`); repeated failures back the probing
-            // off exponentially.
-            return self.fail_subflow(now, path);
+        if let Liveness::Live { rtos, .. } = &mut sf.liveness {
+            *rtos += 1;
+            if *rtos >= MAX_CONSECUTIVE_RTOS {
+                // Persistent failure: the revival probe backs off.
+                let backoff = (sf.revival_backoff * 2).min(SimDuration::from_secs(120));
+                if let Some(out) = self.fail(now, path, backoff) {
+                    return out;
+                }
+            }
         }
 
+        let mut out = Vec::new();
+        let sf = &mut self.subflows[idx];
         let in_flight = sf.in_flight();
         sf.cc.on_rto(in_flight);
         sf.rto = (sf.rto * 2).min(RTO_MAX);
@@ -595,77 +616,58 @@ impl Sender {
         // First RTO of the head segment: duplicate its DSS range onto a
         // live sibling so connection-level delivery is not hostage to
         // this path (the receiver's interval set deduplicates).
-        let head = self.subflows[idx].segs.front().copied();
-        if let Some(head) = head {
-            if !head.reinjected {
-                if let Some(t) = self.reinject(now, path, head.dss, head.len) {
-                    self.subflows[idx]
-                        .segs
-                        .front_mut()
-                        .expect("head still present")
-                        .reinjected = true;
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
-
-    /// Abandon `path` now: mark it failed (revivable after its backed-off
-    /// cooldown), clear its outstanding segments, and reinject every
-    /// cleared DSS range on the surviving paths. Callers must have
-    /// verified a rescue target exists.
-    fn fail_subflow(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
-        let sf = &mut self.subflows[path.index()];
-        sf.failed = true;
-        sf.failures += 1;
-        sf.rto_deadline = None;
-        sf.last_activity = now;
-        sf.revival_backoff = (sf.revival_backoff * 2).min(SimDuration::from_secs(120));
-        let ranges: Vec<(u64, u64)> = sf.segs.iter().map(|s| (s.dss, s.len)).collect();
-        sf.segs.clear();
-        sf.segs.give_back_slack();
-        sf.snd_una = sf.snd_nxt;
-        let mut out = Vec::new();
-        for (dss, len) in ranges {
-            if let Some(t) = self.reinject(now, path, dss, len) {
+        let head = self.subflows[idx].segs[0];
+        if !head.reinjected {
+            if let Some(t) = self.reinject(now, path, head.dss, head.len) {
+                self.subflows[idx].segs[0].reinjected = true;
                 out.push(t);
             }
         }
         out
     }
 
+    /// Live subflows the mask enables, other than `avoid`: rescue targets.
+    fn rescue_targets(&self, avoid: PathId) -> impl Iterator<Item = &SubflowTx> {
+        self.subflows
+            .iter()
+            .filter(move |sf| sf.path != avoid && sf.is_live() && self.mask.contains(sf.path))
+    }
+
+    /// Abandon live `path` now, its revival probe due `backoff` later,
+    /// and reinject every outstanding DSS range on the surviving paths.
+    /// A subflow is only abandoned if its data has somewhere else to go:
+    /// with no rescue target this returns `None`, and the last usable
+    /// path keeps retrying forever, like a single-path TCP (important for
+    /// WiFi-only mode riding out a blackout).
+    fn fail(&mut self, now: SimTime, path: PathId, backoff: SimDuration) -> Option<Vec<Transmit>> {
+        if !self.subflows[path.index()].is_live() || self.rescue_targets(path).next().is_none() {
+            return None;
+        }
+        let sf = &mut self.subflows[path.index()];
+        sf.failures += 1;
+        sf.revival_backoff = backoff;
+        sf.liveness = Liveness::Failed {
+            probe_after: now + backoff,
+        };
+        sf.rto_deadline = None;
+        sf.last_activity = now;
+        sf.snd_una = sf.snd_nxt;
+        let dead = std::mem::take(&mut sf.segs).into_iter();
+        Some(
+            dead.filter_map(|s| self.reinject(now, path, s.dss, s.len))
+                .collect(),
+        )
+    }
+
     /// Link-down signal for `path` (the interface reported the
     /// association gone — e.g. a WiFi disassociation swallowed a
     /// transmit). Real stacks learn this synchronously from the kernel
     /// rather than waiting out an RTO backoff chain, so model it the
-    /// same way: immediately declare the subflow failed and reinject its
-    /// outstanding data on the surviving paths. Single-path connections
-    /// keep the plain RTO behavior — abandoning the only path would
-    /// strand the data (and the revival probe is the reconnect).
-    ///
-    /// Unlike an RTO-exhaustion failure — where the path's health is
-    /// unknown and probing backs off exponentially — a link-down names
-    /// its cause: the interface dropped on an otherwise healthy path,
-    /// and reassociation is typically quick. So the revival probe uses
-    /// a short fixed 2 s cooldown; a probe swallowed by
-    /// a still-dark interface just lands back here and costs one
-    /// immediately-reinjected segment.
+    /// same way: [`Sender::fail`] the subflow at once (a no-op if it has
+    /// already failed or its data has nowhere else to go), with the fixed
+    /// [`LINKDOWN_RETRY`] cooldown in place of the doubled backoff.
     pub fn on_link_down(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
-        let idx = path.index();
-        if self.subflows[idx].failed {
-            return Vec::new();
-        }
-        let has_rescue_target = self
-            .subflows
-            .iter()
-            .any(|o| o.path != path && !o.failed && self.mask.contains(o.path));
-        if !has_rescue_target {
-            return Vec::new();
-        }
-        let out = self.fail_subflow(now, path);
-        self.subflows[idx].revival_backoff = LINKDOWN_RETRY;
-        out
+        self.fail(now, path, LINKDOWN_RETRY).unwrap_or_default()
     }
 
     /// Send `len` bytes of DSS range `dss` as *new* subflow data on the
@@ -673,15 +675,13 @@ impl Sender {
     /// congestion-window space check (they are rescue traffic and rare)
     /// but still count toward the target subflow's in-flight bytes.
     fn reinject(&mut self, now: SimTime, avoid: PathId, dss: u64, len: u64) -> Option<Transmit> {
-        // Deliberately not gated on `established_at`: the failure path
+        // Deliberately not gated on the handshake: the failure path
         // already verified a rescue target with this same filter, and
         // stranding the cleared DSS ranges would lose data. Rescue
         // traffic onto a mid-handshake subflow rides out the handshake
         // in the link's queue.
         let target = self
-            .subflows
-            .iter()
-            .filter(|sf| sf.path != avoid && !sf.failed && self.mask.contains(sf.path))
+            .rescue_targets(avoid)
             .min_by_key(|sf| (sf.srtt.unwrap_or(SimDuration::MAX), sf.path))?
             .path;
         let sf = &mut self.subflows[target.index()];
@@ -692,7 +692,7 @@ impl Sender {
             sent_at: now,
             retx: false,
             reinjected: true, // never reinject a reinjection
-            syn: std::mem::take(&mut sf.send_syn),
+            syn: sf.take_syn(),
         };
         sf.snd_nxt += len;
         sf.segs.push_back(seg);
@@ -726,6 +726,19 @@ impl Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SubflowTx {
+        fn failed(&self) -> bool {
+            !self.is_live()
+        }
+
+        fn established_at(&self) -> SimTime {
+            match self.liveness {
+                Liveness::Live { from, .. } => from,
+                Liveness::Failed { .. } => panic!("a failed subflow is not established"),
+            }
+        }
+    }
 
     fn two_path_sender() -> Sender {
         Sender::new(2, SchedulerSpec::MinRtt, CcKind::Reno)
@@ -927,7 +940,7 @@ mod tests {
             };
             now = d;
             s.on_rto_fire(now, PathId::WIFI);
-            if s.subflow(PathId::WIFI).failed {
+            if s.subflow(PathId::WIFI).failed() {
                 failed = true;
                 break;
             }
@@ -959,7 +972,7 @@ mod tests {
                 break;
             };
             s.on_rto_fire(d, PathId::WIFI);
-            if s.subflow(PathId::WIFI).failed {
+            if s.subflow(PathId::WIFI).failed() {
                 return d;
             }
         }
@@ -978,15 +991,15 @@ mod tests {
         );
         // Still failed right at the cooldown boundary (strictly-greater).
         s.pump(t1 + REVIVAL_COOLDOWN * 2);
-        assert!(s.subflow(PathId::WIFI).failed);
+        assert!(s.subflow(PathId::WIFI).failed());
         // Past it: revived.
         let revive_at = t1 + REVIVAL_COOLDOWN * 2 + SimDuration::from_millis(1);
         s.pump(revive_at);
-        assert!(!s.subflow(PathId::WIFI).failed);
+        assert!(!s.subflow(PathId::WIFI).failed());
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 1);
 
         // Second failure doubles again (no ack progress in between).
-        let ready1 = s.subflow(PathId::WIFI).established_at;
+        let ready1 = s.subflow(PathId::WIFI).established_at();
         let t2 = fail_wifi(&mut s, ready1);
         assert_eq!(s.subflow(PathId::WIFI).failures(), 2);
         assert_eq!(
@@ -998,7 +1011,7 @@ mod tests {
         let revive2 = t2 + REVIVAL_COOLDOWN * 4 + SimDuration::from_millis(1);
         s.pump(revive2);
         assert_eq!(s.subflow(PathId::WIFI).revivals(), 2);
-        let ready = s.subflow(PathId::WIFI).established_at;
+        let ready = s.subflow(PathId::WIFI).established_at();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
         let tx = s.pump(ready);
@@ -1036,7 +1049,7 @@ mod tests {
         s.pump(revive_at);
 
         let sf = s.subflow(PathId::WIFI);
-        assert!(!sf.failed);
+        assert!(!sf.failed());
         assert_eq!(sf.revivals(), 1);
         assert!(
             sf.srtt().is_none(),
@@ -1044,10 +1057,13 @@ mod tests {
         );
         assert_eq!(sf.cwnd(), 10 * MSS, "fresh initial congestion window");
         // Handshake cost: one (pre-reset) smoothed RTT.
-        assert_eq!(sf.established_at, revive_at + SimDuration::from_millis(50));
+        assert_eq!(
+            sf.established_at(),
+            revive_at + SimDuration::from_millis(50)
+        );
 
         // New data waits for the handshake to complete.
-        let ready = sf.established_at;
+        let ready = sf.established_at();
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
         assert!(s.pump(revive_at).is_empty(), "no new data mid-handshake");
@@ -1062,8 +1078,8 @@ mod tests {
         let revive_at =
             t_fail + s.subflow(PathId::WIFI).revival_backoff + SimDuration::from_millis(1);
         s.pump(revive_at);
-        assert!(!s.subflow(PathId::WIFI).failed, "wifi revived");
-        s.subflow(PathId::WIFI).established_at
+        assert!(!s.subflow(PathId::WIFI).failed(), "wifi revived");
+        s.subflow(PathId::WIFI).established_at()
     }
 
     #[test]
@@ -1084,7 +1100,7 @@ mod tests {
         let down_at = ready + SimDuration::from_millis(5);
         let rescues = s.on_link_down(down_at, PathId::WIFI);
         let wifi = s.subflow(PathId::WIFI);
-        assert!(wifi.failed);
+        assert!(wifi.failed());
         assert_eq!(wifi.failures(), 2);
         assert_eq!(wifi.in_flight(), 0, "the failed path holds nothing");
         assert_eq!(wifi.rto_deadline, None);
@@ -1119,7 +1135,7 @@ mod tests {
             .on_link_down(SimTime::from_millis(10), PathId::WIFI)
             .is_empty());
         let wifi = s.subflow(PathId::WIFI);
-        assert!(!wifi.failed);
+        assert!(!wifi.failed());
         assert_eq!(wifi.failures(), 0);
         assert_eq!(wifi.in_flight(), 3 * MSS, "keeps its segments");
         assert_eq!(s.rto_deadline(PathId::WIFI), deadline, "and its RTO");
