@@ -424,6 +424,17 @@ impl MptcpSim {
         self.snd.subflow(path).revivals()
     }
 
+    /// When `path`'s failed subflow becomes revivable: the first pump
+    /// after this instant re-establishes it. `None` while it is live.
+    pub fn subflow_probe_after(&self, path: PathId) -> Option<SimTime> {
+        self.snd.subflow(path).probe_after()
+    }
+
+    /// When `path`'s retransmission timer fires, if armed.
+    pub fn subflow_rto_deadline(&self, path: PathId) -> Option<SimTime> {
+        self.snd.rto_deadline(path)
+    }
+
     /// True when every queued byte has been sent and acknowledged.
     pub fn quiescent(&self) -> bool {
         self.snd.all_acked()

@@ -263,8 +263,16 @@ impl StreamingSession {
             return;
         }
         let path = |p: PathId| {
+            let state = match (
+                self.sim.subflow_probe_after(p),
+                self.sim.subflow_rto_deadline(p),
+            ) {
+                (Some(at), _) => format!("failed, revivable since {at}"),
+                (None, Some(at)) => format!("live, RTO at {at}"),
+                (None, None) => "live, no RTO armed".to_string(),
+            };
             format!(
-                "{} B in flight, {} failures / {} revivals",
+                "{} B in flight, {} failures / {} revivals, {state}",
                 self.sim.path_in_flight(p),
                 self.sim.subflow_failures(p),
                 self.sim.subflow_revivals(p)

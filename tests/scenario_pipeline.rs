@@ -153,9 +153,10 @@ fn a_trace_file_that_collapses_in_nanoseconds_fails_the_build() {
 }
 
 /// A valid document can wedge the transport: with `"cell": {"constant":
-/// 0}` the WiFi disassociation at 300 s strands chunk 68 on two dead
-/// subflows and only the tick chain stays alive (ROADMAP item 3 has the
-/// state). Until the transport is fixed the session must say so within an
+/// 0}` the WiFi disassociation at 300 s strands chunk 68. WiFi fails and
+/// is never revived (only a pump revives, and nothing pumps), while the
+/// dead cell path, the last live one, retries its RTO forever (ROADMAP
+/// item 2). Until the transport is fixed the session must say so within an
 /// event budget, not tick forever; the modes that never enable the dead
 /// path finish as they always did.
 #[test]
@@ -187,7 +188,9 @@ fn a_session_wedged_on_a_dead_cell_path_panics_naming_the_chunk() {
                     msg.starts_with(
                         "session wedged at 3900.081s: chunk 68 holds 407120 of 1028827 B"
                     ) && msg.contains("wifi: 0 B in flight, 1 failures / 0 revivals")
-                        && msg.contains("cell: 55480 B in flight"),
+                        && msg.contains("cell: 55480 B in flight")
+                        && msg.contains("0 revivals, failed, revivable since 303.156s;")
+                        && msg.contains("live, RTO at 3942.756s)"),
                     "{msg}"
                 );
             }
