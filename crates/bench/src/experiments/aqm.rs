@@ -33,7 +33,7 @@ use crate::grid::Grid;
 use crate::shapes::{contended_fleet, fleet_client, vanilla_and_mpdash};
 use crate::Table;
 use mpdash_fleet::{BottleneckSummary, FleetConfig, FleetReport};
-use mpdash_link::{AqmConfig, QueueDiscipline, SharedBottleneckConfig};
+use mpdash_link::{AqmConfig, QueueDiscipline, SharedBottleneckConfig, DRR_QUANTUM};
 use mpdash_results::{ExperimentResult, ScalarGroup};
 use mpdash_session::TransportMode;
 
@@ -57,7 +57,10 @@ fn pie_marking() -> AqmConfig {
 }
 
 fn fq_pie(aqm: AqmConfig) -> QueueDiscipline {
-    QueueDiscipline::FqPie { quantum: 1540, aqm }
+    QueueDiscipline::FqPie {
+        quantum: DRR_QUANTUM,
+        aqm,
+    }
 }
 
 /// The headline disciplines; the fold orders PIE and FQ-PIE against

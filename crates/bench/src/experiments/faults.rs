@@ -59,7 +59,7 @@ fn fault_cases() -> Vec<FaultCase> {
             script: FaultScript::new().burst_loss(
                 secs(20),
                 SimDuration::from_secs(40),
-                GilbertElliott::new(0.05, 0.30, 0.5),
+                GilbertElliott::default(),
             ),
             server: ServerFaultScript::new(),
             window: (20.0, 60.0),

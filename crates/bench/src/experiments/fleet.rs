@@ -28,7 +28,7 @@ use crate::grid::Grid;
 use crate::shapes::{contended_fleet, fleet_client};
 use crate::Table;
 use mpdash_fleet::FleetReport;
-use mpdash_link::{QueueDiscipline, SharedBottleneckConfig};
+use mpdash_link::{QueueDiscipline, SharedBottleneckConfig, DRR_QUANTUM};
 use mpdash_results::{ExperimentResult, ScalarGroup};
 use mpdash_session::TransportMode;
 
@@ -46,7 +46,9 @@ fn fleet_sizes(quick: bool) -> Vec<usize> {
 
 /// Flow-queue round-robin with an MTU-sized DRR quantum (one full packet
 /// per round).
-const FQ: QueueDiscipline = QueueDiscipline::FlowQueue { quantum: 1540 };
+const FQ: QueueDiscipline = QueueDiscipline::FlowQueue {
+    quantum: DRR_QUANTUM,
+};
 
 /// What the fold reads of one fleet replica.
 struct Cell {

@@ -110,6 +110,15 @@ impl GilbertElliott {
     }
 }
 
+/// The default burst-loss chain: enter the bad state with 0.05, leave
+/// it with 0.30 (bursts of ~3.3 packets) and lose half the packets
+/// there, ~7 % in the long run.
+impl Default for GilbertElliott {
+    fn default() -> Self {
+        GilbertElliott::new(0.05, 0.30, 0.5)
+    }
+}
+
 /// A running Gilbert–Elliott chain: parameters plus Markov state and a
 /// dedicated RNG stream. Advances exactly once per [`Self::lose_packet`]
 /// call, so identical call sequences reproduce identical loss patterns.

@@ -43,5 +43,5 @@ pub use profile::BandwidthProfile;
 pub use shaper::TokenBucket;
 pub use shared::{
     Departure, FlowId, FlowStats, QueueDiscipline, SharedBottleneck, SharedBottleneckConfig,
-    SharedDrop, SharedOutcome, SharedStats, Ticket,
+    SharedDrop, SharedOutcome, SharedStats, Ticket, DRR_QUANTUM,
 };

@@ -60,6 +60,10 @@ pub type FlowId = usize;
 /// offering transport can match them to its deferred packets.
 pub type Ticket = u64;
 
+/// The DRR byte quantum a flow-queue discipline gets when none is named:
+/// one full-size Ethernet frame, so a flow sends one packet per round.
+pub const DRR_QUANTUM: u64 = 1540;
+
 /// How the shared server picks the next packet to serialize, and which
 /// AQM controller (if any) polices the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

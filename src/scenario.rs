@@ -23,7 +23,7 @@ use mpdash_fleet::{
 use mpdash_http::{OriginPoolConfig, OriginSpec};
 use mpdash_link::{
     AqmConfig, BandwidthProfile, FaultScript, GilbertElliott, PathId, QueueDiscipline,
-    SharedBottleneckConfig,
+    SharedBottleneckConfig, DRR_QUANTUM,
 };
 use mpdash_mptcp::SchedulerSpec;
 use mpdash_obs::TelemetrySpec;
@@ -485,15 +485,18 @@ fn decode_link_fault(script: FaultScript, j: &Json, at: &str) -> Result<FaultScr
     let mut o = Obj::new(payload, &at)?;
     let (start, dur) = fault_window(&mut o)?;
     let script = match tag {
-        "burst_loss" => script.burst_loss(
-            start,
-            dur,
-            GilbertElliott::new(
-                o.opt_f64("p_enter", UNIT_ABOVE_ZERO)?.unwrap_or(0.05),
-                o.opt_f64("p_exit", UNIT_ABOVE_ZERO)?.unwrap_or(0.30),
-                o.opt_f64("loss", UNIT)?.unwrap_or(0.5),
-            ),
-        ),
+        "burst_loss" => {
+            let ge = GilbertElliott::default();
+            script.burst_loss(
+                start,
+                dur,
+                GilbertElliott::new(
+                    o.opt_f64("p_enter", UNIT_ABOVE_ZERO)?.unwrap_or(ge.p_enter),
+                    o.opt_f64("p_exit", UNIT_ABOVE_ZERO)?.unwrap_or(ge.p_exit),
+                    o.opt_f64("loss", UNIT)?.unwrap_or(ge.loss_bad),
+                ),
+            )
+        }
         "rtt_spike" => script.rtt_spike(
             start,
             dur,
@@ -610,7 +613,6 @@ fn decode_aqm(o: &mut Obj, mut aqm: AqmConfig, pie_gains: bool) -> Result<AqmCon
 /// per-flow ones, the AQM knobs on the AQMs), so a knob on the wrong
 /// discipline is an unknown key.
 fn decode_shared(j: &Json, at: &str) -> Result<SharedLinkSpec, String> {
-    const QUANTUM: u64 = 1540;
     let mut o = Obj::new(j, at)?;
     let mut config = SharedBottleneckConfig::fifo_mbps(o.f64("rate_mbps", POSITIVE)?);
     if config.rate.is_zero() {
@@ -623,11 +625,11 @@ fn decode_shared(j: &Json, at: &str) -> Result<SharedLinkSpec, String> {
     config.discipline = match discipline {
         "fifo" => QueueDiscipline::Fifo,
         "fq" => QueueDiscipline::FlowQueue {
-            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(QUANTUM),
+            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(DRR_QUANTUM),
         },
         "pie" => QueueDiscipline::Pie(decode_aqm(&mut o, AqmConfig::pie(), true)?),
         "fq_pie" => QueueDiscipline::FqPie {
-            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(QUANTUM),
+            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(DRR_QUANTUM),
             aqm: decode_aqm(&mut o, AqmConfig::pie(), true)?,
         },
         "codel" => QueueDiscipline::Codel(decode_aqm(&mut o, AqmConfig::codel(), false)?),
