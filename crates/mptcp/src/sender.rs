@@ -82,7 +82,7 @@ struct Seg {
 }
 
 /// Whether a subflow carries data. Only [`Sender::fail`] and
-/// [`SubflowTx::revive`] move a subflow between the two states.
+/// [`SubflowTx::revive`] change the state; [`SubflowTx::take_syn`] clears `syn`.
 #[derive(Clone, Copy, Debug)]
 enum Liveness {
     /// Carrying data: new data from `from` (a revived subflow's handshake
@@ -663,9 +663,9 @@ impl Sender {
     /// association gone — e.g. a WiFi disassociation swallowed a
     /// transmit). Real stacks learn this synchronously from the kernel
     /// rather than waiting out an RTO backoff chain, so model it the
-    /// same way: [`Sender::fail`] the subflow at once (a no-op if it has
-    /// already failed or its data has nowhere else to go), with the fixed
-    /// [`LINKDOWN_RETRY`] cooldown in place of the doubled backoff.
+    /// same way: fail the subflow at once (a no-op if it has already
+    /// failed or its data has nowhere else to go), its revival probe due
+    /// in a fixed 2 s instead of the doubled backoff.
     pub fn on_link_down(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
         self.fail(now, path, LINKDOWN_RETRY).unwrap_or_default()
     }
