@@ -44,8 +44,7 @@ fn fleet_sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Flow-queue round-robin with an MTU-sized DRR quantum (one full packet
-/// per round).
+/// Flow-queue round-robin at the default (one-packet) DRR quantum.
 const FQ: QueueDiscipline = QueueDiscipline::FlowQueue {
     quantum: DRR_QUANTUM,
 };
