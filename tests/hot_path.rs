@@ -574,19 +574,28 @@ fn a_contended_fleet_client_schedules_mostly_into_lanes() {
 /// What one standalone session pops, kind by kind: `perf`'s `solo_grid`
 /// cell for FESTIVE on the seed-42 synthetic pair (3.8 / 3.0 Mbps,
 /// σ = 0.10), Big Buck Bunny cut to 75 chunks, under vanilla MPTCP and
-/// under MP-DASH. A change that keeps every transport event and every
-/// Algorithm 1 decision pops exactly these; one that moves a decision, a
-/// timer or a packet moves them. Under MP-DASH more than half of the
-/// events are app timers, nearly all of them 50 ms progress ticks.
+/// under MP-DASH, healthy and with WiFi disassociated at 40 s for 15 s
+/// plus 2 s to reassociate. A change that keeps every transport event and
+/// every Algorithm 1 decision pops exactly these; one that moves a
+/// decision, a timer or a packet moves them. Under MP-DASH more than half
+/// of the events are app timers, nearly all of them 50 ms progress ticks.
+/// The faulted rows count the timer pops of subflow failure and revival.
 #[test]
 fn a_standalone_sessions_event_mix_is_pinned() {
     let bbb = Video::big_buck_bunny();
     let ladder: Vec<f64> = bbb.bitrates().iter().map(|r| r.as_mbps_f64()).collect();
     let video = Video::new("BBB-5min", &ladder, bbb.chunk_duration(), 75);
     let pair = table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42);
-    for (mode, events_popped, by_kind) in [
+    let disassociation = FaultScript::new().disassociation(
+        SimTime::from_secs(40),
+        SimDuration::from_secs(15),
+        SimDuration::from_secs(2),
+    );
+    // (mode, WiFi faults, events, by kind, (failures, revivals)).
+    for (mode, faults, events_popped, by_kind, transitions) in [
         (
             TransportMode::Vanilla,
+            None,
             187_881,
             PoppedByKind {
                 data: 90_508,
@@ -595,9 +604,11 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 app_timer: 4_972,
                 reverse_msg: 75,
             },
+            (0, 0),
         ),
         (
             TransportMode::mpdash_rate_based(),
+            None,
             409_299,
             PoppedByKind {
                 data: 91_565,
@@ -606,14 +617,51 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 app_timer: 223_824,
                 reverse_msg: 75,
             },
+            (0, 0),
+        ),
+        (
+            TransportMode::Vanilla,
+            Some(&disassociation),
+            180_692,
+            PoppedByKind {
+                data: 86_682,
+                ack: 86_682,
+                rto: 1_785,
+                app_timer: 5_468,
+                reverse_msg: 75,
+            },
+            (7, 7),
+        ),
+        (
+            TransportMode::mpdash_rate_based(),
+            Some(&disassociation),
+            407_281,
+            PoppedByKind {
+                data: 91_567,
+                ack: 91_851,
+                rto: 1_949,
+                app_timer: 221_839,
+                reverse_msg: 75,
+            },
+            (7, 7),
         ),
     ] {
-        let cfg = SessionConfig::controlled(pair.clone(), AbrKind::Festive, mode)
+        let mut cfg = SessionConfig::controlled(pair.clone(), AbrKind::Festive, mode)
             .with_video(video.clone())
             .with_tracer(Tracer::disabled());
-        let profile = StreamingSession::run(cfg).sim_profile;
-        assert_eq!(profile.events_popped, events_popped, "{mode:?}");
-        assert_eq!(profile.by_kind, by_kind, "{mode:?}");
+        if let Some(f) = faults {
+            cfg = cfg.with_wifi_faults(f.clone());
+        }
+        let report = StreamingSession::run(cfg);
+        let row = format!("{mode:?}, faulted: {}", faults.is_some());
+        assert_eq!(report.sim_profile.events_popped, events_popped, "{row}");
+        assert_eq!(report.sim_profile.by_kind, by_kind, "{row}");
+        let d = &report.degradation;
+        assert_eq!(
+            (d.subflow_failures, d.subflow_revivals),
+            transitions,
+            "{row}"
+        );
     }
 }
 
