@@ -12,8 +12,10 @@
 //! enforcement mechanism (§6 of the paper).
 //!
 //! The sender is pure state: it never touches links or the event queue.
-//! Methods return [`Transmit`] actions that the simulator realizes, which
-//! keeps this module synchronously testable.
+//! Methods return [`Transmit`] actions that the simulator realizes, and
+//! timers are returned the same way: [`Sender::next_deadline`] names when
+//! a subflow next wants [`Sender::on_timer`], and the simulator arms one
+//! wakeup for it. That keeps this module synchronously testable.
 
 use crate::cc::{CcKind, CongestionControl};
 use crate::packet::MSS;
@@ -126,8 +128,9 @@ pub struct SubflowTx {
     /// *not* loss recovery — nothing is missing at the receiver, so
     /// NewReno partial-ACK retransmits must not fire.
     ecn_hold_end: Option<u64>,
-    /// Absolute instant the retransmission timer fires, if armed.
-    rto_deadline: Option<SimTime>,
+    /// Absolute instant the retransmission timer fires: armed exactly
+    /// while `segs` is non-empty, so never on a failed subflow.
+    rto_at: Option<SimTime>,
     liveness: Liveness,
     /// Cooldown before the next revival probe, kept across states: an RTO
     /// failure doubles it, a link-down sets it to 2 s, progress resets it.
@@ -161,7 +164,7 @@ impl SubflowTx {
             dupacks: 0,
             recovery_end: None,
             ecn_hold_end: None,
-            rto_deadline: None,
+            rto_at: None,
             liveness: Liveness::Live {
                 from: SimTime::ZERO,
                 syn: false,
@@ -452,9 +455,7 @@ impl Sender {
             sf.assigned_bytes += len;
             sf.segs.push_back(seg);
             sf.last_activity = now;
-            if sf.rto_deadline.is_none() {
-                sf.rto_deadline = Some(now + sf.rto);
-            }
+            sf.rto_at.get_or_insert(now + sf.rto);
             self.conn_assigned += len;
             out.push(Transmit {
                 path,
@@ -532,11 +533,7 @@ impl Sender {
                 }
             }
             sf.dupacks = 0;
-            sf.rto_deadline = if sf.segs.is_empty() {
-                None
-            } else {
-                Some(now + sf.rto)
-            };
+            sf.rto_at = (!sf.segs.is_empty()).then(|| now + sf.rto);
         } else if ack == sf.snd_una && !sf.segs.is_empty() {
             sf.dupacks += 1;
             if sf.dupacks == 3 && sf.recovery_end.is_none() {
@@ -546,7 +543,7 @@ impl Sender {
                 if let Some(t) = sf.retransmit_head(now) {
                     out.push(t);
                 }
-                sf.rto_deadline = Some(now + sf.rto);
+                sf.rto_at = Some(now + sf.rto);
             }
         }
         out
@@ -569,35 +566,45 @@ impl Sender {
         sf.ecn_hold_end = Some(sf.snd_nxt);
     }
 
-    /// Handle the retransmission timer for `path` firing at `now`.
-    /// Returns the transmissions to realize: the same-subflow
-    /// retransmission, plus (on the first RTO of a segment, and for every
-    /// outstanding segment when the subflow is declared failed) a
-    /// **reinjection** of the segment's DSS range on another live subflow
-    /// — MPTCP's mechanism for unblocking connection-level delivery when
-    /// one path stops acknowledging.
-    pub fn on_rto_fire(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
+    /// When `path`'s subflow next wants [`Sender::on_timer`]: a live
+    /// subflow's retransmission deadline while it has data outstanding,
+    /// otherwise `None` (a failed subflow names none). The caller keeps
+    /// one wakeup at or before it and reads it again after every call
+    /// that may move it.
+    pub fn next_deadline(&self, path: PathId) -> Option<SimTime> {
+        let sf = &self.subflows[path.index()];
+        debug_assert!(
+            sf.rto_at.is_none() == sf.segs.is_empty() && (sf.is_live() || sf.rto_at.is_none()),
+            "{path:?}'s timer disagrees with its state: {sf:?}"
+        );
+        sf.rto_at
+    }
+
+    /// Wake `path`'s subflow at `now`, returning the transmissions to
+    /// realize. A pop before its [`Sender::next_deadline`], or while it
+    /// names none, is stale and does nothing. A live subflow's deadline is
+    /// its retransmission timer: the same-subflow retransmission, plus (on
+    /// the first RTO of a segment, and for every outstanding segment when
+    /// the subflow is declared failed) a **reinjection** of the segment's
+    /// DSS range on another live subflow — MPTCP's mechanism for
+    /// unblocking connection-level delivery when one path stops
+    /// acknowledging.
+    pub fn on_timer(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
         let idx = path.index();
-        let Some(deadline) = self.subflows[idx].rto_deadline else {
-            return Vec::new();
-        };
-        if now < deadline {
-            return Vec::new(); // stale timer event; simulator re-arms
-        }
-        if self.subflows[idx].segs.is_empty() {
-            self.subflows[idx].rto_deadline = None;
-            return Vec::new();
-        }
-        // An armed timer means a live subflow (failing disarms it).
         let sf = &mut self.subflows[idx];
-        if let Liveness::Live { rtos, .. } = &mut sf.liveness {
-            *rtos += 1;
-            if *rtos >= MAX_CONSECUTIVE_RTOS {
-                // Persistent failure: the revival probe backs off.
-                let backoff = (sf.revival_backoff * 2).min(SimDuration::from_secs(120));
-                if let Some(out) = self.fail(now, path, backoff) {
-                    return out;
-                }
+        let rtos = match &mut sf.liveness {
+            Liveness::Failed { .. } => return Vec::new(),
+            Liveness::Live { rtos, .. } => rtos,
+        };
+        if sf.rto_at.is_none_or(|at| now < at) {
+            return Vec::new();
+        }
+        *rtos += 1;
+        if *rtos >= MAX_CONSECUTIVE_RTOS {
+            // Persistent failure: the revival probe backs off.
+            let backoff = (sf.revival_backoff * 2).min(SimDuration::from_secs(120));
+            if let Some(out) = self.fail(now, path, backoff) {
+                return out;
             }
         }
 
@@ -611,7 +618,7 @@ impl Sender {
         if let Some(t) = sf.retransmit_head(now) {
             out.push(t);
         }
-        sf.rto_deadline = Some(now + sf.rto);
+        sf.rto_at = Some(now + sf.rto);
         sf.last_activity = now;
         // First RTO of the head segment: duplicate its DSS range onto a
         // live sibling so connection-level delivery is not hostage to
@@ -649,7 +656,7 @@ impl Sender {
         sf.liveness = Liveness::Failed {
             probe_after: now + backoff,
         };
-        sf.rto_deadline = None;
+        sf.rto_at = None;
         sf.last_activity = now;
         sf.snd_una = sf.snd_nxt;
         let dead = std::mem::take(&mut sf.segs).into_iter();
@@ -698,9 +705,7 @@ impl Sender {
         sf.segs.push_back(seg);
         sf.retx_bytes += len;
         sf.last_activity = now;
-        if sf.rto_deadline.is_none() {
-            sf.rto_deadline = Some(now + sf.rto);
-        }
+        sf.rto_at.get_or_insert(now + sf.rto);
         Some(Transmit {
             path: target,
             seq: seg.seq,
@@ -709,11 +714,6 @@ impl Sender {
             retx: true,
             syn: seg.syn,
         })
-    }
-
-    /// Earliest pending retransmission-timer deadline of `path`, if armed.
-    pub fn rto_deadline(&self, path: PathId) -> Option<SimTime> {
-        self.subflows[path.index()].rto_deadline
     }
 
     /// True when every queued application byte has been acknowledged on
@@ -870,16 +870,16 @@ mod tests {
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(4 * MSS);
         s.pump(SimTime::ZERO);
-        let deadline = s.rto_deadline(PathId::WIFI).unwrap();
+        let deadline = s.next_deadline(PathId::WIFI).unwrap();
         assert_eq!(deadline, SimTime::ZERO + RTO_INITIAL);
         // Stale fire (before deadline) does nothing.
         assert!(s
-            .on_rto_fire(SimTime::from_millis(500), PathId::WIFI)
+            .on_timer(SimTime::from_millis(500), PathId::WIFI)
             .is_empty());
         // Real fire retransmits the head; the sibling is masked out
         // (WiFi-only), so no reinjection happens — the mask is the user's
         // preference and rescue traffic must honour it too.
-        let ts = s.on_rto_fire(deadline, PathId::WIFI);
+        let ts = s.on_timer(deadline, PathId::WIFI);
         assert_eq!(ts.len(), 1);
         let t = ts[0];
         assert_eq!(t.seq, 0);
@@ -888,7 +888,7 @@ mod tests {
         assert_eq!(s.subflow(PathId::WIFI).rto, RTO_INITIAL * 2);
         // Timer re-armed with the backed-off value.
         assert_eq!(
-            s.rto_deadline(PathId::WIFI).unwrap(),
+            s.next_deadline(PathId::WIFI).unwrap(),
             deadline + RTO_INITIAL * 2
         );
     }
@@ -901,16 +901,16 @@ mod tests {
         let tx = s.pump(SimTime::ZERO);
         assert_eq!(tx.len(), 1);
         assert_eq!(tx[0].path, PathId::WIFI);
-        let deadline = s.rto_deadline(PathId::WIFI).unwrap();
-        let ts = s.on_rto_fire(deadline, PathId::WIFI);
+        let deadline = s.next_deadline(PathId::WIFI).unwrap();
+        let ts = s.on_timer(deadline, PathId::WIFI);
         assert_eq!(ts.len(), 2, "retransmit + reinjection");
         assert_eq!(ts[0].path, PathId::WIFI);
         assert_eq!(ts[1].path, PathId::CELLULAR);
         assert_eq!(ts[1].dss, ts[0].dss, "same connection-level bytes");
         assert!(ts[1].retx);
         // Second RTO: the head was already reinjected, no duplicate.
-        let deadline2 = s.rto_deadline(PathId::WIFI).unwrap();
-        let ts2 = s.on_rto_fire(deadline2, PathId::WIFI);
+        let deadline2 = s.next_deadline(PathId::WIFI).unwrap();
+        let ts2 = s.on_timer(deadline2, PathId::WIFI);
         assert_eq!(ts2.len(), 1, "no re-reinjection of the same segment");
         // An ack on cellular (the reinjection arriving) completes the
         // stream even though WiFi never recovers.
@@ -934,12 +934,12 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut failed = false;
         for _ in 0..10 {
-            let Some(d) = s.rto_deadline(PathId::WIFI) else {
+            let Some(d) = s.next_deadline(PathId::WIFI) else {
                 failed = true;
                 break;
             };
             now = d;
-            s.on_rto_fire(now, PathId::WIFI);
+            s.on_timer(now, PathId::WIFI);
             if s.subflow(PathId::WIFI).failed() {
                 failed = true;
                 break;
@@ -968,10 +968,10 @@ mod tests {
         assert!(!s.pump(start).is_empty(), "data must land on wifi");
         s.apply_mask(PathMask::ALL);
         for _ in 0..20 {
-            let Some(d) = s.rto_deadline(PathId::WIFI) else {
+            let Some(d) = s.next_deadline(PathId::WIFI) else {
                 break;
             };
-            s.on_rto_fire(d, PathId::WIFI);
+            s.on_timer(d, PathId::WIFI);
             if s.subflow(PathId::WIFI).failed() {
                 return d;
             }
@@ -1103,11 +1103,20 @@ mod tests {
         assert!(wifi.failed());
         assert_eq!(wifi.failures(), 2);
         assert_eq!(wifi.in_flight(), 0, "the failed path holds nothing");
-        assert_eq!(wifi.rto_deadline, None);
         assert_eq!(
             wifi.revival_backoff, LINKDOWN_RETRY,
             "a link-down probes in 2 s, not the doubled 40 s"
         );
+        // The liveness invariant over `next_deadline`. (i) Unacked bytes
+        // have a timer: the cell holds the rescues and its RTO is armed.
+        assert!(s.subflow(PathId::CELLULAR).in_flight() > 0);
+        assert!(s.next_deadline(PathId::CELLULAR).is_some());
+        // (ii) A failed subflow has a timer at its probe time: not yet,
+        // WiFi names no deadline, so only a pump can revive it. Revival on
+        // this timer (ROADMAP item 2) flips this to `Some(probe_after)`.
+        let probe_after = wifi.probe_after();
+        assert_eq!(probe_after, Some(down_at + LINKDOWN_RETRY));
+        assert_eq!(s.next_deadline(PathId::WIFI), None);
         let dss = |ts: &[Transmit]| ts.iter().map(|t| (t.dss, t.len)).collect::<Vec<_>>();
         assert_eq!(
             dss(&rescues),
@@ -1129,7 +1138,7 @@ mod tests {
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(3 * MSS);
         s.pump(SimTime::ZERO);
-        let deadline = s.rto_deadline(PathId::WIFI);
+        let deadline = s.next_deadline(PathId::WIFI);
         assert!(deadline.is_some());
         assert!(s
             .on_link_down(SimTime::from_millis(10), PathId::WIFI)
@@ -1138,7 +1147,7 @@ mod tests {
         assert!(!wifi.failed());
         assert_eq!(wifi.failures(), 0);
         assert_eq!(wifi.in_flight(), 3 * MSS, "keeps its segments");
-        assert_eq!(s.rto_deadline(PathId::WIFI), deadline, "and its RTO");
+        assert_eq!(s.next_deadline(PathId::WIFI), deadline, "and its RTO");
     }
 
     #[test]
@@ -1169,7 +1178,7 @@ mod tests {
         s.push_app_data(2 * MSS);
         let tx = s.pump(ready);
         assert_eq!(tx.iter().map(|t| t.syn).collect::<Vec<_>>(), [true, false]);
-        let retx = s.on_rto_fire(s.rto_deadline(PathId::WIFI).unwrap(), PathId::WIFI);
+        let retx = s.on_timer(s.next_deadline(PathId::WIFI).unwrap(), PathId::WIFI);
         assert!(retx[0].syn && retx[0].seq == tx[0].seq);
 
         // By a reinjection: a cell RTO rescues its head onto the revived,
@@ -1187,8 +1196,8 @@ mod tests {
         s.push_app_data(MSS);
         assert!(s.pump(ready).iter().all(|t| !t.syn));
         s.apply_mask(PathMask::ALL);
-        let fire = s.rto_deadline(PathId::CELLULAR).unwrap();
-        let ts = s.on_rto_fire(fire, PathId::CELLULAR);
+        let fire = s.next_deadline(PathId::CELLULAR).unwrap();
+        let ts = s.on_timer(fire, PathId::CELLULAR);
         assert_eq!(ts.len(), 2, "retransmit + reinjection");
         assert_eq!((ts[0].path, ts[0].syn), (PathId::CELLULAR, false));
         assert_eq!((ts[1].path, ts[1].syn), (PathId::WIFI, true));
@@ -1205,8 +1214,8 @@ mod tests {
         s.apply_mask(PathMask::only(PathId::WIFI));
         s.push_app_data(MSS);
         s.pump(SimTime::ZERO);
-        let deadline = s.rto_deadline(PathId::WIFI).unwrap();
-        assert!(!s.on_rto_fire(deadline, PathId::WIFI).is_empty());
+        let deadline = s.next_deadline(PathId::WIFI).unwrap();
+        assert!(!s.on_timer(deadline, PathId::WIFI).is_empty());
         // Ack arrives long after: no RTT sample because the segment was
         // retransmitted (ambiguous).
         s.on_ack(deadline + SimDuration::from_millis(70), PathId::WIFI, MSS);

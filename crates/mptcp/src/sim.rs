@@ -131,7 +131,7 @@ enum Event {
         /// marked.
         ecn: bool,
     },
-    Rto {
+    Timer {
         path: PathId,
     },
     App {
@@ -147,8 +147,8 @@ enum Event {
 /// construction (DESIGN §4.3): data arrivals of path 0 and path 1 (a
 /// link serializes in order; a shared bottleneck's departures are FIFO
 /// per flow), their ACKs (`now` + a fixed delay) and the ticks (`now` +
-/// one period). Everything sparser — RTOs, other application timers,
-/// requests, a third path — shares [`SHARED_LANE`].
+/// one period). Everything sparser — transport timers, other application
+/// timers, requests, a third path — shares [`SHARED_LANE`].
 const TICK_LANE: usize = 4;
 
 fn data_lane(path: PathId) -> usize {
@@ -173,7 +173,7 @@ pub struct PoppedByKind {
     pub data: u64,
     /// ACK arrivals at the sender (pure control ACKs included).
     pub ack: u64,
-    /// Retransmission-timer events, stale ones included.
+    /// Transport-timer events (RTOs), stale ones included.
     pub rto: u64,
     /// Application timers.
     pub app_timer: u64,
@@ -192,9 +192,9 @@ pub struct MptcpSim {
     /// The data packet the last [`MptcpSim::step`] received, if it
     /// received one.
     arrival: Option<PktRecord>,
-    /// Time of each path's live `Event::Rto` (lazy: at or before the
-    /// deadline); an `Rto` popped at any other time was superseded.
-    rto_event_at: Vec<Option<SimTime>>,
+    /// Time of each path's live `Event::Timer` (lazy: at or before its
+    /// deadline); a `Timer` popped at any other time was superseded.
+    timer_at: Vec<Option<SimTime>>,
     /// Per-path packets currently queued inside a shared bottleneck.
     /// Departures within one flow are FIFO under both disciplines, so a
     /// `VecDeque` plus a ticket assertion is exact. A flow's share of a
@@ -233,7 +233,7 @@ impl MptcpSim {
             snd: Sender::new(n, cfg.scheduler, cfg.cc),
             rcv: Receiver::new(n),
             arrival: None,
-            rto_event_at: vec![None; n],
+            timer_at: vec![None; n],
             deferred: (0..n).map(|_| VecDeque::new()).collect(),
             depths: Vec::with_capacity(n),
             pumped: Vec::new(),
@@ -430,9 +430,9 @@ impl MptcpSim {
         self.snd.subflow(path).probe_after()
     }
 
-    /// When `path`'s retransmission timer fires, if armed.
-    pub fn subflow_rto_deadline(&self, path: PathId) -> Option<SimTime> {
-        self.snd.rto_deadline(path)
+    /// When `path`'s subflow next wants a wakeup ([`Sender::next_deadline`]).
+    pub fn subflow_next_deadline(&self, path: PathId) -> Option<SimTime> {
+        self.snd.next_deadline(path)
     }
 
     /// True when every queued byte has been sent and acknowledged.
@@ -531,7 +531,7 @@ impl MptcpSim {
                 self.popped.ack += 1;
                 acked_path = Some(*path);
             }
-            Event::Rto { .. } => self.popped.rto += 1,
+            Event::Timer { .. } => self.popped.rto += 1,
             Event::App { .. } => self.popped.app_timer += 1,
             Event::ReverseMsg { .. } => self.popped.reverse_msg += 1,
         }
@@ -588,17 +588,15 @@ impl MptcpSim {
                 self.pump(now);
                 StepOutcome::Transport { newly_delivered: 0 }
             }
-            Event::Rto { path } => {
-                if self.rto_event_at[path.index()] == Some(now) {
-                    self.rto_event_at[path.index()] = None;
-                    for t in self.snd.on_rto_fire(now, path) {
+            Event::Timer { path } => {
+                if self.timer_at[path.index()] == Some(now) {
+                    self.timer_at[path.index()] = None;
+                    for t in self.snd.on_timer(now, path) {
                         self.transmit(now, t);
                     }
-                    // Re-arm both the fired subflow's timer and any
-                    // sibling that just received reinjected data.
-                    for p in 0..self.links.len() {
-                        self.ensure_rto(PathId(p as u8));
-                    }
+                    // The fired subflow and any sibling that just received
+                    // reinjected data.
+                    self.arm_timers();
                 }
                 StepOutcome::Transport { newly_delivered: 0 }
             }
@@ -648,9 +646,7 @@ impl MptcpSim {
         }
         self.depths = depths;
         self.pumped = pumped;
-        for p in 0..self.links.len() {
-            self.ensure_rto(PathId(p as u8));
-        }
+        self.arm_timers();
     }
 
     fn transmit(&mut self, now: SimTime, t: Transmit) {
@@ -713,9 +709,7 @@ impl MptcpSim {
         for r in rescues {
             self.transmit(now, r);
         }
-        for p in 0..self.links.len() {
-            self.ensure_rto(PathId(p as u8));
-        }
+        self.arm_timers();
     }
 
     /// A shared bottleneck finished serving one of this connection's
@@ -782,16 +776,19 @@ impl MptcpSim {
         );
     }
 
-    /// Lazy RTO timer: make sure an event exists at (or before) the
-    /// subflow's current deadline.
-    fn ensure_rto(&mut self, path: PathId) {
-        let Some(deadline) = self.snd.rto_deadline(path) else {
-            return;
-        };
-        let slot = &mut self.rto_event_at[path.index()];
-        if slot.is_none_or(|t| t > deadline) {
-            self.queue.schedule(deadline, Event::Rto { path });
-            *slot = Some(deadline);
+    /// Lazy transport timers, run after every call that may move a
+    /// deadline: each subflow's slot holds an event at (or before) its
+    /// [`Sender::next_deadline`].
+    fn arm_timers(&mut self) {
+        for (p, slot) in self.timer_at.iter_mut().enumerate() {
+            let path = PathId(p as u8);
+            match self.snd.next_deadline(path) {
+                Some(at) if slot.is_none_or(|t| t > at) => {
+                    self.queue.schedule(at, Event::Timer { path });
+                    *slot = Some(at);
+                }
+                _ => {}
+            }
         }
     }
 }
@@ -1202,7 +1199,7 @@ mod tests {
 
     /// The RTO timer keeps one live event per subflow (DESIGN §4.3). A
     /// deadline that moves earlier supersedes the pending event instead of
-    /// starting a second chain beside it, so `Rto` pops stay proportional to
+    /// starting a second chain beside it, so `Timer` pops stay proportional to
     /// elapsed time over the minimum RTO however often the mask flips and the
     /// RTT swings.
     #[test]
@@ -1240,15 +1237,15 @@ mod tests {
             }
             sim.step().expect("the transfer outlasts the run");
             for path in [PathId::WIFI, PathId::CELLULAR] {
-                let slot = sim.rto_event_at[path.index()];
+                let slot = sim.timer_at[path.index()];
                 let pending = sim.queue.iter().filter(|&(at, ev)| {
-                    matches!(ev, Event::Rto { path: p } if *p == path) && Some(at) == slot
+                    matches!(ev, Event::Timer { path: p } if *p == path) && Some(at) == slot
                 });
                 let live = pending.count();
                 let armed = sim.path_in_flight(path) > 0;
                 assert!(
                     live <= 1 && (live == 1 || !armed),
-                    "{live} live Rto events on {path:?} at {:?} (armed: {armed})",
+                    "{live} live Timer events on {path:?} at {:?} (armed: {armed})",
                     sim.now()
                 );
             }
@@ -1259,6 +1256,6 @@ mod tests {
         // plus the superseded events of each RTT swing (603 here; the chains
         // this replaces popped 30,489).
         let budget = 2 * (60_000 / 200 + 50);
-        assert!(popped.rto <= budget, "{} Rto pops > {budget}", popped.rto);
+        assert!(popped.rto <= budget, "{} Timer pops > {budget}", popped.rto);
     }
 }

@@ -265,7 +265,7 @@ impl StreamingSession {
         let path = |p: PathId| {
             let state = match (
                 self.sim.subflow_probe_after(p),
-                self.sim.subflow_rto_deadline(p),
+                self.sim.subflow_next_deadline(p),
             ) {
                 (Some(at), _) => format!("failed, revivable since {at}"),
                 (None, Some(at)) => format!("live, RTO at {at}"),
