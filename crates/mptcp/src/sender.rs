@@ -583,7 +583,7 @@ impl Sender {
     /// Wake `path`'s subflow at `now`, returning the transmissions to
     /// realize. A pop before its [`Sender::next_deadline`], or while it
     /// names none, is stale and does nothing. A live subflow's deadline is
-    /// its retransmission timer: the same-subflow retransmission, plus (on
+    /// its RTO, which yields the same-subflow retransmission, plus (on
     /// the first RTO of a segment, and for every outstanding segment when
     /// the subflow is declared failed) a **reinjection** of the segment's
     /// DSS range on another live subflow — MPTCP's mechanism for

@@ -782,12 +782,12 @@ impl MptcpSim {
     fn arm_timers(&mut self) {
         for (p, slot) in self.timer_at.iter_mut().enumerate() {
             let path = PathId(p as u8);
-            match self.snd.next_deadline(path) {
-                Some(at) if slot.is_none_or(|t| t > at) => {
-                    self.queue.schedule(at, Event::Timer { path });
-                    *slot = Some(at);
-                }
-                _ => {}
+            let Some(at) = self.snd.next_deadline(path) else {
+                continue;
+            };
+            if slot.is_none_or(|t| t > at) {
+                self.queue.schedule(at, Event::Timer { path });
+                *slot = Some(at);
             }
         }
     }
