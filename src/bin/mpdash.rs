@@ -5,12 +5,13 @@
 //! cargo run --release --bin mpdash -- scenarios/example.json
 //! cargo run --release --bin mpdash -- --chunks scenarios/example.json   # + Figure 8 bars
 //! cargo run --release --bin mpdash -- explain scenarios/example.json --chunk 40
+//! cargo run --release --bin mpdash -- schema      # the scenario-key reference
 //! ```
 
 use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
 use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::fleet::FleetConfig;
-use mpdash::scenario::Scenario;
+use mpdash::scenario::{reference, Scenario};
 use mpdash::session::{run_batch, Job};
 use mpdash::sim::default_workers;
 use mpdash::timeline::{timeline_scenario, TimelineOptions};
@@ -20,7 +21,8 @@ const USAGE: &str = "\
 usage: mpdash [--chunks] <scenario.json>...
        mpdash explain <scenario.json> [--chunk N] [--mode LABEL] [--client K]
        mpdash timeline <scenario.json> [--quick]
-see scenarios/example.json for the document format";
+       mpdash schema
+see scenarios/example.json for the document format, `mpdash schema` for every key";
 
 /// The scenario at `path`, or `None` once the reason is on stderr.
 fn load(path: &str) -> Option<Scenario> {
@@ -218,6 +220,14 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("timeline") {
         return run_timeline(&args[1..]);
+    }
+    if args.first().map(String::as_str) == Some("schema") {
+        if let Some(extra) = args.get(1) {
+            eprintln!("error: unexpected argument '{extra}'\nusage: mpdash schema");
+            return ExitCode::from(2);
+        }
+        print!("{}", reference());
+        return ExitCode::SUCCESS;
     }
     let mut show_chunks = false;
     let mut paths = Vec::new();

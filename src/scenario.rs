@@ -7,23 +7,29 @@
 //! in the `mpdash-trace` JSON format (so measured traces plug straight
 //! in).
 //!
-//! The document is decoded in one pass, straight into the simulator's own
-//! types: every value is range-checked where it is read, every error
-//! names the full path of the offending key (`fleet.shared[1].quantum`),
-//! and a key that is repeated, misspelt, or not taken by the level it
-//! sits in is an error rather than a silent default. A trace file is
-//! read and checked while parsing, so a document that parses always
-//! builds; a missing key takes the library's default.
+//! Each object level of the document is one static table here: its keys
+//! in decode order, each with its kind and range, a one-line doc, and
+//! how its value lands in the simulator's own types. One walker decodes
+//! every level against its table in one pass: every value is
+//! range-checked where it is read, every error names the full path of
+//! the offending key (`fleet.shared[1].quantum`), and a key that is
+//! repeated, misspelt, or not taken by its level is an error rather than
+//! a silent default. A trace file is read and checked while parsing, and
+//! the checks that read several keys run beside the level that owns
+//! them, so a document that parses always builds; a missing key takes
+//! the library's default. [`reference()`] renders the same tables.
+
+mod schema;
 
 use mpdash_dash::abr::AbrKind;
 use mpdash_dash::video::Video;
 use mpdash_fleet::{
     ChurnSpec, FaultDomainSpec, FleetCacheSpec, FleetConfig, OverloadPolicy, SharedLinkSpec,
 };
-use mpdash_http::{OriginPoolConfig, OriginSpec};
+use mpdash_http::{OriginPoolConfig, OriginSpec, ServerFaultEvent, ServerFaultKind};
 use mpdash_link::{
-    AqmConfig, BandwidthProfile, FaultScript, GilbertElliott, PathId, QueueDiscipline,
-    SharedBottleneckConfig, DRR_QUANTUM,
+    AqmConfig, BandwidthProfile, FaultEvent, FaultKind, FaultScript, GilbertElliott, PathId,
+    QueueDiscipline, SharedBottleneckConfig, DRR_QUANTUM,
 };
 use mpdash_mptcp::SchedulerSpec;
 use mpdash_obs::TelemetrySpec;
@@ -34,6 +40,9 @@ use mpdash_session::{
 use mpdash_sim::{SimDuration, SimTime};
 use mpdash_trace::io::ProfileSpec;
 use mpdash_trace::synth::SynthSpec;
+use schema::Kind::{Bool, List, Num, Obj, Tagged, Text, Whole};
+use schema::Land::{Set, Try};
+use schema::{bare, decode, opt, req, under, Bound, Level, Tags, Val};
 
 /// Upper bound on every millisecond key: one minute is far beyond any
 /// RTT, and keeps `ms * 10^6` and `client_index * skew` inside a `u64`.
@@ -43,362 +52,166 @@ const MAX_MILLIS: u64 = 60_000;
 /// the extra one-way delay of its last client.
 const MAX_RTT_SPREAD_MS: u64 = 1_000;
 
-/// Upper bound on the whole-second keys (`buffer_secs`, `chunk_secs`):
-/// one day, so the conversion to nanoseconds cannot wrap.
+/// Upper bound on the whole-second keys (`buffer_secs`, `chunk_secs`),
+/// so the conversion to nanoseconds cannot wrap, and on a fleet's last
+/// arrival: one day. Every fleet's clock reaches past it, the shortest
+/// (at `FleetConfig::MAX_CLIENTS`) to 78 hours.
 const MAX_SECS: u64 = 86_400;
 
-/// A numeric constraint and how to say it in an error.
-#[derive(Clone, Copy)]
-struct Bound {
-    ok: fn(f64) -> bool,
-    want: &'static str,
+/// Upper bound on a throttle, so its rate in bits/s fits a `u64`.
+const MAX_KBPS: u64 = u64::MAX / 1_000;
+
+/// The upper bound of a whole number with no bound of its own.
+const ANY: u64 = u64::MAX;
+
+const MAX_CLIENTS: u64 = FleetConfig::MAX_CLIENTS as u64;
+
+const POSITIVE: Bound = Bound(0.0, f64::INFINITY, true, false);
+const NON_NEGATIVE: Bound = Bound(0.0, f64::INFINITY, false, false);
+const UNIT: Bound = Bound(0.0, 1.0, false, false);
+const UNIT_ABOVE_ZERO: Bound = Bound(0.0, 1.0, true, false);
+const UNIT_BELOW_ONE: Bound = Bound(0.0, 1.0, false, true);
+
+// The variants several keys share. A land that picks a library value
+// by variant indexes an array in the same order.
+#[rustfmt::skip]
+static VIDEO: Tags = Tags::new("video kind", &[], &[("named", Tagged(&Tags::new("video",
+    &["big_buck_bunny", "red_bull_playstreets", "tears_of_steel", "tears_of_steel_hd"], &[]))),
+    ("custom", Obj(&LADDER))]);
+#[rustfmt::skip]
+static BANDWIDTH: Tags = Tags::new("bandwidth kind", &[],
+    &[("constant", Num(NON_NEGATIVE)), ("synthetic", Obj(&SYNTHETIC)), ("file", Text)]);
+#[rustfmt::skip]
+static LINK_FAULTS: Tags = Tags::new("fault kind", &[], &[("burst_loss", Obj(&LINK_FAULT)),
+    ("rtt_spike", Obj(&LINK_FAULT)), ("rate_collapse", Obj(&LINK_FAULT)),
+    ("disassociation", Obj(&LINK_FAULT))]);
+#[rustfmt::skip]
+static SERVER_FAULTS: Tags = Tags::new("server fault kind", &[], &[("error_burst",
+    Obj(&SERVER_FAULT)), ("blackhole", Obj(&SERVER_FAULT)), ("stalled_body", Obj(&SERVER_FAULT)),
+    ("slow_first_byte", Obj(&SERVER_FAULT))]);
+
+/// The root level's values, before `from_json` assembles `base`.
+#[derive(Default)]
+struct Doc {
+    name: String,
+    video: Option<Video>,
+    links: [Option<BandwidthProfile>; 2],
+    rtts: [Option<SimDuration>; 2],
+    abr: Option<AbrKind>,
+    buffer: Option<SimDuration>,
+    modes: Vec<ModeSpec>,
+    faults: [FaultScript; 2],
+    server_faults: ServerFaultScript,
+    lifecycle: Option<LifecyclePolicy>,
+    fleet: Option<FleetConfig>,
+    origins: Option<OriginPoolConfig>,
+    cache: Option<FleetCacheSpec>,
+    telemetry: Option<TelemetrySpec>,
 }
 
-const POSITIVE: Bound = Bound {
-    ok: |v| v > 0.0,
-    want: "> 0",
-};
-const NON_NEGATIVE: Bound = Bound {
-    ok: |v| v >= 0.0,
-    want: ">= 0",
-};
-const UNIT: Bound = Bound {
-    ok: |v| (0.0..=1.0).contains(&v),
-    want: "in [0,1]",
-};
-const UNIT_ABOVE_ZERO: Bound = Bound {
-    ok: |v| v > 0.0 && v <= 1.0,
-    want: "in (0,1]",
-};
-const UNIT_BELOW_ONE: Bound = Bound {
-    ok: |v| (0.0..1.0).contains(&v),
-    want: "in [0,1)",
-};
+#[rustfmt::skip]
+static ROOT: Level<Doc> = Level(&[
+    req("name", Text, "Scenario title for the report.", Set(|d, v| d.name = v.text().into())),
+    req("video", Tagged(&VIDEO), "A Table 3 video, or a custom bitrate ladder.", Try(|d, v| {
+        use Video as V;
+        let named = [V::big_buck_bunny, V::red_bull_playstreets, V::tears_of_steel,
+            V::tears_of_steel_hd];
+        d.video = Some(match v.tag {
+            "named" => named[v.inner](),
+            _ => decode(&LADDER, Default::default(), v)
+                .map(|(levels, chunk, n)| V::new("custom", &levels, chunk, n))?,
+        });
+        Ok(())
+    })),
+    req("wifi", Tagged(&BANDWIDTH), "Mbps: a constant, a seeded AR(1) trace, or an \
+        `mpdash-trace` profile file, read at parse time.",
+        Try(|d, v| bandwidth(v).map(|b| d.links[0] = Some(b)))),
+    req("cell", Tagged(&BANDWIDTH), "As `wifi`; a constant 0 is a dead path.",
+        Try(|d, v| bandwidth(v).map(|b| d.links[1] = Some(b)))),
+    opt("wifi_rtt_ms", Whole(1, MAX_MILLIS), "WiFi round-trip time; default 50.",
+        Set(|d, v| d.rtts[0] = Some(v.millis()))),
+    opt("cell_rtt_ms", Whole(1, MAX_MILLIS), "Cellular round-trip time; default 55.",
+        Set(|d, v| d.rtts[1] = Some(v.millis()))),
+    req("abr", Tagged(&Tags::new("abr", &["gpac", "festive", "bba", "bba_c|bbac|bba-c", "mpc"],
+        &[])), "Adaptive bitrate algorithm.", Set(|d, v| {
+            use AbrKind::*;
+            d.abr = Some([Gpac, Festive, Bba, BbaC, Mpc][v.pick]);
+        })),
+    opt("buffer_secs", Whole(1, MAX_SECS), "Player buffer; it must hold two chunks. Default 40.",
+        Set(|d, v| d.buffer = Some(SimDuration::from_secs(v.whole())))),
+    req("modes", List(&Obj(&MODE)), "Transport policies to compare, in order.", Try(|d, v| {
+        let mode = ModeSpec { mode: TransportMode::Vanilla, scheduler: None };
+        decode(&MODE, mode, v).map(|m| d.modes.push(m))
+    })),
+    opt("wifi_faults", List(&Tagged(&LINK_FAULTS)), "WiFi link faults.",
+        Try(|d, v| link_fault(&mut d.faults[0], v))),
+    opt("cell_faults", List(&Tagged(&LINK_FAULTS)), "Cellular link faults.",
+        Try(|d, v| link_fault(&mut d.faults[1], v))),
+    opt("server_faults", List(&Tagged(&SERVER_FAULTS)), "Faults of the one implicit origin.",
+        Try(|d, v| server_fault(&mut d.server_faults, v))),
+    opt("lifecycle", Tagged(&Tags::new("lifecycle", &["wait_forever", "retry_only",
+        "deadline_aware"], &[])), "HTTP request lifecycle; default `wait_forever`.", Set(|d, v| {
+            use LifecyclePolicy as P;
+            d.lifecycle = Some([P::wait_forever, P::retry_only, P::deadline_aware][v.pick]());
+        })),
+    opt("fleet", Obj(&FLEET), "Co-simulate a fleet of sessions per mode instead of one.",
+        Try(|d, v| {
+            // `from_json` swaps the finished `base` in.
+            let (abr, mode) = (AbrKind::Gpac, TransportMode::Vanilla);
+            let base = SessionConfig::controlled_mbps(0.0, 0.0, abr, mode);
+            decode(&FLEET, FleetConfig::new(base, 0), v).map(|f| d.fleet = Some(f))
+        })),
+    opt("origins", Obj(&ORIGINS), "A priority-ordered origin pool; `server_faults` then never \
+        applies.", Try(|d, v| {
+            decode(&ORIGINS, OriginPoolConfig::new(Vec::new()), v).map(|o| d.origins = Some(o))
+        })),
+    opt("cache", Obj(&CACHE), "A segment cache in front of the origins: one per mode, or one per \
+        fleet run.",
+        Try(|d, v| decode(&CACHE, FleetCacheSpec::new(0), v).map(|c| d.cache = Some(c)))),
+    opt("telemetry", Obj(&TELEMETRY), "Per-epoch telemetry; observe-only.",
+        Try(|d, v| decode(&TELEMETRY, None, v).map(|t| d.telemetry = t))),
+]);
 
-// Scalar decoders. `at` is the value's full path in the document; every
-// error starts with it.
-
-/// A finite number within `bound` (so `1e999` fails here, not as a
-/// panic deep inside the simulator).
-fn finite(j: &Json, at: &str, bound: Bound) -> Result<f64, String> {
-    let v = j
-        .as_f64()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| format!("{at}: must be a finite number"))?;
-    if (bound.ok)(v) {
-        Ok(v)
-    } else {
-        Err(format!("{at}: must be {}, got {v}", bound.want))
-    }
-}
-
-/// A whole number in `lo..=hi` that also fits the target type.
-fn whole<T: TryFrom<u64>>(j: &Json, at: &str, lo: u64, hi: u64) -> Result<T, String> {
-    j.as_u64()
-        .filter(|v| (lo..=hi).contains(v))
-        .and_then(|v| T::try_from(v).ok())
-        .ok_or_else(|| {
-            let upper = match hi {
-                u64::MAX => String::new(),
-                _ => format!(" and <= {hi}"),
-            };
-            format!("{at}: must be a whole number >= {lo}{upper}, got {j}")
-        })
-}
-
-fn text<'a>(j: &'a Json, at: &str) -> Result<&'a str, String> {
-    j.as_str().ok_or_else(|| format!("{at}: must be a string"))
-}
-
-fn unknown(at: &str, what: &str, name: &str, expected: &str) -> String {
-    format!("{at}: unknown {what} '{name}' (expected {expected})")
-}
-
-/// The documents use serde-style externally-tagged enums in snake_case:
-/// a bare string is a unit variant (`"vanilla"`), a single-key object
-/// wraps a payload variant (`{"throttled": 700}`). For the latter, the
-/// tag, the payload and the payload's path.
-fn variant<'a>(j: &'a Json, at: &str) -> Result<(&'a str, &'a Json, String), String> {
-    match j.as_obj() {
-        Some([(tag, payload)]) => Ok((tag, payload, format!("{at}.{tag}"))),
-        _ => Err(format!("{at}: expected a single-variant object")),
-    }
-}
-
-/// One JSON object being decoded. Construction refuses repeated keys;
-/// the extractors remember which keys were asked for, and
-/// [`Obj::finish`] refuses every key nobody asked for — so each level
-/// of the format accepts exactly the keys its decoder reads.
-struct Obj<'a> {
-    path: String,
-    members: &'a [(String, Json)],
-    asked: Vec<&'static str>,
-}
-
-impl<'a> Obj<'a> {
-    fn new(j: &'a Json, path: &str) -> Result<Self, String> {
-        let obj = Obj {
-            path: path.to_string(),
-            members: j
-                .as_obj()
-                .ok_or_else(|| format!("{}: must be an object", path_or_root(path)))?,
-            asked: Vec::new(),
-        };
-        for (i, (key, _)) in obj.members.iter().enumerate() {
-            if obj.members[..i].iter().any(|(earlier, _)| earlier == key) {
-                return Err(format!("{}: key is given twice", obj.at(key)));
+#[rustfmt::skip]
+static LADDER: Level<(Vec<f64>, SimDuration, usize)> = Level(&[
+    req("levels_mbps", List(&Num(POSITIVE)), "Average Mbps per level, strictly ascending.",
+        Try(|l, v| match l.0.last() {
+            Some(&prev) if v.num() <= prev => Err(format!(
+                "{}: levels must be strictly ascending, got {} after {prev}", v.at, v.num())),
+            _ => {
+                l.0.push(v.num());
+                Ok(())
             }
-        }
-        Ok(obj)
-    }
+        })),
+    req("chunk_secs", Whole(1, MAX_SECS), "Chunk duration.",
+        Set(|l, v| l.1 = SimDuration::from_secs(v.whole()))),
+    req("n_chunks", Whole(1, ANY), "Chunks in the video.", Set(|l, v| l.2 = v.whole() as usize)),
+]);
 
-    /// Full path of `key` at this level.
-    fn at(&self, key: &str) -> String {
-        if self.path.is_empty() {
-            key.to_string()
-        } else {
-            format!("{}.{key}", self.path)
-        }
-    }
-
-    /// Decode the value under `key`, if present.
-    fn opt<T>(
-        &mut self,
-        key: &'static str,
-        decode: impl FnOnce(&'a Json, &str) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        self.asked.push(key);
-        let at = self.at(key);
-        self.members
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, j)| decode(j, &at))
-            .transpose()
-    }
-
-    /// Decode the value under `key`; its absence is an error.
-    fn req<T>(
-        &mut self,
-        key: &'static str,
-        decode: impl FnOnce(&'a Json, &str) -> Result<T, String>,
-    ) -> Result<T, String> {
-        self.opt(key, decode)?
-            .ok_or_else(|| format!("{}: missing required key", self.at(key)))
-    }
-
-    fn f64(&mut self, key: &'static str, bound: Bound) -> Result<f64, String> {
-        self.req(key, |j, at| finite(j, at, bound))
-    }
-
-    fn opt_f64(&mut self, key: &'static str, bound: Bound) -> Result<Option<f64>, String> {
-        self.opt(key, |j, at| finite(j, at, bound))
-    }
-
-    fn uint<T: TryFrom<u64>>(&mut self, key: &'static str, lo: u64, hi: u64) -> Result<T, String> {
-        self.req(key, |j, at| whole(j, at, lo, hi))
-    }
-
-    fn opt_uint<T: TryFrom<u64>>(
-        &mut self,
-        key: &'static str,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Option<T>, String> {
-        self.opt(key, |j, at| whole(j, at, lo, hi))
-    }
-
-    /// Fractional seconds as a duration.
-    fn secs(&mut self, key: &'static str, bound: Bound) -> Result<SimDuration, String> {
-        self.f64(key, bound).map(SimDuration::from_secs_f64)
-    }
-
-    fn opt_secs(&mut self, key: &'static str, bound: Bound) -> Result<Option<SimDuration>, String> {
-        Ok(self.opt_f64(key, bound)?.map(SimDuration::from_secs_f64))
-    }
-
-    /// Whole milliseconds in `lo..=MAX_MILLIS` as a duration.
-    fn opt_millis(&mut self, key: &'static str, lo: u64) -> Result<Option<SimDuration>, String> {
-        Ok(self
-            .opt_uint(key, lo, MAX_MILLIS)?
-            .map(SimDuration::from_millis))
-    }
-
-    fn str(&mut self, key: &'static str) -> Result<&'a str, String> {
-        self.req(key, text)
-    }
-
-    fn opt_bool(&mut self, key: &'static str) -> Result<Option<bool>, String> {
-        self.opt(key, |j, at| {
-            j.as_bool()
-                .ok_or_else(|| format!("{at}: must be a boolean"))
-        })
-    }
-
-    /// The array under `key` as `(item, item path)` pairs. An absent
-    /// key is an empty list, unless `required` — then both absence and
-    /// an empty array are errors.
-    fn items(
-        &mut self,
-        key: &'static str,
-        required: bool,
-    ) -> Result<Vec<(&'a Json, String)>, String> {
-        let at = self.at(key);
-        let found = self.opt(key, |j, at| {
-            j.as_arr().ok_or_else(|| format!("{at}: must be an array"))
-        })?;
-        match found {
-            None if required => Err(format!("{at}: missing required key")),
-            Some([]) if required => Err(format!("{at}: must list at least one entry")),
-            found => Ok(found
-                .unwrap_or_default()
-                .iter()
-                .enumerate()
-                .map(|(i, item)| (item, format!("{at}[{i}]")))
-                .collect()),
-        }
-    }
-
-    /// Decode every item of the array under `key` (see [`Obj::items`]).
-    fn list<T>(
-        &mut self,
-        key: &'static str,
-        required: bool,
-        mut decode: impl FnMut(&'a Json, &str) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        self.items(key, required)?
-            .into_iter()
-            .map(|(j, at)| decode(j, &at))
-            .collect()
-    }
-
-    /// Refuse every key no extractor asked for, naming the keys this
-    /// level takes.
-    fn finish(self) -> Result<(), String> {
-        match self
-            .members
-            .iter()
-            .find(|(k, _)| !self.asked.contains(&k.as_str()))
-        {
-            None => Ok(()),
-            Some((stray, _)) => Err(format!(
-                "{}: unknown key ({} accepts: {})",
-                self.at(stray),
-                path_or_root(&self.path),
-                self.asked.join(", ")
-            )),
-        }
+/// A link's profile; a file is read and checked here, so a document
+/// that parses always builds.
+fn bandwidth(v: &Val) -> Result<BandwidthProfile, String> {
+    let path = v.text();
+    match v.tag {
+        "constant" => Ok(BandwidthProfile::constant_mbps(v.num())),
+        "synthetic" => decode(&SYNTHETIC, (0.0, 0.0, 0), v)
+            .map(|(mean, sigma, seed)| SynthSpec::new(mean, sigma, seed).profile()),
+        _ => std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {path}: {e}"))
+            .and_then(|text| {
+                ProfileSpec::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))
+            })
+            .and_then(|spec| spec.to_profile().map_err(|e| format!("{path}: {e}"))),
     }
 }
 
-fn path_or_root(path: &str) -> &str {
-    if path.is_empty() {
-        "the scenario document"
-    } else {
-        path
-    }
-}
-
-/// A network path's bandwidth: `{"constant": mbps}`, a seeded AR(1)
-/// trace `{"synthetic": {"mean_mbps", "sigma", "seed"}}` (σ as a
-/// fraction of the mean), or `{"file": path}`, an `mpdash-trace` JSON
-/// profile that is read and checked here, so a document that parses
-/// always builds.
-fn decode_bandwidth(j: &Json, at: &str) -> Result<BandwidthProfile, String> {
-    let (tag, payload, at) = variant(j, at)?;
-    match tag {
-        // Zero is a legitimate dead path.
-        "constant" => finite(payload, &at, NON_NEGATIVE).map(BandwidthProfile::constant_mbps),
-        "synthetic" => {
-            let mut o = Obj::new(payload, &at)?;
-            let spec = SynthSpec::new(
-                o.f64("mean_mbps", POSITIVE)?,
-                o.f64("sigma", NON_NEGATIVE)?,
-                o.uint("seed", 0, u64::MAX)?,
-            );
-            o.finish()?;
-            Ok(spec.profile())
-        }
-        "file" => {
-            let path = text(payload, &at)?;
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let spec = ProfileSpec::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-            spec.to_profile().map_err(|e| format!("{path}: {e}"))
-        }
-        other => Err(unknown(
-            &at,
-            "bandwidth kind",
-            other,
-            "constant, synthetic, file",
-        )),
-    }
-}
-
-/// `{"named": ...}` picks a Table 3 dataset video; `{"custom": {...}}`
-/// declares a ladder (average Mbps per level, strictly ascending).
-fn decode_video(j: &Json, at: &str) -> Result<Video, String> {
-    let (tag, payload, at) = variant(j, at)?;
-    match tag {
-        "named" => match text(payload, &at)? {
-            "big_buck_bunny" => Ok(Video::big_buck_bunny()),
-            "red_bull_playstreets" => Ok(Video::red_bull_playstreets()),
-            "tears_of_steel" => Ok(Video::tears_of_steel()),
-            "tears_of_steel_hd" => Ok(Video::tears_of_steel_hd()),
-            other => Err(unknown(
-                &at,
-                "video",
-                other,
-                "big_buck_bunny, red_bull_playstreets, tears_of_steel, tears_of_steel_hd",
-            )),
-        },
-        "custom" => {
-            let mut o = Obj::new(payload, &at)?;
-            let mut levels: Vec<f64> = Vec::new();
-            for (j, at) in o.items("levels_mbps", true)? {
-                let mbps = finite(j, &at, POSITIVE)?;
-                if let Some(prev) = levels.last().filter(|&&prev| mbps <= prev) {
-                    return Err(format!(
-                        "{at}: levels must be strictly ascending, got {mbps} after {prev}"
-                    ));
-                }
-                levels.push(mbps);
-            }
-            let video = Video::new(
-                "custom",
-                &levels,
-                SimDuration::from_secs(o.uint("chunk_secs", 1, MAX_SECS)?),
-                o.uint("n_chunks", 1, u64::MAX)?,
-            );
-            o.finish()?;
-            Ok(video)
-        }
-        other => Err(unknown(&at, "video kind", other, "named, custom")),
-    }
-}
-
-fn decode_abr(j: &Json, at: &str) -> Result<AbrKind, String> {
-    match text(j, at)? {
-        "gpac" => Ok(AbrKind::Gpac),
-        "festive" => Ok(AbrKind::Festive),
-        "bba" => Ok(AbrKind::Bba),
-        "bba_c" | "bbac" | "bba-c" => Ok(AbrKind::BbaC),
-        "mpc" => Ok(AbrKind::Mpc),
-        other => Err(unknown(at, "abr", other, "gpac, festive, bba, bba_c, mpc")),
-    }
-}
-
-fn decode_lifecycle(j: &Json, at: &str) -> Result<LifecyclePolicy, String> {
-    match text(j, at)? {
-        "wait_forever" => Ok(LifecyclePolicy::wait_forever()),
-        "retry_only" => Ok(LifecyclePolicy::retry_only()),
-        "deadline_aware" => Ok(LifecyclePolicy::deadline_aware()),
-        other => Err(unknown(
-            at,
-            "lifecycle",
-            other,
-            "wait_forever, retry_only, deadline_aware",
-        )),
-    }
-}
+#[rustfmt::skip]
+static SYNTHETIC: Level<(f64, f64, u64)> = Level(&[
+    req("mean_mbps", Num(POSITIVE), "Long-run mean.", Set(|s, v| s.0 = v.num())),
+    req("sigma", Num(NON_NEGATIVE), "Deviation as a fraction of the mean.",
+        Set(|s, v| s.1 = v.num())),
+    req("seed", Whole(0, ANY), "Trace seed.", Set(|s, v| s.2 = v.whole())),
+]);
 
 /// A transport policy to compare, with an optional per-mode MPTCP
 /// packet-scheduler override.
@@ -412,30 +225,6 @@ pub struct ModeSpec {
 }
 
 impl ModeSpec {
-    fn decode(j: &Json, at: &str) -> Result<Self, String> {
-        // The long form `{"mode": ..., "scheduler": "..."}` wraps any
-        // short-form mode with a packet-scheduler override; the short
-        // forms ("vanilla", {"throttled": 700}) stay valid unchanged.
-        if j.get("mode").is_none() {
-            return Ok(ModeSpec {
-                mode: decode_transport(j, at)?,
-                scheduler: None,
-            });
-        }
-        let mut o = Obj::new(j, at)?;
-        let spec = ModeSpec {
-            mode: o.req("mode", decode_transport)?,
-            scheduler: o.opt("scheduler", |j, at| {
-                let name = text(j, at)?;
-                SchedulerSpec::parse(name).ok_or_else(|| {
-                    unknown(at, "scheduler", name, "min_rtt, round_robin, or qaware")
-                })
-            })?,
-        };
-        o.finish()?;
-        Ok(spec)
-    }
-
     /// Display label; a non-default scheduler is suffixed so grid rows
     /// stay distinguishable (e.g. `Rate+qaware`).
     pub fn label(&self) -> String {
@@ -447,385 +236,357 @@ impl ModeSpec {
     }
 }
 
-fn decode_transport(j: &Json, at: &str) -> Result<TransportMode, String> {
-    const EXPECTED: &str =
-        "vanilla, wifi_only, mpdash_rate, mpdash_duration, {\"throttled\": kbps}";
-    if let Some(tag) = j.as_str() {
-        return match tag {
-            "vanilla" => Ok(TransportMode::Vanilla),
-            "wifi_only" => Ok(TransportMode::WifiOnly),
-            "mpdash_rate" => Ok(TransportMode::mpdash_rate_based()),
-            "mpdash_duration" => Ok(TransportMode::mpdash_duration_based()),
-            other => Err(unknown(at, "mode", other, EXPECTED)),
-        };
-    }
-    match variant(j, at)? {
-        // A zero rate is not a throttle; a zero-rate `cell` bandwidth
-        // models a dead path.
-        ("throttled", payload, at) => Ok(TransportMode::Throttled {
-            kbps: whole(payload, &at, 1, u64::MAX)?,
-        }),
-        (other, ..) => Err(unknown(at, "mode", other, EXPECTED)),
-    }
-}
+#[rustfmt::skip]
+static MODE: Level<ModeSpec> = Level(&[
+    // A zero rate is not a throttle; a zero-rate `cell` models a dead path.
+    bare(req("mode", Tagged(&Tags::new("mode", &["vanilla", "wifi_only", "mpdash_rate",
+        "mpdash_duration"], &[("throttled", Whole(1, MAX_KBPS))])), "The transport policy; \
+        `throttled` caps the cellular rate in kbps.", Set(|m, v| {
+            use TransportMode as T;
+            let units =
+                [T::Vanilla, T::WifiOnly, T::mpdash_rate_based(), T::mpdash_duration_based()];
+            m.mode = units.get(v.pick).copied().unwrap_or(T::Throttled { kbps: v.whole() });
+        }))),
+    opt("scheduler", Tagged(&Tags { or: true, ..Tags::new("scheduler", &["min_rtt", "round_robin",
+        "qaware"], &[]) }), "MPTCP packet scheduler; default `min_rtt`.",
+        Set(|m, v| m.scheduler = Some(SchedulerSpec::ALL[v.pick]))),
+]);
 
-/// The `at_s`/`secs` window every fault payload carries.
-fn fault_window(o: &mut Obj) -> Result<(SimTime, SimDuration), String> {
-    Ok((
-        SimTime::ZERO + o.secs("at_s", NON_NEGATIVE)?,
-        o.secs("secs", POSITIVE)?,
-    ))
-}
-
-/// Decode one externally-tagged link-fault entry — e.g.
-/// `{"rate_collapse": {"at_s": 20, "secs": 40, "factor": 0.15}}` — and
-/// append it to `script`.
-fn decode_link_fault(script: FaultScript, j: &Json, at: &str) -> Result<FaultScript, String> {
-    let (tag, payload, at) = variant(j, at)?;
-    let mut o = Obj::new(payload, &at)?;
-    let (start, dur) = fault_window(&mut o)?;
-    let script = match tag {
-        "burst_loss" => {
-            let ge = GilbertElliott::default();
-            script.burst_loss(
-                start,
-                dur,
-                GilbertElliott::new(
-                    o.opt_f64("p_enter", UNIT_ABOVE_ZERO)?.unwrap_or(ge.p_enter),
-                    o.opt_f64("p_exit", UNIT_ABOVE_ZERO)?.unwrap_or(ge.p_exit),
-                    o.opt_f64("loss", UNIT)?.unwrap_or(ge.loss_bad),
-                ),
-            )
-        }
-        "rtt_spike" => script.rtt_spike(
-            start,
-            dur,
-            SimDuration::from_secs_f64(o.opt_f64("extra_ms", NON_NEGATIVE)?.unwrap_or(200.0) / 1e3),
-            SimDuration::from_secs_f64(o.opt_f64("jitter_ms", NON_NEGATIVE)?.unwrap_or(0.0) / 1e3),
-        ),
-        "rate_collapse" => script.rate_collapse(start, dur, o.f64("factor", UNIT_ABOVE_ZERO)?),
-        "disassociation" => script.disassociation(
-            start,
-            dur,
-            o.opt_secs("reassoc_s", NON_NEGATIVE)?
-                .unwrap_or(SimDuration::from_secs(1)),
-        ),
-        other => {
-            return Err(unknown(
-                &at,
-                "fault kind",
-                other,
-                "burst_loss, rtt_spike, rate_collapse, disassociation",
-            ))
-        }
-    };
-    o.finish()?;
-    Ok(script)
-}
-
-/// Decode one externally-tagged server-fault entry — e.g.
-/// `{"stalled_body": {"at_s": 8, "secs": 6, "stall_s": 30, "after_fraction": 0.5}}`
-/// — and append it to `script`.
-fn decode_server_fault(
-    script: ServerFaultScript,
-    j: &Json,
-    at: &str,
-) -> Result<ServerFaultScript, String> {
-    let (tag, payload, at) = variant(j, at)?;
-    let mut o = Obj::new(payload, &at)?;
-    let (start, dur) = fault_window(&mut o)?;
-    let script = match tag {
-        "error_burst" => script.error_burst(start, dur),
-        "blackhole" => script.blackhole(start, dur),
-        "stalled_body" => script.stalled_body(
-            start,
-            dur,
-            o.secs("stall_s", POSITIVE)?,
-            o.opt_f64("after_fraction", UNIT_BELOW_ONE)?.unwrap_or(0.5),
-        ),
-        "slow_first_byte" => script.slow_first_byte(start, dur, o.secs("delay_s", POSITIVE)?),
-        other => {
-            return Err(unknown(
-                &at,
-                "server fault kind",
-                other,
-                "error_burst, blackhole, stalled_body, slow_first_byte",
-            ))
-        }
-    };
-    o.finish()?;
-    Ok(script)
-}
-
-fn link_faults(o: &mut Obj, key: &'static str) -> Result<FaultScript, String> {
-    o.items(key, false)?
-        .into_iter()
-        .try_fold(FaultScript::new(), |script, (j, at)| {
-            decode_link_fault(script, j, &at)
-        })
-}
-
-fn server_faults(o: &mut Obj, key: &'static str) -> Result<ServerFaultScript, String> {
-    o.items(key, false)?
-        .into_iter()
-        .try_fold(ServerFaultScript::new(), |script, (j, at)| {
-            decode_server_fault(script, j, &at)
-        })
-}
-
-/// The AQM knobs of one `fleet.shared[]` entry, over the discipline's
-/// defaults. `alpha`/`beta` are PIE gains, so CoDel is not asked for
-/// them and they fall to [`Obj::finish`] there.
-fn decode_aqm(o: &mut Obj, mut aqm: AqmConfig, pie_gains: bool) -> Result<AqmConfig, String> {
-    if let Some(ms) = o.opt_f64("target_delay_ms", POSITIVE)? {
-        aqm = aqm.with_target_ms(ms);
-    }
-    if let Some(ms) = o.opt_f64("interval_ms", POSITIVE)? {
-        aqm = aqm.with_interval_ms(ms);
-    }
-    if pie_gains {
-        if let Some(alpha) = o.opt_f64("alpha", NON_NEGATIVE)? {
-            aqm = aqm.with_alpha(alpha);
-        }
-        if let Some(beta) = o.opt_f64("beta", NON_NEGATIVE)? {
-            aqm = aqm.with_beta(beta);
-        }
-    }
-    if let Some(ecn) = o.opt_bool("ecn")? {
-        aqm = aqm.with_ecn(ecn);
-    }
-    for (key, ns) in [
-        ("target_delay_ms", aqm.target_ns),
-        ("interval_ms", aqm.interval_ns),
-    ] {
-        if ns == 0 {
-            return Err(format!("{}: must be at least one nanosecond", o.at(key)));
-        }
-    }
-    Ok(aqm)
-}
-
-/// One shared bottleneck (`fleet.shared[]`): `rate_mbps`, optional
-/// `capacity_bytes`, the subscribing `paths` (`wifi` and/or `cell`), and
-/// a `discipline` — `fifo` (drop-tail, the default), `fq` (per-flow
-/// DRR), or an AQM: `pie`, `fq_pie` (DRR + per-flow PIE), `codel`. Each
-/// discipline is asked only for the knobs it takes (`quantum` on the
-/// per-flow ones, the AQM knobs on the AQMs), so a knob on the wrong
-/// discipline is an unknown key.
-fn decode_shared(j: &Json, at: &str) -> Result<SharedLinkSpec, String> {
-    let mut o = Obj::new(j, at)?;
-    let mut config = SharedBottleneckConfig::fifo_mbps(o.f64("rate_mbps", POSITIVE)?);
-    if config.rate.is_zero() {
-        return Err(format!("{}: must be at least 1 bit/s", o.at("rate_mbps")));
-    }
-    if let Some(bytes) = o.opt_uint("capacity_bytes", 1, u64::MAX)? {
-        config = config.with_capacity(bytes);
-    }
-    let discipline = o.opt("discipline", text)?.unwrap_or("fifo");
-    config.discipline = match discipline {
-        "fifo" => QueueDiscipline::Fifo,
-        "fq" => QueueDiscipline::FlowQueue {
-            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(DRR_QUANTUM),
+/// Append one `{"<kind>": {…}}` link-fault entry to `script`. The
+/// knobs' defaults are the scenario's own: the library takes them all.
+fn link_fault(script: &mut FaultScript, v: &Val) -> Result<(), String> {
+    use FaultKind as K;
+    let (ms, zero) = (SimDuration::from_millis, SimDuration::ZERO);
+    let kinds = [
+        K::BurstLoss(GilbertElliott::default()),
+        K::RttSpike {
+            extra: ms(200),
+            jitter: zero,
         },
-        "pie" => QueueDiscipline::Pie(decode_aqm(&mut o, AqmConfig::pie(), true)?),
-        "fq_pie" => QueueDiscipline::FqPie {
-            quantum: o.opt_uint("quantum", 1, u64::MAX)?.unwrap_or(DRR_QUANTUM),
-            aqm: decode_aqm(&mut o, AqmConfig::pie(), true)?,
+        K::RateCollapse { factor: 1.0 },
+        K::Disassociation {
+            reassociation: ms(1000),
         },
-        "codel" => QueueDiscipline::Codel(decode_aqm(&mut o, AqmConfig::codel(), false)?),
-        other => {
-            return Err(unknown(
-                &o.at("discipline"),
-                "discipline",
-                other,
-                "fifo, fq, pie, fq_pie, codel",
-            ))
-        }
+    ];
+    let kind = kinds[v.pick].clone();
+    let event = FaultEvent {
+        at: SimTime::ZERO,
+        duration: zero,
+        kind,
     };
-    let paths = o.list("paths", true, |j, at| match text(j, at)? {
-        "wifi" => Ok(PathId::WIFI),
-        "cell" => Ok(PathId::CELLULAR),
-        other => Err(unknown(at, "path", other, "wifi, cell")),
-    })?;
-    o.finish()
-        .map_err(|e| format!("{e} under discipline '{discipline}'"))?;
-    Ok(SharedLinkSpec { config, paths })
+    *script = std::mem::take(script).with_event(decode(&LINK_FAULT, event, v)?);
+    Ok(())
 }
 
-/// Seeded fleet churn (`fleet.churn`): exponential inter-arrivals and
-/// viewing times with the given means (seconds) replace the fixed
-/// stagger; `min_watch_s` floors the viewing draw.
-fn decode_churn(j: &Json, at: &str) -> Result<ChurnSpec, String> {
-    let mut o = Obj::new(j, at)?;
-    let mut spec = ChurnSpec::new(
-        o.secs("mean_interarrival_s", POSITIVE)?,
-        o.secs("mean_watch_s", POSITIVE)?,
-    );
-    if let Some(floor) = o.opt_secs("min_watch_s", NON_NEGATIVE)? {
-        spec = spec.with_min_watch(floor);
+#[rustfmt::skip]
+static LINK_FAULT: Level<FaultEvent> = Level(&[
+    req("at_s", Num(NON_NEGATIVE), "Start, in seconds.",
+        Set(|e, v| e.at = SimTime::ZERO + v.secs())),
+    req("secs", Num(POSITIVE), "Duration, in seconds.", Set(|e, v| e.duration = v.secs())),
+    under(&["burst_loss"], opt("p_enter", Num(UNIT_ABOVE_ZERO), "Chance per packet to turn \
+        lossy; default 0.05.",
+        Set(|e, v| if let FaultKind::BurstLoss(g) = &mut e.kind { g.p_enter = v.num() }))),
+    under(&["burst_loss"], opt("p_exit", Num(UNIT_ABOVE_ZERO), "Chance to turn back; default 0.3.",
+        Set(|e, v| if let FaultKind::BurstLoss(g) = &mut e.kind { g.p_exit = v.num() }))),
+    under(&["burst_loss"], opt("loss", Num(UNIT), "Loss rate while lossy; default 0.5.",
+        Set(|e, v| if let FaultKind::BurstLoss(g) = &mut e.kind { g.loss_bad = v.num() }))),
+    under(&["rtt_spike"], opt("extra_ms", Num(NON_NEGATIVE), "Extra one-way delay; default 200.",
+        Set(|e, v| if let FaultKind::RttSpike { extra, .. } = &mut e.kind {
+            *extra = SimDuration::from_secs_f64(v.num() / 1e3)
+        }))),
+    under(&["rtt_spike"], opt("jitter_ms", Num(NON_NEGATIVE), "Uniform jitter on top; default 0.",
+        Set(|e, v| if let FaultKind::RttSpike { jitter, .. } = &mut e.kind {
+            *jitter = SimDuration::from_secs_f64(v.num() / 1e3)
+        }))),
+    under(&["rate_collapse"], req("factor", Num(UNIT_ABOVE_ZERO), "Rate multiplier.",
+        Set(|e, v| if let FaultKind::RateCollapse { factor } = &mut e.kind { *factor = v.num() }))),
+    under(&["disassociation"], opt("reassoc_s", Num(NON_NEGATIVE), "Re-association time; \
+        default 1.",
+        Set(|e, v| if let FaultKind::Disassociation { reassociation: r } = &mut e.kind {
+            *r = v.secs()
+        }))),
+]);
+
+/// Append one `{"<kind>": {…}}` server-fault entry to `script`.
+fn server_fault(script: &mut ServerFaultScript, v: &Val) -> Result<(), String> {
+    use ServerFaultKind as K;
+    let zero = SimDuration::ZERO;
+    let kinds = [
+        K::ErrorBurst,
+        K::Blackhole,
+        K::StalledBody {
+            stall: zero,
+            after_fraction: 0.5,
+        },
+        K::SlowFirstByte { delay: zero },
+    ];
+    let event = ServerFaultEvent {
+        at: SimTime::ZERO,
+        duration: zero,
+        kind: kinds[v.pick],
+    };
+    *script = std::mem::take(script).with_event(decode(&SERVER_FAULT, event, v)?);
+    Ok(())
+}
+
+#[rustfmt::skip]
+static SERVER_FAULT: Level<ServerFaultEvent> = Level(&[
+    req("at_s", Num(NON_NEGATIVE), "Start, in seconds.",
+        Set(|e, v| e.at = SimTime::ZERO + v.secs())),
+    req("secs", Num(POSITIVE), "Duration, in seconds.", Set(|e, v| e.duration = v.secs())),
+    under(&["stalled_body"], req("stall_s", Num(POSITIVE), "How long the body hangs.",
+        Set(|e, v| if let ServerFaultKind::StalledBody { stall, .. } = &mut e.kind {
+            *stall = v.secs()
+        }))),
+    under(&["stalled_body"], opt("after_fraction", Num(UNIT_BELOW_ONE), "Body share sent before \
+        the stall; default 0.5.",
+        Set(|e, v| if let ServerFaultKind::StalledBody { after_fraction: a, .. } = &mut e.kind {
+            *a = v.num()
+        }))),
+    under(&["slow_first_byte"], req("delay_s", Num(POSITIVE), "Time-to-first-byte inflation.",
+        Set(|e, v| if let ServerFaultKind::SlowFirstByte { delay } = &mut e.kind {
+            *delay = v.secs()
+        }))),
+]);
+
+/// The fleet loop keys each client's next event on a clock that
+/// reaches past one day at any fleet size, but no further.
+fn joins_within_a_day(clients: usize, last_secs: f64, v: &Val) -> Result<(), String> {
+    match last_secs > MAX_SECS as f64 {
+        false => Ok(()),
+        true => Err(format!(
+            "{}: the last of {clients} clients would join at {last_secs:.0} s, past one day \
+             ({MAX_SECS} s)",
+            v.at
+        )),
     }
-    o.finish()?;
-    Ok(spec)
 }
 
-/// One correlated fault domain (`fleet.fault_domains[]`): `members`
-/// (client indices) share the `wifi_faults`/`cell_faults`/
-/// `server_faults` scripts, same entry format as the top-level keys.
-fn decode_fault_domain(j: &Json, at: &str, clients: usize) -> Result<FaultDomainSpec, String> {
-    let mut o = Obj::new(j, at)?;
-    let label = o.str("label")?;
-    let mut members: Vec<usize> = Vec::new();
-    for (j, at) in o.items("members", true)? {
-        let member = whole(j, &at, 0, (clients - 1) as u64)?;
-        if members.contains(&member) {
-            return Err(format!(
-                "{at}: client {member} is listed twice (the domain's scripts would \
-                 compose onto it once per listing)"
-            ));
+#[rustfmt::skip]
+static FLEET: Level<FleetConfig> = Level(&[
+    req("clients", Whole(1, MAX_CLIENTS), "Clients per mode. The fleet loop's packed keys keep \
+        a 78-hour clock at 65536.", Set(|f, v| f.clients = v.whole() as usize)),
+    opt("stagger_s", Num(NON_NEGATIVE), "Client k joins at k x stagger_s, the last within a \
+        day; default 0.5.", Try(|f, v| {
+            f.stagger = v.secs();
+            joins_within_a_day(f.clients, (f.clients - 1) as f64 * v.num(), v)
+        })),
+    opt("rtt_skew_ms", Whole(0, MAX_MILLIS), "Client k gets k x rtt_skew_ms of extra one-way \
+        delay, the last at most 1000.", Try(|f, v| {
+            let (clients, spread) = (f.clients, (f.clients as u64 - 1) * v.whole());
+            f.rtt_skew = v.millis();
+            match spread > MAX_RTT_SPREAD_MS {
+                false => Ok(()),
+                true => Err(format!("{}: the last of {clients} clients would get {spread} ms of \
+                    extra one-way delay ((clients - 1) x rtt_skew_ms), more than \
+                    {MAX_RTT_SPREAD_MS}", v.at)),
+            }
+        })),
+    opt("seed", Whole(0, ANY), "Base seed of every client's links; default 1.",
+        Set(|f, v| f.seed = v.whole())),
+    opt("shared", List(&Obj(&SHARED)), "Shared bottlenecks; none means private links.",
+        Try(|f, v| {
+            let (config, paths) = (SharedBottleneckConfig::fifo_mbps(0.0), Vec::new());
+            decode(&SHARED, SharedLinkSpec { config, paths }, v).map(|s| f.shared.push(s))
+        })),
+    opt("churn", Obj(&CHURN), "Seeded arrivals and departures in place of the stagger, the last \
+        arrival within a day.", Try(|f, v| {
+            let churn = decode(&CHURN, ChurnSpec::new(SimDuration::ZERO, SimDuration::ZERO), v)?;
+            f.churn = Some(churn);
+            let last = churn.plan(f.seed, f.clients).last().map_or(0.0, |p| p.0.as_secs_f64());
+            joins_within_a_day(f.clients, last, v)
+        })),
+    opt("fault_domains", List(&Obj(&DOMAIN)), "Fault scripts shared by groups of clients.",
+        Try(|f, v| {
+            let d = decode(&DOMAIN, (f.clients, FaultDomainSpec::default()), v)?.1;
+            if d.wifi.is_empty() && d.cell.is_empty() && d.server.is_empty() {
+                return Err(format!("{}: has no fault scripts (add wifi_faults, cell_faults, or \
+                    server_faults — or drop the domain)", v.at));
+            }
+            f.fault_domains.push(d);
+            Ok(())
+        })),
+    opt("overload", Obj(&OVERLOAD), "Admission control; absent admits everyone.",
+        Try(|f, v| {
+            decode(&OVERLOAD, OverloadPolicy::max_active(0), v).map(|o| f.overload = Some(o))
+        })),
+    opt("watchdog", Bool, "Arm the fleet loop's invariant watchdog; default true.",
+        Set(|f, v| f.watchdog = Some(v.bool()))),
+]);
+
+/// The AQM knobs of a shared link being read.
+fn aqm(s: &mut SharedLinkSpec) -> &mut AqmConfig {
+    match &mut s.config.discipline {
+        QueueDiscipline::Pie(aqm) | QueueDiscipline::Codel(aqm) => aqm,
+        QueueDiscipline::FqPie { aqm, .. } => aqm,
+        _ => unreachable!("AQM knobs are read only under an AQM discipline"),
+    }
+}
+
+/// An AQM delay that rounds to zero nanoseconds.
+fn at_least_1ns(ns: u64, v: &Val) -> Result<(), String> {
+    match ns {
+        0 => Err(format!("{}: must be at least one nanosecond", v.at)),
+        _ => Ok(()),
+    }
+}
+
+const AQMS: &[&str] = &["pie", "fq_pie", "codel"];
+
+#[rustfmt::skip]
+static SHARED: Level<SharedLinkSpec> = Level(&[
+    req("rate_mbps", Num(POSITIVE), "Service rate; at least 1 bit/s.", Try(|s, v| {
+        s.config = SharedBottleneckConfig::fifo_mbps(v.num());
+        match s.config.rate.is_zero() {
+            true => Err(format!("{}: must be at least 1 bit/s", v.at)),
+            false => Ok(()),
         }
-        members.push(member);
-    }
-    let domain = FaultDomainSpec::new(label, members)
-        .with_wifi(link_faults(&mut o, "wifi_faults")?)
-        .with_cell(link_faults(&mut o, "cell_faults")?)
-        .with_server(server_faults(&mut o, "server_faults")?);
-    if domain.wifi.is_empty() && domain.cell.is_empty() && domain.server.is_empty() {
-        return Err(format!(
-            "{at}: has no fault scripts (add wifi_faults, cell_faults, or \
-             server_faults — or drop the domain)"
-        ));
-    }
-    o.finish()?;
-    Ok(domain)
-}
+    })),
+    opt("capacity_bytes", Whole(1, ANY), "Queue capacity; default 131072.",
+        Set(|s, v| s.config = s.config.with_capacity(v.whole()))),
+    opt("discipline", Tagged(&Tags::new("discipline", &["fifo", "fq", "pie", "fq_pie", "codel"],
+        &[])), "Drop-tail, per-flow DRR, or an AQM (`fq_pie`: DRR with per-flow PIE); default \
+        `fifo`.", Set(|s, v| {
+            use QueueDiscipline as Q;
+            let (quantum, pie) = (DRR_QUANTUM, AqmConfig::pie());
+            s.config.discipline = [Q::Fifo, Q::FlowQueue { quantum }, Q::Pie(pie),
+                Q::FqPie { quantum, aqm: pie }, Q::Codel(AqmConfig::codel())][v.pick];
+        })),
+    under(&["fq", "fq_pie"], opt("quantum", Whole(1, ANY), "DRR quantum in bytes; default 1540.",
+        Set(|s, v| match &mut s.config.discipline {
+            QueueDiscipline::FlowQueue { quantum } | QueueDiscipline::FqPie { quantum, .. } => {
+                *quantum = v.whole()
+            }
+            _ => unreachable!("quantum is read only under fq and fq_pie"),
+        }))),
+    under(AQMS, opt("target_delay_ms", Num(POSITIVE), "Target queue delay.", Try(|s, v| {
+        let a = aqm(s);
+        *a = a.with_target_ms(v.num());
+        at_least_1ns(a.target_ns, v)
+    }))),
+    under(AQMS, opt("interval_ms", Num(POSITIVE), "Update interval.", Try(|s, v| {
+        let a = aqm(s);
+        *a = a.with_interval_ms(v.num());
+        at_least_1ns(a.interval_ns, v)
+    }))),
+    under(&["pie", "fq_pie"], opt("alpha", Num(NON_NEGATIVE), "PIE gain on the delay error.",
+        Set(|s, v| *aqm(s) = aqm(s).with_alpha(v.num())))),
+    under(&["pie", "fq_pie"], opt("beta", Num(NON_NEGATIVE), "PIE gain on the delay trend.",
+        Set(|s, v| *aqm(s) = aqm(s).with_beta(v.num())))),
+    under(AQMS, opt("ecn", Bool, "Mark instead of dropping.",
+        Set(|s, v| *aqm(s) = aqm(s).with_ecn(v.bool())))),
+    req("paths", List(&Tagged(&Tags::new("path", &["wifi", "cell"], &[]))), "The client paths \
+        that ride this bottleneck.",
+        Set(|s, v| s.paths.push([PathId::WIFI, PathId::CELLULAR][v.pick]))),
+]);
 
-/// Overload protection (`fleet.overload`): arrivals past `max_active`
-/// concurrent sessions — or while the shared queues hold more than
-/// `queue_threshold_bytes` — are shed, newest first.
-fn decode_overload(j: &Json, at: &str) -> Result<OverloadPolicy, String> {
-    let mut o = Obj::new(j, at)?;
-    // A zero cap would shed every session; dropping the key admits
-    // everyone.
-    let mut policy = OverloadPolicy::max_active(o.uint("max_active", 1, u64::MAX)?);
-    if let Some(bytes) = o.opt_uint("queue_threshold_bytes", 1, u64::MAX)? {
-        policy = policy.with_queue_threshold(bytes);
-    }
-    o.finish()?;
-    Ok(policy)
-}
+#[rustfmt::skip]
+static CHURN: Level<ChurnSpec> = Level(&[
+    req("mean_interarrival_s", Num(POSITIVE), "Mean gap between joins.",
+        Set(|c, v| c.mean_interarrival = v.secs())),
+    req("mean_watch_s", Num(POSITIVE), "Mean viewing time.", Set(|c, v| c.mean_watch = v.secs())),
+    opt("min_watch_s", Num(NON_NEGATIVE), "Floor on the viewing time; default 4.",
+        Set(|c, v| c.min_watch = v.secs())),
+]);
 
-/// Multi-client co-simulation topology (the optional `fleet` key):
-/// `clients` copies of `base` under [`FleetConfig::new`], whose defaults
-/// each other key overrides only when present. No `shared` bottleneck
-/// means private links (a no-contention control fleet); `churn`
-/// supersedes the stagger.
-fn decode_fleet(j: &Json, at: &str, base: &SessionConfig) -> Result<FleetConfig, String> {
-    let mut o = Obj::new(j, at)?;
-    let clients = o.uint("clients", 1, FleetConfig::MAX_CLIENTS as u64)?;
-    let mut fleet = FleetConfig::new(base.clone(), clients);
-    if let Some(stagger) = o.opt_secs("stagger_s", NON_NEGATIVE)? {
-        fleet.stagger = stagger;
-    }
-    if let Some(skew) = o.opt_uint("rtt_skew_ms", 0, MAX_MILLIS)? {
-        let spread = (clients as u64 - 1) * skew;
-        if spread > MAX_RTT_SPREAD_MS {
-            return Err(format!(
-                "{}: the last of {clients} clients would get {spread} ms of extra one-way \
-                 delay ((clients - 1) x rtt_skew_ms), more than {MAX_RTT_SPREAD_MS}",
-                o.at("rtt_skew_ms")
-            ));
-        }
-        fleet.rtt_skew = SimDuration::from_millis(skew);
-    }
-    if let Some(seed) = o.opt_uint("seed", 0, u64::MAX)? {
-        fleet.seed = seed;
-    }
-    fleet.shared.extend(o.list("shared", false, decode_shared)?);
-    fleet.churn = o.opt("churn", decode_churn)?.or(fleet.churn);
-    fleet
-        .fault_domains
-        .extend(o.list("fault_domains", false, |j, at| {
-            decode_fault_domain(j, at, clients)
-        })?);
-    fleet.overload = o.opt("overload", decode_overload)?.or(fleet.overload);
-    fleet.watchdog = o.opt_bool("watchdog")?.or(fleet.watchdog);
-    o.finish()?;
-    Ok(fleet)
-}
+/// A fault domain is read knowing the fleet's size.
+#[rustfmt::skip]
+static DOMAIN: Level<(usize, FaultDomainSpec)> = Level(&[
+    req("label", Text, "Domain name in traces.", Set(|d, v| d.1.label = v.text().into())),
+    req("members", List(&Whole(0, MAX_CLIENTS - 1)), "Client indices, each below `clients` and \
+        listed once.", Try(|(clients, d), v| {
+            let member = v.whole() as usize;
+            if member >= *clients {
+                let last = *clients - 1;
+                return Err(format!("{}: must be a whole number >= 0 and <= {last}, got {member}",
+                    v.at));
+            }
+            if d.members.contains(&member) {
+                return Err(format!("{}: client {member} is listed twice (the domain's scripts \
+                    would compose onto it once per listing)", v.at));
+            }
+            d.members.push(member);
+            Ok(())
+        })),
+    opt("wifi_faults", List(&Tagged(&LINK_FAULTS)), "WiFi faults every member shares.",
+        Try(|d, v| link_fault(&mut d.1.wifi, v))),
+    opt("cell_faults", List(&Tagged(&LINK_FAULTS)), "Cellular faults every member shares.",
+        Try(|d, v| link_fault(&mut d.1.cell, v))),
+    opt("server_faults", List(&Tagged(&SERVER_FAULTS)), "Server faults every member shares.",
+        Try(|d, v| server_fault(&mut d.1.server, v))),
+]);
 
-/// Multi-origin serving policy (the optional `origins` key): `pool[]`
-/// in priority order — each entry an `id` (unique), an optional
-/// `rtt_penalty_ms` and its own `faults` script — plus `hedge_quantile`
-/// in `(0, 1]` (absent disables hedging) and `failure_threshold`
-/// (consecutive failures that trip a breaker, default 2).
-fn decode_origins(j: &Json, at: &str) -> Result<OriginPoolConfig, String> {
-    let mut o = Obj::new(j, at)?;
-    let mut pool: Vec<OriginSpec> = Vec::new();
-    for (j, at) in o.items("pool", true)? {
-        let mut entry = Obj::new(j, &at)?;
-        let id = entry.str("id")?;
-        if pool.iter().any(|earlier| earlier.id == id) {
-            return Err(format!(
-                "{}: duplicate origin id '{id}' (pool ids must be unique so \
-                 explain/trace attribution stays unambiguous)",
-                entry.at("id")
-            ));
+#[rustfmt::skip]
+static OVERLOAD: Level<OverloadPolicy> = Level(&[
+    req("max_active", Whole(1, ANY), "Shed arrivals past this many active sessions.",
+        Set(|o, v| o.max_active = v.whole() as usize)),
+    opt("queue_threshold_bytes", Whole(1, ANY), "Also shed while a shared queue holds this much.",
+        Set(|o, v| o.queue_threshold_bytes = v.whole())),
+]);
+
+#[rustfmt::skip]
+static ORIGINS: Level<OriginPoolConfig> = Level(&[
+    req("pool", List(&Obj(&ORIGIN)), "Origins in priority order.", Try(|o, v| {
+        let origin = decode(&ORIGIN, OriginSpec::new(""), v)?;
+        if o.origins.iter().any(|earlier| earlier.id == origin.id) {
+            return Err(format!("{}.id: duplicate origin id '{}' (pool ids must be unique so \
+                explain/trace attribution stays unambiguous)", v.at, origin.id));
         }
-        let mut origin = OriginSpec::new(id);
-        if let Some(penalty) = entry.opt_millis("rtt_penalty_ms", 0)? {
-            origin = origin.with_rtt_penalty(penalty);
-        }
-        pool.push(origin.with_faults(server_faults(&mut entry, "faults")?));
-        entry.finish()?;
-    }
-    let mut config = OriginPoolConfig::new(pool);
+        o.origins.push(origin);
+        Ok(())
+    })),
     // 0 would hedge instantly, >1 can never fire before the deadline.
-    if let Some(quantile) = o.opt_f64("hedge_quantile", UNIT_ABOVE_ZERO)? {
-        config = config.with_hedge_quantile(quantile);
-    }
+    opt("hedge_quantile", Num(UNIT_ABOVE_ZERO), "Hedge at this quantile of the deadline; absent: \
+        never.", Set(|o, v| o.hedge_quantile = Some(v.num()))),
     // A zero threshold would trip every breaker on sight.
-    if let Some(threshold) = o.opt_uint("failure_threshold", 1, u32::MAX.into())? {
-        config = config.with_failure_threshold(threshold);
-    }
-    o.finish()?;
-    Ok(config)
-}
+    opt("failure_threshold", Whole(1, u32::MAX as u64), "Consecutive failures that trip a \
+        breaker; default 2.", Set(|o, v| o.failure_threshold = v.whole() as u32)),
+]);
 
-/// Shared segment cache in front of the origins (the optional `cache`
-/// key): `capacity_mb`, and the modeled delivery delay of a hit,
-/// `edge_delay_ms` (default 5).
-fn decode_cache(j: &Json, at: &str) -> Result<FleetCacheSpec, String> {
-    let mut o = Obj::new(j, at)?;
-    let bytes = (o.f64("capacity_mb", POSITIVE)? * (1 << 20) as f64) as u64;
-    if bytes == 0 {
-        return Err(format!(
-            "{}: must be at least one byte (drop the 'cache' key to run uncached)",
-            o.at("capacity_mb")
-        ));
-    }
-    let mut spec = FleetCacheSpec::new(bytes);
-    if let Some(delay) = o.opt_millis("edge_delay_ms", 0)? {
-        spec = spec.with_edge_delay(delay);
-    }
-    o.finish()?;
-    Ok(spec)
-}
+#[rustfmt::skip]
+static ORIGIN: Level<OriginSpec> = Level(&[
+    req("id", Text, "Unique name in explain and traces.", Set(|o, v| o.id = v.text().into())),
+    opt("rtt_penalty_ms", Whole(0, MAX_MILLIS), "Extra round trip per response.",
+        Set(|o, v| o.rtt_penalty = v.millis())),
+    opt("faults", List(&Tagged(&SERVER_FAULTS)), "This origin's server faults.",
+        Try(|o, v| server_fault(&mut o.faults, v))),
+]);
 
-fn decode_telemetry(j: &Json, at: &str) -> Result<TelemetrySpec, String> {
-    let mut o = Obj::new(j, at)?;
-    let secs = o.f64("epoch_s", POSITIVE)?;
-    let epoch = SimDuration::from_secs_f64(secs);
-    // A series stores every epoch from its first write to its last, and
-    // nothing samples faster than the 50 ms tick: a finer epoch only
-    // exhausts memory (or rounds to zero).
-    if epoch < TelemetrySpec::MIN_EPOCH {
-        return Err(format!(
-            "{}: must be at least 0.001 (one millisecond), got {secs}",
-            o.at("epoch_s")
-        ));
-    }
-    o.finish()?;
-    Ok(TelemetrySpec::new(epoch))
+#[rustfmt::skip]
+static CACHE: Level<FleetCacheSpec> = Level(&[
+    req("capacity_mb", Num(POSITIVE), "Capacity in MiB, at least a byte.", Try(|c, v| {
+        c.capacity_bytes = (v.num() * (1 << 20) as f64) as u64;
+        match c.capacity_bytes {
+            0 => Err(format!("{}: must be at least one byte (drop the 'cache' key to run \
+                uncached)", v.at)),
+            _ => Ok(()),
+        }
+    })),
+    opt("edge_delay_ms", Whole(0, MAX_MILLIS), "Delivery delay of a hit; default 5.",
+        Set(|c, v| c.edge_delay = v.millis())),
+]);
+
+// A series stores every epoch from its first write to its last, and
+// nothing samples faster than the 50 ms tick: a finer epoch only
+// exhausts memory (or rounds to zero).
+#[rustfmt::skip]
+static TELEMETRY: Level<Option<TelemetrySpec>> = Level(&[
+    req("epoch_s", Num(POSITIVE), "Epoch width; at least 0.001.", Try(|t, v| {
+        match v.secs() < TelemetrySpec::MIN_EPOCH {
+            true => Err(format!("{}: must be at least 0.001 (one millisecond), got {}",
+                v.at, v.num())),
+            false => {
+                *t = Some(TelemetrySpec::new(v.secs()));
+                Ok(())
+            }
+        }
+    })),
+]);
+
+/// The scenario-key reference, one table per object level in the order
+/// the document reaches it: what `mpdash schema` prints.
+pub fn reference() -> String {
+    schema::render(&ROOT)
 }
 
 /// A complete scenario document, decoded onto the library's own
@@ -854,46 +615,33 @@ pub struct Scenario {
 impl Scenario {
     /// Parse a scenario document.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let json = Json::parse(text).map_err(|e| e.to_string())?;
         // Keys are decoded in one fixed order, so the first error a
         // document reports never depends on how its defaults are kept.
-        let mut o = Obj::new(&doc, "")?;
-        let name = o.str("name")?.to_string();
-        let video = o.req("video", decode_video)?;
-        let wifi = o.req("wifi", decode_bandwidth)?;
-        let cell = o.req("cell", decode_bandwidth)?;
-        let wifi_rtt = o.opt_millis("wifi_rtt_ms", 1)?;
-        let cell_rtt = o.opt_millis("cell_rtt_ms", 1)?;
-        let abr = o.req("abr", decode_abr)?;
+        let doc = decode(&ROOT, Doc::default(), &Val::of(&json, String::new()))?;
+        let (Some(video), [Some(wifi), Some(cell)], Some(abr)) = (doc.video, doc.links, doc.abr)
+        else {
+            unreachable!("the walker refuses a document without a required key")
+        };
         // The mode is a placeholder: `build` sets each declared one.
         let mut base =
             SessionConfig::controlled((wifi, cell), abr, TransportMode::Vanilla).with_video(video);
-        // One-way delay is half the RTT; in nanoseconds, so odd RTTs
-        // survive the halving exactly.
-        for (link, rtt) in [(&mut base.wifi, wifi_rtt), (&mut base.cell, cell_rtt)] {
+        let links = [&mut base.wifi, &mut base.cell];
+        for ((link, rtt), script) in links.into_iter().zip(doc.rtts).zip(doc.faults) {
+            // One-way delay is half the RTT; in nanoseconds, so odd RTTs
+            // survive the halving exactly.
             link.delay = rtt.map_or(link.delay, |rtt| rtt / 2);
-        }
-        if let Some(secs) = o.opt_uint("buffer_secs", 1, MAX_SECS)? {
-            base.buffer_capacity = SimDuration::from_secs(secs);
-        }
-        let modes = o.list("modes", true, ModeSpec::decode)?;
-        let wifi = link_faults(&mut o, "wifi_faults")?;
-        let cell = link_faults(&mut o, "cell_faults")?;
-        for (link, script) in [(&mut base.wifi, wifi), (&mut base.cell, cell)] {
             if !script.is_empty() {
                 link.faults = Some(script);
             }
         }
+        base.buffer_capacity = doc.buffer.unwrap_or(base.buffer_capacity);
         // An absent array is the empty script, a healthy server.
-        base.server_faults = server_faults(&mut o, "server_faults")?;
-        if let Some(policy) = o.opt("lifecycle", decode_lifecycle)? {
-            base = base.with_lifecycle(policy);
-        }
-        let mut fleet = o.opt("fleet", |j, at| decode_fleet(j, at, &base))?;
-        base.origins = o.opt("origins", decode_origins)?.or(base.origins);
-        let cache = o.opt("cache", decode_cache)?;
-        base.telemetry = o.opt("telemetry", decode_telemetry)?.or(base.telemetry);
-        o.finish()?;
+        base.server_faults = doc.server_faults;
+        base.lifecycle = doc.lifecycle.unwrap_or(base.lifecycle);
+        base.origins = doc.origins.or(base.origins);
+        base.telemetry = doc.telemetry.or(base.telemetry);
+        let mut fleet = doc.fleet;
         if base.origins.is_some() {
             let domains = fleet.iter().flat_map(|f| &f.fault_domains);
             let in_domain = domains
@@ -908,15 +656,29 @@ impl Scenario {
                 ));
             }
         }
+        // The player refuses a buffer that cannot hold two chunks.
+        let (buffer, chunk) = (base.buffer_capacity, base.video.chunk_duration());
+        if buffer < chunk * 2 {
+            let key = if doc.buffer.is_some() {
+                "buffer_secs"
+            } else {
+                "video"
+            };
+            return Err(format!(
+                "{key}: the {} s player buffer must hold at least two {} s chunks",
+                buffer.as_secs_f64(),
+                chunk.as_secs_f64()
+            ));
+        }
         if let Some(fleet) = &mut fleet {
             fleet.base = base.clone();
-            fleet.cache = cache.or(fleet.cache);
+            fleet.cache = doc.cache.or(fleet.cache);
         }
         Ok(Scenario {
-            name,
+            name: doc.name,
             base,
-            modes,
-            cache,
+            modes: doc.modes,
+            cache: doc.cache,
             fleet,
         })
     }
@@ -974,6 +736,8 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_session::StreamingSession;
+    use schema::Kind;
 
     const DOC: &str = r#"{
         "name": "demo",
@@ -2099,5 +1863,381 @@ mod tests {
         let configs = sc.build();
         assert_eq!(configs[0].1.video.n_levels(), 2);
         assert_eq!(configs[0].1.buffer_capacity, SimDuration::from_secs(20));
+    }
+
+    /// The player holds at least two chunks; a document that asks for
+    /// less is refused naming the key that set the buffer, not panicked
+    /// on in `Player::new`.
+    #[test]
+    fn rejects_a_buffer_shorter_than_two_chunks() {
+        let err = Scenario::from_json(&fleet_doc(r#""buffer_secs": 7,"#)).unwrap_err();
+        assert_eq!(
+            err,
+            "buffer_secs: the 7 s player buffer must hold at least two 4 s chunks"
+        );
+        let custom = r#"{"custom": {"levels_mbps": [1.0], "chunk_secs": 21, "n_chunks": 10}}"#;
+        let err = Scenario::from_json(&DOC.replace(r#"{"named": "big_buck_bunny"}"#, custom));
+        assert_eq!(
+            err.unwrap_err(),
+            "video: the 40 s player buffer must hold at least two 21 s chunks"
+        );
+        assert!(Scenario::from_json(&fleet_doc(r#""buffer_secs": 8,"#)).is_ok());
+    }
+
+    /// The fleet loop keys each client's next event on a clock that
+    /// reaches past one day at any size: a later arrival is refused here
+    /// instead of panicking while the run keys its clients.
+    #[test]
+    fn rejects_a_fleet_whose_last_arrival_is_past_one_day() {
+        for (fleet, expect) in [
+            (
+                r#"{"clients": 3, "stagger_s": 1e12}"#,
+                "fleet.stagger_s: the last of 3 clients would join at 2000000000000 s, past one \
+                 day (86400 s)",
+            ),
+            (
+                r#"{"clients": 64, "stagger_s": 1e7}"#,
+                "fleet.stagger_s: the last of 64 clients would join at 630000000 s",
+            ),
+            (
+                r#"{"clients": 4, "churn": {"mean_interarrival_s": 1e300, "mean_watch_s": 10}}"#,
+                "fleet.churn: the last of 4 clients would join at 18446744074 s",
+            ),
+            (r#"{"clients": 2, "stagger_s": 86400}"#, ""),
+            (
+                r#"{"clients": 2, "stagger_s": 86400.001}"#,
+                "fleet.stagger_s: the last",
+            ),
+        ] {
+            match Scenario::from_json(&fleet_doc(&format!(r#""fleet": {fleet},"#))) {
+                Err(err) => assert!(
+                    !expect.is_empty() && err.starts_with(expect),
+                    "{fleet}: {err}"
+                ),
+                Ok(_) => assert!(expect.is_empty(), "{fleet}"),
+            }
+        }
+    }
+
+    #[test]
+    fn readme_carries_the_generated_key_reference() {
+        let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"));
+        let readme = readme.unwrap();
+        let (_, rest) = readme
+            .split_once("<!-- mpdash schema: begin -->\n")
+            .unwrap();
+        let (section, _) = rest.split_once("<!-- mpdash schema: end -->").unwrap();
+        assert!(
+            section == reference(),
+            "README is stale: paste `mpdash schema` between the markers"
+        );
+    }
+
+    #[test]
+    fn scheduler_names_are_the_librarys_labels() {
+        let doc = DOC.replace(
+            r#""mpdash_rate""#,
+            r#"{"mode": "vanilla", "scheduler": "x"}"#,
+        );
+        let err = Scenario::from_json(&doc).unwrap_err();
+        let labels: Vec<_> = SchedulerSpec::ALL.iter().map(|s| s.label()).collect();
+        let listed = format!("{}, or {}", labels[..2].join(", "), labels[2]);
+        assert!(err.ends_with(&format!("(expected {listed})")), "{err}");
+    }
+
+    /// One step from an object to a member: a key or an array index.
+    #[derive(Clone)]
+    enum Step {
+        Key(String),
+        Item(usize),
+    }
+
+    /// A key a generated document wrote: where its object sits, the
+    /// key's full path and table row, and the path of its level when a
+    /// bare value may stand for that level.
+    struct Site {
+        object: Vec<Step>,
+        path: String,
+        spec: &'static schema::Spec,
+        bare_level: Option<String>,
+    }
+
+    /// A seeded document generator that walks the tables: every required
+    /// key and a share of the optional ones, each value at an edge of its
+    /// range or log-uniform between the edges.
+    struct Gen {
+        rng: mpdash_sim::Prng,
+        sites: Vec<Site>,
+        /// A valid profile for `{"file": …}`.
+        file: String,
+    }
+
+    impl Gen {
+        fn coin(&mut self, p: f64) -> bool {
+            self.rng.next_f64() < p
+        }
+
+        fn log_between(&mut self, lo: f64, hi: f64) -> f64 {
+            lo * (hi / lo).powf(self.rng.next_f64())
+        }
+
+        fn object(
+            &mut self,
+            level: &dyn schema::Schema,
+            tag: &'static str,
+            at: &str,
+            loc: &[Step],
+        ) -> Json {
+            let specs = level.specs();
+            let bare_level = specs.iter().any(|s| s.bare).then(|| at.to_string());
+            if let (Some(bare), true) = (specs.iter().find(|s| s.bare), self.coin(0.3)) {
+                return self.value(&bare.kind, at, loc, true).0;
+            }
+            let switches = specs.iter().any(|s| !s.only.is_empty());
+            let (mut gate, mut members) = (tag, Vec::new());
+            for spec in specs {
+                if !spec.only.is_empty() && !spec.only.contains(&gate) {
+                    continue;
+                }
+                let path = schema::join(at, spec.name);
+                let mut item = loc.to_vec();
+                item.push(Step::Key(spec.name.into()));
+                let (value, picked) = match spec.required || self.coin(0.4) {
+                    true => self.value(&spec.kind, &path, &item, spec.required),
+                    false => (Json::Null, ""),
+                };
+                if switches && matches!(spec.kind, Tagged(_)) {
+                    gate = match (picked, spec.kind) {
+                        ("", Tagged(tags)) => tags.variants().next().unwrap(),
+                        _ => picked,
+                    };
+                }
+                if value != Json::Null {
+                    members.push((spec.name.to_string(), value));
+                    let (object, bare_level) = (loc.to_vec(), bare_level.clone());
+                    self.sites.push(Site {
+                        object,
+                        path,
+                        spec,
+                        bare_level,
+                    });
+                }
+            }
+            Json::Obj(members)
+        }
+
+        /// A value of `kind`, and the variant it picked if tagged. A
+        /// required list is not empty; numbers in a list ascend, once
+        /// each, as a ladder's levels and a domain's members must.
+        fn value(
+            &mut self,
+            kind: &Kind,
+            at: &str,
+            loc: &[Step],
+            required: bool,
+        ) -> (Json, &'static str) {
+            let json = match *kind {
+                Num(b) => {
+                    let (lo, hi) = (b.0.max(1e-6), b.1.min(1e7));
+                    let v = match self.rng.next_below(4) {
+                        0 if !b.2 => b.0,
+                        1 if b.1.is_finite() && !b.3 => b.1,
+                        _ => self.log_between(lo, hi),
+                    };
+                    Json::Float(if b.admits(v) { v } else { (b.0 + hi) / 2.0 })
+                }
+                Whole(lo, hi) => {
+                    let hi = hi.min(i64::MAX as u64);
+                    let v = match self.rng.next_below(4) {
+                        0 => lo,
+                        1 => hi,
+                        _ => self.log_between(lo.max(1) as f64, hi.min(1 << 40) as f64) as u64,
+                    };
+                    Json::Int(v.clamp(lo, hi) as i64)
+                }
+                Text if at.ends_with(".file") => Json::Str(self.file.clone()),
+                Text => Json::Str(format!("t{}", self.rng.next_u64())),
+                Bool => Json::Bool(self.coin(0.5)),
+                Obj(level) => self.object(level, "", at, loc),
+                List(item) => {
+                    let n = (self.rng.next_below(4) as usize).max(required as usize);
+                    let mut items: Vec<_> = (0..n)
+                        .map(|i| {
+                            let mut step = loc.to_vec();
+                            step.push(Step::Item(i));
+                            self.value(item, &format!("{at}[{i}]"), &step, true).0
+                        })
+                        .collect();
+                    if let Num(_) | Whole(..) = item {
+                        let key = |j: &Json| j.as_f64().unwrap_or_default();
+                        items.sort_by(|a, b| key(a).total_cmp(&key(b)));
+                        items.dedup_by(|a, b| key(a) == key(b));
+                    }
+                    Json::Arr(items)
+                }
+                Tagged(tags) => {
+                    let units = tags.units.len();
+                    let pick = self.rng.next_below((units + tags.payloads.len()) as u64) as usize;
+                    let tag = tags.variants().nth(pick).unwrap();
+                    if pick < units {
+                        let spellings: Vec<_> = tags.units[pick].split('|').collect();
+                        let spelling =
+                            spellings[self.rng.next_below(spellings.len() as u64) as usize];
+                        return (Json::Str(spelling.into()), tag);
+                    }
+                    let mut inner = loc.to_vec();
+                    inner.push(Step::Key(tag.into()));
+                    let payload = match tags.payloads[pick - units].1 {
+                        Obj(level) => self.object(level, tag, &format!("{at}.{tag}"), &inner),
+                        ref kind => self.value(kind, &format!("{at}.{tag}"), &inner, true).0,
+                    };
+                    return (Json::Obj(vec![(tag.into(), payload)]), tag);
+                }
+            };
+            (json, "")
+        }
+    }
+
+    fn member<'a>(doc: &'a mut Json, loc: &[Step]) -> &'a mut Json {
+        loc.iter().fold(doc, |j, step| match (j, step) {
+            (Json::Obj(members), Step::Key(key)) => {
+                &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+            }
+            (Json::Arr(items), Step::Item(i)) => &mut items[*i],
+            _ => unreachable!("a site's steps lead through what the generator wrote"),
+        })
+    }
+
+    /// One way a key can be wrong.
+    enum Mutation {
+        Dropped,
+        Misspelt,
+        Repeated,
+        /// Out of range, or of the wrong type.
+        Set(Json),
+    }
+
+    /// Every way `spec` can be wrong: dropped (when required), misspelt,
+    /// repeated, of the wrong type, or out of range (when it has one).
+    fn mutations(spec: &schema::Spec) -> Vec<Mutation> {
+        let mut out = vec![Mutation::Misspelt, Mutation::Repeated];
+        if spec.required {
+            out.push(Mutation::Dropped);
+        }
+        out.push(Mutation::Set(match spec.kind {
+            Num(_) | Whole(..) => Json::Str("x".into()),
+            _ => Json::Int(1),
+        }));
+        let out_of_range = match spec.kind {
+            Num(b) => Some(Json::Float(if b.2 { b.0 } else { b.0 - 1.0 })),
+            Whole(lo, _) => Some(Json::Int(lo as i64 - 1)),
+            Tagged(tags) if tags.units.is_empty() => {
+                Some(Json::Obj(vec![("zz".into(), Json::Int(1))]))
+            }
+            Tagged(_) => Some(Json::Str("zz".into())),
+            List(_) if spec.required => Some(Json::Arr(Vec::new())),
+            _ => None,
+        };
+        out.extend(out_of_range.map(Mutation::Set));
+        out
+    }
+
+    /// Generate `docs` documents from `seed`: each one the decoder
+    /// accepts must build every mode and fleet config and start every
+    /// mode's session, and each one-key mutation of it must be refused
+    /// with an error that starts with that key's full path. Returns how
+    /// many were accepted.
+    fn generated_documents_hold(seed: u64, docs: usize) -> usize {
+        let dir = std::env::temp_dir().join(format!("mpdash-scenario-gen-{seed}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("profile.json");
+        let points = vec![mpdash_trace::io::ProfilePoint {
+            at_secs: 0.0,
+            mbps: 4.0,
+        }];
+        let spec = mpdash_trace::io::ProfileSpec {
+            name: "g".into(),
+            points,
+            period_secs: None,
+        };
+        std::fs::write(&file, spec.to_json()).unwrap();
+        let rng = mpdash_sim::Prng::new(seed);
+        let mut gen = Gen {
+            rng,
+            sites: Vec::new(),
+            file: file.display().to_string(),
+        };
+        let mut accepted = 0;
+        for _ in 0..docs {
+            gen.sites.clear();
+            let doc = gen.object(&ROOT, "", "", &[]);
+            let Ok(sc) = Scenario::from_json(&doc.to_string()) else {
+                continue;
+            };
+            accepted += 1;
+            for (label, cfg) in sc.build() {
+                let start = std::panic::AssertUnwindSafe(|| drop(StreamingSession::start(cfg)));
+                let run = std::panic::catch_unwind(start);
+                assert!(run.is_ok(), "{label} of {doc} does not start");
+            }
+            assert_eq!(
+                sc.fleet_configs().map(|f| f.len()),
+                sc.fleet.as_ref().map(|_| sc.modes.len())
+            );
+            // A sample of the keys it wrote, each mutated every way.
+            for _ in 0..6 {
+                let site = &gen.sites[gen.rng.next_below(gen.sites.len() as u64) as usize];
+                for mutation in mutations(site.spec) {
+                    let mut bad = doc.clone();
+                    let Json::Obj(members) = member(&mut bad, &site.object) else {
+                        unreachable!("a site's object is an object")
+                    };
+                    let i = members
+                        .iter()
+                        .position(|(k, _)| k == site.spec.name)
+                        .unwrap();
+                    match &mutation {
+                        Mutation::Dropped => drop(members.remove(i)),
+                        Mutation::Misspelt => members[i].0.push('x'),
+                        Mutation::Repeated => members.push(members[i].clone()),
+                        Mutation::Set(value) => members[i].1 = value.clone(),
+                    }
+                    // A lone misspelt key reads as the bare form of its level.
+                    let alone = members.len() == 1;
+                    let err = Scenario::from_json(&bad.to_string()).unwrap_err();
+                    let expected = match (&mutation, &site.bare_level) {
+                        (Mutation::Misspelt, Some(level)) if alone => level,
+                        _ => &site.path,
+                    };
+                    assert!(
+                        err.starts_with(expected.as_str()),
+                        "{}: {err}\nin {bad}",
+                        site.path
+                    );
+                }
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn generated_documents_build_and_their_mutations_name_the_key() {
+        let accepted = generated_documents_hold(7, 250);
+        assert!(
+            accepted >= 60,
+            "only {accepted} of 250 generated documents parse"
+        );
+    }
+
+    #[test]
+    #[ignore = "long budget: cargo test --release -- --ignored"]
+    fn generated_documents_hold_over_a_long_budget() {
+        let accepted: usize = (100..120)
+            .map(|seed| generated_documents_hold(seed, 1000))
+            .sum();
+        assert!(
+            accepted >= 5000,
+            "only {accepted} of 20000 generated documents parse"
+        );
     }
 }
