@@ -3,9 +3,13 @@
 //! This is the CLI's code path minus the printing, so the example file
 //! can never rot.
 
+use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
 use mpdash::dash::video::Video;
+use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::scenario::Scenario;
-use mpdash::session::{run_batch, Job, RingSink, StreamingSession, Tracer, TransportMode};
+use mpdash::session::{
+    run_batch, Job, RingSink, SessionReport, StreamingSession, Tracer, TransportMode,
+};
 use mpdash::sim::SimDuration;
 use std::sync::Arc;
 
@@ -294,16 +298,33 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Digest of every session summary a solo scenario document produces.
-fn solo_digests(file: &str) -> Vec<(String, u64)> {
+/// Every session report a solo scenario document produces, by mode.
+fn solo_reports(file: &str) -> Vec<(String, SessionReport)> {
     shipped(file)
         .build()
         .into_iter()
-        .map(|(label, cfg)| {
-            let summary = StreamingSession::run(cfg).summary_json().to_compact();
-            (label, fnv1a(summary.as_bytes()))
-        })
+        .map(|(label, cfg)| (label, StreamingSession::run(cfg)))
         .collect()
+}
+
+/// Digest of `render` over each report, by mode.
+fn digests(
+    reports: &[(String, SessionReport)],
+    render: impl Fn(&SessionReport) -> String,
+) -> Vec<(String, u64)> {
+    (reports.iter())
+        .map(|(label, r)| (label.clone(), fnv1a(render(r).as_bytes())))
+        .collect()
+}
+
+fn summary(report: &SessionReport) -> String {
+    report.summary_json().to_compact()
+}
+
+/// Every chunk's Figure 8 bar, as `mpdash --chunks` draws them.
+fn chunk_bars(report: &SessionReport) -> String {
+    let infos: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
+    render_chunk_bars(&infos, &chunk_path_splits(&report.records, &infos), 24)
 }
 
 /// "Same behaviour bit for bit" as a tier-1 test: each digest below was
@@ -337,15 +358,31 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
         ]
     );
 
+    let origins = solo_reports("origins.json");
     assert_eq!(
-        solo_digests("origins.json"),
+        digests(&origins, summary),
         [("Rate".to_string(), 8387712229148742842)]
     );
+    let server_faults = solo_reports("server_faults.json");
     assert_eq!(
-        solo_digests("server_faults.json"),
+        digests(&server_faults, summary),
         [
             ("Baseline".to_string(), 12917740376144067320),
             ("Rate".to_string(), 11655620368456001984),
+        ]
+    );
+    // The Figure 8 bars of the same reports: each chunk's level, size,
+    // fetch time and per-path byte split, the `--chunks` output. Recorded
+    // while the split was still a replay of the packet log.
+    assert_eq!(
+        digests(&origins, chunk_bars),
+        [("Rate".to_string(), 16718078632578519832)]
+    );
+    assert_eq!(
+        digests(&server_faults, chunk_bars),
+        [
+            ("Baseline".to_string(), 13785779749881346158),
+            ("Rate".to_string(), 5506723724756591737),
         ]
     );
 
@@ -365,6 +402,26 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
     assert_eq!(
         (events.len(), fnv1a(stream.as_bytes())),
         (91901, 5741721942121880656)
+    );
+}
+
+/// `mpdash explain`'s text, which no summary carries: one solo mode
+/// (`origins.json`'s `Rate`, with its routing, hedges and cache) and one
+/// fleet client (`fleet.json`'s client 3, with its shared-queue waits).
+/// Recorded while each chunk's per-path split was a replay of the packet
+/// log.
+#[test]
+fn explain_reproduces_its_golden_text() {
+    let solo = explain_scenario(&shipped("origins.json"), &ExplainOptions::default())
+        .expect("origins explains");
+    let opts = ExplainOptions {
+        client: Some(3),
+        ..ExplainOptions::default()
+    };
+    let client = explain_scenario(&shipped("fleet.json"), &opts).expect("fleet.json explains");
+    assert_eq!(
+        [fnv1a(solo.as_bytes()), fnv1a(client.as_bytes())],
+        [12454543280754231931, 13474198893926727069]
     );
 }
 
