@@ -6,11 +6,12 @@
 //! switches and energy, with a chunk-bar visualization (the paper's
 //! Figure 8). This crate is that tool for the simulated stack:
 //!
-//! * input: the receiver's packet capture, as any pass over its
-//!   [`PktRecord`]s (a `&PacketLog` is one), and the session's per-chunk
-//!   log ([`ChunkInfo`], carrying each body's connection-stream range);
-//! * correlation: per-chunk per-path byte attribution by intersecting
-//!   packet DSS ranges with chunk body ranges;
+//! * correlation, online: a [`ChunkLedger`] is fed every packet as it
+//!   arrives and every chunk as it finishes, and keeps one
+//!   [`ChunkRecord`] per chunk with the chunk's body bytes by path under
+//!   two rules (see [`ChunkRecord`]), plus the session's idle-gap count;
+//! * correlation as a batch over a capture ([`chunk_path_splits`],
+//!   [`idle_gaps`]): the tool's offline form, which the ledger equals;
 //! * outputs: [`SessionAnalysis`] (the metrics) and
 //!   [`render_chunk_bars`] / [`throughput_timeline`] (text
 //!   visualizations in the spirit of Figure 8).
@@ -20,56 +21,16 @@ use mpdash_energy::{radio_energy_of, DeviceProfile, SessionEnergy};
 use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
 use mpdash_results::Json;
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{DssRange, SimDuration, SimTime};
 
-/// One fetched chunk, as the analysis tool needs it. (The session layer
-/// converts its own log into this; the tool itself stays independent of
-/// the driver.)
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkInfo {
-    /// Chunk index.
-    pub index: usize,
-    /// Quality level fetched (0-based, ascending).
-    pub level: usize,
-    /// Body bytes.
-    pub size: u64,
-    /// Request issue time.
-    pub started: SimTime,
-    /// Completion time.
-    pub completed: SimTime,
-    /// Connection-stream byte range `[start, end)` of the body.
-    pub body_dss: (u64, u64),
-}
+mod accounting;
 
-/// Per-chunk path attribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChunkPathSplit {
-    /// Chunk index.
-    pub index: usize,
-    /// Body bytes that arrived over WiFi.
-    pub wifi_bytes: u64,
-    /// Body bytes that arrived over cellular.
-    pub cell_bytes: u64,
-}
-
-impl ChunkPathSplit {
-    /// Fraction of the chunk's attributed bytes that used cellular.
-    pub fn cell_fraction(&self) -> f64 {
-        let total = self.wifi_bytes + self.cell_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.cell_bytes as f64 / total as f64
-        }
-    }
-}
+pub use accounting::{ChunkLedger, ChunkRecord, IDLE_GAP};
 
 /// Session-level metrics computed by the tool.
 #[derive(Clone, Debug)]
 pub struct SessionAnalysis {
-    /// Per-chunk path splits, chunk order.
-    pub splits: Vec<ChunkPathSplit>,
-    /// Total bytes per path attributed to video bodies.
+    /// Total body bytes on WiFi (overlap rule).
     pub wifi_body_bytes: u64,
     /// Total cellular body bytes.
     pub cell_body_bytes: u64,
@@ -79,61 +40,37 @@ pub struct SessionAnalysis {
     pub level_histogram: Vec<usize>,
     /// Mean chunk download duration.
     pub mean_download: SimDuration,
-    /// Idle gaps between packets longer than the configured threshold
-    /// (start, length) — the gaps MP-DASH "eliminates" in Figure 8.
-    pub idle_gaps: Vec<(SimTime, SimDuration)>,
+    /// Inter-arrival gaps longer than [`IDLE_GAP`].
+    pub idle_gaps: u64,
 }
 
-/// Attribute each chunk's body bytes to paths by intersecting packet DSS
-/// ranges with the chunk's body range. Retransmitted duplicates count on
-/// the path they arrived on (they cost that radio's bytes), so per-chunk
-/// attribution can slightly exceed the body size — exactly like counting
-/// wire bytes in a real capture.
+/// The §6 tool's overlap rule as a batch over a capture: per body, its
+/// bytes by path. Equal to the [`ChunkLedger`]'s `overlap_bytes` when the
+/// capture is every arrival the ledger was fed.
 pub fn chunk_path_splits(
     records: impl IntoIterator<Item = PktRecord>,
-    chunks: &[ChunkInfo],
-) -> Vec<ChunkPathSplit> {
-    let mut out: Vec<ChunkPathSplit> = chunks
-        .iter()
-        .map(|c| ChunkPathSplit {
-            index: c.index,
-            wifi_bytes: 0,
-            cell_bytes: 0,
-        })
-        .collect();
-    if chunks.is_empty() {
-        return out;
-    }
-    // Chunks are stream-ordered; walk records with binary search on the
-    // body ranges.
-    let starts: Vec<u64> = chunks.iter().map(|c| c.body_dss.0).collect();
+    bodies: &[DssRange],
+) -> Vec<[u64; 2]> {
+    let mut out = vec![[0; 2]; bodies.len()];
     for r in records {
         let (lo, hi) = (r.dss, r.dss + r.len);
-        // Candidate chunk: the last one whose body start is <= lo.
-        let idx = match starts.binary_search(&lo) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        // A packet can straddle a response-header/body boundary; check
-        // this chunk and the next for overlap.
-        for (c, split) in chunks.iter().zip(&mut out).skip(idx).take(2) {
-            let (bs, be) = c.body_dss;
-            let ov_lo = lo.max(bs);
-            let ov_hi = hi.min(be);
-            if ov_hi > ov_lo {
-                match r.path {
-                    PathId::WIFI => split.wifi_bytes += ov_hi - ov_lo,
-                    PathId::CELLULAR => split.cell_bytes += ov_hi - ov_lo,
-                    _ => {}
-                }
+        // Bodies ascend: start at the first one ending past the packet's
+        // first byte, stop at the first one starting past its last.
+        let first = bodies.partition_point(|b| b.end <= lo);
+        for (body, split) in bodies.iter().zip(&mut out).skip(first) {
+            if body.start >= hi {
+                break;
+            }
+            if let Some(bytes) = split.get_mut(r.path.index()) {
+                *bytes += body.overlap(lo, hi);
             }
         }
     }
     out
 }
 
-/// Idle gaps between consecutive packets exceeding `min_gap`.
+/// Idle gaps between consecutive packets exceeding `min_gap`; at
+/// [`IDLE_GAP`], the batch form of [`ChunkLedger::idle_gaps`].
 pub fn idle_gaps(
     records: impl IntoIterator<Item = PktRecord>,
     min_gap: SimDuration,
@@ -153,15 +90,8 @@ pub fn idle_gaps(
     out
 }
 
-/// Run the full analysis (two passes over `records`).
-pub fn analyze(
-    records: impl IntoIterator<Item = PktRecord> + Clone,
-    chunks: &[ChunkInfo],
-    n_levels: usize,
-) -> SessionAnalysis {
-    let splits = chunk_path_splits(records.clone(), chunks);
-    let wifi_body_bytes = splits.iter().map(|s| s.wifi_bytes).sum();
-    let cell_body_bytes = splits.iter().map(|s| s.cell_bytes).sum();
+/// Summarize a session's chunk records and its idle-gap count.
+pub fn analyze(chunks: &[ChunkRecord], idle_gaps: u64, n_levels: usize) -> SessionAnalysis {
     let mut histogram = vec![0usize; n_levels];
     let mut switches = 0;
     for (i, c) in chunks.iter().enumerate() {
@@ -182,13 +112,12 @@ pub fn analyze(
         SimDuration::from_nanos(total / chunks.len() as u64)
     };
     SessionAnalysis {
-        splits,
-        wifi_body_bytes,
-        cell_body_bytes,
+        wifi_body_bytes: chunks.iter().map(|c| c.overlap_bytes[0]).sum(),
+        cell_body_bytes: chunks.iter().map(|c| c.overlap_bytes[1]).sum(),
         switches,
         level_histogram: histogram,
         mean_download,
-        idle_gaps: idle_gaps(records, SimDuration::from_millis(500)),
+        idle_gaps,
     }
 }
 
@@ -200,13 +129,12 @@ pub fn analyze(
 ///
 /// The bar is `width` cells long; `#` cells are the cellular fraction
 /// (the figure's black component), `digits` of the level color the rest.
-pub fn render_chunk_bars(chunks: &[ChunkInfo], splits: &[ChunkPathSplit], width: usize) -> String {
-    assert_eq!(chunks.len(), splits.len(), "one split per chunk");
+pub fn render_chunk_bars(chunks: &[ChunkRecord], width: usize) -> String {
     let mut out = String::new();
     out.push_str("idx | lvl |    size |  dl time | cell% | path share (#=cellular)\n");
-    for (c, s) in chunks.iter().zip(splits) {
+    for c in chunks {
         let dl = c.completed.saturating_since(c.started);
-        let frac = s.cell_fraction();
+        let frac = c.cell_fraction();
         let cells = (frac * width as f64).round() as usize;
         let level_char = char::from_digit(c.level as u32 % 10, 10).unwrap_or('?');
         let mut bar = String::with_capacity(width);
@@ -340,22 +268,18 @@ pub fn replay_energy(
 /// the tool's machine-readable export for downstream plotting pipelines.
 /// Write-only, like every artifact here — nothing in the repo reads it
 /// back.
-pub fn to_json(chunks: &[ChunkInfo], analysis: &SessionAnalysis) -> String {
-    let rows = chunks.iter().zip(&analysis.splits).map(|(c, s)| {
+pub fn to_json(chunks: &[ChunkRecord], analysis: &SessionAnalysis) -> String {
+    let rows = chunks.iter().map(|c| {
         Json::obj([
             ("index", Json::from(c.index)),
             ("level", Json::from(c.level)),
             ("size", Json::from(c.size)),
             ("started_s", Json::Float(c.started.as_secs_f64())),
             ("completed_s", Json::Float(c.completed.as_secs_f64())),
-            ("cell_fraction", Json::Float(s.cell_fraction())),
+            ("cell_fraction", Json::Float(c.cell_fraction())),
         ])
     });
     let histogram = analysis.level_histogram.iter().map(|&n| Json::from(n));
-    let idle_gaps = analysis
-        .idle_gaps
-        .iter()
-        .map(|&(t, d)| Json::arr([Json::Float(t.as_secs_f64()), Json::Float(d.as_secs_f64())]));
     Json::obj([
         ("chunks", Json::arr(rows)),
         ("wifi_body_bytes", Json::from(analysis.wifi_body_bytes)),
@@ -366,7 +290,7 @@ pub fn to_json(chunks: &[ChunkInfo], analysis: &SessionAnalysis) -> String {
             "mean_download_s",
             Json::Float(analysis.mean_download.as_secs_f64()),
         ),
-        ("idle_gaps", Json::arr(idle_gaps)),
+        ("idle_gaps", Json::from(analysis.idle_gaps)),
     ])
     .to_pretty()
 }
@@ -389,15 +313,26 @@ mod tests {
         }
     }
 
-    fn chunk(index: usize, level: usize, dss: (u64, u64), start: f64, end: f64) -> ChunkInfo {
-        ChunkInfo {
+    fn chunk(index: usize, level: usize, dss: (u64, u64), start: f64, end: f64) -> ChunkRecord {
+        ChunkRecord {
             index,
             level,
             size: dss.1 - dss.0,
             started: t(start),
             completed: t(end),
-            body_dss: dss,
+            body_dss: DssRange {
+                start: dss.0,
+                end: dss.1,
+            },
+            deadline: None,
+            requests: 1,
+            overlap_bytes: [0; 2],
+            first_byte_bytes: [0; 2],
         }
+    }
+
+    fn bodies(chunks: &[ChunkRecord]) -> Vec<DssRange> {
+        chunks.iter().map(|c| c.body_dss).collect()
     }
 
     #[test]
@@ -408,10 +343,13 @@ mod tests {
             rec(0.2, PathId::WIFI, 100, 600),     // body
             rec(0.3, PathId::CELLULAR, 700, 400), // body
         ];
-        let splits = chunk_path_splits(records, &chunks);
-        assert_eq!(splits[0].wifi_bytes, 600);
-        assert_eq!(splits[0].cell_bytes, 400);
-        assert!((splits[0].cell_fraction() - 0.4).abs() < 1e-9);
+        let splits = chunk_path_splits(records, &bodies(&chunks));
+        assert_eq!(splits[0], [600, 400]);
+        let attributed = ChunkRecord {
+            overlap_bytes: splits[0],
+            ..chunks[0]
+        };
+        assert!((attributed.cell_fraction() - 0.4).abs() < 1e-9);
     }
 
     #[test]
@@ -423,9 +361,8 @@ mod tests {
         // One packet covers the tail of chunk 0, the header gap, and the
         // head of chunk 1.
         let records = [rec(0.9, PathId::WIFI, 900, 500)];
-        let splits = chunk_path_splits(records, &chunks);
-        assert_eq!(splits[0].wifi_bytes, 100);
-        assert_eq!(splits[1].wifi_bytes, 200);
+        let splits = chunk_path_splits(records, &bodies(&chunks));
+        assert_eq!(splits, [[100, 0], [200, 0]]);
     }
 
     #[test]
@@ -441,14 +378,9 @@ mod tests {
             rec(1.5, PathId::CELLULAR, 1200, 1000),
             rec(2.5, PathId::WIFI, 2400, 1000),
         ];
-        let row = |index, wifi_bytes, cell_bytes| ChunkPathSplit {
-            index,
-            wifi_bytes,
-            cell_bytes,
-        };
         assert_eq!(
-            chunk_path_splits(records, &chunks),
-            [row(3, 1000, 0), row(4, 0, 1000), row(5, 1000, 0)]
+            chunk_path_splits(records, &bodies(&chunks)),
+            [[1000, 0], [0, 1000], [1000, 0]]
         );
     }
 
@@ -460,7 +392,7 @@ mod tests {
             chunk(2, 3, (20, 30), 2.0, 2.5),
             chunk(3, 2, (30, 40), 3.0, 3.5),
         ];
-        let a = analyze([], &chunks, 5);
+        let a = analyze(&chunks, 0, 5);
         assert_eq!(a.switches, 2);
         assert_eq!(a.level_histogram, vec![0, 0, 2, 2, 0]);
         assert_eq!(a.mean_download, SimDuration::from_millis(500));
@@ -482,13 +414,11 @@ mod tests {
 
     #[test]
     fn chunk_bars_render() {
-        let chunks = [chunk(0, 4, (0, 1000), 0.0, 2.0)];
-        let splits = [ChunkPathSplit {
-            index: 0,
-            wifi_bytes: 750,
-            cell_bytes: 250,
+        let chunks = [ChunkRecord {
+            overlap_bytes: [750, 250],
+            ..chunk(0, 4, (0, 1000), 0.0, 2.0)
         }];
-        let s = render_chunk_bars(&chunks, &splits, 8);
+        let s = render_chunk_bars(&chunks, 8);
         // 25% of 8 cells = 2 '#'.
         assert!(s.contains("##444444"), "bar missing in:\n{s}");
         assert!(s.contains("L4"));
@@ -526,8 +456,14 @@ mod tests {
             rec(0.7, PathId::CELLULAR, 600, 400),
             rec(2.0, PathId::WIFI, 1200, 1000),
         ];
-        let a = analyze(records, &chunks, 5);
-        let doc = Json::parse(&to_json(&chunks, &a)).unwrap();
+        let mut ledger = ChunkLedger::new();
+        ledger.on_arrival(records[0]);
+        ledger.on_arrival(records[1]);
+        ledger.on_chunk(chunks[0]);
+        ledger.on_arrival(records[2]);
+        ledger.on_chunk(chunks[1]);
+        let a = analyze(ledger.chunks(), ledger.idle_gaps(), 5);
+        let doc = Json::parse(&to_json(ledger.chunks(), &a)).unwrap();
         let rows = doc.get("chunks").and_then(Json::as_arr).unwrap();
         assert_eq!(rows.len(), 2);
         let cell = rows[0].get("cell_fraction").and_then(Json::as_f64).unwrap();
@@ -606,8 +542,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_safe() {
-        let a = analyze([], &[], 5);
-        assert!(a.splits.is_empty());
+        let a = analyze(&[], 0, 5);
         assert_eq!(a.switches, 0);
         assert_eq!(a.mean_download, SimDuration::ZERO);
         assert!(idle_gaps([], SimDuration::from_secs(1)).is_empty());

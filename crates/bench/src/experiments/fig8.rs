@@ -9,14 +9,10 @@
 
 use crate::grid::Grid;
 use crate::shapes::controlled;
-use mpdash_analysis::{analyze, chunk_path_splits, render_chunk_bars, ChunkInfo};
+use mpdash_analysis::{analyze, render_chunk_bars};
 use mpdash_dash::abr::AbrKind;
 use mpdash_results::ExperimentResult;
-use mpdash_session::{SessionReport, TransportMode};
-
-fn chunk_infos(report: &SessionReport) -> Vec<ChunkInfo> {
-    report.chunks.iter().map(ChunkInfo::from).collect()
-}
+use mpdash_session::TransportMode;
 
 /// Compute the experiment (three sessions, batched).
 pub fn result(quick: bool, workers: usize) -> ExperimentResult {
@@ -39,16 +35,15 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
             (name, cfg)
         })
         .into();
-    for (name, report) in Grid::sessions_with_log(workers, cells).iter() {
-        let chunks = chunk_infos(report);
-        let splits = chunk_path_splits(&report.records, &chunks);
-        let a = analyze(&report.records, &chunks, 5);
+    for (name, report) in Grid::sessions(workers, cells).iter() {
+        let chunks = &report.chunks;
+        let a = analyze(chunks, report.idle_gaps, 5);
         res.text(format!("\n{name} — chunks 30..46 (of {}):", chunks.len()));
-        res.text(render_chunk_bars(&chunks[30..46], &splits[30..46], 24));
+        res.text(render_chunk_bars(&chunks[30..46], 24));
         res.text(format!(
             "session cellular body bytes: {:.2} MB | idle gaps >0.5 s: {} | switches: {}",
             a.cell_body_bytes as f64 / 1e6,
-            a.idle_gaps.len(),
+            a.idle_gaps,
             a.switches
         ));
     }

@@ -57,9 +57,9 @@ impl<K: PartialEq + Debug, R: Send> Grid<K, R> {
 impl<K: PartialEq + Debug> Grid<K, SessionReport> {
     /// A grid of streaming sessions, one per cell. A report's packet log
     /// (`records`, megabytes a session) is dropped on the worker that ran
-    /// it, so the grid holds what a fold over byte counts, energy and QoE
-    /// reads; an experiment that reads the log asks for
-    /// [`Grid::sessions_with_log`].
+    /// it, so the grid holds what a fold over byte counts, energy, QoE
+    /// and each chunk's per-path split reads; an experiment that buckets
+    /// the log by time asks for [`Grid::sessions_with_log`].
     pub fn sessions(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
         Grid::run(workers, cells, |cfg| SessionReport {
             records: Default::default(),

@@ -721,15 +721,15 @@ impl Client {
 /// tree, and once it is done and no packet of it waits at a bottleneck,
 /// replace it by its report. A finished client with a late copy still
 /// queued stays live until the copy departs or is dropped, so its report
-/// is the one the end of the run would build. A client that traces keeps
-/// its session to the end, where its report traces the player's last
-/// transitions in client order, after every event of the loop.
+/// is the one the end of the run would build. A client that traces
+/// retires the same way: its report traces the player's last
+/// transitions here, in the loop iteration that retires it.
 fn settle(next: &mut NextEvent, clients: &mut Vec<Client>, k: usize) {
     next.set_session(k, clients[k].wake());
     let Client::Live(session, Phase::Done) = &clients[k] else {
         return;
     };
-    if session.owns_queued_packets() || session.traces() {
+    if session.owns_queued_packets() {
         return;
     }
     // Move the session out of its slot (`into_report` takes it by value)
@@ -1076,12 +1076,13 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         })
         .collect();
 
+    // The loop ends with no packet queued anywhere, so every client,
+    // done and owning none, was settled into its report.
     let sessions: Vec<SessionReport> = clients
         .into_iter()
         .map(|c| match c {
             Client::Reported(report) => *report,
-            // A client that traces, reported where its trace expects it.
-            Client::Live(session, _) => session.into_report(),
+            Client::Live(..) => unreachable!("the loop ended with a live client"),
         })
         .collect();
     // Fleet-wide series: fold every client's series in client order.
@@ -1773,8 +1774,8 @@ mod tests {
         // links are sized for four viewers and the cap admits twelve, so
         // the FIFO AP queues deep enough that finished viewers still have
         // late copies of acknowledged packets waiting there: they become
-        // their reports at those copies' departures. Client 1 traces, so
-        // it keeps its session to the end.
+        // their reports at those copies' departures. Client 1 traces, and
+        // retires like any other.
         let at = |s: u64| SimTime::from_secs(s);
         let seed = 22;
         let outage = ServerFaultScript::new()

@@ -49,6 +49,7 @@ pub use lifecycle::{
     AbortAccounting, LifecycleAction, LifecyclePolicy, LifecycleState, RequestTracker, RetryPlan,
     RetryPolicy,
 };
+pub use mpdash_sim::DssRange;
 pub use origin::{BreakerState, HealthTransition, OriginPool, OriginPoolConfig, OriginSpec};
 
 /// Upstream bytes of one GET request (request line + typical headers).
@@ -69,29 +70,6 @@ pub const HTTP_TIMER_BASE: u64 = 1 << 62;
 
 /// Identifier of one GET exchange.
 pub type RequestId = u64;
-
-/// A half-open range `[start, end)` of the MPTCP connection-level
-/// (data-sequence) byte stream. Replaces the bare `(u64, u64)` tuples
-/// that used to flow through the public API.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct DssRange {
-    /// First connection-stream byte of the range.
-    pub start: u64,
-    /// One past the last byte.
-    pub end: u64,
-}
-
-impl DssRange {
-    /// Length of the range in bytes.
-    pub fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// True when the range covers no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
 
 /// Client-visible protocol events produced as response bytes arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,7 +24,7 @@
 
 use crate::config::SessionConfig;
 use crate::record::{Outcome, Recorder};
-use crate::report::ChunkLogEntry;
+use mpdash_analysis::ChunkRecord;
 use mpdash_core::MpDashControl;
 use mpdash_http::{
     BreakerState, DssRange, HealthTransition, HttpEvent, HttpLayer, LifecycleAction,
@@ -204,7 +204,7 @@ impl ChunkFetch {
         sim: &mut MptcpSim,
         rec: &mut Recorder,
         ev: HttpEvent,
-    ) -> Option<ChunkLogEntry> {
+    ) -> Option<ChunkRecord> {
         let t = sim.now();
         let (id, delivered) = match ev {
             HttpEvent::HeaderReceived { .. } => return None,
@@ -353,7 +353,7 @@ impl ChunkFetch {
         sim: &mut MptcpSim,
         rec: &mut Recorder,
         body_dss: DssRange,
-    ) -> ChunkLogEntry {
+    ) -> ChunkRecord {
         let now = sim.now();
         let cur = self.current.take().expect("caller checked the request");
         let (chunk, level, size) = (cur.index, cur.level, cur.size());
@@ -385,7 +385,7 @@ impl ChunkFetch {
                 bytes: size,
             });
         }
-        ChunkLogEntry {
+        ChunkRecord {
             index: chunk,
             level,
             size,
@@ -394,6 +394,8 @@ impl ChunkFetch {
             body_dss,
             deadline: cur.deadline,
             requests: cur.requests,
+            overlap_bytes: [0; 2],
+            first_byte_bytes: [0; 2],
         }
     }
 

@@ -27,14 +27,13 @@ pub mod streaming;
 pub use batch::{run_batch, BatchResult, Job, JobError};
 pub use config::{PathPreference, SessionConfig, TransportMode};
 pub use file_transfer::{FileTransfer, FileTransferConfig, FileTransferReport};
+pub use mpdash_analysis::ChunkRecord;
 pub use mpdash_core::SchedulerStats;
 pub use mpdash_http::{
     BreakerState, CacheStats, LifecyclePolicy, OriginPool, OriginPoolConfig, OriginSpec,
     RetryPolicy, ServerFaultScript, SharedSegmentCache,
 };
 pub use mpdash_obs::{MetricsSnapshot, NdjsonSink, NullSink, RingSink, TraceEvent, Tracer};
-pub use report::{
-    ChunkLogEntry, DegradationMetrics, LifecycleStats, OriginStats, SessionReport, SimProfile,
-};
+pub use report::{DegradationMetrics, LifecycleStats, OriginStats, SessionReport, SimProfile};
 pub use signal::DeadlineSignal;
 pub use streaming::StreamingSession;

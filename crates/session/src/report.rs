@@ -1,16 +1,15 @@
 //! Session results: everything the benchmark harness and the analysis
 //! tool need to regenerate the paper's tables and figures.
 
-use mpdash_analysis::ChunkInfo;
+use mpdash_analysis::ChunkRecord;
 use mpdash_core::SchedulerStats;
 use mpdash_dash::player::PlayerEvent;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_energy::SessionEnergy;
-use mpdash_http::DssRange;
 use mpdash_mptcp::{MptcpSim, PacketLog, PoppedByKind};
 use mpdash_obs::{EpochSeries, MetricsSnapshot};
 use mpdash_results::Json;
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::SimDuration;
 
 /// Event-loop profile of the simulation that produced a report — how
 /// much discrete-event work the run did. Fully deterministic (it counts
@@ -43,45 +42,6 @@ impl SimProfile {
             by_kind: sim.popped_by_kind(),
             lane_appends,
             heap_fallbacks,
-        }
-    }
-}
-
-/// One fetched chunk, as logged by the session driver.
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkLogEntry {
-    /// Chunk index.
-    pub index: usize,
-    /// Quality level fetched.
-    pub level: usize,
-    /// Body bytes.
-    pub size: u64,
-    /// Request issue time.
-    pub started: SimTime,
-    /// Last body byte arrival.
-    pub completed: SimTime,
-    /// Connection-stream range `[start, end)` of the body (for per-path
-    /// attribution). For a chunk delivered across several requests
-    /// (abandon + byte-range resume), this is the *final* request's
-    /// range, so its length can be smaller than `size`.
-    pub body_dss: DssRange,
-    /// The MP-DASH window granted, `None` when the adapter bypassed.
-    pub deadline: Option<SimDuration>,
-    /// HTTP requests it took to deliver the chunk (1 = the normal case;
-    /// more after retries or abandon/resume cycles).
-    pub requests: u32,
-}
-
-/// The analysis tool's view of a logged chunk.
-impl From<&ChunkLogEntry> for ChunkInfo {
-    fn from(c: &ChunkLogEntry) -> Self {
-        ChunkInfo {
-            index: c.index,
-            level: c.level,
-            size: c.size,
-            started: c.started,
-            completed: c.completed,
-            body_dss: (c.body_dss.start, c.body_dss.end),
         }
     }
 }
@@ -164,8 +124,12 @@ pub struct SessionReport {
     pub energy: SessionEnergy,
     /// Wall-clock (virtual) end of the session.
     pub duration: SimDuration,
-    /// Per-chunk log.
-    pub chunks: Vec<ChunkLogEntry>,
+    /// Per-chunk log, each chunk's body bytes attributed to paths as
+    /// its packets arrived.
+    pub chunks: Vec<ChunkRecord>,
+    /// Inter-arrival gaps longer than
+    /// [`IDLE_GAP`](mpdash_analysis::IDLE_GAP) over the session.
+    pub idle_gaps: u64,
     /// Raw packet receive trace.
     pub records: PacketLog,
     /// MP-DASH scheduler statistics; all zeros for non-MP-DASH modes.

@@ -22,12 +22,13 @@
 //! and the next request is paced by buffer space (the idle gaps of
 //! Figure 1 emerge from this, not from any explicit modelling).
 
-use crate::accounting::{EnergyMeter, OutageSplit};
+use crate::accounting::EnergyMeter;
 use crate::config::{SessionConfig, TransportMode};
 use crate::fetch::{ChunkFetch, Inflight};
 use crate::record::{Outcome, Recorder};
-use crate::report::{ChunkLogEntry, DegradationMetrics, SessionReport, SimProfile};
+use crate::report::{DegradationMetrics, SessionReport, SimProfile};
 use crate::signal::DeadlineSignal;
+use mpdash_analysis::{ChunkLedger, ChunkRecord};
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_dash::abr::{Abr, AbrInput};
@@ -62,13 +63,13 @@ pub struct StreamingSession {
     /// (Algorithm 1 plus its throughput estimators).
     mpdash: Option<(VideoAdapter, DeadlineSignal)>,
     fetch: ChunkFetch,
-    /// Radio energy and the outage split, fed each arrival as it lands
-    /// (the receiver's packet log is for the analysis tool only).
+    /// Radio energy and the chunk log's per-path attribution, fed each
+    /// arrival as it lands (the receiver's packet log is kept for the
+    /// time-bucket readers only).
     energy: EnergyMeter,
-    outage: OutageSplit,
+    ledger: ChunkLedger,
     /// Scratch for one delivery's HTTP events (a packet must not allocate).
     http_events: Vec<HttpEvent>,
-    chunks: Vec<ChunkLogEntry>,
     last_chunk_throughput: Option<Rate>,
     /// When the connection last delivered a byte, or the chunk in flight
     /// was requested if later (see [`WEDGED_AFTER`]).
@@ -147,12 +148,6 @@ impl StreamingSession {
         let mut player = Player::new(&cfg.video, cfg.buffer_capacity);
         player.set_tracer(rec.tracer.clone());
         player.set_origin(origin);
-        let costs = cfg.preference.costs();
-        let preferred = if costs[0] <= costs[1] {
-            PathId::WIFI
-        } else {
-            PathId::CELLULAR
-        };
         StreamingSession {
             sim,
             player,
@@ -160,9 +155,8 @@ impl StreamingSession {
             mpdash,
             fetch: ChunkFetch::new(&cfg, &rec),
             energy: EnergyMeter::new(&cfg.device, origin),
-            outage: OutageSplit::new(preferred),
+            ledger: ChunkLedger::new(),
             http_events: Vec::new(),
-            chunks: Vec::new(),
             last_chunk_throughput: None,
             last_byte_at: SimTime::ZERO,
             rec,
@@ -324,7 +318,7 @@ impl StreamingSession {
 
     /// The chunk arrived: score it, feed the player, and pace the next
     /// request on buffer space.
-    fn finish_chunk(&mut self, now: SimTime, done: ChunkLogEntry) {
+    fn finish_chunk(&mut self, now: SimTime, done: ChunkRecord) {
         let fetch = now.saturating_since(done.started);
         let dl = fetch.as_secs_f64();
         if dl > 0.0 {
@@ -341,7 +335,8 @@ impl StreamingSession {
             "chunk_bitrate_kbps",
             self.cfg.video.bitrate(done.level).as_bps() / 1000,
         );
-        if self.chunks.last().is_some_and(|p| p.level != done.level) {
+        let previous = self.ledger.chunks().last();
+        if previous.is_some_and(|p| p.level != done.level) {
             self.rec.epoch_add(now, "switches", 1);
         }
         self.rec.tracer.emit_with(now, || TraceEvent::ChunkFetched {
@@ -376,8 +371,7 @@ impl StreamingSession {
         }
         self.player
             .on_chunk_complete(now, done.level, done.size, done.started);
-        self.outage.on_chunk(&done);
-        self.chunks.push(done);
+        self.ledger.on_chunk(done);
         if self.player.has_space() {
             self.request_next(now);
         } else {
@@ -416,13 +410,6 @@ impl StreamingSession {
     /// still be handed its departure.
     pub fn owns_queued_packets(&self) -> bool {
         self.sim.owns_queued_packets()
-    }
-
-    /// True when this session emits trace events (its config's tracer,
-    /// or `MPDASH_TRACE`'s): [`Self::into_report`] then traces the
-    /// player's last transitions.
-    pub fn traces(&self) -> bool {
-        self.rec.tracer.enabled()
     }
 
     /// Viewer departure: stop requesting chunks, let in-flight transport
@@ -507,7 +494,7 @@ impl StreamingSession {
         };
         if let Some(r) = self.sim.arrival() {
             self.energy.on_arrival(r);
-            self.outage.on_arrival(r);
+            self.ledger.on_arrival(r);
             if let Some((_, signal)) = self.mpdash.as_mut() {
                 signal.on_arrival(r);
             }
@@ -592,9 +579,16 @@ impl StreamingSession {
             .as_ref()
             .map(|(_, signal)| signal.control.stats())
             .unwrap_or_default();
+        let costs = self.cfg.preference.costs();
+        let preferred = if costs[0] <= costs[1] {
+            PathId::WIFI
+        } else {
+            PathId::CELLULAR
+        };
+        let bridged = |c: &&ChunkRecord| c.outage_bridged(preferred);
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
-            outage_bridged_chunks: self.outage.bridged(),
+            outage_bridged_chunks: self.ledger.chunks().iter().filter(bridged).count() as u64,
             subflow_failures: self.sim.subflow_failures(PathId::WIFI)
                 + self.sim.subflow_failures(PathId::CELLULAR),
             subflow_revivals: self.sim.subflow_revivals(PathId::WIFI)
@@ -633,7 +627,8 @@ impl StreamingSession {
             cell_bytes: self.sim.path_bytes(PathId::CELLULAR),
             energy: self.energy.finish(duration),
             duration,
-            chunks: self.chunks,
+            idle_gaps: self.ledger.idle_gaps(),
+            chunks: self.ledger.into_chunks(),
             records: self.sim.take_records(),
             scheduler_stats,
             player_events: self.player.events().to_vec(),

@@ -18,7 +18,7 @@
 //!
 //! It also names the paths every layer talks about: [`PathId`] and the
 //! enabled set [`PathMask`], from Algorithm 1's decision to the transport's
-//! DSS bit.
+//! DSS bit, and a stretch of the connection's byte stream, [`DssRange`].
 //!
 //! The design intentionally avoids an async runtime: per the smoltcp-style
 //! guidance for event-driven network code, a single-threaded poll loop over
@@ -40,6 +40,7 @@
 //! assert_eq!(r.bytes_in(SimDuration::from_secs(1)), 1_500_000);
 //! ```
 
+pub mod dss;
 pub mod par;
 pub mod path;
 pub mod queue;
@@ -49,6 +50,7 @@ pub mod series;
 pub mod slack;
 pub mod time;
 
+pub use dss::DssRange;
 pub use par::{default_workers, par_map};
 pub use path::{PathId, PathMask};
 pub use queue::EventQueue;

@@ -1,14 +1,15 @@
 //! Drive the §6 multipath video analysis tool over a live session:
-//! stream with MP-DASH, then correlate the packet trace with the chunk
-//! log and render the Figure 8-style visualization.
+//! stream with MP-DASH, whose chunk log attributes each chunk's bytes to
+//! paths as they arrive, then render the Figure 8-style visualization
+//! and replay the packet trace through the throughput and energy views.
 //!
 //! ```sh
 //! cargo run --release --example analyze_session
 //! ```
 
 use mpdash::analysis::{
-    analyze, buffer_trajectory, chunk_path_splits, render_chunk_bars, replay_energy,
-    stall_intervals, throughput_timeline, to_json, ChunkInfo,
+    analyze, buffer_trajectory, render_chunk_bars, replay_energy, stall_intervals,
+    throughput_timeline, to_json,
 };
 use mpdash::dash::abr::AbrKind;
 use mpdash::energy::DeviceProfile;
@@ -24,12 +25,11 @@ fn main() {
     );
     let report = StreamingSession::run(cfg);
 
-    let chunks: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
-    let splits = chunk_path_splits(&report.records, &chunks);
-    let a = analyze(&report.records, &chunks, 5);
+    let chunks = &report.chunks;
+    let a = analyze(chunks, report.idle_gaps, 5);
 
     println!("chunk bars (first 20 chunks):\n");
-    println!("{}", render_chunk_bars(&chunks[..20], &splits[..20], 30));
+    println!("{}", render_chunk_bars(&chunks[..20], 30));
 
     println!("throughput, first 60 s:");
     println!(
@@ -53,7 +53,7 @@ fn main() {
         "  cellular share   : {:.1}% of body bytes",
         a.cell_body_bytes as f64 / (a.cell_body_bytes + a.wifi_body_bytes).max(1) as f64 * 100.0
     );
-    println!("  idle gaps >0.5 s : {}", a.idle_gaps.len());
+    println!("  idle gaps >0.5 s : {}", a.idle_gaps);
     let stats = report.scheduler_stats;
     println!(
         "  scheduler        : {} toggles, {} missed deadlines, {} scheduled chunks",
@@ -83,7 +83,7 @@ fn main() {
     }
 
     // Machine-readable export for plotting pipelines.
-    let json = to_json(&chunks, &a);
+    let json = to_json(chunks, &a);
     let path = std::env::temp_dir().join("mpdash-session.json");
     std::fs::write(&path, &json).expect("write export");
     println!(

@@ -8,7 +8,7 @@
 //! cargo run --release --bin mpdash -- schema      # the scenario-key reference
 //! ```
 
-use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
+use mpdash::analysis::render_chunk_bars;
 use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::fleet::FleetConfig;
 use mpdash::scenario::{reference, Scenario};
@@ -252,6 +252,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         };
         if let Some(fleets) = scenario.fleet_configs() {
+            if show_chunks {
+                eprintln!(
+                    "error: --chunks draws the bars of solo sessions, and {path} is a fleet \
+                     (`mpdash explain {path} --client K` shows one client's chunks)\n{USAGE}"
+                );
+                return ExitCode::from(2);
+            }
             failed |= !run_fleet_scenario(&scenario.name, fleets, path, workers);
             continue;
         }
@@ -325,10 +332,8 @@ fn main() -> ExitCode {
                 );
             }
             if show_chunks {
-                let chunks: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
-                let splits = chunk_path_splits(&report.records, &chunks);
-                let n = chunks.len().min(20);
-                println!("{}", render_chunk_bars(&chunks[..n], &splits[..n], 24));
+                let n = report.chunks.len().min(20);
+                println!("{}", render_chunk_bars(&report.chunks[..n], 24));
             }
         }
         println!();

@@ -8,7 +8,6 @@
 //! number an untraced run produces.
 
 use crate::scenario::Scenario;
-use mpdash_analysis::{chunk_path_splits, ChunkInfo};
 use mpdash_fleet::BottleneckSummary;
 use mpdash_link::FaultScript;
 use mpdash_session::{
@@ -385,8 +384,6 @@ fn explain_chunks(
         events.windows(2).all(|w| w[0].0 <= w[1].0),
         "the trace ring is time-ordered"
     );
-    let infos: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
-    let splits = chunk_path_splits(&report.records, &infos);
     // Hedge-loser waste by chunk index, whenever it was settled:
     // resolved races carry the hedge-win overlap; a primary win's loser
     // settles separately when its cancelled body finishes draining.
@@ -408,8 +405,7 @@ fn explain_chunks(
     report
         .chunks
         .iter()
-        .zip(&splits)
-        .map(|(c, split)| {
+        .map(|c| {
             let started_s = c.started.as_secs_f64();
             let completed_s = c.completed.as_secs_f64();
             let fetch_s = completed_s - started_s;
@@ -510,8 +506,8 @@ fn explain_chunks(
                 size: c.size,
                 started_s,
                 completed_s,
-                wifi_bytes: split.wifi_bytes,
-                cell_bytes: split.cell_bytes,
+                wifi_bytes: c.overlap_bytes[0],
+                cell_bytes: c.overlap_bytes[1],
                 deadline,
                 faults,
                 transport,

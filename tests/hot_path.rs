@@ -1,6 +1,7 @@
 //! The single-session hot path does only necessary work — and the same
-//! work: a one-pass outage-bridging attribution equal to the nested scan
-//! it replaced, and a running link backlog equal to the sum it replaced.
+//! work: a one-pass chunk attribution equal to the nested scan and the
+//! capture replay it replaced, and a running link backlog equal to the
+//! sum it replaced.
 //! (One live RTO event per subflow is checked in `mpdash-mptcp`'s own
 //! tests, the event queue's lanes against a model in `mpdash-sim`'s.)
 //!
@@ -13,6 +14,7 @@
 //! And what a session keeps per packet is bounded: 16 bytes of log for
 //! a standalone session, nothing for a fleet client nobody traces.
 
+use mpdash::analysis::{chunk_path_splits, idle_gaps, IDLE_GAP};
 use mpdash::dash::abr::AbrKind;
 use mpdash::dash::video::Video;
 use mpdash::energy::{radio_energy, radio_energy_of, EnergyBreakdown, RadioMeter, RadioModel};
@@ -35,7 +37,7 @@ use std::collections::BTreeSet;
 /// What `into_report` did before its attribution became one pass: per
 /// chunk, scan every packet record for the body's stream range.
 fn outage_bridged_nested_scan(r: &SessionReport) -> u64 {
-    let bridged = |c: &&mpdash::session::ChunkLogEntry| {
+    let bridged = |c: &&mpdash::session::ChunkRecord| {
         let body = r
             .records
             .iter()
@@ -104,6 +106,12 @@ fn one_pass_outage_attribution_equals_the_nested_scan() {
             r.degradation.outage_bridged_chunks,
             outage_bridged_nested_scan(r)
         );
+        // The §6 tool's overlap split and idle gaps, as a replay of the
+        // capture would find them.
+        let bodies: Vec<_> = r.chunks.iter().map(|c| c.body_dss).collect();
+        let online: Vec<[u64; 2]> = r.chunks.iter().map(|c| c.overlap_bytes).collect();
+        assert_eq!(online, chunk_path_splits(&r.records, &bodies));
+        assert_eq!(r.idle_gaps, idle_gaps(&r.records, IDLE_GAP).len() as u64);
     }
     let [disassociated, resumed, hedged] = &reports;
     assert!(disassociated.degradation.outage_bridged_chunks > 0);

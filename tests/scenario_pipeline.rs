@@ -3,7 +3,7 @@
 //! This is the CLI's code path minus the printing, so the example file
 //! can never rot.
 
-use mpdash::analysis::{chunk_path_splits, render_chunk_bars, ChunkInfo};
+use mpdash::analysis::render_chunk_bars;
 use mpdash::dash::video::Video;
 use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::scenario::Scenario;
@@ -232,6 +232,28 @@ fn an_unknown_flag_is_a_usage_error() {
     }
 }
 
+/// `--chunks` draws the Figure 8 bars of solo sessions. A fleet scenario
+/// has none to draw, so asking for them is a usage error, not a fleet
+/// table printed without the bars it asked for.
+#[test]
+fn chunks_on_a_fleet_scenario_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+        .arg("--chunks")
+        .arg(format!(
+            "{}/scenarios/fleet.json",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .output()
+        .expect("mpdash runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--chunks draws the bars of solo sessions") && err.contains("usage: mpdash"),
+        "{err}"
+    );
+}
+
 /// A worker count that is set but unusable must stop the CLI before it
 /// runs anything: falling back to every core would make a 1-vs-4
 /// determinism comparison compare N with N.
@@ -323,8 +345,7 @@ fn summary(report: &SessionReport) -> String {
 
 /// Every chunk's Figure 8 bar, as `mpdash --chunks` draws them.
 fn chunk_bars(report: &SessionReport) -> String {
-    let infos: Vec<ChunkInfo> = report.chunks.iter().map(ChunkInfo::from).collect();
-    render_chunk_bars(&infos, &chunk_path_splits(&report.records, &infos), 24)
+    render_chunk_bars(&report.chunks, 24)
 }
 
 /// "Same behaviour bit for bit" as a tier-1 test: each digest below was
