@@ -1619,19 +1619,66 @@ mod tests {
     }
 
     #[test]
+    fn queue_pressure_sheds_arrivals_the_cap_would_admit() {
+        use mpdash_obs::{RingSink, Tracer};
+        use std::sync::Arc;
+        // A cap no arrival reaches: every shed here is the AP queue's, and
+        // client 5 is admitted between shed neighbours once the queue
+        // has drained below the threshold.
+        let ring = Arc::new(RingSink::new(1 << 10));
+        let threshold = 64 * 1024;
+        let cfg = FleetConfig::new(
+            base(TransportMode::Vanilla).with_tracer(Tracer::new(ring.clone())),
+            8,
+        )
+        .with_stagger(SimDuration::from_millis(700))
+        .with_shared(ap(6.0, QueueDiscipline::Fifo))
+        .with_overload(OverloadPolicy {
+            max_active: 8,
+            queue_threshold_bytes: threshold,
+        })
+        .with_seed(29);
+        let report = run(&cfg);
+        let shed: Vec<usize> = (0..8).filter(|&k| report.shed[k]).collect();
+        assert_eq!(shed, [4, 6, 7]);
+        let traced: Vec<usize> = (ring.events().into_iter())
+            .filter_map(|(_, e)| match e {
+                TraceEvent::SessionShed {
+                    client,
+                    active,
+                    queue_bytes,
+                } => {
+                    assert!(active < 8 && queue_bytes >= threshold, "client {client}");
+                    Some(client)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, shed);
+        let p = &report.profile;
+        assert_eq!(
+            [p.loop_iterations, p.session_steps, p.departures_popped],
+            [46_128, 41_442, 4_682]
+        );
+    }
+
+    #[test]
     fn the_watchdog_is_observe_only_and_checks_every_iteration() {
-        let mk = |wd: bool| {
-            FleetConfig::new(base(TransportMode::mpdash_rate_based()), 3)
+        let mk = |wd: bool, wall: bool| {
+            let cfg = FleetConfig::new(base(TransportMode::mpdash_rate_based()), 3)
                 .with_shared(ap(12.0, QueueDiscipline::Fifo))
                 .with_churn(ChurnSpec::new(
                     SimDuration::from_millis(500),
                     SimDuration::from_secs(20),
                 ))
                 .with_seed(17)
-                .with_watchdog(wd)
+                .with_watchdog(wd);
+            let cfg = if wall { cfg.with_wall_profile() } else { cfg };
+            run_checked(&cfg).expect("no invariant violations")
         };
-        let armed = run_checked(&mk(true)).expect("no invariant violations");
-        let disarmed = run_checked(&mk(false)).expect("watchdog off");
+        let armed = mk(true, false);
+        let disarmed = mk(false, false);
+        let timed = mk(true, true);
         assert!(
             armed.profile.watchdog_checks > armed.profile.loop_iterations,
             "time checks alone cover every iteration ({} checks, {} iterations)",
@@ -1644,6 +1691,25 @@ mod tests {
             disarmed.summary_json().to_pretty(),
             "arming the watchdog must change zero artifact bytes"
         );
+        // The stopwatch reads the host clock and steers nothing.
+        let counts = |r: &FleetReport| {
+            let p = &r.profile;
+            [
+                p.loop_iterations,
+                p.session_steps,
+                p.departures_popped,
+                p.watchdog_checks,
+            ]
+        };
+        assert_eq!(counts(&timed), counts(&armed));
+        assert_eq!(counts(&disarmed)[..3], counts(&armed)[..3]);
+        assert_eq!(
+            timed.summary_json().to_pretty(),
+            armed.summary_json().to_pretty()
+        );
+        assert!(armed.wall_profile.is_none() && disarmed.wall_profile.is_none());
+        let wall = timed.wall_profile.expect("asked for");
+        assert!(wall.step_ns > 0, "{wall:?}");
     }
 
     #[test]
