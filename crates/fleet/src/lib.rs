@@ -28,7 +28,7 @@
 use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
 use mpdash_obs::{
     telemetry_from_env, EpochCounter, EpochSeries, InvariantViolation, MetricsSnapshot,
-    TelemetrySpec, TraceEvent, Watchdog,
+    TelemetrySpec, TraceEvent, Tracer, Watchdog,
 };
 use mpdash_results::Json;
 use mpdash_session::{
@@ -36,6 +36,7 @@ use mpdash_session::{
     StreamingSession,
 };
 use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
+use std::time::Instant;
 
 mod next_event;
 use next_event::{Entity, NextEvent};
@@ -91,12 +92,6 @@ impl FleetCacheSpec {
             edge_delay: SimDuration::from_millis(5),
         }
     }
-
-    /// Same spec with a different edge-hit delay.
-    pub fn with_edge_delay(mut self, delay: SimDuration) -> Self {
-        self.edge_delay = delay;
-        self
-    }
 }
 
 /// Deterministic fleet churn: clients arrive at seeded exponential
@@ -129,12 +124,6 @@ impl ChurnSpec {
             mean_watch,
             min_watch: SimDuration::from_secs(4),
         }
-    }
-
-    /// Same spec with a different viewing floor.
-    pub fn with_min_watch(mut self, floor: SimDuration) -> Self {
-        self.min_watch = floor;
-        self
     }
 
     /// The deterministic `(arrival_offset, viewing_limit)` plan this
@@ -201,12 +190,6 @@ impl FaultDomainSpec {
         self
     }
 
-    /// Same domain with a shared cellular fault timeline.
-    pub fn with_cell(mut self, script: FaultScript) -> Self {
-        self.cell = script;
-        self
-    }
-
     /// Same domain with a shared server fault timeline.
     pub fn with_server(mut self, script: ServerFaultScript) -> Self {
         self.server = script;
@@ -239,12 +222,6 @@ impl OverloadPolicy {
             max_active: n,
             queue_threshold_bytes: u64::MAX,
         }
-    }
-
-    /// Same policy, also shedding while shared queues exceed `bytes`.
-    pub fn with_queue_threshold(mut self, bytes: u64) -> Self {
-        self.queue_threshold_bytes = bytes;
-        self
     }
 }
 
@@ -405,7 +382,8 @@ impl FleetConfig {
 /// Aggregate view of one shared bottleneck after the run.
 #[derive(Clone, Debug)]
 pub struct BottleneckSummary {
-    /// Discipline label (`"fifo"` / `"fq"`).
+    /// Discipline label: `"fifo"`, `"fq"`, `"pie"`, `"fq_pie"` or
+    /// `"codel"`.
     pub discipline: &'static str,
     /// Byte/packet conservation counters.
     pub stats: SharedStats,
@@ -453,10 +431,7 @@ impl FleetProfile {
             ("watchdog_checks", Json::from(self.watchdog_checks)),
             (
                 "epochs",
-                self.epochs
-                    .as_ref()
-                    .map(|e| e.to_json())
-                    .unwrap_or(Json::Null),
+                (self.epochs.as_ref()).map_or(Json::Null, EpochSeries::to_json),
             ),
         ])
     }
@@ -577,12 +552,7 @@ impl FleetReport {
                 ("stalls", Json::from(s.qoe_all.stalls)),
                 (
                     "startup_s",
-                    Json::Float(
-                        s.qoe_all
-                            .startup_delay
-                            .map(|d| d.as_secs_f64())
-                            .unwrap_or(0.0),
-                    ),
+                    Json::Float(s.qoe_all.startup_delay.map_or(0.0, |d| d.as_secs_f64())),
                 ),
                 (
                     "deadline_misses",
@@ -657,32 +627,159 @@ fn exponential(rng: &mut Prng, mean: SimDuration) -> SimDuration {
     mean.mul_f64(-(1.0 - rng.next_f64()).ln())
 }
 
-/// The fleet loop's own epoch series ([`FleetProfile::epochs`]) and its
-/// counters, resolved once per run. The per-iteration ones are summed in
-/// the series' handle slots and written once per epoch; a counter that
-/// never fires never appears as a key.
-struct LoopTelemetry {
-    series: EpochSeries,
-    loop_steps: EpochCounter,
-    loop_departures: EpochCounter,
-    loop_aqm_drops: EpochCounter,
-    fleet_arrivals: EpochCounter,
-    fleet_departures: EpochCounter,
-    fleet_shed: EpochCounter,
+/// One outcome of a fleet-loop iteration, with what the watchdog reads
+/// after it.
+enum Outcome<'a> {
+    Step(usize, &'a StreamingSession),
+    Departure(usize, &'a SharedBottleneck),
+    AqmDrop,
+    Arrival,
+    Finish,
+    Shed,
 }
 
-impl LoopTelemetry {
-    fn new(spec: TelemetrySpec) -> Self {
-        let mut series = EpochSeries::new(spec);
-        LoopTelemetry {
-            loop_steps: series.counter("loop_steps"),
-            loop_departures: series.counter("loop_departures"),
-            loop_aqm_drops: series.counter("loop_aqm_drops"),
-            fleet_arrivals: series.counter("fleet_arrivals"),
-            fleet_departures: series.counter("fleet_departures"),
-            fleet_shed: series.counter("fleet_shed"),
-            series,
+/// A count of [`FleetProfile`] or a phase of [`FleetWallProfile`].
+type Field<T> = fn(&mut T) -> &mut u64;
+type Row = (
+    &'static str,
+    Option<Field<FleetProfile>>,
+    Option<Field<FleetWallProfile>>,
+);
+
+/// Per [`Outcome`], in declaration order: its epoch counter, the
+/// [`FleetProfile`] count it adds to and the wall phase it closes.
+#[rustfmt::skip]
+const OUTCOMES: [Row; 6] = [
+    ("loop_steps",       Some(|p| &mut p.session_steps),     Some(|w| &mut w.step_ns)),
+    ("loop_departures",  Some(|p| &mut p.departures_popped), Some(|w| &mut w.pop_ns)),
+    ("loop_aqm_drops",   None,                               None),
+    ("fleet_arrivals",   None,                               None),
+    ("fleet_departures", None,                               Some(|w| &mut w.step_ns)),
+    ("fleet_shed",       None,                               Some(|w| &mut w.step_ns)),
+];
+
+/// Everything the fleet loop observes about itself, behind one call per
+/// outcome: the counts of [`FleetProfile`] and, each only when
+/// configured, the loop's epoch series, the wall stopwatch and the
+/// watchdog. Observe-only: it reads the loop and never steers it.
+struct LoopRecorder {
+    profile: FleetProfile,
+    /// A counter that never fires never appears as a key.
+    epochs: Option<(EpochSeries, [EpochCounter; 6])>,
+    /// The phases so far, and when the last one closed.
+    wall: Option<(FleetWallProfile, Instant)>,
+    watchdog: Option<Watchdog>,
+}
+
+impl LoopRecorder {
+    fn new(cfg: &FleetConfig, telemetry: Option<TelemetrySpec>) -> Self {
+        LoopRecorder {
+            profile: FleetProfile::default(),
+            epochs: telemetry.map(|spec| {
+                let mut series = EpochSeries::new(spec);
+                let counters = OUTCOMES.map(|(name, ..)| series.counter(name));
+                (series, counters)
+            }),
+            wall: (cfg.wall_profile).then(|| (FleetWallProfile::default(), Instant::now())),
+            watchdog: cfg.watchdog.unwrap_or(true).then(Watchdog::new),
         }
+    }
+
+    /// One scan for the earliest event, which fires at `t` (`None` ends
+    /// the run): virtual time must not run backwards.
+    fn scan(&mut self, t: Option<SimTime>) -> Result<(), InvariantViolation> {
+        self.profile.loop_iterations += 1;
+        self.charge(|w| &mut w.peek_ns);
+        match (t, self.watchdog.as_mut()) {
+            (Some(t), Some(wd)) => wd.check_time(t),
+            _ => Ok(()),
+        }
+    }
+
+    /// Record `what` at `t`, then let the watchdog check what it touched.
+    /// Inlined, so each call site reads its row of [`OUTCOMES`] as
+    /// constants.
+    #[inline(always)]
+    fn record(&mut self, t: SimTime, what: Outcome) -> Result<(), InvariantViolation> {
+        use Outcome::*;
+        let row = match what {
+            Step(..) => 0,
+            Departure(..) => 1,
+            AqmDrop => 2,
+            Arrival => 3,
+            Finish => 4,
+            Shed => 5,
+        };
+        let (_, count, phase) = OUTCOMES[row];
+        if let Some(count) = count {
+            *count(&mut self.profile) += 1;
+        }
+        if let Some((series, counters)) = self.epochs.as_mut() {
+            series.counter_add(t, counters[row], 1);
+        }
+        if let Some(phase) = phase {
+            self.charge(phase);
+        }
+        match (what, self.watchdog.as_mut()) {
+            (Step(k, session), Some(wd)) => {
+                wd.check_breakers(k, session.breaker_sanity())?;
+                let (hedges, wins_primary, wins_hedge) = session.hedge_accounting();
+                wd.check_hedges(k, hedges, wins_primary, wins_hedge)
+            }
+            (Departure(i, bn), Some(wd)) => wd.check_conservation(i, bn.conservation_counters()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Charge the wall time since the last charge to `phase`. It never
+    /// branches on wall time, so it cannot perturb the interleave.
+    fn charge(&mut self, phase: Field<FleetWallProfile>) {
+        if let Some((wall, mark)) = self.wall.as_mut() {
+            let now = Instant::now();
+            *phase(wall) += now.duration_since(*mark).as_nanos() as u64;
+            *mark = now;
+        }
+    }
+
+    fn finish(mut self) -> (FleetProfile, Option<FleetWallProfile>) {
+        self.profile.watchdog_checks = self.watchdog.map_or(0, |wd| wd.checks());
+        self.profile.epochs = self.epochs.map(|(mut series, _)| {
+            series.flush();
+            series
+        });
+        (self.profile, self.wall.map(|(wall, _)| wall))
+    }
+}
+
+/// Admission control, built only under an [`OverloadPolicy`].
+struct Admission<'a> {
+    policy: OverloadPolicy,
+    /// Admitted, unfinished sessions.
+    active: usize,
+    /// Sheds happen outside any one session; observe-only.
+    tracer: Tracer,
+    /// Whose queues a shed reads.
+    bottlenecks: &'a [SharedBottleneck],
+    shed: Vec<bool>,
+}
+
+impl Admission<'_> {
+    /// Whether client `k`, arriving at `t`, may start. A shed session
+    /// never steps, so its report is empty.
+    fn admit(&mut self, t: SimTime, k: usize, session: &mut StreamingSession) -> bool {
+        let queue = (self.bottlenecks.iter().map(|b| b.occupancy_bytes()).max()).unwrap_or(0);
+        if self.active < self.policy.max_active && queue < self.policy.queue_threshold_bytes {
+            self.active += 1;
+            return true;
+        }
+        session.mark_shed();
+        self.shed[k] = true;
+        self.tracer.emit_with(t, || TraceEvent::SessionShed {
+            client: k,
+            active: self.active as u64,
+            queue_bytes: queue,
+        });
+        false
     }
 }
 
@@ -714,6 +811,16 @@ impl Client {
             Client::Live(session, phase) if *phase != Phase::Done => session.peek_time(),
             _ => None,
         }
+    }
+
+    /// Its session and phase. A client that wakes, or owns a packet a
+    /// bottleneck hands back, is live: it is reported only once it is
+    /// done and owns no queued packet.
+    fn live(&mut self) -> (&mut StreamingSession, &mut Phase) {
+        let Client::Live(session, phase) = self else {
+            unreachable!("a reported client was touched")
+        };
+        (session, phase)
     }
 }
 
@@ -757,6 +864,73 @@ fn earliest_by_scan(
     departures.chain(wakes).min_by_key(|&(t, _)| t)
 }
 
+/// Each client's session config, in client order: the base at the
+/// client's arrival and RTT skew, reseeded from the fleet seed, with each
+/// covering fault domain's timelines merged into its own scripts (shared
+/// window, private coin flips: the draws still come from its link seeds).
+fn client_configs<'a>(
+    cfg: &'a FleetConfig,
+    telemetry: Option<TelemetrySpec>,
+    cache: Option<&'a SharedSegmentCache>,
+) -> impl Iterator<Item = SessionConfig> + 'a {
+    let n = cfg.clients;
+    let churn = cfg.churn.map(|ch| ch.plan(cfg.seed, n));
+    // Each domain's members in client order (a client listed twice is one
+    // member), consumed as the clients are built.
+    let mut domains: Vec<_> = (cfg.fault_domains.iter())
+        .map(|dom| {
+            let mut members = dom.members.clone();
+            members.sort_unstable();
+            members.dedup();
+            if let Some(&k) = members.last() {
+                let label = &dom.label;
+                assert!(
+                    k < n,
+                    "fault domain {label:?} member {k} names none of the {n} clients"
+                );
+            }
+            (dom, members.into_iter().peekable())
+        })
+        .collect();
+    (0..n).map(move |k| {
+        let mut sc = cfg.base.clone();
+        match churn.as_ref() {
+            Some(plan) => (sc.start_offset, sc.max_watch) = (plan[k].0, Some(plan[k].1)),
+            None => sc.start_offset = cfg.stagger * k as u64,
+        }
+        sc.telemetry = telemetry;
+        let skew = cfg.rtt_skew * k as u64;
+        sc.wifi.delay += skew;
+        sc.cell.delay += skew;
+        let client_seed = derive_seed(cfg.seed, k as u64);
+        sc.wifi.seed = derive_seed(client_seed, 0);
+        sc.cell.seed = derive_seed(client_seed, 1);
+        // Per-client retry jitter: a shared fault burst must not make
+        // every client back off in lockstep and re-stampede together.
+        sc.lifecycle = sc.lifecycle.with_seed(derive_seed(client_seed, 2));
+        sc.cache = cache.cloned().or(sc.cache);
+        if cfg.trace_client != Some(k) {
+            sc.tracer = Tracer::disabled();
+        }
+        for (dom, members) in &mut domains {
+            if members.next_if_eq(&k).is_none() {
+                continue;
+            }
+            for (link, shared) in [(&mut sc.wifi, &dom.wifi), (&mut sc.cell, &dom.cell)] {
+                if !shared.is_empty() {
+                    let own = link.faults.take().unwrap_or_default();
+                    let events = shared.events().iter().cloned();
+                    link.faults = Some(events.fold(own, FaultScript::with_event));
+                }
+            }
+            let own = std::mem::take(&mut sc.server_faults);
+            let events = dom.server.events().iter().copied();
+            sc.server_faults = events.fold(own, ServerFaultScript::with_event);
+        }
+        sc
+    })
+}
+
 /// Run one fleet to completion. Deterministic: a pure function of the
 /// configuration (tracing included — it is observe-only).
 ///
@@ -787,38 +961,14 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     );
     // One resolution for the whole fleet: clients, bottlenecks, and the
     // loop profiler all observe on the same epoch grid (or not at all).
-    let telemetry = cfg
-        .telemetry
-        .or(cfg.base.telemetry)
-        .or_else(telemetry_from_env);
+    let telemetry = (cfg.telemetry.or(cfg.base.telemetry)).or_else(telemetry_from_env);
     let cache = cfg
         .cache
         .map(|spec| SharedSegmentCache::new(spec.capacity_bytes).with_edge_delay(spec.edge_delay));
-    // Churn plan: cumulative exponential arrivals plus a floored
-    // viewing draw per client (see [`ChurnSpec::plan`]).
-    let churn_plan: Option<Vec<(SimDuration, SimDuration)>> =
-        cfg.churn.map(|ch| ch.plan(cfg.seed, n));
-    // Fault-domain membership by client index, resolved once per domain.
-    let in_domain: Vec<Vec<bool>> = cfg
-        .fault_domains
-        .iter()
-        .map(|dom| {
-            let mut member = vec![false; n];
-            for &k in &dom.members {
-                assert!(
-                    k < n,
-                    "fault domain {:?} member {k} names none of the {n} clients",
-                    dom.label
-                );
-                member[k] = true;
-            }
-            member
-        })
-        .collect();
-    // The shared topology. Each client subscribes its paths as it is
-    // built, in client-major order per bottleneck, so `route[b][flow]`
-    // maps a bottleneck's flow id back to (client, path). A started
-    // session has only queued its first upstream request: no data-link
+    let configs = client_configs(cfg, telemetry, cache.as_ref());
+    // The shared topology. Each client subscribes its paths as it is built,
+    // in client-major order, so `route[b][flow]` is a flow's (client, path).
+    // A started session has only queued its first request: no data-link
     // transmit has happened yet.
     let bottlenecks: Vec<SharedBottleneck> = (cfg.shared.iter())
         .map(|spec| {
@@ -829,62 +979,16 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
             bn
         })
         .collect();
+    let mut next = NextEvent::new(bottlenecks.len(), n);
     let mut route: Vec<Vec<(usize, PathId)>> = (cfg.shared.iter())
         .map(|spec| Vec::with_capacity(n * spec.paths.len()))
         .collect();
-    let mut clients: Vec<Client> = (0..n)
-        .map(|k| {
-            let mut sc = cfg.base.clone();
-            match churn_plan.as_ref() {
-                Some(plan) => {
-                    let (arrive, watch) = plan[k];
-                    sc.start_offset = arrive;
-                    sc.max_watch = Some(watch);
-                }
-                None => sc.start_offset = cfg.stagger * k as u64,
-            }
-            sc.telemetry = telemetry;
-            // Correlated fault domains: merge every covering domain's
-            // shared timeline into this member's own scripts. The
-            // packet-level draws inside those windows still come from
-            // the member's link seeds below — shared window, private
-            // coin flips.
-            for (dom, member) in cfg.fault_domains.iter().zip(&in_domain) {
-                if !member[k] {
-                    continue;
-                }
-                for (link, shared) in [(&mut sc.wifi, &dom.wifi), (&mut sc.cell, &dom.cell)] {
-                    if !shared.is_empty() {
-                        let own = link.faults.take().unwrap_or_default();
-                        let events = shared.events().iter().cloned();
-                        link.faults = Some(events.fold(own, FaultScript::with_event));
-                    }
-                }
-                let own = std::mem::take(&mut sc.server_faults);
-                let events = dom.server.events().iter().copied();
-                sc.server_faults = events.fold(own, ServerFaultScript::with_event);
-            }
-            let skew = cfg.rtt_skew * k as u64;
-            sc.wifi.delay += skew;
-            sc.cell.delay += skew;
-            let client_seed = derive_seed(cfg.seed, k as u64);
-            sc.wifi.seed = derive_seed(client_seed, 0);
-            sc.cell.seed = derive_seed(client_seed, 1);
-            // Per-client retry jitter: derive an independent lifecycle
-            // seed so a shared fault burst does not make every client
-            // back off in lockstep and re-stampede the server together.
-            sc.lifecycle = sc.lifecycle.with_seed(derive_seed(client_seed, 2));
-            if let Some(cache) = cache.as_ref() {
-                sc.cache = Some(cache.clone());
-            }
+    let mut clients: Vec<Client> = (configs.enumerate())
+        .map(|(k, sc)| {
+            let mut session = StreamingSession::start(sc);
             // Only the traced client keeps its packet log: nothing reads
             // another's, and the logs would be most of a fleet's heap.
-            let traced = traced == Some(k);
-            if !traced {
-                sc.tracer = mpdash_obs::Tracer::disabled();
-            }
-            let mut session = StreamingSession::start(sc);
-            session.set_logging(traced);
+            session.set_logging(traced == Some(k));
             for ((spec, bn), flows) in cfg.shared.iter().zip(&bottlenecks).zip(&mut route) {
                 for &path in &spec.paths {
                     let flow = session.attach_shared(path, bn);
@@ -892,178 +996,79 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                     flows.push((k, path));
                 }
             }
+            next.set_session(k, session.peek_time());
             Client::Live(Box::new(session), Phase::Arriving)
         })
         .collect();
 
-    // The fleet event loop: pop the globally earliest event. Tie-break
-    // is (time, bottleneck-before-session, index), which both makes the
-    // interleaving deterministic and guarantees departures at time t
-    // precede any new offers made at t. `next` caches every entity's next
-    // fire time — bottlenecks in an array it scans first, sessions in a
-    // tree of packed keys — and each arm below re-keys exactly the
-    // entities it can have changed.
-    let mut next = NextEvent::new(bottlenecks.len(), n);
-    for (k, client) in clients.iter().enumerate() {
-        next.set_session(k, client.wake());
-    }
-    // Admitted, unfinished sessions. The overload policy only ever sheds
-    // an arriving session, at its arrival instant.
-    let mut active = 0usize;
-    let mut shed = vec![false; n];
-    let mut watchdog = cfg.watchdog.unwrap_or(true).then(Watchdog::new);
-    // Fleet-level trace hook (shed decisions happen outside any one
-    // session); observe-only like every tracer.
-    let fleet_tracer = cfg.base.tracer.or_env();
-    let mut profile = FleetProfile::default();
-    let mut epochs = telemetry.map(LoopTelemetry::new);
-    // Add one to a loop counter at `t`, when telemetry is on.
-    let mut tally = |t: SimTime, pick: fn(&LoopTelemetry) -> EpochCounter| {
-        if let Some(e) = epochs.as_mut() {
-            let counter = pick(e);
-            e.series.counter_add(t, counter, 1);
-        }
-    };
-    let mut wall = cfg.wall_profile.then(FleetWallProfile::default);
-    let mut mark = wall.map(|_| std::time::Instant::now());
-    // Charge elapsed wall time to one phase and re-arm the stopwatch.
-    // A no-op (never branches on wall time) unless wall_profile is set,
-    // so profiling cannot perturb the deterministic interleave.
-    let mut charge = move |wall: &mut Option<FleetWallProfile>,
-                           pick: fn(&mut FleetWallProfile) -> &mut u64| {
-        if let (Some(w), Some(m)) = (wall.as_mut(), mark.as_mut()) {
-            let now = std::time::Instant::now();
-            *pick(w) += now.duration_since(*m).as_nanos() as u64;
-            *m = now;
-        }
-    };
+    // The fleet event loop pops the globally earliest event, ties going to
+    // bottlenecks, so departures at t precede any offer made at t. `next`
+    // caches every entity's next fire time; each arm re-keys exactly the
+    // entities it can have changed. A departure hands its packet, and each
+    // CoDel casualty dropped while choosing it, back to its owner. A
+    // client's first wake is its arrival, where admission runs; a step's
+    // offers start service only at an idle bottleneck.
+    let mut admission = cfg.overload.map(|policy| Admission {
+        policy,
+        active: 0,
+        tracer: cfg.base.tracer.or_env(),
+        bottlenecks: &bottlenecks,
+        shed: vec![false; n],
+    });
+    let mut rec = LoopRecorder::new(cfg, telemetry);
     loop {
         let best = next.earliest();
-        charge(&mut wall, |w| &mut w.peek_ns);
-        profile.loop_iterations += 1;
+        rec.scan(best.map(|(t, _)| t))?;
         debug_assert_eq!(best, earliest_by_scan(&bottlenecks, &clients));
         let Some((t, entity)) = best else { break };
-        if let Some(wd) = watchdog.as_mut() {
-            wd.check_time(t)?;
-        }
         match entity {
             Entity::Bottleneck(i) => {
-                // A bottleneck hands a packet back only to a live client:
-                // one is reported only once it owns no queued packet.
                 let d = bottlenecks[i].pop_departure().expect("departure peeked");
                 let (k, path) = route[i][d.flow];
-                let Client::Live(session, _) = &mut clients[k] else {
-                    unreachable!("a departure for a reported client")
-                };
-                session.on_shared_departure(path, d.ticket, d.at, d.marked);
-                // CoDel drops packets at dequeue time, while choosing this
-                // departure; route each casualty back to its owner so the
-                // per-flow ticket FIFO stays aligned. Empty (and
-                // allocation-free) unless a dequeue-time AQM is active.
+                let (owner, _) = clients[k].live();
+                owner.on_shared_departure(path, d.ticket, d.at, d.marked);
                 for drop in bottlenecks[i].take_aqm_drops() {
                     let (dk, dpath) = route[i][drop.flow];
-                    let Client::Live(session, _) = &mut clients[dk] else {
-                        unreachable!("a drop for a reported client")
-                    };
-                    session.on_shared_drop(dpath, drop.ticket, drop.at);
+                    let (owner, _) = clients[dk].live();
+                    owner.on_shared_drop(dpath, drop.ticket, drop.at);
                     settle(&mut next, &mut clients, dk);
-                    tally(t, |e| e.loop_aqm_drops);
+                    rec.record(t, Outcome::AqmDrop)?;
                 }
-                profile.departures_popped += 1;
-                tally(t, |e| e.loop_departures);
-                if let Some(wd) = watchdog.as_mut() {
-                    wd.check_conservation(i, bottlenecks[i].conservation_counters())?;
-                }
-                charge(&mut wall, |w| &mut w.pop_ns);
-                // A departure starts the bottleneck's next service and
-                // schedules the packet's arrival at its owner; a dropped
-                // packet schedules nothing. (Re-keying is charged to the
-                // next iteration's peek.)
+                rec.record(t, Outcome::Departure(i, &bottlenecks[i]))?;
                 next.departures[i] = bottlenecks[i].next_departure();
                 settle(&mut next, &mut clients, k);
             }
             Entity::Session(k) => {
-                // Only a client that is not done has an event to wake for.
-                let Client::Live(session, phase) = &mut clients[k] else {
-                    unreachable!("a reported client woke")
-                };
+                let (session, phase) = clients[k].live();
                 if *phase == Phase::Arriving {
-                    // First event of session k is its arrival wake —
-                    // admission control runs before it can issue any
-                    // request.
-                    if let Some(policy) = cfg.overload {
-                        let queue = bottlenecks
-                            .iter()
-                            .map(|b| b.occupancy_bytes())
-                            .max()
-                            .unwrap_or(0);
-                        if active >= policy.max_active || queue >= policy.queue_threshold_bytes {
-                            // Shed: the session never steps, so its
-                            // queued arrival wake is simply abandoned
-                            // and its report is empty.
-                            session.mark_shed();
-                            *phase = Phase::Done;
-                            shed[k] = true;
-                            tally(t, |e| e.fleet_shed);
-                            fleet_tracer.emit_with(t, || TraceEvent::SessionShed {
-                                client: k,
-                                active: active as u64,
-                                queue_bytes: queue,
-                            });
-                            charge(&mut wall, |w| &mut w.step_ns);
-                            settle(&mut next, &mut clients, k);
-                            continue;
-                        }
+                    if admission.as_mut().is_none_or(|a| a.admit(t, k, session)) {
+                        *phase = Phase::Active;
+                        rec.record(t, Outcome::Arrival)?;
+                    } else {
+                        *phase = Phase::Done;
+                        rec.record(t, Outcome::Shed)?;
                     }
-                    *phase = Phase::Active;
-                    active += 1;
-                    tally(t, |e| e.fleet_arrivals);
                 }
-                session.step_once();
-                profile.session_steps += 1;
-                tally(t, |e| e.loop_steps);
-                if let Some(wd) = watchdog.as_mut() {
-                    wd.check_breakers(k, session.breaker_sanity())?;
-                    let (hedges, wins_primary, wins_hedge) = session.hedge_accounting();
-                    wd.check_hedges(k, hedges, wins_primary, wins_hedge)?;
+                if *phase == Phase::Active {
+                    session.step_once();
+                    rec.record(t, Outcome::Step(k, session))?;
+                    if session.finished() {
+                        *phase = Phase::Done;
+                        admission.iter_mut().for_each(|a| a.active -= 1);
+                        rec.record(t, Outcome::Finish)?;
+                    }
                 }
-                if session.finished() {
-                    // A finished session's leftover timers are abandoned,
-                    // exactly as a standalone session abandons them.
-                    *phase = Phase::Done;
-                    active -= 1;
-                    tally(t, |e| e.fleet_departures);
-                }
-                charge(&mut wall, |w| &mut w.step_ns);
-                // A step changes its own queue and may offer packets,
-                // which start service only at an idle bottleneck: a busy
-                // one's departure time was fixed when its service began.
                 settle(&mut next, &mut clients, k);
-                for (i, bn) in bottlenecks.iter().enumerate() {
-                    if next.departures[i].is_none() {
-                        next.departures[i] = bn.next_departure();
-                    }
-                    debug_assert_eq!(next.departures[i], bn.next_departure());
+                for (at, bn) in next.departures.iter_mut().zip(&bottlenecks) {
+                    *at = at.or_else(|| bn.next_departure());
+                    debug_assert_eq!(*at, bn.next_departure());
                 }
             }
         }
     }
-    profile.epochs = epochs.map(|mut e| {
-        e.series.flush();
-        e.series
-    });
-    let unfinished = (clients.iter())
-        .filter(|c| matches!(c, Client::Live(_, Phase::Arriving | Phase::Active)))
-        .count();
-    assert!(
-        unfinished == 0,
-        "fleet deadlocked: {unfinished} of {n} clients unfinished"
-    );
-    profile.watchdog_checks = watchdog.as_ref().map_or(0, Watchdog::checks);
+    let (profile, wall_profile) = rec.finish();
 
-    let bottlenecks: Vec<BottleneckSummary> = bottlenecks
-        .iter()
-        .zip(&cfg.shared)
+    let bottlenecks: Vec<BottleneckSummary> = (bottlenecks.iter().zip(&cfg.shared))
         .map(|(bn, spec)| {
             let stats = bn.stats();
             assert!(stats.conserved(), "bottleneck conservation: {stats:?}");
@@ -1076,48 +1081,42 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         })
         .collect();
 
-    // The loop ends with no packet queued anywhere, so every client,
-    // done and owning none, was settled into its report.
-    let sessions: Vec<SessionReport> = clients
-        .into_iter()
-        .map(|c| match c {
-            Client::Reported(report) => *report,
-            Client::Live(..) => unreachable!("the loop ended with a live client"),
+    // The loop ends with no packet queued anywhere, so every finished
+    // client, owning none, was settled into its report.
+    let sessions: Vec<SessionReport> = (clients.into_iter())
+        .filter_map(|c| match c {
+            Client::Reported(report) => Some(*report),
+            Client::Live(..) => None,
         })
         .collect();
+    let unfinished = n - sessions.len();
+    assert!(
+        unfinished == 0,
+        "fleet deadlocked: {unfinished} of {n} clients unfinished"
+    );
+    let shed = admission.map_or_else(|| vec![false; n], |a| a.shed);
     // Fleet-wide series: fold every client's series in client order.
     // merge() is associative + commutative, so any other fold order —
     // e.g. shard-local partial merges under MPDASH_WORKERS — yields the
     // same bytes.
     let epochs = telemetry.map(|spec| {
         let mut all = EpochSeries::new(spec);
-        for s in &sessions {
-            if let Some(e) = &s.epochs {
-                all.merge(e);
-            }
+        for e in sessions.iter().filter_map(|s| s.epochs.as_ref()) {
+            all.merge(e);
         }
         all
     });
-    let bitrates: Vec<f64> = sessions
-        .iter()
-        .map(|s| s.qoe_all.mean_bitrate_mbps)
-        .collect();
-    let cell: Vec<f64> = sessions.iter().map(|s| s.cell_bytes as f64).collect();
-    let missed: u64 = sessions
-        .iter()
-        .map(|s| s.scheduler_stats.missed_deadlines)
-        .sum();
-    let completed: u64 = sessions
-        .iter()
-        .map(|s| s.scheduler_stats.completed_transfers)
-        .sum();
+    let sum = |f: fn(&SessionReport) -> u64| sessions.iter().map(f).sum::<u64>();
+    let jain_of = |f: fn(&SessionReport) -> f64| jain(&sessions.iter().map(f).collect::<Vec<_>>());
+    let completed = sum(|s| s.scheduler_stats.completed_transfers);
     Ok(FleetReport {
-        jain_bitrate: jain(&bitrates),
-        jain_cell_bytes: jain(&cell),
-        deadline_miss_rate: missed as f64 / completed.max(1) as f64,
-        total_wifi_bytes: sessions.iter().map(|s| s.wifi_bytes).sum(),
-        total_cell_bytes: sessions.iter().map(|s| s.cell_bytes).sum(),
-        total_stalls: sessions.iter().map(|s| s.qoe_all.stalls).sum(),
+        jain_bitrate: jain_of(|s| s.qoe_all.mean_bitrate_mbps),
+        jain_cell_bytes: jain_of(|s| s.cell_bytes as f64),
+        deadline_miss_rate: sum(|s| s.scheduler_stats.missed_deadlines) as f64
+            / completed.max(1) as f64,
+        total_wifi_bytes: sum(|s| s.wifi_bytes),
+        total_cell_bytes: sum(|s| s.cell_bytes),
+        total_stalls: sum(|s| s.qoe_all.stalls),
         shed_sessions: shed.iter().filter(|&&s| s).count() as u64,
         departed_sessions: sessions.iter().filter(|s| s.departed).count() as u64,
         shed,
@@ -1125,7 +1124,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
         cache: cache.map(|c| c.stats()),
         epochs,
         profile,
-        wall_profile: wall,
+        wall_profile,
         sessions,
     })
 }

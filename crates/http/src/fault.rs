@@ -2,7 +2,7 @@
 //! adverse *application-layer* behaviour, mirroring the link layer's
 //! [`FaultScript`](../../mpdash_link/fault/index.html) one layer up.
 //!
-//! PR 2's link faults exercise the transport (loss, latency, outages)
+//! The link faults exercise the transport (loss, latency, outages)
 //! but a perfectly healthy pair of paths can still starve a player when
 //! the *server* misbehaves: CDN edges return 5xx bursts under load,
 //! origin fetches stall a response body halfway through, and overloaded

@@ -17,7 +17,7 @@
 //!   call, [`HttpLayer::get`]. The paper's single server is origin 0 of
 //!   a one-entry list.
 //!
-//! On top of the framing sit the PR 4 robustness pieces:
+//! On top of the framing sit the pieces that keep a request robust:
 //!
 //! * [`fault`] — a scripted server-side fault model (5xx bursts, stalled
 //!   response bodies, slow first byte) mirroring `mpdash-link::fault`;
