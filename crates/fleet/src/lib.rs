@@ -1083,12 +1083,11 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
 
     // The loop ends with no packet queued anywhere, so every finished
     // client, owning none, was settled into its report.
-    let sessions: Vec<SessionReport> = (clients.into_iter())
-        .filter_map(|c| match c {
-            Client::Reported(report) => Some(*report),
-            Client::Live(..) => None,
-        })
-        .collect();
+    let mut sessions = Vec::with_capacity(n);
+    sessions.extend(clients.into_iter().filter_map(|c| match c {
+        Client::Reported(report) => Some(*report),
+        Client::Live(..) => None,
+    }));
     let unfinished = n - sessions.len();
     assert!(
         unfinished == 0,
