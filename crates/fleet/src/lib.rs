@@ -665,7 +665,7 @@ const OUTCOMES: [Row; 6] = [
 struct LoopRecorder {
     profile: FleetProfile,
     /// A counter that never fires never appears as a key.
-    epochs: Option<(EpochSeries, [EpochCounter; 6])>,
+    epochs: Option<(EpochSeries, [EpochCounter; OUTCOMES.len()])>,
     /// The phases so far, and when the last one closed.
     wall: Option<(FleetWallProfile, Instant)>,
     watchdog: Option<Watchdog>,
