@@ -53,7 +53,7 @@ pub struct ChunkRecord {
 impl ChunkRecord {
     /// Fraction of the chunk's overlap-attributed bytes that used
     /// cellular.
-    pub fn cell_fraction(&self) -> f64 {
+    pub(crate) fn cell_fraction(&self) -> f64 {
         let [wifi, cell] = self.overlap_bytes;
         if wifi + cell == 0 {
             0.0

@@ -61,7 +61,7 @@ fn with_adapter(f: impl FnOnce(&mut AdapterConfig)) -> SessionConfig {
 }
 
 /// Compute all ablations as one batch.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res =
         ExperimentResult::new("ablation", "Ablations — MP-DASH design choices").with_quick(quick);
 

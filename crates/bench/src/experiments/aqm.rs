@@ -179,7 +179,7 @@ fn row_of(t: &mut Table, head: [String; 2], c: &Cell) {
 
 /// Compute the AQM grid: modes × disciplines, then (full mode) the
 /// controller sweeps.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "aqm",
         "AQM on the shared AP — FIFO vs PIE vs FQ-PIE under streaming fleets",

@@ -209,7 +209,7 @@ fn cell(cfg: &FleetConfig) -> Cell {
 
 /// Compute the churn grid: churn levels × severities × policies as one
 /// batch.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "churn",
         "Fleet churn — arrivals/departures, correlated fault domains, overload shedding",

@@ -128,7 +128,7 @@ fn window_cell_bytes(r: &SessionReport, window: (f64, f64)) -> u64 {
 }
 
 /// Compute the resilience matrix: fault cases × modes as one batch.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "faults",
         "Resilience matrix — fault injection on the preferred path",

@@ -15,7 +15,7 @@ use mpdash_session::{StreamingSession, TransportMode};
 use mpdash_sim::{Series, SimDuration};
 
 /// Compute the experiment (one session, so `workers` goes unused).
-pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig1",
         "Figure 1 — vanilla MPTCP throughput while streaming DASH (W3.8/L3.0)",

@@ -33,7 +33,7 @@ fn config(mode: TransportMode) -> SessionConfig {
 }
 
 /// Compute the experiment (three sessions, batched).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig11",
         "Figure 11 — mobility walk (WiFi 5↔0 Mbps, LTE 5 Mbps, FESTIVE)",

@@ -16,7 +16,7 @@ fn oscillations(report: &SessionReport) -> (usize, Vec<usize>) {
 }
 
 /// Compute the experiment (two sessions, batched).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig3",
         "Figure 3 — BBA bitrate oscillation at MPTCP capacity ~3.4 Mbps",

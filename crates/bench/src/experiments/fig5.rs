@@ -13,7 +13,7 @@ use mpdash_trace::table1;
 
 /// Compute the experiment. Pure prediction replay: `quick` only tags
 /// the artifact and there is nothing to fan out over `workers`.
-pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig5",
         "Figure 5 — bandwidth traces and Holt-Winters prediction",

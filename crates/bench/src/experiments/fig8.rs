@@ -15,7 +15,7 @@ use mpdash_results::ExperimentResult;
 use mpdash_session::TransportMode;
 
 /// Compute the experiment (three sessions, batched).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig8",
         "Figure 8 — analysis-tool chunk bars (FESTIVE, W3.8/L3.0)",

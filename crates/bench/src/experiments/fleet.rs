@@ -73,7 +73,7 @@ fn cell(r: &FleetReport) -> Cell {
 }
 
 /// Compute the fleet grid: sizes × disciplines × modes as one batch.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fleet",
         "Fleet contention — N clients sharing an AP and a cell sector",

@@ -99,7 +99,7 @@ fn policies() -> [(&'static str, LifecyclePolicy); 3] {
 }
 
 /// Compute the lifecycle matrix: fault scripts × policies as one batch.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "lifecycle",
         "Request-lifecycle matrix — server-side faults x timeout/abandon/resume policy",

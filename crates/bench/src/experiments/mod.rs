@@ -3,7 +3,7 @@
 //!
 //! Every module exposes `result(quick, workers) -> ExperimentResult`,
 //! which **computes** the experiment: it lists the grid's cells once
-//! (key + config), runs them through [`crate::grid::Grid`] on `workers`
+//! (key + config), runs them through `crate::grid::Grid` on `workers`
 //! threads, and folds the keyed results into typed blocks (tables, CDF
 //! summaries, series, scalars). [`ALL`] registers the modules; the `exp`
 //! binary looks names up in it and hands each to [`run`], which
@@ -86,7 +86,7 @@ pub static ALL: [Experiment; 21] = [
 
 /// Resolve `exp`'s positional arguments: `all` (alone) is every
 /// experiment in [`ALL`] order, anything else must be registered names.
-pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+pub(crate) fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
     if names == ["all"] {
         return Ok(ALL.iter().collect());
     }

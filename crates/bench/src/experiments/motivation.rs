@@ -33,7 +33,7 @@ fn classify(frac: f64) -> Scenario {
 
 /// Compute the study: two sessions per corpus location (WiFi-only and
 /// vanilla MPTCP) as one flat batch. `quick` keeps the first 8 locations.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "motivation",
         "§2.2 motivation — can WiFi alone sustain the top bitrate?",

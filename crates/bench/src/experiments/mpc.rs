@@ -25,7 +25,7 @@ const MODES: [(&str, ModeCtor); 3] = [
 ];
 
 /// Compute the experiment (the 3 conditions × 3 modes grid as one batch).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "mpc",
         "Extension — MPC (hybrid) rate adaptation under MP-DASH (§5.2.3)",

@@ -151,7 +151,7 @@ fn miss_rate(r: &SessionReport) -> f64 {
 
 /// Compute the multi-origin grid: the serving strategies, then the
 /// cache-fronted fleets.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "origin",
         "Multi-origin serving — breakers, hedged failover, and the edge cache under an outage",

@@ -72,7 +72,7 @@ fn fleet_cell(r: &FleetReport) -> FleetCell {
 }
 
 /// Compute the scheduler grid: the solo cells, then the fleet cells.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "sched",
         "Packet schedulers — minRTT vs round-robin vs QAware, solo and fleet",

@@ -13,7 +13,7 @@ use mpdash_trace::table1::table1_rows;
 
 /// Compute the experiment. Pure CPU (no sessions): `quick` only tags
 /// the artifact and there is nothing to fan out over `workers`.
-pub fn result(quick: bool, _workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab2",
         "Table 2 — online vs optimal cellular usage (trace-driven)",

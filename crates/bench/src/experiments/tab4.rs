@@ -16,7 +16,7 @@ use mpdash_session::TransportMode;
 use mpdash_sim::SimDuration;
 
 /// Compute the experiment (four sessions, batched).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab4",
         "Table 4 — cellular throttling vs MP-DASH (GPAC, W3.8/L3.0)",

@@ -30,7 +30,7 @@ fn config(abr: AbrKind, mode: TransportMode) -> SessionConfig {
 
 /// Compute the experiment (four sessions — baseline + MP-DASH per ABR —
 /// as one batch).
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab6",
         "Table 6 — HD video (Tears of Steel HD, aggregate < top rate)",

@@ -2,9 +2,9 @@
 //!
 //! An experiment lists its cells **once**: each cell is a key — the
 //! tuple of axis values that names it, e.g. `(clients, mode, sched)` —
-//! plus the config it runs. [`Grid::run`] fans the cells over the typed
+//! plus the config it runs. `Grid::run` fans the cells over the typed
 //! batch runner ([`mpdash_session::run_batch`]) and hands the fold a
-//! [`Grid`] of results it walks in construction order (`iter`,
+//! `Grid` of results it walks in construction order (`iter`,
 //! `sections`) and cross-references by key (`grid[(abr, cond,
 //! "Baseline")]`) — so no fold re-enumerates the axes, and a baseline is
 //! named, not counted to.
@@ -20,7 +20,7 @@ use std::ops::Index;
 
 /// The results of one experiment grid, keyed by cell, in construction
 /// order.
-pub struct Grid<K, R> {
+pub(crate) struct Grid<K, R> {
     cells: Vec<(K, R)>,
 }
 
@@ -31,7 +31,11 @@ impl<K: PartialEq + Debug, R: Send> Grid<K, R> {
     /// # Panics
     /// On a duplicate key, and — naming the cell's key — when a cell's
     /// work panicked.
-    pub fn run<C: Sync>(workers: usize, cells: Vec<(K, C)>, work: impl Fn(&C) -> R + Sync) -> Self {
+    pub(crate) fn run<C: Sync>(
+        workers: usize,
+        cells: Vec<(K, C)>,
+        work: impl Fn(&C) -> R + Sync,
+    ) -> Self {
         let (keys, configs): (Vec<K>, Vec<C>) = cells.into_iter().unzip();
         for (i, key) in keys.iter().enumerate() {
             assert!(!keys[..i].contains(key), "duplicate grid key {key:?}");
@@ -60,7 +64,7 @@ impl<K: PartialEq + Debug> Grid<K, SessionReport> {
     /// it, so the grid holds what a fold over byte counts, energy, QoE
     /// and each chunk's per-path split reads; an experiment that buckets
     /// the log by time asks for [`Grid::sessions_with_log`].
-    pub fn sessions(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
+    pub(crate) fn sessions(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
         Grid::run(workers, cells, |cfg| SessionReport {
             records: Default::default(),
             ..StreamingSession::run(cfg.clone())
@@ -68,21 +72,21 @@ impl<K: PartialEq + Debug> Grid<K, SessionReport> {
     }
 
     /// [`Grid::sessions`], every report keeping its packet log.
-    pub fn sessions_with_log(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
+    pub(crate) fn sessions_with_log(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
         Grid::run(workers, cells, |cfg| StreamingSession::run(cfg.clone()))
     }
 }
 
 impl<K, R> Grid<K, R> {
     /// Every cell, in construction order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &R)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &R)> {
         self.cells.iter().map(|(k, r)| (k, r))
     }
 
     /// Consecutive runs of cells that agree on `of(key)` — the outer
     /// axes of the nest that built the grid — each with its cells in
     /// construction order: one table per ABR, one baseline per row group.
-    pub fn sections<'a, S: PartialEq>(
+    pub(crate) fn sections<'a, S: PartialEq>(
         &'a self,
         of: impl Fn(&K) -> S + Copy + 'a,
     ) -> impl Iterator<Item = (S, &'a [(K, R)])> + 'a {

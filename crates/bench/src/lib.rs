@@ -29,7 +29,7 @@
 //!
 //! The table the binary reads is [`experiments::ALL`]; adding an
 //! experiment is one module, one `ALL` row, and one golden line (see
-//! [`experiments`]). Grids are enumerated once through [`grid::Grid`].
+//! [`experiments`]). Grids are enumerated once through `grid::Grid`.
 //!
 //! Wall-clock measurement lives in `perf/` (one ledger, `BENCHMARK.json`);
 //! nothing in this crate times itself.
@@ -47,7 +47,7 @@ use mpdash_sim::{SimDuration, SimTime};
 
 /// Result of one trace-driven scheduler simulation (one Table 2 cell).
 #[derive(Clone, Copy, Debug)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Cellular fraction of all transferred bytes under the online
     /// algorithm.
     pub online_cell_frac: f64,
@@ -55,13 +55,11 @@ pub struct Table2Row {
     pub optimal_cell_frac: f64,
     /// Whether the online algorithm missed the deadline.
     pub missed: bool,
-    /// Online completion time.
-    pub finish: SimDuration,
 }
 
 impl Table2Row {
     /// The "Diff." column: online minus optimal cellular fraction.
-    pub fn diff(&self) -> f64 {
+    pub(crate) fn diff(&self) -> f64 {
         self.online_cell_frac - self.optimal_cell_frac
     }
 }
@@ -73,7 +71,7 @@ impl Table2Row {
 /// enabled. The WiFi estimate driving the decision is a Holt-Winters
 /// forecast over the *observed* WiFi slot rates, exactly as the kernel
 /// implementation estimates (§6).
-pub fn simulate_online(
+pub(crate) fn simulate_online(
     wifi: &BandwidthProfile,
     cell: &BandwidthProfile,
     size: u64,
@@ -143,7 +141,6 @@ pub fn simulate_online(
             .map(|c| c as f64 / size as f64)
             .unwrap_or(f64::NAN),
         missed: finish > deadline,
-        finish,
     }
 }
 

@@ -175,12 +175,6 @@ impl DeadlineScheduler {
         self.active.is_some()
     }
 
-    /// Whether the costly path is currently enabled under MP-DASH control
-    /// (`true` also when inactive — vanilla MPTCP uses every path).
-    pub fn cell_enabled(&self) -> bool {
-        self.active.as_ref().is_none_or(|a| a.cell_enabled)
-    }
-
     /// Lifetime cellular on/off transition count.
     pub fn toggles(&self) -> u64 {
         self.toggles
@@ -275,6 +269,12 @@ mod tests {
         DeadlineScheduler::new(SchedulerParams::default())
     }
 
+    /// Whether the costly path is enabled (`true` also when inactive:
+    /// vanilla MPTCP uses every path).
+    fn cell_enabled(s: &DeadlineScheduler) -> bool {
+        s.active.as_ref().is_none_or(|a| a.cell_enabled)
+    }
+
     const MB: u64 = 1_000_000;
 
     #[test]
@@ -283,7 +283,7 @@ mod tests {
         let d = s.enable(SimTime::ZERO, 5 * MB, SimDuration::from_secs(10));
         assert_eq!(d, CellDecision::Disable);
         assert!(s.is_active());
-        assert!(!s.cell_enabled());
+        assert!(!cell_enabled(&s));
     }
 
     #[test]
@@ -293,7 +293,7 @@ mod tests {
         s.enable(SimTime::ZERO, 5 * MB, SimDuration::from_secs(10));
         let d = s.on_progress(SimTime::from_secs(1), 600_000, mbps(4.8));
         assert_eq!(d, CellDecision::NoChange);
-        assert!(!s.cell_enabled());
+        assert!(!cell_enabled(&s));
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         s.enable(SimTime::ZERO, 5 * MB, SimDuration::from_secs(10));
         let d = s.on_progress(SimTime::from_secs(0), 0, mbps(3.0));
         assert_eq!(d, CellDecision::Enable);
-        assert!(s.cell_enabled());
+        assert!(cell_enabled(&s));
         assert_eq!(s.toggles(), 1);
     }
 
@@ -315,7 +315,7 @@ mod tests {
                                                     // WiFi recovers to 10 Mbps: 9 s left can move 11 MB > 4.6 MB left.
         let d = s.on_progress(SimTime::from_secs(1), 400_000, mbps(10.0));
         assert_eq!(d, CellDecision::Disable);
-        assert!(!s.cell_enabled());
+        assert!(!cell_enabled(&s));
         assert_eq!(s.toggles(), 2);
     }
 
@@ -341,7 +341,7 @@ mod tests {
         s.enable(SimTime::ZERO, 10 * MB, SimDuration::from_secs(5));
         // Pretend WiFi looked great so cell stayed off...
         s.on_progress(SimTime::from_secs(1), 500_000, mbps(100.0));
-        assert!(!s.cell_enabled());
+        assert!(!cell_enabled(&s));
         // ...but at t=5 s the transfer is incomplete: deadline missed.
         let d = s.on_progress(SimTime::from_secs(5), 600_000, mbps(100.0));
         assert_eq!(d, CellDecision::Enable);
@@ -349,7 +349,7 @@ mod tests {
         // Even a glowing WiFi estimate cannot disable cell any more.
         let d2 = s.on_progress(SimTime::from_secs(6), 700_000, mbps(1000.0));
         assert_eq!(d2, CellDecision::NoChange);
-        assert!(s.cell_enabled());
+        assert!(cell_enabled(&s));
         // Missing is counted once.
         s.on_progress(SimTime::from_secs(7), 800_000, mbps(1.0));
         assert_eq!(s.missed_deadlines(), 1);
@@ -380,7 +380,7 @@ mod tests {
         s.enable(SimTime::ZERO, MB, SimDuration::from_secs(4));
         assert_eq!(s.disable(), CellDecision::Enable);
         assert!(!s.is_active());
-        assert!(s.cell_enabled(), "inactive means vanilla MPTCP");
+        assert!(cell_enabled(&s), "inactive means vanilla MPTCP");
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
         let d = s.on_progress(SimTime::from_secs(2), MB, mbps(3.2));
         // remaining = 3 MB, 8 s at 3.2 Mbps = 3.2 MB > 3 MB: stays off.
         assert_eq!(d, CellDecision::NoChange);
-        assert!(!s.cell_enabled());
+        assert!(!cell_enabled(&s));
     }
 
     #[test]

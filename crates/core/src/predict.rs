@@ -65,7 +65,7 @@ impl PredictorKind {
     }
 
     /// Instantiate.
-    pub fn build(self) -> Box<dyn Predictor> {
+    pub(crate) fn build(self) -> Box<dyn Predictor> {
         match self {
             PredictorKind::HoltWinters { alpha, beta } => Box::new(HoltWinters::new(alpha, beta)),
             PredictorKind::Ewma { alpha } => Box::new(EwmaPredictor::new(alpha)),
@@ -97,7 +97,7 @@ impl HoltWinters {
     ///
     /// # Panics
     /// If either parameter is outside `(0, 1]`.
-    pub fn new(alpha: f64, beta: f64) -> Self {
+    pub(crate) fn new(alpha: f64, beta: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
         assert!(beta > 0.0 && beta <= 1.0, "beta in (0,1]");
         HoltWinters {
@@ -152,7 +152,7 @@ pub struct EwmaPredictor {
 
 impl EwmaPredictor {
     /// EWMA with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
         EwmaPredictor { alpha, level: None }
     }
@@ -216,7 +216,7 @@ impl<P: Predictor> ThroughputSampler<P> {
     ///
     /// # Panics
     /// If `slot` is zero.
-    pub fn new(predictor: P, slot: SimDuration) -> Self {
+    pub(crate) fn new(predictor: P, slot: SimDuration) -> Self {
         assert!(!slot.is_zero(), "slot width must be positive");
         ThroughputSampler {
             forecast: predictor.forecast(),
@@ -231,7 +231,7 @@ impl<P: Predictor> ThroughputSampler<P> {
 
     /// Record `bytes` arriving at `t`. Closes any elapsed slots first
     /// (emitting one sample per slot, zeros included).
-    pub fn on_bytes(&mut self, t: SimTime, bytes: u64) {
+    pub(crate) fn on_bytes(&mut self, t: SimTime, bytes: u64) {
         if self.awaiting_first_bytes {
             // First delivery since the re-anchor: measurement starts now.
             self.awaiting_first_bytes = false;
@@ -243,7 +243,7 @@ impl<P: Predictor> ThroughputSampler<P> {
 
     /// Advance the slot clock to `t` without new bytes (call before
     /// reading a forecast so idle time is accounted).
-    pub fn roll_to(&mut self, t: SimTime) {
+    pub(crate) fn roll_to(&mut self, t: SimTime) {
         if self.awaiting_first_bytes {
             // No deliveries yet since the re-anchor: slide the slot clock
             // forward without emitting (see field docs).
@@ -263,7 +263,7 @@ impl<P: Predictor> ThroughputSampler<P> {
     }
 
     /// Current forecast from the underlying predictor.
-    pub fn forecast(&self) -> Option<Rate> {
+    pub(crate) fn forecast(&self) -> Option<Rate> {
         self.forecast
     }
 
@@ -271,7 +271,7 @@ impl<P: Predictor> ThroughputSampler<P> {
     /// Used across application-idle gaps (player buffer full): the gap is
     /// by design, not zero throughput, so the previous transfer's estimate
     /// carries over to seed the next one.
-    pub fn reanchor(&mut self, t: SimTime) {
+    pub(crate) fn reanchor(&mut self, t: SimTime) {
         self.slot_start = t;
         self.bytes_in_slot = 0;
         self.awaiting_first_bytes = true;
@@ -279,7 +279,7 @@ impl<P: Predictor> ThroughputSampler<P> {
 
     /// Reset predictor state and slot accumulation, re-anchoring the slot
     /// clock at `t`. Used when a transfer starts after a long idle gap.
-    pub fn reset_at(&mut self, t: SimTime) {
+    pub(crate) fn reset_at(&mut self, t: SimTime) {
         self.predictor.reset();
         self.forecast = self.predictor.forecast();
         self.bytes_in_slot = 0;

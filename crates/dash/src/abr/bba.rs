@@ -40,7 +40,7 @@ impl BbaMap {
     /// (top level's buffer range starting at 20 s of a ~40 s buffer).
     /// This is also what makes BBA "aggressive": it occupies the highest
     /// level from mid-buffer onward.
-    pub fn new(video: &Video, capacity: SimDuration) -> Self {
+    pub(crate) fn new(video: &Video, capacity: SimDuration) -> Self {
         BbaMap {
             reservoir: capacity.mul_f64(0.25),
             cushion_top: capacity.mul_f64(0.55),
@@ -50,7 +50,7 @@ impl BbaMap {
 
     /// The map `f(B)`: linear from the lowest to the highest bitrate
     /// across the cushion.
-    pub fn rate_at(&self, buffer: SimDuration) -> f64 {
+    pub(crate) fn rate_at(&self, buffer: SimDuration) -> f64 {
         let lo = self.rates[0];
         let hi = *self.rates.last().unwrap();
         if buffer <= self.reservoir {
@@ -82,7 +82,7 @@ impl BbaMap {
 
     /// The buffer-occupancy range `[e_l, e_h)` in which the map holds
     /// `level` (the Ω inputs of §5.2.2).
-    pub fn level_range(&self, level: usize) -> (SimDuration, SimDuration) {
+    pub(crate) fn level_range(&self, level: usize) -> (SimDuration, SimDuration) {
         let el = self.buffer_for_rate(self.rates[level]);
         let eh = if level + 1 < self.rates.len() {
             self.buffer_for_rate(self.rates[level + 1])
@@ -93,7 +93,7 @@ impl BbaMap {
     }
 
     /// Apply the map with BBA's hysteresis, given the current level.
-    pub fn select(&self, buffer: SimDuration, current: usize) -> usize {
+    pub(crate) fn select(&self, buffer: SimDuration, current: usize) -> usize {
         let f = self.rate_at(buffer);
         // Step up while the map reaches the next level's rate.
         let mut level = current;
@@ -124,7 +124,7 @@ pub struct Bba {
 
 impl Bba {
     /// `cellular_friendly = true` builds BBA-C.
-    pub fn new(_video: &Video, cellular_friendly: bool) -> Self {
+    pub(crate) fn new(_video: &Video, cellular_friendly: bool) -> Self {
         Bba {
             map: None,
             cellular_friendly,

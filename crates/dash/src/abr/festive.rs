@@ -29,14 +29,14 @@ pub struct Festive {
 
 impl Festive {
     /// Harmonic-mean window, in chunks.
-    pub const WINDOW: usize = 5;
+    pub(crate) const WINDOW: usize = 5;
     /// Efficiency factor γ: use at most this fraction of the estimate.
-    pub const GAMMA: f64 = 0.85;
+    pub(crate) const GAMMA: f64 = 0.85;
     /// Up-switches require the target to persist this many decisions.
-    pub const STABILITY: u32 = 3;
+    pub(crate) const STABILITY: u32 = 3;
 
     /// A new instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Festive {
             samples: VecDeque::with_capacity(Self::WINDOW),
             up_streak: 0,

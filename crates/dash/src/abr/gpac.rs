@@ -13,7 +13,7 @@ pub struct Gpac;
 
 impl Gpac {
     /// A new instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gpac
     }
 }

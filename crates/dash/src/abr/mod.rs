@@ -112,7 +112,7 @@ pub struct AbrInput {
 impl AbrInput {
     /// The throughput signal an algorithm should use: the MP-DASH
     /// override when present, the app-level measurement otherwise.
-    pub fn throughput_signal(&self) -> Option<Rate> {
+    pub(crate) fn throughput_signal(&self) -> Option<Rate> {
         self.override_throughput.or(self.last_chunk_throughput)
     }
 }

@@ -27,14 +27,14 @@ pub struct Mpc {
 
 impl Mpc {
     /// Lookahead horizon, in chunks.
-    pub const HORIZON: usize = 5;
+    pub(crate) const HORIZON: usize = 5;
     /// Throughput window for the harmonic-mean prediction.
-    pub const WINDOW: usize = 5;
+    pub(crate) const WINDOW: usize = 5;
     /// Switching penalty weight λ.
-    pub const LAMBDA: f64 = 1.0;
+    pub(crate) const LAMBDA: f64 = 1.0;
 
     /// A new instance.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Mpc {
             samples: VecDeque::with_capacity(Self::WINDOW),
         }

@@ -106,7 +106,7 @@ impl VideoAdapter {
 
     /// The base (unextended) deadline for a chunk of `size` bytes at
     /// `level`.
-    pub fn base_deadline(&self, video: &Video, level: usize, size: u64) -> SimDuration {
+    pub(crate) fn base_deadline(&self, video: &Video, level: usize, size: u64) -> SimDuration {
         match self.cfg.mode {
             DeadlineMode::Duration => video.chunk_duration(),
             DeadlineMode::Rate => {
@@ -117,7 +117,7 @@ impl VideoAdapter {
     }
 
     /// The high-buffer extension threshold Φ for this category.
-    pub fn phi(&self, video: &Video, capacity: SimDuration) -> SimDuration {
+    pub(crate) fn phi(&self, video: &Video, capacity: SimDuration) -> SimDuration {
         match self.category {
             AbrCategory::ThroughputBased | AbrCategory::Hybrid => {
                 capacity.mul_f64(self.cfg.phi_fraction)
@@ -134,7 +134,7 @@ impl VideoAdapter {
     ///   at the lowest bitrate under `estimate`.
     /// * Buffer-based (§5.2.2): `Ω = e_l(level) + chunk duration`, where
     ///   `e_l` comes from the algorithm's chunk map.
-    pub fn omega(
+    pub(crate) fn omega(
         &self,
         video: &Video,
         abr: &dyn Abr,

@@ -16,9 +16,6 @@
 //!   aggregate-throughput override for throughput-based algorithms.
 //! * [`qoe`] — session-level QoE summary (stalls, mean bitrate, switch
 //!   count, per-level histogram).
-//! * [`manifest`] — the MPD model, including the per-segment sizes the
-//!   paper advocates making mandatory (§5.1), with XML round-tripping.
-
 //!
 //! ```
 //! use mpdash_dash::abr::{AbrInput, AbrKind};
@@ -40,14 +37,12 @@
 
 pub mod abr;
 pub mod adapter;
-pub mod manifest;
 pub mod player;
 pub mod qoe;
 pub mod video;
 
 pub use abr::{Abr, AbrCategory, AbrInput, AbrKind};
 pub use adapter::{AdapterConfig, DeadlineDecision, DeadlineMode, VideoAdapter};
-pub use manifest::{Manifest, Representation};
 pub use player::{Player, PlayerConfig, PlayerEvent, PlayerState};
 pub use qoe::{QoeScore, QoeSummary};
 pub use video::Video;

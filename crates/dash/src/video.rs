@@ -12,7 +12,7 @@
 use mpdash_sim::{Rate, SimDuration};
 
 /// Default VBR variability: sizes uniform in ±25% of nominal.
-pub const DEFAULT_VBR_SPREAD: f64 = 0.25;
+pub(crate) const DEFAULT_VBR_SPREAD: f64 = 0.25;
 
 /// A DASH video: quality ladder + chunking.
 #[derive(Clone, Debug)]
@@ -141,7 +141,7 @@ impl Video {
 
     /// The highest level whose bitrate does not exceed `rate`, or level 0
     /// if none fits (the common "highest sustainable level" query).
-    pub fn highest_level_at_most(&self, rate: Rate) -> usize {
+    pub(crate) fn highest_level_at_most(&self, rate: Rate) -> usize {
         self.levels.iter().rposition(|&b| b <= rate).unwrap_or(0)
     }
 
@@ -168,11 +168,6 @@ impl Video {
         assert!(index < self.n_chunks, "chunk index out of range");
         let nominal = self.levels[level].bytes_in(self.chunk_duration) as f64;
         (nominal * self.size_factor(index, level)).round() as u64
-    }
-
-    /// Total bytes of the whole video at a fixed `level`.
-    pub fn total_bytes_at(&self, level: usize) -> u64 {
-        (0..self.n_chunks).map(|i| self.chunk_size(i, level)).sum()
     }
 }
 

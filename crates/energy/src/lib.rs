@@ -108,7 +108,7 @@ impl RadioModel {
     /// is an order of magnitude below LTE's, which is the paper's whole
     /// premise for preferring WiFi), a 220 ms PSM-adaptive tail, and
     /// ~10 mW PSM idle.
-    pub fn wifi_galaxy_note() -> Self {
+    pub(crate) fn wifi_galaxy_note() -> Self {
         RadioModel {
             promo_power_mw: 0.0,
             promo_time: SimDuration::ZERO,
@@ -124,7 +124,7 @@ impl RadioModel {
     /// LTE parameters for the Samsung Galaxy S III (same model family,
     /// slightly different constants; the paper reports both devices
     /// "yielding similar results").
-    pub fn lte_galaxy_s3() -> Self {
+    pub(crate) fn lte_galaxy_s3() -> Self {
         RadioModel {
             promo_power_mw: 1345.0,
             promo_time: SimDuration::from_micros(250_000),

@@ -189,12 +189,6 @@ impl FaultDomainSpec {
         self.wifi = script;
         self
     }
-
-    /// Same domain with a shared server fault timeline.
-    pub fn with_server(mut self, script: ServerFaultScript) -> Self {
-        self.server = script;
-        self
-    }
 }
 
 /// Fleet-level overload protection: admission control at session
@@ -515,7 +509,7 @@ pub struct FleetReport {
 /// Jain's fairness index `(Σx)² / (n·Σx²)`: 1 when all shares are
 /// equal, → 1/n under a winner-take-all allocation. An empty or
 /// all-zero allocation is vacuously fair.
-pub fn jain(values: &[f64]) -> f64 {
+pub(crate) fn jain(values: &[f64]) -> f64 {
     let sum: f64 = values.iter().sum();
     let sq: f64 = values.iter().map(|v| v * v).sum();
     if values.is_empty() || sq == 0.0 {

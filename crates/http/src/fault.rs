@@ -91,12 +91,12 @@ pub struct ServerFaultEvent {
 
 impl ServerFaultEvent {
     /// The instant the window closes.
-    pub fn end(&self) -> SimTime {
+    pub(crate) fn end(&self) -> SimTime {
         self.at + self.duration
     }
 
     /// Whether a request served at `t` falls inside the window.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    pub(crate) fn active_at(&self, t: SimTime) -> bool {
         t >= self.at && t < self.end()
     }
 }
@@ -197,7 +197,7 @@ impl ServerFaultScript {
     }
 
     /// Whether a request served at `t` gets a 5xx.
-    pub fn error_at(&self, t: SimTime) -> bool {
+    pub(crate) fn error_at(&self, t: SimTime) -> bool {
         self.events
             .iter()
             .any(|e| e.kind == ServerFaultKind::ErrorBurst && e.active_at(t))
@@ -207,7 +207,7 @@ impl ServerFaultScript {
     /// `t`: active slow-first-byte delays sum, and an active blackhole
     /// contributes the remainder of its window (no byte leaves the
     /// origin before the outage clears).
-    pub fn first_byte_delay_at(&self, t: SimTime) -> SimDuration {
+    pub(crate) fn first_byte_delay_at(&self, t: SimTime) -> SimDuration {
         self.events
             .iter()
             .filter(|e| e.active_at(t))
@@ -222,7 +222,7 @@ impl ServerFaultScript {
     /// The stalled-body parameters applying to a response starting at
     /// `t` (first active window wins; overlapping stalls do not
     /// compose).
-    pub fn stall_at(&self, t: SimTime) -> Option<(SimDuration, f64)> {
+    pub(crate) fn stall_at(&self, t: SimTime) -> Option<(SimDuration, f64)> {
         self.events.iter().find_map(|e| match e.kind {
             ServerFaultKind::StalledBody {
                 stall,

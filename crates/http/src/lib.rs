@@ -6,8 +6,8 @@
 //! paper notes the chunk size "can almost always" be read from that
 //! header). This crate models exactly that much of HTTP, in byte counts:
 //!
-//! * a GET request is [`REQUEST_BYTES`] of upstream traffic;
-//! * a response is [`RESPONSE_HEADER_BYTES`] of header followed by a
+//! * a GET request is `REQUEST_BYTES` of upstream traffic;
+//! * a response is `RESPONSE_HEADER_BYTES` of header followed by a
 //!   `Content-Length` body, all on one persistent connection;
 //! * pipelined requests are answered in order (the DASH players in this
 //!   workspace issue one request at a time, but the framing supports
@@ -53,20 +53,20 @@ pub use mpdash_sim::DssRange;
 pub use origin::{BreakerState, HealthTransition, OriginPool, OriginPoolConfig, OriginSpec};
 
 /// Upstream bytes of one GET request (request line + typical headers).
-pub const REQUEST_BYTES: u64 = 180;
+pub(crate) const REQUEST_BYTES: u64 = 180;
 /// Downstream bytes of one response header block.
-pub const RESPONSE_HEADER_BYTES: u64 = 220;
+pub(crate) const RESPONSE_HEADER_BYTES: u64 = 220;
 /// Upstream bytes of a cancellation (connection reset / range-abort
 /// signal; smaller than a full request).
-pub const CANCEL_BYTES: u64 = 60;
+pub(crate) const CANCEL_BYTES: u64 = 60;
 /// High bit marking an upstream message as a cancellation of the
 /// request id in the low bits. Request ids start at 1 and count up, so
 /// the flag can never collide with a real id.
-pub const CANCEL_FLAG: u64 = 1 << 63;
+pub(crate) const CANCEL_FLAG: u64 = 1 << 63;
 /// Base for application-timer ids owned by the HTTP layer (deferred
 /// server sends). Far above the session driver's small timer ids and
 /// below [`CANCEL_FLAG`].
-pub const HTTP_TIMER_BASE: u64 = 1 << 62;
+pub(crate) const HTTP_TIMER_BASE: u64 = 1 << 62;
 
 /// Identifier of one GET exchange.
 pub type RequestId = u64;

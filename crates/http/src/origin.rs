@@ -148,12 +148,6 @@ impl OriginPoolConfig {
         self
     }
 
-    /// Set the consecutive-failure trip threshold.
-    pub fn with_failure_threshold(mut self, threshold: u32) -> Self {
-        self.failure_threshold = threshold.max(1);
-        self
-    }
-
     /// Set the jitter seed (fleets derive a per-client seed here).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -238,13 +232,8 @@ impl OriginPool {
     }
 
     /// Number of origins.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cfg.origins.len()
-    }
-
-    /// True when the pool has no origins (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cfg.origins.is_empty()
     }
 
     /// A request served by `origin` succeeded: reset the streak and

@@ -30,15 +30,15 @@ use mpdash_sim::{Prng, SimDuration, SimTime};
 
 /// Probability scale: `PROB_ONE` ≡ 1.0. A drop probability is a `u64`
 /// in `[0, PROB_ONE]`.
-pub const PROB_ONE: u64 = 1 << 32;
+pub(crate) const PROB_ONE: u64 = 1 << 32;
 
 /// Fixed-point scale for the PIE gains (2¹⁶ ≡ 1.0).
-pub const GAIN_ONE: u32 = 1 << 16;
+pub(crate) const GAIN_ONE: u32 = 1 << 16;
 
 /// Fixed seed for AQM Bernoulli draws. The controllers need a
 /// reproducible coin, not entropy; scenarios may override per
 /// bottleneck via [`AqmConfig::with_seed`].
-pub const DEFAULT_AQM_SEED: u64 = 0x00A1_C305_EED0_u64;
+pub(crate) const DEFAULT_AQM_SEED: u64 = 0x00A1_C305_EED0_u64;
 
 /// Static knobs shared by every controller. Integer-only so the
 /// discipline enum stays `Copy + Eq`; scenario floats (alpha/beta,
@@ -115,7 +115,7 @@ impl AqmConfig {
     }
 
     /// Reseed the Bernoulli coin.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
@@ -173,7 +173,7 @@ pub struct Pie {
 
 impl Pie {
     /// Fresh controller with probability zero.
-    pub fn new(cfg: AqmConfig) -> Self {
+    pub(crate) fn new(cfg: AqmConfig) -> Self {
         Pie {
             cfg,
             prob: 0,
@@ -185,13 +185,13 @@ impl Pie {
     }
 
     /// Current drop probability in parts per million (telemetry).
-    pub fn prob_ppm(&self) -> u64 {
+    pub(crate) fn prob_ppm(&self) -> u64 {
         self.prob * 1_000_000 / PROB_ONE
     }
 
     /// Feed the sojourn time of a departing packet — the timestamp
     /// queue-delay estimator.
-    pub fn on_departure(&mut self, now: SimTime, sojourn: SimDuration) {
+    pub(crate) fn on_departure(&mut self, now: SimTime, sojourn: SimDuration) {
         self.catch_up(now);
         self.qdelay_ns = sojourn.as_nanos();
     }
@@ -236,7 +236,7 @@ impl Pie {
     /// Admission decision for one arriving packet. `queued_packets` is
     /// the backlog the packet joins (in-service included): below two
     /// packets PIE never drops, so a lone flow's trickle survives.
-    pub fn admit(&mut self, now: SimTime, queued_packets: u64) -> AqmVerdict {
+    pub(crate) fn admit(&mut self, now: SimTime, queued_packets: u64) -> AqmVerdict {
         self.catch_up(now);
         if self.prob == 0 || queued_packets < 2 {
             return AqmVerdict::Deliver;
@@ -274,7 +274,7 @@ const CODEL_MTU: u64 = 1500;
 
 impl Codel {
     /// Fresh controller.
-    pub fn new(cfg: AqmConfig) -> Self {
+    pub(crate) fn new(cfg: AqmConfig) -> Self {
         Codel {
             cfg,
             first_above: None,
@@ -301,7 +301,12 @@ impl Codel {
 
     /// Decide the fate of one dequeued candidate with the given sojourn
     /// and the bottleneck backlog (candidate included).
-    pub fn on_dequeue(&mut self, now: SimTime, sojourn_ns: u64, backlog_bytes: u64) -> AqmVerdict {
+    pub(crate) fn on_dequeue(
+        &mut self,
+        now: SimTime,
+        sojourn_ns: u64,
+        backlog_bytes: u64,
+    ) -> AqmVerdict {
         let ok = self.ok_to_drop(now, sojourn_ns, backlog_bytes);
         if self.dropping {
             if !ok {

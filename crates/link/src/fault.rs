@@ -97,17 +97,6 @@ impl GilbertElliott {
             loss_good: 0.0,
         }
     }
-
-    /// Mean burst (bad-state sojourn) length in packets: `1 / p_exit`.
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_exit
-    }
-
-    /// Long-run packet loss rate implied by the parameters.
-    pub fn stationary_loss(&self) -> f64 {
-        let pi_bad = self.p_enter / (self.p_enter + self.p_exit);
-        pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
-    }
 }
 
 /// The default burst-loss chain: enter the bad state with 0.05, leave
@@ -120,7 +109,7 @@ impl Default for GilbertElliott {
 }
 
 /// A running Gilbert–Elliott chain: parameters plus Markov state and a
-/// dedicated RNG stream. Advances exactly once per [`Self::lose_packet`]
+/// dedicated RNG stream. Advances exactly once per `Self::lose_packet`
 /// call, so identical call sequences reproduce identical loss patterns.
 #[derive(Clone, Debug)]
 pub struct GeChain {
@@ -131,7 +120,7 @@ pub struct GeChain {
 
 impl GeChain {
     /// A chain starting in the good state, drawing from `seed`.
-    pub fn new(params: GilbertElliott, seed: u64) -> Self {
+    pub(crate) fn new(params: GilbertElliott, seed: u64) -> Self {
         GeChain {
             params,
             bad: false,
@@ -140,7 +129,7 @@ impl GeChain {
     }
 
     /// Advance the chain one packet and decide whether it is lost.
-    pub fn lose_packet(&mut self) -> bool {
+    pub(crate) fn lose_packet(&mut self) -> bool {
         // Transition first, then sample loss in the new state, so a
         // burst can claim the packet that triggered it.
         let flip = if self.bad {
@@ -157,11 +146,6 @@ impl GeChain {
             self.params.loss_good
         };
         p > 0.0 && self.rng.next_f64() < p
-    }
-
-    /// Whether the chain is currently in the bad (bursty) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.bad
     }
 }
 
@@ -230,7 +214,7 @@ impl FaultEvent {
     }
 
     /// Whether the fault affects the link at `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    pub(crate) fn active_at(&self, t: SimTime) -> bool {
         t >= self.at && t < self.end()
     }
 }
@@ -332,7 +316,7 @@ impl FaultScript {
 
     /// Whether a disassociation outage (including its reassociation
     /// tail) covers `t`.
-    pub fn disassociated_at(&self, t: SimTime) -> bool {
+    pub(crate) fn disassociated_at(&self, t: SimTime) -> bool {
         self.events
             .iter()
             .any(|e| matches!(e.kind, FaultKind::Disassociation { .. }) && e.active_at(t))
@@ -455,7 +439,7 @@ mod tests {
             if chain.lose_packet() {
                 losses += 1;
             }
-            let bad = chain.in_bad_state();
+            let bad = chain.bad;
             if bad {
                 burst_packets += 1;
             }
@@ -465,16 +449,17 @@ mod tests {
             was_bad = bad;
         }
         let loss_rate = losses as f64 / n as f64;
-        let expect = ge.stationary_loss();
+        let pi_bad = ge.p_enter / (ge.p_enter + ge.p_exit);
+        let expect = pi_bad * ge.loss_bad + (1.0 - pi_bad) * ge.loss_good;
         assert!(
             (loss_rate - expect).abs() / expect < 0.10,
             "loss rate {loss_rate:.4} vs stationary {expect:.4}"
         );
         let mean_burst = burst_packets as f64 / bursts as f64;
+        let expect_burst = 1.0 / ge.p_exit;
         assert!(
-            (mean_burst - ge.mean_burst_len()).abs() / ge.mean_burst_len() < 0.10,
-            "mean burst {mean_burst:.2} vs {:.2}",
-            ge.mean_burst_len()
+            (mean_burst - expect_burst).abs() / expect_burst < 0.10,
+            "mean burst {mean_burst:.2} vs {expect_burst:.2}"
         );
     }
 

@@ -39,11 +39,6 @@ impl TokenBucket {
         }
     }
 
-    /// The configured fill rate.
-    pub fn rate(&self) -> Rate {
-        self.rate
-    }
-
     fn refill_to(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_update);
         let add = self.rate.bytes_in(dt) as f64;
@@ -53,7 +48,7 @@ impl TokenBucket {
 
     /// The earliest instant at or after `now` when `size` bytes of tokens
     /// are available, without consuming anything.
-    pub fn earliest_departure(&mut self, now: SimTime, size: u64) -> SimTime {
+    pub(crate) fn earliest_departure(&mut self, now: SimTime, size: u64) -> SimTime {
         self.refill_to(now);
         // After refill, the token level is valid at `last_update`, which is
         // `max(now, previous last_update)` — it can sit in the future when
@@ -76,7 +71,7 @@ impl TokenBucket {
 
     /// Commit a departure of `size` bytes at `at` (which must be at or
     /// after the instant returned by [`TokenBucket::earliest_departure`]).
-    pub fn consume(&mut self, at: SimTime, size: u64) {
+    pub(crate) fn consume(&mut self, at: SimTime, size: u64) {
         self.refill_to(at);
         self.tokens -= size as f64;
         // A correct caller never drives the level below one packet's worth
@@ -88,7 +83,7 @@ impl TokenBucket {
     }
 
     /// Convenience: earliest departure + consume in one call.
-    pub fn admit(&mut self, now: SimTime, size: u64) -> SimTime {
+    pub(crate) fn admit(&mut self, now: SimTime, size: u64) -> SimTime {
         let at = self.earliest_departure(now, size);
         self.consume(at, size);
         at

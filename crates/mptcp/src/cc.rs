@@ -13,9 +13,9 @@ use crate::packet::MSS;
 use mpdash_sim::{SimDuration, SimTime};
 
 /// Initial congestion window: 10 segments (RFC 6928).
-pub const INIT_CWND: f64 = (10 * MSS) as f64;
+pub(crate) const INIT_CWND: f64 = (10 * MSS) as f64;
 /// Lower bound on the window after any loss response.
-pub const MIN_CWND: f64 = (2 * MSS) as f64;
+pub(crate) const MIN_CWND: f64 = (2 * MSS) as f64;
 
 /// Which congestion-control algorithm a subflow runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,7 +29,7 @@ pub enum CcKind {
 
 /// Congestion-control state for one subflow.
 #[derive(Clone, Debug)]
-pub struct CongestionControl {
+pub(crate) struct CongestionControl {
     kind: CcKind,
     /// Congestion window in bytes.
     cwnd: f64,
@@ -53,7 +53,7 @@ const RENO_BETA: f64 = 0.5;
 
 impl CongestionControl {
     /// Fresh state: initial window, unbounded slow-start threshold.
-    pub fn new(kind: CcKind) -> Self {
+    pub(crate) fn new(kind: CcKind) -> Self {
         CongestionControl {
             kind,
             cwnd: INIT_CWND,
@@ -65,12 +65,12 @@ impl CongestionControl {
     }
 
     /// Current congestion window in whole bytes.
-    pub fn cwnd(&self) -> u64 {
+    pub(crate) fn cwnd(&self) -> u64 {
         self.cwnd as u64
     }
 
     /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
@@ -80,7 +80,13 @@ impl CongestionControl {
     /// window inflation: the window was already set to `ssthresh` at the
     /// loss and stays there until recovery exits). `srtt` feeds CUBIC's
     /// target computation; Reno ignores it.
-    pub fn on_ack(&mut self, now: SimTime, acked: u64, in_recovery: bool, srtt: SimDuration) {
+    pub(crate) fn on_ack(
+        &mut self,
+        now: SimTime,
+        acked: u64,
+        in_recovery: bool,
+        srtt: SimDuration,
+    ) {
         if in_recovery {
             return;
         }
@@ -121,7 +127,7 @@ impl CongestionControl {
 
     /// Multiplicative decrease on fast retransmit (triple duplicate ACK).
     /// Returns the new window.
-    pub fn on_fast_retransmit(&mut self, in_flight: u64) -> u64 {
+    pub(crate) fn on_fast_retransmit(&mut self, in_flight: u64) -> u64 {
         let beta = match self.kind {
             CcKind::Reno => RENO_BETA,
             CcKind::Cubic => CUBIC_BETA,
@@ -134,7 +140,7 @@ impl CongestionControl {
     }
 
     /// Collapse on retransmission timeout.
-    pub fn on_rto(&mut self, in_flight: u64) {
+    pub(crate) fn on_rto(&mut self, in_flight: u64) {
         let beta = match self.kind {
             CcKind::Reno => RENO_BETA,
             CcKind::Cubic => CUBIC_BETA,
@@ -151,7 +157,7 @@ impl CongestionControl {
     /// linearly. Without this, slow start overshoots the drop-tail queue
     /// by up to a full window and NewReno spends one RTT per lost segment
     /// recovering — a pathology modern kernels avoid the same way.
-    pub fn exit_slow_start(&mut self) {
+    pub(crate) fn exit_slow_start(&mut self) {
         if self.in_slow_start() {
             self.ssthresh = self.cwnd;
             self.epoch_start = None;
@@ -162,7 +168,7 @@ impl CongestionControl {
     /// spirit): restart from the initial window rather than blasting a
     /// stale window into the queue. DASH traffic is exactly the ON/OFF
     /// pattern this matters for (Figure 1's idle gaps).
-    pub fn on_idle_restart(&mut self) {
+    pub(crate) fn on_idle_restart(&mut self) {
         self.cwnd = self.cwnd.min(INIT_CWND);
         self.epoch_start = None;
     }

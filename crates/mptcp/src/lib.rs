@@ -5,7 +5,7 @@
 //! so this crate rebuilds the pieces of MPTCP that MP-DASH's mechanism
 //! actually touches, as a deterministic discrete-event simulation:
 //!
-//! * **Subflows** ([`sender::SubflowTx`]) — per-path TCP senders with slow
+//! * **Subflows** (`sender::SubflowTx`) — per-path TCP senders with slow
 //!   start, congestion avoidance (Reno or CUBIC, *decoupled* across
 //!   subflows exactly as the paper configures, §2.1), Jacobson RTT
 //!   estimation, fast retransmit and RTO recovery.

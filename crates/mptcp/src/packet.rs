@@ -139,7 +139,7 @@ pub struct PacketLog {
 
 impl PacketLog {
     /// An empty log; allocates at the first [`push`](Self::push).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -148,7 +148,7 @@ impl PacketLog {
     /// # Panics
     /// If `dss`, `len` or `path` does not fit its packed width (2^48,
     /// 2^12, 2^3): a wrapped value would corrupt the capture silently.
-    pub fn push(&mut self, r: PktRecord) {
+    pub(crate) fn push(&mut self, r: PktRecord) {
         let packed = Packed::encode(r);
         let k = self.blocks.len();
         match self.blocks.last_mut() {
@@ -182,7 +182,7 @@ impl PacketLog {
     ///
     /// # Panics
     /// If `cursor > len()`.
-    pub fn iter_from(&self, cursor: usize) -> Iter<'_> {
+    pub(crate) fn iter_from(&self, cursor: usize) -> Iter<'_> {
         assert!(
             cursor <= self.len,
             "packet log: cursor {cursor} past the {} records held",

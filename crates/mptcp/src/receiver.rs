@@ -138,17 +138,17 @@ impl Receiver {
     }
 
     /// Payload bytes received on `path` (lifetime, duplicates included).
-    pub fn path_bytes(&self, path: PathId) -> u64 {
+    pub(crate) fn path_bytes(&self, path: PathId) -> u64 {
         self.path_bytes[path.index()]
     }
 
     /// The desired path mask the decision function last set.
-    pub fn desired_mask(&self) -> PathMask {
+    pub(crate) fn desired_mask(&self) -> PathMask {
         self.desired_mask
     }
 
     /// Update the desired mask; returns `true` if it changed.
-    pub fn set_desired_mask(&mut self, mask: PathMask) -> bool {
+    pub(crate) fn set_desired_mask(&mut self, mask: PathMask) -> bool {
         let changed = self.desired_mask != mask;
         self.desired_mask = mask;
         changed
@@ -156,23 +156,23 @@ impl Receiver {
 
     /// Cumulative ACK value currently held for `path` (what a pure control
     /// ACK would carry).
-    pub fn current_ack(&self, path: PathId) -> u64 {
+    pub(crate) fn current_ack(&self, path: PathId) -> u64 {
         self.subs[path.index()].rcv_nxt
     }
 
     /// The packet receive trace.
-    pub fn records(&self) -> &PacketLog {
+    pub(crate) fn records(&self) -> &PacketLog {
         &self.records
     }
 
     /// Log each later packet (the default) or not: a receiver whose
     /// caller reads no capture keeps none.
-    pub fn set_logging(&mut self, on: bool) {
+    pub(crate) fn set_logging(&mut self, on: bool) {
         self.logging = on;
     }
 
     /// Move the receive trace out (the byte counters stay).
-    pub fn take_records(&mut self) -> PacketLog {
+    pub(crate) fn take_records(&mut self) -> PacketLog {
         std::mem::take(&mut self.records)
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! Adding a scheduler is a local change: implement [`Scheduler`] on a
 //! state struct, add a [`SchedulerSpec`] variant, and wire the two
-//! together in [`SchedulerSpec::build`]/[`SchedulerSpec::parse`]. Every
+//! together in [`SchedulerSpec::build`] and [`SchedulerSpec::label`]. Every
 //! config layer above (session, scenario JSON, experiment grids) picks it
 //! up through the spec.
 
@@ -64,14 +64,9 @@ impl SchedulerSpec {
         }
     }
 
-    /// Parse a wire name back to a spec (`None` for unknown names).
-    pub fn parse(s: &str) -> Option<SchedulerSpec> {
-        SchedulerSpec::ALL.into_iter().find(|k| k.label() == s)
-    }
-
     /// Whether picks read [`Candidate::queue_depth`]. Sampling it costs a
     /// bottleneck lock per path, which the simulator skips otherwise.
-    pub fn reads_queue_depth(self) -> bool {
+    pub(crate) fn reads_queue_depth(self) -> bool {
         self == SchedulerSpec::QAware
     }
 
@@ -164,7 +159,7 @@ pub struct RoundRobinScheduler {
 
 impl RoundRobinScheduler {
     /// A fresh rotation (first pick goes to the lowest-indexed candidate).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RoundRobinScheduler::default()
     }
 }
@@ -212,7 +207,7 @@ pub struct QAwareScheduler {
 
 impl QAwareScheduler {
     /// A fresh scheduler with all depth estimates at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QAwareScheduler::default()
     }
 
@@ -468,10 +463,11 @@ mod tests {
 
     #[test]
     fn spec_labels_round_trip() {
+        let parse = |s: &str| SchedulerSpec::ALL.into_iter().find(|k| k.label() == s);
         for spec in SchedulerSpec::ALL {
-            assert_eq!(SchedulerSpec::parse(spec.label()), Some(spec));
+            assert_eq!(parse(spec.label()), Some(spec));
             assert_eq!(spec.build().spec(), spec);
         }
-        assert_eq!(SchedulerSpec::parse("blecs"), None);
+        assert_eq!(parse("blecs"), None);
     }
 }

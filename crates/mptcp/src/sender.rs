@@ -1,7 +1,7 @@
 //! The MPTCP sender: connection-level data assignment plus per-subflow
 //! TCP send machinery.
 //!
-//! The sender owns one [`SubflowTx`] per path. Each subflow is a compact
+//! The sender owns one `SubflowTx` per path. Each subflow is a compact
 //! TCP sender: congestion window ([`crate::cc`]), Jacobson/Karn RTT
 //! estimation, duplicate-ACK fast retransmit with NewReno partial-ACK
 //! retransmission, and an RTO with exponential backoff. The connection
@@ -13,8 +13,8 @@
 //!
 //! The sender is pure state: it never touches links or the event queue.
 //! Methods return [`Transmit`] actions that the simulator realizes, and
-//! timers are returned the same way: [`Sender::next_deadline`] names when
-//! a subflow next wants [`Sender::on_timer`], and the simulator arms one
+//! timers are returned the same way: `Sender::next_deadline` names when
+//! a subflow next wants `Sender::on_timer`, and the simulator arms one
 //! wakeup for it. That keeps this module synchronously testable.
 
 use crate::cc::{CcKind, CongestionControl};
@@ -101,7 +101,7 @@ enum Liveness {
 
 /// Per-path TCP sender state.
 #[derive(Clone, Debug)]
-pub struct SubflowTx {
+pub(crate) struct SubflowTx {
     path: PathId,
     cc: CongestionControl,
     /// Congestion-control flavor, kept so re-establishment can build a
@@ -180,28 +180,28 @@ impl SubflowTx {
     }
 
     /// Bytes sent but not yet cumulatively acknowledged.
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> u64 {
+    pub(crate) fn cwnd(&self) -> u64 {
         self.cc.cwnd()
     }
 
     /// Smoothed RTT estimate, if any sample has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 
     /// Lifetime count of failure declarations on this subflow.
-    pub fn failures(&self) -> u64 {
+    pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
 
     /// Lifetime count of revivals (full re-establishments) on this
     /// subflow.
-    pub fn revivals(&self) -> u64 {
+    pub(crate) fn revivals(&self) -> u64 {
         self.revivals
     }
 
@@ -334,12 +334,12 @@ impl Sender {
     }
 
     /// Read access to a subflow's state (diagnostics, scheduling oracles).
-    pub fn subflow(&self, path: PathId) -> &SubflowTx {
+    pub(crate) fn subflow(&self, path: PathId) -> &SubflowTx {
         &self.subflows[path.index()]
     }
 
     /// Application bytes queued so far (lifetime).
-    pub fn conn_total(&self) -> u64 {
+    pub(crate) fn conn_total(&self) -> u64 {
         self.conn_total
     }
 
@@ -359,7 +359,7 @@ impl Sender {
     /// The receiver cannot tell a flushed tail from a tail that was never
     /// sent — which is exactly the HTTP layer's contract: the cancelled
     /// response simply ends at the flush point.
-    pub fn flush_unsent(&mut self) -> u64 {
+    pub(crate) fn flush_unsent(&mut self) -> u64 {
         let flushed = self.conn_total - self.conn_assigned;
         self.conn_total = self.conn_assigned;
         flushed
@@ -367,18 +367,18 @@ impl Sender {
 
     /// Apply a newly signaled path mask. Returns `true` if it changed
     /// (callers re-pump on enables).
-    pub fn apply_mask(&mut self, mask: PathMask) -> bool {
+    pub(crate) fn apply_mask(&mut self, mask: PathMask) -> bool {
         let changed = self.mask != mask;
         self.mask = mask;
         changed
     }
 
     /// The configured scheduler's spec (diagnostics, trace attribution).
-    pub fn scheduler_spec(&self) -> SchedulerSpec {
+    pub(crate) fn scheduler_spec(&self) -> SchedulerSpec {
         self.scheduler.spec()
     }
 
-    /// [`Sender::pump_with`] on a connection with no shared-bottleneck
+    /// `Sender::pump_with` on a connection with no shared-bottleneck
     /// attachments (every path's queue depth unknown).
     pub fn pump(&mut self, now: SimTime) -> Vec<Transmit> {
         let mut out = Vec::new();
@@ -395,7 +395,12 @@ impl Sender {
     /// state and never touches links itself); `None` — or a missing
     /// entry — means the path has no shared attachment. Queue-aware
     /// schedulers fold it into every pick; the others ignore it.
-    pub fn pump_with(&mut self, now: SimTime, depths: &[Option<u64>], out: &mut Vec<Transmit>) {
+    pub(crate) fn pump_with(
+        &mut self,
+        now: SimTime,
+        depths: &[Option<u64>],
+        out: &mut Vec<Transmit>,
+    ) {
         // Idle window validation first: a subflow that has been silent for
         // an RTO with nothing in flight must not blast a stale window.
         // Failed subflows are probed again after a cooldown — the path
@@ -556,7 +561,7 @@ impl Sender {
     /// event loop. While already in loss recovery or an earlier ECN hold,
     /// further echoes are ignored — the window has already been cut for
     /// this flight.
-    pub fn on_ecn_echo(&mut self, _now: SimTime, path: PathId) {
+    pub(crate) fn on_ecn_echo(&mut self, _now: SimTime, path: PathId) {
         let sf = &mut self.subflows[path.index()];
         if !sf.is_live() || sf.recovery_end.is_some() || sf.ecn_hold_end.is_some() {
             return;
@@ -571,7 +576,7 @@ impl Sender {
     /// otherwise `None` (a failed subflow names none). The caller keeps
     /// one wakeup at or before it and reads it again after every call
     /// that may move it.
-    pub fn next_deadline(&self, path: PathId) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self, path: PathId) -> Option<SimTime> {
         let sf = &self.subflows[path.index()];
         debug_assert!(
             sf.rto_at.is_none() == sf.segs.is_empty() && (sf.is_live() || sf.rto_at.is_none()),
@@ -589,7 +594,7 @@ impl Sender {
     /// DSS range on another live subflow — MPTCP's mechanism for
     /// unblocking connection-level delivery when one path stops
     /// acknowledging.
-    pub fn on_timer(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
+    pub(crate) fn on_timer(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
         let idx = path.index();
         let sf = &mut self.subflows[idx];
         let rtos = match &mut sf.liveness {
@@ -673,7 +678,7 @@ impl Sender {
     /// same way: fail the subflow at once (a no-op if it has already
     /// failed or its data has nowhere else to go), its revival probe due
     /// in a fixed 2 s instead of the doubled backoff.
-    pub fn on_link_down(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
+    pub(crate) fn on_link_down(&mut self, now: SimTime, path: PathId) -> Vec<Transmit> {
         self.fail(now, path, LINKDOWN_RETRY).unwrap_or_default()
     }
 
@@ -718,7 +723,7 @@ impl Sender {
 
     /// True when every queued application byte has been acknowledged on
     /// its subflow.
-    pub fn all_acked(&self) -> bool {
+    pub(crate) fn all_acked(&self) -> bool {
         self.conn_assigned == self.conn_total && self.subflows.iter().all(|sf| sf.segs.is_empty())
     }
 }

@@ -41,7 +41,7 @@ use mpdash_sim::{EventQueue, GiveBackSlack, PathMask, Rate, SimDuration, SimTime
 use std::collections::VecDeque;
 
 /// TCP/IP header bytes charged to the link per data packet.
-pub const HEADER_BYTES: u64 = 40;
+pub(crate) const HEADER_BYTES: u64 = 40;
 
 /// Configuration of one path.
 #[derive(Clone, Debug)]
@@ -401,7 +401,7 @@ impl MptcpSim {
     }
 
     /// Congestion window of `path` (diagnostics).
-    pub fn cwnd(&self, path: PathId) -> u64 {
+    pub(crate) fn cwnd(&self, path: PathId) -> u64 {
         self.snd.subflow(path).cwnd()
     }
 
@@ -430,7 +430,7 @@ impl MptcpSim {
         self.snd.subflow(path).probe_after()
     }
 
-    /// When `path`'s subflow next wants a wakeup ([`Sender::next_deadline`]).
+    /// When `path`'s subflow next wants a wakeup (`Sender::next_deadline`).
     pub fn subflow_next_deadline(&self, path: PathId) -> Option<SimTime> {
         self.snd.next_deadline(path)
     }

@@ -41,7 +41,7 @@ pub use metrics::{
     HistogramSnapshot, LogHistogram, MetricCounter, MetricHistogram, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use sink::{NdjsonSink, NullSink, RingSink, TraceSink, Tracer};
+pub use sink::{NdjsonSink, RingSink, TraceSink, Tracer};
 pub use timeseries::{
     telemetry_from_env, EpochCell, EpochCounter, EpochHistogram, EpochSeries, TelemetrySpec,
 };

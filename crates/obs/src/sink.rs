@@ -24,17 +24,6 @@ pub trait TraceSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// The no-op sink. [`Tracer::disabled`] never calls into a sink at all,
-/// so this type exists mainly to make the degenerate case nameable in
-/// tests and docs; `record` compiles to nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&self, _t: SimTime, _event: &TraceEvent) {}
-}
-
 /// A bounded in-memory sink: keeps the most recent `capacity` events.
 /// This is what `mpdash explain` uses to replay a scenario and query
 /// the decision record afterwards.
@@ -58,7 +47,7 @@ impl RingSink {
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().unwrap().len()
     }
 
@@ -89,7 +78,7 @@ impl fmt::Debug for RingSink {
 /// sessions sharing one sink interleave whole lines, never bytes.
 ///
 /// Writes are batched in an internal line buffer that reaches the file
-/// only when it exceeds [`NdjsonSink::FLUSH_THRESHOLD`], on an explicit
+/// only when it exceeds `NdjsonSink::FLUSH_THRESHOLD`, on an explicit
 /// [`flush`](TraceSink::flush), or on drop — the drop guard runs even
 /// when the thread is unwinding from a panic, so a crashed run leaves a
 /// trace truncated at a line boundary, not mid-buffer.
@@ -115,7 +104,7 @@ impl LineBuffer {
 
 impl NdjsonSink {
     /// Buffered bytes beyond which `record` writes through to the file.
-    pub const FLUSH_THRESHOLD: usize = 64 * 1024;
+    pub(crate) const FLUSH_THRESHOLD: usize = 64 * 1024;
 
     /// Create (truncate) the trace file at `path`, creating parent
     /// directories as needed.
@@ -208,7 +197,7 @@ impl Tracer {
     }
 
     /// This tracer if enabled, otherwise the process-wide
-    /// environment-configured tracer (see [`Tracer::from_env`]).
+    /// environment-configured tracer (see `Tracer::from_env`).
     pub fn or_env(&self) -> Tracer {
         if self.enabled() {
             self.clone()
@@ -230,7 +219,7 @@ impl Tracer {
     /// An unrecognized value or an unwritable trace file degrades to
     /// disabled with a warning on stderr — tracing must never turn a
     /// working run into a failing one.
-    pub fn from_env() -> Tracer {
+    pub(crate) fn from_env() -> Tracer {
         static ENV_TRACER: OnceLock<Tracer> = OnceLock::new();
         ENV_TRACER
             .get_or_init(|| {

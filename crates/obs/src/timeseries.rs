@@ -86,7 +86,7 @@ impl Default for TelemetrySpec {
 }
 
 /// The telemetry spec selected by `MPDASH_TELEMETRY`, resolved once per
-/// process (the same pattern as [`Tracer::from_env`](crate::Tracer::from_env)):
+/// process (the same pattern as `Tracer::from_env`):
 ///
 /// * unset / `""` / `"0"` / `"off"` — `None` (telemetry disabled);
 /// * a positive number — epoch width in (possibly fractional) seconds;
@@ -353,7 +353,7 @@ impl EpochSeries {
     }
 
     /// The epoch index covering virtual time `t`.
-    pub fn index_of(&self, t: SimTime) -> usize {
+    pub(crate) fn index_of(&self, t: SimTime) -> usize {
         (t.as_nanos() / self.epoch.as_nanos()) as usize
     }
 
@@ -361,11 +361,6 @@ impl EpochSeries {
     pub fn add(&mut self, t: SimTime, name: &'static str, n: u64) {
         let i = self.index_of(t);
         self.cells.at(i).add(name, n);
-    }
-
-    /// Increment the named counter in `t`'s epoch.
-    pub fn inc(&mut self, t: SimTime, name: &'static str) {
-        self.add(t, name, 1);
     }
 
     /// Record `value` into the named log₂ histogram in `t`'s epoch.
@@ -560,9 +555,9 @@ mod tests {
     #[test]
     fn events_land_in_their_epoch() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(0), "chunks");
-        s.inc(t(1), "chunks"); // still epoch 0: [0, 2)
-        s.inc(t(2), "chunks"); // epoch 1
+        s.add(t(0), "chunks", 1);
+        s.add(t(1), "chunks", 1); // still epoch 0: [0, 2)
+        s.add(t(2), "chunks", 1); // epoch 1
         s.add(t(5), "chunks", 3); // epoch 2
         assert_eq!(series(&s, "chunks"), vec![2, 1, 3]);
         assert_eq!(s.counter_total("chunks"), 6);
@@ -572,7 +567,7 @@ mod tests {
     #[test]
     fn untouched_epochs_are_dense_zeros() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(9), "x"); // epoch 4; 0..=3 recorded nothing
+        s.add(t(9), "x", 1); // epoch 4; 0..=3 recorded nothing
         assert_eq!(series(&s, "x"), vec![0, 0, 0, 0, 1]);
         assert_eq!(s.n_epochs(), 5);
         let cells: Vec<(usize, &EpochCell)> = s.cells().collect();
@@ -603,14 +598,14 @@ mod tests {
     #[test]
     fn a_series_stores_cells_from_its_first_touched_epoch() {
         let mut s = EpochSeries::new(spec2());
-        s.inc(t(9), "x");
+        s.add(t(9), "x", 1);
         assert_eq!((s.cells.first, s.cells.cells.len()), (4, 1));
-        s.inc(t(3), "x"); // before the first stored epoch: stored back to 1
+        s.add(t(3), "x", 1); // before the first stored epoch: stored back to 1
         assert_eq!((s.cells.first, s.cells.cells.len()), (1, 4));
         assert_eq!(series(&s, "x"), vec![0, 1, 0, 0, 1]);
 
         let mut late = EpochSeries::new(spec2());
-        late.inc(t(21), "x"); // epoch 10
+        late.add(t(21), "x", 1); // epoch 10
         let mut merged = s.clone();
         merged.merge(&late);
         assert_eq!((merged.cells.first, merged.cells.n_epochs()), (1, 11));
@@ -643,18 +638,18 @@ mod tests {
     #[test]
     fn names_serialize_sorted_regardless_of_insertion_order() {
         let mut a = EpochSeries::new(spec2());
-        a.inc(t(0), "zebra");
-        a.inc(t(0), "apple");
+        a.add(t(0), "zebra", 1);
+        a.add(t(0), "apple", 1);
         let mut b = EpochSeries::new(spec2());
-        b.inc(t(0), "apple");
-        b.inc(t(0), "zebra");
+        b.add(t(0), "apple", 1);
+        b.add(t(0), "zebra", 1);
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
     }
 
     #[test]
     fn merge_is_commutative_bitwise() {
         let mut a = EpochSeries::new(spec2());
-        a.inc(t(0), "chunks");
+        a.add(t(0), "chunks", 1);
         a.observe(t(3), "buffer_ms", 900);
         let mut b = EpochSeries::new(spec2());
         b.add(t(4), "chunks", 2);

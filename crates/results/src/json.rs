@@ -148,7 +148,7 @@ impl Json {
     }
 
     /// Integer view; floats with zero fraction convert too.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
             Json::Float(v) if v.fract() == 0.0 && v.abs() < i64::MAX as f64 => Some(*v as i64),

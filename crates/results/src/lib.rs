@@ -25,7 +25,7 @@ use mpdash_sim::{Series, SimDuration};
 
 /// The quantile grid persisted for every CDF: extremes, quartiles, and
 /// the tails the paper quotes (5th/95th).
-pub const CDF_QUANTILES: [f64; 7] = [0.0, 0.05, 0.25, 0.50, 0.75, 0.95, 1.0];
+pub(crate) const CDF_QUANTILES: [f64; 7] = [0.0, 0.05, 0.25, 0.50, 0.75, 0.95, 1.0];
 
 /// A table: header plus string rows, rendered with padded columns.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -157,7 +157,7 @@ pub struct CdfSummary {
     pub count: usize,
     /// Arithmetic mean (NaN when empty; serializes as null).
     pub mean: f64,
-    /// `(q, value)` pairs over [`CDF_QUANTILES`].
+    /// `(q, value)` pairs over `CDF_QUANTILES`.
     pub quantiles: Vec<(f64, f64)>,
 }
 

@@ -29,7 +29,7 @@ pub enum PathPreference {
 
 impl PathPreference {
     /// Per-path unit costs `(wifi, cell)` for the scheduler.
-    pub fn costs(self) -> [f64; 2] {
+    pub(crate) fn costs(self) -> [f64; 2] {
         match self {
             PathPreference::WifiFirst => [0.0, 1.0],
             PathPreference::CellularFirst => [1.0, 0.0],
@@ -323,12 +323,6 @@ impl SessionConfig {
         self
     }
 
-    /// Same config with a fault script injected on the cellular link.
-    pub fn with_cell_faults(mut self, faults: FaultScript) -> Self {
-        self.cell = self.cell.with_faults(faults);
-        self
-    }
-
     /// Same config with a server-side fault script (robustness runs:
     /// 5xx bursts, stalled response bodies, slow first byte).
     pub fn with_server_faults(mut self, faults: ServerFaultScript) -> Self {
@@ -349,23 +343,10 @@ impl SessionConfig {
         self
     }
 
-    /// Same config with a shared segment cache in front of the origins.
-    pub fn with_cache(mut self, cache: SharedSegmentCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Same config with a structured-trace sink attached (observe-only;
     /// see the `tracer` field).
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Same config with epoch telemetry enabled (observe-only; see the
-    /// `telemetry` field).
-    pub fn with_telemetry(mut self, spec: TelemetrySpec) -> Self {
-        self.telemetry = Some(spec);
         self
     }
 

@@ -67,12 +67,12 @@ pub(crate) struct Inflight {
 
 impl Inflight {
     /// Body bytes of the chunk.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.tracker.size()
     }
 
     /// Useful body bytes banked across every request for the chunk.
-    pub fn received(&self) -> u64 {
+    pub(crate) fn received(&self) -> u64 {
         self.tracker.received()
     }
 
@@ -103,7 +103,7 @@ pub(crate) struct ChunkFetch {
 }
 
 impl ChunkFetch {
-    pub fn new(cfg: &SessionConfig, rec: &Recorder) -> Self {
+    pub(crate) fn new(cfg: &SessionConfig, rec: &Recorder) -> Self {
         let pool = cfg.origins.clone().map(OriginPool::new);
         let http = HttpLayer::new();
         let mut http = match pool.as_ref() {
@@ -123,20 +123,20 @@ impl ChunkFetch {
     }
 
     /// The chunk in flight, if any.
-    pub fn current(&self) -> Option<&Inflight> {
+    pub(crate) fn current(&self) -> Option<&Inflight> {
         self.current.as_ref()
     }
 
     /// Breaker-state sanity probe for the runtime watchdog (`Ok(())`
     /// without a pool).
-    pub fn breaker_sanity(&self) -> Result<(), &'static str> {
+    pub(crate) fn breaker_sanity(&self) -> Result<(), &'static str> {
         self.pool.as_ref().map_or(Ok(()), |p| p.sanity())
     }
 
     /// Issue the first request for a chunk: from the shared segment
     /// cache when the full chunk is hot, otherwise from the origin the
     /// pool routes it to.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         sim: &mut MptcpSim,
         rec: &mut Recorder,
@@ -187,19 +187,19 @@ impl ChunkFetch {
     }
 
     /// The connection delivered `newly` more bytes; append the events.
-    pub fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
+    pub(crate) fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
         self.http.on_delivered(newly, events);
     }
 
     /// The server received upstream message `id` (a request to serve or
     /// a cancellation to apply).
-    pub fn on_server_msg(&mut self, sim: &mut MptcpSim, id: u64) -> Vec<HttpEvent> {
+    pub(crate) fn on_server_msg(&mut self, sim: &mut MptcpSim, id: u64) -> Vec<HttpEvent> {
         self.http.on_server_msg(sim, id)
     }
 
     /// React to one client-side HTTP event. Returns the chunk's log
     /// entry when the event completed it.
-    pub fn on_http_event(
+    pub(crate) fn on_http_event(
         &mut self,
         sim: &mut MptcpSim,
         rec: &mut Recorder,
@@ -243,7 +243,7 @@ impl ChunkFetch {
     /// The 50 ms progress tick: the hedge trigger, then the lifecycle's
     /// timeout/abandonment decision. `control` supplies the aggregate
     /// throughput estimate for the feasibility verdict.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         sim: &mut MptcpSim,
         rec: &mut Recorder,
@@ -259,7 +259,7 @@ impl ChunkFetch {
     /// An application timer that is not the session's own fired: the
     /// retry backoff, or a deferred server send (fault-delayed response
     /// part).
-    pub fn on_timer(&mut self, sim: &mut MptcpSim, rec: &mut Recorder, id: u64) {
+    pub(crate) fn on_timer(&mut self, sim: &mut MptcpSim, rec: &mut Recorder, id: u64) {
         if id != RETRY_ID {
             self.http.on_app_timer(sim, id);
         } else if self.current.is_some() {

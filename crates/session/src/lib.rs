@@ -33,7 +33,7 @@ pub use mpdash_http::{
     BreakerState, CacheStats, LifecyclePolicy, OriginPool, OriginPoolConfig, OriginSpec,
     RetryPolicy, ServerFaultScript, SharedSegmentCache,
 };
-pub use mpdash_obs::{MetricsSnapshot, NdjsonSink, NullSink, RingSink, TraceEvent, Tracer};
+pub use mpdash_obs::{MetricsSnapshot, NdjsonSink, RingSink, TraceEvent, Tracer};
 pub use report::{DegradationMetrics, LifecycleStats, OriginStats, SessionReport, SimProfile};
 pub use signal::DeadlineSignal;
 pub use streaming::StreamingSession;

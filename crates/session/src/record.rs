@@ -116,7 +116,7 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    pub fn new(tracer: Tracer, telemetry: Option<TelemetrySpec>) -> Self {
+    pub(crate) fn new(tracer: Tracer, telemetry: Option<TelemetrySpec>) -> Self {
         let mut metrics = MetricsRegistry::new();
         Recorder {
             tracer,
@@ -144,7 +144,7 @@ impl Recorder {
     /// Record `n` of `what` at `now`: the report field (if it has one),
     /// the registry counter, and the counter in `now`'s telemetry epoch
     /// (if it has one and telemetry is on).
-    pub fn count(&mut self, now: SimTime, what: Outcome, n: u64) {
+    pub(crate) fn count(&mut self, now: SimTime, what: Outcome, n: u64) {
         use Outcome::*;
         let (l, o) = (&mut self.lifecycle, &mut self.origin);
         let field = match what {
@@ -178,14 +178,19 @@ impl Recorder {
 
     /// One occurrence of `what` at `now`, with the trace event that
     /// describes it.
-    pub fn event(&mut self, now: SimTime, what: Outcome, build: impl FnOnce() -> TraceEvent) {
+    pub(crate) fn event(
+        &mut self,
+        now: SimTime,
+        what: Outcome,
+        build: impl FnOnce() -> TraceEvent,
+    ) {
         self.count(now, what, 1);
         self.tracer.emit_with(now, build);
     }
 
     /// Add `n` to a telemetry-only counter in `now`'s epoch (no-op with
     /// telemetry off).
-    pub fn epoch_add(&mut self, now: SimTime, name: &'static str, n: u64) {
+    pub(crate) fn epoch_add(&mut self, now: SimTime, name: &'static str, n: u64) {
         if let Some(ts) = self.telemetry.as_mut() {
             ts.series.add(now, name, n);
         }
@@ -196,7 +201,7 @@ impl Recorder {
     /// buffer level. Runs on the 50 ms progress tick and once more at
     /// session end, so per-epoch byte counters sum exactly to the
     /// report's per-path totals.
-    pub fn sample(&mut self, now: SimTime, sim: &MptcpSim, player: &Player) {
+    pub(crate) fn sample(&mut self, now: SimTime, sim: &MptcpSim, player: &Player) {
         let Some(ts) = self.telemetry.as_mut() else {
             return;
         };
@@ -227,7 +232,7 @@ impl Recorder {
     }
 
     /// The finished epoch series, if telemetry was on.
-    pub fn take_epochs(&mut self) -> Option<EpochSeries> {
+    pub(crate) fn take_epochs(&mut self) -> Option<EpochSeries> {
         self.telemetry.take().map(|mut ts| {
             ts.series.flush();
             ts.series

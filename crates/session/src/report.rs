@@ -34,7 +34,7 @@ pub struct SimProfile {
 
 impl SimProfile {
     /// The profile of `sim`'s event loop so far.
-    pub fn of(sim: &MptcpSim) -> Self {
+    pub(crate) fn of(sim: &MptcpSim) -> Self {
         let (lane_appends, heap_fallbacks) = sim.queue_placement();
         SimProfile {
             events_popped: sim.events_popped(),

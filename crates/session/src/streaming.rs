@@ -782,7 +782,10 @@ mod tests {
                 .with_video(short_video())
         };
         let off = StreamingSession::run(mk());
-        let on = StreamingSession::run(mk().with_telemetry(TelemetrySpec::seconds(2.0)));
+        let on = StreamingSession::run(SessionConfig {
+            telemetry: Some(TelemetrySpec::seconds(2.0)),
+            ..mk()
+        });
         // The PR 3 invariant, extended: telemetry on vs off changes
         // zero artifact bytes.
         assert_eq!(
@@ -1131,9 +1134,9 @@ mod tests {
     fn shared_cache_serves_the_second_session_from_the_edge() {
         use mpdash_http::SharedSegmentCache;
         let cache = SharedSegmentCache::new(256 * 1024 * 1024);
-        let mk = || {
-            controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
-                .with_cache(cache.clone())
+        let mk = || SessionConfig {
+            cache: Some(cache.clone()),
+            ..controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
         };
         let first = StreamingSession::run(mk());
         assert_eq!(first.origin.cache_hits, 0, "a cold cache cannot hit");
@@ -1166,10 +1169,13 @@ mod tests {
     fn pool_and_cache_runs_stay_deterministic() {
         use mpdash_http::{LifecyclePolicy, SharedSegmentCache};
         let mk = || {
-            controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
+            let cfg = controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
                 .with_origins(dark_primary_pool().with_hedge_quantile(0.6))
-                .with_lifecycle(LifecyclePolicy::deadline_aware())
-                .with_cache(SharedSegmentCache::new(64 * 1024 * 1024))
+                .with_lifecycle(LifecyclePolicy::deadline_aware());
+            SessionConfig {
+                cache: Some(SharedSegmentCache::new(64 * 1024 * 1024)),
+                ..cfg
+            }
         };
         let a = StreamingSession::run(mk());
         let b = StreamingSession::run(mk());

@@ -18,7 +18,7 @@
 //! changes the order it pops in.
 //!
 //! Entries live in one slab. When a pop leaves it three quarters empty
-//! ([`slack::shrunk_capacity`]), the pending entries move into a slab of
+//! (`slack::shrunk_capacity`), the pending entries move into a slab of
 //! the rule's size, each lane head to tail and then the heap's. An entry
 //! keeps its key, and only keys decide order, so compaction cannot move
 //! a pop.

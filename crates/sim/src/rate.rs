@@ -125,12 +125,6 @@ impl Rate {
     pub fn saturating_add(self, other: Rate) -> Rate {
         Rate(self.0.saturating_add(other.0))
     }
-
-    /// The larger of two rates.
-    #[inline]
-    pub fn max(self, other: Rate) -> Rate {
-        Rate(self.0.max(other.0))
-    }
 }
 
 impl Add for Rate {

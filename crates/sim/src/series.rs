@@ -33,7 +33,7 @@ impl Series {
     /// paper's throughput figures: sum bytes per window, then scale. Empty
     /// windows are emitted with a zero sum so the output is gap-free from
     /// the first to the last sample.
-    pub fn bucket_sums(&self, width: SimDuration) -> Vec<(SimTime, f64)> {
+    pub(crate) fn bucket_sums(&self, width: SimDuration) -> Vec<(SimTime, f64)> {
         assert!(!width.is_zero(), "bucket width must be positive");
         let Some(&(first, _)) = self.points.first() else {
             return Vec::new();

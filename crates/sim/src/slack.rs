@@ -2,9 +2,9 @@
 //!
 //! A buffer that a flight of packets once filled keeps that capacity
 //! after the flight is gone. Where a buffer drains, its owner asks
-//! [`shrunk_capacity`] (or calls [`GiveBackSlack::give_back_slack`]):
+//! `shrunk_capacity` (or calls [`GiveBackSlack::give_back_slack`]):
 //! when three quarters of the capacity is empty, it shrinks to twice
-//! what it holds, never below [`MIN_CAPACITY`] entries.
+//! what it holds, never below `MIN_CAPACITY` entries.
 //!
 //! Twice, not exactly what it holds, so a buffer that shrank has to
 //! halve again before it shrinks again, and a regrowth is a doubling
@@ -22,19 +22,19 @@
 use std::collections::VecDeque;
 
 /// No buffer is shrunk below this many entries.
-pub const MIN_CAPACITY: usize = 16;
+pub(crate) const MIN_CAPACITY: usize = 16;
 
 /// The capacity a buffer holding `len` entries in `capacity` shrinks
 /// to, or `None` when it keeps what it has: at least a quarter full, or
 /// already at the floor.
 #[inline]
-pub fn shrunk_capacity(len: usize, capacity: usize) -> Option<usize> {
+pub(crate) fn shrunk_capacity(len: usize, capacity: usize) -> Option<usize> {
     (capacity > MIN_CAPACITY && len * 4 <= capacity).then(|| (2 * len).max(MIN_CAPACITY))
 }
 
 /// A buffer the rule applies to.
 pub trait GiveBackSlack {
-    /// Shrink to [`shrunk_capacity`], if it says so.
+    /// Shrink to `shrunk_capacity`, if it says so.
     fn give_back_slack(&mut self);
 }
 

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Nanoseconds per second, as used throughout the time types.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An instant on the simulation clock, measured in nanoseconds since the
 /// start of the simulation.
@@ -81,18 +81,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 
@@ -179,18 +167,6 @@ impl SimDuration {
         } else {
             SimDuration(scaled.round() as u64)
         }
-    }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 }
 

@@ -107,7 +107,7 @@ impl Location {
     }
 
     /// The WiFi bandwidth profile (10-minute looped trace).
-    pub fn wifi_profile(&self) -> BandwidthProfile {
+    pub(crate) fn wifi_profile(&self) -> BandwidthProfile {
         let mut spec = SynthSpec::new(self.wifi_mbps, self.wifi_cv, self.seed);
         if self.wifi_fades {
             spec = spec.with_fades(0.0008, 0.1, SimDuration::from_secs(3));
@@ -116,7 +116,7 @@ impl Location {
     }
 
     /// The LTE bandwidth profile (commercial LTE: moderate variability).
-    pub fn lte_profile(&self) -> BandwidthProfile {
+    pub(crate) fn lte_profile(&self) -> BandwidthProfile {
         SynthSpec::new(self.lte_mbps, 0.15, self.seed ^ 0xC0FF_EE00).profile()
     }
 

@@ -42,7 +42,7 @@ impl Default for MobilityWalk {
 impl MobilityWalk {
     /// The WiFi profile: raised cosine over the lap with ±10% noise,
     /// sampled at 250 ms.
-    pub fn wifi_profile(&self) -> BandwidthProfile {
+    pub(crate) fn wifi_profile(&self) -> BandwidthProfile {
         let slot = SimDuration::from_millis(250);
         let n = (self.lap.as_nanos() / slot.as_nanos()).max(2) as usize;
         // Noise comes from a synthetic helper trace around 1.0.
@@ -65,7 +65,7 @@ impl MobilityWalk {
     }
 
     /// The LTE profile: steady with mild commercial-network noise.
-    pub fn lte_profile(&self) -> BandwidthProfile {
+    pub(crate) fn lte_profile(&self) -> BandwidthProfile {
         SynthSpec::new(self.lte_mbps, 0.10, self.seed ^ 0xABCD).profile()
     }
 

@@ -58,19 +58,19 @@ impl SynthSpec {
     }
 
     /// Same spec with fade events enabled.
-    pub fn with_fades(mut self, prob_per_slot: f64, depth: f64, len: SimDuration) -> Self {
+    pub(crate) fn with_fades(mut self, prob_per_slot: f64, depth: f64, len: SimDuration) -> Self {
         self.fade = Some((prob_per_slot, depth, len));
         self
     }
 
     /// Same spec with a different duration.
-    pub fn with_duration(mut self, d: SimDuration) -> Self {
+    pub(crate) fn with_duration(mut self, d: SimDuration) -> Self {
         self.duration = d;
         self
     }
 
     /// Number of slots in the trace.
-    pub fn n_slots(&self) -> usize {
+    pub(crate) fn n_slots(&self) -> usize {
         (self.duration.as_nanos() / self.slot.as_nanos()).max(1) as usize
     }
 

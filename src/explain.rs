@@ -32,7 +32,7 @@ pub struct ExplainOptions {
 
 /// How one chunk's deadline played out.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DeadlineOutcome {
+pub(crate) enum DeadlineOutcome {
     /// The adapter granted no window (low-buffer Ω bypass).
     Bypassed,
     /// Granted and met with this margin.
@@ -53,7 +53,7 @@ pub enum DeadlineOutcome {
 
 /// An injected fault window overlapping a chunk's fetch.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultOverlap {
+pub(crate) struct FaultOverlap {
     /// Which link the fault was injected on: `"wifi"` or `"cell"`.
     pub path: &'static str,
     /// Fault family name (`rate_collapse`, `disassociation`, ...).
@@ -70,7 +70,7 @@ pub struct FaultOverlap {
 /// chunk's fetch window (fleet replays only; private links never wait
 /// in a shared queue).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QueueWaitSummary {
+pub(crate) struct QueueWaitSummary {
     /// Path index (0 = wifi, 1 = cellular).
     pub path: usize,
     /// Packets that waited behind other clients' traffic.
@@ -86,7 +86,7 @@ pub struct QueueWaitSummary {
 /// time (the raw per-segment `SchedulerPick` events would flood the
 /// timeline, so they are rolled up per path).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SchedulerPickSummary {
+pub(crate) struct SchedulerPickSummary {
     /// Path index (0 = wifi, 1 = cellular).
     pub path: usize,
     /// Segments the scheduler assigned to this path.
@@ -104,7 +104,7 @@ pub struct SchedulerPickSummary {
 /// One chunk's explained timeline — the structured form the renderer
 /// (and the test suite) consumes.
 #[derive(Clone, Debug)]
-pub struct ChunkExplain {
+pub(crate) struct ChunkExplain {
     /// Chunk index.
     pub index: usize,
     /// Quality level fetched.
@@ -151,7 +151,7 @@ pub struct ChunkExplain {
 /// that client's timeline, shared-queue waits included: all N clients
 /// run — contention is the point — but only client `K`'s events and
 /// report are kept. A solo replay has no bottlenecks.
-pub fn explain_run(
+pub(crate) fn explain_run(
     scenario: &Scenario,
     opts: &ExplainOptions,
 ) -> Result<

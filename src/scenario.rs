@@ -227,7 +227,7 @@ pub struct ModeSpec {
 impl ModeSpec {
     /// Display label; a non-default scheduler is suffixed so grid rows
     /// stay distinguishable (e.g. `Rate+qaware`).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let base = self.mode.label();
         match self.scheduler {
             None => base,
@@ -711,7 +711,7 @@ impl Scenario {
 
     /// The document's fleet with one built mode config as every client's
     /// template; `None` when the document has no `fleet` key.
-    pub fn fleet_config(&self, cfg: SessionConfig) -> Option<FleetConfig> {
+    pub(crate) fn fleet_config(&self, cfg: SessionConfig) -> Option<FleetConfig> {
         let mut fleet = self.fleet.clone()?;
         fleet.base = cfg;
         // In a fleet the cache is per *run*, not per mode config: the
