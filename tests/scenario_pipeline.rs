@@ -6,11 +6,12 @@
 use mpdash::analysis::render_chunk_bars;
 use mpdash::dash::video::Video;
 use mpdash::explain::{explain_scenario, ExplainOptions};
+use mpdash::obs::{TraceEvent, TraceSink};
 use mpdash::scenario::Scenario;
 use mpdash::session::{
     run_batch, Job, RingSink, SessionReport, StreamingSession, Tracer, TransportMode,
 };
-use mpdash::sim::SimDuration;
+use mpdash::sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
 fn example() -> Scenario {
@@ -486,4 +487,66 @@ fn timeline_ndjson_reproduces_its_golden_bytes() {
         let bytes = std::fs::read(dir.join(ndjson)).expect("timeline NDJSON written");
         assert_eq!(fnv1a(&bytes), digest, "{file}");
     }
+}
+
+/// Keeps only the scripted-fault edges, link and server, as NDJSON
+/// lines in emission order.
+#[derive(Default)]
+struct FaultEdgeLines(std::sync::Mutex<String>);
+
+impl TraceSink for FaultEdgeLines {
+    fn record(&self, t: SimTime, event: &TraceEvent) {
+        let kind = event.kind();
+        if kind.starts_with("fault_") || kind.starts_with("server_fault_") {
+            let mut lines = self.0.lock().unwrap();
+            lines.push_str(&event.to_json(t).to_compact());
+            lines.push('\n');
+        }
+    }
+}
+
+/// Every mode's fault-edge lines, as (line count, digest).
+fn fault_edge_pin(sc: &Scenario) -> (usize, u64) {
+    let sink = Arc::new(FaultEdgeLines::default());
+    for (_, cfg) in sc.build() {
+        StreamingSession::run(cfg.with_tracer(Tracer::new(sink.clone())));
+    }
+    let lines = sink.0.lock().unwrap();
+    (lines.lines().count(), fnv1a(lines.as_bytes()))
+}
+
+/// The activation and clearance lines of scripted faults, at both
+/// layers: all four link-fault kinds on both paths of a short inline
+/// scenario, and `server_faults.json`'s three server kinds. Recorded
+/// before the link and server scripts shared one window type and one
+/// edge tracker.
+#[test]
+fn fault_edge_lines_reproduce_their_golden_digests() {
+    let link_faults = Scenario::from_json(
+        r#"{
+          "name": "every link-fault kind",
+          "video": {"custom": {"levels_mbps": [0.58, 1.01, 1.47, 2.41], "chunk_secs": 4, "n_chunks": 30}},
+          "wifi": {"synthetic": {"mean_mbps": 4.0, "sigma": 0.1, "seed": 7}},
+          "cell": {"constant": 3.0},
+          "abr": "festive",
+          "buffer_secs": 20,
+          "modes": ["vanilla", "mpdash_rate"],
+          "wifi_faults": [
+            {"burst_loss": {"at_s": 5, "secs": 10, "p_enter": 0.1, "p_exit": 0.3, "loss": 0.6}},
+            {"rtt_spike": {"at_s": 12, "secs": 8, "extra_ms": 150, "jitter_ms": 40}},
+            {"rate_collapse": {"at_s": 30, "secs": 20, "factor": 0.2}},
+            {"disassociation": {"at_s": 60, "secs": 6, "reassoc_s": 2}}
+          ],
+          "cell_faults": [
+            {"rtt_spike": {"at_s": 40, "secs": 10}},
+            {"disassociation": {"at_s": 90, "secs": 3}}
+          ]
+        }"#,
+    )
+    .unwrap();
+    assert_eq!(fault_edge_pin(&link_faults), (22, 12764126579401084950));
+    assert_eq!(
+        fault_edge_pin(&shipped("server_faults.json")),
+        (12, 3738484622233760362)
+    );
 }
