@@ -18,8 +18,6 @@
 
 use super::{Abr, AbrInput, AbrKind};
 use crate::video::Video;
-#[cfg(test)]
-use mpdash_sim::Rate;
 use mpdash_sim::SimDuration;
 
 /// The BBA chunk map: buffer-occupancy thresholds per level.
@@ -207,6 +205,7 @@ impl Abr for Bba {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_sim::Rate;
 
     fn secs(s: f64) -> SimDuration {
         SimDuration::from_secs_f64(s)

@@ -7,8 +7,6 @@
 //! depart?* — and consumes the tokens when the caller commits to that
 //! departure.
 
-#[cfg(test)]
-use mpdash_sim::SimDuration;
 use mpdash_sim::{Rate, SimTime};
 
 /// Token bucket with fill rate `rate` and capacity `burst` bytes.
@@ -93,6 +91,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_sim::SimDuration;
 
     fn bucket_700kbps() -> TokenBucket {
         // 700 kbps, one-packet burst — the paper's throttling setup.

@@ -8,8 +8,6 @@
 
 use crate::synth::SynthSpec;
 use mpdash_link::{BandwidthProfile, LinkConfig};
-#[cfg(test)]
-use mpdash_sim::SimTime;
 use mpdash_sim::{Rate, SimDuration};
 
 /// Walk parameters.
@@ -84,6 +82,7 @@ impl MobilityWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_sim::SimTime;
 
     #[test]
     fn wifi_swings_between_peak_and_trough() {

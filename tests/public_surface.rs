@@ -485,3 +485,29 @@ fn the_item_reader_understands_the_forms_in_use() {
         ["pub", "const", "g", "fn", "Rate", "u8"]
     );
 }
+
+/// The verify skill's line count stops each file at its first
+/// `#[cfg(test)]` line, and [`non_test`] at the first one that opens a
+/// `mod`. They count the same lines only while no file puts a
+/// test-only item above its test module.
+#[test]
+fn a_files_first_cfg_test_opens_its_test_module() {
+    let mut files = Vec::new();
+    for dir in program_dirs() {
+        rust_files(&dir, &mut files);
+    }
+    let mut misplaced = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("program file readable");
+        let mut lines = text.lines().enumerate();
+        if let Some((n, _)) = lines.find(|(_, l)| l.starts_with("#[cfg(test)]")) {
+            if !lines.next().is_some_and(|(_, l)| l.starts_with("mod ")) {
+                misplaced.push(format!("{}:{}", path.display(), n + 1));
+            }
+        }
+    }
+    assert!(
+        misplaced.is_empty(),
+        "a #[cfg(test)] item above the test module: {misplaced:?}"
+    );
+}
