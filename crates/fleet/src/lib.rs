@@ -910,16 +910,11 @@ fn client_configs<'a>(
             if members.next_if_eq(&k).is_none() {
                 continue;
             }
-            for (link, shared) in [(&mut sc.wifi, &dom.wifi), (&mut sc.cell, &dom.cell)] {
-                if !shared.is_empty() {
-                    let own = link.faults.take().unwrap_or_default();
-                    let events = shared.events().iter().cloned();
-                    link.faults = Some(events.fold(own, FaultScript::with_event));
-                }
-            }
-            let own = std::mem::take(&mut sc.server_faults);
-            let events = dom.server.events().iter().copied();
-            sc.server_faults = events.fold(own, ServerFaultScript::with_event);
+            // A member's own windows come first at a shared instant.
+            sc.wifi.faults.extend(dom.wifi.windows().iter().copied());
+            sc.cell.faults.extend(dom.cell.windows().iter().copied());
+            sc.server_faults
+                .extend(dom.server.windows().iter().copied());
         }
         sc
     })

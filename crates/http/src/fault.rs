@@ -1,6 +1,7 @@
 //! Deterministic server-side fault injection: a scripted timeline of
-//! adverse *application-layer* behaviour, mirroring the link layer's
-//! [`FaultScript`](../../mpdash_link/fault/index.html) one layer up.
+//! adverse *application-layer* behaviour. Each fault is a
+//! [`FaultWindow`] on a [`FaultTimeline`], the types a link's faults
+//! share; only the kinds are this layer's.
 //!
 //! The link faults exercise the transport (loss, latency, outages)
 //! but a perfectly healthy pair of paths can still starve a player when
@@ -31,15 +32,15 @@
 //!   abandons and fetches the range from a healthy origin instead.
 //!
 //! Windows are half-open `[at, at + duration)` against the *service*
-//! instant (when the request reaches the server), are kept sorted by
-//! start (stable in insertion order), and contain no hidden randomness:
-//! the same script and the same request arrival sequence reproduce the
-//! same behaviour bit-for-bit. The seeded randomness of the lifecycle
-//! layer (retry jitter) lives in
+//! instant (when the request reaches the server), with no tail, and
+//! contain no hidden randomness: the same script and the same request
+//! arrival sequence reproduce the same behaviour bit-for-bit. The
+//! seeded randomness of the lifecycle layer (retry jitter) lives in
 //! [`LifecyclePolicy`](crate::LifecyclePolicy) instead, on per-request
 //! derived RNG streams.
 
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{FaultTail, FaultTimeline, FaultWindow, SimDuration, SimTime};
+use std::ops::{Deref, DerefMut};
 
 /// One family of injected server behaviour. See the module docs.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -78,40 +79,33 @@ impl ServerFaultKind {
     }
 }
 
+impl FaultTail for ServerFaultKind {}
+
 /// One scheduled server fault: a kind active on `[at, at + duration)`.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ServerFaultEvent {
-    /// When the fault window opens.
-    pub at: SimTime,
-    /// Window length (service instants inside it are affected).
-    pub duration: SimDuration,
-    /// What the fault does.
-    pub kind: ServerFaultKind,
-}
-
-impl ServerFaultEvent {
-    /// The instant the window closes.
-    pub(crate) fn end(&self) -> SimTime {
-        self.at + self.duration
-    }
-
-    /// Whether a request served at `t` falls inside the window.
-    pub(crate) fn active_at(&self, t: SimTime) -> bool {
-        t >= self.at && t < self.end()
-    }
-}
+pub type ServerFaultEvent = FaultWindow<ServerFaultKind>;
 
 /// A deterministic timeline of server-side fault events.
 ///
-/// Events may overlap and compose: a slow first byte delays the start
-/// of a response whose body then stalls. An error burst takes
-/// precedence over both (the 5xx is generated before any body exists).
-/// Every origin carries one ([`OriginSpec::with_faults`](crate::OriginSpec::with_faults));
+/// Events compose: a slow first byte delays the start of a response
+/// whose body then stalls. An error burst takes precedence over both
+/// (the 5xx is generated before any body exists). Every origin carries
+/// one ([`OriginSpec::with_faults`](crate::OriginSpec::with_faults));
 /// attach the origins to a connection with
 /// [`HttpLayer::with_origins`](crate::HttpLayer::with_origins).
 #[derive(Clone, PartialEq, Debug, Default)]
-pub struct ServerFaultScript {
-    events: Vec<ServerFaultEvent>,
+pub struct ServerFaultScript(FaultTimeline<ServerFaultKind>);
+
+impl Deref for ServerFaultScript {
+    type Target = FaultTimeline<ServerFaultKind>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for ServerFaultScript {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl ServerFaultScript {
@@ -120,22 +114,14 @@ impl ServerFaultScript {
         ServerFaultScript::default()
     }
 
-    /// Add an arbitrary event, keeping the timeline ordered (stable for
-    /// simultaneous events, so the timeline is a pure function of the
-    /// construction sequence).
-    pub fn with_event(mut self, event: ServerFaultEvent) -> Self {
-        self.events.push(event);
-        self.events.sort_by_key(|e| e.at);
+    fn with(mut self, at: SimTime, duration: SimDuration, kind: ServerFaultKind) -> Self {
+        self.0.extend([FaultWindow { at, duration, kind }]);
         self
     }
 
     /// Add a 5xx error-burst window.
     pub fn error_burst(self, at: SimTime, duration: SimDuration) -> Self {
-        self.with_event(ServerFaultEvent {
-            at,
-            duration,
-            kind: ServerFaultKind::ErrorBurst,
-        })
+        self.with(at, duration, ServerFaultKind::ErrorBurst)
     }
 
     /// Add a stalled-body window: responses starting inside it send the
@@ -156,51 +142,29 @@ impl ServerFaultScript {
             (0.0..1.0).contains(&after_fraction),
             "after_fraction must be in [0,1)"
         );
-        self.with_event(ServerFaultEvent {
-            at,
-            duration,
-            kind: ServerFaultKind::StalledBody {
-                stall,
-                after_fraction,
-            },
-        })
+        let kind = ServerFaultKind::StalledBody {
+            stall,
+            after_fraction,
+        };
+        self.with(at, duration, kind)
     }
 
     /// Add a slow-first-byte window deferring response starts by
     /// `delay`.
     pub fn slow_first_byte(self, at: SimTime, duration: SimDuration, delay: SimDuration) -> Self {
-        self.with_event(ServerFaultEvent {
-            at,
-            duration,
-            kind: ServerFaultKind::SlowFirstByte { delay },
-        })
+        self.with(at, duration, ServerFaultKind::SlowFirstByte { delay })
     }
 
     /// Add a blackhole window: requests served inside it get no bytes
     /// until the window closes.
     pub fn blackhole(self, at: SimTime, duration: SimDuration) -> Self {
-        self.with_event(ServerFaultEvent {
-            at,
-            duration,
-            kind: ServerFaultKind::Blackhole,
-        })
-    }
-
-    /// The ordered event timeline.
-    pub fn events(&self) -> &[ServerFaultEvent] {
-        &self.events
-    }
-
-    /// Whether the script has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.with(at, duration, ServerFaultKind::Blackhole)
     }
 
     /// Whether a request served at `t` gets a 5xx.
     pub(crate) fn error_at(&self, t: SimTime) -> bool {
-        self.events
-            .iter()
-            .any(|e| e.kind == ServerFaultKind::ErrorBurst && e.active_at(t))
+        self.active_at(t)
+            .any(|e| e.kind == ServerFaultKind::ErrorBurst)
     }
 
     /// Total time-to-first-byte inflation for a response starting at
@@ -208,9 +172,7 @@ impl ServerFaultScript {
     /// contributes the remainder of its window (no byte leaves the
     /// origin before the outage clears).
     pub(crate) fn first_byte_delay_at(&self, t: SimTime) -> SimDuration {
-        self.events
-            .iter()
-            .filter(|e| e.active_at(t))
+        self.active_at(t)
             .filter_map(|e| match e.kind {
                 ServerFaultKind::SlowFirstByte { delay } => Some(delay),
                 ServerFaultKind::Blackhole => Some(e.end().saturating_since(t)),
@@ -223,11 +185,11 @@ impl ServerFaultScript {
     /// `t` (first active window wins; overlapping stalls do not
     /// compose).
     pub(crate) fn stall_at(&self, t: SimTime) -> Option<(SimDuration, f64)> {
-        self.events.iter().find_map(|e| match e.kind {
+        self.active_at(t).find_map(|e| match e.kind {
             ServerFaultKind::StalledBody {
                 stall,
                 after_fraction,
-            } if e.active_at(t) => Some((stall, after_fraction)),
+            } => Some((stall, after_fraction)),
             _ => None,
         })
     }
@@ -247,8 +209,8 @@ mod tests {
                 0.5,
             )
             .error_burst(SimTime::from_secs(10), SimDuration::from_secs(5));
-        assert_eq!(s.events()[0].at, SimTime::from_secs(10));
-        assert_eq!(s.events()[1].at, SimTime::from_secs(30));
+        assert_eq!(s.windows()[0].at, SimTime::from_secs(10));
+        assert_eq!(s.windows()[1].at, SimTime::from_secs(30));
         assert!(s.error_at(SimTime::from_secs(12)));
         assert!(!s.error_at(SimTime::from_secs(15)), "window is half-open");
         assert_eq!(

@@ -20,7 +20,8 @@
 //! On top of the framing sit the pieces that keep a request robust:
 //!
 //! * [`fault`] — a scripted server-side fault model (5xx bursts, stalled
-//!   response bodies, slow first byte) mirroring `mpdash-link::fault`;
+//!   response bodies, slow first byte, blackholes) on the fault timeline
+//!   `mpdash-link::fault` shares;
 //! * [`lifecycle`] — the per-request state machine deciding when to stop
 //!   waiting: stall/deadline timeouts, mid-download abandonment with
 //!   byte-range resume, and bounded seeded retries;
@@ -35,7 +36,7 @@
 
 use mpdash_mptcp::MptcpSim;
 use mpdash_obs::{TraceEvent, Tracer};
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{FaultEdges, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 pub mod cache;
@@ -167,14 +168,6 @@ struct ServerResponse {
     total: u64,
 }
 
-/// Per-fault-event edge flags so activation/clearing trace events are
-/// emitted exactly once each.
-#[derive(Clone, Copy, Debug, Default)]
-struct FaultEdge {
-    activated: bool,
-    cleared: bool,
-}
-
 /// Where a request's response comes from — decided at `get` time,
 /// applied at serve time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,7 +187,7 @@ pub enum Route {
 struct OriginServe {
     faults: ServerFaultScript,
     rtt_penalty: SimDuration,
-    edges: Vec<FaultEdge>,
+    edges: FaultEdges,
 }
 
 impl OriginServe {
@@ -202,28 +195,24 @@ impl OriginServe {
         OriginServe {
             faults: spec.faults.clone(),
             rtt_penalty: spec.rtt_penalty,
-            edges: vec![FaultEdge::default(); spec.faults.events().len()],
+            edges: FaultEdges::default(),
         }
     }
 
     /// Emit activation/clearing trace edges for this origin's script, as
-    /// observed at serve instants. Edge bookkeeping runs whether or not
-    /// a sink is attached so internal state never depends on tracing.
+    /// observed at serve instants.
     fn trace_edges(&mut self, tracer: &Tracer, now: SimTime) {
-        for (e, edge) in self.faults.events().iter().zip(&mut self.edges) {
-            if e.active_at(now) && !edge.activated {
-                edge.activated = true;
-                tracer.emit_with(now, || TraceEvent::ServerFaultActivated {
-                    kind: e.kind.name(),
-                    until_s: e.end().as_secs_f64(),
-                });
-            } else if now >= e.end() && edge.activated && !edge.cleared {
-                edge.cleared = true;
-                tracer.emit_with(now, || TraceEvent::ServerFaultCleared {
-                    kind: e.kind.name(),
-                });
-            }
-        }
+        self.edges.observe(&self.faults, now, |e, activated| {
+            let kind = e.kind.name();
+            tracer.emit_with(now, || {
+                if activated {
+                    let until_s = e.end().as_secs_f64();
+                    TraceEvent::ServerFaultActivated { kind, until_s }
+                } else {
+                    TraceEvent::ServerFaultCleared { kind }
+                }
+            });
+        });
     }
 }
 

@@ -26,12 +26,14 @@
 //!   more. Every offered packet in the window is dropped with
 //!   [`DropReason::Disassociated`](crate::DropReason::Disassociated).
 //!
-//! Determinism: events are kept sorted by start time (stable in
-//! insertion order), and every stochastic element — each burst-loss
-//! chain, the jitter draw — runs on its own RNG stream derived from the
-//! link seed via [`derive_seed`], so the same seed and the same offered
-//! packet sequence reproduce the same fault pattern bit-for-bit,
-//! independent of the link's i.i.d. loss stream.
+//! Each fault is a [`FaultWindow`] on a [`FaultTimeline`], the types an
+//! origin's server faults share. Determinism: the timeline's order is a
+//! pure function of the construction sequence, and every stochastic
+//! element — each burst-loss chain, the jitter draw — runs on its own
+//! RNG stream derived from the link seed via [`derive_seed`], so the
+//! same seed and the same offered packet sequence reproduce the same
+//! fault pattern bit-for-bit, independent of the link's i.i.d. loss
+//! stream.
 //!
 //! ```
 //! use mpdash_link::{FaultScript, GilbertElliott, Link, LinkConfig};
@@ -57,7 +59,10 @@
 //! ));
 //! ```
 
-use mpdash_sim::{derive_seed, Prng, SimDuration, SimTime};
+use mpdash_sim::{
+    derive_seed, FaultEdges, FaultTail, FaultTimeline, FaultWindow, Prng, SimDuration, SimTime,
+};
+use std::ops::{Deref, DerefMut};
 
 /// Parameters of a two-state Gilbert–Elliott burst-loss model.
 ///
@@ -151,7 +156,7 @@ impl GeChain {
 
 /// One family of injected fault behaviour. See the module docs for the
 /// semantics of each variant.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultKind {
     /// Correlated packet loss driven by a [`GilbertElliott`] chain.
     BurstLoss(GilbertElliott),
@@ -189,46 +194,39 @@ impl FaultKind {
     }
 }
 
-/// One scheduled fault: a kind active on `[at, at + duration)` (a
-/// [`FaultKind::Disassociation`] extends the window by its
-/// reassociation delay).
-#[derive(Clone, PartialEq, Debug)]
-pub struct FaultEvent {
-    /// When the fault begins.
-    pub at: SimTime,
-    /// How long the fault condition itself lasts.
-    pub duration: SimDuration,
-    /// What the fault does.
-    pub kind: FaultKind,
-}
-
-impl FaultEvent {
-    /// The instant the fault stops affecting the link (for a
-    /// disassociation this includes the reassociation delay).
-    pub fn end(&self) -> SimTime {
-        let extra = match self.kind {
-            FaultKind::Disassociation { reassociation } => reassociation,
+/// A disassociation's window runs on through its reassociation.
+impl FaultTail for FaultKind {
+    fn tail(&self) -> SimDuration {
+        match self {
+            FaultKind::Disassociation { reassociation } => *reassociation,
             _ => SimDuration::ZERO,
-        };
-        self.at + self.duration + extra
-    }
-
-    /// Whether the fault affects the link at `t`.
-    pub(crate) fn active_at(&self, t: SimTime) -> bool {
-        t >= self.at && t < self.end()
+        }
     }
 }
+
+/// One scheduled link fault.
+pub type FaultEvent = FaultWindow<FaultKind>;
 
 /// A deterministic timeline of fault events for one link.
 ///
-/// Events are kept ordered by start time (stable under insertion order
-/// for ties), may overlap, and compose: an active rate collapse scales
-/// the profile while an active burst-loss chain eats packets. Attach to
-/// a link with [`LinkConfig::with_faults`](crate::LinkConfig::with_faults);
-/// all randomness is then derived from the link's seed.
+/// Events compose: an active rate collapse scales the profile while an
+/// active burst-loss chain eats packets. Attach to a link with
+/// [`LinkConfig::with_faults`](crate::LinkConfig::with_faults); all
+/// randomness is then derived from the link's seed.
 #[derive(Clone, PartialEq, Debug, Default)]
-pub struct FaultScript {
-    events: Vec<FaultEvent>,
+pub struct FaultScript(FaultTimeline<FaultKind>);
+
+impl Deref for FaultScript {
+    type Target = FaultTimeline<FaultKind>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for FaultScript {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl FaultScript {
@@ -237,23 +235,14 @@ impl FaultScript {
         FaultScript::default()
     }
 
-    /// Add an arbitrary event, keeping the timeline ordered.
-    pub fn with_event(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
-        // Stable: simultaneous events stay in insertion order, so the
-        // timeline — and every RNG stream keyed by event index — is a
-        // pure function of the construction sequence.
-        self.events.sort_by_key(|e| e.at);
+    fn with(mut self, at: SimTime, duration: SimDuration, kind: FaultKind) -> Self {
+        self.0.extend([FaultWindow { at, duration, kind }]);
         self
     }
 
     /// Add a Gilbert–Elliott burst-loss window.
     pub fn burst_loss(self, at: SimTime, duration: SimDuration, ge: GilbertElliott) -> Self {
-        self.with_event(FaultEvent {
-            at,
-            duration,
-            kind: FaultKind::BurstLoss(ge),
-        })
+        self.with(at, duration, FaultKind::BurstLoss(ge))
     }
 
     /// Add an RTT-spike window adding `extra` plus up to `jitter` of
@@ -265,11 +254,7 @@ impl FaultScript {
         extra: SimDuration,
         jitter: SimDuration,
     ) -> Self {
-        self.with_event(FaultEvent {
-            at,
-            duration,
-            kind: FaultKind::RttSpike { extra, jitter },
-        })
+        self.with(at, duration, FaultKind::RttSpike { extra, jitter })
     }
 
     /// Add a rate-collapse window scaling the profile rate by `factor`.
@@ -283,11 +268,7 @@ impl FaultScript {
             factor > 0.0 && factor <= 1.0,
             "rate-collapse factor must be in (0,1]"
         );
-        self.with_event(FaultEvent {
-            at,
-            duration,
-            kind: FaultKind::RateCollapse { factor },
-        })
+        self.with(at, duration, FaultKind::RateCollapse { factor })
     }
 
     /// Add a disassociation: total outage `duration + reassociation`.
@@ -297,37 +278,20 @@ impl FaultScript {
         duration: SimDuration,
         reassociation: SimDuration,
     ) -> Self {
-        self.with_event(FaultEvent {
-            at,
-            duration,
-            kind: FaultKind::Disassociation { reassociation },
-        })
-    }
-
-    /// The ordered event timeline.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Whether the script has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.with(at, duration, FaultKind::Disassociation { reassociation })
     }
 
     /// Whether a disassociation outage (including its reassociation
     /// tail) covers `t`.
     pub(crate) fn disassociated_at(&self, t: SimTime) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Disassociation { .. }) && e.active_at(t))
+        self.active_at(t)
+            .any(|e| matches!(e.kind, FaultKind::Disassociation { .. }))
     }
 
     /// Product of all rate-collapse factors active at `t` (1.0 when
     /// none are).
     pub fn rate_factor_at(&self, t: SimTime) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.active_at(t))
+        self.active_at(t)
             .filter_map(|e| match e.kind {
                 FaultKind::RateCollapse { factor } => Some(factor),
                 _ => None,
@@ -338,13 +302,14 @@ impl FaultScript {
 
 /// Per-link runtime state for an attached [`FaultScript`]: one
 /// [`GeChain`] per burst-loss event and one jitter stream, all derived
-/// from the link seed.
+/// from the link seed, and the edges the link's tracer reports.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultState {
-    script: FaultScript,
-    /// Parallel to `script.events()`: `Some` for burst-loss events.
+    pub(crate) script: FaultScript,
+    /// Parallel to `script.windows()`: `Some` for burst-loss events.
     chains: Vec<Option<GeChain>>,
     jitter_rng: Prng,
+    pub(crate) edges: FaultEdges,
 }
 
 /// Stream tags keeping the fault RNGs independent of the link's i.i.d.
@@ -355,7 +320,7 @@ const JITTER_STREAM: u64 = 0x4A17;
 impl FaultState {
     pub(crate) fn new(script: FaultScript, link_seed: u64) -> Self {
         let chains = script
-            .events()
+            .windows()
             .iter()
             .enumerate()
             .map(|(idx, e)| match e.kind {
@@ -370,12 +335,8 @@ impl FaultState {
             script,
             chains,
             jitter_rng: Prng::new(derive_seed(link_seed, JITTER_STREAM)),
+            edges: FaultEdges::default(),
         }
-    }
-
-    /// Whether a disassociation outage covers `t`.
-    pub(crate) fn disassociated_at(&self, t: SimTime) -> bool {
-        self.script.disassociated_at(t)
     }
 
     /// Advance every burst-loss chain active at `t` by one packet and
@@ -384,7 +345,7 @@ impl FaultState {
     /// offered packet exactly once regardless of overlap.
     pub(crate) fn burst_lose_packet(&mut self, t: SimTime) -> bool {
         let mut lost = false;
-        for (event, chain) in self.script.events.iter().zip(self.chains.iter_mut()) {
+        for (event, chain) in self.script.windows().iter().zip(&mut self.chains) {
             if let Some(chain) = chain {
                 if event.active_at(t) {
                     lost |= chain.lose_packet();
@@ -394,24 +355,17 @@ impl FaultState {
         lost
     }
 
-    /// Combined rate-collapse factor at `t`.
-    pub(crate) fn rate_factor_at(&self, t: SimTime) -> f64 {
-        self.script.rate_factor_at(t)
-    }
-
     /// Total extra latency (fixed + jitter draw) for a delivery whose
     /// serialization starts at `t`. Draws from the jitter stream only
     /// for packets inside a spike window, so packets outside the window
     /// do not perturb the stream.
     pub(crate) fn rtt_extra_at(&mut self, t: SimTime) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        for e in &self.script.events {
+        for e in self.script.active_at(t) {
             if let FaultKind::RttSpike { extra, jitter } = e.kind {
-                if e.active_at(t) {
-                    total += extra;
-                    if !jitter.is_zero() {
-                        total += jitter.mul_f64(self.jitter_rng.next_f64());
-                    }
+                total += extra;
+                if !jitter.is_zero() {
+                    total += jitter.mul_f64(self.jitter_rng.next_f64());
                 }
             }
         }
@@ -500,8 +454,8 @@ mod tests {
                 SimDuration::from_secs(2),
             )
             .rate_collapse(SimTime::from_secs(10), SimDuration::from_secs(5), 0.25);
-        assert_eq!(s.events()[0].at, SimTime::from_secs(10));
-        assert_eq!(s.events()[1].at, SimTime::from_secs(30));
+        assert_eq!(s.windows()[0].at, SimTime::from_secs(10));
+        assert_eq!(s.windows()[1].at, SimTime::from_secs(30));
         assert!(s.disassociated_at(SimTime::from_secs(36)), "reassoc tail");
         assert!(!s.disassociated_at(SimTime::from_secs(37)));
         assert!((s.rate_factor_at(SimTime::from_secs(12)) - 0.25).abs() < 1e-12);

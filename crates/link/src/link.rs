@@ -81,8 +81,9 @@ pub struct LinkConfig {
     /// and independent across links). Fault-script randomness (burst
     /// chains, jitter) runs on streams derived from this same seed.
     pub seed: u64,
-    /// Optional deterministic fault timeline layered over the link.
-    pub faults: Option<FaultScript>,
+    /// Deterministic fault timeline layered over the link; empty is
+    /// healthy.
+    pub faults: FaultScript,
 }
 
 impl LinkConfig {
@@ -95,7 +96,7 @@ impl LinkConfig {
             loss: 0.0,
             throttle: None,
             seed: 0,
-            faults: None,
+            faults: FaultScript::new(),
         }
     }
 
@@ -130,7 +131,7 @@ impl LinkConfig {
     /// [`LinkConfig::with_loss`] or directly) on streams independent of
     /// the i.i.d. loss RNG.
     pub fn with_faults(mut self, script: FaultScript) -> Self {
-        self.faults = Some(script);
+        self.faults = script;
         self
     }
 }
@@ -139,7 +140,7 @@ impl LinkConfig {
 pub struct Link {
     cfg: LinkConfig,
     rng: Prng,
-    /// Runtime state for the attached fault script, if any.
+    /// Runtime state for the attached fault script, if it has a window.
     faults: Option<FaultState>,
     /// The profile step that served the last packet: `rate` holds over
     /// `[from, until)`. Service starts rarely leave it, so `send` looks
@@ -164,19 +165,15 @@ pub struct Link {
     tracer: Tracer,
     /// Dense path index used to label trace events.
     trace_path: usize,
-    /// Which scripted fault windows were active at the last `send`, so
-    /// activation/clearance edges are emitted exactly once.
-    fault_active: Vec<bool>,
 }
 
 impl Link {
     /// Build a link from its configuration.
-    pub fn new(cfg: LinkConfig) -> Self {
+    pub fn new(mut cfg: LinkConfig) -> Self {
         let rng = Prng::new(cfg.seed);
-        let faults = cfg
-            .faults
-            .clone()
-            .map(|script| FaultState::new(script, cfg.seed));
+        // The script moves into its runtime state.
+        let faults = (!cfg.faults.is_empty())
+            .then(|| FaultState::new(std::mem::take(&mut cfg.faults), cfg.seed));
         Link {
             cfg,
             rng,
@@ -189,7 +186,6 @@ impl Link {
             shared: None,
             tracer: Tracer::disabled(),
             trace_path: 0,
-            fault_active: Vec::new(),
         }
     }
 
@@ -199,42 +195,49 @@ impl Link {
     pub fn set_tracer(&mut self, tracer: Tracer, path: usize) {
         self.tracer = tracer;
         self.trace_path = path;
-        self.fault_active = self
-            .cfg
-            .faults
-            .as_ref()
-            .map(|s| vec![false; s.events().len()])
-            .unwrap_or_default();
     }
 
-    /// Emit activation/clearance edges for scripted fault windows whose
-    /// active state changed since the last offered packet. Runs only
-    /// when a tracer is attached.
-    fn trace_fault_edges(&mut self, now: SimTime) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let Some(script) = &self.cfg.faults else {
-            return;
-        };
-        for (i, e) in script.events().iter().enumerate() {
-            let active = e.active_at(now);
-            if active == self.fault_active[i] {
-                continue;
-            }
-            self.fault_active[i] = active;
-            let (path, kind) = (self.trace_path, e.kind.name());
-            if active {
-                self.tracer.emit_with(now, || TraceEvent::FaultActivated {
-                    path,
-                    kind,
-                    until_s: e.end().as_secs_f64(),
+    /// Steps 0–2 of [`Link::send`], which [`Link::offer_shared`] shares:
+    /// the air-interface hazards that drop a packet before any queue.
+    /// A traced link first reports the fault windows that opened or
+    /// closed since the last offered packet.
+    fn air_drop(&mut self, now: SimTime) -> Option<DropReason> {
+        if let Some(faults) = &mut self.faults {
+            if self.tracer.enabled() {
+                let (tracer, path) = (&self.tracer, self.trace_path);
+                faults.edges.observe(&faults.script, now, |e, activated| {
+                    let kind = e.kind.name();
+                    tracer.emit_with(now, || {
+                        if activated {
+                            let until_s = e.end().as_secs_f64();
+                            TraceEvent::FaultActivated {
+                                path,
+                                kind,
+                                until_s,
+                            }
+                        } else {
+                            TraceEvent::FaultCleared { path, kind }
+                        }
+                    });
                 });
-            } else {
-                self.tracer
-                    .emit_with(now, || TraceEvent::FaultCleared { path, kind });
+            }
+            // 0. An active disassociation outage swallows everything —
+            //    the association (or its re-handshake) isn't up, so the
+            //    packet never reaches the air.
+            if faults.script.disassociated_at(now) {
+                return Some(DropReason::Disassociated);
+            }
+            // 1. Burst loss: every active Gilbert–Elliott chain advances
+            //    one step per offered packet; any of them may eat it.
+            if faults.burst_lose_packet(now) {
+                return Some(DropReason::BurstLoss);
             }
         }
+        // 2. Random loss happens "on the wire" but is decided up front —
+        //    the byte still occupied upstream buffers in reality, but for
+        //    a drop-tail model deciding early is equivalent and simpler.
+        (self.cfg.loss > 0.0 && self.rng.next_f64() < self.cfg.loss)
+            .then_some(DropReason::RandomLoss)
     }
 
     /// The profile's rate at `t` and the instant it may next change.
@@ -316,19 +319,8 @@ impl Link {
     /// If no bottleneck is attached.
     pub fn offer_shared(&mut self, now: SimTime, size: u64) -> SharedOutcome {
         debug_assert!(size > 0, "packets must be non-empty");
-        self.trace_fault_edges(now);
-        if let Some(faults) = &self.faults {
-            if faults.disassociated_at(now) {
-                return SharedOutcome::Dropped(DropReason::Disassociated);
-            }
-        }
-        if let Some(faults) = &mut self.faults {
-            if faults.burst_lose_packet(now) {
-                return SharedOutcome::Dropped(DropReason::BurstLoss);
-            }
-        }
-        if self.cfg.loss > 0.0 && self.rng.next_f64() < self.cfg.loss {
-            return SharedOutcome::Dropped(DropReason::RandomLoss);
+        if let Some(reason) = self.air_drop(now) {
+            return SharedOutcome::Dropped(reason);
         }
         let (bottleneck, flow) = self.shared.as_ref().expect("no shared bottleneck attached");
         bottleneck.offer(now, *flow, size)
@@ -340,30 +332,8 @@ impl Link {
     /// the far end; the caller is responsible for scheduling that event.
     pub fn send(&mut self, now: SimTime, size: u64) -> SendOutcome {
         debug_assert!(size > 0, "packets must be non-empty");
-        self.trace_fault_edges(now);
-
-        // 0. An active disassociation outage swallows everything — the
-        //    association (or its re-handshake) isn't up, so the packet
-        //    never reaches the air.
-        if let Some(faults) = &self.faults {
-            if faults.disassociated_at(now) {
-                return SendOutcome::Dropped(DropReason::Disassociated);
-            }
-        }
-
-        // 1. Burst loss: every active Gilbert–Elliott chain advances one
-        //    step per offered packet; any of them may eat it.
-        if let Some(faults) = &mut self.faults {
-            if faults.burst_lose_packet(now) {
-                return SendOutcome::Dropped(DropReason::BurstLoss);
-            }
-        }
-
-        // 2. Random loss happens "on the wire" but is decided up front —
-        //    the byte still occupied upstream buffers in reality, but for a
-        //    drop-tail model deciding early is equivalent and simpler.
-        if self.cfg.loss > 0.0 && self.rng.next_f64() < self.cfg.loss {
-            return SendOutcome::Dropped(DropReason::RandomLoss);
+        if let Some(reason) = self.air_drop(now) {
+            return SendOutcome::Dropped(reason);
         }
 
         // 3. Drop-tail admission check against the current backlog. This
@@ -397,7 +367,7 @@ impl Link {
             (rate, until) = self.step_at(start);
         }
         if let Some(faults) = &self.faults {
-            let factor = faults.rate_factor_at(start);
+            let factor = faults.script.rate_factor_at(start);
             if factor < 1.0 {
                 // Clamp to 1 bps: the factor is in (0,1] by construction,
                 // so a collapse may crawl but never turns into the

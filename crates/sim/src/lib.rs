@@ -18,7 +18,8 @@
 //!
 //! It also names the paths every layer talks about: [`PathId`] and the
 //! enabled set [`PathMask`], from Algorithm 1's decision to the transport's
-//! DSS bit, and a stretch of the connection's byte stream, [`DssRange`].
+//! DSS bit, a stretch of the connection's byte stream, [`DssRange`], and
+//! a scripted fault at any layer, [`FaultWindow`] on a [`FaultTimeline`].
 //!
 //! The design intentionally avoids an async runtime: per the smoltcp-style
 //! guidance for event-driven network code, a single-threaded poll loop over
@@ -41,6 +42,7 @@
 //! ```
 
 pub mod dss;
+pub mod fault;
 pub mod par;
 pub mod path;
 pub mod queue;
@@ -51,6 +53,7 @@ pub mod slack;
 pub mod time;
 
 pub use dss::DssRange;
+pub use fault::{FaultEdges, FaultTail, FaultTimeline, FaultWindow};
 pub use par::{default_workers, par_map};
 pub use path::{PathId, PathMask};
 pub use queue::EventQueue;

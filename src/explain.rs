@@ -258,25 +258,22 @@ fn origin_name(scenario: &Scenario, origin: usize) -> String {
 
 fn fault_overlaps<'a>(
     path: &'static str,
-    script: Option<&'a FaultScript>,
+    script: &'a FaultScript,
     started_s: f64,
     completed_s: f64,
 ) -> impl Iterator<Item = FaultOverlap> + 'a {
-    script
-        .into_iter()
-        .flat_map(FaultScript::events)
-        .filter_map(move |e| {
-            let start = e.at.as_secs_f64();
-            let end = e.end().as_secs_f64();
-            let overlap = completed_s.min(end) - started_s.max(start);
-            (overlap > 0.0).then(|| FaultOverlap {
-                path,
-                kind: e.kind.name(),
-                fault_start_s: start,
-                fault_end_s: end,
-                overlap_s: overlap,
-            })
+    script.windows().iter().filter_map(move |e| {
+        let start = e.at.as_secs_f64();
+        let end = e.end().as_secs_f64();
+        let overlap = completed_s.min(end) - started_s.max(start);
+        (overlap > 0.0).then(|| FaultOverlap {
+            path,
+            kind: e.kind.name(),
+            fault_start_s: start,
+            fault_end_s: end,
+            overlap_s: overlap,
         })
+    })
 }
 
 /// The timeline line for a transport- or lifecycle-level event of chunk
@@ -427,10 +424,10 @@ fn explain_chunks(
                 }
             };
             let base = &scenario.base;
-            let faults = fault_overlaps("wifi", base.wifi.faults.as_ref(), started_s, completed_s)
+            let faults = fault_overlaps("wifi", &base.wifi.faults, started_s, completed_s)
                 .chain(fault_overlaps(
                     "cell",
-                    base.cell.faults.as_ref(),
+                    &base.cell.faults,
                     started_s,
                     completed_s,
                 ))
@@ -598,12 +595,9 @@ fn render(
         let _ = writeln!(out, "{line}");
     }
     let base = &scenario.base;
-    let n_faults = [&base.wifi.faults, &base.cell.faults]
-        .into_iter()
-        .flatten()
-        .map(|s| s.events().len())
-        .sum::<usize>()
-        + base.server_faults.events().len();
+    let n_faults = base.wifi.faults.windows().len()
+        + base.cell.faults.windows().len()
+        + base.server_faults.windows().len();
     let _ = writeln!(out, "injected faults: {n_faults}");
     for c in chunks {
         if only.is_some_and(|i| i != c.index) {

@@ -37,7 +37,7 @@ use mpdash_results::Json;
 use mpdash_session::{
     LifecyclePolicy, ServerFaultScript, SessionConfig, SharedSegmentCache, TransportMode,
 };
-use mpdash_sim::{SimDuration, SimTime};
+use mpdash_sim::{FaultTail, FaultTimeline, FaultWindow, SimDuration, SimTime};
 use mpdash_trace::io::ProfileSpec;
 use mpdash_trace::synth::SynthSpec;
 use schema::Kind::{Bool, List, Num, Obj, Tagged, Text, Whole};
@@ -82,13 +82,13 @@ static VIDEO: Tags = Tags::new("video kind", &[], &[("named", Tagged(&Tags::new(
 static BANDWIDTH: Tags = Tags::new("bandwidth kind", &[],
     &[("constant", Num(NON_NEGATIVE)), ("synthetic", Obj(&SYNTHETIC)), ("file", Text)]);
 #[rustfmt::skip]
-static LINK_FAULTS: Tags = Tags::new("fault kind", &[], &[("burst_loss", Obj(&LINK_FAULT)),
-    ("rtt_spike", Obj(&LINK_FAULT)), ("rate_collapse", Obj(&LINK_FAULT)),
-    ("disassociation", Obj(&LINK_FAULT))]);
+static LINK_FAULTS: Tags = Tags::new("fault kind", &[], &[("burst_loss", Obj(&LINK_FAULT.0)),
+    ("rtt_spike", Obj(&LINK_FAULT.0)), ("rate_collapse", Obj(&LINK_FAULT.0)),
+    ("disassociation", Obj(&LINK_FAULT.0))]);
 #[rustfmt::skip]
 static SERVER_FAULTS: Tags = Tags::new("server fault kind", &[], &[("error_burst",
-    Obj(&SERVER_FAULT)), ("blackhole", Obj(&SERVER_FAULT)), ("stalled_body", Obj(&SERVER_FAULT)),
-    ("slow_first_byte", Obj(&SERVER_FAULT))]);
+    Obj(&SERVER_FAULT.0)), ("blackhole", Obj(&SERVER_FAULT.0)),
+    ("stalled_body", Obj(&SERVER_FAULT.0)), ("slow_first_byte", Obj(&SERVER_FAULT.0))]);
 
 /// The root level's values, before `from_json` assembles `base`.
 #[derive(Default)]
@@ -144,11 +144,11 @@ static ROOT: Level<Doc> = Level(&[
         decode(&MODE, mode, v).map(|m| d.modes.push(m))
     })),
     opt("wifi_faults", List(&Tagged(&LINK_FAULTS)), "WiFi link faults.",
-        Try(|d, v| link_fault(&mut d.faults[0], v))),
+        Try(|d, v| fault(&mut d.faults[0], &LINK_FAULT, v))),
     opt("cell_faults", List(&Tagged(&LINK_FAULTS)), "Cellular link faults.",
-        Try(|d, v| link_fault(&mut d.faults[1], v))),
+        Try(|d, v| fault(&mut d.faults[1], &LINK_FAULT, v))),
     opt("server_faults", List(&Tagged(&SERVER_FAULTS)), "Faults of the one implicit origin.",
-        Try(|d, v| server_fault(&mut d.server_faults, v))),
+        Try(|d, v| fault(&mut d.server_faults, &SERVER_FAULT, v))),
     opt("lifecycle", Tagged(&Tags::new("lifecycle", &["wait_forever", "retry_only",
         "deadline_aware"], &[])), "HTTP request lifecycle; default `wait_forever`.", Set(|d, v| {
             use LifecyclePolicy as P;
@@ -252,34 +252,26 @@ static MODE: Level<ModeSpec> = Level(&[
         Set(|m, v| m.scheduler = Some(SchedulerSpec::ALL[v.pick]))),
 ]);
 
-/// Append one `{"<kind>": {…}}` link-fault entry to `script`. The
-/// knobs' defaults are the scenario's own: the library takes them all.
-fn link_fault(script: &mut FaultScript, v: &Val) -> Result<(), String> {
-    use FaultKind as K;
-    let (ms, zero) = (SimDuration::from_millis, SimDuration::ZERO);
-    let kinds = [
-        K::BurstLoss(GilbertElliott::default()),
-        K::RttSpike {
-            extra: ms(200),
-            jitter: zero,
-        },
-        K::RateCollapse { factor: 1.0 },
-        K::Disassociation {
-            reassociation: ms(1000),
-        },
-    ];
-    let kind = kinds[v.pick].clone();
-    let event = FaultEvent {
+/// Append one `{"<kind>": {…}}` fault entry to `timeline`: the window
+/// of kind `v.pick` in `level`'s defaults, with `level`'s keys applied.
+/// The knobs' defaults are the scenario's own: the library takes them all.
+fn fault<K: FaultTail + Copy>(
+    timeline: &mut FaultTimeline<K>,
+    (level, kinds): &(Level<FaultWindow<K>>, &[K]),
+    v: &Val,
+) -> Result<(), String> {
+    let window = FaultWindow {
         at: SimTime::ZERO,
-        duration: zero,
-        kind,
+        duration: SimDuration::ZERO,
+        kind: kinds[v.pick],
     };
-    *script = std::mem::take(script).with_event(decode(&LINK_FAULT, event, v)?);
+    timeline.extend([decode(level, window, v)?]);
     Ok(())
 }
 
+/// A link fault's keys, and each kind's defaults in `LINK_FAULTS`' order.
 #[rustfmt::skip]
-static LINK_FAULT: Level<FaultEvent> = Level(&[
+static LINK_FAULT: (Level<FaultEvent>, &[FaultKind]) = (Level(&[
     req("at_s", Num(NON_NEGATIVE), "Start, in seconds.",
         Set(|e, v| e.at = SimTime::ZERO + v.secs())),
     req("secs", Num(POSITIVE), "Duration, in seconds.", Set(|e, v| e.duration = v.secs())),
@@ -305,32 +297,18 @@ static LINK_FAULT: Level<FaultEvent> = Level(&[
         Set(|e, v| if let FaultKind::Disassociation { reassociation: r } = &mut e.kind {
             *r = v.secs()
         }))),
+]), &[
+    FaultKind::BurstLoss(GilbertElliott { p_enter: 0.05, p_exit: 0.3, loss_bad: 0.5,
+        loss_good: 0.0 }),
+    FaultKind::RttSpike { extra: SimDuration::from_millis(200), jitter: SimDuration::ZERO },
+    FaultKind::RateCollapse { factor: 1.0 },
+    FaultKind::Disassociation { reassociation: SimDuration::from_millis(1000) },
 ]);
 
-/// Append one `{"<kind>": {…}}` server-fault entry to `script`.
-fn server_fault(script: &mut ServerFaultScript, v: &Val) -> Result<(), String> {
-    use ServerFaultKind as K;
-    let zero = SimDuration::ZERO;
-    let kinds = [
-        K::ErrorBurst,
-        K::Blackhole,
-        K::StalledBody {
-            stall: zero,
-            after_fraction: 0.5,
-        },
-        K::SlowFirstByte { delay: zero },
-    ];
-    let event = ServerFaultEvent {
-        at: SimTime::ZERO,
-        duration: zero,
-        kind: kinds[v.pick],
-    };
-    *script = std::mem::take(script).with_event(decode(&SERVER_FAULT, event, v)?);
-    Ok(())
-}
-
+/// A server fault's keys, and each kind's defaults in `SERVER_FAULTS`'
+/// order.
 #[rustfmt::skip]
-static SERVER_FAULT: Level<ServerFaultEvent> = Level(&[
+static SERVER_FAULT: (Level<ServerFaultEvent>, &[ServerFaultKind]) = (Level(&[
     req("at_s", Num(NON_NEGATIVE), "Start, in seconds.",
         Set(|e, v| e.at = SimTime::ZERO + v.secs())),
     req("secs", Num(POSITIVE), "Duration, in seconds.", Set(|e, v| e.duration = v.secs())),
@@ -347,6 +325,11 @@ static SERVER_FAULT: Level<ServerFaultEvent> = Level(&[
         Set(|e, v| if let ServerFaultKind::SlowFirstByte { delay } = &mut e.kind {
             *delay = v.secs()
         }))),
+]), &[
+    ServerFaultKind::ErrorBurst,
+    ServerFaultKind::Blackhole,
+    ServerFaultKind::StalledBody { stall: SimDuration::ZERO, after_fraction: 0.5 },
+    ServerFaultKind::SlowFirstByte { delay: SimDuration::ZERO },
 ]);
 
 /// The fleet loop keys each client's next event on a clock that
@@ -509,11 +492,11 @@ static DOMAIN: Level<(usize, FaultDomainSpec)> = Level(&[
             Ok(())
         })),
     opt("wifi_faults", List(&Tagged(&LINK_FAULTS)), "WiFi faults every member shares.",
-        Try(|d, v| link_fault(&mut d.1.wifi, v))),
+        Try(|d, v| fault(&mut d.1.wifi, &LINK_FAULT, v))),
     opt("cell_faults", List(&Tagged(&LINK_FAULTS)), "Cellular faults every member shares.",
-        Try(|d, v| link_fault(&mut d.1.cell, v))),
+        Try(|d, v| fault(&mut d.1.cell, &LINK_FAULT, v))),
     opt("server_faults", List(&Tagged(&SERVER_FAULTS)), "Server faults every member shares.",
-        Try(|d, v| server_fault(&mut d.1.server, v))),
+        Try(|d, v| fault(&mut d.1.server, &SERVER_FAULT, v))),
 ]);
 
 #[rustfmt::skip]
@@ -549,7 +532,7 @@ static ORIGIN: Level<OriginSpec> = Level(&[
     opt("rtt_penalty_ms", Whole(0, MAX_MILLIS), "Extra round trip per response.",
         Set(|o, v| o.rtt_penalty = v.millis())),
     opt("faults", List(&Tagged(&SERVER_FAULTS)), "This origin's server faults.",
-        Try(|o, v| server_fault(&mut o.faults, v))),
+        Try(|o, v| fault(&mut o.faults, &SERVER_FAULT, v))),
 ]);
 
 #[rustfmt::skip]
@@ -631,9 +614,7 @@ impl Scenario {
             // One-way delay is half the RTT; in nanoseconds, so odd RTTs
             // survive the halving exactly.
             link.delay = rtt.map_or(link.delay, |rtt| rtt / 2);
-            if !script.is_empty() {
-                link.faults = Some(script);
-            }
+            link.faults = script;
         }
         base.buffer_capacity = doc.buffer.unwrap_or(base.buffer_capacity);
         // An absent array is the empty script, a healthy server.
@@ -1006,27 +987,25 @@ mod tests {
             1,
         );
         let sc = Scenario::from_json(&doc).unwrap();
-        assert_eq!(sc.base.wifi.faults.as_ref().unwrap().events().len(), 2);
-        assert_eq!(sc.base.cell.faults.as_ref().unwrap().events().len(), 1);
+        assert_eq!(sc.base.wifi.faults.windows().len(), 2);
+        assert_eq!(sc.base.cell.faults.windows().len(), 1);
         assert_eq!(
-            sc.base.wifi.faults.as_ref().unwrap().events()[0]
-                .kind
-                .name(),
+            sc.base.wifi.faults.windows()[0].kind.name(),
             "rate_collapse"
         );
         // The disassociation window includes the reassociation tail.
         assert_eq!(
-            sc.base.wifi.faults.as_ref().unwrap().events()[1].end(),
+            sc.base.wifi.faults.windows()[1].end(),
             SimTime::from_secs(102)
         );
         let configs = sc.build();
         let cfg = &configs[0].1;
         assert_eq!(
-            cfg.wifi.faults.as_ref().map(|s| s.events().len()),
-            Some(2),
+            cfg.wifi.faults.windows().len(),
+            2,
             "faults land on the built WiFi link"
         );
-        assert_eq!(cfg.cell.faults.as_ref().map(|s| s.events().len()), Some(1));
+        assert_eq!(cfg.cell.faults.windows().len(), 1);
     }
 
     #[test]
@@ -1043,15 +1022,15 @@ mod tests {
             1,
         );
         let sc = Scenario::from_json(&doc).unwrap();
-        assert_eq!(sc.base.server_faults.events().len(), 3);
+        assert_eq!(sc.base.server_faults.windows().len(), 3);
         // Events are sorted by activation time.
         assert_eq!(
-            sc.base.server_faults.events()[0].kind.name(),
+            sc.base.server_faults.windows()[0].kind.name(),
             "stalled_body"
         );
         assert!(sc.base.lifecycle.abandon_resume);
         let configs = sc.build();
-        assert_eq!(configs[0].1.server_faults.events().len(), 3);
+        assert_eq!(configs[0].1.server_faults.windows().len(), 3);
         assert!(configs[0].1.lifecycle.abandon_resume);
         // Absent keys keep the passive defaults.
         let sc = Scenario::from_json(DOC).unwrap();
@@ -1296,7 +1275,7 @@ mod tests {
         assert_eq!(built.min_watch, SimDuration::from_secs(4));
         assert_eq!(fc.fault_domains.len(), 1);
         assert_eq!(fc.fault_domains[0].label, "region");
-        assert_eq!(fc.fault_domains[0].wifi.events().len(), 1);
+        assert_eq!(fc.fault_domains[0].wifi.windows().len(), 1);
         assert!(fc.fault_domains[0].cell.is_empty());
         let overload = fc.overload.expect("overload forwarded");
         assert_eq!(overload.max_active, 4);
@@ -1520,7 +1499,7 @@ mod tests {
         let pool = configs[0].1.origins.as_ref().unwrap();
         assert_eq!(pool.origins.len(), 2);
         assert_eq!(pool.origins[0].id, "primary");
-        assert_eq!(pool.origins[0].faults.events().len(), 1);
+        assert_eq!(pool.origins[0].faults.windows().len(), 1);
         assert_eq!(
             pool.origins[1].rtt_penalty,
             SimDuration::from_millis(30),
