@@ -66,12 +66,12 @@ use std::ops::{Deref, DerefMut};
 
 /// Parameters of a two-state Gilbert–Elliott burst-loss model.
 ///
-/// The chain advances once per offered packet. In the *good* state
-/// packets drop with probability `loss_good` (usually 0); in the *bad*
-/// state with `loss_bad`. Transitions good→bad happen with `p_enter`
-/// per packet and bad→good with `p_exit`, giving geometric burst
-/// lengths with mean `1 / p_exit` packets and a stationary bad-state
-/// probability of `p_enter / (p_enter + p_exit)`.
+/// The chain advances once per offered packet. In the *good* state no
+/// packet drops; in the *bad* state one drops with `loss_bad`.
+/// Transitions good→bad happen with `p_enter` per packet and bad→good
+/// with `p_exit`, giving geometric burst lengths with mean `1 / p_exit`
+/// packets and a stationary bad-state probability of
+/// `p_enter / (p_enter + p_exit)`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct GilbertElliott {
     /// P(good → bad) per offered packet, in `(0, 1]`.
@@ -80,8 +80,6 @@ pub struct GilbertElliott {
     pub p_exit: f64,
     /// Per-packet loss probability while in the bad state, in `[0, 1]`.
     pub loss_bad: f64,
-    /// Per-packet loss probability while in the good state, in `[0, 1]`.
-    pub loss_good: f64,
 }
 
 impl GilbertElliott {
@@ -99,7 +97,6 @@ impl GilbertElliott {
             p_enter,
             p_exit,
             loss_bad,
-            loss_good: 0.0,
         }
     }
 }
@@ -145,12 +142,8 @@ impl GeChain {
         if self.rng.next_f64() < flip {
             self.bad = !self.bad;
         }
-        let p = if self.bad {
-            self.params.loss_bad
-        } else {
-            self.params.loss_good
-        };
-        p > 0.0 && self.rng.next_f64() < p
+        let p = self.params.loss_bad;
+        self.bad && p > 0.0 && self.rng.next_f64() < p
     }
 }
 
@@ -404,7 +397,7 @@ mod tests {
         }
         let loss_rate = losses as f64 / n as f64;
         let pi_bad = ge.p_enter / (ge.p_enter + ge.p_exit);
-        let expect = pi_bad * ge.loss_bad + (1.0 - pi_bad) * ge.loss_good;
+        let expect = pi_bad * ge.loss_bad;
         assert!(
             (loss_rate - expect).abs() / expect < 0.10,
             "loss rate {loss_rate:.4} vs stationary {expect:.4}"

@@ -298,8 +298,7 @@ static LINK_FAULT: (Level<FaultEvent>, &[FaultKind]) = (Level(&[
             *r = v.secs()
         }))),
 ]), &[
-    FaultKind::BurstLoss(GilbertElliott { p_enter: 0.05, p_exit: 0.3, loss_bad: 0.5,
-        loss_good: 0.0 }),
+    FaultKind::BurstLoss(GilbertElliott { p_enter: 0.05, p_exit: 0.3, loss_bad: 0.5 }),
     FaultKind::RttSpike { extra: SimDuration::from_millis(200), jitter: SimDuration::ZERO },
     FaultKind::RateCollapse { factor: 1.0 },
     FaultKind::Disassociation { reassociation: SimDuration::from_millis(1000) },
