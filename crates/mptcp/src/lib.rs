@@ -57,4 +57,4 @@ pub use cc::CcKind;
 pub use mpdash_sim::PathMask;
 pub use packet::{PacketLog, PktRecord, MSS};
 pub use scheduler::{Scheduler, SchedulerImpl, SchedulerSpec};
-pub use sim::{MptcpConfig, MptcpSim, PathConfig, PoppedByKind, StepOutcome};
+pub use sim::{MptcpConfig, MptcpSim, PoppedByKind, StepOutcome};

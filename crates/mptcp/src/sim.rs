@@ -2,8 +2,8 @@
 //!
 //! This is the self-contained "testbed in a struct" the application layers
 //! drive: a data **sender** (the video server), a data **receiver** (the
-//! client), one simulated [`Link`] per path for the data direction, and a
-//! fixed ACK delay per path for the reverse direction (ACKs are ~40-byte
+//! client), and one simulated [`Link`] per path for the data direction. An
+//! ACK returns after the same link's one-way delay (ACKs are ~40-byte
 //! packets on links whose reverse direction is never the bottleneck in any
 //! of the paper's scenarios, so they get delay but no queueing — a
 //! documented simplification).
@@ -43,29 +43,12 @@ use std::collections::VecDeque;
 /// TCP/IP header bytes charged to the link per data packet.
 pub(crate) const HEADER_BYTES: u64 = 40;
 
-/// Configuration of one path.
-#[derive(Clone, Debug)]
-pub struct PathConfig {
-    /// The data-direction link (server → client).
-    pub link: LinkConfig,
-    /// One-way delay for ACKs (client → server). Symmetric paths use the
-    /// data link's delay.
-    pub ack_delay: SimDuration,
-}
-
-impl PathConfig {
-    /// A symmetric path: ACK delay equals the data link's delay.
-    pub fn symmetric(link: LinkConfig) -> Self {
-        let ack_delay = link.delay;
-        PathConfig { link, ack_delay }
-    }
-}
-
 /// Configuration of the whole connection.
 #[derive(Clone, Debug)]
 pub struct MptcpConfig {
-    /// One entry per path; index is the [`PathId`].
-    pub paths: Vec<PathConfig>,
+    /// Each path's data-direction link (server → client); index is the
+    /// [`PathId`]. ACKs return after the same link's one-way delay.
+    pub paths: Vec<LinkConfig>,
     /// Which packet scheduler distributes segments (see [`crate::scheduler`]).
     pub scheduler: SchedulerSpec,
     /// Congestion control used by every subflow (decoupled).
@@ -77,7 +60,7 @@ impl MptcpConfig {
     /// experiment in the paper.
     pub fn two_path(wifi: LinkConfig, cellular: LinkConfig) -> Self {
         MptcpConfig {
-            paths: vec![PathConfig::symmetric(wifi), PathConfig::symmetric(cellular)],
+            paths: vec![wifi, cellular],
             scheduler: SchedulerSpec::MinRtt,
             cc: CcKind::Reno,
         }
@@ -186,7 +169,6 @@ pub struct MptcpSim {
     queue: EventQueue<Event>,
     popped: PoppedByKind,
     links: Vec<Link>,
-    ack_delay: Vec<SimDuration>,
     snd: Sender,
     rcv: Receiver,
     /// The data packet the last [`MptcpSim::step`] received, if it
@@ -219,17 +201,11 @@ impl MptcpSim {
     pub fn new(cfg: MptcpConfig) -> Self {
         let n = cfg.paths.len();
         assert!(n >= 1, "need at least one path");
-        let links = cfg
-            .paths
-            .iter()
-            .map(|p| Link::new(p.link.clone()))
-            .collect();
-        let ack_delay = cfg.paths.iter().map(|p| p.ack_delay).collect();
+        let links = cfg.paths.into_iter().map(Link::new).collect();
         MptcpSim {
             queue: EventQueue::new(),
             popped: PoppedByKind::default(),
             links,
-            ack_delay,
             snd: Sender::new(n, cfg.scheduler, cfg.cc),
             rcv: Receiver::new(n),
             arrival: None,
@@ -301,7 +277,7 @@ impl MptcpSim {
         // Requests ride the primary (lowest-index) path; they are a few
         // hundred bytes every few seconds, so they get delay but are not
         // run through the data link's queue model.
-        let delay = self.ack_delay[0] + Rate::from_mbps(1).time_to_send(bytes.min(10 * MSS));
+        let delay = self.links[0].delay() + Rate::from_mbps(1).time_to_send(bytes.min(10 * MSS));
         self.queue.schedule(
             now + delay,
             Event::ReverseMsg {
@@ -325,7 +301,7 @@ impl MptcpSim {
             let primary = PathId(0);
             self.queue.schedule_in(
                 ack_lane(primary),
-                now + self.ack_delay[0],
+                now + self.links[0].delay(),
                 Event::Ack {
                     path: primary,
                     ack: self.rcv.current_ack(primary),
@@ -557,7 +533,7 @@ impl MptcpSim {
                 // echoing any ECN mark back to the sender.
                 self.queue.schedule_in(
                     ack_lane(path),
-                    now + self.ack_delay[path.index()],
+                    now + self.links[path.index()].delay(),
                     Event::Ack {
                         path,
                         ack: res.ack,
@@ -987,7 +963,7 @@ mod tests {
             // Propagation only: serialization happens in the shared queue.
             let link = LinkConfig::constant(1000.0, SimDuration::from_millis(25));
             MptcpSim::new(MptcpConfig {
-                paths: vec![PathConfig::symmetric(link)],
+                paths: vec![link],
                 scheduler: SchedulerSpec::MinRtt,
                 cc: CcKind::Reno,
             })
@@ -1078,7 +1054,7 @@ mod tests {
         // Propagation only: serialization happens in the shared queue.
         let link = LinkConfig::constant(1000.0, SimDuration::from_millis(20));
         MptcpSim::new(MptcpConfig {
-            paths: vec![PathConfig::symmetric(link)],
+            paths: vec![link],
             scheduler: SchedulerSpec::MinRtt,
             cc: CcKind::Reno,
         })

@@ -7,8 +7,8 @@ use mpdash_dash::adapter::{AdapterConfig, DeadlineMode};
 use mpdash_dash::video::Video;
 use mpdash_energy::DeviceProfile;
 use mpdash_http::{LifecyclePolicy, OriginPoolConfig, ServerFaultScript, SharedSegmentCache};
-use mpdash_link::{BandwidthProfile, FaultScript, LinkConfig, TokenBucket};
-use mpdash_mptcp::{CcKind, SchedulerSpec};
+use mpdash_link::{BandwidthProfile, FaultScript, LinkConfig, PathId, TokenBucket};
+use mpdash_mptcp::{CcKind, MptcpConfig, MptcpSim, PathMask, SchedulerSpec};
 use mpdash_obs::{TelemetrySpec, Tracer};
 use mpdash_sim::{Rate, SimDuration};
 use mpdash_trace::field::Location;
@@ -100,6 +100,29 @@ impl TransportMode {
                 .with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000)),
             _ => cell.clone(),
         }
+    }
+
+    /// The two-path connection this mode runs on, traced by `tracer`: a
+    /// throttled mode's cellular link behind its bucket, a WiFi-only
+    /// mode's cellular subflow off from the start.
+    pub(crate) fn connect(
+        &self,
+        (wifi, cell): (&LinkConfig, &LinkConfig),
+        scheduler: SchedulerSpec,
+        cc: CcKind,
+        tracer: Tracer,
+    ) -> MptcpSim {
+        let two_path = MptcpConfig::two_path(wifi.clone(), self.cell_link(cell));
+        let mut sim = MptcpSim::new(MptcpConfig {
+            scheduler,
+            cc,
+            ..two_path
+        });
+        sim.set_tracer(tracer);
+        if *self == TransportMode::WifiOnly {
+            sim.set_initial_mask(PathMask::only(PathId::WIFI));
+        }
+        sim
     }
 }
 

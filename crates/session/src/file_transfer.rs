@@ -18,9 +18,7 @@ use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
 use mpdash_energy::{DeviceProfile, SessionEnergy};
 use mpdash_link::{LinkConfig, PathId};
-use mpdash_mptcp::{
-    CcKind, MptcpConfig, MptcpSim, PathConfig, PathMask, SchedulerSpec, StepOutcome,
-};
+use mpdash_mptcp::{CcKind, SchedulerSpec, StepOutcome};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
 const TICK: SimDuration = SimDuration::from_millis(50);
@@ -120,15 +118,10 @@ pub struct FileTransfer;
 impl FileTransfer {
     /// Run one transfer to completion.
     pub fn run(cfg: FileTransferConfig) -> FileTransferReport {
-        let mut sim = MptcpSim::new(MptcpConfig {
-            paths: vec![
-                PathConfig::symmetric(cfg.wifi.clone()),
-                PathConfig::symmetric(cfg.mode.cell_link(&cfg.cell)),
-            ],
-            scheduler: cfg.scheduler,
-            cc: cfg.cc,
-        });
-        sim.set_tracer(mpdash_obs::Tracer::disabled().or_env());
+        let tracer = mpdash_obs::Tracer::disabled().or_env();
+        let mut sim = cfg
+            .mode
+            .connect((&cfg.wifi, &cfg.cell), cfg.scheduler, cfg.cc, tracer);
         // The report carries no capture, so the transfer keeps none.
         sim.set_logging(false);
         let mut signal = match cfg.mode {
@@ -141,10 +134,6 @@ impl FileTransfer {
                 );
                 sim.set_initial_mask(c.mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline));
                 Some(DeadlineSignal::new(c))
-            }
-            TransportMode::WifiOnly => {
-                sim.set_initial_mask(PathMask::only(PathId::WIFI));
-                None
             }
             _ => None,
         };

@@ -37,7 +37,7 @@ use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_http::HttpEvent;
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpConfig, MptcpSim, PathConfig, PathMask, StepOutcome};
+use mpdash_mptcp::{MptcpSim, PathMask, StepOutcome};
 use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
@@ -107,23 +107,14 @@ impl StreamingSession {
     }
 
     fn new(cfg: SessionConfig) -> Self {
-        let mptcp_cfg = MptcpConfig {
-            paths: vec![
-                PathConfig::symmetric(cfg.wifi.clone()),
-                PathConfig::symmetric(cfg.mode.cell_link(&cfg.cell)),
-            ],
-            scheduler: cfg.scheduler,
-            cc: cfg.cc,
-        };
         let rec = Recorder::new(
             cfg.tracer.or_env(),
             cfg.telemetry.or_else(telemetry_from_env),
         );
-        let mut sim = MptcpSim::new(mptcp_cfg);
-        sim.set_tracer(rec.tracer.clone());
-        if cfg.mode == TransportMode::WifiOnly {
-            sim.set_initial_mask(PathMask::only(PathId::WIFI));
-        }
+        let links = (&cfg.wifi, &cfg.cell);
+        let sim = cfg
+            .mode
+            .connect(links, cfg.scheduler, cfg.cc, rec.tracer.clone());
         let mpdash = match cfg.mode {
             TransportMode::MpDash { deadline, alpha } => {
                 let adapter = match cfg.adapter_config {

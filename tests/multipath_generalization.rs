@@ -7,7 +7,7 @@ use mpdash::core::deadline::SchedulerParams;
 use mpdash::core::MpDashControl;
 use mpdash::link::{LinkConfig, PathId};
 use mpdash::mptcp::CcKind;
-use mpdash::mptcp::{MptcpConfig, MptcpSim, PathConfig, SchedulerSpec};
+use mpdash::mptcp::{MptcpConfig, MptcpSim, SchedulerSpec};
 use mpdash::session::DeadlineSignal;
 use mpdash::sim::{Rate, SimDuration, SimTime};
 
@@ -17,15 +17,9 @@ const TICK_ID: u64 = 9000;
 fn three_path_sim(wifi_mbps: f64, lte_mbps: f64, fiveg_mbps: f64) -> MptcpSim {
     MptcpSim::new(MptcpConfig {
         paths: vec![
-            PathConfig::symmetric(LinkConfig::constant(
-                wifi_mbps,
-                SimDuration::from_millis(20),
-            )),
-            PathConfig::symmetric(LinkConfig::constant(lte_mbps, SimDuration::from_millis(30))),
-            PathConfig::symmetric(LinkConfig::constant(
-                fiveg_mbps,
-                SimDuration::from_millis(12),
-            )),
+            LinkConfig::constant(wifi_mbps, SimDuration::from_millis(20)),
+            LinkConfig::constant(lte_mbps, SimDuration::from_millis(30)),
+            LinkConfig::constant(fiveg_mbps, SimDuration::from_millis(12)),
         ],
         scheduler: SchedulerSpec::MinRtt,
         cc: CcKind::Reno,

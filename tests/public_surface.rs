@@ -75,10 +75,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "hook: tests/hot_path.rs sums IntervalSet's bytes against a byte-set model",
     ),
     (
-        "two_path",
-        "test fixture: crates/mptcp/tests/transport_props.rs and perf's mptcp probes build a two-path transport",
-    ),
-    (
         "with_loss",
         "test fixture: tests/failure_injection.rs and tests/proptests.rs build lossy links",
     ),
