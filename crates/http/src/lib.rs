@@ -200,8 +200,11 @@ impl OriginServe {
     }
 
     /// Emit activation/clearing trace edges for this origin's script, as
-    /// observed at serve instants.
+    /// observed at serve instants. Untraced, it returns before the loop.
     fn trace_edges(&mut self, tracer: &Tracer, now: SimTime) {
+        if !tracer.enabled() {
+            return;
+        }
         self.edges.observe(&self.faults, now, |e, activated| {
             let kind = e.kind.name();
             tracer.emit_with(now, || {

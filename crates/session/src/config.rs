@@ -112,12 +112,9 @@ impl TransportMode {
         cc: CcKind,
         tracer: Tracer,
     ) -> MptcpSim {
-        let two_path = MptcpConfig::two_path(wifi.clone(), self.cell_link(cell));
-        let mut sim = MptcpSim::new(MptcpConfig {
-            scheduler,
-            cc,
-            ..two_path
-        });
+        let mut two_path = MptcpConfig::two_path(wifi.clone(), self.cell_link(cell));
+        (two_path.scheduler, two_path.cc) = (scheduler, cc);
+        let mut sim = MptcpSim::new(two_path);
         sim.set_tracer(tracer);
         if *self == TransportMode::WifiOnly {
             sim.set_initial_mask(PathMask::only(PathId::WIFI));

@@ -37,7 +37,7 @@ use mpdash_results::Json;
 use mpdash_session::{
     LifecyclePolicy, ServerFaultScript, SessionConfig, SharedSegmentCache, TransportMode,
 };
-use mpdash_sim::{FaultTail, FaultTimeline, FaultWindow, SimDuration, SimTime};
+use mpdash_sim::{FaultTimeline, FaultWindow, SimDuration, SimTime};
 use mpdash_trace::io::ProfileSpec;
 use mpdash_trace::synth::SynthSpec;
 use schema::Kind::{Bool, List, Num, Obj, Tagged, Text, Whole};
@@ -255,7 +255,7 @@ static MODE: Level<ModeSpec> = Level(&[
 /// Append one `{"<kind>": {…}}` fault entry to `timeline`: the window
 /// of kind `v.pick` in `level`'s defaults, with `level`'s keys applied.
 /// The knobs' defaults are the scenario's own: the library takes them all.
-fn fault<K: FaultTail + Copy>(
+fn fault<K: Copy>(
     timeline: &mut FaultTimeline<K>,
     (level, kinds): &(Level<FaultWindow<K>>, &[K]),
     v: &Val,
