@@ -28,7 +28,10 @@ use mpdash::mptcp::reassembly::IntervalSet;
 use mpdash::mptcp::receiver::Receiver;
 use mpdash::mptcp::{PoppedByKind, SchedulerSpec};
 use mpdash::obs::Tracer;
-use mpdash::session::{SessionConfig, SessionReport, SimProfile, StreamingSession, TransportMode};
+use mpdash::session::{
+    LifecycleStats, OriginStats, SessionConfig, SessionReport, SimProfile, StreamingSession,
+    TransportMode,
+};
 use mpdash::sim::{Rate, SimDuration, SimTime};
 use mpdash::trace::table1;
 use proptest::prelude::*;
@@ -588,22 +591,60 @@ fn a_contended_fleet_client_schedules_mostly_into_lanes() {
 /// decision, a timer or a packet moves them. Under MP-DASH more than half
 /// of the events are app timers, nearly all of them 50 ms progress ticks.
 /// The faulted rows count the timer pops of subflow failure and revival.
+///
+/// The last two rows arm the fetch's own timers. One serves a 5xx burst
+/// and a stalled body under the deadline-aware lifecycle (retry backoff,
+/// deferred response parts, cancel and byte-range resume); the other
+/// races a hedge against a blackholed primary of a two-origin pool. Their
+/// lifecycle and origin counters are pinned with the mix.
 #[test]
 fn a_standalone_sessions_event_mix_is_pinned() {
     let bbb = Video::big_buck_bunny();
     let ladder: Vec<f64> = bbb.bitrates().iter().map(|r| r.as_mbps_f64()).collect();
     let video = Video::new("BBB-5min", &ladder, bbb.chunk_duration(), 75);
     let pair = table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42);
-    let disassociation = FaultScript::new().disassociation(
-        SimTime::from_secs(40),
-        SimDuration::from_secs(15),
-        SimDuration::from_secs(2),
+    let base = |mode| {
+        SessionConfig::controlled(pair.clone(), AbrKind::Festive, mode)
+            .with_video(video.clone())
+            .with_tracer(Tracer::disabled())
+    };
+    let disassociated = |mode| {
+        base(mode).with_wifi_faults(FaultScript::new().disassociation(
+            SimTime::from_secs(40),
+            SimDuration::from_secs(15),
+            SimDuration::from_secs(2),
+        ))
+    };
+    let mpdash = TransportMode::mpdash_rate_based;
+    let server_faulted = base(mpdash())
+        .with_server_faults(
+            ServerFaultScript::new()
+                .error_burst(SimTime::from_secs(5), SimDuration::from_secs(2))
+                .stalled_body(
+                    SimTime::from_secs(10),
+                    SimDuration::from_secs(1),
+                    SimDuration::from_secs(30),
+                    0.3,
+                ),
+        )
+        .with_lifecycle(LifecyclePolicy::deadline_aware());
+    let hedged = base(mpdash()).with_origins(
+        OriginPoolConfig::new(vec![
+            OriginSpec::new("primary").with_faults(
+                ServerFaultScript::new()
+                    .blackhole(SimTime::from_secs(20), SimDuration::from_secs(80)),
+            ),
+            OriginSpec::new("backup").with_rtt_penalty(SimDuration::from_millis(20)),
+        ])
+        .with_hedge_quantile(0.5),
     );
-    // (mode, WiFi faults, events, by kind, (failures, revivals)).
-    for (mode, faults, events_popped, by_kind, transitions) in [
+    let none = (LifecycleStats::default(), OriginStats::default());
+    // (row, config, events, by kind, (failures, revivals), (lifecycle,
+    // origin)).
+    for (row, cfg, events_popped, by_kind, transitions, counters) in [
         (
-            TransportMode::Vanilla,
-            None,
+            "vanilla",
+            base(TransportMode::Vanilla),
             187_881,
             PoppedByKind {
                 data: 90_508,
@@ -613,10 +654,11 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 reverse_msg: 75,
             },
             (0, 0),
+            none,
         ),
         (
-            TransportMode::mpdash_rate_based(),
-            None,
+            "mp-dash",
+            base(mpdash()),
             409_299,
             PoppedByKind {
                 data: 91_565,
@@ -626,10 +668,11 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 reverse_msg: 75,
             },
             (0, 0),
+            none,
         ),
         (
-            TransportMode::Vanilla,
-            Some(&disassociation),
+            "vanilla, disassociated",
+            disassociated(TransportMode::Vanilla),
             180_692,
             PoppedByKind {
                 data: 86_682,
@@ -639,10 +682,11 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 reverse_msg: 75,
             },
             (7, 7),
+            none,
         ),
         (
-            TransportMode::mpdash_rate_based(),
-            Some(&disassociation),
+            "mp-dash, disassociated",
+            disassociated(mpdash()),
             407_281,
             PoppedByKind {
                 data: 91_567,
@@ -652,16 +696,56 @@ fn a_standalone_sessions_event_mix_is_pinned() {
                 reverse_msg: 75,
             },
             (7, 7),
+            none,
+        ),
+        (
+            "mp-dash, 5xx burst and stalled body",
+            server_faulted,
+            409_197,
+            PoppedByKind {
+                data: 91_567,
+                ack: 91_859,
+                rto: 2_013,
+                app_timer: 223_679,
+                reverse_msg: 79,
+            },
+            (0, 0),
+            (
+                LifecycleStats {
+                    timeouts: 1,
+                    abandoned: 1,
+                    resumed: 1,
+                    retried: 2,
+                    wasted_bytes: 0,
+                },
+                OriginStats::default(),
+            ),
+        ),
+        (
+            "mp-dash, hedged pool",
+            hedged,
+            409_193,
+            PoppedByKind {
+                data: 91_565,
+                ack: 91_849,
+                rto: 1_965,
+                app_timer: 223_735,
+                reverse_msg: 79,
+            },
+            (0, 0),
+            (
+                LifecycleStats::default(),
+                OriginStats {
+                    routed: 77,
+                    breaker_opens: 1,
+                    hedges: 2,
+                    hedge_wins_hedge: 2,
+                    ..OriginStats::default()
+                },
+            ),
         ),
     ] {
-        let mut cfg = SessionConfig::controlled(pair.clone(), AbrKind::Festive, mode)
-            .with_video(video.clone())
-            .with_tracer(Tracer::disabled());
-        if let Some(f) = faults {
-            cfg = cfg.with_wifi_faults(f.clone());
-        }
         let report = StreamingSession::run(cfg);
-        let row = format!("{mode:?}, faulted: {}", faults.is_some());
         assert_eq!(report.sim_profile.events_popped, events_popped, "{row}");
         assert_eq!(report.sim_profile.by_kind, by_kind, "{row}");
         let d = &report.degradation;
@@ -670,6 +754,7 @@ fn a_standalone_sessions_event_mix_is_pinned() {
             transitions,
             "{row}"
         );
+        assert_eq!((report.lifecycle, report.origin), counters, "{row}");
     }
 }
 
