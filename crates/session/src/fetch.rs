@@ -3,14 +3,16 @@
 //! The streaming loop above this module decides *what* to fetch and by
 //! *when* (level, size, deadline window) and hands that to
 //! [`ChunkFetch::begin`]; it hears back once, when
-//! [`ChunkFetch::on_http_event`] returns the finished chunk. Everything
-//! in between is this module's business and none of the loop's: which
-//! origin (or the edge cache) serves the request, when a request is given
-//! up on, how the missing byte range is re-requested — after a drained
-//! cancel, after a 5xx backoff, or as a hedge raced against the cancelled
-//! primary — and what all of that cost. MSPlayer is the precedent for the
-//! shape: a chunk fetch, byte-range re-requests across sources included,
-//! is one unit beneath the rate-adaptation loop, not part of it.
+//! [`ChunkFetch::next_done`] returns the finished chunk. Everything in
+//! between is this module's business and none of the loop's: the
+//! connection itself (the fetch owns the [`MptcpSim`] and steps it),
+//! which origin (or the edge cache) serves the request, when a request is
+//! given up on, how the missing byte range is re-requested — after a
+//! drained cancel, after a 5xx backoff, or as a hedge raced against the
+//! cancelled primary — and what all of that cost. MSPlayer is the
+//! precedent for the shape: a chunk fetch, byte-range re-requests across
+//! sources included, is one unit beneath the rate-adaptation loop, not
+//! part of it.
 //!
 //! It is a plain struct, not a trait: there is one way chunks are
 //! fetched, and its policies are *data* ([`LifecyclePolicy`], an optional
@@ -31,12 +33,30 @@ use mpdash_http::{
     LifecyclePolicy, OriginPool, OriginSpec, RequestId, RequestTracker, RetryPlan, Route,
     SharedSegmentCache,
 };
-use mpdash_mptcp::MptcpSim;
+use mpdash_link::PathId;
+use mpdash_mptcp::{MptcpSim, PktRecord, StepOutcome};
 use mpdash_obs::TraceEvent;
 use mpdash_sim::{SimDuration, SimTime};
 
 /// Timer for a pending lifecycle retry (seeded backoff after a 5xx).
-const RETRY_ID: u64 = u64::MAX - 3;
+/// The HTTP layer numbers its deferred-part timers from 2^62; any other
+/// id is the session's own and comes back as [`Step::Timer`].
+const RETRY_ID: u64 = 0;
+
+/// A chunk in flight that delivers nothing for this long is wedged —
+/// every run in the repository simulates less than this in total — and
+/// the session panics rather than tick forever.
+const WEDGED_AFTER: SimDuration = SimDuration::from_secs(3600);
+
+/// What one connection step means to the session above the fetch.
+pub(crate) enum Step {
+    /// Transport work the fetch handled itself.
+    Transport,
+    /// In-order bytes arrived; [`ChunkFetch::next_done`] has their events.
+    Delivered,
+    /// An application timer the fetch did not arm.
+    Timer(u64),
+}
 
 /// The chunk being fetched.
 pub(crate) struct Inflight {
@@ -89,6 +109,7 @@ impl Inflight {
 /// Fetches one chunk at a time over the session's connection. See the
 /// module docs.
 pub(crate) struct ChunkFetch {
+    conn: MptcpSim,
     http: HttpLayer,
     /// Health-tracked origin pool (`None` = the single implicit origin,
     /// origin 0 of the HTTP layer's one-entry list).
@@ -100,6 +121,13 @@ pub(crate) struct ChunkFetch {
     /// Hedge losers whose cancel is draining, with the chunk they raced
     /// for; their terminal event accounts the duplicate bytes as waste.
     losers: Vec<(RequestId, usize)>,
+    /// The current step's client-side HTTP events, and how many of them
+    /// [`ChunkFetch::next_done`] has handled (a packet must not allocate).
+    events: Vec<HttpEvent>,
+    handled: usize,
+    /// When the connection last delivered a byte, or the chunk in flight
+    /// was requested if later (see [`WEDGED_AFTER`]).
+    last_byte_at: SimTime,
 }
 
 impl ChunkFetch {
@@ -112,14 +140,31 @@ impl ChunkFetch {
                 .with_origins(&[OriginSpec::new("origin").with_faults(cfg.server_faults.clone())]),
         };
         http.set_tracer(rec.tracer.clone());
+        let links = (&cfg.wifi, &cfg.cell);
         ChunkFetch {
+            conn: cfg
+                .mode
+                .connect(links, cfg.scheduler, cfg.cc, rec.tracer.clone()),
             http,
             pool,
             cache: cfg.cache.clone(),
             policy: cfg.lifecycle,
             current: None,
             losers: Vec::new(),
+            events: Vec::new(),
+            handled: 0,
+            last_byte_at: SimTime::ZERO,
         }
+    }
+
+    /// The connection, for the session's reads.
+    pub(crate) fn conn(&self) -> &MptcpSim {
+        &self.conn
+    }
+
+    /// The connection, for its path mask, timers and shared bottlenecks.
+    pub(crate) fn conn_mut(&mut self) -> &mut MptcpSim {
+        &mut self.conn
     }
 
     /// The chunk in flight, if any.
@@ -138,14 +183,13 @@ impl ChunkFetch {
     /// pool routes it to.
     pub(crate) fn begin(
         &mut self,
-        sim: &mut MptcpSim,
         rec: &mut Recorder,
         index: usize,
         level: usize,
         size: u64,
         deadline: Option<SimDuration>,
     ) {
-        let now = sim.now();
+        let now = self.conn.now();
         let mut edge = None;
         if let Some(cache) = self.cache.as_ref() {
             let hit = cache.lookup((index, level));
@@ -178,34 +222,103 @@ impl ChunkFetch {
             started: now,
             deadline,
             tracker: RequestTracker::new(self.policy, index, now, size, deadline),
-            req: self.http.get(sim, route, size, 0),
+            req: self.http.get(&mut self.conn, route, size, 0),
             base: 0,
             origin,
             requests: 1,
             hedge: None,
         });
+        self.last_byte_at = now;
     }
 
-    /// The connection delivered `newly` more bytes; append the events.
-    pub(crate) fn on_delivered(&mut self, newly: u64, events: &mut Vec<HttpEvent>) {
-        self.http.on_delivered(newly, events);
+    /// Pop and handle the connection's next event; `None` when its queue
+    /// is empty. Returns the event's time, the data packet it delivered
+    /// (if any), and what it means to the session.
+    pub(crate) fn step(
+        &mut self,
+        rec: &mut Recorder,
+    ) -> Option<(SimTime, Option<PktRecord>, Step)> {
+        let (t, outcome) = self.conn.step()?;
+        self.events.clear();
+        self.handled = 0;
+        let step = match outcome {
+            StepOutcome::Transport { newly_delivered: 0 } => Step::Transport,
+            StepOutcome::Transport { newly_delivered } => {
+                self.last_byte_at = t;
+                self.http.on_delivered(newly_delivered, &mut self.events);
+                Step::Delivered
+            }
+            StepOutcome::AppTimer { id: RETRY_ID } => {
+                if self.current.is_some() {
+                    self.reissue(rec, "retry", None);
+                }
+                Step::Transport
+            }
+            StepOutcome::AppTimer { id } if !self.http.on_app_timer(&mut self.conn, id) => {
+                Step::Timer(id)
+            }
+            StepOutcome::AppTimer { .. } => Step::Transport,
+            StepOutcome::ServerMsg { id } => {
+                // A cancel processed at the server can end its exchange.
+                self.events
+                    .extend(self.http.on_server_msg(&mut self.conn, id));
+                Step::Transport
+            }
+        };
+        Some((t, self.conn.arrival(), step))
     }
 
-    /// The server received upstream message `id` (a request to serve or
-    /// a cancellation to apply).
-    pub(crate) fn on_server_msg(&mut self, sim: &mut MptcpSim, id: u64) -> Vec<HttpEvent> {
-        self.http.on_server_msg(sim, id)
+    /// Handle the step's HTTP events up to the next one that completes
+    /// the chunk, and return that chunk: the session issues the next
+    /// request before the rest of the events are looked at.
+    pub(crate) fn next_done(&mut self, rec: &mut Recorder) -> Option<ChunkRecord> {
+        while let Some(&ev) = self.events.get(self.handled) {
+            self.handled += 1;
+            if let Some(done) = self.on_http_event(rec, ev) {
+                return Some(done);
+            }
+        }
+        None
+    }
+
+    /// Panic if the chunk in flight has gone [`WEDGED_AFTER`] without a
+    /// byte: nothing left in the queue can move it, only ticks are alive.
+    pub(crate) fn assert_not_wedged(&self, t: SimTime) {
+        let (Some(cur), conn) = (self.current.as_ref(), &self.conn) else {
+            return;
+        };
+        if t.saturating_since(self.last_byte_at) <= WEDGED_AFTER {
+            return;
+        }
+        let path = |p: PathId| {
+            let state = match (conn.subflow_probe_after(p), conn.subflow_next_deadline(p)) {
+                (Some(at), _) => format!("failed, revivable since {at}"),
+                (None, Some(at)) => format!("live, RTO at {at}"),
+                (None, None) => "live, no RTO armed".to_string(),
+            };
+            format!(
+                "{} B in flight, {} failures / {} revivals, {state}",
+                conn.path_in_flight(p),
+                conn.subflow_failures(p),
+                conn.subflow_revivals(p)
+            )
+        };
+        panic!(
+            "session wedged at {t}: chunk {} holds {} of {} B and no byte arrived since {} \
+             (wifi: {}; cell: {})",
+            cur.index,
+            cur.received(),
+            cur.size(),
+            self.last_byte_at,
+            path(PathId::WIFI),
+            path(PathId::CELLULAR)
+        );
     }
 
     /// React to one client-side HTTP event. Returns the chunk's log
     /// entry when the event completed it.
-    pub(crate) fn on_http_event(
-        &mut self,
-        sim: &mut MptcpSim,
-        rec: &mut Recorder,
-        ev: HttpEvent,
-    ) -> Option<ChunkRecord> {
-        let t = sim.now();
+    fn on_http_event(&mut self, rec: &mut Recorder, ev: HttpEvent) -> Option<ChunkRecord> {
+        let t = self.conn.now();
         let (id, delivered) = match ev {
             HttpEvent::HeaderReceived { .. } => return None,
             HttpEvent::BodyProgress { id, received, .. } => {
@@ -231,10 +344,10 @@ impl ChunkFetch {
         } else if self.current.as_ref().is_some_and(|c| c.req == id) {
             match ev {
                 HttpEvent::Complete { body_dss, .. } => {
-                    return Some(self.on_complete(sim, rec, body_dss))
+                    return Some(self.on_complete(rec, body_dss))
                 }
-                HttpEvent::Error { .. } => self.on_error(sim, rec),
-                _ => self.on_drained(sim, rec, delivered),
+                HttpEvent::Error { .. } => self.on_error(rec),
+                _ => self.on_drained(rec, delivered),
             }
         }
         None
@@ -243,28 +356,12 @@ impl ChunkFetch {
     /// The 50 ms progress tick: the hedge trigger, then the lifecycle's
     /// timeout/abandonment decision. `control` supplies the aggregate
     /// throughput estimate for the feasibility verdict.
-    pub(crate) fn tick(
-        &mut self,
-        sim: &mut MptcpSim,
-        rec: &mut Recorder,
-        control: Option<&MpDashControl>,
-    ) {
+    pub(crate) fn tick(&mut self, rec: &mut Recorder, control: Option<&MpDashControl>) {
         if self.pool.is_none() && self.policy.is_passive() {
             return;
         }
-        self.hedge_poll(sim, rec);
-        self.lifecycle_poll(sim, rec, control);
-    }
-
-    /// An application timer that is not the session's own fired: the
-    /// retry backoff, or a deferred server send (fault-delayed response
-    /// part).
-    pub(crate) fn on_timer(&mut self, sim: &mut MptcpSim, rec: &mut Recorder, id: u64) {
-        if id != RETRY_ID {
-            self.http.on_app_timer(sim, id);
-        } else if self.current.is_some() {
-            self.reissue(sim, rec, "retry", None);
-        }
+        self.hedge_poll(rec);
+        self.lifecycle_poll(rec, control);
     }
 
     /// Choose the origin for a request and record the choice: `forced`
@@ -302,18 +399,14 @@ impl ChunkFetch {
     /// failover — and becomes the current request. A hedge goes to
     /// `hedge` and only races: it becomes current if the cancelled
     /// primary drains before completing.
-    fn reissue(
-        &mut self,
-        sim: &mut MptcpSim,
-        rec: &mut Recorder,
-        reason: &'static str,
-        hedge: Option<usize>,
-    ) {
-        let now = sim.now();
+    fn reissue(&mut self, rec: &mut Recorder, reason: &'static str, hedge: Option<usize>) {
+        let now = self.conn.now();
         let cur = self.current.as_ref().expect("reissue without a chunk");
         let (chunk, size, from, prev) = (cur.index, cur.size(), cur.received(), cur.origin);
         let origin = self.route(rec, now, chunk, reason, hedge);
-        let req = self.http.get(sim, Route::Origin(origin), size, from);
+        let req = self
+            .http
+            .get(&mut self.conn, Route::Origin(origin), size, from);
         let cur = self.current.as_mut().expect("checked above");
         cur.requests += 1;
         if hedge.is_some() {
@@ -348,13 +441,8 @@ impl ChunkFetch {
     }
 
     /// The current request completed the chunk.
-    fn on_complete(
-        &mut self,
-        sim: &mut MptcpSim,
-        rec: &mut Recorder,
-        body_dss: DssRange,
-    ) -> ChunkRecord {
-        let now = sim.now();
+    fn on_complete(&mut self, rec: &mut Recorder, body_dss: DssRange) -> ChunkRecord {
+        let now = self.conn.now();
         let cur = self.current.take().expect("caller checked the request");
         let (chunk, level, size) = (cur.index, cur.level, cur.size());
         if let (Some((hedge_req, hedge_origin)), Some(origin)) = (cur.hedge, cur.origin) {
@@ -363,7 +451,7 @@ impl ChunkFetch {
             // issues the next chunk's GET (upstream FIFO then applies the
             // cancel while the hedge is still the last-served response);
             // its drained bytes settle as waste later.
-            self.http.cancel(sim, hedge_req);
+            self.http.cancel(&mut self.conn, hedge_req);
             self.losers.push((hedge_req, chunk));
             rec.event(now, Outcome::HedgeWonPrimary, || TraceEvent::Hedge {
                 chunk,
@@ -403,11 +491,11 @@ impl ChunkFetch {
     /// request that is the drained abort with nothing wasted; otherwise
     /// schedule the seeded-backoff retry (wait-forever retries at once,
     /// so a bounded burst can never wedge a session).
-    fn on_error(&mut self, sim: &mut MptcpSim, rec: &mut Recorder) {
-        let now = sim.now();
+    fn on_error(&mut self, rec: &mut Recorder) {
+        let now = self.conn.now();
         let cur = self.current.as_ref().expect("error without a chunk");
         if cur.tracker.cancelling() {
-            return self.on_drained(sim, rec, 0);
+            return self.on_drained(rec, 0);
         }
         self.origin_outcome(rec, now, cur.origin, false);
         rec.count(now, Outcome::RequestError, 1);
@@ -423,7 +511,7 @@ impl ChunkFetch {
             attempt: attempt as u64,
             backoff_s: backoff.as_secs_f64(),
         });
-        sim.schedule_app_timer(at, RETRY_ID);
+        self.conn.schedule_app_timer(at, RETRY_ID);
     }
 
     /// The cancelled current request finished draining, having
@@ -431,8 +519,8 @@ impl ChunkFetch {
     /// tail that arrived after the cancel decision as waste, then either
     /// promote the hedge that was racing it, or issue the byte-range
     /// resume.
-    fn on_drained(&mut self, sim: &mut MptcpSim, rec: &mut Recorder, request_received: u64) {
-        let now = sim.now();
+    fn on_drained(&mut self, rec: &mut Recorder, request_received: u64) {
+        let now = self.conn.now();
         let cur = self.current.as_mut().expect("abort without a chunk");
         let acct = cur.tracker.on_aborted(cur.base + request_received);
         let (chunk, level, size, origin) = (cur.index, cur.level, cur.size(), cur.origin);
@@ -452,7 +540,7 @@ impl ChunkFetch {
         // doomed request (cache-hit edge fetches have no origin).
         self.origin_outcome(rec, now, origin, false);
         rec.count(now, Outcome::WastedBytes, acct.wasted);
-        self.reissue(sim, rec, "resume", None);
+        self.reissue(rec, "resume", None);
         rec.event(now, Outcome::Resumed, || TraceEvent::RequestResumed {
             chunk,
             from: acct.resume_from,
@@ -470,8 +558,8 @@ impl ChunkFetch {
     /// hedge GET, so the hedge never queues behind the wedged response's
     /// bytes, and the primary's terminal event resolves the race before
     /// the hedge's can arrive.
-    fn hedge_poll(&mut self, sim: &mut MptcpSim, rec: &mut Recorder) {
-        let now = sim.now();
+    fn hedge_poll(&mut self, rec: &mut Recorder) {
+        let now = self.conn.now();
         let (Some(pool), Some(cur)) = (self.pool.as_mut(), self.current.as_mut()) else {
             return;
         };
@@ -499,8 +587,8 @@ impl ChunkFetch {
         // hedge GET reaches the server.
         cur.tracker.cancel();
         let (chunk, req) = (cur.index, cur.req);
-        self.http.cancel(sim, req);
-        self.reissue(sim, rec, "hedge", Some(hedge_origin));
+        self.http.cancel(&mut self.conn, req);
+        self.reissue(rec, "hedge", Some(hedge_origin));
         rec.event(now, Outcome::Hedge, || TraceEvent::Hedge {
             chunk,
             origin: primary,
@@ -512,13 +600,8 @@ impl ChunkFetch {
 
     /// Feed the tracker the feasibility verdict and act on a
     /// timeout-driven abandonment.
-    fn lifecycle_poll(
-        &mut self,
-        sim: &mut MptcpSim,
-        rec: &mut Recorder,
-        control: Option<&MpDashControl>,
-    ) {
-        let now = sim.now();
+    fn lifecycle_poll(&mut self, rec: &mut Recorder, control: Option<&MpDashControl>) {
+        let now = self.conn.now();
         if self.policy.is_passive() {
             return;
         }
@@ -553,7 +636,7 @@ impl ChunkFetch {
                 received,
                 size,
             });
-            self.http.cancel(sim, req);
+            self.http.cancel(&mut self.conn, req);
         }
     }
 }

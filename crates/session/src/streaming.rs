@@ -11,8 +11,10 @@
 //!    whether MP-DASH is active for the chunk and grants its (possibly
 //!    extended) deadline window (§5). Both happen in `request_next`.
 //! 3. **Fetch the chunk** — handed to `ChunkFetch` (`fetch.rs`), which
-//!    owns how the bytes arrive (origins, cache, retries, resumes,
-//!    hedges) and reports back once, with the finished chunk.
+//!    owns the connection and how the bytes arrive (origins, cache,
+//!    retries, resumes, hedges). Of each connection step the session
+//!    sees only the bytes delivered with the step's arrival, a finished
+//!    chunk, and its own two timers: the tick below and the buffer wake.
 //! 4. **The deadline signal** — on fresh bytes and on a 50 ms tick,
 //!    `progress_check` feeds delivery samples into the Holt-Winters
 //!    estimators and re-runs Algorithm 1, which toggles the cellular
@@ -24,7 +26,7 @@
 
 use crate::accounting::EnergyMeter;
 use crate::config::{SessionConfig, TransportMode};
-use crate::fetch::{ChunkFetch, Inflight};
+use crate::fetch::{ChunkFetch, Step};
 use crate::record::{Outcome, Recorder};
 use crate::report::{DegradationMetrics, SessionReport, SimProfile};
 use crate::signal::DeadlineSignal;
@@ -35,9 +37,8 @@ use mpdash_dash::abr::{Abr, AbrInput};
 use mpdash_dash::adapter::{DeadlineDecision, VideoAdapter};
 use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
-use mpdash_http::HttpEvent;
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpSim, PathMask, StepOutcome};
+use mpdash_mptcp::PathMask;
 use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
@@ -45,18 +46,13 @@ use mpdash_sim::{Rate, SimDuration, SimTime};
 /// ~one testbed RTT — §7.2.2).
 const TICK: SimDuration = SimDuration::from_millis(50);
 
-const TICK_ID: u64 = u64::MAX - 1;
-const WAKE_ID: u64 = u64::MAX - 2;
-
-/// A chunk in flight that delivers nothing for this long is wedged —
-/// every run in the repository simulates less than this in total — and
-/// the session panics rather than tick forever.
-const WEDGED_AFTER: SimDuration = SimDuration::from_secs(3600);
+/// The session's two timers (`ChunkFetch` keeps 0 and 2^62 up).
+const TICK_ID: u64 = 1;
+const WAKE_ID: u64 = 2;
 
 /// The streaming-session driver. See module docs.
 pub struct StreamingSession {
     cfg: SessionConfig,
-    sim: MptcpSim,
     player: Player,
     abr: Box<dyn Abr>,
     /// MP-DASH only: the video adapter (§5) and the deadline signal
@@ -68,12 +64,7 @@ pub struct StreamingSession {
     /// time-bucket readers only).
     energy: EnergyMeter,
     ledger: ChunkLedger,
-    /// Scratch for one delivery's HTTP events (a packet must not allocate).
-    http_events: Vec<HttpEvent>,
     last_chunk_throughput: Option<Rate>,
-    /// When the connection last delivered a byte, or the chunk in flight
-    /// was requested if later (see [`WEDGED_AFTER`]).
-    last_byte_at: SimTime,
     /// Trace, metrics, telemetry and the report's counters.
     rec: Recorder,
     /// The viewer left (churn `max_watch` elapsed, or the fleet shed the
@@ -86,7 +77,13 @@ impl StreamingSession {
     /// Run a session to completion and report.
     pub fn run(cfg: SessionConfig) -> SessionReport {
         let mut s = Self::start(cfg);
-        s.drive();
+        while !s.finished() && s.step_once() {}
+        assert!(
+            s.player.download_complete() || s.departed,
+            "session ended with {}/{} chunks",
+            s.player.chunks_downloaded(),
+            s.cfg.video.n_chunks()
+        );
         s.into_report()
     }
 
@@ -96,25 +93,10 @@ impl StreamingSession {
     /// [`StreamingSession::run`] does, or externally via
     /// [`StreamingSession::step_once`] interleaved with other sessions.
     pub fn start(cfg: SessionConfig) -> Self {
-        let mut s = Self::new(cfg);
-        if s.cfg.start_offset == SimDuration::ZERO {
-            s.request_next(SimTime::ZERO);
-        } else {
-            let at = SimTime::ZERO + s.cfg.start_offset;
-            s.sim.schedule_app_timer(at, WAKE_ID);
-        }
-        s
-    }
-
-    fn new(cfg: SessionConfig) -> Self {
         let rec = Recorder::new(
             cfg.tracer.or_env(),
             cfg.telemetry.or_else(telemetry_from_env),
         );
-        let links = (&cfg.wifi, &cfg.cell);
-        let sim = cfg
-            .mode
-            .connect(links, cfg.scheduler, cfg.cc, rec.tracer.clone());
         let mpdash = match cfg.mode {
             TransportMode::MpDash { deadline, alpha } => {
                 let adapter = match cfg.adapter_config {
@@ -139,21 +121,24 @@ impl StreamingSession {
         let mut player = Player::new(&cfg.video, cfg.buffer_capacity);
         player.set_tracer(rec.tracer.clone());
         player.set_origin(origin);
-        StreamingSession {
-            sim,
+        let mut s = StreamingSession {
             player,
             abr: cfg.abr.build(&cfg.video),
             mpdash,
             fetch: ChunkFetch::new(&cfg, &rec),
             energy: EnergyMeter::new(&cfg.device, origin),
             ledger: ChunkLedger::new(),
-            http_events: Vec::new(),
             last_chunk_throughput: None,
-            last_byte_at: SimTime::ZERO,
             rec,
             departed: false,
             cfg,
+        };
+        if origin == SimTime::ZERO {
+            s.request_next(origin);
+        } else {
+            s.fetch.conn_mut().schedule_app_timer(origin, WAKE_ID);
         }
+        s
     }
 
     /// Steps 1 and 2, then hand the chunk to the fetch: estimate, pick a
@@ -216,7 +201,7 @@ impl StreamingSession {
                 }
                 DeadlineDecision::Bypass => signal.control.mp_dash_disable(),
             };
-            self.sim.set_desired_mask(enabled);
+            self.fetch.conn_mut().set_desired_mask(enabled);
             match deadline {
                 Some(window) => {
                     self.rec.event(now, Outcome::DeadlineGranted, || {
@@ -236,43 +221,8 @@ impl StreamingSession {
         }
 
         self.fetch
-            .begin(&mut self.sim, &mut self.rec, index, level, size, deadline);
-        self.last_byte_at = now;
-        self.sim.schedule_app_tick(now + TICK, TICK_ID);
-    }
-
-    /// Panic if `cur` has been in flight for [`WEDGED_AFTER`] without a
-    /// byte: nothing left in the queue can move it, only ticks are alive.
-    fn assert_not_wedged(&self, t: SimTime, cur: &Inflight) {
-        if t.saturating_since(self.last_byte_at) <= WEDGED_AFTER {
-            return;
-        }
-        let path = |p: PathId| {
-            let state = match (
-                self.sim.subflow_probe_after(p),
-                self.sim.subflow_next_deadline(p),
-            ) {
-                (Some(at), _) => format!("failed, revivable since {at}"),
-                (None, Some(at)) => format!("live, RTO at {at}"),
-                (None, None) => "live, no RTO armed".to_string(),
-            };
-            format!(
-                "{} B in flight, {} failures / {} revivals, {state}",
-                self.sim.path_in_flight(p),
-                self.sim.subflow_failures(p),
-                self.sim.subflow_revivals(p)
-            )
-        };
-        panic!(
-            "session wedged at {t}: chunk {} holds {} of {} B and no byte arrived since {} \
-             (wifi: {}; cell: {})",
-            cur.index,
-            cur.received(),
-            cur.size(),
-            self.last_byte_at,
-            path(PathId::WIFI),
-            path(PathId::CELLULAR)
-        );
+            .begin(&mut self.rec, index, level, size, deadline);
+        self.fetch.conn_mut().schedule_app_tick(now + TICK, TICK_ID);
     }
 
     /// The §3.2 aggregate-throughput query (MP-DASH modes only).
@@ -289,7 +239,7 @@ impl StreamingSession {
             return;
         };
         let received = cur.received();
-        let Some(enabled) = signal.on_progress(&self.sim, now, received) else {
+        let Some(enabled) = signal.on_progress(self.fetch.conn(), now, received) else {
             return;
         };
         // Trace the toggle with the feasibility inputs Algorithm 1 used:
@@ -304,7 +254,7 @@ impl StreamingSession {
                 elapsed_s: now.saturating_since(cur.started).as_secs_f64(),
             }
         });
-        self.sim.set_desired_mask(enabled);
+        self.fetch.conn_mut().set_desired_mask(enabled);
     }
 
     /// The chunk arrived: score it, feed the player, and pace the next
@@ -357,7 +307,7 @@ impl StreamingSession {
             // Final progress report completes the transfer (reverts the
             // transport to vanilla until the next chunk's decision).
             if let Some(enabled) = signal.control.on_progress(now, done.size, PathMask::NONE) {
-                self.sim.set_desired_mask(enabled);
+                self.fetch.conn_mut().set_desired_mask(enabled);
             }
         }
         self.player
@@ -367,40 +317,30 @@ impl StreamingSession {
             self.request_next(now);
         } else {
             let wait = self.player.time_until_space(now);
-            self.sim.schedule_app_timer(now + wait, WAKE_ID);
-        }
-    }
-
-    /// Hand client-side HTTP events (from a delivery or from a cancel
-    /// processed at the server) to the fetch; a completed chunk closes
-    /// the loop at once, so the next request is issued before the rest
-    /// of the batch is looked at.
-    fn on_http_events(&mut self, t: SimTime, events: &[HttpEvent]) {
-        for &ev in events {
-            if let Some(done) = self.fetch.on_http_event(&mut self.sim, &mut self.rec, ev) {
-                self.finish_chunk(t, done);
-            }
+            self.fetch
+                .conn_mut()
+                .schedule_app_timer(now + wait, WAKE_ID);
         }
     }
 
     /// Time of this session's next pending event, if any (fleet
     /// interleaving).
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.sim.peek_time()
+        self.fetch.conn().peek_time()
     }
 
     /// True once every chunk is downloaded (or the viewer departed) and
     /// the transport has drained. A finished session schedules no
     /// further shared-bottleneck packets.
     pub fn finished(&self) -> bool {
-        (self.player.download_complete() || self.departed) && self.sim.quiescent()
+        (self.player.download_complete() || self.departed) && self.fetch.conn().quiescent()
     }
 
     /// True while a packet of this session waits in a shared bottleneck
-    /// (see [`MptcpSim::owns_queued_packets`]): a finished session can
+    /// (see [`mpdash_mptcp::MptcpSim::owns_queued_packets`]): a finished session can
     /// still be handed its departure.
     pub fn owns_queued_packets(&self) -> bool {
-        self.sim.owns_queued_packets()
+        self.fetch.conn().owns_queued_packets()
     }
 
     /// Viewer departure: stop requesting chunks, let in-flight transport
@@ -423,7 +363,7 @@ impl StreamingSession {
     pub fn mark_shed(&mut self) {
         self.departed = true;
         self.player.depart();
-        self.rec.count(self.sim.now(), Outcome::Shed, 1);
+        self.rec.count(self.fetch.conn().now(), Outcome::Shed, 1);
     }
 
     /// Hedge accounting counters for the runtime watchdog:
@@ -443,7 +383,7 @@ impl StreamingSession {
     /// on. Only [`SessionReport::records`] depends on it: every other
     /// figure of the report is accounted per arrival either way.
     pub fn set_logging(&mut self, on: bool) {
-        self.sim.set_logging(on);
+        self.fetch.conn_mut().set_logging(on);
     }
 
     /// Route one of this session's paths through a shared bottleneck.
@@ -454,11 +394,11 @@ impl StreamingSession {
         path: PathId,
         bottleneck: &mpdash_link::SharedBottleneck,
     ) -> mpdash_link::FlowId {
-        self.sim.attach_shared(path, bottleneck)
+        self.fetch.conn_mut().attach_shared(path, bottleneck)
     }
 
     /// Feed back a shared-bottleneck departure for one of this session's
-    /// packets (see [`MptcpSim::on_shared_departure`]). `marked` carries
+    /// packets (see [`mpdash_mptcp::MptcpSim::on_shared_departure`]). `marked` carries
     /// an AQM ECN mark through to the transport.
     pub fn on_shared_departure(
         &mut self,
@@ -467,75 +407,51 @@ impl StreamingSession {
         depart_at: SimTime,
         marked: bool,
     ) {
-        self.sim
+        self.fetch
+            .conn_mut()
             .on_shared_departure(path, ticket, depart_at, marked);
     }
 
     /// Feed back a shared-bottleneck AQM dequeue drop for one of this
-    /// session's packets (see [`MptcpSim::on_shared_drop`]).
+    /// session's packets (see [`mpdash_mptcp::MptcpSim::on_shared_drop`]).
     pub fn on_shared_drop(&mut self, path: PathId, ticket: mpdash_link::Ticket, at: SimTime) {
-        self.sim.on_shared_drop(path, ticket, at);
+        self.fetch.conn_mut().on_shared_drop(path, ticket, at);
     }
 
     /// Process one event from this session's queue; `false` when the
     /// queue is empty.
     pub fn step_once(&mut self) -> bool {
-        let Some((t, outcome)) = self.sim.step() else {
+        let Some((t, arrival, step)) = self.fetch.step(&mut self.rec) else {
             return false;
         };
-        if let Some(r) = self.sim.arrival() {
+        if let Some(r) = arrival {
             self.energy.on_arrival(r);
             self.ledger.on_arrival(r);
             if let Some((_, signal)) = self.mpdash.as_mut() {
                 signal.on_arrival(r);
             }
         }
-        match outcome {
-            StepOutcome::Transport { newly_delivered } => {
-                if newly_delivered > 0 {
-                    self.last_byte_at = t;
-                    let mut events = std::mem::take(&mut self.http_events);
-                    events.clear();
-                    self.fetch.on_delivered(newly_delivered, &mut events);
-                    self.on_http_events(t, &events);
-                    self.http_events = events;
-                    // Mid-download decision on fresh bytes.
-                    self.progress_check(t);
-                }
+        // A completed chunk closes the loop at once, so the next request
+        // is issued before the rest of the step's HTTP events are handled.
+        while let Some(done) = self.fetch.next_done(&mut self.rec) {
+            self.finish_chunk(t, done);
+        }
+        match step {
+            // Mid-download decision on fresh bytes.
+            Step::Delivered => self.progress_check(t),
+            Step::Timer(TICK_ID) if self.fetch.current().is_some() => {
+                self.fetch.assert_not_wedged(t);
+                self.player.advance_to(t);
+                self.progress_check(t);
+                let control = self.mpdash.as_ref().map(|(_, signal)| &signal.control);
+                self.fetch.tick(&mut self.rec, control);
+                self.rec.sample(t, self.fetch.conn(), &self.player);
+                self.fetch.conn_mut().schedule_app_tick(t + TICK, TICK_ID);
             }
-            StepOutcome::AppTimer { id: TICK_ID } => {
-                if let Some(cur) = self.fetch.current() {
-                    self.assert_not_wedged(t, cur);
-                    self.player.advance_to(t);
-                    self.progress_check(t);
-                    let control = self.mpdash.as_ref().map(|(_, signal)| &signal.control);
-                    self.fetch.tick(&mut self.sim, &mut self.rec, control);
-                    self.rec.sample(t, &self.sim, &self.player);
-                    self.sim.schedule_app_tick(t + TICK, TICK_ID);
-                }
-            }
-            StepOutcome::AppTimer { id: WAKE_ID } => {
-                self.request_next(t);
-            }
-            StepOutcome::AppTimer { id } => {
-                self.fetch.on_timer(&mut self.sim, &mut self.rec, id);
-            }
-            StepOutcome::ServerMsg { id } => {
-                let events = self.fetch.on_server_msg(&mut self.sim, id);
-                self.on_http_events(t, &events);
-            }
+            Step::Timer(WAKE_ID) => self.request_next(t),
+            Step::Timer(_) | Step::Transport => {}
         }
         true
-    }
-
-    fn drive(&mut self) {
-        while !self.finished() && self.step_once() {}
-        assert!(
-            self.player.download_complete() || self.departed,
-            "session ended with {}/{} chunks",
-            self.player.chunks_downloaded(),
-            self.cfg.video.n_chunks()
-        );
     }
 
     /// Final QoE/energy/report accounting. Callers outside
@@ -558,12 +474,12 @@ impl StreamingSession {
             self.cfg.video.total_duration()
         };
         let playout_end = origin + startup + content + self.player.stall_time();
-        let end = playout_end.max(self.sim.now());
+        let end = playout_end.max(self.fetch.conn().now());
         self.player.advance_to(end);
         let duration = end.saturating_since(origin);
         // Final telemetry sample: flush the remaining per-path byte and
         // stall deltas so epoch totals match the report's exactly.
-        self.rec.sample(end, &self.sim, &self.player);
+        self.rec.sample(end, self.fetch.conn(), &self.player);
 
         let scheduler_stats = self
             .mpdash
@@ -577,13 +493,14 @@ impl StreamingSession {
             PathId::CELLULAR
         };
         let bridged = |c: &&ChunkRecord| c.outage_bridged(preferred);
+        let conn = self.fetch.conn();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
             outage_bridged_chunks: self.ledger.chunks().iter().filter(bridged).count() as u64,
-            subflow_failures: self.sim.subflow_failures(PathId::WIFI)
-                + self.sim.subflow_failures(PathId::CELLULAR),
-            subflow_revivals: self.sim.subflow_revivals(PathId::WIFI)
-                + self.sim.subflow_revivals(PathId::CELLULAR),
+            subflow_failures: conn.subflow_failures(PathId::WIFI)
+                + conn.subflow_failures(PathId::CELLULAR),
+            subflow_revivals: conn.subflow_revivals(PathId::WIFI)
+                + conn.subflow_revivals(PathId::CELLULAR),
         };
 
         // Fold the end-of-run aggregates into the registry so the
@@ -614,13 +531,13 @@ impl StreamingSession {
             qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, 0.0),
             qoe_score,
             epochs: self.rec.take_epochs(),
-            wifi_bytes: self.sim.path_bytes(PathId::WIFI),
-            cell_bytes: self.sim.path_bytes(PathId::CELLULAR),
+            wifi_bytes: self.fetch.conn().path_bytes(PathId::WIFI),
+            cell_bytes: self.fetch.conn().path_bytes(PathId::CELLULAR),
             energy: self.energy.finish(duration),
             duration,
             idle_gaps: self.ledger.idle_gaps(),
             chunks: self.ledger.into_chunks(),
-            records: self.sim.take_records(),
+            records: self.fetch.conn_mut().take_records(),
             scheduler_stats,
             player_events: self.player.events().to_vec(),
             degradation,
@@ -628,7 +545,7 @@ impl StreamingSession {
             origin: self.rec.origin,
             departed: self.departed,
             metrics: self.rec.metrics.snapshot(),
-            sim_profile: SimProfile::of(&self.sim),
+            sim_profile: SimProfile::of(self.fetch.conn()),
         }
     }
 }
