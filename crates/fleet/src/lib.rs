@@ -168,7 +168,10 @@ pub struct FaultDomainSpec {
     pub wifi: FaultScript,
     /// Shared cellular-link fault timeline for every member.
     pub cell: FaultScript,
-    /// Shared server-side fault timeline for every member's origins.
+    /// Shared server-side fault timeline, merged into each member's
+    /// implicit-origin script ([`SessionConfig::server_faults`]). A base
+    /// with an origin pool serves every request from the pool and never
+    /// reads that script; the scenario decoder refuses the combination.
     pub server: ServerFaultScript,
 }
 
@@ -296,6 +299,14 @@ impl FleetConfig {
             overload: None,
             watchdog: None,
         }
+    }
+
+    /// Client `k`'s session config as [`run`] builds it, fault domains
+    /// merged into its scripts (`None` past the fleet). Telemetry and the
+    /// shared cache, which [`run`] resolves once for the whole fleet, are
+    /// left as the base has them.
+    pub fn client_config(&self, k: usize) -> Option<SessionConfig> {
+        client_configs(self, self.base.telemetry, None).nth(k)
     }
 
     /// Same fleet with a different stagger.

@@ -9,9 +9,8 @@
 
 use crate::scenario::Scenario;
 use mpdash_fleet::BottleneckSummary;
-use mpdash_link::FaultScript;
 use mpdash_session::{
-    RingSink, SessionConfig, SessionReport, StreamingSession, TraceEvent, Tracer,
+    OriginSpec, RingSink, SessionConfig, SessionReport, StreamingSession, TraceEvent, Tracer,
 };
 use mpdash_sim::SimTime;
 use std::fmt::Write as _;
@@ -51,17 +50,25 @@ pub(crate) enum DeadlineOutcome {
     },
 }
 
-/// An injected fault window overlapping a chunk's fetch.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct FaultOverlap {
-    /// Which link the fault was injected on: `"wifi"` or `"cell"`.
-    pub path: &'static str,
-    /// Fault family name (`rate_collapse`, `disassociation`, ...).
+/// One fault window the replayed config injects.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct InjectedFault {
+    /// Where it strikes: `wifi`, `cell`, or an origin by its pool id
+    /// (`origin` for the single implicit one).
+    pub source: String,
+    /// Fault family name (`rate_collapse`, `blackhole`, ...).
     pub kind: &'static str,
     /// When the fault begins, seconds.
-    pub fault_start_s: f64,
-    /// When it stops affecting the link (reassociation included).
-    pub fault_end_s: f64,
+    pub start_s: f64,
+    /// When it stops affecting its source (reassociation included).
+    pub end_s: f64,
+}
+
+/// An injected fault window overlapping a chunk's fetch.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct FaultOverlap {
+    /// The fault.
+    pub fault: InjectedFault,
     /// Seconds of the chunk's fetch spent under this fault.
     pub overlap_s: f64,
 }
@@ -141,28 +148,30 @@ pub(crate) struct ChunkExplain {
     pub hedge_wasted: u64,
 }
 
-/// Replay the scenario's chosen mode with a ring sink attached and
-/// return the mode label, the full report, one [`ChunkExplain`] per
-/// fetched chunk (all of them — filtering to `--chunk` happens at
-/// render time), and each shared bottleneck's summary.
+/// One explained replay.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    /// The mode label (with the client, for a fleet).
+    pub label: String,
+    /// The replayed session's full report.
+    pub report: SessionReport,
+    /// One entry per fetched chunk (all of them — filtering to `--chunk`
+    /// happens at render time).
+    pub chunks: Vec<ChunkExplain>,
+    /// Each shared bottleneck's summary (none for a solo replay).
+    pub bottlenecks: Vec<BottleneckSummary>,
+    /// Every fault window the replayed config injects.
+    pub faults: Vec<InjectedFault>,
+}
+
+/// Replay the scenario's chosen mode with a ring sink attached.
 ///
 /// A fleet scenario co-simulates the whole fleet with the ring
 /// forwarded to exactly one client (`--client`, default 0) and explains
-/// that client's timeline, shared-queue waits included: all N clients
-/// run — contention is the point — but only client `K`'s events and
-/// report are kept. A solo replay has no bottlenecks.
-pub(crate) fn explain_run(
-    scenario: &Scenario,
-    opts: &ExplainOptions,
-) -> Result<
-    (
-        String,
-        SessionReport,
-        Vec<ChunkExplain>,
-        Vec<BottleneckSummary>,
-    ),
-    String,
-> {
+/// that client's timeline, shared-queue waits and fault domains
+/// included: all N clients run — contention is the point — but only
+/// client `K`'s events, config and report are kept.
+pub(crate) fn explain_run(scenario: &Scenario, opts: &ExplainOptions) -> Result<Replay, String> {
     let client = match &scenario.fleet {
         None if opts.client.is_some() => {
             return Err("--client requires a 'fleet' key in the scenario".into())
@@ -182,45 +191,49 @@ pub(crate) fn explain_run(
     let (label, cfg) = pick_mode(scenario.build(), opts.mode.as_deref())?;
     let ring = Arc::new(RingSink::new(1 << 20));
     let cfg = cfg.with_tracer(Tracer::new(ring.clone()));
-    let (label, report, bottlenecks) = match client {
-        None => (label, StreamingSession::run(cfg), Vec::new()),
+    let (label, report, bottlenecks, faults) = match client {
+        None => {
+            let faults = injected_faults(&cfg);
+            (label, StreamingSession::run(cfg), Vec::new(), faults)
+        }
         Some(k) => {
             let fc = scenario
                 .fleet_config(cfg)
                 .expect("a fleet scenario")
                 .with_trace_client(k);
+            let faults = injected_faults(&fc.client_config(k).expect("k is in range"));
             let mut fleet_report = mpdash_fleet::run(&fc);
             (
                 format!("{label} (client {k}/{})", fc.clients),
                 fleet_report.sessions.swap_remove(k),
                 fleet_report.bottlenecks,
+                faults,
             )
         }
     };
-    let chunks = explain_chunks(scenario, &report, &ring.events());
-    Ok((label, report, chunks, bottlenecks))
+    let chunks = explain_chunks(scenario, &faults, &report, &ring.events());
+    Ok(Replay {
+        label,
+        report,
+        chunks,
+        bottlenecks,
+        faults,
+    })
 }
 
 /// Replay and render the timeline as text — the `mpdash explain`
 /// subcommand body.
 pub fn explain_scenario(scenario: &Scenario, opts: &ExplainOptions) -> Result<String, String> {
-    let (label, report, chunks, bottlenecks) = explain_run(scenario, opts)?;
+    let replay = explain_run(scenario, opts)?;
     if let Some(want) = opts.chunk {
-        if !chunks.iter().any(|c| c.index == want) {
+        if !replay.chunks.iter().any(|c| c.index == want) {
             return Err(format!(
                 "chunk {want} not in this session (chunks 0..{})",
-                chunks.len()
+                replay.chunks.len()
             ));
         }
     }
-    Ok(render(
-        scenario,
-        &label,
-        &report,
-        &chunks,
-        &bottlenecks,
-        opts.chunk,
-    ))
+    Ok(render(scenario, &replay, opts.chunk))
 }
 
 fn pick_mode(
@@ -256,24 +269,31 @@ fn origin_name(scenario: &Scenario, origin: usize) -> String {
         .unwrap_or_else(|| format!("#{origin}"))
 }
 
-fn fault_overlaps<'a>(
-    path: &'static str,
-    script: &'a FaultScript,
-    started_s: f64,
-    completed_s: f64,
-) -> impl Iterator<Item = FaultOverlap> + 'a {
-    script.windows().iter().filter_map(move |e| {
-        let start = e.at.as_secs_f64();
-        let end = e.end().as_secs_f64();
-        let overlap = completed_s.min(end) - started_s.max(start);
-        (overlap > 0.0).then(|| FaultOverlap {
-            path,
-            kind: e.kind.name(),
-            fault_start_s: start,
-            fault_end_s: end,
-            overlap_s: overlap,
-        })
-    })
+/// Every fault window `cfg` injects: its two links' scripts, then each
+/// origin's — the pool's, by id, or the single implicit origin's, as the
+/// session serves them.
+fn injected_faults(cfg: &SessionConfig) -> Vec<InjectedFault> {
+    let fault = |source: &str, kind, at: SimTime, end: SimTime| InjectedFault {
+        source: source.to_string(),
+        kind,
+        start_s: at.as_secs_f64(),
+        end_s: end.as_secs_f64(),
+    };
+    let links = [("wifi", &cfg.wifi.faults), ("cell", &cfg.cell.faults)];
+    let mut faults: Vec<_> = (links.iter())
+        .flat_map(|(path, script)| script.windows().iter().map(|w| (*path, w)))
+        .map(|(path, w)| fault(path, w.kind.name(), w.at, w.end()))
+        .collect();
+    let implicit = [OriginSpec::new("origin").with_faults(cfg.server_faults.clone())];
+    let origins = cfg
+        .origins
+        .as_ref()
+        .map_or(&implicit[..], |pool| &pool.origins);
+    for origin in origins {
+        let windows = origin.faults.windows().iter();
+        faults.extend(windows.map(|w| fault(&origin.id, w.kind.name(), w.at, w.end())));
+    }
+    faults
 }
 
 /// The timeline line for a transport- or lifecycle-level event of chunk
@@ -374,6 +394,7 @@ fn transport_line(scenario: &Scenario, chunk: usize, e: &TraceEvent) -> Option<S
 /// time-ordered ring: each chunk's fetch window is a slice of it.
 fn explain_chunks(
     scenario: &Scenario,
+    injected: &[InjectedFault],
     report: &SessionReport,
     events: &[(SimTime, TraceEvent)],
 ) -> Vec<ChunkExplain> {
@@ -423,14 +444,12 @@ fn explain_chunks(
                     }
                 }
             };
-            let base = &scenario.base;
-            let faults = fault_overlaps("wifi", &base.wifi.faults, started_s, completed_s)
-                .chain(fault_overlaps(
-                    "cell",
-                    &base.cell.faults,
-                    started_s,
-                    completed_s,
-                ))
+            let faults = (injected.iter())
+                .filter_map(|f| {
+                    let overlap_s = completed_s.min(f.end_s) - started_s.max(f.start_s);
+                    let fault = f.clone();
+                    (overlap_s > 0.0).then_some(FaultOverlap { fault, overlap_s })
+                })
                 .collect();
             // The fetch window, both ends inclusive: an event at an
             // instant two chunks share belongs to both.
@@ -516,14 +535,14 @@ fn explain_chunks(
         .collect()
 }
 
-fn render(
-    scenario: &Scenario,
-    label: &str,
-    report: &SessionReport,
-    chunks: &[ChunkExplain],
-    bottlenecks: &[BottleneckSummary],
-    only: Option<usize>,
-) -> String {
+fn render(scenario: &Scenario, replay: &Replay, only: Option<usize>) -> String {
+    let Replay {
+        label,
+        report,
+        chunks,
+        bottlenecks,
+        faults,
+    } = replay;
     let mut out = String::new();
     let _ = writeln!(out, "scenario: {}", scenario.name);
     let stats = report.scheduler_stats;
@@ -594,11 +613,7 @@ fn render(
         }
         let _ = writeln!(out, "{line}");
     }
-    let base = &scenario.base;
-    let n_faults = base.wifi.faults.windows().len()
-        + base.cell.faults.windows().len()
-        + base.server_faults.windows().len();
-    let _ = writeln!(out, "injected faults: {n_faults}");
+    let _ = writeln!(out, "injected faults: {}", faults.len());
     for c in chunks {
         if only.is_some_and(|i| i != c.index) {
             continue;
@@ -642,11 +657,15 @@ fn render(
                 );
             }
         }
-        for f in &c.faults {
+        for FaultOverlap {
+            fault: f,
+            overlap_s,
+        } in &c.faults
+        {
             let _ = writeln!(
                 out,
-                "    fault: {} {} active {:.1}s-{:.1}s, overlaps fetch for {:.2}s",
-                f.path, f.kind, f.fault_start_s, f.fault_end_s, f.overlap_s,
+                "    fault: {} {} active {:.1}s-{:.1}s, overlaps fetch for {overlap_s:.2}s",
+                f.source, f.kind, f.start_s, f.end_s,
             );
         }
         for p in &c.picks {
@@ -722,7 +741,7 @@ mod tests {
     #[test]
     fn timeline_shows_timeout_abandon_resume_for_a_stalled_body() {
         let sc = Scenario::from_json(SERVER_FAULTED).unwrap();
-        let (_, report, _, _) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay { report, .. } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         assert!(
             report.lifecycle.abandoned >= 1,
             "the frozen body must force an abandonment: {:?}",
@@ -761,7 +780,7 @@ mod tests {
     #[test]
     fn timeline_attributes_origin_routing_hedges_and_cache() {
         let sc = Scenario::from_json(MULTI_ORIGIN).unwrap();
-        let (_, report, chunks, _) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay { report, chunks, .. } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         assert!(
             report.origin.breaker_opens >= 1,
             "the blackhole must trip the primary's breaker: {:?}",
@@ -781,6 +800,13 @@ mod tests {
         // The header rolls up the pool counters.
         assert!(text.contains("origins: "), "{text}");
         assert!(text.contains("breaker opens"), "{text}");
+        // The pool primary's blackhole is an injected fault, named by its
+        // pool id on the chunks fetched under it.
+        assert!(text.contains("injected faults: 1\n"), "{text}");
+        assert!(
+            text.contains("fault: primary blackhole active 20.0s-80.0s"),
+            "{text}"
+        );
         // Hedge-loser waste is attributed per chunk whenever a resolved
         // race left duplicated bytes behind.
         let wasted: u64 = chunks.iter().map(|c| c.hedge_wasted).sum();
@@ -823,7 +849,7 @@ mod tests {
     #[test]
     fn attributes_hedge_loser_waste_per_chunk() {
         let sc = Scenario::from_json(HEDGED).unwrap();
-        let (_, report, chunks, _) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay { report, chunks, .. } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         assert!(report.origin.hedges >= 1, "{:?}", report.origin);
         let wasted: u64 = chunks.iter().map(|c| c.hedge_wasted).sum();
         assert!(
@@ -863,7 +889,12 @@ mod tests {
     #[test]
     fn attributes_a_forced_deadline_miss_to_the_fault_window() {
         let sc = Scenario::from_json(FAULTED).unwrap();
-        let (label, report, chunks, _) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay {
+            label,
+            report,
+            chunks,
+            ..
+        } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         assert_eq!(label, "Rate");
         assert!(
             report.scheduler_stats.missed_deadlines > 0,
@@ -874,9 +905,9 @@ mod tests {
             .find(|c| matches!(c.deadline, DeadlineOutcome::Missed { .. }))
             .expect("a missed chunk appears in the timeline");
         assert!(
-            miss.faults
-                .iter()
-                .any(|f| f.path == "wifi" && f.kind == "disassociation" && f.overlap_s > 0.0),
+            miss.faults.iter().any(|f| f.fault.source == "wifi"
+                && f.fault.kind == "disassociation"
+                && f.overlap_s > 0.0),
             "the missed chunk's fetch window names the injected fault: {:?}",
             miss.faults
         );
@@ -894,7 +925,7 @@ mod tests {
     #[test]
     fn an_event_at_a_shared_chunk_boundary_lands_in_both_chunks() {
         let sc = Scenario::from_json(FAULTED).unwrap();
-        let (_, report, ..) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay { report, .. } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         let pairs = || report.chunks.windows(2);
         let shared = pairs()
             .find(|w| w[0].completed == w[1].started)
@@ -910,7 +941,7 @@ mod tests {
             ),
         ];
         events.sort_by_key(|(t, _)| *t);
-        let chunks = explain_chunks(&sc, &report, &events);
+        let chunks = explain_chunks(&sc, &[], &report, &events);
         let seen: Vec<(usize, &str)> = chunks
             .iter()
             .flat_map(|c| c.transport.iter().map(|(_, line)| (c.index, line.as_str())))
@@ -980,7 +1011,12 @@ mod tests {
     #[test]
     fn fleet_replay_explains_one_client_with_shared_queue_waits() {
         let sc = Scenario::from_json(FLEET).unwrap();
-        let (label, report, chunks, _) = explain_run(
+        let Replay {
+            label,
+            report,
+            chunks,
+            ..
+        } = explain_run(
             &sc,
             &ExplainOptions {
                 client: Some(2),
@@ -1021,7 +1057,7 @@ mod tests {
         assert!(text.contains("sched pick: "), "{text}");
 
         // A fleet scenario with no --client defaults to client 0.
-        let (label, _, _, _) = explain_run(&sc, &ExplainOptions::default()).unwrap();
+        let Replay { label, .. } = explain_run(&sc, &ExplainOptions::default()).unwrap();
         assert_eq!(label, "Rate (client 0/4)");
 
         // Out-of-range clients and non-fleet documents are named errors.

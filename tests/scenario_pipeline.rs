@@ -428,22 +428,32 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
 }
 
 /// `mpdash explain`'s text, which no summary carries: one solo mode
-/// (`origins.json`'s `Rate`, with its routing, hedges and cache) and one
-/// fleet client (`fleet.json`'s client 3, with its shared-queue waits).
-/// Recorded while each chunk's per-path split was a replay of the packet
-/// log.
+/// (`origins.json`'s `Rate`, with its routing, hedges, cache and the
+/// pool primary's blackhole) and two fleet clients (`fleet.json`'s
+/// client 3, with its shared-queue waits, and `churn.json`'s client 0,
+/// inside fault domain `region`'s WiFi disassociation). Recorded while
+/// each chunk's per-path split was a replay of the packet log; the
+/// origins text moved when explain began reading the replayed config's
+/// faults (pool origins and fault domains included).
 #[test]
 fn explain_reproduces_its_golden_text() {
     let solo = explain_scenario(&shipped("origins.json"), &ExplainOptions::default())
         .expect("origins explains");
-    let opts = ExplainOptions {
-        client: Some(3),
-        ..ExplainOptions::default()
+    let client = |file: &str, k| {
+        let opts = ExplainOptions {
+            client: Some(k),
+            ..ExplainOptions::default()
+        };
+        explain_scenario(&shipped(file), &opts).expect("a fleet client explains")
     };
-    let client = explain_scenario(&shipped("fleet.json"), &opts).expect("fleet.json explains");
+    let (fleet, churn) = (client("fleet.json", 3), client("churn.json", 0));
     assert_eq!(
-        [fnv1a(solo.as_bytes()), fnv1a(client.as_bytes())],
-        [12454543280754231931, 13474198893926727069]
+        [solo, fleet, churn].map(|text| fnv1a(text.as_bytes())),
+        [
+            4730176327211254362,
+            13474198893926727069,
+            9239392735820287628
+        ]
     );
 }
 
