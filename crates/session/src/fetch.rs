@@ -34,14 +34,14 @@ use mpdash_http::{
     SharedSegmentCache,
 };
 use mpdash_link::PathId;
-use mpdash_mptcp::{MptcpSim, PktRecord, StepOutcome};
+use mpdash_mptcp::{MptcpSim, StepOutcome};
 use mpdash_obs::TraceEvent;
 use mpdash_sim::{SimDuration, SimTime};
 
 /// Timer for a pending lifecycle retry (seeded backoff after a 5xx).
-/// The HTTP layer numbers its deferred-part timers from 2^62; any other
-/// id is the session's own and comes back as [`Step::Timer`].
-const RETRY_ID: u64 = 0;
+/// Every id below it is the session's own and comes back as
+/// [`Step::Timer`]; the HTTP layer numbers its deferred parts from 2^62.
+const RETRY_ID: u64 = 1 << 32;
 
 /// A chunk in flight that delivers nothing for this long is wedged —
 /// every run in the repository simulates less than this in total — and
@@ -121,8 +121,9 @@ pub(crate) struct ChunkFetch {
     /// Hedge losers whose cancel is draining, with the chunk they raced
     /// for; their terminal event accounts the duplicate bytes as waste.
     losers: Vec<(RequestId, usize)>,
-    /// The current step's client-side HTTP events, and how many of them
-    /// [`ChunkFetch::next_done`] has handled (a packet must not allocate).
+    /// The last delivery's or server message's client-side HTTP events,
+    /// and how many of them [`ChunkFetch::next_done`] has handled (a
+    /// packet must not allocate).
     events: Vec<HttpEvent>,
     handled: usize,
     /// When the connection last delivered a byte, or the chunk in flight
@@ -232,45 +233,46 @@ impl ChunkFetch {
     }
 
     /// Pop and handle the connection's next event; `None` when its queue
-    /// is empty. Returns the event's time, the data packet it delivered
-    /// (if any), and what it means to the session.
-    pub(crate) fn step(
-        &mut self,
-        rec: &mut Recorder,
-    ) -> Option<(SimTime, Option<PktRecord>, Step)> {
+    /// is empty. Returns the event's time and what it means to the session.
+    #[inline]
+    pub(crate) fn step(&mut self, rec: &mut Recorder) -> Option<(SimTime, Step)> {
         let (t, outcome) = self.conn.step()?;
-        self.events.clear();
-        self.handled = 0;
         let step = match outcome {
             StepOutcome::Transport { newly_delivered: 0 } => Step::Transport,
             StepOutcome::Transport { newly_delivered } => {
                 self.last_byte_at = t;
+                self.events.clear();
+                self.handled = 0;
                 self.http.on_delivered(newly_delivered, &mut self.events);
                 Step::Delivered
             }
+            StepOutcome::AppTimer { id } if id < RETRY_ID => Step::Timer(id),
             StepOutcome::AppTimer { id: RETRY_ID } => {
                 if self.current.is_some() {
                     self.reissue(rec, "retry", None);
                 }
                 Step::Transport
             }
-            StepOutcome::AppTimer { id } if !self.http.on_app_timer(&mut self.conn, id) => {
-                Step::Timer(id)
+            StepOutcome::AppTimer { id } => {
+                self.http.on_app_timer(&mut self.conn, id);
+                Step::Transport
             }
-            StepOutcome::AppTimer { .. } => Step::Transport,
             StepOutcome::ServerMsg { id } => {
                 // A cancel processed at the server can end its exchange.
-                self.events
-                    .extend(self.http.on_server_msg(&mut self.conn, id));
+                let events = self.http.on_server_msg(&mut self.conn, id);
+                self.events.clear();
+                self.events.extend(events);
+                self.handled = 0;
                 Step::Transport
             }
         };
-        Some((t, self.conn.arrival(), step))
+        Some((t, step))
     }
 
     /// Handle the step's HTTP events up to the next one that completes
     /// the chunk, and return that chunk: the session issues the next
     /// request before the rest of the events are looked at.
+    #[inline]
     pub(crate) fn next_done(&mut self, rec: &mut Recorder) -> Option<ChunkRecord> {
         while let Some(&ev) = self.events.get(self.handled) {
             self.handled += 1;

@@ -46,7 +46,7 @@ use mpdash_sim::{Rate, SimDuration, SimTime};
 /// ~one testbed RTT — §7.2.2).
 const TICK: SimDuration = SimDuration::from_millis(50);
 
-/// The session's two timers (`ChunkFetch` keeps 0 and 2^62 up).
+/// The session's two timers (`ChunkFetch` hands back ids below 2^32).
 const TICK_ID: u64 = 1;
 const WAKE_ID: u64 = 2;
 
@@ -421,10 +421,10 @@ impl StreamingSession {
     /// Process one event from this session's queue; `false` when the
     /// queue is empty.
     pub fn step_once(&mut self) -> bool {
-        let Some((t, arrival, step)) = self.fetch.step(&mut self.rec) else {
+        let Some((t, step)) = self.fetch.step(&mut self.rec) else {
             return false;
         };
-        if let Some(r) = arrival {
+        if let Some(r) = self.fetch.conn().arrival() {
             self.energy.on_arrival(r);
             self.ledger.on_arrival(r);
             if let Some((_, signal)) = self.mpdash.as_mut() {
