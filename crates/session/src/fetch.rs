@@ -121,11 +121,9 @@ pub(crate) struct ChunkFetch {
     /// Hedge losers whose cancel is draining, with the chunk they raced
     /// for; their terminal event accounts the duplicate bytes as waste.
     losers: Vec<(RequestId, usize)>,
-    /// The last delivery's or server message's client-side HTTP events,
-    /// and how many of them [`ChunkFetch::next_done`] has handled (a
-    /// packet must not allocate).
+    /// The step's client-side HTTP events [`ChunkFetch::next_done`] has
+    /// not handled yet, last first (a packet must not allocate).
     events: Vec<HttpEvent>,
-    handled: usize,
     /// When the connection last delivered a byte, or the chunk in flight
     /// was requested if later (see [`WEDGED_AFTER`]).
     last_byte_at: SimTime,
@@ -153,7 +151,6 @@ impl ChunkFetch {
             current: None,
             losers: Vec::new(),
             events: Vec::new(),
-            handled: 0,
             last_byte_at: SimTime::ZERO,
         }
     }
@@ -241,9 +238,8 @@ impl ChunkFetch {
             StepOutcome::Transport { newly_delivered: 0 } => Step::Transport,
             StepOutcome::Transport { newly_delivered } => {
                 self.last_byte_at = t;
-                self.events.clear();
-                self.handled = 0;
                 self.http.on_delivered(newly_delivered, &mut self.events);
+                self.events.reverse();
                 Step::Delivered
             }
             StepOutcome::AppTimer { id } if id < RETRY_ID => Step::Timer(id),
@@ -260,9 +256,7 @@ impl ChunkFetch {
             StepOutcome::ServerMsg { id } => {
                 // A cancel processed at the server can end its exchange.
                 let events = self.http.on_server_msg(&mut self.conn, id);
-                self.events.clear();
-                self.events.extend(events);
-                self.handled = 0;
+                self.events.extend(events.into_iter().rev());
                 Step::Transport
             }
         };
@@ -274,8 +268,7 @@ impl ChunkFetch {
     /// request before the rest of the events are looked at.
     #[inline]
     pub(crate) fn next_done(&mut self, rec: &mut Recorder) -> Option<ChunkRecord> {
-        while let Some(&ev) = self.events.get(self.handled) {
-            self.handled += 1;
+        while let Some(ev) = self.events.pop() {
             if let Some(done) = self.on_http_event(rec, ev) {
                 return Some(done);
             }
