@@ -447,8 +447,10 @@ fn explain_chunks(
             let faults = (injected.iter())
                 .filter_map(|f| {
                     let overlap_s = completed_s.min(f.end_s) - started_s.max(f.start_s);
-                    let fault = f.clone();
-                    (overlap_s > 0.0).then_some(FaultOverlap { fault, overlap_s })
+                    (overlap_s > 0.0).then(|| FaultOverlap {
+                        fault: f.clone(),
+                        overlap_s,
+                    })
                 })
                 .collect();
             // The fetch window, both ends inclusive: an event at an
