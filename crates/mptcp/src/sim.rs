@@ -497,6 +497,8 @@ impl MptcpSim {
 
     /// Process the next event. `None` when the queue is empty (no
     /// transport activity pending and no application timers set).
+    // Inline: the popped `Event` then stays in registers from the slab to the `match`.
+    #[inline]
     pub fn step(&mut self) -> Option<(SimTime, StepOutcome)> {
         let (now, ev) = self.queue.pop()?;
         self.arrival = None;

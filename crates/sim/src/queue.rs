@@ -136,6 +136,8 @@ impl<E> EventQueue<E> {
     /// than the lane's newest (which a drained lane remembers) and the
     /// heap otherwise — a jittered delivery overtaken by its successor, a
     /// timer shorter than the last. A wrong lane costs time, never order.
+    // Inline so the caller's freshly built payload is written straight into its node.
+    #[inline]
     pub fn schedule_in(&mut self, lane: usize, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -176,6 +178,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Free `slot`, returning its payload and its successor.
+    // Inline: `pop` runs it on every event (DESIGN §4.1).
+    #[inline]
     fn release(&mut self, slot: u32) -> (E, u32) {
         let node = &mut self.nodes[slot as usize];
         let payload = node.payload.take().expect("a stored node is pending");
@@ -186,6 +190,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Take `slot` out of `lane`; `prev` precedes it (`NIL` at the head).
+    // Inline: `pop` runs it on every event (DESIGN §4.1).
+    #[inline]
     fn unlink(&mut self, lane: usize, prev: u32, slot: u32) -> E {
         let (payload, next) = self.release(slot);
         if next == NIL {
@@ -239,6 +245,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest live event, advancing the clock to its fire time.
+    // Inline: a by-value payload returned through a call is reloaded from the stack.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (key, lane) = self.next;
         let payload = if lane < LANES {
