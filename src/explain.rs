@@ -62,6 +62,9 @@ pub(crate) struct InjectedFault {
     pub start_s: f64,
     /// When it stops affecting its source (reassociation included).
     pub end_s: f64,
+    /// The pool origin's dense index; `None` for a link or the implicit
+    /// origin, which every request reaches.
+    pub pool_origin: Option<usize>,
 }
 
 /// An injected fault window overlapping a chunk's fetch.
@@ -128,7 +131,8 @@ pub(crate) struct ChunkExplain {
     pub cell_bytes: u64,
     /// Deadline verdict.
     pub deadline: DeadlineOutcome,
-    /// Injected faults overlapping the fetch window.
+    /// Injected faults overlapping the fetch window; a pool origin's
+    /// only if one of the chunk's requests was routed to it.
     pub faults: Vec<FaultOverlap>,
     /// Transport- and lifecycle-level trace lines inside the fetch
     /// window (scheduler toggles, subflow failures/revivals, request
@@ -273,25 +277,28 @@ fn origin_name(scenario: &Scenario, origin: usize) -> String {
 /// origin's — the pool's, by id, or the single implicit origin's, as the
 /// session serves them.
 fn injected_faults(cfg: &SessionConfig) -> Vec<InjectedFault> {
-    let fault = |source: &str, kind, at: SimTime, end: SimTime| InjectedFault {
+    let fault = |source: &str, pool_origin, kind, at: SimTime, end: SimTime| InjectedFault {
         source: source.to_string(),
         kind,
         start_s: at.as_secs_f64(),
         end_s: end.as_secs_f64(),
+        pool_origin,
     };
     let links = [("wifi", &cfg.wifi.faults), ("cell", &cfg.cell.faults)];
     let mut faults: Vec<_> = (links.iter())
         .flat_map(|(path, script)| script.windows().iter().map(|w| (*path, w)))
-        .map(|(path, w)| fault(path, w.kind.name(), w.at, w.end()))
+        .map(|(path, w)| fault(path, None, w.kind.name(), w.at, w.end()))
         .collect();
     let implicit = [OriginSpec::new("origin").with_faults(cfg.server_faults.clone())];
-    let origins = cfg
-        .origins
-        .as_ref()
-        .map_or(&implicit[..], |pool| &pool.origins);
-    for origin in origins {
-        let windows = origin.faults.windows().iter();
-        faults.extend(windows.map(|w| fault(&origin.id, w.kind.name(), w.at, w.end())));
+    let (origins, pooled) = match &cfg.origins {
+        Some(pool) => (&pool.origins[..], true),
+        None => (&implicit[..], false),
+    };
+    for (index, origin) in origins.iter().enumerate() {
+        for w in origin.faults.windows() {
+            let pool_origin = pooled.then_some(index);
+            faults.push(fault(&origin.id, pool_origin, w.kind.name(), w.at, w.end()));
+        }
     }
     faults
 }
@@ -444,7 +451,20 @@ fn explain_chunks(
                     }
                 }
             };
+            // The fetch window, both ends inclusive: an event at an
+            // instant two chunks share belongs to both.
+            let window = &events[events.partition_point(|(t, _)| *t < c.started)
+                ..events.partition_point(|(t, _)| *t <= c.completed)];
+            // A pool origin's fault strikes a chunk only if one of the
+            // chunk's requests was routed there.
+            let routed_to = |pool_origin| {
+                window.iter().any(|(_, e)| {
+                    matches!(e, TraceEvent::OriginRouted { chunk, origin, .. }
+                        if *chunk == c.index && *origin == pool_origin)
+                })
+            };
             let faults = (injected.iter())
+                .filter(|f| f.pool_origin.is_none_or(routed_to))
                 .filter_map(|f| {
                     let overlap_s = completed_s.min(f.end_s) - started_s.max(f.start_s);
                     (overlap_s > 0.0).then(|| FaultOverlap {
@@ -453,10 +473,6 @@ fn explain_chunks(
                     })
                 })
                 .collect();
-            // The fetch window, both ends inclusive: an event at an
-            // instant two chunks share belongs to both.
-            let window = &events[events.partition_point(|(t, _)| *t < c.started)
-                ..events.partition_point(|(t, _)| *t <= c.completed)];
             let mut transport = Vec::new();
             // Per-packet shared-queue waits and scheduler decisions
             // inside the window, rolled up per path: (waits, sum, max)
@@ -809,6 +825,21 @@ mod tests {
             text.contains("fault: primary blackhole active 20.0s-80.0s"),
             "{text}"
         );
+        // ...but only on chunks with a request routed to the primary: a
+        // chunk only the backup served fetched clear of the blackhole.
+        let routed = |c: &ChunkExplain, id: &str| {
+            let line = format!("routed to origin {id} (");
+            c.transport.iter().any(|(_, l)| l.starts_with(&line))
+        };
+        let struck = |c: &ChunkExplain| c.faults.iter().any(|f| f.fault.source == "primary");
+        let in_blackhole = |c: &&ChunkExplain| c.started_s < 80.0 && c.completed_s > 20.0;
+        let (to_primary, backup_only): (Vec<_>, Vec<_>) = (chunks.iter())
+            .filter(in_blackhole)
+            .filter(|c| routed(c, "primary") || routed(c, "backup"))
+            .partition(|c| routed(c, "primary"));
+        assert!(!to_primary.is_empty() && !backup_only.is_empty(), "{text}");
+        assert!(to_primary.iter().all(|c| struck(c)), "{text}");
+        assert!(backup_only.iter().all(|c| !struck(c)), "{text}");
         // Hedge-loser waste is attributed per chunk whenever a resolved
         // race left duplicated bytes behind.
         let wasted: u64 = chunks.iter().map(|c| c.hedge_wasted).sum();

@@ -434,7 +434,8 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
 /// inside fault domain `region`'s WiFi disassociation). Recorded while
 /// each chunk's per-path split was a replay of the packet log; the
 /// origins text moved when explain began reading the replayed config's
-/// faults (pool origins and fault domains included).
+/// faults (pool origins and fault domains included), and again when a
+/// pool origin's fault began counting only for chunks routed to it.
 #[test]
 fn explain_reproduces_its_golden_text() {
     let solo = explain_scenario(&shipped("origins.json"), &ExplainOptions::default())
@@ -450,7 +451,7 @@ fn explain_reproduces_its_golden_text() {
     assert_eq!(
         [solo, fleet, churn].map(|text| fnv1a(text.as_bytes())),
         [
-            4730176327211254362,
+            5696067966782480675,
             13474198893926727069,
             9239392735820287628
         ]
