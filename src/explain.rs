@@ -290,13 +290,13 @@ fn injected_faults(cfg: &SessionConfig) -> Vec<InjectedFault> {
         .map(|(path, w)| fault(path, None, w.kind.name(), w.at, w.end()))
         .collect();
     let implicit = [OriginSpec::new("origin").with_faults(cfg.server_faults.clone())];
-    let (origins, pooled) = match &cfg.origins {
-        Some(pool) => (&pool.origins[..], true),
-        None => (&implicit[..], false),
-    };
+    let origins = cfg
+        .origins
+        .as_ref()
+        .map_or(&implicit[..], |pool| &pool.origins);
     for (index, origin) in origins.iter().enumerate() {
+        let pool_origin = cfg.origins.is_some().then_some(index);
         for w in origin.faults.windows() {
-            let pool_origin = pooled.then_some(index);
             faults.push(fault(&origin.id, pool_origin, w.kind.name(), w.at, w.end()));
         }
     }
