@@ -465,25 +465,30 @@ fn explain_reproduces_its_golden_text() {
 /// Recorded at the commit before the series' write path moved from
 /// by-name updates to resolved handles (PR 19); the same files hash, by
 /// `sha256sum`, to `d459e788…971c` (aqm), `ad7df5e1…be89` (churn) and
-/// `f4fe2339…82dc` (fleet).
+/// `f4fe2339…82dc` (fleet). The same runs' stdout, less the two lines
+/// naming the artifact paths, pins the sparklines and per-mode headers;
+/// recorded before the NDJSON rows stopped passing through a typed copy.
 #[test]
 fn timeline_ndjson_reproduces_its_golden_bytes() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("timeline-golden");
-    for (file, ndjson, digest) in [
+    for (file, ndjson, digest, stdout_digest) in [
         (
             "aqm.json",
             "TIMELINE_fleet_8_fq_pie_ap.ndjson",
             0x8036_b2a9_3d99_5a59_u64,
+            0x9631_5359_2d7a_d10c_u64,
         ),
         (
             "churn.json",
             "TIMELINE_churn_8_domain_outage_shed.ndjson",
             0xb473_2f5e_337e_9657,
+            0xd222_ac37_36b3_1863,
         ),
         (
             "fleet.json",
             "TIMELINE_fleet_16_shared_ap.ndjson",
             0xeaa9_b936_8b11_bdcd,
+            0xf76f_1ce3_eee3_c180,
         ),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
@@ -497,6 +502,12 @@ fn timeline_ndjson_reproduces_its_golden_bytes() {
         assert!(out.status.success(), "{file}: {out:?}");
         let bytes = std::fs::read(dir.join(ndjson)).expect("timeline NDJSON written");
         assert_eq!(fnv1a(&bytes), digest, "{file}");
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        let report: String = (stdout.lines())
+            .filter(|l| !l.starts_with("ndjson: ") && !l.starts_with("profile: "))
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        assert_eq!(fnv1a(report.as_bytes()), stdout_digest, "{file}: {report}");
     }
 }
 
