@@ -216,6 +216,24 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
+impl HistogramSnapshot {
+    /// Deterministic JSON encoding: `{"count", "sum", "buckets": [[lo,
+    /// n], ...]}`, the one histogram form every artifact carries.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("count", Json::from(self.count)),
+            ("sum", Json::from(self.sum)),
+            (
+                "buckets",
+                Json::arr(
+                    (self.buckets.iter())
+                        .map(|&(lo, n)| Json::arr([Json::from(lo), Json::from(n)])),
+                ),
+            ),
+        ])
+    }
+}
+
 /// An immutable, ordered snapshot of a [`MetricsRegistry`], suitable
 /// for embedding in reports and byte-stable artifacts.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -233,8 +251,8 @@ impl MetricsSnapshot {
     }
 
     /// Deterministic JSON encoding:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {"count", "sum", "buckets": [[lo, n], ...]}}}`.
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: ...}}`,
+    /// each histogram as [`HistogramSnapshot::to_json`] writes it.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -254,21 +272,7 @@ impl MetricsSnapshot {
                 Json::Obj(
                     self.histograms
                         .iter()
-                        .map(|(k, h)| {
-                            (
-                                k.clone(),
-                                Json::obj([
-                                    ("count", Json::from(h.count)),
-                                    ("sum", Json::from(h.sum)),
-                                    (
-                                        "buckets",
-                                        Json::arr(h.buckets.iter().map(|&(lo, n)| {
-                                            Json::arr([Json::from(lo), Json::from(n)])
-                                        })),
-                                    ),
-                                ]),
-                            )
-                        })
+                        .map(|(k, h)| (k.clone(), h.to_json()))
                         .collect(),
                 ),
             ),

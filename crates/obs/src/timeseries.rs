@@ -219,22 +219,7 @@ impl EpochCell {
                 Json::Obj(
                     self.histograms
                         .iter()
-                        .map(|(k, h)| {
-                            let s = h.snapshot();
-                            (
-                                k.to_string(),
-                                Json::obj([
-                                    ("count", Json::from(s.count)),
-                                    ("sum", Json::from(s.sum)),
-                                    (
-                                        "buckets",
-                                        Json::arr(s.buckets.iter().map(|&(lo, n)| {
-                                            Json::arr([Json::from(lo), Json::from(n)])
-                                        })),
-                                    ),
-                                ]),
-                            )
-                        })
+                        .map(|(k, h)| (k.to_string(), h.snapshot().to_json()))
                         .collect(),
                 ),
             ),
