@@ -84,11 +84,9 @@ pub fn timeline_scenario(
     // NDJSON: deterministic rows only, one line per mode per epoch.
     let ndjson_path = dir.join(format!("TIMELINE_{}.ndjson", slug(&scenario.name)));
     let mut ndjson = String::new();
-    for mode in &modes {
-        for row in &mode.rows {
-            ndjson.push_str(&row.to_json(&mode.label).to_compact());
-            ndjson.push('\n');
-        }
+    for row in modes.iter().flat_map(|m| &m.rows) {
+        ndjson.push_str(&row.to_compact());
+        ndjson.push('\n');
     }
     std::fs::write(&ndjson_path, &ndjson)
         .map_err(|e| format!("writing {}: {e}", ndjson_path.display()))?;
@@ -120,83 +118,16 @@ pub fn timeline_scenario(
     })
 }
 
-/// One epoch of one mode's fleet-wide series: an NDJSON row, typed.
-struct Row {
-    epoch: u64,
-    t_s: f64,
-    deadline_hits: u64,
-    deadline_misses: u64,
-    miss_rate: f64,
-    wifi_bytes: u64,
-    cell_bytes: u64,
-    chunks: u64,
-    switches: u64,
-    stall_ms: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_hit_ratio: f64,
-    queue_depth_mean: f64,
-    queue_wait_mean_ms: f64,
-    aqm_drop_prob_ppm_mean: f64,
-    shared_dropped_bytes: u64,
-    wasted_bytes: u64,
-    loop_steps: u64,
-    loop_departures: u64,
-    fleet_arrivals: u64,
-    fleet_departures: u64,
-    fleet_shed: u64,
-    active_sessions: u64,
-    qoe_composite: f64,
-}
-
-impl Row {
-    fn to_json(&self, mode: &str) -> Json {
-        Json::obj([
-            ("mode", Json::from(mode)),
-            ("epoch", Json::from(self.epoch)),
-            ("t_s", Json::Float(self.t_s)),
-            ("deadline_hits", Json::from(self.deadline_hits)),
-            ("deadline_misses", Json::from(self.deadline_misses)),
-            ("miss_rate", Json::Float(self.miss_rate)),
-            ("wifi_bytes", Json::from(self.wifi_bytes)),
-            ("cell_bytes", Json::from(self.cell_bytes)),
-            ("chunks", Json::from(self.chunks)),
-            ("switches", Json::from(self.switches)),
-            ("stall_ms", Json::from(self.stall_ms)),
-            ("cache_hits", Json::from(self.cache_hits)),
-            ("cache_misses", Json::from(self.cache_misses)),
-            ("cache_hit_ratio", Json::Float(self.cache_hit_ratio)),
-            ("queue_depth_mean", Json::Float(self.queue_depth_mean)),
-            ("queue_wait_mean_ms", Json::Float(self.queue_wait_mean_ms)),
-            (
-                "aqm_drop_prob_ppm_mean",
-                Json::Float(self.aqm_drop_prob_ppm_mean),
-            ),
-            (
-                "shared_dropped_bytes",
-                Json::from(self.shared_dropped_bytes),
-            ),
-            ("wasted_bytes", Json::from(self.wasted_bytes)),
-            ("loop_steps", Json::from(self.loop_steps)),
-            ("loop_departures", Json::from(self.loop_departures)),
-            ("fleet_arrivals", Json::from(self.fleet_arrivals)),
-            ("fleet_departures", Json::from(self.fleet_departures)),
-            ("fleet_shed", Json::from(self.fleet_shed)),
-            ("active_sessions", Json::from(self.active_sessions)),
-            ("qoe_composite", Json::Float(self.qoe_composite)),
-        ])
-    }
-}
-
-/// One mode's fleet run reduced to what the timeline shows: one row per
-/// epoch plus the loop and wall-clock profiles. Every field except
-/// `wall` is a pure function of the fleet config.
+/// One mode's fleet run reduced to what the timeline shows: one NDJSON
+/// row per epoch plus the loop and wall-clock profiles. Every field
+/// except `wall` is a pure function of the fleet config.
 struct ModeTimeline {
     label: String,
     epoch_s: f64,
     qoe_mean: f64,
     miss_rate: f64,
-    rows: Vec<Row>,
+    /// One object per epoch, `mode` first, exactly as the NDJSON line.
+    rows: Vec<Json>,
     profile: FleetProfile,
     wall: Option<FleetWallProfile>,
 }
@@ -237,17 +168,22 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> ModeTimeline {
     let rows = all
         .cells()
         .map(|(i, c)| {
-            let hits = c.counter("deadline_hits");
-            let misses = c.counter("deadline_misses");
-            let cache_hits = c.counter("cache_hits");
-            let cache_misses = c.counter("cache_misses");
+            // A counter's column carries the counter's own name.
+            let n = |name: &'static str| (name, Json::from(c.counter(name)));
+            // `of`'s share of the two counters' sum.
+            let share = |of, other| {
+                let (a, b) = (c.counter(of), c.counter(other));
+                Json::Float(a as f64 / (a + b).max(1) as f64)
+            };
             // Mean of a per-departure histogram over the epoch; zero on
             // fleets whose series lack the cell (e.g. PIE's drop
             // probability, in parts per million, on a non-AQM fleet).
-            let mean = |name: &str| {
-                c.histogram(name)
-                    .map(|h| h.sum() as f64 / h.count().max(1) as f64)
-                    .unwrap_or(0.0)
+            let mean = |name| {
+                Json::Float(
+                    c.histogram(name)
+                        .map(|h| h.sum() as f64 / h.count().max(1) as f64)
+                        .unwrap_or(0.0),
+                )
             };
             let arrivals = c.counter("fleet_arrivals");
             let departures = c.counter("fleet_departures");
@@ -260,35 +196,36 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> ModeTimeline {
                 epoch,
                 top_rung_mbps,
             );
-            Row {
-                epoch: i as u64,
-                t_s: i as f64 * epoch_s,
-                deadline_hits: hits,
-                deadline_misses: misses,
-                miss_rate: misses as f64 / (hits + misses).max(1) as f64,
-                wifi_bytes: c.counter("wifi_bytes"),
-                cell_bytes: c.counter("cell_bytes"),
-                chunks: c.counter("chunks"),
-                switches: c.counter("switches"),
-                stall_ms: c.counter("stall_ms"),
-                cache_hits,
-                cache_misses,
-                cache_hit_ratio: cache_hits as f64 / (cache_hits + cache_misses).max(1) as f64,
-                queue_depth_mean: mean("queue_depth_bytes"),
+            Json::obj([
+                ("mode", Json::from(label)),
+                ("epoch", Json::from(i as u64)),
+                ("t_s", Json::Float(i as f64 * epoch_s)),
+                n("deadline_hits"),
+                n("deadline_misses"),
+                ("miss_rate", share("deadline_misses", "deadline_hits")),
+                n("wifi_bytes"),
+                n("cell_bytes"),
+                n("chunks"),
+                n("switches"),
+                n("stall_ms"),
+                n("cache_hits"),
+                n("cache_misses"),
+                ("cache_hit_ratio", share("cache_hits", "cache_misses")),
+                ("queue_depth_mean", mean("queue_depth_bytes")),
                 // Mean sojourn of the epoch's departures — bufferbloat
                 // over time, and the signal an AQM holds near its target.
-                queue_wait_mean_ms: mean("queue_wait_ms"),
-                aqm_drop_prob_ppm_mean: mean("aqm_drop_prob_ppm"),
-                shared_dropped_bytes: c.counter("shared_dropped_bytes"),
-                wasted_bytes: c.counter("wasted_bytes"),
-                loop_steps: c.counter("loop_steps"),
-                loop_departures: c.counter("loop_departures"),
-                fleet_arrivals: arrivals,
-                fleet_departures: departures,
-                fleet_shed: c.counter("fleet_shed"),
-                active_sessions: active.max(0) as u64,
-                qoe_composite: qoe.composite,
-            }
+                ("queue_wait_mean_ms", mean("queue_wait_ms")),
+                ("aqm_drop_prob_ppm_mean", mean("aqm_drop_prob_ppm")),
+                n("shared_dropped_bytes"),
+                n("wasted_bytes"),
+                n("loop_steps"),
+                n("loop_departures"),
+                n("fleet_arrivals"),
+                n("fleet_departures"),
+                n("fleet_shed"),
+                ("active_sessions", Json::from(active.max(0) as u64)),
+                ("qoe_composite", Json::Float(qoe.composite)),
+            ])
         })
         .collect();
 
@@ -339,8 +276,16 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// One sparkline's value in a row.
-type Track = fn(&Row) -> f64;
+/// One NDJSON key's values across a mode's rows.
+fn column(rows: &[Json], key: &str) -> Vec<f64> {
+    (rows.iter())
+        .map(|r| {
+            r.get(key)
+                .and_then(Json::as_f64)
+                .expect("a numeric NDJSON key")
+        })
+        .collect()
+}
 
 fn render(scenario: &Scenario, opts: &TimelineOptions, modes: &[ModeTimeline]) -> String {
     use std::fmt::Write;
@@ -361,20 +306,21 @@ fn render(scenario: &Scenario, opts: &TimelineOptions, modes: &[ModeTimeline]) -
             "\n{}: {n} epochs x {epoch_s:.1}s ({span:.0}s), mean QoE {:.1}, miss rate {:.3}",
             mode.label, mode.qoe_mean, mode.miss_rate,
         );
-        let tracks: [(&str, Track, f64, &str); 10] = [
-            ("miss rate", |r| r.miss_rate, 1.0, ""),
-            ("LTE bytes", |r| r.cell_bytes as f64, 1e-6, " MB"),
-            ("cache hit%", |r| r.cache_hit_ratio, 100.0, "%"),
-            ("queue depth", |r| r.queue_depth_mean, 1e-3, " KB"),
-            ("queue delay", |r| r.queue_wait_mean_ms, 1.0, " ms"),
-            ("aqm prob", |r| r.aqm_drop_prob_ppm_mean, 1e-4, "%"),
-            ("QoE", |r| r.qoe_composite, 1.0, ""),
-            ("loop steps", |r| r.loop_steps as f64, 1.0, ""),
-            ("active sess", |r| r.active_sessions as f64, 1.0, ""),
-            ("shed", |r| r.fleet_shed as f64, 1.0, ""),
+        // (title, NDJSON key, display scale, unit)
+        let tracks = [
+            ("miss rate", "miss_rate", 1.0, ""),
+            ("LTE bytes", "cell_bytes", 1e-6, " MB"),
+            ("cache hit%", "cache_hit_ratio", 100.0, "%"),
+            ("queue depth", "queue_depth_mean", 1e-3, " KB"),
+            ("queue delay", "queue_wait_mean_ms", 1.0, " ms"),
+            ("aqm prob", "aqm_drop_prob_ppm_mean", 1e-4, "%"),
+            ("QoE", "qoe_composite", 1.0, ""),
+            ("loop steps", "loop_steps", 1.0, ""),
+            ("active sess", "active_sessions", 1.0, ""),
+            ("shed", "fleet_shed", 1.0, ""),
         ];
-        for (title, value, unit_scale, unit) in tracks {
-            let vals: Vec<f64> = mode.rows.iter().map(value).collect();
+        for (title, key, unit_scale, unit) in tracks {
+            let vals = column(&mode.rows, key);
             let peak = vals.iter().cloned().fold(0.0_f64, f64::max);
             let _ = writeln!(
                 out,
@@ -425,6 +371,13 @@ mod tests {
         }
     }"#;
 
+    /// An integer NDJSON key's values across `rows`.
+    fn counts(rows: &[Json], key: &str) -> Vec<u64> {
+        (rows.iter())
+            .map(|r| r.get(key).and_then(Json::as_u64).expect(key))
+            .collect()
+    }
+
     fn demo_modes() -> Vec<ModeTimeline> {
         let sc = Scenario::from_json(DOC).unwrap();
         let spec = sc.base.telemetry.unwrap();
@@ -442,16 +395,14 @@ mod tests {
         for (ma, mb) in a.iter().zip(&b) {
             // The deterministic surface (everything but wall) matches
             // bit for bit across runs.
-            let ndjson = |m: &ModeTimeline| {
-                Json::arr(m.rows.iter().map(|r| r.to_json(&m.label))).to_pretty()
-            };
+            let ndjson = |m: &ModeTimeline| Json::arr(m.rows.iter().cloned()).to_pretty();
             assert_eq!(ndjson(ma), ndjson(mb));
             let rows = &ma.rows;
             assert!(rows.len() > 5, "a real run spans many epochs");
-            for (i, r) in rows.iter().enumerate() {
-                assert_eq!(r.epoch, i as u64);
+            for (i, epoch) in counts(rows, "epoch").into_iter().enumerate() {
+                assert_eq!(epoch, i as u64);
             }
-            let bytes: u64 = rows.iter().map(|r| r.cell_bytes).sum();
+            let bytes: u64 = counts(rows, "cell_bytes").iter().sum();
             assert!(bytes > 0, "cellular traffic shows up in the series");
         }
     }
@@ -481,9 +432,9 @@ mod tests {
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
         let rows = &mode.rows;
-        let arrivals: u64 = rows.iter().map(|r| r.fleet_arrivals).sum();
-        let departures: u64 = rows.iter().map(|r| r.fleet_departures).sum();
-        let shed: u64 = rows.iter().map(|r| r.fleet_shed).sum();
+        let arrivals: u64 = counts(rows, "fleet_arrivals").iter().sum();
+        let departures: u64 = counts(rows, "fleet_departures").iter().sum();
+        let shed: u64 = counts(rows, "fleet_shed").iter().sum();
         assert!(arrivals > 0, "admitted sessions arrive");
         assert_eq!(
             arrivals, departures,
@@ -491,13 +442,14 @@ mod tests {
         );
         assert!(shed > 0, "the cap sheds some of the 8 packed arrivals");
         assert_eq!(arrivals + shed, 8, "every client is admitted or shed");
-        let peak = rows.iter().map(|r| r.active_sessions).max().unwrap();
+        let active = counts(rows, "active_sessions");
+        let peak = *active.iter().max().unwrap();
         assert!(
             (1..=2).contains(&peak),
             "active sessions stay within the admission cap, peak {peak}"
         );
         assert_eq!(
-            rows.last().unwrap().active_sessions,
+            *active.last().unwrap(),
             0,
             "the fleet drains to zero active sessions"
         );
@@ -523,13 +475,13 @@ mod tests {
         let spec = sc.base.telemetry.unwrap();
         let (label, fc) = sc.fleet_configs().unwrap().remove(0);
         let mode = mode_timeline(&label, &fc.with_telemetry(spec));
-        let peak = |value: Track| mode.rows.iter().map(value).fold(0.0_f64, f64::max);
+        let peak = |key| column(&mode.rows, key).into_iter().fold(0.0_f64, f64::max);
         assert!(
-            peak(|r| r.queue_wait_mean_ms) > 0.0,
+            peak("queue_wait_mean_ms") > 0.0,
             "a contended bottleneck shows queue delay"
         );
         assert!(
-            peak(|r| r.aqm_drop_prob_ppm_mean) > 0.0,
+            peak("aqm_drop_prob_ppm_mean") > 0.0,
             "sustained contention raises PIE's drop probability"
         );
         let text = render(&sc, &TimelineOptions::default(), &[mode]);
