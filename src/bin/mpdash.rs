@@ -122,18 +122,6 @@ fn run_timeline(args: &[String]) -> ExitCode {
     }
 }
 
-/// One mode's row of the fleet comparison, reduced on the worker so the
-/// batch never holds a replica's per-client packet records.
-struct FleetRow {
-    wifi_bytes: u64,
-    cell_bytes: u64,
-    mean_bitrate_mbps: f64,
-    jain_bitrate: f64,
-    jain_cell_bytes: f64,
-    stalls: u64,
-    miss_rate: f64,
-}
-
 /// Run a fleet scenario: one co-simulated fleet per mode, each as one
 /// batch job, rendered as a cross-client comparison. Returns false when
 /// any mode failed.
@@ -151,30 +139,17 @@ fn run_fleet_scenario(
     );
     let jobs = configs
         .into_iter()
-        .map(|(label, fc)| {
-            Job::new(label, move || {
-                let r = mpdash::fleet::run(&fc);
-                FleetRow {
-                    wifi_bytes: r.total_wifi_bytes,
-                    cell_bytes: r.total_cell_bytes,
-                    mean_bitrate_mbps: r.mean_bitrate_mbps(),
-                    jain_bitrate: r.jain_bitrate,
-                    jain_cell_bytes: r.jain_cell_bytes,
-                    stalls: r.total_stalls,
-                    miss_rate: r.deadline_miss_rate,
-                }
-            })
-        })
+        .map(|(label, fc)| Job::new(label, move || mpdash::fleet::run(&fc)))
         .collect();
     let results = run_batch(jobs, workers);
     let mut ok = true;
     let baseline_cell = results
         .first()
         .and_then(|r| r.report.as_ref().ok())
-        .map(|row| row.cell_bytes as f64);
+        .map(|fleet| fleet.total_cell_bytes as f64);
     for (i, result) in results.iter().enumerate() {
-        let row = match &result.report {
-            Ok(row) => row,
+        let fleet = match &result.report {
+            Ok(fleet) => fleet,
             Err(e) => {
                 eprintln!("error: job {}: {e}", result.label);
                 ok = false;
@@ -184,20 +159,20 @@ fn run_fleet_scenario(
         println!(
             "{:<16} {:>10.2} {:>10.2} {:>9.2} {:>13.4} {:>10.4} {:>7} {:>9.3}",
             result.label,
-            row.wifi_bytes as f64 / 1e6,
-            row.cell_bytes as f64 / 1e6,
-            row.mean_bitrate_mbps,
-            row.jain_bitrate,
-            row.jain_cell_bytes,
-            row.stalls,
-            row.miss_rate,
+            fleet.total_wifi_bytes as f64 / 1e6,
+            fleet.total_cell_bytes as f64 / 1e6,
+            fleet.mean_bitrate_mbps(),
+            fleet.jain_bitrate,
+            fleet.jain_cell_bytes,
+            fleet.total_stalls,
+            fleet.deadline_miss_rate,
         );
         if let Some(base) = baseline_cell.filter(|_| i > 0) {
             if base > 0.0 {
                 println!(
                     "{:<16} cellular saving {:5.1}% across the fleet",
                     "",
-                    (1.0 - row.cell_bytes as f64 / base) * 100.0,
+                    (1.0 - fleet.total_cell_bytes as f64 / base) * 100.0,
                 );
             }
         }
