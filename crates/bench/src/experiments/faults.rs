@@ -42,10 +42,6 @@ struct FaultCase {
     window: (f64, f64),
 }
 
-fn secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
-
 /// The four fault families, each parameterized to clearly hurt but not
 /// sever the session — a bursty 30%-mean-loss window, a 300 ms RTT
 /// storm, an 85% rate collapse, and a full disassociation with
@@ -57,7 +53,7 @@ fn fault_cases() -> Vec<FaultCase> {
         FaultCase {
             name: "burst-loss",
             script: FaultScript::new().burst_loss(
-                secs(20),
+                SimTime::from_secs(20),
                 SimDuration::from_secs(40),
                 GilbertElliott::default(),
             ),
@@ -67,7 +63,7 @@ fn fault_cases() -> Vec<FaultCase> {
         FaultCase {
             name: "rtt-storm",
             script: FaultScript::new().rtt_spike(
-                secs(20),
+                SimTime::from_secs(20),
                 SimDuration::from_secs(40),
                 SimDuration::from_millis(300),
                 SimDuration::from_millis(100),
@@ -77,14 +73,18 @@ fn fault_cases() -> Vec<FaultCase> {
         },
         FaultCase {
             name: "rate-collapse",
-            script: FaultScript::new().rate_collapse(secs(20), SimDuration::from_secs(40), 0.15),
+            script: FaultScript::new().rate_collapse(
+                SimTime::from_secs(20),
+                SimDuration::from_secs(40),
+                0.15,
+            ),
             server: ServerFaultScript::new(),
             window: (20.0, 60.0),
         },
         FaultCase {
             name: "disassociation",
             script: FaultScript::new().disassociation(
-                secs(40),
+                SimTime::from_secs(40),
                 SimDuration::from_secs(15),
                 SimDuration::from_secs(2),
             ),
@@ -94,11 +94,12 @@ fn fault_cases() -> Vec<FaultCase> {
         FaultCase {
             name: "disassoc+5xx",
             script: FaultScript::new().disassociation(
-                secs(40),
+                SimTime::from_secs(40),
                 SimDuration::from_secs(15),
                 SimDuration::from_secs(2),
             ),
-            server: ServerFaultScript::new().error_burst(secs(20), SimDuration::from_secs(8)),
+            server: ServerFaultScript::new()
+                .error_burst(SimTime::from_secs(20), SimDuration::from_secs(8)),
             window: (40.0, 57.0),
         },
     ]

@@ -38,17 +38,13 @@ use mpdash_results::{ExperimentResult, ScalarGroup};
 use mpdash_session::{SessionConfig, TransportMode};
 use mpdash_sim::{SimDuration, SimTime};
 
-fn secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
-
 /// The server-fault axis: a 5xx burst, a mid-body freeze far longer
 /// than any sane timeout, a slow-first-byte window, and a combination.
 fn fault_scripts() -> Vec<(&'static str, ServerFaultScript)> {
     vec![
         (
             "err-burst",
-            ServerFaultScript::new().error_burst(secs(10), SimDuration::from_secs(3)),
+            ServerFaultScript::new().error_burst(SimTime::from_secs(10), SimDuration::from_secs(3)),
         ),
         // The fault window spans 6 s — wider than the steady-state
         // request cadence (one 4 s chunk at a time) — so at least one
@@ -56,7 +52,7 @@ fn fault_scripts() -> Vec<(&'static str, ServerFaultScript)> {
         (
             "stalled-body",
             ServerFaultScript::new().stalled_body(
-                secs(8),
+                SimTime::from_secs(8),
                 SimDuration::from_secs(6),
                 SimDuration::from_secs(30),
                 0.5,
@@ -69,7 +65,7 @@ fn fault_scripts() -> Vec<(&'static str, ServerFaultScript)> {
         (
             "slow-first-byte",
             ServerFaultScript::new().slow_first_byte(
-                secs(12),
+                SimTime::from_secs(12),
                 SimDuration::from_secs(6),
                 SimDuration::from_secs(1),
             ),
@@ -77,9 +73,9 @@ fn fault_scripts() -> Vec<(&'static str, ServerFaultScript)> {
         (
             "combined",
             ServerFaultScript::new()
-                .error_burst(secs(5), SimDuration::from_secs(2))
+                .error_burst(SimTime::from_secs(5), SimDuration::from_secs(2))
                 .stalled_body(
-                    secs(20),
+                    SimTime::from_secs(20),
                     SimDuration::from_secs(6),
                     SimDuration::from_secs(30),
                     0.4,

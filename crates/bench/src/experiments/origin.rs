@@ -43,10 +43,6 @@ use mpdash_results::{ExperimentResult, ScalarGroup};
 use mpdash_session::{SessionConfig, SessionReport, TransportMode};
 use mpdash_sim::{SimDuration, SimTime};
 
-fn secs(s: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(s)
-}
-
 /// The outage under test: the primary goes completely dark three times
 /// for 25 s each — longer than any deadline the player grants (the
 /// 20 s buffer bounds them), so a strategy that waits out an outage
@@ -54,9 +50,9 @@ fn secs(s: u64) -> SimTime {
 /// escapes to a healthy replica within a few seconds does not.
 fn outage() -> ServerFaultScript {
     ServerFaultScript::new()
-        .blackhole(secs(20), SimDuration::from_secs(25))
-        .blackhole(secs(55), SimDuration::from_secs(25))
-        .blackhole(secs(90), SimDuration::from_secs(25))
+        .blackhole(SimTime::from_secs(20), SimDuration::from_secs(25))
+        .blackhole(SimTime::from_secs(55), SimDuration::from_secs(25))
+        .blackhole(SimTime::from_secs(90), SimDuration::from_secs(25))
 }
 
 /// Three replicas: the blackholed primary plus two healthy backups at

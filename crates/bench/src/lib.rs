@@ -144,9 +144,6 @@ pub(crate) fn simulate_online(
     }
 }
 
-// The table/formatting helpers moved to `mpdash-results` when experiments
-// split into compute → persist → render; the old names stay as aliases so
-// experiment code reads unchanged.
 pub use mpdash_results::TableData as Table;
 pub use mpdash_results::{mb, pct};
 

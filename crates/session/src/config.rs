@@ -13,6 +13,11 @@ use mpdash_obs::{TelemetrySpec, Tracer};
 use mpdash_sim::{Rate, SimDuration};
 use mpdash_trace::field::Location;
 
+/// The control plane's Holt-Winters sampling slot (DESIGN §4.5): the
+/// default [`SessionConfig::sample_slot`], and the slot every deadline
+/// transfer samples on.
+pub(crate) const SAMPLE_SLOT: SimDuration = SimDuration::from_millis(250);
+
 /// Which interface the user prefers (§3.2: "Our current prototype
 /// supports two policies … preferring WiFi over cellular, and preferring
 /// cellular over WiFi"; the latter suits users in motion). The two are
@@ -227,7 +232,7 @@ impl SessionConfig {
             priors,
             predictor: PredictorKind::control_default(),
             enable_debounce: 4,
-            sample_slot: SimDuration::from_millis(250),
+            sample_slot: SAMPLE_SLOT,
             adapter_config: None,
             preference: PathPreference::WifiFirst,
             server_faults: ServerFaultScript::new(),

@@ -12,7 +12,7 @@
 //! transfer with a deadline.
 
 use crate::accounting::EnergyMeter;
-use crate::config::TransportMode;
+use crate::config::{TransportMode, SAMPLE_SLOT};
 use crate::signal::DeadlineSignal;
 use mpdash_core::deadline::SchedulerParams;
 use mpdash_core::MpDashControl;
@@ -22,8 +22,6 @@ use mpdash_mptcp::{CcKind, SchedulerSpec, StepOutcome};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
 const TICK: SimDuration = SimDuration::from_millis(50);
-/// Holt-Winters sampling slot (see the streaming driver for rationale).
-const SAMPLE_SLOT: SimDuration = SimDuration::from_millis(250);
 
 const TICK_ID: u64 = u64::MAX - 11;
 

@@ -42,8 +42,9 @@ use mpdash_mptcp::PathMask;
 use mpdash_obs::{telemetry_from_env, TraceEvent};
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
-/// Progress-tick period while a chunk is in flight (one Holt-Winters slot,
-/// ~one testbed RTT — §7.2.2).
+/// Progress-tick period while a chunk is in flight (~one testbed RTT —
+/// §7.2.2); the Holt-Winters sampling slot is longer, 250 ms by default
+/// (`SessionConfig::sample_slot`).
 const TICK: SimDuration = SimDuration::from_millis(50);
 
 /// The session's two timers (`ChunkFetch` hands back ids below 2^32).
