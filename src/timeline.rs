@@ -170,7 +170,6 @@ fn mode_timeline(label: &str, fc: &FleetConfig) -> ModeTimeline {
         .map(|(i, c)| {
             // A counter's column carries the counter's own name.
             let n = |name: &'static str| (name, Json::from(c.counter(name)));
-            // `of`'s share of the two counters' sum.
             let share = |of, other| {
                 let (a, b) = (c.counter(of), c.counter(other));
                 Json::Float(a as f64 / (a + b).max(1) as f64)
