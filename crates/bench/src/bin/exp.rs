@@ -16,17 +16,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let workers = match mpdash_sim::default_workers() {
-        Ok(n) => n,
+    let var = |k: &str| std::env::var_os(k).map(|v| v.to_string_lossy().into_owned());
+    let env = match mpdash_obs::RunEnv::parse(var, |w| eprintln!("warning: {w}")) {
+        Ok(env) => env,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let dir = mpdash_results::artifact_dir();
     let mut code = ExitCode::SUCCESS;
     for experiment in args.experiments {
-        if let Err(e) = experiments::run(experiment, args.quick, workers, &dir) {
+        if let Err(e) = experiments::run(experiment, args.quick, &env) {
             eprintln!("{e}");
             code = ExitCode::FAILURE;
         }

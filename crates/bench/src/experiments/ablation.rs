@@ -61,7 +61,7 @@ fn with_adapter(f: impl FnOnce(&mut AdapterConfig)) -> SessionConfig {
 }
 
 /// Compute all ablations as one batch.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res =
         ExperimentResult::new("ablation", "Ablations — MP-DASH design choices").with_quick(quick);
 
@@ -169,7 +169,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
                 .map(move |(name, cfg)| ((section, name), cfg))
         })
         .collect();
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
     for (section, rows) in grid.sections(|k| k.0) {
         let mut t = Table::new(&HDR).with_title(format!("{section}:"));
         for ((_, name), r) in rows {
@@ -190,7 +190,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             ]
         })
         .collect();
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
     let mut t = Table::new(&["device", "baseline E (J)", "MP-DASH E (J)", "energy saving"])
         .with_title(
             "Cross-check — device energy profiles (paper: 'both yielding similar results'):",

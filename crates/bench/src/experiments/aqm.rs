@@ -34,6 +34,7 @@ use crate::shapes::{contended_fleet, fleet_client, vanilla_and_mpdash};
 use crate::Table;
 use mpdash_fleet::{BottleneckSummary, FleetConfig, FleetReport};
 use mpdash_link::{AqmConfig, QueueDiscipline, SharedBottleneckConfig, DRR_QUANTUM};
+use mpdash_obs::RunEnv;
 use mpdash_results::{ExperimentResult, ScalarGroup};
 use mpdash_session::TransportMode;
 
@@ -179,7 +180,7 @@ fn row_of(t: &mut Table, head: [String; 2], c: &Cell) {
 
 /// Compute the AQM grid: modes × disciplines, then (full mode) the
 /// controller sweeps.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "aqm",
         "AQM on the shared AP — FIFO vs PIE vs FQ-PIE under streaming fleets",
@@ -200,7 +201,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((mode_name, name), fleet_cfg(mode, d, DEEP_CAPACITY)));
         }
     }
-    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+    let grid = Grid::run(env, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
 
     let mut t = Table::new(&HEADER);
     let mut best_p95_cut: f64 = 0.0;
@@ -265,7 +266,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
     );
 
     if !quick {
-        res.table(sweeps(workers));
+        res.table(sweeps(env));
     }
     res
 }
@@ -273,7 +274,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
 /// The controller sweeps under MP-DASH: PIE target delay, FQ-PIE
 /// quantum, and AP buffer capacity. Each cell is keyed by the two
 /// leading columns of its table row.
-fn sweeps(workers: usize) -> Table {
+fn sweeps(env: &RunEnv) -> Table {
     let mode = TransportMode::mpdash_rate_based();
     let mut cells = Vec::new();
     for target_ms in TARGET_SWEEP_MS {
@@ -300,7 +301,7 @@ fn sweeps(workers: usize) -> Table {
             cells.push((key, fleet_cfg(mode, d, capacity_kib * 1024)));
         }
     }
-    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+    let grid = Grid::run(env, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
 
     let mut t = Table::new(&HEADER);
     for (head, c) in grid.iter() {

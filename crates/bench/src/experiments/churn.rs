@@ -209,7 +209,7 @@ fn cell(cfg: &FleetConfig) -> Cell {
 
 /// Compute the churn grid: churn levels × severities × policies as one
 /// batch.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "churn",
         "Fleet churn — arrivals/departures, correlated fault domains, overload shedding",
@@ -236,7 +236,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             }
         }
     }
-    let grid = Grid::run(workers, cells, cell);
+    let grid = Grid::run(env, cells, cell);
 
     let mut t = Table::new(&[
         "churn",

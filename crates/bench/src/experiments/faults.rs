@@ -129,7 +129,7 @@ fn window_cell_bytes(r: &SessionReport, window: (f64, f64)) -> u64 {
 }
 
 /// Compute the resilience matrix: fault cases × modes as one batch.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "faults",
         "Resilience matrix — fault injection on the preferred path",
@@ -167,7 +167,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((ci, mode), cfg));
         }
     }
-    let grid = Grid::sessions_with_log(workers, cells);
+    let grid = Grid::sessions_with_log(env, cells);
 
     let mut max_excess_stalls: i64 = 0;
     let mut min_window_cell = u64::MAX;

@@ -29,7 +29,7 @@ const ABRS: [AbrKind; 2] = [AbrKind::Festive, AbrKind::Bba];
 /// Compute the field study. `quick` limits the corpus to 6 locations and
 /// one visit (used by integration smoke tests); the full study covers all
 /// 33 locations twice.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "field",
         "Figures 9 & 10 + Table 5 — the 33-location field study",
@@ -69,7 +69,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             }
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
     // (cellular, energy, bitrate-reduction) savings of a cell versus the
     // vanilla run of the same site, visit and ABR.
     let savings = |(site, visit, abr, mode)| {

@@ -14,14 +14,15 @@ use mpdash_results::{ExperimentResult, MetricSeries, ScalarGroup};
 use mpdash_session::{StreamingSession, TransportMode};
 use mpdash_sim::{Series, SimDuration};
 
-/// Compute the experiment (one session, so `workers` goes unused).
-pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
+/// Compute the experiment: one session, observed as `env` says.
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig1",
         "Figure 1 — vanilla MPTCP throughput while streaming DASH (W3.8/L3.0)",
     )
     .with_quick(quick);
-    let cfg = controlled(3.8, 3.0, AbrKind::Gpac, TransportMode::Vanilla);
+    let mut cfg = controlled(3.8, 3.0, AbrKind::Gpac, TransportMode::Vanilla);
+    env.stamp(&mut cfg.tracer, &mut cfg.telemetry);
     let report = StreamingSession::run(cfg);
 
     // Per-second throughput of each subflow over the steady state.

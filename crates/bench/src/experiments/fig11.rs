@@ -33,7 +33,7 @@ fn config(mode: TransportMode) -> SessionConfig {
 }
 
 /// Compute the experiment (three sessions, batched).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig11",
         "Figure 11 — mobility walk (WiFi 5↔0 Mbps, LTE 5 Mbps, FESTIVE)",
@@ -44,7 +44,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
         TransportMode::mpdash_rate_based(),
         TransportMode::WifiOnly,
     ];
-    let grid = Grid::sessions_with_log(workers, modes.map(|m| (m, config(m))).into());
+    let grid = Grid::sessions_with_log(env, modes.map(|m| (m, config(m))).into());
     let [base, mp, wifi_only] = modes.map(|m| &grid[m]);
 
     let mut t = Table::new(&[

@@ -16,7 +16,7 @@ fn oscillations(report: &SessionReport) -> (usize, Vec<usize>) {
 }
 
 /// Compute the experiment (two sessions, batched).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig3",
         "Figure 3 — BBA bitrate oscillation at MPTCP capacity ~3.4 Mbps",
@@ -34,7 +34,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             (abr, cfg)
         })
         .into();
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
     let (bba, bbac) = (&grid[AbrKind::Bba], &grid[AbrKind::BbaC]);
 
     let (bba_sw, bba_levels) = oscillations(bba);

@@ -12,6 +12,7 @@ use crate::shapes::vs_base;
 use crate::{mb, Table};
 use mpdash_dash::adapter::DeadlineMode;
 use mpdash_mptcp::SchedulerSpec;
+use mpdash_obs::RunEnv;
 use mpdash_results::ExperimentResult;
 use mpdash_session::{FileTransfer, FileTransferConfig, FileTransferReport, TransportMode};
 use mpdash_sim::SimDuration;
@@ -34,10 +35,10 @@ fn mpdash(alpha: f64, deadline_s: u64) -> FileTransferConfig {
 }
 
 fn transfers<K: PartialEq + std::fmt::Debug>(
-    workers: usize,
+    env: &RunEnv,
     cells: Vec<(K, FileTransferConfig)>,
 ) -> Grid<K, FileTransferReport> {
-    Grid::run(workers, cells, |cfg| FileTransfer::run(cfg.clone()))
+    Grid::run(env, cells, |cfg| FileTransfer::run(cfg.clone()))
 }
 
 fn cell_saving(r: &FileTransferReport, base: &FileTransferReport) -> f64 {
@@ -51,7 +52,7 @@ fn energy_saving(r: &FileTransferReport, base: &FileTransferReport) -> f64 {
 /// Compute the experiment: a transfer grid of baseline + deadline sweep
 /// per scheduler, folded into one table per scheduler, then the α sweep
 /// with its own baseline.
-pub fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub fn result(quick: bool, env: &RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig4",
         "Figure 4 — MP-DASH scheduler alone: 5 MB, WiFi 3.8 / LTE 3.0",
@@ -65,7 +66,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((name, Some(d)), mpdash(1.0, d).with_scheduler(sched)));
         }
     }
-    let grid = transfers(workers, cells);
+    let grid = transfers(env, cells);
     for (name, rows) in grid.sections(|k| k.0) {
         res.text(format!("\nMPTCP scheduler: {name}"));
         let base = &grid[(name, None)];
@@ -100,7 +101,7 @@ pub fn result(quick: bool, workers: usize) -> ExperimentResult {
     res.text("\nα sensitivity at D = 10 s (minRTT):");
     let mut cells = vec![(None, baseline())];
     cells.extend(ALPHAS.map(|alpha| (Some(alpha), mpdash(alpha, 10))));
-    let sweep = transfers(workers, cells);
+    let sweep = transfers(env, cells);
     let base = &sweep[None];
     let mut t = Table::new(&[
         "alpha",

@@ -12,8 +12,8 @@ use mpdash_sim::{SimDuration, SimTime};
 use mpdash_trace::table1;
 
 /// Compute the experiment. Pure prediction replay: `quick` only tags
-/// the artifact and there is nothing to fan out over `workers`.
-pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
+/// the artifact and there is nothing to fan out or observe.
+pub(crate) fn result(quick: bool, _env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig5",
         "Figure 5 — bandwidth traces and Holt-Winters prediction",

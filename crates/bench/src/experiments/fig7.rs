@@ -28,7 +28,7 @@ const MODES: [(&str, ModeCtor); 3] = [
 
 /// Compute the experiment: the full 3 ABRs × 3 conditions × 3 modes grid
 /// as one batch, folded into one table per ABR.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig7",
         "Figure 7 — FESTIVE / BBA / BBA-C under three network conditions",
@@ -44,7 +44,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             }
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
 
     for (abr, rows) in grid.sections(|k| k.0) {
         res.text(format!("\n--- {} ---", abr.name()));

@@ -15,7 +15,7 @@ use mpdash_results::ExperimentResult;
 use mpdash_session::TransportMode;
 
 /// Compute the experiment (three sessions, batched).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fig8",
         "Figure 8 — analysis-tool chunk bars (FESTIVE, W3.8/L3.0)",
@@ -35,7 +35,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             (name, cfg)
         })
         .into();
-    for (name, report) in Grid::sessions(workers, cells).iter() {
+    for (name, report) in Grid::sessions(env, cells).iter() {
         let chunks = &report.chunks;
         let a = analyze(chunks, report.idle_gaps, 5);
         res.text(format!("\n{name} — chunks 30..46 (of {}):", chunks.len()));

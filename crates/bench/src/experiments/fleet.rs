@@ -73,7 +73,7 @@ fn cell(r: &FleetReport) -> Cell {
 }
 
 /// Compute the fleet grid: sizes × disciplines × modes as one batch.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "fleet",
         "Fleet contention — N clients sharing an AP and a cell sector",
@@ -116,7 +116,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             }
         }
     }
-    let grid = Grid::run(workers, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
+    let grid = Grid::run(env, cells, |cfg| cell(&mpdash_fleet::run(cfg)));
 
     let mut t = Table::new(&[
         "clients",

@@ -95,7 +95,7 @@ fn policies() -> [(&'static str, LifecyclePolicy); 3] {
 }
 
 /// Compute the lifecycle matrix: fault scripts × policies as one batch.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "lifecycle",
         "Request-lifecycle matrix — server-side faults x timeout/abandon/resume policy",
@@ -138,7 +138,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((fault_name, policy_name), cfg));
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
 
     let mut strict_improvements = 0u64;
     let mut worst_excess_misses: i64 = i64::MIN;

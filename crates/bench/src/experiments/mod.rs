@@ -1,10 +1,10 @@
 //! One module per reproduced table/figure, and the one table that lists
 //! them.
 //!
-//! Every module exposes `result(quick, workers) -> ExperimentResult`,
-//! which **computes** the experiment: it lists the grid's cells once
-//! (key + config), runs them through `crate::grid::Grid` on `workers`
-//! threads, and folds the keyed results into typed blocks (tables, CDF
+//! Every module exposes `result(quick, env) -> ExperimentResult`, which
+//! **computes** the experiment: it lists the grid's cells once (key +
+//! config), runs them through `crate::grid::Grid` as [`RunEnv`] says,
+//! and folds the keyed results into typed blocks (tables, CDF
 //! summaries, series, scalars). [`ALL`] registers the modules; the `exp`
 //! binary looks names up in it and hands each to [`run`], which
 //! **renders** the result to stdout and **persists** it as a JSON
@@ -39,6 +39,7 @@ pub mod tab2;
 pub mod tab4;
 pub mod tab6;
 
+use mpdash_obs::RunEnv;
 use mpdash_results::{write_artifact_to, ExperimentResult};
 use std::path::Path;
 
@@ -47,13 +48,13 @@ pub struct Experiment {
     /// The name `exp` selects it by; also the artifact's stem and the
     /// `name` of the result it computes.
     pub name: &'static str,
-    /// `result(quick, workers)`: compute the experiment. The result is
-    /// independent of `workers`.
-    pub result: fn(bool, usize) -> ExperimentResult,
+    /// `result(quick, env)`: compute the experiment. `quick` shrinks it;
+    /// nothing in `env` changes the result.
+    pub result: fn(bool, &RunEnv) -> ExperimentResult,
 }
 
 impl Experiment {
-    const fn new(name: &'static str, result: fn(bool, usize) -> ExperimentResult) -> Self {
+    const fn new(name: &'static str, result: fn(bool, &RunEnv) -> ExperimentResult) -> Self {
         Experiment { name, result }
     }
 }
@@ -118,16 +119,16 @@ fn execute(result: &ExperimentResult, dir: &Path) -> Result<(), String> {
     }
 }
 
-/// Compute `experiment`, then render and persist it, reporting per-stage
-/// wall-clock on stderr as a `[stage]` line. Timing is diagnostic only:
-/// it goes to stderr, never into stdout or the artifact, so reports stay
-/// byte-stable across machines.
-pub fn run(experiment: &Experiment, quick: bool, workers: usize, dir: &Path) -> Result<(), String> {
+/// Compute `experiment`, then render and persist it in
+/// `env.artifact_dir`, reporting per-stage wall-clock on stderr as a
+/// `[stage]` line. Timing is diagnostic only: it goes to stderr, never
+/// into stdout or the artifact, so reports stay byte-stable across machines.
+pub fn run(experiment: &Experiment, quick: bool, env: &RunEnv) -> Result<(), String> {
     let t0 = std::time::Instant::now();
-    let res = (experiment.result)(quick, workers);
+    let res = (experiment.result)(quick, env);
     let computed = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let persisted = execute(&res, dir);
+    let persisted = execute(&res, &env.artifact_dir);
     eprintln!(
         "[stage] {}: compute {:.2}s, render+persist {:.3}s",
         experiment.name,
@@ -140,28 +141,58 @@ pub fn run(experiment: &Experiment, quick: bool, workers: usize, dir: &Path) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpdash_obs::{RingSink, TelemetrySpec, Tracer};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    /// An untraced environment with `workers` threads, artifacts in `dir`.
+    fn env(workers: usize, dir: &Path) -> RunEnv {
+        let untraced = RunEnv::parse(|_| None, |w| panic!("{w}")).expect("nothing set");
+        RunEnv {
+            workers,
+            artifact_dir: dir.to_path_buf(),
+            ..untraced
+        }
+    }
 
     /// The acceptance property of every batch-backed experiment: the
     /// persisted artifact is bit-identical at any worker count (1 is the
-    /// sequential reference). This also checks each row computes the
-    /// result it is named for. Looping all 21 experiments twice takes
+    /// sequential reference), traced into a ring or not, with one-second
+    /// telemetry or none. This also checks each row computes the result
+    /// it is named for. Looping all 21 experiments four times takes
     /// minutes in a debug build, so CI's `test` job runs it with
-    /// `--release -- --ignored` (the `determinism` job checks the same
-    /// property on the binary).
+    /// `--release -- --ignored` (the `determinism`, `trace-invariance`
+    /// and `telemetry-invariance` jobs check the same through the
+    /// binary's environment).
     #[test]
     #[ignore = "minutes in a debug build; CI runs it with --release -- --ignored"]
     fn artifact_is_bit_identical_across_worker_counts() {
+        let one = env(1, Path::new("results"));
+        let four = env(4, Path::new("results"));
+        let ring = RunEnv {
+            tracer: Tracer::new(Arc::new(RingSink::new(1 << 16))),
+            ..four.clone()
+        };
+        let telemetry = RunEnv {
+            telemetry: Some(TelemetrySpec::seconds(1.0)),
+            ..four.clone()
+        };
         for e in &ALL {
-            let seq = (e.result)(true, 1);
-            let par = (e.result)(true, 4);
+            let seq = (e.result)(true, &one);
             assert_eq!(seq.name, e.name, "{}'s row computes another result", e.name);
-            assert_eq!(
-                seq.to_json().to_pretty(),
-                par.to_json().to_pretty(),
-                "`exp {}` must serialize identically at any MPDASH_WORKERS",
-                e.name
-            );
+            let seq = seq.to_json().to_pretty();
+            for (observed, env) in [
+                ("4 workers", &four),
+                ("a ring tracer", &ring),
+                ("telemetry", &telemetry),
+            ] {
+                assert_eq!(
+                    seq,
+                    (e.result)(true, env).to_json().to_pretty(),
+                    "`exp {}` must serialize identically with {observed}",
+                    e.name
+                );
+            }
         }
     }
 
@@ -204,7 +235,7 @@ mod tests {
         std::fs::write(&file, b"not a directory").unwrap();
         let dir = file.join("results");
         let tab2 = select(&["tab2".to_string()]).unwrap()[0];
-        let err = run(tab2, true, 1, &dir).unwrap_err();
+        let err = run(tab2, true, &env(1, &dir)).unwrap_err();
         std::fs::remove_file(&file).unwrap();
         assert!(
             err.contains(dir.join("tab2.json").to_str().unwrap()) && err.contains("not written"),

@@ -33,7 +33,7 @@ fn classify(frac: f64) -> Scenario {
 
 /// Compute the study: two sessions per corpus location (WiFi-only and
 /// vanilla MPTCP) as one flat batch. `quick` keeps the first 8 locations.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "motivation",
         "§2.2 motivation — can WiFi alone sustain the top bitrate?",
@@ -52,7 +52,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((i, mode), cfg));
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
 
     let mut counts = [0usize; 3];
     let mut mptcp_ok = 0usize;

@@ -25,7 +25,7 @@ const MODES: [(&str, ModeCtor); 3] = [
 ];
 
 /// Compute the experiment (the 3 conditions × 3 modes grid as one batch).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "mpc",
         "Extension — MPC (hybrid) rate adaptation under MP-DASH (§5.2.3)",
@@ -38,7 +38,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((cname, mname), cfg));
         }
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
 
     let mut t = Table::new(&[
         "condition",

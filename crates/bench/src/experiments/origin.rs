@@ -147,7 +147,7 @@ fn miss_rate(r: &SessionReport) -> f64 {
 
 /// Compute the multi-origin grid: the serving strategies, then the
 /// cache-fronted fleets.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "origin",
         "Multi-origin serving — breakers, hedged failover, and the edge cache under an outage",
@@ -176,7 +176,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
         "wasted KB",
         "dur s",
     ]);
-    let grid = Grid::sessions(workers, strategies(quick));
+    let grid = Grid::sessions(env, strategies(quick));
     let wait_misses = log_deadline_misses(&grid["single/wait"]);
     let resume_misses = log_deadline_misses(&grid["single/resume"]);
     let mut total_hedges = 0u64;
@@ -250,7 +250,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
         .into_iter()
         .map(|clients| (clients, cache_fleet_cfg(clients)))
         .collect();
-    let fleets = Grid::run(workers, cells, |cfg| {
+    let fleets = Grid::run(env, cells, |cfg| {
         let cache = mpdash_fleet::run(cfg).cache;
         cache.expect("a cache-fronted fleet reports its cache")
     });

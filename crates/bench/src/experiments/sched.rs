@@ -72,7 +72,7 @@ fn fleet_cell(r: &FleetReport) -> FleetCell {
 }
 
 /// Compute the scheduler grid: the solo cells, then the fleet cells.
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "sched",
         "Packet schedulers — minRTT vs round-robin vs QAware, solo and fleet",
@@ -97,7 +97,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             cells.push(((mode_name, sched), cfg));
         }
     }
-    let solo = Grid::sessions(workers, cells);
+    let solo = Grid::sessions(env, cells);
     let mut t = Table::new(&["topo", "mode", "scheduler", "bitrate", "stalls", "cell MB"]);
     for (&(mode_name, sched), r) in solo.iter() {
         if sched == SchedulerSpec::QAware {
@@ -144,7 +144,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             }
         }
     }
-    let fleet = Grid::run(workers, cells, |cfg| fleet_cell(&mpdash_fleet::run(cfg)));
+    let fleet = Grid::run(env, cells, |cfg| fleet_cell(&mpdash_fleet::run(cfg)));
 
     // QAware's miss rate never exceeds minRTT's, and beats it strictly
     // at one or more points.

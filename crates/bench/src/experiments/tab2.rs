@@ -12,8 +12,8 @@ use mpdash_sim::SimDuration;
 use mpdash_trace::table1::table1_rows;
 
 /// Compute the experiment. Pure CPU (no sessions): `quick` only tags
-/// the artifact and there is nothing to fan out over `workers`.
-pub(crate) fn result(quick: bool, _workers: usize) -> ExperimentResult {
+/// the artifact and there is nothing to fan out or observe.
+pub(crate) fn result(quick: bool, _env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab2",
         "Table 2 — online vs optimal cellular usage (trace-driven)",

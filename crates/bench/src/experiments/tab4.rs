@@ -16,7 +16,7 @@ use mpdash_session::TransportMode;
 use mpdash_sim::SimDuration;
 
 /// Compute the experiment (four sessions, batched).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab4",
         "Table 4 — cellular throttling vs MP-DASH (GPAC, W3.8/L3.0)",
@@ -37,7 +37,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             (name, cfg)
         })
         .into();
-    let grid = Grid::sessions_with_log(workers, cells);
+    let grid = Grid::sessions_with_log(env, cells);
     let mut t = Table::new(&[
         "config",
         "cell bytes",

@@ -30,7 +30,7 @@ fn config(abr: AbrKind, mode: TransportMode) -> SessionConfig {
 
 /// Compute the experiment (four sessions — baseline + MP-DASH per ABR —
 /// as one batch).
-pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
+pub(crate) fn result(quick: bool, env: &mpdash_obs::RunEnv) -> ExperimentResult {
     let mut res = ExperimentResult::new(
         "tab6",
         "Table 6 — HD video (Tears of Steel HD, aggregate < top rate)",
@@ -51,7 +51,7 @@ pub(crate) fn result(quick: bool, workers: usize) -> ExperimentResult {
             config(abr, TransportMode::mpdash_rate_based()),
         ));
     }
-    let grid = Grid::sessions(workers, cells);
+    let grid = Grid::sessions(env, cells);
 
     let mut t = Table::new(&[
         "algorithm",

@@ -2,8 +2,9 @@
 //!
 //! An experiment lists its cells **once**: each cell is a key — the
 //! tuple of axis values that names it, e.g. `(clients, mode, sched)` —
-//! plus the config it runs. `Grid::run` fans the cells over the typed
-//! batch runner ([`mpdash_session::run_batch`]) and hands the fold a
+//! plus the config it runs. `Grid::run` stamps each config (`Observed`),
+//! fans the cells over the typed batch runner
+//! ([`mpdash_session::run_batch`]) and hands the fold a
 //! `Grid` of results it walks in construction order (`iter`,
 //! `sections`) and cross-references by key (`grid[(abr, cond,
 //! "Baseline")]`) — so no fold re-enumerates the axes, and a baseline is
@@ -14,9 +15,34 @@
 //! of a key that names no cell panics with the key — never a silent
 //! default.
 
+use mpdash_obs::RunEnv;
 use mpdash_session::{run_batch, Job, SessionConfig, SessionReport, StreamingSession};
 use std::fmt::Debug;
 use std::ops::Index;
+
+/// A cell config the run's observation is stamped onto: what it leaves
+/// unset takes the environment's (see [`RunEnv::stamp`]).
+pub(crate) trait Observed {
+    fn observe(&mut self, env: &RunEnv);
+}
+
+impl Observed for SessionConfig {
+    fn observe(&mut self, env: &RunEnv) {
+        env.stamp(&mut self.tracer, &mut self.telemetry);
+    }
+}
+
+impl Observed for mpdash_fleet::FleetConfig {
+    fn observe(&mut self, env: &RunEnv) {
+        self.base.observe(env);
+    }
+}
+
+impl Observed for mpdash_session::FileTransferConfig {
+    fn observe(&mut self, env: &RunEnv) {
+        env.stamp(&mut self.tracer, &mut None);
+    }
+}
 
 /// The results of one experiment grid, keyed by cell, in construction
 /// order.
@@ -25,21 +51,23 @@ pub(crate) struct Grid<K, R> {
 }
 
 impl<K: PartialEq + Debug, R: Send> Grid<K, R> {
-    /// Run `work` on every cell's config, on `workers` threads. The
-    /// result is independent of `workers` (see [`run_batch`]).
+    /// Run `work` on every cell's config, observed and on as many
+    /// threads as `env` says. The result is independent of both (see
+    /// [`run_batch`]).
     ///
     /// # Panics
     /// On a duplicate key, and — naming the cell's key — when a cell's
     /// work panicked.
-    pub(crate) fn run<C: Sync>(
-        workers: usize,
+    pub(crate) fn run<C: Observed + Sync>(
+        env: &RunEnv,
         cells: Vec<(K, C)>,
         work: impl Fn(&C) -> R + Sync,
     ) -> Self {
-        let (keys, configs): (Vec<K>, Vec<C>) = cells.into_iter().unzip();
+        let (keys, mut configs): (Vec<K>, Vec<C>) = cells.into_iter().unzip();
         for (i, key) in keys.iter().enumerate() {
             assert!(!keys[..i].contains(key), "duplicate grid key {key:?}");
         }
+        configs.iter_mut().for_each(|cfg| cfg.observe(env));
         let work = &work;
         let jobs = keys
             .iter()
@@ -48,7 +76,7 @@ impl<K: PartialEq + Debug, R: Send> Grid<K, R> {
             .collect();
         let cells = keys
             .into_iter()
-            .zip(run_batch(jobs, workers))
+            .zip(run_batch(jobs, env.workers))
             .map(|(key, done)| match done.report {
                 Ok(r) => (key, r),
                 Err(e) => panic!("grid cell {}: {e}", done.label),
@@ -64,16 +92,16 @@ impl<K: PartialEq + Debug> Grid<K, SessionReport> {
     /// it, so the grid holds what a fold over byte counts, energy, QoE
     /// and each chunk's per-path split reads; an experiment that buckets
     /// the log by time asks for [`Grid::sessions_with_log`].
-    pub(crate) fn sessions(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
-        Grid::run(workers, cells, |cfg| SessionReport {
+    pub(crate) fn sessions(env: &RunEnv, cells: Vec<(K, SessionConfig)>) -> Self {
+        Grid::run(env, cells, |cfg| SessionReport {
             records: Default::default(),
             ..StreamingSession::run(cfg.clone())
         })
     }
 
     /// [`Grid::sessions`], every report keeping its packet log.
-    pub(crate) fn sessions_with_log(workers: usize, cells: Vec<(K, SessionConfig)>) -> Self {
-        Grid::run(workers, cells, |cfg| StreamingSession::run(cfg.clone()))
+    pub(crate) fn sessions_with_log(env: &RunEnv, cells: Vec<(K, SessionConfig)>) -> Self {
+        Grid::run(env, cells, |cfg| StreamingSession::run(cfg.clone()))
     }
 }
 
@@ -115,6 +143,23 @@ impl<K: PartialEq + Debug, R> Index<K> for Grid<K, R> {
 mod tests {
     use super::*;
 
+    /// An untraced environment with `workers` threads.
+    fn env(workers: usize) -> RunEnv {
+        let untraced = RunEnv::parse(|_| None, |w| panic!("{w}")).expect("nothing set");
+        RunEnv {
+            workers,
+            ..untraced
+        }
+    }
+
+    impl Observed for (u32, bool) {
+        fn observe(&mut self, _: &RunEnv) {}
+    }
+
+    impl Observed for bool {
+        fn observe(&mut self, _: &RunEnv) {}
+    }
+
     fn squares(workers: usize) -> Grid<(u32, &'static str), u32> {
         let mut cells = Vec::new();
         for n in [1u32, 2, 3] {
@@ -122,7 +167,7 @@ mod tests {
                 cells.push(((n, name), (n, name == "squared")));
             }
         }
-        Grid::run(workers, cells, |&(n, sq)| if sq { n * n } else { n })
+        Grid::run(&env(workers), cells, |&(n, sq)| if sq { n * n } else { n })
     }
 
     #[test]
@@ -163,8 +208,8 @@ mod tests {
                 (mode, cfg.with_video(video.clone()))
             })
             .collect();
-        let bare = Grid::sessions(2, cells.clone());
-        let logged = Grid::sessions_with_log(2, cells.clone());
+        let bare = Grid::sessions(&env(2), cells.clone());
+        let logged = Grid::sessions_with_log(&env(2), cells.clone());
         for (mode, cfg) in cells {
             let direct = StreamingSession::run(cfg);
             assert!(!direct.records.is_empty());
@@ -194,13 +239,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate grid key 7")]
     fn duplicate_keys_are_refused() {
-        Grid::run(1, vec![(7, ()), (7, ())], |_| ());
+        Grid::run(&env(1), vec![(7, false), (7, false)], |_| ());
     }
 
     #[test]
     #[should_panic(expected = "grid cell \"bad\": job panicked: cell failed")]
     fn a_panicking_cell_fails_the_grid_naming_its_key() {
-        Grid::run(2, vec![("ok", false), ("bad", true)], |&fail| {
+        Grid::run(&env(2), vec![("ok", false), ("bad", true)], |&fail| {
             assert!(!fail, "cell failed");
         });
     }

@@ -9,11 +9,18 @@
 //! grid the last-picked-path rotation reproduces the seed cursor's pick
 //! sequence exactly, so no golden expectation shifted.
 
+use mpdash_obs::RunEnv;
+
 const SEED_GOLDEN: &str = include_str!("golden_fig4_quick_seed.json");
 
 #[test]
 fn fig4_quick_artifact_is_byte_identical_to_the_seed_enum() {
-    let now = mpdash_bench::experiments::fig4::result(true, 2)
+    let untraced = RunEnv::parse(|_| None, |w| panic!("{w}")).expect("nothing set");
+    let env = RunEnv {
+        workers: 2,
+        ..untraced
+    };
+    let now = mpdash_bench::experiments::fig4::result(true, &env)
         .to_json()
         .to_pretty();
     assert_eq!(

@@ -27,8 +27,8 @@
 
 use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
 use mpdash_obs::{
-    telemetry_from_env, EpochCounter, EpochSeries, InvariantViolation, MetricsSnapshot,
-    TelemetrySpec, TraceEvent, Tracer, Watchdog,
+    EpochCounter, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec, TraceEvent,
+    Tracer, Watchdog,
 };
 use mpdash_results::Json;
 use mpdash_session::{
@@ -245,16 +245,16 @@ pub struct FleetConfig {
     /// Base seed; client `k`'s links are reseeded with independent
     /// streams derived from it.
     pub seed: u64,
-    /// Forward the base config's tracer to exactly this client (the
-    /// `mpdash explain --client K` replay hook), and keep its packet log
-    /// in [`SessionReport::records`]; every other client runs untraced
-    /// and reports an empty log. `None` traces nobody.
+    /// The base config's tracer goes to every client unless this names
+    /// one: then only client `K` is traced (the `mpdash explain --client
+    /// K` replay hook). The named client also keeps its packet log in
+    /// [`SessionReport::records`]; every other client reports an empty log.
     pub trace_client: Option<usize>,
     /// Shared segment cache every client fetches through. `None` means
     /// no cache (every chunk is an origin fetch).
     pub cache: Option<FleetCacheSpec>,
     /// Epoch telemetry for every client, every shared bottleneck, and
-    /// the fleet loop itself. `None` falls back to `MPDASH_TELEMETRY`.
+    /// the fleet loop itself. `None` takes the base config's `telemetry`.
     /// Observe-only: artifacts are byte-identical either way.
     pub telemetry: Option<TelemetrySpec>,
     /// Measure wall-clock time per fleet-loop phase (peek/pop/step).
@@ -914,7 +914,7 @@ fn client_configs<'a>(
         // every client back off in lockstep and re-stampede together.
         sc.lifecycle = sc.lifecycle.with_seed(derive_seed(client_seed, 2));
         sc.cache = cache.cloned().or(sc.cache);
-        if cfg.trace_client != Some(k) {
+        if cfg.trace_client.is_some_and(|traced| traced != k) {
             sc.tracer = Tracer::disabled();
         }
         for (dom, members) in &mut domains {
@@ -961,7 +961,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     );
     // One resolution for the whole fleet: clients, bottlenecks, and the
     // loop profiler all observe on the same epoch grid (or not at all).
-    let telemetry = (cfg.telemetry.or(cfg.base.telemetry)).or_else(telemetry_from_env);
+    let telemetry = cfg.telemetry.or(cfg.base.telemetry);
     let cache = cfg
         .cache
         .map(|spec| SharedSegmentCache::new(spec.capacity_bytes).with_edge_delay(spec.edge_delay));
@@ -1011,7 +1011,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
     let mut admission = cfg.overload.map(|policy| Admission {
         policy,
         active: 0,
-        tracer: cfg.base.tracer.or_env(),
+        tracer: cfg.base.tracer.clone(),
         bottlenecks: &bottlenecks,
         shed: vec![false; n],
     });
@@ -1622,8 +1622,9 @@ mod tests {
         use std::sync::Arc;
         // A cap no arrival reaches: every shed here is the AP queue's, and
         // client 5 is admitted between shed neighbours once the queue
-        // has drained below the threshold.
-        let ring = Arc::new(RingSink::new(1 << 10));
+        // has drained below the threshold. No `trace_client`: every
+        // client traces into the ring too, so it is sized to keep them all.
+        let ring = Arc::new(RingSink::new(1 << 20));
         let threshold = 64 * 1024;
         let cfg = FleetConfig::new(
             base(TransportMode::Vanilla).with_tracer(Tracer::new(ring.clone())),
@@ -1951,6 +1952,49 @@ mod tests {
             base(TransportMode::Vanilla),
             FleetConfig::MAX_CLIENTS + 1,
         ));
+    }
+
+    /// The base tracer reaches every client unless `trace_client` names
+    /// one, and then that client's chunks are the only ones traced.
+    #[test]
+    fn the_base_tracer_reaches_every_client_unless_one_is_named() {
+        use mpdash_obs::RingSink;
+        use mpdash_session::ChunkRecord;
+        use std::sync::Arc;
+        let key = |c: &ChunkRecord| (c.index, c.size, c.started.as_secs_f64().to_bits());
+        let fetched = |trace_client: Option<usize>| {
+            let ring = Arc::new(RingSink::new(1 << 20));
+            let base =
+                base(TransportMode::mpdash_rate_based()).with_tracer(Tracer::new(ring.clone()));
+            let cfg = FleetConfig {
+                trace_client,
+                ..FleetConfig::new(base, 3)
+            };
+            let report = run(&cfg);
+            let mut traced: Vec<_> = (ring.events().into_iter())
+                .filter_map(|(_, e)| match e {
+                    TraceEvent::ChunkFetched {
+                        chunk,
+                        size,
+                        started_s,
+                        ..
+                    } => Some((chunk, size, started_s.to_bits())),
+                    _ => None,
+                })
+                .collect();
+            traced.sort_unstable();
+            (traced, report)
+        };
+        let (one, report) = fetched(Some(1));
+        let mut want: Vec<_> = report.sessions[1].chunks.iter().map(key).collect();
+        want.sort_unstable();
+        assert_eq!((one.len(), &one), (10, &want));
+        let (all, report) = fetched(None);
+        let mut want: Vec<_> = (report.sessions.iter())
+            .flat_map(|s| s.chunks.iter().map(key))
+            .collect();
+        want.sort_unstable();
+        assert_eq!((all.len(), &all), (30, &want));
     }
 
     #[test]

@@ -25,24 +25,25 @@
 //!   invariant checker the fleet loop arms on every iteration (byte
 //!   conservation, monotone virtual time, breaker sanity, one hedge
 //!   winner per race), turning silent corruption into typed errors.
+//! * [`RunEnv`] — the `MPDASH_*` environment, read once by a binary.
 //!
 //! Every timestamp is [`mpdash_sim::SimTime`] — virtual, not wall-clock
 //! — so enabling any sink changes **zero bytes** of any artifact: the
 //! simulation's decisions never depend on what observers saw.
 
+pub mod env;
 pub mod event;
 pub mod metrics;
 pub mod sink;
 pub mod timeseries;
 pub mod watchdog;
 
+pub use env::RunEnv;
 pub use event::TraceEvent;
 pub use metrics::{
     HistogramSnapshot, LogHistogram, MetricCounter, MetricHistogram, MetricsRegistry,
     MetricsSnapshot,
 };
 pub use sink::{NdjsonSink, RingSink, TraceSink, Tracer};
-pub use timeseries::{
-    telemetry_from_env, EpochCell, EpochCounter, EpochHistogram, EpochSeries, TelemetrySpec,
-};
+pub use timeseries::{EpochCell, EpochCounter, EpochHistogram, EpochSeries, TelemetrySpec};
 pub use watchdog::{ConservationCounters, InvariantViolation, Watchdog};

@@ -13,7 +13,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Receives trace events. Implementations must not panic on `record`:
 /// a broken observer must never take down a simulation.
@@ -194,65 +194,6 @@ impl Tracer {
         if let Some(sink) = &self.0 {
             sink.flush();
         }
-    }
-
-    /// This tracer if enabled, otherwise the process-wide
-    /// environment-configured tracer (see `Tracer::from_env`).
-    pub fn or_env(&self) -> Tracer {
-        if self.enabled() {
-            self.clone()
-        } else {
-            Tracer::from_env()
-        }
-    }
-
-    /// The tracer selected by `MPDASH_TRACE`, resolved once per
-    /// process:
-    ///
-    /// * unset / `""` / `"0"` / `"off"` — disabled;
-    /// * `"ndjson"` — an [`NdjsonSink`] writing `trace.ndjson` under
-    ///   `MPDASH_TRACE_DIR` (default `traces/`), shared by every
-    ///   session in the process;
-    /// * `"ring"` — a process-wide [`RingSink`] (useful only to prove
-    ///   the zero-perturbation property from the outside).
-    ///
-    /// An unrecognized value or an unwritable trace file degrades to
-    /// disabled with a warning on stderr — tracing must never turn a
-    /// working run into a failing one.
-    pub(crate) fn from_env() -> Tracer {
-        static ENV_TRACER: OnceLock<Tracer> = OnceLock::new();
-        ENV_TRACER
-            .get_or_init(|| {
-                let mode = std::env::var("MPDASH_TRACE").unwrap_or_default();
-                match mode.as_str() {
-                    "" | "0" | "off" => Tracer::disabled(),
-                    "ring" => Tracer::new(Arc::new(RingSink::new(1 << 16))),
-                    "ndjson" => {
-                        let dir = std::env::var("MPDASH_TRACE_DIR")
-                            .unwrap_or_else(|_| "traces".to_string());
-                        let path = Path::new(&dir).join("trace.ndjson");
-                        match NdjsonSink::create(&path) {
-                            Ok(sink) => Tracer::new(Arc::new(sink)),
-                            Err(e) => {
-                                eprintln!(
-                                    "warning: MPDASH_TRACE=ndjson but cannot open {}: {e}; \
-                                     tracing disabled",
-                                    path.display()
-                                );
-                                Tracer::disabled()
-                            }
-                        }
-                    }
-                    other => {
-                        eprintln!(
-                            "warning: unknown MPDASH_TRACE value '{other}' \
-                             (expected off|ring|ndjson); tracing disabled"
-                        );
-                        Tracer::disabled()
-                    }
-                }
-            })
-            .clone()
     }
 }
 

@@ -43,7 +43,6 @@ use crate::metrics::LogHistogram;
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::sync::OnceLock;
 
 /// Telemetry configuration: the epoch width of every series in a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,46 +81,6 @@ impl Default for TelemetrySpec {
         TelemetrySpec {
             epoch: SimDuration::from_secs(1),
         }
-    }
-}
-
-/// The telemetry spec selected by `MPDASH_TELEMETRY`, resolved once per
-/// process (the same pattern as `Tracer::from_env`):
-///
-/// * unset / `""` / `"0"` / `"off"` — `None` (telemetry disabled);
-/// * a positive number — epoch width in (possibly fractional) seconds;
-/// * `"1"` is therefore the natural "just turn it on" value: one-second
-///   epochs.
-///
-/// An unusable value — unparseable, not positive, or an epoch below
-/// [`TelemetrySpec::MIN_EPOCH`] — degrades to disabled with a warning on
-/// stderr: telemetry must never turn a working run into a failing one.
-/// Sessions whose config carries no explicit [`TelemetrySpec`] fall back
-/// to this, which is how CI proves artifacts are byte-identical with
-/// telemetry on vs off without touching any experiment binary.
-pub fn telemetry_from_env() -> Option<TelemetrySpec> {
-    static ENV_TELEMETRY: OnceLock<Option<TelemetrySpec>> = OnceLock::new();
-    *ENV_TELEMETRY.get_or_init(|| {
-        let raw = std::env::var("MPDASH_TELEMETRY").unwrap_or_default();
-        telemetry_setting(&raw).unwrap_or_else(|v| {
-            eprintln!(
-                "warning: unusable MPDASH_TELEMETRY value '{v}' \
-                 (expected off|0|<epoch seconds, at least 0.001>); telemetry disabled"
-            );
-            None
-        })
-    })
-}
-
-/// What an `MPDASH_TELEMETRY` value selects; `Err` carries an unusable
-/// value back for the warning.
-fn telemetry_setting(raw: &str) -> Result<Option<TelemetrySpec>, &str> {
-    match raw.trim() {
-        "" | "0" | "off" => Ok(None),
-        v => match v.parse().map(SimDuration::from_secs_f64) {
-            Ok(epoch) if epoch >= TelemetrySpec::MIN_EPOCH => Ok(Some(TelemetrySpec::new(epoch))),
-            _ => Err(v),
-        },
     }
 }
 
@@ -660,25 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn an_epoch_below_a_millisecond_is_an_unusable_setting() {
-        // 1e-10 s rounds to 0 ns (a panic in `TelemetrySpec::new`) and
-        // 1 µs epochs exhaust memory on dense cells: both must warn and
-        // disable, like any other unusable value.
-        for v in ["1e-10", "0.000001", "0.0009", "-1", "nan", "inf", "fast"] {
-            assert_eq!(telemetry_setting(v), Err(v));
-        }
-        assert_eq!(telemetry_setting(" off "), Ok(None));
-        assert_eq!(
-            telemetry_setting("0.001"),
-            Ok(Some(TelemetrySpec::new(TelemetrySpec::MIN_EPOCH)))
-        );
-        assert_eq!(
-            telemetry_setting("2"),
-            Ok(Some(TelemetrySpec::seconds(2.0)))
-        );
-    }
-
-    #[test]
     fn handle_writes_reach_the_cells_before_any_read() {
         let mut s = EpochSeries::new(spec2());
         let chunks = s.counter("chunks");
@@ -713,11 +653,5 @@ mod tests {
         let chunks = s.counter("chunks");
         s.counter_add(t(0), chunks, 1);
         let _ = s.cells().count();
-    }
-
-    #[test]
-    fn env_unset_means_disabled() {
-        // The test harness never sets MPDASH_TELEMETRY.
-        assert_eq!(telemetry_from_env(), None);
     }
 }

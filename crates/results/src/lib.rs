@@ -394,14 +394,6 @@ fn block_to_json(b: &Block) -> Json {
     }
 }
 
-/// Directory artifacts are written to: `MPDASH_RESULTS_DIR` if set,
-/// otherwise `results/` under the current directory.
-pub fn artifact_dir() -> std::path::PathBuf {
-    std::env::var_os("MPDASH_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"))
-}
-
 /// Write `result` as `<dir>/<name>.json` (creating the directory) and
 /// return the path.
 ///

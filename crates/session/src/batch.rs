@@ -13,10 +13,9 @@
 //! * collection is **order-preserving** ([`mpdash_sim::par_map`]), so
 //!   downstream aggregation sees the same sequence regardless of worker
 //!   count or completion interleaving;
-//! * the worker count is a plain argument (callers usually pass
-//!   [`mpdash_sim::default_workers`], i.e. `MPDASH_WORKERS` or the
-//!   machine) and is deliberately **absent from every result** —
-//!   artifacts must not depend on it.
+//! * the worker count is a plain argument (a binary passes the
+//!   `MPDASH_WORKERS` its `mpdash_obs::RunEnv` read) and is deliberately
+//!   **absent from every result** — artifacts must not depend on it.
 //!
 //! A job returns whatever its caller folds: a [`SessionReport`], a file
 //! transfer report, or a small struct a fleet replica was reduced to on

@@ -184,14 +184,12 @@ pub struct SessionConfig {
     /// cheap edge fetches. `None` (default) disables the cache tier.
     /// Fleet runs pass one handle to every client.
     pub cache: Option<SharedSegmentCache>,
-    /// Structured-trace sink for the run. Disabled by default; when left
-    /// disabled, the session falls back to the process-wide
-    /// `MPDASH_TRACE` environment tracer. Strictly observe-only: the
-    /// same config with any tracer produces byte-identical reports.
+    /// Structured-trace sink for the run; disabled (untraced) by default.
+    /// Strictly observe-only: the same config with any tracer produces
+    /// byte-identical reports.
     pub tracer: Tracer,
     /// Epoch telemetry: roll session signals into fixed virtual-time
-    /// epochs (see `mpdash_obs::EpochSeries`). `None` (default) falls
-    /// back to the process-wide `MPDASH_TELEMETRY` environment spec.
+    /// epochs (see `mpdash_obs::EpochSeries`); `None` (default) is off.
     /// Strictly observe-only: the same config with telemetry on or off
     /// produces byte-identical reports and artifacts.
     pub telemetry: Option<TelemetrySpec>,

@@ -48,6 +48,8 @@ pub struct FileTransferConfig {
     pub device: DeviceProfile,
     /// Estimator priors `(wifi, cell)`.
     pub priors: (Rate, Rate),
+    /// Structured-trace sink; disabled by default. Strictly observe-only.
+    pub tracer: mpdash_obs::Tracer,
 }
 
 impl FileTransferConfig {
@@ -67,6 +69,7 @@ impl FileTransferConfig {
                 Rate::from_mbps_f64(wifi_mbps),
                 Rate::from_mbps_f64(cell_mbps),
             ),
+            tracer: mpdash_obs::Tracer::disabled(),
         }
     }
 
@@ -116,7 +119,7 @@ pub struct FileTransfer;
 impl FileTransfer {
     /// Run one transfer to completion.
     pub fn run(cfg: FileTransferConfig) -> FileTransferReport {
-        let tracer = mpdash_obs::Tracer::disabled().or_env();
+        let tracer = cfg.tracer.clone();
         let mut sim = cfg
             .mode
             .connect((&cfg.wifi, &cfg.cell), cfg.scheduler, cfg.cc, tracer);

@@ -101,8 +101,7 @@ struct Telemetry {
 /// report counters. Strictly observe-only: it reads simulation state,
 /// never steers it.
 pub(crate) struct Recorder {
-    /// Observe-only structured trace (config tracer, or the process-wide
-    /// `MPDASH_TRACE` one when the config leaves it disabled).
+    /// Observe-only structured trace: the config's tracer.
     pub tracer: Tracer,
     /// Session-level counters/histograms, snapshotted into the report.
     pub metrics: MetricsRegistry,

@@ -155,11 +155,10 @@ pub struct SessionReport {
     /// elapsed or the fleet shed the session on admission): the chunk
     /// log and playout accounting cover only the content fetched.
     pub departed: bool,
-    /// Epoch telemetry rollups, when enabled (config `telemetry` field
-    /// or `MPDASH_TELEMETRY`). **Excluded from [`summary_json`]**: the
-    /// same config must serialize byte-identically with telemetry on or
-    /// off, so epoch series travel beside artifacts (the `timeline`
-    /// NDJSON export), never inside them.
+    /// Epoch telemetry rollups, when the config's `telemetry` is set.
+    /// **Excluded from [`summary_json`]**: the same config must serialize
+    /// byte-identically with telemetry on or off, so epoch series travel
+    /// beside artifacts (the `timeline` NDJSON export), never inside them.
     ///
     /// [`summary_json`]: SessionReport::summary_json
     pub epochs: Option<EpochSeries>,

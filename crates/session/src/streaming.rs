@@ -39,7 +39,7 @@ use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_link::PathId;
 use mpdash_mptcp::PathMask;
-use mpdash_obs::{telemetry_from_env, TraceEvent};
+use mpdash_obs::TraceEvent;
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
 /// Progress-tick period while a chunk is in flight (~one testbed RTT —
@@ -94,10 +94,7 @@ impl StreamingSession {
     /// [`StreamingSession::run`] does, or externally via
     /// [`StreamingSession::step_once`] interleaved with other sessions.
     pub fn start(cfg: SessionConfig) -> Self {
-        let rec = Recorder::new(
-            cfg.tracer.or_env(),
-            cfg.telemetry.or_else(telemetry_from_env),
-        );
+        let rec = Recorder::new(cfg.tracer.clone(), cfg.telemetry);
         let mpdash = match cfg.mode {
             TransportMode::MpDash { deadline, alpha } => {
                 let adapter = match cfg.adapter_config {

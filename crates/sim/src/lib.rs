@@ -54,7 +54,7 @@ pub mod time;
 
 pub use dss::DssRange;
 pub use fault::{FaultEdges, FaultTail, FaultTimeline, FaultWindow};
-pub use par::{default_workers, par_map};
+pub use par::par_map;
 pub use path::{PathId, PathMask};
 pub use queue::EventQueue;
 pub use rate::Rate;

@@ -11,9 +11,9 @@
 use mpdash::analysis::render_chunk_bars;
 use mpdash::explain::{explain_scenario, ExplainOptions};
 use mpdash::fleet::FleetConfig;
+use mpdash::obs::RunEnv;
 use mpdash::scenario::{reference, Scenario};
 use mpdash::session::{run_batch, Job};
-use mpdash::sim::default_workers;
 use mpdash::timeline::{timeline_scenario, TimelineOptions};
 use std::process::ExitCode;
 
@@ -88,7 +88,7 @@ fn run_explain(args: &[String]) -> ExitCode {
 
 /// `mpdash timeline <scenario.json> [--quick]`: run the fleet per mode
 /// with epoch telemetry forced on and render fleet-wide time series.
-fn run_timeline(args: &[String]) -> ExitCode {
+fn run_timeline(args: &[String], env: &RunEnv) -> ExitCode {
     let mut opts = TimelineOptions::default();
     let mut path = None;
     for arg in args {
@@ -105,10 +105,12 @@ fn run_timeline(args: &[String]) -> ExitCode {
         eprintln!("usage: mpdash timeline <scenario.json> [--quick]");
         return ExitCode::from(2);
     };
-    let Some(scenario) = load(&path) else {
+    let Some(mut scenario) = load(&path) else {
         return ExitCode::FAILURE;
     };
-    match timeline_scenario(&scenario, &opts) {
+    // The tracer only: a timeline draws the document's epochs, else 1 s.
+    env.stamp(&mut scenario.base.tracer, &mut None);
+    match timeline_scenario(&scenario, &opts, env.workers, &env.artifact_dir) {
         Ok(out) => {
             print!("{}", out.rendered);
             println!("\nndjson: {}", out.ndjson_path.display());
@@ -183,8 +185,9 @@ fn run_fleet_scenario(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let workers = match default_workers() {
-        Ok(n) => n,
+    let var = |k: &str| std::env::var_os(k).map(|v| v.to_string_lossy().into_owned());
+    let env = match RunEnv::parse(var, |w| eprintln!("warning: {w}")) {
+        Ok(env) => env,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
@@ -194,7 +197,7 @@ fn main() -> ExitCode {
         return run_explain(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("timeline") {
-        return run_timeline(&args[1..]);
+        return run_timeline(&args[1..], &env);
     }
     if args.first().map(String::as_str) == Some("schema") {
         if let Some(extra) = args.get(1) {
@@ -223,9 +226,10 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for path in paths {
-        let Some(scenario) = load(path) else {
+        let Some(mut scenario) = load(path) else {
             return ExitCode::FAILURE;
         };
+        env.stamp(&mut scenario.base.tracer, &mut scenario.base.telemetry);
         if let Some(fleets) = scenario.fleet_configs() {
             if show_chunks {
                 eprintln!(
@@ -234,7 +238,7 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::from(2);
             }
-            failed |= !run_fleet_scenario(&scenario.name, fleets, path, workers);
+            failed |= !run_fleet_scenario(&scenario.name, fleets, path, env.workers);
             continue;
         }
         let configs = scenario.build();
@@ -250,7 +254,7 @@ fn main() -> ExitCode {
             .into_iter()
             .map(|(label, cfg)| Job::session(label, cfg))
             .collect();
-        let results = run_batch(jobs, workers);
+        let results = run_batch(jobs, env.workers);
         // Execution profiles go to stderr so piped stdout stays a clean,
         // machine-independent report.
         for result in &results {

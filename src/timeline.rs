@@ -20,9 +20,8 @@ use crate::scenario::Scenario;
 use mpdash_dash::QoeScore;
 use mpdash_fleet::{run as run_fleet, FleetConfig, FleetProfile, FleetWallProfile};
 use mpdash_obs::{EpochSeries, TelemetrySpec};
-use mpdash_results::{artifact_dir, Json};
+use mpdash_results::Json;
 use mpdash_session::{run_batch, Job};
-use mpdash_sim::default_workers;
 
 /// Options parsed from the `timeline` command line.
 #[derive(Clone, Copy, Debug, Default)]
@@ -46,11 +45,13 @@ pub struct TimelineOutput {
     pub profile_path: std::path::PathBuf,
 }
 
-/// Run the scenario's fleet per mode and build the timeline report.
-/// Errors when the document has no `fleet` key.
+/// Run the scenario's fleet per mode on `workers` threads and write the
+/// timeline's artifacts under `dir`. Errors when it has no `fleet` key.
 pub fn timeline_scenario(
     scenario: &Scenario,
     opts: &TimelineOptions,
+    workers: usize,
+    dir: &std::path::Path,
 ) -> Result<TimelineOutput, String> {
     let Some(mut configs) = scenario.fleet_configs() else {
         return Err("scenario has no 'fleet' key (timeline renders fleet runs)".into());
@@ -73,13 +74,12 @@ pub fn timeline_scenario(
         .map(|(label, fc)| Job::new(label.clone(), move || mode_timeline(label, fc)))
         .collect();
     let mut modes = Vec::new();
-    for r in run_batch(jobs, default_workers()?) {
+    for r in run_batch(jobs, workers) {
         modes.push(r.report.map_err(|e| format!("job {}: {e}", r.label))?);
     }
 
     let rendered = render(scenario, opts, &modes);
-    let dir = artifact_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
 
     // NDJSON: deterministic rows only, one line per mode per epoch.
     let ndjson_path = dir.join(format!("TIMELINE_{}.ndjson", slug(&scenario.name)));

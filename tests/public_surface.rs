@@ -16,6 +16,9 @@
 //! A file's test part starts at its first `#[cfg(test)]` line that is
 //! followed by a `mod` line, so a `#[cfg(test)] use` above the code does
 //! not hide the code from the census.
+//!
+//! The same walk holds a second census: no library line reads the
+//! environment; only the binaries under `bin/` do.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -373,6 +376,35 @@ fn every_public_item_has_a_caller_or_an_allowlisted_reason() {
     );
 }
 
+/// No library reads the environment: each binary reads it once into an
+/// `mpdash_obs::RunEnv` and hands that down (DESIGN §4.7). The
+/// `proptest` shim's `PROPTEST_CASES` is the one read allowed, and
+/// [`program_dirs`] leaves the shim out as it does for the census.
+#[test]
+fn no_library_reads_the_environment() {
+    let reads = env_reads(&sources(&program_dirs()));
+    assert!(
+        reads.is_empty(),
+        "{} environment reads outside a binary:\n{}",
+        reads.len(),
+        reads.join("\n")
+    );
+}
+
+/// Every non-test line outside a `bin/` directory that calls
+/// `env::var`, `env::var_os` or `env::vars`, as `path:line: code`.
+fn env_reads(sources: &[Source]) -> Vec<String> {
+    let mut reads = Vec::new();
+    for source in sources.iter().filter(|s| !s.path.contains("/bin/")) {
+        for (n, line) in source.text.lines().enumerate() {
+            if code_of(line).contains("env::var") {
+                reads.push(format!("{}:{}: {}", source.path, n + 1, line.trim()));
+            }
+        }
+    }
+    reads
+}
+
 fn fixture(path: &str, text: &str) -> Source {
     Source {
         path: path.to_owned(),
@@ -414,6 +446,19 @@ fn doc_comments_use_lines_definitions_and_test_modules_are_not_callers() {
         "pub fn lonely() {}\nfn f() -> &str { \"a // lonely\" }\n",
     );
     assert!(census(&[string], &[], &[]).is_empty());
+}
+
+#[test]
+fn an_environment_read_is_flagged_outside_a_binary_and_its_tests() {
+    let read = "fn f() -> Option<String> { std::env::var(\"X\").ok() }\n";
+    let lib = fixture(
+        "crates/a/src/lib.rs",
+        &format!("// env::var in a comment\n{read}#[cfg(test)]\nmod tests {{\n{read}}}\n"),
+    );
+    let bin = fixture("crates/a/src/bin/a.rs", read);
+    let reads = env_reads(&[lib, bin]);
+    assert_eq!(reads.len(), 1, "{reads:?}");
+    assert!(reads[0].starts_with("crates/a/src/lib.rs:2: "), "{reads:?}");
 }
 
 #[test]

@@ -458,6 +458,31 @@ fn explain_reproduces_its_golden_text() {
     );
 }
 
+/// `explain --client K` traces client K alone whatever the environment
+/// says: the ring is the base tracer and `trace_client` names K, so the
+/// 15 other clients write no line to an `MPDASH_TRACE` file, and the
+/// text is `explain_reproduces_its_golden_text`'s.
+#[test]
+fn explain_writes_nothing_to_the_environment_trace() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("explain-env-trace");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+        .arg("explain")
+        .arg(format!(
+            "{}/scenarios/fleet.json",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .args(["--client", "3"])
+        .env("MPDASH_TRACE", "ndjson")
+        .env("MPDASH_TRACE_DIR", &dir)
+        .env_remove("MPDASH_TELEMETRY")
+        .output()
+        .expect("mpdash runs");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(fnv1a(&out.stdout), 13474198893926727069);
+    let trace = std::fs::read_to_string(dir.join("trace.ndjson")).unwrap_or_default();
+    assert_eq!(trace.lines().count(), 0);
+}
+
 /// The epoch series' bytes, which no `summary_json` carries and so no
 /// golden above sees: the NDJSON `mpdash timeline <scenario> --quick`
 /// writes for the three shipped fleet scenarios — every client's series,
