@@ -142,8 +142,20 @@ pub fn run(experiment: &Experiment, quick: bool, env: &RunEnv) -> Result<(), Str
 mod tests {
     use super::*;
     use mpdash_obs::{RingSink, TelemetrySpec, Tracer};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
+
+    /// The golden manifest, `sha256sum`'s format: each artifact's file
+    /// name and the digest of its bytes.
+    fn goldens() -> BTreeMap<&'static str, &'static str> {
+        include_str!("../../tests/golden_quick.sha256")
+            .lines()
+            .map(|line| {
+                let (digest, file) = line.split_once("  ").expect("digest  file");
+                (file, digest)
+            })
+            .collect()
+    }
 
     /// An untraced environment with `workers` threads, artifacts in `dir`.
     fn env(workers: usize, dir: &Path) -> RunEnv {
@@ -158,15 +170,17 @@ mod tests {
     /// The acceptance property of every batch-backed experiment: the
     /// persisted artifact is bit-identical at any worker count (1 is the
     /// sequential reference), traced into a ring or not, with one-second
-    /// telemetry or none. This also checks each row computes the result
-    /// it is named for. Looping all 21 experiments four times takes
-    /// minutes in a debug build, so CI's `test` job runs it with
-    /// `--release -- --ignored` (the `determinism`, `trace-invariance`
-    /// and `telemetry-invariance` jobs check the same through the
-    /// binary's environment).
+    /// telemetry or none, and the sequential bytes are the ones
+    /// `golden_quick.sha256` pins (`write_artifact_to` writes
+    /// `to_json().to_pretty()`), so a refactor proves itself
+    /// behaviour-preserving and not only worker-count-invariant. This also
+    /// checks each row computes the result it is named for. Looping all 21
+    /// experiments four times takes minutes in a debug build, so CI runs
+    /// it with `--release -- --ignored`.
     #[test]
     #[ignore = "minutes in a debug build; CI runs it with --release -- --ignored"]
     fn artifact_is_bit_identical_across_worker_counts() {
+        let goldens = goldens();
         let one = env(1, Path::new("results"));
         let four = env(4, Path::new("results"));
         let ring = RunEnv {
@@ -181,6 +195,12 @@ mod tests {
             let seq = (e.result)(true, &one);
             assert_eq!(seq.name, e.name, "{}'s row computes another result", e.name);
             let seq = seq.to_json().to_pretty();
+            assert_eq!(
+                sha256::hex(seq.as_bytes()),
+                goldens[format!("{}.json", e.name).as_str()],
+                "`exp {} --quick` no longer matches its golden",
+                e.name
+            );
             for (observed, env) in [
                 ("4 workers", &four),
                 ("a ring tracer", &ring),
@@ -204,12 +224,8 @@ mod tests {
     fn registry_names_are_unique_and_each_has_a_golden() {
         let names: BTreeSet<&str> = ALL.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), ALL.len(), "duplicate experiment name");
-        let goldens: BTreeSet<&str> = include_str!("../../tests/golden_quick.sha256")
-            .lines()
-            .map(|line| {
-                let file = line.split_whitespace().nth(1).expect("digest  file");
-                file.strip_suffix(".json").expect("a .json artifact")
-            })
+        let goldens: BTreeSet<&str> = (goldens().into_keys())
+            .map(|file| file.strip_suffix(".json").expect("a .json artifact"))
             .collect();
         assert_eq!(names, goldens);
     }
@@ -243,3 +259,8 @@ mod tests {
         );
     }
 }
+
+/// The workspace's one test-only SHA-256, for the golden manifest.
+#[cfg(test)]
+#[path = "../../../../tests/common/sha256.rs"]
+mod sha256;

@@ -232,16 +232,19 @@ where
     }
 }
 
-/// Define property tests. Supports the standard shape:
+/// Define property tests. Supports the standard shape, each `fn` under
+/// `#[test]` in a test crate; this example calls its property itself:
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(24))]
-///     #[test]
 ///     fn holds(x in 0.5f64..20.0, flag in any::<bool>()) {
-///         prop_assert!(x > 0.0);
+///         prop_assert!(x > 0.0 || flag);
 ///     }
 /// }
+/// holds();
 /// ```
 #[macro_export]
 macro_rules! proptest {

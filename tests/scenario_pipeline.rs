@@ -12,12 +12,63 @@ use mpdash::session::{
     run_batch, Job, RingSink, SessionReport, StreamingSession, Tracer, TransportMode,
 };
 use mpdash::sim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use std::path::Path;
+use std::process::Command;
+use std::sync::{Arc, OnceLock};
+
+#[path = "common/sha256.rs"]
+mod sha256;
 
 fn example() -> Scenario {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/example.json");
     let text = std::fs::read_to_string(path).expect("example scenario readable");
     Scenario::from_json(&text).expect("example scenario parses")
+}
+
+/// The solo scenarios `scenarios/` ships, in the order `mpdash` would
+/// print them; [`FLEET_TABLES`] holds the fleet ones.
+const SOLO: [&str; 3] = ["example.json", "origins.json", "server_faults.json"];
+
+/// Each shipped fleet scenario and the `sha256sum` of the comparison
+/// table `mpdash <file>` prints.
+const FLEET_TABLES: [(&str, &str); 3] = [
+    (
+        "fleet.json",
+        "b07a3646c06b243296620b775718084f488f38a1ae1c6b35b9a539c3b8575e7a",
+    ),
+    (
+        "churn.json",
+        "92a727111047de7929ca8972c192b4a4efd3f6c37d41f35f65f5d703e2c9d933",
+    ),
+    (
+        "aqm.json",
+        "ca04def61f02dc0bb5bc02bf2cf2e2190aae71b139294665a9684a9606e9ed80",
+    ),
+];
+
+fn scenario_path(file: &str) -> String {
+    format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The `mpdash` binary, run from the package root, with none of the
+/// caller's `MPDASH_*` variables: a test sets the ones it means, so
+/// `MPDASH_WORKERS=0 cargo test` or a traced shell changes nothing a test
+/// sees and writes no trace.
+fn mpdash() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mpdash"));
+    cmd.current_dir(env!("CARGO_MANIFEST_DIR"));
+    for var in [
+        "MPDASH_WORKERS",
+        "MPDASH_RESULTS_DIR",
+        "MPDASH_TRACE",
+        "MPDASH_TRACE_DIR",
+        "MPDASH_TELEMETRY",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd
 }
 
 #[test]
@@ -215,12 +266,9 @@ fn a_session_wedged_on_a_dead_cell_path_panics_naming_the_chunk() {
 #[test]
 fn an_unknown_flag_is_a_usage_error() {
     for flag in ["--chunk", "--quick"] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+        let out = mpdash()
             .arg(flag)
-            .arg(format!(
-                "{}/scenarios/origins.json",
-                env!("CARGO_MANIFEST_DIR")
-            ))
+            .arg(scenario_path("origins.json"))
             .output()
             .expect("mpdash runs");
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -238,12 +286,9 @@ fn an_unknown_flag_is_a_usage_error() {
 /// table printed without the bars it asked for.
 #[test]
 fn chunks_on_a_fleet_scenario_is_a_usage_error() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+    let out = mpdash()
         .arg("--chunks")
-        .arg(format!(
-            "{}/scenarios/fleet.json",
-            env!("CARGO_MANIFEST_DIR")
-        ))
+        .arg(scenario_path("fleet.json"))
         .output()
         .expect("mpdash runs");
     assert_eq!(out.status.code(), Some(2));
@@ -260,11 +305,8 @@ fn chunks_on_a_fleet_scenario_is_a_usage_error() {
 /// determinism comparison compare N with N.
 #[test]
 fn an_unusable_worker_count_is_a_usage_error() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
-        .arg(format!(
-            "{}/scenarios/example.json",
-            env!("CARGO_MANIFEST_DIR")
-        ))
+    let out = mpdash()
+        .arg(scenario_path("example.json"))
         .env("MPDASH_WORKERS", "four")
         .output()
         .expect("mpdash runs");
@@ -284,12 +326,8 @@ fn an_unusable_worker_count_is_a_usage_error() {
 #[test]
 fn a_sub_millisecond_telemetry_epoch_warns_and_disables() {
     let run = |telemetry: Option<&str>| {
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"));
-        cmd.arg(format!(
-            "{}/scenarios/origins.json",
-            env!("CARGO_MANIFEST_DIR")
-        ))
-        .env_remove("MPDASH_TELEMETRY");
+        let mut cmd = mpdash();
+        cmd.arg(scenario_path("origins.json"));
         if let Some(v) = telemetry {
             cmd.env("MPDASH_TELEMETRY", v);
         }
@@ -310,8 +348,7 @@ fn a_sub_millisecond_telemetry_epoch_warns_and_disables() {
 }
 
 fn shipped(file: &str) -> Scenario {
-    let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).expect("shipped scenario readable");
+    let text = std::fs::read_to_string(scenario_path(file)).expect("shipped scenario readable");
     Scenario::from_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
 }
 
@@ -321,13 +358,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every session report a solo scenario document produces, by mode.
-fn solo_reports(file: &str) -> Vec<(String, SessionReport)> {
-    shipped(file)
-        .build()
-        .into_iter()
-        .map(|(label, cfg)| (label, StreamingSession::run(cfg)))
-        .collect()
+/// Every session report a shipped solo scenario produces, by mode: each
+/// file runs once, for every test that reads it.
+fn solo_reports(file: &str) -> &'static [(String, SessionReport)] {
+    static RUNS: [OnceLock<Vec<(String, SessionReport)>>; SOLO.len()] =
+        [const { OnceLock::new() }; SOLO.len()];
+    let at = SOLO
+        .iter()
+        .position(|f| *f == file)
+        .expect("a solo scenario");
+    RUNS[at].get_or_init(|| {
+        shipped(file)
+            .build()
+            .into_iter()
+            .map(|(label, cfg)| (label, StreamingSession::run(cfg)))
+            .collect()
+    })
 }
 
 /// Digest of `render` over each report, by mode.
@@ -382,12 +428,12 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
 
     let origins = solo_reports("origins.json");
     assert_eq!(
-        digests(&origins, summary),
+        digests(origins, summary),
         [("Rate".to_string(), 8387712229148742842)]
     );
     let server_faults = solo_reports("server_faults.json");
     assert_eq!(
-        digests(&server_faults, summary),
+        digests(server_faults, summary),
         [
             ("Baseline".to_string(), 12917740376144067320),
             ("Rate".to_string(), 11655620368456001984),
@@ -397,11 +443,11 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
     // fetch time and per-path byte split, the `--chunks` output. Recorded
     // while the split was still a replay of the packet log.
     assert_eq!(
-        digests(&origins, chunk_bars),
+        digests(origins, chunk_bars),
         [("Rate".to_string(), 16718078632578519832)]
     );
     assert_eq!(
-        digests(&server_faults, chunk_bars),
+        digests(server_faults, chunk_bars),
         [
             ("Baseline".to_string(), 13785779749881346158),
             ("Rate".to_string(), 5506723724756591737),
@@ -424,6 +470,53 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
     assert_eq!(
         (events.len(), fnv1a(stream.as_bytes())),
         (91901, 5741721942121880656)
+    );
+}
+
+/// Each mode's work by event kind, the `events (data, ack, rto,
+/// app_timer, reverse_msg)` of `mpdash`'s `[profile]` line, for the three
+/// shipped solo scenarios. `example.json`'s WiFi disassociation at 300 s
+/// takes its modes through link-downs, subflow failures and revivals (21
+/// of each under a trace), so its `rto` column counts the transport
+/// timer's pops on the failure path too. A change that moves a timer, a
+/// packet or a decision moves these; one that moves none keeps them
+/// exactly. Every stream names its event-queue lane (DESIGN §4.1), so no
+/// mode sends over 1 % of its events through the queue's heap: the most
+/// is `origins` Rate's 0.50 % (477 of 95,157).
+#[test]
+fn shipped_solo_modes_pop_their_pinned_event_mix() {
+    let mut mix = String::new();
+    for file in SOLO {
+        let name = file.trim_end_matches(".json");
+        for (label, report) in solo_reports(file) {
+            let p = report.sim_profile;
+            let k = p.by_kind;
+            writeln!(
+                mix,
+                "{name} {label}: {} (data {}, ack {}, rto {}, app_timer {}, reverse_msg {})",
+                p.events_popped, k.data, k.ack, k.rto, k.app_timer, k.reverse_msg
+            )
+            .unwrap();
+            assert!(
+                p.heap_fallbacks * 100 <= p.events_popped,
+                "{name} {label}: {} of {} events took the heap",
+                p.heap_fallbacks,
+                p.events_popped
+            );
+        }
+    }
+    assert_eq!(
+        mix,
+        "\
+example Baseline: 370183 (data 177981, ack 177981, rto 3659, app_timer 10412, reverse_msg 150)
+example Rate: 778699 (data 181824, ack 182410, rto 4060, app_timer 410255, reverse_msg 150)
+example Duration: 783401 (data 182405, ack 182995, rto 4093, app_timer 413758, reverse_msg 150)
+example Throttle700k: 236453 (data 107640, ack 107640, rto 2942, app_timer 18081, reverse_msg 150)
+example WiFi-only: 244476 (data 108507, ack 108507, rto 2016, app_timer 25296, reverse_msg 150)
+origins Rate: 95157 (data 45616, ack 45754, rto 749, app_timer 2994, reverse_msg 44)
+server_faults Baseline: 85200 (data 41446, ack 41446, rto 684, app_timer 1574, reverse_msg 50)
+server_faults Rate: 88679 (data 42478, ack 42606, rto 736, app_timer 2809, reverse_msg 50)
+"
     );
 }
 
@@ -464,17 +557,13 @@ fn explain_reproduces_its_golden_text() {
 /// text is `explain_reproduces_its_golden_text`'s.
 #[test]
 fn explain_writes_nothing_to_the_environment_trace() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("explain-env-trace");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("explain-env-trace");
+    let out = mpdash()
         .arg("explain")
-        .arg(format!(
-            "{}/scenarios/fleet.json",
-            env!("CARGO_MANIFEST_DIR")
-        ))
+        .arg(scenario_path("fleet.json"))
         .args(["--client", "3"])
         .env("MPDASH_TRACE", "ndjson")
         .env("MPDASH_TRACE_DIR", &dir)
-        .env_remove("MPDASH_TELEMETRY")
         .output()
         .expect("mpdash runs");
     assert!(out.status.success(), "{out:?}");
@@ -493,47 +582,136 @@ fn explain_writes_nothing_to_the_environment_trace() {
 /// `f4fe2339…82dc` (fleet). The same runs' stdout, less the two lines
 /// naming the artifact paths, pins the sparklines and per-mode headers;
 /// recorded before the NDJSON rows stopped passing through a typed copy.
+/// Each file runs at 4 workers, and `fleet.json` at 1 too: the bytes are
+/// the sequential reference's at any worker count.
 #[test]
 fn timeline_ndjson_reproduces_its_golden_bytes() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("timeline-golden");
-    for (file, ndjson, digest, stdout_digest) in [
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("timeline-golden");
+    for (file, workers, ndjson, digest, stdout_digest) in [
         (
             "aqm.json",
+            &["4"][..],
             "TIMELINE_fleet_8_fq_pie_ap.ndjson",
             0x8036_b2a9_3d99_5a59_u64,
             0x9631_5359_2d7a_d10c_u64,
         ),
         (
             "churn.json",
+            &["4"],
             "TIMELINE_churn_8_domain_outage_shed.ndjson",
             0xb473_2f5e_337e_9657,
             0xd222_ac37_36b3_1863,
         ),
         (
             "fleet.json",
+            &["1", "4"],
             "TIMELINE_fleet_16_shared_ap.ndjson",
             0xeaa9_b936_8b11_bdcd,
             0xf76f_1ce3_eee3_c180,
         ),
     ] {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mpdash"))
-            .arg("timeline")
-            .arg(format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR")))
-            .arg("--quick")
-            .env("MPDASH_RESULTS_DIR", &dir)
-            .env_remove("MPDASH_TELEMETRY")
+        for &n in workers {
+            let out = mpdash()
+                .arg("timeline")
+                .arg(scenario_path(file))
+                .arg("--quick")
+                .env("MPDASH_RESULTS_DIR", &dir)
+                .env("MPDASH_WORKERS", n)
+                .output()
+                .expect("mpdash runs");
+            assert!(out.status.success(), "{file}: {out:?}");
+            let bytes = std::fs::read(dir.join(ndjson)).expect("timeline NDJSON written");
+            assert_eq!(fnv1a(&bytes), digest, "{file} at {n} workers");
+            let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+            let report: String = (stdout.lines())
+                .filter(|l| !l.starts_with("ndjson: ") && !l.starts_with("profile: "))
+                .flat_map(|l| [l, "\n"])
+                .collect();
+            assert_eq!(
+                fnv1a(report.as_bytes()),
+                stdout_digest,
+                "{file} at {n} workers: {report}"
+            );
+        }
+    }
+}
+
+/// The comparison table each shipped fleet scenario prints, byte for
+/// byte: no other test reads it. A table names the path it was given, so
+/// the pins run `scenarios/<file>` from the package root.
+#[test]
+fn fleet_scenarios_print_their_pinned_tables() {
+    for (file, table) in FLEET_TABLES {
+        let out = mpdash()
+            .arg(format!("scenarios/{file}"))
             .output()
             .expect("mpdash runs");
         assert!(out.status.success(), "{file}: {out:?}");
-        let bytes = std::fs::read(dir.join(ndjson)).expect("timeline NDJSON written");
-        assert_eq!(fnv1a(&bytes), digest, "{file}");
-        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
-        let report: String = (stdout.lines())
-            .filter(|l| !l.starts_with("ndjson: ") && !l.starts_with("profile: "))
-            .flat_map(|l| [l, "\n"])
-            .collect();
-        assert_eq!(fnv1a(report.as_bytes()), stdout_digest, "{file}: {report}");
+        assert_eq!(sha256::hex(&out.stdout), table, "{file}");
     }
+}
+
+/// With no `trace_client`, `MPDASH_TRACE` reaches every fleet client:
+/// `fleet.json` logs all 20 chunks of its 16 clients in both modes, and
+/// prints the untraced table.
+#[test]
+fn an_environment_trace_reaches_every_fleet_client() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet-env-trace");
+    let out = mpdash()
+        .arg("scenarios/fleet.json")
+        .env("MPDASH_TRACE", "ndjson")
+        .env("MPDASH_TRACE_DIR", &dir)
+        .output()
+        .expect("mpdash runs");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(sha256::hex(&out.stdout), FLEET_TABLES[0].1);
+    let trace = std::fs::read_to_string(dir.join("trace.ndjson")).expect("trace written");
+    let fetched = (trace.lines())
+        .filter(|l| l.contains(r#""kind":"chunk_fetched""#))
+        .count();
+    assert_eq!(fetched, 2 * 16 * 20);
+}
+
+/// `mpdash --chunks` draws each mode's Figure 8 bars under its table row:
+/// the first 20 chunks of the bars
+/// `shipped_scenarios_reproduce_their_golden_summaries` pins, under the
+/// `path share (#=cellular)` header.
+#[test]
+fn chunks_draws_the_pinned_bars() {
+    let files = ["origins.json", "server_faults.json"];
+    let out = mpdash()
+        .arg("--chunks")
+        .args(files.map(scenario_path))
+        .output()
+        .expect("mpdash runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    for file in files {
+        for (label, report) in solo_reports(file) {
+            let bars = render_chunk_bars(&report.chunks[..20], 24);
+            assert!(bars
+                .starts_with("idx | lvl |    size |  dl time | cell% | path share (#=cellular)\n"));
+            assert!(stdout.contains(&bars), "{file} {label}: {stdout}");
+        }
+    }
+}
+
+/// Every file in `scenarios/` is one the pins above run: a new scenario
+/// fails here until a test pins what it prints.
+#[test]
+fn every_shipped_scenario_is_pinned() {
+    let shipped: BTreeSet<String> =
+        std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios"))
+            .expect("scenarios/ readable")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .map(|name| name.into_string().expect("UTF-8 file name"))
+            .filter(|name| name.ends_with(".json"))
+            .collect();
+    let pinned: BTreeSet<String> = (SOLO.into_iter())
+        .chain(FLEET_TABLES.map(|(file, _)| file))
+        .map(String::from)
+        .collect();
+    assert_eq!(shipped, pinned);
 }
 
 /// Keeps only the scripted-fault edges, link and server, as NDJSON
