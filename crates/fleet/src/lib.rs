@@ -1131,6 +1131,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signals;
     use mpdash_dash::abr::AbrKind;
     use mpdash_dash::video::Video;
     use mpdash_link::QueueDiscipline;
@@ -1921,6 +1922,54 @@ mod tests {
                 0, 0
             ]
         );
+
+        // What no summary carries: the fleet's merged epoch series, each
+        // bottleneck's series and registry, the loop's profile with its
+        // series, and every client's registry in client order. A signal
+        // write that is dropped, zeroed or renamed moves one of these.
+        let digest = |text: String| {
+            (text.bytes()).fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        fn series(e: &Option<EpochSeries>) -> &EpochSeries {
+            e.as_ref().expect("telemetry on")
+        }
+        let [ap, sector] = [0, 1].map(|i| &report.bottlenecks[i]);
+        let metrics: String = (report.sessions.iter())
+            .map(|s| s.metrics.to_json().to_compact())
+            .collect();
+        let got = [
+            series(&report.epochs).to_json().to_compact(),
+            series(&ap.epochs).to_json().to_compact(),
+            ap.metrics.to_json().to_compact(),
+            series(&sector.epochs).to_json().to_compact(),
+            sector.metrics.to_json().to_compact(),
+            p.to_json().to_compact(),
+            metrics,
+        ]
+        .map(digest);
+        assert_eq!(
+            got,
+            [
+                4536942046103290881,
+                5346515727098354259,
+                11232815344915566673,
+                10280391034810081475,
+                1544571937504950736,
+                11762151591555805396,
+                2971293060749005103,
+            ]
+        );
+        // Every signal name is nonzero here but those the scenario pins
+        // write (`tests/common/signals.rs`).
+        let mut epochs = vec![series(&report.epochs), series(&p.epochs)];
+        epochs.extend([ap, sector].map(|b| series(&b.epochs)));
+        let mut registries = vec![&ap.metrics, &sector.metrics];
+        registries.extend(report.sessions.iter().map(|s| &s.metrics));
+        let mut want = signals::CHURN_MIX_ZEROS;
+        want.sort_unstable();
+        assert_eq!(signals::zeros(&epochs, &registries), want);
     }
 
     #[test]
@@ -2021,3 +2070,9 @@ mod tests {
         assert_eq!(jain(&[0.0, 0.0]), 1.0);
     }
 }
+
+/// The signal names the churn-mix test holds nonzero, shared with the
+/// workspace's scenario pins.
+#[cfg(test)]
+#[path = "../../../tests/common/signals.rs"]
+mod signals;

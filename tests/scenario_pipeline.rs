@@ -6,7 +6,7 @@
 use mpdash::analysis::render_chunk_bars;
 use mpdash::dash::video::Video;
 use mpdash::explain::{explain_scenario, ExplainOptions};
-use mpdash::obs::{TraceEvent, TraceSink};
+use mpdash::obs::{MetricsSnapshot, TelemetrySpec, TraceEvent, TraceSink};
 use mpdash::scenario::Scenario;
 use mpdash::session::{
     run_batch, Job, RingSink, SessionReport, StreamingSession, Tracer, TransportMode,
@@ -20,6 +20,8 @@ use std::sync::{Arc, OnceLock};
 
 #[path = "common/sha256.rs"]
 mod sha256;
+#[path = "common/signals.rs"]
+mod signals;
 
 fn example() -> Scenario {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/example.json");
@@ -404,7 +406,9 @@ fn chunk_bars(report: &SessionReport) -> String {
 /// `server_faults.json` an error burst, a stalled body and a slow first
 /// byte under the deadline-aware lifecycle. The last digest covers the
 /// ring-traced event stream of `origins.json` — event order is what
-/// `mpdash explain` renders. A digest that moves means the document now
+/// `mpdash explain` renders. The epoch series `summary_json` leaves out
+/// are digested last, with the check that every signal name of
+/// `tests/common/signals.rs` is nonzero in some pinned run. A digest that moves means the document now
 /// builds a different config or the simulator changed behaviour — then
 /// re-record, and say so in the PR.
 #[test]
@@ -471,6 +475,58 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
         (events.len(), fnv1a(stream.as_bytes())),
         (91901, 5741721942121880656)
     );
+
+    // The series no summary carries: `server_faults.json` at 2 s
+    // telemetry, whose error burst writes the retries, and `aqm.json`'s
+    // fleet, whose FQ-PIE AP marks packets — the names `crates/fleet`'s
+    // churn mix leaves at zero. Per mode: the session's series, or the
+    // fleet's, each bottleneck's and the loop's profile.
+    let mut epochs = Vec::new();
+    let mut faults = Vec::new();
+    for (label, mut cfg) in shipped("server_faults.json").build() {
+        cfg.telemetry = Some(TelemetrySpec::seconds(2.0));
+        let series = StreamingSession::run(cfg).epochs.expect("telemetry on");
+        faults.push((label, fnv1a(series.to_json().to_compact().as_bytes())));
+        epochs.push(series);
+    }
+    assert_eq!(
+        faults,
+        [
+            ("Baseline".to_string(), 7957233557685100758),
+            ("Rate".to_string(), 5729256874851343258),
+        ]
+    );
+    let (mut aqm, mut queues) = (Vec::new(), Vec::new());
+    for (label, fc) in shipped("aqm.json").fleet_configs().expect("a fleet") {
+        let report = mpdash::fleet::run(&fc);
+        let mut series = vec![report.epochs.expect("telemetry on")];
+        for b in report.bottlenecks {
+            series.push(b.epochs.expect("telemetry on"));
+            queues.push(b.metrics);
+        }
+        let text: String = (series.iter())
+            .map(|e| e.to_json().to_compact())
+            .chain([report.profile.to_json().to_compact()])
+            .collect();
+        aqm.push((label, fnv1a(text.as_bytes())));
+        epochs.extend(series);
+    }
+    assert_eq!(
+        aqm,
+        [
+            ("Baseline".to_string(), 15684194935951416038),
+            ("Rate".to_string(), 74230564494347594),
+        ]
+    );
+    let sessions = solo_reports("server_faults.json")
+        .iter()
+        .map(|(_, r)| &r.metrics);
+    let registries: Vec<&MetricsSnapshot> = queues.iter().chain(sessions).collect();
+    let zeros = signals::zeros(&epochs.iter().collect::<Vec<_>>(), &registries);
+    let unwritten: Vec<&str> = (signals::CHURN_MIX_ZEROS.into_iter())
+        .filter(|name| zeros.iter().any(|z| z == name))
+        .collect();
+    assert_eq!(unwritten, ["registry:hedge_wins_primary"]);
 }
 
 /// Each mode's work by event kind, the `events (data, ack, rto,
