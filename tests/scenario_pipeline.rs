@@ -42,7 +42,7 @@ const FLEET_TABLES: [(&str, &str); 3] = [
     ),
     (
         "churn.json",
-        "92a727111047de7929ca8972c192b4a4efd3f6c37d41f35f65f5d703e2c9d933",
+        "fbbc536e2bdc0b2861bec565d02085b5fd9e0a0e481f7031766475d0109a57cb",
     ),
     (
         "aqm.json",
@@ -418,15 +418,16 @@ fn shipped_scenarios_reproduce_their_golden_summaries() {
         .expect("churn scenario has a fleet")
         .into_iter()
         .map(|(label, fc)| {
-            let summary = mpdash::fleet::run(&fc).summary_json().to_compact();
-            (label, fnv1a(summary.as_bytes()))
+            let report = mpdash::fleet::run(&fc);
+            assert!(report.shed_sessions > 0, "{label}: the cap sheds");
+            (label, fnv1a(report.summary_json().to_compact().as_bytes()))
         })
         .collect();
     assert_eq!(
         fleet,
         [
-            ("Baseline".to_string(), 11554707720325534327),
-            ("Rate".to_string(), 16090460244447604868),
+            ("Baseline".to_string(), 13287554142692247610),
+            ("Rate".to_string(), 11431705358340053705),
         ]
     );
 
@@ -602,7 +603,7 @@ fn explain_reproduces_its_golden_text() {
         [
             5696067966782480675,
             13474198893926727069,
-            9239392735820287628
+            1395449403173759659
         ]
     );
 }
@@ -634,7 +635,7 @@ fn explain_writes_nothing_to_the_environment_trace() {
 /// every bottleneck's and the fleet loop's own, merged and rendered.
 /// Recorded at the commit before the series' write path moved from
 /// by-name updates to resolved handles (PR 19); the same files hash, by
-/// `sha256sum`, to `d459e788…971c` (aqm), `ad7df5e1…be89` (churn) and
+/// `sha256sum`, to `d459e788…971c` (aqm), `e6612590…c2a6` (churn) and
 /// `f4fe2339…82dc` (fleet). The same runs' stdout, less the two lines
 /// naming the artifact paths, pins the sparklines and per-mode headers;
 /// recorded before the NDJSON rows stopped passing through a typed copy.
@@ -655,8 +656,8 @@ fn timeline_ndjson_reproduces_its_golden_bytes() {
             "churn.json",
             &["4"],
             "TIMELINE_churn_8_domain_outage_shed.ndjson",
-            0xb473_2f5e_337e_9657,
-            0xd222_ac37_36b3_1863,
+            0xa0c6_1699_60d8_ea8a,
+            0x1705_d091_c367_0df5,
         ),
         (
             "fleet.json",
