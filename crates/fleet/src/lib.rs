@@ -27,8 +27,8 @@
 
 use mpdash_link::{FaultScript, PathId, SharedBottleneck, SharedBottleneckConfig, SharedStats};
 use mpdash_obs::{
-    EpochCounter, EpochSeries, InvariantViolation, MetricsSnapshot, TelemetrySpec, TraceEvent,
-    Tracer, Watchdog,
+    EpochSeries, InvariantViolation, MetricsSnapshot, Signal, SignalRecorder, TelemetrySpec,
+    TraceEvent, Tracer, Watchdog,
 };
 use mpdash_results::Json;
 use mpdash_session::{
@@ -645,22 +645,28 @@ enum Outcome<'a> {
 
 /// A count of [`FleetProfile`] or a phase of [`FleetWallProfile`].
 type Field<T> = fn(&mut T) -> &mut u64;
-type Row = (
-    &'static str,
-    Option<Field<FleetProfile>>,
-    Option<Field<FleetWallProfile>>,
-);
+type Row = (Option<Field<FleetProfile>>, Option<Field<FleetWallProfile>>);
 
-/// Per [`Outcome`], in declaration order: its epoch counter, the
-/// [`FleetProfile`] count it adds to and the wall phase it closes.
+/// Per [`Outcome`], in declaration order: its epoch counter.
+static SIGNALS: [Signal; 6] = [
+    Signal::counter(None, Some("loop_steps")),
+    Signal::counter(None, Some("loop_departures")),
+    Signal::counter(None, Some("loop_aqm_drops")),
+    Signal::counter(None, Some("fleet_arrivals")),
+    Signal::counter(None, Some("fleet_departures")),
+    Signal::counter(None, Some("fleet_shed")),
+];
+
+/// Per [`Outcome`], in declaration order: the [`FleetProfile`] count it
+/// adds to and the wall phase it closes.
 #[rustfmt::skip]
 const OUTCOMES: [Row; 6] = [
-    ("loop_steps",       Some(|p| &mut p.session_steps),     Some(|w| &mut w.step_ns)),
-    ("loop_departures",  Some(|p| &mut p.departures_popped), Some(|w| &mut w.pop_ns)),
-    ("loop_aqm_drops",   None,                               None),
-    ("fleet_arrivals",   None,                               None),
-    ("fleet_departures", None,                               Some(|w| &mut w.step_ns)),
-    ("fleet_shed",       None,                               Some(|w| &mut w.step_ns)),
+    (Some(|p| &mut p.session_steps),     Some(|w| &mut w.step_ns)),
+    (Some(|p| &mut p.departures_popped), Some(|w| &mut w.pop_ns)),
+    (None,                               None),
+    (None,                               None),
+    (None,                               Some(|w| &mut w.step_ns)),
+    (None,                               Some(|w| &mut w.step_ns)),
 ];
 
 /// Everything the fleet loop observes about itself, behind one call per
@@ -669,8 +675,8 @@ const OUTCOMES: [Row; 6] = [
 /// watchdog. Observe-only: it reads the loop and never steers it.
 struct LoopRecorder {
     profile: FleetProfile,
-    /// A counter that never fires never appears as a key.
-    epochs: Option<(EpochSeries, [EpochCounter; OUTCOMES.len()])>,
+    /// [`SIGNALS`]: a counter that never fires never appears as a key.
+    signals: SignalRecorder,
     /// The phases so far, and when the last one closed.
     wall: Option<(FleetWallProfile, Instant)>,
     watchdog: Option<Watchdog>,
@@ -680,11 +686,7 @@ impl LoopRecorder {
     fn new(cfg: &FleetConfig, telemetry: Option<TelemetrySpec>) -> Self {
         LoopRecorder {
             profile: FleetProfile::default(),
-            epochs: telemetry.map(|spec| {
-                let mut series = EpochSeries::new(spec);
-                let counters = OUTCOMES.map(|(name, ..)| series.counter(name));
-                (series, counters)
-            }),
+            signals: SignalRecorder::new(&SIGNALS, telemetry),
             wall: (cfg.wall_profile).then(|| (FleetWallProfile::default(), Instant::now())),
             watchdog: cfg.watchdog.unwrap_or(true).then(Watchdog::new),
         }
@@ -715,13 +717,11 @@ impl LoopRecorder {
             Finish => 4,
             Shed => 5,
         };
-        let (_, count, phase) = OUTCOMES[row];
+        let (count, phase) = OUTCOMES[row];
         if let Some(count) = count {
             *count(&mut self.profile) += 1;
         }
-        if let Some((series, counters)) = self.epochs.as_mut() {
-            series.counter_add(t, counters[row], 1);
-        }
+        self.signals.add(t, row, 1);
         if let Some(phase) = phase {
             self.charge(phase);
         }
@@ -748,10 +748,7 @@ impl LoopRecorder {
 
     fn finish(mut self) -> (FleetProfile, Option<FleetWallProfile>) {
         self.profile.watchdog_checks = self.watchdog.map_or(0, |wd| wd.checks());
-        self.profile.epochs = self.epochs.map(|(mut series, _)| {
-            series.flush();
-            series
-        });
+        self.profile.epochs = self.signals.take_epochs();
         (self.profile, self.wall.map(|(wall, _)| wall))
     }
 }

@@ -36,17 +36,14 @@
 //! flag, not an atomic lock. All scheduling decisions are integer/byte
 //! arithmetic on virtual time: bit-deterministic.
 //!
-//! Queue signals are written through handles resolved once — the
-//! [`MetricsRegistry`] ones in [`SharedBottleneck::new`], the
-//! [`EpochSeries`] ones in [`SharedBottleneck::enable_telemetry`] — so no
+//! Queue signals are the rows of one table, `SIGNALS`, written by row
+//! through a [`SignalRecorder`] — to the registry always, to the epoch
+//! series once [`SharedBottleneck::enable_telemetry`] has run — so no
 //! per-packet path compares a signal name.
 
 use crate::aqm::{AqmConfig, AqmVerdict, Codel, Pie};
 use crate::link::DropReason;
-use mpdash_obs::{
-    EpochCounter, EpochHistogram, EpochSeries, MetricCounter, MetricHistogram, MetricsRegistry,
-    MetricsSnapshot, TelemetrySpec,
-};
+use mpdash_obs::{EpochSeries, MetricsSnapshot, SignalRecorder, TelemetrySpec};
 use mpdash_sim::{derive_seed, Rate, SimTime};
 use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
@@ -300,28 +297,20 @@ enum AqmState {
     Codel(Codel),
 }
 
-/// The always-on registry signals, resolved in [`SharedBottleneck::new`].
-/// Each enters the snapshot when first written, so a bottleneck that
-/// never marks a packet has no `aqm_marked_packets` row.
-struct Signals {
-    queue_depth_bytes: MetricHistogram,
-    queue_wait_ms: MetricHistogram,
-    aqm_dropped_packets: MetricCounter,
-    aqm_marked_packets: MetricCounter,
-}
-
-/// Epoch rollups over virtual time (telemetry; observe-only) and the
-/// series' handles, resolved in [`SharedBottleneck::enable_telemetry`].
-struct Telemetry {
-    series: EpochSeries,
-    queue_depth_bytes: EpochHistogram,
-    queue_wait_ms: EpochHistogram,
-    aqm_drop_prob_ppm: EpochHistogram,
-    shared_offered_bytes: EpochCounter,
-    shared_delivered_bytes: EpochCounter,
-    shared_dropped_bytes: EpochCounter,
-    aqm_dropped_packets: EpochCounter,
-    aqm_marked_packets: EpochCounter,
+mpdash_obs::signal_table! {
+    /// A queue signal, beside its registry and epoch names. A registry
+    /// row enters the snapshot when first written, so a bottleneck that
+    /// never marks a packet has no `aqm_marked_packets` row.
+    enum Sig in SIGNALS {
+        QueueDepthBytes   = histogram(Some("queue_depth_bytes"), Some("queue_depth_bytes")),
+        QueueWaitMs       = histogram(Some("queue_wait_ms"),     Some("queue_wait_ms")),
+        AqmDropProbPpm    = histogram(None,                      Some("aqm_drop_prob_ppm")),
+        OfferedBytes      = counter(None,                        Some("shared_offered_bytes")),
+        DeliveredBytes    = counter(None,                        Some("shared_delivered_bytes")),
+        DroppedBytes      = counter(None,                        Some("shared_dropped_bytes")),
+        AqmDroppedPackets = counter(Some("aqm_dropped_packets"), Some("aqm_dropped_packets")),
+        AqmMarkedPackets  = counter(Some("aqm_marked_packets"),  Some("aqm_marked_packets")),
+    }
 }
 
 struct Inner {
@@ -354,9 +343,8 @@ struct Inner {
     /// Dequeue-time AQM drops (CoDel) awaiting routing by the fleet
     /// loop. Stays empty — and never allocates — without an AQM.
     pending_drops: Vec<SharedDrop>,
-    metrics: MetricsRegistry,
-    signals: Signals,
-    telemetry: Option<Telemetry>,
+    /// The queue signals: observe-only.
+    signals: SignalRecorder,
 }
 
 impl Inner {
@@ -441,29 +429,14 @@ impl Inner {
         let fl = &mut self.flows[flow].stats;
         fl.dropped_bytes += size;
         fl.dropped_packets += 1;
-        self.metrics
-            .counter_add(self.signals.aqm_dropped_packets, 1);
-        if let Some(t) = &mut self.telemetry {
-            t.series.counter_add(now, t.shared_dropped_bytes, size);
-            t.series.counter_add(now, t.aqm_dropped_packets, 1);
-        }
+        self.signals.add(now, Sig::DroppedBytes as usize, size);
+        self.signals.add(now, Sig::AqmDroppedPackets as usize, 1);
     }
 
     /// Count one ECN mark.
     fn count_mark(&mut self, now: SimTime) {
         self.marked_packets += 1;
-        self.metrics.counter_add(self.signals.aqm_marked_packets, 1);
-        if let Some(t) = &mut self.telemetry {
-            t.series.counter_add(now, t.aqm_marked_packets, 1);
-        }
-    }
-
-    /// Record the controller's drop probability after it absorbed a
-    /// departure sample (telemetry only).
-    fn observe_prob(&mut self, now: SimTime, ppm: u64) {
-        if let Some(t) = &mut self.telemetry {
-            t.series.histogram_observe(now, t.aqm_drop_prob_ppm, ppm);
-        }
+        self.signals.add(now, Sig::AqmMarkedPackets as usize, 1);
     }
 }
 
@@ -509,13 +482,6 @@ impl SharedBottleneck {
                 Some(AqmState::Codel(Codel::new(a)))
             }
         };
-        let mut metrics = MetricsRegistry::new();
-        let signals = Signals {
-            queue_depth_bytes: metrics.histogram("queue_depth_bytes"),
-            queue_wait_ms: metrics.histogram("queue_wait_ms"),
-            aqm_dropped_packets: metrics.counter("aqm_dropped_packets"),
-            aqm_marked_packets: metrics.counter("aqm_marked_packets"),
-        };
         SharedBottleneck {
             inner: Rc::new(RefCell::new(Inner {
                 cfg,
@@ -539,9 +505,7 @@ impl SharedBottleneck {
                 marked_packets: 0,
                 aqm,
                 pending_drops: Vec::new(),
-                metrics,
-                signals,
-                telemetry: None,
+                signals: SignalRecorder::new(SIGNALS, None),
             })),
         }
     }
@@ -594,9 +558,7 @@ impl SharedBottleneck {
             let fl = &mut g.flows[flow].stats;
             fl.dropped_bytes += size;
             fl.dropped_packets += 1;
-            if let Some(t) = &mut g.telemetry {
-                t.series.counter_add(now, t.shared_dropped_bytes, size);
-            }
+            g.signals.add(now, Sig::DroppedBytes as usize, size);
             return SharedOutcome::Dropped(DropReason::QueueOverflow);
         }
 
@@ -658,12 +620,8 @@ impl SharedBottleneck {
             }
         }
         let depth = g.occupancy();
-        g.metrics
-            .histogram_observe(g.signals.queue_depth_bytes, depth);
-        if let Some(t) = &mut g.telemetry {
-            t.series.histogram_observe(now, t.queue_depth_bytes, depth);
-            t.series.counter_add(now, t.shared_offered_bytes, size);
-        }
+        g.signals.observe(now, Sig::QueueDepthBytes as usize, depth);
+        g.signals.add(now, Sig::OfferedBytes as usize, size);
         SharedOutcome::Queued { ticket }
     }
 
@@ -695,14 +653,9 @@ impl SharedBottleneck {
             fl.delivered_packets += 1;
         }
         let waited_ms = waited.as_millis_f64() as u64;
-        g.metrics
-            .histogram_observe(g.signals.queue_wait_ms, waited_ms);
-        if let Some(t) = &mut g.telemetry {
-            t.series
-                .histogram_observe(done.depart_at, t.queue_wait_ms, waited_ms);
-            t.series
-                .counter_add(done.depart_at, t.shared_delivered_bytes, done.size);
-        }
+        let now = done.depart_at;
+        g.signals.observe(now, Sig::QueueWaitMs as usize, waited_ms);
+        g.signals.add(now, Sig::DeliveredBytes as usize, done.size);
         // Feed the departure's sojourn to PIE (its queue-delay
         // estimator) and expose the updated probability to telemetry.
         if g.aqm.is_some() {
@@ -719,13 +672,12 @@ impl SharedBottleneck {
                 Some(AqmState::Codel(_)) | None => None,
             };
             if let Some(ppm) = ppm {
-                g.observe_prob(done.depart_at, ppm);
+                g.signals.observe(now, Sig::AqmDropProbPpm as usize, ppm);
             }
         }
         // The server runs on: next packet starts exactly at this
         // departure instant. CoDel vets each candidate's sojourn at
         // this service-start and may condemn several in a row.
-        let now = done.depart_at;
         while let Some((flow, pkt)) = g.dequeue_next() {
             g.waiting_bytes -= pkt.size;
             g.waiting_packets -= 1;
@@ -824,7 +776,7 @@ impl SharedBottleneck {
     /// Snapshot of the bottleneck's metrics: the `queue_depth_bytes` and
     /// `queue_wait_ms` histograms.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.lock().metrics.snapshot()
+        self.lock().signals.snapshot()
     }
 
     /// Start rolling queue signals (`queue_depth_bytes`, `queue_wait_ms`
@@ -832,24 +784,13 @@ impl SharedBottleneck {
     /// virtual-time epochs. Observe-only: enabling telemetry changes no
     /// scheduling decision and no artifact byte.
     pub fn enable_telemetry(&self, spec: TelemetrySpec) {
-        let mut series = EpochSeries::new(spec);
-        self.lock().telemetry = Some(Telemetry {
-            queue_depth_bytes: series.histogram("queue_depth_bytes"),
-            queue_wait_ms: series.histogram("queue_wait_ms"),
-            aqm_drop_prob_ppm: series.histogram("aqm_drop_prob_ppm"),
-            shared_offered_bytes: series.counter("shared_offered_bytes"),
-            shared_delivered_bytes: series.counter("shared_delivered_bytes"),
-            shared_dropped_bytes: series.counter("shared_dropped_bytes"),
-            aqm_dropped_packets: series.counter("aqm_dropped_packets"),
-            aqm_marked_packets: series.counter("aqm_marked_packets"),
-            series,
-        });
+        self.lock().signals.enable_telemetry(spec);
     }
 
-    /// Clone of the epoch rollups, if telemetry is enabled (settled: a
-    /// clone includes every write made so far).
+    /// A copy of the epoch rollups with every write so far, if telemetry
+    /// is enabled.
     pub fn epoch_series(&self) -> Option<EpochSeries> {
-        self.lock().telemetry.as_ref().map(|t| t.series.clone())
+        self.lock().signals.epochs()
     }
 }
 

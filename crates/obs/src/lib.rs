@@ -18,6 +18,8 @@
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — named counters and
 //!   log-scale histograms with deterministic (insertion) ordering,
 //!   snapshotted into session reports and JSON artifacts.
+//! * [`Signal`] / [`SignalRecorder`] — an observing layer's static table
+//!   of signals, each written by row to the registry and the epochs.
 //! * [`EpochSeries`] / [`TelemetrySpec`] — fixed virtual-time epoch
 //!   rollups whose `merge` is associative and commutative to the bit,
 //!   so shard-local series combine identically at any `MPDASH_WORKERS`.
@@ -34,16 +36,15 @@
 pub mod env;
 pub mod event;
 pub mod metrics;
+pub mod signal;
 pub mod sink;
 pub mod timeseries;
 pub mod watchdog;
 
 pub use env::RunEnv;
 pub use event::TraceEvent;
-pub use metrics::{
-    HistogramSnapshot, LogHistogram, MetricCounter, MetricHistogram, MetricsRegistry,
-    MetricsSnapshot,
-};
+pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
+pub use signal::{Kind, Signal, SignalRecorder};
 pub use sink::{NdjsonSink, RingSink, TraceSink, Tracer};
-pub use timeseries::{EpochCell, EpochCounter, EpochHistogram, EpochSeries, TelemetrySpec};
+pub use timeseries::{EpochCell, EpochSeries, TelemetrySpec};
 pub use watchdog::{ConservationCounters, InvariantViolation, Watchdog};

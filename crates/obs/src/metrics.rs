@@ -87,58 +87,27 @@ impl LogHistogram {
     }
 }
 
-/// A counter of one [`MetricsRegistry`], from
-/// [`MetricsRegistry::counter`]. Only meaningful on that registry.
-#[derive(Clone, Copy, Debug)]
-pub struct MetricCounter(usize);
-
-/// A histogram of one [`MetricsRegistry`], from
-/// [`MetricsRegistry::histogram`]. Only meaningful on that registry.
-#[derive(Clone, Copy, Debug)]
-pub struct MetricHistogram(usize);
-
-/// A handle's row in its registry's `Vec` before its first write.
-const UNREGISTERED: usize = usize::MAX;
-
 /// `name`'s row in `rows`, appended at `T::default()` if it has none.
-fn row_of<T: Default>(rows: &mut Vec<(String, T)>, name: &str) -> usize {
-    rows.iter().position(|(k, _)| k == name).unwrap_or_else(|| {
-        rows.push((name.to_string(), T::default()));
-        rows.len() - 1
-    })
+pub(crate) fn row_of<T: Default>(rows: &mut Vec<(&'static str, T)>, name: &'static str) -> usize {
+    rows.iter()
+        .position(|(k, _)| *k == name)
+        .unwrap_or_else(|| {
+            rows.push((name, T::default()));
+            rows.len() - 1
+        })
 }
 
-/// Handle `h`'s row in `rows`: remembered, or found by name on its first
-/// write.
-#[inline]
-fn handle_row<T: Default>(
-    handles: &mut [(&'static str, usize)],
-    rows: &mut Vec<(String, T)>,
-    h: usize,
-) -> usize {
-    let (name, row) = handles[h];
-    if row != UNREGISTERED {
-        return row;
-    }
-    handles[h].1 = row_of(rows, name);
-    handles[h].1
-}
-
-/// Mutable registry filled during a run. By-name lookups are linear
-/// over a small `Vec` — sessions register a dozen names, not thousands —
-/// which buys insertion-ordered, hash-free determinism. A per-packet
-/// writer resolves a [`MetricCounter`] / [`MetricHistogram`] once and
-/// then pays an index, not a string search. Either way a name enters
-/// the registry — and takes its place in the snapshot's order — when it
-/// is first *written*, never when a handle is resolved.
+/// Mutable registry filled during a run. Lookups by name are linear
+/// over a small `Vec` — a session registers a few dozen names, not
+/// thousands — which buys insertion-ordered, hash-free determinism. A
+/// [`SignalRecorder`](crate::SignalRecorder) finds each row of its
+/// table once and then pays an index. Either way a name enters the
+/// registry — and takes its place in the snapshot's order — when it is
+/// first *written*.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, LogHistogram)>,
-    /// Per handle: its name and its row in `counters`, [`UNREGISTERED`]
-    /// until its first write.
-    counter_handles: Vec<(&'static str, usize)>,
-    histogram_handles: Vec<(&'static str, usize)>,
+    pub(crate) counters: Vec<(&'static str, u64)>,
+    pub(crate) histograms: Vec<(&'static str, LogHistogram)>,
 }
 
 impl MetricsRegistry {
@@ -148,57 +117,30 @@ impl MetricsRegistry {
     }
 
     /// Add `n` to the named counter, creating it at zero first.
-    pub fn add(&mut self, name: &str, n: u64) {
+    pub fn add(&mut self, name: &'static str, n: u64) {
         let row = row_of(&mut self.counters, name);
         self.counters[row].1 += n;
     }
 
     /// Increment the named counter by one.
-    pub fn inc(&mut self, name: &str) {
+    pub fn inc(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
     /// Record `value` into the named log-scale histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
+    pub fn observe(&mut self, name: &'static str, value: u64) {
         let row = row_of(&mut self.histograms, name);
-        self.histograms[row].1.observe(value);
-    }
-
-    /// A handle for the named counter. Registers nothing: the counter
-    /// appears in the snapshot once [`Self::counter_add`] first writes it.
-    pub fn counter(&mut self, name: &'static str) -> MetricCounter {
-        self.counter_handles.push((name, UNREGISTERED));
-        MetricCounter(self.counter_handles.len() - 1)
-    }
-
-    /// A handle for the named histogram; see [`Self::counter`].
-    pub fn histogram(&mut self, name: &'static str) -> MetricHistogram {
-        self.histogram_handles.push((name, UNREGISTERED));
-        MetricHistogram(self.histogram_handles.len() - 1)
-    }
-
-    /// [`Self::add`] through a handle.
-    #[inline]
-    pub fn counter_add(&mut self, c: MetricCounter, n: u64) {
-        let row = handle_row(&mut self.counter_handles, &mut self.counters, c.0);
-        self.counters[row].1 += n;
-    }
-
-    /// [`Self::observe`] through a handle.
-    #[inline]
-    pub fn histogram_observe(&mut self, h: MetricHistogram, value: u64) {
-        let row = handle_row(&mut self.histogram_handles, &mut self.histograms, h.0);
         self.histograms[row].1.observe(value);
     }
 
     /// Freeze into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| (name.clone(), h.snapshot()))
+            counters: (self.counters.iter())
+                .map(|&(name, n)| (name.to_string(), n))
+                .collect(),
+            histograms: (self.histograms.iter())
+                .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
         }
     }

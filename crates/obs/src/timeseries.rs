@@ -24,25 +24,15 @@
 //! rollup is observe-only and byte-invariant under wall-clock jitter,
 //! worker count, and whether any other observer is attached.
 //!
-//! **When names are resolved, when cells are written.** A per-packet or
-//! per-tick writer resolves each signal once, when its series is built
-//! ([`EpochSeries::counter`] / [`EpochSeries::histogram`]), and then
-//! writes through the handle: two compares against the open epoch's
-//! cached `[lo, hi)` and an add into a handle-indexed slot — no division,
-//! no string compare. The slots are folded into the sorted, name-keyed
-//! [`EpochCell`] once per (signal, epoch): when a handle write lands in
-//! another epoch, on [`EpochSeries::flush`], and — through a settled copy
-//! — before any clone, comparison, merge or render, so no reader ever
-//! sees a series short of its pending writes. A slot that was never
-//! written adds no key. [`EpochSeries::add`] / [`EpochSeries::observe`]
-//! are the resolve-by-name entry point: they search the cell directly,
-//! and since every aggregate is a `u64` sum they commute with handle
-//! writes on the same series.
+//! A per-packet or per-tick writer does not search a cell per write: a
+//! [`SignalRecorder`](crate::SignalRecorder) keeps the open epoch's
+//! writes in slots and folds them into its series once per (signal,
+//! epoch). [`EpochSeries::add`] / [`EpochSeries::observe`] write by name,
+//! straight into the cell.
 
 use crate::metrics::LogHistogram;
 use mpdash_results::Json;
 use mpdash_sim::{SimDuration, SimTime};
-use std::borrow::Cow;
 
 /// Telemetry configuration: the epoch width of every series in a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +92,7 @@ static EMPTY_CELL: EpochCell = EpochCell {
 };
 
 impl EpochCell {
-    fn add(&mut self, name: &'static str, n: u64) {
+    pub(crate) fn add(&mut self, name: &'static str, n: u64) {
         match self.counters.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.counters[i].1 += n,
             Err(i) => self.counters.insert(i, (name, n)),
@@ -145,7 +135,7 @@ impl EpochCell {
         }
     }
 
-    fn merge_histogram(&mut self, name: &'static str, h: &LogHistogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &'static str, h: &LogHistogram) {
         match self.histograms.binary_search_by(|(k, _)| k.cmp(&name)) {
             Ok(i) => self.histograms[i].1.merge(h),
             Err(i) => self.histograms.insert(i, (name, h.clone())),
@@ -185,16 +175,6 @@ impl EpochCell {
         ])
     }
 }
-
-/// A counter of one [`EpochSeries`], from [`EpochSeries::counter`]. Only
-/// meaningful on that series and its clones.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochCounter(usize);
-
-/// A histogram of one [`EpochSeries`], from [`EpochSeries::histogram`].
-/// Only meaningful on that series and its clones.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochHistogram(usize);
 
 /// The stored cells of a series: those of epochs `first..first + len`.
 /// Every epoch before `first` recorded nothing, so a viewer who joins at
@@ -258,22 +238,11 @@ impl Cells {
 /// A series of [`EpochCell`]s over virtual time, read as dense from
 /// epoch 0 up to the last epoch that recorded anything; it stores cells
 /// only from the first epoch that recorded anything on. See the module
-/// docs for the merge-determinism contract and for how handle writes
-/// reach the cells.
-#[derive(Debug)]
+/// docs for the merge-determinism contract.
+#[derive(Clone, Debug)]
 pub struct EpochSeries {
     epoch: SimDuration,
     cells: Cells,
-    /// Handle writes not yet in `cells`: all of them belong to epoch
-    /// `open`, which covers `[lo, hi)` ns (`lo == hi` before the first).
-    open: usize,
-    lo: u64,
-    hi: u64,
-    /// Per counter handle: its name, whether it was written, the sum.
-    counters: Vec<(&'static str, bool, u64)>,
-    /// Per histogram handle: its name and what it observed (`count() > 0`
-    /// = written).
-    histograms: Vec<(&'static str, LogHistogram)>,
 }
 
 impl EpochSeries {
@@ -283,11 +252,6 @@ impl EpochSeries {
         EpochSeries {
             epoch: spec.epoch,
             cells: Cells::default(),
-            open: 0,
-            lo: 0,
-            hi: 0,
-            counters: Vec::new(),
-            histograms: Vec::new(),
         }
     }
 
@@ -297,7 +261,7 @@ impl EpochSeries {
     }
 
     /// The epoch index covering virtual time `t`.
-    pub(crate) fn index_of(&self, t: SimTime) -> usize {
+    fn index_of(&self, t: SimTime) -> usize {
         (t.as_nanos() / self.epoch.as_nanos()) as usize
     }
 
@@ -313,108 +277,33 @@ impl EpochSeries {
         self.cells.at(i).observe(name, value);
     }
 
-    /// A handle for the named counter. Adds no key: the counter appears
-    /// in an epoch only once [`Self::counter_add`] writes it there.
-    pub fn counter(&mut self, name: &'static str) -> EpochCounter {
-        self.counters.push((name, false, 0));
-        EpochCounter(self.counters.len() - 1)
+    /// Epoch `i`'s cell, stored from now on.
+    pub(crate) fn cell(&mut self, i: usize) -> &mut EpochCell {
+        self.cells.at(i)
     }
 
-    /// A handle for the named histogram; see [`Self::counter`].
-    pub fn histogram(&mut self, name: &'static str) -> EpochHistogram {
-        self.histograms.push((name, LogHistogram::default()));
-        EpochHistogram(self.histograms.len() - 1)
-    }
-
-    /// Make `t`'s epoch the open one.
-    #[inline]
-    fn open_at(&mut self, t: SimTime) {
-        let ns = t.as_nanos();
-        if ns < self.lo || ns >= self.hi {
-            self.reopen(ns);
-        }
-    }
-
-    /// Fold the open epoch's pending writes into its cell and size that
-    /// cell to what it holds, then open the epoch covering `ns`.
-    #[cold]
-    fn reopen(&mut self, ns: u64) {
-        self.flush();
-        if let Some(cell) = self.cells.get_mut(self.open) {
+    /// Size epoch `i`'s cell, if stored, to what it holds: the epoch has
+    /// closed.
+    pub(crate) fn close(&mut self, i: usize) {
+        if let Some(cell) = self.cells.get_mut(i) {
             cell.shrink_to_fit();
-        }
-        let width = self.epoch.as_nanos();
-        self.open = (ns / width) as usize;
-        self.lo = ns - ns % width;
-        self.hi = self.lo.saturating_add(width);
-    }
-
-    /// [`Self::add`] through a handle.
-    #[inline]
-    pub fn counter_add(&mut self, t: SimTime, c: EpochCounter, n: u64) {
-        self.open_at(t);
-        let slot = &mut self.counters[c.0];
-        slot.1 = true;
-        slot.2 += n;
-    }
-
-    /// [`Self::observe`] through a handle.
-    #[inline]
-    pub fn histogram_observe(&mut self, t: SimTime, h: EpochHistogram, value: u64) {
-        self.open_at(t);
-        self.histograms[h.0].1.observe(value);
-    }
-
-    /// Fold every pending handle write into its epoch's cell. Cheap when
-    /// nothing is pending; the owner of a series calls it before handing
-    /// the series on.
-    pub fn flush(&mut self) {
-        for (name, written, n) in &mut self.counters {
-            if std::mem::take(written) {
-                self.cells.at(self.open).add(name, std::mem::take(n));
-            }
-        }
-        for (name, h) in &mut self.histograms {
-            if h.count() > 0 {
-                self.cells.at(self.open).merge_histogram(name, h);
-                h.clear();
-            }
-        }
-    }
-
-    fn has_pending(&self) -> bool {
-        self.counters.iter().any(|&(_, written, _)| written)
-            || self.histograms.iter().any(|(_, h)| h.count() > 0)
-    }
-
-    /// `self` with nothing pending: itself, or a flushed copy.
-    fn settled(&self) -> Cow<'_, EpochSeries> {
-        if self.has_pending() {
-            Cow::Owned(self.clone())
-        } else {
-            Cow::Borrowed(self)
         }
     }
 
     /// Number of epochs (index of the last touched epoch + 1).
     pub fn n_epochs(&self) -> usize {
-        self.settled().cells.n_epochs()
+        self.cells.n_epochs()
     }
 
     /// Iterate `(epoch index, cell)` from epoch 0: an epoch that recorded
     /// nothing yields an empty cell.
-    ///
-    /// # Panics
-    /// If handle writes are pending — a borrowed cell cannot include
-    /// them; [`Self::flush`] (or clone) first.
     pub fn cells(&self) -> impl Iterator<Item = (usize, &EpochCell)> {
-        assert!(!self.has_pending(), "flush() the series before cells()");
         self.cells.dense().enumerate()
     }
 
     /// The named counter summed over all epochs.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.settled().cells.dense().map(|c| c.counter(name)).sum()
+        self.cells.dense().map(|c| c.counter(name)).sum()
     }
 
     /// Merge `other` into `self`, epoch by epoch. Associative and
@@ -429,8 +318,7 @@ impl EpochSeries {
             self.epoch, other.epoch,
             "cannot merge series with different epoch widths"
         );
-        self.flush();
-        self.cells.merge(&other.settled().cells);
+        self.cells.merge(&other.cells);
     }
 
     /// Deterministic JSON encoding: the epoch width plus one object per
@@ -442,41 +330,17 @@ impl EpochSeries {
             ("epoch_s", Json::Float(self.epoch.as_secs_f64())),
             (
                 "epochs",
-                Json::arr(self.settled().cells.dense().map(EpochCell::to_json)),
+                Json::arr(self.cells.dense().map(EpochCell::to_json)),
             ),
         ])
     }
 }
 
-impl Clone for EpochSeries {
-    /// A settled copy: pending handle writes are in the copy's cells.
-    /// Handles resolved on `self` work on the copy.
-    fn clone(&self) -> Self {
-        let mut copy = EpochSeries {
-            epoch: self.epoch,
-            cells: self.cells.clone(),
-            open: self.open,
-            lo: self.lo,
-            hi: self.hi,
-            counters: self.counters.clone(),
-            histograms: self.histograms.clone(),
-        };
-        copy.flush();
-        copy
-    }
-}
-
 impl PartialEq for EpochSeries {
-    /// Equal when the same things were recorded — however they were
-    /// written, whatever is still pending, whichever handles exist, from
-    /// whichever epoch each stores its cells.
+    /// Equal when the same things were recorded, from whichever epoch
+    /// each stores its cells.
     fn eq(&self, other: &EpochSeries) -> bool {
-        self.epoch == other.epoch
-            && self
-                .settled()
-                .cells
-                .dense()
-                .eq(other.settled().cells.dense())
+        self.epoch == other.epoch && self.cells.dense().eq(other.cells.dense())
     }
 }
 
@@ -565,13 +429,11 @@ mod tests {
     #[test]
     fn a_closed_epochs_cell_keeps_no_spare_room() {
         let mut s = EpochSeries::new(spec2());
-        let names = ["a", "b", "c", "d", "e"].map(|n| s.counter(n));
-        let h = s.histogram("h");
-        for c in names {
-            s.counter_add(t(0), c, 1);
+        for name in ["a", "b", "c", "d", "e"] {
+            s.add(t(0), name, 1);
         }
-        s.histogram_observe(t(0), h, 1 << 20);
-        s.counter_add(t(2), names[0], 1); // closes epoch 0
+        s.observe(t(0), "h", 1 << 20);
+        s.close(0);
         let cell = &s.cells.cells[0];
         assert_eq!(cell.counters.capacity(), cell.counters.len());
         assert_eq!(cell.histograms.capacity(), 1);
@@ -616,42 +478,5 @@ mod tests {
         let mut a = EpochSeries::new(spec2());
         let b = EpochSeries::new(TelemetrySpec::default());
         a.merge(&b);
-    }
-
-    #[test]
-    fn handle_writes_reach_the_cells_before_any_read() {
-        let mut s = EpochSeries::new(spec2());
-        let chunks = s.counter("chunks");
-        s.counter("never"); // resolved, never written: adds no key
-        let buffer = s.histogram("buffer_ms");
-        s.counter_add(t(0), chunks, 2);
-        s.histogram_observe(t(1), buffer, 900);
-        // Still pending: every `&self` read answers through a settled copy.
-        assert_eq!(s.n_epochs(), 1);
-        assert_eq!(s.counter_total("chunks"), 2);
-        s.counter_add(t(5), chunks, 0); // epoch 2: folds epoch 0, opens 2
-        let epoch0 = s.cells.dense().next().unwrap();
-        assert_eq!(epoch0.counter("chunks"), 2);
-        assert_eq!(epoch0.histogram("buffer_ms").unwrap().count(), 1);
-
-        let mut by_name = EpochSeries::new(spec2());
-        by_name.add(t(5), "chunks", 0); // a zero add still makes the key
-        by_name.observe(t(1), "buffer_ms", 900);
-        by_name.add(t(0), "chunks", 2);
-        assert_eq!(s, by_name);
-        assert_eq!(s.to_json().to_pretty(), by_name.to_json().to_pretty());
-        assert_eq!(s.clone().cells().count(), 3);
-        s.flush();
-        assert!(s.cells().all(|(_, c)| c.counter("never") == 0));
-        assert!(!s.to_json().to_pretty().contains("never"));
-    }
-
-    #[test]
-    #[should_panic(expected = "flush() the series before cells()")]
-    fn borrowing_cells_with_writes_pending_panics() {
-        let mut s = EpochSeries::new(spec2());
-        let chunks = s.counter("chunks");
-        s.counter_add(t(0), chunks, 1);
-        let _ = s.cells().count();
     }
 }

@@ -11,15 +11,18 @@
 //! * **shard identity** — replaying one event stream into N shard-local
 //!   series and merging them (in any shard order) serializes to exactly
 //!   the bytes of the single-shard replay;
-//! * **handle ≡ name** — a series (or registry) written through
-//!   pre-resolved handles, by name, or both mixed records exactly what
-//!   the by-name replay does: equal structurally with writes still
-//!   pending, equal on serialized bytes, and merge stays commutative;
+//! * **table row ≡ name** — a series (or registry) written through the
+//!   rows of a [`SignalRecorder`]'s table, by name, or both mixed records
+//!   exactly what the by-name replay does: equal structurally with
+//!   writes still pending, equal on serialized bytes, and merge stays
+//!   commutative;
 //! * **sparse ≡ dense** — a series stores cells only from its first
 //!   written epoch, yet shards that start hundreds of epochs apart,
 //!   merged in any order, read exactly like a dense model from epoch 0.
 
-use mpdash_obs::{EpochSeries, LogHistogram, MetricsRegistry, TelemetrySpec};
+use mpdash_obs::{
+    EpochSeries, Kind, LogHistogram, MetricsRegistry, Signal, SignalRecorder, TelemetrySpec,
+};
 use mpdash_results::Json;
 use mpdash_sim::{Prng, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -73,37 +76,53 @@ fn replay(spec: TelemetrySpec, events: &[Event]) -> EpochSeries {
     s
 }
 
-/// [`replay`], but every event whose `via_handle` draw says so goes
-/// through a handle. Handles are resolved up front in an order drawn
-/// from `seed` (so handle numbering differs between series), and a
-/// quarter of the counter adds are zero-valued.
+/// A table with a counter and a histogram row for each of [`NAMES`], in
+/// an order drawn from `rng`, so row numbering differs between tables;
+/// and each name's two rows.
+fn shuffled_table(rng: &mut Prng) -> (&'static [Signal], [(usize, usize); NAMES.len()]) {
+    let mut rows: Vec<Signal> = (NAMES.iter())
+        .flat_map(|&n| {
+            [
+                Signal::counter(Some(n), Some(n)),
+                Signal::histogram(Some(n), Some(n)),
+            ]
+        })
+        .collect();
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    let row = |name, histogram: bool| {
+        (rows.iter())
+            .position(|s| s.metric == Some(name) && (s.kind == Kind::Histogram) == histogram)
+            .expect("every name has both rows")
+    };
+    let rows_of = NAMES.map(|n| (row(n, false), row(n, true)));
+    (Vec::leak(rows), rows_of)
+}
+
+/// [`replay`] into a recorder's series, but every event whose draw says
+/// so goes through its table row, in a table shuffled by `seed`; a
+/// quarter of the counter adds are zero-valued. Row writes stay pending.
 fn replay_mixed(
     spec: TelemetrySpec,
     events: &[Event],
     seed: u64,
-    handle_share: u64,
-) -> EpochSeries {
+    row_share: u64,
+) -> SignalRecorder {
     let mut rng = Prng::new(seed);
-    let mut s = EpochSeries::new(spec);
-    let mut order: Vec<usize> = (0..NAMES.len()).collect();
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.next_below(i as u64 + 1) as usize);
-    }
-    let mut handles = [None; NAMES.len()];
-    for i in order {
-        handles[i] = Some((s.counter(NAMES[i]), s.histogram(NAMES[i])));
-    }
+    let (table, rows) = shuffled_table(&mut rng);
+    let mut rec = SignalRecorder::new(table, Some(spec));
     for e in events {
-        let (counter, histogram) =
-            handles[NAMES.iter().position(|&n| n == e.name).unwrap()].unwrap();
-        match (e.histogram, rng.next_below(4) < handle_share) {
-            (true, true) => s.histogram_observe(e.at, histogram, e.value),
-            (true, false) => s.observe(e.at, e.name, e.value),
-            (false, true) => s.counter_add(e.at, counter, e.value),
-            (false, false) => s.add(e.at, e.name, e.value),
+        let (counter, histogram) = rows[NAMES.iter().position(|&n| n == e.name).unwrap()];
+        let by_name = rec.epochs_mut().expect("telemetry on");
+        match (e.histogram, rng.next_below(4) < row_share) {
+            (true, true) => rec.observe(e.at, histogram, e.value),
+            (true, false) => by_name.observe(e.at, e.name, e.value),
+            (false, true) => rec.add(e.at, counter, e.value),
+            (false, false) => by_name.add(e.at, e.name, e.value),
         }
     }
-    s
+    rec
 }
 
 /// `events`, with a quarter of the values zeroed: a zero add must still
@@ -318,10 +337,10 @@ proptest! {
             "descending shard merge diverged from single-shard bytes");
     }
 
-    /// Handle-written, mixed and by-name series record the same thing:
-    /// equal as values while the handle writes are still pending, equal
-    /// on rendered bytes, and interchangeable under `merge`. Times are
-    /// not monotone, so the open epoch moves back and forth.
+    /// Row-written, mixed and by-name series record the same thing:
+    /// equal as values while the row writes are still pending, equal on
+    /// rendered bytes, and interchangeable under `merge`. Times are not
+    /// monotone, so the open epoch moves back and forth.
     #[test]
     fn handle_written_series_equal_by_name_series(
         seed_a in 0u64..1_000_000,
@@ -333,9 +352,10 @@ proptest! {
         let (stream_a, stream_b) = (events_with_zeros(seed_a, n), events_with_zeros(seed_b, n / 2 + 1));
         let by_name = replay(spec, &stream_a);
         let want = by_name.to_json().to_pretty();
-        for (order_seed, handle_share) in [(seed_a, 4), (seed_b, 4), (seed_a, 2), (seed_b, 1)] {
-            let got = replay_mixed(spec, &stream_a, order_seed, handle_share);
-            prop_assert_eq!(&got, &by_name, "handle share {}/4", handle_share);
+        for (order_seed, row_share) in [(seed_a, 4), (seed_b, 4), (seed_a, 2), (seed_b, 1)] {
+            let rec = replay_mixed(spec, &stream_a, order_seed, row_share);
+            let got = rec.epochs().expect("telemetry on");
+            prop_assert_eq!(&got, &by_name, "row share {}/4", row_share);
             prop_assert_eq!(got.to_json().to_pretty(), want.clone());
             prop_assert_eq!(got.n_epochs(), by_name.n_epochs());
             prop_assert_eq!(got.counter_total("chunks"), by_name.counter_total("chunks"));
@@ -344,10 +364,12 @@ proptest! {
         // Merge, with writes pending on both sides, in both orders.
         let a = replay_mixed(spec, &stream_a, seed_b, 4);
         let b = replay_mixed(spec, &stream_b, seed_a, 3);
+        let [a, b] = [&a, &b].map(|r| r.epochs().expect("telemetry on"));
         let mut ab = a.clone();
         ab.merge(&b);
-        let mut ba = replay_mixed(spec, &stream_b, seed_b, 2);
-        ba.merge(&a);
+        let mut rec_ba = replay_mixed(spec, &stream_b, seed_b, 2);
+        rec_ba.epochs_mut().expect("telemetry on").merge(&a);
+        let ba = rec_ba.take_epochs().expect("telemetry on");
         let mut named = by_name.clone();
         named.merge(&replay(spec, &stream_b));
         prop_assert_eq!(&ab, &ba, "series merge is not commutative");
@@ -405,32 +427,27 @@ proptest! {
         prop_assert_eq!(shards[0].to_json().to_pretty(), alone.to_json(spec).to_pretty());
     }
 
-    /// A registry written through handles snapshots exactly like one
+    /// A registry written through table rows snapshots exactly like one
     /// written by name — same values, same order: a name takes its place
-    /// when first written, not when its handle is resolved.
+    /// when first written, not when its table is built.
     #[test]
     fn handle_written_registry_equals_by_name_registry(
         seed in 0u64..1_000_000,
         n in 0usize..120,
-        handle_share in 1u64..5,
+        row_share in 1u64..5,
     ) {
         let stream = events_with_zeros(seed, n);
         let mut by_name = MetricsRegistry::new();
-        let mut mixed = MetricsRegistry::new();
-        // Resolved in reverse: resolution order must not show.
-        let handles: Vec<_> = NAMES
-            .iter()
-            .rev()
-            .map(|&name| (mixed.counter(name), mixed.histogram(name)))
-            .collect();
         let mut rng = Prng::new(seed);
+        let (table, rows) = shuffled_table(&mut rng);
+        let mut mixed = SignalRecorder::new(table, None);
         for e in &stream {
-            let i = NAMES.iter().rev().position(|&n| n == e.name).unwrap();
-            match (e.histogram, rng.next_below(4) < handle_share) {
-                (true, true) => mixed.histogram_observe(handles[i].1, e.value),
-                (true, false) => mixed.observe(e.name, e.value),
-                (false, true) => mixed.counter_add(handles[i].0, e.value),
-                (false, false) => mixed.add(e.name, e.value),
+            let (counter, histogram) = rows[NAMES.iter().position(|&n| n == e.name).unwrap()];
+            match (e.histogram, rng.next_below(4) < row_share) {
+                (true, true) => mixed.observe(e.at, histogram, e.value),
+                (true, false) => mixed.metrics_mut().observe(e.name, e.value),
+                (false, true) => mixed.add(e.at, counter, e.value),
+                (false, false) => mixed.metrics_mut().add(e.name, e.value),
             }
             if e.histogram {
                 by_name.observe(e.name, e.value);

@@ -1,148 +1,99 @@
 //! [`Recorder`]: everything a session observes about itself, behind one
 //! call per outcome.
 //!
-//! A session outcome (a cache hit, a retry, a deadline miss) can show up
-//! in three places: a field of the report's [`LifecycleStats`] /
-//! [`OriginStats`], a named counter in the [`MetricsRegistry`] snapshot,
-//! and a per-epoch telemetry counter. [`Recorder::count`] updates all of
-//! them from the one table in this file ([`SIGNALS`]), so a name is
-//! spelled once — and compared never: [`Recorder::new`] resolves every
-//! name to a handle. Counters still enter the registry when first
-//! *counted* and that order is part of `summary_json`, so call sites keep
-//! their relative order.
+//! A session signal (a cache hit, a retry, a chunk's size, the buffer
+//! level) can show up in three places: a field of the report's
+//! [`LifecycleStats`] / [`OriginStats`], a named row of the registry
+//! snapshot, and a per-epoch telemetry row. [`SIGNALS`] names each
+//! signal's registry and epoch rows once; [`Recorder::count`] and
+//! [`Recorder::observe`] write them by row, and `count` updates the
+//! report field too. Rows still enter the registry when first written
+//! and that order is part of `summary_json`, so call sites keep their
+//! relative order.
 
 use crate::report::{LifecycleStats, OriginStats};
 use mpdash_dash::player::Player;
 use mpdash_link::PathId;
 use mpdash_mptcp::MptcpSim;
-use mpdash_obs::{
-    EpochCounter, EpochHistogram, EpochSeries, MetricCounter, MetricsRegistry, TelemetrySpec,
-    TraceEvent, Tracer,
-};
+use mpdash_obs::{SignalRecorder, TelemetrySpec, TraceEvent, Tracer};
 use mpdash_sim::SimTime;
 
-/// A countable session outcome. See [`Recorder::count`] for what each
-/// one updates.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Outcome {
-    DeadlineGranted,
-    DeadlineBypassed,
-    SchedulerToggle,
-    ChunkFetched,
-    DeadlineHit,
-    DeadlineMiss,
-    Departed,
-    Shed,
-    CacheHit,
-    CacheMiss,
-    CacheInsert,
-    Routed,
-    Failover,
-    BreakerOpen,
-    Hedge,
-    HedgeWonPrimary,
-    HedgeWonHedge,
-    RequestError,
-    Retried,
-    Timeout,
-    Abandoned,
-    Resumed,
-    WastedBytes,
+mpdash_obs::signal_table! {
+    /// A session signal, a countable outcome or a value it samples or
+    /// totals, beside its registry and epoch names. See
+    /// [`Recorder::count`] for the report field an outcome also updates.
+    pub(crate) enum Outcome in SIGNALS {
+        DeadlineGranted      = counter(Some("deadline_granted"),       None),
+        DeadlineBypassed     = counter(Some("deadline_bypassed"),      None),
+        SchedulerToggle      = counter(Some("scheduler_toggles"),      None),
+        ChunkFetched         = counter(Some("chunks_fetched"),         Some("chunks")),
+        DeadlineHit          = counter(Some("deadline_hits"),          Some("deadline_hits")),
+        DeadlineMiss         = counter(Some("deadline_misses"),        Some("deadline_misses")),
+        Departed             = counter(Some("departed"),               Some("departures")),
+        Shed                 = counter(Some("shed"),                   None),
+        CacheHit             = counter(Some("cache_hits"),             Some("cache_hits")),
+        CacheMiss            = counter(Some("cache_misses"),           Some("cache_misses")),
+        CacheInsert          = counter(Some("cache_insertions"),       None),
+        Routed               = counter(Some("origin_routed"),          None),
+        Failover             = counter(Some("origin_failovers"),       None),
+        BreakerOpen          = counter(Some("breaker_opens"),          Some("breaker_opens")),
+        Hedge                = counter(Some("hedges"),                 Some("hedges")),
+        HedgeWonPrimary      = counter(Some("hedge_wins_primary"),     None),
+        HedgeWonHedge        = counter(Some("hedge_wins_hedge"),       None),
+        RequestError         = counter(Some("request_errors"),         None),
+        Retried              = counter(Some("requests_retried"),       Some("retries")),
+        Timeout              = counter(Some("request_timeouts"),       Some("timeouts")),
+        Abandoned            = counter(Some("requests_abandoned"),     None),
+        Resumed              = counter(Some("requests_resumed"),       Some("resumes")),
+        WastedBytes          = counter(Some("wasted_bytes"),           Some("wasted_bytes")),
+        ChunkFetchMs         = histogram(Some("chunk_fetch_ms"),       None),
+        ChunkBytes           = histogram(Some("chunk_bytes"),          None),
+        ChunkBitrateKbps     = counter(None,                           Some("chunk_bitrate_kbps")),
+        Switch               = counter(None,                           Some("switches")),
+        WifiBytes            = counter(None,                           Some("wifi_bytes")),
+        CellBytes            = counter(None,                           Some("cell_bytes")),
+        StallMs              = counter(None,                           Some("stall_ms")),
+        BufferMs             = histogram(None,                         Some("buffer_ms")),
+        SchedulerToggleTotal = counter(Some("scheduler_toggle_total"), None),
+        SubflowFailures      = counter(Some("subflow_failures"),       None),
+        SubflowRevivals      = counter(Some("subflow_revivals"),       None),
+        Stalls               = counter(Some("stalls"),                 None),
+        LifecycleTimeouts    = counter(Some("lifecycle_timeouts"),     None),
+        LifecycleAbandoned   = counter(Some("lifecycle_abandoned"),    None),
+        LifecycleResumed     = counter(Some("lifecycle_resumed"),      None),
+        LifecycleRetried     = counter(Some("lifecycle_retried"),      None),
+    }
 }
 
-/// Per [`Outcome`], in declaration order (indexed by `outcome as usize`):
-/// its registry counter and, if it has one, its epoch counter.
-const SIGNALS: [(Outcome, &str, Option<&str>); 23] = {
-    use Outcome::*;
-    [
-        (DeadlineGranted, "deadline_granted", None),
-        (DeadlineBypassed, "deadline_bypassed", None),
-        (SchedulerToggle, "scheduler_toggles", None),
-        (ChunkFetched, "chunks_fetched", Some("chunks")),
-        (DeadlineHit, "deadline_hits", Some("deadline_hits")),
-        (DeadlineMiss, "deadline_misses", Some("deadline_misses")),
-        (Departed, "departed", Some("departures")),
-        (Shed, "shed", None),
-        (CacheHit, "cache_hits", Some("cache_hits")),
-        (CacheMiss, "cache_misses", Some("cache_misses")),
-        (CacheInsert, "cache_insertions", None),
-        (Routed, "origin_routed", None),
-        (Failover, "origin_failovers", None),
-        (BreakerOpen, "breaker_opens", Some("breaker_opens")),
-        (Hedge, "hedges", Some("hedges")),
-        (HedgeWonPrimary, "hedge_wins_primary", None),
-        (HedgeWonHedge, "hedge_wins_hedge", None),
-        (RequestError, "request_errors", None),
-        (Retried, "requests_retried", Some("retries")),
-        (Timeout, "request_timeouts", Some("timeouts")),
-        (Abandoned, "requests_abandoned", None),
-        (Resumed, "requests_resumed", Some("resumes")),
-        (WastedBytes, "wasted_bytes", Some("wasted_bytes")),
-    ]
-};
-
-/// Epoch-telemetry state: the session's rollup series plus the
-/// last-sampled cumulative values the 50 ms tick turns into per-epoch
-/// deltas (per-path bytes, stalled time).
-struct Telemetry {
-    series: EpochSeries,
-    /// [`SIGNALS`]' epoch column, resolved.
-    outcomes: [Option<EpochCounter>; SIGNALS.len()],
-    wifi_bytes: EpochCounter,
-    cell_bytes: EpochCounter,
-    stall_ms: EpochCounter,
-    buffer_ms: EpochHistogram,
-    last_wifi_bytes: u64,
-    last_cell_bytes: u64,
-    last_stall_ms: u64,
-}
-
-/// The session's trace sink, metrics registry, epoch telemetry and
-/// report counters. Strictly observe-only: it reads simulation state,
-/// never steers it.
+/// The session's trace sink, signals and report counters. Strictly
+/// observe-only: it reads simulation state, never steers it.
 pub(crate) struct Recorder {
     /// Observe-only structured trace: the config's tracer.
     pub tracer: Tracer,
-    /// Session-level counters/histograms, snapshotted into the report.
-    pub metrics: MetricsRegistry,
     /// Request-lifecycle counters for the report.
     pub lifecycle: LifecycleStats,
     /// Multi-origin serving counters for the report.
     pub origin: OriginStats,
-    /// [`SIGNALS`]' registry column, resolved.
-    outcomes: [MetricCounter; SIGNALS.len()],
-    telemetry: Option<Telemetry>,
+    /// [`SIGNALS`]' registry and, with telemetry on, epoch series.
+    pub signals: SignalRecorder,
+    /// WiFi bytes, cellular bytes and stalled milliseconds at the last
+    /// [`Self::sample`], which writes their growth since.
+    sampled: [u64; 3],
 }
 
 impl Recorder {
     pub(crate) fn new(tracer: Tracer, telemetry: Option<TelemetrySpec>) -> Self {
-        let mut metrics = MetricsRegistry::new();
         Recorder {
             tracer,
-            outcomes: SIGNALS.map(|(_, metric, _)| metrics.counter(metric)),
-            metrics,
             lifecycle: LifecycleStats::default(),
             origin: OriginStats::default(),
-            telemetry: telemetry.map(|spec| {
-                let mut series = EpochSeries::new(spec);
-                Telemetry {
-                    outcomes: SIGNALS.map(|(_, _, epoch)| epoch.map(|name| series.counter(name))),
-                    wifi_bytes: series.counter("wifi_bytes"),
-                    cell_bytes: series.counter("cell_bytes"),
-                    stall_ms: series.counter("stall_ms"),
-                    buffer_ms: series.histogram("buffer_ms"),
-                    series,
-                    last_wifi_bytes: 0,
-                    last_cell_bytes: 0,
-                    last_stall_ms: 0,
-                }
-            }),
+            signals: SignalRecorder::new(SIGNALS, telemetry),
+            sampled: [0; 3],
         }
     }
 
-    /// Record `n` of `what` at `now`: the report field (if it has one),
-    /// the registry counter, and the counter in `now`'s telemetry epoch
-    /// (if it has one and telemetry is on).
+    /// Record `n` of `what` at `now`: the report field (if it has one)
+    /// and the signal's rows.
     pub(crate) fn count(&mut self, now: SimTime, what: Outcome, n: u64) {
         use Outcome::*;
         let (l, o) = (&mut self.lifecycle, &mut self.origin);
@@ -161,18 +112,17 @@ impl Recorder {
             Abandoned => Some(&mut l.abandoned),
             Resumed => Some(&mut l.resumed),
             WastedBytes => Some(&mut l.wasted_bytes),
-            DeadlineGranted | DeadlineBypassed | SchedulerToggle | ChunkFetched | DeadlineHit
-            | DeadlineMiss | Departed | Shed | RequestError => None,
+            _ => None,
         };
         if let Some(field) = field {
             *field += n;
         }
-        self.metrics.counter_add(self.outcomes[what as usize], n);
-        if let Some(ts) = self.telemetry.as_mut() {
-            if let Some(epoch) = ts.outcomes[what as usize] {
-                ts.series.counter_add(now, epoch, n);
-            }
-        }
+        self.signals.add(now, what as usize, n);
+    }
+
+    /// Record `value` into histogram signal `what` at `now`.
+    pub(crate) fn observe(&mut self, now: SimTime, what: Outcome, value: u64) {
+        self.signals.observe(now, what as usize, value);
     }
 
     /// One occurrence of `what` at `now`, with the trace event that
@@ -187,55 +137,30 @@ impl Recorder {
         self.tracer.emit_with(now, build);
     }
 
-    /// Add `n` to a telemetry-only counter in `now`'s epoch (no-op with
-    /// telemetry off).
-    pub(crate) fn epoch_add(&mut self, now: SimTime, name: &'static str, n: u64) {
-        if let Some(ts) = self.telemetry.as_mut() {
-            ts.series.add(now, name, n);
-        }
-    }
-
     /// Sample cumulative signals into the epoch series: per-path byte
-    /// and stalled-time deltas since the last sample, plus the current
+    /// and stalled-time growth since the last sample, plus the current
     /// buffer level. Runs on the 50 ms progress tick and once more at
     /// session end, so per-epoch byte counters sum exactly to the
-    /// report's per-path totals.
+    /// report's per-path totals. Every sampled signal is epoch-only, so
+    /// with telemetry off there is nothing to read.
     pub(crate) fn sample(&mut self, now: SimTime, sim: &MptcpSim, player: &Player) {
-        let Some(ts) = self.telemetry.as_mut() else {
+        if !self.signals.telemetry() {
             return;
-        };
-        let series = &mut ts.series;
-        let mut delta = |counter, last: &mut u64, total: u64| {
+        }
+        let totals = [
+            sim.path_bytes(PathId::WIFI),
+            sim.path_bytes(PathId::CELLULAR),
+            player.stall_time().as_millis_f64() as u64,
+        ];
+        let rows = [Outcome::WifiBytes, Outcome::CellBytes, Outcome::StallMs];
+        for ((what, last), total) in rows.into_iter().zip(&mut self.sampled).zip(totals) {
             if total > *last {
-                series.counter_add(now, counter, total - *last);
+                self.signals.add(now, what as usize, total - *last);
                 *last = total;
             }
-        };
-        delta(
-            ts.wifi_bytes,
-            &mut ts.last_wifi_bytes,
-            sim.path_bytes(PathId::WIFI),
-        );
-        delta(
-            ts.cell_bytes,
-            &mut ts.last_cell_bytes,
-            sim.path_bytes(PathId::CELLULAR),
-        );
-        delta(
-            ts.stall_ms,
-            &mut ts.last_stall_ms,
-            player.stall_time().as_millis_f64() as u64,
-        );
-        ts.series
-            .histogram_observe(now, ts.buffer_ms, player.buffer().as_millis_f64() as u64);
-    }
-
-    /// The finished epoch series, if telemetry was on.
-    pub(crate) fn take_epochs(&mut self) -> Option<EpochSeries> {
-        self.telemetry.take().map(|mut ts| {
-            ts.series.flush();
-            ts.series
-        })
+        }
+        let buffer = player.buffer().as_millis_f64() as u64;
+        self.observe(now, Outcome::BufferMs, buffer);
     }
 }
 
@@ -245,8 +170,25 @@ mod tests {
 
     #[test]
     fn the_signal_table_is_in_outcome_order() {
-        for (i, (outcome, ..)) in SIGNALS.iter().enumerate() {
-            assert_eq!(*outcome as usize, i, "{outcome:?}");
-        }
+        // One row per outcome: the last outcome is the last row.
+        assert_eq!(Outcome::LifecycleRetried as usize, SIGNALS.len() - 1);
+        let row = |what: Outcome| SIGNALS[what as usize];
+        assert_eq!(
+            row(Outcome::DeadlineGranted).metric,
+            Some("deadline_granted")
+        );
+        assert_eq!(row(Outcome::WastedBytes).epoch, Some("wasted_bytes"));
+        assert_eq!(row(Outcome::BufferMs).epoch, Some("buffer_ms"));
+        assert_eq!(row(Outcome::Stalls).metric, Some("stalls"));
+    }
+
+    /// The recorder is inline in every live session. Its signals are a
+    /// table reference, a boxed slice of row places, the registry and an
+    /// optional series: 344 B, down from 944 B when it held a handle per
+    /// signal and an inline telemetry block.
+    #[test]
+    fn a_recorder_stays_small() {
+        let size = std::mem::size_of::<Recorder>();
+        assert!(size <= 344, "{size} B");
     }
 }

@@ -264,19 +264,15 @@ impl StreamingSession {
             self.last_chunk_throughput =
                 Some(Rate::from_mbps_f64(done.size as f64 * 8.0 / dl / 1e6));
         }
+        let kbps = self.cfg.video.bitrate(done.level).as_bps() / 1000;
         self.rec.count(now, Outcome::ChunkFetched, 1);
         self.rec
-            .metrics
-            .observe("chunk_fetch_ms", fetch.as_millis_f64() as u64);
-        self.rec.metrics.observe("chunk_bytes", done.size);
-        self.rec.epoch_add(
-            now,
-            "chunk_bitrate_kbps",
-            self.cfg.video.bitrate(done.level).as_bps() / 1000,
-        );
+            .observe(now, Outcome::ChunkFetchMs, fetch.as_millis_f64() as u64);
+        self.rec.observe(now, Outcome::ChunkBytes, done.size);
+        self.rec.count(now, Outcome::ChunkBitrateKbps, kbps);
         let previous = self.ledger.chunks().last();
         if previous.is_some_and(|p| p.level != done.level) {
-            self.rec.epoch_add(now, "switches", 1);
+            self.rec.count(now, Outcome::Switch, 1);
         }
         self.rec.tracer.emit_with(now, || TraceEvent::ChunkFetched {
             chunk: done.index,
@@ -504,17 +500,19 @@ impl StreamingSession {
         // Fold the end-of-run aggregates into the registry so the
         // snapshot is self-contained (counters registered during the run
         // keep their earlier positions).
-        let Recorder {
-            metrics, lifecycle, ..
-        } = &mut self.rec;
-        metrics.add("scheduler_toggle_total", scheduler_stats.toggles);
-        metrics.add("subflow_failures", degradation.subflow_failures);
-        metrics.add("subflow_revivals", degradation.subflow_revivals);
-        metrics.add("stalls", self.player.stalls());
-        metrics.add("lifecycle_timeouts", lifecycle.timeouts);
-        metrics.add("lifecycle_abandoned", lifecycle.abandoned);
-        metrics.add("lifecycle_resumed", lifecycle.resumed);
-        metrics.add("lifecycle_retried", lifecycle.retried);
+        let l = self.rec.lifecycle;
+        for (what, n) in [
+            (Outcome::SchedulerToggleTotal, scheduler_stats.toggles),
+            (Outcome::SubflowFailures, degradation.subflow_failures),
+            (Outcome::SubflowRevivals, degradation.subflow_revivals),
+            (Outcome::Stalls, self.player.stalls()),
+            (Outcome::LifecycleTimeouts, l.timeouts),
+            (Outcome::LifecycleAbandoned, l.abandoned),
+            (Outcome::LifecycleResumed, l.resumed),
+            (Outcome::LifecycleRetried, l.retried),
+        ] {
+            self.rec.count(end, what, n);
+        }
         self.rec.tracer.flush();
 
         let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, 0.2);
@@ -528,7 +526,7 @@ impl StreamingSession {
             qoe,
             qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, 0.0),
             qoe_score,
-            epochs: self.rec.take_epochs(),
+            epochs: self.rec.signals.take_epochs(),
             wifi_bytes: self.fetch.conn().path_bytes(PathId::WIFI),
             cell_bytes: self.fetch.conn().path_bytes(PathId::CELLULAR),
             energy: self.energy.finish(duration),
@@ -542,7 +540,7 @@ impl StreamingSession {
             lifecycle: self.rec.lifecycle,
             origin: self.rec.origin,
             departed: self.departed,
-            metrics: self.rec.metrics.snapshot(),
+            metrics: self.rec.signals.snapshot(),
             sim_profile: SimProfile::of(self.fetch.conn()),
         }
     }

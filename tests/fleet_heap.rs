@@ -4,15 +4,15 @@
 //! client: a client's per-packet buffers (sender segments, event-queue
 //! slab, shared-queue bookkeeping, outage split, deadline signal) give
 //! back what a swollen window left, so 32 clients behind one deep AP
-//! peak at under 72 KB a client (45 KB; 116 KB when every buffer kept
+//! peak at under 72 KB a client (35,756 B; 116 KB when every buffer kept
 //! its high-water capacity).
 //!
 //! A churning fleet, where most viewers have not arrived yet or have
 //! left, peaks at under 14 KB a client over 64 clients with telemetry
-//! on (about 11 KB): a client that is done and owns no queued packet is
-//! only its report, and an epoch cell keeps static names, no room to
-//! grow once its epoch closes, and no cells before the client's first
-//! write. Finished clients that kept their sessions, with cells keyed by
+//! on (9,364 B): a client that is done and owns no queued packet is
+//! only its report, its epoch series keeps no pending slot, and an epoch
+//! cell keeps static names, no room to grow once its epoch closes, and
+//! no cells before the client's first write. Finished clients that kept their sessions, with cells keyed by
 //! `String`s and dense from epoch 0, peaked at 18 KB.
 //!
 //! The heap is read off a counting global allocator. It counts every

@@ -17,8 +17,9 @@
 //! followed by a `mod` line, so a `#[cfg(test)] use` above the code does
 //! not hide the code from the census.
 //!
-//! The same walk holds a second census: no library line reads the
-//! environment; only the binaries under `bin/` do.
+//! The same walk holds two more censuses: no library line reads the
+//! environment, only the binaries under `bin/` do; and no layer outside
+//! `mpdash-obs` writes a signal by name, only by a row of its table.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -42,6 +43,10 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "hook: tests/hot_path.rs checks IntervalSet's runs against a byte-set model",
     ),
     (
+        "epochs_mut",
+        "hook: crates/obs/tests/merge_props.rs mixes by-name epoch writes with a recorder's table rows",
+    ),
+    (
         "heap_bytes",
         "hook: tests/shared_traces.rs and tests/hot_path.rs bound a trace's and a packet log's heap",
     ),
@@ -52,6 +57,10 @@ const ALLOWLIST: &[(&str, &str)] = &[
     (
         "inflight",
         "hook: crates/http/tests/lifecycle_props.rs and origin_props.rs check HttpLayer's in-flight count",
+    ),
+    (
+        "metrics_mut",
+        "hook: crates/obs/tests/merge_props.rs mixes by-name registry writes with a recorder's table rows",
     ),
     (
         "next_change_after",
@@ -405,6 +414,68 @@ fn env_reads(sources: &[Source]) -> Vec<String> {
     reads
 }
 
+/// No layer spells a signal name where it writes one: each writes the
+/// rows of its static `Signal` table through an
+/// `mpdash_obs::SignalRecorder`, which holds the names (DESIGN §4.7).
+/// Only `mpdash-obs` itself, which defines the by-name writes, is left
+/// out.
+#[test]
+fn no_layer_writes_a_signal_by_name() {
+    let writes = named_writes(&sources(&program_dirs()));
+    assert!(
+        writes.is_empty(),
+        "{} signal writes by name outside mpdash-obs:\n{}",
+        writes.len(),
+        writes.join("\n")
+    );
+}
+
+/// Every non-test call of a registry or epoch write — a method named
+/// `inc` or ending in `add` or `observe` (`.add(`, `.epoch_add(`) —
+/// outside `crates/obs/` whose argument list holds a string literal, on
+/// one line or several, as `path:line: code`.
+fn named_writes(sources: &[Source]) -> Vec<String> {
+    let mut writes = Vec::new();
+    for source in sources
+        .iter()
+        .filter(|s| !s.path.starts_with("crates/obs/"))
+    {
+        let code = source
+            .text
+            .lines()
+            .map(code_of)
+            .collect::<Vec<_>>()
+            .join("\n");
+        for (open, _) in code.match_indices('(') {
+            let before = &code[..open];
+            let method = &before[before.trim_end_matches(is_identifier_char).len()..];
+            let called = before[..open - method.len()].ends_with('.');
+            let write = method == "inc" || method.ends_with("add") || method.ends_with("observe");
+            if !(called && write) {
+                continue;
+            }
+            let args = &code[open + 1..];
+            let mut depth = 1;
+            let end = args
+                .find(|c| {
+                    depth += match c {
+                        '(' => 1,
+                        ')' => -1,
+                        _ => 0,
+                    };
+                    depth == 0
+                })
+                .unwrap_or(args.len());
+            if args[..end].contains('"') {
+                let line = before.matches('\n').count();
+                let text = code.lines().nth(line).unwrap_or_default().trim();
+                writes.push(format!("{}:{}: {text}", source.path, line + 1));
+            }
+        }
+    }
+    writes
+}
+
 fn fixture(path: &str, text: &str) -> Source {
     Source {
         path: path.to_owned(),
@@ -459,6 +530,26 @@ fn an_environment_read_is_flagged_outside_a_binary_and_its_tests() {
     let reads = env_reads(&[lib, bin]);
     assert_eq!(reads.len(), 1, "{reads:?}");
     assert!(reads[0].starts_with("crates/a/src/lib.rs:2: "), "{reads:?}");
+}
+
+#[test]
+fn a_signal_written_by_name_is_flagged_outside_obs() {
+    let code = "fn f(m: &mut R, s: &mut S, t: T) {\n    m.observe(\"bytes\", 3);\n    s.epoch_add(\n        t,\n        \"chunks\",\n        1,\n    );\n    s.add(t, ROW, 1);\n    m.observe(t, f(\"x\"));\n    label.push_str(\"add\");\n}\n";
+    let layer = fixture("crates/a/src/lib.rs", code);
+    let obs = fixture("crates/obs/src/lib.rs", code);
+    let tests = fixture(
+        "crates/b/src/lib.rs",
+        "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t(m: &mut M) { m.inc(\"x\"); }\n}\n",
+    );
+    let writes = named_writes(&[layer, obs, tests]);
+    assert_eq!(
+        writes,
+        [
+            "crates/a/src/lib.rs:2: m.observe(\"bytes\", 3);",
+            "crates/a/src/lib.rs:3: s.epoch_add(",
+            "crates/a/src/lib.rs:9: m.observe(t, f(\"x\"));",
+        ]
+    );
 }
 
 #[test]

@@ -629,12 +629,15 @@ fn explain_writes_nothing_to_the_environment_trace() {
     assert_eq!(trace.lines().count(), 0);
 }
 
-/// The epoch series' bytes, which no `summary_json` carries and so no
-/// golden above sees: the NDJSON `mpdash timeline <scenario> --quick`
-/// writes for the three shipped fleet scenarios — every client's series,
-/// every bottleneck's and the fleet loop's own, merged and rendered.
-/// Recorded at the commit before the series' write path moved from
-/// by-name updates to resolved handles (PR 19); the same files hash, by
+/// The epoch rows `mpdash timeline <scenario> --quick` writes as NDJSON
+/// for the three shipped fleet scenarios: one row an epoch of the
+/// clients', bottlenecks' and fleet loop's series merged. A row renders
+/// 20 of the 32 epoch names of `tests/common/signals.rs`, histograms
+/// only as their means, so the series themselves are digested by
+/// `shipped_scenarios_reproduce_their_golden_summaries` and the fleet
+/// crate's churn-mix test. The aqm and fleet files were recorded before
+/// the series' write path moved from by-name updates to resolved
+/// handles, the churn file when its cap began to shed; they hash, by
 /// `sha256sum`, to `d459e788…971c` (aqm), `e6612590…c2a6` (churn) and
 /// `f4fe2339…82dc` (fleet). The same runs' stdout, less the two lines
 /// naming the artifact paths, pins the sparklines and per-mode headers;
