@@ -114,12 +114,16 @@ fn replay_mixed(
     let mut rec = SignalRecorder::new(table, Some(spec));
     for e in events {
         let (counter, histogram) = rows[NAMES.iter().position(|&n| n == e.name).unwrap()];
-        let by_name = rec.epochs_mut().expect("telemetry on");
-        match (e.histogram, rng.next_below(4) < row_share) {
-            (true, true) => rec.observe(e.at, histogram, e.value),
-            (true, false) => by_name.observe(e.at, e.name, e.value),
-            (false, true) => rec.add(e.at, counter, e.value),
-            (false, false) => by_name.add(e.at, e.name, e.value),
+        if rng.next_below(4) >= row_share {
+            let series = rec.epochs_mut().expect("telemetry on");
+            match e.histogram {
+                true => series.observe(e.at, e.name, e.value),
+                false => series.add(e.at, e.name, e.value),
+            }
+        } else if e.histogram {
+            rec.observe(e.at, histogram, e.value);
+        } else {
+            rec.add(e.at, counter, e.value);
         }
     }
     rec

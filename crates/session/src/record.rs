@@ -182,10 +182,9 @@ mod tests {
         assert_eq!(row(Outcome::Stalls).metric, Some("stalls"));
     }
 
-    /// The recorder is inline in every live session. Its signals are a
-    /// table reference, a boxed slice of row places, the registry and an
-    /// optional series: 344 B, down from 944 B when it held a handle per
-    /// signal and an inline telemetry block.
+    /// The recorder is inline in every live session, telemetry on or
+    /// off: its signals are a table reference, a boxed slice of row
+    /// places, the registry and the optional epochs.
     #[test]
     fn a_recorder_stays_small() {
         let size = std::mem::size_of::<Recorder>();
