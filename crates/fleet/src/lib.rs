@@ -645,29 +645,34 @@ enum Outcome<'a> {
 
 /// A count of [`FleetProfile`] or a phase of [`FleetWallProfile`].
 type Field<T> = fn(&mut T) -> &mut u64;
-type Row = (Option<Field<FleetProfile>>, Option<Field<FleetWallProfile>>);
+type Row = (
+    Signal,
+    Option<Field<FleetProfile>>,
+    Option<Field<FleetWallProfile>>,
+);
 
-/// Per [`Outcome`], in declaration order: its epoch counter.
-static SIGNALS: [Signal; 6] = [
-    Signal::counter(None, Some("loop_steps")),
-    Signal::counter(None, Some("loop_departures")),
-    Signal::counter(None, Some("loop_aqm_drops")),
-    Signal::counter(None, Some("fleet_arrivals")),
-    Signal::counter(None, Some("fleet_departures")),
-    Signal::counter(None, Some("fleet_shed")),
-];
-
-/// Per [`Outcome`], in declaration order: the [`FleetProfile`] count it
-/// adds to and the wall phase it closes.
+/// Per [`Outcome`], in declaration order: its epoch counter, the
+/// [`FleetProfile`] count it adds to and the wall phase it closes.
 #[rustfmt::skip]
 const OUTCOMES: [Row; 6] = [
-    (Some(|p| &mut p.session_steps),     Some(|w| &mut w.step_ns)),
-    (Some(|p| &mut p.departures_popped), Some(|w| &mut w.pop_ns)),
-    (None,                               None),
-    (None,                               None),
-    (None,                               Some(|w| &mut w.step_ns)),
-    (None,                               Some(|w| &mut w.step_ns)),
+    (Signal::counter(None, Some("loop_steps")),       Some(|p| &mut p.session_steps),     Some(|w| &mut w.step_ns)),
+    (Signal::counter(None, Some("loop_departures")),  Some(|p| &mut p.departures_popped), Some(|w| &mut w.pop_ns)),
+    (Signal::counter(None, Some("loop_aqm_drops")),   None,                               None),
+    (Signal::counter(None, Some("fleet_arrivals")),   None,                               None),
+    (Signal::counter(None, Some("fleet_departures")), None,                               Some(|w| &mut w.step_ns)),
+    (Signal::counter(None, Some("fleet_shed")),       None,                               Some(|w| &mut w.step_ns)),
 ];
+
+/// [`OUTCOMES`]' signal column: the table the loop's recorder writes.
+static SIGNALS: [Signal; OUTCOMES.len()] = {
+    let mut signals = [OUTCOMES[0].0; OUTCOMES.len()];
+    let mut row = 1;
+    while row < OUTCOMES.len() {
+        signals[row] = OUTCOMES[row].0;
+        row += 1;
+    }
+    signals
+};
 
 /// Everything the fleet loop observes about itself, behind one call per
 /// outcome: the counts of [`FleetProfile`] and, each only when
@@ -717,7 +722,7 @@ impl LoopRecorder {
             Finish => 4,
             Shed => 5,
         };
-        let (count, phase) = OUTCOMES[row];
+        let (_, count, phase) = OUTCOMES[row];
         if let Some(count) = count {
             *count(&mut self.profile) += 1;
         }

@@ -428,12 +428,22 @@ mod tests {
 
     #[test]
     fn a_closed_epochs_cell_keeps_no_spare_room() {
-        let mut s = EpochSeries::new(spec2());
-        for name in ["a", "b", "c", "d", "e"] {
-            s.add(t(0), name, 1);
+        use crate::{Signal, SignalRecorder};
+        static TABLE: [Signal; 6] = [
+            Signal::counter(None, Some("a")),
+            Signal::counter(None, Some("b")),
+            Signal::counter(None, Some("c")),
+            Signal::counter(None, Some("d")),
+            Signal::counter(None, Some("e")),
+            Signal::histogram(None, Some("h")),
+        ];
+        let mut rec = SignalRecorder::new(&TABLE, Some(spec2()));
+        for row in 0..5 {
+            rec.add(t(0), row, 1);
         }
-        s.observe(t(0), "h", 1 << 20);
-        s.close(0);
+        rec.observe(t(0), 5, 1 << 20);
+        rec.add(t(2), 0, 1); // closes epoch 0
+        let s = rec.take_epochs().expect("telemetry on");
         let cell = &s.cells.cells[0];
         assert_eq!(cell.counters.capacity(), cell.counters.len());
         assert_eq!(cell.histograms.capacity(), 1);

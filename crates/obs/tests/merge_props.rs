@@ -13,8 +13,9 @@
 //!   the bytes of the single-shard replay;
 //! * **table row ≡ name** — a series (or registry) written through the
 //!   rows of a [`SignalRecorder`]'s table, by name, or both mixed records
-//!   exactly what the by-name replay does: equal structurally with
-//!   writes still pending, equal on serialized bytes, and merge stays
+//!   exactly what the by-name replay does: the recorder's copy of its
+//!   series, with its pending row writes folded in, equals the by-name
+//!   replay structurally and on serialized bytes, and merge stays
 //!   commutative;
 //! * **sparse ≡ dense** — a series stores cells only from its first
 //!   written epoch, yet shards that start hundreds of epochs apart,
@@ -102,7 +103,8 @@ fn shuffled_table(rng: &mut Prng) -> (&'static [Signal], [(usize, usize); NAMES.
 
 /// [`replay`] into a recorder's series, but every event whose draw says
 /// so goes through its table row, in a table shuffled by `seed`; a
-/// quarter of the counter adds are zero-valued. Row writes stay pending.
+/// quarter of the counter adds are zero-valued. The recorder's row writes
+/// stay pending until its series is copied or taken.
 fn replay_mixed(
     spec: TelemetrySpec,
     events: &[Event],
@@ -341,10 +343,12 @@ proptest! {
             "descending shard merge diverged from single-shard bytes");
     }
 
-    /// Row-written, mixed and by-name series record the same thing:
-    /// equal as values while the row writes are still pending, equal on
-    /// rendered bytes, and interchangeable under `merge`. Times are not
-    /// monotone, so the open epoch moves back and forth.
+    /// Row-written, mixed and by-name series record the same thing: a
+    /// recorder's copy of its series, with its pending row writes folded
+    /// in, equals the by-name replay as a value and on rendered bytes,
+    /// and the two are interchangeable under `merge`, also when a series
+    /// is merged into a recorder whose row writes are still pending.
+    /// Times are not monotone, so the open epoch moves back and forth.
     #[test]
     fn handle_written_series_equal_by_name_series(
         seed_a in 0u64..1_000_000,
@@ -365,7 +369,8 @@ proptest! {
             prop_assert_eq!(got.counter_total("chunks"), by_name.counter_total("chunks"));
         }
 
-        // Merge, with writes pending on both sides, in both orders.
+        // Merge in both orders; `rec_ba` takes `a` by name while its own
+        // row writes are still pending.
         let a = replay_mixed(spec, &stream_a, seed_b, 4);
         let b = replay_mixed(spec, &stream_b, seed_a, 3);
         let [a, b] = [&a, &b].map(|r| r.epochs().expect("telemetry on"));

@@ -112,7 +112,11 @@ impl Recorder {
             Abandoned => Some(&mut l.abandoned),
             Resumed => Some(&mut l.resumed),
             WastedBytes => Some(&mut l.wasted_bytes),
-            _ => None,
+            DeadlineGranted | DeadlineBypassed | SchedulerToggle | ChunkFetched | DeadlineHit
+            | DeadlineMiss | Departed | Shed | RequestError | ChunkFetchMs | ChunkBytes
+            | ChunkBitrateKbps | Switch | WifiBytes | CellBytes | StallMs | BufferMs
+            | SchedulerToggleTotal | SubflowFailures | SubflowRevivals | Stalls
+            | LifecycleTimeouts | LifecycleAbandoned | LifecycleResumed | LifecycleRetried => None,
         };
         if let Some(field) = field {
             *field += n;
