@@ -571,57 +571,4 @@ mod tests {
         assert!(line.starts_with("{\"t_s\":68"), "{line}");
         assert!(!line.contains('\n'));
     }
-
-    #[test]
-    fn every_variant_names_its_kind() {
-        let samples = [
-            TraceEvent::SubflowFailed { path: 0 },
-            TraceEvent::DssSignal { mask: 3 },
-            TraceEvent::DeadlineBypassed { chunk: 0 },
-            TraceEvent::BufferTransition {
-                state: "stalled",
-                buffer_s: 0.0,
-            },
-            TraceEvent::OriginRouted {
-                chunk: 2,
-                origin: 1,
-                reason: "resume",
-            },
-            TraceEvent::OriginHealth {
-                origin: 0,
-                state: "open",
-                failures: 2,
-            },
-            TraceEvent::Hedge {
-                chunk: 3,
-                origin: 0,
-                hedge_origin: 1,
-                winner: Some("hedge"),
-                wasted: 4_096,
-            },
-            TraceEvent::HedgeLoserSettled {
-                chunk: 3,
-                wasted: 2_048,
-            },
-            TraceEvent::Cache {
-                chunk: 4,
-                level: 1,
-                outcome: "hit",
-                bytes: 800_000,
-            },
-            TraceEvent::SessionDeparted {
-                watched_s: 48.0,
-                chunks: 12,
-            },
-            TraceEvent::SessionShed {
-                client: 7,
-                active: 9,
-                queue_bytes: 131_072,
-            },
-        ];
-        for e in &samples {
-            let j = e.to_json(SimTime::ZERO);
-            assert_eq!(j.get("kind").and_then(|k| k.as_str()), Some(e.kind()));
-        }
-    }
 }

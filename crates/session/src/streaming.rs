@@ -1034,6 +1034,64 @@ mod tests {
         );
     }
 
+    /// A hedge race the primary wins. WiFi disassociates at 52 s; at
+    /// 52.61 s chunk 19 has banked nothing for a tenth of its window, so
+    /// the session cancels it and hedges on the second origin. The
+    /// primary's last bytes arrive over the cellular subflow at 52.85 s,
+    /// before its cancel reaches the server, so the cancel is stale: the
+    /// primary wins, the session cancels the hedge, and the hedge's
+    /// delivered bytes settle as waste.
+    #[test]
+    fn a_primary_that_completes_before_its_cancel_wins_its_hedge_race() {
+        use mpdash_http::{OriginPoolConfig, OriginSpec};
+        use mpdash_link::FaultScript;
+        use mpdash_obs::{RingSink, Tracer};
+        let pool = OriginPoolConfig::new(vec![OriginSpec::new("a"), OriginSpec::new("b")])
+            .with_hedge_quantile(0.1);
+        let fault = FaultScript::new().disassociation(
+            SimTime::from_secs(52),
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(1),
+        );
+        let ring = std::sync::Arc::new(RingSink::new(1 << 20));
+        let cfg = controlled(AbrKind::Festive, TransportMode::mpdash_rate_based())
+            .with_origins(pool)
+            .with_wifi_faults(fault)
+            .with_tracer(Tracer::new(ring.clone()));
+        let report = StreamingSession::run(cfg);
+        let o = report.origin;
+        assert_eq!(
+            (o.hedges, o.hedge_wins_primary, o.hedge_wins_hedge),
+            (1, 1, 0)
+        );
+        assert_eq!(report.lifecycle.wasted_bytes, 24_359);
+        let counter = |name: &str| report.metrics.counters.iter().find(|(n, _)| n == name);
+        assert_eq!(counter("hedge_wins_primary").map(|c| c.1), Some(1));
+        let lines: Vec<String> = (ring.events().into_iter())
+            .filter(|(_, e)| {
+                matches!(
+                    e,
+                    TraceEvent::Hedge { .. }
+                        | TraceEvent::HedgeLoserSettled { .. }
+                        | TraceEvent::OriginRouted {
+                            reason: "hedge",
+                            ..
+                        }
+                )
+            })
+            .map(|(t, e)| e.to_json(t).to_compact())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"t_s":52.606342533,"kind":"origin_routed","chunk":19,"origin":1,"reason":"hedge"}"#,
+                r#"{"t_s":52.606342533,"kind":"hedge","chunk":19,"origin":0,"hedge_origin":1,"winner":null,"wasted":0}"#,
+                r#"{"t_s":52.848984191,"kind":"hedge","chunk":19,"origin":0,"hedge_origin":1,"winner":"primary","wasted":0}"#,
+                r#"{"t_s":52.848984191,"kind":"hedge_loser_settled","chunk":19,"wasted":24359}"#,
+            ]
+        );
+    }
+
     #[test]
     fn shared_cache_serves_the_second_session_from_the_edge() {
         use mpdash_http::SharedSegmentCache;

@@ -835,3 +835,56 @@ fn fault_edge_lines_reproduce_their_golden_digests() {
         (12, 3738484622233760362)
     );
 }
+
+/// The §6 tool's rebuffering report as text: each stall's start and
+/// length, then each buffer sample's time and level, in nanoseconds and
+/// `f64` bits; with the stall count, the sample count and the peak.
+fn rebuffer_pin(
+    stalls: &[(SimTime, SimDuration)],
+    buffer: &[(SimTime, f64)],
+) -> (usize, usize, f64, u64) {
+    let mut text = String::new();
+    for (at, len) in stalls {
+        writeln!(text, "stall {} {}", at.as_nanos(), len.as_nanos()).unwrap();
+    }
+    for (at, level) in buffer {
+        writeln!(text, "buffer {} {:x}", at.as_nanos(), level.to_bits()).unwrap();
+    }
+    let peak = buffer.iter().map(|&(_, b)| b).fold(0.0, f64::max);
+    (stalls.len(), buffer.len(), peak, fnv1a(text.as_bytes()))
+}
+
+/// The rebuffering report of `server_faults.json`'s two modes (its 5xx
+/// burst and stalled body cost each one stall) and of the
+/// `analyze_session` example's session (150 chunks, no stall, a 36 s
+/// peak). Recorded from the player's own event log, before the report
+/// was read from the trace's buffer transitions.
+#[test]
+fn the_rebuffer_report_reproduces_its_golden_digests() {
+    use mpdash::analysis::{buffer_trajectory, stall_intervals};
+    use mpdash::dash::abr::AbrKind;
+    use mpdash::session::SessionConfig;
+    use mpdash::trace::table1;
+    let pin = |r: &SessionReport| {
+        rebuffer_pin(
+            &stall_intervals(&r.player_events),
+            &buffer_trajectory(&r.player_events),
+        )
+    };
+    let faults: Vec<_> = (solo_reports("server_faults.json").iter())
+        .map(|(label, r)| (label.as_str(), pin(r)))
+        .collect();
+    let example = StreamingSession::run(SessionConfig::controlled(
+        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
+        AbrKind::Festive,
+        TransportMode::mpdash_rate_based(),
+    ));
+    assert_eq!(
+        faults,
+        [
+            ("Baseline", (1, 40, 9.618828, 1268972553093168984)),
+            ("Rate", (1, 40, 8.994760631, 16121053055227226099)),
+        ]
+    );
+    assert_eq!(pin(&example), (0, 150, 36.002597416, 1617718841834934760));
+}
