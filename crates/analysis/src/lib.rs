@@ -14,9 +14,10 @@
 //!   [`idle_gaps`]): the tool's offline form, which the ledger equals;
 //! * outputs: [`SessionAnalysis`] (the metrics) and
 //!   [`render_chunk_bars`] / [`throughput_timeline`] (text
-//!   visualizations in the spirit of Figure 8).
+//!   visualizations in the spirit of Figure 8);
+//! * rebuffering ([`stall_intervals`], [`buffer_trajectory`]) from the
+//!   player's `buffer_transition` trace events, the tool's second input.
 
-use mpdash_dash::player::PlayerEvent;
 use mpdash_energy::{radio_energy_of, DeviceProfile, SessionEnergy};
 use mpdash_link::PathId;
 use mpdash_mptcp::PktRecord;
@@ -202,25 +203,21 @@ pub fn throughput_timeline(
     )
 }
 
-/// Pair up `Stalled`/`Resumed` entries of a player event log into
-/// rebuffering intervals `(start, duration)` — the §6 tool's rebuffering
-/// report. A trailing unresumed stall is closed at the log's last event.
-pub fn stall_intervals(events: &[PlayerEvent]) -> Vec<(SimTime, SimDuration)> {
+/// Pair up the `"stalled"`/`"resumed"` transitions of a session's
+/// buffer transitions into rebuffering intervals `(start, duration)` —
+/// the §6 tool's rebuffering report. `transitions` are the player's
+/// `buffer_transition` trace events in order, each `(time, state,
+/// buffer seconds)`. A trailing unresumed stall is closed at the last
+/// transition.
+pub fn stall_intervals(transitions: &[(SimTime, &str, f64)]) -> Vec<(SimTime, SimDuration)> {
     let mut out = Vec::new();
     let mut open: Option<SimTime> = None;
     let mut last = SimTime::ZERO;
-    for e in events {
-        let at = match *e {
-            PlayerEvent::Started { at }
-            | PlayerEvent::Stalled { at }
-            | PlayerEvent::Resumed { at }
-            | PlayerEvent::Finished { at }
-            | PlayerEvent::ChunkDone { at, .. } => at,
-        };
+    for &(at, state, _) in transitions {
         last = last.max(at);
-        match *e {
-            PlayerEvent::Stalled { at } => open = Some(at),
-            PlayerEvent::Resumed { at } => {
+        match state {
+            "stalled" => open = Some(at),
+            "resumed" => {
                 if let Some(start) = open.take() {
                     out.push((start, at.saturating_since(start)));
                 }
@@ -234,15 +231,13 @@ pub fn stall_intervals(events: &[PlayerEvent]) -> Vec<(SimTime, SimDuration)> {
     out
 }
 
-/// Buffer-occupancy samples from a player event log: `(time, seconds)`
-/// at every chunk completion — enough to plot the buffer trajectory.
-pub fn buffer_trajectory(events: &[PlayerEvent]) -> Vec<(SimTime, f64)> {
-    events
-        .iter()
-        .filter_map(|e| match *e {
-            PlayerEvent::ChunkDone { at, buffer, .. } => Some((at, buffer.as_secs_f64())),
-            _ => None,
-        })
+/// Buffer-occupancy samples from a session's buffer transitions (see
+/// [`stall_intervals`]): `(time, seconds)` at every chunk completion —
+/// enough to plot the buffer trajectory.
+pub fn buffer_trajectory(transitions: &[(SimTime, &str, f64)]) -> Vec<(SimTime, f64)> {
+    (transitions.iter())
+        .filter(|&&(_, state, _)| state == "chunk_buffered")
+        .map(|&(at, _, buffer_s)| (at, buffer_s))
         .collect()
 }
 
@@ -492,24 +487,11 @@ mod tests {
     fn stall_intervals_pair_up() {
         use mpdash_sim::SimTime as T;
         let ev = [
-            PlayerEvent::Started {
-                at: T::from_secs(1),
-            },
-            PlayerEvent::Stalled {
-                at: T::from_secs(10),
-            },
-            PlayerEvent::Resumed {
-                at: T::from_secs(12),
-            },
-            PlayerEvent::Stalled {
-                at: T::from_secs(20),
-            },
-            PlayerEvent::ChunkDone {
-                at: T::from_secs(23),
-                index: 5,
-                level: 1,
-                buffer: SimDuration::from_secs(2),
-            },
+            (T::from_secs(1), "started", 4.0),
+            (T::from_secs(10), "stalled", 0.0),
+            (T::from_secs(12), "resumed", 4.0),
+            (T::from_secs(20), "stalled", 0.0),
+            (T::from_secs(23), "chunk_buffered", 2.0),
         ];
         let iv = stall_intervals(&ev);
         assert_eq!(iv.len(), 2);

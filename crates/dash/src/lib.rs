@@ -5,7 +5,7 @@
 //!   dataset of Table 3 (Big Buck Bunny, Red Bull Playstreets, Tears of
 //!   Steel, and its HD variant).
 //! * [`player`] — the client buffer/playback engine: startup, steady
-//!   state, stalls, quality switches, and the QoE ledger.
+//!   state and stalls; [`qoe`] summarizes it with the chunks' levels.
 //! * [`abr`] — rate adaptation: GPAC (last-chunk throughput), FESTIVE
 //!   (harmonic-mean + gradual/stable switching), BBA-2 (buffer-based),
 //!   BBA-C (the paper's cellular-friendly cap, §5.2.2), and MPC (the
@@ -43,6 +43,6 @@ pub mod video;
 
 pub use abr::{Abr, AbrCategory, AbrInput, AbrKind};
 pub use adapter::{AdapterConfig, DeadlineDecision, DeadlineMode, VideoAdapter};
-pub use player::{Player, PlayerConfig, PlayerEvent, PlayerState};
+pub use player::{Player, PlayerConfig, PlayerState};
 pub use qoe::{QoeScore, QoeSummary};
 pub use video::Video;

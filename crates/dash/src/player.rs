@@ -1,10 +1,11 @@
-//! The client playback engine: buffer dynamics, stalls, and the per-chunk
-//! history the QoE summary and analysis tool consume.
+//! The client playback engine: buffer dynamics and stalls.
 //!
 //! The player is passive with respect to time — the session drives it with
 //! [`Player::advance_to`] — and passive with respect to the network: chunk
-//! completions are pushed in with [`Player::on_chunk_complete`]. What it
-//! owns is the buffer model:
+//! completions are pushed in with [`Player::on_chunk_complete`]. It owns
+//! the buffer model and nothing else: the level each chunk was fetched at
+//! is in the session's chunk log, and each transition below is a
+//! [`TraceEvent::BufferTransition`] on the session's trace.
 //!
 //! * **Startup**: playback begins once the first chunk is buffered.
 //! * **Steady state**: buffered content drains in real time while playing.
@@ -15,44 +16,6 @@
 use crate::video::Video;
 use mpdash_obs::{TraceEvent, Tracer};
 use mpdash_sim::{SimDuration, SimTime};
-
-/// One entry of the player's event log — the §6 analysis tool's second
-/// input, alongside the packet trace. Each entry carries the instant and
-/// the buffer level right after the transition.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PlayerEvent {
-    /// Playback began (first frame).
-    Started {
-        /// When.
-        at: SimTime,
-    },
-    /// The buffer ran dry mid-stream.
-    Stalled {
-        /// When.
-        at: SimTime,
-    },
-    /// Playback resumed after a stall.
-    Resumed {
-        /// When.
-        at: SimTime,
-    },
-    /// A chunk finished downloading.
-    ChunkDone {
-        /// When.
-        at: SimTime,
-        /// Chunk index.
-        index: usize,
-        /// Level fetched.
-        level: usize,
-        /// Buffer level right after the chunk was added.
-        buffer: SimDuration,
-    },
-    /// The last frame played out.
-    Finished {
-        /// When.
-        at: SimTime,
-    },
-}
 
 /// Player configuration.
 #[derive(Clone, Copy, Debug)]
@@ -78,21 +41,6 @@ pub enum PlayerState {
     Finished,
 }
 
-/// One downloaded chunk, as the player saw it.
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkRecord {
-    /// Chunk index.
-    pub index: usize,
-    /// Quality level it was fetched at.
-    pub level: usize,
-    /// Bytes downloaded.
-    pub size: u64,
-    /// When its download started (request issued).
-    pub started: SimTime,
-    /// When its last byte arrived.
-    pub completed: SimTime,
-}
-
 /// The buffer/playback engine. See module docs.
 pub struct Player {
     cfg: PlayerConfig,
@@ -113,9 +61,7 @@ pub struct Player {
     chunks_downloaded: usize,
     /// Viewer left mid-stream: content ends at `chunks_downloaded`.
     departed: bool,
-    history: Vec<ChunkRecord>,
-    events: Vec<PlayerEvent>,
-    /// Observe-only mirror of the event log into the trace layer.
+    /// Where the buffer transitions go. Observe-only.
     tracer: Tracer,
 }
 
@@ -143,14 +89,12 @@ impl Player {
             origin: SimTime::ZERO,
             chunks_downloaded: 0,
             departed: false,
-            history: Vec::new(),
-            events: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
 
-    /// Attach a tracer: every buffer transition in the event log is
-    /// mirrored as a [`TraceEvent::BufferTransition`]. Observe-only.
+    /// Attach a tracer: every buffer transition is emitted as a
+    /// [`TraceEvent::BufferTransition`]. Observe-only.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -166,8 +110,7 @@ impl Player {
         self.origin
     }
 
-    /// Mirror a state transition to the trace layer with the buffer
-    /// level after it.
+    /// Emit a state transition with the buffer level after it.
     fn trace_transition(&self, at: SimTime, state: &'static str) {
         let buffer_s = self.buffer.as_secs_f64();
         self.tracer
@@ -209,26 +152,15 @@ impl Player {
         (self.chunks_downloaded < self.n_chunks).then_some(self.chunks_downloaded)
     }
 
-    /// The per-chunk download history.
-    pub fn history(&self) -> &[ChunkRecord] {
-        &self.history
-    }
-
-    /// The event log (state transitions + chunk completions with buffer
-    /// levels), time-ordered.
-    pub fn events(&self) -> &[PlayerEvent] {
-        &self.events
-    }
-
     /// True when there is room to hold one more chunk (the standard DASH
     /// pacing rule: request when `buffer + chunk ≤ capacity`).
     pub fn has_space(&self) -> bool {
         self.buffer + self.chunk_duration <= self.cfg.capacity
     }
 
-    /// How long from `now` until there is space for one more chunk
-    /// (zero if there already is). Only meaningful while playing.
-    pub fn time_until_space(&self, _now: SimTime) -> SimDuration {
+    /// How long until there is space for one more chunk (zero if there
+    /// already is). Only meaningful while playing.
+    pub fn time_until_space(&self) -> SimDuration {
         if self.has_space() {
             return SimDuration::ZERO;
         }
@@ -257,13 +189,11 @@ impl Player {
                     self.buffer = SimDuration::ZERO;
                     if self.played >= self.total_content() {
                         self.state = PlayerState::Finished;
-                        self.events.push(PlayerEvent::Finished { at: dry_at });
                         self.trace_transition(dry_at, "finished");
                     } else {
                         self.state = PlayerState::Stalled;
                         self.stalls += 1;
                         self.stall_time += dt - played_part;
-                        self.events.push(PlayerEvent::Stalled { at: dry_at });
                         self.trace_transition(dry_at, "stalled");
                     }
                 }
@@ -292,43 +222,27 @@ impl Player {
     }
 
     /// A chunk finished downloading at `now`: add its playout duration to
-    /// the buffer and record it. `started` is when its request was issued.
+    /// the buffer.
     ///
     /// # Panics
     /// If more chunks complete than the video has.
-    pub fn on_chunk_complete(&mut self, now: SimTime, level: usize, size: u64, started: SimTime) {
+    pub fn on_chunk_complete(&mut self, now: SimTime) {
         assert!(
             self.chunks_downloaded < self.n_chunks,
             "more chunks completed than the video has"
         );
         self.advance_to(now);
-        let index = self.chunks_downloaded;
         self.chunks_downloaded += 1;
         self.buffer += self.chunk_duration;
-        self.history.push(ChunkRecord {
-            index,
-            level,
-            size,
-            started,
-            completed: now,
-        });
-        self.events.push(PlayerEvent::ChunkDone {
-            at: now,
-            index,
-            level,
-            buffer: self.buffer,
-        });
         self.trace_transition(now, "chunk_buffered");
         match self.state {
             PlayerState::Startup => {
                 self.state = PlayerState::Playing;
                 self.startup_delay = Some(now.saturating_since(self.origin));
-                self.events.push(PlayerEvent::Started { at: now });
                 self.trace_transition(now, "started");
             }
             PlayerState::Stalled if self.buffer >= self.cfg.resume_threshold => {
                 self.state = PlayerState::Playing;
-                self.events.push(PlayerEvent::Resumed { at: now });
                 self.trace_transition(now, "resumed");
             }
             _ => {}
@@ -345,6 +259,8 @@ impl Player {
 mod tests {
     use super::*;
     use crate::video::Video;
+    use mpdash_obs::RingSink;
+    use std::sync::Arc;
 
     fn player() -> Player {
         Player::new(&Video::big_buck_bunny(), SimDuration::from_secs(40))
@@ -360,7 +276,7 @@ mod tests {
         assert_eq!(p.state, PlayerState::Startup);
         p.advance_to(t(1.0));
         assert_eq!(p.state, PlayerState::Startup, "no drain before start");
-        p.on_chunk_complete(t(1.5), 0, 100_000, t(0.0));
+        p.on_chunk_complete(t(1.5));
         assert_eq!(p.state, PlayerState::Playing);
         assert_eq!(p.startup_delay(), Some(SimDuration::from_millis(1500)));
         assert_eq!(p.buffer(), SimDuration::from_secs(4));
@@ -369,7 +285,7 @@ mod tests {
     #[test]
     fn buffer_drains_in_real_time() {
         let mut p = player();
-        p.on_chunk_complete(t(1.0), 0, 1, t(0.0));
+        p.on_chunk_complete(t(1.0));
         p.advance_to(t(2.5));
         assert_eq!(p.buffer(), SimDuration::from_millis(2500));
         assert_eq!(p.stalls(), 0);
@@ -378,13 +294,13 @@ mod tests {
     #[test]
     fn stall_detection_and_resume() {
         let mut p = player();
-        p.on_chunk_complete(t(0.5), 0, 1, t(0.0)); // 4 s buffered
+        p.on_chunk_complete(t(0.5)); // 4 s buffered
         p.advance_to(t(6.0)); // drains dry at t=4.5
         assert_eq!(p.state, PlayerState::Stalled);
         assert_eq!(p.stalls(), 1);
         assert_eq!(p.stall_time(), SimDuration::from_millis(1500));
         // One chunk re-buffered: resumes.
-        p.on_chunk_complete(t(7.0), 0, 1, t(6.0));
+        p.on_chunk_complete(t(7.0));
         assert_eq!(p.state, PlayerState::Playing);
         assert_eq!(p.stall_time(), SimDuration::from_millis(2500));
     }
@@ -392,7 +308,7 @@ mod tests {
     #[test]
     fn stall_counted_once_per_event() {
         let mut p = player();
-        p.on_chunk_complete(t(0.0), 0, 1, t(0.0));
+        p.on_chunk_complete(t(0.0));
         p.advance_to(t(10.0));
         p.advance_to(t(11.0)); // still stalled, same event
         assert_eq!(p.stalls(), 1);
@@ -402,64 +318,50 @@ mod tests {
     fn pacing_rule_has_space() {
         let mut p = player();
         // Fill to capacity: 40 s / 4 s = 10 chunks.
-        for i in 0..10 {
-            p.on_chunk_complete(t(0.0), 0, 1, t(0.0));
-            let _ = i;
+        for _ in 0..10 {
+            p.on_chunk_complete(t(0.0));
         }
         assert_eq!(p.buffer(), SimDuration::from_secs(40));
         assert!(!p.has_space());
-        assert_eq!(p.time_until_space(t(0.0)), SimDuration::from_secs(4));
+        assert_eq!(p.time_until_space(), SimDuration::from_secs(4));
         // 4 s of playback opens one slot.
         p.advance_to(t(4.0));
         assert!(p.has_space());
     }
 
     #[test]
-    fn history_records_levels_and_times() {
-        let mut p = player();
-        p.on_chunk_complete(t(1.0), 3, 2_000_000, t(0.2));
-        p.on_chunk_complete(t(2.0), 4, 1_000_000, t(1.0));
-        let h = p.history();
-        assert_eq!(h.len(), 2);
-        assert_eq!(h[0].level, 3);
-        assert_eq!(h[0].index, 0);
-        assert_eq!(h[1].index, 1);
-        assert_eq!(h[1].started, t(1.0));
-        assert_eq!(p.next_chunk_index(), Some(2));
-    }
-
-    #[test]
     fn event_log_captures_lifecycle() {
+        let ring = Arc::new(RingSink::new(16));
         let mut p = player();
-        p.on_chunk_complete(t(0.5), 2, 1, t(0.0)); // starts playback
+        p.set_tracer(Tracer::new(ring.clone()));
+        p.on_chunk_complete(t(0.5)); // starts playback
         p.advance_to(t(6.0)); // dry at 4.5 -> stall
-        p.on_chunk_complete(t(7.0), 0, 1, t(6.0)); // resumes
-        let ev = p.events();
-        assert!(matches!(
-            ev[0],
-            PlayerEvent::ChunkDone {
-                index: 0,
-                level: 2,
-                ..
-            }
-        ));
-        assert!(matches!(ev[1], PlayerEvent::Started { at } if at == t(0.5)));
-        assert!(matches!(ev[2], PlayerEvent::Stalled { at } if at == t(4.5)));
-        assert!(matches!(ev[3], PlayerEvent::ChunkDone { index: 1, .. }));
-        assert!(matches!(ev[4], PlayerEvent::Resumed { at } if at == t(7.0)));
-        // Buffer levels recorded on completions.
-        let PlayerEvent::ChunkDone { buffer, .. } = ev[0] else {
-            panic!()
-        };
-        assert_eq!(buffer, SimDuration::from_secs(4));
+        p.on_chunk_complete(t(7.0)); // resumes
+        assert_eq!(p.next_chunk_index(), Some(2));
+        let log: Vec<(SimTime, &str, f64)> = (ring.events().into_iter())
+            .map(|(at, e)| match e {
+                TraceEvent::BufferTransition { state, buffer_s } => (at, state, buffer_s),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            log,
+            [
+                (t(0.5), "chunk_buffered", 4.0),
+                (t(0.5), "started", 4.0),
+                (t(4.5), "stalled", 0.0),
+                (t(7.0), "chunk_buffered", 4.0),
+                (t(7.0), "resumed", 4.0),
+            ]
+        );
     }
 
     #[test]
     fn finishes_after_last_chunk_plays_out() {
         let v = Video::new("tiny", &[1.0], SimDuration::from_secs(4), 2);
         let mut p = Player::new(&v, SimDuration::from_secs(8));
-        p.on_chunk_complete(t(0.0), 0, 1, t(0.0));
-        p.on_chunk_complete(t(1.0), 0, 1, t(0.0));
+        p.on_chunk_complete(t(0.0));
+        p.on_chunk_complete(t(1.0));
         assert!(p.download_complete());
         p.advance_to(t(9.0)); // 8 s of content from t=0
         assert_eq!(p.state, PlayerState::Finished);

@@ -1,6 +1,7 @@
 //! Session-level QoE accounting: the paper's four metrics (§7.3) —
 //! stalls, playback bitrate, plus quality switches and the per-level
-//! histogram the analysis tool prints.
+//! histogram the analysis tool prints. Stalls come from the player, the
+//! levels from the session's chunk log.
 
 use crate::player::Player;
 use crate::video::Video;
@@ -26,41 +27,46 @@ pub struct QoeSummary {
 }
 
 impl QoeSummary {
-    /// Summarize a player's history, skipping the first `skip_fraction`
-    /// of chunks — the paper reports "the last 80% chunks, when the
-    /// player is in its steady state" (§7.3), i.e. `skip_fraction = 0.2`.
-    pub fn from_player(video: &Video, player: &Player, skip_fraction: f64) -> Self {
+    /// Summarize a player's playback and the `levels` its chunks were
+    /// fetched at, in order, skipping the first `skip_fraction` of
+    /// chunks — the paper reports "the last 80% chunks, when the player
+    /// is in its steady state" (§7.3), i.e. `skip_fraction = 0.2`.
+    pub fn from_player(
+        video: &Video,
+        player: &Player,
+        levels: impl ExactSizeIterator<Item = usize>,
+        skip_fraction: f64,
+    ) -> Self {
         assert!((0.0..1.0).contains(&skip_fraction), "skip in [0,1)");
-        let history = player.history();
-        let skip = (history.len() as f64 * skip_fraction).floor() as usize;
-        let counted = &history[skip.min(history.len())..];
+        let skip = (levels.len() as f64 * skip_fraction).floor() as usize;
+        let counted = levels.len().saturating_sub(skip);
 
         let mut histogram = vec![0usize; video.n_levels()];
         let mut switches = 0u64;
         let mut bitrate_sum = 0.0;
         let mut prev_level: Option<usize> = None;
-        for rec in counted {
-            histogram[rec.level] += 1;
-            bitrate_sum += video.bitrate(rec.level).as_mbps_f64();
+        for level in levels.skip(skip) {
+            histogram[level] += 1;
+            bitrate_sum += video.bitrate(level).as_mbps_f64();
             if let Some(p) = prev_level {
-                if p != rec.level {
+                if p != level {
                     switches += 1;
                 }
             }
-            prev_level = Some(rec.level);
+            prev_level = Some(level);
         }
         QoeSummary {
             stalls: player.stalls(),
             stall_time: player.stall_time(),
             startup_delay: player.startup_delay(),
-            mean_bitrate_mbps: if counted.is_empty() {
+            mean_bitrate_mbps: if counted == 0 {
                 0.0
             } else {
-                bitrate_sum / counted.len() as f64
+                bitrate_sum / counted as f64
             },
             switches,
             level_histogram: histogram,
-            chunks: counted.len(),
+            chunks: counted,
         }
     }
 
@@ -196,19 +202,19 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
-    fn run_levels(levels: &[usize]) -> (Video, Player) {
+    /// A player fed one chunk a second, summarized at `levels`.
+    fn summarize(levels: &[usize], skip_fraction: f64) -> QoeSummary {
         let v = Video::big_buck_bunny();
         let mut p = Player::new(&v, SimDuration::from_secs(40));
-        for (i, &lvl) in levels.iter().enumerate() {
-            p.on_chunk_complete(t(i as f64), lvl, 1_000, t(i as f64 - 0.5));
+        for i in 0..levels.len() {
+            p.on_chunk_complete(t(i as f64));
         }
-        (v, p)
+        QoeSummary::from_player(&v, &p, levels.iter().copied(), skip_fraction)
     }
 
     #[test]
     fn histogram_and_switches() {
-        let (v, p) = run_levels(&[0, 0, 1, 1, 2, 1]);
-        let q = QoeSummary::from_player(&v, &p, 0.0);
+        let q = summarize(&[0, 0, 1, 1, 2, 1], 0.0);
         assert_eq!(q.chunks, 6);
         assert_eq!(q.level_histogram, vec![2, 3, 1, 0, 0]);
         assert_eq!(q.switches, 3);
@@ -216,8 +222,7 @@ mod tests {
 
     #[test]
     fn skip_fraction_drops_warmup() {
-        let (v, p) = run_levels(&[0, 0, 4, 4, 4, 4, 4, 4, 4, 4]);
-        let q = QoeSummary::from_player(&v, &p, 0.2);
+        let q = summarize(&[0, 0, 4, 4, 4, 4, 4, 4, 4, 4], 0.2);
         assert_eq!(q.chunks, 8);
         assert_eq!(q.level_histogram[0], 0, "warm-up excluded");
         assert!((q.mean_bitrate_mbps - 3.94).abs() < 1e-9);
@@ -226,10 +231,8 @@ mod tests {
 
     #[test]
     fn bitrate_reduction_sign_convention() {
-        let (v, p_high) = run_levels(&[4, 4, 4, 4]);
-        let (_, p_low) = run_levels(&[3, 3, 3, 3]);
-        let high = QoeSummary::from_player(&v, &p_high, 0.0);
-        let low = QoeSummary::from_player(&v, &p_low, 0.0);
+        let high = summarize(&[4, 4, 4, 4], 0.0);
+        let low = summarize(&[3, 3, 3, 3], 0.0);
         let red = low.bitrate_reduction_vs(&high);
         assert!(red > 0.0, "lower bitrate = positive reduction");
         // (3.94-2.41)/3.94 ≈ 0.388 — the paper's "29%" style figure is in
@@ -241,17 +244,14 @@ mod tests {
 
     #[test]
     fn empty_history_is_safe() {
-        let v = Video::big_buck_bunny();
-        let p = Player::new(&v, SimDuration::from_secs(40));
-        let q = QoeSummary::from_player(&v, &p, 0.2);
+        let q = summarize(&[], 0.2);
         assert_eq!(q.chunks, 0);
         assert_eq!(q.mean_bitrate_mbps, 0.0);
     }
 
     #[test]
     fn perfect_session_scores_one_hundred() {
-        let (v, p) = run_levels(&[4, 4, 4, 4]);
-        let q = QoeSummary::from_player(&v, &p, 0.0);
+        let q = summarize(&[4, 4, 4, 4], 0.0);
         let s = QoeScore::compute(&q, SimDuration::from_secs(16), 3.94);
         assert_eq!(s.composite, 100.0);
         assert_eq!(s.rebuffer_ratio, 0.0);
@@ -260,8 +260,7 @@ mod tests {
 
     #[test]
     fn rebuffering_and_switching_cost_points() {
-        let (v, p) = run_levels(&[4, 3, 4, 3]);
-        let q = QoeSummary::from_player(&v, &p, 0.0);
+        let q = summarize(&[4, 3, 4, 3], 0.0);
         // 3 switches over 4 chunks; mean bitrate (2·3.94 + 2·2.41)/4.
         let s = QoeScore::compute(&q, SimDuration::from_secs(60), 3.94);
         let bitrate_frac = ((3.94 + 2.41) / 2.0) / 3.94;

@@ -1032,7 +1032,7 @@ pub fn run_checked(cfg: &FleetConfig) -> Result<FleetReport, InvariantViolation>
                 for drop in bottlenecks[i].take_aqm_drops() {
                     let (dk, dpath) = route[i][drop.flow];
                     let (owner, _) = clients[dk].live();
-                    owner.on_shared_drop(dpath, drop.ticket, drop.at);
+                    owner.on_shared_drop(dpath, drop.ticket);
                     settle(&mut next, &mut clients, dk);
                     rec.record(t, Outcome::AqmDrop)?;
                 }

@@ -134,7 +134,7 @@ fn run_fleet(
             for drop in bn.take_aqm_drops() {
                 clients[drop.flow]
                     .sim
-                    .on_shared_drop(PathId::WIFI, drop.ticket, drop.at);
+                    .on_shared_drop(PathId::WIFI, drop.ticket);
             }
             continue;
         }

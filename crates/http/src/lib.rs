@@ -206,13 +206,13 @@ impl OriginServe {
             return;
         }
         self.edges.observe(&self.faults, now, |e, activated| {
-            let kind = e.kind.name();
+            let fault = e.kind.name();
             tracer.emit_with(now, || {
                 if activated {
                     let until_s = e.end().as_secs_f64();
-                    TraceEvent::ServerFaultActivated { kind, until_s }
+                    TraceEvent::ServerFaultActivated { fault, until_s }
                 } else {
-                    TraceEvent::ServerFaultCleared { kind }
+                    TraceEvent::ServerFaultCleared { fault }
                 }
             });
         });

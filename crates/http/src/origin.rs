@@ -295,9 +295,7 @@ impl OriginPool {
     /// probing a sick origin.
     pub fn route(&mut self, now: SimTime) -> (usize, Vec<HealthTransition>) {
         let transitions = self.promote_lapsed(now);
-        let pick = self
-            .candidate(now, None)
-            .unwrap_or_else(|| self.least_bad(None));
+        let pick = self.candidate(None).unwrap_or_else(|| self.least_bad(None));
         self.mark_probe(pick);
         (pick, transitions)
     }
@@ -311,7 +309,7 @@ impl OriginPool {
         avoid: usize,
     ) -> (Option<usize>, Vec<HealthTransition>) {
         let transitions = self.promote_lapsed(now);
-        let pick = self.candidate(now, Some(avoid));
+        let pick = self.candidate(Some(avoid));
         if let Some(origin) = pick {
             self.mark_probe(origin);
         }
@@ -337,7 +335,7 @@ impl OriginPool {
 
     /// Best currently-admissible origin, or `None` when every breaker
     /// is Open (or busy probing, or excluded).
-    fn candidate(&self, _now: SimTime, avoid: Option<usize>) -> Option<usize> {
+    fn candidate(&self, avoid: Option<usize>) -> Option<usize> {
         (0..self.len())
             .filter(|&i| Some(i) != avoid)
             .filter(|&i| match self.health[i].state {

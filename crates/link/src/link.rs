@@ -206,17 +206,17 @@ impl Link {
             if self.tracer.enabled() {
                 let (tracer, path) = (&self.tracer, self.trace_path);
                 faults.edges.observe(&faults.script, now, |e, activated| {
-                    let kind = e.kind.name();
+                    let fault = e.kind.name();
                     tracer.emit_with(now, || {
                         if activated {
                             let until_s = e.end().as_secs_f64();
                             TraceEvent::FaultActivated {
                                 path,
-                                kind,
+                                fault,
                                 until_s,
                             }
                         } else {
-                            TraceEvent::FaultCleared { path, kind }
+                            TraceEvent::FaultCleared { path, fault }
                         }
                     });
                 });

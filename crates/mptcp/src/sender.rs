@@ -561,7 +561,7 @@ impl Sender {
     /// event loop. While already in loss recovery or an earlier ECN hold,
     /// further echoes are ignored — the window has already been cut for
     /// this flight.
-    pub(crate) fn on_ecn_echo(&mut self, _now: SimTime, path: PathId) {
+    pub(crate) fn on_ecn_echo(&mut self, path: PathId) {
         let sf = &mut self.subflows[path.index()];
         if !sf.is_live() || sf.recovery_end.is_some() || sf.ecn_hold_end.is_some() {
             return;

@@ -561,7 +561,7 @@ impl MptcpSim {
                 if ecn {
                     // The echo lands after the cumulative ACK so a fresh
                     // hold spans exactly the still-outstanding flight.
-                    self.snd.on_ecn_echo(now, path);
+                    self.snd.on_ecn_echo(path);
                 }
                 self.pump(now);
                 StepOutcome::Transport { newly_delivered: 0 }
@@ -742,7 +742,7 @@ impl MptcpSim {
     /// duplicate ACKs or the RTO recover the hole, same as an overflow
     /// drop at offer time — but the deferred bookkeeping must advance
     /// past it so later departures still line up ticket-for-ticket.
-    pub fn on_shared_drop(&mut self, path: PathId, ticket: Ticket, _at: SimTime) {
+    pub fn on_shared_drop(&mut self, path: PathId, ticket: Ticket) {
         let deferred = &mut self.deferred[path.index()];
         let pkt = deferred
             .pop_front()
@@ -1040,7 +1040,7 @@ mod tests {
                     marks += d.marked as u64;
                     sim.on_shared_departure(PathId(0), d.ticket, d.at, d.marked);
                     for drop in bn.take_aqm_drops() {
-                        sim.on_shared_drop(PathId(0), drop.ticket, drop.at);
+                        sim.on_shared_drop(PathId(0), drop.ticket);
                     }
                 }
                 Some(_) => {

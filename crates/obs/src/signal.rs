@@ -275,6 +275,15 @@ impl SignalRecorder {
         at
     }
 
+    /// Counter row `row`'s registry total: 0 before its first write, and
+    /// by-name writes of its name count too.
+    #[inline]
+    pub fn total(&self, row: usize) -> u64 {
+        debug_assert_eq!(self.table[row].kind, Kind::Counter);
+        let at = self.places[row].metric as usize;
+        self.metrics.counters.get(at).map_or(0, |c| c.1)
+    }
+
     /// The registry, frozen.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
@@ -331,8 +340,10 @@ mod tests {
         rec.observe(t(0), 2, 300);
         rec.add(t(1), 1, 5);
         rec.metrics_mut().add("late", 1);
+        assert_eq!(rec.total(0), 0, "not written yet");
         rec.add(t(3), 0, 2);
         rec.add(t(3), 0, 1);
+        assert_eq!(rec.total(0), 3);
         let snap = rec.snapshot();
         assert_eq!(snap.counters, [("late".into(), 1), ("both".into(), 3)]);
         assert_eq!(snap.histograms[0].0, "sizes");

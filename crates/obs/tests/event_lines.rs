@@ -95,7 +95,7 @@ fn pins() -> Vec<(TraceEvent, &'static str)> {
         (
             FaultActivated {
                 path: 0,
-                kind: "burst_loss",
+                fault: "burst_loss",
                 until_s: 75.0,
             },
             r#"{"t_s":68.25,"kind":"fault_activated","path":0,"fault":"burst_loss","until_s":75.0}"#,
@@ -103,7 +103,7 @@ fn pins() -> Vec<(TraceEvent, &'static str)> {
         (
             FaultCleared {
                 path: 0,
-                kind: "rtt_spike",
+                fault: "rtt_spike",
             },
             r#"{"t_s":68.25,"kind":"fault_cleared","path":0,"fault":"rtt_spike"}"#,
         ),
@@ -149,14 +149,14 @@ fn pins() -> Vec<(TraceEvent, &'static str)> {
         ),
         (
             ServerFaultActivated {
-                kind: "error_burst",
+                fault: "error_burst",
                 until_s: 90.0,
             },
             r#"{"t_s":68.25,"kind":"server_fault_activated","fault":"error_burst","until_s":90.0}"#,
         ),
         (
             ServerFaultCleared {
-                kind: "stalled_body",
+                fault: "stalled_body",
             },
             r#"{"t_s":68.25,"kind":"server_fault_cleared","fault":"stalled_body"}"#,
         ),

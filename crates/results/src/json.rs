@@ -85,6 +85,12 @@ impl From<u64> for Json {
     }
 }
 
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::Int(i64::from(v))
+    }
+}
+
 impl From<usize> for Json {
     fn from(v: usize) -> Self {
         Json::from(v as u64)
@@ -94,6 +100,16 @@ impl From<usize> for Json {
 impl From<f64> for Json {
     fn from(v: f64) -> Self {
         Json::Float(v)
+    }
+}
+
+/// An empty option is `null`.
+impl<T> From<Option<T>> for Json
+where
+    Json: From<T>,
+{
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Json::Null, Json::from)
     }
 }
 

@@ -348,10 +348,7 @@ fn block_to_json(b: &Block) -> Json {
         ]),
         Block::Table(t) => Json::obj([
             ("type", Json::from("table")),
-            (
-                "title",
-                t.title.as_deref().map(Json::from).unwrap_or(Json::Null),
-            ),
+            ("title", Json::from(t.title.as_deref())),
             (
                 "header",
                 Json::arr(t.header.iter().map(|h| Json::from(h.as_str()))),

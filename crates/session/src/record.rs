@@ -2,14 +2,13 @@
 //! call per outcome.
 //!
 //! A session signal (a cache hit, a retry, a chunk's size, the buffer
-//! level) can show up in three places: a field of the report's
-//! [`LifecycleStats`] / [`OriginStats`], a named row of the registry
-//! snapshot, and a per-epoch telemetry row. [`SIGNALS`] names each
-//! signal's registry and epoch rows once; [`Recorder::count`] and
-//! [`Recorder::observe`] write them by row, and `count` updates the
-//! report field too. Rows still enter the registry when first written
-//! and that order is part of `summary_json`, so call sites keep their
-//! relative order.
+//! level) is written once, by row: [`SIGNALS`] names each signal's
+//! registry and epoch rows, and [`Recorder::count`] and
+//! [`Recorder::observe`] write them. The report's [`LifecycleStats`] and
+//! [`OriginStats`] are read back from the registry totals of the rows
+//! they mirror ([`Recorder::lifecycle`], [`Recorder::origin`]). Rows
+//! enter the registry when first written and that order is part of
+//! `summary_json`, so call sites keep their relative order.
 
 use crate::report::{LifecycleStats, OriginStats};
 use mpdash_dash::player::Player;
@@ -21,7 +20,8 @@ use mpdash_sim::SimTime;
 mpdash_obs::signal_table! {
     /// A session signal, a countable outcome or a value it samples or
     /// totals, beside its registry and epoch names. See
-    /// [`Recorder::count`] for the report field an outcome also updates.
+    /// [`Recorder::lifecycle`] and [`Recorder::origin`] for the report
+    /// fields the totals of some outcomes become.
     pub(crate) enum Outcome in SIGNALS {
         DeadlineGranted      = counter(Some("deadline_granted"),       None),
         DeadlineBypassed     = counter(Some("deadline_bypassed"),      None),
@@ -70,10 +70,6 @@ mpdash_obs::signal_table! {
 pub(crate) struct Recorder {
     /// Observe-only structured trace: the config's tracer.
     pub tracer: Tracer,
-    /// Request-lifecycle counters for the report.
-    pub lifecycle: LifecycleStats,
-    /// Multi-origin serving counters for the report.
-    pub origin: OriginStats,
     /// [`SIGNALS`]' registry and, with telemetry on, epoch series.
     pub signals: SignalRecorder,
     /// WiFi bytes, cellular bytes and stalled milliseconds at the last
@@ -85,43 +81,47 @@ impl Recorder {
     pub(crate) fn new(tracer: Tracer, telemetry: Option<TelemetrySpec>) -> Self {
         Recorder {
             tracer,
-            lifecycle: LifecycleStats::default(),
-            origin: OriginStats::default(),
             signals: SignalRecorder::new(SIGNALS, telemetry),
             sampled: [0; 3],
         }
     }
 
-    /// Record `n` of `what` at `now`: the report field (if it has one)
-    /// and the signal's rows.
+    /// Record `n` of `what` at `now` in the signal's rows.
     pub(crate) fn count(&mut self, now: SimTime, what: Outcome, n: u64) {
-        use Outcome::*;
-        let (l, o) = (&mut self.lifecycle, &mut self.origin);
-        let field = match what {
-            CacheHit => Some(&mut o.cache_hits),
-            CacheMiss => Some(&mut o.cache_misses),
-            CacheInsert => Some(&mut o.cache_insertions),
-            Routed => Some(&mut o.routed),
-            Failover => Some(&mut o.failovers),
-            BreakerOpen => Some(&mut o.breaker_opens),
-            Hedge => Some(&mut o.hedges),
-            HedgeWonPrimary => Some(&mut o.hedge_wins_primary),
-            HedgeWonHedge => Some(&mut o.hedge_wins_hedge),
-            Retried => Some(&mut l.retried),
-            Timeout => Some(&mut l.timeouts),
-            Abandoned => Some(&mut l.abandoned),
-            Resumed => Some(&mut l.resumed),
-            WastedBytes => Some(&mut l.wasted_bytes),
-            DeadlineGranted | DeadlineBypassed | SchedulerToggle | ChunkFetched | DeadlineHit
-            | DeadlineMiss | Departed | Shed | RequestError | ChunkFetchMs | ChunkBytes
-            | ChunkBitrateKbps | Switch | WifiBytes | CellBytes | StallMs | BufferMs
-            | SchedulerToggleTotal | SubflowFailures | SubflowRevivals | Stalls
-            | LifecycleTimeouts | LifecycleAbandoned | LifecycleResumed | LifecycleRetried => None,
-        };
-        if let Some(field) = field {
-            *field += n;
-        }
         self.signals.add(now, what as usize, n);
+    }
+
+    /// The registry total of counter outcome `what` so far.
+    pub(crate) fn total(&self, what: Outcome) -> u64 {
+        self.signals.total(what as usize)
+    }
+
+    /// The report's request-lifecycle counters, so far.
+    pub(crate) fn lifecycle(&self) -> LifecycleStats {
+        use Outcome::*;
+        LifecycleStats {
+            timeouts: self.total(Timeout),
+            abandoned: self.total(Abandoned),
+            resumed: self.total(Resumed),
+            retried: self.total(Retried),
+            wasted_bytes: self.total(WastedBytes),
+        }
+    }
+
+    /// The report's multi-origin serving counters, so far.
+    pub(crate) fn origin(&self) -> OriginStats {
+        use Outcome::*;
+        OriginStats {
+            routed: self.total(Routed),
+            failovers: self.total(Failover),
+            breaker_opens: self.total(BreakerOpen),
+            hedges: self.total(Hedge),
+            hedge_wins_primary: self.total(HedgeWonPrimary),
+            hedge_wins_hedge: self.total(HedgeWonHedge),
+            cache_hits: self.total(CacheHit),
+            cache_misses: self.total(CacheMiss),
+            cache_insertions: self.total(CacheInsert),
+        }
     }
 
     /// Record `value` into histogram signal `what` at `now`.
@@ -192,6 +192,6 @@ mod tests {
     #[test]
     fn a_recorder_stays_small() {
         let size = std::mem::size_of::<Recorder>();
-        assert!(size <= 344, "{size} B");
+        assert!(size <= 232, "{size} B");
     }
 }

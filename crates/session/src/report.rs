@@ -3,7 +3,6 @@
 
 use mpdash_analysis::ChunkRecord;
 use mpdash_core::SchedulerStats;
-use mpdash_dash::player::PlayerEvent;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
 use mpdash_energy::SessionEnergy;
 use mpdash_mptcp::{MptcpSim, PacketLog, PoppedByKind};
@@ -134,8 +133,6 @@ pub struct SessionReport {
     pub records: PacketLog,
     /// MP-DASH scheduler statistics; all zeros for non-MP-DASH modes.
     pub scheduler_stats: SchedulerStats,
-    /// The player's event log (the §6 analysis tool's second input).
-    pub player_events: Vec<PlayerEvent>,
     /// Graceful-degradation counters (deadline misses, outage-bridged
     /// chunks, subflow failovers/revivals).
     pub degradation: DegradationMetrics,
@@ -208,9 +205,7 @@ impl SessionReport {
                 ("stall_time_s", Json::Float(q.stall_time.as_secs_f64())),
                 (
                     "startup_delay_s",
-                    q.startup_delay
-                        .map(|d| Json::Float(d.as_secs_f64()))
-                        .unwrap_or(Json::Null),
+                    Json::from(q.startup_delay.map(|d| d.as_secs_f64())),
                 ),
                 ("mean_bitrate_mbps", Json::Float(q.mean_bitrate_mbps)),
                 ("switches", Json::from(q.switches)),
@@ -318,12 +313,10 @@ impl SessionReport {
                         ("size", Json::from(c.size)),
                         ("started_s", Json::Float(c.started.as_secs_f64())),
                         ("completed_s", Json::Float(c.completed.as_secs_f64())),
-                        ("requests", Json::from(u64::from(c.requests))),
+                        ("requests", Json::from(c.requests)),
                         (
                             "deadline_s",
-                            c.deadline
-                                .map(|d| Json::Float(d.as_secs_f64()))
-                                .unwrap_or(Json::Null),
+                            Json::from(c.deadline.map(|d| d.as_secs_f64())),
                         ),
                     ])
                 })),

@@ -165,7 +165,7 @@ impl StreamingSession {
         let input = AbrInput {
             buffer: self.player.buffer(),
             buffer_capacity: self.player.capacity(),
-            last_level: self.player.history().last().map(|r| r.level),
+            last_level: self.ledger.chunks().last().map(|r| r.level),
             last_chunk_throughput: self.last_chunk_throughput,
             override_throughput: self.aggregate_estimate(),
         };
@@ -304,13 +304,12 @@ impl StreamingSession {
                 self.fetch.conn_mut().set_desired_mask(enabled);
             }
         }
-        self.player
-            .on_chunk_complete(now, done.level, done.size, done.started);
+        self.player.on_chunk_complete(now);
         self.ledger.on_chunk(done);
         if self.player.has_space() {
             self.request_next(now);
         } else {
-            let wait = self.player.time_until_space(now);
+            let wait = self.player.time_until_space();
             self.fetch
                 .conn_mut()
                 .schedule_app_timer(now + wait, WAKE_ID);
@@ -363,8 +362,12 @@ impl StreamingSession {
     /// Hedge accounting counters for the runtime watchdog:
     /// `(hedges, wins_primary, wins_hedge)`.
     pub fn hedge_accounting(&self) -> (u64, u64, u64) {
-        let o = &self.rec.origin;
-        (o.hedges, o.hedge_wins_primary, o.hedge_wins_hedge)
+        let n = |what| self.rec.total(what);
+        (
+            n(Outcome::Hedge),
+            n(Outcome::HedgeWonPrimary),
+            n(Outcome::HedgeWonHedge),
+        )
     }
 
     /// Breaker-state sanity probe for the runtime watchdog (`Ok(())`
@@ -408,8 +411,8 @@ impl StreamingSession {
 
     /// Feed back a shared-bottleneck AQM dequeue drop for one of this
     /// session's packets (see [`mpdash_mptcp::MptcpSim::on_shared_drop`]).
-    pub fn on_shared_drop(&mut self, path: PathId, ticket: mpdash_link::Ticket, at: SimTime) {
-        self.fetch.conn_mut().on_shared_drop(path, ticket, at);
+    pub fn on_shared_drop(&mut self, path: PathId, ticket: mpdash_link::Ticket) {
+        self.fetch.conn_mut().on_shared_drop(path, ticket);
     }
 
     /// Process one event from this session's queue; `false` when the
@@ -500,7 +503,7 @@ impl StreamingSession {
         // Fold the end-of-run aggregates into the registry so the
         // snapshot is self-contained (counters registered during the run
         // keep their earlier positions).
-        let l = self.rec.lifecycle;
+        let l = self.rec.lifecycle();
         for (what, n) in [
             (Outcome::SchedulerToggleTotal, scheduler_stats.toggles),
             (Outcome::SubflowFailures, degradation.subflow_failures),
@@ -515,7 +518,8 @@ impl StreamingSession {
         }
         self.rec.tracer.flush();
 
-        let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, 0.2);
+        let levels = || self.ledger.chunks().iter().map(|c| c.level);
+        let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, levels(), 0.2);
         let top_rung_mbps = self
             .cfg
             .video
@@ -524,7 +528,7 @@ impl StreamingSession {
         let qoe_score = QoeScore::compute(&qoe, duration, top_rung_mbps);
         SessionReport {
             qoe,
-            qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, 0.0),
+            qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, levels(), 0.0),
             qoe_score,
             epochs: self.rec.signals.take_epochs(),
             wifi_bytes: self.fetch.conn().path_bytes(PathId::WIFI),
@@ -535,10 +539,9 @@ impl StreamingSession {
             chunks: self.ledger.into_chunks(),
             records: self.fetch.conn_mut().take_records(),
             scheduler_stats,
-            player_events: self.player.events().to_vec(),
             degradation,
-            lifecycle: self.rec.lifecycle,
-            origin: self.rec.origin,
+            lifecycle: l,
+            origin: self.rec.origin(),
             departed: self.departed,
             metrics: self.rec.signals.snapshot(),
             sim_profile: SimProfile::of(self.fetch.conn()),

@@ -136,10 +136,7 @@ impl ProfileSpec {
                     ])
                 })),
             ),
-            (
-                "period_secs",
-                self.period_secs.map(Json::Float).unwrap_or(Json::Null),
-            ),
+            ("period_secs", Json::from(self.period_secs)),
         ])
         .to_pretty()
     }

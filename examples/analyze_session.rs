@@ -1,7 +1,9 @@
 //! Drive the §6 multipath video analysis tool over a live session:
 //! stream with MP-DASH, whose chunk log attributes each chunk's bytes to
-//! paths as they arrive, then render the Figure 8-style visualization
-//! and replay the packet trace through the throughput and energy views.
+//! paths as they arrive, then render the Figure 8-style visualization,
+//! replay the packet trace through the throughput and energy views, and
+//! read the rebuffering report off the player's buffer transitions,
+//! which a trace sink collects while the session runs.
 //!
 //! ```sh
 //! cargo run --release --example analyze_session
@@ -13,17 +15,35 @@ use mpdash::analysis::{
 };
 use mpdash::dash::abr::AbrKind;
 use mpdash::energy::DeviceProfile;
+use mpdash::obs::{TraceEvent, TraceSink, Tracer};
 use mpdash::session::{SessionConfig, StreamingSession, TransportMode};
-use mpdash::sim::SimDuration;
+use mpdash::sim::{SimDuration, SimTime};
 use mpdash::trace::table1;
+use std::sync::{Arc, Mutex};
+
+/// The player's buffer transitions, `(time, state, buffer seconds)`:
+/// the §6 tool's second input, beside the packet trace.
+#[derive(Default)]
+struct BufferTransitions(Mutex<Vec<(SimTime, &'static str, f64)>>);
+
+impl TraceSink for BufferTransitions {
+    fn record(&self, t: SimTime, event: &TraceEvent) {
+        if let TraceEvent::BufferTransition { state, buffer_s } = *event {
+            self.0.lock().unwrap().push((t, state, buffer_s));
+        }
+    }
+}
 
 fn main() {
+    let transitions = Arc::new(BufferTransitions::default());
     let cfg = SessionConfig::controlled(
         table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
         AbrKind::Festive,
         TransportMode::mpdash_rate_based(),
-    );
+    )
+    .with_tracer(Tracer::new(transitions.clone()));
     let report = StreamingSession::run(cfg);
+    let transitions = transitions.0.lock().unwrap();
 
     let chunks = &report.chunks;
     let a = analyze(chunks, report.idle_gaps, 5);
@@ -60,13 +80,13 @@ fn main() {
         stats.toggles, stats.missed_deadlines, stats.completed_transfers
     );
 
-    // Rebuffering report from the player event log (§6's second input).
-    let stalls = stall_intervals(&report.player_events);
+    // Rebuffering report from the buffer transitions (§6's second input).
+    let stalls = stall_intervals(&transitions);
     println!("  rebuffer events  : {}", stalls.len());
     for (at, dur) in &stalls {
         println!("    stall at {at} for {dur}");
     }
-    let traj = buffer_trajectory(&report.player_events);
+    let traj = buffer_trajectory(&transitions);
     let peak = traj.iter().map(|&(_, b)| b).fold(0.0f64, f64::max);
     println!("  peak buffer      : {peak:.1} s of {:.0} s capacity", 40.0);
 

@@ -237,10 +237,10 @@ fn transport_line(scenario: &Scenario, chunk: usize, e: &TraceEvent) -> Option<S
             attempt,
             backoff_s,
         } if of_chunk(chunk) => format!("5xx retry #{attempt} after {backoff_s:.2}s backoff"),
-        TraceEvent::ServerFaultActivated { kind, until_s } => {
-            format!("server fault {kind} active until {until_s:.1}s")
+        TraceEvent::ServerFaultActivated { fault, until_s } => {
+            format!("server fault {fault} active until {until_s:.1}s")
         }
-        TraceEvent::ServerFaultCleared { kind } => format!("server fault {kind} cleared"),
+        TraceEvent::ServerFaultCleared { fault } => format!("server fault {fault} cleared"),
         TraceEvent::OriginRouted {
             chunk,
             origin,

@@ -836,6 +836,19 @@ fn fault_edge_lines_reproduce_their_golden_digests() {
     );
 }
 
+/// A session's buffer transitions, `(time, state, buffer seconds)`: the
+/// rebuffering report's input.
+#[derive(Default)]
+struct BufferTransitions(std::sync::Mutex<Vec<(SimTime, &'static str, f64)>>);
+
+impl TraceSink for BufferTransitions {
+    fn record(&self, t: SimTime, event: &TraceEvent) {
+        if let TraceEvent::BufferTransition { state, buffer_s } = *event {
+            self.0.lock().unwrap().push((t, state, buffer_s));
+        }
+    }
+}
+
 /// The §6 tool's rebuffering report as text: each stall's start and
 /// length, then each buffer sample's time and level, in nanoseconds and
 /// `f64` bits; with the stall count, the sample count and the peak.
@@ -857,34 +870,43 @@ fn rebuffer_pin(
 /// The rebuffering report of `server_faults.json`'s two modes (its 5xx
 /// burst and stalled body cost each one stall) and of the
 /// `analyze_session` example's session (150 chunks, no stall, a 36 s
-/// peak). Recorded from the player's own event log, before the report
-/// was read from the trace's buffer transitions.
+/// peak), read off each session's buffer transitions. Recorded from the
+/// player's own event log, before the player stopped keeping one.
 #[test]
 fn the_rebuffer_report_reproduces_its_golden_digests() {
     use mpdash::analysis::{buffer_trajectory, stall_intervals};
     use mpdash::dash::abr::AbrKind;
     use mpdash::session::SessionConfig;
     use mpdash::trace::table1;
-    let pin = |r: &SessionReport| {
+    let pin = |cfg: SessionConfig| {
+        let sink = Arc::new(BufferTransitions::default());
+        StreamingSession::run(cfg.with_tracer(Tracer::new(sink.clone())));
+        let transitions = sink.0.lock().unwrap();
         rebuffer_pin(
-            &stall_intervals(&r.player_events),
-            &buffer_trajectory(&r.player_events),
+            &stall_intervals(&transitions),
+            &buffer_trajectory(&transitions),
         )
     };
-    let faults: Vec<_> = (solo_reports("server_faults.json").iter())
-        .map(|(label, r)| (label.as_str(), pin(r)))
+    let faults: Vec<_> = (shipped("server_faults.json").build().into_iter())
+        .map(|(label, cfg)| (label, pin(cfg)))
         .collect();
-    let example = StreamingSession::run(SessionConfig::controlled(
-        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
-        AbrKind::Festive,
-        TransportMode::mpdash_rate_based(),
-    ));
     assert_eq!(
         faults,
         [
-            ("Baseline", (1, 40, 9.618828, 1268972553093168984)),
-            ("Rate", (1, 40, 8.994760631, 16121053055227226099)),
+            (
+                "Baseline".to_string(),
+                (1, 40, 9.618828, 1268972553093168984)
+            ),
+            (
+                "Rate".to_string(),
+                (1, 40, 8.994760631, 16121053055227226099)
+            ),
         ]
     );
-    assert_eq!(pin(&example), (0, 150, 36.002597416, 1617718841834934760));
+    let example = SessionConfig::controlled(
+        table1::synthetic_profile_pair(3.8, 3.0, 0.10, 42),
+        AbrKind::Festive,
+        TransportMode::mpdash_rate_based(),
+    );
+    assert_eq!(pin(example), (0, 150, 36.002597416, 1617718841834934760));
 }
