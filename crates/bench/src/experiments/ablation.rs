@@ -14,7 +14,7 @@ use crate::shapes::controlled;
 use crate::{mb, Table};
 use mpdash_core::predict::PredictorKind;
 use mpdash_dash::abr::AbrKind;
-use mpdash_dash::adapter::{AdapterConfig, DeadlineMode};
+use mpdash_dash::adapter::AdapterConfig;
 use mpdash_energy::DeviceProfile;
 use mpdash_mptcp::CcKind;
 use mpdash_results::ExperimentResult;
@@ -55,9 +55,9 @@ const HDR: [&str; 7] = [
 ];
 
 fn with_adapter(f: impl FnOnce(&mut AdapterConfig)) -> SessionConfig {
-    let mut ac = AdapterConfig::new(DeadlineMode::Rate);
+    let mut ac = AdapterConfig::default();
     f(&mut ac);
-    base_cfg().with_adapter_config(ac)
+    base_cfg().with_adapter(ac)
 }
 
 /// Compute all ablations as one batch.

@@ -22,7 +22,7 @@
 
 use crate::deadline::SchedulerParams;
 use crate::multipath::MultiPathScheduler;
-use crate::predict::{Predictor, PredictorKind, ThroughputSampler};
+use crate::predict::{PredictorKind, ThroughputSampler};
 use mpdash_sim::{PathId, PathMask, Rate, SimDuration, SimTime};
 
 /// Lifetime statistics of a deadline scheduler instance.
@@ -40,7 +40,7 @@ pub struct SchedulerStats {
 /// Per-transfer, per-path MP-DASH control plane. See module docs.
 pub struct MpDashControl {
     sched: MultiPathScheduler,
-    samplers: Vec<ThroughputSampler<Box<dyn Predictor>>>,
+    samplers: Vec<ThroughputSampler>,
     priors: Vec<Rate>,
     /// Scratch for a progress check's estimates (it must not allocate).
     estimates: Vec<Rate>,
@@ -56,34 +56,14 @@ impl MpDashControl {
     ///   measurements).
     /// * `params` — Algorithm 1 tunables (α).
     /// * `slot` — sampling slot width; the paper uses one RTT (§7.2.2).
+    /// * `predictor` — each path's estimator,
+    ///   [`PredictorKind::control_default`] unless an ablation says
+    ///   otherwise.
     ///
     /// # Panics
     /// If `costs` and `priors` differ in length, or name more than the
     /// 32 paths a [`PathMask`] can.
     pub fn new(
-        costs: Vec<f64>,
-        priors: Vec<Rate>,
-        params: SchedulerParams,
-        slot: SimDuration,
-    ) -> Self {
-        // Holt-Winters at α = 0.5 (rather than the textbook-aggressive
-        // 0.8) because scheduler decisions ride on these forecasts: a
-        // single ramp-up or half-filled slot must not swing the estimate
-        // enough to toggle the cellular subflow. Blackout response is
-        // still a few slots (zero samples compound as (1−α)^k plus a
-        // negative trend).
-        Self::with_predictor(
-            costs,
-            priors,
-            params,
-            slot,
-            PredictorKind::control_default(),
-        )
-    }
-
-    /// Like [`MpDashControl::new`] but with an explicit predictor choice
-    /// (the EWMA option feeds the predictor-ablation bench).
-    pub fn with_predictor(
         costs: Vec<f64>,
         priors: Vec<Rate>,
         params: SchedulerParams,
@@ -236,6 +216,7 @@ mod tests {
             vec![mbps(4.0), mbps(3.0)],
             SchedulerParams::default(),
             SimDuration::from_millis(50),
+            PredictorKind::control_default(),
         )
     }
 

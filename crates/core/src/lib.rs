@@ -2,9 +2,9 @@
 //! contribution (§4), plus the machinery around it.
 //!
 //! * [`predict`] — the non-seasonal Holt-Winters throughput predictor the
-//!   kernel implementation uses (§6), plus an EWMA baseline for ablation
-//!   and a windowed byte-counter that turns packet arrivals into rate
-//!   samples.
+//!   kernel implementation uses (§6), whose β = 0 is the EWMA baseline of
+//!   the ablation, and a windowed byte-counter that turns packet arrivals
+//!   into rate samples.
 //! * [`deadline`] — Algorithm 1: the online scheduler that drives the
 //!   preferred path at full rate and toggles the costly path based on
 //!   whether the preferred path alone can finish `S` bytes within the
@@ -34,4 +34,4 @@ pub mod predict;
 pub use api::{MpDashControl, SchedulerStats};
 pub use deadline::{CellDecision, DeadlineScheduler, SchedulerParams};
 pub use optimal::{optimal_cellular_bytes, optimal_min_cost, SlotPlan};
-pub use predict::{EwmaPredictor, HoltWinters, Predictor, PredictorKind, ThroughputSampler};
+pub use predict::{HoltWinters, Predictor, PredictorKind, ThroughputSampler};

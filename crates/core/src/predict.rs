@@ -4,15 +4,17 @@
 //! **non-seasonal Holt-Winters predictor** — double exponential smoothing
 //! with a trend term — because it is "more robust than other approaches
 //! such as EWMA for non-stationary processes" (§6, citing He et al.,
-//! SIGCOMM '05). Both predictors are implemented here; the EWMA one feeds
-//! the ablation benches.
+//! SIGCOMM '05). [`HoltWinters`] is the one predictor implemented here: the
+//! EWMA baseline the ablation benches compare against is Holt-Winters with
+//! β = 0, whose trend stays +0.0, so each update is exactly `α·x + (1−α)·l`.
 //!
 //! [`ThroughputSampler`] converts raw packet-arrival byte counts into
 //! fixed-slot rate samples (the paper uses one slot per RTT, §7.2.2).
 
 use mpdash_sim::{Rate, SimDuration, SimTime};
 
-/// A one-step-ahead throughput predictor over a stream of rate samples.
+/// A one-step-ahead throughput predictor over a stream of rate samples;
+/// [`HoltWinters`] is its one implementation.
 pub trait Predictor {
     /// Ingest the next observed sample.
     fn observe(&mut self, sample: Rate);
@@ -21,18 +23,6 @@ pub trait Predictor {
     /// Drop all state (used when a path goes idle long enough that old
     /// samples say nothing about the future).
     fn reset(&mut self);
-}
-
-impl Predictor for Box<dyn Predictor> {
-    fn observe(&mut self, sample: Rate) {
-        (**self).observe(sample)
-    }
-    fn forecast(&self) -> Option<Rate> {
-        (**self).forecast()
-    }
-    fn reset(&mut self) {
-        (**self).reset()
-    }
 }
 
 /// Which predictor the MP-DASH control plane runs — the paper argues for
@@ -47,7 +37,7 @@ pub enum PredictorKind {
         /// Trend smoothing factor.
         beta: f64,
     },
-    /// Plain EWMA with the given α.
+    /// Plain EWMA with the given α (Holt-Winters at β = 0).
     Ewma {
         /// Smoothing factor.
         alpha: f64,
@@ -55,8 +45,12 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// The control-plane default: Holt-Winters with moderate smoothing
-    /// (see `mpdash-core::api` for the rationale).
+    /// The control-plane default: Holt-Winters at α = 0.5 (rather than
+    /// the textbook-aggressive 0.8) because scheduler decisions ride on
+    /// these forecasts: a single ramp-up or half-filled slot must not
+    /// swing the estimate enough to toggle the cellular subflow. Blackout
+    /// response is still a few slots (zero samples compound as (1−α)^k
+    /// plus a negative trend).
     pub fn control_default() -> Self {
         PredictorKind::HoltWinters {
             alpha: 0.5,
@@ -65,10 +59,10 @@ impl PredictorKind {
     }
 
     /// Instantiate.
-    pub(crate) fn build(self) -> Box<dyn Predictor> {
+    pub(crate) fn build(self) -> HoltWinters {
         match self {
-            PredictorKind::HoltWinters { alpha, beta } => Box::new(HoltWinters::new(alpha, beta)),
-            PredictorKind::Ewma { alpha } => Box::new(EwmaPredictor::new(alpha)),
+            PredictorKind::HoltWinters { alpha, beta } => HoltWinters::new(alpha, beta),
+            PredictorKind::Ewma { alpha } => HoltWinters::new(alpha, 0.0),
         }
     }
 }
@@ -83,7 +77,7 @@ impl PredictorKind {
 ///
 /// Defaults α = 0.8, β = 0.3 follow the heavily-level-weighted settings
 /// He et al. found effective for TCP throughput series; both are
-/// configurable for sensitivity studies.
+/// configurable for sensitivity studies. At β = 0 this is plain EWMA.
 #[derive(Clone, Debug)]
 pub struct HoltWinters {
     alpha: f64,
@@ -96,10 +90,10 @@ impl HoltWinters {
     /// Predictor with explicit smoothing parameters.
     ///
     /// # Panics
-    /// If either parameter is outside `(0, 1]`.
+    /// If `alpha` is outside `(0, 1]` or `beta` outside `[0, 1]`.
     pub(crate) fn new(alpha: f64, beta: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
-        assert!(beta > 0.0 && beta <= 1.0, "beta in (0,1]");
+        assert!((0.0..=1.0).contains(&beta), "beta in [0,1]");
         HoltWinters {
             alpha,
             beta,
@@ -142,46 +136,6 @@ impl Predictor for HoltWinters {
     }
 }
 
-/// Exponentially weighted moving average — the baseline the paper argues
-/// Holt-Winters improves on; kept for the predictor-ablation bench.
-#[derive(Clone, Debug)]
-pub struct EwmaPredictor {
-    alpha: f64,
-    level: Option<f64>,
-}
-
-impl EwmaPredictor {
-    /// EWMA with smoothing factor `alpha` in `(0, 1]`.
-    pub(crate) fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha in (0,1]");
-        EwmaPredictor { alpha, level: None }
-    }
-}
-
-impl Default for EwmaPredictor {
-    fn default() -> Self {
-        EwmaPredictor::new(0.5)
-    }
-}
-
-impl Predictor for EwmaPredictor {
-    fn observe(&mut self, sample: Rate) {
-        let x = sample.as_mbps_f64();
-        self.level = Some(match self.level {
-            None => x,
-            Some(l) => self.alpha * x + (1.0 - self.alpha) * l,
-        });
-    }
-
-    fn forecast(&self) -> Option<Rate> {
-        self.level.map(Rate::from_mbps_f64)
-    }
-
-    fn reset(&mut self) {
-        self.level = None;
-    }
-}
-
 /// Turns packet-arrival byte counts into fixed-slot rate samples and feeds
 /// them to a predictor.
 ///
@@ -191,8 +145,8 @@ impl Predictor for EwmaPredictor {
 /// a dead WiFi link (exactly the blackout case of Table 2's "Miss?"
 /// column).
 #[derive(Clone, Debug)]
-pub struct ThroughputSampler<P: Predictor> {
-    predictor: P,
+pub struct ThroughputSampler {
+    predictor: HoltWinters,
     /// `predictor.forecast()`, refreshed whenever the predictor's state
     /// moves (a slot closes, a reset): it is read per path on every
     /// delivered packet, far more often than it changes.
@@ -211,12 +165,12 @@ pub struct ThroughputSampler<P: Predictor> {
     awaiting_first_bytes: bool,
 }
 
-impl<P: Predictor> ThroughputSampler<P> {
+impl ThroughputSampler {
     /// Sampler with the given slot width.
     ///
     /// # Panics
     /// If `slot` is zero.
-    pub(crate) fn new(predictor: P, slot: SimDuration) -> Self {
+    pub(crate) fn new(predictor: HoltWinters, slot: SimDuration) -> Self {
         assert!(!slot.is_zero(), "slot width must be positive");
         ThroughputSampler {
             forecast: predictor.forecast(),
@@ -323,7 +277,7 @@ mod tests {
 
     #[test]
     fn ewma_lags_a_trend() {
-        let mut ew = EwmaPredictor::default();
+        let mut ew = PredictorKind::Ewma { alpha: 0.5 }.build();
         for i in 0..21 {
             ew.observe(mbps(1.0 + 0.1 * i as f64));
         }
@@ -355,6 +309,67 @@ mod tests {
     #[should_panic(expected = "alpha in (0,1]")]
     fn invalid_params_rejected() {
         let _ = HoltWinters::new(0.0, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta in [0,1]")]
+    fn negative_beta_rejected() {
+        let _ = HoltWinters::new(0.5, -0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta in [0,1]")]
+    fn beta_above_one_rejected() {
+        let _ = HoltWinters::new(0.5, 1.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beta in [0,1]")]
+    fn nan_beta_rejected() {
+        let _ = HoltWinters::new(0.5, f64::NAN);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Holt-Winters at β = 0 is EWMA bit for bit: the reference is
+        /// the three-line recurrence of the EWMA predictor it replaced,
+        /// driven through the same stream of samples, zero slots and
+        /// resets.
+        #[test]
+        fn beta_zero_is_ewma_bit_for_bit(
+            alpha in 0.01f64..1.0,
+            draws in proptest::collection::vec(proptest::any::<u64>(), 1..200),
+        ) {
+            let mut hw = PredictorKind::Ewma { alpha }.build();
+            let mut ewma: Option<f64> = None;
+            for d in draws {
+                match d % 8 {
+                    0 => {
+                        hw.reset();
+                        ewma = None;
+                    }
+                    op => {
+                        // One draw in seven is a zero slot, the rest up
+                        // to ~100 Mbps at the rate's 1 bps resolution.
+                        let bps = if op == 1 { 0 } else { (d >> 3) % 100_000_000 };
+                        let sample = Rate::from_bps(bps);
+                        hw.observe(sample);
+                        let x = sample.as_mbps_f64();
+                        ewma = Some(match ewma {
+                            None => x,
+                            Some(l) => alpha * x + (1.0 - alpha) * l,
+                        });
+                    }
+                }
+                proptest::prop_assert_eq!(hw.level.map(f64::to_bits), ewma.map(f64::to_bits));
+                proptest::prop_assert_eq!(hw.trend.to_bits(), 0.0f64.to_bits());
+                proptest::prop_assert_eq!(
+                    hw.forecast().map(|r| r.as_mbps_f64().to_bits()),
+                    ewma.map(Rate::from_mbps_f64).map(|r| r.as_mbps_f64().to_bits())
+                );
+            }
+        }
     }
 
     #[test]

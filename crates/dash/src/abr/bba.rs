@@ -16,7 +16,7 @@
 //! uses the aggregate override, so the cap reflects the true multipath
 //! capacity.
 
-use super::{Abr, AbrInput, AbrKind};
+use super::AbrInput;
 use crate::video::Video;
 use mpdash_sim::SimDuration;
 
@@ -137,10 +137,9 @@ impl Bba {
         }
         self.map.as_ref().unwrap()
     }
-}
 
-impl Abr for Bba {
-    fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
+    /// Choose the quality level for the next chunk.
+    pub(crate) fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
         let cellular_friendly = self.cellular_friendly;
         let map = self.ensure_map(video, input.buffer_capacity);
         let current = input.last_level.unwrap_or(0);
@@ -189,15 +188,9 @@ impl Abr for Bba {
         level
     }
 
-    fn kind(&self) -> AbrKind {
-        if self.cellular_friendly {
-            AbrKind::BbaC
-        } else {
-            AbrKind::Bba
-        }
-    }
-
-    fn level_buffer_range(&self, level: usize) -> Option<(SimDuration, SimDuration)> {
+    /// The chunk map's `[e_l, e_h)` for `level`, once the first selection
+    /// has built the map.
+    pub(crate) fn level_buffer_range(&self, level: usize) -> Option<(SimDuration, SimDuration)> {
         self.map.as_ref().map(|m| m.level_range(level))
     }
 }

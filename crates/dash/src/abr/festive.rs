@@ -12,7 +12,7 @@
 //!   and only after the target has persisted for a few consecutive
 //!   decisions; stepping down is immediate.
 
-use super::{Abr, AbrInput, AbrKind};
+use super::AbrInput;
 use crate::video::Video;
 use mpdash_sim::Rate;
 use std::collections::VecDeque;
@@ -50,16 +50,9 @@ impl Festive {
         let denom: f64 = self.samples.iter().map(|&s| 1.0 / s.max(1e-9)).sum();
         Some(self.samples.len() as f64 / denom)
     }
-}
 
-impl Default for Festive {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Abr for Festive {
-    fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
+    /// Choose the quality level for the next chunk.
+    pub(crate) fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
         // Ingest the newest sample. With the MP-DASH override active, the
         // aggregate estimate replaces the (single-path, under-counting)
         // app-level measurement — §5.2.1.
@@ -89,9 +82,11 @@ impl Abr for Festive {
             target // down-switches (and holds) are immediate
         }
     }
+}
 
-    fn kind(&self) -> AbrKind {
-        AbrKind::Festive
+impl Default for Festive {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

@@ -4,10 +4,10 @@
 //! throughput". The simplest throughput-based algorithm, used as the
 //! workhorse of the throttling comparison (Table 4).
 
-use super::{Abr, AbrInput, AbrKind};
+use super::AbrInput;
 use crate::video::Video;
 
-/// The GPAC picker. Stateless beyond the trait object.
+/// The GPAC picker. Stateless.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Gpac;
 
@@ -16,10 +16,9 @@ impl Gpac {
     pub(crate) fn new() -> Self {
         Gpac
     }
-}
 
-impl Abr for Gpac {
-    fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
+    /// Choose the quality level for the next chunk.
+    pub(crate) fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
         match input.throughput_signal() {
             // Highest level strictly below the estimate; ties resolve to
             // the level itself ("lower than" per the paper reads as ≤ in
@@ -29,10 +28,6 @@ impl Abr for Gpac {
             // Nothing measured yet: start at the lowest level.
             None => 0,
         }
-    }
-
-    fn kind(&self) -> AbrKind {
-        AbrKind::Gpac
     }
 }
 

@@ -10,12 +10,13 @@
 //! | [`AbrKind::BbaC`] | buffer | BBA capped at measured throughput (§5.2.2) |
 //! | [`AbrKind::Mpc`] | hybrid | model-predictive horizon optimization |
 //!
-//! Every algorithm implements [`Abr`] and decides from an [`AbrInput`]
-//! snapshot. The MP-DASH throughput override (§5.2.1) is visible here as
-//! `AbrInput::override_throughput`: when the video adapter supplies it,
-//! throughput-based algorithms use it *instead of* their own application-
-//! level measurement, giving the player a view of the aggregate multipath
-//! capacity even while the scheduler has the cellular path disabled.
+//! [`Abr`] holds one algorithm's state, one variant per implementation,
+//! and each decides from an [`AbrInput`] snapshot. The MP-DASH throughput
+//! override (§5.2.1) is visible here as `AbrInput::override_throughput`:
+//! when the video adapter supplies it, throughput-based algorithms use it
+//! *instead of* their own application-level measurement, giving the
+//! player a view of the aggregate multipath capacity even while the
+//! scheduler has the cellular path disabled.
 
 mod bba;
 mod festive;
@@ -58,13 +59,13 @@ impl AbrKind {
     }
 
     /// Instantiate the algorithm for `video`.
-    pub fn build(self, video: &Video) -> Box<dyn Abr> {
+    pub fn build(self, video: &Video) -> Abr {
         match self {
-            AbrKind::Gpac => Box::new(Gpac::new()),
-            AbrKind::Festive => Box::new(Festive::new()),
-            AbrKind::Bba => Box::new(Bba::new(video, false)),
-            AbrKind::BbaC => Box::new(Bba::new(video, true)),
-            AbrKind::Mpc => Box::new(Mpc::new()),
+            AbrKind::Gpac => Abr::Gpac(Gpac::new()),
+            AbrKind::Festive => Abr::Festive(Festive::new()),
+            AbrKind::Bba => Abr::Bba(Bba::new(video, false)),
+            AbrKind::BbaC => Abr::Bba(Bba::new(video, true)),
+            AbrKind::Mpc => Abr::Mpc(Mpc::new()),
         }
     }
 
@@ -117,19 +118,39 @@ impl AbrInput {
     }
 }
 
-/// A DASH rate-adaptation algorithm.
-pub trait Abr {
-    /// Choose the quality level for the next chunk.
-    fn select(&mut self, video: &Video, input: &AbrInput) -> usize;
+/// A DASH rate-adaptation algorithm's state, built by [`AbrKind::build`]
+/// (BBA and BBA-C share one variant).
+#[derive(Clone, Debug)]
+pub enum Abr {
+    /// [`AbrKind::Gpac`].
+    Gpac(Gpac),
+    /// [`AbrKind::Festive`].
+    Festive(Festive),
+    /// [`AbrKind::Bba`] or [`AbrKind::BbaC`].
+    Bba(Bba),
+    /// [`AbrKind::Mpc`].
+    Mpc(Mpc),
+}
 
-    /// Which kind this is (for reporting).
-    fn kind(&self) -> AbrKind;
+impl Abr {
+    /// Choose the quality level for the next chunk.
+    pub fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
+        match self {
+            Abr::Gpac(a) => a.select(video, input),
+            Abr::Festive(a) => a.select(video, input),
+            Abr::Bba(a) => a.select(video, input),
+            Abr::Mpc(a) => a.select(video, input),
+        }
+    }
 
     /// For buffer-based algorithms: the buffer-occupancy range
     /// `[e_l, e_h)` mapped to `level`, used by the adapter's Ω rule
     /// (§5.2.2). `None` for algorithms without a chunk map.
-    fn level_buffer_range(&self, _level: usize) -> Option<(SimDuration, SimDuration)> {
-        None
+    pub fn level_buffer_range(&self, level: usize) -> Option<(SimDuration, SimDuration)> {
+        match self {
+            Abr::Bba(a) => a.level_buffer_range(level),
+            Abr::Gpac(_) | Abr::Festive(_) | Abr::Mpc(_) => None,
+        }
     }
 }
 
@@ -168,7 +189,14 @@ mod tests {
             AbrKind::BbaC,
             AbrKind::Mpc,
         ] {
-            assert_eq!(k.build(&v).kind(), k);
+            let built = matches!(
+                (k, k.build(&v)),
+                (AbrKind::Gpac, Abr::Gpac(_))
+                    | (AbrKind::Festive, Abr::Festive(_))
+                    | (AbrKind::Bba | AbrKind::BbaC, Abr::Bba(_))
+                    | (AbrKind::Mpc, Abr::Mpc(_))
+            );
+            assert!(built, "{k:?}");
             assert!(!k.name().is_empty());
         }
     }

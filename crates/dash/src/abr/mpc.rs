@@ -15,7 +15,7 @@
 //! stalls, as in the original). The first level of the best sequence is
 //! played; the horizon re-solves every chunk (receding horizon).
 
-use super::{Abr, AbrInput, AbrKind};
+use super::AbrInput;
 use crate::video::Video;
 use std::collections::VecDeque;
 
@@ -76,16 +76,9 @@ impl Mpc {
         }
         utility
     }
-}
 
-impl Default for Mpc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Abr for Mpc {
-    fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
+    /// Choose the quality level for the next chunk.
+    pub(crate) fn select(&mut self, video: &Video, input: &AbrInput) -> usize {
         if let Some(rate) = input.throughput_signal() {
             if self.samples.len() == Self::WINDOW {
                 self.samples.pop_front();
@@ -121,9 +114,11 @@ impl Abr for Mpc {
         }
         best.1
     }
+}
 
-    fn kind(&self) -> AbrKind {
-        AbrKind::Mpc
+impl Default for Mpc {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

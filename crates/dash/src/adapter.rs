@@ -45,11 +45,9 @@ impl DeadlineMode {
     }
 }
 
-/// Adapter tunables; defaults are the paper's settings.
+/// Adapter tunables; the defaults are the paper's Φ, Ω and `T`.
 #[derive(Clone, Copy, Debug)]
 pub struct AdapterConfig {
-    /// Deadline derivation.
-    pub mode: DeadlineMode,
     /// Throughput-based Φ as a fraction of buffer capacity (paper: 0.8).
     pub phi_fraction: f64,
     /// Throughput-based Ω window `T` as a multiple of the buffer
@@ -60,11 +58,9 @@ pub struct AdapterConfig {
     pub omega_floor: f64,
 }
 
-impl AdapterConfig {
-    /// Paper defaults with the given deadline mode.
-    pub fn new(mode: DeadlineMode) -> Self {
+impl Default for AdapterConfig {
+    fn default() -> Self {
         AdapterConfig {
-            mode,
             phi_fraction: 0.8,
             t_factor: 2.0,
             omega_floor: 0.4,
@@ -88,26 +84,24 @@ pub enum DeadlineDecision {
 pub struct VideoAdapter {
     cfg: AdapterConfig,
     category: AbrCategory,
+    mode: DeadlineMode,
 }
 
 impl VideoAdapter {
-    /// Build for an algorithm category with the paper's default Φ/Ω.
-    pub fn new(category: AbrCategory, mode: DeadlineMode) -> Self {
+    /// Build for an algorithm category, a deadline mode and Φ/Ω
+    /// tunables.
+    pub fn new(category: AbrCategory, mode: DeadlineMode, cfg: AdapterConfig) -> Self {
         VideoAdapter {
-            cfg: AdapterConfig::new(mode),
+            cfg,
             category,
+            mode,
         }
-    }
-
-    /// Build with explicit tunables.
-    pub fn with_config(category: AbrCategory, cfg: AdapterConfig) -> Self {
-        VideoAdapter { cfg, category }
     }
 
     /// The base (unextended) deadline for a chunk of `size` bytes at
     /// `level`.
     pub(crate) fn base_deadline(&self, video: &Video, level: usize, size: u64) -> SimDuration {
-        match self.cfg.mode {
+        match self.mode {
             DeadlineMode::Duration => video.chunk_duration(),
             DeadlineMode::Rate => {
                 let rate = video.bitrate(level);
@@ -137,7 +131,7 @@ impl VideoAdapter {
     pub(crate) fn omega(
         &self,
         video: &Video,
-        abr: &dyn Abr,
+        abr: &Abr,
         level: usize,
         capacity: SimDuration,
         estimate: Rate,
@@ -168,7 +162,7 @@ impl VideoAdapter {
     pub fn decide(
         &self,
         video: &Video,
-        abr: &dyn Abr,
+        abr: &Abr,
         level: usize,
         size: u64,
         buffer: SimDuration,
@@ -211,17 +205,21 @@ mod tests {
 
     const CAP: f64 = 40.0;
 
+    fn adapter(category: AbrCategory, mode: DeadlineMode) -> VideoAdapter {
+        VideoAdapter::new(category, mode, AdapterConfig::default())
+    }
+
     #[test]
     fn duration_mode_uses_playout_time() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Duration);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Duration);
         assert_eq!(a.base_deadline(&v, 4, 999_999_999), secs(4.0));
     }
 
     #[test]
     fn rate_mode_scales_with_chunk_size() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Rate);
         // Paper's example: 1 MB at 4.0 Mbps nominal → 2 s.
         let d = Rate::from_mbps(4).time_to_send(1_000_000);
         assert_eq!(d, secs(2.0));
@@ -236,47 +234,47 @@ mod tests {
     #[test]
     fn throughput_phi_is_80_percent() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Rate);
         assert_eq!(a.phi(&v, secs(CAP)), secs(32.0));
     }
 
     #[test]
     fn buffer_based_phi_is_capacity_minus_chunk() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::BufferBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::BufferBased, DeadlineMode::Rate);
         assert_eq!(a.phi(&v, secs(CAP)), secs(36.0));
     }
 
     #[test]
     fn deadline_extension_above_phi() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Duration);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Duration);
         let abr = AbrKind::Festive.build(&v);
         // Buffer at 36 s > Φ=32 s: window = 4 s + 4 s extension.
-        let d = a.decide(&v, abr.as_ref(), 4, 1, secs(36.0), secs(CAP), mbps(5.0));
+        let d = a.decide(&v, &abr, 4, 1, secs(36.0), secs(CAP), mbps(5.0));
         assert_eq!(d, DeadlineDecision::Schedule(secs(8.0)));
     }
 
     #[test]
     fn low_buffer_bypasses() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Rate);
         let abr = AbrKind::Festive.build(&v);
         // Ω floor = 16 s; buffer 10 s < Ω → bypass.
-        let d = a.decide(&v, abr.as_ref(), 2, 1, secs(10.0), secs(CAP), mbps(5.0));
+        let d = a.decide(&v, &abr, 2, 1, secs(10.0), secs(CAP), mbps(5.0));
         assert_eq!(d, DeadlineDecision::Bypass);
     }
 
     #[test]
     fn omega_grows_when_estimate_is_poor() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::ThroughputBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::ThroughputBased, DeadlineMode::Rate);
         let abr = AbrKind::Festive.build(&v);
         // Rich estimate: supplied ≥ T, Ω = floor (16 s).
-        let rich = a.omega(&v, abr.as_ref(), 0, secs(CAP), mbps(5.0));
+        let rich = a.omega(&v, &abr, 0, secs(CAP), mbps(5.0));
         assert_eq!(rich, secs(16.0));
         // Estimate at half the lowest bitrate: T' = 40 s, Ω = 80−40 = 40 s.
-        let poor = a.omega(&v, abr.as_ref(), 0, secs(CAP), mbps(0.29));
+        let poor = a.omega(&v, &abr, 0, secs(CAP), mbps(0.29));
         assert_eq!(poor, secs(40.0));
         assert!(poor > rich);
     }
@@ -284,7 +282,7 @@ mod tests {
     #[test]
     fn buffer_based_gate_requires_sustainable_level() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::BufferBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::BufferBased, DeadlineMode::Rate);
         let mut abr = AbrKind::Bba.build(&v);
         // Run a selection so the BBA map exists (it is built lazily).
         let _ = abr.select(
@@ -298,17 +296,17 @@ mod tests {
             },
         );
         // Estimate 3.4 Mbps sustains level 3; a level-2 chunk bypasses.
-        let d = a.decide(&v, abr.as_ref(), 2, 1, secs(30.0), secs(CAP), mbps(3.4));
+        let d = a.decide(&v, &abr, 2, 1, secs(30.0), secs(CAP), mbps(3.4));
         assert_eq!(d, DeadlineDecision::Bypass);
         // At level 3 with a healthy buffer, it schedules.
-        let d = a.decide(&v, abr.as_ref(), 3, 1, secs(30.0), secs(CAP), mbps(3.4));
+        let d = a.decide(&v, &abr, 3, 1, secs(30.0), secs(CAP), mbps(3.4));
         assert!(matches!(d, DeadlineDecision::Schedule(_)));
     }
 
     #[test]
     fn buffer_based_omega_uses_chunk_map() {
         let v = Video::big_buck_bunny();
-        let a = VideoAdapter::new(AbrCategory::BufferBased, DeadlineMode::Rate);
+        let a = adapter(AbrCategory::BufferBased, DeadlineMode::Rate);
         let mut abr = AbrKind::Bba.build(&v);
         let _ = abr.select(
             &v,
@@ -321,17 +319,17 @@ mod tests {
             },
         );
         let (el, _) = abr.level_buffer_range(4).unwrap();
-        let omega = a.omega(&v, abr.as_ref(), 4, secs(CAP), mbps(5.0));
+        let omega = a.omega(&v, &abr, 4, secs(CAP), mbps(5.0));
         assert_eq!(omega, el + v.chunk_duration());
         // Just below Ω: bypass. Just above: schedule.
         let below = omega - SimDuration::from_millis(1);
         assert_eq!(
-            a.decide(&v, abr.as_ref(), 4, 1, below, secs(CAP), mbps(5.0)),
+            a.decide(&v, &abr, 4, 1, below, secs(CAP), mbps(5.0)),
             DeadlineDecision::Bypass
         );
         let above = omega + SimDuration::from_millis(1);
         assert!(matches!(
-            a.decide(&v, abr.as_ref(), 4, 1, above, secs(CAP), mbps(5.0)),
+            a.decide(&v, &abr, 4, 1, above, secs(CAP), mbps(5.0)),
             DeadlineDecision::Schedule(_)
         ));
     }

@@ -174,14 +174,10 @@ pub struct Departure {
 /// FIFO stays in ticket order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SharedDrop {
-    /// Service-start instant at which the controller condemned it.
-    pub at: SimTime,
     /// The flow that offered it.
     pub flow: FlowId,
     /// The ticket [`SharedBottleneck::offer`] returned for it.
     pub ticket: Ticket,
-    /// Size in bytes.
-    pub size: u64,
 }
 
 /// Byte/packet conservation counters for one flow.
@@ -693,10 +689,8 @@ impl SharedBottleneck {
                     AqmVerdict::Drop => {
                         g.count_aqm_drop(now, flow, pkt.size);
                         g.pending_drops.push(SharedDrop {
-                            at: now,
                             flow,
                             ticket: pkt.ticket,
-                            size: pkt.size,
                         });
                         continue;
                     }

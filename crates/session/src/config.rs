@@ -98,12 +98,12 @@ impl TransportMode {
 
     /// The mode's link-level effect: `cell` as configured, behind a
     /// token bucket when the mode throttles the cellular path.
-    pub(crate) fn cell_link(&self, cell: &LinkConfig) -> LinkConfig {
+    pub(crate) fn cell_link(&self, cell: LinkConfig) -> LinkConfig {
         match *self {
-            TransportMode::Throttled { kbps } => cell
-                .clone()
-                .with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000)),
-            _ => cell.clone(),
+            TransportMode::Throttled { kbps } => {
+                cell.with_throttle(TokenBucket::new(Rate::from_kbps(kbps), 3000))
+            }
+            _ => cell,
         }
     }
 
@@ -112,12 +112,12 @@ impl TransportMode {
     /// mode's cellular subflow off from the start.
     pub(crate) fn connect(
         &self,
-        (wifi, cell): (&LinkConfig, &LinkConfig),
+        (wifi, cell): (LinkConfig, LinkConfig),
         scheduler: SchedulerSpec,
         cc: CcKind,
         tracer: Tracer,
     ) -> MptcpSim {
-        let mut two_path = MptcpConfig::two_path(wifi.clone(), self.cell_link(cell));
+        let mut two_path = MptcpConfig::two_path(wifi, self.cell_link(cell));
         (two_path.scheduler, two_path.cc) = (scheduler, cc);
         let mut sim = MptcpSim::new(two_path);
         sim.set_tracer(tracer);
@@ -160,9 +160,9 @@ pub struct SessionConfig {
     pub enable_debounce: u32,
     /// Holt-Winters sampling-slot width (ablation knob).
     pub sample_slot: SimDuration,
-    /// Override the video adapter's Φ/Ω tunables (ablation knob; `None`
-    /// keeps the paper's defaults).
-    pub adapter_config: Option<AdapterConfig>,
+    /// The video adapter's Φ/Ω tunables (ablation knob; the default is
+    /// the paper's).
+    pub adapter: AdapterConfig,
     /// Which interface the user prefers (§3.2).
     pub preference: PathPreference,
     /// Scripted misbehaviour of the single implicit origin (5xx bursts,
@@ -231,7 +231,7 @@ impl SessionConfig {
             predictor: PredictorKind::control_default(),
             enable_debounce: 4,
             sample_slot: SAMPLE_SLOT,
-            adapter_config: None,
+            adapter: AdapterConfig::default(),
             preference: PathPreference::WifiFirst,
             server_faults: ServerFaultScript::new(),
             lifecycle: LifecyclePolicy::wait_forever(),
@@ -327,8 +327,8 @@ impl SessionConfig {
     }
 
     /// Same config with explicit adapter Φ/Ω tunables (ablation).
-    pub fn with_adapter_config(mut self, cfg: AdapterConfig) -> Self {
-        self.adapter_config = Some(cfg);
+    pub fn with_adapter(mut self, cfg: AdapterConfig) -> Self {
+        self.adapter = cfg;
         self
     }
 
@@ -420,8 +420,8 @@ mod tests {
             AbrKind::Gpac,
             TransportMode::Throttled { kbps: 700 },
         );
-        assert!(cfg.mode.cell_link(&cfg.cell).throttle.is_some());
+        assert!(cfg.mode.cell_link(cfg.cell.clone()).throttle.is_some());
         cfg.mode = TransportMode::Vanilla;
-        assert!(cfg.mode.cell_link(&cfg.cell).throttle.is_none());
+        assert!(cfg.mode.cell_link(cfg.cell).throttle.is_none());
     }
 }

@@ -24,14 +24,13 @@
 //! adds only what the tracker cannot know (which request id is current,
 //! where it was routed, its byte-range offset).
 
-use crate::config::SessionConfig;
 use crate::record::{Outcome, Recorder};
 use mpdash_analysis::ChunkRecord;
 use mpdash_core::MpDashControl;
 use mpdash_http::{
     BreakerState, DssRange, HealthTransition, HttpEvent, HttpLayer, LifecycleAction,
-    LifecyclePolicy, OriginPool, OriginSpec, RequestId, RequestTracker, RetryPlan, Route,
-    SharedSegmentCache,
+    LifecyclePolicy, OriginPool, OriginPoolConfig, OriginSpec, RequestId, RequestTracker,
+    RetryPlan, Route, ServerFaultScript, SharedSegmentCache,
 };
 use mpdash_link::PathId;
 use mpdash_mptcp::{MptcpSim, StepOutcome};
@@ -130,24 +129,29 @@ pub(crate) struct ChunkFetch {
 }
 
 impl ChunkFetch {
-    pub(crate) fn new(cfg: &SessionConfig, rec: &Recorder) -> Self {
-        let pool = cfg.origins.clone().map(OriginPool::new);
+    /// Fetch over `conn` from `origins` (or the single implicit origin
+    /// misbehaving per `server_faults`) behind `cache`, under `policy`.
+    pub(crate) fn new(
+        conn: MptcpSim,
+        origins: Option<OriginPoolConfig>,
+        server_faults: ServerFaultScript,
+        cache: Option<SharedSegmentCache>,
+        policy: LifecyclePolicy,
+        rec: &Recorder,
+    ) -> Self {
+        let pool = origins.map(OriginPool::new);
         let http = HttpLayer::new();
         let mut http = match pool.as_ref() {
             Some(pool) => http.with_origins(&pool.config().origins),
-            None => http
-                .with_origins(&[OriginSpec::new("origin").with_faults(cfg.server_faults.clone())]),
+            None => http.with_origins(&[OriginSpec::new("origin").with_faults(server_faults)]),
         };
         http.set_tracer(rec.tracer.clone());
-        let links = (&cfg.wifi, &cfg.cell);
         ChunkFetch {
-            conn: cfg
-                .mode
-                .connect(links, cfg.scheduler, cfg.cc, rec.tracer.clone()),
+            conn,
             http,
             pool,
-            cache: cfg.cache.clone(),
-            policy: cfg.lifecycle,
+            cache,
+            policy,
             current: None,
             losers: Vec::new(),
             events: Vec::new(),

@@ -15,6 +15,7 @@ use crate::accounting::EnergyMeter;
 use crate::config::{TransportMode, SAMPLE_SLOT};
 use crate::signal::DeadlineSignal;
 use mpdash_core::deadline::SchedulerParams;
+use mpdash_core::predict::PredictorKind;
 use mpdash_core::MpDashControl;
 use mpdash_energy::{DeviceProfile, SessionEnergy};
 use mpdash_link::{LinkConfig, PathId};
@@ -119,10 +120,9 @@ pub struct FileTransfer;
 impl FileTransfer {
     /// Run one transfer to completion.
     pub fn run(cfg: FileTransferConfig) -> FileTransferReport {
-        let tracer = cfg.tracer.clone();
         let mut sim = cfg
             .mode
-            .connect((&cfg.wifi, &cfg.cell), cfg.scheduler, cfg.cc, tracer);
+            .connect((cfg.wifi, cfg.cell), cfg.scheduler, cfg.cc, cfg.tracer);
         // The report carries no capture, so the transfer keeps none.
         sim.set_logging(false);
         let mut signal = match cfg.mode {
@@ -132,6 +132,7 @@ impl FileTransfer {
                     vec![cfg.priors.0, cfg.priors.1],
                     SchedulerParams::with_alpha(alpha).with_debounce(4),
                     SAMPLE_SLOT,
+                    PredictorKind::control_default(),
                 );
                 sim.set_initial_mask(c.mp_dash_enable(SimTime::ZERO, cfg.size, cfg.deadline));
                 Some(DeadlineSignal::new(c))

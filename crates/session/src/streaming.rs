@@ -37,6 +37,7 @@ use mpdash_dash::abr::{Abr, AbrInput};
 use mpdash_dash::adapter::{DeadlineDecision, VideoAdapter};
 use mpdash_dash::player::Player;
 use mpdash_dash::qoe::{QoeScore, QoeSummary};
+use mpdash_dash::video::Video;
 use mpdash_link::PathId;
 use mpdash_mptcp::PathMask;
 use mpdash_obs::TraceEvent;
@@ -53,9 +54,13 @@ const WAKE_ID: u64 = 2;
 
 /// The streaming-session driver. See module docs.
 pub struct StreamingSession {
-    cfg: SessionConfig,
+    /// All the session reads of its config after `start` consumed it; the
+    /// preferred path is the one an outage-bridged chunk lost.
+    video: Video,
+    max_watch: Option<SimDuration>,
+    preferred: PathId,
     player: Player,
-    abr: Box<dyn Abr>,
+    abr: Abr,
     /// MP-DASH only: the video adapter (§5) and the deadline signal
     /// (Algorithm 1 plus its throughput estimators).
     mpdash: Option<(VideoAdapter, DeadlineSignal)>,
@@ -83,7 +88,7 @@ impl StreamingSession {
             s.player.download_complete() || s.departed,
             "session ended with {}/{} chunks",
             s.player.chunks_downloaded(),
-            s.cfg.video.n_chunks()
+            s.video.n_chunks()
         );
         s.into_report()
     }
@@ -94,17 +99,11 @@ impl StreamingSession {
     /// [`StreamingSession::run`] does, or externally via
     /// [`StreamingSession::step_once`] interleaved with other sessions.
     pub fn start(cfg: SessionConfig) -> Self {
-        let rec = Recorder::new(cfg.tracer.clone(), cfg.telemetry);
+        let rec = Recorder::new(cfg.tracer, cfg.telemetry);
         let mpdash = match cfg.mode {
             TransportMode::MpDash { deadline, alpha } => {
-                let adapter = match cfg.adapter_config {
-                    Some(mut ac) => {
-                        ac.mode = deadline;
-                        VideoAdapter::with_config(cfg.abr.category(), ac)
-                    }
-                    None => VideoAdapter::new(cfg.abr.category(), deadline),
-                };
-                let control = MpDashControl::with_predictor(
+                let adapter = VideoAdapter::new(cfg.abr.category(), deadline, cfg.adapter);
+                let control = MpDashControl::new(
                     cfg.preference.costs().to_vec(),
                     vec![cfg.priors.0, cfg.priors.1],
                     SchedulerParams::with_alpha(alpha).with_debounce(cfg.enable_debounce),
@@ -119,17 +118,36 @@ impl StreamingSession {
         let mut player = Player::new(&cfg.video, cfg.buffer_capacity);
         player.set_tracer(rec.tracer.clone());
         player.set_origin(origin);
+        let links = (cfg.wifi, cfg.cell);
+        let conn = cfg
+            .mode
+            .connect(links, cfg.scheduler, cfg.cc, rec.tracer.clone());
+        let fetch = ChunkFetch::new(
+            conn,
+            cfg.origins,
+            cfg.server_faults,
+            cfg.cache,
+            cfg.lifecycle,
+            &rec,
+        );
+        let [wifi_cost, cell_cost] = cfg.preference.costs();
         let mut s = StreamingSession {
-            player,
             abr: cfg.abr.build(&cfg.video),
+            video: cfg.video,
+            max_watch: cfg.max_watch,
+            preferred: if wifi_cost <= cell_cost {
+                PathId::WIFI
+            } else {
+                PathId::CELLULAR
+            },
+            player,
             mpdash,
-            fetch: ChunkFetch::new(&cfg, &rec),
+            fetch,
             energy: EnergyMeter::new(&cfg.device, origin),
             ledger: ChunkLedger::new(),
             last_chunk_throughput: None,
             rec,
             departed: false,
-            cfg,
         };
         if origin == SimTime::ZERO {
             s.request_next(origin);
@@ -150,7 +168,7 @@ impl StreamingSession {
         // request so the first chunk is always fetched (a positive limit
         // cannot have elapsed at the session origin) and in-flight bytes
         // drain normally.
-        if let Some(limit) = self.cfg.max_watch {
+        if let Some(limit) = self.max_watch {
             if now.saturating_since(self.player.origin()) >= limit
                 && self.player.chunks_downloaded() > 0
             {
@@ -169,8 +187,8 @@ impl StreamingSession {
             last_chunk_throughput: self.last_chunk_throughput,
             override_throughput: self.aggregate_estimate(),
         };
-        let level = self.abr.select(&self.cfg.video, &input);
-        let size = self.cfg.video.chunk_size(index, level);
+        let level = self.abr.select(&self.video, &input);
+        let size = self.video.chunk_size(index, level);
         self.rec.tracer.emit_with(now, || TraceEvent::AbrChoice {
             chunk: index,
             level,
@@ -184,8 +202,8 @@ impl StreamingSession {
         let mut deadline = None;
         if let Some((adapter, signal)) = self.mpdash.as_mut() {
             let decision = adapter.decide(
-                &self.cfg.video,
-                self.abr.as_ref(),
+                &self.video,
+                &self.abr,
                 level,
                 size,
                 self.player.buffer(),
@@ -264,7 +282,7 @@ impl StreamingSession {
             self.last_chunk_throughput =
                 Some(Rate::from_mbps_f64(done.size as f64 * 8.0 / dl / 1e6));
         }
-        let kbps = self.cfg.video.bitrate(done.level).as_bps() / 1000;
+        let kbps = self.video.bitrate(done.level).as_bps() / 1000;
         self.rec.count(now, Outcome::ChunkFetched, 1);
         self.rec
             .observe(now, Outcome::ChunkFetchMs, fetch.as_millis_f64() as u64);
@@ -463,12 +481,11 @@ impl StreamingSession {
         // Departed viewers only play out the content they fetched; full
         // sessions play out the whole video.
         let content = if self.departed {
-            self.cfg
-                .video
+            self.video
                 .chunk_duration()
                 .mul_f64(self.player.chunks_downloaded() as f64)
         } else {
-            self.cfg.video.total_duration()
+            self.video.total_duration()
         };
         let playout_end = origin + startup + content + self.player.stall_time();
         let end = playout_end.max(self.fetch.conn().now());
@@ -483,13 +500,7 @@ impl StreamingSession {
             .as_ref()
             .map(|(_, signal)| signal.control.stats())
             .unwrap_or_default();
-        let costs = self.cfg.preference.costs();
-        let preferred = if costs[0] <= costs[1] {
-            PathId::WIFI
-        } else {
-            PathId::CELLULAR
-        };
-        let bridged = |c: &&ChunkRecord| c.outage_bridged(preferred);
+        let bridged = |c: &&ChunkRecord| c.outage_bridged(self.preferred);
         let conn = self.fetch.conn();
         let degradation = DegradationMetrics {
             deadline_misses: scheduler_stats.missed_deadlines,
@@ -519,16 +530,12 @@ impl StreamingSession {
         self.rec.tracer.flush();
 
         let levels = || self.ledger.chunks().iter().map(|c| c.level);
-        let qoe = QoeSummary::from_player(&self.cfg.video, &self.player, levels(), 0.2);
-        let top_rung_mbps = self
-            .cfg
-            .video
-            .bitrate(self.cfg.video.n_levels() - 1)
-            .as_mbps_f64();
+        let qoe = QoeSummary::from_player(&self.video, &self.player, levels(), 0.2);
+        let top_rung_mbps = self.video.bitrate(self.video.n_levels() - 1).as_mbps_f64();
         let qoe_score = QoeScore::compute(&qoe, duration, top_rung_mbps);
         SessionReport {
             qoe,
-            qoe_all: QoeSummary::from_player(&self.cfg.video, &self.player, levels(), 0.0),
+            qoe_all: QoeSummary::from_player(&self.video, &self.player, levels(), 0.0),
             qoe_score,
             epochs: self.rec.signals.take_epochs(),
             wifi_bytes: self.fetch.conn().path_bytes(PathId::WIFI),
@@ -553,7 +560,6 @@ impl StreamingSession {
 mod tests {
     use super::*;
     use mpdash_dash::abr::AbrKind;
-    use mpdash_dash::video::Video;
     use mpdash_trace::table1;
 
     /// A shortened Big Buck Bunny so debug-mode tests stay fast.
@@ -564,6 +570,15 @@ mod tests {
             SimDuration::from_secs(4),
             40,
         )
+    }
+
+    /// The fleet boxes one session per live client, so its inline size
+    /// is paid per client: it keeps three values of its config, not a
+    /// copy (3,392 B while it kept one).
+    #[test]
+    fn a_session_stays_small() {
+        let size = std::mem::size_of::<StreamingSession>();
+        assert!(size <= 2672, "{size} B");
     }
 
     fn controlled(abr: AbrKind, mode: TransportMode) -> SessionConfig {

@@ -33,7 +33,7 @@ fn config(mode: TransportMode) -> SessionConfig {
         predictor: PredictorKind::control_default(),
         enable_debounce: 4,
         sample_slot: SimDuration::from_millis(250),
-        adapter_config: None,
+        adapter: Default::default(),
         preference: Default::default(),
         tracer: Default::default(),
         server_faults: Default::default(),

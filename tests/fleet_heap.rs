@@ -4,12 +4,12 @@
 //! client: a client's per-packet buffers (sender segments, event-queue
 //! slab, shared-queue bookkeeping, outage split, deadline signal) give
 //! back what a swollen window left, so 32 clients behind one deep AP
-//! peak at under 72 KB a client (35,235 B; 116 KB when every buffer kept
+//! peak at under 72 KB a client (34,665 B; 116 KB when every buffer kept
 //! its high-water capacity).
 //!
 //! A churning fleet, where most viewers have not arrived yet or have
 //! left, peaks at under 14 KB a client over 64 clients with telemetry
-//! on (9,168 B): a client that is done and owns no queued packet is
+//! on (8,388 B): a client that is done and owns no queued packet is
 //! only its report, its epoch series keeps no pending slot, and an epoch
 //! cell keeps static names, no room to grow once its epoch closes, and
 //! no cells before the client's first write. Finished clients that kept their sessions, with cells keyed by

@@ -4,7 +4,7 @@
 //! same MP-DASH control plane the two-path experiments use.
 
 use mpdash::core::deadline::SchedulerParams;
-use mpdash::core::MpDashControl;
+use mpdash::core::{MpDashControl, PredictorKind};
 use mpdash::link::{LinkConfig, PathId};
 use mpdash::mptcp::CcKind;
 use mpdash::mptcp::{MptcpConfig, MptcpSim, SchedulerSpec};
@@ -53,6 +53,7 @@ fn run_transfer_sim(wifi_mbps: f64, size: u64, deadline: SimDuration) -> (MptcpS
         ],
         SchedulerParams::default().with_debounce(4),
         SimDuration::from_millis(250),
+        PredictorKind::control_default(),
     );
     sim.set_initial_mask(control.mp_dash_enable(SimTime::ZERO, size, deadline));
     sim.send_app(size);

@@ -175,10 +175,10 @@ fn a_fleets_clients_share_the_base_configs_trace() {
         .with_watchdog(false);
     fleet::run(&cfg);
     // The sink and the base config hold one reference each; every client
-    // holds one in its config and one in its WiFi link.
+    // holds one in its WiFi link, moved there from its config.
     let peak = sink.peak.load(Ordering::Relaxed);
     assert!(
-        peak >= 2 + 2 * CLIENTS,
+        peak >= 2 + CLIENTS,
         "{peak} references: a client built its own copy"
     );
 }
@@ -193,10 +193,10 @@ fn a_batchs_jobs_share_the_configs_trace() {
     let results = run_batch(jobs.collect(), 2);
     assert!(results.iter().all(|r| r.report.is_ok()));
     // The sink, `cfg` and each queued job hold one reference; a running
-    // job adds its session's config and WiFi link.
+    // job adds its session's WiFi link, moved there from its config.
     let peak = sink.peak.load(Ordering::Relaxed);
     assert!(
-        peak >= 2 + JOBS + 2,
+        peak > 2 + JOBS,
         "{peak} references: a job ran on its own copy"
     );
 }

@@ -6,7 +6,7 @@
 //! The count is read off a counting global allocator. It counts every
 //! thread of the process, so this binary holds exactly one test.
 
-use mpdash::core::{MpDashControl, SchedulerParams, SchedulerStats};
+use mpdash::core::{MpDashControl, PredictorKind, SchedulerParams, SchedulerStats};
 use mpdash::sim::{PathId, PathMask, Rate, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -54,6 +54,7 @@ fn a_progress_check_allocates_nothing() {
         vec![Rate::from_mbps(4), Rate::from_mbps(3)],
         SchedulerParams::default().with_debounce(2),
         tick,
+        PredictorKind::control_default(),
     );
     let mut enabled = control.mp_dash_enable(SimTime::ZERO, SIZE, SimDuration::from_secs(10));
     let both = PathMask::first(2);
